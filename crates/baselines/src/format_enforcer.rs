@@ -14,12 +14,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use xg_automata::fsa::{Fsa, StateId};
-use xg_core::TokenBitmask;
+use xg_core::{AcceptError, ConstraintMatcher, ConstraintStats, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::regex_unroll::{grammar_is_recursive, unroll_grammar_to_fsa};
-use crate::{BackendError, BackendSession, CompiledConstraint, ConstrainedBackend};
+use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
 
 /// lm-format-enforcer-style backend (character trie walking, regex only).
 #[derive(Debug)]
@@ -136,13 +136,12 @@ struct EnforcerCompiled {
 }
 
 impl CompiledConstraint for EnforcerCompiled {
-    fn new_session(&self) -> Box<dyn BackendSession> {
-        let mut state = BTreeSet::new();
-        state.insert(self.shared.fsa.start());
-        Box::new(EnforcerSession {
+    fn new_session(&self) -> Session {
+        Session::new(Box::new(EnforcerSession {
+            state: BTreeSet::from([self.shared.fsa.start()]),
             shared: Arc::clone(&self.shared),
-            state,
-        })
+            terminated: false,
+        }))
     }
 }
 
@@ -150,6 +149,8 @@ impl CompiledConstraint for EnforcerCompiled {
 struct EnforcerSession {
     shared: Arc<EnforcerShared>,
     state: BTreeSet<StateId>,
+    /// End-of-sequence has been accepted.
+    terminated: bool,
 }
 
 impl EnforcerSession {
@@ -169,9 +170,16 @@ impl EnforcerSession {
     }
 }
 
-impl BackendSession for EnforcerSession {
-    fn fill_mask(&mut self, mask: &mut TokenBitmask) {
+impl ConstraintMatcher for EnforcerSession {
+    fn vocabulary(&self) -> &Arc<Vocabulary> {
+        &self.shared.vocab
+    }
+
+    fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
         mask.reject_all();
+        if self.terminated {
+            return;
+        }
         // Skip the terminal tokens of the trie root (the empty string is not
         // a token) by walking children only; the root has no terminal tokens
         // in practice.
@@ -183,26 +191,49 @@ impl BackendSession for EnforcerSession {
         }
     }
 
-    fn accept_token(&mut self, token: TokenId) -> bool {
+    fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
+        if self.terminated {
+            return Err(AcceptError::AlreadyTerminated);
+        }
         if Some(token) == self.shared.vocab.eos() {
-            return self.can_terminate();
+            if !self.can_terminate() {
+                return Err(AcceptError::CannotTerminate);
+            }
+            self.terminated = true;
+            return Ok(());
         }
         if self.shared.vocab.is_special(token) {
-            return false;
+            return Err(AcceptError::SpecialTokenRejected { token });
         }
         let mut states = self.state.clone();
-        for &b in self.shared.vocab.token_bytes(token) {
+        for (i, &b) in self.shared.vocab.token_bytes(token).iter().enumerate() {
             states = self.shared.fsa.step(&states, b);
             if states.is_empty() {
-                return false;
+                return Err(AcceptError::TokenRejected {
+                    token,
+                    matched_bytes: i,
+                });
             }
         }
         self.state = states;
-        true
+        Ok(())
     }
 
     fn can_terminate(&mut self) -> bool {
-        self.state.iter().any(|s| self.shared.fsa.is_final(*s))
+        !self.terminated && self.state.iter().any(|s| self.shared.fsa.is_final(*s))
+    }
+
+    fn is_terminated(&self) -> bool {
+        self.terminated
+    }
+
+    fn reset(&mut self) {
+        self.state = BTreeSet::from([self.shared.fsa.start()]);
+        self.terminated = false;
+    }
+
+    fn stats(&self) -> ConstraintStats {
+        ConstraintStats::default()
     }
 }
 
@@ -234,7 +265,7 @@ mod tests {
         let mut session = compiled.new_session();
         assert!(drive_session_bytes(
             &vocab,
-            session.as_mut(),
+            &mut *session,
             br#"{"id": 17, "ok": true}"#
         ));
         assert!(session.can_terminate());
@@ -250,16 +281,16 @@ mod tests {
         let mut b_session = xg.compile(&grammar).unwrap().new_session();
         let mut a = TokenBitmask::new_all_rejected(vocab.len());
         let mut b = TokenBitmask::new_all_rejected(vocab.len());
-        a_session.fill_mask(&mut a);
-        b_session.fill_mask(&mut b);
+        a_session.fill_next_token_bitmask(&mut a);
+        b_session.fill_next_token_bitmask(&mut b);
         assert_eq!(a, b);
 
         // Advance both with a valid token and compare again.
         let v = vocab.iter().find(|(_, t)| *t == b"v").unwrap().0;
-        assert!(a_session.accept_token(v));
-        assert!(b_session.accept_token(v));
-        a_session.fill_mask(&mut a);
-        b_session.fill_mask(&mut b);
+        a_session.accept_token(v).unwrap();
+        b_session.accept_token(v).unwrap();
+        a_session.fill_next_token_bitmask(&mut a);
+        b_session.fill_next_token_bitmask(&mut b);
         assert_eq!(a, b);
     }
 

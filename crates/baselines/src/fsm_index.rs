@@ -18,12 +18,12 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 use xg_automata::fsa::{Fsa, StateId};
-use xg_core::TokenBitmask;
+use xg_core::{AcceptError, ConstraintMatcher, ConstraintStats, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::regex_unroll::unroll_grammar_to_fsa;
-use crate::{BackendError, BackendSession, CompiledConstraint, ConstrainedBackend};
+use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
 
 /// Default recursion-unrolling depth (enough for the nesting present in the
 /// evaluation datasets).
@@ -170,11 +170,12 @@ struct FsmCompiled {
 }
 
 impl CompiledConstraint for FsmCompiled {
-    fn new_session(&self) -> Box<dyn BackendSession> {
-        Box::new(FsmSession {
+    fn new_session(&self) -> Session {
+        Session::new(Box::new(FsmSession {
             shared: Arc::clone(&self.shared),
             state: self.shared.start_state(),
-        })
+            terminated: false,
+        }))
     }
 }
 
@@ -182,11 +183,20 @@ impl CompiledConstraint for FsmCompiled {
 struct FsmSession {
     shared: Arc<FsmShared>,
     state: DfaState,
+    /// End-of-sequence has been accepted.
+    terminated: bool,
 }
 
-impl BackendSession for FsmSession {
-    fn fill_mask(&mut self, mask: &mut TokenBitmask) {
+impl ConstraintMatcher for FsmSession {
+    fn vocabulary(&self) -> &Arc<Vocabulary> {
+        &self.shared.vocab
+    }
+
+    fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
         mask.reject_all();
+        if self.terminated {
+            return;
+        }
         let index = self.shared.state_index(&self.state);
         for (token, _) in &index.allowed {
             mask.allow(*token);
@@ -198,25 +208,48 @@ impl BackendSession for FsmSession {
         }
     }
 
-    fn accept_token(&mut self, token: TokenId) -> bool {
-        if Some(token) == self.shared.vocab.eos() {
-            return self.shared.state_index(&self.state).can_terminate;
-        }
-        if self.shared.vocab.is_special(token) {
-            return false;
+    fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
+        if self.terminated {
+            return Err(AcceptError::AlreadyTerminated);
         }
         let index = self.shared.state_index(&self.state);
+        if Some(token) == self.shared.vocab.eos() {
+            if !index.can_terminate {
+                return Err(AcceptError::CannotTerminate);
+            }
+            self.terminated = true;
+            return Ok(());
+        }
+        if self.shared.vocab.is_special(token) {
+            return Err(AcceptError::SpecialTokenRejected { token });
+        }
         match index.allowed.iter().find(|(t, _)| *t == token) {
             Some((_, next)) => {
                 self.state = next.clone();
-                true
+                Ok(())
             }
-            None => false,
+            None => Err(AcceptError::TokenRejected {
+                token,
+                matched_bytes: 0,
+            }),
         }
     }
 
     fn can_terminate(&mut self) -> bool {
-        self.shared.state_index(&self.state).can_terminate
+        !self.terminated && self.shared.state_index(&self.state).can_terminate
+    }
+
+    fn is_terminated(&self) -> bool {
+        self.terminated
+    }
+
+    fn reset(&mut self) {
+        self.state = self.shared.start_state();
+        self.terminated = false;
+    }
+
+    fn stats(&self) -> ConstraintStats {
+        ConstraintStats::default()
     }
 }
 
@@ -233,7 +266,7 @@ mod tests {
             xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ ("," [0-9]+)* "]""#, "root").unwrap();
         let compiled = backend.compile(&grammar).unwrap();
         let mut session = compiled.new_session();
-        assert!(drive_session_bytes(&vocab, session.as_mut(), b"[1,23,4]"));
+        assert!(drive_session_bytes(&vocab, &mut *session, b"[1,23,4]"));
         assert!(session.can_terminate());
     }
 
@@ -247,8 +280,8 @@ mod tests {
         let mut xg_session = xg.compile(&grammar).unwrap().new_session();
         let mut a = TokenBitmask::new_all_rejected(vocab.len());
         let mut b = TokenBitmask::new_all_rejected(vocab.len());
-        fsm_session.fill_mask(&mut a);
-        xg_session.fill_mask(&mut b);
+        fsm_session.fill_next_token_bitmask(&mut a);
+        xg_session.fill_next_token_bitmask(&mut b);
         assert_eq!(a, b);
     }
 
@@ -266,18 +299,14 @@ mod tests {
         .unwrap();
         let compiled = backend.compile(&grammar).unwrap();
         let mut session = compiled.new_session();
-        assert!(drive_session_bytes(
-            &vocab,
-            session.as_mut(),
-            b"[1,[2,[3]]]"
-        ));
+        assert!(drive_session_bytes(&vocab, &mut *session, b"[1,[2,[3]]]"));
         assert!(session.can_terminate());
         // Nesting beyond the unrolling depth is not representable: the mask
         // at some point refuses to open yet another bracket.
         let mut deep_session = compiled.new_session();
         assert!(!drive_session_bytes(
             &vocab,
-            deep_session.as_mut(),
+            &mut *deep_session,
             b"[[[[[[[[[[1]]]]]]]]]]"
         ));
     }

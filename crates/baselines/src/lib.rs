@@ -20,9 +20,14 @@
 //!   token through the automaton from the current state. Like the original,
 //!   it only supports regular (non-recursive) structures.
 //!
-//! All backends implement the common [`ConstrainedBackend`] /
-//! [`BackendSession`] interface so the benchmark harness and the serving
-//! engine can swap them freely.
+//! All backends implement the common [`ConstrainedBackend`] interface, and
+//! every per-request session — the three baselines' here, XGrammar's grammar
+//! and structural-tag matchers in `xg-core` — implements the one per-lane
+//! runtime trait, `xg_core::ConstraintMatcher`, reached through the owning
+//! [`Session`] handle. The benchmark harness and the serving engine swap
+//! backends freely and never branch on the backend kind; operations a
+//! baseline lacks (raw bytes, rollback, jump-forward) are the trait's
+//! "unsupported" defaults.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,11 +45,12 @@ pub use regex_unroll::{unroll_grammar_to_fsa, UnrollError};
 pub use xgrammar_backend::XGrammarBackend;
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use xg_core::{ForcedTokenRun, GrammarCacheStats, TokenBitmask};
+use xg_core::{ConstraintMatcher, GrammarCacheStats, MatcherPool};
 use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
-use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
+use xg_tokenizer::Vocabulary;
 
 /// Errors produced when a backend cannot handle a grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,136 +167,69 @@ pub trait ConstrainedBackend: Send + Sync + fmt::Debug {
 pub trait CompiledConstraint: Send + Sync + fmt::Debug {
     /// Creates a fresh matching session positioned at the start of the
     /// grammar.
-    fn new_session(&self) -> Box<dyn BackendSession>;
+    fn new_session(&self) -> Session;
 }
 
-/// Per-request incremental matching state.
-///
-/// The required methods are the minimum every backend supports; the provided
-/// methods surface the richer `ConstraintMatcher` operations (jump-forward,
-/// raw forced bytes) with conservative defaults, so engines can use them on
-/// any session without branching on the backend kind.
-pub trait BackendSession: Send + fmt::Debug {
-    /// Fills the bitmask of allowed next tokens.
-    fn fill_mask(&mut self, mask: &mut TokenBitmask);
+/// One lane's matching state, handed out by
+/// [`CompiledConstraint::new_session`]: an owning handle that derefs to
+/// `dyn` [`ConstraintMatcher`] — the one per-lane runtime interface, which
+/// the baseline sessions implement directly — and, when the matcher was drawn
+/// from a [`MatcherPool`], returns it there on drop so lanes of successive
+/// batches recycle matcher allocations.
+#[derive(Debug)]
+pub struct Session {
+    /// `Some` for the whole session lifetime; taken in `drop`.
+    matcher: Option<Box<dyn ConstraintMatcher>>,
+    pool: Option<Arc<MatcherPool>>,
+}
 
-    /// Advances the session with a sampled token. Returns `false` if the
-    /// token violates the constraint (the session state is then unspecified
-    /// and the request should be aborted).
-    fn accept_token(&mut self, token: TokenId) -> bool;
-
-    /// Verifies a speculative draft in one call: accepts the longest valid
-    /// prefix of `tokens` and returns its length. The session advances past
-    /// exactly the accepted prefix; the first rejected token (if any) leaves
-    /// no trace, so the engine can resume ordinary decoding — or roll the
-    /// prefix back, on backends with rollback support — without resync. The
-    /// default drives the per-token [`accept_token`] loop, which already has
-    /// reject-without-advance semantics on every backend.
-    ///
-    /// [`accept_token`]: Self::accept_token
-    fn accept_tokens_speculative(&mut self, tokens: &[TokenId]) -> usize {
-        for (i, &token) in tokens.iter().enumerate() {
-            if !self.accept_token(token) {
-                return i;
-            }
+impl Session {
+    /// A session owning `matcher` outright (nothing to recycle).
+    pub fn new(matcher: Box<dyn ConstraintMatcher>) -> Self {
+        Session {
+            matcher: Some(matcher),
+            pool: None,
         }
-        tokens.len()
     }
 
-    /// A key identifying the session's current mask-generation state:
-    /// sessions with equal keys produce identical context-independent mask
-    /// portions, so a batch scheduler may compute that portion once
-    /// ([`fill_mask_base`]) and serve every lane from it
-    /// ([`fill_mask_from_base`]). `None` (the default) opts the session out
-    /// of batching for this step.
-    ///
-    /// [`fill_mask_base`]: Self::fill_mask_base
-    /// [`fill_mask_from_base`]: Self::fill_mask_from_base
-    fn mask_batch_key(&self) -> Option<u64> {
-        None
+    /// A session whose matcher is acquired from `pool` and released back to
+    /// it on drop.
+    pub fn pooled(pool: &Arc<MatcherPool>) -> Self {
+        Session {
+            matcher: Some(pool.acquire()),
+            pool: Some(Arc::clone(pool)),
+        }
     }
+}
 
-    /// Writes the shared (context-independent) mask portion for the current
-    /// [`mask_batch_key`] state into `base`, returning `false` when the
-    /// session is not batchable right now (the default). The base is valid
-    /// for every session reporting the same key.
-    ///
-    /// [`mask_batch_key`]: Self::mask_batch_key
-    fn fill_mask_base(&mut self, base: &mut TokenBitmask) -> bool {
-        let _ = base;
-        false
+impl Deref for Session {
+    type Target = dyn ConstraintMatcher;
+
+    fn deref(&self) -> &Self::Target {
+        self.matcher.as_deref().expect("matcher present until drop")
     }
+}
 
-    /// Completes a mask from a shared `base` produced by [`fill_mask_base`]
-    /// on a session with the same [`mask_batch_key`]. The default ignores the
-    /// base and performs a full [`fill_mask`], so callers may use this
-    /// unconditionally once a base exists for the group.
-    ///
-    /// [`fill_mask`]: Self::fill_mask
-    /// [`fill_mask_base`]: Self::fill_mask_base
-    /// [`mask_batch_key`]: Self::mask_batch_key
-    fn fill_mask_from_base(&mut self, mask: &mut TokenBitmask, base: &TokenBitmask) {
-        let _ = base;
-        self.fill_mask(mask);
+impl DerefMut for Session {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.matcher
+            .as_deref_mut()
+            .expect("matcher present until drop")
     }
+}
 
-    /// Returns `true` if the text generated so far is a complete instance of
-    /// the structure (end-of-sequence is allowed).
-    fn can_terminate(&mut self) -> bool;
-
-    /// Advances the session with deterministic raw bytes (jump-forward
-    /// text). Returns `false` if the bytes violate the constraint *or* the
-    /// backend does not support raw-byte advancement (the default — the
-    /// session state is then unchanged and the engine falls back to
-    /// per-token decoding).
-    fn accept_bytes(&mut self, bytes: &[u8]) -> bool {
-        let _ = bytes;
-        false
-    }
-
-    /// The longest byte string forced by the constraint from the current
-    /// position, for jump-forward decoding. Backends without forced-text
-    /// detection return an empty vector (the default).
-    fn find_jump_forward(&mut self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// The forced continuation re-tokenized against `vocab`: the
-    /// longest-prefix token cover of [`find_jump_forward`]'s bytes, computed
-    /// through `sorted` (which must be built from `vocab`, the session's
-    /// vocabulary). This is the single engine-facing re-tokenization entry
-    /// point — mirroring `ConstraintMatcher::find_jump_forward_tokens` in
-    /// `xg-core` — so the serving loop never re-implements the cover rule.
-    ///
-    /// [`find_jump_forward`]: Self::find_jump_forward
-    fn find_jump_forward_tokens(
-        &mut self,
-        vocab: &Vocabulary,
-        sorted: &SortedVocabulary,
-    ) -> ForcedTokenRun {
-        ForcedTokenRun::cover(self.find_jump_forward(), vocab, sorted)
-    }
-
-    /// Rolls back the last `num_units` accepted units (each successful
-    /// `accept_token` or `accept_bytes` call is one unit). Returns `false`
-    /// when the backend does not support rollback or the window holds fewer
-    /// units (the default — the session state is then unchanged). Engines use
-    /// this to undo speculative forced-token runs.
-    fn rollback(&mut self, num_units: usize) -> bool {
-        let _ = num_units;
-        false
-    }
-
-    /// Number of accepted units the session can currently roll back
-    /// (`0` for backends without rollback support, the default).
-    fn rollback_window(&self) -> usize {
-        0
+impl Drop for Session {
+    fn drop(&mut self) {
+        if let (Some(matcher), Some(pool)) = (self.matcher.take(), &self.pool) {
+            pool.release(matcher);
+        }
     }
 }
 
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
+    use xg_core::TokenBitmask;
     use xg_tokenizer::test_vocabulary;
 
     /// Drives a session over the byte string `text` by feeding it the
@@ -298,7 +237,7 @@ pub(crate) mod test_support {
     /// is allowed by the freshly generated mask before accepting it.
     pub fn drive_session_bytes(
         vocab: &Vocabulary,
-        session: &mut dyn BackendSession,
+        session: &mut dyn ConstraintMatcher,
         text: &[u8],
     ) -> bool {
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
@@ -308,11 +247,8 @@ pub(crate) mod test_support {
                 .find(|(_, t)| *t == [b])
                 .map(|(id, _)| id)
                 .expect("single-byte token exists");
-            session.fill_mask(&mut mask);
-            if !mask.is_allowed(token) {
-                return false;
-            }
-            if !session.accept_token(token) {
+            session.fill_next_token_bitmask(&mut mask);
+            if !mask.is_allowed(token) || session.accept_token(token).is_err() {
                 return false;
             }
         }

@@ -11,11 +11,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use xg_automata::{build_pda_default, Pda, SimpleMatcher, StepResult};
-use xg_core::TokenBitmask;
+use xg_core::{AcceptError, ConstraintMatcher, ConstraintStats, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
-use crate::{BackendError, BackendSession, CompiledConstraint, ConstrainedBackend};
+use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
 
 /// Baseline backend interpreting the PDA with full-vocabulary scans.
 #[derive(Debug)]
@@ -61,13 +61,13 @@ impl fmt::Debug for NaiveCompiled {
 }
 
 impl CompiledConstraint for NaiveCompiled {
-    fn new_session(&self) -> Box<dyn BackendSession> {
-        let stacks = vec![vec![self.pda.root_start()]];
-        Box::new(NaiveSession {
+    fn new_session(&self) -> Session {
+        Session::new(Box::new(NaiveSession {
+            stacks: vec![vec![self.pda.root_start()]],
             pda: self.pda.clone(),
             vocab: Arc::clone(&self.vocab),
-            stacks,
-        })
+            terminated: false,
+        }))
     }
 }
 
@@ -78,6 +78,8 @@ struct NaiveSession {
     pda: Pda,
     vocab: Arc<Vocabulary>,
     stacks: Vec<xg_automata::MatchStack>,
+    /// End-of-sequence has been accepted.
+    terminated: bool,
 }
 
 impl NaiveSession {
@@ -86,11 +88,15 @@ impl NaiveSession {
     }
 }
 
-impl BackendSession for NaiveSession {
-    fn fill_mask(&mut self, mask: &mut TokenBitmask) {
+impl ConstraintMatcher for NaiveSession {
+    fn vocabulary(&self) -> &Arc<Vocabulary> {
+        &self.vocab
+    }
+
+    fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
         mask.reject_all();
         let base = self.matcher();
-        if base.is_dead() {
+        if self.terminated || base.is_dead() {
             return;
         }
         for (token, bytes) in self.vocab.iter() {
@@ -116,24 +122,46 @@ impl BackendSession for NaiveSession {
         }
     }
 
-    fn accept_token(&mut self, token: TokenId) -> bool {
+    fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
+        if self.terminated {
+            return Err(AcceptError::AlreadyTerminated);
+        }
         if Some(token) == self.vocab.eos() {
-            return self.matcher().can_terminate();
+            if !self.matcher().can_terminate() {
+                return Err(AcceptError::CannotTerminate);
+            }
+            self.terminated = true;
+            return Ok(());
         }
         if self.vocab.is_special(token) {
-            return false;
+            return Err(AcceptError::SpecialTokenRejected { token });
         }
-        let bytes = self.vocab.token_bytes(token).to_vec();
         let mut m = self.matcher();
-        if !m.advance_bytes(&bytes) {
-            return false;
+        if !m.advance_bytes(self.vocab.token_bytes(token)) {
+            return Err(AcceptError::TokenRejected {
+                token,
+                matched_bytes: 0,
+            });
         }
         self.stacks = m.stacks().to_vec();
-        true
+        Ok(())
     }
 
     fn can_terminate(&mut self) -> bool {
-        self.matcher().can_terminate()
+        !self.terminated && self.matcher().can_terminate()
+    }
+
+    fn is_terminated(&self) -> bool {
+        self.terminated
+    }
+
+    fn reset(&mut self) {
+        self.stacks = vec![vec![self.pda.root_start()]];
+        self.terminated = false;
+    }
+
+    fn stats(&self) -> ConstraintStats {
+        ConstraintStats::default()
     }
 }
 
@@ -150,11 +178,7 @@ mod tests {
             .compile(&xg_grammar::builtin::json_grammar())
             .unwrap();
         let mut session = compiled.new_session();
-        assert!(drive_session_bytes(
-            &vocab,
-            session.as_mut(),
-            br#"{"a": 1}"#
-        ));
+        assert!(drive_session_bytes(&vocab, &mut *session, br#"{"a": 1}"#));
         assert!(session.can_terminate());
     }
 
@@ -167,9 +191,9 @@ mod tests {
             .unwrap();
         let mut session = compiled.new_session();
         let x_token = vocab.iter().find(|(_, t)| *t == b"x").unwrap().0;
-        assert!(!session.accept_token(x_token));
+        assert!(session.accept_token(x_token).is_err());
         let brace = vocab.iter().find(|(_, t)| *t == b"{").unwrap().0;
-        assert!(session.accept_token(brace));
+        assert!(session.accept_token(brace).is_ok());
     }
 
     #[test]
@@ -189,8 +213,8 @@ mod tests {
 
         let mut mask_a = TokenBitmask::new_all_rejected(vocab.len());
         let mut mask_b = TokenBitmask::new_all_rejected(vocab.len());
-        naive_session.fill_mask(&mut mask_a);
-        xg_session.fill_mask(&mut mask_b);
+        naive_session.fill_next_token_bitmask(&mut mask_a);
+        xg_session.fill_next_token_bitmask(&mut mask_b);
         assert_eq!(mask_a, mask_b);
     }
 }

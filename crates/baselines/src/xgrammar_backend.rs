@@ -3,23 +3,23 @@
 //! against the baselines.
 //!
 //! Every compiled constraint — fully-constrained grammar or structural-tag
-//! dispatch — is wrapped in one session type driving a boxed
-//! [`ConstraintMatcher`] drawn from a [`MatcherPool`]: the only per-kind code
+//! dispatch — hands out pooled [`Session`]s: a `dyn ConstraintMatcher` drawn
+//! from a [`MatcherPool`] and returned to it on drop. The only per-kind code
 //! is the constraint *construction* (which compile entry point to call);
-//! masks, token acceptance, jump-forward and termination all flow through
-//! the trait.
+//! masks, token acceptance, jump-forward and termination are the matcher's
+//! own trait methods.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use xg_core::{
-    CompilerConfig, ConstraintFactory, ConstraintMatcher, GrammarCache, GrammarCacheKey,
-    GrammarCacheStats, GrammarCompiler, MatcherPool, TokenBitmask,
+    CompilerConfig, ConstraintFactory, GrammarCache, GrammarCacheKey, GrammarCacheStats,
+    GrammarCompiler, MatcherPool,
 };
 use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
-use xg_tokenizer::{TokenId, Vocabulary};
+use xg_tokenizer::Vocabulary;
 
-use crate::{BackendError, BackendSession, CompiledConstraint, ConstrainedBackend};
+use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
 
 /// The XGrammar engine behind the common backend interface.
 #[derive(Debug)]
@@ -267,86 +267,8 @@ struct XGrammarCompiled {
 }
 
 impl CompiledConstraint for XGrammarCompiled {
-    fn new_session(&self) -> Box<dyn BackendSession> {
-        Box::new(XGrammarSession {
-            matcher: Some(self.pool.acquire()),
-            pool: Arc::clone(&self.pool),
-        })
-    }
-}
-
-/// The one session type for every constraint kind: a boxed
-/// [`ConstraintMatcher`] plus the pool it returns to on drop.
-#[derive(Debug)]
-struct XGrammarSession {
-    /// `Some` for the whole session lifetime; taken in `drop`.
-    matcher: Option<Box<dyn ConstraintMatcher>>,
-    pool: Arc<MatcherPool>,
-}
-
-impl XGrammarSession {
-    fn matcher(&mut self) -> &mut dyn ConstraintMatcher {
-        self.matcher
-            .as_deref_mut()
-            .expect("matcher present until drop")
-    }
-}
-
-impl Drop for XGrammarSession {
-    fn drop(&mut self) {
-        if let Some(matcher) = self.matcher.take() {
-            self.pool.release(matcher);
-        }
-    }
-}
-
-impl BackendSession for XGrammarSession {
-    fn fill_mask(&mut self, mask: &mut TokenBitmask) {
-        self.matcher().fill_next_token_bitmask(mask);
-    }
-
-    fn accept_token(&mut self, token: TokenId) -> bool {
-        self.matcher().accept_token(token).is_ok()
-    }
-
-    fn accept_tokens_speculative(&mut self, tokens: &[TokenId]) -> usize {
-        self.matcher().accept_tokens_speculative(tokens)
-    }
-
-    fn mask_batch_key(&self) -> Option<u64> {
-        self.matcher
-            .as_deref()
-            .and_then(|matcher| matcher.mask_batch_key())
-    }
-
-    fn fill_mask_base(&mut self, base: &mut TokenBitmask) -> bool {
-        self.matcher().fill_mask_base(base)
-    }
-
-    fn fill_mask_from_base(&mut self, mask: &mut TokenBitmask, base: &TokenBitmask) {
-        self.matcher().fill_next_token_bitmask_from_base(mask, base);
-    }
-
-    fn can_terminate(&mut self) -> bool {
-        self.matcher().can_terminate()
-    }
-
-    fn accept_bytes(&mut self, bytes: &[u8]) -> bool {
-        self.matcher().accept_bytes(bytes).is_ok()
-    }
-
-    fn find_jump_forward(&mut self) -> Vec<u8> {
-        self.matcher().find_jump_forward_string()
-    }
-
-    fn rollback(&mut self, num_units: usize) -> bool {
-        self.matcher().rollback(num_units).is_ok()
-    }
-
-    fn rollback_window(&self) -> usize {
-        self.matcher
-            .as_deref()
-            .map_or(0, |matcher| matcher.rollback_window())
+    fn new_session(&self) -> Session {
+        Session::pooled(&self.pool)
     }
 }
 
@@ -354,7 +276,7 @@ impl BackendSession for XGrammarSession {
 mod tests {
     use super::*;
     use crate::test_support::{drive_session_bytes, small_vocab};
-    use crate::ConstrainedBackend;
+    use xg_core::TokenBitmask;
 
     #[test]
     fn xgrammar_backend_roundtrip() {
@@ -366,12 +288,12 @@ mod tests {
         let mut session = compiled.new_session();
         assert!(drive_session_bytes(
             &vocab,
-            session.as_mut(),
+            &mut *session,
             br#"[1, {"k": "v"}]"#
         ));
         assert!(session.can_terminate());
         // EOS is accepted once the structure is complete.
-        assert!(session.accept_token(vocab.eos().unwrap()));
+        session.accept_token(vocab.eos().unwrap()).unwrap();
     }
 
     #[test]
@@ -415,11 +337,11 @@ mod tests {
         let first = backend.compile(&grammar).unwrap();
         {
             let mut session = first.new_session();
-            assert!(drive_session_bytes(&vocab, session.as_mut(), b"[1]"));
+            assert!(drive_session_bytes(&vocab, &mut *session, b"[1]"));
         } // matcher returns to the pool
         let second = backend.compile(&grammar).unwrap();
         let mut session = second.new_session();
-        assert!(drive_session_bytes(&vocab, session.as_mut(), b"[2]"));
+        assert!(drive_session_bytes(&vocab, &mut *session, b"[2]"));
         drop(session);
         let state = backend.pools.lock().unwrap();
         assert_eq!(state.by_key.len(), 1, "one pool per compiled grammar");
@@ -449,12 +371,12 @@ mod tests {
         let first = backend.compile_structural(&tag).unwrap();
         {
             let mut session = first.new_session();
-            assert!(drive_session_bytes(&vocab, session.as_mut(), b"a <n>1</n>"));
+            assert!(drive_session_bytes(&vocab, &mut *session, b"a <n>1</n>"));
         } // matcher returns to the pool
           // A fresh compile of the same registry shares pool and matcher.
         let second = backend.compile_structural(&tag).unwrap();
         let mut session = second.new_session();
-        assert!(drive_session_bytes(&vocab, session.as_mut(), b"b <n>2</n>"));
+        assert!(drive_session_bytes(&vocab, &mut *session, b"b <n>2</n>"));
         drop(session);
         let state = backend.pools.lock().unwrap();
         assert_eq!(state.by_key.len(), 1, "one pool per tool registry");
@@ -472,11 +394,11 @@ mod tests {
             .unwrap();
         {
             let mut first = compiled.new_session();
-            assert!(drive_session_bytes(&vocab, first.as_mut(), b"[7]"));
+            assert!(drive_session_bytes(&vocab, &mut *first, b"[7]"));
         } // dropped -> matcher returns to the pool
           // The recycled matcher must start from scratch.
         let mut second = compiled.new_session();
-        assert!(drive_session_bytes(&vocab, second.as_mut(), b"[12]"));
+        assert!(drive_session_bytes(&vocab, &mut *second, b"[12]"));
         assert!(second.can_terminate());
     }
 
@@ -488,11 +410,11 @@ mod tests {
             .compile(&xg_grammar::parse_ebnf(r#"root ::= "{\"id\": " [0-9]+ "}""#, "root").unwrap())
             .unwrap();
         let mut session = compiled.new_session();
-        let jump = session.find_jump_forward();
+        let jump = session.find_jump_forward_string();
         assert_eq!(jump, b"{\"id\": ".to_vec());
         // The re-tokenized view tiles the same bytes with real tokens.
         let sorted = xg_tokenizer::SortedVocabulary::new(&vocab);
-        let run = session.find_jump_forward_tokens(&vocab, &sorted);
+        let run = session.find_jump_forward_tokens(&sorted);
         assert_eq!(run.bytes, jump);
         assert_eq!(run.covered, jump.len());
         let tiled: Vec<u8> = run
@@ -501,15 +423,18 @@ mod tests {
             .flat_map(|t| vocab.token_bytes(*t).to_vec())
             .collect();
         assert_eq!(tiled, jump);
-        assert!(session.accept_bytes(&jump));
-        assert!(drive_session_bytes(&vocab, session.as_mut(), b"42}"));
+        session.accept_bytes(&jump).unwrap();
+        assert!(drive_session_bytes(&vocab, &mut *session, b"42}"));
         assert!(session.can_terminate());
         // Forced runs are rollback units: undo everything (the three sampled
         // bytes and the jump) and the same text is forced again.
         assert_eq!(session.rollback_window(), 4);
-        assert!(session.rollback(4));
-        assert_eq!(session.find_jump_forward(), jump);
-        assert!(!session.rollback(100), "over-rollback must be refused");
+        session.rollback(4).unwrap();
+        assert_eq!(session.find_jump_forward_string(), jump);
+        assert!(
+            session.rollback(100).is_err(),
+            "over-rollback must be refused"
+        );
         // Baseline sessions without jump-forward support report none (the
         // default), rather than forcing every backend to implement it.
         let naive = crate::NaivePdaBackend::new(Arc::clone(&vocab));
@@ -517,8 +442,8 @@ mod tests {
             .compile(&xg_grammar::builtin::json_grammar())
             .unwrap()
             .new_session();
-        assert!(naive_session.find_jump_forward().is_empty());
-        assert!(!naive_session.accept_bytes(b"{"));
+        assert!(naive_session.find_jump_forward_string().is_empty());
+        assert!(naive_session.accept_bytes(b"{").is_err());
     }
 
     #[test]
@@ -615,7 +540,7 @@ mod tests {
         assert_eq!(next.tags.len(), 2);
         {
             let mut session = compiled.new_session();
-            assert!(drive_session_bytes(&vocab, session.as_mut(), b"x <b>7</b>"));
+            assert!(drive_session_bytes(&vocab, &mut *session, b"x <b>7</b>"));
         }
         let state = backend.pools.lock().unwrap();
         assert_eq!(
@@ -656,11 +581,11 @@ mod tests {
         // Free prose, then a constrained tagged segment, then prose again.
         assert!(drive_session_bytes(
             &vocab,
-            session.as_mut(),
+            &mut *session,
             b"hi <n>42</n> bye"
         ));
         assert!(session.can_terminate());
-        assert!(session.accept_token(vocab.eos().unwrap()));
+        session.accept_token(vocab.eos().unwrap()).unwrap();
         // A baseline backend reports structural tags as unsupported.
         let naive = crate::NaivePdaBackend::new(Arc::clone(&vocab));
         assert!(matches!(
@@ -696,7 +621,7 @@ mod tests {
         assert!(session.can_terminate());
         // Each draft token is one rollback unit.
         assert_eq!(session.rollback_window(), 4);
-        assert!(session.rollback(4));
+        session.rollback(4).unwrap();
         // Two fresh sessions share a batch key; the base-completed mask
         // matches the full fill bit for bit.
         let mut a = compiled.new_session();
@@ -706,9 +631,9 @@ mod tests {
         let mut base = TokenBitmask::new_all_rejected(vocab.len());
         assert!(a.fill_mask_base(&mut base));
         let mut from_base = TokenBitmask::new_all_rejected(vocab.len());
-        b.fill_mask_from_base(&mut from_base, &base);
+        b.fill_next_token_bitmask_from_base(&mut from_base, &base);
         let mut full = TokenBitmask::new_all_rejected(vocab.len());
-        a.fill_mask(&mut full);
+        a.fill_next_token_bitmask(&mut full);
         assert_eq!(from_base, full);
         // Baseline sessions opt out of batching but keep the speculative
         // default (per-token loop).
@@ -730,7 +655,7 @@ mod tests {
                 .compile(&xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap())
                 .unwrap();
             let mut session = compiled.new_session();
-            assert!(drive_session_bytes(&vocab, session.as_mut(), b"[12]"));
+            assert!(drive_session_bytes(&vocab, &mut *session, b"[12]"));
             assert!(session.can_terminate());
         }
     }

@@ -70,11 +70,13 @@ fn bench_mask_generation(c: &mut Criterion) {
                             let mut state = llm.start_request(&refs[0], 0);
                             let mut mask = TokenBitmask::new_all_rejected(vocab.len());
                             for _ in 0..TOKENS_PER_ITER {
-                                session.fill_mask(&mut mask);
+                                session.fill_next_token_bitmask(&mut mask);
                                 let Some(token) = state.propose_constrained(&mask) else {
                                     break;
                                 };
-                                if Some(token) == vocab.eos() || !session.accept_token(token) {
+                                if Some(token) == vocab.eos()
+                                    || session.accept_token(token).is_err()
+                                {
                                     break;
                                 }
                                 state.advance(token);
@@ -134,11 +136,13 @@ fn bench_batched_mask_generation(c: &mut Criterion) {
                             let mut session = compiled.new_session();
                             let mut state = llm.start_request(&refs[i % refs.len()], i as u64);
                             for _ in 0..(2 + i % 12) {
-                                session.fill_mask(&mut masks[i]);
+                                session.fill_next_token_bitmask(&mut masks[i]);
                                 let Some(token) = state.propose_constrained(&masks[i]) else {
                                     break;
                                 };
-                                if Some(token) == vocab.eos() || !session.accept_token(token) {
+                                if Some(token) == vocab.eos()
+                                    || session.accept_token(token).is_err()
+                                {
                                     break;
                                 }
                                 state.advance(token);
@@ -155,14 +159,14 @@ fn bench_batched_mask_generation(c: &mut Criterion) {
                                 for chunk in lanes.chunks_mut(chunk) {
                                     scope.spawn(move || {
                                         for (session, mask) in chunk {
-                                            session.fill_mask(mask);
+                                            session.fill_next_token_bitmask(mask);
                                         }
                                     });
                                 }
                             });
                         } else {
                             for (session, mask) in sessions.iter_mut().zip(masks.iter_mut()) {
-                                session.fill_mask(mask);
+                                session.fill_next_token_bitmask(mask);
                             }
                         }
                         masks[0].count_allowed()
@@ -298,7 +302,6 @@ fn bench_engine_jump_forward(c: &mut Criterion) {
     group.warm_up_time(Duration::from_secs(1));
     for (label, policy) in [
         ("off", JumpForwardPolicy::Off),
-        ("matcher", JumpForwardPolicy::Matcher),
         ("engine", JumpForwardPolicy::Engine),
     ] {
         let engine =

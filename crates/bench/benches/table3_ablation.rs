@@ -38,11 +38,11 @@ fn bench_ablation(c: &mut Criterion) {
                 let mut state = llm.start_request(&refs[0], 0);
                 let mut mask = TokenBitmask::new_all_rejected(vocab.len());
                 for _ in 0..10 {
-                    session.fill_mask(&mut mask);
+                    session.fill_next_token_bitmask(&mut mask);
                     let Some(token) = state.propose_constrained(&mask) else {
                         break;
                     };
-                    if Some(token) == vocab.eos() || !session.accept_token(token) {
+                    if Some(token) == vocab.eos() || session.accept_token(token).is_err() {
                         break;
                     }
                     state.advance(token);

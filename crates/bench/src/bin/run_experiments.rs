@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xg_baselines::{BackendSession, ConstrainedBackend, XGrammarBackend};
+use xg_baselines::{ConstrainedBackend, XGrammarBackend};
 use xg_bench::{
     ablation_backend, bench_vocabulary, measure_mask_generation, BackendKind, Workload,
 };
@@ -864,8 +864,8 @@ fn experiment_structural_tag(vocab: &Arc<Vocabulary>, config: &Config) {
 }
 
 /// Engine-level jump-forward (the serving-loop version of Figure 11): a
-/// schema-heavy batch plus a mixed prose/tool-call batch run under every
-/// [`xg_engine::JumpForwardPolicy`], with a differential PASS gate —
+/// schema-heavy batch plus a mixed prose/tool-call batch run under both
+/// [`xg_engine::JumpForwardPolicy`] variants, with a differential PASS gate —
 /// byte-identical per-lane outputs and at least 10% fewer sampled tokens
 /// than the `Off` path on the schema-heavy batch.
 fn experiment_engine_jump_forward(vocab: &Arc<Vocabulary>, config: &Config) {
@@ -893,7 +893,6 @@ fn experiment_engine_jump_forward(vocab: &Arc<Vocabulary>, config: &Config) {
     let _ = run(&requests, JumpForwardPolicy::Off);
     let policies = [
         ("Off", JumpForwardPolicy::Off),
-        ("Matcher", JumpForwardPolicy::Matcher),
         ("Engine", JumpForwardPolicy::Engine),
     ];
     let mut outcomes = Vec::new();
@@ -901,15 +900,8 @@ fn experiment_engine_jump_forward(vocab: &Arc<Vocabulary>, config: &Config) {
     for (label, policy) in policies {
         let (results, metrics) = run(&requests, policy);
         // Figure 11's y axis: wall clock per *output* token — forced text is
-        // output too, it just skips the GPU step. The Matcher policy injects
-        // raw byte runs (no token count), so its forced output is estimated
-        // at ~4 bytes/token like the fig11 harness does.
-        let forced_output = if metrics.jump_forward_tokens > 0 {
-            metrics.jump_forward_tokens
-        } else {
-            metrics.jump_forward_chars.div_ceil(4)
-        };
-        let output_tokens = metrics.total_tokens + forced_output;
+        // output too, it just skips the GPU step.
+        let output_tokens = metrics.total_tokens + metrics.jump_forward_tokens;
         println!(
             "    {:<8} {:>5} sampled + {:>4} forced tokens ({:>4} forced chars), \
              total {} ms, TPOT(sampled) {} ms, {:.3} ms/output-token",
@@ -921,16 +913,14 @@ fn experiment_engine_jump_forward(vocab: &Arc<Vocabulary>, config: &Config) {
             fmt_ms(metrics.tpot),
             metrics.total_time.as_secs_f64() * 1e3 / output_tokens.max(1) as f64,
         );
-        outcomes.push((policy, results, metrics));
+        outcomes.push((results, metrics));
     }
-    let (_, off_results, off_metrics) = &outcomes[0];
-    let (_, engine_results, engine_metrics) = &outcomes[2];
-    let parity = outcomes.iter().all(|(_, results, _)| {
-        results
-            .iter()
-            .zip(off_results.iter())
-            .all(|(a, b)| a.output == b.output)
-    });
+    let (off_results, off_metrics) = &outcomes[0];
+    let (engine_results, engine_metrics) = &outcomes[1];
+    let parity = engine_results
+        .iter()
+        .zip(off_results)
+        .all(|(a, b)| a.output == b.output);
     let saved = off_metrics
         .total_tokens
         .saturating_sub(engine_metrics.total_tokens);
@@ -986,10 +976,11 @@ fn experiment_engine_jump_forward(vocab: &Arc<Vocabulary>, config: &Config) {
 /// The continuous-batching serving core: requests join a running batch
 /// mid-decode, grammars compile off the hot path on admission workers, and
 /// mask generation overlaps the simulated GPU phase. Two PASS gates guard
-/// the refactor: `run_batch` (now a thin wrapper over the scheduler) stays
-/// byte-identical to the retained fixed loop, and a late-arriving request
-/// whose grammar is already cached reaches its first token faster than the
-/// fixed-batch TTFT bound (whole-batch prefill + compile).
+/// it: `run_batch` (a thin wrapper over the scheduler) serves every lane
+/// exactly its single-lane reference decode, and a late-arriving request
+/// whose grammar is already cached reaches its first token faster than a
+/// fixed-membership batch could give it one (whole-batch prefill + one
+/// decode step).
 fn experiment_continuous_batching(vocab: &Arc<Vocabulary>, config: &Config) {
     use xg_engine::SchedulerConfig;
 
@@ -1002,20 +993,22 @@ fn experiment_continuous_batching(vocab: &Arc<Vocabulary>, config: &Config) {
         ExecutionMode::Overlapped,
     );
 
-    // ---- Part 1: differential parity with the fixed-batch reference. ----
+    // ---- Part 1: differential parity with the reference decode. ----
     let count = config.engine_requests.max(8);
     let requests = schema_requests(count);
-    let _ = engine.run_batch_fixed(&requests).expect("cache warmup");
-    let (fixed, fixed_metrics) = engine.run_batch_fixed(&requests).expect("fixed batch");
-    let (scheduled, sched_metrics) = engine.run_batch(&requests).expect("scheduled batch");
-    let parity = fixed
+    // One lane at a time on this thread (which also warms the grammar cache).
+    let reference: Vec<_> = requests
         .iter()
-        .zip(&scheduled)
-        .all(|(a, b)| a.output == b.output);
+        .map(|r| engine.decode_reference(r).expect("reference decode"))
+        .collect();
+    let (scheduled, sched_metrics) = engine.run_batch(&requests).expect("scheduled batch");
+    let parity = reference.iter().zip(&scheduled).all(|(a, b)| {
+        (&a.output, a.tokens, a.jump_forward_tokens, a.completed)
+            == (&b.output, b.tokens, b.jump_forward_tokens, b.completed)
+    });
     println!(
-        "  {count}-lane schema batch: fixed loop {} ms vs scheduler {} ms, \
-         {} sampled + {} forced tokens, parity {}",
-        fmt_ms(fixed_metrics.total_time),
+        "  {count}-lane schema batch: scheduler {} ms, {} sampled + {} forced tokens, \
+         parity with the reference decode {}",
         fmt_ms(sched_metrics.total_time),
         sched_metrics.total_tokens,
         sched_metrics.jump_forward_tokens,
@@ -1028,10 +1021,11 @@ fn experiment_continuous_batching(vocab: &Arc<Vocabulary>, config: &Config) {
     late.seed = 0xFEED;
     let mut cohort_plus_late = requests.clone();
     cohort_plus_late.push(late.clone());
-    let (_, bound_metrics) = engine
-        .run_batch_fixed(&cohort_plus_late)
-        .expect("bound batch");
-    let bound = bound_metrics.ttft;
+    // What a fixed-membership batch owes every lane before its first token,
+    // compile already cached: prefill of the whole batch, one decode step.
+    let batch_prompt_tokens: usize = cohort_plus_late.iter().map(|r| r.prompt_tokens).sum();
+    let bound = profile.prefill_time(batch_prompt_tokens)
+        + profile.decode_step_time(cohort_plus_late.len());
 
     let scheduler = engine.serve(SchedulerConfig {
         max_lanes: cohort_plus_late.len(),
@@ -1717,17 +1711,15 @@ fn experiment_dynamic_registry(vocab: &Arc<Vocabulary>, config: &Config) {
                 max_tokens: 200,
                 seed: 7,
             };
-            let (incr, _) = engine
-                .run_batch_fixed(std::slice::from_ref(&request))
+            let incr = engine
+                .decode_reference(&request)
                 .expect("incremental-engine turn");
             let fresh_backend: Arc<dyn ConstrainedBackend> =
                 Arc::new(XGrammarBackend::new(Arc::clone(vocab)));
-            let fresh_engine =
-                ServingEngine::new(fresh_backend, profile.clone(), ExecutionMode::Serial);
-            let (fresh, _) = fresh_engine
-                .run_batch_fixed(std::slice::from_ref(&request))
+            let fresh = ServingEngine::new(fresh_backend, profile.clone(), ExecutionMode::Serial)
+                .decode_reference(&request)
                 .expect("fresh-engine turn");
-            parity &= incr[0].output == fresh[0].output;
+            parity &= incr.output == fresh.output;
             turns_checked += 1;
         }
     }
@@ -1788,21 +1780,20 @@ fn measure_shared_base_speedup(
     let vocab_size = backend.vocabulary().len();
     let (grammar, _) = workload.grammar_and_references(1);
     let compiled = backend.compile(&grammar).expect("grammar compiles");
-    let mut sessions: Vec<Box<dyn BackendSession>> =
-        (0..LANES).map(|_| compiled.new_session()).collect();
+    let mut sessions: Vec<_> = (0..LANES).map(|_| compiled.new_session()).collect();
     let mut mask = TokenBitmask::new_all_rejected(vocab_size);
     let mut base = TokenBitmask::new_all_rejected(vocab_size);
     // Warm both paths once so first-touch allocation does not skew the ratio.
-    sessions[0].fill_mask(&mut mask);
+    sessions[0].fill_next_token_bitmask(&mut mask);
     if !sessions[0].fill_mask_base(&mut base) {
         return 1.0;
     }
-    sessions[0].fill_mask_from_base(&mut mask, &base);
+    sessions[0].fill_next_token_bitmask_from_base(&mut mask, &base);
 
     let full_start = Instant::now();
     for _ in 0..rounds {
         for session in &mut sessions {
-            session.fill_mask(&mut mask);
+            session.fill_next_token_bitmask(&mut mask);
         }
     }
     let full = full_start.elapsed();
@@ -1811,11 +1802,11 @@ fn measure_shared_base_speedup(
     for _ in 0..rounds {
         if sessions[0].fill_mask_base(&mut base) {
             for session in &mut sessions {
-                session.fill_mask_from_base(&mut mask, &base);
+                session.fill_next_token_bitmask_from_base(&mut mask, &base);
             }
         } else {
             for session in &mut sessions {
-                session.fill_mask(&mut mask);
+                session.fill_next_token_bitmask(&mut mask);
             }
         }
     }

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xg_baselines::{
-    BackendSession, ConstrainedBackend, FormatEnforcerBackend, FsmIndexBackend, NaivePdaBackend,
-    XGrammarBackend,
+    ConstrainedBackend, FormatEnforcerBackend, FsmIndexBackend, NaivePdaBackend, XGrammarBackend,
 };
 use xg_core::{CompilerConfig, TokenBitmask};
 use xg_engine::{LlmBehavior, SimulatedLlm};
@@ -212,16 +211,13 @@ pub fn measure_mask_generation(
         let mut state = llm.start_request(reference, i as u64);
         for _ in 0..max_tokens_per_reference {
             let start = Instant::now();
-            session.fill_mask(&mut mask);
+            session.fill_next_token_bitmask(&mut mask);
             total += start.elapsed();
             masks += 1;
             let Some(token) = state.propose_constrained(&mask) else {
                 break;
             };
-            if Some(token) == vocab.eos() {
-                break;
-            }
-            if !session.accept_token(token) {
+            if Some(token) == vocab.eos() || session.accept_token(token).is_err() {
                 break;
             }
             state.advance(token);
@@ -276,42 +272,4 @@ pub fn ablation_config(step: usize) -> (String, CompilerConfig) {
         ),
         _ => ("+ Context expansion".into(), CompilerConfig::default()),
     }
-}
-
-/// Per-session helper: drives one session over a reference output and returns
-/// the number of accepted tokens (used by correctness smoke tests in the
-/// harness).
-pub fn drive_reference(
-    backend: &Arc<dyn ConstrainedBackend>,
-    session: &mut dyn BackendSession,
-    reference: &[u8],
-    max_tokens: usize,
-) -> usize {
-    let vocab = Arc::clone(backend.vocabulary());
-    let llm = SimulatedLlm::new(
-        Arc::clone(&vocab),
-        LlmBehavior {
-            prose_probability: 0.0,
-            type_error_probability: 0.0,
-            seed: 0,
-        },
-    );
-    let mut state = llm.start_request(reference, 0);
-    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
-    let mut accepted = 0;
-    for _ in 0..max_tokens {
-        session.fill_mask(&mut mask);
-        let Some(token) = state.propose_constrained(&mask) else {
-            break;
-        };
-        if Some(token) == vocab.eos() {
-            break;
-        }
-        if !session.accept_token(token) {
-            break;
-        }
-        state.advance(token);
-        accepted += 1;
-    }
-    accepted
 }

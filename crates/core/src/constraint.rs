@@ -8,9 +8,12 @@
 //! structural-tag [`StructuralTagMatcher`](crate::StructuralTagMatcher)
 //! offered those operations through parallel, unshared inherent APIs, and
 //! every consumer branched over the matcher kind by hand. Now both implement
-//! [`ConstraintMatcher`], serving engines drive boxed trait objects, and a
-//! new lane type (a regex lane, a composite constraint, a semantic filter)
-//! plugs in by implementing the trait — no new enum variant in any consumer.
+//! [`ConstraintMatcher`] — as do the baseline engines' sessions in
+//! `xg-baselines`, which need only the token-level core because raw bytes,
+//! rollback and jump-forward default to "unsupported" — serving engines drive
+//! trait objects, and a new lane type (a regex lane, a composite constraint,
+//! a semantic filter) plugs in by implementing the trait — no new enum
+//! variant in any consumer.
 //!
 //! The companion [`ConstraintFactory`] trait is the compiled-artifact side:
 //! a compiled grammar or compiled tag dispatch acts as a factory of fresh
@@ -68,8 +71,7 @@ pub struct ForcedTokenRun {
 impl ForcedTokenRun {
     /// Builds the run for `bytes`: the longest-prefix token cover computed
     /// through `sorted` (which must be built from `vocab`). This is the one
-    /// place the cover rule is applied — both the `ConstraintMatcher` and
-    /// the backend-session retokenization helpers delegate here.
+    /// place the cover rule is applied.
     pub fn cover(bytes: Vec<u8>, vocab: &Vocabulary, sorted: &SortedVocabulary) -> Self {
         if bytes.is_empty() {
             return ForcedTokenRun::default();
@@ -170,10 +172,6 @@ impl ForcedTokenRun {
 ///         self.spent
 ///     }
 ///
-///     fn find_jump_forward_string(&mut self) -> Vec<u8> {
-///         Vec::new() // nothing is ever forced
-///     }
-///
 ///     fn can_terminate(&mut self) -> bool {
 ///         !self.terminated
 ///     }
@@ -228,19 +226,33 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
     /// # Errors
     ///
     /// Returns an [`AcceptError`] (leaving the state unchanged) when the
-    /// bytes violate the constraint.
-    fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError>;
+    /// bytes violate the constraint — always, by default: implementations
+    /// that only advance token by token (the baseline engines) do not
+    /// support raw bytes.
+    fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError> {
+        let _ = bytes;
+        Err(AcceptError::BytesRejected { matched_bytes: 0 })
+    }
 
     /// Rolls back the last `num_tokens` accepted units.
     ///
     /// # Errors
     ///
     /// Returns a [`RollbackError`] if more units are requested than the
-    /// rollback window holds; the state is unchanged.
-    fn rollback(&mut self, num_tokens: usize) -> Result<(), RollbackError>;
+    /// rollback window holds; the state is unchanged. The default keeps no
+    /// history and refuses every rollback.
+    fn rollback(&mut self, num_tokens: usize) -> Result<(), RollbackError> {
+        Err(RollbackError {
+            requested: num_tokens,
+            available: 0,
+        })
+    }
 
-    /// Number of accepted units that can currently be rolled back.
-    fn rollback_window(&self) -> usize;
+    /// Number of accepted units that can currently be rolled back (`0` by
+    /// default, matching the default [`rollback`](Self::rollback)).
+    fn rollback_window(&self) -> usize {
+        0
+    }
 
     /// The configured upper bound on [`rollback_window`](Self::rollback_window).
     /// Defaults to [`DEFAULT_MAX_ROLLBACK_TOKENS`](crate::DEFAULT_MAX_ROLLBACK_TOKENS);
@@ -252,8 +264,11 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
 
     /// The longest byte string *forced* by the constraint from the current
     /// position (always a complete UTF-8 prefix), without modifying state.
-    /// Implementations with no forced-text notion return an empty vector.
-    fn find_jump_forward_string(&mut self) -> Vec<u8>;
+    /// Implementations with no forced-text notion return an empty vector
+    /// (the default).
+    fn find_jump_forward_string(&mut self) -> Vec<u8> {
+        Vec::new()
+    }
 
     /// The forced continuation re-tokenized against the vocabulary: the
     /// longest-prefix token cover of

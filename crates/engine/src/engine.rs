@@ -1,41 +1,31 @@
 //! The simulated LLM serving engine: constrained batch decoding with
 //! CPU/GPU overlap (paper §3.5 and §4.2).
 //!
-//! Two serving paths share one per-lane decode step ([`crate::lane`]):
+//! There is one decode loop — the
+//! [`ContinuousScheduler`](crate::ContinuousScheduler) — and
+//! [`ServingEngine`] is the handle that configures it: the backend, the
+//! latency profile, the execution mode and the jump-forward policy.
 //!
-//! * [`ServingEngine::run_batch`] — the public batch API, now a thin wrapper
-//!   over the [`ContinuousScheduler`](crate::ContinuousScheduler): requests
-//!   are submitted to the scheduler's queue, compiled on an admission
-//!   worker, decoded in the persistent loop and collected when every lane
-//!   has finished. Outputs are byte-identical to the fixed loop below.
-//! * [`ServingEngine::run_batch_fixed`] — the original fixed-membership
-//!   batch loop, kept as the *reference implementation* for differential
-//!   testing: every lane joins at round 0, rounds run in lock-step, and the
-//!   batch ends when the last lane finishes.
+//! * [`ServingEngine::serve`] starts a scheduler; requests are submitted to
+//!   its queue, compiled on an admission worker, decoded in the persistent
+//!   loop (masks for step *t+1* fill on mask workers while the simulated GPU
+//!   runs step *t* in **overlapped** mode; mask fill and GPU step alternate
+//!   in **serial** mode) and streamed back per request.
+//! * [`ServingEngine::run_batch`] is the batch convenience over it: submit
+//!   everything, wait for the last lane, report [`BatchMetrics`].
+//! * [`ServingEngine::decode_reference`] is the *specification* of what a
+//!   request must produce: one lane, one thread, no timing — compile, start,
+//!   then fill-mask / step until the lane finishes. Lanes are independent
+//!   (see [`crate::lane`]), so the scheduler must serve every request exactly
+//!   these bytes whatever the batch around it looks like; the differential
+//!   suite in `tests/continuous_batching.rs` checks that it does.
 //!
-//! Each decoding round of the fixed loop:
-//!
-//! 1. for every live request, the grammar backend produces a token mask
-//!    (CPU work; the lanes are spread over scoped worker threads, see
-//!    [`ServingEngine::with_mask_parallelism`]);
-//! 2. the simulated GPU performs one decoding step for the whole batch
-//!    (a calibrated busy-wait on a worker thread);
-//! 3. the sampler picks each request's next token under its mask and the
-//!    matchers advance.
-//!
-//! In **serial** mode steps 1 and 2 run one after the other; in
-//! **overlapped** mode step 1 runs on the engine thread while step 2 runs
-//! concurrently on the GPU thread, and the engine synchronizes before
-//! sampling — the co-design of §3.5. Grammar preprocessing (compilation) is
-//! likewise overlapped with prefill.
-//!
-//! With a [`JumpForwardPolicy`] other than `Off` (the default is now
-//! [`JumpForwardPolicy::Engine`]), the loop additionally injects grammar-
-//! *forced* text (paper Appendix B / Figure 11) at lane start and after
-//! every accepted token: whenever the constraint admits exactly one
+//! Under [`JumpForwardPolicy::Engine`] (the default) a lane additionally
+//! injects grammar-*forced* text (paper Appendix B / Figure 11) at lane start
+//! and after every accepted token: whenever the constraint admits exactly one
 //! continuation, the engine emits it directly — re-tokenized against the
-//! real vocabulary under the `Engine` policy — skipping both the mask and
-//! the GPU step for those tokens. Forced tokens are accounted separately
+//! real vocabulary — skipping both the mask and the GPU step for those
+//! tokens. Forced tokens are accounted separately
 //! ([`BatchMetrics::jump_forward_tokens`], [`BatchMetrics::forced_time`]) so
 //! TPOT stays honest.
 
@@ -46,8 +36,8 @@ use crate::lane::{ForcedContext, Lane};
 use crate::llm::{LlmBehavior, SimulatedLlm};
 use crate::profiles::ModelProfile;
 use crate::scheduler::SchedulerConfig;
-use xg_baselines::{BackendError, BackendSession, ConstrainedBackend};
-use xg_core::{GrammarCacheStats, TokenBitmask};
+use xg_baselines::{BackendError, ConstrainedBackend};
+use xg_core::{ConstraintMatcher, GrammarCacheStats, TokenBitmask};
 use xg_grammar::{Grammar, StructuralTag};
 use xg_tokenizer::{SortedVocabulary, TokenId};
 
@@ -71,18 +61,9 @@ pub enum ExecutionMode {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JumpForwardPolicy {
     /// Never jump forward: every output token is sampled under its mask (the
-    /// pre-jump-forward serving path, kept selectable for comparisons via
+    /// Figure 11 ablation point, selectable via
     /// [`ServingEngine::with_jump_forward`]).
     Off,
-    /// Matcher-level jump-forward: forced bytes are accepted through the
-    /// lane's matcher as **one raw byte run** (a single rollback unit, no
-    /// re-tokenization). The bytes land in the output and skip GPU steps,
-    /// but are not accounted as tokens — so on a lane that is cut short by
-    /// `max_tokens`, the forced bytes already injected can make the
-    /// truncated output longer than the `Off` path's (byte parity is
-    /// guaranteed for lanes that *complete*; `Engine` additionally never
-    /// injects past the cap).
-    Matcher,
     /// Engine-level jump-forward: forced bytes are re-tokenized against the
     /// real vocabulary (longest-prefix token cover, falling back to the
     /// byte-level tokens) and injected **token by token** without sampling
@@ -130,10 +111,8 @@ impl LaneConstraint {
     /// unconstrained lanes. This is the engine's *single* per-constraint-kind
     /// dispatch point: everything after construction — sessions, masks,
     /// token acceptance, jump-forward — flows through the constraint-agnostic
-    /// [`BackendSession`] interface (backed by `xg-core`'s
-    /// `ConstraintMatcher` trait objects in the XGrammar backend). The
-    /// continuous scheduler calls it from its admission workers, off the
-    /// decode hot path.
+    /// [`ConstraintMatcher`] interface. The continuous scheduler calls it
+    /// from its admission workers, off the decode hot path.
     ///
     /// # Errors
     ///
@@ -194,8 +173,7 @@ pub struct EngineRequest {
     pub max_tokens: usize,
     /// Per-request seed for the simulated LLM's error injection. Part of the
     /// request (not derived from its batch position) so a request produces
-    /// the same bytes whether it runs in a fixed batch or joins the
-    /// continuous scheduler in any arrival order.
+    /// the same bytes whatever batch it joins, in any arrival order.
     pub seed: u64,
 }
 
@@ -213,9 +191,7 @@ pub struct RequestResult {
     pub jump_forward_tokens: usize,
     /// Forced text injected by jump-forward without sampling, counted in
     /// *bytes* of UTF-8 (the paper's "jump-forward characters" figure; ASCII
-    /// key names make the two coincide). Under the `Matcher` policy the
-    /// bytes are injected as raw runs, so this can be non-zero while
-    /// [`jump_forward_tokens`](Self::jump_forward_tokens) is 0.
+    /// key names make the two coincide).
     pub jump_forward_chars: usize,
     /// Whether generation ended successfully: EOS was accepted (or an
     /// unconstrained lane emitted its full intention). `false` when the lane
@@ -240,15 +216,18 @@ impl RequestResult {
 /// Batch-level metrics, the quantities reported in §4.2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchMetrics {
-    /// Time to first token: prefill + grammar preprocessing (overlapped or
-    /// not) + the first decoding round. Under the scheduler-backed
-    /// [`ServingEngine::run_batch`] this is the earliest per-lane TTFT.
+    /// Time to first token: queue wait + grammar compilation + prefill + the
+    /// first decoding round of the earliest lane (the minimum of the lanes'
+    /// [`LaneTiming::ttft`](crate::LaneTiming::ttft)).
     pub ttft: Duration,
-    /// Mean time per *sampled* output token across the batch. Time spent
+    /// Mean time per *sampled* output token: the mean of the lanes'
+    /// [`LaneTiming::tpot`](crate::LaneTiming::tpot) over lanes that sampled
+    /// more than one token (zero when none did). Each lane's figure covers
+    /// only the gaps between its own tokens, so admission compile (which
+    /// belongs to [`ttft`](Self::ttft)) never leaks into it; time spent
     /// injecting grammar-forced text ([`forced_time`](Self::forced_time)) and
-    /// the injected tokens themselves are both excluded, so jump-forward
-    /// cannot dilute the per-token latency it reports — the speedup shows up
-    /// as fewer sampled tokens and a shorter
+    /// the injected tokens themselves are excluded too, so jump-forward
+    /// shows up as fewer sampled tokens and a shorter
     /// [`total_time`](Self::total_time), not as an artificially low TPOT.
     pub tpot: Duration,
     /// Total wall-clock time of the batch.
@@ -261,16 +240,15 @@ pub struct BatchMetrics {
     /// [`JumpForwardPolicy::Engine`]).
     pub jump_forward_tokens: usize,
     /// Forced text injected without sampling, summed across lanes and
-    /// counted in *bytes* of UTF-8 (`Matcher` and `Engine` policies; see
+    /// counted in *bytes* of UTF-8 (see
     /// [`RequestResult::jump_forward_chars`]).
     pub jump_forward_chars: usize,
     /// Wall-clock time spent finding, re-tokenizing and injecting forced
     /// text, summed over rounds. Excluded from [`tpot`](Self::tpot).
     pub forced_time: Duration,
-    /// Wall-clock time spent in grammar mask generation, summed over rounds.
-    /// With parallel lane fill this is the time the batch actually waited
-    /// (in overlapped mode: the residual wait after the GPU step, i.e. the
-    /// mask time the overlap failed to hide).
+    /// Wall-clock time the decode loop waited on mask generation, summed
+    /// over rounds (in overlapped mode: the residual wait after the GPU
+    /// step, i.e. the mask time the overlap failed to hide).
     pub mask_time: Duration,
     /// Per-worker busy time in grammar mask generation, summed across
     /// workers. Each worker measures its own wall clock, so on an
@@ -278,9 +256,7 @@ pub struct BatchMetrics {
     /// true CPU time. With one worker this equals `mask_time` in serial
     /// mode.
     pub mask_cpu_time: Duration,
-    /// Worker-thread ceiling for mask generation (each round additionally
-    /// caps the workers by the number of still-live constrained lanes, so
-    /// late rounds of a draining batch may use fewer).
+    /// Number of mask workers that served the batch.
     pub mask_threads: usize,
     /// Time spent in simulated GPU decoding (summed over rounds).
     pub gpu_time: Duration,
@@ -324,7 +300,7 @@ pub struct ServingEngine {
     /// How constrained lanes use jump-forward decoding.
     jump_forward: JumpForwardPolicy,
     /// Sorted vocabulary index for forced-text re-tokenization, built once
-    /// and shared by every batch and scheduler (`Engine` policy only).
+    /// and shared by every scheduler (`Engine` policy only).
     sorted_vocab: OnceLock<Arc<SortedVocabulary>>,
 }
 
@@ -385,12 +361,10 @@ impl ServingEngine {
     /// toward the cap and injection never runs past it.
     pub fn with_jump_forward(mut self, policy: JumpForwardPolicy) -> Self {
         self.jump_forward = policy;
-        if matches!(policy, JumpForwardPolicy::Engine) {
-            // Build the re-tokenization index now, outside any batch's timed
-            // region — otherwise the O(V log V) sort would be charged to the
-            // first batch's total_time without showing up in forced_time.
-            let _ = self.sorted_vocabulary();
-        }
+        // Build the re-tokenization index now, outside any batch's timed
+        // region — otherwise the O(V log V) sort would be charged to the
+        // first batch's total_time without showing up in forced_time.
+        let _ = self.retokenizer();
         self
     }
 
@@ -442,13 +416,16 @@ impl ServingEngine {
         &self.llm
     }
 
-    /// The sorted vocabulary index used to re-tokenize forced text, built on
-    /// first use and shared by every subsequent batch and scheduler.
-    pub(crate) fn sorted_vocabulary(&self) -> Arc<SortedVocabulary> {
-        Arc::clone(
-            self.sorted_vocab
-                .get_or_init(|| Arc::new(SortedVocabulary::new(self.backend.vocabulary()))),
-        )
+    /// The sorted vocabulary index forced text is re-tokenized through,
+    /// built on first use and shared by every scheduler; `None` under
+    /// [`JumpForwardPolicy::Off`], where nothing is injected.
+    pub(crate) fn retokenizer(&self) -> Option<Arc<SortedVocabulary>> {
+        matches!(self.jump_forward, JumpForwardPolicy::Engine).then(|| {
+            Arc::clone(
+                self.sorted_vocab
+                    .get_or_init(|| Arc::new(SortedVocabulary::new(self.backend.vocabulary()))),
+            )
+        })
     }
 
     /// Effective mask-generation worker count for a batch of `lanes` lanes.
@@ -482,7 +459,7 @@ impl ServingEngine {
     /// terminates the session and contributes no bytes.
     pub fn verify_draft(
         &self,
-        session: &mut dyn BackendSession,
+        session: &mut dyn ConstraintMatcher,
         draft: &[TokenId],
     ) -> DraftVerification {
         let vocab = self.backend.vocabulary();
@@ -498,11 +475,11 @@ impl ServingEngine {
 
     /// Runs a batch of requests to completion through the continuous
     /// scheduler: every request is submitted up front, compiled on one
-    /// admission worker (in submission order, so cache accounting matches
-    /// the fixed loop), decoded concurrently, and collected when the last
-    /// lane finishes. Produces byte-identical per-lane outputs to
-    /// [`run_batch_fixed`](Self::run_batch_fixed) — proven differentially in
-    /// `tests/continuous_batching.rs`.
+    /// admission worker (in submission order, so cache accounting is
+    /// deterministic), decoded concurrently, and collected when the last
+    /// lane finishes. Every lane's result equals its
+    /// [`decode_reference`](Self::decode_reference) — proven differentially
+    /// in `tests/continuous_batching.rs`.
     ///
     /// # Errors
     ///
@@ -539,10 +516,16 @@ impl ServingEngine {
         let mut results = Vec::with_capacity(batch_size);
         let mut first_error = None;
         let mut ttft: Option<Duration> = None;
+        // Per-lane decode gaps, over the lanes that have any (> 1 sampled token).
+        let (mut tpot_sum, mut tpot_lanes) = (Duration::ZERO, 0u32);
         for handle in handles {
             match handle.wait() {
                 Ok(done) => {
                     ttft = Some(ttft.map_or(done.timing.ttft, |t| t.min(done.timing.ttft)));
+                    if done.result.tokens > 1 {
+                        tpot_sum += done.timing.tpot;
+                        tpot_lanes += 1;
+                    }
                     results.push(done.result);
                 }
                 Err(err) => {
@@ -564,7 +547,7 @@ impl ServingEngine {
         let forced_time = sched_metrics.forced_time;
         let metrics = BatchMetrics {
             ttft: ttft.unwrap_or(total_time),
-            tpot: tpot_of(total_time, forced_time, total_tokens, batch_size),
+            tpot: tpot_sum / tpot_lanes.max(1),
             total_time,
             total_tokens,
             jump_forward_tokens: results.iter().map(|r| r.jump_forward_tokens).sum(),
@@ -583,230 +566,42 @@ impl ServingEngine {
         Ok((results, metrics))
     }
 
-    /// Runs a fixed batch of requests to completion with the original
-    /// lock-step loop: every lane joins at round 0 and the batch ends when
-    /// the last lane finishes. Kept as the reference implementation the
-    /// continuous scheduler is differentially tested against.
+    /// The reference decode of one request: one lane on the calling thread,
+    /// no queue, no workers, no simulated latency — compile, open a session,
+    /// run the lane-start jump-forward pass, then fill the mask and step until
+    /// the lane finishes. Because lanes are independent (a lane's bytes depend
+    /// only on its own constraint, reference and seed), this is what the
+    /// scheduler must serve for `request` in any batch, arrival order or
+    /// execution mode; map it over a request list to get the expected
+    /// results of a whole batch.
     ///
     /// # Errors
     ///
-    /// Returns the backend's error if one of the grammars cannot be compiled
-    /// by this backend.
-    pub fn run_batch_fixed(
-        &self,
-        requests: &[EngineRequest],
-    ) -> Result<(Vec<RequestResult>, BatchMetrics), BackendError> {
-        assert!(!requests.is_empty(), "batch must not be empty");
-        let vocab = Arc::clone(self.backend.vocabulary());
-        let batch_size = requests.len();
-        // Only constrained lanes generate masks; unconstrained requests must
-        // not inflate the reported worker count.
-        let constrained_lanes = requests
-            .iter()
-            .filter(|r| r.constraint.is_constrained())
-            .count();
-        let mask_threads = self.effective_mask_threads(constrained_lanes.max(1));
-        let cache_before = self.backend.cache_stats().unwrap_or_default();
-        let start = Instant::now();
-
-        // ---- Prefill phase: grammar compilation overlapped with prefill. ----
-        let total_prompt_tokens: usize = requests.iter().map(|r| r.prompt_tokens).sum();
-        let prefill_time = self.profile.prefill_time(total_prompt_tokens);
-        let preprocessing = Instant::now();
-        let mut compiled_constraints = Vec::with_capacity(batch_size);
-        for request in requests {
-            compiled_constraints.push(request.constraint.compile(self.backend.as_ref())?);
-        }
-        let mut lanes: Vec<Lane> = requests
-            .iter()
-            .zip(&compiled_constraints)
-            .map(|(request, compiled)| {
-                Lane::new(
-                    compiled.as_ref().map(|c| c.new_session()),
-                    self.llm.start_request(&request.reference, request.seed),
-                    request.max_tokens,
-                )
-            })
-            .collect();
-        let preprocessing_time = preprocessing.elapsed();
-        // Prefill runs on the GPU; preprocessing runs on the CPU. Overlapped
-        // mode hides whichever is shorter.
-        let prefill_wall = match self.mode {
-            ExecutionMode::Serial => prefill_time + preprocessing_time,
-            ExecutionMode::Overlapped => prefill_time.max(preprocessing_time),
-        };
-        busy_wait(prefill_wall.saturating_sub(preprocessing_time));
-
-        // ---- Decode phase. ----
-        let mut masks: Vec<TokenBitmask> = (0..batch_size)
-            .map(|_| TokenBitmask::new_all_rejected(vocab.len()))
-            .collect();
-
-        let mut mask_time = Duration::ZERO;
-        let mut mask_cpu_time = Duration::ZERO;
-        let mut gpu_time = Duration::ZERO;
-        let mut ttft = None;
-        let gpu_step = self.profile.decode_step_time(batch_size);
-        let policy = self.jump_forward;
-        let sorted = match policy {
-            JumpForwardPolicy::Engine => Some(self.sorted_vocabulary()),
-            _ => None,
-        };
+    /// Returns the backend's error if the constraint cannot be compiled by
+    /// this backend.
+    pub fn decode_reference(&self, request: &EngineRequest) -> Result<RequestResult, BackendError> {
+        let vocab = self.backend.vocabulary();
+        let sorted = self.retokenizer();
         let ctx = ForcedContext {
-            policy,
             sorted: sorted.as_deref(),
-            vocab: &vocab,
+            vocab,
         };
-
-        // Lane-start jump-forward: inject any forced prefix before the first
-        // mask is built.
-        for lane in &mut lanes {
-            lane.start(&ctx);
-        }
-
-        while lanes.iter().any(|l| !l.finished) {
-            // Step 1 + 2: mask generation (lanes in parallel) and GPU
-            // decoding.
-            let mut mask_elapsed = Duration::ZERO;
-            let mut mask_cpu = Duration::ZERO;
-            match self.mode {
-                ExecutionMode::Serial => {
-                    let mask_start = Instant::now();
-                    mask_cpu = generate_masks(&mut lanes, &mut masks, mask_threads);
-                    mask_elapsed = mask_start.elapsed();
-                    busy_wait(gpu_step);
-                }
-                ExecutionMode::Overlapped => {
-                    std::thread::scope(|scope| {
-                        let gpu = scope.spawn(|| busy_wait(gpu_step));
-                        let mask_start = Instant::now();
-                        mask_cpu = generate_masks(&mut lanes, &mut masks, mask_threads);
-                        mask_elapsed = mask_start.elapsed();
-                        gpu.join().expect("gpu simulation thread panicked");
-                    });
-                }
+        let compiled = request.constraint.compile(self.backend.as_ref())?;
+        let mut lane = Lane::new(
+            compiled.map(|c| c.new_session()),
+            self.llm.start_request(&request.reference, request.seed),
+            request.max_tokens,
+        );
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        lane.start(&ctx);
+        while !lane.finished {
+            if let Some(session) = &mut lane.session {
+                session.fill_next_token_bitmask(&mut mask);
             }
-            mask_time += mask_elapsed;
-            mask_cpu_time += mask_cpu;
-            gpu_time += gpu_step;
-
-            // Step 3: sampling and state advance.
-            for (lane, mask) in lanes.iter_mut().zip(&masks) {
-                if lane.finished {
-                    continue;
-                }
-                let mask = lane.is_constrained().then_some(mask);
-                lane.step(mask, &ctx);
-            }
-            if ttft.is_none() {
-                ttft = Some(start.elapsed());
-            }
+            lane.step(lane.is_constrained().then_some(&mask), &ctx);
         }
-
-        let total_time = start.elapsed();
-        let total_tokens: usize = lanes.iter().map(|l| l.sampled_tokens).sum();
-        let jump_forward_tokens: usize = lanes.iter().map(|l| l.forced_tokens).sum();
-        let jump_forward_chars: usize = lanes.iter().map(|l| l.forced_chars).sum();
-        let forced_time: Duration = lanes.iter().map(|l| l.forced_time).sum();
-        let results = lanes
-            .iter()
-            .map(|lane| RequestResult {
-                output: lane.output.clone(),
-                tokens: lane.sampled_tokens,
-                jump_forward_tokens: lane.forced_tokens,
-                jump_forward_chars: lane.forced_chars,
-                completed: lane.completed,
-            })
-            .collect();
-        let metrics = BatchMetrics {
-            ttft: ttft.unwrap_or(total_time),
-            tpot: tpot_of(total_time, forced_time, total_tokens, batch_size),
-            total_time,
-            total_tokens,
-            jump_forward_tokens,
-            jump_forward_chars,
-            forced_time,
-            mask_time,
-            mask_cpu_time,
-            mask_threads,
-            gpu_time,
-            cache: self
-                .backend
-                .cache_stats()
-                .unwrap_or_default()
-                .delta_since(&cache_before),
-        };
-        Ok((results, metrics))
+        Ok(lane.into_result())
     }
-}
-
-/// Per-sampled-token latency of the batch as a whole, as in §4.2: decode
-/// wall-clock divided by sampled tokens per sequence (fractional —
-/// jump-forward can leave lanes with very few sampled tokens, where integer
-/// division would round the divisor down to 1 and report the whole decode
-/// time as "per token"). Forced-injection time is carved out so jump-forward
-/// cannot make the per-token figure look cheaper than the GPU steps it
-/// actually paid for.
-fn tpot_of(
-    total_time: Duration,
-    forced_time: Duration,
-    total_tokens: usize,
-    batch_size: usize,
-) -> Duration {
-    if total_tokens == 0 {
-        Duration::ZERO
-    } else {
-        total_time
-            .saturating_sub(forced_time)
-            .div_f64((total_tokens as f64 / batch_size.max(1) as f64).max(1.0))
-    }
-}
-
-/// Fills the token bitmask of every live constrained lane, spreading the
-/// lanes over up to `threads` scoped worker threads. Returns the per-lane
-/// CPU time summed across workers (≥ the wall-clock time when `threads > 1`).
-fn generate_masks(lanes: &mut [Lane], masks: &mut [TokenBitmask], threads: usize) -> Duration {
-    let mut live: Vec<(&mut Box<dyn BackendSession>, &mut TokenBitmask)> = lanes
-        .iter_mut()
-        .zip(masks.iter_mut())
-        .filter_map(|(lane, mask)| {
-            if lane.finished {
-                return None;
-            }
-            lane.session.as_mut().map(|s| (s, mask))
-        })
-        .collect();
-    if live.is_empty() {
-        return Duration::ZERO;
-    }
-    let threads = threads.min(live.len()).max(1);
-    if threads == 1 {
-        let lane_start = Instant::now();
-        for (session, mask) in &mut live {
-            session.fill_mask(mask);
-        }
-        return lane_start.elapsed();
-    }
-    let chunk_size = live.len().div_ceil(threads);
-    let mut cpu_time = Duration::ZERO;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = live
-            .chunks_mut(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let lane_start = Instant::now();
-                    for (session, mask) in chunk {
-                        session.fill_mask(mask);
-                    }
-                    lane_start.elapsed()
-                })
-            })
-            .collect();
-        for worker in workers {
-            cpu_time += worker.join().expect("mask worker panicked");
-        }
-    });
-    cpu_time
 }
 
 /// Spends approximately `duration` of wall-clock time on the current thread.
@@ -998,27 +793,101 @@ mod tests {
                 .unwrap()
         };
         let (off_results, off_metrics) = run(JumpForwardPolicy::Off);
-        let (matcher_results, matcher_metrics) = run(JumpForwardPolicy::Matcher);
         let (engine_results, engine_metrics) = run(JumpForwardPolicy::Engine);
-        for ((off, matcher), engine) in off_results
-            .iter()
-            .zip(&matcher_results)
-            .zip(&engine_results)
-        {
-            assert_eq!(off.output, matcher.output, "matcher policy changed bytes");
+        for (off, engine) in off_results.iter().zip(&engine_results) {
             assert_eq!(off.output, engine.output, "engine policy changed bytes");
             assert!(engine.tokens <= off.tokens, "jump-forward added GPU steps");
         }
         assert_eq!(off_metrics.jump_forward_tokens, 0);
         assert_eq!(off_metrics.jump_forward_chars, 0);
         assert_eq!(off_metrics.forced_time, Duration::ZERO);
-        // Matcher policy injects raw byte runs, Engine policy real tokens.
-        assert_eq!(matcher_metrics.jump_forward_tokens, 0);
-        assert!(matcher_metrics.jump_forward_chars > 0);
         assert!(engine_metrics.jump_forward_tokens > 0);
         assert!(engine_metrics.jump_forward_chars > 0);
         assert!(engine_metrics.forced_time > Duration::ZERO);
         assert!(engine_metrics.total_tokens < off_metrics.total_tokens);
+    }
+
+    /// Delegates to an [`XGrammarBackend`] but takes 300 ms to compile — a
+    /// stand-in for a cold compile at a production vocabulary size.
+    #[derive(Debug)]
+    struct SlowCompileBackend(XGrammarBackend);
+
+    impl ConstrainedBackend for SlowCompileBackend {
+        fn name(&self) -> &'static str {
+            "slow-compile"
+        }
+
+        fn vocabulary(&self) -> &Arc<xg_tokenizer::Vocabulary> {
+            self.0.vocabulary()
+        }
+
+        fn compile(
+            &self,
+            grammar: &Grammar,
+        ) -> Result<Arc<dyn xg_baselines::CompiledConstraint>, BackendError> {
+            std::thread::sleep(Duration::from_millis(300));
+            self.0.compile(grammar)
+        }
+    }
+
+    #[test]
+    fn tpot_excludes_the_cold_admission_compile() {
+        // Batch 1, cold: the 300 ms compile belongs to TTFT. TPOT covers the
+        // gaps between the lane's own tokens, so the decode it accounts for
+        // (tpot x sampled tokens) must stay below the compile alone.
+        let backend = SlowCompileBackend(XGrammarBackend::new(Arc::new(test_vocabulary(2000))));
+        let engine = ServingEngine::new(Arc::new(backend), fast_profile(), ExecutionMode::Serial);
+        let (results, metrics) = engine.run_batch(&requests(1)).unwrap();
+        assert!(results[0].completed && results[0].tokens > 1);
+        assert!(metrics.ttft >= Duration::from_millis(300));
+        assert!(metrics.tpot > Duration::ZERO);
+        assert!(
+            metrics.tpot * (results[0].tokens as u32) < Duration::from_millis(300),
+            "tpot {:?} x {} sampled tokens contains the compile",
+            metrics.tpot,
+            results[0].tokens
+        );
+    }
+
+    #[test]
+    fn verify_draft_stops_at_an_accepted_eos_on_every_baseline() {
+        // `[.., EOS, x]`: the accepted EOS terminates the session, so `x` must
+        // be refused — on the baselines too, which used to wave EOS through
+        // without recording it.
+        let vocab = Arc::new(test_vocabulary(600));
+        let grammar = xg_grammar::parse_ebnf(r#"root ::= "a"+"#, "root").unwrap();
+        let a = vocab.iter().find(|(_, t)| *t == b"a").unwrap().0;
+        let draft = [a, a, vocab.eos().unwrap(), a];
+        let backends: Vec<Arc<dyn ConstrainedBackend>> = vec![
+            Arc::new(xg_baselines::NaivePdaBackend::new(Arc::clone(&vocab))),
+            Arc::new(xg_baselines::FsmIndexBackend::new(Arc::clone(&vocab))),
+            Arc::new(xg_baselines::FormatEnforcerBackend::new(Arc::clone(&vocab))),
+            Arc::new(XGrammarBackend::new(Arc::clone(&vocab))),
+        ];
+        for backend in backends {
+            let engine =
+                ServingEngine::new(Arc::clone(&backend), fast_profile(), ExecutionMode::Serial);
+            let mut session = backend.compile(&grammar).unwrap().new_session();
+            let verified = engine.verify_draft(&mut *session, &draft);
+            assert_eq!(
+                verified.accepted,
+                3,
+                "{}: EOS ends the draft",
+                backend.name()
+            );
+            assert_eq!(verified.bytes, b"aa");
+            assert!(session.is_terminated(), "{}", backend.name());
+            assert_eq!(
+                session.accept_token(a),
+                Err(xg_core::AcceptError::AlreadyTerminated),
+                "{}",
+                backend.name()
+            );
+            let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+            mask.allow_all();
+            session.fill_next_token_bitmask(&mut mask);
+            assert_eq!(mask.count_allowed(), 0, "{}", backend.name());
+        }
     }
 
     #[test]

@@ -1,42 +1,47 @@
-//! Per-lane decode state shared by the fixed-batch reference loop and the
-//! continuous-batching scheduler.
+//! Per-lane decode state: everything one request does between joining the
+//! [`ContinuousScheduler`]'s batch and leaving it.
 //!
-//! Byte parity between [`ServingEngine::run_batch_fixed`] and the
-//! [`ContinuousScheduler`] is guaranteed *by construction*: both drive every
-//! lane through [`Lane::step`] (and [`Lane::start`] for the lane-start
-//! jump-forward pass), so the sampling order, EOS handling, token-cap
-//! accounting and forced-injection budgeting cannot drift between the two
-//! serving paths. A lane is self-contained — its simulated-LLM state is
-//! seeded from [`EngineRequest::seed`](crate::EngineRequest::seed) and its
-//! backend session sees only this lane's tokens — so the bytes a lane emits
-//! do not depend on which other lanes share the batch or on when the lane
-//! joined it.
+//! The decode loop drives every lane through [`Lane::start`] (the lane-start
+//! jump-forward pass) and [`Lane::step`], so sampling order, EOS handling,
+//! token-cap accounting and forced-injection budgeting live here, once.
 //!
-//! [`ServingEngine::run_batch_fixed`]: crate::ServingEngine::run_batch_fixed
+//! **Lane independence.** A lane is self-contained — its simulated-LLM state
+//! is seeded from [`EngineRequest::seed`](crate::EngineRequest::seed) and its
+//! session sees only this lane's tokens — so the bytes a lane emits do not
+//! depend on which other lanes share the batch, on when the lane joined it,
+//! or on which thread filled its masks. That is what makes
+//! [`ServingEngine::decode_reference`] — the same `start` / fill-mask /
+//! `step` sequence for one lane on one thread — a complete specification of
+//! what the scheduler must serve, and what the differential suite
+//! (`tests/continuous_batching.rs`) checks it against.
+//!
+//! [`ServingEngine::decode_reference`]: crate::ServingEngine::decode_reference
 //! [`ContinuousScheduler`]: crate::ContinuousScheduler
 
 use std::time::{Duration, Instant};
 
-use crate::engine::JumpForwardPolicy;
+use crate::engine::RequestResult;
 use crate::llm::LlmRequestState;
-use xg_baselines::BackendSession;
+use xg_baselines::Session;
 use xg_core::TokenBitmask;
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
-/// Shared forced-injection context of one serving run: the policy, the
-/// re-tokenization index (`Engine` policy only) and the vocabulary.
+/// Shared forced-injection context of one serving run: the re-tokenization
+/// index (`None` under [`JumpForwardPolicy::Off`] — nothing is injected) and
+/// the vocabulary.
+///
+/// [`JumpForwardPolicy::Off`]: crate::JumpForwardPolicy::Off
 pub(crate) struct ForcedContext<'a> {
-    pub policy: JumpForwardPolicy,
     pub sorted: Option<&'a SortedVocabulary>,
     pub vocab: &'a Vocabulary,
 }
 
-/// One decode lane: the backend session (None for unconstrained lanes), the
-/// simulated model's request state, the accumulated output and the token
-/// accounting shared by every serving path.
+/// One decode lane: the constraint session (None for unconstrained lanes),
+/// the simulated model's request state, the accumulated output and the token
+/// accounting.
 pub(crate) struct Lane {
-    /// Backend session driving the constraint; `None` = unconstrained.
-    pub session: Option<Box<dyn BackendSession>>,
+    /// Session driving the constraint; `None` = unconstrained.
+    pub session: Option<Session>,
     /// Simulated-LLM request state (seeded per request).
     pub llm_state: LlmRequestState,
     /// Emitted bytes, sampled and forced, in emission order.
@@ -47,7 +52,7 @@ pub(crate) struct Lane {
     pub sampled_tokens: usize,
     /// Tokens injected by engine-level jump-forward.
     pub forced_tokens: usize,
-    /// Bytes injected by jump-forward (`Matcher` and `Engine` policies).
+    /// Bytes injected by jump-forward.
     pub forced_chars: usize,
     /// Wall clock spent finding, re-tokenizing and injecting forced text.
     pub forced_time: Duration,
@@ -61,11 +66,7 @@ pub(crate) struct Lane {
 
 impl Lane {
     /// Creates a fresh lane.
-    pub fn new(
-        session: Option<Box<dyn BackendSession>>,
-        llm_state: LlmRequestState,
-        max_tokens: usize,
-    ) -> Self {
+    pub fn new(session: Option<Session>, llm_state: LlmRequestState, max_tokens: usize) -> Self {
         Lane {
             session,
             llm_state,
@@ -89,12 +90,10 @@ impl Lane {
     /// first token is ever sampled (e.g. `{"` and the first required key of
     /// a JSON schema). Must run before the lane's first mask is built so the
     /// first sampled token already continues the forced text. No-op under
-    /// [`JumpForwardPolicy::Off`] and on unconstrained lanes.
+    /// [`JumpForwardPolicy::Off`](crate::JumpForwardPolicy::Off) and on
+    /// unconstrained lanes.
     pub fn start(&mut self, ctx: &ForcedContext<'_>) {
-        if self.finished || matches!(ctx.policy, JumpForwardPolicy::Off) || self.session.is_none() {
-            return;
-        }
-        if self.inject_forced(ctx) {
+        if !self.finished && self.inject_forced(ctx) {
             self.finished = true;
         }
     }
@@ -128,13 +127,13 @@ impl Lane {
         if Some(token) == ctx.vocab.eos() {
             self.finished = true;
             self.completed = match &mut self.session {
-                Some(session) => session.accept_token(token),
+                Some(session) => session.accept_token(token).is_ok(),
                 None => true,
             };
             return emitted_from;
         }
         if let Some(session) = &mut self.session {
-            if !session.accept_token(token) {
+            if session.accept_token(token).is_err() {
                 // The sampled token violated the constraint: the lane dies
                 // without completing.
                 self.finished = true;
@@ -152,11 +151,7 @@ impl Lane {
         // stretch of text (a key name just became unambiguous, an end tag is
         // due): inject it now, without sampling, so the next round's mask and
         // proposal already start after it.
-        if !self.finished
-            && !matches!(ctx.policy, JumpForwardPolicy::Off)
-            && self.session.is_some()
-            && self.inject_forced(ctx)
-        {
+        if !self.finished && self.inject_forced(ctx) {
             self.finished = true;
         }
         // Unconstrained requests stop when the intention is done.
@@ -167,81 +162,49 @@ impl Lane {
         emitted_from
     }
 
-    /// Runs one forced-injection pass: compute the remaining token budget,
-    /// inject the forced continuation, account tokens/chars/time. Returns
-    /// `true` when the lane has reached its token cap (the caller marks it
-    /// finished).
+    /// The lane's outcome, once it has finished.
+    pub fn into_result(self) -> RequestResult {
+        RequestResult {
+            output: self.output,
+            tokens: self.sampled_tokens,
+            jump_forward_tokens: self.forced_tokens,
+            jump_forward_chars: self.forced_chars,
+            completed: self.completed,
+        }
+    }
+
+    /// Runs one forced-injection pass: re-tokenize the grammar-forced
+    /// continuation (`ConstraintMatcher::find_jump_forward_tokens`, the
+    /// longest-prefix token cover) and accept it token by token without
+    /// sampling, capped at the lane's remaining `max_tokens` allowance; every
+    /// injected token is a rollback unit exactly like a sampled one, and the
+    /// simulated model is re-conditioned on the forced text so the following
+    /// proposals continue after it. Returns `true` when the lane has reached
+    /// its token cap (the caller marks it finished). No-op (`false`) under
+    /// `JumpForwardPolicy::Off` and on unconstrained lanes.
     fn inject_forced(&mut self, ctx: &ForcedContext<'_>) -> bool {
+        let (Some(sorted), Some(session)) = (ctx.sorted, self.session.as_mut()) else {
+            return false;
+        };
         let budget = self
             .max_tokens
             .saturating_sub(self.sampled_tokens + self.forced_tokens);
-        if budget == 0 {
-            // Cap already reached: inject nothing (under either policy).
-            return true;
-        }
         let start = Instant::now();
-        let session = self
-            .session
-            .as_mut()
-            .expect("inject_forced runs on constrained lanes")
-            .as_mut();
-        let (tokens, chars) = inject(ctx, session, &mut self.llm_state, &mut self.output, budget);
+        let run = session.find_jump_forward_tokens(sorted);
+        for &token in run.tokens.iter().take(budget) {
+            // Forced bytes are the unique allowed continuation, so every
+            // cover token is admitted; a rejection (a backend bug) stops the
+            // injection and leaves the lane to ordinary sampling.
+            if session.accept_token(token).is_err() {
+                break;
+            }
+            let bytes = ctx.vocab.token_bytes(token);
+            self.output.extend_from_slice(bytes);
+            self.llm_state.advance(token);
+            self.forced_tokens += 1;
+            self.forced_chars += bytes.len();
+        }
         self.forced_time += start.elapsed();
-        self.forced_tokens += tokens;
-        self.forced_chars += chars;
         self.sampled_tokens + self.forced_tokens >= self.max_tokens
-    }
-}
-
-/// Injects the grammar-forced continuation through `session` without
-/// sampling. Returns the number of injected tokens and bytes (`(0, 0)` when
-/// nothing is forced or the backend does not expose forced text).
-///
-/// Under the `Engine` policy the forced bytes are re-tokenized
-/// ([`BackendSession::find_jump_forward_tokens`], the longest-prefix token
-/// cover) and accepted token by token, capped at `token_budget` (the lane's
-/// remaining `max_tokens` allowance); every injected token is a rollback
-/// unit exactly like a sampled one. Under the `Matcher` policy the whole run
-/// is accepted as one raw byte unit. In both cases the simulated model is
-/// re-conditioned on the forced text so the following proposals continue
-/// after it.
-fn inject(
-    ctx: &ForcedContext<'_>,
-    session: &mut dyn BackendSession,
-    llm_state: &mut LlmRequestState,
-    output: &mut Vec<u8>,
-    token_budget: usize,
-) -> (usize, usize) {
-    match ctx.policy {
-        JumpForwardPolicy::Off => (0, 0),
-        JumpForwardPolicy::Matcher => {
-            let forced = session.find_jump_forward();
-            if forced.is_empty() || !session.accept_bytes(&forced) {
-                return (0, 0);
-            }
-            output.extend_from_slice(&forced);
-            llm_state.advance_bytes(&forced);
-            (0, forced.len())
-        }
-        JumpForwardPolicy::Engine => {
-            let sorted = ctx.sorted.expect("engine policy builds the sorted index");
-            let run = session.find_jump_forward_tokens(ctx.vocab, sorted);
-            let mut injected_tokens = 0;
-            let mut injected_bytes = 0;
-            for &token in run.tokens.iter().take(token_budget) {
-                // Forced bytes are the unique allowed continuation, so every
-                // cover token is admitted; a rejection (a backend bug) stops
-                // the injection and leaves the lane to ordinary sampling.
-                if !session.accept_token(token) {
-                    break;
-                }
-                let bytes = ctx.vocab.token_bytes(token);
-                output.extend_from_slice(bytes);
-                llm_state.advance(token);
-                injected_tokens += 1;
-                injected_bytes += bytes.len();
-            }
-            (injected_tokens, injected_bytes)
-        }
     }
 }

@@ -7,18 +7,22 @@
 //!   GPUs (H100, RTX 4090, Apple M3 Max, iPhone),
 //! * [`SimulatedLlm`] — a deterministic token proposer with configurable
 //!   formatting-error injection,
-//! * [`ContinuousScheduler`] — the continuous-batching serving core
-//!   (started via [`ServingEngine::serve`]): a bounded request queue feeds
+//! * [`ContinuousScheduler`] — the engine's one decode loop, a
+//!   continuous-batching serving core (started via
+//!   [`ServingEngine::serve`]): a bounded request queue feeds
 //!   admission workers that compile grammars off the decode hot path, a
 //!   persistent decode loop admits lanes mid-batch and retires them on
 //!   termination, and mask generation overlaps the simulated GPU phase via
 //!   double-buffering; each request streams its bytes through a
 //!   [`StreamingRequest`] handle,
-//! * [`ServingEngine::run_batch`] — one-shot batch decoding, now a thin
-//!   wrapper over the scheduler (byte-identical to the fixed-membership
-//!   reference loop [`ServingEngine::run_batch_fixed`]); lanes choose their
-//!   constraint via [`LaneConstraint`] (unconstrained prose, a full grammar,
-//!   or a structural tag mixing free text with constrained tool calls),
+//! * [`ServingEngine::run_batch`] — one-shot batch decoding, a thin wrapper
+//!   over the scheduler; lanes choose their constraint via
+//!   [`LaneConstraint`] (unconstrained prose, a full grammar, or a structural
+//!   tag mixing free text with constrained tool calls) and drive it through
+//!   the one per-lane trait, `xg_core::ConstraintMatcher`,
+//! * [`ServingEngine::decode_reference`] — the single-lane, single-thread,
+//!   untimed reference decode that specifies what the scheduler must serve
+//!   for a request (lanes are independent), used by the differential tests,
 //! * [`run_accuracy_experiment`] — the Table 4 syntactic-correctness
 //!   experiment,
 //! * speculative draft verification ([`ServingEngine::verify_draft`]): the

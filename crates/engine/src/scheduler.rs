@@ -1,9 +1,6 @@
-//! Continuous-batching scheduler: the persistent serving core.
+//! Continuous-batching scheduler: the engine's one decode loop.
 //!
-//! [`ServingEngine::run_batch`](crate::ServingEngine::run_batch) used to be a
-//! one-shot, fixed-membership batch — every lane joined at step 0 and the
-//! call returned when the last lane finished. This module replaces that with
-//! the pipeline the paper actually describes (§3.5): a bounded submission
+//! This is the pipeline the paper describes (§3.5): a bounded submission
 //! queue feeds **admission workers** that compile each request's grammar off
 //! the decode hot path (hitting the backend's `GrammarCache` first), a
 //! persistent **decode loop** admits compiled lanes into the running batch
@@ -43,10 +40,11 @@
 //! worker job that computes the shared context-independent mask base once
 //! and completes every lane from it.
 //!
-//! Byte parity with the fixed loop is by construction — both paths drive
-//! lanes exclusively through [`Lane::start`]/[`Lane::step`], and a lane's
-//! bytes depend only on its own request (its seed, reference and
-//! constraint), never on batch composition or arrival order. The
+//! Lanes are driven exclusively through [`Lane::start`]/[`Lane::step`], and a
+//! lane's bytes depend only on its own request (its seed, reference and
+//! constraint), never on batch composition or arrival order — so every
+//! request is served exactly its
+//! [`decode_reference`](crate::ServingEngine::decode_reference). The
 //! differential suite in `tests/continuous_batching.rs` proves it.
 //!
 //! [`Lane::start`]: crate::lane::Lane::start
@@ -61,13 +59,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::{
-    busy_wait, EngineRequest, ExecutionMode, JumpForwardPolicy, RequestResult, ServingEngine,
-};
+use crate::engine::{busy_wait, EngineRequest, ExecutionMode, RequestResult, ServingEngine};
 use crate::lane::{ForcedContext, Lane};
 use crate::llm::{LlmRequestState, SimulatedLlm};
 use crate::profiles::ModelProfile;
-use xg_baselines::{BackendError, BackendSession, ConstrainedBackend};
+use xg_baselines::{BackendError, ConstrainedBackend, Session};
 use xg_core::{GrammarCacheStats, TokenBitmask};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
@@ -122,7 +118,8 @@ pub enum StreamEvent {
     Bytes(Vec<u8>),
     /// The request finished decoding; terminal.
     Finished {
-        /// The complete result, byte-identical to the fixed-batch loop.
+        /// The complete result, equal to the request's
+        /// [`decode_reference`](crate::ServingEngine::decode_reference).
         result: RequestResult,
         /// Per-request latency breakdown.
         timing: LaneTiming,
@@ -154,7 +151,8 @@ pub struct LaneTiming {
 /// A finished request: the result plus its latency breakdown.
 #[derive(Debug, Clone)]
 pub struct FinishedRequest {
-    /// The generation result, byte-identical to the fixed-batch loop.
+    /// The generation result, equal to the request's
+    /// [`decode_reference`](crate::ServingEngine::decode_reference).
     pub result: RequestResult,
     /// Per-request latency breakdown.
     pub timing: LaneTiming,
@@ -320,7 +318,7 @@ struct Submission {
 struct ReadyLane {
     id: u64,
     events: Sender<StreamEvent>,
-    session: Option<Box<dyn BackendSession>>,
+    session: Option<Session>,
     llm_state: LlmRequestState,
     prompt_tokens: usize,
     max_tokens: usize,
@@ -330,12 +328,12 @@ struct ReadyLane {
     cache_hit: bool,
 }
 
-/// One lane's share of a mask-fill job: ownership of the lane's backend
-/// session and bitmask transfers to a mask worker and returns via
+/// One lane's share of a mask-fill job: ownership of the lane's session and
+/// bitmask transfers to a mask worker and returns via
 /// [`MaskDone`].
 struct MaskEntry {
     lane: u64,
-    session: Box<dyn BackendSession>,
+    session: Session,
     mask: TokenBitmask,
 }
 
@@ -350,7 +348,7 @@ struct MaskJob {
 /// A completed mask-fill job returning to the decode loop.
 struct MaskDone {
     lane: u64,
-    session: Box<dyn BackendSession>,
+    session: Session,
     mask: TokenBitmask,
     busy: Duration,
 }
@@ -437,8 +435,10 @@ fn mask_worker(pool: &MaskPool, done: &Sender<MaskDone>) {
         }
         for entry in &mut entries {
             match &shared_base {
-                Some(base) => entry.session.fill_mask_from_base(&mut entry.mask, base),
-                None => entry.session.fill_mask(&mut entry.mask),
+                Some(base) => entry
+                    .session
+                    .fill_next_token_bitmask_from_base(&mut entry.mask, base),
+                None => entry.session.fill_next_token_bitmask(&mut entry.mask),
             }
         }
         let busy = start.elapsed();
@@ -594,11 +594,7 @@ impl ContinuousScheduler {
             mask_pool: Arc::clone(&mask_pool),
             shared: Arc::clone(&shared),
             vocab: Arc::clone(backend.vocabulary()),
-            sorted: match engine.jump_forward_policy() {
-                JumpForwardPolicy::Engine => Some(engine.sorted_vocabulary()),
-                _ => None,
-            },
-            policy: engine.jump_forward_policy(),
+            sorted: engine.retokenizer(),
             profile: engine.profile().clone(),
             mode: engine.mode(),
             max_lanes,
@@ -872,8 +868,8 @@ struct DecodeLoop {
     mask_pool: Arc<MaskPool>,
     shared: Arc<Shared>,
     vocab: Arc<Vocabulary>,
+    /// Forced-text re-tokenization index; `None` = jump-forward is off.
     sorted: Option<Arc<SortedVocabulary>>,
-    policy: JumpForwardPolicy,
     profile: ModelProfile,
     mode: ExecutionMode,
     max_lanes: usize,
@@ -882,7 +878,6 @@ struct DecodeLoop {
 impl DecodeLoop {
     fn run(self) {
         let ctx = ForcedContext {
-            policy: self.policy,
             sorted: self.sorted.as_deref(),
             vocab: &self.vocab,
         };
@@ -1057,13 +1052,7 @@ impl DecodeLoop {
             stats.forced_chars += lane.forced_chars as u64;
             stats.forced_time += lane.forced_time;
         }
-        let result = RequestResult {
-            output: lane.output,
-            tokens: lane.sampled_tokens,
-            jump_forward_tokens: lane.forced_tokens,
-            jump_forward_chars: lane.forced_chars,
-            completed: lane.completed,
-        };
+        let result = lane.into_result();
         let timing = LaneTiming {
             queue_time: al.queue_time,
             compile_time: al.compile_time,

@@ -1,21 +1,23 @@
 //! Differential harness for the continuous-batching scheduler: the headline
-//! guarantee is that moving a request from the one-shot fixed batch into the
-//! continuous scheduler changes *when* its tokens are produced, never *which*
-//! tokens. Per-lane outputs are a function of the request alone (constraint,
-//! reference, seed) — not of batch composition, arrival order, or which
-//! lanes happen to join or leave mid-decode.
+//! guarantee is that batching changes *when* a request's tokens are produced,
+//! never *which* tokens. Per-lane outputs are a function of the request alone
+//! (constraint, reference, seed) — not of batch composition, arrival order,
+//! execution mode, or which lanes happen to join or leave mid-decode.
 //!
-//! Three layers of evidence:
+//! The specification is [`ServingEngine::decode_reference`]: one lane, one
+//! thread, no queue, no workers, no timing. Three layers of evidence compare
+//! the scheduler against it lane by lane (output bytes, sampled-token count,
+//! jump-forward tokens and characters, completion):
 //!
-//! 1. `run_batch` (now a thin wrapper over the scheduler) is byte-identical
-//!    to the retained reference implementation `run_batch_fixed`.
-//! 2. Submitting the same requests directly to a [`ContinuousScheduler`] in
-//!    several arrival-order permutations yields byte-identical per-lane
-//!    outputs every time.
-//! 3. A join/leave stress run — more requests than lanes, staggered
-//!    submissions, mixed constraints — still reproduces the fixed-batch
-//!    outputs exactly, and the streamed byte chunks concatenate to the final
-//!    output.
+//! 1. `run_batch` (a thin wrapper over the scheduler), in both execution
+//!    modes.
+//! 2. The same requests submitted directly to a [`ContinuousScheduler`] in
+//!    several arrival-order permutations.
+//! 3. A join/leave stress run — 24 requests over 4 lanes, staggered
+//!    submissions, mixed constraints — whose streamed byte chunks must also
+//!    concatenate to the final output.
+//!
+//! [`ContinuousScheduler`]: xg_engine::ContinuousScheduler
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,6 +72,14 @@ fn engine(mode: ExecutionMode) -> ServingEngine {
         .with_mask_parallelism(2)
 }
 
+/// The specification: every request decoded alone, on this thread.
+fn reference_decodes(engine: &ServingEngine, requests: &[EngineRequest]) -> Vec<RequestResult> {
+    requests
+        .iter()
+        .map(|request| engine.decode_reference(request).expect("reference decodes"))
+        .collect()
+}
+
 fn assert_lane_eq(a: &RequestResult, b: &RequestResult, label: &str) {
     assert_eq!(
         String::from_utf8_lossy(&a.output),
@@ -89,16 +99,16 @@ fn assert_lane_eq(a: &RequestResult, b: &RequestResult, label: &str) {
 }
 
 /// `run_batch` is a thin wrapper over the continuous scheduler; in both
-/// execution modes it must reproduce the reference fixed loop byte for byte.
+/// execution modes it must reproduce the reference decode byte for byte.
 #[test]
-fn run_batch_matches_fixed_reference_byte_for_byte() {
+fn run_batch_matches_reference_decode_byte_for_byte() {
     let requests = mixed_requests(3);
     for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
         let engine = engine(mode);
-        let (fixed, _) = engine.run_batch_fixed(&requests).expect("fixed runs");
+        let expected = reference_decodes(&engine, &requests);
         let (scheduled, metrics) = engine.run_batch(&requests).expect("scheduler runs");
-        assert_eq!(fixed.len(), scheduled.len());
-        for (i, (f, s)) in fixed.iter().zip(&scheduled).enumerate() {
+        assert_eq!(expected.len(), scheduled.len());
+        for (i, (f, s)) in expected.iter().zip(&scheduled).enumerate() {
             assert_lane_eq(f, s, &format!("{mode:?} lane {i}"));
             assert!(f.completed, "{mode:?} lane {i} must complete");
         }
@@ -107,13 +117,13 @@ fn run_batch_matches_fixed_reference_byte_for_byte() {
 }
 
 /// Submitting the same requests in different arrival orders produces
-/// byte-identical per-lane outputs, each equal to the fixed-batch reference.
+/// byte-identical per-lane outputs, each equal to the reference decode.
 #[test]
 fn arrival_order_permutations_are_byte_identical() {
     let requests = mixed_requests(3);
     let n = requests.len();
     let engine = engine(ExecutionMode::Overlapped);
-    let (reference, _) = engine.run_batch_fixed(&requests).expect("fixed runs");
+    let reference = reference_decodes(&engine, &requests);
 
     let orders: Vec<Vec<usize>> = vec![
         (0..n).collect(),                          // submission order
@@ -143,23 +153,24 @@ fn arrival_order_permutations_are_byte_identical() {
     }
 }
 
-/// Join/leave stress: four lanes serve sixteen staggered requests, so lanes
-/// continuously retire and admit mid-decode. Every request must reproduce
-/// its fixed-batch output, the streamed chunks must concatenate to the final
-/// output, and the scheduler must respect its lane cap.
+/// Join/leave stress: four lanes serve twenty-four staggered requests, so
+/// lanes continuously retire and admit mid-decode. Every request must
+/// reproduce its reference decode, the streamed chunks must concatenate to
+/// the final output, and the scheduler must respect its lane cap.
 #[test]
-fn join_leave_stress_reproduces_fixed_outputs() {
+fn join_leave_stress_reproduces_reference_outputs() {
     let mut requests = Vec::new();
     for batch in 0..4 {
-        for (i, mut request) in mixed_requests(2).into_iter().enumerate() {
+        for (i, mut request) in mixed_requests(4).into_iter().enumerate() {
             // Distinct seeds per wave so every lane decodes distinct bytes.
             request.seed ^= (batch as u64) << 32;
             request.max_tokens = 150 + 10 * i;
             requests.push(request);
         }
     }
+    assert_eq!(requests.len(), 24);
     let engine = engine(ExecutionMode::Overlapped);
-    let (reference, _) = engine.run_batch_fixed(&requests).expect("fixed runs");
+    let reference = reference_decodes(&engine, &requests);
 
     let scheduler = engine.serve(SchedulerConfig {
         max_lanes: 4,

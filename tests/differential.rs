@@ -1,6 +1,7 @@
 //! Differential test suite: the optimized engine against the naive PDA
-//! baseline on randomly generated grammars and inputs, plus printer/parser
-//! round-trips over the same random grammars.
+//! baseline on randomly generated grammars and inputs, printer/parser
+//! round-trips over the same random grammars, and one check of the
+//! `ConstraintMatcher` trait contract over all five of its implementors.
 //!
 //! Unlike `property_tests.rs` (which uses a fixed pool of hand-written
 //! grammars), the grammars here are *generated*: random rule bodies built
@@ -14,8 +15,15 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xg_automata::{build_pda_default, SimpleMatcher};
-use xg_baselines::{ConstrainedBackend, NaivePdaBackend};
-use xg_core::{CompilerConfig, GrammarCompiler, GrammarMatcher};
+use xg_baselines::{
+    BackendError, ConstrainedBackend, FormatEnforcerBackend, FsmIndexBackend, NaivePdaBackend,
+    Session,
+};
+use xg_core::{
+    AcceptError, CompilerConfig, GrammarCompiler, GrammarMatcher, StructuralTagMatcher,
+    TokenBitmask,
+};
+use xg_grammar::{StructuralTag, TagContent, TagSpec};
 use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};
 
 /// Characters safe to use inside EBNF literals without escaping, which also
@@ -183,7 +191,7 @@ fn drive_naive(
 ) -> (usize, bool) {
     let mut session = constraint.new_session();
     for (i, b) in input.iter().enumerate() {
-        if !session.accept_token(byte_tokens[b]) {
+        if session.accept_token(byte_tokens[b]).is_err() {
             return (i, false);
         }
     }
@@ -306,5 +314,168 @@ fn random_grammars_roundtrip_through_display() {
                 random.source
             );
         }
+    }
+}
+
+/// Checks the three invariants of `ConstraintMatcher`'s rustdoc on one
+/// implementor, along a random walk of up to six tokens that starts after
+/// `lead_in`:
+///
+/// 1. every mask-allowed token is accepted (each on a `fresh` session
+///    replayed to the same position, so no rollback support is assumed);
+/// 2. a rejected `accept_token` / `accept_bytes` leaves the next mask
+///    bit-identical;
+/// 3. a refused `rollback` leaves it bit-identical;
+///
+/// and, if the walk accepts end-of-sequence, that the session then reports
+/// termination, masks everything and refuses further tokens.
+fn check_matcher_contract(
+    label: &str,
+    vocab: &Vocabulary,
+    fresh: &dyn Fn() -> Session,
+    lead_in: &[TokenId],
+    rng: &mut SmallRng,
+) {
+    let mut lane = fresh();
+    let mut accepted = lead_in.to_vec();
+    for &token in lead_in {
+        lane.accept_token(token)
+            .unwrap_or_else(|e| panic!("{label}: lead-in rejected: {e}"));
+    }
+    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+    let mut again = TokenBitmask::new_all_rejected(vocab.len());
+    for step in 0..6 {
+        lane.fill_next_token_bitmask(&mut mask);
+        let allowed: Vec<TokenId> = mask.allowed_tokens().collect();
+
+        for &token in &allowed {
+            let mut probe = fresh();
+            for &t in &accepted {
+                probe.accept_token(t).expect("replay of an accepted prefix");
+            }
+            assert!(
+                probe.accept_token(token).is_ok(),
+                "{label} step {step}: mask allows {:?} but accept_token rejects it",
+                String::from_utf8_lossy(vocab.token_bytes(token))
+            );
+        }
+
+        let mut assert_mask_unchanged = |lane: &mut Session, after: &str| {
+            lane.fill_next_token_bitmask(&mut again);
+            assert_eq!(
+                again, mask,
+                "{label} step {step}: mask changed after {after}"
+            );
+        };
+        let rejected = (0..vocab.len() as u32)
+            .map(TokenId)
+            .find(|&t| !mask.is_allowed(t) && !vocab.is_special(t));
+        if let Some(token) = rejected {
+            assert!(lane.accept_token(token).is_err());
+            assert_mask_unchanged(&mut lane, "a rejected accept_token");
+            assert!(lane.accept_bytes(vocab.token_bytes(token)).is_err());
+            assert_mask_unchanged(&mut lane, "a rejected accept_bytes");
+        }
+        let eos = vocab.eos().expect("test vocabulary has EOS");
+        if !mask.is_allowed(eos) {
+            assert!(lane.accept_token(eos).is_err());
+            assert_mask_unchanged(&mut lane, "a rejected EOS");
+        }
+        let window = lane.rollback_window();
+        assert!(lane.rollback(window + 1).is_err());
+        assert_mask_unchanged(&mut lane, "a refused rollback");
+
+        if allowed.is_empty() {
+            break;
+        }
+        let token = allowed[rng.gen_range(0..allowed.len())];
+        lane.accept_token(token).expect("mask-allowed token");
+        accepted.push(token);
+        if token == eos {
+            assert!(lane.is_terminated(), "{label}: EOS must terminate");
+            assert!(!lane.can_terminate());
+            lane.fill_next_token_bitmask(&mut mask);
+            assert_eq!(mask.count_allowed(), 0, "{label}: mask after EOS");
+            assert_eq!(
+                lane.accept_token(token),
+                Err(AcceptError::AlreadyTerminated)
+            );
+            break;
+        }
+    }
+}
+
+/// One contract check over every first-party `ConstraintMatcher`:
+/// `GrammarMatcher`, `StructuralTagMatcher` (the random grammar as a tagged
+/// segment) and the three baseline sessions, on the same random grammars.
+/// Grammars a baseline reports `UnsupportedGrammar` for are skipped for that
+/// baseline.
+#[test]
+fn every_constraint_matcher_keeps_the_trait_contract() {
+    const GRAMMARS: usize = 10;
+
+    let vocab = Arc::new(test_vocabulary(600));
+    let byte_tokens = byte_token_map(&vocab);
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+    let baselines: Vec<Box<dyn ConstrainedBackend>> = vec![
+        Box::new(NaivePdaBackend::new(Arc::clone(&vocab))),
+        Box::new(FsmIndexBackend::new(Arc::clone(&vocab))),
+        Box::new(FormatEnforcerBackend::new(Arc::clone(&vocab))),
+    ];
+    let mut checked = vec![0usize; baselines.len()];
+
+    let mut rng = SmallRng::seed_from_u64(0xC0_47AC7);
+    for g in 0..GRAMMARS {
+        let random = random_grammar(&mut rng);
+        let grammar = xg_grammar::parse_ebnf(&random.source, "root")
+            .unwrap_or_else(|e| panic!("generated grammar must parse: {e}\n{}", random.source));
+
+        let compiled = compiler.compile_grammar(&grammar);
+        check_matcher_contract(
+            &format!("GrammarMatcher on grammar #{g}"),
+            &vocab,
+            &|| Session::new(Box::new(GrammarMatcher::new(Arc::clone(&compiled)))),
+            &[],
+            &mut rng,
+        );
+
+        let tag = StructuralTag::new(vec![TagSpec {
+            begin: "<t>".into(),
+            content: TagContent::Ebnf {
+                text: random.source.clone(),
+                root: "root".into(),
+            },
+            end: "</t>".into(),
+        }]);
+        let dispatch = compiler
+            .compile_tag_dispatch(&tag)
+            .unwrap_or_else(|e| panic!("tag dispatch compiles: {e}\n{}", random.source));
+        // Start inside the tagged segment, where the mask actually rejects.
+        let lead_in: Vec<TokenId> = b"<t>".iter().map(|b| byte_tokens[b]).collect();
+        check_matcher_contract(
+            &format!("StructuralTagMatcher on grammar #{g}"),
+            &vocab,
+            &|| Session::new(Box::new(StructuralTagMatcher::new(Arc::clone(&dispatch)))),
+            &lead_in,
+            &mut rng,
+        );
+
+        for (backend, checked) in baselines.iter().zip(&mut checked) {
+            let constraint = match backend.compile(&grammar) {
+                Ok(constraint) => constraint,
+                Err(BackendError::UnsupportedGrammar { .. }) => continue,
+            };
+            check_matcher_contract(
+                &format!("{} on grammar #{g}", backend.name()),
+                &vocab,
+                &|| constraint.new_session(),
+                &[],
+                &mut rng,
+            );
+            *checked += 1;
+        }
+    }
+    for (backend, checked) in baselines.iter().zip(&checked) {
+        assert!(*checked > 0, "{} was never exercised", backend.name());
     }
 }

@@ -276,12 +276,12 @@ proptest! {
                 Arc::new(XGrammarBackend::new(Arc::clone(&vocab)));
             let fresh_engine =
                 ServingEngine::new(fresh_backend, profile.clone(), ExecutionMode::Serial);
-            let (fresh, _) = fresh_engine
-                .run_batch_fixed(std::slice::from_ref(&request))
+            let fresh = fresh_engine
+                .decode_reference(&request)
                 .expect("fresh engine decodes");
             prop_assert_eq!(
                 String::from_utf8_lossy(&live.result.output),
-                String::from_utf8_lossy(&fresh[0].output),
+                String::from_utf8_lossy(&fresh.output),
                 "live mutated-registry decode diverged from the fresh compile"
             );
         }

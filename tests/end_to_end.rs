@@ -119,16 +119,16 @@ fn cached_engine_and_naive_baseline_agree_on_masks_along_a_generation() {
     // Step the two engines with the single-byte tokens of the reference and
     // compare the full masks at every position.
     for (i, &b) in reference.iter().enumerate() {
-        xg_session.fill_mask(&mut xg_mask);
-        naive_session.fill_mask(&mut naive_mask);
+        xg_session.fill_next_token_bitmask(&mut xg_mask);
+        naive_session.fill_next_token_bitmask(&mut naive_mask);
         assert_eq!(
             xg_mask, naive_mask,
             "mask divergence at byte {i} of the reference"
         );
         let token = vocab.iter().find(|(_, t)| *t == [b]).unwrap().0;
         assert!(xg_mask.is_allowed(token));
-        assert!(xg_session.accept_token(token));
-        assert!(naive_session.accept_token(token));
+        xg_session.accept_token(token).unwrap();
+        naive_session.accept_token(token).unwrap();
     }
     assert!(xg_session.can_terminate());
     assert!(naive_session.can_terminate());

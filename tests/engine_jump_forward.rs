@@ -2,14 +2,15 @@
 //! guarantee is that [`JumpForwardPolicy`] changes *nothing but speed*. A
 //! mixed batch (unconstrained prose + JSON-schema lanes + structural-tag
 //! tool-call lanes) decoded under a seeded mock sampler must produce
-//! byte-identical per-lane outputs with `Off`, `Matcher` and `Engine`
-//! policies — with fewer (or equal) sampled tokens and strictly positive
-//! forced-token counts on the schema-heavy lanes when jump-forward is on.
+//! byte-identical per-lane outputs with the `Off` and `Engine` policies —
+//! with fewer (or equal) sampled tokens and strictly positive forced-token
+//! counts on the schema-heavy lanes when jump-forward is on.
 //!
 //! The property test at the bottom extends the rollback-across-jump-forward
 //! coverage of `tests/structural_tag.rs` to the engine layer: on random
-//! grammars, injecting a forced-token run through a [`BackendSession`] and
-//! rolling it back restores the matcher state exactly.
+//! grammars, injecting a forced-token run through a backend session (a
+//! `dyn ConstraintMatcher`) and rolling it back restores the matcher state
+//! exactly.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,9 +79,9 @@ fn run_policy(
 }
 
 /// The headline differential: identical mixed batches under `Off` vs
-/// `Matcher` vs `Engine` produce byte-identical per-lane outputs, the engine
-/// policy samples fewer (or equal) tokens on every lane, and the
-/// schema-heavy lanes actually exercise forced-token injection.
+/// `Engine` produce byte-identical per-lane outputs, the engine policy
+/// samples fewer (or equal) tokens on every lane, and the schema-heavy lanes
+/// actually exercise forced-token injection.
 #[test]
 fn jump_forward_changes_nothing_but_speed() {
     let vocab = Arc::new(test_vocabulary(2000));
@@ -88,15 +89,9 @@ fn jump_forward_changes_nothing_but_speed() {
     let (requests, schema_lanes) = mixed_requests();
 
     let (off, off_metrics) = run_policy(&backend, &requests, JumpForwardPolicy::Off);
-    let (matcher, matcher_metrics) = run_policy(&backend, &requests, JumpForwardPolicy::Matcher);
     let (engine, engine_metrics) = run_policy(&backend, &requests, JumpForwardPolicy::Engine);
 
-    for (lane, ((o, m), e)) in off.iter().zip(&matcher).zip(&engine).enumerate() {
-        assert_eq!(
-            String::from_utf8_lossy(&o.output),
-            String::from_utf8_lossy(&m.output),
-            "lane {lane}: matcher-policy output diverged"
-        );
+    for (lane, (o, e)) in off.iter().zip(&engine).enumerate() {
         assert_eq!(
             String::from_utf8_lossy(&o.output),
             String::from_utf8_lossy(&e.output),
@@ -134,8 +129,6 @@ fn jump_forward_changes_nothing_but_speed() {
     assert_eq!(off_metrics.jump_forward_tokens, 0);
     assert_eq!(off_metrics.jump_forward_chars, 0);
     assert_eq!(off_metrics.forced_time, Duration::ZERO);
-    assert_eq!(matcher_metrics.jump_forward_tokens, 0);
-    assert!(matcher_metrics.jump_forward_chars > 0);
     assert!(engine_metrics.jump_forward_tokens > 0);
     assert!(engine_metrics.jump_forward_chars > 0);
     assert!(engine_metrics.forced_time > Duration::ZERO);
@@ -217,7 +210,7 @@ proptest! {
     /// Engine-layer mirror of the matcher-level rollback-across-jump-forward
     /// test: inject the forced-token run the serving engine would inject
     /// (longest-prefix cover, one `accept_token` per cover token), roll the
-    /// whole run back through `BackendSession::rollback`, and demand the
+    /// whole run back through `ConstraintMatcher::rollback`, and demand the
     /// exact pre-injection state — same mask, same forced string, same
     /// rollback window.
     #[test]
@@ -236,18 +229,18 @@ proptest! {
         let mut injections = 0usize;
 
         for _ in 0..12 {
-            let forced = session.find_jump_forward();
+            let forced = session.find_jump_forward_string();
             if !forced.is_empty() {
                 let (cover, covered) = sorted.longest_prefix_cover(&vocab, &forced);
                 prop_assert_eq!(covered, forced.len(), "byte fallback covers everything");
-                session.fill_mask(&mut pre_mask);
+                session.fill_next_token_bitmask(&mut pre_mask);
                 let pre_window = session.rollback_window();
 
                 // Inject the run exactly like the serving engine does.
                 let mut accepted = 0usize;
                 for &token in &cover {
                     prop_assert!(
-                        session.accept_token(token),
+                        session.accept_token(token).is_ok(),
                         "forced cover token {:?} rejected (grammar {})",
                         String::from_utf8_lossy(vocab.token_bytes(token)),
                         source.trim()
@@ -257,29 +250,29 @@ proptest! {
                 if session.rollback_window() >= pre_window + accepted {
                     // Roll the whole forced run back: the pre-injection state
                     // must be restored exactly.
-                    prop_assert!(session.rollback(accepted), "rollback refused");
-                    session.fill_mask(&mut mask);
+                    prop_assert!(session.rollback(accepted).is_ok(), "rollback refused");
+                    session.fill_next_token_bitmask(&mut mask);
                     prop_assert_eq!(
                         &mask, &pre_mask,
                         "mask diverged after rollback (grammar {})", source.trim()
                     );
                     prop_assert_eq!(
-                        session.find_jump_forward(), forced.clone(),
+                        session.find_jump_forward_string(), forced.clone(),
                         "forced string diverged after rollback"
                     );
                     prop_assert_eq!(session.rollback_window(), pre_window);
                     // Replay the run so the walk continues past it.
                     for &token in &cover {
-                        prop_assert!(session.accept_token(token));
+                        prop_assert!(session.accept_token(token).is_ok());
                     }
                 }
                 injections += 1;
                 continue;
             }
             // No forced text: advance one sampled token along the mask.
-            session.fill_mask(&mut mask);
+            session.fill_next_token_bitmask(&mut mask);
             let Some(token) = pick_allowed(&vocab, &mask) else { break };
-            prop_assert!(session.accept_token(token), "mask promised the token");
+            prop_assert!(session.accept_token(token).is_ok(), "mask promised the token");
         }
         // Most random grammars force something; the property is vacuous only
         // for the rare all-choice grammars.
@@ -314,15 +307,15 @@ proptest! {
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
         let mut draft = Vec::new();
         for _ in 0..rng.gen_range(0..=8usize) {
-            probe.fill_mask(&mut mask);
+            probe.fill_next_token_bitmask(&mut mask);
             let Some(token) = pick_allowed(&vocab, &mask) else { break };
-            if !probe.accept_token(token) {
+            if probe.accept_token(token).is_err() {
                 break;
             }
             draft.push(token);
         }
         let valid_len = draft.len();
-        probe.fill_mask(&mut mask);
+        probe.fill_next_token_bitmask(&mut mask);
         let junk = (0..vocab.len() as u32)
             .map(xg_tokenizer::TokenId)
             .find(|&t| !vocab.is_special(t) && !mask.is_allowed(t));
@@ -335,7 +328,7 @@ proptest! {
         let mut serial = compiled.new_session();
         let mut serial_accepted = 0usize;
         for &token in &draft {
-            if !serial.accept_token(token) {
+            if serial.accept_token(token).is_err() {
                 break;
             }
             serial_accepted += 1;
@@ -344,7 +337,7 @@ proptest! {
         // Speculative path on a fresh session.
         let mut spec = compiled.new_session();
         let mut pre_mask = TokenBitmask::new_all_rejected(vocab.len());
-        spec.fill_mask(&mut pre_mask);
+        spec.fill_next_token_bitmask(&mut pre_mask);
         let pre_window = spec.rollback_window();
         let accepted = spec.accept_tokens_speculative(&draft);
         prop_assert_eq!(
@@ -358,8 +351,8 @@ proptest! {
 
         // Post-prefix state parity: both sessions produce the same mask.
         let mut spec_mask = TokenBitmask::new_all_rejected(vocab.len());
-        spec.fill_mask(&mut spec_mask);
-        serial.fill_mask(&mut mask);
+        spec.fill_next_token_bitmask(&mut spec_mask);
+        serial.fill_next_token_bitmask(&mut mask);
         prop_assert_eq!(
             &spec_mask, &mask,
             "post-draft mask diverged from serial loop (grammar {})",
@@ -372,8 +365,8 @@ proptest! {
             "accepted run not individually rollbackable"
         );
         if accepted > 0 {
-            prop_assert!(spec.rollback(accepted), "rollback refused");
-            spec.fill_mask(&mut spec_mask);
+            prop_assert!(spec.rollback(accepted).is_ok(), "rollback refused");
+            spec.fill_next_token_bitmask(&mut spec_mask);
             prop_assert_eq!(
                 &spec_mask, &pre_mask,
                 "mask diverged after rolling back the draft (grammar {})",
