@@ -2,8 +2,9 @@
 //! evaluation (Figure 9, Figure 10, Table 3).
 //!
 //! Three families of baselines are reimplemented as algorithmic equivalents
-//! of the systems the paper compares against (see DESIGN.md for the
-//! substitution rationale):
+//! of the systems the paper compares against (the originals are external
+//! Python/C++ projects this offline, path-dependency-only workspace cannot
+//! link; README, *Workspace layout*):
 //!
 //! * [`NaivePdaBackend`] — interprets the pushdown automaton directly and
 //!   scans the *entire* vocabulary at every step with copied stacks. This is
@@ -48,7 +49,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use xg_core::{ConstraintMatcher, GrammarCacheStats, MatcherPool};
+use xg_core::{CacheStats, ConstraintMatcher, MatcherPool};
 use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
 use xg_tokenizer::Vocabulary;
 
@@ -141,7 +142,7 @@ pub trait ConstrainedBackend: Send + Sync + fmt::Debug {
     /// Compiled-grammar cache counters, for backends that memoize compiled
     /// grammars (the serving engine reports these per batch). Baselines
     /// without a cache return `None`.
-    fn cache_stats(&self) -> Option<GrammarCacheStats> {
+    fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
 

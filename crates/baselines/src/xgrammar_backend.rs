@@ -4,19 +4,22 @@
 //!
 //! Every compiled constraint — fully-constrained grammar or structural-tag
 //! dispatch — hands out pooled [`Session`]s: a `dyn ConstraintMatcher` drawn
-//! from a [`MatcherPool`] and returned to it on drop. The only per-kind code
-//! is the constraint *construction* (which compile entry point to call);
-//! masks, token acceptance, jump-forward and termination are the matcher's
-//! own trait methods.
+//! from a [`MatcherPool`] and returned to it on drop. The pool is the one
+//! living in the artifact's cache slot (`xg_core::ArtifactCache`), so
+//! repeated `compile()` / `compile_structural()` calls for the same cached
+//! artifact hand out the same pool, sessions of successive batches recycle
+//! matchers, and an evicted artifact's pool goes away with its slot — the
+//! backend keeps no state of its own beside the compiler. The only per-kind
+//! code is the constraint *construction* (which compile entry point to
+//! call); masks, token acceptance, jump-forward and termination are the
+//! matcher's own trait methods.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xg_core::{
-    CompilerConfig, ConstraintFactory, GrammarCache, GrammarCacheKey, GrammarCacheStats,
-    GrammarCompiler, MatcherPool,
+    CacheBudget, CacheStats, CompilerConfig, GrammarCache, GrammarCompiler, MatcherPool,
 };
-use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
+use xg_grammar::{DispatchDelta, Grammar, GrammarError, StructuralTag};
 use xg_tokenizer::Vocabulary;
 
 use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
@@ -25,47 +28,7 @@ use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
 #[derive(Debug)]
 pub struct XGrammarBackend {
     compiler: GrammarCompiler,
-    /// One matcher pool per live compiled constraint, so repeated `compile()`
-    /// / `compile_structural()` calls for the same (cached) artifact hand out
-    /// the same pool and sessions of successive batches actually recycle
-    /// matchers. Pools pin their compiled artifact, so entries whose grammar
-    /// the `GrammarCache` has evicted are pruned whenever the cache's
-    /// eviction counter has moved — the cache's byte budget stays the bound
-    /// on resident compiled grammars.
-    pools: Mutex<PoolState>,
 }
-
-/// Key of a pooled compiled constraint: the grammar cache key for ordinary
-/// grammars, the compiled dispatch's factory identity for structural tags
-/// (whose compilation is memoized per compiler, giving a stable artifact per
-/// tool registry). This enum is the backend's single per-constraint-kind
-/// branch point — everything downstream is `dyn ConstraintMatcher`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PoolKey {
-    Grammar(GrammarCacheKey),
-    Structural(usize),
-}
-
-/// The matcher pools plus, for each cache the pools shadow, the eviction
-/// count at the last prune; pruning is skipped (and costs nothing) while
-/// both counts are unchanged — in particular forever for unbounded caches
-/// under stable registries.
-#[derive(Debug, Default)]
-struct PoolState {
-    by_key: HashMap<PoolKey, Arc<XGrammarCompiled>>,
-    /// [`GrammarCache`] eviction count at the last prune.
-    pruned_at_eviction_count: u64,
-    /// Compiler [`TagDispatchCache`](xg_core::TagDispatchCache) eviction
-    /// count at the last prune — dispatch evictions (LRU, byte budget, or
-    /// incremental updates displacing old registry versions) must unpin the
-    /// stale structural pools even when no grammar was evicted.
-    dispatch_pruned_at_eviction_count: u64,
-}
-
-/// Cap on structural-tag pools retained by the backend, mirroring the
-/// compiler's dispatch-cache entry cap (stale pools would pin compiled
-/// dispatches the cache has already evicted).
-const STRUCTURAL_POOL_CAP: usize = 64;
 
 impl XGrammarBackend {
     /// Creates the backend with the default (fully optimized) configuration.
@@ -78,13 +41,12 @@ impl XGrammarBackend {
     pub fn with_config(vocab: Arc<Vocabulary>, config: CompilerConfig) -> Self {
         XGrammarBackend {
             compiler: GrammarCompiler::with_config(vocab, config),
-            pools: Mutex::new(PoolState::default()),
         }
     }
 
     /// Creates the backend on top of a shared [`GrammarCache`], so several
-    /// backends / serving engines draw compiled grammars from one budgeted,
-    /// compile-once pool.
+    /// backends / serving engines draw compiled grammars — and the matcher
+    /// pools in their cache slots — from one budgeted, compile-once pool.
     pub fn with_cache(
         vocab: Arc<Vocabulary>,
         config: CompilerConfig,
@@ -92,64 +54,7 @@ impl XGrammarBackend {
     ) -> Self {
         XGrammarBackend {
             compiler: GrammarCompiler::with_cache(vocab, config, cache),
-            pools: Mutex::new(PoolState::default()),
         }
-    }
-
-    /// The shared pool wrapper for a compiled constraint, creating it on
-    /// first sight. A pool is only reused while its artifact is still the
-    /// live one (an evicted-and-recompiled grammar gets a fresh pool), and
-    /// stale pools are dropped so the cache budget bounds resident grammars.
-    fn pool_for(&self, key: PoolKey, factory: Arc<dyn ConstraintFactory>) -> Arc<XGrammarCompiled> {
-        let cache = self.compiler.cache();
-        let mut state = self.pools.lock().unwrap_or_else(|e| e.into_inner());
-        // Prune on every lookup (not just inserts): a workload that settles
-        // on a stable grammar set would otherwise never drop pools whose
-        // grammars another sharer of the cache has since evicted. Skipped
-        // while both eviction counters are unchanged (always, for unbounded
-        // caches under stable registries). The dispatch counter matters on
-        // its own: an incremental registry update or dispatch-LRU eviction
-        // drops a registry without evicting any shared sub-grammar, and its
-        // pool must not stay pinned.
-        let evictions = cache.eviction_count();
-        let dispatch_evictions = self.compiler.dispatch_cache().eviction_count();
-        if state.pruned_at_eviction_count != evictions
-            || state.dispatch_pruned_at_eviction_count != dispatch_evictions
-        {
-            state.pruned_at_eviction_count = evictions;
-            state.dispatch_pruned_at_eviction_count = dispatch_evictions;
-            state.by_key.retain(|k, _| match k {
-                PoolKey::Grammar(key) => cache.contains(key),
-                // Structural pools pin whole compiled dispatches (every
-                // per-trigger grammar plus idle inner matchers); drop them
-                // once the compiler's dispatch cache no longer holds the
-                // registry, so evicted tool registries do not stay resident
-                // outside the cache budget.
-                PoolKey::Structural(key) => self.compiler.has_cached_tag_dispatch(*key),
-            });
-        }
-        if let Some(existing) = state.by_key.get(&key) {
-            if existing.pool.factory_key() == factory.factory_key() {
-                return Arc::clone(existing);
-            }
-        }
-        if matches!(key, PoolKey::Structural(_)) {
-            let structural = state
-                .by_key
-                .keys()
-                .filter(|k| matches!(k, PoolKey::Structural(_)))
-                .count();
-            if structural >= STRUCTURAL_POOL_CAP {
-                state
-                    .by_key
-                    .retain(|k, _| !matches!(k, PoolKey::Structural(_)));
-            }
-        }
-        let entry = Arc::new(XGrammarCompiled {
-            pool: Arc::new(MatcherPool::new(factory)),
-        });
-        state.by_key.insert(key, Arc::clone(&entry));
-        entry
     }
 
     /// Replaces the compiler's structural-tag dispatch cache with one using
@@ -157,14 +62,21 @@ impl XGrammarBackend {
     /// memory-constrained deployments bound how many compiled tool
     /// registries stay resident.
     #[must_use]
-    pub fn with_dispatch_cache_config(mut self, config: xg_core::TagDispatchCacheConfig) -> Self {
-        self.compiler = self.compiler.with_dispatch_cache_config(config);
+    pub fn with_dispatch_cache_config(mut self, budget: CacheBudget) -> Self {
+        self.compiler = self.compiler.with_dispatch_cache_config(budget);
         self
     }
 
     /// Access to the underlying compiler (e.g. for preprocessing statistics).
     pub fn compiler(&self) -> &GrammarCompiler {
         &self.compiler
+    }
+
+    fn unsupported(&self, e: GrammarError) -> BackendError {
+        BackendError::UnsupportedGrammar {
+            backend: self.name(),
+            reason: e.to_string(),
+        }
     }
 }
 
@@ -178,20 +90,14 @@ impl ConstrainedBackend for XGrammarBackend {
     }
 
     fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
-        let key = self.compiler.cache_key(grammar);
         // The checked path enforces the compiler's lint mode: in strict mode
         // a grammar with error-severity diagnostics (unsatisfiable root,
         // vocabulary dead states, …) is rejected here — at admission — rather
         // than wedging a decode lane later. The compiled artifact is cached
         // either way, so resubmissions fail fast.
-        let compiled = self
-            .compiler
-            .compile_grammar_checked_with_key(key, grammar)
-            .map_err(|e| BackendError::UnsupportedGrammar {
-                backend: self.name(),
-                reason: e.to_string(),
-            })?;
-        Ok(self.pool_for(PoolKey::Grammar(key), compiled) as Arc<dyn CompiledConstraint>)
+        let cached = self.compiler.compile_grammar_pooled(grammar);
+        let pool = cached.map_err(|e| self.unsupported(e))?.pool;
+        Ok(XGrammarCompiled::over(pool))
     }
 
     fn compile_structural(
@@ -200,16 +106,11 @@ impl ConstrainedBackend for XGrammarBackend {
     ) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
         // The per-trigger combined grammars run through the ordinary cached
         // compile path, so repeated tool schemas compile once per cache; the
-        // dispatch build itself is memoized, so the factory key is stable per
-        // tool registry and the pool below is shared across batches.
-        let compiled = self.compiler.compile_tag_dispatch(tag).map_err(|e| {
-            BackendError::UnsupportedGrammar {
-                backend: self.name(),
-                reason: e.to_string(),
-            }
-        })?;
-        let key = PoolKey::Structural(ConstraintFactory::factory_key(&*compiled));
-        Ok(self.pool_for(key, compiled) as Arc<dyn CompiledConstraint>)
+        // dispatch build itself is cached, so every batch serving this tool
+        // registry shares the pool in its slot.
+        let cached = self.compiler.compile_tag_dispatch_pooled(tag);
+        let pool = cached.map_err(|e| self.unsupported(e))?.pool;
+        Ok(XGrammarCompiled::over(pool))
     }
 
     fn update_structural(
@@ -217,30 +118,19 @@ impl ConstrainedBackend for XGrammarBackend {
         current: &StructuralTag,
         delta: &DispatchDelta,
     ) -> Result<(StructuralTag, Arc<dyn CompiledConstraint>), BackendError> {
-        let to_backend_error = |e: xg_grammar::GrammarError| BackendError::UnsupportedGrammar {
-            backend: self.name(),
-            reason: e.to_string(),
-        };
         // `current` is a dispatch-cache hit whenever it has been served (or
         // updated to) before; a cold base costs one full compile, after
         // which the delta path recompiles only the touched trigger.
-        let base = self
-            .compiler
-            .compile_tag_dispatch(current)
-            .map_err(to_backend_error)?;
         let updated = self
             .compiler
-            .update_tag_dispatch(&base, delta)
-            .map_err(to_backend_error)?;
-        let next = updated.source_tag().clone();
-        let key = PoolKey::Structural(ConstraintFactory::factory_key(&*updated));
-        Ok((
-            next,
-            self.pool_for(key, updated) as Arc<dyn CompiledConstraint>,
-        ))
+            .compile_tag_dispatch(current)
+            .and_then(|base| self.compiler.update_tag_dispatch_pooled(&base, delta))
+            .map_err(|e| self.unsupported(e))?;
+        let next = updated.artifact.source_tag().clone();
+        Ok((next, XGrammarCompiled::over(updated.pool)))
     }
 
-    fn cache_stats(&self) -> Option<GrammarCacheStats> {
+    fn cache_stats(&self) -> Option<CacheStats> {
         // Per-backend counters: correct even when several backends share one
         // GrammarCache (the cache-wide counters would mix their traffic).
         Some(self.compiler.local_cache_stats())
@@ -257,13 +147,21 @@ impl ConstrainedBackend for XGrammarBackend {
     }
 }
 
-/// A compiled constraint plus its pool of reusable matchers: sessions draw a
-/// matcher on creation and return it when dropped, so lanes of successive
-/// serving batches reuse matcher allocations — for grammar lanes and
-/// tool-calling lanes alike.
+/// A compiled constraint seen through its pool of reusable matchers (which
+/// pins the compiled artifact): sessions draw a matcher on creation and
+/// return it when dropped, so lanes of successive serving batches reuse
+/// matcher allocations — for grammar lanes and tool-calling lanes alike.
 #[derive(Debug)]
 struct XGrammarCompiled {
     pool: Arc<MatcherPool>,
+}
+
+impl XGrammarCompiled {
+    /// The compiled constraint served by `pool` — the pool a cache lookup
+    /// handed back.
+    fn over(pool: Arc<MatcherPool>) -> Arc<dyn CompiledConstraint> {
+        Arc::new(XGrammarCompiled { pool })
+    }
 }
 
 impl CompiledConstraint for XGrammarCompiled {
@@ -298,10 +196,8 @@ mod tests {
 
     #[test]
     fn shared_cache_serves_multiple_backends() {
-        use xg_core::{GrammarCache, GrammarCacheConfig};
-
         let vocab = small_vocab();
-        let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+        let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
         let a = XGrammarBackend::with_cache(
             Arc::clone(&vocab),
             CompilerConfig::default(),
@@ -327,6 +223,23 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    fn number_tag(name: &str) -> xg_grammar::TagSpec {
+        xg_grammar::TagSpec {
+            begin: format!("<{name}>"),
+            content: xg_grammar::TagContent::Ebnf {
+                text: "root ::= [0-9]+".into(),
+                root: "root".into(),
+            },
+            end: format!("</{name}>"),
+        }
+    }
+
+    /// The lane pool in `tag`'s dispatch-cache slot.
+    fn registry_pool(backend: &XGrammarBackend, tag: &StructuralTag) -> Arc<MatcherPool> {
+        let cached = backend.compiler.compile_tag_dispatch_pooled(tag);
+        cached.unwrap().pool
+    }
+
     #[test]
     fn repeated_compiles_share_one_matcher_pool() {
         // Successive batches call compile() again for the same grammar; the
@@ -343,9 +256,10 @@ mod tests {
         let mut session = second.new_session();
         assert!(drive_session_bytes(&vocab, &mut *session, b"[2]"));
         drop(session);
-        let state = backend.pools.lock().unwrap();
-        assert_eq!(state.by_key.len(), 1, "one pool per compiled grammar");
-        let pool = &state.by_key.values().next().unwrap().pool;
+        // The pool is the one in the grammar's cache slot.
+        let slot = |g: &Grammar| backend.compiler.compile_grammar_pooled(g).unwrap().pool;
+        let pool = slot(&grammar);
+        assert!(Arc::ptr_eq(&pool, &slot(&grammar)));
         assert_eq!(
             pool.created(),
             1,
@@ -356,18 +270,9 @@ mod tests {
 
     #[test]
     fn structural_sessions_recycle_matchers_through_one_pool() {
-        use xg_grammar::{TagContent, TagSpec};
-
         let vocab = small_vocab();
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
-        let tag = StructuralTag::new(vec![TagSpec {
-            begin: "<n>".into(),
-            content: TagContent::Ebnf {
-                text: "root ::= [0-9]+".into(),
-                root: "root".into(),
-            },
-            end: "</n>".into(),
-        }]);
+        let tag = StructuralTag::new(vec![number_tag("n")]);
         let first = backend.compile_structural(&tag).unwrap();
         {
             let mut session = first.new_session();
@@ -378,11 +283,37 @@ mod tests {
         let mut session = second.new_session();
         assert!(drive_session_bytes(&vocab, &mut *session, b"b <n>2</n>"));
         drop(session);
-        let state = backend.pools.lock().unwrap();
-        assert_eq!(state.by_key.len(), 1, "one pool per tool registry");
-        let pool = &state.by_key.values().next().unwrap().pool;
+        let pool = registry_pool(&backend, &tag);
+        assert!(Arc::ptr_eq(&pool, &registry_pool(&backend, &tag)));
         assert_eq!(pool.created(), 1);
         assert_eq!(pool.reused(), 1);
+    }
+
+    #[test]
+    fn warm_pools_survive_the_65th_live_registry() {
+        // A dispatch budget above 64 entries: no registry is evicted, so no
+        // registry may lose its warm pool either.
+        let vocab = small_vocab();
+        let backend =
+            XGrammarBackend::new(Arc::clone(&vocab)).with_dispatch_cache_config(CacheBudget {
+                max_bytes: usize::MAX,
+                max_entries: 128,
+            });
+        let registry = |i: usize| StructuralTag::new(vec![number_tag(&format!("t{i}"))]);
+        let compiled = backend.compile_structural(&registry(1)).unwrap();
+        drop(compiled.new_session());
+        let first_pool = registry_pool(&backend, &registry(1));
+        for i in 2..=65 {
+            backend.compile_structural(&registry(i)).unwrap();
+        }
+        let again = backend.compile_structural(&registry(1)).unwrap();
+        drop(again.new_session());
+        assert!(Arc::ptr_eq(
+            &first_pool,
+            &registry_pool(&backend, &registry(1))
+        ));
+        assert_eq!(first_pool.created(), 1);
+        assert_eq!(first_pool.reused(), 1);
     }
 
     #[test]
@@ -446,15 +377,45 @@ mod tests {
         assert!(naive_session.accept_bytes(b"{").is_err());
     }
 
+    /// `session` was opened before its artifact left the cache: it must still
+    /// decode `text` and release cleanly, after which nothing pins the pool or
+    /// the artifact any more.
+    fn assert_unpinned_once_dropped<V>(
+        vocab: &Vocabulary,
+        mut session: Session,
+        text: &[u8],
+        cached: xg_core::Cached<V>,
+    ) {
+        let (pool, artifact) = (
+            Arc::downgrade(&cached.pool),
+            Arc::downgrade(&cached.artifact),
+        );
+        drop(cached);
+        assert!(pool.upgrade().is_some(), "the open session holds the pool");
+        assert!(drive_session_bytes(vocab, &mut *session, text));
+        drop(session);
+        assert!(
+            pool.upgrade().is_none(),
+            "evicted pool must not stay pinned"
+        );
+        assert!(
+            artifact.upgrade().is_none(),
+            "evicted artifact must not stay pinned"
+        );
+    }
+
+    fn two_grammars() -> (Grammar, Grammar) {
+        let g = |src| xg_grammar::parse_ebnf(src, "root").unwrap();
+        (g(r#"root ::= "a" [0-9]+"#), g(r#"root ::= "b" [0-9]+"#))
+    }
+
     #[test]
     fn evicted_grammars_do_not_stay_pinned_by_pools() {
-        use xg_core::{GrammarCache, GrammarCacheConfig};
-
         // A one-entry cache: compiling a second grammar evicts the first, and
-        // the backend must drop the evicted grammar's pool (which pins the
-        // compiled grammar) instead of holding it forever.
+        // the first's pool (which pins the compiled grammar) goes with its
+        // slot instead of being held forever.
         let vocab = small_vocab();
-        let cache = Arc::new(GrammarCache::new(GrammarCacheConfig {
+        let cache = Arc::new(GrammarCache::new(CacheBudget {
             max_bytes: usize::MAX,
             max_entries: 1,
         }));
@@ -463,92 +424,61 @@ mod tests {
             CompilerConfig::default(),
             Arc::clone(&cache),
         );
-        let g1 = xg_grammar::parse_ebnf(r#"root ::= "a" [0-9]+"#, "root").unwrap();
-        let g2 = xg_grammar::parse_ebnf(r#"root ::= "b" [0-9]+"#, "root").unwrap();
-        backend.compile(&g1).unwrap();
-        assert_eq!(backend.pools.lock().unwrap().by_key.len(), 1);
+        let (g1, g2) = two_grammars();
+        let session = backend.compile(&g1).unwrap().new_session();
+        let cached = backend.compiler.compile_grammar_pooled(&g1).unwrap();
         backend.compile(&g2).unwrap(); // evicts g1 from the cache
-        let state = backend.pools.lock().unwrap();
-        assert_eq!(
-            state.by_key.len(),
-            1,
-            "the evicted grammar's pool must be pruned"
-        );
-        assert!(state
-            .by_key
-            .contains_key(&PoolKey::Grammar(backend.compiler.cache_key(&g2))));
+        assert!(!backend.is_cached(&g1) && backend.is_cached(&g2));
+        assert_unpinned_once_dropped(&vocab, session, b"a7", cached);
     }
 
     #[test]
     fn cache_clear_unpins_pools() {
-        use xg_core::{GrammarCache, GrammarCacheConfig};
-
         let vocab = small_vocab();
-        let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+        let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
         let backend = XGrammarBackend::with_cache(
             Arc::clone(&vocab),
             CompilerConfig::default(),
             Arc::clone(&cache),
         );
-        let g1 = xg_grammar::parse_ebnf(r#"root ::= "a" [0-9]+"#, "root").unwrap();
-        let g2 = xg_grammar::parse_ebnf(r#"root ::= "b" [0-9]+"#, "root").unwrap();
-        backend.compile(&g1).unwrap();
-        cache.clear(); // counts as evictions, so the next compile prunes
+        let (g1, g2) = two_grammars();
+        let session = backend.compile(&g1).unwrap().new_session();
+        let cached = backend.compiler.compile_grammar_pooled(&g1).unwrap();
+        cache.clear();
         backend.compile(&g2).unwrap();
-        let state = backend.pools.lock().unwrap();
-        assert_eq!(
-            state.by_key.len(),
-            1,
-            "cleared grammars must not stay pinned"
-        );
-        assert!(state
-            .by_key
-            .contains_key(&PoolKey::Grammar(backend.compiler.cache_key(&g2))));
+        assert!(!backend.is_cached(&g1) && backend.is_cached(&g2));
+        assert_unpinned_once_dropped(&vocab, session, b"a7", cached);
     }
 
     #[test]
-    fn update_structural_reuses_pools_and_prunes_evicted_registries() {
-        use xg_core::TagDispatchCacheConfig;
-        use xg_grammar::{TagContent, TagSpec};
-
-        let spec = |name: &str| TagSpec {
-            begin: format!("<{name}>"),
-            content: TagContent::Ebnf {
-                text: "root ::= [0-9]+".into(),
-                root: "root".into(),
-            },
-            end: format!("</{name}>"),
-        };
+    fn update_structural_hands_out_the_new_registry_and_unpins_the_evicted_one() {
         let vocab = small_vocab();
         // One dispatch-cache slot: every registry version displaces the
         // previous one, so each update is also an eviction.
-        let backend = XGrammarBackend::new(Arc::clone(&vocab)).with_dispatch_cache_config(
-            TagDispatchCacheConfig {
+        let backend =
+            XGrammarBackend::new(Arc::clone(&vocab)).with_dispatch_cache_config(CacheBudget {
                 max_bytes: usize::MAX,
                 max_entries: 1,
-            },
-        );
-        let base = StructuralTag::new(vec![spec("a")]);
-        backend.compile_structural(&base).unwrap();
-        assert_eq!(backend.pools.lock().unwrap().by_key.len(), 1);
+            });
+        let base = StructuralTag::new(vec![number_tag("a")]);
+        let base_session = backend.compile_structural(&base).unwrap().new_session();
+        let base_cached = backend.compiler.compile_tag_dispatch_pooled(&base).unwrap();
         // Add a tag: the new registry evicts the old from the one-slot
-        // cache; the old registry's pool must be pruned on the next lookup
-        // even though no *grammar* was evicted.
+        // cache, and the old registry's pool goes with it even though no
+        // *grammar* was evicted.
         let (next, compiled) = backend
-            .update_structural(&base, &DispatchDelta::AddTag(spec("b")))
+            .update_structural(&base, &DispatchDelta::AddTag(number_tag("b")))
             .unwrap();
         assert_eq!(next.tags.len(), 2);
+        assert!(!backend.is_cached_structural(&base) && backend.is_cached_structural(&next));
         {
             let mut session = compiled.new_session();
             assert!(drive_session_bytes(&vocab, &mut *session, b"x <b>7</b>"));
         }
-        let state = backend.pools.lock().unwrap();
-        assert_eq!(
-            state.by_key.len(),
-            1,
-            "the evicted base registry's pool must not stay pinned"
-        );
-        drop(state);
+        // The update's pool is the one in the new registry's slot.
+        let next_pool = registry_pool(&backend, &next);
+        assert_eq!((next_pool.created(), next_pool.idle_count()), (1, 1));
+        assert_unpinned_once_dropped(&vocab, base_session, b"y <a>1</a>", base_cached);
         // Removing a tag that is not present is a delta validation error
         // surfaced through the backend error type.
         assert!(matches!(
@@ -564,18 +494,9 @@ mod tests {
 
     #[test]
     fn structural_tags_compile_and_constrain_only_tagged_segments() {
-        use xg_grammar::{TagContent, TagSpec};
-
         let vocab = small_vocab();
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
-        let tag = StructuralTag::new(vec![TagSpec {
-            begin: "<n>".into(),
-            content: TagContent::Ebnf {
-                text: "root ::= [0-9]+".into(),
-                root: "root".into(),
-            },
-            end: "</n>".into(),
-        }]);
+        let tag = StructuralTag::new(vec![number_tag("n")]);
         let compiled = backend.compile_structural(&tag).unwrap();
         let mut session = compiled.new_session();
         // Free prose, then a constrained tagged segment, then prose again.

@@ -21,7 +21,7 @@ use xg_bench::{
     ablation_backend, bench_vocabulary, measure_mask_generation, BackendKind, Workload,
 };
 use xg_core::{
-    CompilerConfig, GrammarCache, GrammarCacheConfig, GrammarCompiler, GrammarMatcher, TokenBitmask,
+    CacheBudget, CompilerConfig, GrammarCache, GrammarCompiler, GrammarMatcher, TokenBitmask,
 };
 use xg_core::{DispatchMode, StructuralTagMatcher};
 use xg_engine::{
@@ -543,7 +543,7 @@ fn experiment_cache_serving(vocab: &Arc<Vocabulary>, config: &Config) {
 
     // ---- Part 1: compiled-grammar cache on a 5-schema-family batch. ----
     let requests = schema_requests(batch);
-    let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+    let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
     let backend: Arc<dyn ConstrainedBackend> = Arc::new(XGrammarBackend::with_cache(
         Arc::clone(vocab),
         CompilerConfig::default(),
@@ -1598,7 +1598,7 @@ fn experiment_mask_throughput(_vocab: &Arc<Vocabulary>, config: &Config) {
 /// 4. dispatch-cache bytes stay bounded under registry churn (the former
 ///    unbounded `tag_dispatch_memo` leak).
 fn experiment_dynamic_registry(vocab: &Arc<Vocabulary>, config: &Config) {
-    use xg_core::TagDispatchCacheConfig;
+    use xg_core::CacheBudget;
     use xg_datasets::{
         agent_catalog, agent_sessions, agent_tag_spec, agent_tool, overlapping_catalogs,
     };
@@ -1655,7 +1655,7 @@ fn experiment_dynamic_registry(vocab: &Arc<Vocabulary>, config: &Config) {
 
     // ---- Part 2: cross-registry sub-grammar sharing at 90% overlap. ----
     let shared_tools = (9 * catalog_size).div_ceil(10);
-    let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+    let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
     let tenant_a = GrammarCompiler::with_cache(
         Arc::clone(vocab),
         CompilerConfig::default(),
@@ -1735,12 +1735,11 @@ fn experiment_dynamic_registry(vocab: &Arc<Vocabulary>, config: &Config) {
         .expect("probe catalog compiles")
         .memory_bytes();
     let budget = 6 * probe.max(1);
-    let churn_compiler = GrammarCompiler::new(Arc::clone(vocab)).with_dispatch_cache_config(
-        TagDispatchCacheConfig {
+    let churn_compiler =
+        GrammarCompiler::new(Arc::clone(vocab)).with_dispatch_cache_config(CacheBudget {
             max_bytes: budget,
             max_entries: usize::MAX,
-        },
-    );
+        });
     let churned = 200usize;
     for i in 0..churned {
         churn_compiler

@@ -7,17 +7,25 @@
 //! [`GrammarMatcher`](crate::GrammarMatcher)s, mirroring how one compiled
 //! grammar serves many concurrent requests in a serving engine.
 //!
-//! [`GrammarCompiler`] additionally memoizes compiled grammars keyed by the
-//! grammar text and compiler configuration, since serving workloads reuse a
-//! small set of schemas across many requests.
+//! [`GrammarCompiler`] additionally caches compiled grammars (in a shareable
+//! [`GrammarCache`]) and whole compiled tool registries (in its own
+//! [`TagDispatchCache`](crate::TagDispatchCache)), since serving workloads
+//! reuse a small set of schemas across many requests. Both are the same
+//! [`ArtifactCache`](crate::ArtifactCache) type; the `*_pooled` entry points
+//! hand back the cache slot's [`MatcherPool`](crate::MatcherPool) along with
+//! the artifact.
 
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, Pda, PdaBuildOptions};
 use xg_grammar::{Grammar, GrammarError};
 use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
-use crate::grammar_cache::{GrammarCache, GrammarCacheConfig, GrammarCacheKey};
+use crate::grammar_cache::{
+    CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,
+};
 use crate::lint::{lint_compiled, GrammarLintReport};
 use crate::mask_cache::{build_mask_cache, MaskCache, MaskCacheBuildOptions, MaskCacheStats};
 
@@ -266,14 +274,14 @@ pub struct GrammarCompiler {
     /// Hits/misses attributable to *this* compiler. The cache's own counters
     /// aggregate over every compiler sharing it, so per-compiler reporting
     /// (e.g. per-batch serving metrics) must not be derived from them.
-    local_hits: std::sync::atomic::AtomicU64,
-    local_misses: std::sync::atomic::AtomicU64,
+    local_hits: AtomicU64,
+    local_misses: AtomicU64,
     /// Cached structural-tag compilations (the combined-grammar *builds*;
     /// the grammars themselves live in the shared [`GrammarCache`]). A
     /// byte-budgeted LRU, not an unbounded memo: churning tool registries
     /// evict old dispatches instead of leaking them. See
     /// [`compile_tag_dispatch`](Self::compile_tag_dispatch).
-    dispatch_cache: crate::TagDispatchCache,
+    dispatch_cache: TagDispatchCache,
 }
 
 impl GrammarCompiler {
@@ -289,7 +297,7 @@ impl GrammarCompiler {
         Self::with_cache(
             vocab,
             config,
-            Arc::new(GrammarCache::new(GrammarCacheConfig::unbounded())),
+            Arc::new(GrammarCache::new(CacheBudget::unbounded())),
         )
     }
 
@@ -309,28 +317,29 @@ impl GrammarCompiler {
             config_hash: GrammarCacheKey::config_hash(&config),
             config,
             cache,
-            local_hits: std::sync::atomic::AtomicU64::new(0),
-            local_misses: std::sync::atomic::AtomicU64::new(0),
-            dispatch_cache: crate::TagDispatchCache::new(crate::TagDispatchCacheConfig::default()),
+            local_hits: AtomicU64::new(0),
+            local_misses: AtomicU64::new(0),
+            dispatch_cache: TagDispatchCache::new(CacheBudget::for_dispatches()),
         }
     }
 
     /// Replaces this compiler's structural-tag dispatch cache with one using
     /// the given budget. Builder-style; call before the compiler is shared.
     #[must_use]
-    pub fn with_dispatch_cache_config(mut self, config: crate::TagDispatchCacheConfig) -> Self {
-        self.dispatch_cache = crate::TagDispatchCache::new(config);
+    pub fn with_dispatch_cache_config(mut self, budget: CacheBudget) -> Self {
+        self.dispatch_cache = TagDispatchCache::new(budget);
         self
     }
 
     /// The structural-tag dispatch cache: compiled [`CompiledTagDispatch`]es
     /// keyed by their full registry description, LRU-evicted under a byte
-    /// budget. Exposes hit/miss/eviction statistics; sidecar state keyed per
-    /// dispatch (matcher pools, metrics) should be pruned when
-    /// [`eviction_count`](crate::TagDispatchCache::eviction_count) moves.
+    /// budget. Exposes hit/miss/eviction statistics. Each slot owns the lane
+    /// matcher pool of its registry (see
+    /// [`compile_tag_dispatch_pooled`](Self::compile_tag_dispatch_pooled)),
+    /// so an eviction needs no follow-up from callers.
     ///
     /// [`CompiledTagDispatch`]: crate::CompiledTagDispatch
-    pub fn dispatch_cache(&self) -> &crate::TagDispatchCache {
+    pub fn dispatch_cache(&self) -> &TagDispatchCache {
         &self.dispatch_cache
     }
 
@@ -351,8 +360,8 @@ impl GrammarCompiler {
     }
 
     /// The cache key this compiler uses for `grammar` (its vocabulary and
-    /// configuration are baked in). Lets callers associate sidecar state
-    /// (matcher pools, metrics) with cache entries and prune it on eviction.
+    /// configuration are baked in), e.g. to probe
+    /// [`cache().contains(..)`](crate::ArtifactCache::contains).
     pub fn cache_key(&self, grammar: &Grammar) -> GrammarCacheKey {
         GrammarCacheKey::with_config_hash(grammar, self.vocab_fingerprint, self.config_hash)
     }
@@ -362,29 +371,26 @@ impl GrammarCompiler {
     /// Concurrent calls for the same uncached grammar compile it exactly
     /// once; the losers of the race block and share the winner's result.
     pub fn compile_grammar(&self, grammar: &Grammar) -> Arc<CompiledGrammar> {
-        self.compile_grammar_with_key(self.cache_key(grammar), grammar)
+        self.lookup_grammar(grammar).artifact
     }
 
-    /// Like [`compile_grammar`](Self::compile_grammar), but with a key the
-    /// caller already computed via [`cache_key`](Self::cache_key) — hashing
-    /// the grammar source is the expensive part of a cache hit, so hot paths
-    /// that need the key for their own bookkeeping pass it back in instead of
-    /// hashing twice.
-    pub fn compile_grammar_with_key(
-        &self,
-        key: GrammarCacheKey,
-        grammar: &Grammar,
-    ) -> Arc<CompiledGrammar> {
-        use std::sync::atomic::Ordering;
-        let (compiled, compiled_here) = self.cache.get_or_insert_with_outcome(key, || {
-            CompiledGrammar::compile(grammar, Arc::clone(&self.vocab), &self.config)
-        });
-        if compiled_here {
-            self.local_misses.fetch_add(1, Ordering::Relaxed);
+    /// The cached compile shared by every grammar entry point, counting the
+    /// lookup towards this compiler's local hit/miss counters.
+    fn lookup_grammar(&self, grammar: &Grammar) -> Cached<CompiledGrammar> {
+        let compile = || {
+            let vocab = Arc::clone(&self.vocab);
+            Ok(CompiledGrammar::compile(grammar, vocab, &self.config))
+        };
+        let Ok(cached): Result<_, Infallible> = self
+            .cache
+            .get_or_try_build(self.cache_key(grammar), compile);
+        let counter = if cached.built {
+            &self.local_misses
         } else {
-            self.local_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        compiled
+            &self.local_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        cached
     }
 
     /// Like [`compile_grammar`](Self::compile_grammar), but enforcing the
@@ -403,25 +409,25 @@ impl GrammarCompiler {
         &self,
         grammar: &Grammar,
     ) -> Result<Arc<CompiledGrammar>, GrammarError> {
-        self.compile_grammar_checked_with_key(self.cache_key(grammar), grammar)
+        self.compile_grammar_pooled(grammar).map(|c| c.artifact)
     }
 
-    /// [`compile_grammar_checked`](Self::compile_grammar_checked) with a
-    /// caller-computed cache key (see
-    /// [`compile_grammar_with_key`](Self::compile_grammar_with_key)).
+    /// [`compile_grammar_checked`](Self::compile_grammar_checked), handing
+    /// back the whole cache lookup: the compiled grammar together with the
+    /// [`MatcherPool`](crate::MatcherPool) living in its cache slot, which
+    /// serving backends draw per-request matchers from.
     ///
     /// # Errors
     ///
     /// Returns [`GrammarError::Lint`] under the same conditions as
     /// [`compile_grammar_checked`](Self::compile_grammar_checked).
-    pub fn compile_grammar_checked_with_key(
+    pub fn compile_grammar_pooled(
         &self,
-        key: GrammarCacheKey,
         grammar: &Grammar,
-    ) -> Result<Arc<CompiledGrammar>, GrammarError> {
-        let compiled = self.compile_grammar_with_key(key, grammar);
+    ) -> Result<Cached<CompiledGrammar>, GrammarError> {
+        let cached = self.lookup_grammar(grammar);
         if self.config.lint_mode == LintMode::Strict {
-            if let Some(report) = compiled.lint_report() {
+            if let Some(report) = cached.artifact.lint_report() {
                 if report.has_errors() {
                     return Err(GrammarError::Lint {
                         diagnostics: report.errors().cloned().collect(),
@@ -429,20 +435,18 @@ impl GrammarCompiler {
                 }
             }
         }
-        Ok(compiled)
+        Ok(cached)
     }
 
     /// Cache counters from *this compiler's* point of view: `hits`/`misses`
     /// count only this compiler's requests (meaningful even when the backing
     /// [`GrammarCache`] is shared), while the `evictions`/`current_bytes`/
     /// `entries` gauges describe the whole backing cache.
-    pub fn local_cache_stats(&self) -> crate::GrammarCacheStats {
-        use std::sync::atomic::Ordering;
-        let global = self.cache.stats();
-        crate::GrammarCacheStats {
+    pub fn local_cache_stats(&self) -> CacheStats {
+        CacheStats {
             hits: self.local_hits.load(Ordering::Relaxed),
             misses: self.local_misses.load(Ordering::Relaxed),
-            ..global
+            ..self.cache.stats()
         }
     }
 
@@ -483,16 +487,6 @@ impl GrammarCompiler {
     /// Number of compiled grammars currently cached.
     pub fn cached_count(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Returns `true` if a cached structural-tag compilation with this
-    /// factory identity (see
-    /// [`ConstraintFactory::factory_key`](crate::ConstraintFactory::factory_key))
-    /// is still alive in this compiler's dispatch cache. Lets callers holding
-    /// sidecar state per compiled dispatch (matcher pools, metrics) prune it
-    /// once the cache has evicted the entry.
-    pub fn has_cached_tag_dispatch(&self, factory_key: usize) -> bool {
-        self.dispatch_cache.contains_factory(factory_key)
     }
 }
 
@@ -555,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn tag_dispatch_memo_membership_is_queryable() {
+    fn tag_dispatch_cache_membership_is_queryable() {
         use xg_grammar::{StructuralTag, TagContent, TagSpec};
         let c = compiler();
         let tag = StructuralTag::new(vec![TagSpec {
@@ -566,10 +560,9 @@ mod tests {
             },
             end: "</n>".into(),
         }]);
-        let dispatch = c.compile_tag_dispatch(&tag).unwrap();
-        let key = crate::ConstraintFactory::factory_key(&*dispatch);
-        assert!(c.has_cached_tag_dispatch(key));
-        assert!(!c.has_cached_tag_dispatch(key.wrapping_add(1)));
+        assert!(!c.has_cached_tag_dispatch_for(&tag));
+        c.compile_tag_dispatch(&tag).unwrap();
+        assert!(c.has_cached_tag_dispatch_for(&tag));
     }
 
     #[test]

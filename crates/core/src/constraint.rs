@@ -371,7 +371,9 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
 ///
 /// [`MatcherPool`](crate::MatcherPool) is built on this trait, which is what
 /// lets one pool type recycle grammar matchers, tag-dispatch matchers, and
-/// the per-segment inner matchers tag dispatch opens.
+/// the per-segment inner matchers tag dispatch opens;
+/// [`ArtifactCache`](crate::ArtifactCache) is generic over it, so one cache
+/// type holds either artifact together with its pool.
 pub trait ConstraintFactory: Send + Sync + fmt::Debug {
     /// Creates a matcher positioned at the start of the constraint with the
     /// given rollback window.
@@ -386,6 +388,11 @@ pub trait ConstraintFactory: Send + Sync + fmt::Debug {
 
     /// The vocabulary matchers of this factory produce masks for.
     fn vocabulary(&self) -> &Arc<Vocabulary>;
+
+    /// Estimated heap memory pinned by this compiled artifact — what an
+    /// [`ArtifactCache`](crate::ArtifactCache) charges against its byte
+    /// budget for the entry.
+    fn memory_bytes(&self) -> usize;
 }
 
 #[cfg(test)]

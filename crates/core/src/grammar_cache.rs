@@ -1,40 +1,54 @@
-//! A concurrent compiled-grammar cache for long-lived serving engines.
+//! The compiled-artifact cache of a long-lived serving engine: one budgeted
+//! LRU whose slots own their matcher pools.
 //!
 //! The paper's serving story (§5, "Grammar Compiler") assumes each grammar is
-//! compiled once and then shared by many concurrent requests. This module
-//! provides the shared layer: an LRU cache keyed by
-//! `(grammar source hash, tokenizer fingerprint, compiler configuration)`
-//! with
+//! compiled once and then shared by many concurrent requests; whole tool
+//! registries ([`CompiledTagDispatch`]) are shared the same way. Both kinds of
+//! artifact live in the same cache type, [`ArtifactCache`], instantiated as
+//! [`GrammarCache`] (keyed by `(grammar fingerprint, tokenizer fingerprint,
+//! compiler configuration)`) and [`TagDispatchCache`] (keyed by the registry's
+//! full `Debug` rendering — stored whole, a truncated hash could silently
+//! alias two registries). The cache provides
 //!
-//! * **compile-once semantics under contention** — when N threads request the
-//!   same uncached grammar simultaneously, exactly one runs the compiler and
-//!   the others block on the same slot and receive the same
-//!   [`Arc<CompiledGrammar>`] (a `Mutex`-guarded map of per-key
-//!   [`OnceLock`] slots; std-only),
-//! * a **byte budget** — entry sizes come from
-//!   [`CompiledGrammar::memory_bytes`] (which sums the adaptive mask cache's
-//!   [`NodeMaskEntry::memory_bytes`](crate::NodeMaskEntry::memory_bytes) over
-//!   all automaton nodes); least-recently-used entries are evicted when the
-//!   budget is exceeded. Evicted grammars stay alive for requests already
-//!   holding their `Arc`,
-//! * **hit/miss/eviction statistics** for serving dashboards and the
-//!   `cache_serving` experiment.
+//! * **build-once semantics under contention** — when N threads request the
+//!   same uncached key simultaneously, exactly one runs the build and the
+//!   others block on the same slot and receive the same `Arc` (a
+//!   `Mutex`-guarded map of per-key [`OnceLock`] slots; std-only). The map
+//!   lock is released while building, so other keys proceed concurrently,
+//! * **fallible builds that leave nothing behind** — a build that returns
+//!   `Err` or unwinds removes its in-flight slot, so a rejected registry is
+//!   never reported as cached and never counts against the entry cap,
+//! * a **byte and entry budget** ([`CacheBudget`]) — entry sizes come from
+//!   [`ConstraintFactory::memory_bytes`]; least-recently-used entries are
+//!   evicted when the budget is exceeded. Evicted artifacts stay alive for
+//!   requests already holding their `Arc`,
+//! * **a [`MatcherPool`] per slot** — created with the artifact, handed out by
+//!   the same locked lookup ([`Cached::pool`]) and dropped with the slot, so
+//!   the lanes of successive batches recycle matchers and an evicted
+//!   artifact's pool needs no pruning: its lifetime *is* the entry's. The
+//!   pool sits beside the artifact in the slot, not inside it, so there is no
+//!   `Arc` cycle,
+//! * **hit/miss/eviction statistics** ([`CacheStats`]) for serving
+//!   dashboards and the `cache_serving` / `dynamic_registry` experiments.
 //!
 //! # Examples
 //!
 //! ```
 //! use std::sync::Arc;
-//! use xg_core::{CompilerConfig, GrammarCache, GrammarCacheConfig};
+//! use xg_core::{CacheBudget, CompiledGrammar, CompilerConfig, GrammarCache, GrammarCacheKey};
 //! use xg_tokenizer::test_vocabulary;
 //!
-//! let cache = GrammarCache::new(GrammarCacheConfig::default());
+//! let cache = GrammarCache::new(CacheBudget::for_grammars());
 //! let vocab = Arc::new(test_vocabulary(600));
 //! let grammar = xg_grammar::parse_ebnf(r#"root ::= "x" | "y""#, "root").unwrap();
-//! let a = cache.get_or_compile(&grammar, &vocab, &CompilerConfig::default());
-//! let b = cache.get_or_compile(&grammar, &vocab, &CompilerConfig::default());
-//! assert!(Arc::ptr_eq(&a, &b));
-//! assert_eq!(cache.stats().hits, 1);
-//! assert_eq!(cache.stats().misses, 1);
+//! let config = CompilerConfig::default();
+//! let key = GrammarCacheKey::new(&grammar, vocab.fingerprint(), &config);
+//! let compile = || Ok::<_, ()>(CompiledGrammar::compile(&grammar, Arc::clone(&vocab), &config));
+//! let a = cache.get_or_try_build(key, compile).unwrap();
+//! let b = cache.get_or_try_build(key, compile).unwrap();
+//! assert!(Arc::ptr_eq(&a.artifact, &b.artifact) && Arc::ptr_eq(&a.pool, &b.pool));
+//! assert_eq!((a.built, b.built), (true, false));
+//! assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
 //! ```
 
 use std::collections::hash_map::DefaultHasher;
@@ -44,39 +58,49 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use xg_grammar::Grammar;
-use xg_tokenizer::Vocabulary;
 
 use crate::compiler::{CompiledGrammar, CompilerConfig};
+use crate::constraint::ConstraintFactory;
+use crate::matcher_pool::MatcherPool;
+use crate::tag_dispatch::CompiledTagDispatch;
 
-/// Configuration of a [`GrammarCache`].
+/// Budget of an [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrammarCacheConfig {
-    /// Byte budget across all cached compiled grammars (estimated with
-    /// [`CompiledGrammar::memory_bytes`]). When an insertion pushes the total
-    /// over the budget, least-recently-used entries are evicted. A single
-    /// entry larger than the budget is still cached until the next insertion.
+pub struct CacheBudget {
+    /// Byte budget across all cached artifacts (estimated with
+    /// [`ConstraintFactory::memory_bytes`]). When an insertion pushes the
+    /// total over the budget, least-recently-used entries are evicted. A
+    /// single entry larger than the budget is still cached until the next
+    /// insertion.
     pub max_bytes: usize,
-    /// Maximum number of cached grammars, enforced the same way.
+    /// Maximum number of cached artifacts, enforced the same way.
     pub max_entries: usize,
 }
 
-impl Default for GrammarCacheConfig {
-    fn default() -> Self {
-        GrammarCacheConfig {
-            // Generous defaults for a serving process: a few hundred MB of
-            // mask-cache data, far more distinct schemas than any workload in
-            // the paper uses.
+impl CacheBudget {
+    /// The default [`GrammarCache`] budget — generous for a serving process:
+    /// a few hundred MB of mask-cache data, far more distinct schemas than
+    /// any workload in the paper uses.
+    pub fn for_grammars() -> Self {
+        CacheBudget {
             max_bytes: 256 * 1024 * 1024,
             max_entries: 1024,
         }
     }
-}
 
-impl GrammarCacheConfig {
-    /// An unbounded cache (no eviction), useful for tests and short-lived
-    /// batch jobs.
+    /// The default [`TagDispatchCache`] budget. A dispatch pins one compiled
+    /// grammar per trigger, so the byte budget is the real bound; the entry
+    /// cap is a backstop for registries with tiny sub-grammars.
+    pub fn for_dispatches() -> Self {
+        CacheBudget {
+            max_bytes: 64 * 1024 * 1024,
+            max_entries: 64,
+        }
+    }
+
+    /// No eviction, useful for tests and short-lived batch jobs.
     pub fn unbounded() -> Self {
-        GrammarCacheConfig {
+        CacheBudget {
             max_bytes: usize::MAX,
             max_entries: usize::MAX,
         }
@@ -95,8 +119,8 @@ pub struct GrammarCacheKey {
 
 impl GrammarCacheKey {
     /// Computes the key for a grammar / vocabulary-fingerprint / configuration
-    /// triple. Use [`Vocabulary::fingerprint`] (computed once per vocabulary,
-    /// it hashes every token) for the second component.
+    /// triple. Use [`xg_tokenizer::Vocabulary::fingerprint`] (computed once
+    /// per vocabulary, it hashes every token) for the second component.
     pub fn new(grammar: &Grammar, vocab_fingerprint: u64, config: &CompilerConfig) -> Self {
         Self::with_config_hash(grammar, vocab_fingerprint, Self::config_hash(config))
     }
@@ -126,24 +150,24 @@ impl GrammarCacheKey {
     }
 }
 
-/// Counters exposed by a [`GrammarCache`].
+/// Counters exposed by an [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GrammarCacheStats {
+pub struct CacheStats {
     /// Requests answered from the cache (including requests that joined an
-    /// in-flight compilation instead of starting their own).
+    /// in-flight build instead of starting their own).
     pub hits: u64,
-    /// Requests that had to start a compilation.
+    /// Requests that ran a build, successful or not.
     pub misses: u64,
     /// Entries evicted to stay within the byte / entry budget.
     pub evictions: u64,
-    /// Estimated bytes currently held by cached grammars.
+    /// Estimated bytes currently held by cached artifacts.
     pub current_bytes: u64,
-    /// Number of cached grammars (including in-flight compilations).
+    /// Number of cached artifacts (including in-flight builds).
     pub entries: u64,
 }
 
-impl GrammarCacheStats {
-    /// Fraction of requests served without compiling, in `[0, 1]`.
+impl CacheStats {
+    /// Fraction of requests served without building, in `[0, 1]`.
     /// Returns 0 when no requests have been made.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -156,8 +180,8 @@ impl GrammarCacheStats {
 
     /// Counter difference `self - earlier` (for per-batch reporting);
     /// gauge fields (`current_bytes`, `entries`) keep the newer value.
-    pub fn delta_since(&self, earlier: &GrammarCacheStats) -> GrammarCacheStats {
-        GrammarCacheStats {
+    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
+        CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
             evictions: self.evictions.saturating_sub(earlier.evictions),
@@ -167,66 +191,91 @@ impl GrammarCacheStats {
     }
 }
 
-/// One cache slot. The `OnceLock` is shared with every thread waiting on the
-/// same key, giving compile-once semantics without holding the map lock
-/// during compilation.
-struct Slot {
-    cell: Arc<OnceLock<Arc<CompiledGrammar>>>,
+/// What one [`ArtifactCache::get_or_try_build`] lookup hands back.
+#[derive(Debug)]
+pub struct Cached<V> {
+    /// The shared compiled artifact.
+    pub artifact: Arc<V>,
+    /// The lane matcher pool living in the artifact's cache slot (default idle
+    /// cap and rollback window). Every lookup of a live entry returns the
+    /// same pool; holders keep it (and through it the artifact) alive past an
+    /// eviction.
+    pub pool: Arc<MatcherPool>,
+    /// Whether *this* call ran the build (`true`) or was served by the cache
+    /// / an in-flight build (`false`). Callers sharing one cache use this to
+    /// keep per-caller hit/miss counters — the cache-wide counters in
+    /// [`ArtifactCache::stats`] aggregate over every sharer.
+    pub built: bool,
+}
+
+/// The `OnceLock` shared with every thread waiting on the same key, giving
+/// build-once semantics without holding the map lock during the build. It is
+/// set to `None` when the build failed (its slot is already gone by then).
+type SlotCell<V> = Arc<OnceLock<Option<(Arc<V>, Arc<MatcherPool>)>>>;
+
+/// One cache slot.
+struct Slot<V> {
+    cell: SlotCell<V>,
     /// LRU clock value of the most recent access.
     last_used: u64,
-    /// Estimated size; 0 while the compilation is still in flight.
+    /// Estimated size; 0 while the build is still in flight.
     bytes: usize,
 }
 
-#[derive(Default)]
-struct CacheState {
-    slots: HashMap<GrammarCacheKey, Slot>,
+struct CacheState<K, V> {
+    slots: HashMap<K, Slot<V>>,
     clock: u64,
     total_bytes: usize,
 }
 
-/// A thread-safe LRU cache of [`CompiledGrammar`]s with a byte budget and
-/// compile-once semantics. See the `grammar_cache` module docs for the
-/// design.
-pub struct GrammarCache {
-    config: GrammarCacheConfig,
-    state: Mutex<CacheState>,
+/// A thread-safe LRU cache of compiled artifacts with a byte budget,
+/// build-once semantics and one [`MatcherPool`] per entry. See the
+/// `grammar_cache` module docs for the design.
+pub struct ArtifactCache<K, V> {
+    budget: CacheBudget,
+    state: Mutex<CacheState<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl std::fmt::Debug for GrammarCache {
+/// The cache of [`CompiledGrammar`]s, shareable between compilers.
+pub type GrammarCache = ArtifactCache<GrammarCacheKey, CompiledGrammar>;
+
+/// The per-compiler cache of whole compiled tool registries, keyed by the
+/// full `Debug` rendering of their [`StructuralTag`](xg_grammar::StructuralTag).
+pub type TagDispatchCache = ArtifactCache<String, CompiledTagDispatch>;
+
+impl<K, V> std::fmt::Debug for ArtifactCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GrammarCache")
-            .field("config", &self.config)
+        f.debug_struct("ArtifactCache")
+            .field("budget", &self.budget)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-impl GrammarCache {
+impl<K, V> ArtifactCache<K, V> {
     /// Creates a cache with the given budget.
-    pub fn new(config: GrammarCacheConfig) -> Self {
-        GrammarCache {
-            config,
-            state: Mutex::new(CacheState::default()),
+    pub fn new(budget: CacheBudget) -> Self {
+        ArtifactCache {
+            budget,
+            state: Mutex::new(CacheState {
+                slots: HashMap::new(),
+                clock: 0,
+                total_bytes: 0,
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// The budget this cache was created with.
-    pub fn config(&self) -> &GrammarCacheConfig {
-        &self.config
-    }
-
     /// Current counters. `hits`/`misses`/`evictions` are monotonically
     /// increasing; `current_bytes`/`entries` are gauges.
-    pub fn stats(&self) -> GrammarCacheStats {
+    pub fn stats(&self) -> CacheStats {
         let state = self.lock();
-        GrammarCacheStats {
+        CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -235,34 +284,19 @@ impl GrammarCache {
         }
     }
 
-    /// Number of cached grammars (including in-flight compilations).
+    /// Number of cached artifacts (including in-flight builds).
     pub fn len(&self) -> usize {
         self.lock().slots.len()
     }
 
-    /// Returns `true` if `key` is currently cached (or compiling). Does not
-    /// count as an access for LRU purposes — callers use this to prune
-    /// sidecar state (e.g. matcher pools) for evicted grammars.
-    pub fn contains(&self, key: &GrammarCacheKey) -> bool {
-        self.lock().slots.contains_key(key)
-    }
-
-    /// Total evictions so far (a lock-free read of the same counter
-    /// [`stats`](Self::stats) reports). Sidecar caches snapshot this to skip
-    /// pruning entirely while no eviction has happened.
-    pub fn eviction_count(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Returns `true` if the cache holds no grammars.
+    /// Returns `true` if the cache holds no artifacts.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops every cached grammar (requests already holding an `Arc` keep
-    /// theirs). Every removed entry counts as an eviction, so sidecar caches
-    /// keyed on [`eviction_count`](Self::eviction_count) notice the purge;
-    /// the hit/miss counters are not reset.
+    /// Drops every cached artifact and its pool (requests already holding an
+    /// `Arc` keep theirs). Every removed entry counts as an eviction; the
+    /// hit/miss counters are not reset.
     pub fn clear(&self) {
         let mut state = self.lock();
         let removed = state.slots.len() as u64;
@@ -271,116 +305,145 @@ impl GrammarCache {
         self.evictions.fetch_add(removed, Ordering::Relaxed);
     }
 
-    /// Convenience wrapper around [`get_or_insert_with`](Self::get_or_insert_with)
-    /// that computes the key (hashing the full vocabulary each call — callers
-    /// on a hot path should hold the [`Vocabulary::fingerprint`] and build the
-    /// key themselves) and compiles with [`CompiledGrammar::compile`].
-    pub fn get_or_compile(
-        &self,
-        grammar: &Grammar,
-        vocab: &Arc<Vocabulary>,
-        config: &CompilerConfig,
-    ) -> Arc<CompiledGrammar> {
-        let key = GrammarCacheKey::new(grammar, vocab.fingerprint(), config);
-        self.get_or_insert_with(key, || {
-            CompiledGrammar::compile(grammar, Arc::clone(vocab), config)
-        })
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState<K, V>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
+    /// Returns `true` if `key` is currently cached (or building). Does not
+    /// count as an access for LRU or hit/miss purposes — admission control
+    /// uses this to classify cache-hit admissions.
+    pub fn contains(&self, key: &K) -> bool {
+        self.lock().slots.contains_key(key)
     }
 
-    /// Looks up `key`, compiling with `compile` on a miss. When several
-    /// threads race on the same uncached key, exactly one `compile` closure
-    /// runs; the rest block until it finishes and receive the identical
-    /// `Arc`. The map lock is *not* held while compiling, so requests for
-    /// other grammars proceed concurrently.
-    pub fn get_or_insert_with<F>(&self, key: GrammarCacheKey, compile: F) -> Arc<CompiledGrammar>
-    where
-        F: FnOnce() -> CompiledGrammar,
-    {
-        self.get_or_insert_with_outcome(key, compile).0
-    }
-
-    /// Like [`get_or_insert_with`](Self::get_or_insert_with), additionally
-    /// reporting whether *this* call ran the compiler (`true`) or was served
-    /// by the cache / an in-flight compilation (`false`). Callers sharing one
-    /// cache use this to keep per-caller hit/miss counters — the cache-wide
-    /// counters in [`stats`](Self::stats) aggregate over every sharer.
-    pub fn get_or_insert_with_outcome<F>(
+    /// Looks up `key`, running `build` on a miss; returns the artifact, the
+    /// slot's matcher pool and whether this call built. When several threads
+    /// race on the same uncached key, exactly one `build` closure runs; the
+    /// rest block until it finishes and receive the identical `Arc`s. The
+    /// map lock is *not* held while building, so requests for other keys
+    /// proceed concurrently.
+    ///
+    /// # Errors
+    ///
+    /// Returns `build`'s error. A failed (or unwinding) build leaves no slot
+    /// behind; threads that were waiting on it retry the lookup with their
+    /// own closure.
+    pub fn get_or_try_build<E>(
         &self,
-        key: GrammarCacheKey,
-        compile: F,
-    ) -> (Arc<CompiledGrammar>, bool)
-    where
-        F: FnOnce() -> CompiledGrammar,
-    {
-        // Phase 1 (under the lock): find or create the slot for this key.
-        let cell = {
-            let mut state = self.lock();
-            state.clock += 1;
-            let clock = state.clock;
-            match state.slots.get_mut(&key) {
-                Some(slot) => {
-                    slot.last_used = clock;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(&slot.cell)
+        key: K,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Cached<V>, E> {
+        let mut build = Some(build);
+        loop {
+            // Phase 1 (under the lock): find or create the slot for this key.
+            let cell = {
+                let mut state = self.lock();
+                state.clock += 1;
+                let clock = state.clock;
+                match state.slots.get_mut(&key) {
+                    Some(slot) => {
+                        slot.last_used = clock;
+                        Arc::clone(&slot.cell)
+                    }
+                    None => {
+                        let cell = SlotCell::default();
+                        state.slots.insert(
+                            key.clone(),
+                            Slot {
+                                cell: Arc::clone(&cell),
+                                last_used: clock,
+                                bytes: 0,
+                            },
+                        );
+                        cell
+                    }
                 }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let cell = Arc::new(OnceLock::new());
-                    state.slots.insert(
-                        key,
-                        Slot {
-                            cell: Arc::clone(&cell),
-                            last_used: clock,
-                            bytes: 0,
-                        },
-                    );
-                    cell
-                }
-            }
-        };
+            };
 
-        // Phase 2 (lock released): initialize the slot. `OnceLock` guarantees
-        // the closure runs at most once across all racing threads.
-        let mut compiled_here = false;
-        let compiled = Arc::clone(cell.get_or_init(|| {
-            compiled_here = true;
-            Arc::new(compile())
-        }));
-
-        // Phase 3: the compiling thread accounts the entry size and enforces
-        // the budget.
-        if compiled_here {
-            let mut state = self.lock();
-            if let Some(slot) = state.slots.get_mut(&key) {
-                // Account only the slot this thread initialized: if our slot
-                // was evicted (or cleared) mid-compile and a different thread
-                // re-inserted the key, that thread owns the new slot's
-                // accounting — touching it here would double-count bytes
-                // that no later eviction could ever subtract.
-                if Arc::ptr_eq(&slot.cell, &cell) {
-                    slot.bytes = compiled.memory_bytes();
-                    state.total_bytes += slot.bytes;
+            // Phase 2 (lock released): initialize the slot. `OnceLock`
+            // guarantees at most one closure completes across all racing
+            // threads.
+            let mut failure = None;
+            let mut built = false;
+            let entry = cell.get_or_init(|| {
+                let build = build
+                    .take()
+                    .expect("a call retries only while its build has not run");
+                let in_flight = InFlight {
+                    cache: self,
+                    key: &key,
+                    cell: &cell,
+                };
+                match build() {
+                    Ok(artifact) => {
+                        std::mem::forget(in_flight);
+                        built = true;
+                        let artifact = Arc::new(artifact);
+                        let factory = Arc::clone(&artifact) as Arc<dyn ConstraintFactory>;
+                        Some((artifact, Arc::new(MatcherPool::new(factory))))
+                    }
+                    Err(e) => {
+                        failure = Some(e);
+                        None
+                    }
                 }
+            });
+            let Some((artifact, pool)) = entry else {
+                match failure {
+                    Some(e) => {
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        return Err(e);
+                    }
+                    // Another thread's build failed while this one waited.
+                    None => continue,
+                }
+            };
+
+            // Phase 3: the building thread accounts the entry size and
+            // enforces the budget.
+            if built {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let bytes = artifact.memory_bytes();
+                let mut state = self.lock();
+                if let Some(slot) = state.slots.get_mut(&key) {
+                    // Account only the slot this thread initialized: if our
+                    // slot was evicted (or cleared) mid-build and a different
+                    // thread re-inserted the key, that thread owns the new
+                    // slot's accounting — touching it here would double-count
+                    // bytes that no later eviction could ever subtract.
+                    if Arc::ptr_eq(&slot.cell, &cell) {
+                        slot.bytes = bytes;
+                        state.total_bytes += bytes;
+                    }
+                }
+                self.evict_over_budget(&mut state, &key);
+            } else {
+                self.hits.fetch_add(1, Ordering::Relaxed);
             }
-            self.evict_over_budget(&mut state, key);
+            return Ok(Cached {
+                artifact: Arc::clone(artifact),
+                pool: Arc::clone(pool),
+                built,
+            });
         }
-        (compiled, compiled_here)
     }
 
     /// Evicts least-recently-used *initialized* entries until the cache is
     /// within budget. `just_inserted` is exempted so a fresh entry is not
     /// immediately bounced by its own insertion.
-    fn evict_over_budget(&self, state: &mut CacheState, just_inserted: GrammarCacheKey) {
-        let over = |state: &CacheState| {
-            state.total_bytes > self.config.max_bytes || state.slots.len() > self.config.max_entries
+    fn evict_over_budget(&self, state: &mut CacheState<K, V>, just_inserted: &K) {
+        let over = |state: &CacheState<K, V>| {
+            state.total_bytes > self.budget.max_bytes || state.slots.len() > self.budget.max_entries
         };
         while over(state) {
             let victim = state
                 .slots
                 .iter()
-                .filter(|(k, slot)| **k != just_inserted && slot.cell.get().is_some())
+                .filter(|(k, slot)| *k != just_inserted && slot.cell.get().is_some())
                 .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| *k);
+                .map(|(k, _)| k.clone());
             let Some(victim) = victim else {
                 break; // Only in-flight or just-inserted entries remain.
             };
@@ -390,31 +453,81 @@ impl GrammarCache {
             }
         }
     }
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+/// Drop guard of a running build: removes the in-flight slot when the build
+/// returns `Err` or unwinds (it is forgotten on success), but only while the
+/// slot is still this call's cell — a slot re-inserted after a mid-build
+/// eviction belongs to another thread.
+struct InFlight<'a, K: Eq + Hash, V> {
+    cache: &'a ArtifactCache<K, V>,
+    key: &'a K,
+    cell: &'a SlotCell<V>,
+}
+
+impl<K: Eq + Hash, V> Drop for InFlight<'_, K, V> {
+    fn drop(&mut self) {
+        let mut state = self.cache.lock();
+        let ours = |slot: &Slot<V>| Arc::ptr_eq(&slot.cell, self.cell);
+        if state.slots.get(self.key).is_some_and(ours) {
+            state.slots.remove(self.key);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GrammarCompiler;
+    use std::convert::Infallible;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
-    use xg_tokenizer::test_vocabulary;
+    use xg_tokenizer::{test_vocabulary, Vocabulary};
 
     fn grammar(src: &str) -> Grammar {
         xg_grammar::parse_ebnf(src, "root").unwrap()
     }
 
+    fn one_entry() -> CacheBudget {
+        CacheBudget {
+            max_bytes: usize::MAX,
+            max_entries: 1,
+        }
+    }
+
+    /// The full lookup result (artifact, pool, built) for `g`.
+    fn entry(
+        cache: &GrammarCache,
+        g: &Grammar,
+        vocab: &Arc<Vocabulary>,
+        cfg: &CompilerConfig,
+    ) -> Cached<CompiledGrammar> {
+        let key = GrammarCacheKey::new(g, vocab.fingerprint(), cfg);
+        let compile = || Ok::<_, Infallible>(CompiledGrammar::compile(g, Arc::clone(vocab), cfg));
+        cache.get_or_try_build(key, compile).unwrap()
+    }
+
+    fn get_or_compile(
+        cache: &GrammarCache,
+        g: &Grammar,
+        vocab: &Arc<Vocabulary>,
+        cfg: &CompilerConfig,
+    ) -> Arc<CompiledGrammar> {
+        entry(cache, g, vocab, cfg).artifact
+    }
+
+    fn lookup(cache: &GrammarCache, vocab: &Arc<Vocabulary>, src: &str) -> Cached<CompiledGrammar> {
+        entry(cache, &grammar(src), vocab, &CompilerConfig::default())
+    }
+
     #[test]
     fn hit_miss_and_pointer_identity() {
-        let cache = GrammarCache::new(GrammarCacheConfig::default());
+        let cache = GrammarCache::new(CacheBudget::for_grammars());
         let vocab = Arc::new(test_vocabulary(600));
         let g = grammar(r#"root ::= "[" [0-9]+ "]""#);
         let cfg = CompilerConfig::default();
-        let a = cache.get_or_compile(&g, &vocab, &cfg);
-        let b = cache.get_or_compile(&g, &vocab, &cfg);
+        let a = get_or_compile(&cache, &g, &vocab, &cfg);
+        let b = get_or_compile(&cache, &g, &vocab, &cfg);
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -427,7 +540,7 @@ mod tests {
         // Two *independently built* grammars with identical structure share
         // one hashcons fingerprint, so the second compile request is a pure
         // cache hit on the interned artifact (no recompilation).
-        let cache = GrammarCache::new(GrammarCacheConfig::default());
+        let cache = GrammarCache::new(CacheBudget::for_grammars());
         let vocab = Arc::new(test_vocabulary(600));
         let cfg = CompilerConfig::default();
         let text = r#"root ::= "[" item ("," item)* "]"
@@ -438,8 +551,8 @@ mod tests {
             GrammarCacheKey::new(&a, vocab.fingerprint(), &cfg),
             GrammarCacheKey::new(&b, vocab.fingerprint(), &cfg)
         );
-        let ca = cache.get_or_compile(&a, &vocab, &cfg);
-        let cb = cache.get_or_compile(&b, &vocab, &cfg);
+        let ca = get_or_compile(&cache, &a, &vocab, &cfg);
+        let cb = get_or_compile(&cache, &b, &vocab, &cfg);
         assert!(Arc::ptr_eq(&ca, &cb));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -477,20 +590,19 @@ mod tests {
         let vocab = Arc::new(test_vocabulary(600));
         let cfg = CompilerConfig::default();
         // Budget sized to hold roughly one compiled grammar.
-        let probe = GrammarCache::new(GrammarCacheConfig::unbounded());
-        let size = probe
-            .get_or_compile(&grammar(r#"root ::= "a" [0-9]+"#), &vocab, &cfg)
-            .memory_bytes();
-        let cache = GrammarCache::new(GrammarCacheConfig {
+        let probe = GrammarCache::new(CacheBudget::unbounded());
+        let size =
+            get_or_compile(&probe, &grammar(r#"root ::= "a" [0-9]+"#), &vocab, &cfg).memory_bytes();
+        let cache = GrammarCache::new(CacheBudget {
             max_bytes: size + size / 2,
             max_entries: usize::MAX,
         });
         let g1 = grammar(r#"root ::= "a" [0-9]+"#);
         let g2 = grammar(r#"root ::= "b" [0-9]+"#);
         let g3 = grammar(r#"root ::= "c" [0-9]+"#);
-        let first = cache.get_or_compile(&g1, &vocab, &cfg);
-        cache.get_or_compile(&g2, &vocab, &cfg);
-        cache.get_or_compile(&g3, &vocab, &cfg);
+        let first = get_or_compile(&cache, &g1, &vocab, &cfg);
+        get_or_compile(&cache, &g2, &vocab, &cfg);
+        get_or_compile(&cache, &g3, &vocab, &cfg);
         let stats = cache.stats();
         assert!(stats.evictions > 0, "expected evictions, got {stats:?}");
         assert!(stats.current_bytes <= (size + size / 2) as u64);
@@ -498,50 +610,55 @@ mod tests {
         assert!(first.memory_bytes() > 0);
         // ...and re-requesting it recompiles (a new miss, new pointer).
         let misses_before = cache.stats().misses;
-        let again = cache.get_or_compile(&g1, &vocab, &cfg);
+        let again = get_or_compile(&cache, &g1, &vocab, &cfg);
         assert_eq!(cache.stats().misses, misses_before + 1);
         assert!(!Arc::ptr_eq(&first, &again));
     }
 
     #[test]
-    fn entry_cap_is_enforced() {
+    fn entry_cap_evicts_the_least_recently_used_entry() {
         let vocab = Arc::new(test_vocabulary(600));
         let cfg = CompilerConfig::default();
-        let cache = GrammarCache::new(GrammarCacheConfig {
+        let cache = GrammarCache::new(CacheBudget {
             max_bytes: usize::MAX,
             max_entries: 2,
         });
-        for src in [
+        let key = |src: &str| GrammarCacheKey::new(&grammar(src), vocab.fingerprint(), &cfg);
+        let (a, b, c, d) = (
             r#"root ::= "a""#,
             r#"root ::= "b""#,
             r#"root ::= "c""#,
             r#"root ::= "d""#,
-        ] {
-            cache.get_or_compile(&grammar(src), &vocab, &cfg);
-        }
-        assert!(cache.len() <= 2);
+        );
+        lookup(&cache, &vocab, a);
+        lookup(&cache, &vocab, b);
+        // Touch `a` so `b` is the LRU victim.
+        assert!(!lookup(&cache, &vocab, a).built);
+        lookup(&cache, &vocab, c);
+        assert!(cache.contains(&key(a)));
+        assert!(!cache.contains(&key(b)), "LRU entry must be evicted");
+        assert!(cache.contains(&key(c)));
+        lookup(&cache, &vocab, d);
+        assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
-    fn clear_empties_the_cache() {
+    fn clear_empties_the_cache_and_counts_evictions() {
         let vocab = Arc::new(test_vocabulary(600));
-        let cache = GrammarCache::new(GrammarCacheConfig::default());
-        cache.get_or_compile(
-            &grammar(r#"root ::= "a""#),
-            &vocab,
-            &CompilerConfig::default(),
-        );
+        let cache = GrammarCache::new(CacheBudget::for_grammars());
+        lookup(&cache, &vocab, r#"root ::= "a""#);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().current_bytes, 0);
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn concurrent_requests_compile_once() {
         let vocab = Arc::new(test_vocabulary(600));
-        let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+        let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
         let g = Arc::new(grammar(r#"root ::= "{" [a-z]* "}""#));
         let compiles = Arc::new(AtomicUsize::new(0));
         let threads = 8;
@@ -558,20 +675,159 @@ mod tests {
                 );
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache.get_or_insert_with(key, || {
+                    let compile = || {
                         compiles.fetch_add(1, Ordering::SeqCst);
-                        CompiledGrammar::compile(&g, Arc::clone(&vocab), &CompilerConfig::default())
-                    })
+                        let vocab = Arc::clone(&vocab);
+                        let compiled =
+                            CompiledGrammar::compile(&g, vocab, &CompilerConfig::default());
+                        Ok::<_, Infallible>(compiled)
+                    };
+                    cache.get_or_try_build(key, compile).unwrap()
                 })
             })
             .collect();
         let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(compiles.load(Ordering::SeqCst), 1);
+        // First builder wins: every caller shares one artifact and one pool,
+        // and exactly one of them reports having built.
         for r in &results[1..] {
-            assert!(Arc::ptr_eq(&results[0], r));
+            assert!(Arc::ptr_eq(&results[0].artifact, &r.artifact));
+            assert!(Arc::ptr_eq(&results[0].pool, &r.pool));
         }
+        assert_eq!(results.iter().filter(|r| r.built).count(), 1);
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, threads as u64 - 1);
+    }
+
+    #[test]
+    fn a_slot_owns_its_matcher_pool() {
+        let vocab = Arc::new(test_vocabulary(600));
+        let cache = GrammarCache::new(one_entry());
+        let src = r#"root ::= "[" [0-9]+ "]""#;
+        let first = lookup(&cache, &vocab, src);
+        let again = lookup(&cache, &vocab, src);
+        assert_eq!((first.built, again.built), (true, false));
+        assert!(Arc::ptr_eq(&first.pool, &again.pool));
+        // The pool serves the slot's artifact with the default windows.
+        assert_eq!(first.pool.factory_key(), first.artifact.factory_key());
+        assert_eq!(
+            first.pool.max_rollback(),
+            crate::DEFAULT_MAX_ROLLBACK_TOKENS
+        );
+        let matcher = first.pool.acquire();
+        let (pool, artifact) = (Arc::downgrade(&first.pool), Arc::downgrade(&first.artifact));
+        drop((first, again));
+        // Evicting the slot drops the cache's hold on both; a matcher still
+        // out keeps its artifact (not the pool) alive until it is dropped.
+        lookup(&cache, &vocab, r#"root ::= "x""#);
+        assert!(pool.upgrade().is_none());
+        assert!(artifact.upgrade().is_some());
+        drop(matcher);
+        assert!(artifact.upgrade().is_none());
+        // A re-request gets a fresh slot with a fresh pool.
+        let fresh = lookup(&cache, &vocab, src);
+        assert!(fresh.built);
+        assert_eq!(fresh.pool.created(), 0);
+    }
+
+    /// After a build that did not complete, the key must look never-requested.
+    fn assert_no_trace(cache: &GrammarCache, key: &GrammarCacheKey) {
+        assert_eq!(cache.len(), 0);
+        assert!(!cache.contains(key));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.current_bytes), (0, 0));
+    }
+
+    #[test]
+    fn a_failed_build_leaves_no_slot_behind() {
+        let vocab = Arc::new(test_vocabulary(600));
+        let cache = GrammarCache::new(one_entry());
+        let g = grammar(r#"root ::= "a""#);
+        let cfg = CompilerConfig::default();
+        let key = GrammarCacheKey::new(&g, vocab.fingerprint(), &cfg);
+        let err = cache.get_or_try_build(key, || Err::<CompiledGrammar, _>("rejected"));
+        assert_eq!(err.unwrap_err(), "rejected");
+        assert_no_trace(&cache, &key);
+        assert_eq!(cache.stats().misses, 1);
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_try_build(key, || -> Result<CompiledGrammar, Infallible> {
+                panic!("build panicked")
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_no_trace(&cache, &key);
+
+        // The next build for the key runs and is cached.
+        let compiled = get_or_compile(&cache, &g, &vocab, &cfg);
+        assert!(cache.contains(&key));
+        assert!(Arc::ptr_eq(
+            &compiled,
+            &get_or_compile(&cache, &g, &vocab, &cfg)
+        ));
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn waiters_on_a_failed_build_retry_with_their_own_closure() {
+        let vocab = Arc::new(test_vocabulary(600));
+        let cache = GrammarCache::new(CacheBudget::for_grammars());
+        let g = grammar(r#"root ::= "a""#);
+        let cfg = CompilerConfig::default();
+        let key = GrammarCacheKey::new(&g, vocab.fingerprint(), &cfg);
+        let building = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let failing = scope.spawn(|| {
+                cache.get_or_try_build(key, || {
+                    building.wait(); // the in-flight slot exists from here on
+                                     // Nothing observable says the other thread is parked on
+                                     // this cell yet; the pause only makes that the likely
+                                     // interleaving — every assertion holds for either order.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    Err::<CompiledGrammar, _>("rejected")
+                })
+            });
+            building.wait();
+            // Joins the in-flight build, wakes to its failure, rebuilds.
+            let compile = || Ok::<_, &str>(CompiledGrammar::compile(&g, Arc::clone(&vocab), &cfg));
+            let waiter = cache.get_or_try_build(key, compile).unwrap();
+            assert!(waiter.built);
+            assert!(failing.join().unwrap().is_err());
+            let again = get_or_compile(&cache, &g, &vocab, &cfg);
+            assert!(Arc::ptr_eq(&waiter.artifact, &again));
+        });
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn dispatch_cache_keys_on_the_full_rendering_and_charges_trigger_grammars() {
+        use xg_grammar::{StructuralTag, TagContent, TagSpec};
+
+        let tag = |name: &str| {
+            StructuralTag::new(vec![TagSpec {
+                begin: format!("<{name}>"),
+                content: TagContent::Ebnf {
+                    text: "root ::= [0-9]+".into(),
+                    root: "root".into(),
+                },
+                end: format!("</{name}>"),
+            }])
+        };
+        let compiler = GrammarCompiler::new(Arc::new(test_vocabulary(512)));
+        let a = compiler.compile_tag_dispatch(&tag("a")).unwrap();
+        let cache = compiler.dispatch_cache();
+        assert!(cache.contains(&format!("{:?}", tag("a"))));
+        assert!(!cache.contains(&format!("{:?}", tag("b"))));
+        // The entry is charged for the segment grammars it pins.
+        let grammars: usize = a
+            .triggers()
+            .iter()
+            .map(|t| t.grammar().memory_bytes())
+            .sum();
+        assert!(grammars > 0);
+        assert!(cache.stats().current_bytes as usize >= grammars);
+        assert_eq!(cache.stats().current_bytes as usize, a.memory_bytes());
     }
 }

@@ -21,9 +21,10 @@
 //!   [`xg_grammar::analyze`] plus vocabulary-aware dead-state detection over
 //!   the compiled automaton, recorded per compile ([`GrammarLintReport`]) and
 //!   enforced by the compiler's [`LintMode`],
-//! * the **serving concurrency layer** (§5): a budgeted LRU cache of compiled
-//!   grammars with compile-once semantics under contention ([`GrammarCache`])
-//!   and a pool of reusable per-request matchers ([`MatcherPool`]),
+//! * the **serving concurrency layer** (§5): one budgeted LRU cache type with
+//!   build-once semantics under contention ([`ArtifactCache`], instantiated
+//!   as [`GrammarCache`] and [`TagDispatchCache`]) whose every slot owns the
+//!   pool of reusable per-request matchers of its artifact ([`MatcherPool`]),
 //! * the **[`ConstraintMatcher`] trait**: one runtime interface for every
 //!   constrained lane kind (with [`ConstraintFactory`] as the compiled
 //!   artifact side), so engines drive boxed trait objects instead of
@@ -61,7 +62,6 @@
 
 mod compiler;
 mod constraint;
-mod dispatch_cache;
 mod error;
 pub mod executor;
 mod grammar_cache;
@@ -75,9 +75,10 @@ mod tag_dispatch;
 
 pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler, LintMode};
 pub use constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats, ForcedTokenRun};
-pub use dispatch_cache::{TagDispatchCache, TagDispatchCacheConfig, TagDispatchCacheStats};
 pub use error::{AcceptError, RollbackError};
-pub use grammar_cache::{GrammarCache, GrammarCacheConfig, GrammarCacheKey, GrammarCacheStats};
+pub use grammar_cache::{
+    ArtifactCache, CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,
+};
 pub use lint::GrammarLintReport;
 pub use mask::{MaskBatch, TokenBitmask};
 pub use mask_cache::{

@@ -837,6 +837,10 @@ impl ConstraintFactory for CompiledGrammar {
     fn vocabulary(&self) -> &Arc<xg_tokenizer::Vocabulary> {
         CompiledGrammar::vocabulary(self)
     }
+
+    fn memory_bytes(&self) -> usize {
+        CompiledGrammar::memory_bytes(self)
+    }
 }
 
 #[cfg(test)]

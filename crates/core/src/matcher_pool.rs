@@ -13,6 +13,11 @@
 //! ([`CompiledTagDispatch`](crate::CompiledTagDispatch)), and — through the
 //! per-trigger pools tag dispatch embeds — the inner matchers opened for
 //! every tagged segment.
+//!
+//! Lane pools are owned by the cache slot of their artifact
+//! ([`ArtifactCache`](crate::ArtifactCache) creates one per entry and hands
+//! it back with every lookup), so callers never key, find or prune pools
+//! themselves. A pool pins its artifact, never the other way round.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -30,7 +30,10 @@
 //! per-trigger combined grammar goes through the ordinary compile path, so
 //! repeated tool schemas hit the shared [`GrammarCache`](crate::GrammarCache)
 //! like any other grammar, and each trigger carries a
-//! [`MatcherPool`] recycling the inner matchers its segments open.
+//! [`MatcherPool`] recycling the inner matchers its segments open. The
+//! compiled registry as a whole lives in the compiler's
+//! [`TagDispatchCache`](crate::TagDispatchCache), whose slot also owns the
+//! pool of *outer* (per-lane) matchers.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -42,6 +45,7 @@ use xg_tokenizer::{TokenId, Vocabulary};
 use crate::compiler::{CompiledGrammar, GrammarCompiler};
 use crate::constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats};
 use crate::error::{AcceptError, RollbackError};
+use crate::grammar_cache::Cached;
 use crate::mask::TokenBitmask;
 use crate::matcher_pool::MatcherPool;
 use crate::DEFAULT_MAX_ROLLBACK_TOKENS;
@@ -152,6 +156,10 @@ impl ConstraintFactory for CompiledTagDispatch {
     fn vocabulary(&self) -> &Arc<Vocabulary> {
         &self.vocab
     }
+
+    fn memory_bytes(&self) -> usize {
+        CompiledTagDispatch::memory_bytes(self)
+    }
 }
 
 /// Idle cap of the per-trigger inner matcher pools: a serving process rarely
@@ -170,31 +178,46 @@ impl GrammarCompiler {
     /// [`TagDispatchCache`](crate::TagDispatchCache), so serving batches
     /// that re-submit the same tool registry skip the schema-to-grammar
     /// conversion, combined-grammar construction and trigger-scanner build
-    /// too.
+    /// too — and admission workers racing on one uncached registry build it
+    /// once.
     ///
     /// # Errors
     ///
     /// Returns the structural-tag validation error or the content grammars'
-    /// parse/conversion errors.
+    /// parse/conversion errors. A rejected registry is not cached.
     pub fn compile_tag_dispatch(
         &self,
         tag: &StructuralTag,
     ) -> Result<Arc<CompiledTagDispatch>, GrammarError> {
+        self.compile_tag_dispatch_pooled(tag).map(|c| c.artifact)
+    }
+
+    /// [`compile_tag_dispatch`](Self::compile_tag_dispatch), handing back the
+    /// whole cache lookup: the compiled registry together with the lane
+    /// [`MatcherPool`] living in its cache slot.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`compile_tag_dispatch`](Self::compile_tag_dispatch).
+    pub fn compile_tag_dispatch_pooled(
+        &self,
+        tag: &StructuralTag,
+    ) -> Result<Cached<CompiledTagDispatch>, GrammarError> {
         // The description holds serde_json values and grammars with no Hash
         // impls; their Debug rendering is deterministic and captures every
         // distinguishing field, so it serves as the cache key (stored in
         // full — a truncated hash could silently alias two registries).
-        let key = format!("{tag:?}");
-        if let Some(hit) = self.dispatch_cache().get(&key) {
-            return Ok(hit);
-        }
-        let triggers = tag.effective_triggers();
-        let assignments = tag.trigger_assignments()?;
-        let mut compiled_triggers = Vec::with_capacity(triggers.len());
-        for (trigger, tag_indices) in triggers.iter().zip(&assignments) {
-            compiled_triggers.push(self.compile_trigger_segment(tag, trigger, tag_indices)?);
-        }
-        Ok(self.assemble_dispatch(tag, key, compiled_triggers))
+        let build = || {
+            let triggers = tag.effective_triggers();
+            let assignments = tag.trigger_assignments()?;
+            let mut compiled_triggers = Vec::with_capacity(triggers.len());
+            for (trigger, tag_indices) in triggers.iter().zip(&assignments) {
+                compiled_triggers.push(self.compile_trigger_segment(tag, trigger, tag_indices)?);
+            }
+            Ok(self.assemble_dispatch(tag, compiled_triggers))
+        };
+        self.dispatch_cache()
+            .get_or_try_build(format!("{tag:?}"), build)
     }
 
     /// Incrementally recompiles a registry mutation: applies `delta` to
@@ -227,45 +250,61 @@ impl GrammarCompiler {
         base: &Arc<CompiledTagDispatch>,
         delta: &DispatchDelta,
     ) -> Result<Arc<CompiledTagDispatch>, GrammarError> {
+        self.update_tag_dispatch_pooled(base, delta)
+            .map(|c| c.artifact)
+    }
+
+    /// [`update_tag_dispatch`](Self::update_tag_dispatch), handing back the
+    /// whole cache lookup (see
+    /// [`compile_tag_dispatch_pooled`](Self::compile_tag_dispatch_pooled)).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`update_tag_dispatch`](Self::update_tag_dispatch).
+    pub fn update_tag_dispatch_pooled(
+        &self,
+        base: &Arc<CompiledTagDispatch>,
+        delta: &DispatchDelta,
+    ) -> Result<Cached<CompiledTagDispatch>, GrammarError> {
         let next = base.source_tag().apply_delta(delta)?;
         if base.vocab.fingerprint() != self.vocabulary().fingerprint() || base.exit != next.exit {
             // A foreign base pins grammars compiled against another
             // vocabulary; reusing them would produce wrong masks.
-            return self.compile_tag_dispatch(&next);
+            return self.compile_tag_dispatch_pooled(&next);
         }
-        let key = format!("{next:?}");
-        if let Some(hit) = self.dispatch_cache().get(&key) {
-            return Ok(hit);
-        }
-        let old_tag = base.source_tag();
-        let old_triggers = old_tag.effective_triggers();
-        // `base` compiled, so its assignments validated then; `next` passed
-        // `apply_delta` validation above.
-        let old_assignments = old_tag.trigger_assignments()?;
-        let new_triggers = next.effective_triggers();
-        let new_assignments = next.trigger_assignments()?;
-        let specs = |tag: &StructuralTag, indices: &[usize]| -> Vec<TagSpec> {
-            indices.iter().map(|&i| tag.tags[i].clone()).collect()
-        };
-        let mut compiled_triggers = Vec::with_capacity(new_triggers.len());
-        for (trigger, tag_indices) in new_triggers.iter().zip(&new_assignments) {
-            let reusable = old_triggers
-                .iter()
-                .position(|t| t == trigger)
-                .filter(|&old_idx| {
-                    specs(old_tag, &old_assignments[old_idx]) == specs(&next, tag_indices)
-                })
-                .map(|old_idx| Arc::clone(&base.triggers[old_idx]));
-            match reusable {
-                Some(existing) => compiled_triggers.push(existing),
-                None => compiled_triggers.push(self.compile_trigger_segment(
-                    &next,
-                    trigger,
-                    tag_indices,
-                )?),
+        let build = || {
+            let old_tag = base.source_tag();
+            let old_triggers = old_tag.effective_triggers();
+            // `base` compiled, so its assignments validated then; `next`
+            // passed `apply_delta` validation above.
+            let old_assignments = old_tag.trigger_assignments()?;
+            let new_triggers = next.effective_triggers();
+            let new_assignments = next.trigger_assignments()?;
+            let specs = |tag: &StructuralTag, indices: &[usize]| -> Vec<TagSpec> {
+                indices.iter().map(|&i| tag.tags[i].clone()).collect()
+            };
+            let mut compiled_triggers = Vec::with_capacity(new_triggers.len());
+            for (trigger, tag_indices) in new_triggers.iter().zip(&new_assignments) {
+                let reusable = old_triggers
+                    .iter()
+                    .position(|t| t == trigger)
+                    .filter(|&old_idx| {
+                        specs(old_tag, &old_assignments[old_idx]) == specs(&next, tag_indices)
+                    })
+                    .map(|old_idx| Arc::clone(&base.triggers[old_idx]));
+                match reusable {
+                    Some(existing) => compiled_triggers.push(existing),
+                    None => compiled_triggers.push(self.compile_trigger_segment(
+                        &next,
+                        trigger,
+                        tag_indices,
+                    )?),
+                }
             }
-        }
-        Ok(self.assemble_dispatch(&next, key, compiled_triggers))
+            Ok(self.assemble_dispatch(&next, compiled_triggers))
+        };
+        self.dispatch_cache()
+            .get_or_try_build(format!("{next:?}"), build)
     }
 
     /// Compiles one trigger's segment: combined grammar construction, the
@@ -330,30 +369,21 @@ impl GrammarCompiler {
         }))
     }
 
-    /// Builds the scanner over `triggers`, wraps everything into a
-    /// [`CompiledTagDispatch`] and stores it in the dispatch cache under
-    /// `key`. Concurrent identical compiles may race past the lookup; the
-    /// underlying grammars still compile once ([`GrammarCache`]), and the
-    /// cache keeps the first-inserted dispatch so every caller shares one
-    /// `Arc`.
-    ///
-    /// [`GrammarCache`]: crate::GrammarCache
+    /// Builds the scanner over `triggers` and wraps everything into a
+    /// [`CompiledTagDispatch`].
     fn assemble_dispatch(
         &self,
         tag: &StructuralTag,
-        key: String,
         triggers: Vec<Arc<CompiledTrigger>>,
-    ) -> Arc<CompiledTagDispatch> {
+    ) -> CompiledTagDispatch {
         let patterns: Vec<Vec<u8>> = triggers.iter().map(|t| t.trigger.clone()).collect();
-        let scanner = AhoCorasick::new(&patterns);
-        let compiled = Arc::new(CompiledTagDispatch {
+        CompiledTagDispatch {
             triggers,
-            scanner,
+            scanner: AhoCorasick::new(&patterns),
             vocab: Arc::clone(self.vocabulary()),
             exit: tag.exit,
             source: tag.clone(),
-        });
-        self.dispatch_cache().insert(key, compiled)
+        }
     }
 
     /// Returns `true` if this compiler's dispatch cache already holds the
@@ -363,7 +393,7 @@ impl GrammarCompiler {
     /// counters or LRU order. Admission control uses this to classify
     /// cache-hit admissions.
     pub fn has_cached_tag_dispatch_for(&self, tag: &StructuralTag) -> bool {
-        self.dispatch_cache().peek(&format!("{tag:?}"))
+        self.dispatch_cache().contains(&format!("{tag:?}"))
     }
 }
 

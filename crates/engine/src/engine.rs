@@ -37,7 +37,7 @@ use crate::llm::{LlmBehavior, SimulatedLlm};
 use crate::profiles::ModelProfile;
 use crate::scheduler::SchedulerConfig;
 use xg_baselines::{BackendError, ConstrainedBackend};
-use xg_core::{ConstraintMatcher, GrammarCacheStats, TokenBitmask};
+use xg_core::{CacheStats, ConstraintMatcher, TokenBitmask};
 use xg_grammar::{Grammar, StructuralTag};
 use xg_tokenizer::{SortedVocabulary, TokenId};
 
@@ -265,7 +265,7 @@ pub struct BatchMetrics {
     /// [`GrammarCache`](xg_core::GrammarCache) do not pollute them), the
     /// backing cache's eviction delta, and its end-of-batch byte/entry
     /// gauges. All zeros when the backend has no cache.
-    pub cache: GrammarCacheStats,
+    pub cache: CacheStats,
 }
 
 impl BatchMetrics {
@@ -1029,7 +1029,7 @@ mod tests {
             mask_cpu_time: Duration::ZERO,
             mask_threads: 4,
             gpu_time: Duration::ZERO,
-            cache: GrammarCacheStats::default(),
+            cache: CacheStats::default(),
         };
         // An instantaneous (or fully unconstrained) batch reports a neutral
         // speedup instead of dividing by zero.

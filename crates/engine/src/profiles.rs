@@ -2,7 +2,7 @@
 //!
 //! The paper's end-to-end numbers are measured on real GPUs (H100, RTX 4090,
 //! Apple M3 Max, iPhone 14 Pro Max). This reproduction replaces the GPU with
-//! a calibrated latency model (see DESIGN.md, substitution 2): each profile
+//! a calibrated latency model (no accelerator is available here): each profile
 //! states how long one decoding step takes at a given batch size and how long
 //! prefill takes per prompt token. The engine then *actually spends* that
 //! time on a worker thread, so CPU/GPU overlap is real concurrency, just

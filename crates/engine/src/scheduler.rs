@@ -64,7 +64,7 @@ use crate::lane::{ForcedContext, Lane};
 use crate::llm::{LlmRequestState, SimulatedLlm};
 use crate::profiles::ModelProfile;
 use xg_baselines::{BackendError, ConstrainedBackend, Session};
-use xg_core::{GrammarCacheStats, TokenBitmask};
+use xg_core::{CacheStats, TokenBitmask};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 /// Sizing and worker-count configuration of a [`ContinuousScheduler`].
@@ -281,7 +281,7 @@ pub struct SchedulerMetrics {
     /// Number of mask workers serving the decode loop.
     pub mask_workers: usize,
     /// Grammar-cache activity since the scheduler started.
-    pub cache: GrammarCacheStats,
+    pub cache: CacheStats,
 }
 
 impl SchedulerMetrics {
@@ -506,7 +506,7 @@ pub struct ContinuousScheduler {
     mask_pool: Arc<MaskPool>,
     mask_workers: usize,
     backend: Arc<dyn ConstrainedBackend>,
-    cache_before: GrammarCacheStats,
+    cache_before: CacheStats,
     admission_handles: Vec<JoinHandle<()>>,
     decode_handle: Option<JoinHandle<()>>,
     mask_handles: Vec<JoinHandle<()>>,

@@ -2,9 +2,8 @@
 //!
 //! The paper evaluates on the Llama-3.1 tokenizer (128k BPE merges). That
 //! tokenizer cannot be redistributed here, so this module provides the
-//! substitution documented in DESIGN.md: a from-scratch byte-level BPE
-//! implementation that can be trained on the synthetic corpora of
-//! `xg-datasets`. The resulting vocabularies exhibit the properties the
+//! substitute: a from-scratch byte-level BPE implementation that can be
+//! trained on the synthetic corpora of `xg-datasets`. The resulting vocabularies exhibit the properties the
 //! grammar engine cares about — multi-byte tokens, tokens straddling
 //! grammar-element boundaries (`":`, `"},` …), long shared prefixes — at
 //! configurable vocabulary sizes.

@@ -7,8 +7,8 @@
 //! * [`BpeModel`] — a from-scratch byte-level BPE trainer/encoder for
 //!   corpus-driven vocabularies,
 //! * [`synthetic_vocabulary`] — deterministic generation of large,
-//!   realistic vocabularies (the Llama-3.1 substitution documented in
-//!   DESIGN.md),
+//!   realistic vocabularies (standing in for the Llama-3.1 tokenizer, which
+//!   cannot be redistributed here),
 //! * [`SortedVocabulary`] — lexicographically sorted index with shared-prefix
 //!   statistics, used by the mask-cache preprocessing of `xg-core`.
 //!

@@ -14,7 +14,10 @@
 //! * [`engine`] — the serving layer: [`engine::ServingEngine`] with
 //!   overlapped execution, mixed-constraint lanes and engine-level
 //!   jump-forward decoding ([`engine::JumpForwardPolicy`]) (`xg-engine`),
-//! * the core engine types re-exported at the crate root (`xg-core`).
+//! * the core engine types re-exported at the crate root (`xg-core`),
+//!   including the one artifact cache type ([`ArtifactCache`], as
+//!   [`GrammarCache`] and [`TagDispatchCache`], with [`CacheBudget`],
+//!   [`CacheStats`] and the [`Cached`] lookup result).
 //!
 //! # Examples
 //!
@@ -56,13 +59,13 @@ pub mod engine {
 }
 
 pub use xg_core::{
-    AcceptError, CompiledGrammar, CompiledTagDispatch, CompiledTrigger, CompilerConfig,
-    ConstraintFactory, ConstraintMatcher, ConstraintStats, DispatchMode, ForcedTokenRun,
-    GrammarCache, GrammarCacheConfig, GrammarCacheKey, GrammarCacheStats, GrammarCompiler,
+    AcceptError, ArtifactCache, CacheBudget, CacheStats, Cached, CompiledGrammar,
+    CompiledTagDispatch, CompiledTrigger, CompilerConfig, ConstraintFactory, ConstraintMatcher,
+    ConstraintStats, DispatchMode, ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler,
     GrammarLintReport, GrammarMatcher, LintMode, MaskCache, MaskCacheStats, MatcherPool,
     MatcherStats, NodeMaskEntry, PersistentStackTree, RollbackError, StackHandle,
-    StructuralTagMatcher, TagDispatchCache, TagDispatchCacheConfig, TagDispatchCacheStats,
-    TagDispatchStats, TokenBitmask, DEFAULT_MAX_ROLLBACK_TOKENS,
+    StructuralTagMatcher, TagDispatchCache, TagDispatchStats, TokenBitmask,
+    DEFAULT_MAX_ROLLBACK_TOKENS,
 };
 pub use xg_grammar::{
     analyze, builtin, json_schema_to_grammar, json_schema_to_grammar_with_options, parse_ebnf,
@@ -121,7 +124,7 @@ mod tests {
         use std::sync::Arc;
         let vocab = Arc::new(crate::tokenizer::test_vocabulary(600));
         let compiler = crate::GrammarCompiler::new(Arc::clone(&vocab))
-            .with_dispatch_cache_config(crate::TagDispatchCacheConfig::default());
+            .with_dispatch_cache_config(crate::CacheBudget::for_dispatches());
         let spec = |name: &str| crate::TagSpec {
             begin: format!("<{name}>"),
             content: crate::TagContent::Ebnf {
@@ -181,9 +184,7 @@ mod tests {
     fn facade_exposes_serving_concurrency_layer() {
         use std::sync::Arc;
         let vocab = Arc::new(crate::tokenizer::test_vocabulary(600));
-        let cache = Arc::new(crate::GrammarCache::new(
-            crate::GrammarCacheConfig::default(),
-        ));
+        let cache = Arc::new(crate::GrammarCache::new(crate::CacheBudget::for_grammars()));
         let compiler = crate::GrammarCompiler::with_cache(
             Arc::clone(&vocab),
             crate::CompilerConfig::default(),

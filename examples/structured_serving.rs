@@ -14,7 +14,7 @@ use xg_baselines::{ConstrainedBackend, NaivePdaBackend, XGrammarBackend};
 use xg_engine::{
     EngineRequest, ExecutionMode, JumpForwardPolicy, LaneConstraint, ModelProfile, ServingEngine,
 };
-use xgrammar::{CompilerConfig, GrammarCache, GrammarCacheConfig};
+use xgrammar::{CacheBudget, CompilerConfig, GrammarCache};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vocab = Arc::new(xgrammar::tokenizer::test_vocabulary(16_000));
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- The serving concurrency layer: shared cache + parallel lanes. ----
     println!();
     println!("serving concurrency layer (shared grammar cache, parallel mask lanes):");
-    let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+    let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
     let backend: Arc<dyn ConstrainedBackend> = Arc::new(XGrammarBackend::with_cache(
         Arc::clone(&vocab),
         CompilerConfig::default(),

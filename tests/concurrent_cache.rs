@@ -1,13 +1,15 @@
-//! Concurrency stress tests for the compiled-grammar cache: many threads
-//! racing on the same grammar must trigger exactly one compilation and share
-//! one `Arc<CompiledGrammar>`, with the engine stack staying correct on top.
+//! Concurrency stress tests for the compiled-artifact cache: many threads
+//! racing on the same grammar (or the same tool registry) must trigger
+//! exactly one build and share one `Arc`, with the engine stack staying
+//! correct on top.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use xg_core::{
-    CompiledGrammar, CompilerConfig, GrammarCache, GrammarCacheConfig, GrammarCacheKey,
-    GrammarCompiler, GrammarMatcher, TokenBitmask,
+    CacheBudget, CompiledGrammar, CompilerConfig, GrammarCache, GrammarCacheKey, GrammarCompiler,
+    GrammarMatcher, TokenBitmask,
 };
 use xg_tokenizer::test_vocabulary;
 
@@ -16,7 +18,7 @@ const THREADS: usize = 8;
 #[test]
 fn stress_same_grammar_compiles_exactly_once() {
     let vocab = Arc::new(test_vocabulary(800));
-    let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+    let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
     let grammar =
         Arc::new(xg_grammar::parse_ebnf(r#"root ::= "{" [a-z]+ ":" [0-9]+ "}""#, "root").unwrap());
     let config = CompilerConfig::default();
@@ -37,10 +39,12 @@ fn stress_same_grammar_compiles_exactly_once() {
                     barrier.wait();
                     // The injected hook counts how many threads actually ran
                     // the compiler.
-                    cache.get_or_insert_with(key, || {
+                    let compile = || {
                         compilations.fetch_add(1, Ordering::SeqCst);
-                        CompiledGrammar::compile(&grammar, Arc::clone(&vocab), &config)
-                    })
+                        let vocab = Arc::clone(&vocab);
+                        Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, &config))
+                    };
+                    cache.get_or_try_build(key, compile).unwrap().artifact
                 })
             })
             .collect();
@@ -76,11 +80,48 @@ fn stress_same_grammar_compiles_exactly_once() {
 }
 
 #[test]
+fn stress_same_registry_builds_exactly_once() {
+    use xg_grammar::{StructuralTag, TagContent, TagSpec};
+
+    let vocab = Arc::new(test_vocabulary(800));
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+    let tag = StructuralTag::new(vec![TagSpec {
+        begin: "<n>".into(),
+        content: TagContent::Ebnf {
+            text: "root ::= [0-9]+".into(),
+            root: "root".into(),
+        },
+        end: "</n>".into(),
+    }]);
+    let barrier = Barrier::new(THREADS);
+
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    compiler.compile_tag_dispatch(&tag).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    // One conversion + segment compile + scanner build, shared by everyone.
+    let stats = compiler.dispatch_cache().stats();
+    assert_eq!(stats.misses, 1);
+    assert_eq!(stats.hits, THREADS as u64 - 1);
+    for other in &results[1..] {
+        assert!(Arc::ptr_eq(&results[0], other));
+    }
+}
+
+#[test]
 fn stress_distinct_grammars_do_not_serialize_each_other() {
     // Threads compiling *different* grammars proceed concurrently (the map
     // lock is not held during compilation) and each compiles exactly once.
     let vocab = Arc::new(test_vocabulary(800));
-    let cache = Arc::new(GrammarCache::new(GrammarCacheConfig::default()));
+    let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
     let compilations = Arc::new(AtomicUsize::new(0));
     let barrier = Arc::new(Barrier::new(THREADS));
 
@@ -101,12 +142,14 @@ fn stress_distinct_grammars_do_not_serialize_each_other() {
                 let config = CompilerConfig::default();
                 let key = GrammarCacheKey::new(&grammar, vocab.fingerprint(), &config);
                 barrier.wait();
-                let compiled = cache.get_or_insert_with(key, || {
+                let compile = || {
                     compilations.fetch_add(1, Ordering::SeqCst);
-                    CompiledGrammar::compile(&grammar, Arc::clone(&vocab), &config)
-                });
+                    let vocab = Arc::clone(&vocab);
+                    Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, &config))
+                };
+                let compiled = cache.get_or_try_build(key, compile).unwrap();
                 // Every thread can match with its grammar right away.
-                let mut matcher = GrammarMatcher::new(compiled);
+                let mut matcher = GrammarMatcher::new(compiled.artifact);
                 let input: &[u8] = if t % 2 == 0 { b"[12]" } else { b"<ab>" };
                 matcher.accept_bytes(input).unwrap();
             });

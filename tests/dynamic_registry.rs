@@ -21,10 +21,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xg_baselines::{ConstrainedBackend, XGrammarBackend};
-use xg_core::{
-    CompilerConfig, GrammarCache, GrammarCacheConfig, GrammarCompiler, LintMode,
-    TagDispatchCacheConfig,
-};
+use xg_core::{CacheBudget, CompilerConfig, GrammarCache, GrammarCompiler, LintMode};
 use xg_datasets::{agent_catalog, agent_tag_spec, agent_tool, TOOL_CALL_END};
 use xg_engine::{
     EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, SchedulerConfig, ServingEngine,
@@ -43,7 +40,7 @@ fn churn_of_1k_distinct_registries_keeps_memory_flat() {
         .memory_bytes()
         .max(1);
     let budget = 8 * probe;
-    let cache = Arc::new(GrammarCache::new(GrammarCacheConfig {
+    let cache = Arc::new(GrammarCache::new(CacheBudget {
         max_bytes: budget,
         max_entries: usize::MAX,
     }));
@@ -52,7 +49,7 @@ fn churn_of_1k_distinct_registries_keeps_memory_flat() {
         CompilerConfig::default(),
         Arc::clone(&cache),
     )
-    .with_dispatch_cache_config(TagDispatchCacheConfig {
+    .with_dispatch_cache_config(CacheBudget {
         max_bytes: budget,
         max_entries: usize::MAX,
     });
@@ -87,12 +84,11 @@ fn churn_of_1k_distinct_registries_keeps_memory_flat() {
 fn removed_tools_matcher_pool_is_not_pinned() {
     let vocab = Arc::new(test_vocabulary(512));
     // One dispatch-cache slot: the updated registry displaces its base.
-    let compiler = GrammarCompiler::new(Arc::clone(&vocab)).with_dispatch_cache_config(
-        TagDispatchCacheConfig {
+    let compiler =
+        GrammarCompiler::new(Arc::clone(&vocab)).with_dispatch_cache_config(CacheBudget {
             max_bytes: usize::MAX,
             max_entries: 1,
-        },
-    );
+        });
     let keep = agent_tool(1);
     let retired = agent_tool(2);
     let base = compiler
