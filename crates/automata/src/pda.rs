@@ -90,6 +90,16 @@ pub struct PdaNode {
     pub is_final: bool,
 }
 
+impl PdaNode {
+    /// Returns `true` for a final node without outgoing edges: reaching it
+    /// says nothing beyond "return to the parent rule". Above the bottom
+    /// stack frame a matcher pops such a node at once, so outside the root
+    /// rule it is never the stack top a token mask is asked for.
+    pub fn is_pure_return(&self) -> bool {
+        self.is_final && self.edges.is_empty()
+    }
+}
+
 /// Per-rule metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdaRule {

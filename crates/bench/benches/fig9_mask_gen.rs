@@ -385,9 +385,42 @@ fn bench_schema_keyword_mask_generation(c: &mut Criterion) {
     group.finish();
 }
 
+/// One mask fill on the XML CFG at 128k, from a state with a single stack
+/// (inside element text) and from one with two (inside an open tag, where
+/// `open_tag` and `self_tag` are both still alive): the second is the
+/// per-stack fill plus one word-level union.
+fn bench_xml_multi_stack(c: &mut Criterion) {
+    use xg_core::{GrammarCompiler, GrammarMatcher};
+
+    let vocab = bench_vocabulary(128_000);
+    let compiled = GrammarCompiler::new(Arc::clone(&vocab))
+        .compile_grammar(&xg_grammar::builtin::xml_grammar());
+    let mut group = c.benchmark_group("xml_multi_stack");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+    for (name, prefix, stacks) in [
+        ("single_stack", &b"<a>text"[..], 1),
+        ("two_stacks", &b"<a id"[..], 2),
+    ] {
+        let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));
+        matcher.accept_bytes(prefix).expect("valid XML prefix");
+        assert_eq!(matcher.stack_count(), stacks, "after {prefix:?}");
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                matcher.fill_next_token_bitmask(&mut mask);
+                mask.words()[0]
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mask_generation,
+    bench_xml_multi_stack,
     bench_batched_mask_generation,
     bench_trigger_scan,
     bench_tagged_jump_forward,

@@ -293,9 +293,8 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
     /// each accepted token is an individual rollback unit, so any suffix of
     /// the draft can be rolled back afterwards.
     ///
-    /// The default is the accept-token loop; implementations with cheaper
-    /// snapshot machinery (e.g. the persistent-stack
-    /// [`GrammarMatcher`](crate::GrammarMatcher)) override it.
+    /// The default is the accept-token loop; an implementation whose
+    /// per-call set-up is worth hoisting out of it may override it.
     fn accept_tokens_speculative(&mut self, tokens: &[TokenId]) -> usize {
         for (i, &token) in tokens.iter().enumerate() {
             if self.accept_token(token).is_err() {

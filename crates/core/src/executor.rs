@@ -5,10 +5,14 @@
 //! adaptive token mask cache) and the runtime phase (checking
 //! context-dependent tokens against the full stack, and advancing the
 //! matcher when a token is accepted).
-
-use std::collections::HashSet;
+//!
+//! Nothing here hashes or allocates per step: the stepping functions work
+//! in a caller-owned [`ExecScratch`] (the matcher keeps one for its whole
+//! life, a [`TokenTrail`] carries its own), deduplicate stack handles with
+//! an epoch-stamped mark array, and walk a node's edges in place.
 
 use xg_automata::{Pda, PdaEdge};
+use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
@@ -17,111 +21,155 @@ use crate::persistent_stack::{PersistentStackTree, StackHandle};
 /// subset (documented behaviour, never observed for the evaluated grammars).
 pub const MAX_PARALLEL_STACKS: usize = 512;
 
+/// Reusable working memory of [`closure`] and [`advance_bytes`]. It carries
+/// no state from one call to the next, only capacity.
+#[derive(Debug, Default)]
+pub struct ExecScratch {
+    /// `mark[h.raw()] == epoch` ⇔ `h` was already met in the current pass.
+    mark: Vec<u64>,
+    epoch: u64,
+    /// Depth-first work list of [`closure`].
+    queue: Vec<StackHandle>,
+    /// Output of the last [`closure`].
+    expanded: Vec<StackHandle>,
+}
+
+impl ExecScratch {
+    /// Starts a deduplication pass: every handle counts as unseen again.
+    pub(crate) fn new_pass(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Returns `true` the first time `h` is offered in the current pass.
+    pub(crate) fn first_visit(&mut self, h: StackHandle) -> bool {
+        let i = h.raw() as usize;
+        if i >= self.mark.len() {
+            self.mark.resize(i + 1, 0);
+        }
+        std::mem::replace(&mut self.mark[i], self.epoch) != self.epoch
+    }
+}
+
 /// Expands a set of stack heads into their epsilon closure: every
 /// configuration reachable without consuming a byte, by entering referenced
-/// rules (push) or returning from completed rules (pop).
+/// rules (push) or returning from completed rules (pop). The closure is
+/// returned as a slice of `scratch`.
 ///
 /// `on_popout` is invoked for every configuration that reaches the final node
 /// of the *bottom* frame — i.e. that could pop out of the frame the matching
 /// started in, which the caller interprets as either "needs parent context"
 /// (preprocessing) or "the whole grammar can terminate here" (runtime).
-pub fn closure(
+pub fn closure<'s>(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     heads: &[StackHandle],
+    scratch: &'s mut ExecScratch,
     mut on_popout: impl FnMut(StackHandle),
-) -> Vec<StackHandle> {
-    let mut seen: HashSet<StackHandle> = HashSet::with_capacity(heads.len() * 2);
-    let mut queue: Vec<StackHandle> = Vec::with_capacity(heads.len() * 2);
-    let mut out: Vec<StackHandle> = Vec::with_capacity(heads.len() * 2);
+) -> &'s [StackHandle] {
+    scratch.new_pass();
+    scratch.queue.clear();
+    scratch.expanded.clear();
     for &h in heads {
-        if seen.insert(h) {
-            queue.push(h);
+        if scratch.first_visit(h) {
+            scratch.queue.push(h);
         }
     }
-    while let Some(h) = queue.pop() {
-        out.push(h);
-        if out.len() >= MAX_PARALLEL_STACKS {
+    while let Some(h) = scratch.queue.pop() {
+        scratch.expanded.push(h);
+        if scratch.expanded.len() >= MAX_PARALLEL_STACKS {
             break;
         }
         let top = tree.top(h).expect("stack heads always carry a top node");
-        let is_final = pda.node(top).is_final;
-        // Expand rule references (push). Collect edges first to appease the
-        // borrow checker (tree is mutated while pushing).
-        let rule_edges: Vec<(u32, xg_automata::NodeId)> = pda
-            .node(top)
-            .edges
-            .iter()
-            .filter_map(|e| match e {
-                PdaEdge::Rule { rule, target } => Some((rule.0, *target)),
-                PdaEdge::Bytes { .. } => None,
-            })
-            .collect();
-        for (rule, ret) in rule_edges {
-            let with_return = tree.replace_top(h, ret);
-            let child = tree.push(with_return, pda.rule(xg_automata::PdaRuleId(rule)).start);
-            if seen.insert(child) {
-                queue.push(child);
+        let node = pda.node(top);
+        // Expand rule references (push).
+        for edge in &node.edges {
+            if let PdaEdge::Rule { rule, target } = edge {
+                let with_return = tree.replace_top(h, *target);
+                let child = tree.push(with_return, pda.rule(*rule).start);
+                if scratch.first_visit(child) {
+                    scratch.queue.push(child);
+                }
             }
         }
         // Return to the parent rule (pop), or report a pop-out of the bottom
         // frame.
-        if is_final {
+        if node.is_final {
             if tree.depth(h) > 1 {
                 let popped = tree.pop(h);
-                if seen.insert(popped) {
-                    queue.push(popped);
+                if scratch.first_visit(popped) {
+                    scratch.queue.push(popped);
                 }
             } else {
                 on_popout(h);
             }
         }
     }
-    out
+    &scratch.expanded
 }
 
-/// Advances a set of stack heads over one byte. Returns the deduplicated set
-/// of surviving heads (empty when the byte is not matchable).
-pub fn advance_byte(
+/// Moves every configuration of the last [`closure`] in `scratch` over
+/// `byte`, appending the deduplicated survivors to `out` (nothing when the
+/// byte is not matchable).
+fn step_byte(
     pda: &Pda,
     tree: &mut PersistentStackTree,
-    heads: &[StackHandle],
     byte: u8,
-    on_popout: impl FnMut(StackHandle),
-) -> Vec<StackHandle> {
-    let expanded = closure(pda, tree, heads, on_popout);
-    let mut seen: HashSet<StackHandle> = HashSet::with_capacity(expanded.len());
-    let mut out: Vec<StackHandle> = Vec::with_capacity(expanded.len());
-    for h in expanded {
+    scratch: &mut ExecScratch,
+    out: &mut Vec<StackHandle>,
+) {
+    scratch.new_pass();
+    let start = out.len();
+    for i in 0..scratch.expanded.len() {
+        let h = scratch.expanded[i];
         let top = tree.top(h).expect("stack heads always carry a top node");
-        let byte_edges: Vec<xg_automata::NodeId> = pda
-            .node(top)
-            .edges
-            .iter()
-            .filter_map(|e| match e {
-                PdaEdge::Bytes { range, target } if range.contains(byte) => Some(*target),
-                _ => None,
-            })
-            .collect();
-        for target in byte_edges {
-            let nh = tree.replace_top(h, target);
-            if seen.insert(nh) {
-                out.push(nh);
+        for edge in &pda.node(top).edges {
+            if let PdaEdge::Bytes { range, target } = edge {
+                if range.contains(byte) {
+                    let nh = tree.replace_top(h, *target);
+                    if scratch.first_visit(nh) {
+                        out.push(nh);
+                    }
+                }
             }
         }
-        if out.len() >= MAX_PARALLEL_STACKS {
+        if out.len() - start >= MAX_PARALLEL_STACKS {
             break;
         }
     }
-    out
+}
+
+/// Advances `heads` in place over `bytes`. On `Err(i)` no stack could
+/// consume `bytes[i]` and `heads` is left empty.
+pub fn advance_bytes(
+    pda: &Pda,
+    tree: &mut PersistentStackTree,
+    heads: &mut Vec<StackHandle>,
+    bytes: &[u8],
+    scratch: &mut ExecScratch,
+) -> Result<(), usize> {
+    for (i, &byte) in bytes.iter().enumerate() {
+        // The closure holds all that is needed of the old heads.
+        closure(pda, tree, heads, scratch, |_| {});
+        heads.clear();
+        step_byte(pda, tree, byte, scratch, heads);
+        if heads.is_empty() {
+            return Err(i);
+        }
+    }
+    Ok(())
 }
 
 /// Returns `true` if, without consuming more bytes, some stack can pop out of
 /// its bottom frame (for a matcher whose bottom frame is the root rule this
 /// means the generated text is a complete sentence).
-pub fn can_pop_out(pda: &Pda, tree: &mut PersistentStackTree, heads: &[StackHandle]) -> bool {
+pub fn can_pop_out(
+    pda: &Pda,
+    tree: &mut PersistentStackTree,
+    heads: &[StackHandle],
+    scratch: &mut ExecScratch,
+) -> bool {
     let mut can = false;
-    let _ = closure(pda, tree, heads, |_| can = true);
+    closure(pda, tree, heads, scratch, |_| can = true);
     can
 }
 
@@ -133,60 +181,67 @@ pub fn can_pop_out(pda: &Pda, tree: &mut PersistentStackTree, heads: &[StackHand
 /// (during preprocessing, or the context-dependent tokens of one stack at
 /// runtime), adjacent tokens share long prefixes; the trail rolls back to the
 /// shared prefix instead of re-matching it.
-#[derive(Debug)]
+///
+/// A trail is reusable: [`reset`](Self::reset) restarts it from new heads and
+/// keeps every buffer, so a matcher resolves all its masks with the one
+/// trail it owns.
+#[derive(Debug, Default)]
 pub struct TokenTrail {
-    /// `states[i]` = heads after consuming `i` bytes (`states[0]` = initial).
-    states: Vec<Vec<StackHandle>>,
-    /// `popout[i]` = while advancing from `states[i]`, some configuration
+    /// The head sets, back to back: the heads after consuming `i` bytes are
+    /// `flat[ends[i - 1]..ends[i]]` (from 0 for the initial set, `i == 0`).
+    flat: Vec<StackHandle>,
+    ends: Vec<usize>,
+    /// `popout[i]` = while advancing from state `i`, some configuration
     /// could pop out of the bottom frame (so the remainder starting at byte
-    /// offset `i` would have to be matched by parent context).
+    /// offset `i` would have to be matched by parent context). One entry per
+    /// consumed byte.
     popout: Vec<bool>,
-    /// Bytes consumed so far (the current prefix).
-    prefix: Vec<u8>,
     /// Total number of bytes actually advanced (for the §3.3 statistic).
     bytes_advanced: u64,
+    scratch: ExecScratch,
 }
 
 impl TokenTrail {
-    /// Creates a trail starting from the given heads.
-    pub fn new(initial: Vec<StackHandle>) -> Self {
-        TokenTrail {
-            states: vec![initial],
-            popout: Vec::new(),
-            prefix: Vec::new(),
-            bytes_advanced: 0,
-        }
+    /// Restarts the trail from the given heads with nothing consumed.
+    pub fn reset(&mut self, initial: &[StackHandle]) {
+        self.flat.clear();
+        self.flat.extend_from_slice(initial);
+        self.ends.clear();
+        self.ends.push(initial.len());
+        self.popout.clear();
     }
 
     /// Current prefix length in bytes.
     pub fn prefix_len(&self) -> usize {
-        self.prefix.len()
+        self.popout.len()
     }
 
     /// Rolls the trail back so that only `len` bytes remain matched.
     pub fn rollback_to(&mut self, len: usize) {
-        debug_assert!(len <= self.prefix.len());
-        self.prefix.truncate(len);
-        self.states.truncate(len + 1);
+        debug_assert!(len <= self.prefix_len());
+        self.ends.truncate(len + 1);
+        self.flat.truncate(self.ends[len]);
         self.popout.truncate(len);
     }
 
     /// Advances the trail by one byte. Returns `true` if at least one stack
     /// survived.
     pub fn advance(&mut self, pda: &Pda, tree: &mut PersistentStackTree, byte: u8) -> bool {
-        let current = self.states.last().expect("states is never empty");
+        let end = self.flat.len();
+        let current = &self.flat[self.current_start()..];
         let mut popout_here = false;
-        let next = if current.is_empty() {
-            Vec::new()
-        } else {
-            advance_byte(pda, tree, current, byte, |_| popout_here = true)
-        };
+        if !current.is_empty() {
+            // The closure is complete before the first survivor is appended
+            // to the buffer the current heads are read from.
+            closure(pda, tree, current, &mut self.scratch, |_| {
+                popout_here = true
+            });
+            step_byte(pda, tree, byte, &mut self.scratch, &mut self.flat);
+        }
         self.bytes_advanced += 1;
-        self.prefix.push(byte);
         self.popout.push(popout_here);
-        let alive = !next.is_empty();
-        self.states.push(next);
-        alive
+        self.ends.push(self.flat.len());
+        self.flat.len() > end
     }
 
     /// Matches `token` assuming the trail currently holds a prefix of it of
@@ -203,29 +258,49 @@ impl TokenTrail {
         let mut alive = !self.current_heads().is_empty();
         for &b in &token[keep..] {
             alive = self.advance(pda, tree, b);
-            // Keep advancing even when dead: pop-out offsets recorded earlier
-            // still apply, and later tokens sharing a longer prefix need the
-            // states to exist. Dead states advance to dead states cheaply.
-            if !alive && self.prefix.len() >= token.len() {
-                break;
-            }
             if !alive {
-                // Fill the remaining positions with dead states without
+                // Pop-out offsets recorded earlier still apply, and later
+                // tokens sharing a longer prefix need the states to exist:
+                // fill the remaining positions with dead states without
                 // doing automaton work.
-                while self.prefix.len() < token.len() {
-                    self.prefix.push(token[self.prefix.len()]);
-                    self.popout.push(false);
-                    self.states.push(Vec::new());
-                }
+                self.popout.resize(token.len(), false);
+                self.ends.resize(token.len() + 1, self.flat.len());
                 break;
             }
         }
-        alive && self.prefix.len() == token.len()
+        alive && self.prefix_len() == token.len()
+    }
+
+    /// Matches each of `tokens` — sorted by their byte strings, so that
+    /// neighbours share prefixes — against the stacks `heads`, calling
+    /// `on_match` for those the stacks can consume entirely.
+    pub fn match_sorted(
+        &mut self,
+        pda: &Pda,
+        tree: &mut PersistentStackTree,
+        vocab: &Vocabulary,
+        heads: &[StackHandle],
+        tokens: &[TokenId],
+        mut on_match: impl FnMut(TokenId),
+    ) {
+        self.reset(heads);
+        let mut prev: &[u8] = &[];
+        for &token in tokens {
+            let bytes = vocab.token_bytes(token);
+            if self.match_token(pda, tree, bytes, common_prefix_len(prev, bytes)) {
+                on_match(token);
+            }
+            prev = bytes;
+        }
     }
 
     /// Heads after the full current prefix.
     pub fn current_heads(&self) -> &[StackHandle] {
-        self.states.last().expect("states is never empty")
+        &self.flat[self.current_start()..]
+    }
+
+    fn current_start(&self) -> usize {
+        self.prefix_len().checked_sub(1).map_or(0, |i| self.ends[i])
     }
 
     /// Byte offsets `o < len` at which a pop-out of the bottom frame was
@@ -272,14 +347,15 @@ mod tests {
         let pda = json_pda();
         let mut tree = PersistentStackTree::new();
         let mut heads = start_heads(&pda, &mut tree);
+        let mut scratch = ExecScratch::default();
         let input = br#"{"a": [1, {"b": null}]}"#;
         let mut simple = xg_automata::SimpleMatcher::new(&pda);
         for &b in input.iter() {
-            heads = advance_byte(&pda, &mut tree, &heads, b, |_| {});
+            let alive = advance_bytes(&pda, &mut tree, &mut heads, &[b], &mut scratch).is_ok();
             let simple_alive = simple.advance_byte(b) == xg_automata::StepResult::Alive;
-            assert_eq!(!heads.is_empty(), simple_alive, "divergence at byte {b}");
+            assert_eq!(alive, simple_alive, "divergence at byte {b}");
         }
-        assert!(can_pop_out(&pda, &mut tree, &heads));
+        assert!(can_pop_out(&pda, &mut tree, &heads, &mut scratch));
     }
 
     #[test]
@@ -287,12 +363,12 @@ mod tests {
         let pda = json_pda();
         let mut tree = PersistentStackTree::new();
         let mut heads = start_heads(&pda, &mut tree);
-        for &b in br#"{"a" 1}"#.iter() {
-            heads = advance_byte(&pda, &mut tree, &heads, b, |_| {});
-            if heads.is_empty() {
-                break;
-            }
-        }
+        let mut scratch = ExecScratch::default();
+        // The space after the key is fine; `1` where `:` belongs is not.
+        assert_eq!(
+            advance_bytes(&pda, &mut tree, &mut heads, br#"{"a" 1}"#, &mut scratch),
+            Err(5)
+        );
         assert!(heads.is_empty());
     }
 
@@ -301,7 +377,8 @@ mod tests {
         let pda = json_pda();
         let mut tree = PersistentStackTree::new();
         let heads = start_heads(&pda, &mut tree);
-        let mut trail = TokenTrail::new(heads);
+        let mut trail = TokenTrail::default();
+        trail.reset(&heads);
         // Match two tokens sharing the prefix `{"na`.
         assert!(trail.match_token(&pda, &mut tree, br#"{"name"#, 0));
         let advanced_first = trail.bytes_advanced();
@@ -338,7 +415,8 @@ mod tests {
             .expect("str rule exists");
         let mut tree = PersistentStackTree::new();
         let head = tree.push(StackHandle::ROOT, str_start);
-        let mut trail = TokenTrail::new(vec![head]);
+        let mut trail = TokenTrail::default();
+        trail.reset(&[head]);
         let alive = trail.match_token(&pda, &mut tree, b"\"ab\"]", 0);
         // The token is not matchable locally (the `]` belongs to the parent)…
         assert!(!alive);
@@ -352,7 +430,8 @@ mod tests {
         let pda = json_pda();
         let mut tree = PersistentStackTree::new();
         let heads = start_heads(&pda, &mut tree);
-        let mut trail = TokenTrail::new(heads);
+        let mut trail = TokenTrail::default();
+        trail.reset(&heads);
         assert!(!trail.match_token(&pda, &mut tree, b"{x}", 0));
         // Next token shares the prefix `{` only; after rollback it matches.
         assert!(trail.match_token(&pda, &mut tree, b"{}", 1));
@@ -364,10 +443,9 @@ mod tests {
         let pda = build_pda(&g, &PdaBuildOptions::default());
         let mut tree = PersistentStackTree::new();
         let mut heads = vec![tree.push(StackHandle::ROOT, pda.root_start())];
-        assert!(!can_pop_out(&pda, &mut tree, &heads));
-        for &b in b"ab" {
-            heads = advance_byte(&pda, &mut tree, &heads, b, |_| {});
-        }
-        assert!(can_pop_out(&pda, &mut tree, &heads));
+        let mut scratch = ExecScratch::default();
+        assert!(!can_pop_out(&pda, &mut tree, &heads, &mut scratch));
+        advance_bytes(&pda, &mut tree, &mut heads, b"ab", &mut scratch).unwrap();
+        assert!(can_pop_out(&pda, &mut tree, &heads, &mut scratch));
     }
 }

@@ -12,14 +12,14 @@
 //!
 //! The cache stores, per node, whichever two of the three sets are cheapest
 //! (accept-heavy / reject-heavy / bitset storage, Figure 5), and the
-//! runtime merges per-stack masks with the set-based Algorithm 1.
+//! runtime merges per-stack masks by a word-level union (Algorithm 1).
 //!
 //! Construction uses the persistent execution stack: tokens are classified in
 //! lexicographic order and the matcher state is rolled back to the common
 //! prefix with the previously classified token (paper §3.3), which cuts the
 //! number of bytes that have to be matched to a fraction.
 
-use xg_automata::{Fsa, NodeId, Pda, SuffixMatch};
+use xg_automata::{Fsa, NodeId, Pda, PdaNode, SuffixMatch};
 use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
 use crate::executor::{common_prefix_len, TokenTrail};
@@ -211,7 +211,8 @@ fn classify_node(
 ) -> NodeClassification {
     let mut tree = PersistentStackTree::new();
     let start = tree.push(StackHandle::ROOT, node);
-    let mut trail = TokenTrail::new(vec![start]);
+    let mut trail = TokenTrail::default();
+    trail.reset(&[start]);
     let mut out = NodeClassification::default();
     let mut prev_bytes: &[u8] = &[];
     for (i, &token_id) in sorted.ids().iter().enumerate() {
@@ -308,8 +309,18 @@ pub fn build_mask_cache(
         options.num_threads
     };
 
+    // A pure-return node outside the root rule is never a stack top (the
+    // matcher pops it on arrival), so no mask is ever read there: its entry
+    // rejects every token and nothing of it is counted.
+    let never_top = |node: &PdaNode| node.is_pure_return() && node.rule != pda.root();
     let classify = |node_index: usize| -> NodeClassification {
         let node = NodeId(node_index as u32);
+        if never_top(pda.node(node)) {
+            return NodeClassification {
+                rejected: sorted.ids().to_vec(),
+                ..Default::default()
+            };
+        }
         let fsa = if options.context_expansion {
             suffix_fsas.map(|f| &f[pda.node(node).rule.index()])
         } else {
@@ -358,7 +369,8 @@ pub fn build_mask_cache(
         nodes: node_count,
         classified_tokens: sorted.len(),
         dense_memory_bytes: node_count * vocab_size.div_ceil(8),
-        preprocessing_bytes_naive: node_count as u64 * sorted.total_bytes() as u64,
+        preprocessing_bytes_naive: pda.nodes().iter().filter(|n| !never_top(n)).count() as u64
+            * sorted.total_bytes() as u64,
         ..Default::default()
     };
     for classification in classifications {
@@ -488,6 +500,36 @@ mod tests {
         let accept_heavy =
             (0..pda.node_count()).any(|i| cache.entry(NodeId(i as u32)).is_accept_heavy());
         assert!(accept_heavy, "expected at least one accept-heavy node");
+    }
+
+    #[test]
+    fn pure_return_nodes_get_an_empty_entry_and_count_nothing() {
+        // `element`'s final node has no edges and an accept-everything suffix
+        // automaton: classified, it would hold the whole vocabulary as
+        // context-dependent tokens nobody ever reads.
+        let vocab = test_vocabulary(2000);
+        let (pda, cache) = build_all(xg_grammar::builtin::XML_EBNF, &vocab, true);
+        let mut skipped = 0;
+        for (i, node) in pda.nodes().iter().enumerate() {
+            if node.is_pure_return() && node.rule != pda.root() {
+                skipped += 1;
+                assert_eq!(
+                    cache.entry(NodeId(i as u32)),
+                    &NodeMaskEntry::RejectHeavy {
+                        accepted: Vec::new(),
+                        uncertain: Vec::new()
+                    }
+                );
+            }
+        }
+        assert!(skipped > 0, "the XML grammar has pure-return nodes");
+        let stats = cache.stats();
+        assert!(stats.max_context_dependent_per_node < stats.classified_tokens / 10);
+        assert_eq!(
+            stats.preprocessing_bytes_naive,
+            (pda.node_count() - skipped) as u64
+                * SortedVocabulary::new(&vocab).total_bytes() as u64
+        );
     }
 
     #[test]

@@ -6,17 +6,26 @@
 //! against the full stack), and after sampling it consumes the chosen token
 //! to advance the stacks. It also supports O(1) rollback of recent tokens and
 //! jump-forward string detection (Appendix B).
+//!
+//! The next mask is the union over the live stacks of each stack's own mask
+//! (Algorithm 1), and it is computed on the word kernels of
+//! [`TokenBitmask`]: the first stack is written straight into the caller's
+//! mask, every further one into a scratch mask that is then OR-ed in. The
+//! matcher owns everything this needs — scratch mask, [`TokenTrail`],
+//! [`ExecScratch`], head buffers, a flat rollback history — so that a
+//! steady-state fill, accept or rollback allocates nothing
+//! (`tests/alloc_free_decode.rs` counts).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use xg_automata::PdaEdge;
+use xg_automata::{Pda, PdaEdge};
 use xg_tokenizer::TokenId;
 
 use crate::compiler::CompiledGrammar;
 use crate::constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats};
 use crate::error::{AcceptError, RollbackError};
-use crate::executor::{advance_byte, can_pop_out, common_prefix_len, TokenTrail};
+use crate::executor::{advance_bytes, can_pop_out, closure, ExecScratch, TokenTrail};
 use crate::mask::TokenBitmask;
 use crate::mask_cache::NodeMaskEntry;
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
@@ -39,6 +48,11 @@ pub struct MatcherStats {
     /// advanced the matcher without per-token sampling (jump-forward
     /// injections and any caller-seeded prefixes).
     pub bytes_forced: u64,
+    /// Sum of [`GrammarMatcher::stack_count`] over the masks generated
+    /// (stacks per step = `stacks_total / masks_generated`).
+    pub stacks_total: u64,
+    /// Largest number of parallel stacks any mask was generated from.
+    pub max_stacks: u64,
 }
 
 /// The incremental grammar matcher for one generation request.
@@ -64,13 +78,30 @@ pub struct GrammarMatcher {
     compiled: Arc<CompiledGrammar>,
     tree: PersistentStackTree,
     heads: Vec<StackHandle>,
-    /// Snapshots of `heads` *before* each accepted token, newest last. A
-    /// deque so that trimming the oldest snapshot is O(1) — with a `Vec`,
-    /// every accepted token beyond the window paid an O(window) `remove(0)`.
-    history: VecDeque<Vec<StackHandle>>,
+    /// Snapshots of `heads` *before* each accepted token, newest last, stored
+    /// back to back: `history_lens[i]` handles of `history` belong to the
+    /// i-th snapshot. Two ring buffers, so that recording, trimming the
+    /// oldest and rolling back to any snapshot all reuse the same storage.
+    history: VecDeque<StackHandle>,
+    history_lens: VecDeque<usize>,
     max_rollback: usize,
     terminated: bool,
     stats: MatcherStats,
+    /// Boxed: matchers are moved by value (pools, enums over matcher kinds).
+    work: Box<Working>,
+}
+
+/// The working memory of a step, kept from step to step and across `reset`.
+#[derive(Debug, Default)]
+struct Working {
+    /// The heads being advanced by an accept or a jump-forward search; the
+    /// matcher's `heads` stay intact until the whole unit has matched.
+    heads: Vec<StackHandle>,
+    exec: ExecScratch,
+    trail: TokenTrail,
+    /// Mask of the second and every further stack of a multi-stack fill
+    /// (sized on the first such fill).
+    stack_mask: Option<TokenBitmask>,
 }
 
 impl GrammarMatcher {
@@ -82,17 +113,19 @@ impl GrammarMatcher {
     /// Creates a matcher that can roll back up to `max_rollback` recently
     /// accepted tokens.
     pub fn with_max_rollback(compiled: Arc<CompiledGrammar>, max_rollback: usize) -> Self {
-        let mut tree = PersistentStackTree::new();
-        let start = tree.push(StackHandle::ROOT, compiled.pda().root_start());
-        GrammarMatcher {
+        let mut matcher = GrammarMatcher {
             compiled,
-            tree,
-            heads: vec![start],
+            tree: PersistentStackTree::new(),
+            heads: Vec::new(),
             history: VecDeque::new(),
+            history_lens: VecDeque::new(),
             max_rollback,
             terminated: false,
             stats: MatcherStats::default(),
-        }
+            work: Box::default(),
+        };
+        matcher.reset();
+        matcher
     }
 
     /// The compiled grammar this matcher runs.
@@ -121,19 +154,27 @@ impl GrammarMatcher {
         if self.terminated {
             return false;
         }
-        can_pop_out(self.compiled.pda(), &mut self.tree, &self.heads)
+        can_pop_out(
+            self.compiled.pda(),
+            &mut self.tree,
+            &self.heads,
+            &mut self.work.exec,
+        )
     }
 
     /// Resets the matcher to the start of the grammar, clearing all history
     /// and statistics (a recycled matcher is indistinguishable from a fresh
-    /// one, which [`MatcherPool`](crate::MatcherPool) relies on).
+    /// one, which [`MatcherPool`](crate::MatcherPool) relies on) but keeping
+    /// every buffer's capacity.
     pub fn reset(&mut self) {
-        self.tree = PersistentStackTree::new();
+        self.tree.clear();
         let start = self
             .tree
             .push(StackHandle::ROOT, self.compiled.pda().root_start());
-        self.heads = vec![start];
+        self.heads.clear();
+        self.heads.push(start);
         self.history.clear();
+        self.history_lens.clear();
         self.terminated = false;
         self.stats = MatcherStats::default();
     }
@@ -149,137 +190,98 @@ impl GrammarMatcher {
     /// Panics if the mask's vocabulary size differs from the compiled
     /// grammar's vocabulary.
     pub fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
-        let vocab = Arc::clone(self.compiled.vocabulary());
         assert_eq!(
             mask.vocab_size(),
-            vocab.len(),
+            self.compiled.vocabulary().len(),
             "mask size must match the vocabulary"
         );
-        mask.reject_all();
-        self.stats.masks_generated += 1;
+        self.count_fill();
         if self.terminated {
+            mask.reject_all();
             return;
         }
-
-        let compiled = Arc::clone(&self.compiled);
-        if compiled.mask_cache().is_some() {
-            self.fill_mask_with_cache(&compiled, mask);
+        if self.compiled.mask_cache().is_some() {
+            self.fill_mask_with_cache(mask);
         } else {
-            self.fill_mask_naive(&compiled, mask);
+            self.fill_mask_naive(mask);
         }
+        self.finish_mask(mask);
+    }
 
-        // Special tokens are never produced by the grammar; EOS is allowed
-        // exactly when the structure is complete.
-        for special in vocab.special_ids() {
+    fn count_fill(&mut self) {
+        let stacks = self.heads.len() as u64;
+        self.stats.masks_generated += 1;
+        self.stats.stacks_total += stacks;
+        self.stats.max_stacks = self.stats.max_stacks.max(stacks);
+    }
+
+    /// Special tokens are never produced by the grammar; EOS is allowed
+    /// exactly when the structure is complete.
+    fn finish_mask(&mut self, mask: &mut TokenBitmask) {
+        for special in self.compiled.vocabulary().special_tokens() {
             mask.reject(special);
         }
-        if let Some(eos) = vocab.eos() {
+        if let Some(eos) = self.compiled.vocabulary().eos() {
             if self.can_terminate() {
                 mask.allow(eos);
             }
         }
     }
 
-    /// Mask generation using the adaptive token mask cache and the
-    /// set-based merge of Algorithm 1.
-    fn fill_mask_with_cache(&mut self, compiled: &CompiledGrammar, mask: &mut TokenBitmask) {
-        let cache = compiled.mask_cache().expect("checked by caller");
-        let vocab = compiled.vocabulary();
-
-        if self.heads.len() == 1 {
-            // Fast path: single stack, write the mask directly. The
-            // context-independent part is filled with the word-level bulk
-            // kernels; only the context-dependent tokens need per-token work.
-            let head = self.heads[0];
-            let top = self.tree.top(head).expect("heads carry a top node");
-            let entry = cache.entry(top);
-            Self::fill_certain(entry, mask);
-            let resolved = self.resolve_uncertain(compiled, head, entry.uncertain());
-            for (i, &t) in entry.uncertain().iter().enumerate() {
-                if resolved[i] {
-                    mask.allow(t);
-                }
+    /// Mask generation using the adaptive token mask cache: Algorithm 1's
+    /// merge is the union of the per-stack masks, taken word by word.
+    fn fill_mask_with_cache(&mut self, mask: &mut TokenBitmask) {
+        self.fill_stack(self.heads[0], None, mask);
+        if self.heads.len() > 1 {
+            let mut other = self
+                .work
+                .stack_mask
+                .take()
+                .unwrap_or_else(|| TokenBitmask::new_all_rejected(mask.vocab_size()));
+            for i in 1..self.heads.len() {
+                self.fill_stack(self.heads[i], None, &mut other);
+                mask.union_with(&other);
             }
-            self.stats.context_independent_hits += Self::certain_count(entry, vocab.len());
-            return;
-        }
-
-        // Multiple parallel stacks: Algorithm 1. `partial_rej = None` encodes
-        // "the whole vocabulary".
-        let mut partial_acc: HashSet<TokenId> = HashSet::new();
-        let mut partial_rej: Option<HashSet<TokenId>> = None;
-        let heads = self.heads.clone();
-        for head in heads {
-            let top = self.tree.top(head).expect("heads carry a top node");
-            let entry = cache.entry(top);
-            let resolved = self.resolve_uncertain(compiled, head, entry.uncertain());
-            match entry {
-                NodeMaskEntry::AcceptHeavy {
-                    rejected,
-                    uncertain,
-                } => {
-                    // This stack rejects `rejected ∪ {unresolved uncertain}`.
-                    let mut stack_rej: HashSet<TokenId> = rejected.iter().copied().collect();
-                    for (i, &t) in uncertain.iter().enumerate() {
-                        if !resolved[i] {
-                            stack_rej.insert(t);
-                        }
-                    }
-                    partial_rej = Some(match partial_rej.take() {
-                        None => stack_rej,
-                        Some(prev) => prev.intersection(&stack_rej).copied().collect(),
-                    });
-                    self.stats.context_independent_hits +=
-                        (vocab.len() - rejected.len() - uncertain.len()) as u64;
-                }
-                NodeMaskEntry::RejectHeavy {
-                    accepted,
-                    uncertain,
-                } => {
-                    partial_acc.extend(accepted.iter().copied());
-                    for (i, &t) in uncertain.iter().enumerate() {
-                        if resolved[i] {
-                            partial_acc.insert(t);
-                        }
-                    }
-                    self.stats.context_independent_hits += accepted.len() as u64;
-                }
-                NodeMaskEntry::Bitset {
-                    accepted,
-                    uncertain,
-                } => {
-                    partial_acc.extend(accepted.allowed_tokens());
-                    for (i, &t) in uncertain.iter().enumerate() {
-                        if resolved[i] {
-                            partial_acc.insert(t);
-                        }
-                    }
-                    self.stats.context_independent_hits += accepted.count_allowed() as u64;
-                }
-            }
-        }
-        // Final mask: rejected = partial_rej \ partial_acc; everything else is
-        // allowed (when no accept-heavy stack was seen, allowed = partial_acc).
-        match partial_rej {
-            Some(rej) => {
-                mask.allow_all();
-                for t in rej {
-                    if !partial_acc.contains(&t) {
-                        mask.reject(t);
-                    }
-                }
-            }
-            None => {
-                for t in partial_acc {
-                    mask.allow(t);
-                }
-            }
+            self.work.stack_mask = Some(other);
         }
     }
 
-    /// Writes the *context-independent* portion of a cache entry into `mask`
-    /// using the bulk word kernels. Context-dependent tokens are left
-    /// rejected for the caller to resolve. `mask` must start all-rejected.
+    /// Overwrites `mask` with the mask of the one stack `head`: the
+    /// context-independent part of its top node's cache entry (word kernels,
+    /// or a copy of `base` when the caller already holds that part), plus
+    /// the context-dependent tokens that the full stack can consume.
+    fn fill_stack(
+        &mut self,
+        head: StackHandle,
+        base: Option<&TokenBitmask>,
+        mask: &mut TokenBitmask,
+    ) {
+        let compiled = &*self.compiled;
+        let top = self.tree.top(head).expect("heads carry a top node");
+        debug_assert!(
+            !compiled.pda().node(top).is_pure_return() || self.tree.depth(head) == 1,
+            "canonical heads never rest on a pure-return node"
+        );
+        let entry = compiled.mask_cache().expect("caller checked").entry(top);
+        match base {
+            Some(base) => mask.copy_from(base),
+            None => Self::fill_certain(entry, mask),
+        }
+        self.work.trail.match_sorted(
+            compiled.pda(),
+            &mut self.tree,
+            compiled.vocabulary(),
+            &[head],
+            entry.uncertain(),
+            |token| mask.allow(token),
+        );
+        self.stats.context_dependent_checked += entry.uncertain().len() as u64;
+        self.stats.context_independent_hits += Self::certain_count(entry, mask.vocab_size());
+    }
+
+    /// Overwrites `mask` with the *context-independent* portion of a cache
+    /// entry using the bulk word kernels. Context-dependent tokens are left
+    /// rejected for the caller to resolve.
     fn fill_certain(entry: &NodeMaskEntry, mask: &mut TokenBitmask) {
         match entry {
             NodeMaskEntry::AcceptHeavy {
@@ -291,6 +293,7 @@ impl GrammarMatcher {
                 mask.reject_many(uncertain);
             }
             NodeMaskEntry::RejectHeavy { accepted, .. } => {
+                mask.reject_all();
                 mask.allow_many(accepted);
             }
             NodeMaskEntry::Bitset { accepted, .. } => {
@@ -349,13 +352,11 @@ impl GrammarMatcher {
             self.compiled.vocabulary().len(),
             "mask size must match the vocabulary"
         );
-        let compiled = Arc::clone(&self.compiled);
-        let cache = compiled.mask_cache().expect("checked by mask_batch_key");
+        let cache = self.compiled.mask_cache().expect("has a batch key");
         let top = self
             .tree
             .top(self.heads[0])
             .expect("heads carry a top node");
-        base.reject_all();
         Self::fill_certain(cache.entry(top), base);
         true
     }
@@ -378,86 +379,36 @@ impl GrammarMatcher {
         mask: &mut TokenBitmask,
         base: &TokenBitmask,
     ) {
-        let vocab = Arc::clone(self.compiled.vocabulary());
         assert_eq!(
             mask.vocab_size(),
-            vocab.len(),
+            self.compiled.vocabulary().len(),
             "mask size must match the vocabulary"
         );
         assert!(
             self.mask_batch_key().is_some(),
             "matcher has no shared mask base"
         );
-        self.stats.masks_generated += 1;
-        mask.copy_from(base);
-        let compiled = Arc::clone(&self.compiled);
-        let cache = compiled.mask_cache().expect("checked by mask_batch_key");
-        let head = self.heads[0];
-        let top = self.tree.top(head).expect("heads carry a top node");
-        let entry = cache.entry(top);
-        let resolved = self.resolve_uncertain(&compiled, head, entry.uncertain());
-        for (i, &t) in entry.uncertain().iter().enumerate() {
-            if resolved[i] {
-                mask.allow(t);
-            }
-        }
-        self.stats.context_independent_hits += Self::certain_count(entry, vocab.len());
-        for special in vocab.special_ids() {
-            mask.reject(special);
-        }
-        if let Some(eos) = vocab.eos() {
-            if self.can_terminate() {
-                mask.allow(eos);
-            }
-        }
+        self.count_fill();
+        self.fill_stack(self.heads[0], Some(base), mask);
+        self.finish_mask(mask);
     }
 
     /// Mask generation without the cache: every token is checked against the
     /// full stack (the "PDA baseline" of the ablation study). Tokens are still
     /// checked in sorted order to share prefixes.
-    fn fill_mask_naive(&mut self, compiled: &CompiledGrammar, mask: &mut TokenBitmask) {
-        let vocab = Arc::clone(compiled.vocabulary());
-        let sorted_ids: Vec<TokenId> = compiled.sorted_vocabulary().ids().to_vec();
-        let pda = compiled.pda();
-        let mut trail = TokenTrail::new(self.heads.clone());
-        let mut prev: &[u8] = &[];
-        for &token in &sorted_ids {
-            let bytes = vocab.token_bytes(token);
-            let keep = common_prefix_len(prev, bytes);
-            let ok = trail.match_token(pda, &mut self.tree, bytes, keep);
-            if ok {
-                mask.allow(token);
-            }
-            prev = bytes;
-            self.stats.context_dependent_checked += 1;
-        }
-    }
-
-    /// Resolves the context-dependent tokens of one stack by matching them
-    /// against the full stack, reusing shared prefixes between consecutive
-    /// tokens. Returns one boolean per uncertain token (true = allowed).
-    fn resolve_uncertain(
-        &mut self,
-        compiled: &CompiledGrammar,
-        head: StackHandle,
-        uncertain: &[TokenId],
-    ) -> Vec<bool> {
-        if uncertain.is_empty() {
-            return Vec::new();
-        }
-        let vocab = Arc::clone(compiled.vocabulary());
-        let pda = compiled.pda();
-        let mut out = Vec::with_capacity(uncertain.len());
-        let mut trail = TokenTrail::new(vec![head]);
-        let mut prev: &[u8] = &[];
-        for &token in uncertain {
-            let bytes = vocab.token_bytes(token);
-            let keep = common_prefix_len(prev, bytes);
-            out.push(trail.match_token(pda, &mut self.tree, bytes, keep));
-            prev = bytes;
-            self.stats.context_dependent_checked += 1;
-        }
-        out
+    fn fill_mask_naive(&mut self, mask: &mut TokenBitmask) {
+        let compiled = &*self.compiled;
+        let sorted_ids = compiled.sorted_vocabulary().ids();
+        mask.reject_all();
+        self.work.trail.match_sorted(
+            compiled.pda(),
+            &mut self.tree,
+            compiled.vocabulary(),
+            &self.heads,
+            sorted_ids,
+            |token| mask.allow(token),
+        );
+        self.stats.context_dependent_checked += sorted_ids.len() as u64;
     }
 
     // -----------------------------------------------------------------
@@ -475,36 +426,35 @@ impl GrammarMatcher {
         if self.terminated {
             return Err(AcceptError::AlreadyTerminated);
         }
-        let vocab = Arc::clone(self.compiled.vocabulary());
+        let vocab = self.compiled.vocabulary();
         if token.index() >= vocab.len() {
             return Err(AcceptError::UnknownToken { token });
         }
         if vocab.is_special(token) {
-            if Some(token) == vocab.eos() {
-                if self.can_terminate() {
-                    self.push_history();
-                    self.terminated = true;
-                    self.stats.tokens_accepted += 1;
-                    return Ok(());
-                }
+            if Some(token) != vocab.eos() {
+                return Err(AcceptError::SpecialTokenRejected { token });
+            }
+            if !self.can_terminate() {
                 return Err(AcceptError::CannotTerminate);
             }
-            return Err(AcceptError::SpecialTokenRejected { token });
+            self.push_history();
+            self.terminated = true;
+        } else {
+            let bytes = vocab.token_bytes(token);
+            self.work.heads.clone_from(&self.heads);
+            advance_bytes(
+                self.compiled.pda(),
+                &mut self.tree,
+                &mut self.work.heads,
+                bytes,
+                &mut self.work.exec,
+            )
+            .map_err(|matched_bytes| AcceptError::TokenRejected {
+                token,
+                matched_bytes,
+            })?;
+            self.commit_work();
         }
-        let bytes = vocab.token_bytes(token).to_vec();
-        let compiled = Arc::clone(&self.compiled);
-        let mut heads = self.heads.clone();
-        for (i, &b) in bytes.iter().enumerate() {
-            heads = advance_byte(compiled.pda(), &mut self.tree, &heads, b, |_| {});
-            if heads.is_empty() {
-                return Err(AcceptError::TokenRejected {
-                    token,
-                    matched_bytes: i,
-                });
-            }
-        }
-        self.push_history();
-        self.heads = self.canonicalize_heads(&compiled, heads);
         self.stats.tokens_accepted += 1;
         Ok(())
     }
@@ -512,82 +462,42 @@ impl GrammarMatcher {
     /// Verifies a speculative k-token draft in one call: accepts tokens from
     /// `tokens` in order until one is rejected, and returns the length of the
     /// accepted prefix. The matcher ends advanced by exactly that prefix —
-    /// byte-identical to a token-by-token [`accept_token`](Self::accept_token)
-    /// loop — and each accepted token remains an individual rollback unit
-    /// (persistent-stack snapshot), so a caller can
-    /// [`rollback`](Self::rollback) any suffix of the draft afterwards.
-    ///
-    /// This is the fast path for speculative decoding: the per-call setup
-    /// (vocabulary and grammar handles) is hoisted out of the loop and the
-    /// first rejected byte stops the scan without unwinding, so verifying a
-    /// draft costs one call instead of k.
+    /// a token-by-token [`accept_token`](Self::accept_token) loop — and each
+    /// accepted token remains an individual rollback unit (persistent-stack
+    /// snapshot), so a caller can [`rollback`](Self::rollback) any suffix of
+    /// the draft afterwards. The first rejected byte stops the scan without
+    /// unwinding.
     pub fn accept_tokens_speculative(&mut self, tokens: &[TokenId]) -> usize {
-        let vocab = Arc::clone(self.compiled.vocabulary());
-        let compiled = Arc::clone(&self.compiled);
-        let mut accepted = 0;
-        for &token in tokens {
-            if self.terminated || token.index() >= vocab.len() {
-                break;
-            }
-            if vocab.is_special(token) {
-                if Some(token) == vocab.eos() && self.can_terminate() {
-                    self.push_history();
-                    self.terminated = true;
-                    self.stats.tokens_accepted += 1;
-                    accepted += 1;
-                    continue;
-                }
-                break;
-            }
-            let bytes = vocab.token_bytes(token);
-            let mut heads = self.heads.clone();
-            let mut ok = true;
-            for &b in bytes {
-                heads = advance_byte(compiled.pda(), &mut self.tree, &heads, b, |_| {});
-                if heads.is_empty() {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                break;
-            }
-            self.push_history();
-            self.heads = self.canonicalize_heads(&compiled, heads);
-            self.stats.tokens_accepted += 1;
-            accepted += 1;
-        }
-        accepted
+        tokens
+            .iter()
+            .take_while(|&&token| self.accept_token(token).is_ok())
+            .count()
     }
 
-    /// Eagerly pops completed rules whose final node has no further local
-    /// edges: such a node carries no information beyond "return to the
-    /// parent", so replacing it with the parent frame keeps stack tops on
-    /// informative nodes (whose cache entries have few context-dependent
-    /// tokens) without changing the recognized language.
-    fn canonicalize_heads(
-        &mut self,
-        compiled: &CompiledGrammar,
-        heads: Vec<StackHandle>,
-    ) -> Vec<StackHandle> {
-        let pda = compiled.pda();
-        let mut out = Vec::with_capacity(heads.len());
-        let mut seen = HashSet::new();
-        for mut h in heads {
+    /// Makes the advanced `work.heads` the new heads, recording the old ones
+    /// as one rollback unit. On the way it eagerly pops completed rules whose final node has
+    /// no further local edges: such a node carries no information beyond
+    /// "return to the parent", so replacing it with the parent frame keeps
+    /// stack tops on informative nodes (whose cache entries have few
+    /// context-dependent tokens) without changing the recognized language.
+    fn commit_work(&mut self) {
+        self.push_history();
+        let pda = self.compiled.pda();
+        self.heads.clear();
+        self.work.exec.new_pass();
+        for &(mut h) in &self.work.heads {
             loop {
                 let top = self.tree.top(h).expect("heads carry a top node");
-                let node = pda.node(top);
-                if node.is_final && node.edges.is_empty() && self.tree.depth(h) > 1 {
+                if pda.node(top).is_pure_return() && self.tree.depth(h) > 1 {
                     h = self.tree.pop(h);
                 } else {
                     break;
                 }
             }
-            if seen.insert(h) {
-                out.push(h);
+            if self.work.exec.first_visit(h) {
+                self.heads.push(h);
             }
         }
-        out
     }
 
     /// Accepts a raw string (used by jump-forward decoding, Appendix B, where
@@ -603,33 +513,42 @@ impl GrammarMatcher {
         if self.terminated {
             return Err(AcceptError::AlreadyTerminated);
         }
-        let compiled = Arc::clone(&self.compiled);
-        let mut heads = self.heads.clone();
-        for (i, &b) in bytes.iter().enumerate() {
-            heads = advance_byte(compiled.pda(), &mut self.tree, &heads, b, |_| {});
-            if heads.is_empty() {
-                return Err(AcceptError::BytesRejected { matched_bytes: i });
-            }
-        }
-        self.push_history();
-        self.heads = self.canonicalize_heads(&compiled, heads);
+        self.work.heads.clone_from(&self.heads);
+        advance_bytes(
+            self.compiled.pda(),
+            &mut self.tree,
+            &mut self.work.heads,
+            bytes,
+            &mut self.work.exec,
+        )
+        .map_err(|matched_bytes| AcceptError::BytesRejected { matched_bytes })?;
+        self.commit_work();
         self.stats.bytes_forced += bytes.len() as u64;
         Ok(())
     }
 
+    /// Appends the current heads to the rollback history, dropping the oldest
+    /// snapshot once the window is full.
     fn push_history(&mut self) {
         if self.max_rollback == 0 {
             return;
         }
-        self.history.push_back(self.heads.clone());
-        if self.history.len() > self.max_rollback {
-            self.history.pop_front();
+        if self.history_lens.len() == self.max_rollback {
+            self.drop_oldest_snapshot();
+        }
+        self.history.extend(&self.heads);
+        self.history_lens.push_back(self.heads.len());
+    }
+
+    fn drop_oldest_snapshot(&mut self) {
+        if let Some(len) = self.history_lens.pop_front() {
+            self.history.drain(..len);
         }
     }
 
     /// Number of accepted tokens that can currently be rolled back.
     pub fn rollback_window(&self) -> usize {
-        self.history.len()
+        self.history_lens.len()
     }
 
     /// The maximum rollback window this matcher was created with.
@@ -649,17 +568,22 @@ impl GrammarMatcher {
         if num_tokens == 0 {
             return Ok(());
         }
-        if num_tokens > self.history.len() {
+        if num_tokens > self.history_lens.len() {
             return Err(RollbackError {
                 requested: num_tokens,
-                available: self.history.len(),
+                available: self.history_lens.len(),
             });
         }
-        // The state before the k-th most recent token is the k-th entry from
-        // the back of the history.
-        let target = self.history.len() - num_tokens;
-        self.heads = self.history[target].clone();
-        self.history.truncate(target);
+        // The state before the k-th most recent token is the k-th snapshot
+        // from the back of the history; it and everything newer goes.
+        let target = self.history_lens.len() - num_tokens;
+        let dropped: usize = self.history_lens.range(target..).sum();
+        let start = self.history.len() - dropped;
+        self.heads.clear();
+        self.heads
+            .extend(self.history.range(start..start + self.history_lens[target]));
+        self.history.truncate(start);
+        self.history_lens.truncate(target);
         self.terminated = false;
         Ok(())
     }
@@ -680,30 +604,34 @@ impl GrammarMatcher {
     /// re-tokenize a split codepoint.
     pub fn find_jump_forward_string(&mut self) -> Vec<u8> {
         const MAX_JUMP_FORWARD_BYTES: usize = 512;
-        let compiled = Arc::clone(&self.compiled);
-        let pda = compiled.pda();
-        let mut heads = self.heads.clone();
         let mut out = Vec::new();
         if self.terminated {
             return out;
         }
-        loop {
-            if out.len() >= MAX_JUMP_FORWARD_BYTES {
-                break;
-            }
+        let pda = self.compiled.pda();
+        self.work.heads.clone_from(&self.heads);
+        while out.len() < MAX_JUMP_FORWARD_BYTES {
             // If the grammar can terminate here, the next byte is not forced.
-            if can_pop_out(pda, &mut self.tree, &heads) {
+            if can_pop_out(pda, &mut self.tree, &self.work.heads, &mut self.work.exec) {
                 break;
             }
-            let Some(byte) = Self::sole_next_byte(pda, &mut self.tree, &heads) else {
+            let Some(byte) =
+                Self::sole_next_byte(pda, &mut self.tree, &self.work.heads, &mut self.work.exec)
+            else {
                 break;
             };
-            let next = advance_byte(pda, &mut self.tree, &heads, byte, |_| {});
-            if next.is_empty() {
+            if advance_bytes(
+                pda,
+                &mut self.tree,
+                &mut self.work.heads,
+                &[byte],
+                &mut self.work.exec,
+            )
+            .is_err()
+            {
                 break;
             }
             out.push(byte);
-            heads = next;
         }
         // Trim to the last complete character boundary.
         if let Err(e) = std::str::from_utf8(&out) {
@@ -724,13 +652,13 @@ impl GrammarMatcher {
     /// from the given heads, or `None` if zero or more than one byte is
     /// possible.
     fn sole_next_byte(
-        pda: &xg_automata::Pda,
+        pda: &Pda,
         tree: &mut PersistentStackTree,
         heads: &[StackHandle],
+        scratch: &mut ExecScratch,
     ) -> Option<u8> {
-        let expanded = crate::executor::closure(pda, tree, heads, |_| {});
         let mut candidate: Option<u8> = None;
-        for h in expanded {
+        for &h in closure(pda, tree, heads, scratch, |_| {}) {
             let top = tree.top(h).expect("heads carry a top node");
             for edge in &pda.node(top).edges {
                 if let PdaEdge::Bytes { range, .. } = edge {
@@ -764,10 +692,6 @@ impl ConstraintMatcher for GrammarMatcher {
 
     fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError> {
         GrammarMatcher::accept_bytes(self, bytes)
-    }
-
-    fn accept_tokens_speculative(&mut self, tokens: &[TokenId]) -> usize {
-        GrammarMatcher::accept_tokens_speculative(self, tokens)
     }
 
     fn mask_batch_key(&self) -> Option<u64> {
@@ -819,8 +743,8 @@ impl ConstraintMatcher for GrammarMatcher {
     }
 
     fn trim_history(&mut self, keep: usize) {
-        while self.history.len() > keep {
-            self.history.pop_front();
+        while self.history_lens.len() > keep {
+            self.drop_oldest_snapshot();
         }
     }
 
@@ -903,6 +827,147 @@ mod tests {
                 m_naive.accept_bytes(&prefix[step..step + 1]).unwrap();
             }
         }
+    }
+
+    /// The next-token mask according to a `SimpleMatcher`: every token is
+    /// fed to a copy of the oracle byte by byte, in sorted order so that the
+    /// copies after each byte of a shared prefix (alive ones; a prefix that
+    /// died stays dead) are made once.
+    fn oracle_mask(
+        oracle: &xg_automata::SimpleMatcher<'_>,
+        compiled: &CompiledGrammar,
+    ) -> TokenBitmask {
+        let vocab = compiled.vocabulary();
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        let mut alive = vec![oracle.clone()];
+        let mut dead_len = None;
+        let mut prev: &[u8] = &[];
+        for &id in compiled.sorted_vocabulary().ids() {
+            let bytes = vocab.token_bytes(id);
+            let shared = crate::executor::common_prefix_len(prev, bytes);
+            prev = bytes;
+            if dead_len.is_some_and(|dead| shared >= dead) {
+                continue;
+            }
+            alive.truncate(shared + 1);
+            dead_len = None;
+            for &byte in &bytes[shared..] {
+                let mut next = alive.last().unwrap().clone();
+                if !next.advance_bytes(&[byte]) {
+                    dead_len = Some(alive.len());
+                    break;
+                }
+                alive.push(next);
+            }
+            if dead_len.is_none() {
+                mask.allow(id);
+            }
+        }
+        if let (Some(eos), true) = (vocab.eos(), oracle.can_terminate()) {
+            mask.allow(eos);
+        }
+        mask
+    }
+
+    /// Walks `document` token by token and checks, before every token, the
+    /// cached mask against the cache-less full scan and against a per-token
+    /// `SimpleMatcher` oracle (a different executor over the same automaton;
+    /// the unoptimized one costs minutes in a debug build). Returns, for the
+    /// steps that ran on two or more stacks, how many there were and which
+    /// entry formats (accept-heavy, reject-heavy, bitset) were a top.
+    fn walk_checking_every_mask(
+        grammar: &xg_grammar::Grammar,
+        document: &[u8],
+    ) -> (usize, [bool; 3]) {
+        let vocab = Arc::new(test_vocabulary(8000));
+        let cached = GrammarCompiler::new(Arc::clone(&vocab)).compile_grammar(grammar);
+        let naive = GrammarCompiler::with_config(
+            Arc::clone(&vocab),
+            CompilerConfig {
+                enable_mask_cache: false,
+                ..Default::default()
+            },
+        )
+        .compile_grammar(grammar);
+        let mut oracle = xg_automata::SimpleMatcher::new(cached.pda());
+        let (tokens, covered) = cached
+            .sorted_vocabulary()
+            .longest_prefix_cover(&vocab, document);
+        assert_eq!(covered, document.len());
+
+        let mut m_cached = GrammarMatcher::new(Arc::clone(&cached));
+        let mut m_naive = GrammarMatcher::new(naive);
+        let mut mask_cached = TokenBitmask::new_all_rejected(vocab.len());
+        let mut mask_naive = TokenBitmask::new_all_rejected(vocab.len());
+        let (mut multi_stack_steps, mut formats) = (0, [false; 3]);
+        let (mut stacks_total, mut max_stacks) = (0, 0);
+        for (step, &token) in tokens.iter().enumerate() {
+            stacks_total += m_cached.stack_count() as u64;
+            max_stacks = max_stacks.max(m_cached.stack_count() as u64);
+            if m_cached.stack_count() >= 2 {
+                multi_stack_steps += 1;
+                for &head in &m_cached.heads {
+                    let top = m_cached.tree.top(head).unwrap();
+                    match cached.mask_cache().unwrap().entry(top) {
+                        NodeMaskEntry::AcceptHeavy { .. } => formats[0] = true,
+                        NodeMaskEntry::RejectHeavy { .. } => formats[1] = true,
+                        NodeMaskEntry::Bitset { .. } => formats[2] = true,
+                    }
+                }
+            }
+            m_cached.fill_next_token_bitmask(&mut mask_cached);
+            m_naive.fill_next_token_bitmask(&mut mask_naive);
+            assert_eq!(mask_cached, mask_naive, "cache vs full scan at step {step}");
+            let expected = oracle_mask(&oracle, &cached);
+            if let Some((id, bytes)) = vocab
+                .iter()
+                .find(|(id, _)| mask_cached.is_allowed(*id) != expected.is_allowed(*id))
+            {
+                panic!(
+                    "step {step} ({} stacks): the oracle {} token {:?}",
+                    m_cached.stack_count(),
+                    if expected.is_allowed(id) {
+                        "allows"
+                    } else {
+                        "rejects"
+                    },
+                    String::from_utf8_lossy(bytes)
+                );
+            }
+            m_cached.accept_token(token).unwrap();
+            m_naive.accept_token(token).unwrap();
+            assert!(oracle.advance_bytes(vocab.token_bytes(token)));
+        }
+        assert!(m_cached.can_terminate());
+        let stats = m_cached.stats();
+        assert_eq!(stats.masks_generated, tokens.len() as u64);
+        assert_eq!(
+            (stats.stacks_total, stats.max_stacks),
+            (stacks_total, max_stacks)
+        );
+        (multi_stack_steps, formats)
+    }
+
+    #[test]
+    fn multi_stack_masks_agree_with_full_scan_and_oracle() {
+        // The merge of parallel stacks is the path `cfg_heavy` spends its
+        // time in: `element ::= open_tag content close_tag | self_tag` keeps
+        // two stacks alive for a whole tag.
+        let xml = br#"<a id="x1"><b/>t<!-- c --></a>"#;
+        let python = b"x = 1 ; return x";
+        let (xml_steps, xml_formats) =
+            walk_checking_every_mask(&xg_grammar::builtin::xml_grammar(), xml);
+        let (py_steps, py_formats) =
+            walk_checking_every_mask(&xg_grammar::builtin::python_dsl_grammar(), python);
+        assert!(
+            xml_steps > 0 && py_steps > 0,
+            "{xml_steps} / {py_steps} multi-stack steps"
+        );
+        let seen: Vec<bool> = (0..3).map(|i| xml_formats[i] || py_formats[i]).collect();
+        assert_eq!(
+            seen, [true; 3],
+            "(accept-heavy, reject-heavy, bitset) tops under two or more stacks"
+        );
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! and can be deduplicated by comparing handles. Branching a stack (grammar
 //! ambiguity, speculative decoding trees) and rolling back to an earlier step
 //! are both O(1): they only manipulate handles, never copy stack contents.
+//!
+//! The tree is one arena: a node links its children through
+//! `first_child`/`next_sibling` indices, so a push allocates nothing beyond
+//! the arena's own growth, and [`PersistentStackTree::clear`] empties it for
+//! the next request without giving the capacity back.
 
 use xg_automata::NodeId;
 
@@ -35,8 +40,11 @@ struct TreeNode {
     /// The automaton node stored in this stack element. Meaningless for the
     /// root sentinel.
     node: NodeId,
-    /// Children indices, used to memoize pushes.
-    children: Vec<u32>,
+    /// Head of this node's child list and the next entry of the list this
+    /// node is on (0 = none: the root is nobody's child). The lists memoize
+    /// pushes without a heap allocation per node.
+    first_child: u32,
+    next_sibling: u32,
     depth: u32,
 }
 
@@ -75,10 +83,19 @@ impl PersistentStackTree {
             nodes: vec![TreeNode {
                 parent: 0,
                 node: NodeId(u32::MAX),
-                children: Vec::new(),
+                first_child: 0,
+                next_sibling: 0,
                 depth: 0,
             }],
         }
+    }
+
+    /// Forgets every stack but keeps the arena's capacity, so a recycled
+    /// matcher replays a similar request without growing it again. Every
+    /// handle other than [`StackHandle::ROOT`] is invalidated.
+    pub fn clear(&mut self) {
+        self.nodes.truncate(1);
+        self.nodes[0].first_child = 0;
     }
 
     /// Pushes `node` on top of the stack `parent`, returning the handle of
@@ -86,20 +103,24 @@ impl PersistentStackTree {
     /// parent return the same handle.
     pub fn push(&mut self, parent: StackHandle, node: NodeId) -> StackHandle {
         let parent_idx = parent.0 as usize;
-        for &child in &self.nodes[parent_idx].children {
+        let first_child = self.nodes[parent_idx].first_child;
+        let mut child = first_child;
+        while child != 0 {
             if self.nodes[child as usize].node == node {
                 return StackHandle(child);
             }
+            child = self.nodes[child as usize].next_sibling;
         }
         let idx = self.nodes.len() as u32;
         let depth = self.nodes[parent_idx].depth + 1;
         self.nodes.push(TreeNode {
             parent: parent.0,
             node,
-            children: Vec::new(),
+            first_child: 0,
+            next_sibling: first_child,
             depth,
         });
-        self.nodes[parent_idx].children.push(idx);
+        self.nodes[parent_idx].first_child = idx;
         StackHandle(idx)
     }
 
@@ -165,11 +186,6 @@ impl PersistentStackTree {
     /// Approximate heap memory used by the tree, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<TreeNode>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| n.children.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
     }
 }
 
@@ -227,6 +243,22 @@ mod tests {
         }
         // Only one node per branch was allocated.
         assert_eq!(tree.len(), before + 50);
+    }
+
+    #[test]
+    fn clear_forgets_every_stack_but_keeps_the_arena() {
+        let mut tree = PersistentStackTree::new();
+        let a = tree.push(StackHandle::ROOT, NodeId(1));
+        tree.push(a, NodeId(2));
+        tree.push(StackHandle::ROOT, NodeId(3));
+        let capacity = tree.nodes.capacity();
+        tree.clear();
+        assert!(tree.is_empty());
+        assert_eq!(tree.nodes.capacity(), capacity);
+        // Nothing is memoized any more: the same pushes build a new tree.
+        let b = tree.push(StackHandle::ROOT, NodeId(3));
+        assert_eq!(tree.stack_to_vec(b), vec![NodeId(3)]);
+        assert_eq!(tree.len(), 2);
     }
 
     #[test]

@@ -1,0 +1,175 @@
+//! Allocation gate for the matcher hot path: once a `GrammarMatcher` has seen
+//! a request, replaying it — mask fill, token accept, rollback, termination
+//! check — must not touch the heap at all, and a jump-forward probe may
+//! allocate nothing but the bytes it returns.
+//!
+//! This file is its own test binary so that the counting `#[global_allocator]`
+//! wraps nothing else, and it holds a single `#[test]` that counts only while
+//! its own thread is armed, so the harness's threads cannot disturb the count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use xg_core::{CompiledGrammar, GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xg_tokenizer::{test_vocabulary, TokenId};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static REALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
+
+struct CountingAllocator;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are side effects that never allocate.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if armed() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if armed() {
+            REALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `ptr` came from `System`; the rest is the caller's promise.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// (allocations, reallocations) made by this thread while armed, so far.
+fn counted() -> (u64, u64) {
+    (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        REALLOCATIONS.load(Ordering::Relaxed),
+    )
+}
+
+/// Decodes `tokens` on `matcher` the way a serving lane does: fill, accept,
+/// and every 16 tokens a three-token rollback that is re-accepted. With
+/// `probe_jump_forward`, also asks for the forced string after every token
+/// and returns how many of those probes found nothing forced — each of which
+/// must have left the heap alone.
+fn decode(
+    matcher: &mut GrammarMatcher,
+    mask: &mut TokenBitmask,
+    tokens: &[TokenId],
+    probe_jump_forward: bool,
+) -> usize {
+    let mut unforced_probes = 0;
+    for (i, &token) in tokens.iter().enumerate() {
+        matcher.fill_next_token_bitmask(mask);
+        assert!(mask.is_allowed(token), "reference token {i} is masked out");
+        matcher.accept_token(token).expect("reference token");
+        if (i + 1) % 16 == 0 {
+            matcher.rollback(3).expect("three tokens are in the window");
+            for &again in &tokens[i - 2..=i] {
+                matcher.accept_token(again).expect("re-accepted token");
+            }
+        }
+        if probe_jump_forward {
+            let before = counted();
+            let forced = matcher.find_jump_forward_string();
+            if forced.is_empty() {
+                assert_eq!(counted(), before, "an empty probe allocated");
+                unforced_probes += 1;
+            }
+        }
+    }
+    assert!(
+        matcher.can_terminate(),
+        "the reference document is complete"
+    );
+    unforced_probes
+}
+
+/// Warm pass, `reset()`, then the same pass again with the counter armed.
+/// Returns the largest number of parallel stacks a mask was filled from.
+fn assert_second_pass_is_allocation_free(
+    label: &str,
+    compiled: Arc<CompiledGrammar>,
+    document: &[u8],
+    probe_jump_forward: bool,
+) -> u64 {
+    let vocab = Arc::clone(compiled.vocabulary());
+    let (tokens, covered) = compiled
+        .sorted_vocabulary()
+        .longest_prefix_cover(&vocab, document);
+    assert_eq!(covered, document.len(), "{label}: document tokenizes");
+    assert!(
+        tokens.len() >= 32,
+        "{label}: long enough to roll back twice"
+    );
+
+    let mut matcher = GrammarMatcher::new(compiled);
+    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+    decode(&mut matcher, &mut mask, &tokens, probe_jump_forward);
+    matcher.reset();
+
+    let before = counted();
+    ARMED.with(|armed| armed.set(true));
+    let unforced_probes = decode(&mut matcher, &mut mask, &tokens, probe_jump_forward);
+    ARMED.with(|armed| armed.set(false));
+    let after = counted();
+
+    if probe_jump_forward {
+        // The only allocations allowed are the returned forced strings, and
+        // the pass must have checked probes that return none.
+        assert!(unforced_probes > 0, "{label}: no unforced probe seen");
+    } else {
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (0, 0),
+            "{label}: (allocations, reallocations) in a steady-state decode of {} tokens",
+            tokens.len()
+        );
+    }
+    matcher.stats().max_stacks
+}
+
+#[test]
+fn steady_state_decode_does_not_allocate() {
+    let vocab = Arc::new(test_vocabulary(8000));
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+
+    let xml = compiler.compile_grammar(&xg_grammar::builtin::xml_grammar());
+    let xml_doc = xg_datasets::xml_tasks(12, 11)
+        .into_iter()
+        .map(|task| task.reference)
+        .max_by_key(Vec::len)
+        .expect("twelve documents");
+    let stacks = assert_second_pass_is_allocation_free("xml", Arc::clone(&xml), &xml_doc, false);
+    assert!(
+        stacks >= 2,
+        "the XML document exercises the multi-stack merge"
+    );
+    assert_second_pass_is_allocation_free("xml + jump-forward", xml, &xml_doc, true);
+
+    let task = xg_datasets::json_mode_eval_like(5, 11)
+        .into_iter()
+        .max_by_key(|task| task.reference.len())
+        .expect("five tasks");
+    let schema = compiler
+        .compile_json_schema(&task.schema)
+        .expect("dataset schema compiles");
+    assert_second_pass_is_allocation_free("json schema", schema, &task.reference, false);
+}

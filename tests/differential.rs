@@ -230,6 +230,7 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
 
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
     let mut cases = 0usize;
+    let (mut steps, mut multi_stack_steps) = (0usize, 0usize);
     for g in 0..GRAMMARS {
         let random = random_grammar(&mut rng);
         let grammar = xg_grammar::parse_ebnf(&random.source, "root")
@@ -252,6 +253,19 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
                 Err(other) => panic!("unexpected accept_bytes error: {other:?}"),
             };
             let engine_complete = engine_result.is_ok() && matcher.can_terminate();
+            // The same input one byte at a time: the same prefix survives,
+            // and the walk shows how many parallel stacks each step ran on.
+            let mut stepwise = GrammarMatcher::new(Arc::clone(&compiled));
+            let stepped = input
+                .iter()
+                .take_while(|&&b| {
+                    let alive = stepwise.accept_bytes(&[b]).is_ok();
+                    multi_stack_steps += usize::from(alive && stepwise.stack_count() >= 2);
+                    alive
+                })
+                .count();
+            assert_eq!(stepped, engine_accepted_bytes, "grammar #{g} input #{i}");
+            steps += stepped;
             // Naive baseline: token-level accept over single-byte tokens.
             let (naive_accepted_bytes, naive_complete) =
                 drive_naive(&naive_compiled, &byte_tokens, &input);
@@ -276,6 +290,104 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
         cases >= 200,
         "differential suite must cover >=200 cases, ran {cases}"
     );
+    println!("{multi_stack_steps} of {steps} accepted bytes left two or more parallel stacks");
+    assert!(
+        multi_stack_steps > 0,
+        "none of the {steps} steps exercised parallel stacks"
+    );
+}
+
+/// `root ::= p x | q y` with recursive (hence never inlined) `p` and `q` whose
+/// languages overlap: the two alternatives cannot be told apart until `x` or
+/// `y` arrives, so a lane runs on one stack before the first byte, on two
+/// through the whole of `p`/`q`, and on one again after the last byte. (With
+/// the same rule on both sides, node merging left-factors the choice into
+/// `p (x | y)` and the walk never leaves one stack.) Masks from the cache must equal the
+/// cache-less full scan at every step of that walk, and rollback and k-token
+/// draft verification must land on the same masks across the split and the
+/// merge.
+#[test]
+fn ambiguous_prefix_grammars_keep_mask_parity_across_stack_splits() {
+    let vocab = Arc::new(test_vocabulary(600));
+    let byte_tokens = byte_token_map(&vocab);
+    let cached = GrammarCompiler::new(Arc::clone(&vocab));
+    let uncached = GrammarCompiler::with_config(
+        Arc::clone(&vocab),
+        CompilerConfig {
+            enable_mask_cache: false,
+            ..CompilerConfig::default()
+        },
+    );
+    let next_mask = |lane: &mut GrammarMatcher| {
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        lane.fill_next_token_bitmask(&mut mask);
+        mask
+    };
+
+    for (open, close, x, y) in [
+        ("(", ")", "x", "y"),
+        ("[", "]", ";", ","),
+        ("{", "}", "=", ":"),
+    ] {
+        let source = format!(
+            "p ::= \"{open}\" p \"{close}\" | [a-c]+\nq ::= \"{open}\" q \"{close}\" | [a-z]+\n\
+             root ::= p \"{x}\" | q \"{y}\"\n"
+        );
+        let grammar = xg_grammar::parse_ebnf(&source, "root").expect("family grammar parses");
+        let compiled = cached.compile_grammar(&grammar);
+        let tokens_of =
+            |text: String| -> Vec<TokenId> { text.bytes().map(|b| byte_tokens[&b]).collect() };
+        let tokens = tokens_of(format!("{open}{open}ab{close}{close}{x}"));
+        let n = tokens.len();
+
+        // Serial walk, recording the mask and the stack count before each token.
+        let mut lane = GrammarMatcher::new(Arc::clone(&compiled));
+        let mut full_scan = GrammarMatcher::new(uncached.compile_grammar(&grammar));
+        let mut masks = Vec::new();
+        let mut stacks = Vec::new();
+        for &token in &tokens {
+            let mask = next_mask(&mut lane);
+            assert_eq!(
+                mask,
+                next_mask(&mut full_scan),
+                "step {}\n{source}",
+                masks.len()
+            );
+            assert!(mask.is_allowed(token));
+            stacks.push(lane.stack_count());
+            masks.push(mask);
+            lane.accept_token(token).expect("mask-allowed token");
+            full_scan.accept_token(token).expect("mask-allowed token");
+        }
+        stacks.push(lane.stack_count());
+        assert_eq!(stacks[0], 1, "{source}");
+        assert!(stacks[1..n].iter().all(|&s| s == 2), "{stacks:?}\n{source}");
+        assert_eq!(stacks[n], 1, "{source}");
+        assert!(lane.can_terminate());
+
+        // Back over the merge into the two-stack stretch, then the other way out.
+        lane.rollback(2).expect("within the window");
+        assert_eq!(lane.stack_count(), 2);
+        assert_eq!(next_mask(&mut lane), masks[n - 2]);
+        for token in tokens_of(format!("{close}{y}")) {
+            lane.accept_token(token).expect("the other alternative");
+        }
+        assert!(lane.can_terminate());
+
+        // A draft that runs through split and merge and then one token too far.
+        let mut draft = tokens.clone();
+        draft.push(tokens[0]);
+        let mut speculative = GrammarMatcher::new(compiled);
+        assert_eq!(speculative.accept_tokens_speculative(&draft), n);
+        assert_eq!(speculative.stack_count(), 1);
+        speculative.rollback(1).expect("each draft token is a unit");
+        assert_eq!(next_mask(&mut speculative), masks[n - 1]);
+        speculative.rollback(n - 1).expect("back to the start");
+        assert_eq!(speculative.stack_count(), 1);
+        assert_eq!(next_mask(&mut speculative), masks[0]);
+        assert_eq!(speculative.accept_tokens_speculative(&tokens), n);
+        assert!(speculative.can_terminate());
+    }
 }
 
 #[test]
