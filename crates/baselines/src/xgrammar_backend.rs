@@ -174,7 +174,6 @@ impl CompiledConstraint for XGrammarCompiled {
 mod tests {
     use super::*;
     use crate::test_support::{drive_session_bytes, small_vocab};
-    use xg_core::TokenBitmask;
 
     #[test]
     fn xgrammar_backend_roundtrip() {
@@ -516,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_expose_speculative_and_batched_mask_paths() {
+    fn sessions_expose_speculative_draft_verification() {
         let vocab = small_vocab();
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
         let compiled = backend
@@ -543,27 +542,13 @@ mod tests {
         // Each draft token is one rollback unit.
         assert_eq!(session.rollback_window(), 4);
         session.rollback(4).unwrap();
-        // Two fresh sessions share a batch key; the base-completed mask
-        // matches the full fill bit for bit.
-        let mut a = compiled.new_session();
-        let mut b = compiled.new_session();
-        assert!(a.mask_batch_key().is_some());
-        assert_eq!(a.mask_batch_key(), b.mask_batch_key());
-        let mut base = TokenBitmask::new_all_rejected(vocab.len());
-        assert!(a.fill_mask_base(&mut base));
-        let mut from_base = TokenBitmask::new_all_rejected(vocab.len());
-        b.fill_next_token_bitmask_from_base(&mut from_base, &base);
-        let mut full = TokenBitmask::new_all_rejected(vocab.len());
-        a.fill_next_token_bitmask(&mut full);
-        assert_eq!(from_base, full);
-        // Baseline sessions opt out of batching but keep the speculative
-        // default (per-token loop).
+        // Baseline sessions get the same per-token loop from the trait
+        // default.
         let naive = crate::NaivePdaBackend::new(Arc::clone(&vocab));
         let mut naive_session = naive
             .compile(&xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap())
             .unwrap()
             .new_session();
-        assert_eq!(naive_session.mask_batch_key(), None);
         assert_eq!(naive_session.accept_tokens_speculative(&draft), 4);
     }
 

@@ -91,93 +91,6 @@ fn bench_mask_generation(c: &mut Criterion) {
     }
 }
 
-/// Batched mask generation: fill one mask per lane of a serving batch,
-/// serially on one thread vs spread over scoped worker threads (the parallel
-/// serving path of `ServingEngine::run_batch`).
-fn bench_batched_mask_generation(c: &mut Criterion) {
-    const BATCH: usize = 16;
-    let vocab = bench_vocabulary(32_000);
-    let mut group = c.benchmark_group("fig9_batched_mask_gen");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_secs(1));
-    // One iteration fills one mask per lane.
-    group.throughput(Throughput::Elements(BATCH as u64));
-
-    for workload in [Workload::JsonSchema, Workload::CfgJson] {
-        let (grammar, refs) = workload.grammar_and_references(4);
-        let backend = BackendKind::XGrammar.build(Arc::clone(&vocab));
-        let compiled = backend
-            .compile(&grammar)
-            .expect("xgrammar compiles all workloads");
-        let llm = SimulatedLlm::new(
-            Arc::clone(&vocab),
-            LlmBehavior {
-                prose_probability: 0.0,
-                type_error_probability: 0.0,
-                seed: 0,
-            },
-        );
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(BATCH);
-        for (label, parallel) in [("serial", false), ("parallel", true)] {
-            group.bench_with_input(
-                BenchmarkId::new(label, workload.name()),
-                &parallel,
-                |b, &parallel| {
-                    // Heterogeneous lanes, as in a real batch: lane i sits
-                    // mid-generation, i-dependent tokens into reference i.
-                    let mut masks: Vec<TokenBitmask> = (0..BATCH)
-                        .map(|_| TokenBitmask::new_all_rejected(vocab.len()))
-                        .collect();
-                    let mut sessions: Vec<_> = (0..BATCH)
-                        .map(|i| {
-                            let mut session = compiled.new_session();
-                            let mut state = llm.start_request(&refs[i % refs.len()], i as u64);
-                            for _ in 0..(2 + i % 12) {
-                                session.fill_next_token_bitmask(&mut masks[i]);
-                                let Some(token) = state.propose_constrained(&masks[i]) else {
-                                    break;
-                                };
-                                if Some(token) == vocab.eos()
-                                    || session.accept_token(token).is_err()
-                                {
-                                    break;
-                                }
-                                state.advance(token);
-                            }
-                            session
-                        })
-                        .collect();
-                    b.iter(|| {
-                        if parallel {
-                            let mut lanes: Vec<_> =
-                                sessions.iter_mut().zip(masks.iter_mut()).collect();
-                            let chunk = lanes.len().div_ceil(threads);
-                            std::thread::scope(|scope| {
-                                for chunk in lanes.chunks_mut(chunk) {
-                                    scope.spawn(move || {
-                                        for (session, mask) in chunk {
-                                            session.fill_next_token_bitmask(mask);
-                                        }
-                                    });
-                                }
-                            });
-                        } else {
-                            for (session, mask) in sessions.iter_mut().zip(masks.iter_mut()) {
-                                session.fill_next_token_bitmask(mask);
-                            }
-                        }
-                        masks[0].count_allowed()
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Trigger scanning over a 120-entry tool catalog: the naive multi-pattern
 /// prefix scan (one comparison per pattern per byte) vs the Aho–Corasick
 /// automaton (one table lookup per byte) the tag-dispatch matcher uses.
@@ -306,7 +219,6 @@ fn bench_engine_jump_forward(c: &mut Criterion) {
     ] {
         let engine =
             ServingEngine::new(Arc::clone(&backend), profile.clone(), ExecutionMode::Serial)
-                .with_mask_parallelism(1)
                 .with_jump_forward(policy);
         group.bench_function(label, |b| {
             b.iter(|| {
@@ -421,7 +333,6 @@ criterion_group!(
     benches,
     bench_mask_generation,
     bench_xml_multi_stack,
-    bench_batched_mask_generation,
     bench_trigger_scan,
     bench_tagged_jump_forward,
     bench_engine_jump_forward,

@@ -106,7 +106,7 @@ fn main() {
         ("fig12", "cross-platform TTFT/TPOT", experiment_fig12),
         (
             "cache_serving",
-            "compiled-grammar cache + parallel batch mask generation (§5)",
+            "compiled-grammar cache hit rates, cold and warm (§5)",
             experiment_cache_serving,
         ),
         (
@@ -534,14 +534,13 @@ fn experiment_fig11(vocab: &Arc<Vocabulary>, config: &Config) {
     println!();
 }
 
-/// Serving concurrency layer (§5): shared compiled-grammar cache plus
-/// parallel per-lane mask generation on a large batch.
+/// Serving concurrency layer (§5): the shared compiled-grammar cache on a
+/// large batch, cold then warm.
 fn experiment_cache_serving(vocab: &Arc<Vocabulary>, config: &Config) {
-    println!("## Cache serving — compiled-grammar cache + parallel batch mask generation");
+    println!("## Cache serving — compiled-grammar cache hit rates");
     let batch = 32.max(config.engine_requests);
     let profile = ModelProfile::llama31_8b_h100().scaled(config.time_scale);
 
-    // ---- Part 1: compiled-grammar cache on a 5-schema-family batch. ----
     let requests = schema_requests(batch);
     let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
     let backend: Arc<dyn ConstrainedBackend> = Arc::new(XGrammarBackend::with_cache(
@@ -549,7 +548,7 @@ fn experiment_cache_serving(vocab: &Arc<Vocabulary>, config: &Config) {
         CompilerConfig::default(),
         Arc::clone(&cache),
     ));
-    let engine = ServingEngine::new(Arc::clone(&backend), profile.clone(), ExecutionMode::Serial);
+    let engine = ServingEngine::new(backend, profile, ExecutionMode::Serial);
     println!("  XGrammar engine, batch of {batch} requests over 5 schema families:");
     for label in ["cold cache", "warm cache"] {
         let (_, metrics) = engine.run_batch(&requests).expect("schemas compile");
@@ -561,49 +560,6 @@ fn experiment_cache_serving(vocab: &Arc<Vocabulary>, config: &Config) {
             metrics.cache.misses,
             metrics.cache.entries,
             metrics.cache.current_bytes as f64 / 1e6,
-        );
-    }
-
-    // ---- Part 2: serial vs parallel batch mask generation wall clock. ----
-    // The naive full-scan backend makes per-lane mask work heavy enough that
-    // the wall-clock effect of parallel lane fill is unmistakable; the cached
-    // XGrammar rows show the same comparison on the fast path.
-    println!("  mask-generation wall clock, batch of {batch} requests:");
-    let backends: Vec<(&str, Arc<dyn ConstrainedBackend>, Vec<EngineRequest>)> = vec![
-        ("XGrammar (cached)", Arc::clone(&backend), requests.clone()),
-        (
-            "naive PDA scan",
-            Arc::new(xg_baselines::NaivePdaBackend::new(Arc::clone(vocab))),
-            requests
-                .iter()
-                .cloned()
-                .map(|mut r| {
-                    // The naive baseline pays a full vocabulary scan per lane
-                    // per round; cap the rounds to keep the experiment short.
-                    r.max_tokens = 4;
-                    r
-                })
-                .collect(),
-        ),
-    ];
-    for (name, backend, requests) in backends {
-        let mut wall = Vec::new();
-        for threads in [1usize, 0] {
-            let engine =
-                ServingEngine::new(Arc::clone(&backend), profile.clone(), ExecutionMode::Serial)
-                    .with_mask_parallelism(threads);
-            let (_, metrics) = engine.run_batch(&requests).expect("grammars compile");
-            wall.push((metrics.mask_time, metrics.mask_threads));
-        }
-        let (serial, _) = wall[0];
-        let (parallel, threads) = wall[1];
-        println!(
-            "    {:<18} serial {} ms vs parallel {} ms on {} threads ({:.2}x wall-clock speedup)",
-            name,
-            fmt_ms(serial),
-            fmt_ms(parallel),
-            threads,
-            serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9),
         );
     }
     println!();
@@ -1519,10 +1475,6 @@ fn experiment_grammar_lint(vocab: &Arc<Vocabulary>, config: &Config) {
 ///   the vocabulary is matched individually against the pushdown state at
 ///   runtime.
 ///
-/// It also reports the shared-base batched fill: eight lockstep lanes served
-/// by one `fill_mask_base` + per-lane `fill_mask_from_base` versus eight
-/// independent full fills (the scheduler's grouped mask-job path).
-///
 /// PASS gate (wired into CI as a smoke step): the word-kernel path must
 /// reach at least 1.5x the per-token serial tokens/sec on the 128k-vocab
 /// configuration. All three sizes run even under `--quick`; quick mode only
@@ -1535,8 +1487,8 @@ fn experiment_mask_throughput(_vocab: &Arc<Vocabulary>, config: &Config) {
     let serial_steps = if quick { 3 } else { 8 };
     let mut ratio_at_128k = 0.0f64;
     println!(
-        "  {:>7} {:>15} {:>15} {:>8} {:>10}",
-        "vocab", "kernel tok/s", "serial tok/s", "ratio", "batch x8"
+        "  {:>7} {:>15} {:>15} {:>8}",
+        "vocab", "kernel tok/s", "serial tok/s", "ratio"
     );
     for size in [32_000usize, 128_000, 256_000] {
         let vocab = if size == 256_000 {
@@ -1563,15 +1515,12 @@ fn experiment_mask_throughput(_vocab: &Arc<Vocabulary>, config: &Config) {
         if size == 128_000 {
             ratio_at_128k = ratio;
         }
-        let batch_speedup =
-            measure_shared_base_speedup(&kernel, workload, if quick { 8 } else { 32 });
         println!(
-            "  {:>6}k {:>15.0} {:>15.0} {:>7.1}x {:>9.2}x",
+            "  {:>6}k {:>15.0} {:>15.0} {:>7.1}x",
             size / 1000,
             kernel_tps,
             serial_tps,
-            ratio,
-            batch_speedup
+            ratio
         );
     }
     let pass = ratio_at_128k >= 1.5;
@@ -1764,51 +1713,4 @@ fn experiment_dynamic_registry(vocab: &Arc<Vocabulary>, config: &Config) {
         }
     );
     println!();
-}
-
-/// Times eight lockstep sessions filled via the shared-base batched path
-/// against eight independent full fills, returning full/batched (>1 means
-/// the batched path is faster). Falls back to 1.0 if the backend exposes no
-/// shareable base (the scheduler makes the same fallback per group).
-fn measure_shared_base_speedup(
-    backend: &Arc<dyn ConstrainedBackend>,
-    workload: Workload,
-    rounds: usize,
-) -> f64 {
-    const LANES: usize = 8;
-    let vocab_size = backend.vocabulary().len();
-    let (grammar, _) = workload.grammar_and_references(1);
-    let compiled = backend.compile(&grammar).expect("grammar compiles");
-    let mut sessions: Vec<_> = (0..LANES).map(|_| compiled.new_session()).collect();
-    let mut mask = TokenBitmask::new_all_rejected(vocab_size);
-    let mut base = TokenBitmask::new_all_rejected(vocab_size);
-    // Warm both paths once so first-touch allocation does not skew the ratio.
-    sessions[0].fill_next_token_bitmask(&mut mask);
-    if !sessions[0].fill_mask_base(&mut base) {
-        return 1.0;
-    }
-    sessions[0].fill_next_token_bitmask_from_base(&mut mask, &base);
-
-    let full_start = Instant::now();
-    for _ in 0..rounds {
-        for session in &mut sessions {
-            session.fill_next_token_bitmask(&mut mask);
-        }
-    }
-    let full = full_start.elapsed();
-
-    let batched_start = Instant::now();
-    for _ in 0..rounds {
-        if sessions[0].fill_mask_base(&mut base) {
-            for session in &mut sessions {
-                session.fill_next_token_bitmask_from_base(&mut mask, &base);
-            }
-        } else {
-            for session in &mut sessions {
-                session.fill_next_token_bitmask(&mut mask);
-            }
-        }
-    }
-    let batched = batched_start.elapsed();
-    full.as_secs_f64() / batched.as_secs_f64().max(f64::MIN_POSITIVE)
 }

@@ -304,33 +304,6 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
         tokens.len()
     }
 
-    /// Key identifying the shared component of this matcher's next mask: two
-    /// matchers returning the same key may serve
-    /// [`fill_next_token_bitmask_from_base`](Self::fill_next_token_bitmask_from_base)
-    /// from one shared [`fill_mask_base`](Self::fill_mask_base) pass.
-    /// `None` (the default) means the matcher cannot share a base.
-    fn mask_batch_key(&self) -> Option<u64> {
-        None
-    }
-
-    /// Fills `base` with the lane-independent portion of the next mask
-    /// shared by every matcher with the same
-    /// [`mask_batch_key`](Self::mask_batch_key). Returns `false` (leaving
-    /// `base` unspecified) when no shared base exists — the default.
-    fn fill_mask_base(&mut self, base: &mut TokenBitmask) -> bool {
-        let _ = base;
-        false
-    }
-
-    /// Like [`fill_next_token_bitmask`](Self::fill_next_token_bitmask) but
-    /// starting from a shared `base` produced by a matcher with the same
-    /// [`mask_batch_key`](Self::mask_batch_key). Must produce a bit-for-bit
-    /// identical mask; the default ignores the base and fills from scratch.
-    fn fill_next_token_bitmask_from_base(&mut self, mask: &mut TokenBitmask, base: &TokenBitmask) {
-        let _ = base;
-        self.fill_next_token_bitmask(mask);
-    }
-
     /// Returns `true` if end-of-sequence would be accepted now.
     fn can_terminate(&mut self) -> bool;
 

@@ -80,7 +80,7 @@ pub use grammar_cache::{
     ArtifactCache, CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,
 };
 pub use lint::GrammarLintReport;
-pub use mask::{MaskBatch, TokenBitmask};
+pub use mask::TokenBitmask;
 pub use mask_cache::{
     build_mask_cache, MaskCache, MaskCacheBuildOptions, MaskCacheStats, NodeMaskEntry,
 };

@@ -276,136 +276,6 @@ impl TokenBitmask {
     }
 }
 
-/// A batch of token bitmasks in *transposed* (word-major) layout.
-///
-/// Where `Vec<TokenBitmask>` stores each lane's words contiguously, the batch
-/// stores, for each word index, the words of **all lanes** next to each other
-/// (`words[word_idx * lanes + lane]`). Broadcasting a shared base mask — the
-/// common case when many lanes sit in the same automaton state — then writes
-/// `lanes` consecutive words per source word, and per-lane touch-ups remain
-/// O(1) per token. One pass over the adaptive token-mask cache entry thus
-/// serves the whole batch.
-///
-/// # Examples
-///
-/// ```
-/// use xg_core::{MaskBatch, TokenBitmask};
-/// use xg_tokenizer::TokenId;
-///
-/// let mut base = TokenBitmask::new_all_rejected(100);
-/// base.allow(TokenId(7));
-/// let mut batch = MaskBatch::new(4, 100);
-/// batch.broadcast(&base);
-/// batch.allow(2, TokenId(9)); // lane-specific touch-up
-/// assert!(batch.is_allowed(0, TokenId(7)));
-/// assert!(batch.is_allowed(2, TokenId(9)));
-/// assert!(!batch.is_allowed(1, TokenId(9)));
-/// assert_eq!(batch.extract_lane(2).count_allowed(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaskBatch {
-    /// `words[word_idx * lanes + lane]`.
-    words: Vec<u64>,
-    lanes: usize,
-    words_per_lane: usize,
-    vocab_size: usize,
-}
-
-impl MaskBatch {
-    /// Creates a batch of `lanes` all-rejected masks over `vocab_size`.
-    pub fn new(lanes: usize, vocab_size: usize) -> Self {
-        let words_per_lane = vocab_size.div_ceil(64);
-        MaskBatch {
-            words: vec![0; words_per_lane * lanes],
-            lanes,
-            words_per_lane,
-            vocab_size,
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Vocabulary size each lane covers.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-
-    /// Copies `base` into **every** lane — the one-pass batched fill. The
-    /// inner loop writes `lanes` contiguous words per source word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vocabulary sizes differ.
-    pub fn broadcast(&mut self, base: &TokenBitmask) {
-        assert_eq!(self.vocab_size, base.vocab_size(), "mask size mismatch");
-        let lanes = self.lanes;
-        for (wi, &w) in base.words().iter().enumerate() {
-            let row = &mut self.words[wi * lanes..(wi + 1) * lanes];
-            for slot in row {
-                *slot = w;
-            }
-        }
-    }
-
-    /// Allows one token in one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane or token id is out of range.
-    #[inline]
-    pub fn allow(&mut self, lane: usize, token: TokenId) {
-        let i = token.index();
-        assert!(lane < self.lanes, "lane out of range");
-        assert!(i < self.vocab_size, "token id out of range");
-        self.words[(i >> 6) * self.lanes + lane] |= 1u64 << (i & 63);
-    }
-
-    /// Rejects one token in one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane or token id is out of range.
-    #[inline]
-    pub fn reject(&mut self, lane: usize, token: TokenId) {
-        let i = token.index();
-        assert!(lane < self.lanes, "lane out of range");
-        assert!(i < self.vocab_size, "token id out of range");
-        self.words[(i >> 6) * self.lanes + lane] &= !(1u64 << (i & 63));
-    }
-
-    /// Returns `true` if the token is allowed in the lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane is out of range.
-    #[inline]
-    pub fn is_allowed(&self, lane: usize, token: TokenId) -> bool {
-        assert!(lane < self.lanes, "lane out of range");
-        let i = token.index();
-        if i >= self.vocab_size {
-            return false;
-        }
-        self.words[(i >> 6) * self.lanes + lane] & (1u64 << (i & 63)) != 0
-    }
-
-    /// Gathers one lane back into a standalone [`TokenBitmask`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane is out of range.
-    pub fn extract_lane(&self, lane: usize) -> TokenBitmask {
-        assert!(lane < self.lanes, "lane out of range");
-        let mut out = TokenBitmask::new_all_rejected(self.vocab_size);
-        for wi in 0..self.words_per_lane {
-            out.words[wi] = self.words[wi * self.lanes + lane];
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,23 +480,5 @@ mod tests {
         a.copy_from(&b);
         assert_eq!(a, b);
         assert_eq!(a.count_allowed(), 1);
-    }
-
-    #[test]
-    fn batch_broadcast_and_extract_roundtrip() {
-        let mut base = TokenBitmask::new_all_rejected(130);
-        base.allow_run(TokenId(10), 70);
-        let mut batch = MaskBatch::new(3, 130);
-        batch.broadcast(&base);
-        for lane in 0..3 {
-            assert_eq!(batch.extract_lane(lane), base, "lane {lane}");
-        }
-        batch.allow(1, TokenId(129));
-        batch.reject(2, TokenId(10));
-        assert_eq!(batch.extract_lane(0), base);
-        assert_eq!(batch.extract_lane(1).count_allowed(), 71);
-        assert_eq!(batch.extract_lane(2).count_allowed(), 69);
-        assert!(batch.is_allowed(1, TokenId(129)));
-        assert!(!batch.is_allowed(0, TokenId(129)));
     }
 }

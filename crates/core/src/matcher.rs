@@ -195,7 +195,10 @@ impl GrammarMatcher {
             self.compiled.vocabulary().len(),
             "mask size must match the vocabulary"
         );
-        self.count_fill();
+        let stacks = self.heads.len() as u64;
+        self.stats.masks_generated += 1;
+        self.stats.stacks_total += stacks;
+        self.stats.max_stacks = self.stats.max_stacks.max(stacks);
         if self.terminated {
             mask.reject_all();
             return;
@@ -206,13 +209,6 @@ impl GrammarMatcher {
             self.fill_mask_naive(mask);
         }
         self.finish_mask(mask);
-    }
-
-    fn count_fill(&mut self) {
-        let stacks = self.heads.len() as u64;
-        self.stats.masks_generated += 1;
-        self.stats.stacks_total += stacks;
-        self.stats.max_stacks = self.stats.max_stacks.max(stacks);
     }
 
     /// Special tokens are never produced by the grammar; EOS is allowed
@@ -231,7 +227,7 @@ impl GrammarMatcher {
     /// Mask generation using the adaptive token mask cache: Algorithm 1's
     /// merge is the union of the per-stack masks, taken word by word.
     fn fill_mask_with_cache(&mut self, mask: &mut TokenBitmask) {
-        self.fill_stack(self.heads[0], None, mask);
+        self.fill_stack(self.heads[0], mask);
         if self.heads.len() > 1 {
             let mut other = self
                 .work
@@ -239,7 +235,7 @@ impl GrammarMatcher {
                 .take()
                 .unwrap_or_else(|| TokenBitmask::new_all_rejected(mask.vocab_size()));
             for i in 1..self.heads.len() {
-                self.fill_stack(self.heads[i], None, &mut other);
+                self.fill_stack(self.heads[i], &mut other);
                 mask.union_with(&other);
             }
             self.work.stack_mask = Some(other);
@@ -247,15 +243,10 @@ impl GrammarMatcher {
     }
 
     /// Overwrites `mask` with the mask of the one stack `head`: the
-    /// context-independent part of its top node's cache entry (word kernels,
-    /// or a copy of `base` when the caller already holds that part), plus
-    /// the context-dependent tokens that the full stack can consume.
-    fn fill_stack(
-        &mut self,
-        head: StackHandle,
-        base: Option<&TokenBitmask>,
-        mask: &mut TokenBitmask,
-    ) {
+    /// context-independent part of its top node's cache entry (word
+    /// kernels), plus the context-dependent tokens that the full stack can
+    /// consume.
+    fn fill_stack(&mut self, head: StackHandle, mask: &mut TokenBitmask) {
         let compiled = &*self.compiled;
         let top = self.tree.top(head).expect("heads carry a top node");
         debug_assert!(
@@ -263,10 +254,7 @@ impl GrammarMatcher {
             "canonical heads never rest on a pure-return node"
         );
         let entry = compiled.mask_cache().expect("caller checked").entry(top);
-        match base {
-            Some(base) => mask.copy_from(base),
-            None => Self::fill_certain(entry, mask),
-        }
+        Self::fill_certain(entry, mask);
         self.work.trail.match_sorted(
             compiled.pda(),
             &mut self.tree,
@@ -313,84 +301,6 @@ impl GrammarMatcher {
             NodeMaskEntry::RejectHeavy { accepted, .. } => accepted.len() as u64,
             NodeMaskEntry::Bitset { accepted, .. } => accepted.count_allowed() as u64,
         }
-    }
-
-    /// Key identifying the shared component of this matcher's next mask.
-    ///
-    /// Two matchers returning the same key sit on the same automaton node of
-    /// the same compiled grammar with a single stack each: their next masks
-    /// differ only in the context-dependent tokens and the EOS bit, so one
-    /// [`fill_mask_base`](Self::fill_mask_base) pass over the token-mask
-    /// cache entry can serve all of them. Returns `None` when no shared base
-    /// exists (multiple stacks, no mask cache, or already terminated).
-    pub fn mask_batch_key(&self) -> Option<u64> {
-        use std::hash::{Hash, Hasher};
-        if self.terminated || self.heads.len() != 1 || self.compiled.mask_cache().is_none() {
-            return None;
-        }
-        let top = self.tree.top(self.heads[0])?;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        (Arc::as_ptr(&self.compiled) as usize).hash(&mut h);
-        top.0.hash(&mut h);
-        Some(h.finish())
-    }
-
-    /// Fills `base` with the context-independent portion of the next mask —
-    /// the part shared by every matcher with the same
-    /// [`mask_batch_key`](Self::mask_batch_key). Context-dependent tokens are
-    /// rejected in the base; EOS/special handling is left to
-    /// [`fill_next_token_bitmask_from_base`](Self::fill_next_token_bitmask_from_base).
-    ///
-    /// Returns `false` (leaving `base` untouched) when this matcher has no
-    /// shared base (see [`mask_batch_key`](Self::mask_batch_key)).
-    pub fn fill_mask_base(&mut self, base: &mut TokenBitmask) -> bool {
-        if self.mask_batch_key().is_none() {
-            return false;
-        }
-        assert_eq!(
-            base.vocab_size(),
-            self.compiled.vocabulary().len(),
-            "mask size must match the vocabulary"
-        );
-        let cache = self.compiled.mask_cache().expect("has a batch key");
-        let top = self
-            .tree
-            .top(self.heads[0])
-            .expect("heads carry a top node");
-        Self::fill_certain(cache.entry(top), base);
-        true
-    }
-
-    /// Like [`fill_next_token_bitmask`](Self::fill_next_token_bitmask), but
-    /// starting from a shared `base` produced by
-    /// [`fill_mask_base`](Self::fill_mask_base) on a matcher with the same
-    /// [`mask_batch_key`](Self::mask_batch_key): the context-independent
-    /// portion is a word-level copy, and only this matcher's
-    /// context-dependent tokens and EOS bit are computed. The result is
-    /// bit-for-bit identical to a full fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask or base size differs from the vocabulary, or if
-    /// this matcher has no [`mask_batch_key`](Self::mask_batch_key) (callers
-    /// group lanes by key before using the base path).
-    pub fn fill_next_token_bitmask_from_base(
-        &mut self,
-        mask: &mut TokenBitmask,
-        base: &TokenBitmask,
-    ) {
-        assert_eq!(
-            mask.vocab_size(),
-            self.compiled.vocabulary().len(),
-            "mask size must match the vocabulary"
-        );
-        assert!(
-            self.mask_batch_key().is_some(),
-            "matcher has no shared mask base"
-        );
-        self.count_fill();
-        self.fill_stack(self.heads[0], Some(base), mask);
-        self.finish_mask(mask);
     }
 
     /// Mask generation without the cache: every token is checked against the
@@ -457,21 +367,6 @@ impl GrammarMatcher {
         }
         self.stats.tokens_accepted += 1;
         Ok(())
-    }
-
-    /// Verifies a speculative k-token draft in one call: accepts tokens from
-    /// `tokens` in order until one is rejected, and returns the length of the
-    /// accepted prefix. The matcher ends advanced by exactly that prefix —
-    /// a token-by-token [`accept_token`](Self::accept_token) loop — and each
-    /// accepted token remains an individual rollback unit (persistent-stack
-    /// snapshot), so a caller can [`rollback`](Self::rollback) any suffix of
-    /// the draft afterwards. The first rejected byte stops the scan without
-    /// unwinding.
-    pub fn accept_tokens_speculative(&mut self, tokens: &[TokenId]) -> usize {
-        tokens
-            .iter()
-            .take_while(|&&token| self.accept_token(token).is_ok())
-            .count()
     }
 
     /// Makes the advanced `work.heads` the new heads, recording the old ones
@@ -692,18 +587,6 @@ impl ConstraintMatcher for GrammarMatcher {
 
     fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError> {
         GrammarMatcher::accept_bytes(self, bytes)
-    }
-
-    fn mask_batch_key(&self) -> Option<u64> {
-        GrammarMatcher::mask_batch_key(self)
-    }
-
-    fn fill_mask_base(&mut self, base: &mut TokenBitmask) -> bool {
-        GrammarMatcher::fill_mask_base(self, base)
-    }
-
-    fn fill_next_token_bitmask_from_base(&mut self, mask: &mut TokenBitmask, base: &TokenBitmask) {
-        GrammarMatcher::fill_next_token_bitmask_from_base(self, mask, base)
     }
 
     fn rollback(&mut self, num_tokens: usize) -> Result<(), RollbackError> {
@@ -1146,54 +1029,6 @@ mod tests {
         for t in mask.allowed_tokens() {
             assert_eq!(vocab.token_bytes(t)[0], b'[');
         }
-    }
-
-    #[test]
-    fn base_fill_is_bit_identical_to_full_fill() {
-        // Two lanes in the same automaton state: one exports the shared
-        // base, both fill from it, and the results must equal a full fill.
-        let vocab = Arc::new(test_vocabulary(800));
-        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-        let compiled = compiler.compile_builtin_json();
-        let mut a = GrammarMatcher::new(Arc::clone(&compiled));
-        let mut b = GrammarMatcher::new(compiled);
-        a.accept_bytes(br#"{"k": ["#).unwrap();
-        b.accept_bytes(br#"{"k": ["#).unwrap();
-        assert_eq!(a.mask_batch_key(), b.mask_batch_key());
-        assert!(a.mask_batch_key().is_some());
-
-        let mut base = TokenBitmask::new_all_rejected(vocab.len());
-        assert!(a.fill_mask_base(&mut base));
-        let mut from_base_a = TokenBitmask::new_all_rejected(vocab.len());
-        let mut from_base_b = TokenBitmask::new_all_rejected(vocab.len());
-        a.fill_next_token_bitmask_from_base(&mut from_base_a, &base);
-        b.fill_next_token_bitmask_from_base(&mut from_base_b, &base);
-
-        let mut full = TokenBitmask::new_all_rejected(vocab.len());
-        a.fill_next_token_bitmask(&mut full);
-        assert_eq!(from_base_a, full);
-        assert_eq!(from_base_b, full);
-    }
-
-    #[test]
-    fn batch_key_distinguishes_states_and_grammars() {
-        let vocab = Arc::new(test_vocabulary(800));
-        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-        let json = compiler.compile_builtin_json();
-        let other = compiler
-            .compile_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root")
-            .unwrap();
-        let mut a = GrammarMatcher::new(Arc::clone(&json));
-        let mut b = GrammarMatcher::new(Arc::clone(&json));
-        let c = GrammarMatcher::new(other);
-        assert_eq!(a.mask_batch_key(), b.mask_batch_key());
-        assert_ne!(a.mask_batch_key(), c.mask_batch_key());
-        b.accept_bytes(b"{").unwrap();
-        assert_ne!(a.mask_batch_key(), b.mask_batch_key());
-        // A terminated matcher has no shared base.
-        a.accept_bytes(b"{}").unwrap();
-        a.accept_token(vocab.eos().unwrap()).unwrap();
-        assert_eq!(a.mask_batch_key(), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!                                     compile / cache probe        │
 //!                                                                  ▼
 //!             mask workers ◀──(MaskJob: session+bitmask)── decode loop
-//!                          ──(MaskDone)──▶                  join / step /
+//!                          ──(MaskJob, filled)──▶           join / step /
 //!                                                           retire lanes
 //!                                                                  │
 //!             StreamingRequest ◀── Admitted / Bytes / Finished ────┘
@@ -34,11 +34,9 @@
 //! sampling *and* the next simulated GPU step, and the loop only waits on a
 //! collect barrier right before it needs the masks. In `Serial` mode the
 //! loop dispatches and collects all masks before each GPU step, exposing the
-//! full mask wall-clock (the paper's no-overlap baseline) — and, because the
-//! whole batch dispatches at once, lanes whose sessions report the same
-//! `mask_batch_key` (same compiled grammar, same automaton state) ride one
-//! worker job that computes the shared context-independent mask base once
-//! and completes every lane from it.
+//! full mask wall-clock (the paper's no-overlap baseline). Both modes send
+//! the same per-lane jobs to the same workers and wait on the same barrier;
+//! they differ only in which side of the GPU step the barrier sits on.
 //!
 //! Lanes are driven exclusively through [`Lane::start`]/[`Lane::step`], and a
 //! lane's bytes depend only on its own request (its seed, reference and
@@ -50,7 +48,7 @@
 //! [`Lane::start`]: crate::lane::Lane::start
 //! [`Lane::step`]: crate::lane::Lane::step
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,7 +80,7 @@ pub struct SchedulerConfig {
     pub queue_capacity: usize,
     /// Number of admission workers compiling grammars off the hot path.
     pub admission_workers: usize,
-    /// Number of mask-fill workers. `0` selects the engine's configured mask
+    /// Number of mask-fill workers. `0` selects the machine's available
     /// parallelism capped at `max_lanes`.
     pub mask_workers: usize,
 }
@@ -267,9 +265,6 @@ pub struct SchedulerMetrics {
     /// CPU time the mask workers spent filling bitmasks (≥ wall wait when
     /// the overlap works).
     pub mask_busy_time: Duration,
-    /// Lane mask fills served through a shared mask base (serial mode groups
-    /// lanes with equal `mask_batch_key` into one worker job).
-    pub batched_mask_lanes: u64,
     /// Wall clock spent in simulated GPU decode steps.
     pub gpu_time: Duration,
     /// Wall clock spent in simulated prefill (paid at lane join).
@@ -328,29 +323,13 @@ struct ReadyLane {
     cache_hit: bool,
 }
 
-/// One lane's share of a mask-fill job: ownership of the lane's session and
-/// bitmask transfers to a mask worker and returns via
-/// [`MaskDone`].
-struct MaskEntry {
-    lane: u64,
-    session: Session,
-    mask: TokenBitmask,
-}
-
-/// A mask-fill job: one or more lanes whose sessions report the same
-/// `mask_batch_key`, so the worker computes the shared (context-independent)
-/// mask portion once and completes every lane from it. Single-entry jobs take
-/// the ordinary per-lane fill path.
+/// One lane's mask-fill job: ownership of the lane's session and bitmask
+/// transfers to a mask worker, which fills the bitmask and sends the same job
+/// back to the decode loop.
 struct MaskJob {
-    entries: Vec<MaskEntry>,
-}
-
-/// A completed mask-fill job returning to the decode loop.
-struct MaskDone {
     lane: u64,
     session: Session,
     mask: TokenBitmask,
-    busy: Duration,
 }
 
 struct MaskPoolState {
@@ -363,7 +342,6 @@ struct MaskPool {
     state: Mutex<MaskPoolState>,
     available: Condvar,
     busy_nanos: AtomicU64,
-    batched_lanes: AtomicU64,
 }
 
 impl MaskPool {
@@ -375,7 +353,6 @@ impl MaskPool {
             }),
             available: Condvar::new(),
             busy_nanos: AtomicU64::new(0),
-            batched_lanes: AtomicU64::new(0),
         }
     }
 
@@ -396,22 +373,14 @@ impl MaskPool {
     fn busy_time(&self) -> Duration {
         Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed))
     }
-
-    fn batched_lanes(&self) -> u64 {
-        self.batched_lanes.load(Ordering::Relaxed)
-    }
 }
 
-/// Body of one persistent mask worker: pop a job, fill its bitmask(s), send
-/// each session and mask back. Multi-lane jobs (same `mask_batch_key`)
-/// compute the shared mask base once and complete every lane from it; if the
-/// base turns out unavailable (the session advanced into an unbatchable
-/// state) the worker falls back to per-lane fills — the result is
-/// bit-identical either way. Exits when the pool shuts down and drains, or
-/// when the decode loop (the receiver) is gone.
-fn mask_worker(pool: &MaskPool, done: &Sender<MaskDone>) {
+/// Body of one persistent mask worker: pop a job, fill its bitmask, send it
+/// back. Exits when the pool shuts down and drains, or when the decode loop
+/// (the receiver) is gone.
+fn mask_worker(pool: &MaskPool, done: &Sender<MaskJob>) {
     loop {
-        let MaskJob { mut entries } = {
+        let mut job = {
             let mut state = pool.state.lock().expect("mask pool poisoned");
             loop {
                 if let Some(job) = state.jobs.pop_front() {
@@ -424,39 +393,11 @@ fn mask_worker(pool: &MaskPool, done: &Sender<MaskDone>) {
             }
         };
         let start = Instant::now();
-        let mut shared_base = None;
-        if entries.len() > 1 {
-            let mut base = TokenBitmask::new_all_rejected(entries[0].mask.vocab_size());
-            if entries[0].session.fill_mask_base(&mut base) {
-                pool.batched_lanes
-                    .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                shared_base = Some(base);
-            }
-        }
-        for entry in &mut entries {
-            match &shared_base {
-                Some(base) => entry
-                    .session
-                    .fill_next_token_bitmask_from_base(&mut entry.mask, base),
-                None => entry.session.fill_next_token_bitmask(&mut entry.mask),
-            }
-        }
-        let busy = start.elapsed();
+        job.session.fill_next_token_bitmask(&mut job.mask);
         pool.busy_nanos
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-        let per_entry = busy.div_f64(entries.len() as f64);
-        for entry in entries {
-            if done
-                .send(MaskDone {
-                    lane: entry.lane,
-                    session: entry.session,
-                    mask: entry.mask,
-                    busy: per_entry,
-                })
-                .is_err()
-            {
-                return;
-            }
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if done.send(job).is_err() {
+            return;
         }
     }
 }
@@ -536,7 +477,9 @@ impl ContinuousScheduler {
         let queue_capacity = config.queue_capacity.max(1);
         let admission_workers = config.admission_workers.max(1);
         let mask_workers = if config.mask_workers == 0 {
-            engine.effective_mask_threads(max_lanes)
+            std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(max_lanes)
         } else {
             config.mask_workers
         };
@@ -555,7 +498,7 @@ impl ContinuousScheduler {
         // in hand blocks here while the batch is full, which in turn fills
         // the submission queue — the backpressure chain.
         let (ready_tx, ready_rx) = mpsc::sync_channel::<ReadyLane>(max_lanes);
-        let (mask_done_tx, mask_done_rx) = mpsc::channel::<MaskDone>();
+        let (mask_done_tx, mask_done_rx) = mpsc::channel::<MaskJob>();
 
         // ---- Mask workers. ----
         let mask_handles: Vec<JoinHandle<()>> = (0..mask_workers)
@@ -723,7 +666,6 @@ impl ContinuousScheduler {
             forced_time: stats.forced_time,
             mask_wait_time: stats.mask_wait_time,
             mask_busy_time: self.mask_pool.busy_time(),
-            batched_mask_lanes: self.mask_pool.batched_lanes(),
             gpu_time: stats.gpu_time,
             prefill_time: stats.prefill_time,
             decode_time: stats.decode_time,
@@ -864,7 +806,7 @@ struct ActiveLane {
 /// lanes.
 struct DecodeLoop {
     ready: Receiver<ReadyLane>,
-    mask_done: Receiver<MaskDone>,
+    mask_done: Receiver<MaskJob>,
     mask_pool: Arc<MaskPool>,
     shared: Arc<Shared>,
     vocab: Arc<Vocabulary>,
@@ -917,10 +859,10 @@ impl DecodeLoop {
             match self.mode {
                 ExecutionMode::Serial => {
                     // No overlap: dispatch and collect every mask, exposing
-                    // the full mask wall-clock, then run the GPU step. The
-                    // whole batch dispatches at once, so lanes sharing a
-                    // mask-batch key ride one job with a shared mask base.
-                    dispatch_grouped(&self.mask_pool, &mut lanes, &mut in_flight, &self.vocab);
+                    // the full mask wall-clock, then run the GPU step.
+                    for al in lanes.iter_mut() {
+                        dispatch(&self.mask_pool, al, &mut in_flight, &self.vocab);
+                    }
                     let wait = Instant::now();
                     collect_all(&self.mask_done, &mut lanes, &mut in_flight);
                     mask_wait += wait.elapsed();
@@ -1081,68 +1023,17 @@ fn dispatch(pool: &MaskPool, al: &mut ActiveLane, in_flight: &mut usize, vocab: 
         .take()
         .unwrap_or_else(|| TokenBitmask::new_all_rejected(vocab.len()));
     pool.push(MaskJob {
-        entries: vec![MaskEntry {
-            lane: al.id,
-            session,
-            mask,
-        }],
+        lane: al.id,
+        session,
+        mask,
     });
     al.mask_in_flight = true;
     *in_flight += 1;
 }
 
-/// Serial-mode dispatch for a whole batch round: lanes whose sessions report
-/// the same `mask_batch_key` (same compiled grammar, same automaton state —
-/// e.g. many requests of one grammar right after join) are dispatched as one
-/// job, so a worker computes the shared mask base once and completes every
-/// lane from it. Keyless lanes go out as ordinary single-lane jobs.
-fn dispatch_grouped(
-    pool: &MaskPool,
-    lanes: &mut [ActiveLane],
-    in_flight: &mut usize,
-    vocab: &Vocabulary,
-) {
-    let mut groups: HashMap<u64, Vec<MaskEntry>> = HashMap::new();
-    for al in lanes.iter_mut() {
-        if al.mask_in_flight || al.lane.finished || !al.lane.is_constrained() {
-            continue;
-        }
-        let key = al
-            .lane
-            .session
-            .as_ref()
-            .and_then(|session| session.mask_batch_key());
-        let session = al
-            .lane
-            .session
-            .take()
-            .expect("constrained lane holds a session");
-        let mask = al
-            .mask
-            .take()
-            .unwrap_or_else(|| TokenBitmask::new_all_rejected(vocab.len()));
-        let entry = MaskEntry {
-            lane: al.id,
-            session,
-            mask,
-        };
-        al.mask_in_flight = true;
-        *in_flight += 1;
-        match key {
-            Some(key) => groups.entry(key).or_default().push(entry),
-            None => pool.push(MaskJob {
-                entries: vec![entry],
-            }),
-        }
-    }
-    for entries in groups.into_values() {
-        pool.push(MaskJob { entries });
-    }
-}
-
 /// Collect barrier: receives every in-flight mask result, restoring each
 /// lane's session and freshly filled bitmask.
-fn collect_all(done: &Receiver<MaskDone>, lanes: &mut [ActiveLane], in_flight: &mut usize) {
+fn collect_all(done: &Receiver<MaskJob>, lanes: &mut [ActiveLane], in_flight: &mut usize) {
     while *in_flight > 0 {
         let result = done.recv().expect("mask workers outlive the decode loop");
         let al = lanes
@@ -1152,7 +1043,6 @@ fn collect_all(done: &Receiver<MaskDone>, lanes: &mut [ActiveLane], in_flight: &
         al.lane.session = Some(result.session);
         al.mask = Some(result.mask);
         al.mask_in_flight = false;
-        let _ = result.busy;
         *in_flight -= 1;
     }
 }
@@ -1260,11 +1150,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_mode_batches_lanes_with_equal_mask_keys() {
+    fn serial_mode_serves_lockstep_lanes_byte_identically() {
         // Many concurrent requests of one grammar: lanes joining in the same
         // round march in lockstep (the simulated LLM follows the reference),
-        // so serial-mode rounds dispatch them as one shared-base job. The
-        // outputs must stay byte-identical to solo decoding.
+        // each through its own mask job. The outputs must stay byte-identical
+        // to solo decoding.
         let engine = engine(ExecutionMode::Serial);
         let scheduler = engine.serve(SchedulerConfig {
             admission_workers: 1,
@@ -1280,12 +1170,27 @@ mod tests {
         }
         let metrics = scheduler.metrics();
         assert_eq!(metrics.completed, 8);
-        assert!(
-            metrics.batched_mask_lanes > 0,
-            "lockstep lanes must share mask bases (got {} batched fills)",
-            metrics.batched_mask_lanes
-        );
         scheduler.shutdown();
+    }
+
+    #[test]
+    fn mask_workers_zero_means_available_parallelism_capped_at_max_lanes() {
+        let engine = engine(ExecutionMode::Overlapped);
+        let workers = |max_lanes: usize, mask_workers: usize| {
+            let scheduler = engine.serve(SchedulerConfig {
+                max_lanes,
+                mask_workers,
+                ..SchedulerConfig::default()
+            });
+            let resolved = scheduler.metrics().mask_workers;
+            scheduler.shutdown();
+            resolved
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(workers(64, 0), cores.min(64));
+        assert_eq!(workers(1, 0), 1);
+        // An explicit count is taken as is, even above `max_lanes`.
+        assert_eq!(workers(1, 3), 3);
     }
 
     #[test]

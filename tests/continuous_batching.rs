@@ -69,7 +69,6 @@ fn engine(mode: ExecutionMode) -> ServingEngine {
     let vocab = Arc::new(test_vocabulary(800));
     let backend: Arc<dyn ConstrainedBackend> = Arc::new(XGrammarBackend::new(vocab));
     ServingEngine::new(backend, ModelProfile::llama31_8b_h100().scaled(0.02), mode)
-        .with_mask_parallelism(2)
 }
 
 /// The specification: every request decoded alone, on this thread.

@@ -20,8 +20,8 @@ use xg_baselines::{
     Session,
 };
 use xg_core::{
-    AcceptError, CompilerConfig, GrammarCompiler, GrammarMatcher, StructuralTagMatcher,
-    TokenBitmask,
+    AcceptError, CompilerConfig, ConstraintMatcher, GrammarCompiler, GrammarMatcher,
+    StructuralTagMatcher, TokenBitmask,
 };
 use xg_grammar::{StructuralTag, TagContent, TagSpec};
 use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};

@@ -72,7 +72,6 @@ fn run_policy(
         ExecutionMode::Serial,
         LlmBehavior::default(),
     )
-    .with_mask_parallelism(1)
     .with_jump_forward(policy)
     .run_batch(requests)
     .expect("mixed batch runs")

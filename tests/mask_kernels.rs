@@ -2,12 +2,11 @@
 //!
 //! The bulk [`TokenBitmask`] operations (`allow_run` / `reject_run` /
 //! `allow_many` / `reject_many` / `copy_from` / `union_with` /
-//! `intersect_with`) and the batch-transposed [`MaskBatch`] layout are the
-//! hot inner loop of mask generation, and every one of them special-cases
-//! word boundaries. These tests drive random operation sequences at
-//! deliberately non-multiple-of-64 vocabulary sizes against a plain
-//! `Vec<bool>` model and demand bit-for-bit agreement — in particular that
-//! the padding bits of the last word never leak into `count_allowed`,
+//! `intersect_with`) are the hot inner loop of mask generation, and every one
+//! of them special-cases word boundaries. These tests drive random operation
+//! sequences at deliberately non-multiple-of-64 vocabulary sizes against a
+//! plain `Vec<bool>` model and demand bit-for-bit agreement — in particular
+//! that the padding bits of the last word never leak into `count_allowed`,
 //! `allowed_tokens`, or a subsequent `union_with`/`intersect_with`.
 //!
 //! The final property is the kernel-vs-serial differential of the raw-speed
@@ -21,7 +20,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xg_core::{CompilerConfig, GrammarCompiler, GrammarMatcher, MaskBatch, TokenBitmask};
+use xg_core::{CompilerConfig, GrammarCompiler, GrammarMatcher, TokenBitmask};
 use xg_tokenizer::{test_vocabulary, TokenId};
 
 /// Vocabulary sizes straddling word boundaries: one below, on, and above a
@@ -175,49 +174,6 @@ proptest! {
             }
         }
         assert_matches_model(&a, &model_a)?;
-    }
-
-    /// The batch-transposed layout round-trips: broadcasting a base, editing
-    /// individual lanes, and extracting each lane back out matches a
-    /// per-lane `TokenBitmask` model at odd vocabulary sizes.
-    #[test]
-    fn mask_batch_round_trips_lanes(
-        size_idx in 0usize..6,
-        lanes in 1usize..6,
-        seed in 0u64..100_000,
-    ) {
-        let size = ODD_SIZES[size_idx];
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut base = TokenBitmask::new_all_rejected(size);
-        let mut base_model = vec![false; size];
-        for _ in 0..6 {
-            apply_random_op(&mut rng, &mut base, &mut base_model);
-        }
-        let mut batch = MaskBatch::new(lanes, size);
-        batch.broadcast(&base);
-        let mut models: Vec<TokenBitmask> = (0..lanes).map(|_| base.clone()).collect();
-        for _ in 0..32 {
-            let lane = rng.gen_range(0..lanes);
-            let token = tid(rng.gen_range(0..size));
-            if rng.gen_range(0..2) == 0 {
-                batch.allow(lane, token);
-                models[lane].allow(token);
-            } else {
-                batch.reject(lane, token);
-                models[lane].reject(token);
-            }
-        }
-        for (lane, model) in models.iter().enumerate() {
-            let extracted = batch.extract_lane(lane);
-            prop_assert_eq!(&extracted, model, "lane {} diverged", lane);
-            for t in 0..size {
-                prop_assert_eq!(
-                    batch.is_allowed(lane, tid(t)),
-                    model.is_allowed(tid(t)),
-                    "lane {} bit {} diverged", lane, t
-                );
-            }
-        }
     }
 }
 
