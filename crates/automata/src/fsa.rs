@@ -181,24 +181,34 @@ impl Fsa {
     /// starts with an accepted string, and [`SuffixMatch::Rejected`]
     /// otherwise.
     pub fn match_remaining(&self, remaining: &[u8]) -> SuffixMatch {
-        let mut states: BTreeSet<StateId> = BTreeSet::new();
-        states.insert(self.start);
-        if states.iter().any(|s| self.is_final(*s)) {
-            return SuffixMatch::Possible;
+        // Consuming every byte with live states makes the remainder a prefix
+        // of an accepted string.
+        self.decide_prefix(remaining)
+            .unwrap_or(SuffixMatch::Possible)
+    }
+
+    /// The verdict [`match_remaining`](Self::match_remaining) gives to
+    /// *every* byte string starting with `prefix`, or `None` when `prefix`
+    /// alone does not decide it. The scan stops at the first empty state set
+    /// (rejected) or the first final state (possible), so whatever follows a
+    /// deciding prefix is never read — which lets the mask-cache build
+    /// classify a whole run of tokens sharing a prefix at once.
+    pub fn decide_prefix(&self, prefix: &[u8]) -> Option<SuffixMatch> {
+        if self.is_final(self.start) {
+            return Some(SuffixMatch::Possible);
         }
-        for &b in remaining {
+        let mut states = BTreeSet::from([self.start]);
+        for &b in prefix {
             states = self.step(&states, b);
             if states.is_empty() {
-                return SuffixMatch::Rejected;
+                return Some(SuffixMatch::Rejected);
             }
             if states.iter().any(|s| self.is_final(*s)) {
                 // The remainder starts with an accepted expanded suffix.
-                return SuffixMatch::Possible;
+                return Some(SuffixMatch::Possible);
             }
         }
-        // Consumed every byte with live states: the remainder is a prefix of
-        // an accepted string.
-        SuffixMatch::Possible
+        None
     }
 
     /// Merges `other` into `self` as an alternative (language union). The
@@ -273,6 +283,17 @@ mod tests {
         assert_eq!(fsa.match_remaining(b"x"), SuffixMatch::Rejected);
         // Diverges after the prefix.
         assert_eq!(fsa.match_remaining(b",x"), SuffixMatch::Rejected);
+    }
+
+    #[test]
+    fn decide_prefix_answers_only_what_the_prefix_settles() {
+        let fsa = literal_fsa(b", \"");
+        assert_eq!(fsa.decide_prefix(b""), None);
+        assert_eq!(fsa.decide_prefix(b","), None);
+        assert_eq!(fsa.decide_prefix(b",x"), Some(SuffixMatch::Rejected));
+        assert_eq!(fsa.decide_prefix(b", \""), Some(SuffixMatch::Possible));
+        // Bytes after the deciding ones are not read.
+        assert_eq!(fsa.decide_prefix(b", \"\xff"), Some(SuffixMatch::Possible));
     }
 
     #[test]

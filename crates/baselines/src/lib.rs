@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use xg_core::{CacheStats, ConstraintMatcher, MatcherPool};
 use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
-use xg_tokenizer::Vocabulary;
+use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 /// Errors produced when a backend cannot handle a grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,6 +86,14 @@ pub trait ConstrainedBackend: Send + Sync + fmt::Debug {
 
     /// The vocabulary the backend was built for.
     fn vocabulary(&self) -> &Arc<Vocabulary>;
+
+    /// The sorted index of [`vocabulary`](Self::vocabulary), through which
+    /// the serving engine re-tokenizes grammar-forced text. A backend that
+    /// keeps one for its own compiles hands out that one; the default builds
+    /// a fresh index (an `O(V log V)` sort), so callers keep the result.
+    fn sorted_vocabulary(&self) -> Arc<SortedVocabulary> {
+        Arc::new(SortedVocabulary::new(self.vocabulary()))
+    }
 
     /// Prepares a grammar, returning a factory for per-request sessions.
     ///

@@ -20,7 +20,7 @@ use xg_core::{
     CacheBudget, CacheStats, CompilerConfig, GrammarCache, GrammarCompiler, MatcherPool,
 };
 use xg_grammar::{DispatchDelta, Grammar, GrammarError, StructuralTag};
-use xg_tokenizer::Vocabulary;
+use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
 
@@ -87,6 +87,10 @@ impl ConstrainedBackend for XGrammarBackend {
 
     fn vocabulary(&self) -> &Arc<Vocabulary> {
         self.compiler.vocabulary()
+    }
+
+    fn sorted_vocabulary(&self) -> Arc<SortedVocabulary> {
+        Arc::clone(self.compiler.sorted_vocabulary())
     }
 
     fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
@@ -343,8 +347,7 @@ mod tests {
         let jump = session.find_jump_forward_string();
         assert_eq!(jump, b"{\"id\": ".to_vec());
         // The re-tokenized view tiles the same bytes with real tokens.
-        let sorted = xg_tokenizer::SortedVocabulary::new(&vocab);
-        let run = session.find_jump_forward_tokens(&sorted);
+        let run = session.find_jump_forward_tokens(&backend.sorted_vocabulary());
         assert_eq!(run.bytes, jump);
         assert_eq!(run.covered, jump.len());
         let tiled: Vec<u8> = run

@@ -2,16 +2,31 @@
 //! adaptive token mask cache construction), the quantity the paper overlaps
 //! with prefill (§3.5) and the main cost Syncode-style approaches pay
 //! offline.
+//!
+//! An iteration is one `CompiledGrammar::compile`: no grammar cache to
+//! short-circuit it, and the sorted vocabulary index — which depends on the
+//! vocabulary alone and is built once per `GrammarCompiler` — shared across
+//! iterations, so the bench times a compile and not a sort.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xg_bench::bench_vocabulary;
-use xg_core::{CompilerConfig, GrammarCompiler};
+use xg_core::{CompiledGrammar, CompilerConfig};
+use xg_grammar::Grammar;
+use xg_tokenizer::{SortedVocabulary, Vocabulary};
+
+fn compile(grammar: &Grammar, vocab: &Arc<Vocabulary>, sorted: &Arc<SortedVocabulary>) -> usize {
+    let config = CompilerConfig::default();
+    CompiledGrammar::compile(grammar, Arc::clone(vocab), Arc::clone(sorted), &config)
+        .stats()
+        .memory_bytes
+}
 
 fn bench_preprocessing(c: &mut Criterion) {
     let vocab = bench_vocabulary(16_000);
+    let sorted = Arc::new(SortedVocabulary::new(&vocab));
     let mut group = c.benchmark_group("preprocessing");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));
@@ -26,19 +41,31 @@ fn bench_preprocessing(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("compile_with_mask_cache", name),
             grammar,
-            |b, grammar| {
-                b.iter(|| {
-                    // A fresh compiler each iteration so the grammar cache
-                    // does not short-circuit the work being measured.
-                    let compiler =
-                        GrammarCompiler::with_config(Arc::clone(&vocab), CompilerConfig::default());
-                    compiler.compile_grammar(grammar).stats().memory_bytes
-                })
-            },
+            |b, grammar| b.iter(|| compile(grammar, &vocab, &sorted)),
         );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_preprocessing);
+/// The twelve schemas of `perf`'s `cold_schemas` workload at its vocabulary
+/// size: what an admission pays for a schema the cache has never seen.
+fn bench_cold_schema_compile(c: &mut Criterion) {
+    let vocab = bench_vocabulary(128_000);
+    let sorted = Arc::new(SortedVocabulary::new(&vocab));
+    let mut group = c.benchmark_group("cold_schema_compile");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+
+    for (i, case) in xg_datasets::schema_corpus(12, 11).iter().enumerate() {
+        let grammar =
+            xg_grammar::json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
+        group.bench_with_input(BenchmarkId::new(case.feature, i), &grammar, |b, grammar| {
+            b.iter(|| compile(grammar, &vocab, &sorted))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_preprocessing, bench_cold_schema_compile);
 criterion_main!(benches);

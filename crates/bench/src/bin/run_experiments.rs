@@ -207,8 +207,15 @@ fn experiment_stats(vocab: &Arc<Vocabulary>) {
         100.0 * stats.memory_ratio()
     );
     println!(
-        "  preprocessing characters matched vs naive: {:.0}% (sorted-prefix rollback, §3.3)",
+        "  preprocessing characters matched vs naive: {:.2}% (sorted-prefix rollback, §3.3)",
         100.0 * stats.preprocessing_check_fraction()
+    );
+    let pairs = stats.nodes * stats.classified_tokens;
+    println!(
+        "  tokens matched one by one: {} of {} (node, token) pairs ({:.2}%; the rest classified in runs)",
+        stats.tokens_visited,
+        pairs,
+        100.0 * stats.tokens_visited as f64 / pairs.max(1) as f64
     );
     println!(
         "  vocabulary prefix-sharing fraction (chars to check): {:.0}%",

@@ -196,7 +196,7 @@ pub struct TokenTrail {
     /// offset `i` would have to be matched by parent context). One entry per
     /// consumed byte.
     popout: Vec<bool>,
-    /// Total number of bytes actually advanced (for the §3.3 statistic).
+    /// Steps taken from a non-empty head set (the §3.3 statistic).
     bytes_advanced: u64,
     scratch: ExecScratch,
 }
@@ -237,38 +237,38 @@ impl TokenTrail {
                 popout_here = true
             });
             step_byte(pda, tree, byte, &mut self.scratch, &mut self.flat);
+            self.bytes_advanced += 1;
         }
-        self.bytes_advanced += 1;
         self.popout.push(popout_here);
         self.ends.push(self.flat.len());
         self.flat.len() > end
     }
 
-    /// Matches `token` assuming the trail currently holds a prefix of it of
-    /// length `keep` (the caller computes the longest common prefix with the
-    /// previously matched token). Returns the final state's liveness.
+    /// Matches `token`, reusing the first `keep` bytes the trail holds (the
+    /// caller passes the longest common prefix with the previously matched
+    /// token). `Err(p)` means no stack could consume `token[p]`: the trail
+    /// then ends in the dead state after `token[..=p]`, with the pop-outs
+    /// recorded up to offset `p`, and every token sharing that prefix fails
+    /// the same way without any automaton work.
     pub fn match_token(
         &mut self,
         pda: &Pda,
         tree: &mut PersistentStackTree,
         token: &[u8],
         keep: usize,
-    ) -> bool {
+    ) -> Result<(), usize> {
+        // A trail that died holds less than the shared prefix.
+        let keep = keep.min(self.prefix_len());
         self.rollback_to(keep);
-        let mut alive = !self.current_heads().is_empty();
-        for &b in &token[keep..] {
-            alive = self.advance(pda, tree, b);
-            if !alive {
-                // Pop-out offsets recorded earlier still apply, and later
-                // tokens sharing a longer prefix need the states to exist:
-                // fill the remaining positions with dead states without
-                // doing automaton work.
-                self.popout.resize(token.len(), false);
-                self.ends.resize(token.len() + 1, self.flat.len());
-                break;
+        if keep > 0 && self.current_heads().is_empty() {
+            return Err(keep - 1);
+        }
+        for (i, &b) in token.iter().enumerate().skip(keep) {
+            if !self.advance(pda, tree, b) {
+                return Err(i);
             }
         }
-        alive && self.prefix_len() == token.len()
+        Ok(())
     }
 
     /// Matches each of `tokens` — sorted by their byte strings, so that
@@ -287,7 +287,10 @@ impl TokenTrail {
         let mut prev: &[u8] = &[];
         for &token in tokens {
             let bytes = vocab.token_bytes(token);
-            if self.match_token(pda, tree, bytes, common_prefix_len(prev, bytes)) {
+            if self
+                .match_token(pda, tree, bytes, common_prefix_len(prev, bytes))
+                .is_ok()
+            {
                 on_match(token);
             }
             prev = bytes;
@@ -313,8 +316,9 @@ impl TokenTrail {
             .filter_map(|(i, &p)| if p { Some(i) } else { None })
     }
 
-    /// Total number of bytes advanced over the lifetime of the trail
-    /// (counting only real automaton work, not rolled-back reuse).
+    /// Total number of bytes advanced over the lifetime of the trail:
+    /// steps taken from a live head set, neither rolled-back reuse nor the
+    /// bookkeeping on a trail that already died.
     pub fn bytes_advanced(&self) -> u64 {
         self.bytes_advanced
     }
@@ -380,10 +384,13 @@ mod tests {
         let mut trail = TokenTrail::default();
         trail.reset(&heads);
         // Match two tokens sharing the prefix `{"na`.
-        assert!(trail.match_token(&pda, &mut tree, br#"{"name"#, 0));
+        assert_eq!(trail.match_token(&pda, &mut tree, br#"{"name"#, 0), Ok(()));
         let advanced_first = trail.bytes_advanced();
         let lcp = common_prefix_len(br#"{"name"#, br#"{"nam_x"#);
-        assert!(trail.match_token(&pda, &mut tree, br#"{"nam_x"#, lcp));
+        assert_eq!(
+            trail.match_token(&pda, &mut tree, br#"{"nam_x"#, lcp),
+            Ok(())
+        );
         // Only the divergent suffix was re-matched.
         assert_eq!(trail.bytes_advanced(), advanced_first + (7 - lcp) as u64);
     }
@@ -417,9 +424,8 @@ mod tests {
         let head = tree.push(StackHandle::ROOT, str_start);
         let mut trail = TokenTrail::default();
         trail.reset(&[head]);
-        let alive = trail.match_token(&pda, &mut tree, b"\"ab\"]", 0);
         // The token is not matchable locally (the `]` belongs to the parent)…
-        assert!(!alive);
+        assert_eq!(trail.match_token(&pda, &mut tree, b"\"ab\"]", 0), Err(4));
         // …but a pop-out at offset 4 was recorded (remainder `]`).
         let offsets: Vec<usize> = trail.popout_offsets().collect();
         assert_eq!(offsets, vec![4]);
@@ -432,9 +438,13 @@ mod tests {
         let heads = start_heads(&pda, &mut tree);
         let mut trail = TokenTrail::default();
         trail.reset(&heads);
-        assert!(!trail.match_token(&pda, &mut tree, b"{x}", 0));
+        assert_eq!(trail.match_token(&pda, &mut tree, b"{x}", 0), Err(1));
+        let advanced = trail.bytes_advanced();
+        // A token sharing the dead prefix fails where it did, for free.
+        assert_eq!(trail.match_token(&pda, &mut tree, b"{xy", 3), Err(1));
+        assert_eq!(trail.bytes_advanced(), advanced);
         // Next token shares the prefix `{` only; after rollback it matches.
-        assert!(trail.match_token(&pda, &mut tree, b"{}", 1));
+        assert_eq!(trail.match_token(&pda, &mut tree, b"{}", 1), Ok(()));
     }
 
     #[test]

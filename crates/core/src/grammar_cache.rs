@@ -36,14 +36,18 @@
 //! ```
 //! use std::sync::Arc;
 //! use xg_core::{CacheBudget, CompiledGrammar, CompilerConfig, GrammarCache, GrammarCacheKey};
-//! use xg_tokenizer::test_vocabulary;
+//! use xg_tokenizer::{test_vocabulary, SortedVocabulary};
 //!
 //! let cache = GrammarCache::new(CacheBudget::for_grammars());
 //! let vocab = Arc::new(test_vocabulary(600));
+//! let sorted = Arc::new(SortedVocabulary::new(&vocab));
 //! let grammar = xg_grammar::parse_ebnf(r#"root ::= "x" | "y""#, "root").unwrap();
 //! let config = CompilerConfig::default();
 //! let key = GrammarCacheKey::new(&grammar, vocab.fingerprint(), &config);
-//! let compile = || Ok::<_, ()>(CompiledGrammar::compile(&grammar, Arc::clone(&vocab), &config));
+//! let compile = || {
+//!     let (vocab, sorted) = (Arc::clone(&vocab), Arc::clone(&sorted));
+//!     Ok::<_, ()>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
+//! };
 //! let a = cache.get_or_try_build(key, compile).unwrap();
 //! let b = cache.get_or_try_build(key, compile).unwrap();
 //! assert!(Arc::ptr_eq(&a.artifact, &b.artifact) && Arc::ptr_eq(&a.pool, &b.pool));
@@ -482,10 +486,17 @@ mod tests {
     use std::convert::Infallible;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
-    use xg_tokenizer::{test_vocabulary, Vocabulary};
+    use xg_tokenizer::{test_vocabulary, SortedVocabulary, Vocabulary};
 
     fn grammar(src: &str) -> Grammar {
         xg_grammar::parse_ebnf(src, "root").unwrap()
+    }
+
+    /// A compile outside any [`GrammarCompiler`], with a sorted index of its
+    /// own.
+    fn compile(g: &Grammar, vocab: &Arc<Vocabulary>, cfg: &CompilerConfig) -> CompiledGrammar {
+        let sorted = Arc::new(SortedVocabulary::new(vocab));
+        CompiledGrammar::compile(g, Arc::clone(vocab), sorted, cfg)
     }
 
     fn one_entry() -> CacheBudget {
@@ -503,8 +514,8 @@ mod tests {
         cfg: &CompilerConfig,
     ) -> Cached<CompiledGrammar> {
         let key = GrammarCacheKey::new(g, vocab.fingerprint(), cfg);
-        let compile = || Ok::<_, Infallible>(CompiledGrammar::compile(g, Arc::clone(vocab), cfg));
-        cache.get_or_try_build(key, compile).unwrap()
+        let build = || Ok::<_, Infallible>(compile(g, vocab, cfg));
+        cache.get_or_try_build(key, build).unwrap()
     }
 
     fn get_or_compile(
@@ -675,14 +686,11 @@ mod tests {
                 );
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let compile = || {
+                    let build = || {
                         compiles.fetch_add(1, Ordering::SeqCst);
-                        let vocab = Arc::clone(&vocab);
-                        let compiled =
-                            CompiledGrammar::compile(&g, vocab, &CompilerConfig::default());
-                        Ok::<_, Infallible>(compiled)
+                        Ok::<_, Infallible>(compile(&g, &vocab, &CompilerConfig::default()))
                     };
-                    cache.get_or_try_build(key, compile).unwrap()
+                    cache.get_or_try_build(key, build).unwrap()
                 })
             })
             .collect();
@@ -790,8 +798,8 @@ mod tests {
             });
             building.wait();
             // Joins the in-flight build, wakes to its failure, rebuilds.
-            let compile = || Ok::<_, &str>(CompiledGrammar::compile(&g, Arc::clone(&vocab), &cfg));
-            let waiter = cache.get_or_try_build(key, compile).unwrap();
+            let build = || Ok::<_, &str>(compile(&g, &vocab, &cfg));
+            let waiter = cache.get_or_try_build(key, build).unwrap();
             assert!(waiter.built);
             assert!(failing.join().unwrap().is_err());
             let again = get_or_compile(&cache, &g, &vocab, &cfg);

@@ -163,12 +163,13 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use xg_tokenizer::{test_vocabulary, Vocabulary};
+    use xg_tokenizer::{test_vocabulary, SortedVocabulary, Vocabulary};
 
     use crate::compiler::{CompiledGrammar, CompilerConfig};
 
     fn compile(grammar: &Grammar, vocab: Arc<Vocabulary>) -> CompiledGrammar {
-        CompiledGrammar::compile(grammar, vocab, &CompilerConfig::default())
+        let sorted = Arc::new(SortedVocabulary::new(&vocab));
+        CompiledGrammar::compile(grammar, vocab, sorted, &CompilerConfig::default())
     }
 
     #[test]

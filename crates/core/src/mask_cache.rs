@@ -17,12 +17,18 @@
 //! Construction uses the persistent execution stack: tokens are classified in
 //! lexicographic order and the matcher state is rolled back to the common
 //! prefix with the previously classified token (paper §3.3), which cuts the
-//! number of bytes that have to be matched to a fraction.
+//! number of bytes that have to be matched to a fraction. The same order
+//! makes a failed token speak for its neighbours: every following token that
+//! shares the prefix the automaton died on is classified with it, unvisited,
+//! so a node costs what the grammar keeps alive there rather than what the
+//! vocabulary holds.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use xg_automata::{Fsa, NodeId, Pda, PdaNode, SuffixMatch};
 use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
-use crate::executor::{common_prefix_len, TokenTrail};
+use crate::executor::TokenTrail;
 use crate::mask::TokenBitmask;
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
@@ -111,8 +117,13 @@ pub struct MaskCacheStats {
     pub memory_bytes: usize,
     /// Memory a dense per-node bitmask layout would need, in bytes.
     pub dense_memory_bytes: usize,
-    /// Bytes of token text actually matched during preprocessing.
+    /// Bytes of token text actually matched during preprocessing: automaton
+    /// steps taken from a live state.
     pub preprocessing_bytes_matched: u64,
+    /// Tokens matched one by one, summed over nodes. The rest of
+    /// `nodes * classified_tokens` was classified in runs, by the prefix
+    /// shared with a token that had already failed.
+    pub tokens_visited: u64,
     /// Bytes of token text that would have been matched without sorted-prefix
     /// rollback (`nodes * total token bytes`).
     pub preprocessing_bytes_naive: u64,
@@ -179,22 +190,38 @@ impl MaskCache {
     }
 }
 
-/// Classification of one token relative to one automaton node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TokenClass {
-    Accepted,
-    Rejected,
-    Uncertain,
-}
-
-/// Result of classifying the whole vocabulary for one node.
+/// Result of classifying the whole vocabulary for one node. The rejected
+/// tokens are whatever of the sorted vocabulary is in neither list; only an
+/// accept-heavy entry ever needs them spelled out.
 #[derive(Debug, Default)]
 struct NodeClassification {
     accepted: Vec<TokenId>,
-    rejected: Vec<TokenId>,
     uncertain: Vec<TokenId>,
     uncertain_before_expansion: usize,
     bytes_matched: u64,
+    tokens_visited: u64,
+}
+
+/// What a token that died in the trail is, given the bytes of it that
+/// `decided_by` holds: context-dependent (`Some(true)`) if the remainder
+/// after some pop-out can match a parent context, rejected (`Some(false)`)
+/// if no remainder can, and `None` when `decided_by` is too short to tell.
+/// Without a suffix automaton (no context expansion, §3.2) any pop-out makes
+/// the token context-dependent.
+fn is_context_dependent(
+    trail: &TokenTrail,
+    decided_by: &[u8],
+    suffix_fsa: Option<&Fsa>,
+) -> Option<bool> {
+    let mut undecided = false;
+    for offset in trail.popout_offsets() {
+        match suffix_fsa.map(|fsa| fsa.decide_prefix(&decided_by[offset..])) {
+            None | Some(Some(SuffixMatch::Possible)) => return Some(true),
+            Some(Some(SuffixMatch::Rejected)) => {}
+            Some(None) => undecided = true,
+        }
+    }
+    (!undecided).then_some(false)
 }
 
 /// Classifies every (non-special) token against a single automaton node,
@@ -202,6 +229,13 @@ struct NodeClassification {
 /// expanded-suffix automaton of the node's rule and is used to reject
 /// context-dependent tokens whose remainder cannot match any parent context
 /// (context expansion, §3.2).
+///
+/// A token the trail dies on at byte `p` takes the whole run of following
+/// tokens that share `token[..=p]` with it: they reach the same dead state
+/// with the same pop-outs, so when that prefix also settles the suffix
+/// automaton's answer, the run is classified without being visited. The work
+/// is proportional to the prefixes the node keeps alive, not to the
+/// vocabulary.
 fn classify_node(
     pda: &Pda,
     node: NodeId,
@@ -214,56 +248,39 @@ fn classify_node(
     let mut trail = TokenTrail::default();
     trail.reset(&[start]);
     let mut out = NodeClassification::default();
-    let mut prev_bytes: &[u8] = &[];
-    for (i, &token_id) in sorted.ids().iter().enumerate() {
-        let bytes = vocab.token_bytes(token_id);
-        let keep = if i == 0 {
-            0
-        } else {
-            common_prefix_len(prev_bytes, bytes).min(sorted.lcp()[i])
+    let (ids, lcp) = (sorted.ids(), sorted.lcp());
+    let mut i = 0;
+    while i < ids.len() {
+        let bytes = vocab.token_bytes(ids[i]);
+        out.tokens_visited += 1;
+        let Err(died_at) = trail.match_token(pda, &mut tree, bytes, lcp[i]) else {
+            out.accepted.push(ids[i]);
+            i += 1;
+            continue;
         };
-        let alive = trail.match_token(pda, &mut tree, bytes, keep);
-        let class = if alive {
-            TokenClass::Accepted
-        } else {
-            // Any pop-out offset means the remainder could be matched by a
-            // parent context; context expansion filters those that cannot.
-            let mut uncertain = false;
-            for offset in trail.popout_offsets() {
-                if offset >= bytes.len() {
-                    continue;
+        let shared_prefix = &bytes[..=died_at];
+        let (context_dependent, run_end) =
+            match is_context_dependent(&trail, shared_prefix, suffix_fsa) {
+                Some(class) => {
+                    let shared = lcp[i + 1..].iter().take_while(|&&l| l > died_at).count();
+                    (class, i + 1 + shared)
                 }
-                let remainder = &bytes[offset..];
-                match suffix_fsa {
-                    Some(fsa) => {
-                        if fsa.match_remaining(remainder) == SuffixMatch::Possible {
-                            uncertain = true;
-                            break;
-                        }
-                    }
-                    None => {
-                        uncertain = true;
-                        break;
-                    }
-                }
-            }
-            // Track what the classification would have been without context
-            // expansion for the statistics.
-            if trail.popout_offsets().any(|o| o < bytes.len()) {
-                out.uncertain_before_expansion += 1;
-            }
-            if uncertain {
-                TokenClass::Uncertain
-            } else {
-                TokenClass::Rejected
-            }
-        };
-        match class {
-            TokenClass::Accepted => out.accepted.push(token_id),
-            TokenClass::Rejected => out.rejected.push(token_id),
-            TokenClass::Uncertain => out.uncertain.push(token_id),
+                // The token's own bytes decide it, or run out undecided: then
+                // its remainder is a prefix of what a parent context accepts.
+                None => (
+                    is_context_dependent(&trail, bytes, suffix_fsa).unwrap_or(true),
+                    i + 1,
+                ),
+            };
+        // Any pop-out means the remainder could be matched by a parent
+        // context; context expansion filtered those that cannot.
+        if trail.popout_offsets().next().is_some() {
+            out.uncertain_before_expansion += run_end - i;
         }
-        prev_bytes = bytes;
+        if context_dependent {
+            out.uncertain.extend_from_slice(&ids[i..run_end]);
+        }
+        i = run_end;
     }
     out.bytes_matched = trail.bytes_advanced();
     out
@@ -299,12 +316,25 @@ pub fn build_mask_cache(
     suffix_fsas: Option<&[Fsa]>,
     options: &MaskCacheBuildOptions,
 ) -> MaskCache {
+    build_with(pda, vocab, sorted, suffix_fsas, options, classify_node)
+}
+
+/// [`build_mask_cache`] over a given per-node classifier (the tests run a
+/// reference classifier through the same assembly).
+fn build_with(
+    pda: &Pda,
+    vocab: &Vocabulary,
+    sorted: &SortedVocabulary,
+    suffix_fsas: Option<&[Fsa]>,
+    options: &MaskCacheBuildOptions,
+    classify_node: impl Fn(&Pda, NodeId, &Vocabulary, &SortedVocabulary, Option<&Fsa>) -> NodeClassification
+        + Sync,
+) -> MaskCache {
     let node_count = pda.node_count();
     let num_threads = if options.num_threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(node_count.max(1))
     } else {
         options.num_threads
     };
@@ -316,10 +346,7 @@ pub fn build_mask_cache(
     let classify = |node_index: usize| -> NodeClassification {
         let node = NodeId(node_index as u32);
         if never_top(pda.node(node)) {
-            return NodeClassification {
-                rejected: sorted.ids().to_vec(),
-                ..Default::default()
-            };
+            return NodeClassification::default();
         }
         let fsa = if options.context_expansion {
             suffix_fsas.map(|f| &f[pda.node(node).rule.index()])
@@ -329,27 +356,30 @@ pub fn build_mask_cache(
         classify_node(pda, node, vocab, sorted, fsa)
     };
 
-    let classifications: Vec<NodeClassification> = if num_threads <= 1 || node_count < 2 {
+    let classifications: Vec<NodeClassification> = if num_threads <= 1 || node_count < num_threads {
         (0..node_count).map(classify).collect()
     } else {
-        // Static chunking over nodes; Vocabulary, Pda and SortedVocabulary are
-        // all shared immutably.
+        // Nodes differ in cost by orders of magnitude (a literal's node keeps
+        // one prefix alive, a string body's most of the vocabulary), so the
+        // workers draw them one at a time from a shared counter. Vocabulary,
+        // Pda and SortedVocabulary are all shared immutably.
         let mut results: Vec<Option<NodeClassification>> = Vec::new();
         results.resize_with(node_count, || None);
-        let chunk = node_count.div_ceil(num_threads);
+        let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..num_threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(node_count);
-                if lo >= hi {
-                    break;
+            let worker = || {
+                let mut done = Vec::new();
+                loop {
+                    // Relaxed: the counter hands out indices and publishes
+                    // nothing; results travel through `join`.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= node_count {
+                        return done;
+                    }
+                    done.push((i, classify(i)));
                 }
-                let classify = &classify;
-                handles.push(
-                    scope.spawn(move || (lo..hi).map(|i| (i, classify(i))).collect::<Vec<_>>()),
-                );
-            }
+            };
+            let handles: Vec<_> = (0..num_threads).map(|_| scope.spawn(worker)).collect();
             for handle in handles {
                 for (i, c) in handle.join().expect("classification worker panicked") {
                     results[i] = Some(c);
@@ -363,12 +393,11 @@ pub fn build_mask_cache(
     };
 
     // Convert classifications into adaptive entries and aggregate statistics.
-    let vocab_size = vocab.len();
     let mut entries = Vec::with_capacity(node_count);
     let mut stats = MaskCacheStats {
         nodes: node_count,
         classified_tokens: sorted.len(),
-        dense_memory_bytes: node_count * vocab_size.div_ceil(8),
+        dense_memory_bytes: node_count * vocab.len().div_ceil(8),
         preprocessing_bytes_naive: pda.nodes().iter().filter(|n| !never_top(n)).count() as u64
             * sorted.total_bytes() as u64,
         ..Default::default()
@@ -380,7 +409,8 @@ pub fn build_mask_cache(
             .max_context_dependent_per_node
             .max(classification.uncertain.len());
         stats.preprocessing_bytes_matched += classification.bytes_matched;
-        let entry = make_entry(vocab, vocab_size, classification);
+        stats.tokens_visited += classification.tokens_visited;
+        let entry = make_entry(vocab, sorted, classification);
         stats.memory_bytes += entry.memory_bytes();
         entries.push(entry);
     }
@@ -391,12 +421,11 @@ pub fn build_mask_cache(
 /// Chooses the cheapest of the three storage formats (Figure 5).
 fn make_entry(
     vocab: &Vocabulary,
-    vocab_size: usize,
+    sorted: &SortedVocabulary,
     classification: NodeClassification,
 ) -> NodeMaskEntry {
     let NodeClassification {
         accepted,
-        rejected,
         mut uncertain,
         ..
     } = classification;
@@ -408,10 +437,19 @@ fn make_entry(
         .all(|w| vocab.token_bytes(w[0]) <= vocab.token_bytes(w[1])));
     uncertain.shrink_to_fit();
 
-    let accept_heavy_cost = (rejected.len() + uncertain.len()) * 4;
+    let accept_heavy_cost = (sorted.len() - accepted.len()) * 4;
     let reject_heavy_cost = (accepted.len() + uncertain.len()) * 4;
-    let bitset_cost = vocab_size.div_ceil(8) + uncertain.len() * 4;
+    let bitset_cost = vocab.len().div_ceil(8) + uncertain.len() * 4;
     if accept_heavy_cost <= reject_heavy_cost && accept_heavy_cost <= bitset_cost {
+        // The rejected tokens are the sorted ids in neither list; both lists
+        // are in sorted order, so one pass with two cursors finds them.
+        let (mut a, mut u) = (accepted.iter().peekable(), uncertain.iter().peekable());
+        let rejected = sorted
+            .ids()
+            .iter()
+            .filter(|id| a.next_if_eq(id).or_else(|| u.next_if_eq(id)).is_none())
+            .copied()
+            .collect();
         NodeMaskEntry::AcceptHeavy {
             rejected,
             uncertain,
@@ -422,7 +460,7 @@ fn make_entry(
             uncertain,
         }
     } else {
-        let mut mask = TokenBitmask::new_all_rejected(vocab_size);
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
         for t in &accepted {
             mask.allow(*t);
         }
@@ -432,6 +470,10 @@ fn make_entry(
         }
     }
 }
+
+#[cfg(test)]
+#[path = "mask_cache_tests.rs"]
+mod differential;
 
 #[cfg(test)]
 mod tests {

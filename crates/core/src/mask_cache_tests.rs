@@ -1,0 +1,352 @@
+//! Differential tests of the run-skipping classifier against the per-token
+//! loop it replaced, and the deterministic count gate on how much of the
+//! vocabulary a build visits.
+
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions};
+use xg_grammar::{builtin, json_schema_to_grammar, parse_ebnf, Grammar};
+use xg_tokenizer::{synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig};
+
+use super::*;
+use crate::executor::common_prefix_len;
+
+/// The classifier before run skipping, kept as the reference: every sorted
+/// token is matched and classified on its own. A trail that died is padded
+/// with one dead state per remaining byte, so the next token can always roll
+/// back to its common prefix, and a token's remainders are judged by
+/// `match_remaining` on the token's own bytes.
+fn classify_node_reference(
+    pda: &Pda,
+    node: NodeId,
+    vocab: &Vocabulary,
+    sorted: &SortedVocabulary,
+    suffix_fsa: Option<&Fsa>,
+) -> NodeClassification {
+    let mut tree = PersistentStackTree::new();
+    let start = tree.push(StackHandle::ROOT, node);
+    let mut trail = TokenTrail::default();
+    trail.reset(&[start]);
+    let mut out = NodeClassification::default();
+    let mut prev: &[u8] = &[];
+    for &token_id in sorted.ids() {
+        let bytes = vocab.token_bytes(token_id);
+        out.tokens_visited += 1;
+        trail.rollback_to(common_prefix_len(prev, bytes));
+        prev = bytes;
+        while trail.prefix_len() < bytes.len() {
+            trail.advance(pda, &mut tree, bytes[trail.prefix_len()]);
+        }
+        if !trail.current_heads().is_empty() {
+            out.accepted.push(token_id);
+            continue;
+        }
+        let popouts: Vec<usize> = trail
+            .popout_offsets()
+            .filter(|&o| o < bytes.len())
+            .collect();
+        let uncertain = popouts.iter().any(|&o| {
+            suffix_fsa.is_none_or(|fsa| fsa.match_remaining(&bytes[o..]) == SuffixMatch::Possible)
+        });
+        if !popouts.is_empty() {
+            out.uncertain_before_expansion += 1;
+        }
+        if uncertain {
+            out.uncertain.push(token_id);
+        }
+    }
+    out.bytes_matched = trail.bytes_advanced();
+    out
+}
+
+/// Builds the cache of `pda` both ways, with and without context expansion,
+/// and demands the same entries and the same statistics (but for the count
+/// of visited tokens, which is the difference).
+fn assert_matches_reference(pda: &Pda, vocab: &Vocabulary, sorted: &SortedVocabulary, what: &str) {
+    let fsas = extract_all_suffix_fsas(pda);
+    for context_expansion in [true, false] {
+        let options = MaskCacheBuildOptions {
+            context_expansion,
+            num_threads: 2,
+        };
+        let fast = build_mask_cache(pda, vocab, sorted, Some(&fsas), &options);
+        let reference = build_with(
+            pda,
+            vocab,
+            sorted,
+            Some(&fsas),
+            &options,
+            classify_node_reference,
+        );
+        for i in 0..pda.node_count() {
+            let node = NodeId(i as u32);
+            assert_eq!(
+                fast.entry(node),
+                reference.entry(node),
+                "{what}: node {i} (context expansion {context_expansion})"
+            );
+        }
+        let comparable = |stats: &MaskCacheStats| MaskCacheStats {
+            tokens_visited: 0,
+            ..*stats
+        };
+        assert_eq!(
+            comparable(fast.stats()),
+            comparable(reference.stats()),
+            "{what} (context expansion {context_expansion})"
+        );
+        assert!(fast.stats().tokens_visited <= reference.stats().tokens_visited);
+    }
+}
+
+/// A vocabulary with deep shared prefixes, among them tokens that pop out
+/// of a string rule *inside* the prefix they share (`"ab"]` and its
+/// extensions).
+fn prefix_heavy_vocabulary() -> Vocabulary {
+    let tokens: &[&[u8]] = &[
+        b"</s>",
+        b"\"",
+        b"a",
+        b"b",
+        b"[",
+        b"]",
+        b",",
+        b"}",
+        b" ",
+        b"\"a",
+        b"\"ab",
+        b"\"abc",
+        b"\"abcd\"",
+        b"\"ab\"",
+        b"\"ab\"]",
+        b"\"ab\"],",
+        b"\"ab\"]}",
+        b"\"ab\"]]",
+        b"\"ab\",",
+        b"\"ab\",\"",
+        b"\"ab\",\"a",
+        b"\"ab\",x",
+        b"\"ab\"x",
+        b"\"ab\"xy",
+        b"\"aB",
+        b"\"aBc",
+        b"ab\"]",
+        b"ab\"],",
+        b"b\"]}",
+        b"[\"ab\"]",
+        b"[\"ab\"],",
+        b"[\"ab\"",
+        b"[[",
+        b"x",
+        b"xy",
+        b"xyz",
+    ];
+    Vocabulary::from_tokens(tokens.iter().map(|t| t.to_vec()).collect(), Some(0))
+}
+
+fn grammars_under_test() -> Vec<(String, Grammar)> {
+    let mut grammars = vec![
+        ("builtin json".to_string(), builtin::json_grammar()),
+        ("builtin xml".to_string(), builtin::xml_grammar()),
+        (
+            "builtin python dsl".to_string(),
+            builtin::python_dsl_grammar(),
+        ),
+    ];
+    for (i, case) in xg_datasets::schema_corpus(24, 5).into_iter().enumerate() {
+        let grammar = json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
+        grammars.push((format!("schema {i} ({})", case.feature), grammar));
+    }
+    for case in xg_datasets::pathological_corpus() {
+        grammars.push((format!("pathological {}", case.name), case.grammar));
+    }
+    let session = &xg_datasets::agent_sessions(1, 4, 2, 9)[0];
+    let triggers = session
+        .initial
+        .build_trigger_grammars()
+        .expect("dataset catalogs validate");
+    for (trigger, grammar) in triggers {
+        // What `compile_tag_dispatch` compiles for the trigger.
+        let segment = xg_grammar::append_free_text_tail(&grammar);
+        grammars.push((format!("trigger {trigger:?}"), segment));
+    }
+    grammars
+}
+
+#[test]
+fn run_skipping_build_equals_the_per_token_reference() {
+    let vocabularies = [test_vocabulary(2000), prefix_heavy_vocabulary()];
+    let sorted: Vec<SortedVocabulary> = vocabularies.iter().map(SortedVocabulary::new).collect();
+    for (what, grammar) in grammars_under_test() {
+        let pda = build_pda(&grammar, &PdaBuildOptions::default());
+        for (vocab, sorted) in vocabularies.iter().zip(&sorted) {
+            assert_matches_reference(&pda, vocab, sorted, &what);
+        }
+    }
+}
+
+#[test]
+fn a_popout_inside_the_shared_prefix_decides_the_whole_run() {
+    let vocab = prefix_heavy_vocabulary();
+    let sorted = SortedVocabulary::new(&vocab);
+    // Every token below leaves `str` at offset 4, inside the prefix it
+    // shares with its neighbours, and the byte after decides its run.
+    let cases: [(&str, &[&[u8]]); 2] = [
+        // Nothing follows the root's `]`: after `"ab"]` the suffix automaton
+        // is alive but not final, so the prefix decides nothing and each of
+        // `"ab"]`, `"ab"],`, `"ab"]]`, `"ab"]}` is judged on its own bytes.
+        (
+            r#"
+            root ::= "[" str "]"
+            str ::= "\"" [a-z]* "\""
+            "#,
+            &[b"\"ab\"]"],
+        ),
+        // After `,` comes another `str`, where the suffix automaton stops and
+        // accepts: the run under `"ab",` is context-dependent as a whole.
+        (
+            r#"
+            root ::= "[" str ("," str)* "]"
+            str ::= "\"" [a-z]* "\""
+            "#,
+            &[
+                b"\"ab\",",
+                b"\"ab\",\"",
+                b"\"ab\",\"a",
+                b"\"ab\",x",
+                b"\"ab\"]",
+            ],
+        ),
+    ];
+    for (source, expected) in cases {
+        let grammar = parse_ebnf(source, "root").unwrap();
+        // `str` stays a rule of its own: its nodes pop out into `root`.
+        let options = PdaBuildOptions {
+            inline_rules: false,
+            ..Default::default()
+        };
+        let pda = build_pda(&grammar, &options);
+        assert_matches_reference(&pda, &vocab, &sorted, source);
+
+        let fsas = extract_all_suffix_fsas(&pda);
+        let cache = build_mask_cache(
+            &pda,
+            &vocab,
+            &sorted,
+            Some(&fsas),
+            &MaskCacheBuildOptions::default(),
+        );
+        let str_start = pda.rules().iter().find(|r| r.name == "str").unwrap().start;
+        let uncertain: Vec<&[u8]> = cache
+            .entry(str_start)
+            .uncertain()
+            .iter()
+            .map(|t| vocab.token_bytes(*t))
+            .collect();
+        assert_eq!(uncertain, expected, "{source}");
+        // `"ab"x` dies on a byte no parent wants and takes `"ab"xy` along.
+        let all = (pda.node_count() * sorted.len()) as u64;
+        assert!(cache.stats().tokens_visited < all);
+    }
+}
+
+/// A small random expression over a small alphabet; `rules` are the names it
+/// may reference.
+fn random_expr(rng: &mut SmallRng, depth: usize, rules: &[&str]) -> String {
+    let variants = if depth == 0 { 3 } else { 6 };
+    match rng.gen_range(0..variants) {
+        0 => {
+            let len = rng.gen_range(1..=4);
+            let literal: String = (0..len)
+                .map(|_| b"ab01,:]} "[rng.gen_range(0..9usize)] as char)
+                .collect();
+            format!("\"{literal}\"")
+        }
+        1 => ["[a-c]", "[0-9]", "[^a]", "[ -~]"][rng.gen_range(0..4usize)].to_string(),
+        2 if !rules.is_empty() => rules[rng.gen_range(0..rules.len())].to_string(),
+        2 => "\"a\"".to_string(),
+        3 => {
+            let items: Vec<String> = (0..rng.gen_range(2..=3))
+                .map(|_| random_expr(rng, depth - 1, rules))
+                .collect();
+            items.join(" ")
+        }
+        4 => {
+            let items: Vec<String> = (0..rng.gen_range(2..=3))
+                .map(|_| random_expr(rng, depth - 1, rules))
+                .collect();
+            format!("({})", items.join(" | "))
+        }
+        _ => {
+            let inner = random_expr(rng, depth - 1, rules);
+            let op = ["*", "+", "?", "{1,3}"][rng.gen_range(0..4usize)];
+            format!("({inner}){op}")
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random three-rule grammars (references only go down, so there is no
+    /// left recursion), with and without rule inlining.
+    #[test]
+    fn run_skipping_build_equals_the_reference_on_random_grammars(seed in 0u64..100_000) {
+        static VOCAB: OnceLock<(Vocabulary, SortedVocabulary)> = OnceLock::new();
+        let (vocab, sorted) = VOCAB.get_or_init(|| {
+            let vocab = test_vocabulary(800);
+            let sorted = SortedVocabulary::new(&vocab);
+            (vocab, sorted)
+        });
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let source = format!(
+            "root ::= {}\nmid ::= {}\nleaf ::= {}\n",
+            random_expr(&mut rng, 2, &["mid", "leaf"]),
+            random_expr(&mut rng, 2, &["leaf"]),
+            random_expr(&mut rng, 1, &[]),
+        );
+        let grammar = parse_ebnf(&source, "root")
+            .unwrap_or_else(|e| panic!("generated grammar must parse: {e}\n{source}"));
+        let options = PdaBuildOptions {
+            inline_rules: seed % 2 == 0,
+            ..Default::default()
+        };
+        assert_matches_reference(&build_pda(&grammar, &options), vocab, sorted, &source);
+    }
+}
+
+/// The count behind the cold-compile claim, where a wall clock would not
+/// repeat: over the benchmark's cold schemas, the build matches at most one
+/// token in twenty; the rest are classified by the prefix they share with
+/// one that failed.
+#[test]
+fn cold_schema_builds_visit_a_twentieth_of_the_vocabulary() {
+    let vocab = synthetic_vocabulary(&SyntheticVocabConfig {
+        size: 32_000,
+        seed: 0x32_000,
+    });
+    let sorted = SortedVocabulary::new(&vocab);
+    let (mut visited, mut all) = (0u64, 0u64);
+    for case in xg_datasets::schema_corpus(12, 11) {
+        let grammar = json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
+        let pda = build_pda(&grammar, &PdaBuildOptions::default());
+        let fsas = extract_all_suffix_fsas(&pda);
+        let cache = build_mask_cache(
+            &pda,
+            &vocab,
+            &sorted,
+            Some(&fsas),
+            &MaskCacheBuildOptions::default(),
+        );
+        let stats = cache.stats();
+        visited += stats.tokens_visited;
+        all += (stats.nodes * stats.classified_tokens) as u64;
+    }
+    assert!(
+        visited * 20 <= all,
+        "visited {visited} of {all} (node, token) pairs"
+    );
+}

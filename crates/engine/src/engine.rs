@@ -29,7 +29,7 @@
 //! ([`BatchMetrics::jump_forward_tokens`], [`BatchMetrics::forced_time`]) so
 //! TPOT stays honest.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::lane::{ForcedContext, Lane};
@@ -299,9 +299,11 @@ pub struct ServingEngine {
     llm: SimulatedLlm,
     /// How constrained lanes use jump-forward decoding.
     jump_forward: JumpForwardPolicy,
-    /// Sorted vocabulary index for forced-text re-tokenization, built once
-    /// and shared by every scheduler (`Engine` policy only).
-    sorted_vocab: OnceLock<Arc<SortedVocabulary>>,
+    /// The backend's sorted vocabulary index, through which forced text is
+    /// re-tokenized; shared by every scheduler. Fetched the first time the
+    /// policy is `Engine` (a backend without an index of its own builds one
+    /// per call).
+    sorted_vocab: Option<Arc<SortedVocabulary>>,
 }
 
 impl ServingEngine {
@@ -333,7 +335,7 @@ impl ServingEngine {
             mode,
             llm,
             jump_forward: JumpForwardPolicy::Off,
-            sorted_vocab: OnceLock::new(),
+            sorted_vocab: None,
         }
         .with_jump_forward(JumpForwardPolicy::default())
     }
@@ -351,10 +353,13 @@ impl ServingEngine {
     /// toward the cap and injection never runs past it.
     pub fn with_jump_forward(mut self, policy: JumpForwardPolicy) -> Self {
         self.jump_forward = policy;
-        // Build the re-tokenization index now, outside any batch's timed
+        // Fetch the re-tokenization index now, outside any batch's timed
         // region — otherwise the O(V log V) sort would be charged to the
-        // first batch's total_time without showing up in forced_time.
-        let _ = self.retokenizer();
+        // first batch's total_time without showing up in forced_time (and,
+        // with the XGrammar backend, to the first compile).
+        if matches!(policy, JumpForwardPolicy::Engine) && self.sorted_vocab.is_none() {
+            self.sorted_vocab = Some(self.backend.sorted_vocabulary());
+        }
         self
     }
 
@@ -406,16 +411,12 @@ impl ServingEngine {
         &self.llm
     }
 
-    /// The sorted vocabulary index forced text is re-tokenized through,
-    /// built on first use and shared by every scheduler; `None` under
-    /// [`JumpForwardPolicy::Off`], where nothing is injected.
+    /// The sorted vocabulary index forced text is re-tokenized through;
+    /// `None` under [`JumpForwardPolicy::Off`], where nothing is injected.
     pub(crate) fn retokenizer(&self) -> Option<Arc<SortedVocabulary>> {
-        matches!(self.jump_forward, JumpForwardPolicy::Engine).then(|| {
-            Arc::clone(
-                self.sorted_vocab
-                    .get_or_init(|| Arc::new(SortedVocabulary::new(self.backend.vocabulary()))),
-            )
-        })
+        self.sorted_vocab
+            .clone()
+            .filter(|_| matches!(self.jump_forward, JumpForwardPolicy::Engine))
     }
 
     /// Starts a [`ContinuousScheduler`](crate::ContinuousScheduler) serving

@@ -11,7 +11,7 @@ use xg_core::{
     CacheBudget, CompiledGrammar, CompilerConfig, GrammarCache, GrammarCacheKey, GrammarCompiler,
     GrammarMatcher, TokenBitmask,
 };
-use xg_tokenizer::test_vocabulary;
+use xg_tokenizer::{test_vocabulary, SortedVocabulary};
 
 const THREADS: usize = 8;
 
@@ -41,8 +41,11 @@ fn stress_same_grammar_compiles_exactly_once() {
                     // the compiler.
                     let compile = || {
                         compilations.fetch_add(1, Ordering::SeqCst);
+                        let sorted = Arc::new(SortedVocabulary::new(&vocab));
                         let vocab = Arc::clone(&vocab);
-                        Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, &config))
+                        Ok::<_, Infallible>(CompiledGrammar::compile(
+                            &grammar, vocab, sorted, &config,
+                        ))
                     };
                     cache.get_or_try_build(key, compile).unwrap().artifact
                 })
@@ -144,8 +147,9 @@ fn stress_distinct_grammars_do_not_serialize_each_other() {
                 barrier.wait();
                 let compile = || {
                     compilations.fetch_add(1, Ordering::SeqCst);
+                    let sorted = Arc::new(SortedVocabulary::new(&vocab));
                     let vocab = Arc::clone(&vocab);
-                    Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, &config))
+                    Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
                 };
                 let compiled = cache.get_or_try_build(key, compile).unwrap();
                 // Every thread can match with its grammar right away.
