@@ -97,7 +97,20 @@ fn bench_mask_generation(c: &mut Criterion) {
 fn bench_trigger_scan(c: &mut Criterion) {
     use xg_automata::{AhoCorasick, NaiveMultiPattern};
 
-    let (catalog, transcript) = xg_bench::trigger_scan_fixture(120, 1 << 16);
+    // 120 distinct `<fn_NNN>` triggers over a 64 KB transcript interleaving
+    // prose, near-miss trigger prefixes and one real trigger per filler block.
+    let catalog: Vec<Vec<u8>> = (0..120)
+        .map(|i| format!("<fn_{i:03}>").into_bytes())
+        .collect();
+    let filler: &[u8] = b"calling tools <fn_ <f <fn_1 plain prose about nothing and then ";
+    let mut transcript: Vec<u8> = Vec::new();
+    for trigger in catalog.iter().cycle() {
+        if transcript.len() >= 1 << 16 {
+            break;
+        }
+        transcript.extend_from_slice(filler);
+        transcript.extend_from_slice(trigger);
+    }
     let naive = NaiveMultiPattern::new(&catalog);
     let ac = AhoCorasick::new(&catalog);
     assert_eq!(naive.find_all(&transcript), ac.find_all(&transcript));

@@ -136,26 +136,6 @@ impl BackendKind {
     }
 }
 
-/// The trigger-scan fixture shared by the `fig9_mask_gen` bench and the
-/// `structural_tag` experiment: a catalog of `num_triggers` distinct
-/// `<fn_NNN>` trigger strings and a transcript of at least `target_len`
-/// bytes interleaving prose, near-miss trigger prefixes, and one real
-/// trigger occurrence per filler block.
-pub fn trigger_scan_fixture(num_triggers: usize, target_len: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
-    let catalog: Vec<Vec<u8>> = (0..num_triggers)
-        .map(|i| format!("<fn_{i:03}>").into_bytes())
-        .collect();
-    let filler: &[u8] = b"calling tools <fn_ <f <fn_1 plain prose about nothing and then ";
-    let mut transcript: Vec<u8> = Vec::with_capacity(target_len + filler.len() + 8);
-    let mut next_trigger = 0usize;
-    while transcript.len() < target_len {
-        transcript.extend_from_slice(filler);
-        transcript.extend_from_slice(&catalog[next_trigger % catalog.len()]);
-        next_trigger += 1;
-    }
-    (catalog, transcript)
-}
-
 /// The shared benchmark vocabulary ("Llama-3.1-like", scaled by `size`).
 pub fn bench_vocabulary(size: usize) -> Arc<Vocabulary> {
     Arc::new(synthetic_vocabulary(&SyntheticVocabConfig {

@@ -271,25 +271,6 @@ pub struct BatchMetrics {
     pub cache: CacheStats,
 }
 
-impl BatchMetrics {
-    /// Estimated wall-clock speedup of parallel mask generation: summed
-    /// per-worker busy time divided by the wall-clock time the batch waited.
-    /// An upper bound under contention (worker busy time includes scheduler
-    /// wait — see [`mask_cpu_time`](Self::mask_cpu_time)). Jump-forward
-    /// injection happens outside the mask workers, so forced tokens never
-    /// contribute to either side of the ratio. Returns 1.0 when no masks
-    /// were generated (either duration is zero — e.g. an instantaneous or
-    /// fully unconstrained batch), so callers can multiply by it
-    /// unconditionally.
-    pub fn parallel_speedup(&self) -> f64 {
-        if self.mask_time.is_zero() || self.mask_cpu_time.is_zero() {
-            1.0
-        } else {
-            self.mask_cpu_time.as_secs_f64() / self.mask_time.as_secs_f64()
-        }
-    }
-}
-
 /// The serving engine.
 #[derive(Debug)]
 pub struct ServingEngine {
@@ -1000,44 +981,5 @@ mod tests {
         )
         .with_jump_forward(JumpForwardPolicy::Off);
         assert_eq!(off.jump_forward_policy(), JumpForwardPolicy::Off);
-    }
-
-    #[test]
-    fn parallel_speedup_guards_zero_mask_times() {
-        let base = BatchMetrics {
-            ttft: Duration::ZERO,
-            tpot: Duration::ZERO,
-            total_time: Duration::ZERO,
-            total_tokens: 0,
-            jump_forward_tokens: 0,
-            jump_forward_chars: 0,
-            forced_time: Duration::ZERO,
-            mask_time: Duration::ZERO,
-            mask_cpu_time: Duration::ZERO,
-            mask_threads: 4,
-            gpu_time: Duration::ZERO,
-            cache: CacheStats::default(),
-        };
-        // An instantaneous (or fully unconstrained) batch reports a neutral
-        // speedup instead of dividing by zero.
-        assert_eq!(base.parallel_speedup(), 1.0);
-        // One-sided zeros are guarded too.
-        let wall_only = BatchMetrics {
-            mask_time: Duration::from_millis(5),
-            ..base
-        };
-        assert_eq!(wall_only.parallel_speedup(), 1.0);
-        let cpu_only = BatchMetrics {
-            mask_cpu_time: Duration::from_millis(5),
-            ..base
-        };
-        assert_eq!(cpu_only.parallel_speedup(), 1.0);
-        // Both sides populated: the honest ratio.
-        let both = BatchMetrics {
-            mask_time: Duration::from_millis(5),
-            mask_cpu_time: Duration::from_millis(20),
-            ..base
-        };
-        assert!((both.parallel_speedup() - 4.0).abs() < 1e-9);
     }
 }

@@ -33,7 +33,6 @@ mod vocab;
 pub use bpe::{BpeModel, BpeTrainConfig};
 pub use sorted::SortedVocabulary;
 pub use synthetic::{
-    frontier_256k_vocabulary, llama31_like_vocabulary, synthetic_vocabulary, test_vocabulary,
-    SyntheticVocabConfig,
+    llama31_like_vocabulary, synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig,
 };
 pub use vocab::{SpecialToken, TokenId, Vocabulary};

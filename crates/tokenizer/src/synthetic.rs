@@ -385,20 +385,6 @@ pub fn llama31_like_vocabulary() -> Vocabulary {
     })
 }
 
-/// Convenience constructor for a frontier-scale vocabulary (256k tokens,
-/// fixed seed) — the size class of Gemma-2 / Llama-4-era tokenizers, used by
-/// the mask-throughput experiments to probe how mask generation scales past
-/// the paper's 128k evaluation point. At this size the bulk of the
-/// vocabulary is the compound-subword tail, so masks are dominated by huge
-/// context-independent stretches — exactly the regime the bitmask word
-/// kernels (as opposed to the trie walk) are built for.
-pub fn frontier_256k_vocabulary() -> Vocabulary {
-    synthetic_vocabulary(&SyntheticVocabConfig {
-        size: 256_000,
-        seed: 0x25_6000,
-    })
-}
-
 /// Convenience constructor for a small vocabulary suitable for unit tests.
 pub fn test_vocabulary(size: usize) -> Vocabulary {
     synthetic_vocabulary(&SyntheticVocabConfig { size, seed: 0x7e57 })
@@ -475,18 +461,6 @@ mod tests {
             "fraction {}",
             sorted.check_fraction()
         );
-    }
-
-    #[test]
-    fn frontier_vocabulary_is_frontier_scale() {
-        let v = frontier_256k_vocabulary();
-        assert_eq!(v.len(), 256_000);
-        assert!(v.eos().is_some());
-        // Byte fallbacks survive at every size, so any byte string stays
-        // representable even at frontier scale.
-        for b in 0u16..256 {
-            assert!(v.iter().any(|(_, t)| t == [b as u8]));
-        }
     }
 
     #[test]

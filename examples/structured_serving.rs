@@ -88,13 +88,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (_, metrics) = engine.run_batch(&requests)?;
         println!(
             "  {batch_round:<26} hit rate {:>3.0}% ({} hits / {} misses), \
-             mask wall {:.2} ms on {} thread(s), parallel speedup {:.2}x",
+             mask wall {:.2} ms on {} thread(s)",
             100.0 * metrics.cache.hit_rate(),
             metrics.cache.hits,
             metrics.cache.misses,
             metrics.mask_time.as_secs_f64() * 1e3,
             metrics.mask_threads,
-            metrics.parallel_speedup(),
         );
     }
     println!(

@@ -1,7 +1,7 @@
 //! Dynamic tool registries: incremental dispatch updates, the budgeted
 //! dispatch cache, and pool coherence across mutations.
 //!
-//! Four layers of evidence:
+//! Five layers of evidence:
 //!
 //! 1. Churning 1k distinct registries through a compiler keeps both the
 //!    dispatch cache and the grammar cache inside their byte budgets (the
@@ -13,7 +13,10 @@
 //! 3. The strict-lint dead-trigger check runs on the delta path too —
 //!    exactly on the recompiled trigger, with untouched triggers reused
 //!    without recompilation.
-//! 4. Property: interleaving registry mutations with decodes on live
+//! 4. Segment grammars are cached by structure, not by registry position:
+//!    a second tenant whose catalog overlaps the first's by 90 % hits the
+//!    shared grammar cache for every shared tool.
+//! 5. Property: interleaving registry mutations with decodes on live
 //!    [`ContinuousScheduler`](xg_engine::ContinuousScheduler) lanes yields
 //!    outputs byte-identical to compiling each request's catalog fresh.
 
@@ -22,7 +25,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use xg_baselines::{ConstrainedBackend, XGrammarBackend};
 use xg_core::{CacheBudget, CompilerConfig, GrammarCache, GrammarCompiler, LintMode};
-use xg_datasets::{agent_catalog, agent_tag_spec, agent_tool, TOOL_CALL_END};
+use xg_datasets::{agent_catalog, agent_tag_spec, agent_tool, overlapping_catalogs, TOOL_CALL_END};
 use xg_engine::{
     EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, SchedulerConfig, ServingEngine,
 };
@@ -175,6 +178,34 @@ fn delta_path_lints_and_recompiles_only_the_touched_trigger() {
         compiler.local_cache_stats().misses - misses_before,
         1,
         "an AddTag delta must compile only the added trigger's grammar"
+    );
+}
+
+#[test]
+fn overlapping_catalogs_share_sub_grammars_across_tenants() {
+    let vocab = Arc::new(test_vocabulary(512));
+    let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
+    let tenant = || {
+        GrammarCompiler::with_cache(
+            Arc::clone(&vocab),
+            CompilerConfig::default(),
+            Arc::clone(&cache),
+        )
+    };
+    let (tenant_a, tenant_b) = (tenant(), tenant());
+    // 36 of 40 tools shared, at different trigger indices in the two catalogs.
+    let (catalog_a, catalog_b) = overlapping_catalogs(40, 36);
+    tenant_a
+        .compile_tag_dispatch(&catalog_a)
+        .expect("catalog A compiles");
+    tenant_b
+        .compile_tag_dispatch(&catalog_b)
+        .expect("catalog B compiles");
+    let stats = tenant_b.local_cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (36, 4),
+        "tenant B compiles only its four private tools: {stats:?}"
     );
 }
 

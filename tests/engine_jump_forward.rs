@@ -118,6 +118,17 @@ fn jump_forward_changes_nothing_but_speed() {
             "schema lane {lane} saved no sampled tokens"
         );
     }
+    // Figure 11's premise as a count, not a wall clock: on the schema lanes
+    // forced keys take at least a tenth of the sampling work away.
+    let sampled = |results: &[RequestResult]| -> usize {
+        schema_lanes.iter().map(|&lane| results[lane].tokens).sum()
+    };
+    assert!(
+        10 * sampled(&engine) <= 9 * sampled(&off),
+        "schema lanes sampled {} tokens with jump-forward, {} without: under 10% saved",
+        sampled(&engine),
+        sampled(&off)
+    );
     // The prose lane is untouched by the grammar machinery.
     assert_eq!(engine[0].jump_forward_tokens, 0);
     assert_eq!(engine[0].jump_forward_chars, 0);

@@ -239,9 +239,16 @@ fn schema_corpus_grammars_lint_clean() {
 }
 
 /// Every pathological-corpus entry is flagged with its expected code, with
-/// the expected severity.
+/// the expected severity, and a strict-mode compile rejects exactly the
+/// error-carrying entries.
 #[test]
 fn pathological_corpus_is_fully_flagged() {
+    use xg_core::{CompilerConfig, GrammarCompiler, LintMode};
+
+    let strict = GrammarCompiler::with_config(
+        Arc::new(xg_tokenizer::test_vocabulary(600)),
+        CompilerConfig::default().with_lint_mode(LintMode::Strict),
+    );
     for case in xg_datasets::pathological_corpus() {
         let analysis = analyze(&case.grammar);
         let hit = analysis
@@ -250,6 +257,12 @@ fn pathological_corpus_is_fully_flagged() {
             .find(|d| d.code.as_str() == case.expected_code)
             .unwrap_or_else(|| panic!("case `{}` missing `{}`", case.name, case.expected_code));
         assert_eq!(hit.severity == Severity::Error, case.expected_error);
+        assert_eq!(
+            strict.compile_grammar_checked(&case.grammar).is_err(),
+            case.expected_error,
+            "case `{}`: strict verdict",
+            case.name
+        );
     }
 }
 

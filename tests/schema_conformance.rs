@@ -250,6 +250,61 @@ fn corpus_fixture() -> &'static CorpusFixture {
     })
 }
 
+/// The whole corpus, not a sample of it: every valid instance of 200+
+/// schemas over 10+ converter features is admitted token by token (each
+/// token allowed by a freshly generated mask) and ends on EOS, and every
+/// known-invalid instance is refused or left unable to terminate.
+#[test]
+fn whole_corpus_admits_every_valid_and_rejects_every_invalid_instance() {
+    let vocab = Arc::new(test_vocabulary(1500));
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+    let eos = vocab.eos().expect("synthetic vocabulary has EOS");
+    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+    let cases = xg_datasets::schema_corpus(204, 0x5C0);
+    let features: std::collections::BTreeSet<_> = cases.iter().map(|c| c.feature).collect();
+    assert!(cases.len() >= 200 && features.len() >= 10);
+    let (mut valid, mut invalid) = (0usize, 0usize);
+
+    for case in &cases {
+        let compiled = compiler
+            .compile_json_schema(&case.schema)
+            .expect("corpus schemas compile in strict mode");
+        assert!(
+            compiled.lint_report().is_some_and(|r| !r.has_errors()),
+            "feature {}: the vocabulary-aware lint found errors",
+            case.feature
+        );
+        for instance in &case.valid {
+            let (tokens, covered) = compiler
+                .sorted_vocabulary()
+                .longest_prefix_cover(&vocab, instance.as_bytes());
+            assert_eq!(covered, instance.len(), "byte fallback covers everything");
+            let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));
+            for &token in tokens.iter().chain([&eos]) {
+                matcher.fill_next_token_bitmask(&mut mask);
+                assert!(
+                    mask.is_allowed(token) && matcher.accept_token(token).is_ok(),
+                    "feature {}: valid instance {instance:?} refused at {:?}",
+                    case.feature,
+                    String::from_utf8_lossy(vocab.token_bytes(token)),
+                );
+            }
+            assert!(matcher.is_terminated());
+            valid += 1;
+        }
+        for instance in &case.invalid {
+            let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));
+            assert!(
+                matcher.accept_bytes(instance.as_bytes()).is_err() || !matcher.can_terminate(),
+                "feature {}: invalid instance {instance:?} accepted",
+                case.feature,
+            );
+            invalid += 1;
+        }
+    }
+    assert!(valid > 0 && invalid > 0, "{valid} valid, {invalid} invalid");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
