@@ -19,6 +19,18 @@ use xg_engine::{LlmBehavior, SimulatedLlm};
 /// costs one mask fill + one acceptance), so `thrpt` reads as tokens/sec.
 const TOKENS_PER_ITER: usize = 20;
 
+/// A simulated model that follows its reference exactly.
+fn clean_llm(vocab: &Arc<xg_tokenizer::Vocabulary>) -> SimulatedLlm {
+    SimulatedLlm::new(
+        Arc::clone(vocab),
+        LlmBehavior {
+            prose_probability: 0.0,
+            type_error_probability: 0.0,
+            seed: 0,
+        },
+    )
+}
+
 fn bench_mask_generation(c: &mut Criterion) {
     for vocab_size in [32_000, 128_000] {
         let vocab = bench_vocabulary(vocab_size);
@@ -51,14 +63,7 @@ fn bench_mask_generation(c: &mut Criterion) {
                 let Ok(compiled) = backend.compile(&grammar) else {
                     continue; // regex-only backends skip recursive CFGs
                 };
-                let llm = SimulatedLlm::new(
-                    Arc::clone(&vocab),
-                    LlmBehavior {
-                        prose_probability: 0.0,
-                        type_error_probability: 0.0,
-                        seed: 0,
-                    },
-                );
+                let llm = clean_llm(&vocab);
                 group.bench_with_input(
                     BenchmarkId::new(kind.name(), workload.name()),
                     &refs,
@@ -139,14 +144,7 @@ fn bench_tagged_jump_forward(c: &mut Criterion) {
         .iter()
         .map(|t| compiler.compile_tag_dispatch(&t.structural_tag()).unwrap())
         .collect();
-    let llm = SimulatedLlm::new(
-        Arc::clone(&vocab),
-        LlmBehavior {
-            prose_probability: 0.0,
-            type_error_probability: 0.0,
-            seed: 0,
-        },
-    );
+    let llm = clean_llm(&vocab);
 
     let mut group = c.benchmark_group("tagged_jump_forward");
     group.sample_size(10);
@@ -243,6 +241,81 @@ fn bench_engine_jump_forward(c: &mut Criterion) {
     group.finish();
 }
 
+/// The decode thread's two longest-match calls at 128k, beside
+/// `engine_jump_forward`: the simulated model's unmasked `propose` at every
+/// token boundary of a JSON and an XML reference, and `longest_prefix_cover`
+/// (jump-forward's re-tokeniser) over the strings one `schema_warm` schema
+/// forces along its reference.
+fn bench_longest_match(c: &mut Criterion) {
+    use xg_core::{GrammarCompiler, GrammarMatcher};
+
+    let vocab = bench_vocabulary(128_000);
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+    let task = xg_datasets::json_mode_eval_like(1, 0x11F).remove(0);
+    let xml = xg_datasets::xml_tasks(1, 0x11F).remove(0).reference;
+    let llm = clean_llm(&vocab);
+
+    // The forced strings, in the order a jump-forward lane meets them.
+    let compiled = compiler
+        .compile_json_schema(&task.schema)
+        .expect("bench schema compiles");
+    let mut matcher = GrammarMatcher::new(compiled);
+    let mut state = llm.start_request(&task.reference, 0);
+    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+    let mut forced: Vec<Vec<u8>> = Vec::new();
+    loop {
+        let run = matcher.find_jump_forward_string();
+        if !run.is_empty() && matcher.accept_bytes(&run).is_ok() {
+            state.advance_bytes(&run);
+            forced.push(run);
+        }
+        matcher.fill_next_token_bitmask(&mut mask);
+        let Some(token) = state.propose_constrained(&mask) else {
+            break;
+        };
+        if Some(token) == vocab.eos() || matcher.accept_token(token).is_err() {
+            break;
+        }
+        state.advance(token);
+    }
+    assert!(!forced.is_empty(), "the schema forces its keys");
+
+    let mut group = c.benchmark_group("longest_match_128k");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+    for (name, reference) in [("json", &task.reference), ("xml", &xml)] {
+        group.bench_with_input(
+            BenchmarkId::new("propose", name),
+            reference,
+            |b, reference| {
+                b.iter(|| {
+                    let mut state = llm.start_request(reference, 0);
+                    let mut tokens = 0u32;
+                    loop {
+                        let token = state.propose();
+                        if Some(token) == vocab.eos() {
+                            break tokens;
+                        }
+                        state.advance(token);
+                        tokens += 1;
+                    }
+                })
+            },
+        );
+    }
+    let sorted = compiler.sorted_vocabulary();
+    group.bench_function("prefix_cover/schema_forced", |b| {
+        b.iter(|| {
+            forced
+                .iter()
+                .map(|run| sorted.longest_prefix_cover(&vocab, run).0.len())
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
 /// Per-token mask generation on a keyword-heavy JSON Schema: string
 /// `pattern` regexes, `format` rules (uuid/ipv4/email), a `multipleOf` DFA,
 /// digit-wise integer bounds and a bounded `number` range all active in one
@@ -272,14 +345,7 @@ fn bench_schema_keyword_mask_generation(c: &mut Criterion) {
         .compile_json_schema(&schema)
         .expect("bench schema compiles");
     let reference = br#"{"id": "AB-1234", "uuid": "123e4567-e89b-12d3-a456-426614174000", "ip": "192.168.0.1", "email": "user@example.com", "count": 144, "score": 37, "ratio": 2.5}"#;
-    let llm = SimulatedLlm::new(
-        Arc::clone(&vocab),
-        LlmBehavior {
-            prose_probability: 0.0,
-            type_error_probability: 0.0,
-            seed: 0,
-        },
-    );
+    let llm = clean_llm(&vocab);
 
     let mut group = c.benchmark_group("fig9_schema_keywords");
     group.sample_size(10);
@@ -349,6 +415,7 @@ criterion_group!(
     bench_trigger_scan,
     bench_tagged_jump_forward,
     bench_engine_jump_forward,
+    bench_longest_match,
     bench_schema_keyword_mask_generation
 );
 criterion_main!(benches);

@@ -280,11 +280,11 @@ pub struct ServingEngine {
     llm: SimulatedLlm,
     /// How constrained lanes use jump-forward decoding.
     jump_forward: JumpForwardPolicy,
-    /// The backend's sorted vocabulary index, through which forced text is
-    /// re-tokenized; shared by every scheduler. Fetched the first time the
-    /// policy is `Engine` (a backend without an index of its own builds one
-    /// per call).
-    sorted_vocab: Option<Arc<SortedVocabulary>>,
+    /// The backend's sorted vocabulary index: the simulated model proposes
+    /// through it and forced text is re-tokenized through it. Fetched once,
+    /// at construction (a backend without an index of its own builds one per
+    /// call), and shared by every scheduler.
+    sorted_vocab: Arc<SortedVocabulary>,
 }
 
 impl ServingEngine {
@@ -309,16 +309,23 @@ impl ServingEngine {
         mode: ExecutionMode,
         behavior: LlmBehavior,
     ) -> Self {
-        let llm = SimulatedLlm::new(Arc::clone(backend.vocabulary()), behavior);
+        // Fetched here, outside any batch's timed region: with the XGrammar
+        // backend this is the O(V log V) sort its first compile would
+        // otherwise pay.
+        let sorted_vocab = backend.sorted_vocabulary();
+        let llm = SimulatedLlm::with_sorted(
+            Arc::clone(backend.vocabulary()),
+            Arc::clone(&sorted_vocab),
+            behavior,
+        );
         ServingEngine {
             backend,
             profile,
             mode,
             llm,
-            jump_forward: JumpForwardPolicy::Off,
-            sorted_vocab: None,
+            jump_forward: JumpForwardPolicy::default(),
+            sorted_vocab,
         }
-        .with_jump_forward(JumpForwardPolicy::default())
     }
 
     /// Sets how constrained lanes use jump-forward decoding. The default is
@@ -334,13 +341,6 @@ impl ServingEngine {
     /// toward the cap and injection never runs past it.
     pub fn with_jump_forward(mut self, policy: JumpForwardPolicy) -> Self {
         self.jump_forward = policy;
-        // Fetch the re-tokenization index now, outside any batch's timed
-        // region — otherwise the O(V log V) sort would be charged to the
-        // first batch's total_time without showing up in forced_time (and,
-        // with the XGrammar backend, to the first compile).
-        if matches!(policy, JumpForwardPolicy::Engine) && self.sorted_vocab.is_none() {
-            self.sorted_vocab = Some(self.backend.sorted_vocabulary());
-        }
         self
     }
 
@@ -395,9 +395,8 @@ impl ServingEngine {
     /// The sorted vocabulary index forced text is re-tokenized through;
     /// `None` under [`JumpForwardPolicy::Off`], where nothing is injected.
     pub(crate) fn retokenizer(&self) -> Option<Arc<SortedVocabulary>> {
-        self.sorted_vocab
-            .clone()
-            .filter(|_| matches!(self.jump_forward, JumpForwardPolicy::Engine))
+        matches!(self.jump_forward, JumpForwardPolicy::Engine)
+            .then(|| Arc::clone(&self.sorted_vocab))
     }
 
     /// Starts a [`ContinuousScheduler`](crate::ContinuousScheduler) serving
@@ -966,6 +965,21 @@ mod tests {
         // share: available parallelism capped at the two lanes.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(metrics.mask_threads, cores.min(reqs.len()));
+    }
+
+    #[test]
+    fn proposer_retokenizer_and_compiler_share_one_sorted_vocabulary() {
+        // One sort per backend: whatever the policy, the engine holds the
+        // compiler's index and the simulated model proposes through it.
+        let backend = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
+        let engine = ServingEngine::new(backend.clone(), fast_profile(), ExecutionMode::Serial);
+        let compilers = backend.sorted_vocabulary();
+        assert!(Arc::ptr_eq(&engine.sorted_vocab, &compilers));
+        assert!(Arc::ptr_eq(engine.llm.sorted_vocabulary(), &compilers));
+        assert!(Arc::ptr_eq(&engine.retokenizer().unwrap(), &compilers));
+        let off = engine.with_jump_forward(JumpForwardPolicy::Off);
+        assert!(off.retokenizer().is_none());
+        assert!(Arc::ptr_eq(off.llm.sorted_vocabulary(), &compilers));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use xg_core::TokenBitmask;
-use xg_tokenizer::{TokenId, Vocabulary};
+use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
 /// Controls how often the unconstrained model misbehaves.
 #[derive(Debug, Clone)]
@@ -45,32 +45,40 @@ impl Default for LlmBehavior {
 pub struct SimulatedLlm {
     vocab: Arc<Vocabulary>,
     behavior: LlmBehavior,
-    /// Tokens grouped by their first byte, so greedy proposal only scans the
-    /// tokens that can possibly match.
-    first_byte_index: Arc<Vec<Vec<TokenId>>>,
+    /// The longest-match index greedy proposal descends.
+    sorted: Arc<SortedVocabulary>,
 }
 
 impl SimulatedLlm {
-    /// Creates a simulated LLM.
+    /// Creates a simulated LLM, sorting `vocab` for its proposals (an
+    /// `O(V log V)` pass; the serving engine shares its backend's index
+    /// instead).
     pub fn new(vocab: Arc<Vocabulary>, behavior: LlmBehavior) -> Self {
-        let mut index: Vec<Vec<TokenId>> = vec![Vec::new(); 256];
-        for (token, bytes) in vocab.iter() {
-            if !vocab.is_special(token) {
-                if let Some(&first) = bytes.first() {
-                    index[first as usize].push(token);
-                }
-            }
-        }
+        let sorted = Arc::new(SortedVocabulary::new(&vocab));
+        Self::with_sorted(vocab, sorted, behavior)
+    }
+
+    /// Creates a simulated LLM over an existing sorted index of `vocab`.
+    pub(crate) fn with_sorted(
+        vocab: Arc<Vocabulary>,
+        sorted: Arc<SortedVocabulary>,
+        behavior: LlmBehavior,
+    ) -> Self {
         SimulatedLlm {
             vocab,
             behavior,
-            first_byte_index: Arc::new(index),
+            sorted,
         }
     }
 
     /// The vocabulary.
     pub fn vocabulary(&self) -> &Arc<Vocabulary> {
         &self.vocab
+    }
+
+    #[cfg(test)]
+    pub(crate) fn sorted_vocabulary(&self) -> &Arc<SortedVocabulary> {
+        &self.sorted
     }
 
     /// Creates the per-request generation state for a reference output.
@@ -89,7 +97,7 @@ impl SimulatedLlm {
         }
         LlmRequestState {
             vocab: Arc::clone(&self.vocab),
-            first_byte_index: Arc::clone(&self.first_byte_index),
+            sorted: Arc::clone(&self.sorted),
             intended,
             position: 0,
         }
@@ -128,7 +136,7 @@ fn inject_type_error(reference: &[u8]) -> Vec<u8> {
 #[derive(Debug, Clone)]
 pub struct LlmRequestState {
     vocab: Arc<Vocabulary>,
-    first_byte_index: Arc<Vec<Vec<TokenId>>>,
+    sorted: Arc<SortedVocabulary>,
     intended: Vec<u8>,
     position: usize,
 }
@@ -139,24 +147,20 @@ impl LlmRequestState {
         &self.intended
     }
 
+    /// The part of the intended output not emitted yet.
+    fn remaining(&self) -> &[u8] {
+        &self.intended[self.position.min(self.intended.len())..]
+    }
+
     /// Greedily proposes the next token: the longest vocabulary token that
-    /// matches the upcoming bytes of the intended output, or EOS when the
-    /// intended output is exhausted.
+    /// matches the upcoming bytes of the intended output (the lowest id
+    /// among equal byte strings), or EOS when the intended output is
+    /// exhausted — or cannot be spelled, in a vocabulary without byte
+    /// fallback: the model gives up.
     pub fn propose(&self) -> TokenId {
-        if self.position >= self.intended.len() {
-            return self.vocab.eos().expect("vocabulary has an EOS token");
-        }
-        let remaining = &self.intended[self.position..];
-        let mut best: Option<TokenId> = None;
-        let mut best_len = 0usize;
-        for &token in &self.first_byte_index[remaining[0] as usize] {
-            let bytes = self.vocab.token_bytes(token);
-            if bytes.len() > best_len && remaining.starts_with(bytes) {
-                best = Some(token);
-                best_len = bytes.len();
-            }
-        }
-        best.expect("byte-fallback tokens guarantee a match")
+        self.sorted
+            .longest_prefix_token(&self.vocab, self.remaining())
+            .unwrap_or_else(|| self.vocab.eos().expect("vocabulary has an EOS token"))
     }
 
     /// Chooses the next token under a grammar mask, modelling how a greedy
@@ -174,49 +178,38 @@ impl LlmRequestState {
         if mask.is_allowed(proposal) {
             return Some(proposal);
         }
-        let remaining = if self.position < self.intended.len() {
-            &self.intended[self.position..]
-        } else {
-            &[]
-        };
-        // 2. Longest allowed continuation of the intention.
-        let mut best: Option<TokenId> = None;
-        let mut best_len = 0usize;
-        for token in mask.allowed_tokens() {
-            let bytes = self.vocab.token_bytes(token);
-            if !remaining.is_empty() && remaining.starts_with(bytes) && bytes.len() > best_len {
-                best = Some(token);
-                best_len = bytes.len();
-            }
-        }
-        if best.is_some() {
-            return best;
-        }
-        // 3. Allowed token occurring earliest (then longest) later in the
-        //    intention.
+        // One pass over the allowed tokens tracks the candidate of each of
+        // rules 2–5; the first rule that has one decides.
+        let remaining = self.remaining();
+        let mut longest: Option<(usize, TokenId)> = None; // (len, token)
         let mut resync: Option<(usize, usize, TokenId)> = None; // (offset, -len, token)
+        let mut first_visible: Option<TokenId> = None;
+        let mut first: Option<TokenId> = None;
         for token in mask.allowed_tokens() {
             let bytes = self.vocab.token_bytes(token);
-            if bytes.is_empty() || bytes.iter().all(|b| b.is_ascii_whitespace()) {
+            first = first.or(Some(token));
+            if remaining.starts_with(bytes) && bytes.len() > longest.map_or(0, |(len, _)| len) {
+                longest = Some((bytes.len(), token));
+            }
+            if bytes.iter().all(|b| b.is_ascii_whitespace()) {
                 continue;
             }
-            if let Some(offset) = find_subslice(remaining, bytes) {
-                let candidate = (offset, usize::MAX - bytes.len(), token);
-                if resync.map(|r| candidate < r).unwrap_or(true) {
-                    resync = Some(candidate);
+            first_visible = first_visible.or(Some(token));
+            // Rule 3 only matters while rule 2 has found nothing.
+            if longest.is_none() {
+                if let Some(offset) = find_subslice(remaining, bytes) {
+                    let candidate = (offset, usize::MAX - bytes.len(), token);
+                    if resync.is_none_or(|r| candidate < r) {
+                        resync = Some(candidate);
+                    }
                 }
             }
         }
-        if let Some((_, _, token)) = resync {
-            return Some(token);
-        }
-        // 4./5. Deterministic fallback.
-        mask.allowed_tokens()
-            .find(|t| {
-                let bytes = self.vocab.token_bytes(*t);
-                !bytes.iter().all(|b| b.is_ascii_whitespace())
-            })
-            .or_else(|| mask.allowed_tokens().next())
+        longest
+            .map(|(_, token)| token)
+            .or(resync.map(|(_, _, token)| token))
+            .or(first_visible)
+            .or(first)
     }
 
     /// Records that `token` was emitted, advancing the intended-output cursor
@@ -228,7 +221,7 @@ impl LlmRequestState {
             return;
         }
         let bytes = self.vocab.token_bytes(token);
-        let remaining = &self.intended[self.position.min(self.intended.len())..];
+        let remaining = self.remaining();
         if remaining.starts_with(bytes) {
             self.position += bytes.len();
             return;
@@ -249,7 +242,7 @@ impl LlmRequestState {
         if bytes.is_empty() {
             return;
         }
-        let remaining = &self.intended[self.position.min(self.intended.len())..];
+        let remaining = self.remaining();
         if remaining.starts_with(bytes) {
             self.position += bytes.len();
         } else if let Some(offset) = find_subslice(remaining, bytes) {
@@ -266,6 +259,7 @@ impl LlmRequestState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xg_datasets::{json_mode_eval_like, xml_tasks};
     use xg_tokenizer::test_vocabulary;
 
     fn clean_llm(vocab: Arc<Vocabulary>) -> SimulatedLlm {
@@ -335,5 +329,73 @@ mod tests {
         let a = llm.start_request(br#"{"x": 1}"#, 42);
         let b = llm.start_request(br#"{"x": 1}"#, 42);
         assert_eq!(a.intended_output(), b.intended_output());
+    }
+
+    /// The first-byte bucket scan that `propose` used to be, kept as its
+    /// reference: every non-special token in id order, the first of the
+    /// longest matches wins.
+    fn propose_by_scan(vocab: &Vocabulary, remaining: &[u8]) -> Option<TokenId> {
+        let mut best: Option<TokenId> = None;
+        let mut best_len = 0usize;
+        for (token, bytes) in vocab.iter() {
+            if !vocab.is_special(token) && bytes.len() > best_len && remaining.starts_with(bytes) {
+                best = Some(token);
+                best_len = bytes.len();
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn propose_equals_the_linear_scan_at_every_position() {
+        let vocab = Arc::new(test_vocabulary(2000));
+        let llm = clean_llm(Arc::clone(&vocab));
+        let json = json_mode_eval_like(5, 17).into_iter().map(|t| t.reference);
+        let xml = xml_tasks(3, 5).into_iter().map(|t| t.reference);
+        for reference in json.chain(xml) {
+            let mut state = llm.start_request(&reference, 0);
+            for position in 0..=reference.len() {
+                state.position = position;
+                let expected = propose_by_scan(&vocab, &reference[position..]).or(vocab.eos());
+                assert_eq!(Some(state.propose()), expected, "at byte {position}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_fallback_rule_decides_in_precedence_order() {
+        let tokens: [&[u8]; 10] = [
+            b"</s>", b"lo", b"h", b"hello", b"he", b" ", b"zz", b"l", b"ll", b"\n",
+        ];
+        let vocab = Arc::new(Vocabulary::from_tokens(
+            tokens.iter().map(|t| t.to_vec()).collect(),
+            Some(0),
+        ));
+        let state = clean_llm(Arc::clone(&vocab)).start_request(b"hello", 0);
+        let choose = |allowed: &[u32]| {
+            let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+            for &id in allowed {
+                mask.allow(TokenId(id));
+            }
+            state
+                .propose_constrained(&mask)
+                .map(|t| vocab.token_bytes(t).to_vec())
+        };
+        let pick = |bytes: &[u8]| Some(bytes.to_vec());
+        // 1. The unconstrained proposal, when allowed.
+        assert_eq!(choose(&[1, 3, 4]), pick(b"hello"));
+        // 2. The longest allowed prefix of the intention (`h` comes first),
+        //    over a resync candidate seen before it (`lo`) and both
+        //    deterministic fallbacks.
+        assert_eq!(choose(&[1, 2, 4, 5, 6]), pick(b"he"));
+        // 3. No prefix: the earliest occurrence (`l`/`ll` at 2 before `lo` at
+        //    3), the longer of two at the same offset.
+        assert_eq!(choose(&[1, 5, 6, 7]), pick(b"l"));
+        assert_eq!(choose(&[1, 5, 6, 7, 8]), pick(b"ll"));
+        // 4. Nothing occurs: the first token that is not whitespace.
+        assert_eq!(choose(&[5, 6, 9]), pick(b"zz"));
+        // 5. Only whitespace: the first allowed token.
+        assert_eq!(choose(&[5, 9]), pick(b" "));
+        assert_eq!(choose(&[]), None);
     }
 }

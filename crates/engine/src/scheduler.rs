@@ -28,15 +28,16 @@
 //! batch stalls admission, not decoding.
 //!
 //! In [`ExecutionMode::Overlapped`](crate::ExecutionMode::Overlapped) the
-//! decode loop double-buffers mask generation: the moment a lane's step-`t`
-//! token is accepted, its step-`t+1` mask-fill job is dispatched to the mask
-//! workers — so mask fill for step `t+1` overlaps both the remaining lanes'
-//! sampling *and* the next simulated GPU step, and the loop only waits on a
+//! decode loop double-buffers mask generation: once the batch's step-`t`
+//! tokens are accepted, every lane's step-`t+1` mask-fill job is handed to
+//! the mask workers in one go (one lock, one wake) — so mask fill for step
+//! `t+1` overlaps the next simulated GPU step, and the loop only waits on a
 //! collect barrier right before it needs the masks. In `Serial` mode the
-//! loop dispatches and collects all masks before each GPU step, exposing the
+//! loop hands off and collects all masks before each GPU step, exposing the
 //! full mask wall-clock (the paper's no-overlap baseline). Both modes send
-//! the same per-lane jobs to the same workers and wait on the same barrier;
-//! they differ only in which side of the GPU step the barrier sits on.
+//! the same per-lane jobs to the same workers through the same hand-off and
+//! wait on the same barrier; they differ only in which side of the GPU step
+//! the barrier sits on.
 //!
 //! Lanes are driven exclusively through [`Lane::start`]/[`Lane::step`], and a
 //! lane's bytes depend only on its own request (its seed, reference and
@@ -267,6 +268,17 @@ pub struct SchedulerMetrics {
     pub mask_busy_time: Duration,
     /// Wall clock spent in simulated GPU decode steps.
     pub gpu_time: Duration,
+    /// Wall clock the decode loop spent inside `Lane::step`: proposing under
+    /// the mask, accepting, and injecting forced text
+    /// ([`forced_time`](Self::forced_time) is part of it).
+    pub sample_time: Duration,
+    /// Wall clock the decode loop spent handing mask jobs to the workers.
+    /// With [`gpu_time`](Self::gpu_time),
+    /// [`mask_wait_time`](Self::mask_wait_time) and
+    /// [`sample_time`](Self::sample_time) it accounts for
+    /// [`decode_time`](Self::decode_time); the rest is event sends and loop
+    /// bookkeeping.
+    pub handoff_time: Duration,
     /// Wall clock spent in simulated prefill (paid at lane join).
     pub prefill_time: Duration,
     /// Wall clock of the decode loop while at least one lane was live.
@@ -356,13 +368,6 @@ impl MaskPool {
         }
     }
 
-    fn push(&self, job: MaskJob) {
-        let mut state = self.state.lock().expect("mask pool poisoned");
-        state.jobs.push_back(job);
-        drop(state);
-        self.available.notify_one();
-    }
-
     fn shutdown(&self) {
         let mut state = self.state.lock().expect("mask pool poisoned");
         state.shutdown = true;
@@ -420,6 +425,8 @@ struct StatsInner {
     forced_time: Duration,
     mask_wait_time: Duration,
     gpu_time: Duration,
+    sample_time: Duration,
+    handoff_time: Duration,
     prefill_time: Duration,
     decode_time: Duration,
     compile_time: Duration,
@@ -667,6 +674,8 @@ impl ContinuousScheduler {
             mask_wait_time: stats.mask_wait_time,
             mask_busy_time: self.mask_pool.busy_time(),
             gpu_time: stats.gpu_time,
+            sample_time: stats.sample_time,
+            handoff_time: stats.handoff_time,
             prefill_time: stats.prefill_time,
             decode_time: stats.decode_time,
             compile_time: stats.compile_time,
@@ -855,38 +864,40 @@ impl DecodeLoop {
             // ---- One decode step for the whole batch. ----
             let step_start = Instant::now();
             let gpu_step = self.profile.decode_step_time(lanes.len());
-            let mut mask_wait = Duration::ZERO;
+            let mut handoff = Duration::ZERO;
+            let mask_wait;
             match self.mode {
                 ExecutionMode::Serial => {
-                    // No overlap: dispatch and collect every mask, exposing
+                    // No overlap: hand off and collect every mask, exposing
                     // the full mask wall-clock, then run the GPU step.
-                    for al in lanes.iter_mut() {
-                        dispatch(&self.mask_pool, al, &mut in_flight, &self.vocab);
-                    }
+                    handoff += self.dispatch_all(&mut lanes, &mut in_flight);
                     let wait = Instant::now();
                     collect_all(&self.mask_done, &mut lanes, &mut in_flight);
-                    mask_wait += wait.elapsed();
+                    mask_wait = wait.elapsed();
                     busy_wait(gpu_step);
                 }
                 ExecutionMode::Overlapped => {
-                    // Masks were dispatched as each lane's previous token
-                    // was accepted (and at join); they fill while the GPU
-                    // works. Only the residual shows up as wait time.
+                    // Masks were handed off after the previous sampling
+                    // phase (and at join); they fill while the GPU works.
+                    // Only the residual shows up as wait time.
                     busy_wait(gpu_step);
                     let wait = Instant::now();
                     collect_all(&self.mask_done, &mut lanes, &mut in_flight);
-                    mask_wait += wait.elapsed();
+                    mask_wait = wait.elapsed();
                 }
             }
 
             // ---- Sampling phase. ----
+            let mut sample = Duration::ZERO;
             for al in lanes.iter_mut() {
                 let mask = if al.lane.is_constrained() {
                     Some(al.mask.as_ref().expect("constrained lane holds its mask"))
                 } else {
                     None
                 };
+                let start = Instant::now();
                 let emitted_from = al.lane.step(mask, &ctx);
+                sample += start.elapsed();
                 if al.lane.output.len() > emitted_from {
                     if al.first_emit.is_none() {
                         al.first_emit = Some(al.submitted_at.elapsed());
@@ -895,12 +906,11 @@ impl DecodeLoop {
                         .events
                         .send(StreamEvent::Bytes(al.lane.output[emitted_from..].to_vec()));
                 }
-                if matches!(self.mode, ExecutionMode::Overlapped) && !al.lane.finished {
-                    // Double-buffering: this lane's step-t+1 mask starts
-                    // filling while the remaining lanes still sample step t
-                    // (and through the next GPU step).
-                    dispatch(&self.mask_pool, al, &mut in_flight, &self.vocab);
-                }
+            }
+            if matches!(self.mode, ExecutionMode::Overlapped) {
+                // Double-buffering: the step-t+1 masks fill through the next
+                // GPU step.
+                handoff += self.dispatch_all(&mut lanes, &mut in_flight);
             }
 
             // ---- Accounting, then retire finished lanes. ----
@@ -909,6 +919,8 @@ impl DecodeLoop {
                 stats.decode_steps += 1;
                 stats.gpu_time += gpu_step;
                 stats.mask_wait_time += mask_wait;
+                stats.sample_time += sample;
+                stats.handoff_time += handoff;
                 stats.decode_time += step_start.elapsed();
             }
             let mut i = 0;
@@ -963,12 +975,47 @@ impl DecodeLoop {
             self.finish(al);
             return;
         }
-        if matches!(self.mode, ExecutionMode::Overlapped) {
-            dispatch(&self.mask_pool, &mut al, in_flight, &self.vocab);
-        }
         lanes.push(al);
+        if matches!(self.mode, ExecutionMode::Overlapped) {
+            self.dispatch_all(lanes, in_flight);
+        }
         let mut stats = self.shared.stats.lock().expect("stats poisoned");
         stats.max_concurrent_lanes = stats.max_concurrent_lanes.max(lanes.len());
+    }
+
+    /// The step's one mask hand-off: sends the session and bitmask of every
+    /// lane that needs a fill to the mask workers under one lock, then wakes
+    /// them once. Skips unconstrained and finished lanes and fills already in
+    /// flight. Returns the wall clock it took.
+    fn dispatch_all(&self, lanes: &mut [ActiveLane], in_flight: &mut usize) -> Duration {
+        let start = Instant::now();
+        let before = *in_flight;
+        let mut pool = self.mask_pool.state.lock().expect("mask pool poisoned");
+        for al in lanes.iter_mut() {
+            if al.mask_in_flight || al.lane.finished || !al.lane.is_constrained() {
+                continue;
+            }
+            let session = al
+                .lane
+                .session
+                .take()
+                .expect("constrained lane holds a session");
+            let mask = al.mask.take().expect("idle lane holds its mask");
+            pool.jobs.push_back(MaskJob {
+                lane: al.id,
+                session,
+                mask,
+            });
+            al.mask_in_flight = true;
+            *in_flight += 1;
+        }
+        drop(pool);
+        match *in_flight - before {
+            0 => {}
+            1 => self.mask_pool.available.notify_one(),
+            _ => self.mask_pool.available.notify_all(),
+        }
+        start.elapsed()
     }
 
     /// Retires one finished lane: compute its timing, commit its counters,
@@ -1005,30 +1052,6 @@ impl DecodeLoop {
         };
         let _ = al.events.send(StreamEvent::Finished { result, timing });
     }
-}
-
-/// Sends a lane's session and bitmask to the mask workers. No-op for
-/// unconstrained or finished lanes and when a fill is already in flight.
-fn dispatch(pool: &MaskPool, al: &mut ActiveLane, in_flight: &mut usize, vocab: &Vocabulary) {
-    if al.mask_in_flight || al.lane.finished || !al.lane.is_constrained() {
-        return;
-    }
-    let session = al
-        .lane
-        .session
-        .take()
-        .expect("constrained lane holds a session");
-    let mask = al
-        .mask
-        .take()
-        .unwrap_or_else(|| TokenBitmask::new_all_rejected(vocab.len()));
-    pool.push(MaskJob {
-        lane: al.id,
-        session,
-        mask,
-    });
-    al.mask_in_flight = true;
-    *in_flight += 1;
 }
 
 /// Collect barrier: receives every in-flight mask result, restoring each
@@ -1216,6 +1239,67 @@ mod tests {
         assert_eq!(metrics.cache_hit_admissions, 1);
         assert_eq!(metrics.cache.hits, 1);
         assert_eq!(metrics.cache.misses, 1);
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn step_accounting_adds_up_to_the_decode_time() {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
+            let engine = engine(mode).with_jump_forward(crate::JumpForwardPolicy::Off);
+            let scheduler = engine.serve(SchedulerConfig::default());
+            let handles: Vec<_> = (0..4)
+                .map(|seed| scheduler.submit(request(seed)).unwrap())
+                .collect();
+            for handle in handles {
+                handle.wait().expect("requests finish");
+            }
+            let m = scheduler.metrics();
+            scheduler.shutdown();
+            assert!(m.sample_time > Duration::ZERO, "{mode:?}");
+            assert!(m.handoff_time > Duration::ZERO, "{mode:?}");
+            assert!(
+                m.gpu_time + m.mask_wait_time + m.sample_time + m.handoff_time <= m.decode_time,
+                "{mode:?}: {m:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unspellable_reference_ends_the_lane_not_the_scheduler() {
+        // A vocabulary without byte fallback cannot spell `x`: the simulated
+        // model proposes EOS there instead of panicking the decode thread.
+        let vocab = Arc::new(Vocabulary::from_tokens(
+            vec![b"a".to_vec(), b"b".to_vec(), b"</s>".to_vec()],
+            Some(2),
+        ));
+        let backend = Arc::new(XGrammarBackend::new(vocab));
+        let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+        let engine = ServingEngine::new(backend, profile, ExecutionMode::Overlapped);
+        let lane = |constraint: LaneConstraint| EngineRequest {
+            constraint,
+            prompt_tokens: 1,
+            reference: b"axb".to_vec(),
+            max_tokens: 8,
+            seed: 0,
+        };
+        let grammar = |source: &str| LaneConstraint::Grammar(parse_ebnf(source, "root").unwrap());
+        let scheduler = engine.serve(SchedulerConfig::default());
+        // Unconstrained, a grammar that admits EOS after `a`, and one that
+        // does not (the lane resynchronises on `b`); served one after the
+        // other, so each later request finds the decode thread alive.
+        for (constraint, expected) in [
+            (LaneConstraint::Unconstrained, &b"a"[..]),
+            (grammar(r#"root ::= ("a" | "b")+"#), b"a"),
+            (grammar(r#"root ::= "a" ("a" | "b")"#), b"ab"),
+        ] {
+            let request = lane(constraint);
+            let reference = engine.decode_reference(&request).unwrap();
+            assert!(reference.completed);
+            assert_eq!(reference.output, expected);
+            let served = scheduler.submit(request).unwrap().wait().unwrap().result;
+            assert!(served.completed);
+            assert_eq!(served.output, expected);
+        }
         scheduler.shutdown();
     }
 }

@@ -115,26 +115,36 @@ impl SortedVocabulary {
     }
 
     /// The longest non-special token whose byte string is a prefix of
-    /// `bytes`, or `None` when no token matches even the first byte.
+    /// `bytes` (the lowest id among tokens with equal bytes), or `None` when
+    /// no token matches even the first byte.
     ///
     /// Used by jump-forward decoding to re-tokenize grammar-forced text
-    /// against the real vocabulary: all prefixes of `bytes` are nested, so
-    /// the longest one can be found with one binary search per candidate
-    /// length, longest first — `O(max_token_len · log |vocab|)`.
+    /// against the real vocabulary, and by the simulated model's greedy
+    /// proposal. One descent: `[lo, hi)` holds the tokens that share
+    /// `bytes[..k]` and is narrowed on byte `k`. A token's missing byte `k`
+    /// orders before every present one, so the token that *equals*
+    /// `bytes[..=k]` — the lowest id first, the sort being stable — sits at
+    /// the new `lo`. `O(|match| · log |vocab|)` on shrinking ranges.
     ///
     /// `vocab` must be the vocabulary this index was built from.
     pub fn longest_prefix_token(&self, vocab: &Vocabulary, bytes: &[u8]) -> Option<TokenId> {
-        let max_len = self.max_token_len.min(bytes.len());
-        for len in (1..=max_len).rev() {
-            let prefix = &bytes[..len];
-            if let Ok(pos) = self
-                .ids
-                .binary_search_by(|id| vocab.token_bytes(*id).cmp(prefix))
-            {
-                return Some(self.ids[pos]);
+        let (mut lo, mut hi) = (0, self.ids.len());
+        let mut best = None;
+        for (k, &byte) in bytes.iter().enumerate().take(self.max_token_len) {
+            let range = &self.ids[lo..hi];
+            let at = |id: &TokenId| vocab.token_bytes(*id).get(k).copied();
+            let start = range.partition_point(|id| at(id) < Some(byte));
+            let len = range[start..].partition_point(|id| at(id) == Some(byte));
+            if len == 0 {
+                break;
+            }
+            lo += start;
+            hi = lo + len;
+            if vocab.token_bytes(self.ids[lo]).len() == k + 1 {
+                best = Some(self.ids[lo]);
             }
         }
-        None
+        best
     }
 
     /// Greedy longest-prefix token cover of `bytes`: repeatedly take the
@@ -291,6 +301,42 @@ mod tests {
                 assert!(bytes[cursor..].starts_with(got));
                 cursor += got.len();
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The descent against brute force, on a three-byte alphabet so that
+        /// duplicate byte strings, nested prefixes and special tokens whose
+        /// bytes match are the common case: no byte fallback, and inputs
+        /// that are empty, not UTF-8 (`0xff`) and longer than
+        /// `max_token_len`.
+        #[test]
+        fn longest_prefix_token_equals_brute_force(
+            tokens in proptest::collection::vec(
+                proptest::collection::vec(proptest::sample::select(b"ab\xff".to_vec()), 0..5),
+                0..24,
+            ),
+            specials in proptest::collection::vec(0usize..24, 0..4),
+            input in proptest::collection::vec(proptest::sample::select(b"ab\xff".to_vec()), 0..10),
+        ) {
+            let mut vocab = Vocabulary::from_tokens(tokens.clone(), None);
+            for index in specials {
+                if index < tokens.len() {
+                    vocab.add_special(TokenId(index as u32), crate::SpecialToken::Pad);
+                }
+            }
+            let sorted = SortedVocabulary::new(&vocab);
+            // Longest wins, the lowest id among equal byte strings.
+            let mut expected: Option<TokenId> = None;
+            for (id, bytes) in vocab.iter() {
+                let longer = expected.map_or(0, |t| vocab.token_bytes(t).len()) < bytes.len();
+                if longer && !vocab.is_special(id) && input.starts_with(bytes) {
+                    expected = Some(id);
+                }
+            }
+            proptest::prop_assert_eq!(sorted.longest_prefix_token(&vocab, &input), expected);
         }
     }
 }
