@@ -197,16 +197,24 @@ impl Fsa {
         if self.is_final(self.start) {
             return Some(SuffixMatch::Possible);
         }
-        let mut states = BTreeSet::from([self.start]);
+        // Asked once per died token and pop-out offset of a mask-cache build:
+        // the sets hold a handful of states, so no `BTreeSet` per byte.
+        let (mut states, mut next) = (vec![self.start], Vec::new());
         for &b in prefix {
-            states = self.step(&states, b);
-            if states.is_empty() {
+            next.clear();
+            for &(range, to) in states.iter().flat_map(|s| &self.states[s.index()].edges) {
+                if range.contains(b) && !next.contains(&to) {
+                    next.push(to);
+                }
+            }
+            if next.is_empty() {
                 return Some(SuffixMatch::Rejected);
             }
-            if states.iter().any(|s| self.is_final(*s)) {
+            if next.iter().any(|s| self.is_final(*s)) {
                 // The remainder starts with an accepted expanded suffix.
                 return Some(SuffixMatch::Possible);
             }
+            std::mem::swap(&mut states, &mut next);
         }
         None
     }
@@ -250,6 +258,7 @@ impl Fsa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn literal_fsa(s: &[u8]) -> Fsa {
         let mut fsa = Fsa::new();
@@ -294,6 +303,61 @@ mod tests {
         assert_eq!(fsa.decide_prefix(b", \""), Some(SuffixMatch::Possible));
         // Bytes after the deciding ones are not read.
         assert_eq!(fsa.decide_prefix(b", \"\xff"), Some(SuffixMatch::Possible));
+    }
+
+    /// `decide_prefix` as it was: a fresh `BTreeSet` per byte through `step`.
+    fn decide_prefix_by_sets(fsa: &Fsa, prefix: &[u8]) -> Option<SuffixMatch> {
+        if fsa.is_final(fsa.start()) {
+            return Some(SuffixMatch::Possible);
+        }
+        let mut states = BTreeSet::from([fsa.start()]);
+        for &b in prefix {
+            states = fsa.step(&states, b);
+            if states.is_empty() {
+                return Some(SuffixMatch::Rejected);
+            }
+            if states.iter().any(|s| fsa.is_final(*s)) {
+                return Some(SuffixMatch::Possible);
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random small NFAs (duplicate and overlapping edges included) over
+        /// a three-letter alphabet, against random strings of it.
+        #[test]
+        fn decide_prefix_equals_the_set_based_version(
+            state_count in 1u32..6,
+            // (from, to, low letter, high letter) each.
+            edges in proptest::collection::vec(proptest::collection::vec(0u8..6, 4..5), 0..14),
+            finals in proptest::collection::vec(0u32..6, 0..3),
+            inputs in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..7), 1..8),
+        ) {
+            let mut fsa = Fsa::new();
+            for _ in 1..state_count {
+                fsa.add_state();
+            }
+            let state = |i: u32| StateId(i % state_count);
+            for edge in &edges {
+                let (lo, hi) = (b'a' + edge[2] % 3, b'a' + edge[3] % 3);
+                let range = ByteRange::new(lo.min(hi), lo.max(hi));
+                fsa.add_edge(state(edge[0].into()), range, state(edge[1].into()));
+            }
+            for &s in &finals {
+                fsa.set_final(state(s), true);
+            }
+            for input in &inputs {
+                let input: Vec<u8> = input.iter().map(|b| b'a' + b).collect();
+                prop_assert_eq!(fsa.decide_prefix(&input), decide_prefix_by_sets(&fsa, &input));
+                prop_assert_eq!(
+                    fsa.match_remaining(&input),
+                    decide_prefix_by_sets(&fsa, &input).unwrap_or(SuffixMatch::Possible)
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,12 +32,7 @@ fn bench_preprocessing(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
 
-    let grammars = [
-        ("json", xg_grammar::builtin::json_grammar()),
-        ("xml", xg_grammar::builtin::xml_grammar()),
-        ("python_dsl", xg_grammar::builtin::python_dsl_grammar()),
-    ];
-    for (name, grammar) in &grammars {
+    for (name, grammar) in &builtin_grammars() {
         group.bench_with_input(
             BenchmarkId::new("compile_with_mask_cache", name),
             grammar,
@@ -47,16 +42,24 @@ fn bench_preprocessing(c: &mut Criterion) {
     group.finish();
 }
 
-/// The twelve schemas of `perf`'s `cold_schemas` workload at its vocabulary
-/// size: what an admission pays for a schema the cache has never seen.
-fn bench_cold_schema_compile(c: &mut Criterion) {
+fn builtin_grammars() -> [(&'static str, Grammar); 3] {
+    [
+        ("json", xg_grammar::builtin::json_grammar()),
+        ("xml", xg_grammar::builtin::xml_grammar()),
+        ("python_dsl", xg_grammar::builtin::python_dsl_grammar()),
+    ]
+}
+
+/// What an admission pays for a grammar the cache has never seen, at `perf`'s
+/// vocabulary size: the twelve schemas of its `cold_schemas` workload, and
+/// the builtin CFGs (`xml` is the compile `cfg_heavy`'s set-up waits for).
+fn bench_cold_compile(c: &mut Criterion) {
     let vocab = bench_vocabulary(128_000);
     let sorted = Arc::new(SortedVocabulary::new(&vocab));
     let mut group = c.benchmark_group("cold_schema_compile");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_secs(1));
-
     for (i, case) in xg_datasets::schema_corpus(12, 11).iter().enumerate() {
         let grammar =
             xg_grammar::json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
@@ -65,7 +68,18 @@ fn bench_cold_schema_compile(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    let mut group = c.benchmark_group("cold_cfg_compile");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_secs(1));
+    for (name, grammar) in &builtin_grammars() {
+        group.bench_with_input(BenchmarkId::from_parameter(name), grammar, |b, grammar| {
+            b.iter(|| compile(grammar, &vocab, &sorted))
+        });
+    }
+    group.finish();
 }
 
-criterion_group!(benches, bench_preprocessing, bench_cold_schema_compile);
+criterion_group!(benches, bench_preprocessing, bench_cold_compile);
 criterion_main!(benches);

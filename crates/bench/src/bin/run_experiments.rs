@@ -164,8 +164,10 @@ fn experiment_stats(vocab: &Arc<Vocabulary>) {
         100.0 * stats.memory_ratio()
     );
     println!(
-        "  preprocessing characters matched vs naive: {:.2}% (sorted-prefix rollback, §3.3)",
-        100.0 * stats.preprocessing_check_fraction()
+        "  preprocessing characters matched vs naive: {:.2}% (sorted-prefix rollback, §3.3); automaton steps executed: {} of {} matched (the step memo answered the rest)",
+        100.0 * stats.preprocessing_check_fraction(),
+        stats.automaton_steps,
+        stats.preprocessing_bytes_matched
     );
     let pairs = stats.nodes * stats.classified_tokens;
     println!(

@@ -6,12 +6,16 @@
 //! context-dependent tokens against the full stack, and advancing the
 //! matcher when a token is accepted).
 //!
-//! Nothing here hashes or allocates per step: the stepping functions work
-//! in a caller-owned [`ExecScratch`] (the matcher keeps one for its whole
-//! life, a [`TokenTrail`] carries its own), deduplicate stack handles with
-//! an epoch-stamped mark array, and walk a node's edges in place.
+//! The runtime half neither hashes nor allocates per step: the stepping
+//! functions work in a caller-owned [`ExecScratch`] (the matcher keeps one
+//! for its whole life, a [`TokenTrail`] carries its own), deduplicate stack
+//! handles with an epoch-stamped mark array, and walk a node's edges in
+//! place. The compile half, `StepMemo`, hashes on a miss that lands in a
+//! multi-head set and grows a row for each new state.
 
-use xg_automata::{Pda, PdaEdge};
+use std::collections::HashMap;
+
+use xg_automata::{NodeId, Pda, PdaEdge};
 use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
@@ -324,16 +328,237 @@ impl TokenTrail {
     }
 }
 
+/// States a [`StepMemo`] holds before it clears itself: a 1 KiB row each, so
+/// ≈ 1 MB per compile worker. A walk that never revisits a state (a rule
+/// growing a frame per byte) would otherwise pay a row per step for nothing.
+const MAX_MEMO_STATES: usize = 1024;
+
+/// The PDA determinised lazily for the mask-cache build: a head set is a dense
+/// state id, and a step runs [`closure`] + `step_byte` the first time only.
+/// States are keyed by the *exact* head sequence `step_byte` produced, so the
+/// [`MAX_PARALLEL_STACKS`] truncation and every classification are the unmemoised
+/// walk's. One memo serves all the nodes (of one PDA) a compile worker classifies.
+#[derive(Debug, Default)]
+pub(crate) struct StepMemo {
+    tree: PersistentStackTree,
+    scratch: ExecScratch,
+    /// State `s >= 1` is `heads[ends[s - 1]..ends[s]]`; 0 is the dead set.
+    heads: Vec<StackHandle>,
+    ends: Vec<usize>,
+    /// `rows[s][b]`: the state `b` leads to from `s`; `u32::MAX` until computed.
+    rows: Vec<[u32; 256]>,
+    /// Whether `s` can pop out of the bottom frame; known once a transition of `s` is.
+    popout: Vec<bool>,
+    /// The state of the one-head set `{h}`, by `h.raw()` (0 = none yet);
+    /// every other state is in `multi`, by its head sequence.
+    singleton: Vec<u32>,
+    multi: HashMap<Box<[StackHandle]>, u32>,
+    limit: usize,
+    /// Steps taken from a live state ([`TokenTrail::bytes_advanced`]), and
+    /// the transitions computed for them and for re-walked prefixes.
+    pub steps: u64,
+    pub misses: u64,
+}
+
+impl StepMemo {
+    /// An empty memo; `default()` alone lacks the dead state and the bound.
+    pub fn new() -> Self {
+        StepMemo {
+            ends: vec![0],
+            rows: vec![[0; 256]],
+            popout: vec![false],
+            limit: MAX_MEMO_STATES,
+            ..Default::default()
+        }
+    }
+
+    /// Interns the head sequence `heads[from..]`, taking it off the buffer if known.
+    fn intern(&mut self, from: usize) -> u32 {
+        let slot = match &self.heads[from..] {
+            [] => return 0,
+            [h] => {
+                // Cleared with the tree, so never longer than it.
+                self.singleton.resize(self.tree.len(), 0);
+                &mut self.singleton[h.raw() as usize]
+            }
+            many => self.multi.entry(many.into()).or_insert(0),
+        };
+        if *slot == 0 {
+            *slot = self.ends.len() as u32;
+            self.ends.push(self.heads.len());
+            self.rows.push([u32::MAX; 256]);
+            self.popout.push(false);
+        } else {
+            self.heads.truncate(from);
+        }
+        *slot
+    }
+
+    /// The state `byte` leads to from `state` (0 when no stack consumes it).
+    fn step(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
+        let (s, from) = (state as usize, self.heads.len());
+        if self.rows[s][byte as usize] == u32::MAX {
+            self.misses += 1;
+            let (tree, scratch, popout) = (&mut self.tree, &mut self.scratch, &mut self.popout[s]);
+            let heads = &self.heads[self.ends[s - 1]..self.ends[s]];
+            closure(pda, tree, heads, scratch, |_| *popout = true);
+            step_byte(pda, tree, byte, scratch, &mut self.heads);
+            self.rows[s][byte as usize] = self.intern(from);
+        }
+        self.rows[s][byte as usize]
+    }
+
+    /// [`TokenTrail::match_token`] from the single stack `[node]`, over state ids:
+    /// `trail[i]` is the state after `token[..i]`; empty before the node's first token.
+    pub fn match_token(
+        &mut self,
+        pda: &Pda,
+        node: NodeId,
+        trail: &mut Vec<u32>,
+        token: &[u8],
+        keep: usize,
+    ) -> Result<(), usize> {
+        let keep = keep.min(trail.len().saturating_sub(1));
+        trail.truncate(keep + 1);
+        if keep > 0 && trail[keep] == 0 {
+            return Err(keep - 1);
+        }
+        // A step adds one state at most, and the next node's start one more.
+        if self.ends.len() + token.len() - keep >= self.limit {
+            // Every id dies with the states, the trail's too.
+            self.tree.clear();
+            self.heads.clear();
+            self.ends.truncate(1);
+            self.rows.truncate(1);
+            self.popout.truncate(1);
+            self.singleton.clear();
+            self.multi.clear();
+            trail.clear();
+        }
+        if trail.is_empty() {
+            // Walk the held prefix again: no byte of it is matched anew.
+            self.heads.push(self.tree.push(StackHandle::ROOT, node));
+            trail.push(self.intern(self.heads.len() - 1));
+            for (i, &b) in token[..keep].iter().enumerate() {
+                trail.push(self.step(pda, trail[i], b));
+            }
+        }
+        let mut state = trail[keep];
+        for (i, &b) in token.iter().enumerate().skip(keep) {
+            state = self.step(pda, state, b);
+            trail.push(state);
+            self.steps += 1;
+            if state == 0 {
+                return Err(i);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`TokenTrail::popout_offsets`] of the trail `match_token` left.
+    pub fn popout_offsets<'a>(&'a self, trail: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+        let stepped_from = &trail[..trail.len() - 1];
+        let popout = |(i, &s): (usize, &u32)| self.popout[s as usize].then_some(i);
+        stepped_from.iter().enumerate().filter_map(popout)
+    }
+}
+
 /// Longest common prefix length of two byte strings.
 pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]
+impl StepMemo {
+    /// A memo that clears itself at `limit` states, so that a test's small
+    /// build clears it hundreds of times.
+    pub fn with_limit(limit: usize) -> Self {
+        StepMemo {
+            limit,
+            ..Self::new()
+        }
+    }
+
+    /// States interned since the last clear, the dead one included.
+    pub fn state_count(&self) -> usize {
+        self.ends.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use xg_automata::{build_pda, PdaBuildOptions};
     use xg_grammar::parse_ebnf;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random grammar, random node, random byte strings matched the way a
+        /// classifier matches sorted tokens: after every token the memo trail
+        /// reports what the unmemoised [`TokenTrail`] reports, and the state
+        /// after each byte holds exactly the stacks [`advance_bytes`] ends
+        /// with, in its order. A third of the cases run a memo with room for
+        /// 8 states, which clears itself under the trail every few tokens.
+        #[test]
+        fn memo_trail_walks_what_the_unmemoised_trail_walks(seed in 0u64..100_000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let grammar = crate::mask_cache::differential::random_grammar(&mut rng);
+            let options = PdaBuildOptions {
+                inline_rules: seed % 2 == 0,
+                ..Default::default()
+            };
+            let pda = build_pda(&grammar, &options);
+            let mut memo = match seed % 3 {
+                0 => StepMemo::with_limit(8),
+                _ => StepMemo::new(),
+            };
+            for _ in 0..4 {
+                let node = NodeId(rng.gen_range(0..pda.node_count() as u32));
+                let (mut trail, steps_before) = (Vec::new(), memo.steps);
+                let mut tree = PersistentStackTree::new();
+                let start = tree.push(StackHandle::ROOT, node);
+                let mut reference = TokenTrail::default();
+                reference.reset(&[start]);
+                let mut previous: Vec<u8> = Vec::new();
+                for _ in 0..24 {
+                    // Extend or vary the previous string, so prefixes are shared.
+                    let mut token = previous.clone();
+                    token.truncate(rng.gen_range(0..=previous.len()));
+                    while token.len() < 6 && (token.is_empty() || rng.gen_range(0..3) > 0) {
+                        token.push(b"ab01,:]} c"[rng.gen_range(0..10usize)]);
+                    }
+                    let keep = common_prefix_len(&previous, &token);
+                    prop_assert_eq!(
+                        memo.match_token(&pda, node, &mut trail, &token, keep),
+                        reference.match_token(&pda, &mut tree, &token, keep)
+                    );
+                    prop_assert_eq!(
+                        memo.popout_offsets(&trail).collect::<Vec<_>>(),
+                        reference.popout_offsets().collect::<Vec<_>>()
+                    );
+                    prop_assert_eq!(memo.steps - steps_before, reference.bytes_advanced());
+                    prop_assert_eq!(trail.len() - 1, reference.prefix_len());
+                    for (len, &state) in trail.iter().enumerate() {
+                        let mut heads = vec![start];
+                        let mut scratch = ExecScratch::default();
+                        let _ = advance_bytes(&pda, &mut tree, &mut heads, &token[..len], &mut scratch);
+                        let want: Vec<_> = heads.iter().map(|&h| tree.stack_to_vec(h)).collect();
+                        let held = match state as usize {
+                            0 => &[][..],
+                            s => &memo.heads[memo.ends[s - 1]..memo.ends[s]],
+                        };
+                        let got: Vec<_> = held.iter().map(|&h| memo.tree.stack_to_vec(h)).collect();
+                        prop_assert_eq!(got, want, "after {:?}", &token[..len]);
+                    }
+                    previous = token;
+                }
+            }
+        }
+    }
 
     fn json_pda() -> Pda {
         build_pda(

@@ -28,9 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use xg_automata::{Fsa, NodeId, Pda, PdaNode, SuffixMatch};
 use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
-use crate::executor::TokenTrail;
+use crate::executor::StepMemo;
 use crate::mask::TokenBitmask;
-use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
 /// Per-node storage of the token mask cache, in one of the three adaptive
 /// formats of Figure 5. `uncertain` always holds the context-dependent
@@ -120,6 +119,10 @@ pub struct MaskCacheStats {
     /// Bytes of token text actually matched during preprocessing: automaton
     /// steps taken from a live state.
     pub preprocessing_bytes_matched: u64,
+    /// The steps the automaton executed, for those and for prefixes walked
+    /// again; a worker's step memo answered the rest. Each worker has its
+    /// own, so above one thread the count depends on scheduling.
+    pub automaton_steps: u64,
     /// Tokens matched one by one, summed over nodes. The rest of
     /// `nodes * classified_tokens` was classified in runs, by the prefix
     /// shared with a token that had already failed.
@@ -199,6 +202,7 @@ struct NodeClassification {
     uncertain: Vec<TokenId>,
     uncertain_before_expansion: usize,
     bytes_matched: u64,
+    automaton_steps: u64,
     tokens_visited: u64,
 }
 
@@ -209,12 +213,12 @@ struct NodeClassification {
 /// Without a suffix automaton (no context expansion, §3.2) any pop-out makes
 /// the token context-dependent.
 fn is_context_dependent(
-    trail: &TokenTrail,
+    popouts: impl Iterator<Item = usize>,
     decided_by: &[u8],
     suffix_fsa: Option<&Fsa>,
 ) -> Option<bool> {
     let mut undecided = false;
-    for offset in trail.popout_offsets() {
+    for offset in popouts {
         match suffix_fsa.map(|fsa| fsa.decide_prefix(&decided_by[offset..])) {
             None | Some(Some(SuffixMatch::Possible)) => return Some(true),
             Some(Some(SuffixMatch::Rejected)) => {}
@@ -238,29 +242,28 @@ fn is_context_dependent(
 /// vocabulary.
 fn classify_node(
     pda: &Pda,
+    memo: &mut StepMemo,
     node: NodeId,
     vocab: &Vocabulary,
     sorted: &SortedVocabulary,
     suffix_fsa: Option<&Fsa>,
 ) -> NodeClassification {
-    let mut tree = PersistentStackTree::new();
-    let start = tree.push(StackHandle::ROOT, node);
-    let mut trail = TokenTrail::default();
-    trail.reset(&[start]);
+    let (steps_before, misses_before) = (memo.steps, memo.misses);
+    let mut trail = Vec::new();
     let mut out = NodeClassification::default();
     let (ids, lcp) = (sorted.ids(), sorted.lcp());
     let mut i = 0;
     while i < ids.len() {
         let bytes = vocab.token_bytes(ids[i]);
         out.tokens_visited += 1;
-        let Err(died_at) = trail.match_token(pda, &mut tree, bytes, lcp[i]) else {
+        let Err(died_at) = memo.match_token(pda, node, &mut trail, bytes, lcp[i]) else {
             out.accepted.push(ids[i]);
             i += 1;
             continue;
         };
         let shared_prefix = &bytes[..=died_at];
         let (context_dependent, run_end) =
-            match is_context_dependent(&trail, shared_prefix, suffix_fsa) {
+            match is_context_dependent(memo.popout_offsets(&trail), shared_prefix, suffix_fsa) {
                 Some(class) => {
                     let shared = lcp[i + 1..].iter().take_while(|&&l| l > died_at).count();
                     (class, i + 1 + shared)
@@ -268,13 +271,14 @@ fn classify_node(
                 // The token's own bytes decide it, or run out undecided: then
                 // its remainder is a prefix of what a parent context accepts.
                 None => (
-                    is_context_dependent(&trail, bytes, suffix_fsa).unwrap_or(true),
+                    is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa)
+                        .unwrap_or(true),
                     i + 1,
                 ),
             };
         // Any pop-out means the remainder could be matched by a parent
         // context; context expansion filtered those that cannot.
-        if trail.popout_offsets().next().is_some() {
+        if memo.popout_offsets(&trail).next().is_some() {
             out.uncertain_before_expansion += run_end - i;
         }
         if context_dependent {
@@ -282,7 +286,8 @@ fn classify_node(
         }
         i = run_end;
     }
-    out.bytes_matched = trail.bytes_advanced();
+    out.bytes_matched = memo.steps - steps_before;
+    out.automaton_steps = memo.misses - misses_before;
     out
 }
 
@@ -316,7 +321,10 @@ pub fn build_mask_cache(
     suffix_fsas: Option<&[Fsa]>,
     options: &MaskCacheBuildOptions,
 ) -> MaskCache {
-    build_with(pda, vocab, sorted, suffix_fsas, options, classify_node)
+    let classify = |memo: &mut StepMemo, node, fsa: Option<&Fsa>| {
+        classify_node(pda, memo, node, vocab, sorted, fsa)
+    };
+    build_with(pda, vocab, sorted, suffix_fsas, options, classify)
 }
 
 /// [`build_mask_cache`] over a given per-node classifier (the tests run a
@@ -327,23 +335,21 @@ fn build_with(
     sorted: &SortedVocabulary,
     suffix_fsas: Option<&[Fsa]>,
     options: &MaskCacheBuildOptions,
-    classify_node: impl Fn(&Pda, NodeId, &Vocabulary, &SortedVocabulary, Option<&Fsa>) -> NodeClassification
-        + Sync,
+    classify_node: impl Fn(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification + Sync,
 ) -> MaskCache {
     let node_count = pda.node_count();
-    let num_threads = if options.num_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        options.num_threads
+    // A cgroup read, next to a millisecond compile: taken once per process.
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let num_threads = match options.num_threads {
+        0 => *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        n => n,
     };
 
     // A pure-return node outside the root rule is never a stack top (the
     // matcher pops it on arrival), so no mask is ever read there: its entry
     // rejects every token and nothing of it is counted.
     let never_top = |node: &PdaNode| node.is_pure_return() && node.rule != pda.root();
-    let classify = |node_index: usize| -> NodeClassification {
+    let classify = |memo: &mut StepMemo, node_index: usize| -> NodeClassification {
         let node = NodeId(node_index as u32);
         if never_top(pda.node(node)) {
             return NodeClassification::default();
@@ -353,44 +359,38 @@ fn build_with(
         } else {
             None
         };
-        classify_node(pda, node, vocab, sorted, fsa)
+        classify_node(memo, node, fsa)
     };
 
-    let classifications: Vec<NodeClassification> = if num_threads <= 1 || node_count < num_threads {
-        (0..node_count).map(classify).collect()
-    } else {
-        // Nodes differ in cost by orders of magnitude (a literal's node keeps
-        // one prefix alive, a string body's most of the vocabulary), so the
-        // workers draw them one at a time from a shared counter. Vocabulary,
-        // Pda and SortedVocabulary are all shared immutably.
-        let mut results: Vec<Option<NodeClassification>> = Vec::new();
-        results.resize_with(node_count, || None);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let worker = || {
-                let mut done = Vec::new();
-                loop {
-                    // Relaxed: the counter hands out indices and publishes
-                    // nothing; results travel through `join`.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= node_count {
-                        return done;
-                    }
-                    done.push((i, classify(i)));
-                }
-            };
-            let handles: Vec<_> = (0..num_threads).map(|_| scope.spawn(worker)).collect();
-            for handle in handles {
-                for (i, c) in handle.join().expect("classification worker panicked") {
-                    results[i] = Some(c);
-                }
+    // Nodes differ in cost by orders of magnitude (a literal's node keeps one
+    // prefix alive, a string body's most of the vocabulary), so the workers
+    // draw them one at a time from a shared counter, each with a step memo of
+    // its own. Vocabulary, Pda and SortedVocabulary are all shared immutably.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let (mut memo, mut done) = (StepMemo::new(), Vec::new());
+        loop {
+            // Relaxed: the counter hands out indices and publishes nothing;
+            // results travel through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= node_count {
+                return done;
             }
-        });
-        results
-            .into_iter()
-            .map(|c| c.expect("every node classified"))
-            .collect()
+            done.push((i, classify(&mut memo, i)));
+        }
     };
+    let mut classifications = if num_threads <= 1 || node_count < num_threads {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..num_threads).map(|_| scope.spawn(worker)).collect();
+            let done = handles
+                .into_iter()
+                .map(|h| h.join().expect("a classifier panicked"));
+            done.flatten().collect()
+        })
+    };
+    classifications.sort_unstable_by_key(|&(i, _)| i);
 
     // Convert classifications into adaptive entries and aggregate statistics.
     let mut entries = Vec::with_capacity(node_count);
@@ -402,13 +402,14 @@ fn build_with(
             * sorted.total_bytes() as u64,
         ..Default::default()
     };
-    for classification in classifications {
+    for (_, classification) in classifications {
         stats.context_dependent_before_expansion += classification.uncertain_before_expansion;
         stats.context_dependent_after_expansion += classification.uncertain.len();
         stats.max_context_dependent_per_node = stats
             .max_context_dependent_per_node
             .max(classification.uncertain.len());
         stats.preprocessing_bytes_matched += classification.bytes_matched;
+        stats.automaton_steps += classification.automaton_steps;
         stats.tokens_visited += classification.tokens_visited;
         let entry = make_entry(vocab, sorted, classification);
         stats.memory_bytes += entry.memory_bytes();
@@ -473,7 +474,7 @@ fn make_entry(
 
 #[cfg(test)]
 #[path = "mask_cache_tests.rs"]
-mod differential;
+pub(crate) mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,9 @@
-//! Differential tests of the run-skipping classifier against the per-token
-//! loop it replaced, and the deterministic count gate on how much of the
-//! vocabulary a build visits.
+//! Differential tests of the run-skipping, memoised classifier against the
+//! per-token loop over an unmemoised [`TokenTrail`] it replaced, and the
+//! deterministic count gates on how much of the vocabulary a build visits and
+//! how many of its steps the automaton executes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -12,7 +14,8 @@ use xg_grammar::{builtin, json_schema_to_grammar, parse_ebnf, Grammar};
 use xg_tokenizer::{synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig};
 
 use super::*;
-use crate::executor::common_prefix_len;
+use crate::executor::{common_prefix_len, TokenTrail};
+use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
 /// The classifier before run skipping, kept as the reference: every sorted
 /// token is matched and classified on its own. A trail that died is padded
@@ -59,12 +62,31 @@ fn classify_node_reference(
         }
     }
     out.bytes_matched = trail.bytes_advanced();
+    out.automaton_steps = out.bytes_matched;
     out
 }
 
-/// Builds the cache of `pda` both ways, with and without context expansion,
-/// and demands the same entries and the same statistics (but for the count
-/// of visited tokens, which is the difference).
+/// Demands the same entries and the same statistics of two builds, but for
+/// the counts of visited tokens and executed steps, which are the difference.
+fn assert_same_cache(fast: &MaskCache, reference: &MaskCache, what: &str) {
+    for i in 0..reference.len() {
+        let node = NodeId(i as u32);
+        assert_eq!(fast.entry(node), reference.entry(node), "{what}: node {i}");
+    }
+    let comparable = |stats: &MaskCacheStats| MaskCacheStats {
+        tokens_visited: 0,
+        automaton_steps: 0,
+        ..*stats
+    };
+    assert_eq!(
+        comparable(fast.stats()),
+        comparable(reference.stats()),
+        "{what}"
+    );
+    assert!(fast.stats().tokens_visited <= reference.stats().tokens_visited);
+}
+
+/// Builds the cache of `pda` both ways, with and without context expansion.
 fn assert_matches_reference(pda: &Pda, vocab: &Vocabulary, sorted: &SortedVocabulary, what: &str) {
     let fsas = extract_all_suffix_fsas(pda);
     for context_expansion in [true, false] {
@@ -73,32 +95,12 @@ fn assert_matches_reference(pda: &Pda, vocab: &Vocabulary, sorted: &SortedVocabu
             num_threads: 2,
         };
         let fast = build_mask_cache(pda, vocab, sorted, Some(&fsas), &options);
-        let reference = build_with(
-            pda,
-            vocab,
-            sorted,
-            Some(&fsas),
-            &options,
-            classify_node_reference,
-        );
-        for i in 0..pda.node_count() {
-            let node = NodeId(i as u32);
-            assert_eq!(
-                fast.entry(node),
-                reference.entry(node),
-                "{what}: node {i} (context expansion {context_expansion})"
-            );
-        }
-        let comparable = |stats: &MaskCacheStats| MaskCacheStats {
-            tokens_visited: 0,
-            ..*stats
-        };
-        assert_eq!(
-            comparable(fast.stats()),
-            comparable(reference.stats()),
-            "{what} (context expansion {context_expansion})"
-        );
-        assert!(fast.stats().tokens_visited <= reference.stats().tokens_visited);
+        let reference = build_with(pda, vocab, sorted, Some(&fsas), &options, |_, node, fsa| {
+            classify_node_reference(pda, node, vocab, sorted, fsa)
+        });
+        let what = format!("{what} (context expansion {context_expansion})");
+        assert_same_cache(&fast, &reference, &what);
+        assert!(fast.stats().automaton_steps <= reference.stats().automaton_steps);
     }
 }
 
@@ -288,11 +290,23 @@ fn random_expr(rng: &mut SmallRng, depth: usize, rules: &[&str]) -> String {
     }
 }
 
+/// A random three-rule grammar (references only go down, so there is no
+/// left recursion).
+pub(crate) fn random_grammar(rng: &mut SmallRng) -> Grammar {
+    let source = format!(
+        "root ::= {}\nmid ::= {}\nleaf ::= {}\n",
+        random_expr(rng, 2, &["mid", "leaf"]),
+        random_expr(rng, 2, &["leaf"]),
+        random_expr(rng, 1, &[]),
+    );
+    parse_ebnf(&source, "root")
+        .unwrap_or_else(|e| panic!("generated grammar must parse: {e}\n{source}"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random three-rule grammars (references only go down, so there is no
-    /// left recursion), with and without rule inlining.
+    /// Random grammars, with and without rule inlining.
     #[test]
     fn run_skipping_build_equals_the_reference_on_random_grammars(seed in 0u64..100_000) {
         static VOCAB: OnceLock<(Vocabulary, SortedVocabulary)> = OnceLock::new();
@@ -301,21 +315,127 @@ proptest! {
             let sorted = SortedVocabulary::new(&vocab);
             (vocab, sorted)
         });
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let source = format!(
-            "root ::= {}\nmid ::= {}\nleaf ::= {}\n",
-            random_expr(&mut rng, 2, &["mid", "leaf"]),
-            random_expr(&mut rng, 2, &["leaf"]),
-            random_expr(&mut rng, 1, &[]),
-        );
-        let grammar = parse_ebnf(&source, "root")
-            .unwrap_or_else(|e| panic!("generated grammar must parse: {e}\n{source}"));
+        let grammar = random_grammar(&mut SmallRng::seed_from_u64(seed));
         let options = PdaBuildOptions {
             inline_rules: seed % 2 == 0,
             ..Default::default()
         };
-        assert_matches_reference(&build_pda(&grammar, &options), vocab, sorted, &source);
+        let what = format!("random grammar {seed}");
+        assert_matches_reference(&build_pda(&grammar, &options), vocab, sorted, &what);
     }
+}
+
+fn multiple_of_grammar() -> Grammar {
+    let corpus = xg_datasets::schema_corpus(12, 11);
+    let case = corpus
+        .iter()
+        .find(|case| case.feature == "multiple-of")
+        .expect("the corpus has one schema per feature");
+    json_schema_to_grammar(&case.schema).expect("corpus schemas convert")
+}
+
+/// The clear-and-re-derive path, which the default bound reaches on one
+/// benchmark schema only: with room for 8 states and tokens of up to 6 bytes
+/// (dead + start + 6), the memo clears itself every few tokens and the trail
+/// walks its held prefix again, and every entry and count stays what the
+/// unmemoised reference gives.
+#[test]
+fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
+    let short: Vec<Vec<u8>> = test_vocabulary(3000)
+        .iter()
+        .map(|(_, bytes)| bytes.to_vec())
+        .filter(|bytes| bytes.len() <= 6)
+        .collect();
+    let vocab = Vocabulary::from_tokens(short, Some(0));
+    let sorted = SortedVocabulary::new(&vocab);
+    for (what, grammar) in [
+        ("multiple-of schema", multiple_of_grammar()),
+        ("builtin xml", builtin::xml_grammar()),
+    ] {
+        let pda = build_pda(&grammar, &PdaBuildOptions::default());
+        let fsas = extract_all_suffix_fsas(&pda);
+        let options = MaskCacheBuildOptions {
+            context_expansion: true,
+            num_threads: 2,
+        };
+        let recomputed = AtomicU64::new(0);
+        let tiny = build_with(
+            &pda,
+            &vocab,
+            &sorted,
+            Some(&fsas),
+            &options,
+            |_, node, fsa| {
+                let (mut tiny, mut roomy) = (StepMemo::with_limit(8), StepMemo::new());
+                let classification = classify_node(&pda, &mut tiny, node, &vocab, &sorted, fsa);
+                classify_node(&pda, &mut roomy, node, &vocab, &sorted, fsa);
+                // A memo computes a transition once unless it forgot it:
+                // every extra one is the work of a clear.
+                assert!(tiny.state_count() <= 8);
+                recomputed.fetch_add(tiny.misses - roomy.misses, Ordering::Relaxed);
+                classification
+            },
+        );
+        let reference = build_with(
+            &pda,
+            &vocab,
+            &sorted,
+            Some(&fsas),
+            &options,
+            |_, node, fsa| classify_node_reference(&pda, node, &vocab, &sorted, fsa),
+        );
+        assert_same_cache(&tiny, &reference, what);
+        let recomputed = recomputed.into_inner();
+        assert!(
+            recomputed > 1000,
+            "{what}: the memo forgot and recomputed {recomputed} transitions"
+        );
+        // The default bound builds the same cache without clearing more than
+        // the multiple-of schema's digit chains make it.
+        let default = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options);
+        assert_same_cache(&default, &reference, what);
+        assert!(default.stats().automaton_steps < tiny.stats().automaton_steps);
+    }
+}
+
+/// The count behind the step memo's claim: on one thread (one memo, nodes in
+/// order, so the number repeats exactly) the XML build executes at most a
+/// twentieth of the steps it takes, and never more than a full row per state.
+/// Every light node pays its first-byte misses whatever the vocabulary, so
+/// the share only means something at scale.
+#[test]
+fn the_xml_build_executes_a_twentieth_of_its_steps() {
+    let vocab = synthetic_vocabulary(&SyntheticVocabConfig {
+        size: 32_000,
+        seed: 0x32_000,
+    });
+    let sorted = SortedVocabulary::new(&vocab);
+    let pda = build_pda(&builtin::xml_grammar(), &PdaBuildOptions::default());
+    let fsas = extract_all_suffix_fsas(&pda);
+    let options = MaskCacheBuildOptions {
+        context_expansion: true,
+        num_threads: 1,
+    };
+    let stats = *build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
+    assert!(
+        stats.automaton_steps * 20 <= stats.preprocessing_bytes_matched,
+        "executed {} of {} steps",
+        stats.automaton_steps,
+        stats.preprocessing_bytes_matched
+    );
+
+    // The serial build is this loop: one memo over the nodes in order.
+    let mut memo = StepMemo::new();
+    let mut executed = 0;
+    for (i, node) in pda.nodes().iter().enumerate() {
+        if !(node.is_pure_return() && node.rule != pda.root()) {
+            let fsa = Some(&fsas[node.rule.index()]);
+            executed += classify_node(&pda, &mut memo, NodeId(i as u32), &vocab, &sorted, fsa)
+                .automaton_steps;
+        }
+    }
+    assert_eq!(executed, stats.automaton_steps);
+    assert!(executed <= 256 * memo.state_count() as u64);
 }
 
 /// The count behind the cold-compile claim, where a wall clock would not
