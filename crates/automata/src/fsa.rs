@@ -248,11 +248,6 @@ impl Fsa {
             self.states[start_idx].is_final = true;
         }
     }
-
-    /// Total number of edges, mostly for statistics and tests.
-    pub fn edge_count(&self) -> usize {
-        self.states.iter().map(|s| s.edges.len()).sum()
-    }
 }
 
 #[cfg(test)]

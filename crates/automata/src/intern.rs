@@ -20,36 +20,12 @@ use std::collections::HashMap;
 
 use crate::pda::{NodeId, Pda, PdaEdge, PdaRuleId};
 
-/// Counters of one [`intern_states`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StateInternStats {
-    /// Signature lookups served by an existing canonical state (the looked-up
-    /// state was a duplicate and got redirected).
-    pub hits: u64,
-    /// Signature lookups that made the state the canonical representative.
-    pub misses: u64,
-    /// Number of states removed (= `hits`, kept separately for readability).
-    pub merged: usize,
-    /// Fixpoint passes executed.
-    pub passes: usize,
-}
-
-impl StateInternStats {
-    /// Fraction of signature lookups that deduplicated a state.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 /// Structural signature of a PDA node: two nodes with equal signatures accept
 /// exactly the same byte strings (with the same stack effects).
 type Signature = (PdaRuleId, bool, Vec<PdaEdge>);
 
-/// Hashconses the states of a PDA in place, then compacts it.
+/// Hashconses the states of a PDA in place, then compacts it; returns the
+/// number of states merged away.
 ///
 /// Safe unconditionally: only *incoming* references are redirected, and the
 /// canonical state has identical outgoing behavior by construction.
@@ -70,18 +46,16 @@ type Signature = (PdaRuleId, bool, Vec<PdaEdge>);
 /// ).unwrap();
 /// let mut pda = build_pda(&grammar, &options);
 /// let before = pda.node_count();
-/// let stats = intern_states(&mut pda);
-/// assert!(stats.merged > 0);
+/// assert!(intern_states(&mut pda) > 0);
 /// assert!(pda.node_count() < before);
 /// ```
-pub fn intern_states(pda: &mut Pda) -> StateInternStats {
-    let mut stats = StateInternStats::default();
+pub fn intern_states(pda: &mut Pda) -> usize {
+    let mut merged = 0usize;
     // States already redirected in an earlier pass; they are unreferenced and
     // must not re-enter the signature table (they would match their canonical
     // representative forever, preventing the fixpoint from being reached).
     let mut dead = vec![false; pda.nodes.len()];
     loop {
-        stats.passes += 1;
         let mut table: HashMap<Signature, NodeId> = HashMap::with_capacity(pda.nodes.len());
         let mut redirect: Vec<NodeId> = (0..pda.nodes.len() as u32).map(NodeId).collect();
         let mut merged_this_pass = 0usize;
@@ -92,13 +66,11 @@ pub fn intern_states(pda: &mut Pda) -> StateInternStats {
             let sig = (node.rule, node.is_final, node.edges.clone());
             match table.get(&sig) {
                 Some(&canonical) => {
-                    stats.hits += 1;
                     redirect[i] = canonical;
                     dead[i] = true;
                     merged_this_pass += 1;
                 }
                 None => {
-                    stats.misses += 1;
                     table.insert(sig, NodeId(i as u32));
                 }
             }
@@ -106,7 +78,7 @@ pub fn intern_states(pda: &mut Pda) -> StateInternStats {
         if merged_this_pass == 0 {
             break;
         }
-        stats.merged += merged_this_pass;
+        merged += merged_this_pass;
         for node in &mut pda.nodes {
             for edge in &mut node.edges {
                 match edge {
@@ -120,10 +92,10 @@ pub fn intern_states(pda: &mut Pda) -> StateInternStats {
             rule.start = redirect[rule.start.index()];
         }
     }
-    if stats.merged > 0 {
+    if merged > 0 {
         *pda = pda.compact();
     }
-    stats
+    merged
 }
 
 #[cfg(test)]
@@ -151,9 +123,8 @@ mod tests {
         .unwrap();
         let mut pda = build_pda(&grammar, &no_merge_options());
         let reference = pda.clone();
-        let stats = intern_states(&mut pda);
+        intern_states(&mut pda);
         assert_eq!(pda.check_consistency(), Ok(()));
-        assert!(stats.passes >= 1);
         let cases: [&[u8]; 6] = [b"[1]", b"[12,3]", b"[1,2,3]", b"[]", b"[1,]", b"1"];
         for case in cases {
             assert_eq!(
@@ -172,11 +143,9 @@ mod tests {
             xg_grammar::parse_ebnf(r#"root ::= ("abc" | "xbc") ("abc" | "xbc")"#, "root").unwrap();
         let mut pda = build_pda(&grammar, &no_merge_options());
         let before = pda.node_count();
-        let stats = intern_states(&mut pda);
-        assert!(stats.merged > 0, "expected duplicate states to merge");
-        assert_eq!(stats.merged as u64, stats.hits);
-        assert!(pda.node_count() < before);
-        assert!(stats.hit_rate() > 0.0);
+        let merged = intern_states(&mut pda);
+        assert!(merged > 0, "expected duplicate states to merge");
+        assert_eq!(pda.node_count(), before - merged);
         assert!(SimpleMatcher::new(&pda).accepts(b"abcxbc"));
         assert!(!SimpleMatcher::new(&pda).accepts(b"abc"));
     }
@@ -187,8 +156,7 @@ mod tests {
         let mut pda = build_pda(&grammar, &no_merge_options());
         intern_states(&mut pda);
         let nodes_after_first = pda.node_count();
-        let second = intern_states(&mut pda);
-        assert_eq!(second.merged, 0);
+        assert_eq!(intern_states(&mut pda), 0);
         assert_eq!(pda.node_count(), nodes_after_first);
     }
 }

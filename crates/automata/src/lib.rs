@@ -48,7 +48,7 @@ pub mod utf8;
 pub use build::{build_pda, build_pda_default, inline_fragment_rules, PdaBuildOptions};
 pub use exec::{epsilon_closure, MatchStack, SimpleMatcher, StepResult};
 pub use fsa::{Fsa, StateId, SuffixMatch};
-pub use intern::{intern_states, StateInternStats};
+pub use intern::intern_states;
 pub use multipattern::{AcState, AhoCorasick, NaiveMultiPattern};
 pub use pda::{NodeId, Pda, PdaEdge, PdaNode, PdaRule, PdaRuleId, PdaStats};
 pub use suffix::{extract_all_suffix_fsas, extract_suffix_fsa};

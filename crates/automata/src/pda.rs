@@ -69,14 +69,6 @@ impl PdaEdge {
             PdaEdge::Bytes { target, .. } | PdaEdge::Rule { target, .. } => *target,
         }
     }
-
-    /// Returns the referenced rule, if this is a rule-reference edge.
-    pub fn referenced_rule(&self) -> Option<PdaRuleId> {
-        match self {
-            PdaEdge::Rule { rule, .. } => Some(*rule),
-            PdaEdge::Bytes { .. } => None,
-        }
-    }
 }
 
 /// A node (state) of the PDA.

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use xg_automata::fsa::{Fsa, StateId};
-use xg_core::{AcceptError, ConstraintMatcher, ConstraintStats, TokenBitmask};
+use xg_core::{AcceptError, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
@@ -230,10 +230,6 @@ impl ConstraintMatcher for EnforcerSession {
     fn reset(&mut self) {
         self.state = BTreeSet::from([self.shared.fsa.start()]);
         self.terminated = false;
-    }
-
-    fn stats(&self) -> ConstraintStats {
-        ConstraintStats::default()
     }
 }
 

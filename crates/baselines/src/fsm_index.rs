@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 use xg_automata::fsa::{Fsa, StateId};
-use xg_core::{AcceptError, ConstraintMatcher, ConstraintStats, TokenBitmask};
+use xg_core::{AcceptError, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
@@ -246,10 +246,6 @@ impl ConstraintMatcher for FsmSession {
     fn reset(&mut self) {
         self.state = self.shared.start_state();
         self.terminated = false;
-    }
-
-    fn stats(&self) -> ConstraintStats {
-        ConstraintStats::default()
     }
 }
 

@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use xg_automata::{build_pda_default, Pda, SimpleMatcher, StepResult};
-use xg_core::{AcceptError, ConstraintMatcher, ConstraintStats, TokenBitmask};
+use xg_core::{AcceptError, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
@@ -158,10 +158,6 @@ impl ConstraintMatcher for NaiveSession {
     fn reset(&mut self) {
         self.stacks = vec![vec![self.pda.root_start()]];
         self.terminated = false;
-    }
-
-    fn stats(&self) -> ConstraintStats {
-        ConstraintStats::default()
     }
 }
 

@@ -234,7 +234,7 @@ fn bench_engine_jump_forward(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let (results, metrics) = engine.run_batch(&requests).expect("batch runs");
-                (results.len(), metrics.total_tokens)
+                (results.len(), metrics.sampled_tokens)
             })
         });
     }

@@ -451,15 +451,15 @@ fn experiment_fig11(vocab: &Arc<Vocabulary>, config: &Config) {
         ("w/ jump-forward", JumpForwardPolicy::Engine),
     ] {
         let metrics = run(policy);
-        let output_tokens = metrics.total_tokens + metrics.jump_forward_tokens;
+        let output_tokens = metrics.sampled_tokens + metrics.forced_tokens;
         println!(
             "  XGrammar {:<18}: {:.3} ms per output token \
              ({} sampled + {} forced tokens, {} forced chars)",
             label,
-            metrics.total_time.as_secs_f64() * 1e3 / output_tokens.max(1) as f64,
-            metrics.total_tokens,
-            metrics.jump_forward_tokens,
-            metrics.jump_forward_chars,
+            metrics.wall_time.as_secs_f64() * 1e3 / output_tokens.max(1) as f64,
+            metrics.sampled_tokens,
+            metrics.forced_tokens,
+            metrics.forced_chars,
         );
     }
     println!();

@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 
 use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, Pda, PdaBuildOptions};
 use xg_grammar::{Grammar, GrammarError};
-use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
+use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 use crate::grammar_cache::{
     CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,
@@ -198,11 +198,6 @@ impl CompiledGrammar {
         self.mask_cache.as_ref()
     }
 
-    /// The expanded-suffix automata, one per PDA rule.
-    pub fn suffix_fsas(&self) -> &[Fsa] {
-        &self.suffix_fsas
-    }
-
     /// The configuration used to compile this grammar.
     pub fn config(&self) -> &CompilerConfig {
         &self.config
@@ -226,11 +221,6 @@ impl CompiledGrammar {
     /// Wall-clock preprocessing time.
     pub fn preprocessing_time(&self) -> std::time::Duration {
         self.preprocessing_time
-    }
-
-    /// The end-of-sequence token of the vocabulary, if any.
-    pub fn eos_token(&self) -> Option<TokenId> {
-        self.vocab.eos()
     }
 
     /// Estimated heap memory held by this compiled grammar, dominated by the

@@ -28,28 +28,6 @@ use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 use crate::error::{AcceptError, RollbackError};
 use crate::mask::TokenBitmask;
 
-/// Constraint-kind-independent runtime counters, reported by every
-/// [`ConstraintMatcher`]. Concrete matchers usually expose a richer inherent
-/// `stats()` as well (e.g. [`MatcherStats`](crate::MatcherStats) with
-/// context-dependent-token counts); this is the common denominator the
-/// serving layer aggregates across heterogeneous lanes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConstraintStats {
-    /// Token bitmasks generated.
-    pub masks_generated: u64,
-    /// Tokens accepted (excluding raw [`accept_bytes`] units).
-    ///
-    /// [`accept_bytes`]: ConstraintMatcher::accept_bytes
-    pub tokens_accepted: u64,
-    /// Bytes accepted through raw [`accept_bytes`] units — text that
-    /// advanced the matcher without per-token sampling: jump-forward
-    /// injections, but also any caller-seeded prefixes fed through
-    /// [`accept_bytes`] directly.
-    ///
-    /// [`accept_bytes`]: ConstraintMatcher::accept_bytes
-    pub bytes_forced: u64,
-}
-
 /// The forced continuation at a matcher's current position, re-tokenized
 /// against the real vocabulary — what engine-level jump-forward decoding
 /// injects instead of sampling. Produced by
@@ -111,7 +89,7 @@ impl ForcedTokenRun {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use xg_core::{AcceptError, ConstraintMatcher, ConstraintStats, RollbackError, TokenBitmask};
+/// use xg_core::{AcceptError, ConstraintMatcher, RollbackError, TokenBitmask};
 /// use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};
 ///
 /// #[derive(Debug)]
@@ -183,10 +161,6 @@ impl ForcedTokenRun {
 ///     fn reset(&mut self) {
 ///         self.spent = 0;
 ///         self.terminated = false;
-///     }
-///
-///     fn stats(&self) -> ConstraintStats {
-///         ConstraintStats::default()
 ///     }
 /// }
 ///
@@ -316,9 +290,6 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
     /// this when recycling).
     fn reset(&mut self);
 
-    /// Constraint-kind-independent runtime counters.
-    fn stats(&self) -> ConstraintStats;
-
     /// Drops the oldest rollback snapshots until at most `keep` remain — a
     /// memory-bounding hint used when an outer constraint (e.g. tag dispatch)
     /// caps an inner matcher's effective window. Implementations without
@@ -401,6 +372,7 @@ mod tests {
         for (lane, text) in &mut lanes {
             lane.fill_next_token_bitmask(&mut mask);
             assert!(mask.count_allowed() > 0);
+            let fresh = mask.clone();
             lane.accept_bytes(text).unwrap();
             assert!(lane.can_terminate());
             assert_eq!(lane.rollback_window(), 1);
@@ -408,7 +380,10 @@ mod tests {
             assert_eq!(lane.max_rollback(), 8);
             assert_ne!(lane.factory_key(), 0);
             lane.reset();
-            assert_eq!(lane.stats(), ConstraintStats::default());
+            assert_eq!(lane.rollback_window(), 0);
+            assert!(!lane.is_terminated());
+            lane.fill_next_token_bitmask(&mut mask);
+            assert_eq!(mask, fresh, "a reset lane masks like a fresh one");
         }
     }
 

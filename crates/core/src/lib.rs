@@ -74,7 +74,7 @@ mod persistent_stack;
 mod tag_dispatch;
 
 pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler, LintMode};
-pub use constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats, ForcedTokenRun};
+pub use constraint::{ConstraintFactory, ConstraintMatcher, ForcedTokenRun};
 pub use error::{AcceptError, RollbackError};
 pub use grammar_cache::{
     ArtifactCache, CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,

@@ -23,7 +23,7 @@ use xg_automata::{Pda, PdaEdge};
 use xg_tokenizer::TokenId;
 
 use crate::compiler::CompiledGrammar;
-use crate::constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats};
+use crate::constraint::{ConstraintFactory, ConstraintMatcher};
 use crate::error::{AcceptError, RollbackError};
 use crate::executor::{advance_bytes, can_pop_out, closure, ExecScratch, TokenTrail};
 use crate::mask::TokenBitmask;
@@ -44,10 +44,6 @@ pub struct MatcherStats {
     pub context_dependent_checked: u64,
     /// Tokens whose validity was read directly from the cache.
     pub context_independent_hits: u64,
-    /// Bytes accepted through [`GrammarMatcher::accept_bytes`] — text that
-    /// advanced the matcher without per-token sampling (jump-forward
-    /// injections and any caller-seeded prefixes).
-    pub bytes_forced: u64,
     /// Sum of [`GrammarMatcher::stack_count`] over the masks generated
     /// (stacks per step = `stacks_total / masks_generated`).
     pub stacks_total: u64,
@@ -418,7 +414,6 @@ impl GrammarMatcher {
         )
         .map_err(|matched_bytes| AcceptError::BytesRejected { matched_bytes })?;
         self.commit_work();
-        self.stats.bytes_forced += bytes.len() as u64;
         Ok(())
     }
 
@@ -615,14 +610,6 @@ impl ConstraintMatcher for GrammarMatcher {
 
     fn reset(&mut self) {
         GrammarMatcher::reset(self);
-    }
-
-    fn stats(&self) -> ConstraintStats {
-        ConstraintStats {
-            masks_generated: self.stats.masks_generated,
-            tokens_accepted: self.stats.tokens_accepted,
-            bytes_forced: self.stats.bytes_forced,
-        }
     }
 
     fn trim_history(&mut self, keep: usize) {

@@ -162,7 +162,6 @@ impl MatcherPool {
 mod tests {
     use super::*;
     use crate::compiler::{CompilerConfig, GrammarCompiler};
-    use crate::constraint::ConstraintStats;
     use crate::mask::TokenBitmask;
     use xg_tokenizer::test_vocabulary;
 
@@ -183,9 +182,10 @@ mod tests {
         pool.release(matcher);
         let mut reused = pool.acquire();
         assert_eq!(pool.reused(), 1);
-        // The reused matcher is indistinguishable from a fresh one: counters
+        // The reused matcher is indistinguishable from a fresh one: history
         // cleared and only '[' allowed at the start.
-        assert_eq!(reused.stats(), ConstraintStats::default());
+        assert_eq!(reused.rollback_window(), 0);
+        assert!(!reused.is_terminated());
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
         reused.fill_next_token_bitmask(&mut mask);
         for t in mask.allowed_tokens() {

@@ -43,7 +43,7 @@ use xg_grammar::{DispatchDelta, GrammarError, SegmentExitPolicy, StructuralTag, 
 use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::compiler::{CompiledGrammar, GrammarCompiler};
-use crate::constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats};
+use crate::constraint::{ConstraintFactory, ConstraintMatcher};
 use crate::error::{AcceptError, RollbackError};
 use crate::grammar_cache::Cached;
 use crate::mask::TokenBitmask;
@@ -103,12 +103,6 @@ impl CompiledTagDispatch {
     /// The compiled triggers, in `StructuralTag::effective_triggers` order.
     pub fn triggers(&self) -> &[Arc<CompiledTrigger>] {
         &self.triggers
-    }
-
-    /// How tagged segments hand decoding back to free text (see
-    /// [`SegmentExitPolicy`]).
-    pub fn exit_policy(&self) -> SegmentExitPolicy {
-        self.exit
     }
 
     /// The Aho–Corasick automaton scanning free text for all triggers at
@@ -404,8 +398,6 @@ pub struct TagDispatchStats {
     pub free_masks: u64,
     /// Masks generated while inside a tagged segment (constrained).
     pub tag_masks: u64,
-    /// Tokens accepted in total.
-    pub tokens_accepted: u64,
     /// Tagged segments opened.
     pub tags_opened: u64,
     /// Tagged segments closed.
@@ -413,10 +405,6 @@ pub struct TagDispatchStats {
     /// Segment slots dropped entirely because they fell behind the rollback
     /// window (the remaining slots are all the per-token prune pass scans).
     pub slots_dropped: u64,
-    /// Bytes accepted through [`StructuralTagMatcher::accept_bytes`] — text
-    /// that advanced the matcher without per-token sampling (jump-forward
-    /// injections and any caller-seeded prefixes).
-    pub bytes_forced: u64,
 }
 
 /// The matcher's current high-level mode.
@@ -705,7 +693,6 @@ impl StructuralTagMatcher {
                         self.close_segment();
                     }
                     self.terminated = true;
-                    self.stats.tokens_accepted += 1;
                     return Ok(());
                 }
                 return Err(AcceptError::CannotTerminate);
@@ -718,7 +705,6 @@ impl StructuralTagMatcher {
         match self.advance_bytes_across_modes(&bytes, &snapshot) {
             Ok(()) => {
                 self.push_history_snapshot(snapshot);
-                self.stats.tokens_accepted += 1;
                 Ok(())
             }
             Err(matched_bytes) => {
@@ -752,7 +738,6 @@ impl StructuralTagMatcher {
         match self.advance_bytes_across_modes(bytes, &snapshot) {
             Ok(()) => {
                 self.push_history_snapshot(snapshot);
-                self.stats.bytes_forced += bytes.len() as u64;
                 Ok(())
             }
             Err(matched_bytes) => {
@@ -1157,14 +1142,6 @@ impl ConstraintMatcher for StructuralTagMatcher {
 
     fn reset(&mut self) {
         StructuralTagMatcher::reset(self);
-    }
-
-    fn stats(&self) -> ConstraintStats {
-        ConstraintStats {
-            masks_generated: self.stats.free_masks + self.stats.tag_masks,
-            tokens_accepted: self.stats.tokens_accepted,
-            bytes_forced: self.stats.bytes_forced,
-        }
     }
 
     fn factory_key(&self) -> usize {

@@ -12,7 +12,8 @@
 //!   runs step *t* in **overlapped** mode; mask fill and GPU step alternate
 //!   in **serial** mode) and streamed back per request.
 //! * [`ServingEngine::run_batch`] is the batch convenience over it: submit
-//!   everything, wait for the last lane, report [`BatchMetrics`].
+//!   everything, wait for the last lane, return the scheduler's own
+//!   [`SchedulerMetrics`].
 //! * [`ServingEngine::decode_reference`] is the *specification* of what a
 //!   request must produce: one lane, one thread, no timing — compile, start,
 //!   then fill-mask / step until the lane finishes. Lanes are independent
@@ -26,7 +27,7 @@
 //! continuation, the engine emits it directly — re-tokenized against the
 //! real vocabulary — skipping both the mask and the GPU step for those
 //! tokens. Forced tokens are accounted separately
-//! ([`BatchMetrics::jump_forward_tokens`], [`BatchMetrics::forced_time`]) so
+//! ([`SchedulerMetrics::forced_tokens`], [`SchedulerMetrics::forced_time`]) so
 //! TPOT stays honest.
 
 use std::sync::Arc;
@@ -35,9 +36,9 @@ use std::time::{Duration, Instant};
 use crate::lane::{ForcedContext, Lane};
 use crate::llm::{LlmBehavior, SimulatedLlm};
 use crate::profiles::ModelProfile;
-use crate::scheduler::SchedulerConfig;
+use crate::scheduler::{SchedulerConfig, SchedulerMetrics, StreamingRequest};
 use xg_baselines::{BackendError, ConstrainedBackend};
-use xg_core::{CacheStats, ConstraintMatcher, TokenBitmask};
+use xg_core::{ConstraintMatcher, TokenBitmask};
 use xg_grammar::{Grammar, StructuralTag};
 use xg_tokenizer::{SortedVocabulary, TokenId};
 
@@ -200,75 +201,6 @@ pub struct RequestResult {
     /// unconstrained lane emitted its full intention). `false` when the lane
     /// hit the token cap, had no allowed token, or violated its constraint.
     pub completed: bool,
-}
-
-impl RequestResult {
-    /// An empty, uncompleted result — what a request that failed admission
-    /// (its grammar did not compile) reports.
-    pub(crate) fn failed() -> Self {
-        RequestResult {
-            output: Vec::new(),
-            tokens: 0,
-            jump_forward_tokens: 0,
-            jump_forward_chars: 0,
-            completed: false,
-        }
-    }
-}
-
-/// Batch-level metrics, the quantities reported in §4.2.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchMetrics {
-    /// Time to first token: queue wait + grammar compilation + prefill + the
-    /// first decoding round of the earliest lane (the minimum of the lanes'
-    /// [`LaneTiming::ttft`](crate::LaneTiming::ttft)).
-    pub ttft: Duration,
-    /// Mean time per *sampled* output token: the mean of the lanes'
-    /// [`LaneTiming::tpot`](crate::LaneTiming::tpot) over lanes that sampled
-    /// more than one token (zero when none did). Each lane's figure covers
-    /// only the gaps between its own tokens, so admission compile (which
-    /// belongs to [`ttft`](Self::ttft)) never leaks into it; time spent
-    /// injecting grammar-forced text ([`forced_time`](Self::forced_time)) and
-    /// the injected tokens themselves are excluded too, so jump-forward
-    /// shows up as fewer sampled tokens and a shorter
-    /// [`total_time`](Self::total_time), not as an artificially low TPOT.
-    pub tpot: Duration,
-    /// Total wall-clock time of the batch.
-    pub total_time: Duration,
-    /// Total *sampled* tokens (jump-forward-injected tokens are counted in
-    /// [`jump_forward_tokens`](Self::jump_forward_tokens) instead).
-    pub total_tokens: usize,
-    /// Tokens injected without sampling by engine-level jump-forward,
-    /// summed across lanes (0 unless the policy is
-    /// [`JumpForwardPolicy::Engine`]).
-    pub jump_forward_tokens: usize,
-    /// Forced text injected without sampling, summed across lanes and
-    /// counted in *bytes* of UTF-8 (see
-    /// [`RequestResult::jump_forward_chars`]).
-    pub jump_forward_chars: usize,
-    /// Wall-clock time spent finding, re-tokenizing and injecting forced
-    /// text, summed over rounds. Excluded from [`tpot`](Self::tpot).
-    pub forced_time: Duration,
-    /// Wall-clock time the decode loop waited on mask generation, summed
-    /// over rounds (in overlapped mode: the residual wait after the GPU
-    /// step, i.e. the mask time the overlap failed to hide).
-    pub mask_time: Duration,
-    /// Per-worker busy time in grammar mask generation, summed across
-    /// workers. Each worker measures its own wall clock, so on an
-    /// oversubscribed machine this includes scheduler wait and can exceed
-    /// true CPU time. With one worker this equals `mask_time` in serial
-    /// mode.
-    pub mask_cpu_time: Duration,
-    /// Number of mask workers that served the batch.
-    pub mask_threads: usize,
-    /// Time spent in simulated GPU decoding (summed over rounds).
-    pub gpu_time: Duration,
-    /// Compiled-grammar cache activity during this batch: hit/miss deltas of
-    /// *this engine's backend* (other backends sharing the same
-    /// [`GrammarCache`](xg_core::GrammarCache) do not pollute them), the
-    /// backing cache's eviction delta, and its end-of-batch byte/entry
-    /// gauges. All zeros when the backend has no cache.
-    pub cache: CacheStats,
 }
 
 /// The serving engine.
@@ -438,7 +370,8 @@ impl ServingEngine {
     /// scheduler: every request is submitted up front, compiled on one
     /// admission worker (in submission order, so cache accounting is
     /// deterministic), decoded concurrently, and collected when the last
-    /// lane finishes. Every lane's result equals its
+    /// lane finishes; the metrics are the scheduler's own snapshot at that
+    /// point. Every lane's result equals its
     /// [`decode_reference`](Self::decode_reference) — proven differentially
     /// in `tests/continuous_batching.rs`.
     ///
@@ -449,76 +382,29 @@ impl ServingEngine {
     pub fn run_batch(
         &self,
         requests: &[EngineRequest],
-    ) -> Result<(Vec<RequestResult>, BatchMetrics), BackendError> {
+    ) -> Result<(Vec<RequestResult>, SchedulerMetrics), BackendError> {
         assert!(!requests.is_empty(), "batch must not be empty");
-        let batch_size = requests.len();
-        let cache_before = self.backend.cache_stats().unwrap_or_default();
-        let start = Instant::now();
-
         let scheduler = self.serve(SchedulerConfig {
-            max_lanes: batch_size,
-            queue_capacity: batch_size,
+            max_lanes: requests.len(),
+            queue_capacity: requests.len(),
             admission_workers: 1,
             mask_workers: 0,
         });
-        let mut handles = Vec::with_capacity(batch_size);
-        for request in requests {
-            handles.push(
+        let handles: Vec<StreamingRequest> = requests
+            .iter()
+            .map(|request| {
                 scheduler
                     .submit(request.clone())
-                    .expect("wrapper queue is sized to the batch"),
-            );
-        }
-        let mut results = Vec::with_capacity(batch_size);
-        let mut first_error = None;
-        let mut ttft: Option<Duration> = None;
-        // Per-lane decode gaps, over the lanes that have any (> 1 sampled token).
-        let (mut tpot_sum, mut tpot_lanes) = (Duration::ZERO, 0u32);
-        for handle in handles {
-            match handle.wait() {
-                Ok(done) => {
-                    ttft = Some(ttft.map_or(done.timing.ttft, |t| t.min(done.timing.ttft)));
-                    if done.result.tokens > 1 {
-                        tpot_sum += done.timing.tpot;
-                        tpot_lanes += 1;
-                    }
-                    results.push(done.result);
-                }
-                Err(err) => {
-                    if first_error.is_none() {
-                        first_error = Some(err);
-                    }
-                    results.push(RequestResult::failed());
-                }
-            }
-        }
-        let sched_metrics = scheduler.metrics();
+                    .expect("scheduler is live")
+            })
+            .collect();
+        let finished: Vec<_> = handles.into_iter().map(StreamingRequest::wait).collect();
+        let metrics = scheduler.metrics();
         scheduler.shutdown();
-        if let Some(err) = first_error {
-            return Err(err);
-        }
-
-        let total_time = start.elapsed();
-        let total_tokens: usize = results.iter().map(|r| r.tokens).sum();
-        let forced_time = sched_metrics.forced_time;
-        let metrics = BatchMetrics {
-            ttft: ttft.unwrap_or(total_time),
-            tpot: tpot_sum / tpot_lanes.max(1),
-            total_time,
-            total_tokens,
-            jump_forward_tokens: results.iter().map(|r| r.jump_forward_tokens).sum(),
-            jump_forward_chars: results.iter().map(|r| r.jump_forward_chars).sum(),
-            forced_time,
-            mask_time: sched_metrics.mask_wait_time,
-            mask_cpu_time: sched_metrics.mask_busy_time,
-            mask_threads: sched_metrics.mask_workers,
-            gpu_time: sched_metrics.gpu_time,
-            cache: self
-                .backend
-                .cache_stats()
-                .unwrap_or_default()
-                .delta_since(&cache_before),
-        };
+        let results = finished
+            .into_iter()
+            .map(|done| done.map(|done| done.result))
+            .collect::<Result<_, _>>()?;
         Ok((results, metrics))
     }
 
@@ -620,7 +506,7 @@ mod tests {
                 serde_json::from_slice(&r.output).expect("constrained output parses as JSON");
             assert!(parsed.is_object());
         }
-        assert!(metrics.total_tokens > 0);
+        assert!(metrics.sampled_tokens > 0);
         assert!(metrics.tpot > Duration::ZERO);
     }
 
@@ -659,7 +545,7 @@ mod tests {
             .run_batch(&reqs)
             .unwrap()
             .1;
-            if overlapped.total_time < serial.total_time {
+            if overlapped.wall_time < serial.wall_time {
                 return;
             }
             last = Some((overlapped, serial));
@@ -667,7 +553,7 @@ mod tests {
         let (overlapped, serial) = last.unwrap();
         panic!(
             "overlapped {:?} vs serial {:?} (mask {:?}, gpu {:?})",
-            overlapped.total_time, serial.total_time, serial.mask_time, serial.gpu_time
+            overlapped.wall_time, serial.wall_time, serial.mask_wait_time, serial.gpu_time
         );
     }
 
@@ -763,13 +649,13 @@ mod tests {
             assert_eq!(off.output, engine.output, "engine policy changed bytes");
             assert!(engine.tokens <= off.tokens, "jump-forward added GPU steps");
         }
-        assert_eq!(off_metrics.jump_forward_tokens, 0);
-        assert_eq!(off_metrics.jump_forward_chars, 0);
+        assert_eq!(off_metrics.forced_tokens, 0);
+        assert_eq!(off_metrics.forced_chars, 0);
         assert_eq!(off_metrics.forced_time, Duration::ZERO);
-        assert!(engine_metrics.jump_forward_tokens > 0);
-        assert!(engine_metrics.jump_forward_chars > 0);
+        assert!(engine_metrics.forced_tokens > 0);
+        assert!(engine_metrics.forced_chars > 0);
         assert!(engine_metrics.forced_time > Duration::ZERO);
-        assert!(engine_metrics.total_tokens < off_metrics.total_tokens);
+        assert!(engine_metrics.sampled_tokens < off_metrics.sampled_tokens);
     }
 
     /// Delegates to an [`XGrammarBackend`] but takes 300 ms to compile — a
@@ -964,7 +850,7 @@ mod tests {
         // The mask pool is sized from the batch, not from its constrained
         // share: available parallelism capped at the two lanes.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(metrics.mask_threads, cores.min(reqs.len()));
+        assert_eq!(metrics.mask_workers, cores.min(reqs.len()));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! * engine-level jump-forward decoding ([`JumpForwardPolicy`], default
 //!   [`JumpForwardPolicy::Engine`]): grammar-forced text is re-tokenized and
 //!   injected into the decode loop without sampling, with forced tokens and
-//!   time accounted separately in [`BatchMetrics`] (paper Appendix B /
+//!   time accounted separately in [`SchedulerMetrics`] (paper Appendix B /
 //!   Figure 11).
 
 #![warn(missing_docs)]
@@ -46,8 +46,8 @@ mod scheduler;
 
 pub use accuracy::{run_accuracy_experiment, AccuracyResult, AccuracyTask};
 pub use engine::{
-    BatchMetrics, DraftVerification, EngineRequest, ExecutionMode, JumpForwardPolicy,
-    LaneConstraint, RequestResult, ServingEngine,
+    DraftVerification, EngineRequest, ExecutionMode, JumpForwardPolicy, LaneConstraint,
+    RequestResult, ServingEngine,
 };
 pub use llm::{LlmBehavior, LlmRequestState, SimulatedLlm};
 pub use profiles::ModelProfile;

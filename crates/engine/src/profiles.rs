@@ -78,18 +78,6 @@ impl ModelProfile {
         }
     }
 
-    /// Llama-3.1-8B-Instruct on an RTX 4090 (the §4.1 mask-generation
-    /// machine).
-    pub fn llama31_8b_rtx4090() -> ModelProfile {
-        ModelProfile {
-            name: "Llama-3.1-8B (RTX 4090)".into(),
-            decode_base: Duration::from_micros(9000),
-            decode_per_extra_seq: Duration::from_micros(350),
-            prefill_per_token: Duration::from_micros(90),
-            time_scale: 1.0,
-        }
-    }
-
     /// 4-bit Llama-3.1-8B running in a browser on an Apple M3 Max
     /// (Figure 12, WebLLM): ≈30 ms per output token.
     pub fn llama31_8b_4bit_m3max() -> ModelProfile {

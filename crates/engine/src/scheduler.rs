@@ -52,7 +52,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -128,7 +128,7 @@ pub enum StreamEvent {
 }
 
 /// Per-request latency breakdown reported with [`StreamEvent::Finished`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LaneTiming {
     /// Time from submission to admission (queue wait).
     pub queue_time: Duration,
@@ -137,8 +137,8 @@ pub struct LaneTiming {
     /// Time from submission to the first emitted bytes (sampled or forced).
     pub ttft: Duration,
     /// Mean decode time per sampled token after the first emission, with
-    /// forced-injection time carved out. Zero when the lane sampled at most
-    /// one token.
+    /// the forced-injection time spent after it carved out. Zero when the
+    /// lane sampled at most one token.
     pub tpot: Duration,
     /// Time from submission to termination.
     pub total_time: Duration,
@@ -228,8 +228,8 @@ impl fmt::Display for SubmitError {
 impl Error for SubmitError {}
 
 /// Aggregate scheduler statistics, captured by
-/// [`ContinuousScheduler::metrics`].
-#[derive(Debug, Clone)]
+/// [`ContinuousScheduler::metrics`] — the quantities reported in §4.2.
+#[derive(Debug, Clone, Default)]
 pub struct SchedulerMetrics {
     /// Requests accepted into the submission queue.
     pub submitted: u64,
@@ -244,27 +244,43 @@ pub struct SchedulerMetrics {
     pub failed: u64,
     /// Admissions whose constraint was already compiled (cache hits).
     pub cache_hit_admissions: u64,
-    /// Queue depth sampled at each admission; mean over samples.
-    pub mean_queue_depth: f64,
-    /// High-water mark of the submission queue depth.
-    pub max_queue_depth: usize,
     /// High-water mark of concurrently decoding lanes.
     pub max_concurrent_lanes: usize,
+    /// Time to first token of the earliest lane: the minimum of the finished
+    /// lanes' [`LaneTiming::ttft`] (queue wait + grammar compilation +
+    /// prefill + the first decoding round). Zero until a lane finishes.
+    pub ttft: Duration,
+    /// Mean time per *sampled* output token: the mean of the finished lanes'
+    /// [`LaneTiming::tpot`] over lanes that sampled more than one token (zero
+    /// when none did). Each lane's figure covers only the gaps between its
+    /// own tokens, so the admission compile (which belongs to
+    /// [`ttft`](Self::ttft)) never leaks into it; forced-injection time
+    /// ([`forced_time`](Self::forced_time)) and the injected tokens are
+    /// excluded too, so jump-forward shows up as fewer sampled tokens and a
+    /// shorter [`wall_time`](Self::wall_time), not as an artificially low TPOT.
+    pub tpot: Duration,
+    /// Wall clock since the scheduler started.
+    pub wall_time: Duration,
     /// Decode-loop steps executed (one per batch round, not per lane).
     pub decode_steps: u64,
-    /// Tokens sampled across all lanes.
+    /// Tokens sampled across all finished lanes (each paid a GPU step).
     pub sampled_tokens: u64,
-    /// Tokens injected by jump-forward across all lanes.
+    /// Tokens injected by jump-forward across all finished lanes (0 under
+    /// [`JumpForwardPolicy::Off`](crate::JumpForwardPolicy::Off)).
     pub forced_tokens: u64,
-    /// Bytes injected by jump-forward across all lanes.
+    /// Bytes of UTF-8 injected by jump-forward across all finished lanes (see
+    /// [`RequestResult::jump_forward_chars`]).
     pub forced_chars: u64,
-    /// Wall clock spent finding and injecting forced text.
+    /// Wall clock spent finding, re-tokenizing and injecting forced text.
+    /// Excluded from [`tpot`](Self::tpot).
     pub forced_time: Duration,
     /// Wall clock the decode loop spent *waiting* on mask collection (in
     /// overlapped mode: the residual the overlap failed to hide).
     pub mask_wait_time: Duration,
-    /// CPU time the mask workers spent filling bitmasks (≥ wall wait when
-    /// the overlap works).
+    /// Time the mask workers spent filling bitmasks, summed across workers
+    /// (≥ wall wait when the overlap works). Each worker measures its own
+    /// wall clock, so on an oversubscribed machine this includes scheduler
+    /// wait and can exceed true CPU time.
     pub mask_busy_time: Duration,
     /// Wall clock spent in simulated GPU decode steps.
     pub gpu_time: Duration,
@@ -279,15 +295,17 @@ pub struct SchedulerMetrics {
     /// [`decode_time`](Self::decode_time); the rest is event sends and loop
     /// bookkeeping.
     pub handoff_time: Duration,
-    /// Wall clock spent in simulated prefill (paid at lane join).
-    pub prefill_time: Duration,
     /// Wall clock of the decode loop while at least one lane was live.
     pub decode_time: Duration,
     /// Wall clock the admission workers spent compiling constraints.
     pub compile_time: Duration,
     /// Number of mask workers serving the decode loop.
     pub mask_workers: usize,
-    /// Grammar-cache activity since the scheduler started.
+    /// Grammar-cache activity since the scheduler started: hit/miss deltas of
+    /// *this engine's backend* (other backends sharing the same
+    /// [`GrammarCache`](xg_core::GrammarCache) do not pollute them), the
+    /// backing cache's eviction delta, and its current byte/entry gauges.
+    /// All zeros when the backend has no cache.
     pub cache: CacheStats,
 }
 
@@ -313,26 +331,29 @@ impl SchedulerMetrics {
     }
 }
 
-/// A request travelling from `submit` to an admission worker.
-struct Submission {
+/// The one record of a request, created by `submit` and moved from stage to
+/// stage until `finish` consumes it: who it is, where its events go, and the
+/// timing each stage fills its share of.
+struct Ticket {
     id: u64,
-    request: EngineRequest,
     events: Sender<StreamEvent>,
     submitted_at: Instant,
+    timing: LaneTiming,
+}
+
+/// A request travelling from `submit` to an admission worker.
+struct Submission {
+    ticket: Ticket,
+    request: EngineRequest,
 }
 
 /// A compiled request travelling from an admission worker to the decode loop.
 struct ReadyLane {
-    id: u64,
-    events: Sender<StreamEvent>,
+    ticket: Ticket,
     session: Option<Session>,
     llm_state: LlmRequestState,
     prompt_tokens: usize,
     max_tokens: usize,
-    submitted_at: Instant,
-    queue_time: Duration,
-    compile_time: Duration,
-    cache_hit: bool,
 }
 
 /// One lane's mask-fill job: ownership of the lane's session and bitmask
@@ -407,36 +428,26 @@ fn mask_worker(pool: &MaskPool, done: &Sender<MaskJob>) {
     }
 }
 
-#[derive(Default, Clone)]
-struct StatsInner {
-    submitted: u64,
-    rejected: u64,
-    admitted: u64,
-    completed: u64,
-    failed: u64,
-    cache_hit_admissions: u64,
-    queue_depth_sum: u64,
-    queue_samples: u64,
-    max_concurrent_lanes: usize,
-    decode_steps: u64,
-    sampled_tokens: u64,
-    forced_tokens: u64,
-    forced_chars: u64,
-    forced_time: Duration,
-    mask_wait_time: Duration,
-    gpu_time: Duration,
-    sample_time: Duration,
-    handoff_time: Duration,
-    prefill_time: Duration,
-    decode_time: Duration,
-    compile_time: Duration,
+/// What the stats lock guards: the metrics themselves, plus the sum the
+/// mean among them is taken from at snapshot time.
+#[derive(Debug, Default)]
+struct Stats {
+    metrics: SchedulerMetrics,
+    /// Per-lane TPOT over the lanes that have one (> 1 sampled token).
+    tpot_sum: Duration,
+    tpot_lanes: u32,
 }
 
 /// State shared by the submitter, admission workers and the decode loop.
+#[derive(Debug)]
 struct Shared {
-    stats: Mutex<StatsInner>,
-    queue_depth: AtomicUsize,
-    max_queue_depth: AtomicUsize,
+    stats: Mutex<Stats>,
+}
+
+impl Shared {
+    fn stats(&self) -> std::sync::MutexGuard<'_, Stats> {
+        self.stats.lock().expect("stats poisoned")
+    }
 }
 
 /// The continuous-batching scheduler: owns the admission workers, the decode
@@ -452,20 +463,12 @@ pub struct ContinuousScheduler {
     next_id: AtomicU64,
     shared: Arc<Shared>,
     mask_pool: Arc<MaskPool>,
-    mask_workers: usize,
     backend: Arc<dyn ConstrainedBackend>,
     cache_before: CacheStats,
+    started_at: Instant,
     admission_handles: Vec<JoinHandle<()>>,
     decode_handle: Option<JoinHandle<()>>,
     mask_handles: Vec<JoinHandle<()>>,
-}
-
-impl fmt::Debug for Shared {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Shared")
-            .field("queue_depth", &self.queue_depth.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
 }
 
 impl fmt::Debug for MaskPool {
@@ -494,9 +497,13 @@ impl ContinuousScheduler {
         let backend = Arc::clone(engine.backend());
         let cache_before = backend.cache_stats().unwrap_or_default();
         let shared = Arc::new(Shared {
-            stats: Mutex::new(StatsInner::default()),
-            queue_depth: AtomicUsize::new(0),
-            max_queue_depth: AtomicUsize::new(0),
+            stats: Mutex::new(Stats {
+                metrics: SchedulerMetrics {
+                    mask_workers,
+                    ..SchedulerMetrics::default()
+                },
+                ..Stats::default()
+            }),
         });
         let mask_pool = Arc::new(MaskPool::new());
 
@@ -559,9 +566,9 @@ impl ContinuousScheduler {
             next_id: AtomicU64::new(0),
             shared,
             mask_pool,
-            mask_workers,
             backend,
             cache_before,
+            started_at: Instant::now(),
             admission_handles,
             decode_handle: Some(decode_handle),
             mask_handles,
@@ -603,15 +610,14 @@ impl ContinuousScheduler {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (events_tx, events_rx) = mpsc::channel();
         let submission = Submission {
-            id,
+            ticket: Ticket {
+                id,
+                events: events_tx,
+                submitted_at: Instant::now(),
+                timing: LaneTiming::default(),
+            },
             request,
-            events: events_tx,
-            submitted_at: Instant::now(),
         };
-        let depth = self.shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.shared
-            .max_queue_depth
-            .fetch_max(depth, Ordering::Relaxed);
         let sent = if block {
             tx.send(submission).map_err(|e| e.0)
         } else {
@@ -621,15 +627,14 @@ impl ContinuousScheduler {
         };
         match sent {
             Ok(()) => {
-                self.shared.stats.lock().expect("stats poisoned").submitted += 1;
+                self.shared.stats().metrics.submitted += 1;
                 Ok(StreamingRequest {
                     id,
                     events: events_rx,
                 })
             }
             Err(submission) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.shared.stats.lock().expect("stats poisoned").rejected += 1;
+                self.shared.stats().metrics.rejected += 1;
                 Err(if block {
                     SubmitError::ShutDown(Box::new(submission.request))
                 } else {
@@ -639,49 +644,17 @@ impl ContinuousScheduler {
         }
     }
 
-    /// Current depth of the submission queue.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue_depth.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of the scheduler's aggregate metrics.
     pub fn metrics(&self) -> SchedulerMetrics {
-        let stats = self.shared.stats.lock().expect("stats poisoned").clone();
-        let cache = self
-            .backend
-            .cache_stats()
-            .unwrap_or_default()
-            .delta_since(&self.cache_before);
-        SchedulerMetrics {
-            submitted: stats.submitted,
-            rejected: stats.rejected,
-            admitted: stats.admitted,
-            completed: stats.completed,
-            failed: stats.failed,
-            cache_hit_admissions: stats.cache_hit_admissions,
-            mean_queue_depth: if stats.queue_samples == 0 {
-                0.0
-            } else {
-                stats.queue_depth_sum as f64 / stats.queue_samples as f64
-            },
-            max_queue_depth: self.shared.max_queue_depth.load(Ordering::Relaxed),
-            max_concurrent_lanes: stats.max_concurrent_lanes,
-            decode_steps: stats.decode_steps,
-            sampled_tokens: stats.sampled_tokens,
-            forced_tokens: stats.forced_tokens,
-            forced_chars: stats.forced_chars,
-            forced_time: stats.forced_time,
-            mask_wait_time: stats.mask_wait_time,
-            mask_busy_time: self.mask_pool.busy_time(),
-            gpu_time: stats.gpu_time,
-            sample_time: stats.sample_time,
-            handoff_time: stats.handoff_time,
-            prefill_time: stats.prefill_time,
-            decode_time: stats.decode_time,
-            compile_time: stats.compile_time,
-            mask_workers: self.mask_workers,
-            cache,
-        }
+        let stats = self.shared.stats();
+        let mut metrics = stats.metrics.clone();
+        metrics.tpot = stats.tpot_sum / stats.tpot_lanes.max(1);
+        drop(stats);
+        metrics.mask_busy_time = self.mask_pool.busy_time();
+        metrics.wall_time = self.started_at.elapsed();
+        let cache = self.backend.cache_stats().unwrap_or_default();
+        metrics.cache = cache.delta_since(&self.cache_before);
+        metrics
     }
 
     /// Stops accepting submissions, lets every in-flight request finish, and
@@ -691,20 +664,28 @@ impl ContinuousScheduler {
     }
 
     fn shutdown_inner(&mut self) {
+        // A worker's panic is re-raised here — unless this is the drop of an
+        // already unwinding thread, where a second panic would abort the
+        // process and eat the first one's message.
+        let join = |handle: JoinHandle<()>, what: &str| {
+            if handle.join().is_err() && !std::thread::panicking() {
+                panic!("{what} panicked");
+            }
+        };
         // Closing the submission channel lets the admission workers drain
         // the queue and exit; dropping their ready senders then lets the
         // decode loop finish its live lanes and exit; only then do the mask
         // workers stop.
         *self.submit_tx.lock().expect("submit lock poisoned") = None;
         for handle in self.admission_handles.drain(..) {
-            handle.join().expect("admission worker panicked");
+            join(handle, "admission worker");
         }
         if let Some(handle) = self.decode_handle.take() {
-            handle.join().expect("decode loop panicked");
+            join(handle, "decode loop");
         }
         self.mask_pool.shutdown();
         for handle in self.mask_handles.drain(..) {
-            handle.join().expect("mask worker panicked");
+            join(handle, "mask worker");
         }
     }
 }
@@ -737,54 +718,45 @@ fn admission_worker(
                 Err(_) => return,
             }
         };
-        let depth = shared.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        {
-            let mut stats = shared.stats.lock().expect("stats poisoned");
-            stats.queue_depth_sum += depth as u64;
-            stats.queue_samples += 1;
-        }
-        let queue_time = submission.submitted_at.elapsed();
-        let cache_hit = submission.request.constraint.is_cached(backend);
+        let Submission {
+            mut ticket,
+            request,
+        } = submission;
+        ticket.timing.queue_time = ticket.submitted_at.elapsed();
+        ticket.timing.cache_hit = request.constraint.is_cached(backend);
         let compile_start = Instant::now();
-        let compiled = match submission.request.constraint.compile(backend) {
+        let compiled = match request.constraint.compile(backend) {
             Ok(c) => c,
             Err(err) => {
-                let mut stats = shared.stats.lock().expect("stats poisoned");
-                stats.failed += 1;
-                stats.compile_time += compile_start.elapsed();
+                let mut stats = shared.stats();
+                stats.metrics.failed += 1;
+                stats.metrics.compile_time += compile_start.elapsed();
                 drop(stats);
                 // Receiver may be gone (caller dropped the handle) — fine.
-                let _ = submission.events.send(StreamEvent::Failed(err));
+                let _ = ticket.events.send(StreamEvent::Failed(err));
                 continue;
             }
         };
         let session = compiled.map(|c| c.new_session());
-        let compile_time = compile_start.elapsed();
-        let llm_state = llm.start_request(&submission.request.reference, submission.request.seed);
+        ticket.timing.compile_time = compile_start.elapsed();
+        let llm_state = llm.start_request(&request.reference, request.seed);
         {
-            let mut stats = shared.stats.lock().expect("stats poisoned");
-            stats.admitted += 1;
-            stats.compile_time += compile_time;
-            if cache_hit {
-                stats.cache_hit_admissions += 1;
-            }
+            let mut stats = shared.stats();
+            stats.metrics.admitted += 1;
+            stats.metrics.compile_time += ticket.timing.compile_time;
+            stats.metrics.cache_hit_admissions += u64::from(ticket.timing.cache_hit);
         }
-        let _ = submission.events.send(StreamEvent::Admitted {
-            queue_time,
-            compile_time,
-            cache_hit,
+        let _ = ticket.events.send(StreamEvent::Admitted {
+            queue_time: ticket.timing.queue_time,
+            compile_time: ticket.timing.compile_time,
+            cache_hit: ticket.timing.cache_hit,
         });
         let lane = ReadyLane {
-            id: submission.id,
-            events: submission.events,
+            ticket,
             session,
             llm_state,
-            prompt_tokens: submission.request.prompt_tokens,
-            max_tokens: submission.request.max_tokens,
-            submitted_at: submission.submitted_at,
-            queue_time,
-            compile_time,
-            cache_hit,
+            prompt_tokens: request.prompt_tokens,
+            max_tokens: request.max_tokens,
         };
         if ready.send(lane).is_err() {
             // Decode loop is gone; nothing more to admit.
@@ -795,18 +767,25 @@ fn admission_worker(
 
 /// One lane live in the decode loop.
 struct ActiveLane {
-    id: u64,
+    ticket: Ticket,
     lane: Lane,
-    events: Sender<StreamEvent>,
     /// The lane's bitmask when not in flight to a mask worker.
     mask: Option<TokenBitmask>,
     mask_in_flight: bool,
-    submitted_at: Instant,
-    queue_time: Duration,
-    compile_time: Duration,
-    cache_hit: bool,
-    /// Time from submission to the first emitted bytes.
-    first_emit: Option<Duration>,
+    /// Time from submission to the first emitted bytes, and the lane's
+    /// `forced_time` by then (already inside the former).
+    first_emit: Option<(Duration, Duration)>,
+}
+
+impl ActiveLane {
+    /// Streams `lane.output[from..]`, stamping the first emission.
+    fn emit(&mut self, from: usize) {
+        if self.first_emit.is_none() {
+            self.first_emit = Some((self.ticket.submitted_at.elapsed(), self.lane.forced_time));
+        }
+        let bytes = self.lane.output[from..].to_vec();
+        let _ = self.ticket.events.send(StreamEvent::Bytes(bytes));
+    }
 }
 
 /// The persistent decode loop: admits ready lanes between steps, drives each
@@ -899,12 +878,7 @@ impl DecodeLoop {
                 let emitted_from = al.lane.step(mask, &ctx);
                 sample += start.elapsed();
                 if al.lane.output.len() > emitted_from {
-                    if al.first_emit.is_none() {
-                        al.first_emit = Some(al.submitted_at.elapsed());
-                    }
-                    let _ = al
-                        .events
-                        .send(StreamEvent::Bytes(al.lane.output[emitted_from..].to_vec()));
+                    al.emit(emitted_from);
                 }
             }
             if matches!(self.mode, ExecutionMode::Overlapped) {
@@ -915,13 +889,14 @@ impl DecodeLoop {
 
             // ---- Accounting, then retire finished lanes. ----
             {
-                let mut stats = self.shared.stats.lock().expect("stats poisoned");
-                stats.decode_steps += 1;
-                stats.gpu_time += gpu_step;
-                stats.mask_wait_time += mask_wait;
-                stats.sample_time += sample;
-                stats.handoff_time += handoff;
-                stats.decode_time += step_start.elapsed();
+                let mut stats = self.shared.stats();
+                let metrics = &mut stats.metrics;
+                metrics.decode_steps += 1;
+                metrics.gpu_time += gpu_step;
+                metrics.mask_wait_time += mask_wait;
+                metrics.sample_time += sample;
+                metrics.handoff_time += handoff;
+                metrics.decode_time += step_start.elapsed();
             }
             let mut i = 0;
             while i < lanes.len() {
@@ -947,28 +922,18 @@ impl DecodeLoop {
     ) {
         let prefill = self.profile.prefill_time(ready.prompt_tokens);
         busy_wait(prefill);
-        {
-            let mut stats = self.shared.stats.lock().expect("stats poisoned");
-            stats.prefill_time += prefill;
-        }
         let mut lane = Lane::new(ready.session, ready.llm_state, ready.max_tokens);
         lane.start(ctx);
         let mut al = ActiveLane {
-            id: ready.id,
+            ticket: ready.ticket,
             lane,
-            events: ready.events,
             mask: Some(TokenBitmask::new_all_rejected(self.vocab.len())),
             mask_in_flight: false,
-            submitted_at: ready.submitted_at,
-            queue_time: ready.queue_time,
-            compile_time: ready.compile_time,
-            cache_hit: ready.cache_hit,
             first_emit: None,
         };
         if !al.lane.output.is_empty() {
             // The lane-start jump-forward already forced a prefix.
-            al.first_emit = Some(al.submitted_at.elapsed());
-            let _ = al.events.send(StreamEvent::Bytes(al.lane.output.clone()));
+            al.emit(0);
         }
         if al.lane.finished {
             // The constraint forced the entire output (or the cap is 0).
@@ -979,8 +944,8 @@ impl DecodeLoop {
         if matches!(self.mode, ExecutionMode::Overlapped) {
             self.dispatch_all(lanes, in_flight);
         }
-        let mut stats = self.shared.stats.lock().expect("stats poisoned");
-        stats.max_concurrent_lanes = stats.max_concurrent_lanes.max(lanes.len());
+        let mut stats = self.shared.stats();
+        stats.metrics.max_concurrent_lanes = stats.metrics.max_concurrent_lanes.max(lanes.len());
     }
 
     /// The step's one mask hand-off: sends the session and bitmask of every
@@ -1002,7 +967,7 @@ impl DecodeLoop {
                 .expect("constrained lane holds a session");
             let mask = al.mask.take().expect("idle lane holds its mask");
             pool.jobs.push_back(MaskJob {
-                lane: al.id,
+                lane: al.ticket.id,
                 session,
                 mask,
             });
@@ -1018,40 +983,65 @@ impl DecodeLoop {
         start.elapsed()
     }
 
-    /// Retires one finished lane: compute its timing, commit its counters,
-    /// and send the terminal event.
+    /// Retires one finished lane: complete its timing, fold it and the lane's
+    /// counters into the aggregate, and send the terminal event.
     fn finish(&self, al: ActiveLane) {
         debug_assert!(!al.mask_in_flight, "retiring a lane with a mask in flight");
-        let total_time = al.submitted_at.elapsed();
-        let ttft = al.first_emit.unwrap_or(total_time);
-        let lane = al.lane;
-        let tpot = if lane.sampled_tokens > 1 {
-            total_time
-                .saturating_sub(ttft)
-                .saturating_sub(lane.forced_time)
-                .div_f64((lane.sampled_tokens - 1) as f64)
-        } else {
-            Duration::ZERO
-        };
+        let ActiveLane {
+            ticket,
+            lane,
+            first_emit,
+            ..
+        } = al;
+        let mut timing = ticket.timing;
+        timing.total_time = ticket.submitted_at.elapsed();
+        let (ttft, forced_by_then) = first_emit.unwrap_or((timing.total_time, lane.forced_time));
+        timing.ttft = ttft;
+        timing.tpot = tpot(
+            timing.total_time,
+            ttft,
+            lane.forced_time - forced_by_then,
+            lane.sampled_tokens,
+        );
         {
-            let mut stats = self.shared.stats.lock().expect("stats poisoned");
-            stats.completed += 1;
-            stats.sampled_tokens += lane.sampled_tokens as u64;
-            stats.forced_tokens += lane.forced_tokens as u64;
-            stats.forced_chars += lane.forced_chars as u64;
-            stats.forced_time += lane.forced_time;
+            let mut stats = self.shared.stats();
+            if lane.sampled_tokens > 1 {
+                stats.tpot_sum += timing.tpot;
+                stats.tpot_lanes += 1;
+            }
+            let metrics = &mut stats.metrics;
+            metrics.ttft = match metrics.completed {
+                0 => ttft,
+                _ => metrics.ttft.min(ttft),
+            };
+            metrics.completed += 1;
+            metrics.sampled_tokens += lane.sampled_tokens as u64;
+            metrics.forced_tokens += lane.forced_tokens as u64;
+            metrics.forced_chars += lane.forced_chars as u64;
+            metrics.forced_time += lane.forced_time;
         }
         let result = lane.into_result();
-        let timing = LaneTiming {
-            queue_time: al.queue_time,
-            compile_time: al.compile_time,
-            ttft,
-            tpot,
-            total_time,
-            cache_hit: al.cache_hit,
-        };
-        let _ = al.events.send(StreamEvent::Finished { result, timing });
+        let _ = ticket.events.send(StreamEvent::Finished { result, timing });
     }
+}
+
+/// A lane's mean decode gap: what is left of `total` after the time to first
+/// emission and the forced-injection time spent *after* it (what came before
+/// is already inside `ttft`), over the sampled tokens that followed the
+/// first. Zero when the lane sampled at most one token.
+fn tpot(
+    total: Duration,
+    ttft: Duration,
+    forced_after_first_emit: Duration,
+    sampled: usize,
+) -> Duration {
+    if sampled <= 1 {
+        return Duration::ZERO;
+    }
+    total
+        .saturating_sub(ttft)
+        .saturating_sub(forced_after_first_emit)
+        .div_f64((sampled - 1) as f64)
 }
 
 /// Collect barrier: receives every in-flight mask result, restoring each
@@ -1061,7 +1051,7 @@ fn collect_all(done: &Receiver<MaskJob>, lanes: &mut [ActiveLane], in_flight: &m
         let result = done.recv().expect("mask workers outlive the decode loop");
         let al = lanes
             .iter_mut()
-            .find(|l| l.id == result.lane)
+            .find(|l| l.ticket.id == result.lane)
             .expect("mask result for a live lane");
         al.lane.session = Some(result.session);
         al.mask = Some(result.mask);
@@ -1076,9 +1066,10 @@ mod tests {
     use crate::engine::{LaneConstraint, ServingEngine};
     use crate::profiles::ModelProfile;
     use std::sync::Arc;
-    use xg_baselines::XGrammarBackend;
-    use xg_grammar::parse_ebnf;
-    use xg_tokenizer::test_vocabulary;
+    use xg_baselines::{CompiledConstraint, XGrammarBackend};
+    use xg_core::{AcceptError, CompilerConfig, ConstraintMatcher, LintMode};
+    use xg_grammar::{parse_ebnf, Grammar};
+    use xg_tokenizer::{test_vocabulary, TokenId};
 
     fn engine(mode: ExecutionMode) -> ServingEngine {
         let vocab = Arc::new(test_vocabulary(600));
@@ -1301,5 +1292,141 @@ mod tests {
             assert_eq!(served.output, expected);
         }
         scheduler.shutdown();
+    }
+
+    #[test]
+    fn tpot_carves_out_only_the_forced_time_after_the_first_emission() {
+        let ms = Duration::from_millis;
+        // 100 ms in all, first bytes at 40 ms, 4 sampled tokens: 3 gaps of
+        // 20 ms. Forced time from before the first emission is inside `ttft`
+        // already, so a lane that forced nothing after it loses nothing.
+        assert_eq!(tpot(ms(100), ms(40), Duration::ZERO, 4), ms(20));
+        assert_eq!(tpot(ms(100), ms(40), ms(30), 4), ms(10));
+        assert_eq!(tpot(ms(100), ms(40), ms(90), 4), Duration::ZERO);
+        for sampled in [0, 1] {
+            assert_eq!(tpot(ms(100), ms(40), ms(30), sampled), Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn the_aggregate_conserves_what_the_requests_report() {
+        let config = CompilerConfig::default().with_lint_mode(LintMode::Strict);
+        let backend = XGrammarBackend::with_config(Arc::new(test_vocabulary(600)), config);
+        let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+        let engine = ServingEngine::new(Arc::new(backend), profile, ExecutionMode::Overlapped);
+        let scheduler = engine.serve(SchedulerConfig::default());
+        let unconstrained = EngineRequest {
+            constraint: LaneConstraint::Unconstrained,
+            ..request(2)
+        };
+        // Its forced prefix alone reaches the cap: the lane finishes in `join`.
+        let all_forced = EngineRequest {
+            max_tokens: 1,
+            ..request(3)
+        };
+        let rejected = EngineRequest {
+            constraint: parse_ebnf(r#"root ::= "x" root"#, "root").unwrap().into(),
+            ..request(4)
+        };
+        let handles = [request(0), request(1), unconstrained, all_forced, rejected]
+            .map(|request| scheduler.submit(request).unwrap());
+        let mut finished = Vec::new();
+        for handle in &handles {
+            let mut admitted = None;
+            while let Some(event) = handle.next_event() {
+                match event {
+                    StreamEvent::Admitted {
+                        queue_time,
+                        compile_time,
+                        cache_hit,
+                    } => admitted = Some((queue_time, compile_time, cache_hit)),
+                    StreamEvent::Finished { result, timing } => {
+                        let reported = (timing.queue_time, timing.compile_time, timing.cache_hit);
+                        assert_eq!(admitted, Some(reported));
+                        finished.push((result, timing));
+                    }
+                    StreamEvent::Bytes(_) | StreamEvent::Failed(_) => {}
+                }
+            }
+        }
+        let m = scheduler.metrics();
+        scheduler.shutdown();
+        assert_eq!((m.submitted, m.admitted, m.failed), (5, 4, 1));
+        assert_eq!(m.completed, finished.len() as u64);
+        assert_eq!((finished[3].0.tokens, finished[3].0.completed), (0, false));
+        let sum = |f: fn(&RequestResult) -> usize| finished.iter().map(|(r, _)| f(r) as u64).sum();
+        assert_eq!(m.sampled_tokens, sum(|r| r.tokens));
+        assert_eq!(m.forced_tokens, sum(|r| r.jump_forward_tokens));
+        assert_eq!(m.forced_chars, sum(|r| r.jump_forward_chars));
+        assert_eq!(Some(m.ttft), finished.iter().map(|(_, t)| t.ttft).min());
+        let gaps: Vec<Duration> = finished
+            .iter()
+            .filter(|(r, _)| r.tokens > 1)
+            .map(|(_, t)| t.tpot)
+            .collect();
+        assert!(!gaps.is_empty());
+        assert_eq!(m.tpot, gaps.iter().sum::<Duration>() / gaps.len() as u32);
+    }
+
+    /// A backend whose sessions panic when asked for a mask.
+    #[derive(Debug, Clone)]
+    struct PanickingMasks(Arc<Vocabulary>);
+
+    impl ConstrainedBackend for PanickingMasks {
+        fn name(&self) -> &'static str {
+            "panicking-masks"
+        }
+        fn vocabulary(&self) -> &Arc<Vocabulary> {
+            &self.0
+        }
+        fn compile(&self, _: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
+            Ok(Arc::new(self.clone()))
+        }
+    }
+
+    impl CompiledConstraint for PanickingMasks {
+        fn new_session(&self) -> Session {
+            Session::new(Box::new(self.clone()))
+        }
+    }
+
+    impl ConstraintMatcher for PanickingMasks {
+        fn vocabulary(&self) -> &Arc<Vocabulary> {
+            &self.0
+        }
+        fn fill_next_token_bitmask(&mut self, _: &mut TokenBitmask) {
+            panic!("the mask worker dies");
+        }
+        fn accept_token(&mut self, _: TokenId) -> Result<(), AcceptError> {
+            Ok(())
+        }
+        fn can_terminate(&mut self) -> bool {
+            true
+        }
+        fn is_terminated(&self) -> bool {
+            false
+        }
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn dropping_the_scheduler_while_unwinding_does_not_abort() {
+        let unwound = std::panic::catch_unwind(|| {
+            let backend = Arc::new(PanickingMasks(Arc::new(test_vocabulary(600))));
+            let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+            let engine = ServingEngine::new(backend, profile, ExecutionMode::Overlapped);
+            // One mask worker: its death closes the results channel, so the
+            // decode loop's collect barrier panics too instead of waiting.
+            let scheduler = engine.serve(SchedulerConfig {
+                mask_workers: 1,
+                ..SchedulerConfig::default()
+            });
+            let stream = scheduler.submit(request(0)).unwrap();
+            assert!(stream.wait().is_err(), "the stream ends with no result");
+            // Unwinds through the scheduler's drop, which finds two panicked
+            // workers: re-raising either would abort the process.
+            panic!("the body's own failure");
+        });
+        assert!(unwound.is_err());
     }
 }

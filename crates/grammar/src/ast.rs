@@ -774,13 +774,6 @@ pub fn char_class(ranges: &[(char, char)]) -> GrammarExpr {
     ))
 }
 
-/// Shorthand for building a negated character class from `(start, end)` pairs.
-pub fn char_class_negated(ranges: &[(char, char)]) -> GrammarExpr {
-    GrammarExpr::CharClass(CharClass::negated(
-        ranges.iter().map(|&(s, e)| CharRange::new(s, e)).collect(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,30 +60,6 @@ pub enum InternedExpr {
     },
 }
 
-/// Hit/miss counters of an [`ExprInterner`].
-///
-/// A *hit* is an intern request for a node that was already present (the
-/// shared artifact is reused); a *miss* allocates a new id. `hits /
-/// (hits + misses)` is the structural-sharing rate of the interned grammars.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InternStats {
-    /// Intern requests served by an existing node.
-    pub hits: u64,
-    /// Intern requests that allocated a new node.
-    pub misses: u64,
-}
-
-impl InternStats {
-    /// Fraction of intern requests served by an existing node.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 /// A hashcons table for grammar expressions.
 ///
 /// # Examples
@@ -95,7 +71,7 @@ impl InternStats {
 /// let a = interner.intern_expr(&GrammarExpr::literal("ab"));
 /// let b = interner.intern_expr(&GrammarExpr::literal("ab"));
 /// assert_eq!(a, b); // structurally identical → same id
-/// assert_eq!(interner.stats().hits, 1);
+/// assert_eq!(interner.len(), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct ExprInterner {
@@ -103,7 +79,6 @@ pub struct ExprInterner {
     /// Hashcons hash of each node, parallel to `nodes`.
     hashes: Vec<u64>,
     ids: HashMap<InternedExpr, ExprId>,
-    stats: InternStats,
 }
 
 impl ExprInterner {
@@ -115,10 +90,8 @@ impl ExprInterner {
     /// Interns one already-flattened node, returning its id.
     pub fn intern(&mut self, node: InternedExpr) -> ExprId {
         if let Some(&id) = self.ids.get(&node) {
-            self.stats.hits += 1;
             return id;
         }
-        self.stats.misses += 1;
         let id = ExprId(self.nodes.len() as u32);
         self.hashes.push(self.hashcons_hash(&node));
         self.nodes.push(node.clone());
@@ -189,11 +162,6 @@ impl ExprInterner {
     /// Returns `true` if nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> InternStats {
-        self.stats
     }
 
     /// Computes the hashcons hash of a node from its children's stored
@@ -272,10 +240,8 @@ mod tests {
         let mut interner = ExprInterner::new();
         let expr = GrammarExpr::seq(vec![GrammarExpr::literal("ab"), GrammarExpr::literal("ab")]);
         interner.intern_expr(&expr);
-        // "ab" interned once (hit on the second occurrence) + the sequence.
+        // "ab" interned once (shared by the second occurrence) + the sequence.
         assert_eq!(interner.len(), 2);
-        assert_eq!(interner.stats().hits, 1);
-        assert_eq!(interner.stats().misses, 2);
     }
 
     #[test]
@@ -297,7 +263,9 @@ mod tests {
         let ib = roots[g.rule_id("b").unwrap().index()];
         assert_eq!(ia, ib);
         assert_eq!(interner.hash_of(ia), interner.hash_of(ib));
-        assert!(interner.stats().hits > 0);
+        // root's sequence, the shared rule body and its three parts (the
+        // literal, the class, the repeat), and the two distinct rule refs.
+        assert_eq!(interner.len(), 7);
     }
 
     #[test]

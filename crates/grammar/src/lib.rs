@@ -49,13 +49,12 @@ mod structural_tag;
 
 pub use analysis::{analyze, Diagnostic, DiagnosticCode, GrammarAnalysis, Severity};
 pub use ast::{
-    char_class, char_class_negated, ByteClass, CharClass, CharRange, Grammar, GrammarBuilder,
-    GrammarExpr, Rule, RuleId,
+    char_class, ByteClass, CharClass, CharRange, Grammar, GrammarBuilder, GrammarExpr, Rule, RuleId,
 };
 pub use ebnf::parse_ebnf;
 pub use error::{GrammarError, Result};
 pub use formats::SUPPORTED_FORMATS;
-pub use intern::{grammar_fingerprint, ExprId, ExprInterner, InternStats, InternedExpr};
+pub use intern::{grammar_fingerprint, ExprId, ExprInterner, InternedExpr};
 pub use json_schema::{
     json_schema_to_grammar, json_schema_to_grammar_with_options, JsonSchemaOptions,
     WhitespaceConfig, ANNOTATION_KEYWORDS, SUPPORTED_KEYWORDS,

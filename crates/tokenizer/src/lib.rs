@@ -32,7 +32,5 @@ mod vocab;
 
 pub use bpe::{BpeModel, BpeTrainConfig};
 pub use sorted::SortedVocabulary;
-pub use synthetic::{
-    llama31_like_vocabulary, synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig,
-};
+pub use synthetic::{synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig};
 pub use vocab::{SpecialToken, TokenId, Vocabulary};

@@ -376,15 +376,6 @@ pub fn synthetic_vocabulary(config: &SyntheticVocabConfig) -> Vocabulary {
     vocab
 }
 
-/// Convenience constructor for the "Llama-3.1-like" vocabulary used across
-/// the benchmark harness (128k tokens, fixed seed).
-pub fn llama31_like_vocabulary() -> Vocabulary {
-    synthetic_vocabulary(&SyntheticVocabConfig {
-        size: 128_000,
-        seed: 0x11a3a31,
-    })
-}
-
 /// Convenience constructor for a small vocabulary suitable for unit tests.
 pub fn test_vocabulary(size: usize) -> Vocabulary {
     synthetic_vocabulary(&SyntheticVocabConfig { size, seed: 0x7e57 })

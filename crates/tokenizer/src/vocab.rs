@@ -196,14 +196,6 @@ impl Vocabulary {
         self.eos.hash(&mut hasher);
         hasher.finish()
     }
-
-    /// Total number of bytes across all non-special tokens.
-    pub fn total_token_bytes(&self) -> usize {
-        self.iter()
-            .filter(|(id, _)| !self.is_special(*id))
-            .map(|(_, t)| t.len())
-            .sum()
-    }
 }
 
 #[cfg(test)]

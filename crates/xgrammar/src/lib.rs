@@ -61,7 +61,7 @@ pub mod engine {
 pub use xg_core::{
     AcceptError, ArtifactCache, CacheBudget, CacheStats, Cached, CompiledGrammar,
     CompiledTagDispatch, CompiledTrigger, CompilerConfig, ConstraintFactory, ConstraintMatcher,
-    ConstraintStats, DispatchMode, ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler,
+    DispatchMode, ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler,
     GrammarLintReport, GrammarMatcher, LintMode, MaskCache, MaskCacheStats, MatcherPool,
     MatcherStats, NodeMaskEntry, PersistentStackTree, RollbackError, StackHandle,
     StructuralTagMatcher, TagDispatchCache, TagDispatchStats, TokenBitmask,
@@ -174,10 +174,7 @@ mod tests {
         };
         let (results, metrics) = engine.run_batch(std::slice::from_ref(&req)).unwrap();
         assert_eq!(results[0].output, br#"{"ok": true}"#.to_vec());
-        assert!(
-            metrics.jump_forward_chars > 0,
-            "the forced prefix is jumped"
-        );
+        assert!(metrics.forced_chars > 0, "the forced prefix is jumped");
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<34} {:>12.2} {:>12.2} {:>12.2}",
             name,
             metrics.tpot.as_secs_f64() * 1e3,
-            metrics.mask_time.as_secs_f64() * 1e3,
+            metrics.mask_wait_time.as_secs_f64() * 1e3,
             metrics.gpu_time.as_secs_f64() * 1e3
         );
     }
@@ -92,8 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * metrics.cache.hit_rate(),
             metrics.cache.hits,
             metrics.cache.misses,
-            metrics.mask_time.as_secs_f64() * 1e3,
-            metrics.mask_threads,
+            metrics.mask_wait_time.as_secs_f64() * 1e3,
+            metrics.mask_workers,
         );
     }
     println!(
@@ -119,22 +119,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "  off   : {:>4} sampled tokens, TPOT {:.2} ms",
-        off_metrics.total_tokens,
+        off_metrics.sampled_tokens,
         off_metrics.tpot.as_secs_f64() * 1e3,
     );
     println!(
         "  engine: {:>4} sampled + {} forced tokens ({} chars of forced text), TPOT {:.2} ms",
-        jf_metrics.total_tokens,
-        jf_metrics.jump_forward_tokens,
-        jf_metrics.jump_forward_chars,
+        jf_metrics.sampled_tokens,
+        jf_metrics.forced_tokens,
+        jf_metrics.forced_chars,
         jf_metrics.tpot.as_secs_f64() * 1e3,
     );
     let saved = off_metrics
-        .total_tokens
-        .saturating_sub(jf_metrics.total_tokens);
+        .sampled_tokens
+        .saturating_sub(jf_metrics.sampled_tokens);
     println!(
         "  byte-identical outputs, {saved} fewer GPU decoding steps ({:.0}% of the batch)",
-        100.0 * saved as f64 / off_metrics.total_tokens.max(1) as f64
+        100.0 * saved as f64 / off_metrics.sampled_tokens.max(1) as f64
     );
     Ok(())
 }

@@ -1,0 +1,22 @@
+#!/bin/sh
+# Non-test first-party lines: every tracked `crates/*/src/**/*.rs` except the
+# frozen benchmark (`bin/perf/`) and `*_tests.rs`, each file counted up to its
+# first `#[cfg(test)]`. Prints one line per crate and the total — the figure
+# ROADMAP item 6 and the simplicity issues cite.
+# Usage: scripts/nontest-loc.sh [file ...]   (files: print per-file counts instead)
+set -eu
+cd "$(git rev-parse --show-toplevel)"
+
+count() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | wc -l; }
+
+if [ "$#" -gt 0 ]; then
+    for file in "$@"; do printf '%6d  %s\n' "$(count "$file")" "$file"; done
+    exit
+fi
+
+git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | sort -u |
+    grep -v 'bin/perf/\|_tests.rs' |
+    while read -r file; do echo "$(count "$file") ${file#crates/}"; done |
+    awk '{ sub("/.*", "", $2); crate[$2] += $1; total += $1 }
+         END { for (c in crate) printf "%6d  %s\n", crate[c], c | "sort -k2"
+               close("sort -k2"); printf "%6d  total\n", total }'

@@ -111,7 +111,7 @@ fn run_batch_matches_reference_decode_byte_for_byte() {
             assert_lane_eq(f, s, &format!("{mode:?} lane {i}"));
             assert!(f.completed, "{mode:?} lane {i} must complete");
         }
-        assert!(metrics.total_tokens > 0);
+        assert!(metrics.sampled_tokens > 0);
     }
 }
 

@@ -65,7 +65,7 @@ fn run_policy(
     backend: &Arc<dyn ConstrainedBackend>,
     requests: &[EngineRequest],
     policy: JumpForwardPolicy,
-) -> (Vec<RequestResult>, xg_engine::BatchMetrics) {
+) -> (Vec<RequestResult>, xg_engine::SchedulerMetrics) {
     ServingEngine::with_llm_behavior(
         Arc::clone(backend),
         ModelProfile::llama31_8b_h100().scaled(0.02),
@@ -136,16 +136,16 @@ fn jump_forward_changes_nothing_but_speed() {
 
     // Batch accounting: the off path reports no forced work; the engine path
     // separates forced tokens/chars/time from the sampled TPOT.
-    assert_eq!(off_metrics.jump_forward_tokens, 0);
-    assert_eq!(off_metrics.jump_forward_chars, 0);
+    assert_eq!(off_metrics.forced_tokens, 0);
+    assert_eq!(off_metrics.forced_chars, 0);
     assert_eq!(off_metrics.forced_time, Duration::ZERO);
-    assert!(engine_metrics.jump_forward_tokens > 0);
-    assert!(engine_metrics.jump_forward_chars > 0);
+    assert!(engine_metrics.forced_tokens > 0);
+    assert!(engine_metrics.forced_chars > 0);
     assert!(engine_metrics.forced_time > Duration::ZERO);
-    assert!(engine_metrics.total_tokens < off_metrics.total_tokens);
+    assert!(engine_metrics.sampled_tokens < off_metrics.sampled_tokens);
     // Honest TPOT: the carve-out never exceeds the total wall clock, and the
     // per-sampled-token figure stays meaningful.
-    assert!(engine_metrics.forced_time < engine_metrics.total_time);
+    assert!(engine_metrics.forced_time < engine_metrics.wall_time);
     assert!(engine_metrics.tpot > Duration::ZERO);
 }
 
