@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xg_bench::{bench_vocabulary, BackendKind, Workload};
-use xg_core::TokenBitmask;
+use xg_core::{ConstraintMatcher, TokenBitmask};
 use xg_engine::{LlmBehavior, SimulatedLlm};
 
 /// Tokens decoded per iteration of the per-token mask benchmarks (each token

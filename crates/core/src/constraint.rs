@@ -3,17 +3,16 @@
 //!
 //! The engine's hot path treats every constrained lane the same way — fill a
 //! token mask, accept the sampled token, occasionally jump forward over
-//! forced text or roll back recent tokens. Before this trait existed, the
-//! fully-constrained [`GrammarMatcher`](crate::GrammarMatcher) and the
-//! structural-tag [`StructuralTagMatcher`](crate::StructuralTagMatcher)
-//! offered those operations through parallel, unshared inherent APIs, and
-//! every consumer branched over the matcher kind by hand. Now both implement
-//! [`ConstraintMatcher`] — as do the baseline engines' sessions in
-//! `xg-baselines`, which need only the token-level core because raw bytes,
-//! rollback and jump-forward default to "unsupported" — serving engines drive
-//! trait objects, and a new lane type (a regex lane, a composite constraint,
-//! a semantic filter) plugs in by implementing the trait — no new enum
-//! variant in any consumer.
+//! forced text or roll back recent tokens. The fully-constrained
+//! [`GrammarMatcher`](crate::GrammarMatcher) and the structural-tag
+//! [`StructuralTagMatcher`](crate::StructuralTagMatcher) implement those
+//! operations here and nowhere else (they have no inherent copies: bring the
+//! trait into scope to call them on a concrete matcher) — as do the baseline
+//! engines' sessions in `xg-baselines`, which need only the token-level core
+//! because raw bytes, rollback and jump-forward default to "unsupported".
+//! Serving engines drive trait objects, and a new lane type (a regex lane, a
+//! composite constraint, a semantic filter) plugs in by implementing the
+//! trait — no new enum variant in any consumer.
 //!
 //! The companion [`ConstraintFactory`] trait is the compiled-artifact side:
 //! a compiled grammar or compiled tag dispatch acts as a factory of fresh

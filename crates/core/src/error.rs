@@ -5,9 +5,9 @@ use std::fmt;
 
 use xg_tokenizer::TokenId;
 
-/// Errors returned by [`GrammarMatcher::accept_token`].
+/// Errors returned by [`ConstraintMatcher::accept_token`] / `accept_bytes`.
 ///
-/// [`GrammarMatcher::accept_token`]: crate::GrammarMatcher::accept_token
+/// [`ConstraintMatcher::accept_token`]: crate::ConstraintMatcher::accept_token
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AcceptError {
     /// The token's byte string cannot be matched by the grammar at the
@@ -83,9 +83,9 @@ impl fmt::Display for AcceptError {
 
 impl StdError for AcceptError {}
 
-/// Errors returned by [`GrammarMatcher::rollback`].
+/// Errors returned by [`ConstraintMatcher::rollback`].
 ///
-/// [`GrammarMatcher::rollback`]: crate::GrammarMatcher::rollback
+/// [`ConstraintMatcher::rollback`]: crate::ConstraintMatcher::rollback
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RollbackError {
     /// Number of tokens that were requested to be rolled back.

@@ -32,15 +32,15 @@
 //! * **tag dispatch** for agentic tool calling: free text passes through
 //!   unconstrained (scanned by an Aho–Corasick trigger automaton) while
 //!   trigger strings dispatch into constrained tagged segments
-//!   ([`StructuralTagMatcher`], [`CompiledTagDispatch`]), with rollback and
-//!   jump-forward across mode boundaries and boundary-union masks at segment
-//!   ends.
+//!   ([`StructuralTagMatcher`], [`CompiledTagDispatch`]) that close at the
+//!   first point their grammar can end, with rollback and jump-forward across
+//!   mode boundaries and boundary-union masks at segment ends.
 //!
 //! # Quick start
 //!
 //! ```
 //! use std::sync::Arc;
-//! use xg_core::{GrammarCompiler, GrammarMatcher, TokenBitmask};
+//! use xg_core::{ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 //! use xg_tokenizer::test_vocabulary;
 //!
 //! // 1. Compile a grammar against a vocabulary (expensive, cached, shared).
@@ -49,7 +49,7 @@
 //! let compiled = compiler.compile_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root")?;
 //!
 //! // 2. Per request: create a matcher and alternate mask generation with
-//! //    token acceptance.
+//! //    token acceptance (the operations are `ConstraintMatcher` methods).
 //! let mut matcher = GrammarMatcher::new(compiled);
 //! let mut mask = TokenBitmask::new_all_rejected(vocab.len());
 //! matcher.fill_next_token_bitmask(&mut mask);
@@ -72,6 +72,7 @@ mod matcher;
 mod matcher_pool;
 mod persistent_stack;
 mod tag_dispatch;
+mod tag_matcher;
 
 pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler, LintMode};
 pub use constraint::{ConstraintFactory, ConstraintMatcher, ForcedTokenRun};
@@ -87,6 +88,5 @@ pub use mask_cache::{
 pub use matcher::{GrammarMatcher, MatcherStats, DEFAULT_MAX_ROLLBACK_TOKENS};
 pub use matcher_pool::MatcherPool;
 pub use persistent_stack::{PersistentStackTree, StackHandle};
-pub use tag_dispatch::{
-    CompiledTagDispatch, CompiledTrigger, DispatchMode, StructuralTagMatcher, TagDispatchStats,
-};
+pub use tag_dispatch::{CompiledTagDispatch, CompiledTrigger};
+pub use tag_matcher::{DispatchMode, StructuralTagMatcher, TagDispatchStats};

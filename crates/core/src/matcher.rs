@@ -51,13 +51,14 @@ pub struct MatcherStats {
     pub max_stacks: u64,
 }
 
-/// The incremental grammar matcher for one generation request.
+/// The incremental grammar matcher for one generation request, driven
+/// through [`ConstraintMatcher`].
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use xg_core::{GrammarCompiler, GrammarMatcher, TokenBitmask};
+/// use xg_core::{ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 /// use xg_tokenizer::test_vocabulary;
 ///
 /// let vocab = Arc::new(test_vocabulary(600));
@@ -137,74 +138,6 @@ impl GrammarMatcher {
     /// Number of parallel matching stacks currently alive.
     pub fn stack_count(&self) -> usize {
         self.heads.len()
-    }
-
-    /// Returns `true` if end-of-sequence has been accepted.
-    pub fn is_terminated(&self) -> bool {
-        self.terminated
-    }
-
-    /// Returns `true` if the text consumed so far is a complete sentence of
-    /// the grammar (end-of-sequence would be accepted now).
-    pub fn can_terminate(&mut self) -> bool {
-        if self.terminated {
-            return false;
-        }
-        can_pop_out(
-            self.compiled.pda(),
-            &mut self.tree,
-            &self.heads,
-            &mut self.work.exec,
-        )
-    }
-
-    /// Resets the matcher to the start of the grammar, clearing all history
-    /// and statistics (a recycled matcher is indistinguishable from a fresh
-    /// one, which [`MatcherPool`](crate::MatcherPool) relies on) but keeping
-    /// every buffer's capacity.
-    pub fn reset(&mut self) {
-        self.tree.clear();
-        let start = self
-            .tree
-            .push(StackHandle::ROOT, self.compiled.pda().root_start());
-        self.heads.clear();
-        self.heads.push(start);
-        self.history.clear();
-        self.history_lens.clear();
-        self.terminated = false;
-        self.stats = MatcherStats::default();
-    }
-
-    // -----------------------------------------------------------------
-    // Mask generation
-    // -----------------------------------------------------------------
-
-    /// Fills `mask` with the set of tokens allowed at the next decoding step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask's vocabulary size differs from the compiled
-    /// grammar's vocabulary.
-    pub fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
-        assert_eq!(
-            mask.vocab_size(),
-            self.compiled.vocabulary().len(),
-            "mask size must match the vocabulary"
-        );
-        let stacks = self.heads.len() as u64;
-        self.stats.masks_generated += 1;
-        self.stats.stacks_total += stacks;
-        self.stats.max_stacks = self.stats.max_stacks.max(stacks);
-        if self.terminated {
-            mask.reject_all();
-            return;
-        }
-        if self.compiled.mask_cache().is_some() {
-            self.fill_mask_with_cache(mask);
-        } else {
-            self.fill_mask_naive(mask);
-        }
-        self.finish_mask(mask);
     }
 
     /// Special tokens are never produced by the grammar; EOS is allowed
@@ -317,9 +250,112 @@ impl GrammarMatcher {
         self.stats.context_dependent_checked += sorted_ids.len() as u64;
     }
 
-    // -----------------------------------------------------------------
-    // Advancing and rolling back
-    // -----------------------------------------------------------------
+    /// Makes the advanced `work.heads` the new heads, recording the old ones
+    /// as one rollback unit. On the way it eagerly pops completed rules whose final node has
+    /// no further local edges: such a node carries no information beyond
+    /// "return to the parent", so replacing it with the parent frame keeps
+    /// stack tops on informative nodes (whose cache entries have few
+    /// context-dependent tokens) without changing the recognized language.
+    fn commit_work(&mut self) {
+        self.push_history();
+        let pda = self.compiled.pda();
+        self.heads.clear();
+        self.work.exec.new_pass();
+        for &(mut h) in &self.work.heads {
+            loop {
+                let top = self.tree.top(h).expect("heads carry a top node");
+                if pda.node(top).is_pure_return() && self.tree.depth(h) > 1 {
+                    h = self.tree.pop(h);
+                } else {
+                    break;
+                }
+            }
+            if self.work.exec.first_visit(h) {
+                self.heads.push(h);
+            }
+        }
+    }
+
+    /// Appends the current heads to the rollback history, dropping the oldest
+    /// snapshot once the window is full.
+    fn push_history(&mut self) {
+        if self.max_rollback == 0 {
+            return;
+        }
+        if self.history_lens.len() == self.max_rollback {
+            self.drop_oldest_snapshot();
+        }
+        self.history.extend(&self.heads);
+        self.history_lens.push_back(self.heads.len());
+    }
+
+    fn drop_oldest_snapshot(&mut self) {
+        if let Some(len) = self.history_lens.pop_front() {
+            self.history.drain(..len);
+        }
+    }
+
+    /// Returns the unique next byte if exactly one byte value can be consumed
+    /// from the given heads, or `None` if zero or more than one byte is
+    /// possible.
+    fn sole_next_byte(
+        pda: &Pda,
+        tree: &mut PersistentStackTree,
+        heads: &[StackHandle],
+        scratch: &mut ExecScratch,
+    ) -> Option<u8> {
+        let mut candidate: Option<u8> = None;
+        for &h in closure(pda, tree, heads, scratch, |_| {}) {
+            let top = tree.top(h).expect("heads carry a top node");
+            for edge in &pda.node(top).edges {
+                if let PdaEdge::Bytes { range, .. } = edge {
+                    if range.lo != range.hi {
+                        return None;
+                    }
+                    match candidate {
+                        None => candidate = Some(range.lo),
+                        Some(existing) if existing == range.lo => {}
+                        Some(_) => return None,
+                    }
+                }
+            }
+        }
+        candidate
+    }
+}
+
+impl ConstraintMatcher for GrammarMatcher {
+    fn vocabulary(&self) -> &Arc<xg_tokenizer::Vocabulary> {
+        self.compiled.vocabulary()
+    }
+
+    /// Fills `mask` with the set of tokens allowed at the next decoding step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask's vocabulary size differs from the compiled
+    /// grammar's vocabulary.
+    fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
+        assert_eq!(
+            mask.vocab_size(),
+            self.compiled.vocabulary().len(),
+            "mask size must match the vocabulary"
+        );
+        let stacks = self.heads.len() as u64;
+        self.stats.masks_generated += 1;
+        self.stats.stacks_total += stacks;
+        self.stats.max_stacks = self.stats.max_stacks.max(stacks);
+        if self.terminated {
+            mask.reject_all();
+            return;
+        }
+        if self.compiled.mask_cache().is_some() {
+            self.fill_mask_with_cache(mask);
+        } else {
+            self.fill_mask_naive(mask);
+        }
+        self.finish_mask(mask);
+    }
 
     /// Accepts a sampled token, advancing the matcher state.
     ///
@@ -328,7 +364,7 @@ impl GrammarMatcher {
     /// Returns an [`AcceptError`] (leaving the state unchanged) when the
     /// token violates the grammar, is unknown, is a non-EOS special token, or
     /// when EOS is offered before the structure is complete.
-    pub fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
+    fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
         if self.terminated {
             return Err(AcceptError::AlreadyTerminated);
         }
@@ -365,32 +401,6 @@ impl GrammarMatcher {
         Ok(())
     }
 
-    /// Makes the advanced `work.heads` the new heads, recording the old ones
-    /// as one rollback unit. On the way it eagerly pops completed rules whose final node has
-    /// no further local edges: such a node carries no information beyond
-    /// "return to the parent", so replacing it with the parent frame keeps
-    /// stack tops on informative nodes (whose cache entries have few
-    /// context-dependent tokens) without changing the recognized language.
-    fn commit_work(&mut self) {
-        self.push_history();
-        let pda = self.compiled.pda();
-        self.heads.clear();
-        self.work.exec.new_pass();
-        for &(mut h) in &self.work.heads {
-            loop {
-                let top = self.tree.top(h).expect("heads carry a top node");
-                if pda.node(top).is_pure_return() && self.tree.depth(h) > 1 {
-                    h = self.tree.pop(h);
-                } else {
-                    break;
-                }
-            }
-            if self.work.exec.first_visit(h) {
-                self.heads.push(h);
-            }
-        }
-    }
-
     /// Accepts a raw string (used by jump-forward decoding, Appendix B, where
     /// deterministic text is appended without sampling). The string is
     /// recorded as a single rollback unit.
@@ -400,7 +410,7 @@ impl GrammarMatcher {
     /// Returns [`AcceptError::BytesRejected`] (reporting how many bytes
     /// matched before failing) if the bytes violate the grammar; the state is
     /// unchanged.
-    pub fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError> {
+    fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError> {
         if self.terminated {
             return Err(AcceptError::AlreadyTerminated);
         }
@@ -417,35 +427,6 @@ impl GrammarMatcher {
         Ok(())
     }
 
-    /// Appends the current heads to the rollback history, dropping the oldest
-    /// snapshot once the window is full.
-    fn push_history(&mut self) {
-        if self.max_rollback == 0 {
-            return;
-        }
-        if self.history_lens.len() == self.max_rollback {
-            self.drop_oldest_snapshot();
-        }
-        self.history.extend(&self.heads);
-        self.history_lens.push_back(self.heads.len());
-    }
-
-    fn drop_oldest_snapshot(&mut self) {
-        if let Some(len) = self.history_lens.pop_front() {
-            self.history.drain(..len);
-        }
-    }
-
-    /// Number of accepted tokens that can currently be rolled back.
-    pub fn rollback_window(&self) -> usize {
-        self.history_lens.len()
-    }
-
-    /// The maximum rollback window this matcher was created with.
-    pub fn max_rollback(&self) -> usize {
-        self.max_rollback
-    }
-
     /// Rolls back the last `num_tokens` accepted tokens (or jump-forward
     /// strings). Rollback is O(1) per token: it only restores stack handles
     /// saved in the persistent stack tree.
@@ -454,7 +435,7 @@ impl GrammarMatcher {
     ///
     /// Returns a [`RollbackError`] if more tokens are requested than the
     /// rollback window holds; the state is unchanged.
-    pub fn rollback(&mut self, num_tokens: usize) -> Result<(), RollbackError> {
+    fn rollback(&mut self, num_tokens: usize) -> Result<(), RollbackError> {
         if num_tokens == 0 {
             return Ok(());
         }
@@ -478,9 +459,13 @@ impl GrammarMatcher {
         Ok(())
     }
 
-    // -----------------------------------------------------------------
-    // Jump-forward decoding support
-    // -----------------------------------------------------------------
+    fn rollback_window(&self) -> usize {
+        self.history_lens.len()
+    }
+
+    fn max_rollback(&self) -> usize {
+        self.max_rollback
+    }
 
     /// Finds the longest string that is *forced* by the grammar from the
     /// current position: while exactly one next byte is possible (and the
@@ -492,7 +477,7 @@ impl GrammarMatcher {
     /// two alternatives share a lead byte), the trailing incomplete sequence
     /// is trimmed rather than handed to the tokenizer, which could not
     /// re-tokenize a split codepoint.
-    pub fn find_jump_forward_string(&mut self) -> Vec<u8> {
+    fn find_jump_forward_string(&mut self) -> Vec<u8> {
         const MAX_JUMP_FORWARD_BYTES: usize = 512;
         let mut out = Vec::new();
         if self.terminated {
@@ -530,86 +515,39 @@ impl GrammarMatcher {
         out
     }
 
-    /// Like [`find_jump_forward_string`](Self::find_jump_forward_string), but
-    /// returned as a `String` (the forced bytes are always trimmed to a
-    /// complete UTF-8 prefix, so the conversion cannot fail).
-    pub fn find_jump_forward_str(&mut self) -> String {
-        String::from_utf8(self.find_jump_forward_string())
-            .expect("forced string is trimmed to a valid UTF-8 boundary")
-    }
-
-    /// Returns the unique next byte if exactly one byte value can be consumed
-    /// from the given heads, or `None` if zero or more than one byte is
-    /// possible.
-    fn sole_next_byte(
-        pda: &Pda,
-        tree: &mut PersistentStackTree,
-        heads: &[StackHandle],
-        scratch: &mut ExecScratch,
-    ) -> Option<u8> {
-        let mut candidate: Option<u8> = None;
-        for &h in closure(pda, tree, heads, scratch, |_| {}) {
-            let top = tree.top(h).expect("heads carry a top node");
-            for edge in &pda.node(top).edges {
-                if let PdaEdge::Bytes { range, .. } = edge {
-                    if range.lo != range.hi {
-                        return None;
-                    }
-                    match candidate {
-                        None => candidate = Some(range.lo),
-                        Some(existing) if existing == range.lo => {}
-                        Some(_) => return None,
-                    }
-                }
-            }
-        }
-        candidate
-    }
-}
-
-impl ConstraintMatcher for GrammarMatcher {
-    fn vocabulary(&self) -> &Arc<xg_tokenizer::Vocabulary> {
-        self.compiled.vocabulary()
-    }
-
-    fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
-        GrammarMatcher::fill_next_token_bitmask(self, mask);
-    }
-
-    fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
-        GrammarMatcher::accept_token(self, token)
-    }
-
-    fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError> {
-        GrammarMatcher::accept_bytes(self, bytes)
-    }
-
-    fn rollback(&mut self, num_tokens: usize) -> Result<(), RollbackError> {
-        GrammarMatcher::rollback(self, num_tokens)
-    }
-
-    fn rollback_window(&self) -> usize {
-        GrammarMatcher::rollback_window(self)
-    }
-
-    fn max_rollback(&self) -> usize {
-        GrammarMatcher::max_rollback(self)
-    }
-
-    fn find_jump_forward_string(&mut self) -> Vec<u8> {
-        GrammarMatcher::find_jump_forward_string(self)
-    }
-
+    /// Returns `true` if the text consumed so far is a complete sentence of
+    /// the grammar (end-of-sequence would be accepted now).
     fn can_terminate(&mut self) -> bool {
-        GrammarMatcher::can_terminate(self)
+        if self.terminated {
+            return false;
+        }
+        can_pop_out(
+            self.compiled.pda(),
+            &mut self.tree,
+            &self.heads,
+            &mut self.work.exec,
+        )
     }
 
     fn is_terminated(&self) -> bool {
-        GrammarMatcher::is_terminated(self)
+        self.terminated
     }
 
+    /// Resets the matcher to the start of the grammar, clearing all history
+    /// and statistics (a recycled matcher is indistinguishable from a fresh
+    /// one, which [`MatcherPool`](crate::MatcherPool) relies on) but keeping
+    /// every buffer's capacity.
     fn reset(&mut self) {
-        GrammarMatcher::reset(self);
+        self.tree.clear();
+        let start = self
+            .tree
+            .push(StackHandle::ROOT, self.compiled.pda().root_start());
+        self.heads.clear();
+        self.heads.push(start);
+        self.history.clear();
+        self.history_lens.clear();
+        self.terminated = false;
+        self.stats = MatcherStats::default();
     }
 
     fn trim_history(&mut self, keep: usize) {
@@ -996,14 +934,15 @@ mod tests {
         // forced bytes end mid-codepoint and must be trimmed to nothing.
         let (_vocab, mut matcher) = setup(r#"root ::= "α" | "β""#);
         assert!(matcher.find_jump_forward_string().is_empty());
-        assert_eq!(matcher.find_jump_forward_str(), "");
         // A fully forced multi-byte string is returned whole.
         let (_vocab, mut matcher) = setup(r#"root ::= "héllo" [0-9]"#);
-        assert_eq!(matcher.find_jump_forward_str(), "héllo");
+        let forced = String::from_utf8(matcher.find_jump_forward_string());
+        assert_eq!(forced.as_deref(), Ok("héllo"));
         // A forced literal whose *continuation* diverges mid-codepoint keeps
         // the complete-character prefix only.
         let (_vocab, mut matcher) = setup(r#"root ::= "x" ("α" | "β")"#);
-        assert_eq!(matcher.find_jump_forward_str(), "x");
+        let forced = String::from_utf8(matcher.find_jump_forward_string());
+        assert_eq!(forced.as_deref(), Ok("x"));
     }
 
     #[test]

@@ -1,0 +1,658 @@
+//! The tag-dispatch runtime: [`StructuralTagMatcher`], the incremental
+//! matcher of a [`CompiledTagDispatch`].
+//!
+//! Free text passes through *unconstrained* — the token mask is all-allowed
+//! and costs no automaton work — while the emitted bytes are scanned for
+//! trigger strings with the dispatch's precompiled Aho–Corasick automaton
+//! (amortized O(1) per byte, whatever the size of the tool catalog). When a
+//! trigger completes, the matcher dispatches into that trigger's segment
+//! grammar and constrains decoding token by token until the segment closes,
+//! then returns to free text.
+//!
+//! There is one segment-exit rule: a segment closes at the *first* point its
+//! grammar can end. Every segment grammar carries the free-text continuation
+//! tail ([`xg_grammar::append_free_text_tail`]), so the in-segment mask is
+//! the union of "continue the segment" and "close it and resume prose" — a
+//! single token spanning the end tag and following prose is admitted — and
+//! that mask is exactly the set of tokens [`accept_token`] takes
+//! (`tests/structural_tag.rs::tag_masks_are_exactly_the_accept_set`).
+//!
+//! Rollback works across mode boundaries: rolling back into a closed segment
+//! re-opens it, and rolling back across a segment's opening returns to
+//! free-text scanning with the trigger state restored. The operations live in
+//! the [`ConstraintMatcher`] impl and nowhere else. The unit tests sit with
+//! the compile path in `tag_dispatch.rs`, bar one that reads private state.
+//!
+//! [`accept_token`]: ConstraintMatcher::accept_token
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use xg_automata::AcState;
+use xg_tokenizer::{TokenId, Vocabulary};
+
+use crate::constraint::{ConstraintFactory, ConstraintMatcher};
+use crate::error::{AcceptError, RollbackError};
+use crate::mask::TokenBitmask;
+use crate::tag_dispatch::CompiledTagDispatch;
+use crate::DEFAULT_MAX_ROLLBACK_TOKENS;
+
+/// Runtime statistics of a [`StructuralTagMatcher`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagDispatchStats {
+    /// Masks generated while in free-text mode (all-allowed, no mask work).
+    pub free_masks: u64,
+    /// Masks generated while inside a tagged segment (constrained).
+    pub tag_masks: u64,
+    /// Tagged segments opened.
+    pub tags_opened: u64,
+    /// Tagged segments closed.
+    pub tags_closed: u64,
+    /// Segment slots dropped entirely because they fell behind the rollback
+    /// window (the remaining slots are all the per-token prune pass scans).
+    pub slots_dropped: u64,
+}
+
+/// The matcher's current high-level mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispatchMode {
+    /// Emitting unconstrained free text (scanning for triggers).
+    FreeText,
+    /// Inside the tagged segment of the given trigger index.
+    Tagged {
+        /// Index into [`CompiledTagDispatch::triggers`].
+        trigger: usize,
+    },
+}
+
+/// Internal mode state; [`ModeState::Free`] carries the trigger-scan
+/// automaton state, [`ModeState::Tagged`] the *absolute* segment index
+/// (stable across dropped slots).
+#[derive(Debug, Clone, Copy)]
+enum ModeState {
+    Free { scan: AcState },
+    Tagged { seg: usize },
+}
+
+/// A tagged segment's runtime state. The matcher is returned to its trigger's
+/// pool (`None`) once no rollback snapshot can reach the segment any more.
+#[derive(Debug)]
+struct TagSegment {
+    trigger: usize,
+    matcher: Option<Box<dyn ConstraintMatcher>>,
+    /// Inner rollback units accepted so far (one per byte fed).
+    units: usize,
+}
+
+/// State of the matcher *before* an accepted token, for rollback.
+#[derive(Debug, Clone, Copy)]
+struct Snapshot {
+    mode: ModeState,
+    /// Inner units of the then-current segment (0 when `mode` is free).
+    units: usize,
+    /// Total segments ever opened at snapshot time (`segments_base +
+    /// segments.len()`), for truncating later opens on restore.
+    segments_len: usize,
+}
+
+/// The incremental matcher for a compiled structural tag: unconstrained free
+/// text, trigger dispatch, constrained tagged segments, and rollback across
+/// all of it. Driven through [`ConstraintMatcher`].
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use xg_core::{ConstraintMatcher, GrammarCompiler, StructuralTagMatcher, TokenBitmask};
+/// use xg_grammar::{StructuralTag, TagContent, TagSpec};
+/// use xg_tokenizer::test_vocabulary;
+///
+/// let vocab = Arc::new(test_vocabulary(600));
+/// let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+/// let tag = StructuralTag::new(vec![TagSpec {
+///     begin: "<n>".into(),
+///     content: TagContent::Ebnf { text: "root ::= [0-9]+".into(), root: "root".into() },
+///     end: "</n>".into(),
+/// }]);
+/// let compiled = compiler.compile_tag_dispatch(&tag)?;
+/// let mut matcher = StructuralTagMatcher::new(compiled);
+///
+/// // Free text: the mask is all-allowed.
+/// let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+/// matcher.fill_next_token_bitmask(&mut mask);
+/// assert!(mask.count_allowed() > vocab.len() - 8);
+/// # Ok::<(), xg_grammar::GrammarError>(())
+/// ```
+#[derive(Debug)]
+pub struct StructuralTagMatcher {
+    compiled: Arc<CompiledTagDispatch>,
+    mode: ModeState,
+    /// Live segment slots. Slots behind the rollback window are dropped from
+    /// the front; `segments_base` is the absolute index of `segments[0]`, so
+    /// a request with hundreds of tool calls scans (and stores) only the
+    /// handful of slots a snapshot can still reach.
+    segments: VecDeque<TagSegment>,
+    segments_base: usize,
+    history: VecDeque<Snapshot>,
+    max_rollback: usize,
+    terminated: bool,
+    stats: TagDispatchStats,
+}
+
+impl StructuralTagMatcher {
+    /// Creates a matcher with the default rollback window.
+    pub fn new(compiled: Arc<CompiledTagDispatch>) -> Self {
+        Self::with_max_rollback(compiled, DEFAULT_MAX_ROLLBACK_TOKENS)
+    }
+
+    /// Creates a matcher that can roll back up to `max_rollback` recently
+    /// accepted tokens, including across tag boundaries.
+    pub fn with_max_rollback(compiled: Arc<CompiledTagDispatch>, max_rollback: usize) -> Self {
+        let scan = compiled.scanner().start();
+        StructuralTagMatcher {
+            compiled,
+            mode: ModeState::Free { scan },
+            segments: VecDeque::new(),
+            segments_base: 0,
+            history: VecDeque::new(),
+            max_rollback,
+            terminated: false,
+            stats: TagDispatchStats::default(),
+        }
+    }
+
+    /// The compiled structural tag this matcher runs.
+    pub fn compiled(&self) -> &Arc<CompiledTagDispatch> {
+        &self.compiled
+    }
+
+    /// Runtime statistics.
+    pub fn stats(&self) -> TagDispatchStats {
+        self.stats
+    }
+
+    /// The matcher's current mode.
+    pub fn mode(&self) -> DispatchMode {
+        match &self.mode {
+            ModeState::Free { .. } => DispatchMode::FreeText,
+            ModeState::Tagged { seg } => DispatchMode::Tagged {
+                trigger: self.seg(*seg).trigger,
+            },
+        }
+    }
+
+    /// Number of segment slots currently retained (the prune pass scans only
+    /// these; slots behind the rollback window are dropped entirely).
+    pub fn retained_segment_slots(&self) -> usize {
+        self.segments.len()
+    }
+
+    fn seg(&self, abs: usize) -> &TagSegment {
+        &self.segments[abs - self.segments_base]
+    }
+
+    /// The inner matcher of the open segment `abs`.
+    fn open_matcher(&mut self, abs: usize) -> &mut dyn ConstraintMatcher {
+        self.segments[abs - self.segments_base]
+            .matcher
+            .as_deref_mut()
+            .expect("the current segment is never pruned")
+    }
+
+    /// Total segments ever opened (dropped slots included).
+    fn segments_total(&self) -> usize {
+        self.segments_base + self.segments.len()
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        let units = match &self.mode {
+            ModeState::Free { .. } => 0,
+            ModeState::Tagged { seg } => self.seg(*seg).units,
+        };
+        Snapshot {
+            mode: self.mode,
+            units,
+            segments_len: self.segments_total(),
+        }
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) {
+        // Drop segments opened after the snapshot, returning their inner
+        // matchers to the pools. When `segments_base` has already advanced
+        // past the snapshot's total (the excess slots fell behind the
+        // rollback window and were dropped from the front), this saturates to
+        // clearing whatever is left.
+        self.release_segments_from(snapshot.segments_len.saturating_sub(self.segments_base));
+        if let ModeState::Tagged { seg } = snapshot.mode {
+            let segment = &mut self.segments[seg - self.segments_base];
+            let delta = segment.units - snapshot.units;
+            if delta > 0 {
+                segment
+                    .matcher
+                    .as_mut()
+                    .expect("segments reachable from snapshots are never pruned")
+                    .rollback(delta)
+                    .expect("inner matchers keep their full per-byte history");
+                segment.units = snapshot.units;
+            }
+        }
+        self.mode = snapshot.mode;
+    }
+
+    /// One rollback unit: advances over `bytes` and records `base` (the state
+    /// at call entry) in the history, or restores it and reports how many
+    /// bytes matched.
+    fn advance_unit(&mut self, bytes: &[u8]) -> Result<(), usize> {
+        let base = self.snapshot();
+        let stats = self.stats;
+        match self.advance_bytes_across_modes(bytes, &base) {
+            Ok(()) => {
+                self.push_history_snapshot(base);
+                Ok(())
+            }
+            Err(matched_bytes) => {
+                self.restore(&base);
+                self.stats = stats;
+                Err(matched_bytes)
+            }
+        }
+    }
+
+    /// Advances over `bytes`, switching modes as triggers fire and segments
+    /// close. On failure returns the number of bytes matched; the caller
+    /// restores the pre-call snapshot (`base`, the state at call entry).
+    ///
+    /// The free-text mask promises that *any* token is acceptable, so a
+    /// dispatch that both opens **within this call** and immediately
+    /// contradicts the tag grammar in the same call must not reject the
+    /// token: the completed trigger is treated as plain prose instead
+    /// (the byte position is recorded in `suppressed` and the call replays
+    /// from `base` without dispatching there — the scan then continues from
+    /// the automaton's match state, which tracks exactly the trigger-suffix
+    /// overlaps). Only bytes violating a segment that was already open when
+    /// the call started are a real rejection — that segment's constraint was
+    /// visible in the mask.
+    fn advance_bytes_across_modes(&mut self, bytes: &[u8], base: &Snapshot) -> Result<(), usize> {
+        let compiled = Arc::clone(&self.compiled);
+        let scanner = compiled.scanner();
+        let base_stats = self.stats;
+        let mut suppressed: Vec<usize> = Vec::new();
+        'attempt: loop {
+            // Position of the trigger completion that opened the currently
+            // innermost segment, when that happened during this call.
+            let mut opened_at: Option<usize> = None;
+            for (i, &b) in bytes.iter().enumerate() {
+                match &mut self.mode {
+                    ModeState::Free { scan } => {
+                        let state = scanner.step(*scan, b);
+                        *scan = state;
+                        if let Some(trigger) = scanner.matched(state) {
+                            if !suppressed.contains(&i) {
+                                self.open_segment(trigger);
+                                opened_at = Some(i);
+                            }
+                        }
+                    }
+                    ModeState::Tagged { seg } => {
+                        let segment = &mut self.segments[*seg - self.segments_base];
+                        let matcher = segment
+                            .matcher
+                            .as_mut()
+                            .expect("the current segment is never pruned");
+                        if matcher.accept_bytes(&[b]).is_err() {
+                            let Some(pos) = opened_at else {
+                                return Err(i);
+                            };
+                            suppressed.push(pos);
+                            self.restore(base);
+                            self.stats = base_stats;
+                            continue 'attempt;
+                        }
+                        segment.units += 1;
+                        if matcher.can_terminate() {
+                            self.close_segment();
+                        }
+                    }
+                }
+            }
+            return Ok(());
+        }
+    }
+
+    /// Opens a tagged segment for `trigger` (drawing the inner matcher from
+    /// the trigger's pool). A segment whose combined grammar is already
+    /// complete (pathological nullable tags) closes immediately.
+    fn open_segment(&mut self, trigger: usize) {
+        let pool = self.compiled.triggers()[trigger].matcher_pool();
+        let mut matcher = pool.acquire();
+        self.stats.tags_opened += 1;
+        if matcher.can_terminate() {
+            pool.release(matcher);
+            self.close_segment();
+            return;
+        }
+        self.segments.push_back(TagSegment {
+            trigger,
+            matcher: Some(matcher),
+            units: 0,
+        });
+        self.mode = ModeState::Tagged {
+            seg: self.segments_total() - 1,
+        };
+    }
+
+    fn close_segment(&mut self) {
+        self.stats.tags_closed += 1;
+        self.mode = ModeState::Free {
+            scan: self.compiled.scanner().start(),
+        };
+    }
+
+    fn push_history_snapshot(&mut self, snapshot: Snapshot) {
+        if self.max_rollback > 0 {
+            self.history.push_back(snapshot);
+            if self.history.len() > self.max_rollback {
+                self.history.pop_front();
+            }
+        }
+        // Prune even with rollback disabled: with no snapshots retained,
+        // every closed segment becomes unreachable immediately.
+        self.prune_unreachable_segments();
+    }
+
+    /// Returns the inner matchers of segments that no rollback snapshot (nor
+    /// the current mode) can reach any more to their pools, drops the slots
+    /// of the unreachable *prefix* entirely (advancing `segments_base`, so
+    /// long multi-call generations neither hold nor rescan one slot per
+    /// closed tool call), and trims each reachable segment's per-byte history
+    /// down to the oldest unit any snapshot can still roll back to.
+    fn prune_unreachable_segments(&mut self) {
+        let now = self.snapshot();
+        let mut first_reachable = None;
+        for (i, segment) in self.segments.iter_mut().enumerate() {
+            let abs = self.segments_base + i;
+            // The smallest `units` value any retained snapshot (or the
+            // current mode) could restore this segment to; None = unreachable.
+            // The slots are the few the rollback window still reaches, so the
+            // scan per slot is short and needs no buffer.
+            let need = self
+                .history
+                .iter()
+                .chain([&now])
+                .filter(|s| matches!(s.mode, ModeState::Tagged { seg } if seg == abs))
+                .map(|s| s.units)
+                .min();
+            match need {
+                Some(min_units) => {
+                    first_reachable.get_or_insert(i);
+                    if let Some(matcher) = segment.matcher.as_mut() {
+                        matcher.trim_history(segment.units - min_units);
+                    }
+                }
+                None => {
+                    if let Some(matcher) = segment.matcher.take() {
+                        self.compiled.triggers()[segment.trigger]
+                            .matcher_pool()
+                            .release(matcher);
+                    }
+                }
+            }
+        }
+        // Drop the unreachable prefix outright: no snapshot indexes below the
+        // first reachable slot, so those slots can never be restored (and
+        // truncation on restore only pops from the back).
+        let unreachable_prefix = first_reachable.unwrap_or(self.segments.len());
+        self.segments.drain(..unreachable_prefix);
+        self.segments_base += unreachable_prefix;
+        self.stats.slots_dropped += unreachable_prefix as u64;
+    }
+
+    /// Returns the inner matchers of all slots with index ≥ `from` (relative
+    /// to the deque) to their pools and removes the slots.
+    fn release_segments_from(&mut self, from: usize) {
+        while self.segments.len() > from {
+            if let Some(TagSegment {
+                trigger,
+                matcher: Some(matcher),
+                ..
+            }) = self.segments.pop_back()
+            {
+                self.compiled.triggers()[trigger]
+                    .matcher_pool()
+                    .release(matcher);
+            }
+        }
+    }
+}
+
+impl Drop for StructuralTagMatcher {
+    fn drop(&mut self) {
+        // Hand the live inner matchers back to their pools, so dropping a
+        // dispatching matcher (or its backend session) recycles allocations
+        // for the next request.
+        self.release_segments_from(0);
+    }
+}
+
+impl ConstraintMatcher for StructuralTagMatcher {
+    fn vocabulary(&self) -> &Arc<Vocabulary> {
+        self.compiled.vocabulary()
+    }
+
+    /// Fills `mask` with the allowed next tokens: all-allowed in free text
+    /// (special tokens except EOS stay rejected), the segment grammar's mask
+    /// inside a tagged segment. The segment grammar carries the free-text
+    /// continuation tail, so near the end of a segment the mask also admits
+    /// tokens that finish the end tag and continue with prose.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask's vocabulary size differs from the compiled
+    /// vocabulary.
+    fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
+        assert_eq!(
+            mask.vocab_size(),
+            self.compiled.vocabulary().len(),
+            "mask size must match the vocabulary"
+        );
+        if self.terminated {
+            mask.reject_all();
+            return;
+        }
+        match self.mode {
+            ModeState::Free { .. } => {
+                // Free text passes through unconstrained: no automaton work,
+                // no vocabulary scan. EOS is allowed (free text may end).
+                let vocab = self.compiled.vocabulary();
+                mask.allow_all();
+                for special in vocab.special_tokens() {
+                    if Some(special) != vocab.eos() {
+                        mask.reject(special);
+                    }
+                }
+                self.stats.free_masks += 1;
+            }
+            ModeState::Tagged { seg } => {
+                self.open_matcher(seg).fill_next_token_bitmask(mask);
+                self.stats.tag_masks += 1;
+            }
+        }
+    }
+
+    /// Accepts a sampled token, advancing free-text scanning and/or the
+    /// current segment's grammar. A single token may cross mode boundaries
+    /// (close a tag and resume prose, or complete a trigger and start the
+    /// constrained segment in the same token). A token that completes a
+    /// trigger and then immediately contradicts the tag's grammar is kept as
+    /// plain free text (the dispatch is cancelled) — the all-allowed
+    /// free-text mask promised the token was acceptable.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AcceptError`] (leaving the state unchanged) when a byte
+    /// violates the grammar of a segment that was already open when the call
+    /// started, the token is unknown or a non-EOS special token, or EOS is
+    /// offered inside an unclosed tag.
+    fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
+        if self.terminated {
+            return Err(AcceptError::AlreadyTerminated);
+        }
+        let vocab = Arc::clone(self.compiled.vocabulary());
+        if token.index() >= vocab.len() {
+            return Err(AcceptError::UnknownToken { token });
+        }
+        if vocab.is_special(token) {
+            if Some(token) != vocab.eos() {
+                return Err(AcceptError::SpecialTokenRejected { token });
+            }
+            if !self.can_terminate() {
+                return Err(AcceptError::CannotTerminate);
+            }
+            self.push_history_snapshot(self.snapshot());
+            self.terminated = true;
+            return Ok(());
+        }
+        self.advance_unit(vocab.token_bytes(token))
+            .map_err(|matched_bytes| AcceptError::TokenRejected {
+                token,
+                matched_bytes,
+            })
+    }
+
+    /// Accepts raw bytes as one rollback unit (jump-forward-style forced
+    /// text), crossing mode boundaries like
+    /// [`accept_token`](Self::accept_token).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AcceptError::BytesRejected`] (leaving the state unchanged)
+    /// when a byte violates the grammar of a segment that was already open
+    /// when the call started (like [`accept_token`](Self::accept_token), a
+    /// dispatch opened *and* contradicted within this call is cancelled and
+    /// kept as free text instead).
+    fn accept_bytes(&mut self, bytes: &[u8]) -> Result<(), AcceptError> {
+        if self.terminated {
+            return Err(AcceptError::AlreadyTerminated);
+        }
+        self.advance_unit(bytes)
+            .map_err(|matched_bytes| AcceptError::BytesRejected { matched_bytes })
+    }
+
+    /// Rolls back the last `num_tokens` accepted tokens, restoring segment
+    /// state across tag boundaries (a rollback into a closed segment re-opens
+    /// it; a rollback across a segment's opening discards the segment and
+    /// restores the free-text scan).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RollbackError`] if more tokens are requested than the
+    /// rollback window holds; the state is unchanged.
+    fn rollback(&mut self, num_tokens: usize) -> Result<(), RollbackError> {
+        if num_tokens == 0 {
+            return Ok(());
+        }
+        if num_tokens > self.history.len() {
+            return Err(RollbackError {
+                requested: num_tokens,
+                available: self.history.len(),
+            });
+        }
+        let target = self.history.len() - num_tokens;
+        let snapshot = self.history[target];
+        self.restore(&snapshot);
+        self.history.truncate(target);
+        self.terminated = false;
+        Ok(())
+    }
+
+    fn rollback_window(&self) -> usize {
+        self.history.len()
+    }
+
+    fn max_rollback(&self) -> usize {
+        self.max_rollback
+    }
+
+    /// Free text forces nothing (any byte is acceptable). Inside a tagged
+    /// segment the forced bytes come from the segment grammar: the unmatched
+    /// remainder of the begin tag, forced schema punctuation and keys, and —
+    /// once the content is complete — the end tag itself. The search stops
+    /// where the segment can close (the continuation is unconstrained prose,
+    /// so nothing beyond the close is forced).
+    fn find_jump_forward_string(&mut self) -> Vec<u8> {
+        match self.mode {
+            ModeState::Free { .. } => Vec::new(),
+            ModeState::Tagged { seg } => self.open_matcher(seg).find_jump_forward_string(),
+        }
+    }
+
+    /// Free text can always end; a tagged segment must be closed first.
+    fn can_terminate(&mut self) -> bool {
+        !self.terminated && matches!(self.mode, ModeState::Free { .. })
+    }
+
+    fn is_terminated(&self) -> bool {
+        self.terminated
+    }
+
+    /// Resets the matcher to free text at the start of the stream, returning
+    /// every live inner matcher to its trigger's pool.
+    fn reset(&mut self) {
+        self.release_segments_from(0);
+        self.mode = ModeState::Free {
+            scan: self.compiled.scanner().start(),
+        };
+        self.segments_base = 0;
+        self.history.clear();
+        self.terminated = false;
+        self.stats = TagDispatchStats::default();
+    }
+
+    fn factory_key(&self) -> usize {
+        ConstraintFactory::factory_key(&*self.compiled)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GrammarCompiler;
+    use xg_grammar::{StructuralTag, TagContent, TagSpec};
+    use xg_tokenizer::test_vocabulary;
+
+    // The one unit test that reads the matcher's private state; the rest of
+    // the subsystem's unit tests are in `tag_dispatch.rs`.
+    #[test]
+    fn long_segments_trim_inner_history_to_the_outer_window() {
+        // A segment much longer than the rollback window must not retain one
+        // history entry per byte for its whole lifetime.
+        let tag = StructuralTag::new(vec![TagSpec {
+            begin: "<n>".into(),
+            content: TagContent::Ebnf {
+                text: "root ::= [0-9]+".into(),
+                root: "root".into(),
+            },
+            end: "</n>".into(),
+        }]);
+        let compiler = GrammarCompiler::new(Arc::new(test_vocabulary(800)));
+        let compiled = compiler.compile_tag_dispatch(&tag).unwrap();
+        let mut matcher = StructuralTagMatcher::with_max_rollback(compiled, 4);
+        matcher.accept_bytes(b"<n>").unwrap();
+        for _ in 0..200 {
+            matcher.accept_bytes(b"7").unwrap();
+        }
+        let inner_window = matcher.segments[0]
+            .matcher
+            .as_ref()
+            .unwrap()
+            .rollback_window();
+        assert!(
+            inner_window <= 4,
+            "inner history must be bounded by the outer window, got {inner_window}"
+        );
+        // Rollback across the retained window still works exactly.
+        matcher.rollback(4).unwrap();
+        matcher.accept_bytes(b"12</n>").unwrap();
+        assert!(matcher.can_terminate());
+    }
+}

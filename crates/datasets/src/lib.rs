@@ -23,15 +23,12 @@
 //!   known-valid and known-invalid instances,
 //! * [`pathological_corpus`] — defective grammars with known lint verdicts,
 //!   ground truth for the `grammar_lint` experiment and the static-analysis
-//!   pass,
-//! * [`training_corpus`] — mixed text used to train the BPE tokenizer
-//!   substitute.
+//!   pass.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod agent_sessions;
-mod corpus;
 mod json_tasks;
 mod pathological_corpus;
 mod python_tasks;
@@ -43,7 +40,6 @@ pub use agent_sessions::{
     agent_catalog, agent_sessions, agent_tag_spec, agent_tool, overlapping_catalogs, AgentSession,
     AgentTurn,
 };
-pub use corpus::training_corpus;
 pub use json_tasks::{json_documents, json_mode_eval_like, FunctionCallTask};
 pub use pathological_corpus::{
     builder_rejections, pathological_corpus, BuilderRejection, PathologicalCase,

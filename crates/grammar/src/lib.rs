@@ -61,5 +61,5 @@ pub use json_schema::{
 };
 pub use pattern::regex_pattern_to_expr;
 pub use structural_tag::{
-    append_free_text_tail, DispatchDelta, SegmentExitPolicy, StructuralTag, TagContent, TagSpec,
+    append_free_text_tail, DispatchDelta, StructuralTag, TagContent, TagSpec,
 };

@@ -88,26 +88,6 @@ pub struct TagSpec {
     pub end: String,
 }
 
-/// When a tagged segment hands decoding back to free text.
-///
-/// The distinction only matters for tags whose combined grammar has more
-/// than one point where it could end — e.g. an empty end string over
-/// repeating content (`[0-9]+`), or an end tag that is itself a valid
-/// continuation of the content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SegmentExitPolicy {
-    /// Close the segment at the *first* byte where the combined grammar can
-    /// terminate (shortest match). The historical behavior.
-    #[default]
-    Eager,
-    /// Keep the segment open while its grammar can still consume the next
-    /// byte, closing at the *last* reachable termination point instead
-    /// (longest match, possessive): the segment exits only when a byte
-    /// contradicts the grammar, falling back to the most recent point where
-    /// it could have ended.
-    Greedy,
-}
-
 /// A structural-tag description: free text interleaved with tagged,
 /// grammar-constrained segments, dispatched on trigger strings.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,8 +97,6 @@ pub struct StructuralTag {
     /// Trigger strings scanned for in the free text. Empty means "use the
     /// begin strings of `tags`" (deduplicated).
     pub triggers: Vec<String>,
-    /// How tagged segments hand decoding back to free text.
-    pub exit: SegmentExitPolicy,
 }
 
 impl StructuralTag {
@@ -127,7 +105,6 @@ impl StructuralTag {
         StructuralTag {
             tags,
             triggers: Vec::new(),
-            exit: SegmentExitPolicy::default(),
         }
     }
 
@@ -135,18 +112,7 @@ impl StructuralTag {
     /// begin strings it dispatches for, e.g. one `"<function="` trigger
     /// covering many `<function=NAME>` tags).
     pub fn with_triggers(tags: Vec<TagSpec>, triggers: Vec<String>) -> Self {
-        StructuralTag {
-            tags,
-            triggers,
-            exit: SegmentExitPolicy::default(),
-        }
-    }
-
-    /// Sets how tagged segments hand decoding back to free text.
-    #[must_use]
-    pub fn with_segment_exit(mut self, exit: SegmentExitPolicy) -> Self {
-        self.exit = exit;
-        self
+        StructuralTag { tags, triggers }
     }
 
     /// The effective trigger list: the explicit triggers, or the deduplicated
@@ -304,8 +270,7 @@ impl StructuralTag {
     }
 
     /// Applies a [`DispatchDelta`], returning the mutated registry. The
-    /// receiver is unchanged; triggers, exit policy and untouched tags carry
-    /// over.
+    /// receiver is unchanged; triggers and untouched tags carry over.
     ///
     /// # Errors
     ///
@@ -626,7 +591,7 @@ mod tests {
         assert_eq!(grown.tags.len(), 3);
         assert_eq!(grown.effective_triggers().len(), 3);
         // Untouched fields carry over.
-        assert_eq!(grown.exit, base.exit);
+        assert_eq!(grown.triggers, base.triggers);
         assert_eq!(grown.tags[0], base.tags[0]);
 
         let shrunk = grown

@@ -4,8 +4,6 @@
 //! automaton; this crate provides those byte strings:
 //!
 //! * [`Vocabulary`] — the token table (byte strings + special tokens),
-//! * [`BpeModel`] — a from-scratch byte-level BPE trainer/encoder for
-//!   corpus-driven vocabularies,
 //! * [`synthetic_vocabulary`] — deterministic generation of large,
 //!   realistic vocabularies (standing in for the Llama-3.1 tokenizer, which
 //!   cannot be redistributed here),
@@ -25,12 +23,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod bpe;
 mod sorted;
 mod synthetic;
 mod vocab;
 
-pub use bpe::{BpeModel, BpeTrainConfig};
 pub use sorted::SortedVocabulary;
 pub use synthetic::{synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig};
 pub use vocab::{SpecialToken, TokenId, Vocabulary};

@@ -123,18 +123,10 @@ impl Vocabulary {
         self.specials.iter().any(|(i, _)| *i == id.0)
     }
 
-    /// Iterates over the registered special tokens, in registration order
-    /// (the allocation-free form of [`special_ids`](Self::special_ids)).
+    /// Iterates over the registered special tokens, in registration order,
+    /// without allocating.
     pub fn special_tokens(&self) -> impl Iterator<Item = TokenId> + '_ {
         self.specials.iter().map(|(i, _)| TokenId(*i))
-    }
-
-    /// Returns the ids of all registered special tokens.
-    pub fn special_ids(&self) -> Vec<TokenId> {
-        let mut ids: Vec<TokenId> = self.specials.iter().map(|(i, _)| TokenId(*i)).collect();
-        ids.sort();
-        ids.dedup();
-        ids
     }
 
     /// Iterates over `(TokenId, bytes)` pairs.

@@ -9,7 +9,7 @@
 //!   built-in grammars (`xg-grammar`),
 //! * [`automata`] — byte-level FSA/PDA construction and optimizations
 //!   (`xg-automata`),
-//! * [`tokenizer`] — vocabularies, BPE training, synthetic vocabularies
+//! * [`tokenizer`] — vocabularies, synthetic vocabularies
 //!   (`xg-tokenizer`),
 //! * [`engine`] — the serving layer: [`engine::ServingEngine`] with
 //!   overlapped execution, mixed-constraint lanes and engine-level
@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use xgrammar::{GrammarCompiler, GrammarMatcher, TokenBitmask};
+//! use xgrammar::{ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 //!
 //! let vocab = Arc::new(xgrammar::tokenizer::test_vocabulary(1000));
 //! let compiler = GrammarCompiler::new(Arc::clone(&vocab));
@@ -70,8 +70,8 @@ pub use xg_core::{
 pub use xg_grammar::{
     analyze, builtin, json_schema_to_grammar, json_schema_to_grammar_with_options, parse_ebnf,
     regex_pattern_to_expr, ByteClass, Diagnostic, DiagnosticCode, DispatchDelta, Grammar,
-    GrammarAnalysis, GrammarError, GrammarExpr, JsonSchemaOptions, SegmentExitPolicy, Severity,
-    StructuralTag, TagContent, TagSpec, WhitespaceConfig, ANNOTATION_KEYWORDS, SUPPORTED_FORMATS,
+    GrammarAnalysis, GrammarError, GrammarExpr, JsonSchemaOptions, Severity, StructuralTag,
+    TagContent, TagSpec, WhitespaceConfig, ANNOTATION_KEYWORDS, SUPPORTED_FORMATS,
     SUPPORTED_KEYWORDS,
 };
 pub use xg_tokenizer::{TokenId, Vocabulary};
@@ -101,6 +101,7 @@ mod tests {
 
     #[test]
     fn facade_exposes_structural_tags() {
+        use crate::ConstraintMatcher;
         use std::sync::Arc;
         let vocab = Arc::new(crate::tokenizer::test_vocabulary(600));
         let compiler = crate::GrammarCompiler::new(Arc::clone(&vocab));

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use xgrammar::{GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xgrammar::{ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vocab = Arc::new(xgrammar::tokenizer::test_vocabulary(8000));

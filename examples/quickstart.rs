@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use xgrammar::{GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xgrammar::{ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A tokenizer vocabulary. Real integrations read the serving engine's

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use xgrammar::{
-    DispatchMode, GrammarCompiler, StructuralTag, StructuralTagMatcher, TagContent, TagSpec,
-    TokenBitmask,
+    ConstraintMatcher, DispatchMode, GrammarCompiler, StructuralTag, StructuralTagMatcher,
+    TagContent, TagSpec, TokenBitmask,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the other registered tool, the rest of the name needs no sampled
     // tokens (or GPU steps) at all.
     matcher.accept_bytes(b"get")?;
-    let forced = matcher.find_jump_forward_str();
+    let forced = String::from_utf8(matcher.find_jump_forward_string())?;
     println!("jump-forward   : {forced:?} is forced, skipping the GPU for it");
     assert_eq!(forced, "_weather>");
     matcher.accept_bytes(forced.as_bytes())?;

@@ -1,7 +1,7 @@
-//! Allocation gate for the matcher hot path: once a `GrammarMatcher` has seen
-//! a request, replaying it — mask fill, token accept, rollback, termination
-//! check — must not touch the heap at all, and a jump-forward probe may
-//! allocate nothing but the bytes it returns.
+//! Allocation gate for the matcher hot path: once a `GrammarMatcher` or a
+//! `StructuralTagMatcher` has seen a request, replaying it — mask fill, token
+//! accept, rollback, termination check — must not touch the heap at all, and
+//! a jump-forward probe may allocate nothing but the bytes it returns.
 //!
 //! This file is its own test binary so that the counting `#[global_allocator]`
 //! wraps nothing else, and it holds a single `#[test]` that counts only while
@@ -12,7 +12,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use xg_core::{CompiledGrammar, GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xg_core::{
+    ConstraintMatcher, GrammarCompiler, GrammarMatcher, StructuralTagMatcher, TokenBitmask,
+};
 use xg_tokenizer::{test_vocabulary, TokenId};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -70,7 +72,7 @@ fn counted() -> (u64, u64) {
 /// and returns how many of those probes found nothing forced — each of which
 /// must have left the heap alone.
 fn decode(
-    matcher: &mut GrammarMatcher,
+    matcher: &mut dyn ConstraintMatcher,
     mask: &mut TokenBitmask,
     tokens: &[TokenId],
     probe_jump_forward: bool,
@@ -102,32 +104,36 @@ fn decode(
     unforced_probes
 }
 
-/// Warm pass, `reset()`, then the same pass again with the counter armed.
-/// Returns the largest number of parallel stacks a mask was filled from.
-fn assert_second_pass_is_allocation_free(
+/// `warm_passes` passes over `document`, a `reset()` after each, then the
+/// same pass again with the counter armed. The matcher is left at the end of
+/// the counted pass, its statistics those of that pass alone.
+fn assert_steady_state_is_allocation_free(
     label: &str,
-    compiled: Arc<CompiledGrammar>,
+    compiler: &GrammarCompiler,
+    matcher: &mut dyn ConstraintMatcher,
     document: &[u8],
+    warm_passes: usize,
     probe_jump_forward: bool,
-) -> u64 {
-    let vocab = Arc::clone(compiled.vocabulary());
-    let (tokens, covered) = compiled
+) {
+    let vocab = compiler.vocabulary();
+    let (tokens, covered) = compiler
         .sorted_vocabulary()
-        .longest_prefix_cover(&vocab, document);
+        .longest_prefix_cover(vocab, document);
     assert_eq!(covered, document.len(), "{label}: document tokenizes");
     assert!(
         tokens.len() >= 32,
         "{label}: long enough to roll back twice"
     );
 
-    let mut matcher = GrammarMatcher::new(compiled);
     let mut mask = TokenBitmask::new_all_rejected(vocab.len());
-    decode(&mut matcher, &mut mask, &tokens, probe_jump_forward);
-    matcher.reset();
+    for _ in 0..warm_passes {
+        decode(matcher, &mut mask, &tokens, probe_jump_forward);
+        matcher.reset();
+    }
 
     let before = counted();
     ARMED.with(|armed| armed.set(true));
-    let unforced_probes = decode(&mut matcher, &mut mask, &tokens, probe_jump_forward);
+    let unforced_probes = decode(matcher, &mut mask, &tokens, probe_jump_forward);
     ARMED.with(|armed| armed.set(false));
     let after = counted();
 
@@ -143,7 +149,6 @@ fn assert_second_pass_is_allocation_free(
             tokens.len()
         );
     }
-    matcher.stats().max_stacks
 }
 
 #[test]
@@ -157,12 +162,15 @@ fn steady_state_decode_does_not_allocate() {
         .map(|task| task.reference)
         .max_by_key(Vec::len)
         .expect("twelve documents");
-    let stacks = assert_second_pass_is_allocation_free("xml", Arc::clone(&xml), &xml_doc, false);
+    let mut matcher = GrammarMatcher::new(Arc::clone(&xml));
+    assert_steady_state_is_allocation_free("xml", &compiler, &mut matcher, &xml_doc, 1, false);
     assert!(
-        stacks >= 2,
+        matcher.stats().max_stacks >= 2,
         "the XML document exercises the multi-stack merge"
     );
-    assert_second_pass_is_allocation_free("xml + jump-forward", xml, &xml_doc, true);
+    let mut matcher = GrammarMatcher::new(xml);
+    let label = "xml + jump-forward";
+    assert_steady_state_is_allocation_free(label, &compiler, &mut matcher, &xml_doc, 1, true);
 
     let task = xg_datasets::json_mode_eval_like(5, 11)
         .into_iter()
@@ -171,5 +179,40 @@ fn steady_state_decode_does_not_allocate() {
     let schema = compiler
         .compile_json_schema(&task.schema)
         .expect("dataset schema compiles");
-    assert_second_pass_is_allocation_free("json schema", schema, &task.reference, false);
+    let mut matcher = GrammarMatcher::new(schema);
+    let document = &task.reference;
+    assert_steady_state_is_allocation_free(
+        "json schema",
+        &compiler,
+        &mut matcher,
+        document,
+        1,
+        false,
+    );
+
+    // The tag lane: prose, two tool calls, prose. Two warm passes, because
+    // the per-trigger pools hand the second pass's segments the first pass's
+    // inner matchers in another order, and one of them then meets its first
+    // multi-stack fill.
+    let task = xg_datasets::tool_call_tasks(12, 11)
+        .into_iter()
+        .max_by_key(|task| task.reference.len())
+        .expect("twelve transcripts");
+    let dispatch = compiler
+        .compile_tag_dispatch(&task.structural_tag())
+        .expect("dataset registry compiles");
+    let mut matcher = StructuralTagMatcher::new(dispatch);
+    let document = &task.reference;
+    assert_steady_state_is_allocation_free(
+        "tool calls",
+        &compiler,
+        &mut matcher,
+        document,
+        2,
+        false,
+    );
+    assert!(
+        matcher.stats().tags_opened >= 2,
+        "the transcript opens two tagged segments"
+    );
 }

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use xg_core::{
-    CacheBudget, CompiledGrammar, CompilerConfig, GrammarCache, GrammarCacheKey, GrammarCompiler,
-    GrammarMatcher, TokenBitmask,
+    CacheBudget, CompiledGrammar, CompilerConfig, ConstraintMatcher, GrammarCache, GrammarCacheKey,
+    GrammarCompiler, GrammarMatcher, TokenBitmask,
 };
 use xg_tokenizer::{test_vocabulary, SortedVocabulary};
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use xg_baselines::{ConstrainedBackend, NaivePdaBackend, XGrammarBackend};
-use xg_core::{CompilerConfig, GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xg_core::{CompilerConfig, ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 use xg_tokenizer::{test_vocabulary, Vocabulary};
 
 fn vocab() -> Arc<Vocabulary> {
@@ -185,25 +185,4 @@ fn rollback_supports_tree_structured_exploration() {
     matcher.accept_token(token(b"2")).unwrap();
     matcher.accept_token(token(b"]")).unwrap();
     assert!(matcher.can_terminate());
-}
-
-#[test]
-fn tokenizer_bpe_vocabulary_works_with_the_core_engine() {
-    // Train a small BPE vocabulary on the synthetic corpus and run the whole
-    // pipeline on top of it (tokenizer substrate → core engine).
-    let corpus = xg_datasets::training_corpus(60_000, 3);
-    let model = xg_tokenizer::BpeModel::train(
-        &corpus,
-        &xg_tokenizer::BpeTrainConfig {
-            vocab_size: 1200,
-            min_pair_frequency: 2,
-        },
-    );
-    let vocab = Arc::new(model.vocabulary());
-    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-    let compiled = compiler.compile_builtin_json();
-    let mut matcher = GrammarMatcher::new(compiled);
-    let reference = br#"{"name": "alice", "age": 30}"#;
-    let out = drive_reference(&vocab, &mut matcher, reference);
-    assert_eq!(out, reference);
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xg_core::{CompilerConfig, GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xg_core::{CompilerConfig, ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 use xg_tokenizer::{test_vocabulary, TokenId};
 
 /// Vocabulary sizes straddling word boundaries: one below, on, and above a

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xg_automata::{build_pda, PdaBuildOptions, SimpleMatcher};
-use xg_core::{GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xg_core::{ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 use xg_tokenizer::{test_vocabulary, TokenId};
 
 /// A small pool of grammars with different shapes (flat, recursive,

@@ -5,9 +5,12 @@
 
 use std::sync::Arc;
 
-use xg_core::{DispatchMode, GrammarCompiler, GrammarMatcher, StructuralTagMatcher, TokenBitmask};
+use xg_core::{
+    ConstraintMatcher, DispatchMode, GrammarCompiler, GrammarMatcher, StructuralTagMatcher,
+    TokenBitmask,
+};
 use xg_datasets::tool_call_tasks;
-use xg_grammar::{SegmentExitPolicy, StructuralTag, TagContent, TagSpec};
+use xg_grammar::{StructuralTag, TagContent, TagSpec};
 use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};
 
 fn token_for(vocab: &Vocabulary, bytes: &[u8]) -> TokenId {
@@ -360,209 +363,92 @@ fn rollback_across_jump_forward_in_tagged_segments() {
     assert_eq!(matcher.stats().tags_closed, 1);
 }
 
-/// A `<num>`-triggered tag over `[0-9]+` with an empty end string — the
-/// ambiguous-end shape where eager and greedy segment exit genuinely differ.
-fn digits_tag(exit: SegmentExitPolicy) -> StructuralTag {
-    StructuralTag::new(vec![TagSpec {
+/// An empty end string over repeating content (`[0-9]+`) is the shape with
+/// more than one point where the segment could end; the one exit rule closes
+/// it at the first.
+#[test]
+fn an_empty_end_string_closes_at_the_first_terminable_point() {
+    let vocab = Arc::new(test_vocabulary(800));
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+    let tag = StructuralTag::new(vec![TagSpec {
         begin: "<num>".into(),
         content: TagContent::Ebnf {
             text: "root ::= [0-9]+".into(),
             root: "root".into(),
         },
         end: String::new(),
-    }])
-    .with_segment_exit(exit)
-}
-
-/// Greedy segment exit keeps the segment open while its strict grammar can
-/// keep matching (possessive longest match); the eager default closes at the
-/// first point the grammar can terminate.
-#[test]
-fn greedy_segment_exit_takes_the_longest_match() {
-    let vocab = Arc::new(test_vocabulary(800));
-    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-
-    // Eager: `[0-9]+` can end after one digit, so the segment closes there.
-    let eager = compiler
-        .compile_tag_dispatch(&digits_tag(SegmentExitPolicy::Eager))
-        .unwrap();
-    let mut matcher = StructuralTagMatcher::new(eager);
-    matcher.accept_bytes(b"<num>1").unwrap();
+    }]);
+    let mut matcher = StructuralTagMatcher::new(compiler.compile_tag_dispatch(&tag).unwrap());
+    matcher.accept_bytes(b"<num>").unwrap();
+    assert!(matches!(matcher.mode(), DispatchMode::Tagged { .. }));
+    matcher.accept_bytes(b"1").unwrap();
     assert_eq!(
         matcher.mode(),
         DispatchMode::FreeText,
-        "eager exit closes after the first digit"
+        "the segment closes after the first digit"
     );
-
-    // Greedy: the segment swallows every digit and only closes when a
-    // non-digit arrives — which is then reprocessed as free text.
-    let greedy = compiler
-        .compile_tag_dispatch(&digits_tag(SegmentExitPolicy::Greedy))
-        .unwrap();
-    let mut matcher = StructuralTagMatcher::new(greedy);
-    matcher.accept_bytes(b"<num>1").unwrap();
-    assert!(matches!(matcher.mode(), DispatchMode::Tagged { .. }));
-    matcher.accept_bytes(b"23").unwrap();
-    assert!(
-        matches!(matcher.mode(), DispatchMode::Tagged { .. }),
-        "greedy exit keeps matching digits"
-    );
-    matcher.accept_bytes(b" and prose").unwrap();
-    assert_eq!(matcher.mode(), DispatchMode::FreeText);
     assert_eq!(matcher.stats().tags_closed, 1);
+    // Further digits are prose.
+    matcher.accept_bytes(b"23 and prose").unwrap();
+    assert_eq!(matcher.stats().tags_opened, 1);
     assert!(matcher.can_terminate());
 }
 
-/// Greedy mask parity: at every in-tag step, every token the mask admits is
-/// actually acceptable (accept then roll back), EOS admission agrees with
-/// `can_terminate`, and at terminable points the mask equals the free-text
-/// mask (the union of continue-the-segment and exit-to-prose outcomes).
+/// The mask is exactly the accept set, in free text and inside segments: at
+/// every byte of real tool-call transcripts, a non-special token is admitted
+/// by the mask if and only if `accept_token` takes it, and EOS is admitted if
+/// and only if the matcher can terminate.
 #[test]
-fn greedy_masks_are_sound_and_free_like_at_exit_points() {
+fn tag_masks_are_exactly_the_accept_set() {
     let vocab = Arc::new(test_vocabulary(800));
     let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-    let compiled = compiler
-        .compile_tag_dispatch(&digits_tag(SegmentExitPolicy::Greedy))
-        .unwrap();
-    let mut matcher = StructuralTagMatcher::new(compiled);
-    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
     let eos = vocab.eos().unwrap();
-    let mut exit_steps = 0usize;
-    let mut strict_steps = 0usize;
+    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+    let (mut free_steps, mut tag_steps, mut segments) = (0usize, 0usize, 0u64);
 
-    for (pos, &b) in b"see <num>2718 tail".iter().enumerate() {
-        if matches!(matcher.mode(), DispatchMode::Tagged { .. }) {
+    for (i, task) in tool_call_tasks(4, 0xD15).iter().enumerate() {
+        let compiled = compiler
+            .compile_tag_dispatch(&task.structural_tag())
+            .expect("tags compile");
+        let mut matcher = StructuralTagMatcher::new(compiled);
+        for (pos, &b) in task.reference.iter().enumerate() {
+            match matcher.mode() {
+                DispatchMode::FreeText => free_steps += 1,
+                DispatchMode::Tagged { .. } => tag_steps += 1,
+            }
             matcher.fill_next_token_bitmask(&mut mask);
             assert_eq!(
                 mask.is_allowed(eos),
                 matcher.can_terminate(),
-                "EOS admission must track can_terminate at byte {pos}"
+                "task {i}: EOS admission must track can_terminate at byte {pos}"
             );
-            if matcher.can_terminate() {
-                // Terminable point: the mask is free-text-like — any
-                // non-special token either extends the segment or closes it.
-                exit_steps += 1;
-                for (token, _) in vocab.iter() {
-                    if !vocab.is_special(token) {
-                        assert!(
-                            mask.is_allowed(token),
-                            "terminable greedy state must admit token {token:?}"
-                        );
-                    }
-                }
-            } else {
-                strict_steps += 1;
-            }
-            // Soundness either way: whatever the mask admits must be
-            // acceptable. (The converse is deliberately untested: away from
-            // terminable points the strict mask is conservative.)
-            for (token, _) in vocab.iter() {
-                if vocab.is_special(token) && token != eos {
+            for (token, bytes) in vocab.iter() {
+                if vocab.is_special(token) {
                     continue;
                 }
-                if mask.is_allowed(token) {
-                    matcher
-                        .accept_token(token)
-                        .unwrap_or_else(|e| panic!("mask admits {token:?} at {pos}: {e}"));
+                let accepted = matcher.accept_token(token).is_ok();
+                if accepted {
                     matcher.rollback(1).unwrap();
                 }
+                assert_eq!(
+                    mask.is_allowed(token),
+                    accepted,
+                    "task {i}: mask and accept_token disagree on {:?} at byte {pos} ({:?})",
+                    String::from_utf8_lossy(bytes),
+                    matcher.mode()
+                );
             }
+            matcher
+                .accept_token(token_for(&vocab, &[b]))
+                .unwrap_or_else(|e| panic!("task {i}: byte {pos} rejected: {e}"));
         }
-        matcher
-            .accept_token(token_for(&vocab, &[b]))
-            .unwrap_or_else(|e| panic!("reference byte {pos} rejected: {e}"));
+        assert!(matcher.can_terminate());
+        // The probes above open and close segments too (the counters are
+        // monotonic across rollbacks), so this is a lower bound.
+        segments += matcher.stats().tags_closed;
     }
-    assert_eq!(matcher.mode(), DispatchMode::FreeText);
-    // Stats counters are monotonic across rollbacks, so the probe tokens
-    // above inflate tags_closed; the clean-pass count is asserted in
-    // `greedy_segment_exit_takes_the_longest_match`.
-    assert!(matcher.stats().tags_closed >= 1);
-    assert!(exit_steps >= 3, "digits 718 are terminable points");
-    assert!(strict_steps >= 1, "the empty segment is not terminable");
-}
-
-/// A greedy match that dies *past* the last terminable point rewinds: the
-/// segment closes at that point and the overhanging bytes replay as prose,
-/// all within a single accept unit.
-#[test]
-fn greedy_overrun_rewinds_to_the_last_exit_point() {
-    let vocab = Arc::new(test_vocabulary(800));
-    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-    let tag = StructuralTag::new(vec![TagSpec {
-        begin: "<t>".into(),
-        content: TagContent::Ebnf {
-            text: r#"root ::= "ab" ("cd")?"#.into(),
-            root: "root".into(),
-        },
-        end: String::new(),
-    }])
-    .with_segment_exit(SegmentExitPolicy::Greedy);
-    let compiled = compiler.compile_tag_dispatch(&tag).unwrap();
-    let mut matcher = StructuralTagMatcher::new(compiled);
-
-    // "ab" is terminable, "abc" hopes for "abcd", and `x` kills that hope:
-    // the segment must rewind and close after "ab", leaving "cx" as prose.
-    matcher.accept_bytes(b"<t>abcx yz").unwrap();
-    assert_eq!(matcher.mode(), DispatchMode::FreeText);
-    assert_eq!(matcher.stats().tags_closed, 1);
-    assert!(matcher.can_terminate());
-}
-
-/// EOS closes a greedy segment sitting on a termination point of its
-/// grammar, and rollback reopens the segment in place.
-#[test]
-fn greedy_segment_closes_on_eos_and_rolls_back() {
-    let vocab = Arc::new(test_vocabulary(800));
-    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-    let compiled = compiler
-        .compile_tag_dispatch(&digits_tag(SegmentExitPolicy::Greedy))
-        .unwrap();
-    let mut matcher = StructuralTagMatcher::new(compiled);
-
-    matcher.accept_bytes(b"<num>42").unwrap();
-    assert!(matches!(matcher.mode(), DispatchMode::Tagged { .. }));
-    assert!(matcher.can_terminate(), "the open segment is terminable");
-
-    matcher.accept_token(vocab.eos().unwrap()).unwrap();
-    assert!(matcher.is_terminated());
-    assert_eq!(matcher.stats().tags_closed, 1, "EOS closed the segment");
-
-    matcher.rollback(1).unwrap();
-    assert!(!matcher.is_terminated());
-    assert!(
-        matches!(matcher.mode(), DispatchMode::Tagged { .. }),
-        "rollback reopens the greedy segment"
-    );
-    matcher.accept_bytes(b"7").unwrap();
-    assert!(matches!(matcher.mode(), DispatchMode::Tagged { .. }));
-}
-
-/// With an explicit end tag the grammar is unambiguous about where a segment
-/// ends, so greedy and eager accept the same transcript with the same
-/// segmentation — greedy merely waits for the next byte to prove the match
-/// cannot be extended.
-#[test]
-fn greedy_with_explicit_end_tag_matches_eager_segmentation() {
-    let vocab = Arc::new(test_vocabulary(800));
-    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-    let spec = TagSpec {
-        begin: "<fn>".into(),
-        content: TagContent::Ebnf {
-            text: r#"root ::= "{" [a-z]+ "}""#.into(),
-            root: "root".into(),
-        },
-        end: "</fn>".into(),
-    };
-
-    for exit in [SegmentExitPolicy::Eager, SegmentExitPolicy::Greedy] {
-        let tag = StructuralTag::new(vec![spec.clone()]).with_segment_exit(exit);
-        let compiled = compiler.compile_tag_dispatch(&tag).unwrap();
-        let mut matcher = StructuralTagMatcher::new(compiled);
-        matcher.accept_bytes(b"go <fn>{abc}</fn> done").unwrap();
-        assert_eq!(matcher.mode(), DispatchMode::FreeText, "{exit:?}");
-        assert_eq!(matcher.stats().tags_closed, 1, "{exit:?}");
-        assert!(matcher.can_terminate(), "{exit:?}");
-    }
+    assert!(free_steps > 100 && tag_steps > 100, "comparison barely ran");
+    assert!(segments >= 4, "expected several tagged segments");
 }
 
 /// Structural-tag compilation funnels sub-grammars through the shared

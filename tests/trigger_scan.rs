@@ -120,7 +120,7 @@ proptest! {
 #[test]
 fn large_catalog_dispatch_agrees_with_naive_scan() {
     use std::sync::Arc;
-    use xg_core::{DispatchMode, GrammarCompiler, StructuralTagMatcher};
+    use xg_core::{ConstraintMatcher, DispatchMode, GrammarCompiler, StructuralTagMatcher};
     use xg_grammar::{StructuralTag, TagContent, TagSpec};
     use xg_tokenizer::test_vocabulary;
 
