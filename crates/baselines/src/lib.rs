@@ -90,7 +90,8 @@ pub trait ConstrainedBackend: Send + Sync + fmt::Debug {
     /// The sorted index of [`vocabulary`](Self::vocabulary), through which
     /// the serving engine re-tokenizes grammar-forced text. A backend that
     /// keeps one for its own compiles hands out that one; the default builds
-    /// a fresh index (an `O(V log V)` sort), so callers keep the result.
+    /// a fresh index (a sort plus a copy of the vocabulary's bytes), so
+    /// callers keep the result.
     fn sorted_vocabulary(&self) -> Arc<SortedVocabulary> {
         Arc::new(SortedVocabulary::new(self.vocabulary()))
     }

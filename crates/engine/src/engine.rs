@@ -242,7 +242,7 @@ impl ServingEngine {
         behavior: LlmBehavior,
     ) -> Self {
         // Fetched here, outside any batch's timed region: with the XGrammar
-        // backend this is the O(V log V) sort its first compile would
+        // backend this is the vocabulary sort its first compile would
         // otherwise pay.
         let sorted_vocab = backend.sorted_vocabulary();
         let llm = SimulatedLlm::with_sorted(

@@ -8,7 +8,8 @@
 //!   realistic vocabularies (standing in for the Llama-3.1 tokenizer, which
 //!   cannot be redistributed here),
 //! * [`SortedVocabulary`] — lexicographically sorted index with shared-prefix
-//!   statistics, used by the mask-cache preprocessing of `xg-core`.
+//!   statistics and the sorted tokens' bytes in one arena, used by the
+//!   mask-cache preprocessing of `xg-core`.
 //!
 //! # Examples
 //!
@@ -27,6 +28,6 @@ mod sorted;
 mod synthetic;
 mod vocab;
 
-pub use sorted::SortedVocabulary;
+pub use sorted::{common_prefix_len, SortedVocabulary};
 pub use synthetic::{synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig};
 pub use vocab::{SpecialToken, TokenId, Vocabulary};

@@ -8,10 +8,22 @@
 //! ordering and the prefix lengths, and exposes the "fraction of characters
 //! that still need checking" statistic the paper reports (≈30 % for the
 //! Llama-3.1 vocabulary).
+//!
+//! Everything that walks the vocabulary in this order reads the sorted
+//! tokens' bytes from one arena: `bytes` holds them back to back and token
+//! `i` is `bytes[offsets[i]..offsets[i + 1]]`, so a walk over the order is a
+//! walk front to back through memory rather than a load through a scattered
+//! id per token. The order is byte order with ties — equal byte strings —
+//! broken by ascending id; [`SortedVocabulary::longest_prefix_token`]'s
+//! "lowest id first" depends on it.
 
 use crate::vocab::{TokenId, Vocabulary};
 
 /// A sorted token index with longest-common-prefix information.
+///
+/// Besides the ids it holds the sorted tokens' bytes (≈ 1.9 MB of arena at
+/// 128k tokens), so build one per vocabulary and share it: a
+/// `GrammarCompiler` holds one `Arc` of it for every grammar it compiles.
 #[derive(Debug, Clone)]
 pub struct SortedVocabulary {
     /// Token ids in lexicographic byte order (special tokens excluded).
@@ -19,18 +31,50 @@ pub struct SortedVocabulary {
     /// `lcp[i]` = length of the longest common prefix between token `ids[i]`
     /// and token `ids[i - 1]` (0 for the first token).
     lcp: Vec<usize>,
-    /// Total bytes across the sorted tokens.
-    total_bytes: usize,
+    /// The sorted tokens' bytes, back to back.
+    bytes: Vec<u8>,
+    /// Token `i` is `bytes[offsets[i]..offsets[i + 1]]`; one entry more than
+    /// `ids`.
+    offsets: Vec<u32>,
     /// Length of the longest indexed token, bounding prefix lookups.
     max_token_len: usize,
 }
 
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+/// Longest common prefix length of two byte strings.
+pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
+}
+
+/// The first 8 bytes of `bytes`, zero-padded, as a big-endian integer: keys
+/// compare like the byte strings they come from, except that strings whose
+/// first 8 bytes agree, or differ only by trailing zeros (`ab`, `ab\0`), tie.
+fn sort_key(bytes: &[u8]) -> u64 {
+    let mut key = [0u8; 8];
+    let n = bytes.len().min(8);
+    key[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(key)
+}
+
+/// The first index in `lo..hi` at which `pred` is false, `pred` being true
+/// on a prefix of the range.
+fn partition_point(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 impl SortedVocabulary {
     /// Builds the sorted index for a vocabulary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vocabulary's tokens hold more than `u32::MAX` bytes.
     ///
     /// # Examples
     ///
@@ -43,26 +87,53 @@ impl SortedVocabulary {
     /// // "reader" and "ready" share the prefix "read"/"reade" with their
     /// // predecessors, so most characters are skipped.
     /// assert!(sorted.chars_to_check() < sorted.total_bytes());
+    /// assert_eq!(sorted.token(2), b"ready");
     /// ```
     pub fn new(vocab: &Vocabulary) -> Self {
-        let ids = vocab.sorted_token_ids();
-        let mut lcp = Vec::with_capacity(ids.len());
-        let mut total_bytes = 0;
-        let mut max_token_len = 0;
-        for (i, id) in ids.iter().enumerate() {
-            let bytes = vocab.token_bytes(*id);
-            total_bytes += bytes.len();
-            max_token_len = max_token_len.max(bytes.len());
-            if i == 0 {
-                lcp.push(0);
-            } else {
-                lcp.push(common_prefix_len(bytes, vocab.token_bytes(ids[i - 1])));
+        // One pass in id order copies the text into a scratch arena, so
+        // that the passes in sorted order read it from there and not from
+        // one heap allocation per token.
+        let (mut text, mut at) = (Vec::new(), Vec::with_capacity(vocab.len() + 1));
+        let mut keyed = Vec::with_capacity(vocab.len());
+        at.push(0);
+        for (id, token) in vocab.iter() {
+            text.extend_from_slice(token);
+            at.push(text.len());
+            if !vocab.is_special(id) {
+                keyed.push((sort_key(token), id));
             }
         }
+        let text_of = |id: TokenId| &text[at[id.index()]..at[id.index() + 1]];
+
+        // Sort by an integer key, which needs no load per comparison, then
+        // settle the runs of equal keys by their full bytes: those are the
+        // only tokens the key does not already order.
+        keyed.sort_unstable();
+        for run in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() > 1 {
+                run.sort_unstable_by(|a, b| (text_of(a.1), a.1).cmp(&(text_of(b.1), b.1)));
+            }
+        }
+
+        let mut bytes = Vec::with_capacity(text.len());
+        let mut offsets = Vec::with_capacity(keyed.len() + 1);
+        offsets.push(0);
+        let mut lcp = Vec::with_capacity(keyed.len());
+        let mut max_token_len = 0;
+        let mut previous = 0;
+        for &(_, id) in &keyed {
+            let start = bytes.len();
+            bytes.extend_from_slice(text_of(id));
+            lcp.push(common_prefix_len(&bytes[previous..start], &bytes[start..]));
+            max_token_len = max_token_len.max(bytes.len() - start);
+            offsets.push(u32::try_from(bytes.len()).expect("vocabulary text under 4 GiB"));
+            previous = start;
+        }
         SortedVocabulary {
-            ids,
+            ids: keyed.into_iter().map(|(_, id)| id).collect(),
             lcp,
-            total_bytes,
+            bytes,
+            offsets,
             max_token_len,
         }
     }
@@ -70,6 +141,16 @@ impl SortedVocabulary {
     /// Sorted token ids.
     pub fn ids(&self) -> &[TokenId] {
         &self.ids
+    }
+
+    /// The bytes of the `i`-th token in sorted order (of `ids()[i]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    pub fn token(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Longest-common-prefix lengths (`lcp()[i]` refers to `ids()[i]` and its
@@ -90,23 +171,23 @@ impl SortedVocabulary {
 
     /// Total number of bytes across all indexed tokens.
     pub fn total_bytes(&self) -> usize {
-        self.total_bytes
+        self.bytes.len()
     }
 
     /// Number of bytes that actually need to be matched when tokens are
     /// checked in sorted order with prefix-sharing rollback: for each token,
     /// only the bytes after the common prefix with its predecessor.
     pub fn chars_to_check(&self) -> usize {
-        self.total_bytes - self.lcp.iter().sum::<usize>()
+        self.total_bytes() - self.lcp.iter().sum::<usize>()
     }
 
     /// Fraction of characters that still need checking
     /// (`chars_to_check / total_bytes`), the statistic reported in §3.3.
     pub fn check_fraction(&self) -> f64 {
-        if self.total_bytes == 0 {
+        if self.total_bytes() == 0 {
             return 0.0;
         }
-        self.chars_to_check() as f64 / self.total_bytes as f64
+        self.chars_to_check() as f64 / self.total_bytes() as f64
     }
 
     /// Length of the longest indexed token.
@@ -123,24 +204,20 @@ impl SortedVocabulary {
     /// proposal. One descent: `[lo, hi)` holds the tokens that share
     /// `bytes[..k]` and is narrowed on byte `k`. A token's missing byte `k`
     /// orders before every present one, so the token that *equals*
-    /// `bytes[..=k]` — the lowest id first, the sort being stable — sits at
-    /// the new `lo`. `O(|match| · log |vocab|)` on shrinking ranges.
-    ///
-    /// `vocab` must be the vocabulary this index was built from.
-    pub fn longest_prefix_token(&self, vocab: &Vocabulary, bytes: &[u8]) -> Option<TokenId> {
+    /// `bytes[..=k]` — the lowest id first, ties being sorted by id — sits
+    /// at the new `lo`. `O(|match| · log |vocab|)` on shrinking ranges.
+    pub fn longest_prefix_token(&self, bytes: &[u8]) -> Option<TokenId> {
         let (mut lo, mut hi) = (0, self.ids.len());
         let mut best = None;
         for (k, &byte) in bytes.iter().enumerate().take(self.max_token_len) {
-            let range = &self.ids[lo..hi];
-            let at = |id: &TokenId| vocab.token_bytes(*id).get(k).copied();
-            let start = range.partition_point(|id| at(id) < Some(byte));
-            let len = range[start..].partition_point(|id| at(id) == Some(byte));
-            if len == 0 {
+            let at = |j: usize| self.token(j).get(k).copied();
+            let start = partition_point(lo, hi, |j| at(j) < Some(byte));
+            let end = partition_point(start, hi, |j| at(j) == Some(byte));
+            if start == end {
                 break;
             }
-            lo += start;
-            hi = lo + len;
-            if vocab.token_bytes(self.ids[lo]).len() == k + 1 {
+            (lo, hi) = (start, end);
+            if self.token(lo).len() == k + 1 {
                 best = Some(self.ids[lo]);
             }
         }
@@ -153,6 +230,8 @@ impl SortedVocabulary {
     /// and the number of bytes it tiles; covering stops early at the first
     /// position where no token (not even a one-byte one) matches, so the
     /// returned tokens always concatenate to exactly `bytes[..covered]`.
+    ///
+    /// `vocab` must be the vocabulary this index was built from.
     ///
     /// # Examples
     ///
@@ -174,7 +253,7 @@ impl SortedVocabulary {
         let mut tokens = Vec::new();
         let mut covered = 0;
         while covered < bytes.len() {
-            let Some(token) = self.longest_prefix_token(vocab, &bytes[covered..]) else {
+            let Some(token) = self.longest_prefix_token(&bytes[covered..]) else {
                 break;
             };
             covered += vocab.token_bytes(token).len();
@@ -209,6 +288,32 @@ mod tests {
     }
 
     #[test]
+    fn sorted_ids_are_lexicographic_and_exclude_specials() {
+        let mut vocab = Vocabulary::from_tokens(
+            vec![
+                b"<s>".to_vec(),
+                b"</s>".to_vec(),
+                b"ab".to_vec(),
+                b"a".to_vec(),
+                b"b".to_vec(),
+                b" the".to_vec(),
+            ],
+            Some(1),
+        );
+        vocab.add_special(TokenId(0), crate::SpecialToken::Bos);
+        let sorted = SortedVocabulary::new(&vocab);
+        assert_eq!(sorted.len(), 4);
+        let bytes: Vec<&[u8]> = sorted
+            .ids()
+            .iter()
+            .map(|id| vocab.token_bytes(*id))
+            .collect();
+        let mut expected = bytes.clone();
+        expected.sort();
+        assert_eq!(bytes, expected);
+    }
+
+    #[test]
     fn check_fraction_is_below_one_for_prefix_heavy_vocab() {
         let tokens: Vec<Vec<u8>> = (0..100)
             .map(|i| format!("common_prefix_{i:03}").into_bytes())
@@ -226,7 +331,7 @@ mod tests {
         assert!(sorted.is_empty());
         assert_eq!(sorted.check_fraction(), 0.0);
         assert_eq!(sorted.max_token_len(), 0);
-        assert_eq!(sorted.longest_prefix_token(&vocab, b"abc"), None);
+        assert_eq!(sorted.longest_prefix_token(b"abc"), None);
     }
 
     #[test]
@@ -245,7 +350,7 @@ mod tests {
         let sorted = SortedVocabulary::new(&vocab);
         let longest = |bytes: &[u8]| {
             sorted
-                .longest_prefix_token(&vocab, bytes)
+                .longest_prefix_token(bytes)
                 .map(|t| vocab.token_bytes(t).to_vec())
         };
         assert_eq!(longest(b"readers"), Some(b"reader".to_vec()));
@@ -304,6 +409,17 @@ mod tests {
         }
     }
 
+    /// The comparator sort the index was built with before the key sort: a
+    /// stable sort of the non-special ids by their bytes.
+    fn sorted_token_ids(vocab: &Vocabulary) -> Vec<TokenId> {
+        let mut ids: Vec<TokenId> = (0..vocab.len() as u32)
+            .map(TokenId)
+            .filter(|id| !vocab.is_special(*id))
+            .collect();
+        ids.sort_by(|a, b| vocab.token_bytes(*a).cmp(vocab.token_bytes(*b)));
+        ids
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
@@ -336,7 +452,52 @@ mod tests {
                     expected = Some(id);
                 }
             }
-            proptest::prop_assert_eq!(sorted.longest_prefix_token(&vocab, &input), expected);
+            proptest::prop_assert_eq!(sorted.longest_prefix_token(&input), expected);
+        }
+
+        /// The key sort against the stable comparator sort, where an 8-byte
+        /// key can get it wrong: `0x00` in the alphabet makes `ab`, `ab\0`
+        /// and `ab\0\0` tie on the zero-padded key, `long` puts an 8-byte
+        /// prefix in front of some tokens so that longer ones share their
+        /// whole key, and short tokens over four bytes collide, the empty
+        /// one included — often enough that a run of equal keys outgrows the
+        /// small-slice sort, which is stable whatever the comparator says
+        /// about ids. Every arena-derived quantity is recomputed from the
+        /// vocabulary.
+        #[test]
+        fn sorted_index_is_the_stable_byte_order(
+            tokens in proptest::collection::vec(
+                proptest::collection::vec(proptest::sample::select(b"ab\0\xff".to_vec()), 0..4),
+                0..128,
+            ),
+            long in proptest::collection::vec(0usize..128, 0..32),
+            specials in proptest::collection::vec(0usize..128, 0..4),
+        ) {
+            let mut tokens = tokens;
+            for index in long {
+                if let Some(token) = tokens.get_mut(index) {
+                    token.splice(0..0, *b"ab\0ab\0ab");
+                }
+            }
+            let mut vocab = Vocabulary::from_tokens(tokens.clone(), None);
+            for index in specials {
+                if index < tokens.len() {
+                    vocab.add_special(TokenId(index as u32), crate::SpecialToken::Pad);
+                }
+            }
+            let sorted = SortedVocabulary::new(&vocab);
+            let ids = sorted_token_ids(&vocab);
+            proptest::prop_assert_eq!(sorted.ids(), &ids[..]);
+            let bytes = |i: usize| vocab.token_bytes(ids[i]);
+            for i in 0..ids.len() {
+                proptest::prop_assert_eq!(sorted.token(i), bytes(i));
+                let lcp = if i == 0 { 0 } else { common_prefix_len(bytes(i - 1), bytes(i)) };
+                proptest::prop_assert_eq!(sorted.lcp()[i], lcp);
+            }
+            proptest::prop_assert_eq!(sorted.lcp().len(), ids.len());
+            let lens = (0..ids.len()).map(|i| bytes(i).len());
+            proptest::prop_assert_eq!(sorted.total_bytes(), lens.clone().sum::<usize>());
+            proptest::prop_assert_eq!(sorted.max_token_len(), lens.max().unwrap_or(0));
         }
     }
 }

@@ -155,19 +155,6 @@ impl Vocabulary {
         String::from_utf8_lossy(&self.decode(ids)).into_owned()
     }
 
-    /// Returns token ids sorted lexicographically by their byte strings
-    /// (special tokens excluded). This ordering maximizes shared prefixes
-    /// between adjacent tokens, which the persistent execution stack exploits
-    /// during preprocessing (paper §3.3).
-    pub fn sorted_token_ids(&self) -> Vec<TokenId> {
-        let mut ids: Vec<TokenId> = (0..self.tokens.len() as u32)
-            .map(TokenId)
-            .filter(|id| !self.is_special(*id))
-            .collect();
-        ids.sort_by(|a, b| self.token_bytes(*a).cmp(self.token_bytes(*b)));
-        ids
-    }
-
     /// A stable 64-bit fingerprint of the vocabulary: every token byte
     /// string, the special-token registrations and the EOS id all contribute.
     /// Two vocabularies with the same fingerprint are interchangeable for the
@@ -227,17 +214,6 @@ mod tests {
         let text = v.decode(&[TokenId(0), TokenId(3), TokenId(4), TokenId(1)]);
         assert_eq!(text, b"ab");
         assert_eq!(v.decode_lossy(&[TokenId(2)]), "ab");
-    }
-
-    #[test]
-    fn sorted_ids_are_lexicographic_and_exclude_specials() {
-        let v = sample();
-        let sorted = v.sorted_token_ids();
-        assert_eq!(sorted.len(), 4);
-        let bytes: Vec<&[u8]> = sorted.iter().map(|id| v.token_bytes(*id)).collect();
-        let mut expected = bytes.clone();
-        expected.sort();
-        assert_eq!(bytes, expected);
     }
 
     #[test]
