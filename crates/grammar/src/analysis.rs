@@ -85,10 +85,6 @@ pub enum DiagnosticCode {
     UnsatisfiableGrammar,
     /// A character or byte class matches no character/byte at all.
     EmptyClass,
-    /// An explicit choice with zero alternatives (matches nothing).
-    EmptyChoice,
-    /// A repetition whose minimum exceeds its maximum can never be satisfied.
-    InvalidRepetition,
     /// An unbounded repetition over a nullable body: a derivation can loop
     /// forever without consuming input.
     NullableRepetition,
@@ -110,8 +106,6 @@ impl DiagnosticCode {
             DiagnosticCode::UnproductiveRule => "unproductive-rule",
             DiagnosticCode::UnsatisfiableGrammar => "unsatisfiable-grammar",
             DiagnosticCode::EmptyClass => "empty-class",
-            DiagnosticCode::EmptyChoice => "empty-choice",
-            DiagnosticCode::InvalidRepetition => "invalid-repetition",
             DiagnosticCode::NullableRepetition => "nullable-repetition",
             DiagnosticCode::DeadState => "dead-state",
             DiagnosticCode::DeadTrigger => "dead-trigger",
@@ -123,9 +117,7 @@ impl DiagnosticCode {
         match self {
             DiagnosticCode::UnreachableRule
             | DiagnosticCode::UnproductiveRule
-            | DiagnosticCode::EmptyClass
-            | DiagnosticCode::EmptyChoice
-            | DiagnosticCode::InvalidRepetition => Severity::Warning,
+            | DiagnosticCode::EmptyClass => Severity::Warning,
             DiagnosticCode::UnsatisfiableGrammar
             | DiagnosticCode::NullableRepetition
             | DiagnosticCode::DeadState
@@ -235,18 +227,8 @@ fn expr_productive(expr: &GrammarExpr, productive: &[bool]) -> bool {
         GrammarExpr::ByteClass(bc) => !bc.is_empty(),
         GrammarExpr::RuleRef(id) => productive.get(id.index()).copied().unwrap_or(false),
         GrammarExpr::Sequence(items) => items.iter().all(|e| expr_productive(e, productive)),
-        // `GrammarExpr::choice` collapses zero alternatives to `Empty`, so an
-        // empty `Choice` only arises from direct construction — and it
-        // matches nothing.
         GrammarExpr::Choice(items) => items.iter().any(|e| expr_productive(e, productive)),
-        GrammarExpr::Repeat { expr, min, max } => {
-            if let Some(max) = max {
-                if min > max {
-                    return false;
-                }
-            }
-            *min == 0 || expr_productive(expr, productive)
-        }
+        GrammarExpr::Repeat { expr, min, .. } => *min == 0 || expr_productive(expr, productive),
     }
 }
 
@@ -274,30 +256,13 @@ fn lint_expr(
                 format!("rule `{rule_name}` contains a byte class that matches no byte"),
             ));
         }
-        GrammarExpr::Choice(items) if items.is_empty() => {
-            out.push(Diagnostic::new(
-                DiagnosticCode::EmptyChoice,
-                Some(rule),
-                format!("rule `{rule_name}` contains a choice with zero alternatives"),
-            ));
-        }
         GrammarExpr::Sequence(items) | GrammarExpr::Choice(items) => {
             for it in items {
                 lint_expr(it, rule, rule_name, nullable, out);
             }
         }
-        GrammarExpr::Repeat { expr, min, max } => {
-            if let Some(max) = max {
-                if min > max {
-                    out.push(Diagnostic::new(
-                        DiagnosticCode::InvalidRepetition,
-                        Some(rule),
-                        format!(
-                            "rule `{rule_name}` contains a repetition with min {min} > max {max}"
-                        ),
-                    ));
-                }
-            } else if expr.is_nullable(nullable) {
+        GrammarExpr::Repeat { expr, max, .. } => {
+            if max.is_none() && expr.is_nullable(nullable) {
                 out.push(Diagnostic::new(
                     DiagnosticCode::NullableRepetition,
                     Some(rule),
@@ -324,14 +289,13 @@ fn lint_expr(
 /// | `unproductive-rule` | warning | reachable rule derives no terminal string |
 /// | `unsatisfiable-grammar` | error | the *root* derives no terminal string |
 /// | `empty-class` | warning | char/byte class matching nothing |
-/// | `empty-choice` | warning | explicit choice with zero alternatives |
-/// | `invalid-repetition` | warning | repetition with `min > max` |
 /// | `nullable-repetition` | error | unbounded repetition over a nullable body |
 ///
-/// Structural findings (`empty-class`, `empty-choice`, `invalid-repetition`,
-/// `nullable-repetition`) are only reported for *reachable* rules: dead code
-/// is already covered by `unreachable-rule`, and its internals cannot affect
-/// decoding.
+/// Structural findings (`empty-class`, `nullable-repetition`) are only
+/// reported for *reachable* rules: dead code is already covered by
+/// `unreachable-rule`, and its internals cannot affect decoding. Repetitions
+/// with `min > max` and choices with zero alternatives never reach it:
+/// [`GrammarBuilder::build`](crate::GrammarBuilder::build) rejects them.
 pub fn analyze(grammar: &Grammar) -> GrammarAnalysis {
     let n = grammar.rules().len();
     let nullable = grammar.nullable_rules();

@@ -10,10 +10,10 @@
 //! no exponent) whose value lies in the range.
 //!
 //! All expressions produced here are rule-free (literals, digit classes,
-//! sequences, choices, repeats only), so they inline cheaply and display
-//! deterministically — which is what makes two schemas differing only in a
-//! bound hash to different [`grammar cache keys`](https://example.invalid)
-//! (the cache hashes the displayed grammar).
+//! sequences, choices, repeats only), so they inline cheaply, and two schemas
+//! differing only in a bound differ in their expressions, hence in
+//! [`Grammar::structural_fingerprint`](crate::Grammar::structural_fingerprint),
+//! which the grammar cache keys on.
 
 use crate::ast::{CharClass, CharRange, GrammarExpr};
 use crate::error::{GrammarError, Result};

@@ -116,10 +116,11 @@ fn write_class(f: &mut fmt::Formatter<'_>, cc: &CharClass) -> fmt::Result {
 }
 
 /// Byte classes render in an ABNF-style `%x` notation (`%x00-ff`,
-/// `%x00-08.0b-ff`), which cannot collide with any character-class rendering —
-/// cache keys hash the displayed grammar, so a byte-level tail must never
-/// print like its character-level sibling. The EBNF parser does not read this
-/// notation back; byte classes are only constructed programmatically.
+/// `%x00-08.0b-ff`), which cannot collide with any character-class rendering,
+/// so a byte-level tail never prints like its character-level sibling. (Cache
+/// keys hash [`Grammar::structural_fingerprint`], which tells the two apart
+/// whatever they print as.) The EBNF parser does not read this notation back;
+/// byte classes are only constructed programmatically.
 fn write_byte_class(f: &mut fmt::Formatter<'_>, bc: &ByteClass) -> fmt::Result {
     write!(f, "%x")?;
     for (i, (lo, hi)) in bc.normalized_ranges().iter().enumerate() {

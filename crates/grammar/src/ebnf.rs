@@ -13,14 +13,17 @@
 //! count  ::= digit{1,3}
 //! ```
 //!
-//! Supported constructs: rule definitions with `::=`, double-quoted literals
-//! with escapes (`\n \r \t \" \\ \xHH \uHHHH`), character classes `[...]` and
-//! negated classes `[^...]` with ranges and the same escapes, grouping
-//! `( ... )`, alternation `|`, repetition postfixes `* + ?` and `{m}`,
-//! `{m,}`, `{m,n}`, and `#` line comments.
+//! Rule definitions `name ::= ...` (a rule starts where an identifier is
+//! followed by `::=`, so the format is newline-insensitive), double-quoted
+//! literals, rule references and `#` line comments are this dialect's own;
+//! alternation, grouping, the postfixes `* + ? {m} {m,} {m,n}`, character
+//! classes and the `\xHH` / `\uHHHH` escapes are read by the shared
+//! [`crate::syntax`] reader. Literals and classes also take the escapes
+//! `\n \r \t \0 \" \\ \] \[ \^ \- \/`.
 
-use crate::ast::{CharClass, CharRange, Grammar, GrammarBuilder, GrammarExpr};
+use crate::ast::{Grammar, GrammarBuilder, GrammarExpr, RuleId};
 use crate::error::{GrammarError, Result};
+use crate::syntax::{Dialect, Pos, Reader};
 
 /// Parses a GBNF-style grammar text, using `root_rule` as the root.
 ///
@@ -41,542 +44,172 @@ use crate::error::{GrammarError, Result};
 /// assert_eq!(grammar.rules().len(), 3);
 /// ```
 pub fn parse_ebnf(text: &str, root_rule: &str) -> Result<Grammar> {
-    let tokens = Lexer::new(text).tokenize()?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        builder: GrammarBuilder::new(),
-        defined: Vec::new(),
-    };
-    parser.parse_grammar()?;
-    // Every referenced rule must have been defined (not just declared).
-    if let Some((name, referenced_from)) = parser.undefined_references() {
-        return Err(GrammarError::UndefinedRule {
-            name,
-            referenced_from,
-        });
-    }
-    let grammar = parser.builder.build(root_rule)?;
+    let grammar = read_rules(text)?.build(root_rule)?;
     grammar.validate()?;
     Ok(grammar)
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Define, // ::=
-    Literal(Vec<u8>),
-    Class(CharClass),
-    Pipe,
-    LParen,
-    RParen,
-    Star,
-    Plus,
-    Question,
-    Repeat { min: u32, max: Option<u32> },
-    NewRule, // implicit separator before "ident ::=" on a new line
+/// Reads the rules of an EBNF text into a builder, each rule id assigned at
+/// its first mention (a reference, or the end of its definition).
+///
+/// # Errors
+///
+/// As [`parse_ebnf`], short of building and validating the grammar.
+pub(crate) fn read_rules(text: &str) -> Result<GrammarBuilder> {
+    let mut r = Reader::new(text, Ebnf::default());
+    loop {
+        Ebnf::skip_trivia(&mut r);
+        if r.peek().is_none() {
+            break;
+        }
+        let name = ident(&mut r).ok_or_else(|| r.error("expected rule name"))?;
+        Ebnf::skip_trivia(&mut r);
+        if !r.eat("::=") {
+            return Err(r.error("expected `::=` after rule name"));
+        }
+        r.dialect.current_rule = name.to_string();
+        let body = GrammarExpr::choice(r.alternation()?);
+        let ebnf = &mut r.dialect;
+        let id = ebnf.builder.add_rule(&ebnf.current_rule, body);
+        ebnf.slot(id).0 = true;
+    }
+    let Ebnf { builder, rules, .. } = r.dialect;
+    // Every referenced rule must have been defined (not just declared).
+    for (i, (defined, referenced_from)) in rules.into_iter().enumerate() {
+        if let (false, Some(referenced_from)) = (defined, referenced_from) {
+            let name = builder
+                .rule_name(RuleId(i as u32))
+                .unwrap_or("?")
+                .to_string();
+            return Err(GrammarError::UndefinedRule {
+                name,
+                referenced_from,
+            });
+        }
+    }
+    Ok(builder)
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
-    line: usize,
-    column: usize,
+#[derive(Debug, Default)]
+struct Ebnf {
+    builder: GrammarBuilder,
+    /// Per rule id: whether a definition (`name ::= ...`) was seen, and the
+    /// first rule that referenced it (for error reporting).
+    rules: Vec<(bool, Option<String>)>,
+    current_rule: String,
 }
 
-struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: usize,
-    column: usize,
+impl Ebnf {
+    fn slot(&mut self, id: RuleId) -> &mut (bool, Option<String>) {
+        if self.rules.len() <= id.index() {
+            self.rules.resize(id.index() + 1, (false, None));
+        }
+        &mut self.rules[id.index()]
+    }
 }
 
-impl<'a> Lexer<'a> {
-    fn new(text: &'a str) -> Self {
-        Lexer {
-            chars: text.chars().peekable(),
-            line: 1,
-            column: 1,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> GrammarError {
-        GrammarError::Parse {
-            line: self.line,
-            column: self.column,
-            message: message.into(),
-        }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next();
-        if let Some(c) = c {
-            if c == '\n' {
-                self.line += 1;
-                self.column = 1;
-            } else {
-                self.column += 1;
-            }
-        }
-        c
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
-    }
-
-    fn tokenize(mut self) -> Result<Vec<Spanned>> {
-        let mut out: Vec<Spanned> = Vec::new();
-        while let Some(c) = self.peek() {
-            let (line, column) = (self.line, self.column);
-            match c {
-                ' ' | '\t' | '\r' | '\n' => {
-                    self.bump();
-                }
-                '#' => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                ':' => {
-                    self.bump();
-                    if self.peek() == Some(':') {
-                        self.bump();
-                        if self.peek() == Some('=') {
-                            self.bump();
-                            out.push(Spanned {
-                                tok: Tok::Define,
-                                line,
-                                column,
-                            });
-                        } else {
-                            return Err(self.err("expected `=` after `::`"));
-                        }
-                    } else {
-                        return Err(self.err("unexpected `:`"));
-                    }
-                }
-                '"' => {
-                    let lit = self.lex_literal()?;
-                    out.push(Spanned {
-                        tok: Tok::Literal(lit),
-                        line,
-                        column,
-                    });
-                }
-                '[' => {
-                    let class = self.lex_class()?;
-                    out.push(Spanned {
-                        tok: Tok::Class(class),
-                        line,
-                        column,
-                    });
-                }
-                '|' => {
-                    self.bump();
-                    out.push(Spanned {
-                        tok: Tok::Pipe,
-                        line,
-                        column,
-                    });
-                }
-                '(' => {
-                    self.bump();
-                    out.push(Spanned {
-                        tok: Tok::LParen,
-                        line,
-                        column,
-                    });
-                }
-                ')' => {
-                    self.bump();
-                    out.push(Spanned {
-                        tok: Tok::RParen,
-                        line,
-                        column,
-                    });
-                }
-                '*' => {
-                    self.bump();
-                    out.push(Spanned {
-                        tok: Tok::Star,
-                        line,
-                        column,
-                    });
-                }
-                '+' => {
-                    self.bump();
-                    out.push(Spanned {
-                        tok: Tok::Plus,
-                        line,
-                        column,
-                    });
-                }
-                '?' => {
-                    self.bump();
-                    out.push(Spanned {
-                        tok: Tok::Question,
-                        line,
-                        column,
-                    });
-                }
-                '{' => {
-                    let rep = self.lex_repeat()?;
-                    out.push(Spanned {
-                        tok: rep,
-                        line,
-                        column,
-                    });
-                }
-                c if c.is_alphabetic() || c == '_' => {
-                    let ident = self.lex_ident();
-                    out.push(Spanned {
-                        tok: Tok::Ident(ident),
-                        line,
-                        column,
-                    });
-                }
-                other => {
-                    return Err(self.err(format!("unexpected character `{other}`")));
-                }
-            }
-        }
-        // Insert NewRule separators: an Ident immediately followed by Define
-        // starts a new rule. This keeps the grammar format newline-insensitive.
-        let mut with_seps: Vec<Spanned> = Vec::with_capacity(out.len() + 8);
-        for (i, sp) in out.iter().enumerate() {
-            if i > 0
-                && matches!(sp.tok, Tok::Ident(_))
-                && matches!(out.get(i + 1).map(|s| &s.tok), Some(Tok::Define))
-            {
-                with_seps.push(Spanned {
-                    tok: Tok::NewRule,
-                    line: sp.line,
-                    column: sp.column,
-                });
-            }
-            with_seps.push(sp.clone());
-        }
-        Ok(with_seps)
-    }
-
-    fn lex_ident(&mut self) -> String {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        s
-    }
-
-    fn lex_escape(&mut self) -> Result<char> {
-        match self.bump() {
-            Some('n') => Ok('\n'),
-            Some('r') => Ok('\r'),
-            Some('t') => Ok('\t'),
-            Some('0') => Ok('\0'),
-            Some('"') => Ok('"'),
-            Some('\\') => Ok('\\'),
-            Some(']') => Ok(']'),
-            Some('[') => Ok('['),
-            Some('^') => Ok('^'),
-            Some('-') => Ok('-'),
-            Some('/') => Ok('/'),
-            Some('x') => {
-                let hi = self.hex_digit()?;
-                let lo = self.hex_digit()?;
-                char::from_u32(hi * 16 + lo).ok_or_else(|| self.err("invalid \\x escape"))
-            }
-            Some('u') => {
-                let mut v: u32 = 0;
-                for _ in 0..4 {
-                    v = v * 16 + self.hex_digit()?;
-                }
-                char::from_u32(v).ok_or_else(|| self.err("invalid \\u escape"))
-            }
-            Some(other) => Err(self.err(format!("unknown escape `\\{other}`"))),
-            None => Err(self.err("unterminated escape")),
-        }
-    }
-
-    fn hex_digit(&mut self) -> Result<u32> {
-        match self.bump() {
-            Some(c) if c.is_ascii_hexdigit() => Ok(c.to_digit(16).expect("hexdigit")),
-            _ => Err(self.err("expected hex digit")),
-        }
-    }
-
-    fn lex_literal(&mut self) -> Result<Vec<u8>> {
-        self.bump(); // opening quote
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => break,
-                Some('\\') => out.push(self.lex_escape()?),
-                Some(c) => out.push(c),
-                None => return Err(self.err("unterminated string literal")),
-            }
-        }
-        Ok(out.into_bytes())
-    }
-
-    fn lex_class(&mut self) -> Result<CharClass> {
-        self.bump(); // '['
-        let negated = if self.peek() == Some('^') {
-            self.bump();
-            true
-        } else {
-            false
-        };
-        let mut ranges: Vec<CharRange> = Vec::new();
-        loop {
-            let c = match self.bump() {
-                Some(']') => break,
-                Some('\\') => self.lex_escape()?,
-                Some(c) => c,
-                None => return Err(self.err("unterminated character class")),
-            };
-            // Range `a-b` (a `-` right before `]` is a literal dash).
-            if self.peek() == Some('-') {
-                let mut look = self.chars.clone();
-                look.next();
-                if look.peek() != Some(&']') {
-                    self.bump(); // '-'
-                    let end = match self.bump() {
-                        Some('\\') => self.lex_escape()?,
-                        Some(e) => e,
-                        None => return Err(self.err("unterminated character class range")),
-                    };
-                    if end < c {
-                        return Err(self.err("character range end precedes start"));
-                    }
-                    ranges.push(CharRange::new(c, end));
-                    continue;
-                }
-            }
-            ranges.push(CharRange::single(c));
-        }
-        Ok(if negated {
-            CharClass::negated(ranges)
-        } else {
-            CharClass::new(ranges)
+impl Dialect for Ebnf {
+    fn escape(c: char) -> Option<char> {
+        Some(match c {
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            '0' => '\0',
+            '"' | '\\' | ']' | '[' | '^' | '-' | '/' => c,
+            _ => return None,
         })
     }
 
-    fn lex_repeat(&mut self) -> Result<Tok> {
-        self.bump(); // '{'
-        let min = self.lex_number()?;
-        match self.bump() {
-            Some('}') => Ok(Tok::Repeat {
-                min,
-                max: Some(min),
-            }),
-            Some(',') => {
-                if self.peek() == Some('}') {
-                    self.bump();
-                    Ok(Tok::Repeat { min, max: None })
-                } else {
-                    let max = self.lex_number()?;
-                    if self.bump() != Some('}') {
-                        return Err(self.err("expected `}` to close repetition"));
-                    }
-                    if max < min {
-                        return Err(GrammarError::InvalidRepetition { min, max });
-                    }
-                    Ok(Tok::Repeat {
-                        min,
-                        max: Some(max),
-                    })
-                }
-            }
-            _ => Err(self.err("expected `,` or `}` in repetition")),
-        }
-    }
-
-    fn lex_number(&mut self) -> Result<u32> {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        s.parse()
-            .map_err(|_| self.err("expected a number in repetition"))
-    }
-}
-
-struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
-    builder: GrammarBuilder,
-    /// For each declared rule id, whether a definition (`name ::= ...`) was seen,
-    /// plus the first rule that referenced it (for error reporting).
-    defined: Vec<(bool, Option<String>)>,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Spanned> {
-        self.tokens.get(self.pos)
-    }
-
-    fn bump(&mut self) -> Option<Spanned> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err_at(&self, sp: Option<&Spanned>, message: impl Into<String>) -> GrammarError {
-        let (line, column) = sp.map(|s| (s.line, s.column)).unwrap_or((0, 0));
+    fn error(&self, at: Pos, message: String) -> GrammarError {
         GrammarError::Parse {
-            line,
-            column,
-            message: message.into(),
+            line: at.line,
+            column: at.column,
+            message,
         }
     }
 
-    fn ensure_slot(&mut self, idx: usize) {
-        while self.defined.len() <= idx {
-            self.defined.push((false, None));
-        }
-    }
-
-    fn undefined_references(&self) -> Option<(String, String)> {
-        for (i, (defined, referenced_from)) in self.defined.iter().enumerate() {
-            if !defined {
-                if let Some(from) = referenced_from {
-                    let name = self
-                        .builder
-                        .rule_name(crate::ast::RuleId(i as u32))
-                        .unwrap_or("?")
-                        .to_string();
-                    return Some((name, from.clone()));
-                }
+    fn item(r: &mut Reader<'_, Self>) -> Result<GrammarExpr> {
+        let mut expr = match r.peek() {
+            Some('(') => GrammarExpr::choice(r.group()?),
+            Some('[') => GrammarExpr::CharClass(r.class()?),
+            Some('"') => literal(r)?,
+            _ => {
+                let name =
+                    ident(r).ok_or_else(|| r.error("expected literal, class, rule name or `(`"))?;
+                let ebnf = &mut r.dialect;
+                let id = ebnf.builder.declare(name);
+                let current_rule = ebnf.current_rule.clone();
+                ebnf.slot(id).1.get_or_insert(current_rule);
+                GrammarExpr::RuleRef(id)
             }
-        }
-        None
-    }
-
-    fn parse_grammar(&mut self) -> Result<()> {
-        while self.peek().is_some() {
-            self.parse_rule()?;
-        }
-        Ok(())
-    }
-
-    fn parse_rule(&mut self) -> Result<()> {
-        // Skip a NewRule separator if present.
-        if matches!(self.peek().map(|s| &s.tok), Some(Tok::NewRule)) {
-            self.bump();
-        }
-        let name_tok = self.bump();
-        let name = match name_tok.as_ref().map(|s| &s.tok) {
-            Some(Tok::Ident(name)) => name.clone(),
-            _ => return Err(self.err_at(name_tok.as_ref(), "expected rule name")),
         };
-        let def = self.bump();
-        if !matches!(def.as_ref().map(|s| &s.tok), Some(Tok::Define)) {
-            return Err(self.err_at(def.as_ref(), "expected `::=` after rule name"));
-        }
-        let body = self.parse_choice(&name)?;
-        let id = self.builder.add_rule(&name, body);
-        self.ensure_slot(id.index());
-        self.defined[id.index()].0 = true;
-        Ok(())
-    }
-
-    fn at_rule_end(&self) -> bool {
-        matches!(
-            self.peek().map(|s| &s.tok),
-            None | Some(Tok::NewRule) | Some(Tok::RParen)
-        )
-    }
-
-    fn parse_choice(&mut self, current_rule: &str) -> Result<GrammarExpr> {
-        let mut alts = vec![self.parse_sequence(current_rule)?];
-        while matches!(self.peek().map(|s| &s.tok), Some(Tok::Pipe)) {
-            self.bump();
-            alts.push(self.parse_sequence(current_rule)?);
-        }
-        Ok(GrammarExpr::choice(alts))
-    }
-
-    fn parse_sequence(&mut self, current_rule: &str) -> Result<GrammarExpr> {
-        let mut items = Vec::new();
-        while !self.at_rule_end() && !matches!(self.peek().map(|s| &s.tok), Some(Tok::Pipe)) {
-            items.push(self.parse_postfix(current_rule)?);
-        }
-        Ok(GrammarExpr::seq(items))
-    }
-
-    fn parse_postfix(&mut self, current_rule: &str) -> Result<GrammarExpr> {
-        let mut expr = self.parse_atom(current_rule)?;
+        // Postfixes stack: `"a"?*` repeats an optional.
         loop {
-            match self.peek().map(|s| &s.tok) {
-                Some(Tok::Star) => {
-                    self.bump();
-                    expr = GrammarExpr::star(expr);
-                }
-                Some(Tok::Plus) => {
-                    self.bump();
-                    expr = GrammarExpr::plus(expr);
-                }
-                Some(Tok::Question) => {
-                    self.bump();
-                    expr = GrammarExpr::optional(expr);
-                }
-                Some(Tok::Repeat { min, max }) => {
-                    let (min, max) = (*min, *max);
-                    self.bump();
-                    expr = GrammarExpr::Repeat {
-                        expr: Box::new(expr),
-                        min,
-                        max,
-                    };
-                }
-                _ => return Ok(expr),
-            }
+            Self::skip_trivia(r);
+            let Some((min, max)) = r.quantifier()? else {
+                return Ok(expr);
+            };
+            expr = GrammarExpr::Repeat {
+                expr: Box::new(expr),
+                min,
+                max,
+            };
         }
     }
 
-    fn parse_atom(&mut self, current_rule: &str) -> Result<GrammarExpr> {
-        let sp = self.bump();
-        match sp.as_ref().map(|s| s.tok.clone()) {
-            Some(Tok::Literal(bytes)) => Ok(if bytes.is_empty() {
-                GrammarExpr::Empty
-            } else {
-                GrammarExpr::Literal(bytes)
-            }),
-            Some(Tok::Class(class)) => Ok(GrammarExpr::CharClass(class)),
-            Some(Tok::Ident(name)) => {
-                let id = self.builder.declare(&name);
-                self.ensure_slot(id.index());
-                if self.defined[id.index()].1.is_none() {
-                    self.defined[id.index()].1 = Some(current_rule.to_string());
+    fn skip_trivia(r: &mut Reader<'_, Self>) {
+        loop {
+            match r.peek() {
+                Some(' ' | '\t' | '\r' | '\n') => {}
+                Some('#') => {
+                    while r.peek().is_some_and(|c| c != '\n') {
+                        r.bump();
+                    }
+                    continue;
                 }
-                Ok(GrammarExpr::RuleRef(id))
+                _ => return,
             }
-            Some(Tok::LParen) => {
-                let inner = self.parse_choice(current_rule)?;
-                let close = self.bump();
-                if !matches!(close.as_ref().map(|s| &s.tok), Some(Tok::RParen)) {
-                    return Err(self.err_at(close.as_ref(), "expected `)`"));
-                }
-                Ok(inner)
-            }
-            _ => Err(self.err_at(sp.as_ref(), "expected literal, class, rule name or `(`")),
+            r.bump();
         }
     }
+
+    /// A sequence ends where the next rule's `name ::=` begins.
+    fn ends_sequence(r: &mut Reader<'_, Self>) -> bool {
+        let mark = r.mark();
+        let starts_rule = ident(r).is_some() && {
+            Self::skip_trivia(r);
+            r.eat("::=")
+        };
+        r.rewind(mark);
+        starts_rule
+    }
+}
+
+/// Reads a rule name: a letter or `_`, then letters, digits, `_` and `-`.
+fn ident<'a>(r: &mut Reader<'a, Ebnf>) -> Option<&'a str> {
+    if !r.peek().is_some_and(|c| c.is_alphabetic() || c == '_') {
+        return None;
+    }
+    Some(r.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-'))
+}
+
+/// Reads a double-quoted literal; `""` is the empty string.
+fn literal(r: &mut Reader<'_, Ebnf>) -> Result<GrammarExpr> {
+    r.bump();
+    let mut text = String::new();
+    loop {
+        match r.bump() {
+            Some('"') => break,
+            Some('\\') => text.push(r.escape()?),
+            Some(c) => text.push(c),
+            None => return Err(r.error("unterminated string literal")),
+        }
+    }
+    Ok(if text.is_empty() {
+        GrammarExpr::Empty
+    } else {
+        GrammarExpr::Literal(text.into_bytes())
+    })
 }
 
 #[cfg(test)]
@@ -676,6 +309,21 @@ mod tests {
         match err {
             GrammarError::Parse { line, .. } => assert_eq!(line, 1),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn errors_at_end_of_input_report_the_end_position() {
+        for (text, column, message) in [
+            ("root ::= (", 11, "expected `)`"),
+            ("root", 5, "expected `::=` after rule name"),
+        ] {
+            let expected = GrammarError::Parse {
+                line: 1,
+                column,
+                message: message.to_string(),
+            };
+            assert_eq!(parse_ebnf(text, "root").unwrap_err(), expected, "{text}");
         }
     }
 

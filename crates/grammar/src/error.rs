@@ -7,7 +7,7 @@ use std::fmt;
 /// programmatically, or converting a JSON Schema into a grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GrammarError {
-    /// The EBNF text could not be tokenized or parsed.
+    /// The EBNF text could not be parsed.
     ///
     /// Contains the 1-based line and column of the offending character and a
     /// human-readable message.

@@ -30,6 +30,7 @@ use serde_json::Value;
 
 use crate::ast::{CharClass, CharRange, Grammar, GrammarBuilder, GrammarExpr, RuleId};
 use crate::bounded_number::{integer_range_expr, number_range_expr};
+use crate::ebnf::read_rules;
 use crate::error::{GrammarError, Result};
 use crate::formats::format_expr;
 use crate::pattern::regex_pattern_to_expr;
@@ -165,16 +166,14 @@ pub fn json_schema_to_grammar_with_options(
 ) -> Result<Grammar> {
     validate_whitespace_config(&options.whitespace)?;
     let mut conv = Converter {
-        builder: GrammarBuilder::new(),
+        builder: read_rules(&json_value_rules(&options.whitespace))?,
         options: options.clone(),
         root_schema: schema,
         counter: 0,
-        basics: Basics::default(),
         ref_rules: HashMap::new(),
         format_rules: HashMap::new(),
         depth: 0,
     };
-    conv.install_basic_rules();
     let root_expr = conv.convert(schema, "#")?;
     let pad = conv.pad();
     let root_body = GrammarExpr::seq(vec![pad.clone(), root_expr, pad]);
@@ -213,15 +212,42 @@ fn validate_whitespace_config(config: &WhitespaceConfig) -> Result<()> {
     Ok(())
 }
 
-#[derive(Debug, Default)]
-struct Basics {
-    ws: Option<RuleId>,
-    string: Option<RuleId>,
-    integer: Option<RuleId>,
-    number: Option<RuleId>,
-    boolean: Option<RuleId>,
-    null: Option<RuleId>,
-    any: Option<RuleId>,
+/// The JSON value rules every converted grammar starts with, in rule order.
+/// `PAD`, `COLON` and `COMMA` stand for the [`WhitespaceConfig`]'s padding
+/// and separators (see [`json_value_rules`]).
+const JSON_VALUE_EBNF: &str = r#"
+json_char    ::= [^"\\\x00-\x1f] | "\\" (["\\/bfnrt] | "u" [0-9a-fA-F]{4})
+json_string  ::= "\"" json_char* "\""
+json_integer ::= "-"? ("0" | [1-9] [0-9]*)
+json_number  ::= json_integer ("." [0-9]+)? ([eE] [+-]? [0-9]+)?
+json_boolean ::= "true" | "false"
+json_null    ::= "null"
+json_any     ::= "{" PAD "}"
+               | "{" PAD json_string COLON json_any (COMMA json_string COLON json_any)* PAD "}"
+               | "[" PAD "]" | "[" PAD json_any (COMMA json_any)* PAD "]"
+               | json_string | json_number | json_boolean | json_null
+"#;
+
+/// [`JSON_VALUE_EBNF`] under `whitespace`: flexible padding is a `json_ws`
+/// rule, defined first; fixed separators are literals.
+fn json_value_rules(whitespace: &WhitespaceConfig) -> String {
+    let (colon, comma) = match whitespace {
+        // Validated to hold punctuation and ` \t\n\r` only, whose `Debug`
+        // form is an EBNF literal.
+        WhitespaceConfig::Separators {
+            item_separator,
+            key_separator,
+        } => (format!("{key_separator:?}"), format!("{item_separator:?}")),
+        _ => (r#"PAD ":" PAD"#.into(), r#"PAD "," PAD"#.into()),
+    };
+    let rules = JSON_VALUE_EBNF.replace("COLON", &colon);
+    let rules = rules.replace("COMMA", &comma);
+    match whitespace {
+        WhitespaceConfig::Flexible => {
+            r"json_ws ::= [ \t\n\r]*".to_string() + &rules.replace("PAD", "json_ws")
+        }
+        _ => rules.replace("PAD", ""),
+    }
 }
 
 struct Converter<'a> {
@@ -229,7 +255,6 @@ struct Converter<'a> {
     options: JsonSchemaOptions,
     root_schema: &'a Value,
     counter: usize,
-    basics: Basics,
     /// `$ref` pointer → grammar rule, so each target compiles once and
     /// recursive references become recursive rules instead of diverging.
     ref_rules: HashMap<String, RuleId>,
@@ -255,9 +280,9 @@ impl<'a> Converter<'a> {
     /// Optional padding around structural tokens: the `json_ws` rule in
     /// flexible mode, nothing otherwise.
     fn pad(&self) -> GrammarExpr {
-        match self.basics.ws {
-            Some(id) => GrammarExpr::RuleRef(id),
-            None => GrammarExpr::Empty,
+        match self.options.whitespace {
+            WhitespaceConfig::Flexible => self.basic("json_ws"),
+            _ => GrammarExpr::Empty,
         }
     }
 
@@ -287,171 +312,10 @@ impl<'a> Converter<'a> {
         }
     }
 
-    fn any_rule(&self) -> GrammarExpr {
-        GrammarExpr::RuleRef(self.basics.any.expect("installed"))
-    }
-
-    fn install_basic_rules(&mut self) {
-        if self.options.whitespace == WhitespaceConfig::Flexible {
-            let ws = self.builder.add_rule(
-                "json_ws",
-                GrammarExpr::star(GrammarExpr::CharClass(CharClass::new(vec![
-                    CharRange::single(' '),
-                    CharRange::single('\t'),
-                    CharRange::single('\n'),
-                    CharRange::single('\r'),
-                ]))),
-            );
-            self.basics.ws = Some(ws);
-        }
-
-        // json_string: "\"" char* "\""
-        let char_class = GrammarExpr::choice(vec![
-            GrammarExpr::CharClass(CharClass::negated(vec![
-                CharRange::single('"'),
-                CharRange::single('\\'),
-                CharRange::new('\0', '\u{1f}'),
-            ])),
-            GrammarExpr::seq(vec![
-                GrammarExpr::literal("\\"),
-                GrammarExpr::choice(vec![
-                    GrammarExpr::CharClass(CharClass::new(vec![
-                        CharRange::single('"'),
-                        CharRange::single('\\'),
-                        CharRange::single('/'),
-                        CharRange::single('b'),
-                        CharRange::single('f'),
-                        CharRange::single('n'),
-                        CharRange::single('r'),
-                        CharRange::single('t'),
-                    ])),
-                    GrammarExpr::seq(vec![
-                        GrammarExpr::literal("u"),
-                        GrammarExpr::Repeat {
-                            expr: Box::new(GrammarExpr::CharClass(CharClass::new(vec![
-                                CharRange::new('0', '9'),
-                                CharRange::new('a', 'f'),
-                                CharRange::new('A', 'F'),
-                            ]))),
-                            min: 4,
-                            max: Some(4),
-                        },
-                    ]),
-                ]),
-            ]),
-        ]);
-        let json_char = self.builder.add_rule("json_char", char_class);
-        let string = self.builder.add_rule(
-            "json_string",
-            GrammarExpr::seq(vec![
-                GrammarExpr::literal("\""),
-                GrammarExpr::star(GrammarExpr::RuleRef(json_char)),
-                GrammarExpr::literal("\""),
-            ]),
-        );
-        self.basics.string = Some(string);
-
-        let digit = GrammarExpr::CharClass(CharClass::new(vec![CharRange::new('0', '9')]));
-        let nonzero = GrammarExpr::CharClass(CharClass::new(vec![CharRange::new('1', '9')]));
-        let int_expr = GrammarExpr::seq(vec![
-            GrammarExpr::optional(GrammarExpr::literal("-")),
-            GrammarExpr::choice(vec![
-                GrammarExpr::literal("0"),
-                GrammarExpr::seq(vec![nonzero, GrammarExpr::star(digit.clone())]),
-            ]),
-        ]);
-        let integer = self.builder.add_rule("json_integer", int_expr);
-        self.basics.integer = Some(integer);
-
-        let number_expr = GrammarExpr::seq(vec![
-            GrammarExpr::RuleRef(integer),
-            GrammarExpr::optional(GrammarExpr::seq(vec![
-                GrammarExpr::literal("."),
-                GrammarExpr::plus(digit.clone()),
-            ])),
-            GrammarExpr::optional(GrammarExpr::seq(vec![
-                GrammarExpr::CharClass(CharClass::new(vec![
-                    CharRange::single('e'),
-                    CharRange::single('E'),
-                ])),
-                GrammarExpr::optional(GrammarExpr::CharClass(CharClass::new(vec![
-                    CharRange::single('+'),
-                    CharRange::single('-'),
-                ]))),
-                GrammarExpr::plus(digit),
-            ])),
-        ]);
-        let number = self.builder.add_rule("json_number", number_expr);
-        self.basics.number = Some(number);
-
-        let boolean = self.builder.add_rule(
-            "json_boolean",
-            GrammarExpr::choice(vec![
-                GrammarExpr::literal("true"),
-                GrammarExpr::literal("false"),
-            ]),
-        );
-        self.basics.boolean = Some(boolean);
-
-        let null = self
-            .builder
-            .add_rule("json_null", GrammarExpr::literal("null"));
-        self.basics.null = Some(null);
-
-        // json_any: a full JSON value (used for untyped schemas and
-        // additionalProperties: true). Mutually recursive, so declare first.
-        let any = self.builder.declare("json_any");
-        let pad = self.pad();
-        let any_member = GrammarExpr::seq(vec![
-            GrammarExpr::RuleRef(string),
-            self.colon(),
-            GrammarExpr::RuleRef(any),
-        ]);
-        let any_object = GrammarExpr::choice(vec![
-            GrammarExpr::seq(vec![
-                GrammarExpr::literal("{"),
-                pad.clone(),
-                GrammarExpr::literal("}"),
-            ]),
-            GrammarExpr::seq(vec![
-                GrammarExpr::literal("{"),
-                pad.clone(),
-                any_member.clone(),
-                GrammarExpr::star(GrammarExpr::seq(vec![self.comma(), any_member])),
-                pad.clone(),
-                GrammarExpr::literal("}"),
-            ]),
-        ]);
-        let any_array = GrammarExpr::choice(vec![
-            GrammarExpr::seq(vec![
-                GrammarExpr::literal("["),
-                pad.clone(),
-                GrammarExpr::literal("]"),
-            ]),
-            GrammarExpr::seq(vec![
-                GrammarExpr::literal("["),
-                pad.clone(),
-                GrammarExpr::RuleRef(any),
-                GrammarExpr::star(GrammarExpr::seq(vec![
-                    self.comma(),
-                    GrammarExpr::RuleRef(any),
-                ])),
-                pad.clone(),
-                GrammarExpr::literal("]"),
-            ]),
-        ]);
-        self.builder.set_body(
-            any,
-            GrammarExpr::choice(vec![
-                any_object,
-                any_array,
-                GrammarExpr::RuleRef(string),
-                GrammarExpr::RuleRef(number),
-                GrammarExpr::RuleRef(boolean),
-                GrammarExpr::RuleRef(null),
-            ]),
-        );
-        self.basics.any = Some(any);
+    /// A reference to one of the [`JSON_VALUE_EBNF`] rules.
+    fn basic(&self, name: &str) -> GrammarExpr {
+        let id = self.builder.rule_id(name);
+        GrammarExpr::RuleRef(id.expect("JSON value rules installed"))
     }
 
     /// Resolves an in-document JSON-pointer reference (`#`, `#/a/~0b/0`, ...)
@@ -528,7 +392,7 @@ impl<'a> Converter<'a> {
     /// Converts a schema node into an expression matching one JSON value.
     fn convert(&mut self, schema: &Value, path: &str) -> Result<GrammarExpr> {
         match schema {
-            Value::Bool(true) => Ok(self.any_rule()),
+            Value::Bool(true) => Ok(self.basic("json_any")),
             Value::Bool(false) => Err(self.schema_err(path, "schema `false` matches nothing")),
             Value::Object(obj) => self.convert_map(obj, path),
             other => Err(self.schema_err(path, format!("schema must be an object, got {other}"))),
@@ -587,7 +451,7 @@ impl<'a> Converter<'a> {
                 Ok(GrammarExpr::choice(alts))
             }
             Some(other) => Err(self.schema_err(path, format!("invalid `type`: {other}"))),
-            None => Ok(self.any_rule()),
+            None => Ok(self.basic("json_any")),
         }
     }
 
@@ -811,10 +675,8 @@ impl<'a> Converter<'a> {
             "string" => self.convert_string(obj, path),
             "integer" => self.convert_integer(obj, path),
             "number" => self.convert_number(obj, path),
-            "boolean" => Ok(GrammarExpr::RuleRef(
-                self.basics.boolean.expect("installed"),
-            )),
-            "null" => Ok(GrammarExpr::RuleRef(self.basics.null.expect("installed"))),
+            "boolean" => Ok(self.basic("json_boolean")),
+            "null" => Ok(self.basic("json_null")),
             "object" => self.convert_object(obj, path),
             "array" => self.convert_array(obj, path),
             other => Err(self.schema_err(path, format!("unsupported type `{other}`"))),
@@ -883,17 +745,13 @@ impl<'a> Converter<'a> {
             .and_then(Value::as_u64)
             .map(|v| v as u32);
         if min == 0 && max.is_none() {
-            return Ok(GrammarExpr::RuleRef(self.basics.string.expect("installed")));
+            return Ok(self.basic("json_string"));
         }
         // Bounded string: "\"" char{min,max} "\"".
-        let char_rule = self
-            .builder
-            .rule_id("json_char")
-            .expect("json_char installed");
         Ok(GrammarExpr::seq(vec![
             GrammarExpr::literal("\""),
             GrammarExpr::Repeat {
-                expr: Box::new(GrammarExpr::RuleRef(char_rule)),
+                expr: Box::new(self.basic("json_char")),
                 min,
                 max,
             },
@@ -1004,9 +862,7 @@ impl<'a> Converter<'a> {
                     // lenient: keep the bounds, drop the divisibility constraint
                 }
                 Some(1) => {
-                    return Ok(GrammarExpr::RuleRef(
-                        self.basics.integer.expect("installed"),
-                    ));
+                    return Ok(self.basic("json_integer"));
                 }
                 Some(k) => return Ok(self.multiple_of_expr(k)),
                 None => {
@@ -1024,9 +880,7 @@ impl<'a> Converter<'a> {
         }
 
         if lo.is_none() && hi.is_none() {
-            return Ok(GrammarExpr::RuleRef(
-                self.basics.integer.expect("installed"),
-            ));
+            return Ok(self.basic("json_integer"));
         }
         integer_range_expr(lo, hi, path)
     }
@@ -1110,7 +964,7 @@ impl<'a> Converter<'a> {
             (None, None) => None,
         };
         if lower.is_none() && upper.is_none() {
-            return Ok(GrammarExpr::RuleRef(self.basics.number.expect("installed")));
+            return Ok(self.basic("json_number"));
         }
         let (lo, lo_exclusive) = lower.map_or((None, false), |(v, e)| (Some(v), e));
         let (hi, hi_exclusive) = upper.map_or((None, false), |(v, e)| (Some(v), e));
@@ -1184,10 +1038,10 @@ impl<'a> Converter<'a> {
         let additional_member = if allow_additional {
             let value_expr = match &additional_schema {
                 Some(schema) => self.convert(schema, &format!("{path}/additionalProperties"))?,
-                None => self.any_rule(),
+                None => self.basic("json_any"),
             };
             Some(GrammarExpr::seq(vec![
-                GrammarExpr::RuleRef(self.basics.string.expect("installed")),
+                self.basic("json_string"),
                 colon.clone(),
                 value_expr,
             ]))
@@ -1296,7 +1150,7 @@ impl<'a> Converter<'a> {
                 let items = items.clone();
                 self.convert(&items, &format!("{path}/items"))?
             }
-            None => self.any_rule(),
+            None => self.basic("json_any"),
         };
         let item_rule_name = self.fresh_name("array_item");
         let item_rule = self.builder.add_rule(&item_rule_name, item_expr);

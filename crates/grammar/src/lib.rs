@@ -46,6 +46,7 @@ mod intern;
 mod json_schema;
 mod pattern;
 mod structural_tag;
+mod syntax;
 
 pub use analysis::{analyze, Diagnostic, DiagnosticCode, GrammarAnalysis, Severity};
 pub use ast::{

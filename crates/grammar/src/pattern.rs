@@ -23,12 +23,18 @@
 //! and trailing `$` are accepted and implied, matching llguidance's treatment
 //! of JSON Schema patterns.
 //!
+//! Alternation, groups, quantifiers, classes and the `\x` / `\u` escapes are
+//! read by the shared [`crate::syntax`] reader, the same one behind the EBNF
+//! parser; this module supplies the regex atoms and the lowering into a JSON
+//! string body.
+//!
 //! Unsupported constructs — backreferences, lookaround, word boundaries,
 //! mid-pattern anchors — produce [`GrammarError::Schema`] so that a schema
 //! never silently widens.
 
 use crate::ast::{CharClass, CharRange, GrammarExpr};
 use crate::error::{GrammarError, Result};
+use crate::syntax::{ClassItem, Dialect, Pos, Reader};
 
 /// Compiles an (anchored) regex pattern into a grammar expression over the
 /// characters of a JSON string body (between the quotes).
@@ -54,18 +60,10 @@ pub fn regex_pattern_to_expr(pattern: &str, path: &str) -> Result<GrammarExpr> {
     if trimmed.ends_with('$') && !ends_with_escaped_dollar(trimmed) {
         trimmed = &trimmed[..trimmed.len() - 1];
     }
-    let chars: Vec<char> = trimmed.chars().collect();
-    let mut parser = PatternParser {
-        chars: &chars,
-        pos: 0,
-        path,
-    };
-    let expr = parser.parse_alternation()?;
-    if parser.pos != parser.chars.len() {
-        return Err(parser.err(format!(
-            "unexpected `{}` at offset {}",
-            parser.chars[parser.pos], parser.pos
-        )));
+    let mut r = Reader::new(trimmed, Regex { path });
+    let expr = choice(r.alternation()?);
+    if r.peek().is_some() {
+        return Err(r.error("unmatched `)`"));
     }
     Ok(expr)
 }
@@ -83,79 +81,84 @@ fn ends_with_escaped_dollar(s: &str) -> bool {
     backslashes % 2 == 1
 }
 
-struct PatternParser<'a> {
-    chars: &'a [char],
-    pos: usize,
+/// A regex alternation: one alternative stands alone, several make a
+/// [`GrammarExpr::Choice`] as written (no flattening).
+fn choice(mut alts: Vec<GrammarExpr>) -> GrammarExpr {
+    if alts.len() == 1 {
+        return alts.pop().expect("len checked");
+    }
+    GrammarExpr::Choice(alts)
+}
+
+struct Regex<'a> {
     path: &'a str,
 }
 
-impl PatternParser<'_> {
-    fn err(&self, message: impl Into<String>) -> GrammarError {
+impl Dialect for Regex<'_> {
+    const LEADING_BRACKET_IS_MEMBER: bool = true;
+
+    fn escape(c: char) -> Option<char> {
+        Some(match c {
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            'f' => '\u{c}',
+            'v' => '\u{b}',
+            '0' => '\0',
+            // Escaped metacharacters and punctuation stand for themselves.
+            c if !c.is_alphanumeric() => c,
+            _ => return None,
+        })
+    }
+
+    fn error(&self, _at: Pos, message: String) -> GrammarError {
         GrammarError::Schema {
             path: self.path.to_string(),
-            message: format!("pattern: {}", message.into()),
+            message: format!("pattern: {message}"),
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn parse_alternation(&mut self) -> Result<GrammarExpr> {
-        let mut alts = vec![self.parse_concat()?];
-        while self.peek() == Some('|') {
-            self.bump();
-            alts.push(self.parse_concat()?);
-        }
-        if alts.len() == 1 {
-            return Ok(alts.pop().expect("len checked"));
-        }
-        Ok(GrammarExpr::Choice(alts))
-    }
-
-    fn parse_concat(&mut self) -> Result<GrammarExpr> {
-        let mut items = Vec::new();
-        while let Some(c) = self.peek() {
-            if c == '|' || c == ')' {
-                break;
+    fn item(r: &mut Reader<'_, Self>) -> Result<GrammarExpr> {
+        let path = r.dialect.path;
+        let atom = match r.peek() {
+            Some('(') => choice(r.group()?),
+            Some('[') => class_to_json_expr(&r.class()?, path)?,
+            Some('^' | '$') => {
+                return Err(r.error("anchors are only supported at the pattern boundaries"))
             }
-            items.push(self.parse_repeat()?);
-        }
-        Ok(GrammarExpr::seq(items))
-    }
-
-    fn parse_repeat(&mut self) -> Result<GrammarExpr> {
-        let atom = self.parse_atom()?;
-        let (min, max) = match self.peek() {
-            Some('*') => {
-                self.bump();
-                (0, None)
+            Some('*' | '+' | '?' | '{') => return Err(r.error("quantifier with nothing to repeat")),
+            Some('.') => {
+                r.bump();
+                // `.` matches any character except newline.
+                class_to_json_expr(&CharClass::negated(vec![CharRange::single('\n')]), path)?
             }
-            Some('+') => {
-                self.bump();
-                (1, None)
+            Some('\\') => {
+                r.bump();
+                let c = r.peek();
+                if let Some(ranges) = c.and_then(perl_class_ranges) {
+                    r.bump();
+                    let class = CharClass {
+                        ranges,
+                        negated: c.is_some_and(|c| c.is_ascii_uppercase()),
+                    };
+                    class_to_json_expr(&class, path)?
+                } else if matches!(c, Some('b' | 'B')) {
+                    return Err(r.error("word-boundary assertions are not supported"));
+                } else if matches!(c, Some('1'..='9')) {
+                    return Err(r.error("backreferences are not supported"));
+                } else {
+                    json_char_literal(r.escape()?)
+                }
             }
-            Some('?') => {
-                self.bump();
-                (0, Some(1))
-            }
-            Some('{') => self.parse_counted_repeat()?,
-            _ => return Ok(atom),
+            _ => json_char_literal(r.bump().expect("a sequence item is not at the end")),
         };
-        // A trailing `?` marks a lazy quantifier; the matched language is the
-        // same, so it is accepted and ignored.
-        if self.peek() == Some('?') {
-            self.bump();
-        }
-        if min == 1 && max == Some(1) {
+        // One quantifier; a trailing `?` marks it lazy, which matches the
+        // same language, so it is accepted and ignored.
+        let Some((min, max)) = r.quantifier()? else {
+            return Ok(atom);
+        };
+        r.eat("?");
+        if (min, max) == (1, Some(1)) {
             return Ok(atom);
         }
         Ok(GrammarExpr::Repeat {
@@ -165,231 +168,39 @@ impl PatternParser<'_> {
         })
     }
 
-    fn parse_counted_repeat(&mut self) -> Result<(u32, Option<u32>)> {
-        self.bump(); // '{'
-        let min = self.parse_number()?;
-        match self.bump() {
-            Some('}') => Ok((min, Some(min))),
-            Some(',') => {
-                if self.peek() == Some('}') {
-                    self.bump();
-                    return Ok((min, None));
-                }
-                let max = self.parse_number()?;
-                if self.bump() != Some('}') {
-                    return Err(self.err("unterminated `{m,n}` quantifier"));
-                }
-                if max < min {
-                    return Err(GrammarError::InvalidRepetition { min, max });
-                }
-                Ok((min, Some(max)))
-            }
-            _ => Err(self.err("unterminated `{m}` quantifier")),
+    /// Skips `?:`, `?<name>` and `?P<name>`; lookaround is an error.
+    fn group_modifier(r: &mut Reader<'_, Self>) -> Result<()> {
+        if !r.eat("?") {
+            return Ok(());
         }
-    }
-
-    fn parse_number(&mut self) -> Result<u32> {
-        let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.bump();
+        if r.eat(":") {
+            return Ok(());
         }
-        if self.pos == start {
-            return Err(self.err("expected a number in quantifier"));
+        if r.eat("<=") || r.eat("<!") {
+            return Err(r.error("lookbehind assertions are not supported"));
         }
-        let digits: String = self.chars[start..self.pos].iter().collect();
-        digits
-            .parse::<u32>()
-            .map_err(|_| self.err(format!("quantifier bound `{digits}` is too large")))
-    }
-
-    fn parse_atom(&mut self) -> Result<GrammarExpr> {
-        match self.bump() {
-            Some('(') => self.parse_group(),
-            Some('[') => self.parse_class(),
-            Some('.') => {
-                // `.` matches any character except newline.
-                class_to_json_expr(
-                    &CharClass::negated(vec![CharRange::single('\n')]),
-                    self.path,
-                )
-            }
-            Some('\\') => self.parse_escape(),
-            Some('^') | Some('$') => {
-                Err(self.err("anchors are only supported at the pattern boundaries"))
-            }
-            Some('*') | Some('+') | Some('?') | Some('{') => {
-                Err(self.err("quantifier with nothing to repeat"))
-            }
-            Some(c) => Ok(json_char_literal(c)),
-            None => Err(self.err("unexpected end of pattern")),
+        if matches!(r.peek(), Some('=' | '!')) {
+            return Err(r.error("lookahead assertions are not supported"));
         }
-    }
-
-    fn parse_group(&mut self) -> Result<GrammarExpr> {
-        if self.peek() == Some('?') {
-            self.bump();
-            match self.peek() {
-                Some(':') => {
-                    self.bump();
-                }
-                Some('=') | Some('!') => {
-                    return Err(self.err("lookahead assertions are not supported"));
-                }
-                Some('<') => {
-                    // `(?<name>` is a named group; `(?<=` / `(?<!` lookbehind.
-                    match self.chars.get(self.pos + 1) {
-                        Some('=') | Some('!') => {
-                            return Err(self.err("lookbehind assertions are not supported"));
-                        }
-                        _ => self.skip_group_name('<')?,
-                    }
-                }
-                Some('P') => self.skip_group_name('P')?,
-                _ => return Err(self.err("unsupported group modifier")),
-            }
+        if !(r.eat("<") || r.eat("P<")) {
+            return Err(r.error("unsupported group modifier"));
         }
-        let inner = self.parse_alternation()?;
-        if self.bump() != Some(')') {
-            return Err(self.err("unterminated group"));
-        }
-        Ok(inner)
-    }
-
-    /// Skips `(?<name>` / `(?P<name>` up to and including the closing `>`.
-    fn skip_group_name(&mut self, lead: char) -> Result<()> {
-        self.bump(); // consume '<' or 'P'
-        if lead == 'P' && self.bump() != Some('<') {
-            return Err(self.err("unsupported group modifier"));
-        }
-        while let Some(c) = self.bump() {
+        while let Some(c) = r.bump() {
             if c == '>' {
                 return Ok(());
             }
         }
-        Err(self.err("unterminated group name"))
+        Err(r.error("unterminated group name"))
     }
 
-    fn parse_class(&mut self) -> Result<GrammarExpr> {
-        let negated = if self.peek() == Some('^') {
-            self.bump();
-            true
-        } else {
-            false
-        };
-        let mut ranges: Vec<CharRange> = Vec::new();
-        let mut first = true;
-        loop {
-            let c = self
-                .bump()
-                .ok_or_else(|| self.err("unterminated character class"))?;
-            if c == ']' && !first {
-                break;
-            }
-            first = false;
-            let item = match c {
-                '\\' => self.parse_class_escape()?,
-                c => ClassItem::Char(c),
-            };
-            match item {
-                ClassItem::Ranges(rs) => ranges.extend(rs),
-                ClassItem::Char(start) => {
-                    // A `-` forms a range unless it is the last class char or
-                    // the next escape is a multi-char class like `\d`.
-                    if self.peek() == Some('-') && self.chars.get(self.pos + 1) != Some(&']') {
-                        self.bump(); // '-'
-                        let end_c = self
-                            .bump()
-                            .ok_or_else(|| self.err("unterminated character class"))?;
-                        let end = match end_c {
-                            '\\' => match self.parse_class_escape()? {
-                                ClassItem::Char(e) => e,
-                                ClassItem::Ranges(_) => {
-                                    return Err(self.err("class escape cannot be a range endpoint"));
-                                }
-                            },
-                            e => e,
-                        };
-                        if end < start {
-                            return Err(self.err(format!("invalid range `{start}-{end}`")));
-                        }
-                        ranges.push(CharRange::new(start, end));
-                    } else {
-                        ranges.push(CharRange::single(start));
-                    }
-                }
-            }
-        }
-        let class = if negated {
-            CharClass::negated(ranges)
-        } else {
-            CharClass::new(ranges)
-        };
-        class_to_json_expr(&class, self.path)
-    }
-
-    fn parse_class_escape(&mut self) -> Result<ClassItem> {
-        let c = self
-            .bump()
-            .ok_or_else(|| self.err("dangling escape in character class"))?;
-        if let Some(ranges) = perl_class_ranges(c) {
+    fn class_escape(r: &mut Reader<'_, Self>) -> Result<ClassItem> {
+        // Inside a class `\D \W \S` add the same ranges as `\d \w \s`.
+        if let Some(ranges) = r.peek().and_then(perl_class_ranges) {
+            r.bump();
             return Ok(ClassItem::Ranges(ranges));
         }
-        Ok(ClassItem::Char(self.escape_char(c)?))
+        r.escape().map(ClassItem::Char)
     }
-
-    fn parse_escape(&mut self) -> Result<GrammarExpr> {
-        let c = self
-            .bump()
-            .ok_or_else(|| self.err("dangling escape at end of pattern"))?;
-        if let Some(ranges) = perl_class_ranges(c) {
-            let class = if c.is_ascii_uppercase() {
-                CharClass::negated(ranges)
-            } else {
-                CharClass::new(ranges)
-            };
-            return class_to_json_expr(&class, self.path);
-        }
-        match c {
-            'b' | 'B' => Err(self.err("word-boundary assertions are not supported")),
-            '1'..='9' => Err(self.err("backreferences are not supported")),
-            _ => Ok(json_char_literal(self.escape_char(c)?)),
-        }
-    }
-
-    /// Resolves a single-character escape (`\n`, `\xHH`, `\uHHHH`, escaped
-    /// metacharacters) to the character it denotes.
-    fn escape_char(&mut self, c: char) -> Result<char> {
-        Ok(match c {
-            'n' => '\n',
-            'r' => '\r',
-            't' => '\t',
-            'f' => '\u{c}',
-            'v' => '\u{b}',
-            '0' => '\0',
-            'x' => self.hex_escape(2)?,
-            'u' => self.hex_escape(4)?,
-            // Escaped metacharacters and punctuation stand for themselves.
-            c if !c.is_alphanumeric() => c,
-            other => return Err(self.err(format!("unsupported escape `\\{other}`"))),
-        })
-    }
-
-    fn hex_escape(&mut self, len: usize) -> Result<char> {
-        let mut value = 0u32;
-        for _ in 0..len {
-            let d = self
-                .bump()
-                .and_then(|c| c.to_digit(16))
-                .ok_or_else(|| self.err("invalid hex escape"))?;
-            value = value * 16 + d;
-        }
-        char::from_u32(value).ok_or_else(|| self.err("hex escape is not a scalar value"))
-    }
-}
-
-enum ClassItem {
-    Char(char),
-    Ranges(Vec<CharRange>),
 }
 
 /// Positive ranges for `\d \w \s` (the negated `\D \W \S` variants reuse them

@@ -2,7 +2,7 @@
 # Non-test first-party lines: every tracked `crates/*/src/**/*.rs` except the
 # frozen benchmark (`bin/perf/`) and `*_tests.rs`, each file counted up to its
 # first `#[cfg(test)]`. Prints one line per crate, the total — the figure
-# ROADMAP item 6 and the simplicity issues cite — and the five largest files.
+# ROADMAP item 5 and the simplicity issues cite — and the five largest files.
 # Usage: scripts/nontest-loc.sh [file ...]   (files: print per-file counts instead)
 set -eu
 cd "$(git rev-parse --show-toplevel)"

@@ -205,6 +205,63 @@ fn golden_rules_and_display_round_trip() {
     }
 }
 
+/// FNV-1a (64-bit) over the printed grammars the three front ends produce:
+/// the builtin EBNF grammars, every `schema_corpus` case under each
+/// `WhitespaceConfig`, and every supported `format`. A change to what the
+/// EBNF reader, the regex reader or the schema converter emits changes it.
+#[test]
+fn front_end_outputs_are_pinned() {
+    let mut printed = Vec::new();
+    for grammar in [
+        xg_grammar::builtin::json_grammar(),
+        xg_grammar::builtin::xml_grammar(),
+        xg_grammar::builtin::python_dsl_grammar(),
+    ] {
+        printed.push(grammar.to_string());
+    }
+    let configs = [
+        WhitespaceConfig::Compact,
+        WhitespaceConfig::Flexible,
+        WhitespaceConfig::Separators {
+            item_separator: ", ".to_string(),
+            key_separator: ": ".to_string(),
+        },
+    ];
+    let corpus = xg_datasets::schema_corpus(204, 0x5C0);
+    for whitespace in configs {
+        let options = JsonSchemaOptions {
+            whitespace,
+            ..Default::default()
+        };
+        for case in &corpus {
+            let grammar = xg_grammar::json_schema_to_grammar_with_options(&case.schema, &options)
+                .unwrap_or_else(|e| panic!("{}: corpus schema converts: {e}", case.feature));
+            printed.push(grammar.to_string());
+        }
+    }
+    for format in xg_grammar::SUPPORTED_FORMATS {
+        let schema = serde_json::json!({"type": "string", "format": format});
+        printed.push(
+            xg_grammar::json_schema_to_grammar(&schema)
+                .unwrap()
+                .to_string(),
+        );
+    }
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for text in &printed {
+        for &byte in text.as_bytes().iter().chain(b"\n") {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        hash,
+        0x38aa_3dca_fdfe_61a8,
+        "front-end output digest changed: {hash:#018x} over {} grammars",
+        printed.len()
+    );
+}
+
 #[test]
 fn custom_separator_config_threads_through_display() {
     let options = JsonSchemaOptions {
