@@ -11,14 +11,19 @@
 //!
 //! ```text
 //! submit() ──▶ [queue (bounded)] ──▶ admission workers ──▶ [ready (bounded)]
-//!                                     compile / cache probe        │
-//!                                                                  ▼
-//!             mask workers ◀──(MaskJob: session+bitmask)── decode loop
-//!                          ──(MaskJob, filled)──▶           join / step /
-//!                                                           retire lanes
+//!                                     compile / cache probe,       │
+//!                                     build the lane               ▼
+//!             mask workers ◀──(the lane, to fill)──────── decode loop
+//!                          ──(the same lane, filled)──▶   join / step /
+//!                                                         retire lanes
 //!                                                                  │
 //!             StreamingRequest ◀── Admitted / Bytes / Finished ────┘
 //! ```
+//!
+//! A lane is one value from admission to retirement, and it is in exactly
+//! one place: in the decode loop's batch, or with a mask worker while its
+//! next mask fills. The decode loop moves the lane itself to the workers and
+//! gets the same value back.
 //!
 //! Backpressure composes naturally: the submission queue is a bounded
 //! channel ([`try_submit`](ContinuousScheduler::try_submit) reports
@@ -29,15 +34,15 @@
 //!
 //! In [`ExecutionMode::Overlapped`](crate::ExecutionMode::Overlapped) the
 //! decode loop double-buffers mask generation: once the batch's step-`t`
-//! tokens are accepted, every lane's step-`t+1` mask-fill job is handed to
+//! tokens are accepted, every lane that needs a step-`t+1` mask is handed to
 //! the mask workers in one go (one lock, one wake) — so mask fill for step
 //! `t+1` overlaps the next simulated GPU step, and the loop only waits on a
 //! collect barrier right before it needs the masks. In `Serial` mode the
 //! loop hands off and collects all masks before each GPU step, exposing the
-//! full mask wall-clock (the paper's no-overlap baseline). Both modes send
-//! the same per-lane jobs to the same workers through the same hand-off and
-//! wait on the same barrier; they differ only in which side of the GPU step
-//! the barrier sits on.
+//! full mask wall-clock (the paper's no-overlap baseline). Both modes hand
+//! the same lanes to the same workers through the same hand-off and wait on
+//! the same barrier; they differ only in which side of the GPU step the
+//! barrier sits on.
 //!
 //! Lanes are driven exclusively through [`Lane::start`]/[`Lane::step`], and a
 //! lane's bytes depend only on its own request (its seed, reference and
@@ -54,15 +59,15 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::{busy_wait, EngineRequest, ExecutionMode, RequestResult, ServingEngine};
 use crate::lane::{ForcedContext, Lane};
-use crate::llm::{LlmRequestState, SimulatedLlm};
+use crate::llm::SimulatedLlm;
 use crate::profiles::ModelProfile;
-use xg_baselines::{BackendError, ConstrainedBackend, Session};
+use xg_baselines::{BackendError, ConstrainedBackend};
 use xg_core::{CacheStats, TokenBitmask};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
@@ -332,10 +337,9 @@ impl SchedulerMetrics {
 }
 
 /// The one record of a request, created by `submit` and moved from stage to
-/// stage until `finish` consumes it: who it is, where its events go, and the
-/// timing each stage fills its share of.
+/// stage until its lane retires: where its events go, and the timing each
+/// stage fills its share of.
 struct Ticket {
-    id: u64,
     events: Sender<StreamEvent>,
     submitted_at: Instant,
     timing: LaneTiming,
@@ -347,82 +351,140 @@ struct Submission {
     request: EngineRequest,
 }
 
-/// A compiled request travelling from an admission worker to the decode loop.
-struct ReadyLane {
+/// A request's lane from admission to retirement. An admission worker builds
+/// it and sends it, with the request's prompt length, to the decode loop,
+/// which moves it into the batch and, while its next mask fills, to a mask
+/// worker and back.
+struct ActiveLane {
     ticket: Ticket,
-    session: Option<Session>,
-    llm_state: LlmRequestState,
-    prompt_tokens: usize,
-    max_tokens: usize,
-}
-
-/// One lane's mask-fill job: ownership of the lane's session and bitmask
-/// transfers to a mask worker, which fills the bitmask and sends the same job
-/// back to the decode loop.
-struct MaskJob {
-    lane: u64,
-    session: Session,
+    lane: Lane,
+    /// The lane's next-token mask; an unconstrained lane never reads it.
     mask: TokenBitmask,
+    /// Time from submission to the first emitted bytes, and the lane's
+    /// `forced_time` by then (already inside the former).
+    first_emit: Option<(Duration, Duration)>,
 }
 
+impl ActiveLane {
+    /// Whether the lane goes to a mask worker before its next step.
+    fn needs_mask(&self) -> bool {
+        self.lane.is_constrained() && !self.lane.finished
+    }
+
+    /// Streams `lane.output[from..]`, stamping the first emission.
+    fn emit(&mut self, from: usize) {
+        if self.first_emit.is_none() {
+            self.first_emit = Some((self.ticket.submitted_at.elapsed(), self.lane.forced_time));
+        }
+        let bytes = self.lane.output[from..].to_vec();
+        let _ = self.ticket.events.send(StreamEvent::Bytes(bytes));
+    }
+
+    /// Retires the finished lane: complete its timing, fold it and the lane's
+    /// counters into the aggregate, and send the terminal event.
+    fn finish(self, shared: &Shared) {
+        let ActiveLane {
+            ticket,
+            lane,
+            first_emit,
+            ..
+        } = self;
+        let mut timing = ticket.timing;
+        timing.total_time = ticket.submitted_at.elapsed();
+        let (ttft, forced_by_then) = first_emit.unwrap_or((timing.total_time, lane.forced_time));
+        timing.ttft = ttft;
+        timing.tpot = tpot(
+            timing.total_time,
+            ttft,
+            lane.forced_time - forced_by_then,
+            lane.sampled_tokens,
+        );
+        {
+            let mut stats = shared.stats();
+            if lane.sampled_tokens > 1 {
+                stats.tpot_sum += timing.tpot;
+                stats.tpot_lanes += 1;
+            }
+            let metrics = &mut stats.metrics;
+            metrics.ttft = match metrics.completed {
+                0 => ttft,
+                _ => metrics.ttft.min(ttft),
+            };
+            metrics.completed += 1;
+            metrics.sampled_tokens += lane.sampled_tokens as u64;
+            metrics.forced_tokens += lane.forced_tokens as u64;
+            metrics.forced_chars += lane.forced_chars as u64;
+            metrics.forced_time += lane.forced_time;
+        }
+        let result = lane.into_result();
+        let _ = ticket.events.send(StreamEvent::Finished { result, timing });
+    }
+}
+
+/// Locks `mutex`, recovering it if a thread panicked while holding it. Every
+/// lock here guards counters, a queue, an `Option<Sender>` or a receiver,
+/// and each critical section is a push, a pop, an add or a `recv`, so the
+/// guarded state is valid at every point a panic could leave it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Spawns one named scheduler thread.
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("the OS starts a scheduler thread")
+}
+
+#[derive(Default)]
 struct MaskPoolState {
-    jobs: VecDeque<MaskJob>,
+    lanes: VecDeque<ActiveLane>,
     shutdown: bool,
 }
 
 /// Work queue shared by the persistent mask workers.
+#[derive(Default)]
 struct MaskPool {
     state: Mutex<MaskPoolState>,
     available: Condvar,
-    busy_nanos: AtomicU64,
 }
 
 impl MaskPool {
-    fn new() -> Self {
-        MaskPool {
-            state: Mutex::new(MaskPoolState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            busy_nanos: AtomicU64::new(0),
-        }
-    }
-
     fn shutdown(&self) {
-        let mut state = self.state.lock().expect("mask pool poisoned");
-        state.shutdown = true;
-        drop(state);
+        lock(&self.state).shutdown = true;
         self.available.notify_all();
-    }
-
-    fn busy_time(&self) -> Duration {
-        Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed))
     }
 }
 
-/// Body of one persistent mask worker: pop a job, fill its bitmask, send it
+/// Body of one persistent mask worker: pop a lane, fill its mask, send it
 /// back. Exits when the pool shuts down and drains, or when the decode loop
 /// (the receiver) is gone.
-fn mask_worker(pool: &MaskPool, done: &Sender<MaskJob>) {
+fn mask_worker(pool: &MaskPool, done: &Sender<ActiveLane>, shared: &Shared) {
     loop {
-        let mut job = {
-            let mut state = pool.state.lock().expect("mask pool poisoned");
+        let mut al = {
+            let mut state = lock(&pool.state);
             loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break job;
+                if let Some(al) = state.lanes.pop_front() {
+                    break al;
                 }
                 if state.shutdown {
                     return;
                 }
-                state = pool.available.wait(state).expect("mask pool poisoned");
+                state = pool
+                    .available
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let start = Instant::now();
-        job.session.fill_next_token_bitmask(&mut job.mask);
-        pool.busy_nanos
+        if let Some(session) = &mut al.lane.session {
+            session.fill_next_token_bitmask(&mut al.mask);
+        }
+        shared
+            .mask_busy_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if done.send(job).is_err() {
+        if done.send(al).is_err() {
             return;
         }
     }
@@ -438,15 +500,17 @@ struct Stats {
     tpot_lanes: u32,
 }
 
-/// State shared by the submitter, admission workers and the decode loop.
+/// State shared by the submitter and every worker thread.
 #[derive(Debug)]
 struct Shared {
     stats: Mutex<Stats>,
+    /// Time the mask workers spent filling masks, summed across workers.
+    mask_busy_nanos: AtomicU64,
 }
 
 impl Shared {
-    fn stats(&self) -> std::sync::MutexGuard<'_, Stats> {
-        self.stats.lock().expect("stats poisoned")
+    fn stats(&self) -> MutexGuard<'_, Stats> {
+        lock(&self.stats)
     }
 }
 
@@ -462,21 +526,13 @@ pub struct ContinuousScheduler {
     submit_tx: Mutex<Option<SyncSender<Submission>>>,
     next_id: AtomicU64,
     shared: Arc<Shared>,
-    mask_pool: Arc<MaskPool>,
     backend: Arc<dyn ConstrainedBackend>,
     cache_before: CacheStats,
     started_at: Instant,
-    admission_handles: Vec<JoinHandle<()>>,
-    decode_handle: Option<JoinHandle<()>>,
-    mask_handles: Vec<JoinHandle<()>>,
-}
-
-impl fmt::Debug for MaskPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MaskPool")
-            .field("busy", &self.busy_time())
-            .finish_non_exhaustive()
-    }
+    /// Every worker thread in pipeline order: the admission workers, the
+    /// decode loop, then the mask workers. Shutdown joins them in this
+    /// order, each stage exiting once the one before it has.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ContinuousScheduler {
@@ -504,74 +560,63 @@ impl ContinuousScheduler {
                 },
                 ..Stats::default()
             }),
+            mask_busy_nanos: AtomicU64::new(0),
         });
-        let mask_pool = Arc::new(MaskPool::new());
+        let pool = Arc::new(MaskPool::default());
 
         let (submit_tx, submit_rx) = mpsc::sync_channel::<Submission>(queue_capacity);
         // Bounded at `max_lanes`: an admission worker with a compiled lane
         // in hand blocks here while the batch is full, which in turn fills
         // the submission queue — the backpressure chain.
-        let (ready_tx, ready_rx) = mpsc::sync_channel::<ReadyLane>(max_lanes);
-        let (mask_done_tx, mask_done_rx) = mpsc::channel::<MaskJob>();
+        let (ready_tx, ready_rx) = mpsc::sync_channel(max_lanes);
+        let (mask_done_tx, mask_done_rx) = mpsc::channel();
 
-        // ---- Mask workers. ----
-        let mask_handles: Vec<JoinHandle<()>> = (0..mask_workers)
-            .map(|i| {
-                let pool = Arc::clone(&mask_pool);
-                let done = mask_done_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("xg-mask-{i}"))
-                    .spawn(move || mask_worker(&pool, &done))
-                    .expect("spawn mask worker")
-            })
-            .collect();
-        drop(mask_done_tx);
-
-        // ---- Admission workers. ----
         let submit_rx = Arc::new(Mutex::new(submit_rx));
-        let admission_handles: Vec<JoinHandle<()>> = (0..admission_workers)
+        let mut threads: Vec<JoinHandle<()>> = (0..admission_workers)
             .map(|i| {
                 let submissions = Arc::clone(&submit_rx);
                 let ready = ready_tx.clone();
                 let backend = Arc::clone(&backend);
                 let llm = engine.llm().clone();
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("xg-admit-{i}"))
-                    .spawn(move || admission_worker(&submissions, &ready, &*backend, &llm, &shared))
-                    .expect("spawn admission worker")
+                spawn(format!("xg-admit-{i}"), move || {
+                    admission_worker(&submissions, &ready, &*backend, &llm, &shared);
+                })
             })
             .collect();
-        drop(ready_tx);
 
-        // ---- Decode loop. ----
         let decode = DecodeLoop {
             ready: ready_rx,
             mask_done: mask_done_rx,
-            mask_pool: Arc::clone(&mask_pool),
+            pool: Arc::clone(&pool),
             shared: Arc::clone(&shared),
             vocab: Arc::clone(backend.vocabulary()),
             sorted: engine.retokenizer(),
             profile: engine.profile().clone(),
             mode: engine.mode(),
             max_lanes,
+            lanes: Vec::with_capacity(max_lanes),
+            in_flight: 0,
         };
-        let decode_handle = std::thread::Builder::new()
-            .name("xg-decode".into())
-            .spawn(move || decode.run())
-            .expect("spawn decode loop");
+        threads.push(spawn("xg-decode".into(), move || decode.run()));
+
+        threads.extend((0..mask_workers).map(|i| {
+            let pool = Arc::clone(&pool);
+            let done = mask_done_tx.clone();
+            let shared = Arc::clone(&shared);
+            spawn(format!("xg-mask-{i}"), move || {
+                mask_worker(&pool, &done, &shared);
+            })
+        }));
 
         ContinuousScheduler {
             submit_tx: Mutex::new(Some(submit_tx)),
             next_id: AtomicU64::new(0),
             shared,
-            mask_pool,
             backend,
             cache_before,
             started_at: Instant::now(),
-            admission_handles,
-            decode_handle: Some(decode_handle),
-            mask_handles,
+            threads,
         }
     }
 
@@ -600,18 +645,14 @@ impl ContinuousScheduler {
         request: EngineRequest,
         block: bool,
     ) -> Result<StreamingRequest, SubmitError> {
-        let tx = {
-            let guard = self.submit_tx.lock().expect("submit lock poisoned");
-            match guard.as_ref() {
-                Some(tx) => tx.clone(),
-                None => return Err(SubmitError::ShutDown(Box::new(request))),
-            }
+        let tx = match lock(&self.submit_tx).as_ref() {
+            Some(tx) => tx.clone(),
+            None => return Err(SubmitError::ShutDown(Box::new(request))),
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (events_tx, events_rx) = mpsc::channel();
         let submission = Submission {
             ticket: Ticket {
-                id,
                 events: events_tx,
                 submitted_at: Instant::now(),
                 timing: LaneTiming::default(),
@@ -650,7 +691,8 @@ impl ContinuousScheduler {
         let mut metrics = stats.metrics.clone();
         metrics.tpot = stats.tpot_sum / stats.tpot_lanes.max(1);
         drop(stats);
-        metrics.mask_busy_time = self.mask_pool.busy_time();
+        metrics.mask_busy_time =
+            Duration::from_nanos(self.shared.mask_busy_nanos.load(Ordering::Relaxed));
         metrics.wall_time = self.started_at.elapsed();
         let cache = self.backend.cache_stats().unwrap_or_default();
         metrics.cache = cache.delta_since(&self.cache_before);
@@ -664,28 +706,19 @@ impl ContinuousScheduler {
     }
 
     fn shutdown_inner(&mut self) {
-        // A worker's panic is re-raised here — unless this is the drop of an
-        // already unwinding thread, where a second panic would abort the
-        // process and eat the first one's message.
-        let join = |handle: JoinHandle<()>, what: &str| {
-            if handle.join().is_err() && !std::thread::panicking() {
-                panic!("{what} panicked");
-            }
-        };
         // Closing the submission channel lets the admission workers drain
         // the queue and exit; dropping their ready senders then lets the
-        // decode loop finish its live lanes and exit; only then do the mask
-        // workers stop.
-        *self.submit_tx.lock().expect("submit lock poisoned") = None;
-        for handle in self.admission_handles.drain(..) {
-            join(handle, "admission worker");
-        }
-        if let Some(handle) = self.decode_handle.take() {
-            join(handle, "decode loop");
-        }
-        self.mask_pool.shutdown();
-        for handle in self.mask_handles.drain(..) {
-            join(handle, "mask worker");
+        // decode loop finish its live lanes and exit; dropping the loop
+        // shuts the mask pool, and the mask workers exit.
+        *lock(&self.submit_tx) = None;
+        for handle in self.threads.drain(..) {
+            let thread = handle.thread().clone();
+            // A worker's panic is re-raised here — unless this is the drop
+            // of an already unwinding thread, where a second panic would
+            // abort the process and eat the first one's message.
+            if handle.join().is_err() && !std::thread::panicking() {
+                panic!("{} panicked", thread.name().unwrap_or("a worker"));
+            }
         }
     }
 }
@@ -697,12 +730,11 @@ impl Drop for ContinuousScheduler {
 }
 
 /// Body of one admission worker: receive a submission, probe the cache,
-/// compile the constraint off the hot path, start the simulated-LLM request
-/// state, and hand the ready lane to the decode loop (blocking while the
-/// batch is full).
+/// compile the constraint off the hot path, build the lane, and hand it to
+/// the decode loop (blocking while the batch is full).
 fn admission_worker(
     submissions: &Mutex<Receiver<Submission>>,
-    ready: &SyncSender<ReadyLane>,
+    ready: &SyncSender<(ActiveLane, usize)>,
     backend: &dyn ConstrainedBackend,
     llm: &SimulatedLlm,
     shared: &Shared,
@@ -711,12 +743,8 @@ fn admission_worker(
         // Holding the lock across `recv` is deliberate: it makes the lock
         // double as the "which worker gets the next submission" arbiter, and
         // the senders never take it.
-        let submission = {
-            let rx = submissions.lock().expect("submission receiver poisoned");
-            match rx.recv() {
-                Ok(s) => s,
-                Err(_) => return,
-            }
+        let Ok(submission) = lock(submissions).recv() else {
+            return;
         };
         let Submission {
             mut ticket,
@@ -751,51 +779,27 @@ fn admission_worker(
             compile_time: ticket.timing.compile_time,
             cache_hit: ticket.timing.cache_hit,
         });
-        let lane = ReadyLane {
+        let lane = ActiveLane {
             ticket,
-            session,
-            llm_state,
-            prompt_tokens: request.prompt_tokens,
-            max_tokens: request.max_tokens,
+            lane: Lane::new(session, llm_state, request.max_tokens),
+            mask: TokenBitmask::new_all_rejected(backend.vocabulary().len()),
+            first_emit: None,
         };
-        if ready.send(lane).is_err() {
+        if ready.send((lane, request.prompt_tokens)).is_err() {
             // Decode loop is gone; nothing more to admit.
             return;
         }
     }
 }
 
-/// One lane live in the decode loop.
-struct ActiveLane {
-    ticket: Ticket,
-    lane: Lane,
-    /// The lane's bitmask when not in flight to a mask worker.
-    mask: Option<TokenBitmask>,
-    mask_in_flight: bool,
-    /// Time from submission to the first emitted bytes, and the lane's
-    /// `forced_time` by then (already inside the former).
-    first_emit: Option<(Duration, Duration)>,
-}
-
-impl ActiveLane {
-    /// Streams `lane.output[from..]`, stamping the first emission.
-    fn emit(&mut self, from: usize) {
-        if self.first_emit.is_none() {
-            self.first_emit = Some((self.ticket.submitted_at.elapsed(), self.lane.forced_time));
-        }
-        let bytes = self.lane.output[from..].to_vec();
-        let _ = self.ticket.events.send(StreamEvent::Bytes(bytes));
-    }
-}
-
 /// The persistent decode loop: admits ready lanes between steps, drives each
 /// step through [`Lane::step`], overlaps mask fill with the simulated GPU
 /// phase in overlapped mode, streams emitted bytes, and retires finished
-/// lanes.
+/// lanes. Dropping it, also by a panic, shuts the mask pool.
 struct DecodeLoop {
-    ready: Receiver<ReadyLane>,
-    mask_done: Receiver<MaskJob>,
-    mask_pool: Arc<MaskPool>,
+    ready: Receiver<(ActiveLane, usize)>,
+    mask_done: Receiver<ActiveLane>,
+    pool: Arc<MaskPool>,
     shared: Arc<Shared>,
     vocab: Arc<Vocabulary>,
     /// Forced-text re-tokenization index; `None` = jump-forward is off.
@@ -803,55 +807,58 @@ struct DecodeLoop {
     profile: ModelProfile,
     mode: ExecutionMode,
     max_lanes: usize,
+    /// The batch's lanes that are not with a mask worker.
+    lanes: Vec<ActiveLane>,
+    /// The batch's lanes that are: the batch is `lanes.len() + in_flight`.
+    in_flight: usize,
+}
+
+impl Drop for DecodeLoop {
+    fn drop(&mut self) {
+        self.pool.shutdown();
+    }
 }
 
 impl DecodeLoop {
-    fn run(self) {
-        let ctx = ForcedContext {
-            sorted: self.sorted.as_deref(),
-            vocab: &self.vocab,
-        };
-        let mut lanes: Vec<ActiveLane> = Vec::with_capacity(self.max_lanes);
-        let mut in_flight = 0usize;
-        let mut ready_open = true;
+    fn batch_size(&self) -> usize {
+        self.lanes.len() + self.in_flight
+    }
 
+    fn run(mut self) {
+        let mut ready_open = true;
         loop {
             // ---- Join phase: admit compiled lanes into the batch. ----
-            if lanes.is_empty() {
-                if !ready_open {
-                    return;
-                }
+            if self.batch_size() == 0 {
                 // Idle: block until a request arrives or admission closes.
                 match self.ready.recv() {
-                    Ok(lane) => self.join(lane, &mut lanes, &ctx, &mut in_flight),
+                    Ok((lane, prompt_tokens)) => self.join(lane, prompt_tokens),
                     Err(_) => return,
                 }
             }
-            while ready_open && lanes.len() < self.max_lanes {
+            while ready_open && self.batch_size() < self.max_lanes {
                 match self.ready.try_recv() {
-                    Ok(lane) => self.join(lane, &mut lanes, &ctx, &mut in_flight),
+                    Ok((lane, prompt_tokens)) => self.join(lane, prompt_tokens),
                     Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        ready_open = false;
-                    }
+                    Err(mpsc::TryRecvError::Disconnected) => ready_open = false,
                 }
             }
-            if lanes.is_empty() {
+            let batch_size = self.batch_size();
+            if batch_size == 0 {
                 continue;
             }
 
             // ---- One decode step for the whole batch. ----
             let step_start = Instant::now();
-            let gpu_step = self.profile.decode_step_time(lanes.len());
+            let gpu_step = self.profile.decode_step_time(batch_size);
             let mut handoff = Duration::ZERO;
             let mask_wait;
             match self.mode {
                 ExecutionMode::Serial => {
                     // No overlap: hand off and collect every mask, exposing
                     // the full mask wall-clock, then run the GPU step.
-                    handoff += self.dispatch_all(&mut lanes, &mut in_flight);
+                    handoff += self.dispatch();
                     let wait = Instant::now();
-                    collect_all(&self.mask_done, &mut lanes, &mut in_flight);
+                    self.collect();
                     mask_wait = wait.elapsed();
                     busy_wait(gpu_step);
                 }
@@ -861,21 +868,22 @@ impl DecodeLoop {
                     // Only the residual shows up as wait time.
                     busy_wait(gpu_step);
                     let wait = Instant::now();
-                    collect_all(&self.mask_done, &mut lanes, &mut in_flight);
+                    self.collect();
                     mask_wait = wait.elapsed();
                 }
             }
 
             // ---- Sampling phase. ----
+            let ctx = ForcedContext {
+                sorted: self.sorted.as_deref(),
+                vocab: &self.vocab,
+            };
             let mut sample = Duration::ZERO;
-            for al in lanes.iter_mut() {
-                let mask = if al.lane.is_constrained() {
-                    Some(al.mask.as_ref().expect("constrained lane holds its mask"))
-                } else {
-                    None
-                };
+            for al in &mut self.lanes {
                 let start = Instant::now();
-                let emitted_from = al.lane.step(mask, &ctx);
+                let emitted_from = al
+                    .lane
+                    .step(al.lane.is_constrained().then_some(&al.mask), &ctx);
                 sample += start.elapsed();
                 if al.lane.output.len() > emitted_from {
                     al.emit(emitted_from);
@@ -884,7 +892,7 @@ impl DecodeLoop {
             if matches!(self.mode, ExecutionMode::Overlapped) {
                 // Double-buffering: the step-t+1 masks fill through the next
                 // GPU step.
-                handoff += self.dispatch_all(&mut lanes, &mut in_flight);
+                handoff += self.dispatch();
             }
 
             // ---- Accounting, then retire finished lanes. ----
@@ -898,130 +906,71 @@ impl DecodeLoop {
                 metrics.handoff_time += handoff;
                 metrics.decode_time += step_start.elapsed();
             }
-            let mut i = 0;
-            while i < lanes.len() {
-                if lanes[i].lane.finished {
-                    let lane = lanes.swap_remove(i);
-                    self.finish(lane);
-                } else {
-                    i += 1;
-                }
+            for al in self.lanes.extract_if(.., |al| al.lane.finished) {
+                al.finish(&self.shared);
             }
         }
     }
 
     /// Admits one compiled lane: pay its prefill, run the lane-start
     /// jump-forward pass, stream any forced prefix, and (in overlapped mode)
-    /// dispatch its first mask fill.
-    fn join(
-        &self,
-        ready: ReadyLane,
-        lanes: &mut Vec<ActiveLane>,
-        ctx: &ForcedContext<'_>,
-        in_flight: &mut usize,
-    ) {
-        let prefill = self.profile.prefill_time(ready.prompt_tokens);
-        busy_wait(prefill);
-        let mut lane = Lane::new(ready.session, ready.llm_state, ready.max_tokens);
-        lane.start(ctx);
-        let mut al = ActiveLane {
-            ticket: ready.ticket,
-            lane,
-            mask: Some(TokenBitmask::new_all_rejected(self.vocab.len())),
-            mask_in_flight: false,
-            first_emit: None,
-        };
+    /// hand off its first mask fill.
+    fn join(&mut self, mut al: ActiveLane, prompt_tokens: usize) {
+        busy_wait(self.profile.prefill_time(prompt_tokens));
+        al.lane.start(&ForcedContext {
+            sorted: self.sorted.as_deref(),
+            vocab: &self.vocab,
+        });
         if !al.lane.output.is_empty() {
             // The lane-start jump-forward already forced a prefix.
             al.emit(0);
         }
         if al.lane.finished {
             // The constraint forced the entire output (or the cap is 0).
-            self.finish(al);
+            al.finish(&self.shared);
             return;
         }
-        lanes.push(al);
+        self.lanes.push(al);
         if matches!(self.mode, ExecutionMode::Overlapped) {
-            self.dispatch_all(lanes, in_flight);
+            self.dispatch();
         }
         let mut stats = self.shared.stats();
-        stats.metrics.max_concurrent_lanes = stats.metrics.max_concurrent_lanes.max(lanes.len());
+        stats.metrics.max_concurrent_lanes =
+            stats.metrics.max_concurrent_lanes.max(self.batch_size());
     }
 
-    /// The step's one mask hand-off: sends the session and bitmask of every
-    /// lane that needs a fill to the mask workers under one lock, then wakes
-    /// them once. Skips unconstrained and finished lanes and fills already in
-    /// flight. Returns the wall clock it took.
-    fn dispatch_all(&self, lanes: &mut [ActiveLane], in_flight: &mut usize) -> Duration {
+    /// The step's one mask hand-off: moves every lane that needs a fill into
+    /// the mask workers' queue under one lock, then wakes them once, and
+    /// returns the wall clock it took. One lock and one wake, not a channel
+    /// send per lane: sending each lane on its own took `schema_warm`'s
+    /// `engine.step_overhead_us` from 36 to 85 µs and `cfg_heavy`'s from 23
+    /// to 38 (`perf --seed 11`, 2 cores).
+    fn dispatch(&mut self) -> Duration {
         let start = Instant::now();
-        let before = *in_flight;
-        let mut pool = self.mask_pool.state.lock().expect("mask pool poisoned");
-        for al in lanes.iter_mut() {
-            if al.mask_in_flight || al.lane.finished || !al.lane.is_constrained() {
-                continue;
-            }
-            let session = al
-                .lane
-                .session
-                .take()
-                .expect("constrained lane holds a session");
-            let mask = al.mask.take().expect("idle lane holds its mask");
-            pool.jobs.push_back(MaskJob {
-                lane: al.ticket.id,
-                session,
-                mask,
-            });
-            al.mask_in_flight = true;
-            *in_flight += 1;
-        }
+        let mut pool = lock(&self.pool.state);
+        let before = pool.lanes.len();
+        pool.lanes
+            .extend(self.lanes.extract_if(.., |al| al.needs_mask()));
+        let sent = pool.lanes.len() - before;
         drop(pool);
-        match *in_flight - before {
+        self.in_flight += sent;
+        match sent {
             0 => {}
-            1 => self.mask_pool.available.notify_one(),
-            _ => self.mask_pool.available.notify_all(),
+            1 => self.pool.available.notify_one(),
+            _ => self.pool.available.notify_all(),
         }
         start.elapsed()
     }
 
-    /// Retires one finished lane: complete its timing, fold it and the lane's
-    /// counters into the aggregate, and send the terminal event.
-    fn finish(&self, al: ActiveLane) {
-        debug_assert!(!al.mask_in_flight, "retiring a lane with a mask in flight");
-        let ActiveLane {
-            ticket,
-            lane,
-            first_emit,
-            ..
-        } = al;
-        let mut timing = ticket.timing;
-        timing.total_time = ticket.submitted_at.elapsed();
-        let (ttft, forced_by_then) = first_emit.unwrap_or((timing.total_time, lane.forced_time));
-        timing.ttft = ttft;
-        timing.tpot = tpot(
-            timing.total_time,
-            ttft,
-            lane.forced_time - forced_by_then,
-            lane.sampled_tokens,
-        );
-        {
-            let mut stats = self.shared.stats();
-            if lane.sampled_tokens > 1 {
-                stats.tpot_sum += timing.tpot;
-                stats.tpot_lanes += 1;
-            }
-            let metrics = &mut stats.metrics;
-            metrics.ttft = match metrics.completed {
-                0 => ttft,
-                _ => metrics.ttft.min(ttft),
-            };
-            metrics.completed += 1;
-            metrics.sampled_tokens += lane.sampled_tokens as u64;
-            metrics.forced_tokens += lane.forced_tokens as u64;
-            metrics.forced_chars += lane.forced_chars as u64;
-            metrics.forced_time += lane.forced_time;
+    /// Collect barrier: takes back every lane at a mask worker, its mask
+    /// filled.
+    fn collect(&mut self) {
+        while self.in_flight > 0 {
+            let al = self.mask_done.recv();
+            self.lanes
+                .push(al.expect("mask workers outlive the decode loop"));
+            self.in_flight -= 1;
         }
-        let result = lane.into_result();
-        let _ = ticket.events.send(StreamEvent::Finished { result, timing });
     }
 }
 
@@ -1044,30 +993,14 @@ fn tpot(
         .div_f64((sampled - 1) as f64)
 }
 
-/// Collect barrier: receives every in-flight mask result, restoring each
-/// lane's session and freshly filled bitmask.
-fn collect_all(done: &Receiver<MaskJob>, lanes: &mut [ActiveLane], in_flight: &mut usize) {
-    while *in_flight > 0 {
-        let result = done.recv().expect("mask workers outlive the decode loop");
-        let al = lanes
-            .iter_mut()
-            .find(|l| l.ticket.id == result.lane)
-            .expect("mask result for a live lane");
-        al.lane.session = Some(result.session);
-        al.mask = Some(result.mask);
-        al.mask_in_flight = false;
-        *in_flight -= 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{LaneConstraint, ServingEngine};
     use crate::profiles::ModelProfile;
     use std::sync::Arc;
-    use xg_baselines::{CompiledConstraint, XGrammarBackend};
-    use xg_core::{AcceptError, CompilerConfig, ConstraintMatcher, LintMode};
+    use xg_baselines::{CompiledConstraint, Session, XGrammarBackend};
+    use xg_core::{AcceptError, CompilerConfig, ConstraintMatcher, ForcedTokenRun, LintMode};
     use xg_grammar::{parse_ebnf, Grammar};
     use xg_tokenizer::{test_vocabulary, TokenId};
 
@@ -1366,6 +1299,163 @@ mod tests {
             .collect();
         assert!(!gaps.is_empty());
         assert_eq!(m.tpot, gaps.iter().sum::<Duration>() / gaps.len() as u32);
+    }
+
+    /// Sessions opened, and sessions filled at least once and not yet
+    /// dropped (with the peak of that count): a lane counts from its first
+    /// mask to its retirement, wherever it is meanwhile.
+    #[derive(Debug, Default)]
+    struct FilledSessions {
+        opened: AtomicU64,
+        live: AtomicU64,
+        peak: AtomicU64,
+    }
+
+    /// `XGrammarBackend` behind sessions that count themselves in
+    /// [`FilledSessions`] and sleep in every fill for 0.4, 0.2 or 0 ms by
+    /// the order they were opened in, so that two mask workers hand lanes
+    /// back out of the order they were sent.
+    #[derive(Debug)]
+    struct CountingBackend {
+        inner: Arc<XGrammarBackend>,
+        sessions: Arc<FilledSessions>,
+    }
+
+    #[derive(Debug)]
+    struct CountingConstraint {
+        inner: Arc<dyn CompiledConstraint>,
+        sessions: Arc<FilledSessions>,
+    }
+
+    #[derive(Debug)]
+    struct CountingSession {
+        inner: Session,
+        sessions: Arc<FilledSessions>,
+        delay: Duration,
+        filled: bool,
+    }
+
+    impl ConstrainedBackend for CountingBackend {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn vocabulary(&self) -> &Arc<Vocabulary> {
+            self.inner.vocabulary()
+        }
+        fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
+            Ok(Arc::new(CountingConstraint {
+                inner: self.inner.compile(grammar)?,
+                sessions: Arc::clone(&self.sessions),
+            }))
+        }
+    }
+
+    impl CompiledConstraint for CountingConstraint {
+        fn new_session(&self) -> Session {
+            let opened = self.sessions.opened.fetch_add(1, Ordering::SeqCst);
+            Session::new(Box::new(CountingSession {
+                inner: self.inner.new_session(),
+                sessions: Arc::clone(&self.sessions),
+                delay: Duration::from_micros(200 * (2 - opened % 3)),
+                filled: false,
+            }))
+        }
+    }
+
+    impl ConstraintMatcher for CountingSession {
+        fn vocabulary(&self) -> &Arc<Vocabulary> {
+            self.inner.vocabulary()
+        }
+        fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
+            if !self.filled {
+                self.filled = true;
+                let live = self.sessions.live.fetch_add(1, Ordering::SeqCst) + 1;
+                self.sessions.peak.fetch_max(live, Ordering::SeqCst);
+            }
+            std::thread::sleep(self.delay);
+            self.inner.fill_next_token_bitmask(mask);
+        }
+        fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
+            self.inner.accept_token(token)
+        }
+        fn find_jump_forward_tokens(&mut self, sorted: &SortedVocabulary) -> ForcedTokenRun {
+            self.inner.find_jump_forward_tokens(sorted)
+        }
+        fn can_terminate(&mut self) -> bool {
+            self.inner.can_terminate()
+        }
+        fn is_terminated(&self) -> bool {
+            self.inner.is_terminated()
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+    }
+
+    impl Drop for CountingSession {
+        fn drop(&mut self) {
+            if self.filled {
+                self.sessions.live.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn the_lane_cap_bounds_the_lanes_holding_a_mask_seen_from_the_sessions() {
+        // Counted by the sessions, not by the scheduler: a lane with a mask
+        // worker is still part of the batch the cap bounds.
+        let inner = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
+        let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+        let requests: Vec<EngineRequest> = xg_datasets::json_mode_eval_like(6, 0x1A4E)
+            .into_iter()
+            .zip(0..)
+            .map(|(task, seed)| EngineRequest {
+                constraint: xg_grammar::json_schema_to_grammar(&task.schema)
+                    .unwrap()
+                    .into(),
+                prompt_tokens: 8,
+                reference: task.reference,
+                max_tokens: 300,
+                seed,
+            })
+            .collect();
+        let reference = ServingEngine::new(inner.clone(), profile.clone(), ExecutionMode::Serial);
+        let expected: Vec<RequestResult> = requests
+            .iter()
+            .map(|request| reference.decode_reference(request).unwrap())
+            .collect();
+        for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
+            for mask_workers in [1, 2] {
+                let sessions = Arc::new(FilledSessions::default());
+                let backend = CountingBackend {
+                    inner: Arc::clone(&inner),
+                    sessions: Arc::clone(&sessions),
+                };
+                let engine = ServingEngine::new(Arc::new(backend), profile.clone(), mode);
+                let scheduler = engine.serve(SchedulerConfig {
+                    max_lanes: 2,
+                    mask_workers,
+                    ..SchedulerConfig::default()
+                });
+                let handles: Vec<_> = requests
+                    .iter()
+                    .map(|request| scheduler.submit(request.clone()).unwrap())
+                    .collect();
+                let what = format!("{mode:?}, {mask_workers} mask workers");
+                for (handle, expected) in handles.into_iter().zip(&expected) {
+                    let served = handle.wait().unwrap().result;
+                    assert_eq!(served.output, expected.output, "{what}");
+                }
+                let reported = scheduler.metrics().max_concurrent_lanes as u64;
+                scheduler.shutdown();
+                let peak = sessions.peak.load(Ordering::SeqCst);
+                assert!((1..=2).contains(&peak), "{what}: {peak} lanes held a mask");
+                assert!(
+                    (peak..=2).contains(&reported),
+                    "{what}: max_concurrent_lanes {reported}, observed {peak}"
+                );
+            }
+        }
     }
 
     /// A backend whose sessions panic when asked for a mask.
