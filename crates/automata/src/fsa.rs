@@ -184,23 +184,25 @@ impl Fsa {
         // Consuming every byte with live states makes the remainder a prefix
         // of an accepted string.
         self.decide_prefix(remaining)
-            .unwrap_or(SuffixMatch::Possible)
+            .map_or(SuffixMatch::Possible, |(verdict, _)| verdict)
     }
 
-    /// The verdict [`match_remaining`](Self::match_remaining) gives to
-    /// *every* byte string starting with `prefix`, or `None` when `prefix`
-    /// alone does not decide it. The scan stops at the first empty state set
-    /// (rejected) or the first final state (possible), so whatever follows a
-    /// deciding prefix is never read — which lets the mask-cache build
-    /// classify a whole run of tokens sharing a prefix at once.
-    pub fn decide_prefix(&self, prefix: &[u8]) -> Option<SuffixMatch> {
+    /// `Some((verdict, read))`: the verdict
+    /// [`match_remaining`](Self::match_remaining) gives to *every* byte
+    /// string starting with `prefix[..read]`, and `read`, the number of bytes
+    /// it took. `None` when all of `prefix` leaves it undecided. The scan
+    /// stops at the first empty state set (rejected) or the first final state
+    /// (possible), so whatever follows `prefix[..read]` is never read — which
+    /// lets the mask-cache build classify a whole run of tokens sharing those
+    /// bytes at once.
+    pub fn decide_prefix(&self, prefix: &[u8]) -> Option<(SuffixMatch, usize)> {
         if self.is_final(self.start) {
-            return Some(SuffixMatch::Possible);
+            return Some((SuffixMatch::Possible, 0));
         }
         // Asked once per died token and pop-out offset of a mask-cache build:
         // the sets hold a handful of states, so no `BTreeSet` per byte.
         let (mut states, mut next) = (vec![self.start], Vec::new());
-        for &b in prefix {
+        for (i, &b) in prefix.iter().enumerate() {
             next.clear();
             for &(range, to) in states.iter().flat_map(|s| &self.states[s.index()].edges) {
                 if range.contains(b) && !next.contains(&to) {
@@ -208,11 +210,11 @@ impl Fsa {
                 }
             }
             if next.is_empty() {
-                return Some(SuffixMatch::Rejected);
+                return Some((SuffixMatch::Rejected, i + 1));
             }
             if next.iter().any(|s| self.is_final(*s)) {
                 // The remainder starts with an accepted expanded suffix.
-                return Some(SuffixMatch::Possible);
+                return Some((SuffixMatch::Possible, i + 1));
             }
             std::mem::swap(&mut states, &mut next);
         }
@@ -294,25 +296,32 @@ mod tests {
         let fsa = literal_fsa(b", \"");
         assert_eq!(fsa.decide_prefix(b""), None);
         assert_eq!(fsa.decide_prefix(b","), None);
-        assert_eq!(fsa.decide_prefix(b",x"), Some(SuffixMatch::Rejected));
-        assert_eq!(fsa.decide_prefix(b", \""), Some(SuffixMatch::Possible));
+        assert_eq!(fsa.decide_prefix(b",x"), Some((SuffixMatch::Rejected, 2)));
+        assert_eq!(fsa.decide_prefix(b", \""), Some((SuffixMatch::Possible, 3)));
         // Bytes after the deciding ones are not read.
-        assert_eq!(fsa.decide_prefix(b", \"\xff"), Some(SuffixMatch::Possible));
+        assert_eq!(
+            fsa.decide_prefix(b", \"\xff"),
+            Some((SuffixMatch::Possible, 3))
+        );
+        assert_eq!(
+            fsa.decide_prefix(b"x, \""),
+            Some((SuffixMatch::Rejected, 1))
+        );
     }
 
     /// `decide_prefix` as it was: a fresh `BTreeSet` per byte through `step`.
-    fn decide_prefix_by_sets(fsa: &Fsa, prefix: &[u8]) -> Option<SuffixMatch> {
+    fn decide_prefix_by_sets(fsa: &Fsa, prefix: &[u8]) -> Option<(SuffixMatch, usize)> {
         if fsa.is_final(fsa.start()) {
-            return Some(SuffixMatch::Possible);
+            return Some((SuffixMatch::Possible, 0));
         }
         let mut states = BTreeSet::from([fsa.start()]);
-        for &b in prefix {
+        for (i, &b) in prefix.iter().enumerate() {
             states = fsa.step(&states, b);
             if states.is_empty() {
-                return Some(SuffixMatch::Rejected);
+                return Some((SuffixMatch::Rejected, i + 1));
             }
             if states.iter().any(|s| fsa.is_final(*s)) {
-                return Some(SuffixMatch::Possible);
+                return Some((SuffixMatch::Possible, i + 1));
             }
         }
         None
@@ -346,11 +355,16 @@ mod tests {
             }
             for input in &inputs {
                 let input: Vec<u8> = input.iter().map(|b| b'a' + b).collect();
-                prop_assert_eq!(fsa.decide_prefix(&input), decide_prefix_by_sets(&fsa, &input));
+                let decided = decide_prefix_by_sets(&fsa, &input);
+                prop_assert_eq!(fsa.decide_prefix(&input), decided);
                 prop_assert_eq!(
                     fsa.match_remaining(&input),
-                    decide_prefix_by_sets(&fsa, &input).unwrap_or(SuffixMatch::Possible)
+                    decided.map_or(SuffixMatch::Possible, |(verdict, _)| verdict)
                 );
+                // The bytes a verdict read are all it needs.
+                if let Some((_, read)) = decided {
+                    prop_assert_eq!(fsa.decide_prefix(&input[..read]), decided);
+                }
             }
         }
     }

@@ -56,13 +56,19 @@ impl ExecScratch {
 
 /// Expands a set of stack heads into their epsilon closure: every
 /// configuration reachable without consuming a byte, by entering referenced
-/// rules (push) or returning from completed rules (pop). The closure is
+/// rules or returning from completed rules (pop). Entering a rule pushes its
+/// start over the return node, unless the return node is a pure return: then
+/// nothing of the caller is left to do, and the callee's start replaces the
+/// caller's frame (a tail call). A right-recursive rule so keeps its stack
+/// depth, and the step memo meets the same stacks again. The closure is
 /// returned as a slice of `scratch`.
 ///
 /// `on_popout` is invoked for every configuration that reaches the final node
 /// of the *bottom* frame — i.e. that could pop out of the frame the matching
 /// started in, which the caller interprets as either "needs parent context"
-/// (preprocessing) or "the whole grammar can terminate here" (runtime).
+/// (preprocessing) or "the whole grammar can terminate here" (runtime). Tail
+/// calls leave it unchanged: a tail callee finishing in the bottom frame is
+/// the caller finishing there.
 pub fn closure<'s>(
     pda: &Pda,
     tree: &mut PersistentStackTree,
@@ -85,11 +91,16 @@ pub fn closure<'s>(
         }
         let top = tree.top(h).expect("stack heads always carry a top node");
         let node = pda.node(top);
-        // Expand rule references (push).
+        // Expand rule references (push, or replace for a tail call).
         for edge in &node.edges {
             if let PdaEdge::Rule { rule, target } = edge {
-                let with_return = tree.replace_top(h, *target);
-                let child = tree.push(with_return, pda.rule(*rule).start);
+                let start = pda.rule(*rule).start;
+                let child = if pda.node(*target).is_pure_return() {
+                    tree.replace_top(h, start)
+                } else {
+                    let with_return = tree.replace_top(h, *target);
+                    tree.push(with_return, start)
+                };
                 if scratch.first_visit(child) {
                     scratch.queue.push(child);
                 }
@@ -329,8 +340,12 @@ impl TokenTrail {
 }
 
 /// States a [`StepMemo`] holds before it clears itself: a 1 KiB row each, so
-/// ≈ 1 MB per compile worker. A walk that never revisits a state (a rule
-/// growing a frame per byte) would otherwise pay a row per step for nothing.
+/// ≈ 1 MB per compile worker. No benchmark grammar fills it (the twelve cold
+/// schemas, the five warm ones, XML and JSON, at 32k and 128k tokens; tail
+/// calls keep right-recursive rules at one depth). It bounds a hostile
+/// grammar whose walk seldom revisits a state, such as many nesting rules
+/// that each push a frame per opening byte, which would otherwise pay a row
+/// per step for nothing.
 const MAX_MEMO_STATES: usize = 1024;
 
 /// The PDA determinised lazily for the mask-cache build: a head set is a dense
@@ -675,6 +690,40 @@ mod tests {
         assert_eq!(trail.bytes_advanced(), advanced);
         // Next token shares the prefix `{` only; after rollback it matches.
         assert_eq!(trail.match_token(&pda, &mut tree, b"{}", 1), Ok(()));
+    }
+
+    /// `multipleOf`'s residue rules call the next residue's rule after every
+    /// digit, in tail position: the callee replaces the caller's frame, so the
+    /// stack stays as deep as at the first digit (with a frame pushed per
+    /// reference it grows by one per digit, to 40 here).
+    #[test]
+    fn a_right_recursive_digit_chain_keeps_its_depth() {
+        let case = xg_datasets::schema_corpus(12, 11)
+            .into_iter()
+            .find(|case| case.feature == "multiple-of")
+            .expect("the corpus has one schema per feature");
+        let k = case.schema["multipleOf"]
+            .as_u64()
+            .expect("an integer divisor");
+        let grammar = xg_grammar::json_schema_to_grammar(&case.schema).unwrap();
+        let pda = build_pda(&grammar, &PdaBuildOptions::default());
+        // 38 digits, then the two that make the number a multiple of k.
+        let mut digits: Vec<u8> = b"9876543210".iter().cycle().take(38).copied().collect();
+        let residue = digits
+            .iter()
+            .fold(0, |r, d| (r * 10 + u64::from(d - b'0')) % k);
+        let last = (0..100).find(|d| (residue * 100 + d) % k == 0).unwrap();
+        digits.extend(format!("{last:02}").bytes());
+
+        let mut tree = PersistentStackTree::new();
+        let mut heads = start_heads(&pda, &mut tree);
+        let mut scratch = ExecScratch::default();
+        for (i, &digit) in digits.iter().enumerate() {
+            advance_bytes(&pda, &mut tree, &mut heads, &[digit], &mut scratch).unwrap();
+            let depth = heads.iter().map(|&h| tree.depth(h)).max().unwrap();
+            assert!(depth <= 2, "depth {depth} after {} digits", i + 1);
+        }
+        assert!(can_pop_out(&pda, &mut tree, &heads, &mut scratch));
     }
 
     #[test]

@@ -206,26 +206,35 @@ struct NodeClassification {
     tokens_visited: u64,
 }
 
-/// What a token that died in the trail is, given the bytes of it that
-/// `decided_by` holds: context-dependent (`Some(true)`) if the remainder
-/// after some pop-out can match a parent context, rejected (`Some(false)`)
-/// if no remainder can, and `None` when `decided_by` is too short to tell.
-/// Without a suffix automaton (no context expansion, §3.2) any pop-out makes
-/// the token context-dependent.
+/// What a token that died in the trail is: context-dependent (`true`) if the
+/// remainder after some pop-out can match a parent context, rejected
+/// (`false`) if no remainder can. Also returns how many of the token's bytes
+/// the verdict read. A remainder the suffix automaton leaves undecided is a
+/// prefix of what a parent context accepts, so that verdict also depends on
+/// where the token ends: it reads one byte past the end. Without a suffix
+/// automaton (no context expansion, §3.2) any pop-out makes the token
+/// context-dependent, and no byte after the pop-outs matters.
 fn is_context_dependent(
-    popouts: impl Iterator<Item = usize>,
-    decided_by: &[u8],
+    mut popouts: impl Iterator<Item = usize>,
+    token: &[u8],
     suffix_fsa: Option<&Fsa>,
-) -> Option<bool> {
-    let mut undecided = false;
+) -> (bool, usize) {
+    let Some(fsa) = suffix_fsa else {
+        return (popouts.next().is_some(), 0);
+    };
+    let (mut read, mut undecided) = (0, false);
     for offset in popouts {
-        match suffix_fsa.map(|fsa| fsa.decide_prefix(&decided_by[offset..])) {
-            None | Some(Some(SuffixMatch::Possible)) => return Some(true),
-            Some(Some(SuffixMatch::Rejected)) => {}
-            Some(None) => undecided = true,
+        match fsa.decide_prefix(&token[offset..]) {
+            Some((SuffixMatch::Possible, n)) => return (true, offset + n),
+            Some((SuffixMatch::Rejected, n)) => read = read.max(offset + n),
+            None => undecided = true,
         }
     }
-    (!undecided).then_some(false)
+    if undecided {
+        (true, token.len() + 1)
+    } else {
+        (false, read)
+    }
 }
 
 /// Classifies every (non-special) token against a single automaton node,
@@ -235,12 +244,12 @@ fn is_context_dependent(
 /// (context expansion, §3.2).
 ///
 /// A token the trail dies on at byte `p` takes the whole run of following
-/// tokens that share `token[..=p]` with it: they reach the same dead state
-/// with the same pop-outs, so when that prefix also settles the suffix
-/// automaton's answer, the run is classified without being visited. The work
-/// is proportional to the prefixes the node keeps alive, not to the
-/// vocabulary. Token bytes come from the sorted index's arena, in the order
-/// the walk visits them.
+/// tokens that share with it both `token[..=p]` and the bytes the suffix
+/// automaton's verdict read: they reach the same dead state with the same
+/// pop-outs and the same verdict, so the run is classified without being
+/// visited. The work is proportional to the prefixes the node keeps alive and
+/// the suffix automaton reads, not to the vocabulary. Token bytes come from
+/// the sorted index's arena, in the order the walk visits them.
 fn classify_node(
     pda: &Pda,
     memo: &mut StepMemo,
@@ -261,21 +270,10 @@ fn classify_node(
             i += 1;
             continue;
         };
-        let shared_prefix = &bytes[..=died_at];
-        let (context_dependent, run_end) =
-            match is_context_dependent(memo.popout_offsets(&trail), shared_prefix, suffix_fsa) {
-                Some(class) => {
-                    let shared = lcp[i + 1..].iter().take_while(|&&l| l > died_at).count();
-                    (class, i + 1 + shared)
-                }
-                // The token's own bytes decide it, or run out undecided: then
-                // its remainder is a prefix of what a parent context accepts.
-                None => (
-                    is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa)
-                        .unwrap_or(true),
-                    i + 1,
-                ),
-            };
+        let (context_dependent, read) =
+            is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa);
+        let shared = read.max(died_at + 1);
+        let run_end = i + 1 + lcp[i + 1..].iter().take_while(|&&l| l >= shared).count();
         // Any pop-out means the remainder could be matched by a parent
         // context; context expansion filtered those that cannot.
         if memo.popout_offsets(&trail).next().is_some() {

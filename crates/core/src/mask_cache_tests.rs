@@ -1,5 +1,5 @@
-//! Differential tests of the run-skipping, memoised classifier against the
-//! per-token loop over an unmemoised [`TokenTrail`] it replaced, and the
+//! Differential tests of the run-skipping, memoised classifier against a
+//! per-token loop over the independent [`SimpleMatcher`], and the
 //! deterministic count gates on how much of the vocabulary a build visits and
 //! how many of its steps the automaton executes.
 
@@ -9,21 +9,22 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions};
+use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions, SimpleMatcher};
 use xg_grammar::{builtin, json_schema_to_grammar, parse_ebnf, Grammar};
 use xg_tokenizer::{
     common_prefix_len, synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig,
 };
 
 use super::*;
-use crate::executor::TokenTrail;
-use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
 /// The classifier before run skipping, kept as the reference: every sorted
-/// token is matched and classified on its own. A trail that died is padded
-/// with one dead state per remaining byte, so the next token can always roll
-/// back to its common prefix, and a token's remainders are judged by
-/// `match_remaining` on the token's own bytes.
+/// token is matched and classified on its own, by [`SimpleMatcher`], the
+/// executor that pushes a frame for every rule reference, tail calls
+/// included. `trail[i]` holds the stacks after a token's first `i` bytes
+/// (padded with dead matchers after a death) and `popout[i]` whether one of
+/// them can pop out of the bottom frame; the next token rolls both back to
+/// its common prefix. A token's remainders are judged by `match_remaining` on
+/// the token's own bytes.
 fn classify_node_reference(
     pda: &Pda,
     node: NodeId,
@@ -31,28 +32,30 @@ fn classify_node_reference(
     sorted: &SortedVocabulary,
     suffix_fsa: Option<&Fsa>,
 ) -> NodeClassification {
-    let mut tree = PersistentStackTree::new();
-    let start = tree.push(StackHandle::ROOT, node);
-    let mut trail = TokenTrail::default();
-    trail.reset(&[start]);
+    let mut trail = vec![SimpleMatcher::with_start_node(pda, node)];
+    let mut popout: Vec<bool> = Vec::new();
     let mut out = NodeClassification::default();
     let mut prev: &[u8] = &[];
     for &token_id in sorted.ids() {
         let bytes = vocab.token_bytes(token_id);
         out.tokens_visited += 1;
-        trail.rollback_to(common_prefix_len(prev, bytes));
+        let keep = common_prefix_len(prev, bytes);
+        trail.truncate(keep + 1);
+        popout.truncate(keep);
         prev = bytes;
-        while trail.prefix_len() < bytes.len() {
-            trail.advance(pda, &mut tree, bytes[trail.prefix_len()]);
+        for &byte in &bytes[keep..] {
+            let mut next = trail[trail.len() - 1].clone();
+            // A dead matcher neither pops out nor counts a step.
+            popout.push(next.can_terminate());
+            out.bytes_matched += u64::from(!next.is_dead());
+            next.advance_byte(byte);
+            trail.push(next);
         }
-        if !trail.current_heads().is_empty() {
+        if !trail[bytes.len()].is_dead() {
             out.accepted.push(token_id);
             continue;
         }
-        let popouts: Vec<usize> = trail
-            .popout_offsets()
-            .filter(|&o| o < bytes.len())
-            .collect();
+        let popouts: Vec<usize> = (0..bytes.len()).filter(|&o| popout[o]).collect();
         let uncertain = popouts.iter().any(|&o| {
             suffix_fsa.is_none_or(|fsa| fsa.match_remaining(&bytes[o..]) == SuffixMatch::Possible)
         });
@@ -63,7 +66,6 @@ fn classify_node_reference(
             out.uncertain.push(token_id);
         }
     }
-    out.bytes_matched = trail.bytes_advanced();
     out.automaton_steps = out.bytes_matched;
     out
 }
@@ -292,15 +294,19 @@ fn random_expr(rng: &mut SmallRng, depth: usize, rules: &[&str]) -> String {
     }
 }
 
-/// A random three-rule grammar (references only go down, so there is no
-/// left recursion).
+/// A random three-rule grammar. A rule references the rules below it, and a
+/// third of the rules also themselves after a byte (`r ::= "x" r | <body>`,
+/// a tail call), so there is no left recursion.
 pub(crate) fn random_grammar(rng: &mut SmallRng) -> Grammar {
-    let source = format!(
-        "root ::= {}\nmid ::= {}\nleaf ::= {}\n",
-        random_expr(rng, 2, &["mid", "leaf"]),
-        random_expr(rng, 2, &["leaf"]),
-        random_expr(rng, 1, &[]),
-    );
+    let mut rule = |name: &str, depth: usize, rules: &[&str]| {
+        let body = random_expr(rng, depth, rules);
+        match rng.gen_range(0..3) {
+            0 => format!("{name} ::= {} {name} | {body}\n", random_expr(rng, 0, &[])),
+            _ => format!("{name} ::= {body}\n"),
+        }
+    };
+    let source =
+        rule("root", 2, &["mid", "leaf"]) + &rule("mid", 2, &["leaf"]) + &rule("leaf", 1, &[]);
     parse_ebnf(&source, "root")
         .unwrap_or_else(|e| panic!("generated grammar must parse: {e}\n{source}"))
 }
@@ -336,11 +342,12 @@ fn multiple_of_grammar() -> Grammar {
     json_schema_to_grammar(&case.schema).expect("corpus schemas convert")
 }
 
-/// The clear-and-re-derive path, which the default bound reaches on one
-/// benchmark schema only: with room for 8 states and tokens of up to 6 bytes
+/// The clear-and-re-derive path, which no benchmark grammar reaches with the
+/// default bound (the twelve cold schemas, the five warm ones and XML, at 32k
+/// and 128k tokens): with room for 8 states and tokens of up to 6 bytes
 /// (dead + start + 6), the memo clears itself every few tokens and the trail
 /// walks its held prefix again, and every entry and count stays what the
-/// unmemoised reference gives.
+/// reference gives.
 #[test]
 fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
     let short: Vec<Vec<u8>> = test_vocabulary(3000)
@@ -392,12 +399,22 @@ fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
             recomputed > 1000,
             "{what}: the memo forgot and recomputed {recomputed} transitions"
         );
-        // The default bound builds the same cache without clearing more than
-        // the multiple-of schema's digit chains make it.
+        // The default bound, which these builds never fill, builds the same
+        // cache with fewer steps.
         let default = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options);
         assert_same_cache(&default, &reference, what);
         assert!(default.stats().automaton_steps < tiny.stats().automaton_steps);
     }
+}
+
+/// The synthetic vocabulary the count gates run on, and its sorted index.
+fn vocabulary_32k() -> (Vocabulary, SortedVocabulary) {
+    let vocab = synthetic_vocabulary(&SyntheticVocabConfig {
+        size: 32_000,
+        seed: 0x32_000,
+    });
+    let sorted = SortedVocabulary::new(&vocab);
+    (vocab, sorted)
 }
 
 /// The count behind the step memo's claim: on one thread (one memo, nodes in
@@ -407,11 +424,7 @@ fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
 /// the share only means something at scale.
 #[test]
 fn the_xml_build_executes_a_twentieth_of_its_steps() {
-    let vocab = synthetic_vocabulary(&SyntheticVocabConfig {
-        size: 32_000,
-        seed: 0x32_000,
-    });
-    let sorted = SortedVocabulary::new(&vocab);
+    let (vocab, sorted) = vocabulary_32k();
     let pda = build_pda(&builtin::xml_grammar(), &PdaBuildOptions::default());
     let fsas = extract_all_suffix_fsas(&pda);
     let options = MaskCacheBuildOptions {
@@ -446,11 +459,7 @@ fn the_xml_build_executes_a_twentieth_of_its_steps() {
 /// one that failed.
 #[test]
 fn cold_schema_builds_visit_a_twentieth_of_the_vocabulary() {
-    let vocab = synthetic_vocabulary(&SyntheticVocabConfig {
-        size: 32_000,
-        seed: 0x32_000,
-    });
-    let sorted = SortedVocabulary::new(&vocab);
+    let (vocab, sorted) = vocabulary_32k();
     let (mut visited, mut all) = (0u64, 0u64);
     for case in xg_datasets::schema_corpus(12, 11) {
         let grammar = json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
@@ -471,4 +480,65 @@ fn cold_schema_builds_visit_a_twentieth_of_the_vocabulary() {
         visited * 20 <= all,
         "visited {visited} of {all} (node, token) pairs"
     );
+}
+
+/// The count behind the `multiple-of` schema's compile, exact because one
+/// thread walks the nodes in order through one memo. Before a suffix verdict
+/// took every token sharing the bytes it read, and before a tail call
+/// replaced the frame, the same build visited 212 338 tokens and executed
+/// 151 508 automaton steps.
+#[test]
+fn the_multiple_of_build_visits_and_steps_a_pinned_count() {
+    let (vocab, sorted) = vocabulary_32k();
+    let pda = build_pda(&multiple_of_grammar(), &PdaBuildOptions::default());
+    let fsas = extract_all_suffix_fsas(&pda);
+    let options = MaskCacheBuildOptions {
+        context_expansion: true,
+        num_threads: 1,
+    };
+    let stats = *build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
+    assert_eq!(
+        (stats.tokens_visited, stats.automaton_steps),
+        (152_135, 32_150)
+    );
+}
+
+/// After a digit `num` may end, so every space-led token pops out at its
+/// first byte and is judged by what may follow a number: blanks, then `,` or
+/// `]`. The verdict on ` a` reads two bytes, so ` ab`, ` abc`, ` an` and
+/// ` and` are classified with it, unvisited: the node visits one token per
+/// decided prefix, not one per space-led token.
+#[test]
+fn a_suffix_verdict_takes_every_token_sharing_the_bytes_it_read() {
+    let tokens: &[&[u8]] = &[
+        b"</s>", b"0", b"7", b",", b"[", b"]", b" ", b" ,", b" ]", b" a", b" ab", b" abc", b" an",
+        b" and", b" b", b" ba", b" bar", b" be",
+    ];
+    let vocab = Vocabulary::from_tokens(tokens.iter().map(|t| t.to_vec()).collect(), Some(0));
+    let sorted = SortedVocabulary::new(&vocab);
+    let source = r#"
+        root ::= "[" num ([ \n]* "," [ \n]* num)* [ \n]* "]"
+        num ::= [0-9]+
+    "#;
+    // `num` stays a rule of its own: its nodes pop out into `root`.
+    let options = PdaBuildOptions {
+        inline_rules: false,
+        ..Default::default()
+    };
+    let pda = build_pda(&parse_ebnf(source, "root").unwrap(), &options);
+    assert_matches_reference(&pda, &vocab, &sorted, source);
+
+    let num = pda.rules().iter().position(|r| r.name == "num").unwrap();
+    let after_digit = pda.node(pda.rules()[num].start).edges[0].target();
+    let fsa = &extract_all_suffix_fsas(&pda)[num];
+    let classified = classify_node(&pda, &mut StepMemo::new(), after_digit, &sorted, Some(fsa));
+    // ` `, ` ,`, ` ]`, ` a`, ` b` of the twelve space-led tokens; `,`, `0`,
+    // `7`, `[`, `]` of the rest.
+    assert_eq!(classified.tokens_visited, 5 + 5);
+    let uncertain: Vec<&[u8]> = classified
+        .uncertain
+        .iter()
+        .map(|&t| vocab.token_bytes(t))
+        .collect();
+    assert_eq!(uncertain, [&b" "[..], b" ,", b" ]", b",", b"]"]);
 }

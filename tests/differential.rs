@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xg_automata::{build_pda_default, SimpleMatcher};
+use xg_automata::{build_pda_default, PdaEdge, SimpleMatcher};
 use xg_baselines::{
     BackendError, ConstrainedBackend, FormatEnforcerBackend, FsmIndexBackend, NaivePdaBackend,
     Session,
@@ -107,8 +107,9 @@ struct RandomGrammar {
 }
 
 /// Generates a random grammar with a root rule and 0-2 helper rules; helpers
-/// may be self-recursive, always guarded by delimiter literals so the
-/// recursion is well-founded.
+/// may be self-recursive, always after a leading literal or class so the
+/// recursion is well-founded: nested between delimiters, or right-recursive
+/// (a tail call).
 fn random_grammar(rng: &mut SmallRng) -> RandomGrammar {
     let helper_names: &[&str] = match rng.gen_range(0..3) {
         0 => &[],
@@ -122,16 +123,22 @@ fn random_grammar(rng: &mut SmallRng) -> RandomGrammar {
     for (i, name) in helper_names.iter().enumerate() {
         let later = &helper_names[i + 1..];
         let body = random_expr(rng, 1, later, &mut alphabet);
-        if rng.gen_bool(0.4) {
+        match rng.gen_range(0..5) {
             // Guarded self-recursion: r ::= "(" r ")" | <body>
-            let (open, close) = [("(", ")"), ("[", "]"), ("{", "}")][rng.gen_range(0..3usize)];
-            alphabet.extend_from_slice(open.as_bytes());
-            alphabet.extend_from_slice(close.as_bytes());
-            source.push_str(&format!(
-                "{name} ::= \"{open}\" {name} \"{close}\" | {body}\n"
-            ));
-        } else {
-            source.push_str(&format!("{name} ::= {body}\n"));
+            0 | 1 => {
+                let (open, close) = [("(", ")"), ("[", "]"), ("{", "}")][rng.gen_range(0..3usize)];
+                alphabet.extend_from_slice(open.as_bytes());
+                alphabet.extend_from_slice(close.as_bytes());
+                source.push_str(&format!(
+                    "{name} ::= \"{open}\" {name} \"{close}\" | {body}\n"
+                ));
+            }
+            // Right recursion, a tail call: r ::= "x" r | <body>
+            2 => {
+                let lead = random_expr(rng, 0, &[], &mut alphabet);
+                source.push_str(&format!("{name} ::= {lead} {name} | {body}\n"));
+            }
+            _ => source.push_str(&format!("{name} ::= {body}\n")),
         }
     }
     let root = random_expr(rng, 2, helper_names, &mut alphabet);
@@ -230,7 +237,7 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
 
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
     let mut cases = 0usize;
-    let (mut steps, mut multi_stack_steps) = (0usize, 0usize);
+    let (mut steps, mut multi_stack_steps, mut tail_calls) = (0usize, 0usize, 0usize);
     for g in 0..GRAMMARS {
         let random = random_grammar(&mut rng);
         let grammar = xg_grammar::parse_ebnf(&random.source, "root")
@@ -240,6 +247,13 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
             .compile(&grammar)
             .expect("naive backend compiles CFGs");
         let reference_pda = build_pda_default(&grammar);
+        // A reference whose return node is a pure return replaces the frame.
+        tail_calls += reference_pda
+            .nodes()
+            .iter()
+            .flat_map(|node| &node.edges)
+            .filter(|e| matches!(e, PdaEdge::Rule { target, .. } if reference_pda.node(*target).is_pure_return()))
+            .count();
         let reference = SimpleMatcher::new(&reference_pda);
 
         for i in 0..INPUTS_PER_GRAMMAR {
@@ -294,6 +308,10 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
     assert!(
         multi_stack_steps > 0,
         "none of the {steps} steps exercised parallel stacks"
+    );
+    assert!(
+        tail_calls > 0,
+        "no grammar referenced a rule in tail position"
     );
 }
 
