@@ -7,10 +7,11 @@
 //! latency profile, the execution mode and the jump-forward policy.
 //!
 //! * [`ServingEngine::serve`] starts a scheduler; requests are submitted to
-//!   its queue, compiled on an admission worker, decoded in the persistent
-//!   loop (masks for step *t+1* fill on mask workers while the simulated GPU
-//!   runs step *t* in **overlapped** mode; mask fill and GPU step alternate
-//!   in **serial** mode) and streamed back per request.
+//!   its queue, joined to the persistent loop and then compiled on an
+//!   admission worker, and decoded in the loop (in **overlapped** mode the
+//!   prefill runs under the compile and masks for step *t+1* fill while the
+//!   simulated GPU runs step *t*; in **serial** mode each waits for the
+//!   other) and streamed back per request.
 //! * [`ServingEngine::run_batch`] is the batch convenience over it: submit
 //!   everything, wait for the last lane, return the scheduler's own
 //!   [`SchedulerMetrics`].

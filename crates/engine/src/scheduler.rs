@@ -1,36 +1,37 @@
 //! Continuous-batching scheduler: the engine's one decode loop.
 //!
 //! This is the pipeline the paper describes (§3.5): a bounded submission
-//! queue feeds **admission workers** that compile each request's grammar off
-//! the decode hot path (hitting the backend's `GrammarCache` first), a
-//! persistent **decode loop** admits compiled lanes into the running batch
-//! between steps and retires them on termination, and a pool of **mask
-//! workers** fills token bitmasks overlapped with the simulated GPU phase.
-//! Each request streams its bytes out through a per-request channel as they
-//! are emitted.
+//! queue feeds **admission workers** that hand each request's lane to the
+//! persistent **decode loop** and only then compile its grammar (hitting the
+//! backend's `GrammarCache` first), so the compile runs under the prefill;
+//! the loop joins lanes between steps, starts each once its compile result
+//! follows, and retires them on termination, and a pool of **mask workers**
+//! fills token bitmasks overlapped with the simulated GPU phase. Each request
+//! streams its bytes out through a per-request channel as they are emitted.
 //!
 //! ```text
 //! submit() ──▶ [queue (bounded)] ──▶ admission workers ──▶ [ready (bounded)]
-//!                                     compile / cache probe,       │
-//!                                     build the lane               ▼
+//!                                     1. hand the lane over        │
+//!                                     2. compile ── the result ──▶ ▼
 //!             mask workers ◀──(the lane, to fill)──────── decode loop
-//!                          ──(the same lane, filled)──▶   join / step /
+//!                          ──(the same lane, filled)──▶   join + prefill /
+//!                                                         start / step /
 //!                                                         retire lanes
 //!                                                                  │
 //!             StreamingRequest ◀── Admitted / Bytes / Finished ────┘
 //! ```
 //!
 //! A lane is one value from admission to retirement, and it is in exactly
-//! one place: in the decode loop's batch, or with a mask worker while its
-//! next mask fills. The decode loop moves the lane itself to the workers and
-//! gets the same value back.
+//! one place: in the ready channel, in the decode loop's batch (compiling or
+//! decoding), or with a mask worker while its next mask fills. The decode
+//! loop moves the lane itself to the workers and gets the same value back.
 //!
 //! Backpressure composes naturally: the submission queue is a bounded
 //! channel ([`try_submit`](ContinuousScheduler::try_submit) reports
 //! [`SubmitError::Saturated`] instead of blocking), the ready channel holds
-//! at most `max_lanes` compiled lanes, and an admission worker blocks on its
-//! `send` when the decode loop is full — so a compile storm or a saturated
-//! batch stalls admission, not decoding.
+//! at most `max_lanes` lanes, and an admission worker blocks on its `send`
+//! when the batch is full, lanes still compiling included — so a compile
+//! storm or a saturated batch stalls admission, not decoding.
 //!
 //! In [`ExecutionMode::Overlapped`](crate::ExecutionMode::Overlapped) the
 //! decode loop double-buffers mask generation: once the batch's step-`t`
@@ -42,7 +43,8 @@
 //! full mask wall-clock (the paper's no-overlap baseline). Both modes hand
 //! the same lanes to the same workers through the same hand-off and wait on
 //! the same barrier; they differ only in which side of the GPU step the
-//! barrier sits on.
+//! barrier sits on, and in which side of a lane's prefill its compile result
+//! is awaited on (serial mode prefills only once the compile has landed).
 //!
 //! Lanes are driven exclusively through [`Lane::start`]/[`Lane::step`], and a
 //! lane's bytes depend only on its own request (its seed, reference and
@@ -57,8 +59,9 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,16 +70,16 @@ use crate::engine::{busy_wait, EngineRequest, ExecutionMode, RequestResult, Serv
 use crate::lane::{ForcedContext, Lane};
 use crate::llm::SimulatedLlm;
 use crate::profiles::ModelProfile;
-use xg_baselines::{BackendError, ConstrainedBackend};
+use xg_baselines::{BackendError, ConstrainedBackend, Session};
 use xg_core::{CacheStats, TokenBitmask};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 /// Sizing and worker-count configuration of a [`ContinuousScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Maximum number of lanes decoding concurrently. Compiled requests
-    /// beyond this wait in the bounded ready channel (which also holds at
-    /// most `max_lanes` entries), stalling admission.
+    /// Maximum number of lanes in the batch, a lane whose grammar still
+    /// compiles included. Lanes beyond this wait in the bounded ready
+    /// channel (which also holds at most `max_lanes`), stalling admission.
     pub max_lanes: usize,
     /// Capacity of the submission queue. [`submit`] blocks and
     /// [`try_submit`] reports [`SubmitError::Saturated`] when it is full.
@@ -106,7 +109,8 @@ impl Default for SchedulerConfig {
 /// `Bytes`, then exactly one of `Finished` / `Failed`.
 #[derive(Debug)]
 pub enum StreamEvent {
-    /// The request left the queue and compiled; it joins the batch next.
+    /// The request's compile landed; its lane, already in the batch (and
+    /// prefilled, in overlapped mode), starts decoding next.
     Admitted {
         /// Time spent waiting in the submission queue.
         queue_time: Duration,
@@ -139,7 +143,9 @@ pub struct LaneTiming {
     pub queue_time: Duration,
     /// Time the admission worker spent compiling the constraint.
     pub compile_time: Duration,
-    /// Time from submission to the first emitted bytes (sampled or forced).
+    /// Time from submission to the first emitted bytes (sampled or forced):
+    /// queue wait, the longer of compile and prefill (their sum in serial
+    /// mode), then the first decoding round.
     pub ttft: Duration,
     /// Mean decode time per sampled token after the first emission, with
     /// the forced-injection time spent after it carved out. Zero when the
@@ -204,10 +210,17 @@ impl StreamingRequest {
                 StreamEvent::Failed(err) => return Err(err),
             }
         }
-        Err(BackendError::UnsupportedGrammar {
-            backend: "scheduler",
-            reason: "scheduler shut down before the request finished".into(),
-        })
+        Err(scheduler_error(
+            "scheduler shut down before the request finished",
+        ))
+    }
+}
+
+/// An error the scheduler itself reports for a request.
+fn scheduler_error(reason: &str) -> BackendError {
+    BackendError::UnsupportedGrammar {
+        backend: "scheduler",
+        reason: reason.into(),
     }
 }
 
@@ -241,19 +254,20 @@ pub struct SchedulerMetrics {
     /// Requests rejected by [`try_submit`](ContinuousScheduler::try_submit)
     /// because the queue was full.
     pub rejected: u64,
-    /// Requests admitted (compiled and handed to the decode loop).
+    /// Requests whose compile succeeded (each announced by `Admitted`).
     pub admitted: u64,
     /// Requests that finished decoding.
     pub completed: u64,
-    /// Requests whose constraint failed to compile.
+    /// Requests whose constraint failed to compile (a panic included).
     pub failed: u64,
     /// Admissions whose constraint was already compiled (cache hits).
     pub cache_hit_admissions: u64,
-    /// High-water mark of concurrently decoding lanes.
+    /// High-water mark of the batch at a decode step, compiling lanes included.
     pub max_concurrent_lanes: usize,
     /// Time to first token of the earliest lane: the minimum of the finished
-    /// lanes' [`LaneTiming::ttft`] (queue wait + grammar compilation +
-    /// prefill + the first decoding round). Zero until a lane finishes.
+    /// lanes' [`LaneTiming::ttft`] (queue wait + the longer of grammar
+    /// compilation and prefill + the first decoding round). Zero until a
+    /// lane finishes.
     pub ttft: Duration,
     /// Mean time per *sampled* output token: the mean of the finished lanes'
     /// [`LaneTiming::tpot`] over lanes that sampled more than one token (zero
@@ -352,12 +366,15 @@ struct Submission {
 }
 
 /// A request's lane from admission to retirement. An admission worker builds
-/// it and sends it, with the request's prompt length, to the decode loop,
-/// which moves it into the batch and, while its next mask fills, to a mask
-/// worker and back.
+/// it with no session and hands it to the decode loop before compiling; the
+/// loop holds it in the batch until the compile result follows, then moves
+/// it, while its next mask fills, to a mask worker and back.
 struct ActiveLane {
     ticket: Ticket,
     lane: Lane,
+    prompt_tokens: usize,
+    /// Where the admission worker sends the compile result.
+    compiled: Receiver<Compiled>,
     /// The lane's next-token mask; an unconstrained lane never reads it.
     mask: TokenBitmask,
     /// Time from submission to the first emitted bytes, and the lane's
@@ -462,20 +479,13 @@ impl MaskPool {
 /// (the receiver) is gone.
 fn mask_worker(pool: &MaskPool, done: &Sender<ActiveLane>, shared: &Shared) {
     loop {
-        let mut al = {
-            let mut state = lock(&pool.state);
-            loop {
-                if let Some(al) = state.lanes.pop_front() {
-                    break al;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = pool
-                    .available
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+        let popped = (pool.available)
+            .wait_while(lock(&pool.state), |s| s.lanes.is_empty() && !s.shutdown)
+            .unwrap_or_else(PoisonError::into_inner)
+            .lanes
+            .pop_front();
+        let Some(mut al) = popped else {
+            return;
         };
         let start = Instant::now();
         if let Some(session) = &mut al.lane.session {
@@ -565,10 +575,11 @@ impl ContinuousScheduler {
         let pool = Arc::new(MaskPool::default());
 
         let (submit_tx, submit_rx) = mpsc::sync_channel::<Submission>(queue_capacity);
-        // Bounded at `max_lanes`: an admission worker with a compiled lane
-        // in hand blocks here while the batch is full, which in turn fills
-        // the submission queue — the backpressure chain.
+        // Bounded at `max_lanes`: an admission worker blocks handing a lane
+        // over while the batch is full, which in turn fills the submission
+        // queue — the backpressure chain.
         let (ready_tx, ready_rx) = mpsc::sync_channel(max_lanes);
+        let (bell_tx, bell_rx) = mpsc::channel();
         let (mask_done_tx, mask_done_rx) = mpsc::channel();
 
         let submit_rx = Arc::new(Mutex::new(submit_rx));
@@ -576,17 +587,19 @@ impl ContinuousScheduler {
             .map(|i| {
                 let submissions = Arc::clone(&submit_rx);
                 let ready = ready_tx.clone();
+                let bell = Bell(bell_tx.clone());
                 let backend = Arc::clone(&backend);
                 let llm = engine.llm().clone();
                 let shared = Arc::clone(&shared);
                 spawn(format!("xg-admit-{i}"), move || {
-                    admission_worker(&submissions, &ready, &*backend, &llm, &shared);
+                    admission_worker(&submissions, ready, &bell, &*backend, &llm, &shared);
                 })
             })
             .collect();
 
         let decode = DecodeLoop {
             ready: ready_rx,
+            bell: bell_rx,
             mask_done: mask_done_rx,
             pool: Arc::clone(&pool),
             shared: Arc::clone(&shared),
@@ -596,6 +609,7 @@ impl ContinuousScheduler {
             mode: engine.mode(),
             max_lanes,
             lanes: Vec::with_capacity(max_lanes),
+            compiling: Vec::with_capacity(max_lanes),
             in_flight: 0,
         };
         threads.push(spawn("xg-decode".into(), move || decode.run()));
@@ -650,7 +664,7 @@ impl ContinuousScheduler {
             None => return Err(SubmitError::ShutDown(Box::new(request))),
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (events_tx, events_rx) = mpsc::channel();
+        let (events_tx, events) = mpsc::channel();
         let submission = Submission {
             ticket: Ticket {
                 events: events_tx,
@@ -666,23 +680,17 @@ impl ContinuousScheduler {
                 TrySendError::Full(s) | TrySendError::Disconnected(s) => s,
             })
         };
-        match sent {
-            Ok(()) => {
-                self.shared.stats().metrics.submitted += 1;
-                Ok(StreamingRequest {
-                    id,
-                    events: events_rx,
-                })
-            }
-            Err(submission) => {
-                self.shared.stats().metrics.rejected += 1;
-                Err(if block {
-                    SubmitError::ShutDown(Box::new(submission.request))
-                } else {
-                    SubmitError::Saturated(Box::new(submission.request))
-                })
-            }
+        if let Err(submission) = sent {
+            self.shared.stats().metrics.rejected += 1;
+            let request = Box::new(submission.request);
+            return Err(if block {
+                SubmitError::ShutDown(request)
+            } else {
+                SubmitError::Saturated(request)
+            });
         }
+        self.shared.stats().metrics.submitted += 1;
+        Ok(StreamingRequest { id, events })
     }
 
     /// Snapshot of the scheduler's aggregate metrics.
@@ -729,12 +737,35 @@ impl Drop for ContinuousScheduler {
     }
 }
 
-/// Body of one admission worker: receive a submission, probe the cache,
-/// compile the constraint off the hot path, build the lane, and hand it to
-/// the decode loop (blocking while the batch is full).
+/// A compile result, sent after its lane: the session (`None` when
+/// unconstrained), the compile's wall clock and whether it hit the cache.
+type Compiled = Result<(Option<Session>, Duration, bool), BackendError>;
+
+/// An admission worker's doorbell to the decode loop, rung after every send
+/// to it (a lane, a compile result) and when dropped, however the worker
+/// exits: an idle loop waits on the bell, never on one lane's compile.
+struct Bell(Sender<()>);
+
+impl Bell {
+    fn ring(&self) {
+        let _ = self.0.send(());
+    }
+}
+
+impl Drop for Bell {
+    fn drop(&mut self) {
+        self.ring();
+    }
+}
+
+/// Body of one admission worker: receive a submission, hand its lane to the
+/// decode loop (blocking while the batch is full), then probe the cache,
+/// compile the constraint — a panic becomes the request's error — and send
+/// the result after the lane.
 fn admission_worker(
     submissions: &Mutex<Receiver<Submission>>,
-    ready: &SyncSender<(ActiveLane, usize)>,
+    ready: SyncSender<ActiveLane>,
+    bell: &Bell,
     backend: &dyn ConstrainedBackend,
     llm: &SimulatedLlm,
     shared: &Shared,
@@ -751,53 +782,43 @@ fn admission_worker(
             request,
         } = submission;
         ticket.timing.queue_time = ticket.submitted_at.elapsed();
-        ticket.timing.cache_hit = request.constraint.is_cached(backend);
-        let compile_start = Instant::now();
-        let compiled = match request.constraint.compile(backend) {
-            Ok(c) => c,
-            Err(err) => {
-                let mut stats = shared.stats();
-                stats.metrics.failed += 1;
-                stats.metrics.compile_time += compile_start.elapsed();
-                drop(stats);
-                // Receiver may be gone (caller dropped the handle) — fine.
-                let _ = ticket.events.send(StreamEvent::Failed(err));
-                continue;
-            }
-        };
-        let session = compiled.map(|c| c.new_session());
-        ticket.timing.compile_time = compile_start.elapsed();
+        let (deliver, compiled) = mpsc::channel();
         let llm_state = llm.start_request(&request.reference, request.seed);
-        {
-            let mut stats = shared.stats();
-            stats.metrics.admitted += 1;
-            stats.metrics.compile_time += ticket.timing.compile_time;
-            stats.metrics.cache_hit_admissions += u64::from(ticket.timing.cache_hit);
-        }
-        let _ = ticket.events.send(StreamEvent::Admitted {
-            queue_time: ticket.timing.queue_time,
-            compile_time: ticket.timing.compile_time,
-            cache_hit: ticket.timing.cache_hit,
-        });
         let lane = ActiveLane {
             ticket,
-            lane: Lane::new(session, llm_state, request.max_tokens),
+            lane: Lane::new(None, llm_state, request.max_tokens),
+            prompt_tokens: request.prompt_tokens,
+            compiled,
             mask: TokenBitmask::new_all_rejected(backend.vocabulary().len()),
             first_emit: None,
         };
-        if ready.send((lane, request.prompt_tokens)).is_err() {
+        if ready.send(lane).is_err() {
             // Decode loop is gone; nothing more to admit.
             return;
         }
+        bell.ring();
+        let cache_hit = request.constraint.is_cached(backend);
+        let start = Instant::now();
+        let compiled =
+            panic::catch_unwind(AssertUnwindSafe(|| request.constraint.compile(backend)))
+                .unwrap_or_else(|_| Err(scheduler_error("the compile panicked")))
+                .map(|c| c.map(|c| c.new_session()));
+        let compile_time = start.elapsed();
+        shared.stats().metrics.compile_time += compile_time;
+        // The decode loop may be gone — fine.
+        let _ = deliver.send(compiled.map(|session| (session, compile_time, cache_hit)));
+        bell.ring();
     }
 }
 
-/// The persistent decode loop: admits ready lanes between steps, drives each
-/// step through [`Lane::step`], overlaps mask fill with the simulated GPU
-/// phase in overlapped mode, streams emitted bytes, and retires finished
-/// lanes. Dropping it, also by a panic, shuts the mask pool.
+/// The persistent decode loop: joins lanes and starts each as its compile
+/// lands, between steps; drives each step through [`Lane::step`], overlaps
+/// mask fill with the GPU phase in overlapped mode, streams emitted bytes,
+/// and retires finished lanes. Dropping it, also by a panic, shuts the pool.
 struct DecodeLoop {
-    ready: Receiver<(ActiveLane, usize)>,
+    ready: Receiver<ActiveLane>,
+    /// Every admission worker's [`Bell`].
+    bell: Receiver<()>,
     mask_done: Receiver<ActiveLane>,
     pool: Arc<MaskPool>,
     shared: Arc<Shared>,
@@ -807,9 +828,11 @@ struct DecodeLoop {
     profile: ModelProfile,
     mode: ExecutionMode,
     max_lanes: usize,
-    /// The batch's lanes that are not with a mask worker.
+    /// The batch's decoding lanes that are not with a mask worker.
     lanes: Vec<ActiveLane>,
-    /// The batch's lanes that are: the batch is `lanes.len() + in_flight`.
+    /// The batch's lanes whose compile result has not landed yet.
+    compiling: Vec<ActiveLane>,
+    /// The decoding lanes with a mask worker.
     in_flight: usize,
 }
 
@@ -821,56 +844,32 @@ impl Drop for DecodeLoop {
 
 impl DecodeLoop {
     fn batch_size(&self) -> usize {
-        self.lanes.len() + self.in_flight
+        self.lanes.len() + self.in_flight + self.compiling.len()
     }
 
     fn run(mut self) {
-        let mut ready_open = true;
-        loop {
-            // ---- Join phase: admit compiled lanes into the batch. ----
-            if self.batch_size() == 0 {
-                // Idle: block until a request arrives or admission closes.
-                match self.ready.recv() {
-                    Ok((lane, prompt_tokens)) => self.join(lane, prompt_tokens),
-                    Err(_) => return,
-                }
-            }
-            while ready_open && self.batch_size() < self.max_lanes {
-                match self.ready.try_recv() {
-                    Ok((lane, prompt_tokens)) => self.join(lane, prompt_tokens),
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => ready_open = false,
-                }
-            }
-            let batch_size = self.batch_size();
-            if batch_size == 0 {
-                continue;
-            }
-
-            // ---- One decode step for the whole batch. ----
+        while self.take_arrivals() {
+            // ---- One decode step for the decoding lanes. ----
+            let batch_size = self.lanes.len() + self.in_flight;
             let step_start = Instant::now();
             let gpu_step = self.profile.decode_step_time(batch_size);
             let mut handoff = Duration::ZERO;
-            let mask_wait;
-            match self.mode {
-                ExecutionMode::Serial => {
-                    // No overlap: hand off and collect every mask, exposing
-                    // the full mask wall-clock, then run the GPU step.
-                    handoff += self.dispatch();
-                    let wait = Instant::now();
-                    self.collect();
-                    mask_wait = wait.elapsed();
-                    busy_wait(gpu_step);
-                }
-                ExecutionMode::Overlapped => {
-                    // Masks were handed off after the previous sampling
-                    // phase (and at join); they fill while the GPU works.
-                    // Only the residual shows up as wait time.
-                    busy_wait(gpu_step);
-                    let wait = Instant::now();
-                    self.collect();
-                    mask_wait = wait.elapsed();
-                }
+            // Serial: no overlap — hand off and collect every mask, exposing
+            // the full mask wall-clock, then run the GPU step. Overlapped: the
+            // masks were handed off after the previous sampling phase (and at
+            // start); they fill while the GPU works, and only the residual
+            // shows up as wait time.
+            let serial = matches!(self.mode, ExecutionMode::Serial);
+            if serial {
+                handoff += self.dispatch();
+            } else {
+                busy_wait(gpu_step);
+            }
+            let wait = Instant::now();
+            self.collect();
+            let mask_wait = wait.elapsed();
+            if serial {
+                busy_wait(gpu_step);
             }
 
             // ---- Sampling phase. ----
@@ -900,6 +899,7 @@ impl DecodeLoop {
                 let mut stats = self.shared.stats();
                 let metrics = &mut stats.metrics;
                 metrics.decode_steps += 1;
+                metrics.max_concurrent_lanes = metrics.max_concurrent_lanes.max(self.batch_size());
                 metrics.gpu_time += gpu_step;
                 metrics.mask_wait_time += mask_wait;
                 metrics.sample_time += sample;
@@ -912,11 +912,72 @@ impl DecodeLoop {
         }
     }
 
-    /// Admits one compiled lane: pay its prefill, run the lane-start
+    /// Join phase: joins handed-over lanes while the batch has room — in
+    /// overlapped mode a lane pays its prefill now, under its compile — and
+    /// lands the compile results of the lanes it holds, blocking while no lane
+    /// can decode. `false` once admission has closed and the batch is empty.
+    fn take_arrivals(&mut self) -> bool {
+        loop {
+            // Rings so far announce sends this pass sees; a later one stays
+            // queued and wakes the idle wait below.
+            self.bell.try_iter().for_each(drop);
+            while self.batch_size() < self.max_lanes {
+                let al = match self.ready.try_recv() {
+                    Ok(al) => al,
+                    Err(TryRecvError::Disconnected) if self.batch_size() == 0 => return false,
+                    Err(_) => break,
+                };
+                if matches!(self.mode, ExecutionMode::Overlapped) {
+                    busy_wait(self.profile.prefill_time(al.prompt_tokens));
+                }
+                self.compiling.push(al);
+            }
+            let mut i = 0;
+            while let Some(al) = self.compiling.get(i) {
+                match al.compiled.try_recv() {
+                    Err(TryRecvError::Empty) => i += 1,
+                    result => {
+                        let al = self.compiling.swap_remove(i);
+                        let died = "the admission worker died before the compile finished";
+                        self.land(al, result.unwrap_or_else(|_| Err(scheduler_error(died))));
+                    }
+                }
+            }
+            if self.lanes.len() + self.in_flight > 0 {
+                return true;
+            }
+            // Idle: sleep until a worker rings (or the last one exits).
+            let _ = self.bell.recv();
+        }
+    }
+
+    /// Lands a lane's compile result: a failure ends the request. Otherwise
+    /// announce the lane, pay its prefill in serial mode, run the lane-start
     /// jump-forward pass, stream any forced prefix, and (in overlapped mode)
     /// hand off its first mask fill.
-    fn join(&mut self, mut al: ActiveLane, prompt_tokens: usize) {
-        busy_wait(self.profile.prefill_time(prompt_tokens));
+    fn land(&mut self, mut al: ActiveLane, compiled: Compiled) {
+        let timing = &mut al.ticket.timing;
+        (al.lane.session, timing.compile_time, timing.cache_hit) = match compiled {
+            Ok(compiled) => compiled,
+            Err(err) => {
+                self.shared.stats().metrics.failed += 1;
+                // Receiver may be gone (caller dropped the handle) — fine.
+                let _ = al.ticket.events.send(StreamEvent::Failed(err));
+                return;
+            }
+        };
+        let mut stats = self.shared.stats();
+        stats.metrics.admitted += 1;
+        stats.metrics.cache_hit_admissions += u64::from(timing.cache_hit);
+        drop(stats);
+        let _ = al.ticket.events.send(StreamEvent::Admitted {
+            queue_time: timing.queue_time,
+            compile_time: timing.compile_time,
+            cache_hit: timing.cache_hit,
+        });
+        if matches!(self.mode, ExecutionMode::Serial) {
+            busy_wait(self.profile.prefill_time(al.prompt_tokens));
+        }
         al.lane.start(&ForcedContext {
             sorted: self.sorted.as_deref(),
             vocab: &self.vocab,
@@ -934,9 +995,6 @@ impl DecodeLoop {
         if matches!(self.mode, ExecutionMode::Overlapped) {
             self.dispatch();
         }
-        let mut stats = self.shared.stats();
-        stats.metrics.max_concurrent_lanes =
-            stats.metrics.max_concurrent_lanes.max(self.batch_size());
     }
 
     /// The step's one mask hand-off: moves every lane that needs a fill into
@@ -1064,9 +1122,10 @@ mod tests {
     #[test]
     fn try_submit_saturates_under_backpressure() {
         let engine = engine(ExecutionMode::Serial);
-        // One lane, one queue slot: the pipeline holds at most one decoding
-        // lane, one ready lane, one submission in an admission worker's hand
-        // and one queued submission — a rapid burst beyond that must bounce.
+        // One lane, one queue slot: the pipeline holds at most one lane in
+        // the batch (compiling or decoding), one in the ready channel, one
+        // in an admission worker's hand and one queued submission — a rapid
+        // burst beyond that must bounce.
         let scheduler = engine.serve(SchedulerConfig {
             max_lanes: 1,
             queue_capacity: 1,
@@ -1400,13 +1459,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_lane_cap_bounds_the_lanes_holding_a_mask_seen_from_the_sessions() {
-        // Counted by the sessions, not by the scheduler: a lane with a mask
-        // worker is still part of the batch the cap bounds.
-        let inner = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
-        let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
-        let requests: Vec<EngineRequest> = xg_datasets::json_mode_eval_like(6, 0x1A4E)
+    /// Six JSON-schema requests, each its own grammar.
+    fn schema_requests() -> Vec<EngineRequest> {
+        xg_datasets::json_mode_eval_like(6, 0x1A4E)
             .into_iter()
             .zip(0..)
             .map(|(task, seed)| EngineRequest {
@@ -1418,7 +1473,16 @@ mod tests {
                 max_tokens: 300,
                 seed,
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn the_lane_cap_bounds_the_lanes_holding_a_mask_seen_from_the_sessions() {
+        // Counted by the sessions, not by the scheduler: a lane with a mask
+        // worker is still part of the batch the cap bounds.
+        let inner = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
+        let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+        let requests = schema_requests();
         let reference = ServingEngine::new(inner.clone(), profile.clone(), ExecutionMode::Serial);
         let expected: Vec<RequestResult> = requests
             .iter()
@@ -1518,5 +1582,205 @@ mod tests {
             panic!("the body's own failure");
         });
         assert!(unwound.is_err());
+    }
+
+    /// `XGrammarBackend` behind a compile that first calls `before` with the
+    /// grammar and the call's index (from 0), which may sleep or panic.
+    #[derive(Debug)]
+    struct HookedCompile {
+        inner: XGrammarBackend,
+        calls: std::sync::atomic::AtomicUsize,
+        before: fn(&Grammar, usize),
+    }
+
+    impl HookedCompile {
+        fn engine(before: fn(&Grammar, usize), mode: ExecutionMode) -> ServingEngine {
+            let backend = HookedCompile {
+                inner: XGrammarBackend::new(Arc::new(test_vocabulary(600))),
+                calls: Default::default(),
+                before,
+            };
+            let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+            ServingEngine::new(Arc::new(backend), profile, mode)
+        }
+    }
+
+    impl ConstrainedBackend for HookedCompile {
+        fn name(&self) -> &'static str {
+            "hooked-compile"
+        }
+        fn vocabulary(&self) -> &Arc<Vocabulary> {
+            self.inner.vocabulary()
+        }
+        fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
+            (self.before)(grammar, self.calls.fetch_add(1, Ordering::SeqCst));
+            self.inner.compile(grammar)
+        }
+    }
+
+    const MODES: [ExecutionMode; 2] = [ExecutionMode::Overlapped, ExecutionMode::Serial];
+
+    #[test]
+    fn a_panicking_compile_fails_only_its_own_request() {
+        let requests = schema_requests();
+        let reference = engine(ExecutionMode::Serial);
+        let expected: Vec<RequestResult> = requests
+            .iter()
+            .map(|request| reference.decode_reference(request).unwrap())
+            .collect();
+        for mode in MODES {
+            for admission_workers in [1, 2] {
+                let what = format!("{mode:?}, {admission_workers} admission workers");
+                let before = |_: &Grammar, call| assert_ne!(call, 2, "the third compile dies");
+                let engine = HookedCompile::engine(before, mode);
+                let scheduler = engine.serve(SchedulerConfig {
+                    max_lanes: 2,
+                    admission_workers,
+                    ..SchedulerConfig::default()
+                });
+                let handles: Vec<_> = requests
+                    .iter()
+                    .map(|request| scheduler.submit(request.clone()).unwrap())
+                    .collect();
+                let mut failed = 0;
+                for (handle, expected) in handles.into_iter().zip(&expected) {
+                    match handle.wait() {
+                        Ok(done) => assert_eq!(done.result.output, expected.output, "{what}"),
+                        Err(err) => {
+                            assert!(err.to_string().contains("panicked"), "{what}: {err}");
+                            failed += 1;
+                        }
+                    }
+                }
+                assert_eq!(failed, 1, "{what}");
+                // The worker that caught the panic still serves.
+                let fresh = scheduler.submit(request(0)).unwrap().wait().unwrap();
+                assert_eq!(fresh.result.output, br#"{"ok": true}"#.to_vec(), "{what}");
+                let m = scheduler.metrics();
+                assert_eq!((m.failed, m.completed), (1, 6), "{what}");
+                scheduler.shutdown();
+            }
+        }
+    }
+
+    /// A panic payload that panics again when dropped.
+    struct PanicsOnDrop;
+
+    impl Drop for PanicsOnDrop {
+        fn drop(&mut self) {
+            panic!("the panic payload's drop panics too");
+        }
+    }
+
+    #[test]
+    fn an_admission_worker_that_dies_after_the_hand_over_fails_that_lane() {
+        for mode in MODES {
+            // The first compile's payload kills its worker outside the catch,
+            // so the result its lane waits for never comes.
+            let before = |_: &Grammar, call| {
+                if call == 0 {
+                    panic::panic_any(PanicsOnDrop);
+                }
+            };
+            let scheduler = HookedCompile::engine(before, mode).serve(SchedulerConfig {
+                admission_workers: 2,
+                ..SchedulerConfig::default()
+            });
+            let doomed = scheduler.submit(request(0)).unwrap();
+            assert!(doomed.wait().is_err(), "{mode:?}");
+            let done = scheduler.submit(request(1)).unwrap().wait().unwrap();
+            assert_eq!(done.result.output, br#"{"ok": true}"#.to_vec(), "{mode:?}");
+            assert_eq!(scheduler.metrics().failed, 1, "{mode:?}");
+            let joined = panic::catch_unwind(AssertUnwindSafe(|| scheduler.shutdown()));
+            assert!(
+                joined.is_err(),
+                "{mode:?}: shutdown re-raises the worker's panic"
+            );
+        }
+    }
+
+    #[test]
+    fn a_slow_compile_does_not_hold_up_a_lane_behind_it() {
+        let slow = parse_ebnf(
+            r#"root ::= "{\"ok\": " slow "}"
+slow ::= "true" | "false""#,
+            "root",
+        )
+        .unwrap();
+        let before = |grammar: &Grammar, _| {
+            if grammar.rules().iter().any(|rule| rule.name == "slow") {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        };
+        for mode in MODES {
+            let engine = HookedCompile::engine(before, mode);
+            let slow_request = EngineRequest {
+                constraint: slow.clone().into(),
+                ..request(0)
+            };
+            let expected = engine.decode_reference(&request(1)).unwrap();
+            let scheduler = engine.serve(SchedulerConfig {
+                max_lanes: 2,
+                admission_workers: 2,
+                ..SchedulerConfig::default()
+            });
+            let slow_handle = scheduler.submit(slow_request.clone()).unwrap();
+            let fast = scheduler.submit(request(1)).unwrap().wait().unwrap();
+            assert_eq!(fast.result.output, expected.output, "{mode:?}");
+            assert!(
+                fast.timing.ttft < Duration::from_millis(100),
+                "{mode:?}: {:?}",
+                fast.timing
+            );
+            while let Some(event) = slow_handle.try_next_event() {
+                assert!(
+                    !matches!(event, StreamEvent::Finished { .. }),
+                    "{mode:?}: slow first"
+                );
+            }
+            let slow_done = slow_handle.wait().unwrap();
+            let slow_expected = engine.decode_reference(&slow_request).unwrap();
+            assert_eq!(slow_done.result.output, slow_expected.output, "{mode:?}");
+            // The slow lane held its slot while it compiled.
+            assert_eq!(scheduler.metrics().max_concurrent_lanes, 2, "{mode:?}");
+            scheduler.shutdown();
+        }
+    }
+
+    #[test]
+    fn the_compile_overlaps_the_prefill_and_serial_mode_sums_them() {
+        // Both sides mostly sleep, so a loaded runner cannot flip the result.
+        let compile = Duration::from_millis(150);
+        let before = |_: &Grammar, _| std::thread::sleep(Duration::from_millis(150));
+        // 0.6 µs a prompt token under the test profile.
+        let prompt_tokens = 166_667;
+        for mode in MODES {
+            let engine = HookedCompile::engine(before, mode);
+            let prefill = engine.profile().prefill_time(prompt_tokens);
+            assert!(prefill >= Duration::from_millis(99), "{prefill:?}");
+            let request = EngineRequest {
+                prompt_tokens,
+                ..request(0)
+            };
+            let scheduler = engine.serve(SchedulerConfig::default());
+            let ttft = scheduler
+                .submit(request)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .timing
+                .ttft;
+            scheduler.shutdown();
+            match mode {
+                ExecutionMode::Overlapped => assert!(
+                    ttft < compile + prefill - Duration::from_millis(50),
+                    "{ttft:?}: the prefill ran after the compile"
+                ),
+                ExecutionMode::Serial => assert!(
+                    ttft >= compile + prefill,
+                    "{ttft:?}: the serial baseline overlapped"
+                ),
+            }
+        }
     }
 }
