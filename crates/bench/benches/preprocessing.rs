@@ -72,13 +72,27 @@ fn bench_cold_compile(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_secs(1));
-    for (i, case) in xg_datasets::schema_corpus(12, 11).iter().enumerate() {
-        let grammar =
-            xg_grammar::json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
-        group.bench_with_input(BenchmarkId::new(case.feature, i), &grammar, |b, grammar| {
+    let cases = xg_datasets::schema_corpus(12, 11);
+    let grammars: Vec<Grammar> = cases
+        .iter()
+        .map(|case| {
+            xg_grammar::json_schema_to_grammar(&case.schema).expect("corpus schemas convert")
+        })
+        .collect();
+    for (i, (case, grammar)) in cases.iter().zip(&grammars).enumerate() {
+        group.bench_with_input(BenchmarkId::new(case.feature, i), grammar, |b, grammar| {
             b.iter(|| compile(grammar, &vocab, &sorted))
         });
     }
+    // The twelve back to back, as one `cold_schemas` pass compiles them.
+    group.bench_function("all12", |b| {
+        b.iter(|| {
+            grammars
+                .iter()
+                .map(|g| compile(g, &vocab, &sorted))
+                .sum::<usize>()
+        })
+    });
     group.finish();
 
     let mut group = c.benchmark_group("cold_cfg_compile");

@@ -260,8 +260,9 @@ impl CompiledGrammar {
 pub struct GrammarCompiler {
     vocab: Arc<Vocabulary>,
     /// Fingerprint of `vocab`, computed once (hashing a 128k-token
-    /// vocabulary per compile request would be wasteful).
-    vocab_fingerprint: u64,
+    /// vocabulary takes milliseconds) and carried by every dispatch compiled
+    /// here.
+    pub(crate) vocab_fingerprint: u64,
     /// The sorted index of `vocab`, built by the first compile (or the first
     /// caller of [`sorted_vocabulary`](Self::sorted_vocabulary)) and shared
     /// by every grammar compiled afterwards.
@@ -353,8 +354,9 @@ impl GrammarCompiler {
     /// ≈ 13–16 ms at 128k tokens) and shared by every compiled grammar,
     /// structural-tag segment and incremental registry update — and by
     /// whoever else needs to re-tokenize text against the same vocabulary.
-    /// It holds the sorted tokens' bytes (≈ 1.9 MB of arena at 128k), once
-    /// per compiler and not charged to the grammar cache's budget.
+    /// It holds the sorted tokens' bytes and its run-skip links (≈ 1.9 MB of
+    /// arena and 0.5 MB of links at 128k), once per compiler and not charged
+    /// to the grammar cache's budget.
     pub fn sorted_vocabulary(&self) -> &Arc<SortedVocabulary> {
         self.sorted
             .get_or_init(|| Arc::new(SortedVocabulary::new(&self.vocab)))

@@ -349,10 +349,14 @@ impl TokenTrail {
 const MAX_MEMO_STATES: usize = 1024;
 
 /// The PDA determinised lazily for the mask-cache build: a head set is a dense
-/// state id, and a step runs [`closure`] + `step_byte` the first time only.
-/// States are keyed by the *exact* head sequence `step_byte` produced, so the
-/// [`MAX_PARALLEL_STACKS`] truncation and every classification are the unmemoised
-/// walk's. One memo serves all the nodes (of one PDA) a compile worker classifies.
+/// state id, and a step is computed the first time only. A state's first miss
+/// runs [`closure`] once and settles, in the same pass, every byte no head of
+/// the closure has an edge for: dead. Each later miss is a live byte, and runs
+/// [`closure`] + `step_byte`. States are keyed by the *exact* head sequence
+/// `step_byte` produced, and the live bytes come from the same truncated
+/// closure it reads, so the [`MAX_PARALLEL_STACKS`] truncation and every
+/// classification are the unmemoised walk's. One memo serves all the nodes
+/// (of one PDA) a compile worker classifies.
 #[derive(Debug, Default)]
 pub(crate) struct StepMemo {
     tree: PersistentStackTree,
@@ -362,15 +366,16 @@ pub(crate) struct StepMemo {
     ends: Vec<usize>,
     /// `rows[s][b]`: the state `b` leads to from `s`; `u32::MAX` until computed.
     rows: Vec<[u32; 256]>,
-    /// Whether `s` can pop out of the bottom frame; known once a transition of `s` is.
-    popout: Vec<bool>,
+    /// Whether `s` can pop out of the bottom frame; `None` until the first
+    /// miss of `s`, which also fills its dead bytes.
+    popout: Vec<Option<bool>>,
     /// The state of the one-head set `{h}`, by `h.raw()` (0 = none yet);
     /// every other state is in `multi`, by its head sequence.
     singleton: Vec<u32>,
     multi: HashMap<Box<[StackHandle]>, u32>,
     limit: usize,
     /// Steps taken from a live state ([`TokenTrail::bytes_advanced`]), and
-    /// the transitions computed for them and for re-walked prefixes.
+    /// the misses taken for them and for re-walked prefixes.
     pub steps: u64,
     pub misses: u64,
 }
@@ -381,7 +386,7 @@ impl StepMemo {
         StepMemo {
             ends: vec![0],
             rows: vec![[0; 256]],
-            popout: vec![false],
+            popout: vec![Some(false)],
             limit: MAX_MEMO_STATES,
             ..Default::default()
         }
@@ -402,7 +407,7 @@ impl StepMemo {
             *slot = self.ends.len() as u32;
             self.ends.push(self.heads.len());
             self.rows.push([u32::MAX; 256]);
-            self.popout.push(false);
+            self.popout.push(None);
         } else {
             self.heads.truncate(from);
         }
@@ -418,16 +423,33 @@ impl StepMemo {
     }
 
     /// Computes and records the transition [`step`](Self::step) did not
-    /// find: ≈ 0.3 % of the steps of a 128k build, kept out of line so the
-    /// table lookup stays small enough to inline into the token loop.
+    /// find — at a state's first miss, every dead byte of its row too — kept
+    /// out of line so the table lookup stays small enough to inline into the
+    /// token loop.
     #[cold]
     #[inline(never)]
     fn miss(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
         let (s, from) = (state as usize, self.heads.len());
         self.misses += 1;
-        let (tree, scratch, popout) = (&mut self.tree, &mut self.scratch, &mut self.popout[s]);
+        let (tree, scratch, mut popout) = (&mut self.tree, &mut self.scratch, false);
         let heads = &self.heads[self.ends[s - 1]..self.ends[s]];
-        closure(pda, tree, heads, scratch, |_| *popout = true);
+        let expanded = closure(pda, tree, heads, scratch, |_| popout = true);
+        if self.popout[s].is_none() {
+            // Only a byte some head has an edge for can lead anywhere.
+            self.popout[s] = Some(popout);
+            let row = &mut self.rows[s];
+            row.fill(0);
+            for top in expanded.iter().filter_map(|&h| tree.top(h)) {
+                for edge in &pda.node(top).edges {
+                    if let PdaEdge::Bytes { range, .. } = edge {
+                        row[range.lo as usize..=range.hi as usize].fill(u32::MAX);
+                    }
+                }
+            }
+            if row[byte as usize] == 0 {
+                return 0;
+            }
+        }
         step_byte(pda, tree, byte, scratch, &mut self.heads);
         self.rows[s][byte as usize] = self.intern(from);
         self.rows[s][byte as usize]
@@ -483,7 +505,7 @@ impl StepMemo {
     /// [`TokenTrail::popout_offsets`] of the trail `match_token` left.
     pub fn popout_offsets<'a>(&'a self, trail: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
         let stepped_from = &trail[..trail.len() - 1];
-        let popout = |(i, &s): (usize, &u32)| self.popout[s as usize].then_some(i);
+        let popout = |(i, &s): (usize, &u32)| (self.popout[s as usize] == Some(true)).then_some(i);
         stepped_from.iter().enumerate().filter_map(popout)
     }
 }

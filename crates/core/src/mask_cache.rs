@@ -19,9 +19,9 @@
 //! prefix with the previously classified token (paper §3.3), which cuts the
 //! number of bytes that have to be matched to a fraction. The same order
 //! makes a failed token speak for its neighbours: every following token that
-//! shares the prefix the automaton died on is classified with it, unvisited,
-//! so a node costs what the grammar keeps alive there rather than what the
-//! vocabulary holds.
+//! shares the prefix the automaton died on is classified with it, unvisited
+//! and unread (the sorted index jumps to the run's end), so a node costs what
+//! the grammar keeps alive there rather than what the vocabulary holds.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -120,8 +120,10 @@ pub struct MaskCacheStats {
     /// steps taken from a live state.
     pub preprocessing_bytes_matched: u64,
     /// The steps the automaton executed, for those and for prefixes walked
-    /// again; a worker's step memo answered the rest. Each worker has its
-    /// own, so above one thread the count depends on scheduling.
+    /// again; a worker's step memo answered the rest. A state's first miss
+    /// counts one, however many dead bytes of its row it settles. Each
+    /// worker has its own memo, so above one thread the count depends on
+    /// scheduling.
     pub automaton_steps: u64,
     /// Tokens matched one by one, summed over nodes. The rest of
     /// `nodes * classified_tokens` was classified in runs, by the prefix
@@ -247,9 +249,11 @@ fn is_context_dependent(
 /// tokens that share with it both `token[..=p]` and the bytes the suffix
 /// automaton's verdict read: they reach the same dead state with the same
 /// pop-outs and the same verdict, so the run is classified without being
-/// visited. The work is proportional to the prefixes the node keeps alive and
-/// the suffix automaton reads, not to the vocabulary. Token bytes come from
-/// the sorted index's arena, in the order the walk visits them.
+/// visited, and its end is found by [`SortedVocabulary::run_end`] in at most
+/// one jump per byte of the shared prefix, not by reading its LCPs. The work
+/// is proportional to the prefixes the node keeps alive and the suffix
+/// automaton reads, not to the vocabulary. Token bytes come from the sorted
+/// index's arena, in the order the walk visits them.
 fn classify_node(
     pda: &Pda,
     memo: &mut StepMemo,
@@ -272,8 +276,7 @@ fn classify_node(
         };
         let (context_dependent, read) =
             is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa);
-        let shared = read.max(died_at + 1);
-        let run_end = i + 1 + lcp[i + 1..].iter().take_while(|&&l| l >= shared).count();
+        let run_end = sorted.run_end(i, read.max(died_at + 1));
         // Any pop-out means the remainder could be matched by a parent
         // context; context expansion filtered those that cannot.
         if memo.popout_offsets(&trail).next().is_some() {

@@ -486,7 +486,8 @@ fn cold_schema_builds_visit_a_twentieth_of_the_vocabulary() {
 /// thread walks the nodes in order through one memo. Before a suffix verdict
 /// took every token sharing the bytes it read, and before a tail call
 /// replaced the frame, the same build visited 212 338 tokens and executed
-/// 151 508 automaton steps.
+/// 151 508 automaton steps; before a state's first miss settled its dead
+/// bytes, 152 135 and 32 150.
 #[test]
 fn the_multiple_of_build_visits_and_steps_a_pinned_count() {
     let (vocab, sorted) = vocabulary_32k();
@@ -499,8 +500,30 @@ fn the_multiple_of_build_visits_and_steps_a_pinned_count() {
     let stats = *build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
     assert_eq!(
         (stats.tokens_visited, stats.automaton_steps),
-        (152_135, 32_150)
+        (152_135, 2_134)
     );
+}
+
+/// The count behind the dead-byte fill: over the benchmark's twelve cold
+/// schemas at 32k on one thread, the builds execute at most a tenth of the
+/// 124 357 automaton steps they executed when every dead byte of a state was
+/// a miss of its own.
+#[test]
+fn cold_schema_builds_execute_a_tenth_of_the_steps_a_miss_per_byte_took() {
+    let (vocab, sorted) = vocabulary_32k();
+    let options = MaskCacheBuildOptions {
+        context_expansion: true,
+        num_threads: 1,
+    };
+    let mut executed = 0;
+    for case in xg_datasets::schema_corpus(12, 11) {
+        let grammar = json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
+        let pda = build_pda(&grammar, &PdaBuildOptions::default());
+        let fsas = extract_all_suffix_fsas(&pda);
+        let cache = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options);
+        executed += cache.stats().automaton_steps;
+    }
+    assert!(executed * 10 <= 124_357, "executed {executed} steps");
 }
 
 /// After a digit `num` may end, so every space-led token pops out at its

@@ -74,6 +74,8 @@ pub struct CompiledTagDispatch {
     triggers: Vec<Arc<CompiledTrigger>>,
     scanner: AhoCorasick,
     vocab: Arc<Vocabulary>,
+    /// The compiling [`GrammarCompiler`]'s fingerprint of `vocab`.
+    vocab_fingerprint: u64,
     /// The registry description this dispatch was compiled from; deltas are
     /// applied against it.
     source: StructuralTag,
@@ -241,7 +243,7 @@ impl GrammarCompiler {
         delta: &DispatchDelta,
     ) -> Result<Cached<CompiledTagDispatch>, GrammarError> {
         let next = base.source_tag().apply_delta(delta)?;
-        if base.vocab.fingerprint() != self.vocabulary().fingerprint() {
+        if base.vocab_fingerprint != self.vocab_fingerprint {
             // A foreign base pins grammars compiled against another
             // vocabulary; reusing them would produce wrong masks.
             return self.compile_tag_dispatch_pooled(&next);
@@ -347,6 +349,7 @@ impl GrammarCompiler {
             triggers,
             scanner: AhoCorasick::new(&patterns),
             vocab: Arc::clone(self.vocabulary()),
+            vocab_fingerprint: self.vocab_fingerprint,
             source: tag.clone(),
         }
     }
@@ -715,6 +718,44 @@ mod tests {
         matcher.accept_bytes(b"fn>").unwrap();
         assert_eq!(matcher.mode(), DispatchMode::FreeText);
         assert!(matcher.find_jump_forward_string().is_empty());
+    }
+
+    /// An update compares the two compilers' stored vocabulary fingerprints:
+    /// over the same vocabulary it reuses the untouched trigger, over another
+    /// one it compiles every trigger against the new vocabulary.
+    #[test]
+    fn an_update_reuses_triggers_only_from_a_base_over_the_same_vocabulary() {
+        let compiler = GrammarCompiler::new(Arc::new(test_vocabulary(800)));
+        let base = compiler.compile_tag_dispatch(&number_tag()).unwrap();
+        let delta = DispatchDelta::AddTag(TagSpec {
+            begin: "<w>".into(),
+            content: TagContent::Ebnf {
+                text: "root ::= [a-z]+".into(),
+                root: "root".into(),
+            },
+            end: "</w>".into(),
+        });
+        let number_trigger = |dispatch: &CompiledTagDispatch| {
+            let found = dispatch.triggers().iter().find(|t| t.trigger() == b"<n>");
+            Arc::clone(found.expect("the number tag's trigger"))
+        };
+
+        let misses = compiler.local_cache_stats().misses;
+        let updated = compiler.update_tag_dispatch(&base, &delta).unwrap();
+        assert_eq!(compiler.local_cache_stats().misses - misses, 1);
+        assert!(Arc::ptr_eq(
+            &number_trigger(&updated),
+            &number_trigger(&base)
+        ));
+
+        let foreign = GrammarCompiler::new(Arc::new(test_vocabulary(600)));
+        let rebuilt = foreign.update_tag_dispatch(&base, &delta).unwrap();
+        assert_eq!(foreign.local_cache_stats().misses, 2);
+        assert!(!Arc::ptr_eq(
+            &number_trigger(&rebuilt),
+            &number_trigger(&base)
+        ));
+        assert!(Arc::ptr_eq(rebuilt.vocabulary(), foreign.vocabulary()));
     }
 
     #[test]

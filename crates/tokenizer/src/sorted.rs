@@ -22,8 +22,9 @@ use crate::vocab::{TokenId, Vocabulary};
 /// A sorted token index with longest-common-prefix information.
 ///
 /// Besides the ids it holds the sorted tokens' bytes (≈ 1.9 MB of arena at
-/// 128k tokens), so build one per vocabulary and share it: a
-/// `GrammarCompiler` holds one `Arc` of it for every grammar it compiles.
+/// 128k tokens) and the run-skip links (≈ 0.5 MB), so build one per
+/// vocabulary and share it: a `GrammarCompiler` holds one `Arc` of it for
+/// every grammar it compiles.
 #[derive(Debug, Clone)]
 pub struct SortedVocabulary {
     /// Token ids in lexicographic byte order (special tokens excluded).
@@ -31,6 +32,8 @@ pub struct SortedVocabulary {
     /// `lcp[i]` = length of the longest common prefix between token `ids[i]`
     /// and token `ids[i - 1]` (0 for the first token).
     lcp: Vec<usize>,
+    /// `run_next[i]` = the first `j > i` with `lcp[j] < lcp[i]`, or `len()`.
+    run_next: Vec<u32>,
     /// The sorted tokens' bytes, back to back.
     bytes: Vec<u8>,
     /// Token `i` is `bytes[offsets[i]..offsets[i + 1]]`; one entry more than
@@ -129,13 +132,19 @@ impl SortedVocabulary {
             offsets.push(u32::try_from(bytes.len()).expect("vocabulary text under 4 GiB"));
             previous = start;
         }
-        SortedVocabulary {
+        let mut sorted = SortedVocabulary {
             ids: keyed.into_iter().map(|(_, id)| id).collect(),
+            run_next: vec![0; lcp.len()],
             lcp,
             bytes,
             offsets,
             max_token_len,
+        };
+        // Right to left: a link is a run end, found along the links after it.
+        for i in (0..sorted.len()).rev() {
+            sorted.run_next[i] = sorted.run_end(i, sorted.lcp[i]) as u32;
         }
+        sorted
     }
 
     /// Sorted token ids.
@@ -157,6 +166,20 @@ impl SortedVocabulary {
     /// predecessor).
     pub fn lcp(&self) -> &[usize] {
         &self.lcp
+    }
+
+    /// The end of the run after token `i`: the first `j > i` whose token
+    /// shares fewer than `shared` bytes with its predecessor, so every token
+    /// in `i + 1..j` shares at least `shared` bytes with token `i`. It jumps
+    /// over each stretch whose LCPs are all at least the one it starts at,
+    /// and the LCPs it lands on strictly decrease: at most
+    /// [`max_token_len`](Self::max_token_len) jumps for `shared >= 1`.
+    pub fn run_end(&self, i: usize, shared: usize) -> usize {
+        let mut j = i + 1;
+        while j < self.len() && self.lcp[j] >= shared {
+            j = self.run_next[j] as usize;
+        }
+        j
     }
 
     /// Number of tokens in the sorted index.
@@ -498,6 +521,34 @@ mod tests {
             let lens = (0..ids.len()).map(|i| bytes(i).len());
             proptest::prop_assert_eq!(sorted.total_bytes(), lens.clone().sum::<usize>());
             proptest::prop_assert_eq!(sorted.max_token_len(), lens.max().unwrap_or(0));
+        }
+
+        /// The run-skip links against the scan they replace: from every
+        /// token, for every shared length up to one past the longest token,
+        /// `run_end` lands where a linear scan of the LCPs stops, within
+        /// `max_token_len` jumps. Two letters and lengths up to 6 make deep
+        /// nests of shared prefixes; the empty token and duplicates occur.
+        #[test]
+        fn run_end_equals_the_linear_scan(
+            tokens in proptest::collection::vec(
+                proptest::collection::vec(proptest::sample::select(b"ab".to_vec()), 0..7),
+                0..96,
+            ),
+        ) {
+            let sorted = SortedVocabulary::new(&Vocabulary::from_tokens(tokens, None));
+            let lcp = sorted.lcp();
+            for i in 0..sorted.len() {
+                for shared in 1..=sorted.max_token_len() + 1 {
+                    let scan = i + 1 + lcp[i + 1..].iter().take_while(|&&l| l >= shared).count();
+                    proptest::prop_assert_eq!(sorted.run_end(i, shared), scan);
+                    let (mut j, mut jumps) = (i + 1, 0);
+                    while j < sorted.len() && lcp[j] >= shared {
+                        j = sorted.run_next[j] as usize;
+                        jumps += 1;
+                    }
+                    proptest::prop_assert!(jumps <= sorted.max_token_len(), "{} jumps", jumps);
+                }
+            }
         }
     }
 }
