@@ -6,17 +6,19 @@
 //!    reference other rules are substituted into their parents, which both
 //!    reduces stack traffic at runtime and makes context expansion more
 //!    effective.
-//! 2. **Thompson construction** per rule with temporary epsilon edges; every
-//!    character class is lowered to byte level through the UTF-8 range
-//!    compiler.
-//! 3. **Epsilon elimination**, leaving only byte and rule-reference edges.
-//! 4. Optional **node merging** (paper §3.4) to reduce nondeterminism.
-//! 5. Compaction (unreachable rules/nodes removed, ids renumbered).
-
-use std::collections::HashMap;
+//! 2. **Thompson construction** with temporary epsilon edges, for the rules
+//!    the root reaches and no others; every character class is lowered to
+//!    byte level through the UTF-8 range compiler.
+//! 3. **Epsilon elimination** from each rule's start outward, leaving only
+//!    byte and rule-reference edges and only the nodes the start reaches.
+//!    Steps 2–3 emit the live automaton as a compact arena: rules in grammar
+//!    order, each rule's nodes in construction order.
+//! 4. Optional **node merging** (paper §3.4) and hash-cons interning of that
+//!    live automaton, then compaction of the nodes they merged away.
 
 use xg_grammar::{Grammar, GrammarBuilder, GrammarExpr, RuleId};
 
+use crate::intern::intern_states;
 use crate::optimize::merge_equivalent_nodes;
 use crate::pda::{NodeId, Pda, PdaEdge, PdaNode, PdaRule, PdaRuleId};
 use crate::utf8::{utf8_sequences, ByteRange};
@@ -72,28 +74,29 @@ impl PdaBuildOptions {
 /// assert!(pda.node_count() > 10);
 /// ```
 pub fn build_pda(grammar: &Grammar, options: &PdaBuildOptions) -> Pda {
-    let inlined;
-    let grammar = if options.inline_rules {
-        inlined = inline_fragment_rules(grammar, options);
-        &inlined
-    } else {
-        grammar
-    };
-
-    let mut builder = PdaBuilder::new(grammar);
-    let mut pda = builder.build();
+    let mut pda = live_automaton(grammar, options);
     debug_assert_eq!(pda.check_consistency(), Ok(()));
-    if options.merge_nodes {
-        merge_equivalent_nodes(&mut pda);
-        debug_assert_eq!(pda.check_consistency(), Ok(()));
-        // Hashcons interning: collapse globally duplicated states (identical
-        // rule/finality/edges) that the local merge above cannot see.
-        crate::intern::intern_states(&mut pda);
-        debug_assert_eq!(pda.check_consistency(), Ok(()));
+    if !options.merge_nodes {
+        return pda;
     }
+    merge_equivalent_nodes(&mut pda);
+    debug_assert_eq!(pda.check_consistency(), Ok(()));
+    // Hashcons interning: collapse globally duplicated states (identical
+    // rule/finality/edges) that the local merge above cannot see.
+    intern_states(&mut pda);
     let pda = pda.compact();
     debug_assert_eq!(pda.check_consistency(), Ok(()));
     pda
+}
+
+/// The automaton [`build_pda`] hands to its optimiser: the (inlined)
+/// grammar's live rules and nodes, already compact.
+pub(crate) fn live_automaton(grammar: &Grammar, options: &PdaBuildOptions) -> Pda {
+    if options.inline_rules {
+        PdaBuilder::new(&inline_fragment_rules(grammar, options)).build()
+    } else {
+        PdaBuilder::new(grammar).build()
+    }
 }
 
 /// Compiles a grammar with default options.
@@ -120,9 +123,12 @@ fn expr_size(expr: &GrammarExpr) -> usize {
     }
 }
 
+/// The rules `expr` references, sorted and without repeats.
 fn references(expr: &GrammarExpr) -> Vec<RuleId> {
     let mut out = Vec::new();
     expr.for_each_rule_ref(&mut |id| out.push(id));
+    out.sort_unstable();
+    out.dedup();
     out
 }
 
@@ -157,39 +163,35 @@ pub fn inline_fragment_rules(grammar: &Grammar, options: &PdaBuildOptions) -> Gr
     let mut bodies: Vec<GrammarExpr> = grammar.rules().iter().map(|r| r.body.clone()).collect();
     let names: Vec<String> = grammar.rules().iter().map(|r| r.name.clone()).collect();
     let root = grammar.root();
+    // Each body's references, counted once. Only leaves are inlined, and a
+    // leaf references nothing, so substituting one removes exactly it.
+    let mut refs: Vec<Vec<RuleId>> = bodies.iter().map(references).collect();
 
     // A few passes are enough in practice: each pass inlines the current
     // leaves, which may turn their parents into leaves for the next pass.
     for _ in 0..8 {
-        let mut inlinable: Vec<RuleId> = Vec::new();
-        for (i, body) in bodies.iter().enumerate() {
-            let id = RuleId(i as u32);
-            if id == root {
-                continue;
-            }
-            let refs = references(body);
-            let self_recursive = refs.contains(&id);
-            if !self_recursive && refs.is_empty() && expr_size(body) <= options.max_inline_rule_size
-            {
-                inlinable.push(id);
-            }
-        }
+        let inlinable: Vec<RuleId> = (0..bodies.len())
+            .map(|i| RuleId(i as u32))
+            .filter(|&id| {
+                id != root
+                    && refs[id.index()].is_empty()
+                    && expr_size(&bodies[id.index()]) <= options.max_inline_rule_size
+            })
+            .collect();
         if inlinable.is_empty() {
             break;
         }
         let mut changed = false;
         for target in inlinable {
             let replacement = bodies[target.index()].clone();
-            for (i, body) in bodies.iter_mut().enumerate() {
-                if i == target.index() {
+            for (body, refs) in bodies.iter_mut().zip(&mut refs) {
+                let Ok(at) = refs.binary_search(&target) else {
                     continue;
-                }
-                if !references(body).contains(&target) {
-                    continue;
-                }
+                };
                 let candidate = substitute(body, target, &replacement);
                 if expr_size(&candidate) <= options.max_inlined_body_size {
                     *body = candidate;
+                    refs.remove(at);
                     changed = true;
                 }
             }
@@ -200,8 +202,8 @@ pub fn inline_fragment_rules(grammar: &Grammar, options: &PdaBuildOptions) -> Gr
     }
 
     // Rebuild the grammar with the new bodies; rule ids are preserved because
-    // rules are re-added in the original order. Unreferenced rules are kept
-    // (PDA compaction removes them later).
+    // rules are re-added in the original order. Rules left unreferenced stay
+    // in the grammar; the PDA build skips them.
     let mut builder = GrammarBuilder::new();
     for name in &names {
         builder.declare(name);
@@ -233,71 +235,93 @@ struct TmpNode {
 
 struct PdaBuilder<'a> {
     grammar: &'a Grammar,
-    /// Map from grammar rule id to PDA rule id (dense over all rules; the
-    /// final compaction pass drops unreachable ones).
-    rule_map: HashMap<RuleId, PdaRuleId>,
 }
 
 impl<'a> PdaBuilder<'a> {
     fn new(grammar: &'a Grammar) -> Self {
-        let mut rule_map = HashMap::new();
-        for i in 0..grammar.rules().len() {
-            rule_map.insert(RuleId(i as u32), PdaRuleId(i as u32));
-        }
-        PdaBuilder { grammar, rule_map }
+        PdaBuilder { grammar }
     }
 
-    fn build(&mut self) -> Pda {
-        let mut nodes: Vec<PdaNode> = Vec::new();
-        let mut rules: Vec<PdaRule> = Vec::new();
-        for (i, rule) in self.grammar.rules().iter().enumerate() {
-            let rule_id = PdaRuleId(i as u32);
-            let (tmp_nodes, start) = self.build_rule(&rule.body);
-            let eliminated = eliminate_epsilon(&tmp_nodes);
-            // Append the rule's nodes to the global arena.
-            let offset = nodes.len() as u32;
-            for tmp in &eliminated {
-                let mut edges = Vec::with_capacity(tmp.edges.len());
-                for e in &tmp.edges {
-                    match *e {
-                        TmpEdge::Bytes(range, t) => edges.push(PdaEdge::Bytes {
-                            range,
-                            target: NodeId(offset + t as u32),
-                        }),
-                        TmpEdge::Rule(r, t) => edges.push(PdaEdge::Rule {
-                            rule: self.rule_map[&RuleId(r)],
-                            target: NodeId(offset + t as u32),
-                        }),
-                        TmpEdge::Eps(_) => unreachable!("epsilon edges were eliminated"),
+    /// Builds the rules the root reaches, found through the rule edges of
+    /// the ones already built, and lays them out as a compact arena.
+    fn build(&self) -> Pda {
+        let rules = self.grammar.rules();
+        let mut built: Vec<Option<Vec<TmpNode>>> = vec![None; rules.len()];
+        let mut pending = vec![self.grammar.root()];
+        while let Some(id) = pending.pop() {
+            if built[id.index()].is_some() {
+                continue;
+            }
+            let nodes = eliminate_epsilon(&self.build_rule(&rules[id.index()].body));
+            for edge in nodes.iter().flat_map(|node| &node.edges) {
+                if let TmpEdge::Rule(r, _) = *edge {
+                    if built[r as usize].is_none() {
+                        pending.push(RuleId(r));
                     }
                 }
-                nodes.push(PdaNode {
-                    rule: rule_id,
+            }
+            built[id.index()] = Some(nodes);
+        }
+
+        // Live rules keep their grammar order.
+        let mut pda_rule = vec![PdaRuleId(u32::MAX); rules.len()];
+        let mut live = 0;
+        for (slot, nodes) in pda_rule.iter_mut().zip(&built) {
+            if nodes.is_some() {
+                *slot = PdaRuleId(live);
+                live += 1;
+            }
+        }
+        let mut pda = Pda {
+            nodes: Vec::new(),
+            rules: Vec::with_capacity(live as usize),
+            root: pda_rule[self.grammar.root().index()],
+        };
+        for (i, eliminated) in built.into_iter().enumerate() {
+            let Some(eliminated) = eliminated else {
+                continue;
+            };
+            // Append the rule's nodes to the global arena; its start is its
+            // first node.
+            let offset = pda.nodes.len() as u32;
+            pda.rules.push(PdaRule {
+                name: rules[i].name.clone(),
+                start: NodeId(offset),
+            });
+            for tmp in eliminated {
+                let edges = tmp
+                    .edges
+                    .iter()
+                    .map(|e| match *e {
+                        TmpEdge::Bytes(range, t) => PdaEdge::Bytes {
+                            range,
+                            target: NodeId(offset + t as u32),
+                        },
+                        TmpEdge::Rule(r, t) => PdaEdge::Rule {
+                            rule: pda_rule[r as usize],
+                            target: NodeId(offset + t as u32),
+                        },
+                        TmpEdge::Eps(_) => unreachable!("epsilon edges were eliminated"),
+                    })
+                    .collect();
+                pda.nodes.push(PdaNode {
+                    rule: pda_rule[i],
                     edges,
                     is_final: tmp.is_final,
                 });
             }
-            rules.push(PdaRule {
-                name: rule.name.clone(),
-                start: NodeId(offset + start as u32),
-            });
         }
-        Pda {
-            nodes,
-            rules,
-            root: self.rule_map[&self.grammar.root()],
-        }
+        pda
     }
 
-    /// Builds the temporary (epsilon-carrying) automaton for one rule body.
-    /// Returns the node list and the start index; the single final node is
-    /// marked `is_final`.
-    fn build_rule(&self, body: &GrammarExpr) -> (Vec<TmpNode>, usize) {
+    /// Builds the temporary (epsilon-carrying) automaton for one rule body,
+    /// starting at node 0; the single final node is marked `is_final`.
+    fn build_rule(&self, body: &GrammarExpr) -> Vec<TmpNode> {
         let mut nodes: Vec<TmpNode> = vec![TmpNode::default(), TmpNode::default()];
         let (start, end) = (0usize, 1usize);
         self.compile(body, start, end, &mut nodes);
         nodes[end].is_final = true;
-        (nodes, start)
+        nodes
     }
 
     fn new_node(nodes: &mut Vec<TmpNode>) -> usize {
@@ -434,28 +458,35 @@ impl<'a> PdaBuilder<'a> {
     }
 }
 
-/// Eliminates epsilon edges from a temporary rule automaton: each node's new
-/// edge set is the union of the non-epsilon edges of its epsilon closure, and
-/// a node is final if any node of its closure is final.
+/// Eliminates epsilon edges from a temporary rule automaton and keeps only
+/// the nodes its start (node 0) reaches: each kept node's new edge set is the
+/// union of the non-epsilon edges of its epsilon closure, and a node is final
+/// if any node of its closure is final. Closures are computed from the start
+/// outward, for the targets of earlier closures' edges. Kept nodes stay in
+/// order, so the start stays node 0, and edge targets are renumbered to match.
 fn eliminate_epsilon(nodes: &[TmpNode]) -> Vec<TmpNode> {
     let n = nodes.len();
     let mut out = vec![TmpNode::default(); n];
-    for i in 0..n {
+    let mut reached = vec![false; n];
+    // `visited[t] == i`: `t` is in the closure of `i` (each closure is
+    // computed once, so `i` stamps one visit).
+    let mut visited = vec![usize::MAX; n];
+    let mut pending = vec![0];
+    reached[0] = true;
+    let mut stack = Vec::new();
+    while let Some(i) = pending.pop() {
         // Depth-first epsilon closure.
-        let mut visited = vec![false; n];
-        let mut stack = vec![i];
-        visited[i] = true;
+        stack.push(i);
+        visited[i] = i;
         let mut is_final = false;
         let mut edges: Vec<TmpEdge> = Vec::new();
         while let Some(cur) = stack.pop() {
-            if nodes[cur].is_final {
-                is_final = true;
-            }
+            is_final |= nodes[cur].is_final;
             for e in &nodes[cur].edges {
                 match *e {
                     TmpEdge::Eps(t) => {
-                        if !visited[t] {
-                            visited[t] = true;
+                        if visited[t] != i {
+                            visited[t] = i;
                             stack.push(t);
                         }
                     }
@@ -466,9 +497,31 @@ fn eliminate_epsilon(nodes: &[TmpNode]) -> Vec<TmpNode> {
         // Deduplicate identical edges.
         edges.sort_by_key(edge_sort_key);
         edges.dedup_by_key(|e| edge_sort_key(e));
+        for e in &edges {
+            let (TmpEdge::Bytes(_, t) | TmpEdge::Rule(_, t) | TmpEdge::Eps(t)) = *e;
+            if !reached[t] {
+                reached[t] = true;
+                pending.push(t);
+            }
+        }
         out[i] = TmpNode { edges, is_final };
     }
-    out
+
+    let kept: Vec<usize> = (0..n).filter(|&i| reached[i]).collect();
+    let mut renumber = vec![usize::MAX; n];
+    for (new, &old) in kept.iter().enumerate() {
+        renumber[old] = new;
+    }
+    kept.iter()
+        .map(|&old| {
+            let mut node = std::mem::take(&mut out[old]);
+            for e in &mut node.edges {
+                let (TmpEdge::Bytes(_, t) | TmpEdge::Rule(_, t) | TmpEdge::Eps(t)) = e;
+                *t = renumber[*t];
+            }
+            node
+        })
+        .collect()
 }
 
 fn edge_sort_key(e: &TmpEdge) -> (u8, u32, u32, usize) {
@@ -671,6 +724,49 @@ mod tests {
         .unwrap();
         let pda = build_pda(&g, &PdaBuildOptions::unoptimized());
         assert_eq!(pda.rules().len(), 1);
+    }
+
+    /// The count behind building only the live automaton: the optimiser is
+    /// handed the builtin XML grammar's 180 live nodes, where it was handed
+    /// 568 when every inlined-away rule and every node only an epsilon edge
+    /// reached was built too.
+    #[test]
+    fn the_optimiser_is_handed_only_live_nodes() {
+        let xml = xg_grammar::builtin::xml_grammar();
+        let live = live_automaton(&xml, &PdaBuildOptions::default());
+        assert_eq!(live.node_count(), 180);
+        assert_eq!(
+            live.compact(),
+            live,
+            "the live automaton is already compact"
+        );
+    }
+
+    #[test]
+    fn inlined_away_rules_build_no_nodes() {
+        let g = parse_ebnf(
+            r#"
+            root ::= item ("," item)*
+            item ::= digit digit
+            digit ::= [0-9]
+            "#,
+            "root",
+        )
+        .unwrap();
+        let options = PdaBuildOptions::default();
+        let inlined = inline_fragment_rules(&g, &options);
+        assert_eq!(
+            inlined.rules().len(),
+            3,
+            "inlining keeps the rules it empties"
+        );
+        let live = live_automaton(&g, &options);
+        assert_eq!(live.rules().len(), 1);
+        assert!(live.nodes().iter().all(|node| node.rule == live.root()));
+        // `root ::= [0-9] [0-9] ("," [0-9] [0-9])*`: start, two digits, a
+        // comma, two digits; the loop's epsilon-only nodes are not built.
+        assert_eq!(live.node_count(), 6);
+        assert_eq!(live.compact(), live);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! An iteration is one `CompiledGrammar::compile`: no grammar cache to
 //! short-circuit it, and the sorted vocabulary index — which depends on the
 //! vocabulary alone and is built once per `GrammarCompiler` — shared across
-//! iterations, so the bench times a compile and not a sort.
+//! iterations, so the bench times a compile and not a sort. `build_pda/cold12`
+//! times the compile's PDA build alone.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use xg_automata::{build_pda, PdaBuildOptions};
 use xg_bench::bench_vocabulary;
 use xg_core::{CompiledGrammar, CompilerConfig};
 use xg_grammar::Grammar;
@@ -90,6 +92,23 @@ fn bench_cold_compile(c: &mut Criterion) {
             grammars
                 .iter()
                 .map(|g| compile(g, &vocab, &sorted))
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+
+    // The PDA build alone (inlining, construction, merging, interning) of
+    // the same twelve: `perf`'s `automata.build_pda_us` stage.
+    let mut group = c.benchmark_group("build_pda");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+    let options = PdaBuildOptions::default();
+    group.bench_function("cold12", |b| {
+        b.iter(|| {
+            grammars
+                .iter()
+                .map(|g| build_pda(g, &options).node_count())
                 .sum::<usize>()
         })
     });

@@ -2,10 +2,14 @@
 //! for llguidance parity: each schema pins the exact display form of the
 //! rules its keyword produces, re-parses the printed grammar, and checks the
 //! round trip preserves both the text (printing is a fixed point) and the
-//! language (probe strings accept/reject identically).
+//! language (probe strings accept/reject identically). Digests pin what the
+//! front ends print and what the PDA build makes of it.
 
-use xg_automata::{build_pda_default, SimpleMatcher};
-use xg_grammar::{JsonSchemaOptions, WhitespaceConfig};
+use xg_automata::{
+    build_pda, build_pda_default, inline_fragment_rules, NodeId, Pda, PdaBuildOptions, PdaEdge,
+    SimpleMatcher,
+};
+use xg_grammar::{Grammar, JsonSchemaOptions, WhitespaceConfig};
 
 struct Golden {
     name: &'static str,
@@ -247,18 +251,167 @@ fn front_end_outputs_are_pinned() {
                 .to_string(),
         );
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for text in &printed {
-        for &byte in text.as_bytes().iter().chain(b"\n") {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
+    let hash = fnv1a(&printed);
     assert_eq!(
         hash,
         0x38aa_3dca_fdfe_61a8,
         "front-end output digest changed: {hash:#018x} over {} grammars",
         printed.len()
+    );
+}
+
+/// FNV-1a (64-bit) over texts, each followed by a newline.
+fn fnv1a(texts: &[String]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for text in texts {
+        for &byte in text.as_bytes().iter().chain(b"\n") {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The grammars the PDA shape digests cover: `perf`'s twelve cold and five
+/// warm schemas, the three builtin CFGs, and 200 more corpus schemas.
+fn pda_corpus() -> Vec<Grammar> {
+    let mut schemas: Vec<serde_json::Value> = xg_datasets::schema_corpus(12, 11)
+        .into_iter()
+        .map(|case| case.schema)
+        .collect();
+    schemas.extend(
+        xg_datasets::json_mode_eval_like(5, 11)
+            .into_iter()
+            .map(|task| task.schema),
+    );
+    schemas.extend(
+        xg_datasets::schema_corpus(200, 3)
+            .into_iter()
+            .map(|case| case.schema),
+    );
+    let mut grammars = vec![
+        xg_grammar::builtin::json_grammar(),
+        xg_grammar::builtin::xml_grammar(),
+        xg_grammar::builtin::python_dsl_grammar(),
+    ];
+    grammars.extend(
+        schemas.iter().map(|schema| {
+            xg_grammar::json_schema_to_grammar(schema).expect("corpus schemas convert")
+        }),
+    );
+    grammars
+}
+
+/// A PDA written out independently of how its nodes and rules are numbered:
+/// rules in the order a breadth-first walk from the root discovers them,
+/// each rule's nodes in the order a walk from its start discovers them, and
+/// every node's edges relabelled to those positions and sorted. Numbering
+/// shows only through the order in which a node stores edges of one label,
+/// which the walk follows.
+fn canonical_form(pda: &Pda) -> String {
+    let mut rule_pos = vec![usize::MAX; pda.rules().len()];
+    let mut node_pos = vec![usize::MAX; pda.node_count()];
+    let mut rules = vec![pda.root()];
+    rule_pos[pda.root().index()] = 0;
+    let mut nodes: Vec<NodeId> = Vec::new();
+    let mut r = 0;
+    while r < rules.len() {
+        let first = nodes.len();
+        let start = pda.rule(rules[r]).start;
+        node_pos[start.index()] = nodes.len();
+        nodes.push(start);
+        let mut n = first;
+        while n < nodes.len() {
+            for edge in &pda.node(nodes[n]).edges {
+                if let PdaEdge::Rule { rule, .. } = edge {
+                    if rule_pos[rule.index()] == usize::MAX {
+                        rule_pos[rule.index()] = rules.len();
+                        rules.push(*rule);
+                    }
+                }
+                let target = edge.target();
+                if node_pos[target.index()] == usize::MAX {
+                    node_pos[target.index()] = nodes.len();
+                    nodes.push(target);
+                }
+            }
+            n += 1;
+        }
+        r += 1;
+    }
+    let mut out = String::new();
+    for rule in &rules {
+        let rule = pda.rule(*rule);
+        out += &format!(
+            "rule {} start {}\n",
+            rule.name,
+            node_pos[rule.start.index()]
+        );
+    }
+    for (pos, id) in nodes.iter().enumerate() {
+        let node = pda.node(*id);
+        let mut edges: Vec<(u8, u32, u32, usize)> = node
+            .edges
+            .iter()
+            .map(|edge| match *edge {
+                PdaEdge::Bytes { range, target } => (
+                    0,
+                    u32::from(range.lo),
+                    u32::from(range.hi),
+                    node_pos[target.index()],
+                ),
+                PdaEdge::Rule { rule, target } => (
+                    1,
+                    rule_pos[rule.index()] as u32,
+                    0,
+                    node_pos[target.index()],
+                ),
+            })
+            .collect();
+        edges.sort_unstable();
+        out += &format!(
+            "{pos} r{} {} {edges:?}\n",
+            rule_pos[node.rule.index()],
+            node.is_final
+        );
+    }
+    out
+}
+
+/// The PDA build's output over 220 grammars, pinned three ways: the inlined
+/// grammar's text, the unmerged PDAs (without and with inlining) exactly as
+/// built, numbering included, and the default PDA up to numbering.
+#[test]
+fn pda_build_outputs_are_pinned() {
+    let grammars = pda_corpus();
+    assert_eq!(grammars.len(), 220);
+    let default = PdaBuildOptions::default();
+    let inlined: Vec<String> = grammars
+        .iter()
+        .map(|g| inline_fragment_rules(g, &default).to_string())
+        .collect();
+    let inline_only = PdaBuildOptions {
+        merge_nodes: false,
+        ..PdaBuildOptions::default()
+    };
+    let raw: Vec<String> = grammars
+        .iter()
+        .flat_map(|g| [PdaBuildOptions::unoptimized(), inline_only.clone()].map(|o| (g, o)))
+        .map(|(g, options)| format!("{:?}", build_pda(g, &options)))
+        .collect();
+    let canonical: Vec<String> = grammars
+        .iter()
+        .map(|g| canonical_form(&build_pda(g, &default)))
+        .collect();
+    let digests = (fnv1a(&inlined), fnv1a(&raw), fnv1a(&canonical));
+    assert_eq!(
+        digests,
+        (
+            0x8cc3_4c3a_64c1_8fe0,
+            0x0b5b_3522_ce01_8dbe,
+            0x2d15_a5e3_861d_1d9d
+        ),
+        "(inlined grammar, unmerged PDAs, canonical default PDA) digests changed: {digests:#018x?}"
     );
 }
 
