@@ -7,15 +7,16 @@
 //! short-circuit it, and the sorted vocabulary index — which depends on the
 //! vocabulary alone and is built once per `GrammarCompiler` — shared across
 //! iterations, so the bench times a compile and not a sort. `build_pda/cold12`
-//! times the compile's PDA build alone.
+//! times the compile's PDA build alone, and `mask_cache_build/*` its mask-cache
+//! build alone, on one thread.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xg_automata::{build_pda, PdaBuildOptions};
+use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions};
 use xg_bench::bench_vocabulary;
-use xg_core::{CompiledGrammar, CompilerConfig};
+use xg_core::{build_mask_cache, CompiledGrammar, CompilerConfig, MaskCacheBuildOptions};
 use xg_grammar::Grammar;
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
@@ -112,6 +113,65 @@ fn bench_cold_compile(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    group.finish();
+
+    // The mask-cache build alone (the `core.mask_cache_build_ms` stage), on
+    // one thread: the same twelve, then `schema_warm`'s five schemas, XML,
+    // and the tool-call segments (free-text tail appended) of `agent_tools`'
+    // three sessions, whose string bodies, text and free-text nodes accept
+    // most of the vocabulary.
+    let mut group = c.benchmark_group("mask_cache_build");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+    let warm = xg_datasets::json_mode_eval_like(5, 11)
+        .iter()
+        .map(|task| xg_grammar::json_schema_to_grammar(&task.schema).expect("schemas convert"))
+        .collect();
+    let mut triggers = Vec::new();
+    for session in xg_datasets::agent_sessions(3, 6, 6, 11) {
+        let segments = session
+            .initial
+            .build_trigger_grammars()
+            .expect("dataset catalogs validate");
+        triggers.extend(
+            segments
+                .iter()
+                .map(|(_, grammar)| xg_grammar::append_free_text_tail(grammar)),
+        );
+    }
+    let sets = [
+        ("cold12", grammars.clone()),
+        ("warm5", warm),
+        ("xml", vec![xg_grammar::builtin::xml_grammar()]),
+        ("triggers", triggers),
+    ];
+    let build_options = MaskCacheBuildOptions {
+        context_expansion: true,
+        num_threads: 1,
+    };
+    for (name, grammars) in sets {
+        let built: Vec<_> = grammars
+            .iter()
+            .map(|g| {
+                let pda = build_pda(g, &options);
+                let fsas = extract_all_suffix_fsas(&pda);
+                (pda, fsas)
+            })
+            .collect();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                built
+                    .iter()
+                    .map(|(pda, fsas)| {
+                        build_mask_cache(pda, &vocab, &sorted, Some(fsas), &build_options)
+                            .stats()
+                            .memory_bytes
+                    })
+                    .sum::<usize>()
+            })
+        });
+    }
     group.finish();
 
     let mut group = c.benchmark_group("cold_cfg_compile");

@@ -170,11 +170,14 @@ fn experiment_stats(vocab: &Arc<Vocabulary>) {
         stats.preprocessing_bytes_matched
     );
     let pairs = stats.nodes * stats.classified_tokens;
+    let share = |count: u64| 100.0 * count as f64 / pairs.max(1) as f64;
     println!(
-        "  tokens matched one by one: {} of {} (node, token) pairs ({:.2}%; the rest classified in runs)",
+        "  tokens matched one by one: {} of {} (node, token) pairs ({:.2}%); accepted by a loop, unwalked: {} ({:.2}%); the rest classified in runs",
         stats.tokens_visited,
         pairs,
-        100.0 * stats.tokens_visited as f64 / pairs.max(1) as f64
+        share(stats.tokens_visited),
+        stats.tokens_loop_accepted,
+        share(stats.tokens_loop_accepted)
     );
     println!(
         "  vocabulary prefix-sharing fraction (chars to check): {:.0}%",

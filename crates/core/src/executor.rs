@@ -374,9 +374,7 @@ pub(crate) struct StepMemo {
     singleton: Vec<u32>,
     multi: HashMap<Box<[StackHandle]>, u32>,
     limit: usize,
-    /// Steps taken from a live state ([`TokenTrail::bytes_advanced`]), and
-    /// the misses taken for them and for re-walked prefixes.
-    pub steps: u64,
+    /// The steps computed rather than looked up.
     pub misses: u64,
 }
 
@@ -414,8 +412,40 @@ impl StepMemo {
         *slot
     }
 
+    /// Forgets every state when `steps` more could outgrow the bound (a step
+    /// adds one state at most, and a start one more); `trail`'s ids die with
+    /// them, so it is emptied too.
+    pub fn make_room(&mut self, trail: &mut Vec<u32>, steps: usize) {
+        if self.ends.len() + steps >= self.limit {
+            self.tree.clear();
+            self.heads.clear();
+            self.ends.truncate(1);
+            self.rows.truncate(1);
+            self.popout.truncate(1);
+            self.singleton.clear();
+            self.multi.clear();
+            trail.clear();
+        }
+    }
+
+    /// The state of the one stack `[node]`, where a walk of `trail` starts:
+    /// `trail[0]`, interned first when the trail is empty.
+    pub fn start(&mut self, node: NodeId, trail: &mut Vec<u32>) -> u32 {
+        if trail.is_empty() {
+            self.heads.push(self.tree.push(StackHandle::ROOT, node));
+            trail.push(self.intern(self.heads.len() - 1));
+        }
+        trail[0]
+    }
+
+    /// Whether `state` can pop out of the bottom frame; known once a step
+    /// from it was taken.
+    pub fn pops_out(&self, state: u32) -> bool {
+        self.popout[state as usize] == Some(true)
+    }
+
     /// The state `byte` leads to from `state` (0 when no stack consumes it).
-    fn step(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
+    pub fn step(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
         match self.rows[state as usize][byte as usize] {
             u32::MAX => self.miss(pda, state, byte),
             next => next,
@@ -456,7 +486,8 @@ impl StepMemo {
     }
 
     /// [`TokenTrail::match_token`] from the single stack `[node]`, over state ids:
-    /// `trail[i]` is the state after `token[..i]`; empty before the node's first token.
+    /// `trail[i]` is the state after `token[..i]`; empty until a walk or
+    /// [`start`](Self::start) fills it.
     pub fn match_token(
         &mut self,
         pda: &Pda,
@@ -470,22 +501,10 @@ impl StepMemo {
         if keep > 0 && trail[keep] == 0 {
             return Err(keep - 1);
         }
-        // A step adds one state at most, and the next node's start one more.
-        if self.ends.len() + token.len() - keep >= self.limit {
-            // Every id dies with the states, the trail's too.
-            self.tree.clear();
-            self.heads.clear();
-            self.ends.truncate(1);
-            self.rows.truncate(1);
-            self.popout.truncate(1);
-            self.singleton.clear();
-            self.multi.clear();
-            trail.clear();
-        }
+        self.make_room(trail, token.len() - keep);
         if trail.is_empty() {
-            // Walk the held prefix again: no byte of it is matched anew.
-            self.heads.push(self.tree.push(StackHandle::ROOT, node));
-            trail.push(self.intern(self.heads.len() - 1));
+            // Walk the held prefix again, which a clear forgot.
+            self.start(node, trail);
             for (i, &b) in token[..keep].iter().enumerate() {
                 trail.push(self.step(pda, trail[i], b));
             }
@@ -494,7 +513,6 @@ impl StepMemo {
         for (i, &b) in token.iter().enumerate().skip(keep) {
             state = self.step(pda, state, b);
             trail.push(state);
-            self.steps += 1;
             if state == 0 {
                 return Err(i);
             }
@@ -560,7 +578,7 @@ mod tests {
             };
             for _ in 0..4 {
                 let node = NodeId(rng.gen_range(0..pda.node_count() as u32));
-                let (mut trail, steps_before) = (Vec::new(), memo.steps);
+                let mut trail = Vec::new();
                 let mut tree = PersistentStackTree::new();
                 let start = tree.push(StackHandle::ROOT, node);
                 let mut reference = TokenTrail::default();
@@ -582,7 +600,6 @@ mod tests {
                         memo.popout_offsets(&trail).collect::<Vec<_>>(),
                         reference.popout_offsets().collect::<Vec<_>>()
                     );
-                    prop_assert_eq!(memo.steps - steps_before, reference.bytes_advanced());
                     prop_assert_eq!(trail.len() - 1, reference.prefix_len());
                     for (len, &state) in trail.iter().enumerate() {
                         let mut heads = vec![start];

@@ -20,13 +20,22 @@
 //! number of bytes that have to be matched to a fraction. The same order
 //! makes a failed token speak for its neighbours: every following token that
 //! shares the prefix the automaton died on is classified with it, unvisited
-//! and unread (the sorted index jumps to the run's end), so a node costs what
-//! the grammar keeps alive there rather than what the vocabulary holds.
+//! and unread (the sorted index jumps to the run's end), and a first byte the
+//! node rejects takes its whole range of the order along. Its mirror image
+//! serves the nodes that accept most of the vocabulary (a string body, XML
+//! text, free text): a token whose bytes after the first all fall in byte
+//! classes the node's automaton loops on is accepted from the set of classes
+//! the sorted index keeps for it, unwalked. A node so costs the tokens it
+//! keeps alive off its loops, not the vocabulary and not the tokens it
+//! accepts.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use xg_automata::{Fsa, NodeId, Pda, PdaNode, SuffixMatch};
-use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
+use xg_tokenizer::{
+    byte_class, byte_class_members, common_prefix_len, SortedVocabulary, TokenId, Vocabulary,
+};
 
 use crate::executor::StepMemo;
 use crate::mask::TokenBitmask;
@@ -116,19 +125,28 @@ pub struct MaskCacheStats {
     pub memory_bytes: usize,
     /// Memory a dense per-node bitmask layout would need, in bytes.
     pub dense_memory_bytes: usize,
-    /// Bytes of token text actually matched during preprocessing: automaton
-    /// steps taken from a live state.
+    /// Bytes of token text a walk of every token in sorted order, rolled
+    /// back to the prefix each shares with its predecessor, matches from a
+    /// live state (the §3.3 statistic). It counts the tokens the build
+    /// classifies without walking them as if they had been walked.
     pub preprocessing_bytes_matched: u64,
-    /// The steps the automaton executed, for those and for prefixes walked
-    /// again; a worker's step memo answered the rest. A state's first miss
-    /// counts one, however many dead bytes of its row it settles. Each
-    /// worker has its own memo, so above one thread the count depends on
-    /// scheduling.
+    /// The steps the automaton executed, for the tokens walked, for
+    /// prefixes walked again and for loop tests; a worker's step memo
+    /// answered the rest. A state's first miss counts one, however many
+    /// dead bytes of its row it settles. Each worker has its own memo, so
+    /// above one thread the count depends on scheduling.
     pub automaton_steps: u64,
-    /// Tokens matched one by one, summed over nodes. The rest of
-    /// `nodes * classified_tokens` was classified in runs, by the prefix
-    /// shared with a token that had already failed.
+    /// Tokens walked through the automaton one by one, summed over nodes.
+    /// The rest of `nodes * classified_tokens` was classified unwalked: in
+    /// runs, by the prefix shared with a token that had already failed; in
+    /// whole first-byte ranges, by a first byte the node rejects; or by a
+    /// loop (`tokens_loop_accepted`). A node so costs the tokens it keeps
+    /// alive off its loops, not the ones it accepts.
     pub tokens_visited: u64,
+    /// Tokens accepted, summed over nodes, because every byte after their
+    /// first falls in a byte class the node's automaton loops on after that
+    /// first byte: no automaton work per token.
+    pub tokens_loop_accepted: u64,
     /// Bytes of token text that would have been matched without sorted-prefix
     /// rollback (`nodes * total token bytes`).
     pub preprocessing_bytes_naive: u64,
@@ -195,17 +213,31 @@ impl MaskCache {
     }
 }
 
-/// Result of classifying the whole vocabulary for one node. The rejected
-/// tokens are whatever of the sorted vocabulary is in neither list; only an
-/// accept-heavy entry ever needs them spelled out.
+/// Result of classifying the whole vocabulary for one node: the accepted
+/// tokens as ranges of the sorted order, the context-dependent ones as ids.
+/// The rejected tokens are whatever of the sorted vocabulary is in neither;
+/// only an accept-heavy entry ever needs them spelled out, and it finds them
+/// between the accepted ranges, so a node that accepts most tokens costs
+/// the ones it does not.
 #[derive(Debug, Default)]
 struct NodeClassification {
-    accepted: Vec<TokenId>,
+    accepted: Vec<Range<usize>>,
     uncertain: Vec<TokenId>,
     uncertain_before_expansion: usize,
     bytes_matched: u64,
     automaton_steps: u64,
     tokens_visited: u64,
+    tokens_loop_accepted: u64,
+}
+
+impl NodeClassification {
+    /// Records the tokens `range` of the sorted order as accepted.
+    fn accept(&mut self, range: Range<usize>) {
+        match self.accepted.last_mut() {
+            Some(last) if last.end == range.start => last.end = range.end,
+            _ => self.accepted.push(range),
+        }
+    }
 }
 
 /// What a token that died in the trail is: context-dependent (`true`) if the
@@ -239,21 +271,112 @@ fn is_context_dependent(
     }
 }
 
+/// For each first byte `c` of a token, the [byte classes](byte_class_members)
+/// the node's automaton loops on after it: class `k` loops when every byte
+/// of it takes `s1 = step(s0, c)` and a live state `T_c` each to one of the
+/// two. A token whose later bytes all fall in looping classes never leaves
+/// the pair, so it is accepted without being walked. `T_c` is the state the
+/// first looping class found leads to from `s1` (through its first byte, the
+/// witness); it is `s1` itself when `s1` loops. The pair, and not one state,
+/// because a state is a head sequence in the order the step produced it, and
+/// a step over two heads can reverse their order: an identifier inside a
+/// nested expression alternates between two states with the same stacks.
+/// Each (`c`, class) pair is tested once, when a token first asks. Only bit
+/// sets and a byte are kept, no state id: a memo clear forgets the states,
+/// and the test derives them again from the node's start.
+struct LoopClasses<'a> {
+    pda: &'a Pda,
+    node: NodeId,
+    tested: [u64; 256],
+    looping: [u64; 256],
+    witness: [u8; 256],
+}
+
+impl<'a> LoopClasses<'a> {
+    fn new(pda: &'a Pda, node: NodeId) -> Self {
+        LoopClasses {
+            pda,
+            node,
+            tested: [0; 256],
+            looping: [0; 256],
+            witness: [0; 256],
+        }
+    }
+
+    /// The classes that loop after `c` among those of `tail` and those tested
+    /// before; `step(s0, c)` must be live. A test may clear the memo, and
+    /// with it `trail`.
+    #[inline]
+    fn after(&mut self, memo: &mut StepMemo, trail: &mut Vec<u32>, c: u8, tail: u64) -> u64 {
+        let untested = tail & !self.tested[usize::from(c)];
+        if untested != 0 {
+            self.test(memo, trail, c, untested);
+        }
+        self.looping[usize::from(c)]
+    }
+
+    /// Tests `classes` after `c`. While none loops, the lower-case class is
+    /// tried first, asked for or not: the class most tokens continue with
+    /// then fixes `T_c`, and not whatever the first token asks for, which in
+    /// byte order is a newline or a space as often as not.
+    #[cold]
+    #[inline(never)]
+    fn test(&mut self, memo: &mut StepMemo, trail: &mut Vec<u32>, c: u8, mut classes: u64) {
+        let (at, lower) = (usize::from(c), byte_class(b'a'));
+        if self.looping[at] == 0 && self.tested[at] & 1 << lower == 0 {
+            self.test_class(memo, trail, c, lower);
+            classes &= !(1 << lower);
+        }
+        while classes != 0 {
+            self.test_class(memo, trail, c, classes.trailing_zeros() as usize);
+            classes &= classes - 1;
+        }
+    }
+
+    fn test_class(&mut self, memo: &mut StepMemo, trail: &mut Vec<u32>, c: u8, class: usize) {
+        let (pda, at) = (self.pda, usize::from(c));
+        self.tested[at] |= 1 << class;
+        let bytes = byte_class_members(class);
+        // `s1`, `T_c`, and one state off the pair: three steps at most.
+        memo.make_room(trail, 3);
+        let s0 = memo.start(self.node, trail);
+        let s1 = memo.step(pda, s0, c);
+        let witness = match self.looping[at] {
+            0 => *bytes.start(),
+            _ => self.witness[at],
+        };
+        let target = memo.step(pda, s1, witness);
+        let on_pair = |state| state == s1 || state == target;
+        let stays = |b| on_pair(memo.step(pda, s1, b)) && on_pair(memo.step(pda, target, b));
+        if target != 0 && bytes.clone().all(stays) {
+            self.witness[at] = witness;
+            self.looping[at] |= 1 << class;
+        }
+    }
+}
+
 /// Classifies every (non-special) token against a single automaton node,
 /// using sorted-order prefix sharing. `suffix_fsa`, when provided, is the
 /// expanded-suffix automaton of the node's rule and is used to reject
 /// context-dependent tokens whose remainder cannot match any parent context
 /// (context expansion, §3.2).
 ///
-/// A token the trail dies on at byte `p` takes the whole run of following
-/// tokens that share with it both `token[..=p]` and the bytes the suffix
-/// automaton's verdict read: they reach the same dead state with the same
-/// pop-outs and the same verdict, so the run is classified without being
-/// visited, and its end is found by [`SortedVocabulary::run_end`] in at most
-/// one jump per byte of the shared prefix, not by reading its LCPs. The work
-/// is proportional to the prefixes the node keeps alive and the suffix
-/// automaton reads, not to the vocabulary. Token bytes come from the sorted
-/// index's arena, in the order the walk visits them.
+/// The tokens starting with one byte `c` are one range of the sorted order.
+/// When `c` is dead at the node's start and the start cannot pop out, the
+/// range is rejected whole, unvisited. When `c` is live, a token whose
+/// later bytes all fall in [`LoopClasses`] after `c` is accepted unwalked,
+/// from its [tail classes](SortedVocabulary::tail_classes) alone, with every
+/// such token that follows it. Every other token is walked, keeping the
+/// prefix it shares with the last token walked. A token the trail dies on at
+/// byte `p` takes the whole run of following tokens that share with it both
+/// `token[..=p]` and the bytes the suffix automaton's verdict read: they
+/// reach the same dead state with the same pop-outs and the same verdict, so
+/// the run is classified without being visited, and its end is found by
+/// [`SortedVocabulary::run_end`] in at most one jump per byte of the shared
+/// prefix. The work is proportional to the prefixes the node keeps alive off
+/// its loops and to what the suffix automaton reads, not to the vocabulary.
+/// Token bytes come from the sorted index's arena, in the order the walk
+/// visits them.
 fn classify_node(
     pda: &Pda,
     memo: &mut StepMemo,
@@ -261,33 +384,78 @@ fn classify_node(
     sorted: &SortedVocabulary,
     suffix_fsa: Option<&Fsa>,
 ) -> NodeClassification {
-    let (steps_before, misses_before) = (memo.steps, memo.misses);
-    let mut trail = Vec::new();
+    let misses_before = memo.misses;
+    let mut loops = LoopClasses::new(pda, node);
     let mut out = NodeClassification::default();
-    let (ids, lcp) = (sorted.ids(), sorted.lcp());
-    let mut i = 0;
-    while i < ids.len() {
-        let bytes = sorted.token(i);
-        out.tokens_visited += 1;
-        let Err(died_at) = memo.match_token(pda, node, &mut trail, bytes, lcp[i]) else {
-            out.accepted.push(ids[i]);
-            i += 1;
+    let (ids, lcp, tails) = (sorted.ids(), sorted.lcp(), sorted.tail_classes());
+    // The states after each byte of the last token walked, its bytes, and
+    // whether tokens accepted by a loop came after it: only then does the
+    // next token walked share less with it than its own LCP.
+    let mut trail = Vec::new();
+    let (mut walked, mut looped): (&[u8], bool) = (&[], false);
+    let empty = 0..sorted.starting_with(0).start;
+    let by_first = (0..=255).map(|c| (Some(c), sorted.starting_with(c)));
+    for (first, range) in std::iter::once((None, empty)).chain(by_first) {
+        if range.is_empty() {
             continue;
-        };
-        let (context_dependent, read) =
-            is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa);
-        let run_end = sorted.run_end(i, read.max(died_at + 1));
-        // Any pop-out means the remainder could be matched by a parent
-        // context; context expansion filtered those that cannot.
-        if memo.popout_offsets(&trail).next().is_some() {
-            out.uncertain_before_expansion += run_end - i;
         }
-        if context_dependent {
-            out.uncertain.extend_from_slice(&ids[i..run_end]);
+        let mut live_first = None;
+        if let Some(c) = first {
+            memo.make_room(&mut trail, 1);
+            let s0 = memo.start(node, &mut trail);
+            if memo.step(pda, s0, c) != 0 {
+                live_first = Some(c);
+            } else if !memo.pops_out(s0) {
+                // Each token dies on its first byte with nothing to pop.
+                out.bytes_matched += 1;
+                continue;
+            }
         }
-        i = run_end;
+        let mut i = range.start;
+        while i < range.end {
+            if let Some(c) = live_first {
+                let looping = loops.after(memo, &mut trail, c, tails[i]);
+                if tails[i] & !looping == 0 {
+                    let end = i + tails[i..range.end]
+                        .iter()
+                        .take_while(|&&tail| tail & !looping == 0)
+                        .count();
+                    out.accept(i..end);
+                    out.tokens_loop_accepted += (end - i) as u64;
+                    out.bytes_matched += sorted.chars_to_check_in(i..end) as u64;
+                    looped = true;
+                    i = end;
+                    continue;
+                }
+            }
+            let bytes = sorted.token(i);
+            out.tokens_visited += 1;
+            let keep = match looped {
+                true => common_prefix_len(walked, bytes),
+                false => lcp[i],
+            };
+            (walked, looped) = (bytes, false);
+            let Err(died_at) = memo.match_token(pda, node, &mut trail, bytes, keep) else {
+                out.accept(i..i + 1);
+                out.bytes_matched += sorted.chars_to_check_in(i..i + 1) as u64;
+                i += 1;
+                continue;
+            };
+            out.bytes_matched += (died_at + 1).saturating_sub(lcp[i]) as u64;
+            let (context_dependent, read) =
+                is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa);
+            let run_end = sorted.run_end(i, read.max(died_at + 1));
+            // Any pop-out means the remainder could be matched by a parent
+            // context; context expansion filtered those that cannot.
+            if memo.popout_offsets(&trail).next().is_some() {
+                out.uncertain_before_expansion += run_end - i;
+            }
+            if context_dependent {
+                out.uncertain.extend_from_slice(&ids[i..run_end]);
+            }
+            i = run_end;
+        }
     }
-    out.bytes_matched = memo.steps - steps_before;
     out.automaton_steps = memo.misses - misses_before;
     out
 }
@@ -379,15 +547,17 @@ fn build_with(
             done.push((i, classify(&mut memo, i)));
         }
     };
+    // The calling thread is the last worker.
     let mut classifications = if num_threads <= 1 || node_count < num_threads {
         worker()
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_threads).map(|_| scope.spawn(worker)).collect();
-            let done = handles
-                .into_iter()
-                .map(|h| h.join().expect("a classifier panicked"));
-            done.flatten().collect()
+            let handles: Vec<_> = (1..num_threads).map(|_| scope.spawn(worker)).collect();
+            let mut done = worker();
+            for handle in handles {
+                done.extend(handle.join().expect("a classifier panicked"));
+            }
+            done
         })
     };
     classifications.sort_unstable_by_key(|&(i, _)| i);
@@ -411,6 +581,7 @@ fn build_with(
         stats.preprocessing_bytes_matched += classification.bytes_matched;
         stats.automaton_steps += classification.automaton_steps;
         stats.tokens_visited += classification.tokens_visited;
+        stats.tokens_loop_accepted += classification.tokens_loop_accepted;
         let entry = make_entry(vocab, sorted, classification);
         stats.memory_bytes += entry.memory_bytes();
         entries.push(entry);
@@ -438,32 +609,41 @@ fn make_entry(
         .all(|w| vocab.token_bytes(w[0]) <= vocab.token_bytes(w[1])));
     uncertain.shrink_to_fit();
 
-    let accept_heavy_cost = (sorted.len() - accepted.len()) * 4;
-    let reject_heavy_cost = (accepted.len() + uncertain.len()) * 4;
+    let ids = sorted.ids();
+    let accepted_count = accepted.iter().map(ExactSizeIterator::len).sum::<usize>();
+    let accepted_ids = accepted.iter().flat_map(|range| &ids[range.clone()]);
+    let accept_heavy_cost = (sorted.len() - accepted_count) * 4;
+    let reject_heavy_cost = (accepted_count + uncertain.len()) * 4;
     let bitset_cost = vocab.len().div_ceil(8) + uncertain.len() * 4;
     if accept_heavy_cost <= reject_heavy_cost && accept_heavy_cost <= bitset_cost {
-        // The rejected tokens are the sorted ids in neither list; both lists
-        // are in sorted order, so one pass with two cursors finds them.
-        let (mut a, mut u) = (accepted.iter().peekable(), uncertain.iter().peekable());
-        let rejected = sorted
-            .ids()
+        // The rejected tokens are the sorted ids between the accepted ranges
+        // but the context-dependent ones, which are in sorted order too.
+        let gap_starts = std::iter::once(0).chain(accepted.iter().map(|range| range.end));
+        let gap_ends = accepted
             .iter()
-            .filter(|id| a.next_if_eq(id).or_else(|| u.next_if_eq(id)).is_none())
-            .copied()
-            .collect();
+            .map(|range| range.start)
+            .chain([sorted.len()]);
+        let mut u = uncertain.iter().peekable();
+        let mut rejected = Vec::with_capacity(sorted.len() - accepted_count - uncertain.len());
+        for gap in gap_starts
+            .zip(gap_ends)
+            .map(|(start, end)| &ids[start..end])
+        {
+            rejected.extend(gap.iter().filter(|id| u.next_if_eq(id).is_none()));
+        }
         NodeMaskEntry::AcceptHeavy {
             rejected,
             uncertain,
         }
     } else if reject_heavy_cost <= bitset_cost {
         NodeMaskEntry::RejectHeavy {
-            accepted,
+            accepted: accepted_ids.copied().collect(),
             uncertain,
         }
     } else {
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
-        for t in &accepted {
-            mask.allow(*t);
+        for &t in accepted_ids {
+            mask.allow(t);
         }
         NodeMaskEntry::Bitset {
             accepted: mask,

@@ -16,15 +16,92 @@
 //! id per token. The order is byte order with ties — equal byte strings —
 //! broken by ascending id; [`SortedVocabulary::longest_prefix_token`]'s
 //! "lowest id first" depends on it.
+//!
+//! Sorted this way, the tokens that start with one byte are one range of the
+//! order ([`SortedVocabulary::starting_with`]), and each token carries the set
+//! of [byte classes](byte_class_members) its later bytes fall in
+//! ([`SortedVocabulary::tail_classes`]): a mask-cache build accepts a token
+//! whose later bytes all stay on a loop of the automaton from those two facts
+//! alone, without matching it.
+
+use std::ops::{Range, RangeInclusive};
 
 use crate::vocab::{TokenId, Vocabulary};
+
+/// The first byte of each class of the partition of `0..=255` that
+/// [`SortedVocabulary::tail_classes`] is over; class `k` runs up to the next
+/// class's first byte. Any partition keeps a build exact; the finer it is,
+/// the more tokens a loop takes. These split bytes where grammars tend to
+/// split them: each ASCII punctuation byte alone, digits, upper and lower
+/// case, space, `\t`, `\n`, `\r` and the other controls, DEL, the UTF-8
+/// continuation bytes in quarters, and the lead bytes by the sequences they
+/// start.
+const CLASS_STARTS: [u8; 57] = [
+    0x00, 0x09, 0x0a, 0x0b, 0x0d, 0x0e, 0x20, // controls, `\t`, `\n`, `\r`, space
+    0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28, 0x29, 0x2a, 0x2b, 0x2c, 0x2d, 0x2e, 0x2f,
+    0x30, // digits
+    0x3a, 0x3b, 0x3c, 0x3d, 0x3e, 0x3f, 0x40, //
+    0x41, // upper case
+    0x5b, 0x5c, 0x5d, 0x5e, 0x5f, 0x60, //
+    0x61, // lower case
+    0x7b, 0x7c, 0x7d, 0x7e, 0x7f, // and DEL
+    0x80, 0x90, 0xa0, 0xb0, // continuation bytes
+    0xc0, 0xc2, 0xe0, 0xe1, 0xed, 0xee, 0xf0, 0xf1, 0xf4, 0xf5, // lead bytes
+];
+
+/// Number of byte classes (at most 64: a token's set is one `u64`).
+pub const BYTE_CLASSES: usize = CLASS_STARTS.len();
+const _: () = assert!(BYTE_CLASSES <= 64);
+
+/// The class of every byte.
+const BYTE_CLASS: [u8; 256] = {
+    let mut table = [0; 256];
+    let (mut class, mut byte) = (0, 0);
+    while byte < 256 {
+        if class + 1 < BYTE_CLASSES && CLASS_STARTS[class + 1] as usize == byte {
+            class += 1;
+        }
+        table[byte] = class as u8;
+        byte += 1;
+    }
+    table
+};
+
+/// The bytes of class `class` (below [`BYTE_CLASSES`]), a run of `0..=255`.
+///
+/// # Examples
+///
+/// ```
+/// use xg_tokenizer::{byte_class_members, BYTE_CLASSES};
+///
+/// let classes: Vec<_> = (0..BYTE_CLASSES).map(byte_class_members).collect();
+/// assert!(classes.contains(&(b'a'..=b'z')));
+/// assert!(classes.contains(&(b'"'..=b'"')));
+/// assert_eq!(classes.iter().map(|c| c.len()).sum::<usize>(), 256);
+/// ```
+pub fn byte_class_members(class: usize) -> RangeInclusive<u8> {
+    let end = CLASS_STARTS.get(class + 1).map_or(0xff, |&next| next - 1);
+    CLASS_STARTS[class]..=end
+}
+
+/// The class `byte` is in.
+pub fn byte_class(byte: u8) -> usize {
+    usize::from(BYTE_CLASS[usize::from(byte)])
+}
+
+/// The classes of the bytes of `token` after its first, as a bit set.
+fn tail_classes(token: &[u8]) -> u64 {
+    let tail = token.iter().skip(1);
+    tail.fold(0, |set, &b| set | 1 << byte_class(b))
+}
 
 /// A sorted token index with longest-common-prefix information.
 ///
 /// Besides the ids it holds the sorted tokens' bytes (≈ 1.9 MB of arena at
-/// 128k tokens) and the run-skip links (≈ 0.5 MB), so build one per
-/// vocabulary and share it: a `GrammarCompiler` holds one `Arc` of it for
-/// every grammar it compiles.
+/// 128k tokens), the run-skip links (≈ 0.5 MB), the tail classes (1 MB) and
+/// the running count of bytes to check (0.5 MB), so build one per vocabulary
+/// and share it: a `GrammarCompiler` holds one `Arc` of it for every grammar
+/// it compiles.
 #[derive(Debug, Clone)]
 pub struct SortedVocabulary {
     /// Token ids in lexicographic byte order (special tokens excluded).
@@ -34,6 +111,14 @@ pub struct SortedVocabulary {
     lcp: Vec<usize>,
     /// `run_next[i]` = the first `j > i` with `lcp[j] < lcp[i]`, or `len()`.
     run_next: Vec<u32>,
+    /// `to_check[i]` = the bytes of tokens `..i` after the prefix each
+    /// shares with its predecessor; one entry more than `ids`.
+    to_check: Vec<u32>,
+    /// `tails[i]` = the classes of token `i`'s bytes after its first.
+    tails: Vec<u64>,
+    /// The tokens starting with byte `b` are `first[b]..first[b + 1]`; the
+    /// empty ones are `0..first[0]`.
+    first: [u32; 257],
     /// The sorted tokens' bytes, back to back.
     bytes: Vec<u8>,
     /// Token `i` is `bytes[offsets[i]..offsets[i + 1]]`; one entry more than
@@ -122,20 +207,37 @@ impl SortedVocabulary {
         let mut offsets = Vec::with_capacity(keyed.len() + 1);
         offsets.push(0);
         let mut lcp = Vec::with_capacity(keyed.len());
+        let (mut to_check, mut checked) = (Vec::with_capacity(keyed.len() + 1), 0);
+        to_check.push(checked);
+        let mut tails = Vec::with_capacity(keyed.len());
+        // `first[b + 1]` counts the tokens starting with `b` until the sums.
+        let mut first = [0u32; 257];
         let mut max_token_len = 0;
         let mut previous = 0;
         for &(_, id) in &keyed {
             let start = bytes.len();
             bytes.extend_from_slice(text_of(id));
-            lcp.push(common_prefix_len(&bytes[previous..start], &bytes[start..]));
-            max_token_len = max_token_len.max(bytes.len() - start);
+            let token = &bytes[start..];
+            let shared = common_prefix_len(&bytes[previous..start], token);
+            lcp.push(shared);
+            checked += (token.len() - shared) as u32;
+            to_check.push(checked);
+            tails.push(tail_classes(token));
+            first[token.first().map_or(0, |&b| usize::from(b) + 1)] += 1;
+            max_token_len = max_token_len.max(token.len());
             offsets.push(u32::try_from(bytes.len()).expect("vocabulary text under 4 GiB"));
             previous = start;
+        }
+        for b in 1..first.len() {
+            first[b] += first[b - 1];
         }
         let mut sorted = SortedVocabulary {
             ids: keyed.into_iter().map(|(_, id)| id).collect(),
             run_next: vec![0; lcp.len()],
             lcp,
+            to_check,
+            tails,
+            first,
             bytes,
             offsets,
             max_token_len,
@@ -166,6 +268,32 @@ impl SortedVocabulary {
     /// predecessor).
     pub fn lcp(&self) -> &[usize] {
         &self.lcp
+    }
+
+    /// The [byte classes](byte_class_members) of each sorted token's bytes
+    /// after its first, as bit sets (`tail_classes()[i]` refers to
+    /// `ids()[i]`; bit `k` is class `k`; 0 for tokens of one byte or none).
+    pub fn tail_classes(&self) -> &[u64] {
+        &self.tails
+    }
+
+    /// The range of the sorted order whose tokens start with `byte`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xg_tokenizer::{SortedVocabulary, Vocabulary};
+    ///
+    /// let vocab = Vocabulary::from_tokens(
+    ///     vec![b"b".to_vec(), b"ab".to_vec(), b"a".to_vec(), b"c".to_vec()], None);
+    /// let sorted = SortedVocabulary::new(&vocab);
+    /// assert_eq!(sorted.starting_with(b'a'), 0..2);
+    /// assert_eq!(sorted.starting_with(b'b'), 2..3);
+    /// assert!(sorted.starting_with(b'z').is_empty());
+    /// ```
+    pub fn starting_with(&self, byte: u8) -> Range<usize> {
+        let b = usize::from(byte);
+        self.first[b] as usize..self.first[b + 1] as usize
     }
 
     /// The end of the run after token `i`: the first `j > i` whose token
@@ -201,7 +329,13 @@ impl SortedVocabulary {
     /// checked in sorted order with prefix-sharing rollback: for each token,
     /// only the bytes after the common prefix with its predecessor.
     pub fn chars_to_check(&self) -> usize {
-        self.total_bytes() - self.lcp.iter().sum::<usize>()
+        self.chars_to_check_in(0..self.len())
+    }
+
+    /// [`chars_to_check`](Self::chars_to_check) of the tokens `range` of the
+    /// sorted order, each still rolled back to its predecessor's prefix.
+    pub fn chars_to_check_in(&self, range: Range<usize>) -> usize {
+        (self.to_check[range.end] - self.to_check[range.start]) as usize
     }
 
     /// Fraction of characters that still need checking
@@ -345,6 +479,21 @@ mod tests {
         let sorted = SortedVocabulary::new(&vocab);
         assert!(sorted.check_fraction() < 0.5);
         assert!(sorted.check_fraction() > 0.0);
+    }
+
+    #[test]
+    fn byte_classes_partition_the_bytes_into_runs() {
+        let mut next = 0;
+        for class in 0..BYTE_CLASSES {
+            let members = byte_class_members(class);
+            assert_eq!(usize::from(*members.start()), next, "class {class}");
+            assert!(members.start() <= members.end());
+            assert!(members
+                .clone()
+                .all(|b| usize::from(BYTE_CLASS[usize::from(b)]) == class));
+            next = usize::from(*members.end()) + 1;
+        }
+        assert_eq!(next, 256);
     }
 
     #[test]
@@ -512,12 +661,25 @@ mod tests {
             let ids = sorted_token_ids(&vocab);
             proptest::prop_assert_eq!(sorted.ids(), &ids[..]);
             let bytes = |i: usize| vocab.token_bytes(ids[i]);
+            let class_of = |b: &u8| (0..BYTE_CLASSES).position(|k| byte_class_members(k).contains(b));
             for i in 0..ids.len() {
                 proptest::prop_assert_eq!(sorted.token(i), bytes(i));
                 let lcp = if i == 0 { 0 } else { common_prefix_len(bytes(i - 1), bytes(i)) };
                 proptest::prop_assert_eq!(sorted.lcp()[i], lcp);
+                let tail = bytes(i).iter().skip(1).map(|b| 1 << class_of(b).unwrap());
+                proptest::prop_assert_eq!(sorted.tail_classes()[i], tail.fold(0, |s, c| s | c));
+            }
+            for byte in [0, b'a', b'b', b'c', 0xff] {
+                let starting: Vec<usize> = (0..ids.len()).filter(|&i| bytes(i).first() == Some(&byte)).collect();
+                let range = sorted.starting_with(byte);
+                proptest::prop_assert_eq!(starting, range.clone().collect::<Vec<_>>(), "{}", byte);
+                proptest::prop_assert!(range.start <= ids.len());
             }
             proptest::prop_assert_eq!(sorted.lcp().len(), ids.len());
+            for (start, end) in [(0, ids.len()), (ids.len() / 3, ids.len() / 2)] {
+                let to_check = (start..end).map(|i| bytes(i).len() - sorted.lcp()[i]).sum::<usize>();
+                proptest::prop_assert_eq!(sorted.chars_to_check_in(start..end), to_check);
+            }
             let lens = (0..ids.len()).map(|i| bytes(i).len());
             proptest::prop_assert_eq!(sorted.total_bytes(), lens.clone().sum::<usize>());
             proptest::prop_assert_eq!(sorted.max_token_len(), lens.max().unwrap_or(0));

@@ -3,13 +3,16 @@
 //! rules its keyword produces, re-parses the printed grammar, and checks the
 //! round trip preserves both the text (printing is a fixed point) and the
 //! language (probe strings accept/reject identically). Digests pin what the
-//! front ends print and what the PDA build makes of it.
+//! front ends print, what the PDA build makes of it, and the mask-cache
+//! entries built from that.
 
 use xg_automata::{
-    build_pda, build_pda_default, inline_fragment_rules, NodeId, Pda, PdaBuildOptions, PdaEdge,
-    SimpleMatcher,
+    build_pda, build_pda_default, extract_all_suffix_fsas, inline_fragment_rules, NodeId, Pda,
+    PdaBuildOptions, PdaEdge, SimpleMatcher,
 };
+use xg_core::{build_mask_cache, MaskCacheBuildOptions, NodeMaskEntry};
 use xg_grammar::{Grammar, JsonSchemaOptions, WhitespaceConfig};
+use xg_tokenizer::{synthetic_vocabulary, SortedVocabulary, SyntheticVocabConfig, TokenId};
 
 struct Golden {
     name: &'static str,
@@ -262,14 +265,38 @@ fn front_end_outputs_are_pinned() {
 
 /// FNV-1a (64-bit) over texts, each followed by a newline.
 fn fnv1a(texts: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::default();
     for text in texts {
-        for &byte in text.as_bytes().iter().chain(b"\n") {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        hash.write(text.as_bytes());
+        hash.write(b"\n");
+    }
+    hash.0
+}
+
+/// An FNV-1a (64-bit) hash fed bytes as they come.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
     }
-    hash
+
+    /// A length, then the ids, little-endian.
+    fn write_ids(&mut self, ids: &[TokenId]) {
+        self.write(&(ids.len() as u32).to_le_bytes());
+        for id in ids {
+            self.write(&id.0.to_le_bytes());
+        }
+    }
 }
 
 /// The grammars the PDA shape digests cover: `perf`'s twelve cold and five
@@ -412,6 +439,75 @@ fn pda_build_outputs_are_pinned() {
             0x2d15_a5e3_861d_1d9d
         ),
         "(inlined grammar, unmerged PDAs, canonical default PDA) digests changed: {digests:#018x?}"
+    );
+}
+
+/// Every mask-cache entry the default build makes, over the PDA corpus and
+/// the 18 tool-trigger segments (free-text tail appended) of `perf`'s
+/// `agent_tools` sessions, at 8k synthetic tokens: the variant, then its
+/// lists or bits. A change to how the build classifies tokens that changes
+/// any entry changes it.
+#[test]
+fn mask_cache_entries_are_pinned() {
+    let vocab = synthetic_vocabulary(&SyntheticVocabConfig {
+        size: 8_000,
+        seed: 0x8000,
+    });
+    let sorted = SortedVocabulary::new(&vocab);
+    let mut grammars = pda_corpus();
+    for session in xg_datasets::agent_sessions(3, 6, 6, 11) {
+        let triggers = session
+            .initial
+            .build_trigger_grammars()
+            .expect("dataset catalogs validate");
+        grammars.extend(
+            triggers
+                .iter()
+                .map(|(_, grammar)| xg_grammar::append_free_text_tail(grammar)),
+        );
+    }
+    assert_eq!(grammars.len(), 238);
+    let mut hash = Fnv1a::default();
+    for grammar in &grammars {
+        let pda = build_pda(grammar, &PdaBuildOptions::default());
+        let fsas = extract_all_suffix_fsas(&pda);
+        let options = MaskCacheBuildOptions::default();
+        let cache = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options);
+        for node in 0..cache.len() {
+            match cache.entry(NodeId(node as u32)) {
+                NodeMaskEntry::AcceptHeavy {
+                    rejected,
+                    uncertain,
+                } => {
+                    hash.write(b"A");
+                    hash.write_ids(rejected);
+                    hash.write_ids(uncertain);
+                }
+                NodeMaskEntry::RejectHeavy {
+                    accepted,
+                    uncertain,
+                } => {
+                    hash.write(b"R");
+                    hash.write_ids(accepted);
+                    hash.write_ids(uncertain);
+                }
+                NodeMaskEntry::Bitset {
+                    accepted,
+                    uncertain,
+                } => {
+                    hash.write(b"B");
+                    for word in accepted.words() {
+                        hash.write(&word.to_le_bytes());
+                    }
+                    hash.write_ids(uncertain);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        hash.0, 0x9491_35fd_d742_6320,
+        "mask-cache entry digest changed: {:#018x}",
+        hash.0
     );
 }
 
