@@ -376,6 +376,10 @@ pub(crate) struct StepMemo {
     limit: usize,
     /// The steps computed rather than looked up.
     pub misses: u64,
+    /// Steps [`match_token`](Self::match_token) took from a live state
+    /// ([`TokenTrail::bytes_advanced`]): the bytes after `keep` it matched.
+    #[cfg(test)]
+    pub steps: u64,
 }
 
 impl StepMemo {
@@ -513,6 +517,10 @@ impl StepMemo {
         for (i, &b) in token.iter().enumerate().skip(keep) {
             state = self.step(pda, state, b);
             trail.push(state);
+            #[cfg(test)]
+            {
+                self.steps += 1;
+            }
             if state == 0 {
                 return Err(i);
             }
@@ -578,7 +586,7 @@ mod tests {
             };
             for _ in 0..4 {
                 let node = NodeId(rng.gen_range(0..pda.node_count() as u32));
-                let mut trail = Vec::new();
+                let (mut trail, steps_before) = (Vec::new(), memo.steps);
                 let mut tree = PersistentStackTree::new();
                 let start = tree.push(StackHandle::ROOT, node);
                 let mut reference = TokenTrail::default();
@@ -600,6 +608,7 @@ mod tests {
                         memo.popout_offsets(&trail).collect::<Vec<_>>(),
                         reference.popout_offsets().collect::<Vec<_>>()
                     );
+                    prop_assert_eq!(memo.steps - steps_before, reference.bytes_advanced());
                     prop_assert_eq!(trail.len() - 1, reference.prefix_len());
                     for (len, &state) in trail.iter().enumerate() {
                         let mut heads = vec![start];

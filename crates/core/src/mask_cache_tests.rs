@@ -81,6 +81,7 @@ fn assert_same_cache(fast: &MaskCache, reference: &MaskCache, what: &str) {
         tokens_visited: 0,
         tokens_loop_accepted: 0,
         automaton_steps: 0,
+        loop_test_steps: 0,
         ..*stats
     };
     assert_eq!(
@@ -113,10 +114,13 @@ fn assert_matches_reference(
         let what = format!("{what} (context expansion {context_expansion})");
         assert_same_cache(&fast, &reference, &what);
         // A loop test steps every byte of a class once, however few tokens
-        // ask: on a few dozen tokens that can outnumber the walk's steps.
-        if sorted.len() > 100 {
-            assert!(fast.stats().automaton_steps <= reference.stats().automaton_steps);
-        }
+        // ask, so only the walk's steps are bounded by the reference's.
+        let (steps, loop_test_steps) = (fast.stats().automaton_steps, fast.stats().loop_test_steps);
+        assert!(
+            steps - loop_test_steps <= reference.stats().automaton_steps,
+            "{what}: {steps} steps, {loop_test_steps} of them loop tests, against {}",
+            reference.stats().automaton_steps
+        );
         stats = *fast.stats();
     }
     stats

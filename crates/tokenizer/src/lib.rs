@@ -28,8 +28,6 @@ mod sorted;
 mod synthetic;
 mod vocab;
 
-pub use sorted::{
-    byte_class, byte_class_members, common_prefix_len, SortedVocabulary, BYTE_CLASSES,
-};
+pub use sorted::{byte_class, byte_class_members, common_prefix_len, SortedVocabulary};
 pub use synthetic::{synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig};
 pub use vocab::{SpecialToken, TokenId, Vocabulary};
