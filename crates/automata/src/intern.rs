@@ -10,11 +10,10 @@
 //! by its structural signature `(rule, is_final, edges)` in a hash table,
 //! redirects every reference to a duplicate onto its first (canonical)
 //! occurrence, and repeats until a fixpoint — collapsing a duplicated
-//! sub-DAG one level per pass, exactly like expression hashconsing in
-//! `xg-grammar`. On the live automaton [`build_pda`](crate::build_pda)
-//! hands it, that is two or three passes for most JSON-schema grammars (one
-//! of `perf`'s five warm schemas takes twelve) and five for the builtin XML
-//! grammar. Complementary to
+//! sub-DAG one level per pass. On the live automaton
+//! [`build_pda`](crate::build_pda) hands it, that is two or three passes for
+//! most JSON-schema grammars (one of `perf`'s five warm schemas takes twelve)
+//! and five for the builtin XML grammar. Complementary to
 //! [`merge_equivalent_nodes`](crate::optimize::merge_equivalent_nodes),
 //! which merges *successors* of one node locally; interning dedupes
 //! structure globally across the whole automaton.

@@ -53,7 +53,7 @@ pub enum LintMode {
 
 /// Configuration of the grammar compiler. The four boolean switches are the
 /// ablation axes of the paper's Table 3.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompilerConfig {
     /// Inline fragment rules into their parents (§3.4).
     pub enable_rule_inlining: bool,
@@ -268,8 +268,6 @@ pub struct GrammarCompiler {
     /// by every grammar compiled afterwards.
     sorted: OnceLock<Arc<SortedVocabulary>>,
     config: CompilerConfig,
-    /// Key component of `config`, likewise computed once.
-    config_hash: u64,
     cache: Arc<GrammarCache>,
     /// Hits/misses attributable to *this* compiler. The cache's own counters
     /// aggregate over every compiler sharing it, so per-compiler reporting
@@ -315,7 +313,6 @@ impl GrammarCompiler {
             vocab_fingerprint: vocab.fingerprint(),
             vocab,
             sorted: OnceLock::new(),
-            config_hash: GrammarCacheKey::config_hash(&config),
             config,
             cache,
             local_hits: AtomicU64::new(0),
@@ -377,7 +374,7 @@ impl GrammarCompiler {
     /// configuration are baked in), e.g. to probe
     /// [`cache().contains(..)`](crate::ArtifactCache::contains).
     pub fn cache_key(&self, grammar: &Grammar) -> GrammarCacheKey {
-        GrammarCacheKey::with_config_hash(grammar, self.vocab_fingerprint, self.config_hash)
+        GrammarCacheKey::new(grammar, self.vocab_fingerprint, &self.config)
     }
 
     /// Compiles a grammar, reusing a previously compiled instance when the
@@ -403,7 +400,7 @@ impl GrammarCompiler {
         };
         let Ok(cached): Result<_, Infallible> = self
             .cache
-            .get_or_try_build(self.cache_key(grammar), compile);
+            .get_or_try_build(&self.cache_key(grammar), compile);
         let counter = if cached.built {
             &self.local_misses
         } else {

@@ -5,10 +5,11 @@
 //! compiled once and then shared by many concurrent requests; whole tool
 //! registries ([`CompiledTagDispatch`]) are shared the same way. Both kinds of
 //! artifact live in the same cache type, [`ArtifactCache`], instantiated as
-//! [`GrammarCache`] (keyed by `(grammar fingerprint, tokenizer fingerprint,
-//! compiler configuration)`) and [`TagDispatchCache`] (keyed by the registry's
-//! full `Debug` rendering — stored whole, a truncated hash could silently
-//! alias two registries). The cache provides
+//! [`GrammarCache`] (keyed by the 64-bit hashes of the grammar's structure and
+//! the tokenizer, and by the compiler configuration) and [`TagDispatchCache`]
+//! (keyed by the whole [`StructuralTag`]: found by its structural hash and
+//! confirmed by full equality, so two registries never alias). The cache
+//! provides
 //!
 //! * **build-once semantics under contention** — when N threads request the
 //!   same uncached key simultaneously, exactly one runs the build and the
@@ -48,20 +49,19 @@
 //!     let (vocab, sorted) = (Arc::clone(&vocab), Arc::clone(&sorted));
 //!     Ok::<_, ()>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
 //! };
-//! let a = cache.get_or_try_build(key, compile).unwrap();
-//! let b = cache.get_or_try_build(key, compile).unwrap();
+//! let a = cache.get_or_try_build(&key, compile).unwrap();
+//! let b = cache.get_or_try_build(&key, compile).unwrap();
 //! assert!(Arc::ptr_eq(&a.artifact, &b.artifact) && Arc::ptr_eq(&a.pool, &b.pool));
 //! assert_eq!((a.built, b.built), (true, false));
 //! assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use xg_grammar::Grammar;
+use xg_grammar::{Grammar, StructuralTag};
 
 use crate::compiler::{CompiledGrammar, CompilerConfig};
 use crate::constraint::ConstraintFactory;
@@ -114,43 +114,28 @@ impl CacheBudget {
 /// Cache key of one compiled grammar: grammar source, tokenizer and compiler
 /// configuration all participate, so one cache can be shared across
 /// vocabularies and ablation configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GrammarCacheKey {
     grammar_hash: u64,
     vocab_fingerprint: u64,
-    config_hash: u64,
+    config: CompilerConfig,
 }
 
 impl GrammarCacheKey {
     /// Computes the key for a grammar / vocabulary-fingerprint / configuration
     /// triple. Use [`xg_tokenizer::Vocabulary::fingerprint`] (computed once
     /// per vocabulary, it hashes every token) for the second component.
-    pub fn new(grammar: &Grammar, vocab_fingerprint: u64, config: &CompilerConfig) -> Self {
-        Self::with_config_hash(grammar, vocab_fingerprint, Self::config_hash(config))
-    }
-
-    /// Like [`new`](Self::new) with a pre-computed
-    /// [`config_hash`](Self::config_hash) — for hot paths where the
-    /// configuration is fixed and only the grammar varies per request.
     ///
-    /// The grammar component is the hashcons-based
-    /// [`Grammar::structural_fingerprint`]: structurally identical grammars —
-    /// even independently built ones — map to the same key, and a grammar
-    /// that already computed its fingerprint contributes O(1) work per key
-    /// instead of re-serializing its AST.
-    pub fn with_config_hash(grammar: &Grammar, vocab_fingerprint: u64, config_hash: u64) -> Self {
+    /// The grammar component is [`Grammar::structural_fingerprint`]:
+    /// structurally identical grammars — even independently built ones — map
+    /// to the same key, and a grammar that already computed its fingerprint
+    /// contributes O(1) work per key.
+    pub fn new(grammar: &Grammar, vocab_fingerprint: u64, config: &CompilerConfig) -> Self {
         GrammarCacheKey {
             grammar_hash: grammar.structural_fingerprint(),
             vocab_fingerprint,
-            config_hash,
+            config: config.clone(),
         }
-    }
-
-    /// The configuration component of the key.
-    pub fn config_hash(config: &CompilerConfig) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        format!("{config:?}").hash(&mut hasher);
-        hasher.finish()
     }
 }
 
@@ -246,9 +231,9 @@ pub struct ArtifactCache<K, V> {
 /// The cache of [`CompiledGrammar`]s, shareable between compilers.
 pub type GrammarCache = ArtifactCache<GrammarCacheKey, CompiledGrammar>;
 
-/// The per-compiler cache of whole compiled tool registries, keyed by the
-/// full `Debug` rendering of their [`StructuralTag`](xg_grammar::StructuralTag).
-pub type TagDispatchCache = ArtifactCache<String, CompiledTagDispatch>;
+/// The per-compiler cache of whole compiled tool registries, keyed by their
+/// [`StructuralTag`].
+pub type TagDispatchCache = ArtifactCache<StructuralTag, CompiledTagDispatch>;
 
 impl<K, V> std::fmt::Debug for ArtifactCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -327,7 +312,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
     /// race on the same uncached key, exactly one `build` closure runs; the
     /// rest block until it finishes and receive the identical `Arc`s. The
     /// map lock is *not* held while building, so requests for other keys
-    /// proceed concurrently.
+    /// proceed concurrently. The key is cloned only when a slot is inserted.
     ///
     /// # Errors
     ///
@@ -336,7 +321,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
     /// own closure.
     pub fn get_or_try_build<E>(
         &self,
-        key: K,
+        key: &K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<Cached<V>, E> {
         let mut build = Some(build);
@@ -346,7 +331,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                 let mut state = self.lock();
                 state.clock += 1;
                 let clock = state.clock;
-                match state.slots.get_mut(&key) {
+                match state.slots.get_mut(key) {
                     Some(slot) => {
                         slot.last_used = clock;
                         Arc::clone(&slot.cell)
@@ -377,7 +362,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                     .expect("a call retries only while its build has not run");
                 let in_flight = InFlight {
                     cache: self,
-                    key: &key,
+                    key,
                     cell: &cell,
                 };
                 match build() {
@@ -411,7 +396,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let bytes = artifact.memory_bytes();
                 let mut state = self.lock();
-                if let Some(slot) = state.slots.get_mut(&key) {
+                if let Some(slot) = state.slots.get_mut(key) {
                     // Account only the slot this thread initialized: if our
                     // slot was evicted (or cleared) mid-build and a different
                     // thread re-inserted the key, that thread owns the new
@@ -422,7 +407,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                         state.total_bytes += bytes;
                     }
                 }
-                self.evict_over_budget(&mut state, &key);
+                self.evict_over_budget(&mut state, key);
             } else {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -515,7 +500,7 @@ mod tests {
     ) -> Cached<CompiledGrammar> {
         let key = GrammarCacheKey::new(g, vocab.fingerprint(), cfg);
         let build = || Ok::<_, Infallible>(compile(g, vocab, cfg));
-        cache.get_or_try_build(key, build).unwrap()
+        cache.get_or_try_build(&key, build).unwrap()
     }
 
     fn get_or_compile(
@@ -549,8 +534,8 @@ mod tests {
     #[test]
     fn structurally_shared_recompile_hits_interned_artifacts() {
         // Two *independently built* grammars with identical structure share
-        // one hashcons fingerprint, so the second compile request is a pure
-        // cache hit on the interned artifact (no recompilation).
+        // one structural fingerprint, so the second compile request is a pure
+        // cache hit on the first one's artifact (no recompilation).
         let cache = GrammarCache::new(CacheBudget::for_grammars());
         let vocab = Arc::new(test_vocabulary(600));
         let cfg = CompilerConfig::default();
@@ -677,12 +662,13 @@ mod tests {
         let key = GrammarCacheKey::new(&g, vocab.fingerprint(), &CompilerConfig::default());
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let (cache, g, vocab, compiles, barrier) = (
+                let (cache, g, vocab, compiles, barrier, key) = (
                     Arc::clone(&cache),
                     Arc::clone(&g),
                     Arc::clone(&vocab),
                     Arc::clone(&compiles),
                     Arc::clone(&barrier),
+                    key.clone(),
                 );
                 std::thread::spawn(move || {
                     barrier.wait();
@@ -690,7 +676,7 @@ mod tests {
                         compiles.fetch_add(1, Ordering::SeqCst);
                         Ok::<_, Infallible>(compile(&g, &vocab, &CompilerConfig::default()))
                     };
-                    cache.get_or_try_build(key, build).unwrap()
+                    cache.get_or_try_build(&key, build).unwrap()
                 })
             })
             .collect();
@@ -754,13 +740,13 @@ mod tests {
         let g = grammar(r#"root ::= "a""#);
         let cfg = CompilerConfig::default();
         let key = GrammarCacheKey::new(&g, vocab.fingerprint(), &cfg);
-        let err = cache.get_or_try_build(key, || Err::<CompiledGrammar, _>("rejected"));
+        let err = cache.get_or_try_build(&key, || Err::<CompiledGrammar, _>("rejected"));
         assert_eq!(err.unwrap_err(), "rejected");
         assert_no_trace(&cache, &key);
         assert_eq!(cache.stats().misses, 1);
 
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_try_build(key, || -> Result<CompiledGrammar, Infallible> {
+            cache.get_or_try_build(&key, || -> Result<CompiledGrammar, Infallible> {
                 panic!("build panicked")
             })
         }));
@@ -787,7 +773,7 @@ mod tests {
         let building = Barrier::new(2);
         std::thread::scope(|scope| {
             let failing = scope.spawn(|| {
-                cache.get_or_try_build(key, || {
+                cache.get_or_try_build(&key, || {
                     building.wait(); // the in-flight slot exists from here on
                                      // Nothing observable says the other thread is parked on
                                      // this cell yet; the pause only makes that the likely
@@ -799,7 +785,7 @@ mod tests {
             building.wait();
             // Joins the in-flight build, wakes to its failure, rebuilds.
             let build = || Ok::<_, &str>(compile(&g, &vocab, &cfg));
-            let waiter = cache.get_or_try_build(key, build).unwrap();
+            let waiter = cache.get_or_try_build(&key, build).unwrap();
             assert!(waiter.built);
             assert!(failing.join().unwrap().is_err());
             let again = get_or_compile(&cache, &g, &vocab, &cfg);
@@ -826,8 +812,8 @@ mod tests {
         let compiler = GrammarCompiler::new(Arc::new(test_vocabulary(512)));
         let a = compiler.compile_tag_dispatch(&tag("a")).unwrap();
         let cache = compiler.dispatch_cache();
-        assert!(cache.contains(&format!("{:?}", tag("a"))));
-        assert!(!cache.contains(&format!("{:?}", tag("b"))));
+        assert!(cache.contains(&tag("a")));
+        assert!(!cache.contains(&tag("b")));
         // The entry is charged for the segment grammars it pins.
         let grammars: usize = a
             .triggers()

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use xg_automata::AhoCorasick;
-use xg_grammar::{DispatchDelta, GrammarError, StructuralTag, TagSpec};
+use xg_grammar::{DispatchDelta, GrammarError, StructuralTag};
 use xg_tokenizer::Vocabulary;
 
 use crate::compiler::{CompiledGrammar, GrammarCompiler};
@@ -179,10 +179,6 @@ impl GrammarCompiler {
         &self,
         tag: &StructuralTag,
     ) -> Result<Cached<CompiledTagDispatch>, GrammarError> {
-        // The description holds serde_json values and grammars with no Hash
-        // impls; their Debug rendering is deterministic and captures every
-        // distinguishing field, so it serves as the cache key (stored in
-        // full — a truncated hash could silently alias two registries).
         let build = || {
             let triggers = tag.effective_triggers();
             let assignments = tag.trigger_assignments()?;
@@ -192,8 +188,7 @@ impl GrammarCompiler {
             }
             Ok(self.assemble_dispatch(tag, compiled_triggers))
         };
-        self.dispatch_cache()
-            .get_or_try_build(format!("{tag:?}"), build)
+        self.dispatch_cache().get_or_try_build(tag, build)
     }
 
     /// Incrementally recompiles a registry mutation: applies `delta` to
@@ -256,16 +251,14 @@ impl GrammarCompiler {
             let old_assignments = old_tag.trigger_assignments()?;
             let new_triggers = next.effective_triggers();
             let new_assignments = next.trigger_assignments()?;
-            let specs = |tag: &StructuralTag, indices: &[usize]| -> Vec<TagSpec> {
-                indices.iter().map(|&i| tag.tags[i].clone()).collect()
-            };
             let mut compiled_triggers = Vec::with_capacity(new_triggers.len());
             for (trigger, tag_indices) in new_triggers.iter().zip(&new_assignments) {
                 let reusable = old_triggers
                     .iter()
                     .position(|t| t == trigger)
                     .filter(|&old_idx| {
-                        specs(old_tag, &old_assignments[old_idx]) == specs(&next, tag_indices)
+                        let old_specs = old_assignments[old_idx].iter().map(|&i| &old_tag.tags[i]);
+                        old_specs.eq(tag_indices.iter().map(|&i| &next.tags[i]))
                     })
                     .map(|old_idx| Arc::clone(&base.triggers[old_idx]));
                 match reusable {
@@ -279,8 +272,7 @@ impl GrammarCompiler {
             }
             Ok(self.assemble_dispatch(&next, compiled_triggers))
         };
-        self.dispatch_cache()
-            .get_or_try_build(format!("{next:?}"), build)
+        self.dispatch_cache().get_or_try_build(&next, build)
     }
 
     /// Compiles one trigger's segment: combined grammar construction, the
@@ -361,7 +353,7 @@ impl GrammarCompiler {
     /// counters or LRU order. Admission control uses this to classify
     /// cache-hit admissions.
     pub fn has_cached_tag_dispatch_for(&self, tag: &StructuralTag) -> bool {
-        self.dispatch_cache().contains(&format!("{tag:?}"))
+        self.dispatch_cache().contains(tag)
     }
 }
 
@@ -371,7 +363,7 @@ impl GrammarCompiler {
 mod tests {
     use super::*;
     use crate::{AcceptError, DispatchMode, TagDispatchStats, TokenBitmask};
-    use xg_grammar::TagContent;
+    use xg_grammar::{TagContent, TagSpec};
     use xg_tokenizer::{test_vocabulary, TokenId};
 
     fn number_tag() -> StructuralTag {
@@ -756,6 +748,45 @@ mod tests {
             &number_trigger(&base)
         ));
         assert!(Arc::ptr_eq(rebuilt.vocabulary(), foreign.vocabulary()));
+    }
+
+    fn grammar_tag(grammar: xg_grammar::Grammar) -> StructuralTag {
+        StructuralTag::new(vec![TagSpec {
+            begin: "<g>".into(),
+            content: TagContent::Grammar(grammar),
+            end: "</g>".into(),
+        }])
+    }
+
+    #[test]
+    fn a_grammar_content_stays_a_cache_hit_once_its_fingerprint_is_computed() {
+        let compiler = GrammarCompiler::new(Arc::new(test_vocabulary(800)));
+        let tag = grammar_tag(xg_grammar::parse_ebnf("root ::= [0-9]+", "root").unwrap());
+        let first = compiler.compile_tag_dispatch(&tag).unwrap();
+        let TagContent::Grammar(grammar) = &tag.tags[0].content else {
+            panic!("the tag holds a grammar");
+        };
+        grammar.structural_fingerprint();
+        assert!(compiler.has_cached_tag_dispatch_for(&tag));
+        let again = compiler.compile_tag_dispatch(&tag).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        let stats = compiler.dispatch_cache().stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn separately_parsed_equal_grammars_share_one_dispatch_slot() {
+        // Enough rules that two parses' name maps iterate in different orders.
+        let rules: String = (0..12).map(|i| format!("r{i} ::= \"{i}\"\n")).collect();
+        let alternatives: Vec<String> = (0..12).map(|i| format!("r{i}")).collect();
+        let text = format!("root ::= {}\n{rules}", alternatives.join(" | "));
+        let parse = || grammar_tag(xg_grammar::parse_ebnf(&text, "root").unwrap());
+        let compiler = GrammarCompiler::new(Arc::new(test_vocabulary(800)));
+        let a = compiler.compile_tag_dispatch(&parse()).unwrap();
+        let b = compiler.compile_tag_dispatch(&parse()).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let stats = compiler.dispatch_cache().stats();
+        assert_eq!((stats.misses, stats.entries), (1, 1));
     }
 
     #[test]

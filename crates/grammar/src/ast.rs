@@ -6,8 +6,10 @@
 //! repetitions. This is the front-end representation that the automata crate
 //! compiles into a byte-level pushdown automaton.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::error::{GrammarError, Result};
 
@@ -362,7 +364,7 @@ impl GrammarExpr {
 }
 
 /// A named grammar rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// Rule name as written in the grammar.
     pub name: String,
@@ -405,6 +407,14 @@ impl PartialEq for Grammar {
 
 impl Eq for Grammar {}
 
+/// Hashes the [`structural_fingerprint`](Grammar::structural_fingerprint),
+/// so a grammar inside a larger key costs one `u64` once it is computed.
+impl Hash for Grammar {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.structural_fingerprint().hash(state);
+    }
+}
+
 impl Grammar {
     /// Creates a new [`GrammarBuilder`].
     pub fn builder() -> GrammarBuilder {
@@ -445,18 +455,17 @@ impl Grammar {
         self.rules.is_empty()
     }
 
-    /// The hashcons-based structural fingerprint of this grammar.
-    ///
-    /// Computed once by interning every sub-expression in an
-    /// [`ExprInterner`](crate::ExprInterner) and combining the per-rule
-    /// hashcons hashes; subsequent calls return the cached value, making
-    /// repeated cache-key computation O(1) instead of O(grammar size).
-    /// Structurally identical grammars — even ones built independently —
-    /// produce the same fingerprint.
+    /// The structural fingerprint of this grammar: the derived hash of its
+    /// root and rules, rule names included. Computed on the first call and
+    /// cached, so repeated cache-key computation is O(1). Structurally
+    /// identical grammars — even ones built independently — produce the same
+    /// fingerprint.
     pub fn structural_fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| crate::intern::grammar_fingerprint(self))
+        *self.fingerprint.get_or_init(|| {
+            let mut hasher = DefaultHasher::new();
+            (self.root, &self.rules).hash(&mut hasher);
+            hasher.finish()
+        })
     }
 
     /// Computes, for every rule, whether it can derive the empty string.
@@ -980,6 +989,43 @@ mod tests {
             b.build("root"),
             Err(GrammarError::InvalidRepetition { .. })
         ));
+    }
+
+    #[test]
+    fn fingerprint_matches_for_independently_built_grammars() {
+        let text = r#"
+            root ::= "[" item ("," item)* "]"
+            item ::= [0-9]+
+        "#;
+        let a = crate::parse_ebnf(text, "root").unwrap();
+        let b = crate::parse_ebnf(text, "root").unwrap();
+        assert_eq!(a.structural_fingerprint(), b.structural_fingerprint());
+        // Cached: second call returns the same value.
+        assert_eq!(a.structural_fingerprint(), a.structural_fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_different_grammars() {
+        let a = crate::parse_ebnf(r#"root ::= "a""#, "root").unwrap();
+        let b = crate::parse_ebnf(r#"root ::= "b""#, "root").unwrap();
+        assert_ne!(a.structural_fingerprint(), b.structural_fingerprint());
+        // Renaming a rule is a structural change (names participate in
+        // Display round-trips and cache keys).
+        let c = crate::parse_ebnf(r#"other ::= "a""#, "other").unwrap();
+        assert_ne!(a.structural_fingerprint(), c.structural_fingerprint());
+    }
+
+    #[test]
+    fn clone_preserves_equality_and_cached_fingerprint() {
+        let a = crate::parse_ebnf(r#"root ::= [a-z]+"#, "root").unwrap();
+        let fp = a.structural_fingerprint();
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert_eq!(b.structural_fingerprint(), fp);
+        // Equality ignores the fingerprint cache: a fresh parse that has not
+        // computed its fingerprint still compares equal.
+        let fresh = crate::parse_ebnf(r#"root ::= [a-z]+"#, "root").unwrap();
+        assert_eq!(a, fresh);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! is compiled into a byte-level pushdown automaton by `xg-automata` and
 //! executed by `xg-core`:
 //!
-//! * a grammar AST ([`Grammar`], [`GrammarExpr`], [`CharClass`]),
-//! * hashcons interning of sub-expressions ([`ExprInterner`]) backing the
-//!   O(1) structural cache key [`Grammar::structural_fingerprint`],
+//! * a grammar AST ([`Grammar`], [`GrammarExpr`], [`CharClass`]) whose
+//!   structural hash, [`Grammar::structural_fingerprint`], is computed once
+//!   per grammar and keys the compiled-grammar cache,
 //! * a static-analysis (lint) pass over grammars — reachability,
 //!   productivity, nullability and structured [`Diagnostic`]s ([`analyze`]),
 //! * a parser for the GBNF-style EBNF text format ([`parse_ebnf`]),
@@ -42,7 +42,6 @@ mod display;
 mod ebnf;
 mod error;
 mod formats;
-mod intern;
 mod json_schema;
 mod pattern;
 mod structural_tag;
@@ -55,7 +54,6 @@ pub use ast::{
 pub use ebnf::parse_ebnf;
 pub use error::{GrammarError, Result};
 pub use formats::SUPPORTED_FORMATS;
-pub use intern::{grammar_fingerprint, ExprId, ExprInterner, InternedExpr};
 pub use json_schema::{
     json_schema_to_grammar, json_schema_to_grammar_with_options, JsonSchemaOptions,
     WhitespaceConfig, ANNOTATION_KEYWORDS, SUPPORTED_KEYWORDS,

@@ -40,10 +40,16 @@
 //! # Ok::<(), xg_grammar::GrammarError>(())
 //! ```
 
+use std::hash::{Hash, Hasher};
+
 use crate::ast::{Grammar, GrammarExpr, RuleId};
 use crate::error::{GrammarError, Result};
 
 /// The inner grammar of one tagged segment.
+///
+/// `Hash` and `Eq` make a whole [`StructuralTag`] a cache key: a schema is
+/// hashed by walking its JSON value, a grammar by its
+/// [`structural_fingerprint`](Grammar::structural_fingerprint).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TagContent {
     /// A GBNF-style EBNF grammar text with its root rule name.
@@ -74,9 +80,53 @@ impl TagContent {
     }
 }
 
+/// JSON numbers are finite (the parser and `Number::from_f64` reject NaN),
+/// so `PartialEq` on a schema is an equivalence.
+impl Eq for TagContent {}
+
+impl Hash for TagContent {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            TagContent::Ebnf { text, root } => (text, root).hash(state),
+            TagContent::JsonSchema(schema) => hash_json(schema, state),
+            TagContent::Grammar(grammar) => grammar.hash(state),
+        }
+    }
+}
+
+/// Hashes a JSON value consistently with its `PartialEq`: objects in
+/// insertion order, and a float by the bits of `v + 0.0`, which folds `-0.0`
+/// into the `0.0` it equals.
+fn hash_json<H: Hasher>(value: &serde_json::Value, state: &mut H) {
+    use serde_json::Value;
+    std::mem::discriminant(value).hash(state);
+    match value {
+        Value::Null => {}
+        Value::Bool(b) => b.hash(state),
+        Value::Number(n) => match (n.as_u64(), n.as_i64(), n.as_f64()) {
+            (Some(u), _, _) => u.hash(state),
+            (None, Some(i), _) => i.hash(state),
+            (None, None, f) => (f.unwrap_or_default() + 0.0).to_bits().hash(state),
+        },
+        Value::String(s) => s.hash(state),
+        Value::Array(items) => {
+            items.len().hash(state);
+            items.iter().for_each(|item| hash_json(item, state));
+        }
+        Value::Object(map) => {
+            map.len().hash(state);
+            for (key, item) in map {
+                key.hash(state);
+                hash_json(item, state);
+            }
+        }
+    }
+}
+
 /// One tagged segment: `begin` opens it, `content` constrains the inside,
 /// `end` closes it and returns decoding to free text.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TagSpec {
     /// The literal string that opens the tag (e.g. `<function=get_weather>`).
     pub begin: String,
@@ -90,7 +140,7 @@ pub struct TagSpec {
 
 /// A structural-tag description: free text interleaved with tagged,
 /// grammar-constrained segments, dispatched on trigger strings.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StructuralTag {
     /// The tagged segment kinds.
     pub tags: Vec<TagSpec>,
@@ -574,6 +624,27 @@ mod tests {
             shared_a.structural_fingerprint(),
             shared_b.structural_fingerprint()
         );
+    }
+
+    #[test]
+    fn equal_descriptions_hash_alike() {
+        let hash = |tag: &StructuralTag| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            tag.hash(&mut hasher);
+            hasher.finish()
+        };
+        let with_minimum = |minimum: &str| {
+            let schema = format!(r#"{{"type":"number","minimum":{minimum}}}"#);
+            StructuralTag::new(vec![TagSpec {
+                begin: "<t>".into(),
+                content: TagContent::JsonSchema(serde_json::from_str(&schema).unwrap()),
+                end: "</t>".into(),
+            }])
+        };
+        // `-0.0 == 0.0`, so the two must land on one key.
+        assert_eq!(with_minimum("-0.0"), with_minimum("0.0"));
+        assert_eq!(hash(&with_minimum("-0.0")), hash(&with_minimum("0.0")));
+        assert_ne!(hash(&with_minimum("0")), hash(&with_minimum("1")));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use xg_core::{
     CacheBudget, CompiledGrammar, CompilerConfig, ConstraintMatcher, GrammarCache, GrammarCacheKey,
     GrammarCompiler, GrammarMatcher, TokenBitmask,
 };
+use xg_grammar::{StructuralTag, TagContent, TagSpec};
 use xg_tokenizer::{test_vocabulary, SortedVocabulary};
 
 const THREADS: usize = 8;
@@ -35,6 +36,7 @@ fn stress_same_grammar_compiles_exactly_once() {
                 let compilations = Arc::clone(&compilations);
                 let barrier = Arc::clone(&barrier);
                 let config = config.clone();
+                let key = key.clone();
                 scope.spawn(move || {
                     barrier.wait();
                     // The injected hook counts how many threads actually ran
@@ -47,7 +49,7 @@ fn stress_same_grammar_compiles_exactly_once() {
                             &grammar, vocab, sorted, &config,
                         ))
                     };
-                    cache.get_or_try_build(key, compile).unwrap().artifact
+                    cache.get_or_try_build(&key, compile).unwrap().artifact
                 })
             })
             .collect();
@@ -84,8 +86,6 @@ fn stress_same_grammar_compiles_exactly_once() {
 
 #[test]
 fn stress_same_registry_builds_exactly_once() {
-    use xg_grammar::{StructuralTag, TagContent, TagSpec};
-
     let vocab = Arc::new(test_vocabulary(800));
     let compiler = GrammarCompiler::new(Arc::clone(&vocab));
     let tag = StructuralTag::new(vec![TagSpec {
@@ -151,7 +151,7 @@ fn stress_distinct_grammars_do_not_serialize_each_other() {
                     let vocab = Arc::clone(&vocab);
                     Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
                 };
-                let compiled = cache.get_or_try_build(key, compile).unwrap();
+                let compiled = cache.get_or_try_build(&key, compile).unwrap();
                 // Every thread can match with its grammar right away.
                 let mut matcher = GrammarMatcher::new(compiled.artifact);
                 let input: &[u8] = if t % 2 == 0 { b"[12]" } else { b"<ab>" };
@@ -273,4 +273,30 @@ fn near_identical_schemas_get_distinct_cache_keys() {
     }
     assert_eq!(compiler.cached_count(), grammars.len());
     assert_eq!(compiler.cache().stats().misses, grammars.len() as u64);
+
+    // One level up: tool registries differing in one schema keyword, one
+    // trigger or one end tag get distinct dispatch-cache slots.
+    let tool = |schema: &str, end: &str| TagSpec {
+        begin: "<fn=get>".into(),
+        content: TagContent::JsonSchema(serde_json::from_str(schema).unwrap()),
+        end: end.into(),
+    };
+    let triggered = |trigger: &str| {
+        StructuralTag::with_triggers(vec![tool(schemas[0], "</fn>")], vec![trigger.into()])
+    };
+    let registries = [
+        StructuralTag::new(vec![tool(schemas[0], "</fn>")]),
+        StructuralTag::new(vec![tool(schemas[1], "</fn>")]),
+        StructuralTag::new(vec![tool(r#"{"type":"integer","minimum":0}"#, "</fn>")]),
+        StructuralTag::new(vec![tool(r#"{"type":"integer","maximum":0}"#, "</fn>")]),
+        StructuralTag::new(vec![tool(schemas[0], "</fn >")]),
+        triggered("<fn="),
+        triggered("<fn"),
+    ];
+    for registry in &registries {
+        compiler.compile_tag_dispatch(registry).unwrap();
+    }
+    let stats = compiler.dispatch_cache().stats();
+    let distinct = registries.len() as u64;
+    assert_eq!((stats.misses, stats.entries), (distinct, distinct));
 }
