@@ -3,12 +3,14 @@
 //! with prefill (§3.5) and the main cost Syncode-style approaches pay
 //! offline.
 //!
-//! An iteration is one `CompiledGrammar::compile`: no grammar cache to
-//! short-circuit it, and the sorted vocabulary index — which depends on the
-//! vocabulary alone and is built once per `GrammarCompiler` — shared across
-//! iterations, so the bench times a compile and not a sort. `build_pda/cold12`
-//! times the compile's PDA build alone, and `mask_cache_build/*` its mask-cache
-//! build alone, on one thread.
+//! An iteration is one `CompiledGrammar::compile` and its `stats()`, which
+//! builds every mask-cache entry the compile leaves to first use: no grammar
+//! cache to short-circuit it, and the sorted vocabulary index — which depends
+//! on the vocabulary alone and is built once per `GrammarCompiler` — shared
+//! across iterations, so the bench times a full build and not a sort.
+//! `cold_schema_admission/all12` times the compiles alone, which is what an
+//! admission pays, `build_pda/cold12` the PDA build alone, and
+//! `mask_cache_build/*` the mask-cache build alone, on one thread.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,11 +22,19 @@ use xg_core::{build_mask_cache, CompiledGrammar, CompilerConfig, MaskCacheBuildO
 use xg_grammar::Grammar;
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
-fn compile(grammar: &Grammar, vocab: &Arc<Vocabulary>, sorted: &Arc<SortedVocabulary>) -> usize {
+/// A compile alone: the automata and the grammar-level lint, no mask entry.
+fn admit(
+    grammar: &Grammar,
+    vocab: &Arc<Vocabulary>,
+    sorted: &Arc<SortedVocabulary>,
+) -> CompiledGrammar {
     let config = CompilerConfig::default();
     CompiledGrammar::compile(grammar, Arc::clone(vocab), Arc::clone(sorted), &config)
-        .stats()
-        .memory_bytes
+}
+
+/// A compile and every mask entry.
+fn compile(grammar: &Grammar, vocab: &Arc<Vocabulary>, sorted: &Arc<SortedVocabulary>) -> usize {
+    admit(grammar, vocab, sorted).stats().memory_bytes
 }
 
 fn bench_preprocessing(c: &mut Criterion) {
@@ -93,6 +103,22 @@ fn bench_cold_compile(c: &mut Criterion) {
             grammars
                 .iter()
                 .map(|g| compile(g, &vocab, &sorted))
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+
+    // The same twelve compiles without the mask entries: what an admission
+    // pays, the entries being built by the fills that read them.
+    let mut group = c.benchmark_group("cold_schema_admission");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function("all12", |b| {
+        b.iter(|| {
+            grammars
+                .iter()
+                .map(|g| admit(g, &vocab, &sorted).pda().node_count())
                 .sum::<usize>()
         })
     });

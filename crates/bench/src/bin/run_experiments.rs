@@ -141,9 +141,14 @@ fn main() {
 fn experiment_stats(vocab: &Arc<Vocabulary>) {
     println!("## Preprocessing statistics (paper §3.1–§3.3, JSON grammar)");
     let compiler = GrammarCompiler::new(Arc::clone(vocab));
-    let compiled = compiler.compile_builtin_json();
-    let stats = compiled.stats();
-    let sorted = compiled.sorted_vocabulary();
+    // The sorted index is the compiler's, built once per vocabulary: not
+    // part of a grammar's preprocessing.
+    let sorted = compiler.sorted_vocabulary();
+    // `stats()` builds every mask-cache entry the compile leaves to first
+    // use, so the time covers the whole §3 preprocessing.
+    let start = std::time::Instant::now();
+    let stats = compiler.compile_builtin_json().stats();
+    let preprocessing_time = start.elapsed();
     println!("  automaton nodes                        : {}", stats.nodes);
     println!(
         "  context-dependent tokens (worst node)  : {} / {} ({:.2}%)",
@@ -185,7 +190,7 @@ fn experiment_stats(vocab: &Arc<Vocabulary>) {
     );
     println!(
         "  preprocessing wall-clock time: {:.1} ms",
-        compiled.preprocessing_time().as_secs_f64() * 1e3
+        preprocessing_time.as_secs_f64() * 1e3
     );
     println!();
 }

@@ -1,11 +1,13 @@
 //! Grammar compilation: grammar + tokenizer info → [`CompiledGrammar`].
 //!
-//! Compilation runs the whole preprocessing pipeline of the paper: PDA
-//! construction with structure optimizations (§3.4), expanded-suffix
-//! extraction (§3.2) and adaptive token mask cache construction (§3.1). The
-//! result is immutable and shared (`Arc`) between any number of
-//! [`GrammarMatcher`](crate::GrammarMatcher)s, mirroring how one compiled
-//! grammar serves many concurrent requests in a serving engine.
+//! Compilation runs the preprocessing pipeline of the paper: PDA construction
+//! with structure optimizations (§3.4) and expanded-suffix extraction (§3.2).
+//! The adaptive token mask cache (§3.1) is built one node at a time, by the
+//! first mask fill that reads the node, so a request pays for the entries its
+//! stacks rest on, under its decode. The result is shared (`Arc`) between any
+//! number of [`GrammarMatcher`](crate::GrammarMatcher)s, mirroring how one
+//! compiled grammar serves many concurrent requests in a serving engine; an
+//! entry one of them builds serves them all.
 //!
 //! [`GrammarCompiler`] additionally caches compiled grammars (in a shareable
 //! [`GrammarCache`]) and whole compiled tool registries (in its own
@@ -19,29 +21,31 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, Pda, PdaBuildOptions};
-use xg_grammar::{Grammar, GrammarError};
+use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, NodeId, Pda, PdaBuildOptions};
+use xg_grammar::{analyze, Diagnostic, Grammar, GrammarError};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 use crate::grammar_cache::{
     CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,
 };
 use crate::lint::{lint_compiled, GrammarLintReport};
-use crate::mask_cache::{build_mask_cache, MaskCache, MaskCacheBuildOptions, MaskCacheStats};
+use crate::mask_cache::{EntrySource, MaskCache, MaskCacheStats, NodeMaskEntry};
 
 /// How the compiler treats the static-analysis lint pass.
 ///
-/// The lint itself is cheap (linear fixpoints over the grammar plus a scan of
-/// the already-built mask cache), so the modes differ in *consequence*, not
-/// cost: `Strict` turns error-severity diagnostics into compile failures,
-/// `Warn` records them on the [`CompiledGrammar`] for callers to inspect,
-/// `Off` skips the pass entirely.
+/// The grammar-level lint is cheap (linear fixpoints over the grammar); the
+/// vocabulary-aware dead-state scan reads the mask-cache entry of every
+/// reachable node, and so builds them. `Strict` runs both in the compile and
+/// turns error-severity diagnostics into compile failures; `Warn` runs the
+/// scan on the first [`CompiledGrammar::lint_report`] call, for callers to
+/// inspect; `Off` skips the pass entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LintMode {
     /// Skip the lint pass; no report is stored.
     Off,
-    /// Run the lint and store the [`GrammarLintReport`] on the compiled
-    /// grammar, but never fail compilation.
+    /// Run the grammar-level lint in the compile and the dead-state scan on
+    /// the first [`CompiledGrammar::lint_report`] call, but never fail
+    /// compilation.
     #[default]
     Warn,
     /// Run the lint; error-severity diagnostics make the *checked* compile
@@ -59,14 +63,12 @@ pub struct CompilerConfig {
     pub enable_rule_inlining: bool,
     /// Merge equivalent automaton nodes (§3.4).
     pub enable_node_merging: bool,
-    /// Precompute the adaptive token mask cache (§3.1). When disabled, every
+    /// Use the adaptive token mask cache (§3.1). When disabled, every
     /// token is treated as context-dependent and checked at runtime — the
     /// "PDA baseline" configuration.
     pub enable_mask_cache: bool,
     /// Apply context expansion to shrink the context-dependent sets (§3.2).
     pub enable_context_expansion: bool,
-    /// Number of preprocessing threads (0 = available parallelism).
-    pub num_threads: usize,
     /// Static-analysis lint mode (defaults to [`LintMode::Warn`]). The
     /// vocabulary-aware dead-state check requires the mask cache; with
     /// `enable_mask_cache = false` only the grammar-level analysis runs.
@@ -80,7 +82,6 @@ impl Default for CompilerConfig {
             enable_node_merging: true,
             enable_mask_cache: true,
             enable_context_expansion: true,
-            num_threads: 0,
             lint_mode: LintMode::Warn,
         }
     }
@@ -94,7 +95,6 @@ impl CompilerConfig {
             enable_node_merging: false,
             enable_mask_cache: false,
             enable_context_expansion: false,
-            num_threads: 0,
             lint_mode: LintMode::Off,
         }
     }
@@ -116,6 +116,11 @@ impl CompilerConfig {
 
 /// A grammar compiled against a specific vocabulary, ready to instantiate
 /// matchers.
+///
+/// The compile builds the automata and the grammar-level lint; the mask
+/// cache's entries are built on first read (see [`entry`](Self::entry)), so
+/// a request pays for the nodes its stacks rest on, under its decode, and not
+/// for every node before its first token.
 #[derive(Debug)]
 pub struct CompiledGrammar {
     pda: Pda,
@@ -126,10 +131,10 @@ pub struct CompiledGrammar {
     mask_cache: Option<MaskCache>,
     suffix_fsas: Vec<Fsa>,
     config: CompilerConfig,
-    /// Lint findings (present unless the config's lint mode is `Off`).
-    lint: Option<GrammarLintReport>,
-    /// Wall-clock time spent in preprocessing.
-    preprocessing_time: std::time::Duration,
+    /// The grammar-level lint findings, present unless the lint mode is
+    /// `Off`; the report adds the vocabulary-aware ones on first read.
+    grammar_diagnostics: Option<Vec<Diagnostic>>,
+    lint: OnceLock<GrammarLintReport>,
 }
 
 impl CompiledGrammar {
@@ -137,44 +142,45 @@ impl CompiledGrammar {
     /// `sorted` must be the sorted index of `vocab`; it depends on nothing
     /// else, so callers build it once per vocabulary
     /// ([`GrammarCompiler::sorted_vocabulary`]) and every compile shares it.
+    ///
+    /// No mask-cache entry is built here, except for the reachable nodes the
+    /// lint reads in [`LintMode::Strict`].
     pub fn compile(
         grammar: &Grammar,
         vocab: Arc<Vocabulary>,
         sorted: Arc<SortedVocabulary>,
         config: &CompilerConfig,
     ) -> CompiledGrammar {
-        let start = std::time::Instant::now();
         let pda = build_pda(grammar, &config.pda_options());
         let suffix_fsas = extract_all_suffix_fsas(&pda);
-        let mask_cache = if config.enable_mask_cache {
-            Some(build_mask_cache(
-                &pda,
-                &vocab,
-                &sorted,
-                Some(&suffix_fsas),
-                &MaskCacheBuildOptions {
-                    context_expansion: config.enable_context_expansion,
-                    num_threads: config.num_threads,
-                },
-            ))
-        } else {
-            None
-        };
-        let lint = match config.lint_mode {
-            LintMode::Off => None,
-            LintMode::Warn | LintMode::Strict => {
-                Some(lint_compiled(grammar, &pda, mask_cache.as_ref()))
-            }
-        };
-        CompiledGrammar {
+        let mut compiled = CompiledGrammar {
             pda,
             vocab,
             sorted,
-            mask_cache,
+            mask_cache: None,
             suffix_fsas,
             config: config.clone(),
-            lint,
-            preprocessing_time: start.elapsed(),
+            grammar_diagnostics: (config.lint_mode != LintMode::Off)
+                .then(|| analyze(grammar).diagnostics),
+            lint: OnceLock::new(),
+        };
+        if config.enable_mask_cache {
+            compiled.mask_cache = Some(MaskCache::new(&compiled.entry_source()));
+        }
+        if config.lint_mode == LintMode::Strict {
+            compiled.lint_report();
+        }
+        compiled
+    }
+
+    /// What this grammar's mask-cache entries are built from.
+    fn entry_source(&self) -> EntrySource<'_> {
+        EntrySource {
+            pda: &self.pda,
+            vocab: &self.vocab,
+            sorted: &self.sorted,
+            suffix_fsas: Some(&self.suffix_fsas[..])
+                .filter(|_| self.config.enable_context_expansion),
         }
     }
 
@@ -193,9 +199,26 @@ impl CompiledGrammar {
         &self.sorted
     }
 
-    /// The adaptive token mask cache, if enabled.
-    pub fn mask_cache(&self) -> Option<&MaskCache> {
-        self.mask_cache.as_ref()
+    /// The adaptive token mask cache entry of `node`, built on its first
+    /// read. Every entry is the one [`build_mask_cache`](crate::build_mask_cache)
+    /// builds; threads reading an unbuilt entry at once build it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grammar was compiled without the mask cache
+    /// ([`CompilerConfig::enable_mask_cache`]) or `node` is out of range.
+    #[inline]
+    pub fn entry(&self, node: NodeId) -> &NodeMaskEntry {
+        let cache = self
+            .mask_cache
+            .as_ref()
+            .expect("compiled with a mask cache");
+        cache.get_or_build(&self.entry_source(), node)
+    }
+
+    /// Number of mask-cache entries built so far (0 without the cache).
+    pub fn built_entries(&self) -> usize {
+        self.mask_cache.as_ref().map_or(0, MaskCache::built_entries)
     }
 
     /// The configuration used to compile this grammar.
@@ -203,38 +226,37 @@ impl CompiledGrammar {
         &self.config
     }
 
-    /// The lint report recorded during compilation, or `None` when the
-    /// configuration's lint mode is [`LintMode::Off`].
+    /// The lint report, or `None` when the configuration's lint mode is
+    /// [`LintMode::Off`]. In `Warn` mode the vocabulary-aware part of the
+    /// lint runs on the first call, building the entries it reads; the
+    /// report is kept.
     pub fn lint_report(&self) -> Option<&GrammarLintReport> {
-        self.lint.as_ref()
+        let diagnostics = self.grammar_diagnostics.as_ref()?;
+        Some(
+            self.lint
+                .get_or_init(|| lint_compiled(diagnostics.clone(), self)),
+        )
     }
 
-    /// Preprocessing statistics (empty default when the mask cache is
-    /// disabled).
+    /// Preprocessing statistics over the whole mask cache (empty default when
+    /// it is disabled). Builds every entry not built yet, on the available
+    /// parallelism.
     pub fn stats(&self) -> MaskCacheStats {
-        self.mask_cache
-            .as_ref()
-            .map(|c| *c.stats())
-            .unwrap_or_default()
+        let Some(cache) = &self.mask_cache else {
+            return MaskCacheStats::default();
+        };
+        cache.complete_from(&self.entry_source(), 0);
+        cache.stats()
     }
 
-    /// Wall-clock preprocessing time.
-    pub fn preprocessing_time(&self) -> std::time::Duration {
-        self.preprocessing_time
-    }
-
-    /// Estimated heap memory held by this compiled grammar, dominated by the
-    /// adaptive token mask cache (the per-node
-    /// [`NodeMaskEntry::memory_bytes`](crate::NodeMaskEntry::memory_bytes)
-    /// sums in [`MaskCacheStats::memory_bytes`]). Used by
-    /// [`GrammarCache`](crate::GrammarCache) to enforce its byte budget. The
-    /// sorted vocabulary index is shared, not held, and is not charged.
+    /// Estimated heap memory held by this compiled grammar: the automata and
+    /// the mask-cache entries built so far (the per-node
+    /// [`NodeMaskEntry::memory_bytes`]), which grows as requests read
+    /// entries. Used by [`GrammarCache`](crate::GrammarCache) to enforce its
+    /// byte budget. The sorted vocabulary index is shared, not held, and is
+    /// not charged.
     pub fn memory_bytes(&self) -> usize {
-        let mask_cache = self
-            .mask_cache
-            .as_ref()
-            .map(|c| c.stats().memory_bytes)
-            .unwrap_or(0);
+        let mask_cache = self.mask_cache.as_ref().map_or(0, MaskCache::built_bytes);
         let automata = self.pda.node_count() * 96
             + self.suffix_fsas.iter().map(|f| f.len() * 48).sum::<usize>();
         mask_cache + automata
@@ -541,8 +563,9 @@ mod tests {
             "required": ["name"]
         });
         let compiled = c.compile_json_schema(&schema).unwrap();
-        assert!(compiled.mask_cache().is_some());
+        assert_eq!(compiled.built_entries(), 0);
         assert!(compiled.stats().nodes > 0);
+        assert_eq!(compiled.built_entries(), compiled.pda().node_count());
     }
 
     #[test]
@@ -554,8 +577,8 @@ mod tests {
         let compiled = c
             .compile_ebnf(r#"root ::= "[" [a-z]* "]""#, "root")
             .unwrap();
-        assert!(compiled.mask_cache().is_none());
         assert_eq!(compiled.stats(), MaskCacheStats::default());
+        assert_eq!(compiled.built_entries(), 0);
     }
 
     #[test]
@@ -734,7 +757,7 @@ mod tests {
         let g = xg_grammar::parse_ebnf(r#"root ::= "a" | "b""#, "root").unwrap();
         let a = full.compile_grammar(&g);
         let b = base.compile_grammar(&g);
-        assert!(a.mask_cache().is_some());
-        assert!(b.mask_cache().is_none());
+        assert!(a.stats().nodes > 0);
+        assert_eq!(b.stats(), MaskCacheStats::default());
     }
 }

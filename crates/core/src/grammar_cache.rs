@@ -20,9 +20,11 @@
 //!   `Err` or unwinds removes its in-flight slot, so a rejected registry is
 //!   never reported as cached and never counts against the entry cap,
 //! * a **byte and entry budget** ([`CacheBudget`]) — entry sizes come from
-//!   [`ConstraintFactory::memory_bytes`]; least-recently-used entries are
-//!   evicted when the budget is exceeded. Evicted artifacts stay alive for
-//!   requests already holding their `Arc`,
+//!   [`ConstraintFactory::memory_bytes`], read again at every budget check,
+//!   because an artifact grows after insertion as requests build its mask
+//!   entries; least-recently-used entries are evicted when the budget is
+//!   exceeded. Evicted artifacts stay alive for requests already holding
+//!   their `Arc`,
 //! * **a [`MatcherPool`] per slot** — created with the artifact, handed out by
 //!   the same locked lookup ([`Cached::pool`]) and dropped with the slot, so
 //!   the lanes of successive batches recycle matchers and an evicted
@@ -72,10 +74,10 @@ use crate::tag_dispatch::CompiledTagDispatch;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Byte budget across all cached artifacts (estimated with
-    /// [`ConstraintFactory::memory_bytes`]). When an insertion pushes the
-    /// total over the budget, least-recently-used entries are evicted. A
-    /// single entry larger than the budget is still cached until the next
-    /// insertion.
+    /// [`ConstraintFactory::memory_bytes`], whose growth since the last
+    /// insertion counts too). When an insertion finds the total over the
+    /// budget, least-recently-used entries are evicted. A single entry larger
+    /// than the budget is still cached until the next insertion.
     pub max_bytes: usize,
     /// Maximum number of cached artifacts, enforced the same way.
     pub max_entries: usize,
@@ -149,7 +151,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to stay within the byte / entry budget.
     pub evictions: u64,
-    /// Estimated bytes currently held by cached artifacts.
+    /// Estimated bytes held by the cached artifacts, as of the last
+    /// insertion (every artifact's size is read again then).
     pub current_bytes: u64,
     /// Number of cached artifacts (including in-flight builds).
     pub entries: u64,
@@ -207,13 +210,12 @@ struct Slot<V> {
     cell: SlotCell<V>,
     /// LRU clock value of the most recent access.
     last_used: u64,
-    /// Estimated size; 0 while the build is still in flight.
-    bytes: usize,
 }
 
 struct CacheState<K, V> {
     slots: HashMap<K, Slot<V>>,
     clock: u64,
+    /// The slots' sizes summed at the last budget check.
     total_bytes: usize,
 }
 
@@ -343,7 +345,6 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                             Slot {
                                 cell: Arc::clone(&cell),
                                 last_used: clock,
-                                bytes: 0,
                             },
                         );
                         cell
@@ -390,24 +391,10 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                 }
             };
 
-            // Phase 3: the building thread accounts the entry size and
-            // enforces the budget.
+            // Phase 3: the building thread enforces the budget.
             if built {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let bytes = artifact.memory_bytes();
-                let mut state = self.lock();
-                if let Some(slot) = state.slots.get_mut(key) {
-                    // Account only the slot this thread initialized: if our
-                    // slot was evicted (or cleared) mid-build and a different
-                    // thread re-inserted the key, that thread owns the new
-                    // slot's accounting — touching it here would double-count
-                    // bytes that no later eviction could ever subtract.
-                    if Arc::ptr_eq(&slot.cell, &cell) {
-                        slot.bytes = bytes;
-                        state.total_bytes += bytes;
-                    }
-                }
-                self.evict_over_budget(&mut state, key);
+                self.evict_over_budget(&mut self.lock(), key);
             } else {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -421,8 +408,12 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
 
     /// Evicts least-recently-used *initialized* entries until the cache is
     /// within budget. `just_inserted` is exempted so a fresh entry is not
-    /// immediately bounced by its own insertion.
+    /// immediately bounced by its own insertion. Every slot is charged what
+    /// its artifact holds now, not at its insertion: a compiled grammar
+    /// grows as requests build its mask entries, and so does a registry
+    /// holding compiled grammars.
     fn evict_over_budget(&self, state: &mut CacheState<K, V>, just_inserted: &K) {
+        state.total_bytes = state.slots.values().map(Slot::bytes).sum();
         let over = |state: &CacheState<K, V>| {
             state.total_bytes > self.budget.max_bytes || state.slots.len() > self.budget.max_entries
         };
@@ -437,9 +428,20 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                 break; // Only in-flight or just-inserted entries remain.
             };
             if let Some(slot) = state.slots.remove(&victim) {
-                state.total_bytes = state.total_bytes.saturating_sub(slot.bytes);
+                // Saturating: the artifact may have grown since the sum.
+                state.total_bytes = state.total_bytes.saturating_sub(slot.bytes());
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
+        }
+    }
+}
+
+impl<V: ConstraintFactory> Slot<V> {
+    /// The artifact's current size; 0 while its build is in flight.
+    fn bytes(&self) -> usize {
+        match self.cell.get() {
+            Some(Some((artifact, _))) => artifact.memory_bytes(),
+            _ => 0,
         }
     }
 }
@@ -609,6 +611,64 @@ mod tests {
         let again = get_or_compile(&cache, &g1, &vocab, &cfg);
         assert_eq!(cache.stats().misses, misses_before + 1);
         assert!(!Arc::ptr_eq(&first, &again));
+    }
+
+    /// A compiled grammar grows after insertion as decodes build its mask
+    /// entries; the next insertion charges what it holds then, and growth
+    /// alone can push the cache over its byte budget.
+    #[test]
+    fn growth_after_insertion_is_charged_and_evicts() {
+        use crate::{ConstraintMatcher, GrammarMatcher, TokenBitmask};
+
+        let vocab = Arc::new(test_vocabulary(600));
+        let cfg = CompilerConfig::default();
+        let sources = [
+            r#"root ::= "[" [a-z]+ ("," [0-9]+)* "]""#,
+            r#"root ::= "{" [a-z]+ ("," [0-9]+)* "}""#,
+            r#"root ::= "(" [a-z]+ ("," [0-9]+)* ")""#,
+        ];
+        let unbuilt: usize = sources
+            .iter()
+            .map(|src| compile(&grammar(src), &vocab, &cfg).memory_bytes())
+            .sum();
+        let decode = |compiled: &Arc<CompiledGrammar>, text: &[u8]| {
+            let before = compiled.memory_bytes();
+            let mut matcher = GrammarMatcher::new(Arc::clone(compiled));
+            let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+            for byte in text {
+                matcher.fill_next_token_bitmask(&mut mask);
+                matcher.accept_bytes(std::slice::from_ref(byte)).unwrap();
+            }
+            assert!(compiled.memory_bytes() > before, "the decode built entries");
+        };
+        let charged = |cache: &GrammarCache, held: &[&Arc<CompiledGrammar>]| {
+            let sum: usize = held.iter().map(|c| c.memory_bytes()).sum();
+            assert_eq!(cache.stats().current_bytes, sum as u64);
+        };
+
+        // Room for the three as compiled, not for one grown.
+        let cache = GrammarCache::new(CacheBudget {
+            max_bytes: unbuilt,
+            max_entries: usize::MAX,
+        });
+        let first = lookup(&cache, &vocab, sources[0]).artifact;
+        let second = lookup(&cache, &vocab, sources[1]).artifact;
+        decode(&first, b"[ab,12]");
+        let third = lookup(&cache, &vocab, sources[2]).artifact;
+        assert_eq!(cache.stats().evictions, 1);
+        let key = |src| GrammarCacheKey::new(&grammar(src), vocab.fingerprint(), &cfg);
+        assert!(
+            !cache.contains(&key(sources[0])),
+            "the LRU entry is evicted"
+        );
+        charged(&cache, &[&second, &third]);
+
+        // Unbounded, the grown grammar stays and is charged in full.
+        let cache = GrammarCache::new(CacheBudget::unbounded());
+        let first = lookup(&cache, &vocab, sources[0]).artifact;
+        decode(&first, b"[ab,12]");
+        let second = lookup(&cache, &vocab, sources[1]).artifact;
+        charged(&cache, &[&first, &second]);
     }
 
     #[test]

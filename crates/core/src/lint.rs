@@ -12,14 +12,15 @@
 //! context-independent accepts and no context-dependent candidates) is
 //! reported as a [`DiagnosticCode::DeadState`] error.
 //!
-//! [`lint_compiled`] combines both layers into one [`GrammarLintReport`],
-//! which [`CompiledGrammar`](crate::CompiledGrammar) stores when the
-//! compiler's [`LintMode`](crate::LintMode) is not `Off`.
+//! [`lint_compiled`] adds the second layer to the first's findings, into one
+//! [`GrammarLintReport`], which [`CompiledGrammar`] keeps when the compiler's
+//! [`LintMode`](crate::LintMode) is not `Off`.
 
 use xg_automata::{NodeId, Pda, PdaEdge};
-use xg_grammar::{analyze, Diagnostic, DiagnosticCode, Grammar, Severity};
+use xg_grammar::{Diagnostic, DiagnosticCode, Severity};
 
-use crate::mask_cache::{MaskCache, NodeMaskEntry};
+use crate::compiler::CompiledGrammar;
+use crate::mask_cache::NodeMaskEntry;
 
 /// The outcome of linting one compiled grammar: grammar-level diagnostics
 /// from [`xg_grammar::analyze`] plus vocabulary-aware dead-state findings.
@@ -114,8 +115,10 @@ fn entry_is_dead(entry: &NodeMaskEntry, classified_tokens: usize) -> bool {
     }
 }
 
-/// Lints a compiled grammar: grammar-level analysis plus, when a mask cache
-/// is available, vocabulary-aware dead-state detection over the PDA.
+/// Lints a compiled grammar: `diagnostics` are the grammar-level findings
+/// ([`xg_grammar::analyze`]); when the grammar has a mask cache, the
+/// vocabulary-aware dead states over the PDA are added, reading (and so
+/// building) the entry of every reachable non-final node.
 ///
 /// A *dead state* is a node that is reachable from the start configuration,
 /// is not final (the current rule still needs input there) and whose mask
@@ -123,21 +126,19 @@ fn entry_is_dead(entry: &NodeMaskEntry, classified_tokens: usize) -> bool {
 /// can neither advance (every token is rejected) nor terminate (EOS requires
 /// a completable stack), so it would sit in the batch forever.
 pub(crate) fn lint_compiled(
-    grammar: &Grammar,
-    pda: &Pda,
-    mask_cache: Option<&MaskCache>,
+    mut diagnostics: Vec<Diagnostic>,
+    compiled: &CompiledGrammar,
 ) -> GrammarLintReport {
-    let analysis = analyze(grammar);
-    let mut diagnostics = analysis.diagnostics;
+    let pda = compiled.pda();
     let mut dead_states = 0;
-    if let Some(cache) = mask_cache {
-        let classified = cache.stats().classified_tokens;
+    if compiled.config().enable_mask_cache {
+        let classified = compiled.sorted_vocabulary().len();
         for id in reachable_nodes(pda) {
             let node = pda.node(id);
             if node.is_final {
                 continue;
             }
-            if entry_is_dead(cache.entry(id), classified) {
+            if entry_is_dead(compiled.entry(id), classified) {
                 dead_states += 1;
                 diagnostics.push(Diagnostic::new(
                     DiagnosticCode::DeadState,
@@ -163,9 +164,10 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use xg_grammar::Grammar;
     use xg_tokenizer::{test_vocabulary, SortedVocabulary, Vocabulary};
 
-    use crate::compiler::{CompiledGrammar, CompilerConfig};
+    use crate::compiler::{CompilerConfig, LintMode};
 
     fn compile(grammar: &Grammar, vocab: Arc<Vocabulary>) -> CompiledGrammar {
         let sorted = Arc::new(SortedVocabulary::new(&vocab));
@@ -232,6 +234,31 @@ mod tests {
         let compiled = compile(&grammar, vocab);
         let report = compiled.lint_report().unwrap();
         assert_eq!(report.dead_states, 0, "{:?}", report.diagnostics);
+    }
+
+    /// The `Warn` report, whose dead-state scan waits for the first
+    /// `lint_report()` and builds the entries it reads then, is the `Strict`
+    /// report, built in the compile.
+    #[test]
+    fn a_deferred_warn_report_equals_the_strict_one() {
+        let vocab = Arc::new(test_vocabulary(600));
+        let sorted = Arc::new(SortedVocabulary::new(&vocab));
+        let config = |mode| CompilerConfig::default().with_lint_mode(mode);
+        let (warn, strict) = (config(LintMode::Warn), config(LintMode::Strict));
+        let mut scanned = 0;
+        for case in xg_datasets::pathological_corpus() {
+            let compile = |config| {
+                let (vocab, sorted) = (Arc::clone(&vocab), Arc::clone(&sorted));
+                CompiledGrammar::compile(&case.grammar, vocab, sorted, config)
+            };
+            let deferred = compile(&warn);
+            assert_eq!(deferred.built_entries(), 0, "{}", case.name);
+            let eager = compile(&strict);
+            assert_eq!(deferred.lint_report(), eager.lint_report(), "{}", case.name);
+            scanned += deferred.built_entries();
+        }
+        // The deferred scans ran: they read the reachable non-final entries.
+        assert!(scanned > 0);
     }
 
     #[test]

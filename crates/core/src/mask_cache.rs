@@ -29,8 +29,10 @@
 //! keeps alive off its loops, not the vocabulary and not the tokens it
 //! accepts.
 
+use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use xg_automata::{Fsa, NodeId, Pda, PdaNode, SuffixMatch};
 use xg_tokenizer::{
@@ -184,36 +186,245 @@ impl MaskCacheStats {
     }
 }
 
-/// The adaptive token mask cache: one entry per automaton node.
-#[derive(Debug, Clone)]
+/// What one node's entry is built from: the automaton, the vocabulary and its
+/// sorted index, and, when context expansion is on, every rule's
+/// expanded-suffix automaton.
+#[derive(Clone, Copy)]
+pub(crate) struct EntrySource<'a> {
+    pub(crate) pda: &'a Pda,
+    pub(crate) vocab: &'a Vocabulary,
+    pub(crate) sorted: &'a SortedVocabulary,
+    pub(crate) suffix_fsas: Option<&'a [Fsa]>,
+}
+
+impl EntrySource<'_> {
+    /// A pure-return node outside the root rule is never a stack top (the
+    /// matcher pops it on arrival), so no mask is ever read there: its entry
+    /// rejects every token and nothing of it is counted.
+    fn never_top(&self, node: &PdaNode) -> bool {
+        node.is_pure_return() && node.rule != self.pda.root()
+    }
+
+    /// [`classify_node`] over this source's automaton and sorted index.
+    fn classify(&self, memo: &mut StepMemo, node: NodeId, fsa: Option<&Fsa>) -> NodeClassification {
+        classify_node(self.pda, memo, node, self.sorted, fsa)
+    }
+}
+
+/// A built entry and the counts its classification took.
+#[derive(Debug)]
+struct BuiltEntry {
+    entry: NodeMaskEntry,
+    counts: ClassificationCounts,
+}
+
+/// The adaptive token mask cache: one entry per automaton node, each built
+/// once, by whoever reads it first. [`build_mask_cache`] builds every entry;
+/// a [`CompiledGrammar`](crate::CompiledGrammar) builds a node's entry on the
+/// first mask fill whose stack rests on it.
+#[derive(Debug)]
 pub struct MaskCache {
-    entries: Vec<NodeMaskEntry>,
-    stats: MaskCacheStats,
+    /// Unique per cache: names the automaton a thread's step memo holds the
+    /// states of.
+    id: u64,
+    slots: Vec<OnceLock<BuiltEntry>>,
+    /// Heap bytes of the entries built so far.
+    built_bytes: AtomicUsize,
+    /// The statistics no entry contributes to: node and vocabulary sizes and
+    /// the naive byte count.
+    totals: MaskCacheStats,
 }
 
 impl MaskCache {
+    /// A cache for `source`'s automaton with no entry built yet.
+    pub(crate) fn new(source: &EntrySource) -> Self {
+        let (pda, sorted) = (source.pda, source.sorted);
+        let node_count = pda.node_count();
+        let classified = pda.nodes().iter().filter(|n| !source.never_top(n)).count();
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        MaskCache {
+            // Relaxed: only uniqueness matters.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            slots: (0..node_count).map(|_| OnceLock::new()).collect(),
+            built_bytes: AtomicUsize::new(0),
+            totals: MaskCacheStats {
+                nodes: node_count,
+                classified_tokens: sorted.len(),
+                dense_memory_bytes: node_count * source.vocab.len().div_ceil(8),
+                preprocessing_bytes_naive: classified as u64 * sorted.total_bytes() as u64,
+                ..Default::default()
+            },
+        }
+    }
+
     /// Returns the entry for a node.
     ///
     /// # Panics
     ///
-    /// Panics if the node id is out of range.
+    /// Panics if the node id is out of range or its entry is not built; a
+    /// cache from [`build_mask_cache`] has every entry built.
     pub fn entry(&self, node: NodeId) -> &NodeMaskEntry {
-        &self.entries[node.index()]
+        let built = self.slots[node.index()].get();
+        &built.expect("the entry is built").entry
+    }
+
+    /// The entry of `node`, built from `source` on its first read. Readers
+    /// racing on an unbuilt entry wait for the one that builds it.
+    #[inline]
+    pub(crate) fn get_or_build(&self, source: &EntrySource, node: NodeId) -> &NodeMaskEntry {
+        match self.slots[node.index()].get() {
+            Some(built) => &built.entry,
+            None => self.build_cold(source, node),
+        }
+    }
+
+    /// Builds one entry with the step memo this thread last built an entry
+    /// of this cache with, as an eager build's worker keeps one memo for all
+    /// its nodes: one node's walk discovers its siblings' states. (A fresh
+    /// memo per entry executed 16 times the automaton steps over the twelve
+    /// cold schemas, and took 5 times as long.) The memo is taken out while
+    /// in use, so an unwinding build leaves none behind; a thread keeps one,
+    /// of at most `MAX_MEMO_STATES` states, until it builds for another cache.
+    #[cold]
+    #[inline(never)]
+    fn build_cold(&self, source: &EntrySource, node: NodeId) -> &NodeMaskEntry {
+        thread_local! {
+            static MEMO: RefCell<Option<(u64, StepMemo)>> = const { RefCell::new(None) };
+        }
+        let held = MEMO.with_borrow_mut(Option::take);
+        let mut memo = match held {
+            Some((id, memo)) if id == self.id => memo,
+            _ => StepMemo::new(),
+        };
+        let entry = self.build(source, &mut memo, node, |memo, node, fsa| {
+            source.classify(memo, node, fsa)
+        });
+        MEMO.set(Some((self.id, memo)));
+        entry
+    }
+
+    /// Builds the entry of `node` with `classify` unless it is built.
+    fn build(
+        &self,
+        source: &EntrySource,
+        memo: &mut StepMemo,
+        node: NodeId,
+        classify: impl FnOnce(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification,
+    ) -> &NodeMaskEntry {
+        let built = self.slots[node.index()].get_or_init(|| {
+            let pda_node = source.pda.node(node);
+            let classification = match source.never_top(pda_node) {
+                true => NodeClassification::default(),
+                false => {
+                    let fsa = source.suffix_fsas.map(|f| &f[pda_node.rule.index()]);
+                    classify(memo, node, fsa)
+                }
+            };
+            let counts = classification.counts;
+            let entry = make_entry(source.vocab, source.sorted, classification);
+            // Relaxed: a gauge; the entry itself is published by the lock.
+            self.built_bytes
+                .fetch_add(entry.memory_bytes(), Ordering::Relaxed);
+            BuiltEntry { entry, counts }
+        });
+        &built.entry
+    }
+
+    /// Builds every entry not built yet, on `num_threads` workers (0 = the
+    /// available parallelism), each classifying with a step memo of its own.
+    fn complete(
+        &self,
+        source: &EntrySource,
+        num_threads: usize,
+        classify: impl Fn(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification + Sync,
+    ) {
+        let node_count = self.len();
+        if self.built_entries() == node_count {
+            return;
+        }
+        // A cgroup read, next to a millisecond build: taken once per process.
+        static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        let num_threads = match num_threads {
+            0 => *AVAILABLE
+                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n,
+        };
+        // Nodes differ in cost by orders of magnitude (a literal's node keeps
+        // one prefix alive, a string body's most of the vocabulary), so the
+        // workers draw them one at a time from a shared counter.
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut memo = StepMemo::new();
+            loop {
+                // Relaxed: the counter hands out indices and publishes
+                // nothing; the entries are published by their locks.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= node_count {
+                    return;
+                }
+                self.build(source, &mut memo, NodeId(i as u32), &classify);
+            }
+        };
+        // The calling thread is the last worker.
+        if num_threads <= 1 || node_count < num_threads {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 1..num_threads {
+                    scope.spawn(worker);
+                }
+                worker();
+            });
+        }
+    }
+
+    /// Builds every entry not built yet (see [`build_mask_cache`]).
+    pub(crate) fn complete_from(&self, source: &EntrySource, num_threads: usize) {
+        self.complete(source, num_threads, |memo, node, fsa| {
+            source.classify(memo, node, fsa)
+        });
     }
 
     /// Number of entries (= automaton nodes).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Returns `true` if the cache has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Build statistics.
-    pub fn stats(&self) -> &MaskCacheStats {
-        &self.stats
+    /// Number of entries built so far.
+    pub(crate) fn built_entries(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count()
+    }
+
+    /// Heap bytes of the entries built so far.
+    pub(crate) fn built_bytes(&self) -> usize {
+        self.built_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Build statistics, summed over the entries built so far.
+    pub fn stats(&self) -> MaskCacheStats {
+        let mut stats = self.totals;
+        for BuiltEntry { entry, counts } in self.slots.iter().filter_map(OnceLock::get) {
+            let uncertain = entry.uncertain().len();
+            stats.context_dependent_before_expansion += counts.uncertain_before_expansion;
+            stats.context_dependent_after_expansion += uncertain;
+            stats.max_context_dependent_per_node =
+                stats.max_context_dependent_per_node.max(uncertain);
+            stats.memory_bytes += entry.memory_bytes();
+            stats.preprocessing_bytes_matched += counts.bytes_matched;
+            stats.automaton_steps += counts.automaton_steps;
+            stats.loop_test_steps += counts.loop_test_steps;
+            stats.tokens_visited += counts.tokens_visited;
+            stats.tokens_loop_accepted += counts.tokens_loop_accepted;
+        }
+        stats
     }
 }
 
@@ -227,6 +438,13 @@ impl MaskCache {
 struct NodeClassification {
     accepted: Vec<Range<usize>>,
     uncertain: Vec<TokenId>,
+    counts: ClassificationCounts,
+}
+
+/// What classifying one node took, kept with its entry for
+/// [`MaskCache::stats`].
+#[derive(Debug, Default, Clone, Copy)]
+struct ClassificationCounts {
     uncertain_before_expansion: usize,
     bytes_matched: u64,
     automaton_steps: u64,
@@ -419,7 +637,7 @@ fn classify_node(
                 live_first = Some(c);
             } else if !memo.pops_out(s0) {
                 // Each token dies on its first byte with nothing to pop.
-                out.bytes_matched += 1;
+                out.counts.bytes_matched += 1;
                 continue;
             }
         }
@@ -433,15 +651,15 @@ fn classify_node(
                         .take_while(|&&tail| tail & !looping == 0)
                         .count();
                     out.accept(i..end);
-                    out.tokens_loop_accepted += (end - i) as u64;
-                    out.bytes_matched += sorted.chars_to_check_in(i..end) as u64;
+                    out.counts.tokens_loop_accepted += (end - i) as u64;
+                    out.counts.bytes_matched += sorted.chars_to_check_in(i..end) as u64;
                     looped = true;
                     i = end;
                     continue;
                 }
             }
             let bytes = sorted.token(i);
-            out.tokens_visited += 1;
+            out.counts.tokens_visited += 1;
             let keep = match looped {
                 true => common_prefix_len(walked, bytes),
                 false => lcp[i],
@@ -449,18 +667,18 @@ fn classify_node(
             (walked, looped) = (bytes, false);
             let Err(died_at) = memo.match_token(pda, node, &mut trail, bytes, keep) else {
                 out.accept(i..i + 1);
-                out.bytes_matched += sorted.chars_to_check_in(i..i + 1) as u64;
+                out.counts.bytes_matched += sorted.chars_to_check_in(i..i + 1) as u64;
                 i += 1;
                 continue;
             };
-            out.bytes_matched += (died_at + 1).saturating_sub(lcp[i]) as u64;
+            out.counts.bytes_matched += (died_at + 1).saturating_sub(lcp[i]) as u64;
             let (context_dependent, read) =
                 is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa);
             let run_end = sorted.run_end(i, read.max(died_at + 1));
             // Any pop-out means the remainder could be matched by a parent
             // context; context expansion filtered those that cannot.
             if memo.popout_offsets(&trail).next().is_some() {
-                out.uncertain_before_expansion += run_end - i;
+                out.counts.uncertain_before_expansion += run_end - i;
             }
             if context_dependent {
                 out.uncertain.extend_from_slice(&ids[i..run_end]);
@@ -468,8 +686,8 @@ fn classify_node(
             i = run_end;
         }
     }
-    out.automaton_steps = memo.misses - misses_before;
-    out.loop_test_steps = loops.steps;
+    out.counts.automaton_steps = memo.misses - misses_before;
+    out.counts.loop_test_steps = loops.steps;
     out
 }
 
@@ -503,105 +721,15 @@ pub fn build_mask_cache(
     suffix_fsas: Option<&[Fsa]>,
     options: &MaskCacheBuildOptions,
 ) -> MaskCache {
-    let classify =
-        |memo: &mut StepMemo, node, fsa: Option<&Fsa>| classify_node(pda, memo, node, sorted, fsa);
-    build_with(pda, vocab, sorted, suffix_fsas, options, classify)
-}
-
-/// [`build_mask_cache`] over a given per-node classifier (the tests run a
-/// reference classifier through the same assembly).
-fn build_with(
-    pda: &Pda,
-    vocab: &Vocabulary,
-    sorted: &SortedVocabulary,
-    suffix_fsas: Option<&[Fsa]>,
-    options: &MaskCacheBuildOptions,
-    classify_node: impl Fn(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification + Sync,
-) -> MaskCache {
-    let node_count = pda.node_count();
-    // A cgroup read, next to a millisecond compile: taken once per process.
-    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let num_threads = match options.num_threads {
-        0 => *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-        n => n,
+    let source = EntrySource {
+        pda,
+        vocab,
+        sorted,
+        suffix_fsas: suffix_fsas.filter(|_| options.context_expansion),
     };
-
-    // A pure-return node outside the root rule is never a stack top (the
-    // matcher pops it on arrival), so no mask is ever read there: its entry
-    // rejects every token and nothing of it is counted.
-    let never_top = |node: &PdaNode| node.is_pure_return() && node.rule != pda.root();
-    let classify = |memo: &mut StepMemo, node_index: usize| -> NodeClassification {
-        let node = NodeId(node_index as u32);
-        if never_top(pda.node(node)) {
-            return NodeClassification::default();
-        }
-        let fsa = if options.context_expansion {
-            suffix_fsas.map(|f| &f[pda.node(node).rule.index()])
-        } else {
-            None
-        };
-        classify_node(memo, node, fsa)
-    };
-
-    // Nodes differ in cost by orders of magnitude (a literal's node keeps one
-    // prefix alive, a string body's most of the vocabulary), so the workers
-    // draw them one at a time from a shared counter, each with a step memo of
-    // its own. Vocabulary, Pda and SortedVocabulary are all shared immutably.
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let (mut memo, mut done) = (StepMemo::new(), Vec::new());
-        loop {
-            // Relaxed: the counter hands out indices and publishes nothing;
-            // results travel through `join`.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= node_count {
-                return done;
-            }
-            done.push((i, classify(&mut memo, i)));
-        }
-    };
-    // The calling thread is the last worker.
-    let mut classifications = if num_threads <= 1 || node_count < num_threads {
-        worker()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..num_threads).map(|_| scope.spawn(worker)).collect();
-            let mut done = worker();
-            for handle in handles {
-                done.extend(handle.join().expect("a classifier panicked"));
-            }
-            done
-        })
-    };
-    classifications.sort_unstable_by_key(|&(i, _)| i);
-
-    // Convert classifications into adaptive entries and aggregate statistics.
-    let mut entries = Vec::with_capacity(node_count);
-    let mut stats = MaskCacheStats {
-        nodes: node_count,
-        classified_tokens: sorted.len(),
-        dense_memory_bytes: node_count * vocab.len().div_ceil(8),
-        preprocessing_bytes_naive: pda.nodes().iter().filter(|n| !never_top(n)).count() as u64
-            * sorted.total_bytes() as u64,
-        ..Default::default()
-    };
-    for (_, classification) in classifications {
-        stats.context_dependent_before_expansion += classification.uncertain_before_expansion;
-        stats.context_dependent_after_expansion += classification.uncertain.len();
-        stats.max_context_dependent_per_node = stats
-            .max_context_dependent_per_node
-            .max(classification.uncertain.len());
-        stats.preprocessing_bytes_matched += classification.bytes_matched;
-        stats.automaton_steps += classification.automaton_steps;
-        stats.loop_test_steps += classification.loop_test_steps;
-        stats.tokens_visited += classification.tokens_visited;
-        stats.tokens_loop_accepted += classification.tokens_loop_accepted;
-        let entry = make_entry(vocab, sorted, classification);
-        stats.memory_bytes += entry.memory_bytes();
-        entries.push(entry);
-    }
-
-    MaskCache { entries, stats }
+    let cache = MaskCache::new(&source);
+    cache.complete_from(&source, options.num_threads);
+    cache
 }
 
 /// Chooses the cheapest of the three storage formats (Figure 5).

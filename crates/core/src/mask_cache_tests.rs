@@ -4,7 +4,7 @@
 //! how many of its steps the automaton executes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -38,7 +38,7 @@ fn classify_node_reference(
     let mut prev: &[u8] = &[];
     for (i, &token_id) in sorted.ids().iter().enumerate() {
         let bytes = vocab.token_bytes(token_id);
-        out.tokens_visited += 1;
+        out.counts.tokens_visited += 1;
         let keep = common_prefix_len(prev, bytes);
         trail.truncate(keep + 1);
         popout.truncate(keep);
@@ -47,7 +47,7 @@ fn classify_node_reference(
             let mut next = trail[trail.len() - 1].clone();
             // A dead matcher neither pops out nor counts a step.
             popout.push(next.can_terminate());
-            out.bytes_matched += u64::from(!next.is_dead());
+            out.counts.bytes_matched += u64::from(!next.is_dead());
             next.advance_byte(byte);
             trail.push(next);
         }
@@ -60,14 +60,68 @@ fn classify_node_reference(
             suffix_fsa.is_none_or(|fsa| fsa.match_remaining(&bytes[o..]) == SuffixMatch::Possible)
         });
         if !popouts.is_empty() {
-            out.uncertain_before_expansion += 1;
+            out.counts.uncertain_before_expansion += 1;
         }
         if uncertain {
             out.uncertain.push(token_id);
         }
     }
-    out.automaton_steps = out.bytes_matched;
+    out.counts.automaton_steps = out.counts.bytes_matched;
     out
+}
+
+/// [`build_mask_cache`] over a given per-node classifier: the same slots,
+/// workers and entry assembly, the classification swapped.
+fn build_with(
+    pda: &Pda,
+    vocab: &Vocabulary,
+    sorted: &SortedVocabulary,
+    suffix_fsas: Option<&[Fsa]>,
+    options: &MaskCacheBuildOptions,
+    classify: impl Fn(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification + Sync,
+) -> MaskCache {
+    let source = EntrySource {
+        pda,
+        vocab,
+        sorted,
+        suffix_fsas: suffix_fsas.filter(|_| options.context_expansion),
+    };
+    let cache = MaskCache::new(&source);
+    cache.complete(&source, options.num_threads, classify);
+    cache
+}
+
+/// The entries as a compiled grammar builds them, on the fill that first
+/// reads each: two threads read every node's entry of one fresh cache, in
+/// opposite orders, so that most entries are asked for by both.
+fn build_lazily(
+    pda: &Pda,
+    vocab: &Vocabulary,
+    sorted: &SortedVocabulary,
+    suffix_fsas: Option<&[Fsa]>,
+    options: &MaskCacheBuildOptions,
+) -> MaskCache {
+    let source = EntrySource {
+        pda,
+        vocab,
+        sorted,
+        suffix_fsas: suffix_fsas.filter(|_| options.context_expansion),
+    };
+    let cache = MaskCache::new(&source);
+    assert_eq!(cache.built_entries(), 0);
+    let read = |node: usize| {
+        cache.get_or_build(&source, NodeId(node as u32));
+    };
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            (0..pda.node_count()).for_each(read);
+        });
+        start.wait();
+        (0..pda.node_count()).rev().for_each(read);
+    });
+    cache
 }
 
 /// Demands the same entries and the same statistics of two builds, but for
@@ -85,15 +139,16 @@ fn assert_same_cache(fast: &MaskCache, reference: &MaskCache, what: &str) {
         ..*stats
     };
     assert_eq!(
-        comparable(fast.stats()),
-        comparable(reference.stats()),
+        comparable(&fast.stats()),
+        comparable(&reference.stats()),
         "{what}"
     );
     assert!(fast.stats().tokens_visited <= reference.stats().tokens_visited);
 }
 
-/// Builds the cache of `pda` both ways, with and without context expansion,
-/// and returns the fast build's statistics with it.
+/// Builds the cache of `pda` three ways, with and without context expansion:
+/// the reference, the eager build and the entries read one by one, and
+/// returns the eager build's statistics.
 fn assert_matches_reference(
     pda: &Pda,
     vocab: &Vocabulary,
@@ -113,6 +168,8 @@ fn assert_matches_reference(
         });
         let what = format!("{what} (context expansion {context_expansion})");
         assert_same_cache(&fast, &reference, &what);
+        let lazy = build_lazily(pda, vocab, sorted, Some(&fsas), &options);
+        assert_same_cache(&lazy, &fast, &format!("{what}, read lazily"));
         // A loop test steps every byte of a class once, however few tokens
         // ask, so only the walk's steps are bounded by the reference's.
         let (steps, loop_test_steps) = (fast.stats().automaton_steps, fast.stats().loop_test_steps);
@@ -121,7 +178,7 @@ fn assert_matches_reference(
             "{what}: {steps} steps, {loop_test_steps} of them loop tests, against {}",
             reference.stats().automaton_steps
         );
-        stats = *fast.stats();
+        stats = fast.stats();
     }
     stats
 }
@@ -509,7 +566,7 @@ fn the_xml_build_executes_a_twentieth_of_its_steps() {
         context_expansion: true,
         num_threads: 1,
     };
-    let stats = *build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
+    let stats = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
     assert!(
         stats.automaton_steps * 20 <= stats.preprocessing_bytes_matched,
         "executed {} of {} steps",
@@ -527,8 +584,9 @@ fn the_xml_build_executes_a_twentieth_of_its_steps() {
     for (i, node) in pda.nodes().iter().enumerate() {
         if !(node.is_pure_return() && node.rule != pda.root()) {
             let fsa = Some(&fsas[node.rule.index()]);
-            executed +=
-                classify_node(&pda, &mut memo, NodeId(i as u32), &sorted, fsa).automaton_steps;
+            executed += classify_node(&pda, &mut memo, NodeId(i as u32), &sorted, fsa)
+                .counts
+                .automaton_steps;
         }
     }
     assert_eq!(executed, stats.automaton_steps);
@@ -583,7 +641,7 @@ fn the_multiple_of_build_visits_and_steps_a_pinned_count() {
         context_expansion: true,
         num_threads: 1,
     };
-    let stats = *build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
+    let stats = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
     assert_eq!(
         (stats.tokens_visited, stats.automaton_steps),
         (123_849, 2_150)
@@ -643,8 +701,8 @@ fn a_suffix_verdict_takes_every_token_sharing_the_bytes_it_read() {
     let classified = classify_node(&pda, &mut StepMemo::new(), after_digit, &sorted, Some(fsa));
     // ` `, ` ,`, ` ]`, ` a`, ` b` of the twelve space-led tokens; `,`, `[`,
     // `]` of the rest. `0` and `7` stay on the digit loop, unwalked.
-    assert_eq!(classified.tokens_visited, 5 + 3);
-    assert_eq!(classified.tokens_loop_accepted, 2);
+    assert_eq!(classified.counts.tokens_visited, 5 + 3);
+    assert_eq!(classified.counts.tokens_loop_accepted, 2);
     let uncertain: Vec<&[u8]> = classified
         .uncertain
         .iter()
@@ -671,7 +729,7 @@ fn a_string_body_walks_only_the_tokens_that_leave_its_loop() {
     );
     let body = pda.node(pda.root_start()).edges[0].target();
     let fsa = &extract_all_suffix_fsas(&pda)[pda.root().index()];
-    let classified = classify_node(&pda, &mut StepMemo::new(), body, &sorted, Some(fsa));
+    let classified = classify_node(&pda, &mut StepMemo::new(), body, &sorted, Some(fsa)).counts;
 
     let plain = |b: &u8| (0x20..0x80).contains(b) && !b"\"\\".contains(b);
     let plain_tokens = (0..sorted.len()).filter(|&i| sorted.token(i).iter().all(plain));

@@ -182,7 +182,7 @@ impl GrammarMatcher {
             !compiled.pda().node(top).is_pure_return() || self.tree.depth(head) == 1,
             "canonical heads never rest on a pure-return node"
         );
-        let entry = compiled.mask_cache().expect("caller checked").entry(top);
+        let entry = compiled.entry(top);
         Self::fill_certain(entry, mask);
         self.work.trail.match_sorted(
             compiled.pda(),
@@ -349,7 +349,7 @@ impl ConstraintMatcher for GrammarMatcher {
             mask.reject_all();
             return;
         }
-        if self.compiled.mask_cache().is_some() {
+        if self.compiled.config().enable_mask_cache {
             self.fill_mask_with_cache(mask);
         } else {
             self.fill_mask_naive(mask);
@@ -602,6 +602,42 @@ mod tests {
             })
     }
 
+    /// A compile builds no mask entry, and a decode exactly the entries of
+    /// the stack tops its fills read: the cold `string-length` schema's first
+    /// valid answer reads 4 of its nodes' entries.
+    #[test]
+    fn a_decode_builds_only_the_entries_its_fills_read() {
+        let vocab = Arc::new(test_vocabulary(8000));
+        let case = xg_datasets::schema_corpus(12, 11)
+            .into_iter()
+            .find(|case| case.feature == "string-length")
+            .expect("the corpus has one schema per feature");
+        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+        let compiled = compiler.compile_json_schema(&case.schema).unwrap();
+        assert_eq!(compiled.built_entries(), 0);
+        let answer = case.valid[0].as_bytes();
+        let (tokens, covered) = compiler
+            .sorted_vocabulary()
+            .longest_prefix_cover(&vocab, answer);
+        assert_eq!(covered, answer.len());
+
+        let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        let mut tops = std::collections::HashSet::new();
+        for token in tokens.into_iter().map(Some).chain([None]) {
+            let heads = matcher.heads.iter();
+            tops.extend(heads.map(|&head| matcher.tree.top(head).unwrap()));
+            matcher.fill_next_token_bitmask(&mut mask);
+            match token {
+                Some(token) => matcher.accept_token(token).unwrap(),
+                None => assert!(matcher.can_terminate()),
+            }
+        }
+        assert_eq!(compiled.built_entries(), tops.len());
+        assert_eq!(tops.len(), 4);
+        assert!(tops.len() < compiled.pda().node_count());
+    }
+
     #[test]
     fn mask_agrees_with_naive_full_scan() {
         // The cached mask must equal the mask produced by checking every
@@ -716,7 +752,7 @@ mod tests {
                 multi_stack_steps += 1;
                 for &head in &m_cached.heads {
                     let top = m_cached.tree.top(head).unwrap();
-                    match cached.mask_cache().unwrap().entry(top) {
+                    match cached.entry(top) {
                         NodeMaskEntry::AcceptHeavy { .. } => formats[0] = true,
                         NodeMaskEntry::RejectHeavy { .. } => formats[1] = true,
                         NodeMaskEntry::Bitset { .. } => formats[2] = true,
