@@ -9,9 +9,10 @@
 //! * [`ServingEngine::serve`] starts a scheduler; requests are submitted to
 //!   its queue, joined to the persistent loop and then compiled on an
 //!   admission worker, and decoded in the loop (in **overlapped** mode the
-//!   prefill runs under the compile and masks for step *t+1* fill while the
-//!   simulated GPU runs step *t*; in **serial** mode each waits for the
-//!   other) and streamed back per request.
+//!   compile and the first mask fill run under the prefill, which pays the
+//!   first token, and masks for step *t+1* fill while the simulated GPU runs
+//!   step *t*; in **serial** mode each waits for the other) and streamed back
+//!   per request.
 //! * [`ServingEngine::run_batch`] is the batch convenience over it: submit
 //!   everything, wait for the last lane, return the scheduler's own
 //!   [`SchedulerMetrics`].
@@ -49,13 +50,17 @@ pub enum ExecutionMode {
     /// Mask generation, then GPU step, sequentially: the same per-lane jobs
     /// on the same mask workers as [`Overlapped`](Self::Overlapped), with the
     /// collect barrier *before* the GPU step instead of after it (the
-    /// paper's no-overlap baseline).
+    /// paper's no-overlap baseline). A lane's compile, prefill, first mask
+    /// fill and first token follow one another; the first token is sampled
+    /// from the prefill's logits, with no decode step before it.
     Serial,
     /// Mask generation concurrent with the GPU step (paper §3.5). In the
     /// continuous scheduler this additionally double-buffers: a lane's mask
     /// for step *t+1* is dispatched to the mask workers as soon as its step
     /// *t* token is accepted, so mask fill overlaps both the rest of the
-    /// sampling phase and the next GPU step.
+    /// sampling phase and the next GPU step. A lane's compile, lane-start
+    /// jump-forward and first mask fill run under its prefill, whose logits
+    /// its first token is sampled from.
     Overlapped,
 }
 
@@ -189,7 +194,9 @@ pub struct RequestResult {
     /// concatenated, in emission order).
     pub output: Vec<u8>,
     /// Number of *sampled* tokens (excluding EOS and tokens injected by
-    /// jump-forward decoding) — the tokens that paid a GPU decoding step.
+    /// jump-forward decoding). The first is paid by the prefill, whose logits
+    /// it is sampled from; every later one, like the EOS, by a GPU decoding
+    /// step.
     pub tokens: usize,
     /// Tokens injected by engine-level jump-forward without sampling
     /// (always 0 unless the engine runs [`JumpForwardPolicy::Engine`]).

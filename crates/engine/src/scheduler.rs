@@ -3,20 +3,21 @@
 //! This is the pipeline the paper describes (§3.5): a bounded submission
 //! queue feeds **admission workers** that hand each request's lane to the
 //! persistent **decode loop** and only then compile its grammar (hitting the
-//! backend's `GrammarCache` first), so the compile runs under the prefill;
-//! the loop joins lanes between steps, starts each once its compile result
-//! follows, and retires them on termination, and a pool of **mask workers**
-//! fills token bitmasks overlapped with the simulated GPU phase. Each request
-//! streams its bytes out through a per-request channel as they are emitted.
+//! backend's `GrammarCache` first); the loop prefills each lane as it joins,
+//! between steps, starts it as its compile lands — under the prefill, first
+//! mask fill included — samples its first token from the prefill's logits,
+//! and retires it on termination; a pool of **mask workers** fills token
+//! bitmasks overlapped with the simulated GPU phase. Each request streams its
+//! bytes out through a per-request channel, none before its prefill ends.
 //!
 //! ```text
 //! submit() ──▶ [queue (bounded)] ──▶ admission workers ──▶ [ready (bounded)]
 //!                                     1. hand the lane over        │
 //!                                     2. compile ── the result ──▶ ▼
 //!             mask workers ◀──(the lane, to fill)──────── decode loop
-//!                          ──(the same lane, filled)──▶   join + prefill /
-//!                                                         start / step /
-//!                                                         retire lanes
+//!                          ──(the same lane, filled)──▶   join + prefill,
+//!                                                         land under it /
+//!                                                         step / sample / retire
 //!                                                                  │
 //!             StreamingRequest ◀── Admitted / Bytes / Finished ────┘
 //! ```
@@ -109,8 +110,8 @@ impl Default for SchedulerConfig {
 /// `Bytes`, then exactly one of `Finished` / `Failed`.
 #[derive(Debug)]
 pub enum StreamEvent {
-    /// The request's compile landed; its lane, already in the batch (and
-    /// prefilled, in overlapped mode), starts decoding next.
+    /// The request's compile landed; its lane, already in the batch,
+    /// samples its first token once its prefill has ended.
     Admitted {
         /// Time spent waiting in the submission queue.
         queue_time: Duration,
@@ -144,8 +145,8 @@ pub struct LaneTiming {
     /// Time the admission worker spent compiling the constraint.
     pub compile_time: Duration,
     /// Time from submission to the first emitted bytes (sampled or forced):
-    /// queue wait, the longer of compile and prefill (their sum in serial
-    /// mode), then the first decoding round.
+    /// queue wait, the longer of prefill and compile + first mask fill (their
+    /// sum in serial mode), then sampling from the prefill's logits.
     pub ttft: Duration,
     /// Mean decode time per sampled token after the first emission, with
     /// the forced-injection time spent after it carved out. Zero when the
@@ -265,9 +266,7 @@ pub struct SchedulerMetrics {
     /// High-water mark of the batch at a decode step, compiling lanes included.
     pub max_concurrent_lanes: usize,
     /// Time to first token of the earliest lane: the minimum of the finished
-    /// lanes' [`LaneTiming::ttft`] (queue wait + the longer of grammar
-    /// compilation and prefill + the first decoding round). Zero until a
-    /// lane finishes.
+    /// lanes' [`LaneTiming::ttft`]. Zero until a lane finishes.
     pub ttft: Duration,
     /// Mean time per *sampled* output token: the mean of the finished lanes'
     /// [`LaneTiming::tpot`] over lanes that sampled more than one token (zero
@@ -280,9 +279,9 @@ pub struct SchedulerMetrics {
     pub tpot: Duration,
     /// Wall clock since the scheduler started.
     pub wall_time: Duration,
-    /// Decode-loop steps executed (one per batch round, not per lane).
+    /// GPU decode steps run: one per round with a lane past its first token.
     pub decode_steps: u64,
-    /// Tokens sampled across all finished lanes (each paid a GPU step).
+    /// Tokens sampled across all finished lanes (a lane's first from its prefill).
     pub sampled_tokens: u64,
     /// Tokens injected by jump-forward across all finished lanes (0 under
     /// [`JumpForwardPolicy::Off`](crate::JumpForwardPolicy::Off)).
@@ -301,8 +300,10 @@ pub struct SchedulerMetrics {
     /// wall clock, so on an oversubscribed machine this includes scheduler
     /// wait and can exceed true CPU time.
     pub mask_busy_time: Duration,
-    /// Wall clock spent in simulated GPU decode steps.
+    /// Wall clock spent in simulated GPU decode steps: token generation only.
     pub gpu_time: Duration,
+    /// Wall clock of the prefills the decode loop ran (outside `decode_time`).
+    pub prefill_time: Duration,
     /// Wall clock the decode loop spent inside `Lane::step`: proposing under
     /// the mask, accepting, and injecting forced text
     /// ([`forced_time`](Self::forced_time) is part of it).
@@ -380,6 +381,8 @@ struct ActiveLane {
     /// Time from submission to the first emitted bytes, and the lane's
     /// `forced_time` by then (already inside the former).
     first_emit: Option<(Duration, Duration)>,
+    /// No byte streams before: the prefill's end (overlapped mode).
+    prefill_end: Instant,
 }
 
 impl ActiveLane {
@@ -611,6 +614,7 @@ impl ContinuousScheduler {
             lanes: Vec::with_capacity(max_lanes),
             compiling: Vec::with_capacity(max_lanes),
             in_flight: 0,
+            prefilled: 0,
         };
         threads.push(spawn("xg-decode".into(), move || decode.run()));
 
@@ -791,6 +795,7 @@ fn admission_worker(
             compiled,
             mask: TokenBitmask::new_all_rejected(backend.vocabulary().len()),
             first_emit: None,
+            prefill_end: Instant::now(),
         };
         if ready.send(lane).is_err() {
             // Decode loop is gone; nothing more to admit.
@@ -812,9 +817,9 @@ fn admission_worker(
 }
 
 /// The persistent decode loop: joins lanes and starts each as its compile
-/// lands, between steps; drives each step through [`Lane::step`], overlaps
-/// mask fill with the GPU phase in overlapped mode, streams emitted bytes,
-/// and retires finished lanes. Dropping it, also by a panic, shuts the pool.
+/// lands, between steps or under a prefill; drives each round through
+/// [`Lane::step`], overlaps mask fill with the GPU phase in overlapped mode,
+/// streams emitted bytes, and retires finished lanes. Dropping it shuts the pool.
 struct DecodeLoop {
     ready: Receiver<ActiveLane>,
     /// Every admission worker's [`Bell`].
@@ -834,6 +839,8 @@ struct DecodeLoop {
     compiling: Vec<ActiveLane>,
     /// The decoding lanes with a mask worker.
     in_flight: usize,
+    /// How many decoding lanes sample from their prefill's logits next.
+    prefilled: usize,
 }
 
 impl Drop for DecodeLoop {
@@ -849,10 +856,10 @@ impl DecodeLoop {
 
     fn run(mut self) {
         while self.take_arrivals() {
-            // ---- One decode step for the decoding lanes. ----
-            let batch_size = self.lanes.len() + self.in_flight;
+            // ---- One decode step, for the lanes not sampling from a prefill. ----
+            let batch_size = self.lanes.len() + self.in_flight - self.prefilled;
             let step_start = Instant::now();
-            let gpu_step = self.profile.decode_step_time(batch_size);
+            let gpu_step = self.profile.decode_step_time(batch_size) * u32::from(batch_size > 0);
             let mut handoff = Duration::ZERO;
             // Serial: no overlap — hand off and collect every mask, exposing
             // the full mask wall-clock, then run the GPU step. Overlapped: the
@@ -884,10 +891,13 @@ impl DecodeLoop {
                     .lane
                     .step(al.lane.is_constrained().then_some(&al.mask), &ctx);
                 sample += start.elapsed();
-                if al.lane.output.len() > emitted_from {
-                    al.emit(emitted_from);
+                // A first emission also streams what `land` held back.
+                let from = al.first_emit.map_or(0, |_| emitted_from);
+                if al.lane.output.len() > from {
+                    al.emit(from);
                 }
             }
+            self.prefilled = 0;
             if matches!(self.mode, ExecutionMode::Overlapped) {
                 // Double-buffering: the step-t+1 masks fill through the next
                 // GPU step.
@@ -898,7 +908,7 @@ impl DecodeLoop {
             {
                 let mut stats = self.shared.stats();
                 let metrics = &mut stats.metrics;
-                metrics.decode_steps += 1;
+                metrics.decode_steps += u64::from(batch_size > 0);
                 metrics.max_concurrent_lanes = metrics.max_concurrent_lanes.max(self.batch_size());
                 metrics.gpu_time += gpu_step;
                 metrics.mask_wait_time += mask_wait;
@@ -927,22 +937,12 @@ impl DecodeLoop {
                     Err(TryRecvError::Disconnected) if self.batch_size() == 0 => return false,
                     Err(_) => break,
                 };
-                if matches!(self.mode, ExecutionMode::Overlapped) {
-                    busy_wait(self.profile.prefill_time(al.prompt_tokens));
-                }
-                self.compiling.push(al);
-            }
-            let mut i = 0;
-            while let Some(al) = self.compiling.get(i) {
-                match al.compiled.try_recv() {
-                    Err(TryRecvError::Empty) => i += 1,
-                    result => {
-                        let al = self.compiling.swap_remove(i);
-                        let died = "the admission worker died before the compile finished";
-                        self.land(al, result.unwrap_or_else(|_| Err(scheduler_error(died))));
-                    }
+                match self.mode {
+                    ExecutionMode::Overlapped => self.prefill(al),
+                    ExecutionMode::Serial => self.compiling.push(al),
                 }
             }
+            self.land_compiled();
             if self.lanes.len() + self.in_flight > 0 {
                 return true;
             }
@@ -951,10 +951,46 @@ impl DecodeLoop {
         }
     }
 
+    /// Pays a joining lane's prefill, landing compile results (its own too)
+    /// under it: as `busy_wait` sleeps, a prefill over 2 ms waits on the bell
+    /// but for its last 1 ms, which it spins, and a shorter one spins.
+    fn prefill(&mut self, mut al: ActiveLane) {
+        let ms = Duration::from_millis;
+        let prefill = self.profile.prefill_time(al.prompt_tokens);
+        let end = Instant::now() + prefill;
+        al.prefill_end = end;
+        self.compiling.push(al);
+        loop {
+            self.land_compiled();
+            let left = end.saturating_duration_since(Instant::now());
+            match left.checked_sub(ms(1)) {
+                _ if left.is_zero() => break,
+                Some(wait) if prefill > ms(2) => _ = self.bell.recv_timeout(wait),
+                _ => std::hint::spin_loop(),
+            }
+        }
+        self.shared.stats().metrics.prefill_time += prefill + end.elapsed();
+    }
+
+    /// Lands every compile result that has arrived.
+    fn land_compiled(&mut self) {
+        let mut i = 0;
+        while let Some(al) = self.compiling.get(i) {
+            match al.compiled.try_recv() {
+                Err(TryRecvError::Empty) => i += 1,
+                result => {
+                    let al = self.compiling.swap_remove(i);
+                    let died = "the admission worker died before the compile finished";
+                    self.land(al, result.unwrap_or_else(|_| Err(scheduler_error(died))));
+                }
+            }
+        }
+    }
+
     /// Lands a lane's compile result: a failure ends the request. Otherwise
     /// announce the lane, pay its prefill in serial mode, run the lane-start
-    /// jump-forward pass, stream any forced prefix, and (in overlapped mode)
-    /// hand off its first mask fill.
+    /// jump-forward pass, stream any forced prefix (in the first round if
+    /// the prefill still runs), and (overlapped) hand off its first fill.
     fn land(&mut self, mut al: ActiveLane, compiled: Compiled) {
         let timing = &mut al.ticket.timing;
         (al.lane.session, timing.compile_time, timing.cache_hit) = match compiled {
@@ -976,21 +1012,25 @@ impl DecodeLoop {
             cache_hit: timing.cache_hit,
         });
         if matches!(self.mode, ExecutionMode::Serial) {
+            let start = Instant::now();
             busy_wait(self.profile.prefill_time(al.prompt_tokens));
+            self.shared.stats().metrics.prefill_time += start.elapsed();
         }
         al.lane.start(&ForcedContext {
             sorted: self.sorted.as_deref(),
             vocab: &self.vocab,
         });
-        if !al.lane.output.is_empty() {
+        let prefill_over = al.prefill_end <= Instant::now();
+        if prefill_over && !al.lane.output.is_empty() {
             // The lane-start jump-forward already forced a prefix.
             al.emit(0);
         }
-        if al.lane.finished {
+        if prefill_over && al.lane.finished {
             // The constraint forced the entire output (or the cap is 0).
             al.finish(&self.shared);
             return;
         }
+        self.prefilled += 1;
         self.lanes.push(al);
         if matches!(self.mode, ExecutionMode::Overlapped) {
             self.dispatch();
@@ -1054,7 +1094,7 @@ fn tpot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{LaneConstraint, ServingEngine};
+    use crate::engine::{JumpForwardPolicy, LaneConstraint, ServingEngine};
     use crate::profiles::ModelProfile;
     use std::sync::Arc;
     use xg_baselines::{CompiledConstraint, Session, XGrammarBackend};
@@ -1228,7 +1268,7 @@ mod tests {
     #[test]
     fn step_accounting_adds_up_to_the_decode_time() {
         for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
-            let engine = engine(mode).with_jump_forward(crate::JumpForwardPolicy::Off);
+            let engine = engine(mode).with_jump_forward(JumpForwardPolicy::Off);
             let scheduler = engine.serve(SchedulerConfig::default());
             let handles: Vec<_> = (0..4)
                 .map(|seed| scheduler.submit(request(seed)).unwrap())
@@ -1371,26 +1411,29 @@ mod tests {
     }
 
     /// `XGrammarBackend` behind sessions that count themselves in
-    /// [`FilledSessions`] and sleep in every fill for 0.4, 0.2 or 0 ms by
-    /// the order they were opened in, so that two mask workers hand lanes
-    /// back out of the order they were sent.
+    /// [`FilledSessions`] and sleep in every fill for `delay(opened, first)`:
+    /// by the order the session was opened in (from 0), and whether this is
+    /// its first fill.
     #[derive(Debug)]
     struct CountingBackend {
         inner: Arc<XGrammarBackend>,
         sessions: Arc<FilledSessions>,
+        delay: fn(u64, bool) -> Duration,
     }
 
     #[derive(Debug)]
     struct CountingConstraint {
         inner: Arc<dyn CompiledConstraint>,
         sessions: Arc<FilledSessions>,
+        delay: fn(u64, bool) -> Duration,
     }
 
     #[derive(Debug)]
     struct CountingSession {
         inner: Session,
         sessions: Arc<FilledSessions>,
-        delay: Duration,
+        delay: fn(u64, bool) -> Duration,
+        opened: u64,
         filled: bool,
     }
 
@@ -1405,17 +1448,18 @@ mod tests {
             Ok(Arc::new(CountingConstraint {
                 inner: self.inner.compile(grammar)?,
                 sessions: Arc::clone(&self.sessions),
+                delay: self.delay,
             }))
         }
     }
 
     impl CompiledConstraint for CountingConstraint {
         fn new_session(&self) -> Session {
-            let opened = self.sessions.opened.fetch_add(1, Ordering::SeqCst);
             Session::new(Box::new(CountingSession {
                 inner: self.inner.new_session(),
                 sessions: Arc::clone(&self.sessions),
-                delay: Duration::from_micros(200 * (2 - opened % 3)),
+                delay: self.delay,
+                opened: self.sessions.opened.fetch_add(1, Ordering::SeqCst),
                 filled: false,
             }))
         }
@@ -1426,12 +1470,13 @@ mod tests {
             self.inner.vocabulary()
         }
         fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
-            if !self.filled {
+            let first = !self.filled;
+            if first {
                 self.filled = true;
                 let live = self.sessions.live.fetch_add(1, Ordering::SeqCst) + 1;
                 self.sessions.peak.fetch_max(live, Ordering::SeqCst);
             }
-            std::thread::sleep(self.delay);
+            std::thread::sleep((self.delay)(self.opened, first));
             self.inner.fill_next_token_bitmask(mask);
         }
         fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
@@ -1491,9 +1536,12 @@ mod tests {
         for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
             for mask_workers in [1, 2] {
                 let sessions = Arc::new(FilledSessions::default());
+                // 0.4, 0.2 or 0 ms a fill, so that two mask workers hand
+                // lanes back out of the order they were sent.
                 let backend = CountingBackend {
                     inner: Arc::clone(&inner),
                     sessions: Arc::clone(&sessions),
+                    delay: |opened, _| Duration::from_micros(200 * (2 - opened % 3)),
                 };
                 let engine = ServingEngine::new(Arc::new(backend), profile.clone(), mode);
                 let scheduler = engine.serve(SchedulerConfig {
@@ -1779,6 +1827,105 @@ slow ::= "true" | "false""#,
                 ExecutionMode::Serial => assert!(
                     ttft >= compile + prefill,
                     "{ttft:?}: the serial baseline overlapped"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_request_pays_one_decode_step_per_sampled_token() {
+        // The prefill's logits pay for the first token, and the EOS round
+        // pays a step of its own.
+        for mode in MODES {
+            for policy in [JumpForwardPolicy::Off, JumpForwardPolicy::Engine] {
+                let engine = engine(mode).with_jump_forward(policy);
+                let scheduler = engine.serve(SchedulerConfig::default());
+                let done = scheduler.submit(request(0)).unwrap().wait().unwrap();
+                let steps = scheduler.metrics().decode_steps;
+                scheduler.shutdown();
+                assert!(done.result.completed, "{mode:?}, {policy:?}");
+                assert_eq!(steps, done.result.tokens as u64, "{mode:?}, {policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_byte_streams_before_the_prefill_ends() {
+        // `request()`'s grammar forces `{"ok": ` at lane start, and its
+        // compile lands well inside a ≈ 100 ms prefill.
+        let prompt_tokens = 166_667;
+        for mode in MODES {
+            let engine = engine(mode);
+            let prefill = engine.profile().prefill_time(prompt_tokens);
+            let scheduler = engine.serve(SchedulerConfig::default());
+            let submitted = Instant::now();
+            let request = EngineRequest {
+                prompt_tokens,
+                ..request(0)
+            };
+            let stream = scheduler.submit(request).unwrap();
+            let first = loop {
+                match stream.next_event().expect("the request finishes") {
+                    StreamEvent::Admitted { .. } => {}
+                    StreamEvent::Bytes(bytes) => break bytes,
+                    other => panic!("{mode:?}: {other:?} before any bytes"),
+                }
+            };
+            let arrived = submitted.elapsed();
+            assert!(arrived >= prefill, "{mode:?}: {arrived:?} < {prefill:?}");
+            assert!(first.starts_with(br#"{"ok": "#), "{mode:?}: {first:?}");
+            let done = stream.wait().unwrap();
+            assert_eq!(done.result.output, br#"{"ok": true}"#.to_vec(), "{mode:?}");
+            assert!(done.timing.ttft >= prefill, "{mode:?}: {:?}", done.timing);
+            scheduler.shutdown();
+        }
+    }
+
+    #[test]
+    fn the_first_mask_fills_under_the_prefill() {
+        // Every side sleeps: a 60 ms first fill, a compile that returns at
+        // once, a 100 ms prefill and 200 ms decode steps.
+        let ms = Duration::from_millis;
+        let profile = ModelProfile {
+            name: "200 ms steps".into(),
+            decode_base: ms(200),
+            decode_per_extra_seq: Duration::ZERO,
+            prefill_per_token: ms(1),
+            time_scale: 1.0,
+        };
+        let prefill = profile.prefill_time(100);
+        for mode in MODES {
+            let backend = CountingBackend {
+                inner: Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600)))),
+                sessions: Arc::default(),
+                delay: |_, first| Duration::from_millis(if first { 60 } else { 0 }),
+            };
+            // No forced prefix, so the first bytes are the first sampled
+            // token's; one token, as only it is timed.
+            let engine = ServingEngine::new(Arc::new(backend), profile.clone(), mode)
+                .with_jump_forward(JumpForwardPolicy::Off);
+            let request = EngineRequest {
+                prompt_tokens: 100,
+                max_tokens: 1,
+                ..request(0)
+            };
+            let scheduler = engine.serve(SchedulerConfig::default());
+            let ttft = scheduler
+                .submit(request)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .timing
+                .ttft;
+            scheduler.shutdown();
+            match mode {
+                ExecutionMode::Overlapped => assert!(
+                    ttft < prefill + ms(30),
+                    "{ttft:?}: the first fill ran after the prefill"
+                ),
+                ExecutionMode::Serial => assert!(
+                    (prefill + ms(60)..prefill + ms(260)).contains(&ttft),
+                    "{ttft:?}: a decode step came before the first token, or the fill overlapped"
                 ),
             }
         }

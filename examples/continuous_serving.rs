@@ -1,9 +1,11 @@
 //! Continuous-batching serving: submit requests to a running scheduler,
 //! stream their bytes as they decode, and watch late arrivals join the
 //! batch mid-flight. Grammar compilation happens on admission workers (off
-//! the decode hot path, behind the shared compiled-grammar cache), so a
-//! late request whose grammar is already cached starts decoding after
-//! little more than its own prefill.
+//! the decode hot path, behind the shared compiled-grammar cache) while the
+//! decode loop runs the request's prefill, and the first token is sampled
+//! from the prefill's logits, so a request whose compile and first mask fit
+//! under its prefill streams its first token right after it (a late joiner
+//! after the running lanes' next decode step).
 //!
 //! ```text
 //! cargo run --release --example continuous_serving
