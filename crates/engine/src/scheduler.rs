@@ -5,18 +5,19 @@
 //! persistent **decode loop** and only then compile its grammar (hitting the
 //! backend's `GrammarCache` first); the loop prefills each lane as it joins,
 //! between steps, starts it as its compile lands — under the prefill, first
-//! mask fill included — samples its first token from the prefill's logits,
-//! and retires it on termination; a pool of **mask workers** fills token
-//! bitmasks overlapped with the simulated GPU phase. Each request streams its
-//! bytes out through a per-request channel, none before its prefill ends.
+//! mask fill included — samples its first token from the prefill's logits
+//! before the batch's next step, and retires it once finished, before the
+//! next prefill; a pool of **mask workers** fills token bitmasks overlapped
+//! with the simulated GPU phase. Each request streams its bytes out through a
+//! per-request channel, none before its prefill ends.
 //!
 //! ```text
 //! submit() ──▶ [queue (bounded)] ──▶ admission workers ──▶ [ready (bounded)]
 //!                                     1. hand the lane over        │
 //!                                     2. compile ── the result ──▶ ▼
 //!             mask workers ◀──(the lane, to fill)──────── decode loop
-//!                          ──(the same lane, filled)──▶   join + prefill,
-//!                                                         land under it /
+//!                          ──(the same lane, filled)──▶   join + prefill, land
+//!                                                         under it, sample /
 //!                                                         step / sample / retire
 //!                                                                  │
 //!             StreamingRequest ◀── Admitted / Bytes / Finished ────┘
@@ -39,13 +40,16 @@
 //! tokens are accepted, every lane that needs a step-`t+1` mask is handed to
 //! the mask workers in one go (one lock, one wake) — so mask fill for step
 //! `t+1` overlaps the next simulated GPU step, and the loop only waits on a
-//! collect barrier right before it needs the masks. In `Serial` mode the
-//! loop hands off and collects all masks before each GPU step, exposing the
-//! full mask wall-clock (the paper's no-overlap baseline). Both modes hand
-//! the same lanes to the same workers through the same hand-off and wait on
-//! the same barrier; they differ only in which side of the GPU step the
-//! barrier sits on, and in which side of a lane's prefill its compile result
-//! is awaited on (serial mode prefills only once the compile has landed).
+//! collect barrier right before it needs the masks. A joiner's first mask
+//! fills under its prefill; once it has sampled from the prefill, only its
+//! next mask is handed off, the others' being filled already. In `Serial`
+//! mode the loop hands off and collects all masks before each GPU step,
+//! exposing the full mask wall-clock (the paper's no-overlap baseline). Both
+//! modes hand the same lanes to the same workers through the same hand-off
+//! and wait on the same barrier; they differ only in which side of the GPU
+//! step the barrier sits on, and in which side of a lane's prefill its
+//! compile result is awaited on (serial mode prefills only once the compile
+//! has landed).
 //!
 //! Lanes are driven exclusively through [`Lane::start`]/[`Lane::step`], and a
 //! lane's bytes depend only on its own request (its seed, reference and
@@ -110,8 +114,8 @@ impl Default for SchedulerConfig {
 /// `Bytes`, then exactly one of `Finished` / `Failed`.
 #[derive(Debug)]
 pub enum StreamEvent {
-    /// The request's compile landed; its lane, already in the batch,
-    /// samples its first token once its prefill has ended.
+    /// The request's compile landed; its lane, already in the batch, samples
+    /// its first token once its prefill has ended, before the next step.
     Admitted {
         /// Time spent waiting in the submission queue.
         queue_time: Duration,
@@ -145,8 +149,9 @@ pub struct LaneTiming {
     /// Time the admission worker spent compiling the constraint.
     pub compile_time: Duration,
     /// Time from submission to the first emitted bytes (sampled or forced):
-    /// queue wait, the longer of prefill and compile + first mask fill (their
-    /// sum in serial mode), then sampling from the prefill's logits.
+    /// queue wait, the rest of a decoding batch's current step, the longer of
+    /// prefill and compile + first mask fill (their sum in serial mode), then
+    /// sampling from the prefill's logits — with no decode step before it.
     pub ttft: Duration,
     /// Mean decode time per sampled token after the first emission, with
     /// the forced-injection time spent after it carved out. Zero when the
@@ -265,7 +270,7 @@ pub struct SchedulerMetrics {
     pub cache_hit_admissions: u64,
     /// High-water mark of the batch at a decode step, compiling lanes included.
     pub max_concurrent_lanes: usize,
-    /// Time to first token of the earliest lane: the minimum of the finished
+    /// Time to first token of the fastest lane: the minimum of the finished
     /// lanes' [`LaneTiming::ttft`]. Zero until a lane finishes.
     pub ttft: Duration,
     /// Mean time per *sampled* output token: the mean of the finished lanes'
@@ -279,7 +284,7 @@ pub struct SchedulerMetrics {
     pub tpot: Duration,
     /// Wall clock since the scheduler started.
     pub wall_time: Duration,
-    /// GPU decode steps run: one per round with a lane past its first token.
+    /// GPU decode steps run; a lane's first token comes from its prefill.
     pub decode_steps: u64,
     /// Tokens sampled across all finished lanes (a lane's first from its prefill).
     pub sampled_tokens: u64,
@@ -383,6 +388,8 @@ struct ActiveLane {
     first_emit: Option<(Duration, Duration)>,
     /// No byte streams before: the prefill's end (overlapped mode).
     prefill_end: Instant,
+    /// The lane landed and holds its prefill's logits, not yet stepped.
+    prefilled: bool,
 }
 
 impl ActiveLane {
@@ -614,7 +621,7 @@ impl ContinuousScheduler {
             lanes: Vec::with_capacity(max_lanes),
             compiling: Vec::with_capacity(max_lanes),
             in_flight: 0,
-            prefilled: 0,
+            joined: false,
         };
         threads.push(spawn("xg-decode".into(), move || decode.run()));
 
@@ -796,6 +803,7 @@ fn admission_worker(
             mask: TokenBitmask::new_all_rejected(backend.vocabulary().len()),
             first_emit: None,
             prefill_end: Instant::now(),
+            prefilled: false,
         };
         if ready.send(lane).is_err() {
             // Decode loop is gone; nothing more to admit.
@@ -839,8 +847,8 @@ struct DecodeLoop {
     compiling: Vec<ActiveLane>,
     /// The decoding lanes with a mask worker.
     in_flight: usize,
-    /// How many decoding lanes sample from their prefill's logits next.
-    prefilled: usize,
+    /// A lane landed since the last round: some lane holds its prefill's logits.
+    joined: bool,
 }
 
 impl Drop for DecodeLoop {
@@ -856,69 +864,82 @@ impl DecodeLoop {
 
     fn run(mut self) {
         while self.take_arrivals() {
-            // ---- One decode step, for the lanes not sampling from a prefill. ----
-            let batch_size = self.lanes.len() + self.in_flight - self.prefilled;
-            let step_start = Instant::now();
-            let gpu_step = self.profile.decode_step_time(batch_size) * u32::from(batch_size > 0);
-            let mut handoff = Duration::ZERO;
-            // Serial: no overlap — hand off and collect every mask, exposing
-            // the full mask wall-clock, then run the GPU step. Overlapped: the
-            // masks were handed off after the previous sampling phase (and at
-            // start); they fill while the GPU works, and only the residual
-            // shows up as wait time.
-            let serial = matches!(self.mode, ExecutionMode::Serial);
-            if serial {
-                handoff += self.dispatch();
-            } else {
-                busy_wait(gpu_step);
+            // Lanes that landed sample from their prefill before the step.
+            if std::mem::take(&mut self.joined) {
+                self.round(true);
             }
-            let wait = Instant::now();
-            self.collect();
-            let mask_wait = wait.elapsed();
-            if serial {
-                busy_wait(gpu_step);
+            if self.lanes.len() + self.in_flight > 0 {
+                self.round(false);
             }
+        }
+    }
 
-            // ---- Sampling phase. ----
-            let ctx = ForcedContext {
-                sorted: self.sorted.as_deref(),
-                vocab: &self.vocab,
-            };
-            let mut sample = Duration::ZERO;
-            for al in &mut self.lanes {
-                let start = Instant::now();
-                let emitted_from = al
-                    .lane
-                    .step(al.lane.is_constrained().then_some(&al.mask), &ctx);
-                sample += start.elapsed();
-                // A first emission also streams what `land` held back.
-                let from = al.first_emit.map_or(0, |_| emitted_from);
-                if al.lane.output.len() > from {
-                    al.emit(from);
-                }
-            }
-            self.prefilled = 0;
-            if matches!(self.mode, ExecutionMode::Overlapped) {
-                // Double-buffering: the step-t+1 masks fill through the next
-                // GPU step.
-                handoff += self.dispatch();
-            }
+    /// One round: a decode step, then every lane samples from it — or, for
+    /// the `joiners`, no step, and only the lanes holding their prefill's
+    /// logits sample. Then hand off their next fills and retire the finished.
+    fn round(&mut self, joiners: bool) {
+        let batch_size = self.lanes.len() + self.in_flight;
+        let step_start = Instant::now();
+        let gpu_step = self.profile.decode_step_time(batch_size) * u32::from(!joiners);
+        let mut handoff = Duration::ZERO;
+        // Serial: no overlap — hand off and collect every mask, exposing
+        // the full mask wall-clock, then run the GPU step. Overlapped: the
+        // masks were handed off after the previous sampling phase (and at
+        // landing); they fill while the GPU works, and only the residual
+        // shows up as wait time.
+        let serial = matches!(self.mode, ExecutionMode::Serial);
+        if serial {
+            handoff += self.dispatch(joiners);
+        } else {
+            busy_wait(gpu_step);
+        }
+        let wait = Instant::now();
+        self.collect();
+        let mask_wait = wait.elapsed();
+        if serial {
+            busy_wait(gpu_step);
+        }
 
-            // ---- Accounting, then retire finished lanes. ----
-            {
-                let mut stats = self.shared.stats();
-                let metrics = &mut stats.metrics;
-                metrics.decode_steps += u64::from(batch_size > 0);
-                metrics.max_concurrent_lanes = metrics.max_concurrent_lanes.max(self.batch_size());
-                metrics.gpu_time += gpu_step;
-                metrics.mask_wait_time += mask_wait;
-                metrics.sample_time += sample;
-                metrics.handoff_time += handoff;
-                metrics.decode_time += step_start.elapsed();
+        // ---- Sampling phase. ----
+        let ctx = ForcedContext {
+            sorted: self.sorted.as_deref(),
+            vocab: &self.vocab,
+        };
+        let mut sample = Duration::ZERO;
+        for al in self.lanes.iter_mut().filter(|al| al.prefilled || !joiners) {
+            // A joiner keeps its mark for this round's hand-off; the step
+            // round that always follows clears it.
+            al.prefilled = joiners;
+            let start = Instant::now();
+            let emitted_from = al
+                .lane
+                .step(al.lane.is_constrained().then_some(&al.mask), &ctx);
+            sample += start.elapsed();
+            // A first emission also streams what `land` held back.
+            let from = al.first_emit.map_or(0, |_| emitted_from);
+            if al.lane.output.len() > from {
+                al.emit(from);
             }
-            for al in self.lanes.extract_if(.., |al| al.lane.finished) {
-                al.finish(&self.shared);
-            }
+        }
+        if !serial {
+            // Double-buffering: the next masks fill through the next GPU step.
+            handoff += self.dispatch(joiners);
+        }
+
+        // ---- Accounting, then retire finished lanes. ----
+        {
+            let mut stats = self.shared.stats();
+            let metrics = &mut stats.metrics;
+            metrics.decode_steps += u64::from(!joiners);
+            metrics.max_concurrent_lanes = metrics.max_concurrent_lanes.max(self.batch_size());
+            metrics.gpu_time += gpu_step;
+            metrics.mask_wait_time += mask_wait;
+            metrics.sample_time += sample;
+            metrics.handoff_time += handoff;
+            metrics.decode_time += step_start.elapsed();
+        }
+        for al in self.lanes.extract_if(.., |al| al.lane.finished) {
+            al.finish(&self.shared);
         }
     }
 
@@ -989,8 +1010,8 @@ impl DecodeLoop {
 
     /// Lands a lane's compile result: a failure ends the request. Otherwise
     /// announce the lane, pay its prefill in serial mode, run the lane-start
-    /// jump-forward pass, stream any forced prefix (in the first round if
-    /// the prefill still runs), and (overlapped) hand off its first fill.
+    /// jump-forward pass, stream any forced prefix (when it samples if the
+    /// prefill still runs), and (overlapped) hand off its first fill.
     fn land(&mut self, mut al: ActiveLane, compiled: Compiled) {
         let timing = &mut al.ticket.timing;
         (al.lane.session, timing.compile_time, timing.cache_hit) = match compiled {
@@ -1030,25 +1051,29 @@ impl DecodeLoop {
             al.finish(&self.shared);
             return;
         }
-        self.prefilled += 1;
+        al.prefilled = true;
+        self.joined = true;
         self.lanes.push(al);
         if matches!(self.mode, ExecutionMode::Overlapped) {
-            self.dispatch();
+            self.dispatch(true);
         }
     }
 
-    /// The step's one mask hand-off: moves every lane that needs a fill into
+    /// The round's one mask hand-off: moves every lane that needs a fill
+    /// (with `joiners`, every such lane holding its prefill's logits) into
     /// the mask workers' queue under one lock, then wakes them once, and
     /// returns the wall clock it took. One lock and one wake, not a channel
     /// send per lane: sending each lane on its own took `schema_warm`'s
     /// `engine.step_overhead_us` from 36 to 85 µs and `cfg_heavy`'s from 23
     /// to 38 (`perf --seed 11`, 2 cores).
-    fn dispatch(&mut self) -> Duration {
+    fn dispatch(&mut self, joiners: bool) -> Duration {
         let start = Instant::now();
         let mut pool = lock(&self.pool.state);
         let before = pool.lanes.len();
-        pool.lanes
-            .extend(self.lanes.extract_if(.., |al| al.needs_mask()));
+        pool.lanes.extend(
+            self.lanes
+                .extract_if(.., |al| al.needs_mask() && (al.prefilled || !joiners)),
+        );
         let sent = pool.lanes.len() - before;
         drop(pool);
         self.in_flight += sent;
@@ -1402,12 +1427,14 @@ mod tests {
 
     /// Sessions opened, and sessions filled at least once and not yet
     /// dropped (with the peak of that count): a lane counts from its first
-    /// mask to its retirement, wherever it is meanwhile.
+    /// mask to its retirement, wherever it is meanwhile. Also the masks
+    /// filled, over all sessions.
     #[derive(Debug, Default)]
     struct FilledSessions {
         opened: AtomicU64,
         live: AtomicU64,
         peak: AtomicU64,
+        fills: AtomicU64,
     }
 
     /// `XGrammarBackend` behind sessions that count themselves in
@@ -1476,6 +1503,7 @@ mod tests {
                 let live = self.sessions.live.fetch_add(1, Ordering::SeqCst) + 1;
                 self.sessions.peak.fetch_max(live, Ordering::SeqCst);
             }
+            self.sessions.fills.fetch_add(1, Ordering::SeqCst);
             std::thread::sleep((self.delay)(self.opened, first));
             self.inner.fill_next_token_bitmask(mask);
         }
@@ -1881,18 +1909,24 @@ slow ::= "true" | "false""#,
         }
     }
 
+    /// A profile the decode loop sleeps through: `step` a decode step at any
+    /// batch size, and 1 ms a prompt token.
+    fn sleeping_profile(step: Duration) -> ModelProfile {
+        ModelProfile {
+            name: format!("{step:?} steps"),
+            decode_base: step,
+            decode_per_extra_seq: Duration::ZERO,
+            prefill_per_token: Duration::from_millis(1),
+            time_scale: 1.0,
+        }
+    }
+
     #[test]
     fn the_first_mask_fills_under_the_prefill() {
         // Every side sleeps: a 60 ms first fill, a compile that returns at
         // once, a 100 ms prefill and 200 ms decode steps.
         let ms = Duration::from_millis;
-        let profile = ModelProfile {
-            name: "200 ms steps".into(),
-            decode_base: ms(200),
-            decode_per_extra_seq: Duration::ZERO,
-            prefill_per_token: ms(1),
-            time_scale: 1.0,
-        };
+        let profile = sleeping_profile(ms(200));
         let prefill = profile.prefill_time(100);
         for mode in MODES {
             let backend = CountingBackend {
@@ -1927,6 +1961,132 @@ slow ::= "true" | "false""#,
                     (prefill + ms(60)..prefill + ms(260)).contains(&ttft),
                     "{ttft:?}: a decode step came before the first token, or the fill overlapped"
                 ),
+            }
+        }
+    }
+
+    /// An engine on `test_vocabulary(600)` that sleeps through `step`-long
+    /// decode steps, with jump-forward off: every sampled token streams as
+    /// one `Bytes` event of its own.
+    fn sleeping_engine(step: Duration, mode: ExecutionMode) -> ServingEngine {
+        let backend = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
+        ServingEngine::new(backend, sleeping_profile(step), mode)
+            .with_jump_forward(JumpForwardPolicy::Off)
+    }
+
+    /// Blocks until `stream` has delivered `n` `Bytes` events.
+    fn wait_for_bytes(stream: &StreamingRequest, n: usize) {
+        let mut seen = 0;
+        while seen < n {
+            match stream.next_event().expect("the request is still decoding") {
+                StreamEvent::Admitted { .. } => {}
+                StreamEvent::Bytes(_) => seen += 1,
+                other => panic!("{other:?} after {seen} of {n} Bytes events"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_joiner_samples_before_the_batch_steps_again() {
+        // Every side sleeps: 100 ms decode steps, and B's 50 ms prefill.
+        let ms = Duration::from_millis;
+        let step = ms(100);
+        for mode in MODES {
+            let engine = sleeping_engine(step, mode);
+            let prefill = engine.profile().prefill_time(50);
+            // A still decodes after the step B joins in the middle of.
+            let tokens = engine.decode_reference(&request(0)).unwrap().tokens;
+            assert!(tokens >= 4, "{tokens} tokens");
+            let scheduler = engine.serve(SchedulerConfig::default());
+            let a = scheduler.submit(request(0)).unwrap();
+            wait_for_bytes(&a, 2);
+            std::thread::sleep(step / 2);
+            let b = EngineRequest {
+                prompt_tokens: 50,
+                ..request(1)
+            };
+            let ttft = scheduler.submit(b).unwrap().wait().unwrap().timing.ttft;
+            a.wait().unwrap();
+            scheduler.shutdown();
+            // The rest of A's step and B's prefill, then B's first token:
+            // no step of A's comes before it.
+            assert!(
+                (prefill..prefill + step).contains(&ttft),
+                "{mode:?}: {ttft:?}: a decode step came before the joiner's first token"
+            );
+        }
+    }
+
+    #[test]
+    fn a_finishing_lane_is_not_held_behind_a_joiners_prefill() {
+        // A lane whose EOS came from a step retires before the next
+        // joiner's prefill starts: B joins a quarter into A's EOS step, and
+        // its 300 ms prefill must not delay A's `Finished`.
+        let step = Duration::from_millis(100);
+        for mode in MODES {
+            let engine = sleeping_engine(step, mode);
+            let tokens = engine.decode_reference(&request(0)).unwrap().tokens;
+            let scheduler = engine.serve(SchedulerConfig::default());
+            let a = scheduler.submit(request(0)).unwrap();
+            wait_for_bytes(&a, tokens);
+            std::thread::sleep(step / 4);
+            let b = EngineRequest {
+                prompt_tokens: 300,
+                max_tokens: 1,
+                ..request(1)
+            };
+            let b = scheduler.submit(b).unwrap();
+            while !matches!(
+                b.next_event().expect("B is admitted"),
+                StreamEvent::Admitted { .. }
+            ) {}
+            let finished = std::iter::from_fn(|| a.try_next_event())
+                .any(|event| matches!(event, StreamEvent::Finished { .. }));
+            assert!(finished, "{mode:?}: A retired after B's prefill");
+            b.wait().unwrap();
+            scheduler.shutdown();
+        }
+    }
+
+    #[test]
+    fn every_sampled_token_costs_one_mask_fill() {
+        // The served run fills exactly the masks the six lanes' references
+        // fill: a hand-off that fills a mask again, or skips one, shows.
+        let inner = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
+        let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+        let requests = schema_requests();
+        for mode in MODES {
+            for mask_workers in [1, 2] {
+                for policy in [JumpForwardPolicy::Off, JumpForwardPolicy::Engine] {
+                    let sessions = Arc::new(FilledSessions::default());
+                    let backend = CountingBackend {
+                        inner: Arc::clone(&inner),
+                        sessions: Arc::clone(&sessions),
+                        delay: |opened, _| Duration::from_micros(200 * (2 - opened % 3)),
+                    };
+                    let engine = ServingEngine::new(Arc::new(backend), profile.clone(), mode)
+                        .with_jump_forward(policy);
+                    for request in &requests {
+                        engine.decode_reference(request).unwrap();
+                    }
+                    let expected = sessions.fills.swap(0, Ordering::SeqCst);
+                    let scheduler = engine.serve(SchedulerConfig {
+                        max_lanes: 2,
+                        mask_workers,
+                        ..SchedulerConfig::default()
+                    });
+                    let handles: Vec<_> = requests
+                        .iter()
+                        .map(|request| scheduler.submit(request.clone()).unwrap())
+                        .collect();
+                    for handle in handles {
+                        handle.wait().unwrap();
+                    }
+                    scheduler.shutdown();
+                    let fills = sessions.fills.load(Ordering::SeqCst);
+                    let what = format!("{mode:?}, {mask_workers} mask workers, {policy:?}");
+                    assert_eq!(fills, expected, "{what}");
+                }
             }
         }
     }

@@ -4,8 +4,8 @@
 //! the decode hot path, behind the shared compiled-grammar cache) while the
 //! decode loop runs the request's prefill, and the first token is sampled
 //! from the prefill's logits, so a request whose compile and first mask fit
-//! under its prefill streams its first token right after it (a late joiner
-//! after the running lanes' next decode step).
+//! under its prefill streams its first token right after it — a late joiner
+//! too, before the running lanes' next decode step, which it then joins.
 //!
 //! ```text
 //! cargo run --release --example continuous_serving
