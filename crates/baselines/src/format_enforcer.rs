@@ -137,11 +137,11 @@ struct EnforcerCompiled {
 
 impl CompiledConstraint for EnforcerCompiled {
     fn new_session(&self) -> Session {
-        Session::new(Box::new(EnforcerSession {
+        Box::new(EnforcerSession {
             state: BTreeSet::from([self.shared.fsa.start()]),
             shared: Arc::clone(&self.shared),
             terminated: false,
-        }))
+        })
     }
 }
 

@@ -171,11 +171,11 @@ struct FsmCompiled {
 
 impl CompiledConstraint for FsmCompiled {
     fn new_session(&self) -> Session {
-        Session::new(Box::new(FsmSession {
+        Box::new(FsmSession {
             shared: Arc::clone(&self.shared),
             state: self.shared.start_state(),
             terminated: false,
-        }))
+        })
     }
 }
 

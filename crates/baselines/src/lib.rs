@@ -46,10 +46,9 @@ pub use regex_unroll::{unroll_grammar_to_fsa, UnrollError};
 pub use xgrammar_backend::XGrammarBackend;
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use xg_core::{CacheStats, ConstraintMatcher, MatcherPool};
+use xg_core::{CacheStats, ConstraintMatcher};
 use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
@@ -181,60 +180,10 @@ pub trait CompiledConstraint: Send + Sync + fmt::Debug {
 }
 
 /// One lane's matching state, handed out by
-/// [`CompiledConstraint::new_session`]: an owning handle that derefs to
-/// `dyn` [`ConstraintMatcher`] — the one per-lane runtime interface, which
-/// the baseline sessions implement directly — and, when the matcher was drawn
-/// from a [`MatcherPool`], returns it there on drop so lanes of successive
-/// batches recycle matcher allocations.
-#[derive(Debug)]
-pub struct Session {
-    /// `Some` for the whole session lifetime; taken in `drop`.
-    matcher: Option<Box<dyn ConstraintMatcher>>,
-    pool: Option<Arc<MatcherPool>>,
-}
-
-impl Session {
-    /// A session owning `matcher` outright (nothing to recycle).
-    pub fn new(matcher: Box<dyn ConstraintMatcher>) -> Self {
-        Session {
-            matcher: Some(matcher),
-            pool: None,
-        }
-    }
-
-    /// A session whose matcher is acquired from `pool` and released back to
-    /// it on drop.
-    pub fn pooled(pool: &Arc<MatcherPool>) -> Self {
-        Session {
-            matcher: Some(pool.acquire()),
-            pool: Some(Arc::clone(pool)),
-        }
-    }
-}
-
-impl Deref for Session {
-    type Target = dyn ConstraintMatcher;
-
-    fn deref(&self) -> &Self::Target {
-        self.matcher.as_deref().expect("matcher present until drop")
-    }
-}
-
-impl DerefMut for Session {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.matcher
-            .as_deref_mut()
-            .expect("matcher present until drop")
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        if let (Some(matcher), Some(pool)) = (self.matcher.take(), &self.pool) {
-            pool.release(matcher);
-        }
-    }
-}
+/// [`CompiledConstraint::new_session`]: a matcher built for the lane, seen
+/// through `dyn` [`ConstraintMatcher`] — the one per-lane runtime interface,
+/// which the baseline sessions implement directly.
+pub type Session = Box<dyn ConstraintMatcher>;
 
 #[cfg(test)]
 pub(crate) mod test_support {

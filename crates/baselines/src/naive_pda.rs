@@ -62,12 +62,12 @@ impl fmt::Debug for NaiveCompiled {
 
 impl CompiledConstraint for NaiveCompiled {
     fn new_session(&self) -> Session {
-        Session::new(Box::new(NaiveSession {
+        Box::new(NaiveSession {
             stacks: vec![vec![self.pda.root_start()]],
             pda: self.pda.clone(),
             vocab: Arc::clone(&self.vocab),
             terminated: false,
-        }))
+        })
     }
 }
 

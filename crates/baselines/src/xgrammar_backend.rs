@@ -3,21 +3,18 @@
 //! against the baselines.
 //!
 //! Every compiled constraint — fully-constrained grammar or structural-tag
-//! dispatch — hands out pooled [`Session`]s: a `dyn ConstraintMatcher` drawn
-//! from a [`MatcherPool`] and returned to it on drop. The pool is the one
-//! living in the artifact's cache slot (`xg_core::ArtifactCache`), so
-//! repeated `compile()` / `compile_structural()` calls for the same cached
-//! artifact hand out the same pool, sessions of successive batches recycle
-//! matchers, and an evicted artifact's pool goes away with its slot — the
-//! backend keeps no state of its own beside the compiler. The only per-kind
-//! code is the constraint *construction* (which compile entry point to
-//! call); masks, token acceptance, jump-forward and termination are the
-//! matcher's own trait methods.
+//! dispatch — is the cached artifact itself (`xg_core::ArtifactCache` shares
+//! it between repeated `compile()` / `compile_structural()` calls), and each
+//! [`Session`] is a matcher built fresh from it. The backend keeps no state
+//! of its own beside the compiler. The only per-kind code is the constraint
+//! *construction* (which compile entry point to call); masks, token
+//! acceptance, jump-forward and termination are the matcher's own trait
+//! methods.
 
 use std::sync::Arc;
 
 use xg_core::{
-    CacheBudget, CacheStats, CompilerConfig, GrammarCache, GrammarCompiler, MatcherPool,
+    CacheBudget, CacheStats, CompilerConfig, ConstraintFactory, GrammarCache, GrammarCompiler,
 };
 use xg_grammar::{DispatchDelta, Grammar, GrammarError, StructuralTag};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
@@ -45,8 +42,8 @@ impl XGrammarBackend {
     }
 
     /// Creates the backend on top of a shared [`GrammarCache`], so several
-    /// backends / serving engines draw compiled grammars — and the matcher
-    /// pools in their cache slots — from one budgeted, compile-once pool.
+    /// backends / serving engines draw compiled grammars from one budgeted,
+    /// compile-once cache.
     pub fn with_cache(
         vocab: Arc<Vocabulary>,
         config: CompilerConfig,
@@ -99,9 +96,10 @@ impl ConstrainedBackend for XGrammarBackend {
         // vocabulary dead states, …) is rejected here — at admission — rather
         // than wedging a decode lane later. The compiled artifact is cached
         // either way, so resubmissions fail fast.
-        let cached = self.compiler.compile_grammar_pooled(grammar);
-        let pool = cached.map_err(|e| self.unsupported(e))?.pool;
-        Ok(XGrammarCompiled::over(pool))
+        let compiled = self.compiler.compile_grammar_checked(grammar);
+        Ok(XGrammarCompiled::over(
+            compiled.map_err(|e| self.unsupported(e))?,
+        ))
     }
 
     fn compile_structural(
@@ -111,10 +109,11 @@ impl ConstrainedBackend for XGrammarBackend {
         // The per-trigger combined grammars run through the ordinary cached
         // compile path, so repeated tool schemas compile once per cache; the
         // dispatch build itself is cached, so every batch serving this tool
-        // registry shares the pool in its slot.
-        let cached = self.compiler.compile_tag_dispatch_pooled(tag);
-        let pool = cached.map_err(|e| self.unsupported(e))?.pool;
-        Ok(XGrammarCompiled::over(pool))
+        // registry shares one compiled dispatch.
+        let compiled = self.compiler.compile_tag_dispatch(tag);
+        Ok(XGrammarCompiled::over(
+            compiled.map_err(|e| self.unsupported(e))?,
+        ))
     }
 
     fn update_structural(
@@ -128,10 +127,10 @@ impl ConstrainedBackend for XGrammarBackend {
         let updated = self
             .compiler
             .compile_tag_dispatch(current)
-            .and_then(|base| self.compiler.update_tag_dispatch_pooled(&base, delta))
+            .and_then(|base| self.compiler.update_tag_dispatch(&base, delta))
             .map_err(|e| self.unsupported(e))?;
-        let next = updated.artifact.source_tag().clone();
-        Ok((next, XGrammarCompiled::over(updated.pool)))
+        let next = updated.source_tag().clone();
+        Ok((next, XGrammarCompiled::over(updated)))
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -151,26 +150,23 @@ impl ConstrainedBackend for XGrammarBackend {
     }
 }
 
-/// A compiled constraint seen through its pool of reusable matchers (which
-/// pins the compiled artifact): sessions draw a matcher on creation and
-/// return it when dropped, so lanes of successive serving batches reuse
-/// matcher allocations — for grammar lanes and tool-calling lanes alike.
+/// A compiled grammar or tool registry, whose every session is a matcher
+/// built for it.
 #[derive(Debug)]
 struct XGrammarCompiled {
-    pool: Arc<MatcherPool>,
+    artifact: Arc<dyn ConstraintFactory>,
 }
 
 impl XGrammarCompiled {
-    /// The compiled constraint served by `pool` — the pool a cache lookup
-    /// handed back.
-    fn over(pool: Arc<MatcherPool>) -> Arc<dyn CompiledConstraint> {
-        Arc::new(XGrammarCompiled { pool })
+    /// The compiled constraint serving `artifact`.
+    fn over(artifact: Arc<dyn ConstraintFactory>) -> Arc<dyn CompiledConstraint> {
+        Arc::new(XGrammarCompiled { artifact })
     }
 }
 
 impl CompiledConstraint for XGrammarCompiled {
     fn new_session(&self) -> Session {
-        Session::pooled(&self.pool)
+        Arc::clone(&self.artifact).new_matcher()
     }
 }
 
@@ -178,6 +174,8 @@ impl CompiledConstraint for XGrammarCompiled {
 mod tests {
     use super::*;
     use crate::test_support::{drive_session_bytes, small_vocab};
+    use std::sync::Weak;
+    use xg_core::CompiledTagDispatch;
 
     #[test]
     fn xgrammar_backend_roundtrip() {
@@ -237,38 +235,26 @@ mod tests {
         }
     }
 
-    /// The lane pool in `tag`'s dispatch-cache slot.
-    fn registry_pool(backend: &XGrammarBackend, tag: &StructuralTag) -> Arc<MatcherPool> {
-        let cached = backend.compiler.compile_tag_dispatch_pooled(tag);
-        cached.unwrap().pool
+    /// The compiled registry in `tag`'s dispatch-cache slot.
+    fn registry(backend: &XGrammarBackend, tag: &StructuralTag) -> Arc<CompiledTagDispatch> {
+        backend.compiler.compile_tag_dispatch(tag).unwrap()
     }
 
     #[test]
-    fn repeated_compiles_share_one_matcher_pool() {
+    fn repeated_compiles_share_one_artifact() {
         // Successive batches call compile() again for the same grammar; the
-        // sessions must draw from one pool so matchers actually recycle.
+        // second is served from the cache, and both batches' sessions decode.
         let vocab = small_vocab();
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
         let grammar = xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap();
         let first = backend.compile(&grammar).unwrap();
-        {
-            let mut session = first.new_session();
-            assert!(drive_session_bytes(&vocab, &mut *session, b"[1]"));
-        } // matcher returns to the pool
+        let mut session = first.new_session();
+        assert!(drive_session_bytes(&vocab, &mut *session, b"[1]"));
         let second = backend.compile(&grammar).unwrap();
         let mut session = second.new_session();
         assert!(drive_session_bytes(&vocab, &mut *session, b"[2]"));
-        drop(session);
-        // The pool is the one in the grammar's cache slot.
-        let slot = |g: &Grammar| backend.compiler.compile_grammar_pooled(g).unwrap().pool;
-        let pool = slot(&grammar);
-        assert!(Arc::ptr_eq(&pool, &slot(&grammar)));
-        assert_eq!(
-            pool.created(),
-            1,
-            "second batch must reuse the first matcher"
-        );
-        assert_eq!(pool.reused(), 1);
+        let stats = backend.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
@@ -277,46 +263,37 @@ mod tests {
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
         let tag = StructuralTag::new(vec![number_tag("n")]);
         let first = backend.compile_structural(&tag).unwrap();
-        {
-            let mut session = first.new_session();
-            assert!(drive_session_bytes(&vocab, &mut *session, b"a <n>1</n>"));
-        } // matcher returns to the pool
-          // A fresh compile of the same registry shares pool and matcher.
+        let mut session = first.new_session();
+        assert!(drive_session_bytes(&vocab, &mut *session, b"a <n>1</n>"));
+        // A fresh compile of the same registry is a dispatch-cache hit.
         let second = backend.compile_structural(&tag).unwrap();
         let mut session = second.new_session();
         assert!(drive_session_bytes(&vocab, &mut *session, b"b <n>2</n>"));
-        drop(session);
-        let pool = registry_pool(&backend, &tag);
-        assert!(Arc::ptr_eq(&pool, &registry_pool(&backend, &tag)));
-        assert_eq!(pool.created(), 1);
-        assert_eq!(pool.reused(), 1);
+        let stats = backend.compiler.dispatch_cache().stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
     fn warm_pools_survive_the_65th_live_registry() {
-        // A dispatch budget above 64 entries: no registry is evicted, so no
-        // registry may lose its warm pool either.
+        // A dispatch budget above 64 entries: no registry is evicted, so the
+        // first stays the one compiled artifact.
         let vocab = small_vocab();
         let backend =
             XGrammarBackend::new(Arc::clone(&vocab)).with_dispatch_cache_config(CacheBudget {
                 max_bytes: usize::MAX,
                 max_entries: 128,
             });
-        let registry = |i: usize| StructuralTag::new(vec![number_tag(&format!("t{i}"))]);
-        let compiled = backend.compile_structural(&registry(1)).unwrap();
+        let tag = |i: usize| StructuralTag::new(vec![number_tag(&format!("t{i}"))]);
+        let compiled = backend.compile_structural(&tag(1)).unwrap();
         drop(compiled.new_session());
-        let first_pool = registry_pool(&backend, &registry(1));
+        let first = registry(&backend, &tag(1));
         for i in 2..=65 {
-            backend.compile_structural(&registry(i)).unwrap();
+            backend.compile_structural(&tag(i)).unwrap();
         }
-        let again = backend.compile_structural(&registry(1)).unwrap();
+        let again = backend.compile_structural(&tag(1)).unwrap();
         drop(again.new_session());
-        assert!(Arc::ptr_eq(
-            &first_pool,
-            &registry_pool(&backend, &registry(1))
-        ));
-        assert_eq!(first_pool.created(), 1);
-        assert_eq!(first_pool.reused(), 1);
+        assert!(Arc::ptr_eq(&first, &registry(&backend, &tag(1))));
+        assert_eq!(backend.compiler.dispatch_cache().stats().evictions, 0);
     }
 
     #[test]
@@ -326,11 +303,9 @@ mod tests {
         let compiled = backend
             .compile(&xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap())
             .unwrap();
-        {
-            let mut first = compiled.new_session();
-            assert!(drive_session_bytes(&vocab, &mut *first, b"[7]"));
-        } // dropped -> matcher returns to the pool
-          // The recycled matcher must start from scratch.
+        let mut first = compiled.new_session();
+        assert!(drive_session_bytes(&vocab, &mut *first, b"[7]"));
+        // The next session of the same constraint starts from scratch.
         let mut second = compiled.new_session();
         assert!(drive_session_bytes(&vocab, &mut *second, b"[12]"));
         assert!(second.can_terminate());
@@ -380,26 +355,19 @@ mod tests {
     }
 
     /// `session` was opened before its artifact left the cache: it must still
-    /// decode `text` and release cleanly, after which nothing pins the pool or
-    /// the artifact any more.
+    /// decode `text`, after which nothing pins the artifact any more.
     fn assert_unpinned_once_dropped<V>(
         vocab: &Vocabulary,
         mut session: Session,
         text: &[u8],
-        cached: xg_core::Cached<V>,
+        artifact: Weak<V>,
     ) {
-        let (pool, artifact) = (
-            Arc::downgrade(&cached.pool),
-            Arc::downgrade(&cached.artifact),
+        assert!(
+            artifact.upgrade().is_some(),
+            "the open session holds the artifact"
         );
-        drop(cached);
-        assert!(pool.upgrade().is_some(), "the open session holds the pool");
         assert!(drive_session_bytes(vocab, &mut *session, text));
         drop(session);
-        assert!(
-            pool.upgrade().is_none(),
-            "evicted pool must not stay pinned"
-        );
         assert!(
             artifact.upgrade().is_none(),
             "evicted artifact must not stay pinned"
@@ -413,9 +381,8 @@ mod tests {
 
     #[test]
     fn evicted_grammars_do_not_stay_pinned_by_pools() {
-        // A one-entry cache: compiling a second grammar evicts the first, and
-        // the first's pool (which pins the compiled grammar) goes with its
-        // slot instead of being held forever.
+        // A one-entry cache: compiling a second grammar evicts the first, which
+        // then lives only as long as the session opened on it.
         let vocab = small_vocab();
         let cache = Arc::new(GrammarCache::new(CacheBudget {
             max_bytes: usize::MAX,
@@ -428,10 +395,10 @@ mod tests {
         );
         let (g1, g2) = two_grammars();
         let session = backend.compile(&g1).unwrap().new_session();
-        let cached = backend.compiler.compile_grammar_pooled(&g1).unwrap();
+        let artifact = Arc::downgrade(&backend.compiler.compile_grammar(&g1));
         backend.compile(&g2).unwrap(); // evicts g1 from the cache
         assert!(!backend.is_cached(&g1) && backend.is_cached(&g2));
-        assert_unpinned_once_dropped(&vocab, session, b"a7", cached);
+        assert_unpinned_once_dropped(&vocab, session, b"a7", artifact);
     }
 
     #[test]
@@ -445,11 +412,11 @@ mod tests {
         );
         let (g1, g2) = two_grammars();
         let session = backend.compile(&g1).unwrap().new_session();
-        let cached = backend.compiler.compile_grammar_pooled(&g1).unwrap();
+        let artifact = Arc::downgrade(&backend.compiler.compile_grammar(&g1));
         cache.clear();
         backend.compile(&g2).unwrap();
         assert!(!backend.is_cached(&g1) && backend.is_cached(&g2));
-        assert_unpinned_once_dropped(&vocab, session, b"a7", cached);
+        assert_unpinned_once_dropped(&vocab, session, b"a7", artifact);
     }
 
     #[test]
@@ -464,23 +431,18 @@ mod tests {
             });
         let base = StructuralTag::new(vec![number_tag("a")]);
         let base_session = backend.compile_structural(&base).unwrap().new_session();
-        let base_cached = backend.compiler.compile_tag_dispatch_pooled(&base).unwrap();
+        let base_artifact = Arc::downgrade(&registry(&backend, &base));
         // Add a tag: the new registry evicts the old from the one-slot
-        // cache, and the old registry's pool goes with it even though no
-        // *grammar* was evicted.
+        // cache, and the old registry is freed with its last session even
+        // though no *grammar* was evicted.
         let (next, compiled) = backend
             .update_structural(&base, &DispatchDelta::AddTag(number_tag("b")))
             .unwrap();
         assert_eq!(next.tags.len(), 2);
         assert!(!backend.is_cached_structural(&base) && backend.is_cached_structural(&next));
-        {
-            let mut session = compiled.new_session();
-            assert!(drive_session_bytes(&vocab, &mut *session, b"x <b>7</b>"));
-        }
-        // The update's pool is the one in the new registry's slot.
-        let next_pool = registry_pool(&backend, &next);
-        assert_eq!((next_pool.created(), next_pool.idle_count()), (1, 1));
-        assert_unpinned_once_dropped(&vocab, base_session, b"y <a>1</a>", base_cached);
+        let mut session = compiled.new_session();
+        assert!(drive_session_bytes(&vocab, &mut *session, b"x <b>7</b>"));
+        assert_unpinned_once_dropped(&vocab, base_session, b"y <a>1</a>", base_artifact);
         // Removing a tag that is not present is a delta validation error
         // surfaced through the backend error type.
         assert!(matches!(

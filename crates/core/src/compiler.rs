@@ -13,9 +13,7 @@
 //! [`GrammarCache`]) and whole compiled tool registries (in its own
 //! [`TagDispatchCache`](crate::TagDispatchCache)), since serving workloads
 //! reuse a small set of schemas across many requests. Both are the same
-//! [`ArtifactCache`](crate::ArtifactCache) type; the `*_pooled` entry points
-//! hand back the cache slot's [`MatcherPool`](crate::MatcherPool) along with
-//! the artifact.
+//! [`ArtifactCache`](crate::ArtifactCache) type.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +24,7 @@ use xg_grammar::{analyze, Diagnostic, Grammar, GrammarError};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 use crate::grammar_cache::{
-    CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,
+    CacheBudget, CacheStats, GrammarCache, GrammarCacheKey, TagDispatchCache,
 };
 use crate::lint::{lint_compiled, GrammarLintReport};
 use crate::mask_cache::{EntrySource, MaskCache, MaskCacheStats, NodeMaskEntry};
@@ -353,10 +351,7 @@ impl GrammarCompiler {
 
     /// The structural-tag dispatch cache: compiled [`CompiledTagDispatch`]es
     /// keyed by their full registry description, LRU-evicted under a byte
-    /// budget. Exposes hit/miss/eviction statistics. Each slot owns the lane
-    /// matcher pool of its registry (see
-    /// [`compile_tag_dispatch_pooled`](Self::compile_tag_dispatch_pooled)),
-    /// so an eviction needs no follow-up from callers.
+    /// budget. Exposes hit/miss/eviction statistics.
     ///
     /// [`CompiledTagDispatch`]: crate::CompiledTagDispatch
     pub fn dispatch_cache(&self) -> &TagDispatchCache {
@@ -403,13 +398,9 @@ impl GrammarCompiler {
     /// same grammar (and vocabulary and configuration) was compiled before.
     /// Concurrent calls for the same uncached grammar compile it exactly
     /// once; the losers of the race block and share the winner's result.
+    /// The lookup counts towards this compiler's
+    /// [`local_cache_stats`](Self::local_cache_stats).
     pub fn compile_grammar(&self, grammar: &Grammar) -> Arc<CompiledGrammar> {
-        self.lookup_grammar(grammar).artifact
-    }
-
-    /// The cached compile shared by every grammar entry point, counting the
-    /// lookup towards this compiler's local hit/miss counters.
-    fn lookup_grammar(&self, grammar: &Grammar) -> Cached<CompiledGrammar> {
         let compile = || {
             let vocab = Arc::clone(&self.vocab);
             let sorted = Arc::clone(self.sorted_vocabulary());
@@ -420,16 +411,16 @@ impl GrammarCompiler {
                 &self.config,
             ))
         };
-        let Ok(cached): Result<_, Infallible> = self
+        let Ok((compiled, built)): Result<_, Infallible> = self
             .cache
             .get_or_try_build(&self.cache_key(grammar), compile);
-        let counter = if cached.built {
+        let counter = if built {
             &self.local_misses
         } else {
             &self.local_hits
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        cached
+        compiled
     }
 
     /// Like [`compile_grammar`](Self::compile_grammar), but enforcing the
@@ -448,25 +439,9 @@ impl GrammarCompiler {
         &self,
         grammar: &Grammar,
     ) -> Result<Arc<CompiledGrammar>, GrammarError> {
-        self.compile_grammar_pooled(grammar).map(|c| c.artifact)
-    }
-
-    /// [`compile_grammar_checked`](Self::compile_grammar_checked), handing
-    /// back the whole cache lookup: the compiled grammar together with the
-    /// [`MatcherPool`](crate::MatcherPool) living in its cache slot, which
-    /// serving backends draw per-request matchers from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GrammarError::Lint`] under the same conditions as
-    /// [`compile_grammar_checked`](Self::compile_grammar_checked).
-    pub fn compile_grammar_pooled(
-        &self,
-        grammar: &Grammar,
-    ) -> Result<Cached<CompiledGrammar>, GrammarError> {
-        let cached = self.lookup_grammar(grammar);
+        let compiled = self.compile_grammar(grammar);
         if self.config.lint_mode == LintMode::Strict {
-            if let Some(report) = cached.artifact.lint_report() {
+            if let Some(report) = compiled.lint_report() {
                 if report.has_errors() {
                     return Err(GrammarError::Lint {
                         diagnostics: report.errors().cloned().collect(),
@@ -474,7 +449,7 @@ impl GrammarCompiler {
                 }
             }
         }
-        Ok(cached)
+        Ok(compiled)
     }
 
     /// Cache counters from *this compiler's* point of view: `hits`/`misses`

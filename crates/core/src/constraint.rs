@@ -16,8 +16,7 @@
 //!
 //! The companion [`ConstraintFactory`] trait is the compiled-artifact side:
 //! a compiled grammar or compiled tag dispatch acts as a factory of fresh
-//! matchers, which lets [`MatcherPool`](crate::MatcherPool) recycle matcher
-//! allocations for any constraint kind uniformly.
+//! matchers, so a serving backend opens a lane of either kind the same way.
 
 use std::fmt;
 use std::sync::Arc;
@@ -227,14 +226,6 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
         0
     }
 
-    /// The configured upper bound on [`rollback_window`](Self::rollback_window).
-    /// Defaults to [`DEFAULT_MAX_ROLLBACK_TOKENS`](crate::DEFAULT_MAX_ROLLBACK_TOKENS);
-    /// [`MatcherPool`](crate::MatcherPool) uses it to refuse recycling
-    /// matchers configured differently from the pool.
-    fn max_rollback(&self) -> usize {
-        crate::DEFAULT_MAX_ROLLBACK_TOKENS
-    }
-
     /// The longest byte string *forced* by the constraint from the current
     /// position (always a complete UTF-8 prefix), without modifying state.
     /// Implementations with no forced-text notion return an empty vector
@@ -285,8 +276,8 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
 
     /// Resets the matcher to the start of its constraint, clearing history
     /// and statistics. A reset matcher must be indistinguishable from a
-    /// freshly constructed one ([`MatcherPool`](crate::MatcherPool) relies on
-    /// this when recycling).
+    /// freshly constructed one (a tag lane relies on this when it reopens a
+    /// segment on an inner matcher it used before).
     fn reset(&mut self);
 
     /// Drops the oldest rollback snapshots until at most `keep` remain — a
@@ -296,14 +287,6 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
     fn trim_history(&mut self, keep: usize) {
         let _ = keep;
     }
-
-    /// Identity of the compiled artifact this matcher was built from (the
-    /// [`ConstraintFactory::factory_key`] of its factory), used by
-    /// [`MatcherPool`](crate::MatcherPool) to refuse foreign matchers.
-    /// The default (`0`) marks the matcher as not pool-recyclable.
-    fn factory_key(&self) -> usize {
-        0
-    }
 }
 
 /// A compiled constraint artifact that can mint fresh matchers: the factory
@@ -311,22 +294,13 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
 /// [`CompiledGrammar`](crate::CompiledGrammar) and
 /// [`CompiledTagDispatch`](crate::CompiledTagDispatch).
 ///
-/// [`MatcherPool`](crate::MatcherPool) is built on this trait, which is what
-/// lets one pool type recycle grammar matchers, tag-dispatch matchers, and
-/// the per-segment inner matchers tag dispatch opens;
 /// [`ArtifactCache`](crate::ArtifactCache) is generic over it, so one cache
-/// type holds either artifact together with its pool.
+/// type holds either artifact.
 pub trait ConstraintFactory: Send + Sync + fmt::Debug {
     /// Creates a matcher positioned at the start of the constraint with the
-    /// given rollback window.
-    fn new_matcher(self: Arc<Self>, max_rollback: usize) -> Box<dyn ConstraintMatcher>;
-
-    /// Stable identity of this compiled artifact while it is alive (its
-    /// allocation address). Matchers report the same value via
-    /// [`ConstraintMatcher::factory_key`] so pools can verify provenance.
-    fn factory_key(&self) -> usize {
-        self as *const Self as *const () as usize
-    }
+    /// default rollback window
+    /// ([`DEFAULT_MAX_ROLLBACK_TOKENS`](crate::DEFAULT_MAX_ROLLBACK_TOKENS)).
+    fn new_matcher(self: Arc<Self>) -> Box<dyn ConstraintMatcher>;
 
     /// The vocabulary matchers of this factory produce masks for.
     fn vocabulary(&self) -> &Arc<Vocabulary>;
@@ -364,11 +338,12 @@ mod tests {
 
         // One code path serves both constraint kinds.
         let mut lanes: Vec<(Box<dyn ConstraintMatcher>, &[u8])> = vec![
-            (grammar.new_matcher(8), b"[42]"),
-            (dispatch.new_matcher(8), b"see <n>42</n> ok"),
+            (grammar.new_matcher(), b"[42]"),
+            (dispatch.new_matcher(), b"see <n>42</n> ok"),
         ];
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
         for (lane, text) in &mut lanes {
+            assert_eq!(lane.vocabulary().len(), vocab.len());
             lane.fill_next_token_bitmask(&mut mask);
             assert!(mask.count_allowed() > 0);
             let fresh = mask.clone();
@@ -376,25 +351,11 @@ mod tests {
             assert!(lane.can_terminate());
             assert_eq!(lane.rollback_window(), 1);
             lane.rollback(1).unwrap();
-            assert_eq!(lane.max_rollback(), 8);
-            assert_ne!(lane.factory_key(), 0);
             lane.reset();
             assert_eq!(lane.rollback_window(), 0);
             assert!(!lane.is_terminated());
             lane.fill_next_token_bitmask(&mut mask);
             assert_eq!(mask, fresh, "a reset lane masks like a fresh one");
         }
-    }
-
-    #[test]
-    fn factory_keys_identify_the_compiled_artifact() {
-        let vocab = Arc::new(test_vocabulary(600));
-        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
-        let a = compiler.compile_ebnf(r#"root ::= "a""#, "root").unwrap();
-        let b = compiler.compile_ebnf(r#"root ::= "b""#, "root").unwrap();
-        assert_ne!(a.factory_key(), b.factory_key());
-        let matcher = Arc::clone(&a).new_matcher(crate::DEFAULT_MAX_ROLLBACK_TOKENS);
-        assert_eq!(matcher.factory_key(), a.factory_key());
-        assert_eq!(matcher.vocabulary().len(), vocab.len());
     }
 }

@@ -1,5 +1,5 @@
 //! The compiled-artifact cache of a long-lived serving engine: one budgeted
-//! LRU whose slots own their matcher pools.
+//! LRU of shared compiled artifacts.
 //!
 //! The paper's serving story (§5, "Grammar Compiler") assumes each grammar is
 //! compiled once and then shared by many concurrent requests; whole tool
@@ -24,13 +24,7 @@
 //!   because an artifact grows after insertion as requests build its mask
 //!   entries; least-recently-used entries are evicted when the budget is
 //!   exceeded. Evicted artifacts stay alive for requests already holding
-//!   their `Arc`,
-//! * **a [`MatcherPool`] per slot** — created with the artifact, handed out by
-//!   the same locked lookup ([`Cached::pool`]) and dropped with the slot, so
-//!   the lanes of successive batches recycle matchers and an evicted
-//!   artifact's pool needs no pruning: its lifetime *is* the entry's. The
-//!   pool sits beside the artifact in the slot, not inside it, so there is no
-//!   `Arc` cycle,
+//!   their `Arc`, and are freed when the last of them drops it,
 //! * **hit/miss/eviction statistics** ([`CacheStats`]) for serving
 //!   dashboards and the `cache_serving` / `dynamic_registry` experiments.
 //!
@@ -51,10 +45,10 @@
 //!     let (vocab, sorted) = (Arc::clone(&vocab), Arc::clone(&sorted));
 //!     Ok::<_, ()>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
 //! };
-//! let a = cache.get_or_try_build(&key, compile).unwrap();
-//! let b = cache.get_or_try_build(&key, compile).unwrap();
-//! assert!(Arc::ptr_eq(&a.artifact, &b.artifact) && Arc::ptr_eq(&a.pool, &b.pool));
-//! assert_eq!((a.built, b.built), (true, false));
+//! let (a, a_built) = cache.get_or_try_build(&key, compile).unwrap();
+//! let (b, b_built) = cache.get_or_try_build(&key, compile).unwrap();
+//! assert!(Arc::ptr_eq(&a, &b));
+//! assert_eq!((a_built, b_built), (true, false));
 //! assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
 //! ```
 
@@ -67,7 +61,6 @@ use xg_grammar::{Grammar, StructuralTag};
 
 use crate::compiler::{CompiledGrammar, CompilerConfig};
 use crate::constraint::ConstraintFactory;
-use crate::matcher_pool::MatcherPool;
 use crate::tag_dispatch::CompiledTagDispatch;
 
 /// Budget of an [`ArtifactCache`].
@@ -183,27 +176,10 @@ impl CacheStats {
     }
 }
 
-/// What one [`ArtifactCache::get_or_try_build`] lookup hands back.
-#[derive(Debug)]
-pub struct Cached<V> {
-    /// The shared compiled artifact.
-    pub artifact: Arc<V>,
-    /// The lane matcher pool living in the artifact's cache slot (default idle
-    /// cap and rollback window). Every lookup of a live entry returns the
-    /// same pool; holders keep it (and through it the artifact) alive past an
-    /// eviction.
-    pub pool: Arc<MatcherPool>,
-    /// Whether *this* call ran the build (`true`) or was served by the cache
-    /// / an in-flight build (`false`). Callers sharing one cache use this to
-    /// keep per-caller hit/miss counters — the cache-wide counters in
-    /// [`ArtifactCache::stats`] aggregate over every sharer.
-    pub built: bool,
-}
-
 /// The `OnceLock` shared with every thread waiting on the same key, giving
 /// build-once semantics without holding the map lock during the build. It is
 /// set to `None` when the build failed (its slot is already gone by then).
-type SlotCell<V> = Arc<OnceLock<Option<(Arc<V>, Arc<MatcherPool>)>>>;
+type SlotCell<V> = Arc<OnceLock<Option<Arc<V>>>>;
 
 /// One cache slot.
 struct Slot<V> {
@@ -219,9 +195,8 @@ struct CacheState<K, V> {
     total_bytes: usize,
 }
 
-/// A thread-safe LRU cache of compiled artifacts with a byte budget,
-/// build-once semantics and one [`MatcherPool`] per entry. See the
-/// `grammar_cache` module docs for the design.
+/// A thread-safe LRU cache of compiled artifacts with a byte budget and
+/// build-once semantics. See the `grammar_cache` module docs for the design.
 pub struct ArtifactCache<K, V> {
     budget: CacheBudget,
     state: Mutex<CacheState<K, V>>,
@@ -285,8 +260,8 @@ impl<K, V> ArtifactCache<K, V> {
         self.len() == 0
     }
 
-    /// Drops every cached artifact and its pool (requests already holding an
-    /// `Arc` keep theirs). Every removed entry counts as an eviction; the
+    /// Drops every cached artifact (requests already holding an `Arc` keep
+    /// theirs). Every removed entry counts as an eviction; the
     /// hit/miss counters are not reset.
     pub fn clear(&self) {
         let mut state = self.lock();
@@ -301,7 +276,7 @@ impl<K, V> ArtifactCache<K, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
+impl<K: Eq + Hash + Clone, V: ConstraintFactory> ArtifactCache<K, V> {
     /// Returns `true` if `key` is currently cached (or building). Does not
     /// count as an access for LRU or hit/miss purposes — admission control
     /// uses this to classify cache-hit admissions.
@@ -309,12 +284,15 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
         self.lock().slots.contains_key(key)
     }
 
-    /// Looks up `key`, running `build` on a miss; returns the artifact, the
-    /// slot's matcher pool and whether this call built. When several threads
-    /// race on the same uncached key, exactly one `build` closure runs; the
-    /// rest block until it finishes and receive the identical `Arc`s. The
-    /// map lock is *not* held while building, so requests for other keys
-    /// proceed concurrently. The key is cloned only when a slot is inserted.
+    /// Looks up `key`, running `build` on a miss; returns the artifact and
+    /// whether *this* call ran the build (`false` when the cache or an
+    /// in-flight build served it — callers sharing one cache keep per-caller
+    /// hit/miss counters from it, since [`stats`](Self::stats) aggregates
+    /// over every sharer). When several threads race on the same uncached
+    /// key, exactly one `build` closure runs; the rest block until it
+    /// finishes and receive the identical `Arc`. The map lock is *not* held
+    /// while building, so requests for other keys proceed concurrently. The
+    /// key is cloned only when a slot is inserted.
     ///
     /// # Errors
     ///
@@ -325,7 +303,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
         &self,
         key: &K,
         build: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Cached<V>, E> {
+    ) -> Result<(Arc<V>, bool), E> {
         let mut build = Some(build);
         loop {
             // Phase 1 (under the lock): find or create the slot for this key.
@@ -370,9 +348,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                     Ok(artifact) => {
                         std::mem::forget(in_flight);
                         built = true;
-                        let artifact = Arc::new(artifact);
-                        let factory = Arc::clone(&artifact) as Arc<dyn ConstraintFactory>;
-                        Some((artifact, Arc::new(MatcherPool::new(factory))))
+                        Some(Arc::new(artifact))
                     }
                     Err(e) => {
                         failure = Some(e);
@@ -380,7 +356,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
                     }
                 }
             });
-            let Some((artifact, pool)) = entry else {
+            let Some(artifact) = entry else {
                 match failure {
                     Some(e) => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -398,11 +374,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory + 'static> ArtifactCache<K, V> {
             } else {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
-            return Ok(Cached {
-                artifact: Arc::clone(artifact),
-                pool: Arc::clone(pool),
-                built,
-            });
+            return Ok((Arc::clone(artifact), built));
         }
     }
 
@@ -440,7 +412,7 @@ impl<V: ConstraintFactory> Slot<V> {
     /// The artifact's current size; 0 while its build is in flight.
     fn bytes(&self) -> usize {
         match self.cell.get() {
-            Some(Some((artifact, _))) => artifact.memory_bytes(),
+            Some(Some(artifact)) => artifact.memory_bytes(),
             _ => 0,
         }
     }
@@ -493,13 +465,13 @@ mod tests {
         }
     }
 
-    /// The full lookup result (artifact, pool, built) for `g`.
+    /// The full lookup result (artifact, built) for `g`.
     fn entry(
         cache: &GrammarCache,
         g: &Grammar,
         vocab: &Arc<Vocabulary>,
         cfg: &CompilerConfig,
-    ) -> Cached<CompiledGrammar> {
+    ) -> (Arc<CompiledGrammar>, bool) {
         let key = GrammarCacheKey::new(g, vocab.fingerprint(), cfg);
         let build = || Ok::<_, Infallible>(compile(g, vocab, cfg));
         cache.get_or_try_build(&key, build).unwrap()
@@ -511,10 +483,14 @@ mod tests {
         vocab: &Arc<Vocabulary>,
         cfg: &CompilerConfig,
     ) -> Arc<CompiledGrammar> {
-        entry(cache, g, vocab, cfg).artifact
+        entry(cache, g, vocab, cfg).0
     }
 
-    fn lookup(cache: &GrammarCache, vocab: &Arc<Vocabulary>, src: &str) -> Cached<CompiledGrammar> {
+    fn lookup(
+        cache: &GrammarCache,
+        vocab: &Arc<Vocabulary>,
+        src: &str,
+    ) -> (Arc<CompiledGrammar>, bool) {
         entry(cache, &grammar(src), vocab, &CompilerConfig::default())
     }
 
@@ -651,10 +627,10 @@ mod tests {
             max_bytes: unbuilt,
             max_entries: usize::MAX,
         });
-        let first = lookup(&cache, &vocab, sources[0]).artifact;
-        let second = lookup(&cache, &vocab, sources[1]).artifact;
+        let first = lookup(&cache, &vocab, sources[0]).0;
+        let second = lookup(&cache, &vocab, sources[1]).0;
         decode(&first, b"[ab,12]");
-        let third = lookup(&cache, &vocab, sources[2]).artifact;
+        let third = lookup(&cache, &vocab, sources[2]).0;
         assert_eq!(cache.stats().evictions, 1);
         let key = |src| GrammarCacheKey::new(&grammar(src), vocab.fingerprint(), &cfg);
         assert!(
@@ -665,9 +641,9 @@ mod tests {
 
         // Unbounded, the grown grammar stays and is charged in full.
         let cache = GrammarCache::new(CacheBudget::unbounded());
-        let first = lookup(&cache, &vocab, sources[0]).artifact;
+        let first = lookup(&cache, &vocab, sources[0]).0;
         decode(&first, b"[ab,12]");
-        let second = lookup(&cache, &vocab, sources[1]).artifact;
+        let second = lookup(&cache, &vocab, sources[1]).0;
         charged(&cache, &[&first, &second]);
     }
 
@@ -689,7 +665,7 @@ mod tests {
         lookup(&cache, &vocab, a);
         lookup(&cache, &vocab, b);
         // Touch `a` so `b` is the LRU victim.
-        assert!(!lookup(&cache, &vocab, a).built);
+        assert!(!lookup(&cache, &vocab, a).1);
         lookup(&cache, &vocab, c);
         assert!(cache.contains(&key(a)));
         assert!(!cache.contains(&key(b)), "LRU entry must be evicted");
@@ -742,47 +718,39 @@ mod tests {
             .collect();
         let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(compiles.load(Ordering::SeqCst), 1);
-        // First builder wins: every caller shares one artifact and one pool,
-        // and exactly one of them reports having built.
-        for r in &results[1..] {
-            assert!(Arc::ptr_eq(&results[0].artifact, &r.artifact));
-            assert!(Arc::ptr_eq(&results[0].pool, &r.pool));
+        // First builder wins: every caller shares one artifact, and exactly
+        // one of them reports having built.
+        for (artifact, _) in &results[1..] {
+            assert!(Arc::ptr_eq(&results[0].0, artifact));
         }
-        assert_eq!(results.iter().filter(|r| r.built).count(), 1);
+        assert_eq!(results.iter().filter(|(_, built)| *built).count(), 1);
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, threads as u64 - 1);
     }
 
     #[test]
-    fn a_slot_owns_its_matcher_pool() {
+    fn an_evicted_artifact_is_freed_with_its_last_holder() {
+        use crate::GrammarMatcher;
+
         let vocab = Arc::new(test_vocabulary(600));
         let cache = GrammarCache::new(one_entry());
         let src = r#"root ::= "[" [0-9]+ "]""#;
-        let first = lookup(&cache, &vocab, src);
-        let again = lookup(&cache, &vocab, src);
-        assert_eq!((first.built, again.built), (true, false));
-        assert!(Arc::ptr_eq(&first.pool, &again.pool));
-        // The pool serves the slot's artifact with the default windows.
-        assert_eq!(first.pool.factory_key(), first.artifact.factory_key());
-        assert_eq!(
-            first.pool.max_rollback(),
-            crate::DEFAULT_MAX_ROLLBACK_TOKENS
-        );
-        let matcher = first.pool.acquire();
-        let (pool, artifact) = (Arc::downgrade(&first.pool), Arc::downgrade(&first.artifact));
+        let (first, built) = lookup(&cache, &vocab, src);
+        let (again, rebuilt) = lookup(&cache, &vocab, src);
+        assert_eq!((built, rebuilt), (true, false));
+        assert!(Arc::ptr_eq(&first, &again));
+        let matcher = GrammarMatcher::new(Arc::clone(&first));
+        let artifact = Arc::downgrade(&first);
         drop((first, again));
-        // Evicting the slot drops the cache's hold on both; a matcher still
-        // out keeps its artifact (not the pool) alive until it is dropped.
+        // Evicting the slot drops the cache's hold; a matcher still out keeps
+        // its artifact alive until it is dropped.
         lookup(&cache, &vocab, r#"root ::= "x""#);
-        assert!(pool.upgrade().is_none());
         assert!(artifact.upgrade().is_some());
         drop(matcher);
         assert!(artifact.upgrade().is_none());
-        // A re-request gets a fresh slot with a fresh pool.
-        let fresh = lookup(&cache, &vocab, src);
-        assert!(fresh.built);
-        assert_eq!(fresh.pool.created(), 0);
+        // A re-request builds a fresh slot.
+        assert!(lookup(&cache, &vocab, src).1);
     }
 
     /// After a build that did not complete, the key must look never-requested.
@@ -845,11 +813,11 @@ mod tests {
             building.wait();
             // Joins the in-flight build, wakes to its failure, rebuilds.
             let build = || Ok::<_, &str>(compile(&g, &vocab, &cfg));
-            let waiter = cache.get_or_try_build(&key, build).unwrap();
-            assert!(waiter.built);
+            let (waiter, built) = cache.get_or_try_build(&key, build).unwrap();
+            assert!(built);
             assert!(failing.join().unwrap().is_err());
             let again = get_or_compile(&cache, &g, &vocab, &cfg);
-            assert!(Arc::ptr_eq(&waiter.artifact, &again));
+            assert!(Arc::ptr_eq(&waiter, &again));
         });
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().misses, 2);

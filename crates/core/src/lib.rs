@@ -23,8 +23,7 @@
 //!   enforced by the compiler's [`LintMode`],
 //! * the **serving concurrency layer** (§5): one budgeted LRU cache type with
 //!   build-once semantics under contention ([`ArtifactCache`], instantiated
-//!   as [`GrammarCache`] and [`TagDispatchCache`]) whose every slot owns the
-//!   pool of reusable per-request matchers of its artifact ([`MatcherPool`]),
+//!   as [`GrammarCache`] and [`TagDispatchCache`]),
 //! * the **[`ConstraintMatcher`] trait**: one runtime interface for every
 //!   constrained lane kind (with [`ConstraintFactory`] as the compiled
 //!   artifact side), so engines drive boxed trait objects instead of
@@ -69,7 +68,6 @@ mod lint;
 mod mask;
 mod mask_cache;
 mod matcher;
-mod matcher_pool;
 mod persistent_stack;
 mod tag_dispatch;
 mod tag_matcher;
@@ -78,7 +76,7 @@ pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler, LintMode};
 pub use constraint::{ConstraintFactory, ConstraintMatcher, ForcedTokenRun};
 pub use error::{AcceptError, RollbackError};
 pub use grammar_cache::{
-    ArtifactCache, CacheBudget, CacheStats, Cached, GrammarCache, GrammarCacheKey, TagDispatchCache,
+    ArtifactCache, CacheBudget, CacheStats, GrammarCache, GrammarCacheKey, TagDispatchCache,
 };
 pub use lint::GrammarLintReport;
 pub use mask::TokenBitmask;
@@ -86,7 +84,6 @@ pub use mask_cache::{
     build_mask_cache, MaskCache, MaskCacheBuildOptions, MaskCacheStats, NodeMaskEntry,
 };
 pub use matcher::{GrammarMatcher, MatcherStats, DEFAULT_MAX_ROLLBACK_TOKENS};
-pub use matcher_pool::MatcherPool;
 pub use persistent_stack::{PersistentStackTree, StackHandle};
 pub use tag_dispatch::{CompiledTagDispatch, CompiledTrigger};
 pub use tag_matcher::{DispatchMode, StructuralTagMatcher, TagDispatchStats};

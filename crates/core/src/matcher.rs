@@ -84,7 +84,8 @@ pub struct GrammarMatcher {
     max_rollback: usize,
     terminated: bool,
     stats: MatcherStats,
-    /// Boxed: matchers are moved by value (pools, enums over matcher kinds).
+    /// Boxed: matchers are moved by value (tag-lane spares, enums over
+    /// matcher kinds).
     work: Box<Working>,
 }
 
@@ -463,10 +464,6 @@ impl ConstraintMatcher for GrammarMatcher {
         self.history_lens.len()
     }
 
-    fn max_rollback(&self) -> usize {
-        self.max_rollback
-    }
-
     /// Finds the longest string that is *forced* by the grammar from the
     /// current position: while exactly one next byte is possible (and the
     /// grammar cannot terminate instead), that byte is appended. The matcher
@@ -535,8 +532,7 @@ impl ConstraintMatcher for GrammarMatcher {
 
     /// Resets the matcher to the start of the grammar, clearing all history
     /// and statistics (a recycled matcher is indistinguishable from a fresh
-    /// one, which [`MatcherPool`](crate::MatcherPool) relies on) but keeping
-    /// every buffer's capacity.
+    /// one) but keeping every buffer's capacity.
     fn reset(&mut self) {
         self.tree.clear();
         let start = self
@@ -555,15 +551,11 @@ impl ConstraintMatcher for GrammarMatcher {
             self.drop_oldest_snapshot();
         }
     }
-
-    fn factory_key(&self) -> usize {
-        ConstraintFactory::factory_key(&*self.compiled)
-    }
 }
 
 impl ConstraintFactory for CompiledGrammar {
-    fn new_matcher(self: Arc<Self>, max_rollback: usize) -> Box<dyn ConstraintMatcher> {
-        Box::new(GrammarMatcher::with_max_rollback(self, max_rollback))
+    fn new_matcher(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
+        Box::new(GrammarMatcher::new(self))
     }
 
     fn vocabulary(&self) -> &Arc<xg_tokenizer::Vocabulary> {

@@ -13,11 +13,8 @@
 //! Compilation lives on [`GrammarCompiler::compile_tag_dispatch`]: every
 //! per-trigger combined grammar goes through the ordinary compile path, so
 //! repeated tool schemas hit the shared [`GrammarCache`](crate::GrammarCache)
-//! like any other grammar, and each trigger carries a
-//! [`MatcherPool`] recycling the inner matchers its segments open. The
-//! compiled registry as a whole lives in the compiler's
-//! [`TagDispatchCache`](crate::TagDispatchCache), whose slot also owns the
-//! pool of *outer* (per-lane) matchers.
+//! like any other grammar. The compiled registry as a whole lives in the
+//! compiler's [`TagDispatchCache`](crate::TagDispatchCache).
 
 use std::sync::Arc;
 
@@ -27,18 +24,14 @@ use xg_tokenizer::Vocabulary;
 
 use crate::compiler::{CompiledGrammar, GrammarCompiler};
 use crate::constraint::{ConstraintFactory, ConstraintMatcher};
-use crate::grammar_cache::Cached;
-use crate::matcher_pool::MatcherPool;
 use crate::tag_matcher::StructuralTagMatcher;
 
-/// One compiled trigger: the byte string scanned for in free text, the
-/// combined grammar that takes over once it fires, and the pool recycling the
-/// per-segment matchers running that grammar.
+/// One compiled trigger: the byte string scanned for in free text and the
+/// combined grammar that takes over once it fires.
 #[derive(Debug)]
 pub struct CompiledTrigger {
     trigger: Vec<u8>,
     grammar: Arc<CompiledGrammar>,
-    pool: Arc<MatcherPool>,
 }
 
 impl CompiledTrigger {
@@ -54,21 +47,15 @@ impl CompiledTrigger {
     pub fn grammar(&self) -> &Arc<CompiledGrammar> {
         &self.grammar
     }
-
-    /// The pool recycling this trigger's per-segment inner matchers.
-    pub fn matcher_pool(&self) -> &Arc<MatcherPool> {
-        &self.pool
-    }
 }
 
 /// A [`StructuralTag`] compiled against a vocabulary: the trigger strings,
-/// their combined grammars and matcher pools, and the Aho–Corasick scanner
-/// over all triggers, ready to instantiate [`StructuralTagMatcher`]s.
+/// their combined grammars, and the Aho–Corasick scanner over all triggers,
+/// ready to instantiate [`StructuralTagMatcher`]s.
 ///
 /// Per-trigger state is `Arc`-shared so an incrementally updated dispatch
 /// (see [`GrammarCompiler::update_tag_dispatch`]) reuses the untouched
-/// triggers of its base — including their warm [`MatcherPool`]s — instead of
-/// recompiling and re-pooling the whole registry.
+/// triggers of its base instead of recompiling the whole registry.
 #[derive(Debug)]
 pub struct CompiledTagDispatch {
     triggers: Vec<Arc<CompiledTrigger>>,
@@ -125,8 +112,8 @@ impl CompiledTagDispatch {
 }
 
 impl ConstraintFactory for CompiledTagDispatch {
-    fn new_matcher(self: Arc<Self>, max_rollback: usize) -> Box<dyn ConstraintMatcher> {
-        Box::new(StructuralTagMatcher::with_max_rollback(self, max_rollback))
+    fn new_matcher(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
+        Box::new(StructuralTagMatcher::new(self))
     }
 
     fn vocabulary(&self) -> &Arc<Vocabulary> {
@@ -137,10 +124,6 @@ impl ConstraintFactory for CompiledTagDispatch {
         CompiledTagDispatch::memory_bytes(self)
     }
 }
-
-/// Idle cap of the per-trigger inner matcher pools: a serving process rarely
-/// has more concurrently *open* segments per trigger than lanes in a batch.
-const INNER_POOL_MAX_IDLE: usize = 64;
 
 impl GrammarCompiler {
     /// Compiles a [`StructuralTag`] description: every trigger's combined
@@ -165,20 +148,6 @@ impl GrammarCompiler {
         &self,
         tag: &StructuralTag,
     ) -> Result<Arc<CompiledTagDispatch>, GrammarError> {
-        self.compile_tag_dispatch_pooled(tag).map(|c| c.artifact)
-    }
-
-    /// [`compile_tag_dispatch`](Self::compile_tag_dispatch), handing back the
-    /// whole cache lookup: the compiled registry together with the lane
-    /// [`MatcherPool`] living in its cache slot.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`compile_tag_dispatch`](Self::compile_tag_dispatch).
-    pub fn compile_tag_dispatch_pooled(
-        &self,
-        tag: &StructuralTag,
-    ) -> Result<Cached<CompiledTagDispatch>, GrammarError> {
         let build = || {
             let triggers = tag.effective_triggers();
             let assignments = tag.trigger_assignments()?;
@@ -188,18 +157,19 @@ impl GrammarCompiler {
             }
             Ok(self.assemble_dispatch(tag, compiled_triggers))
         };
-        self.dispatch_cache().get_or_try_build(tag, build)
+        let cached = self.dispatch_cache().get_or_try_build(tag, build);
+        cached.map(|(dispatch, _)| dispatch)
     }
 
     /// Incrementally recompiles a registry mutation: applies `delta` to
     /// `base`'s source description, recompiles *only* the triggers whose
     /// dispatched tag set actually changed (for [`DispatchDelta::AddTag`]
     /// with per-tag triggers, exactly one), reuses every untouched
-    /// [`CompiledTrigger`] of `base` — compiled segment grammar and warm
-    /// [`MatcherPool`] included — and rebuilds the Aho–Corasick scanner over
-    /// the new trigger set. The result is cached like a full compile, so a
-    /// later [`compile_tag_dispatch`](Self::compile_tag_dispatch) of the
-    /// mutated registry (e.g. at request admission) is a cache hit.
+    /// [`CompiledTrigger`] of `base` — compiled segment grammar included — and
+    /// rebuilds the Aho–Corasick scanner over the new trigger set. The result
+    /// is cached like a full compile, so a later
+    /// [`compile_tag_dispatch`](Self::compile_tag_dispatch) of the mutated
+    /// registry (e.g. at request admission) is a cache hit.
     ///
     /// The strict-mode dead-trigger lint runs on exactly the recompiled
     /// triggers: an added tag whose segment grammar cannot terminate is
@@ -221,27 +191,11 @@ impl GrammarCompiler {
         base: &Arc<CompiledTagDispatch>,
         delta: &DispatchDelta,
     ) -> Result<Arc<CompiledTagDispatch>, GrammarError> {
-        self.update_tag_dispatch_pooled(base, delta)
-            .map(|c| c.artifact)
-    }
-
-    /// [`update_tag_dispatch`](Self::update_tag_dispatch), handing back the
-    /// whole cache lookup (see
-    /// [`compile_tag_dispatch_pooled`](Self::compile_tag_dispatch_pooled)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`update_tag_dispatch`](Self::update_tag_dispatch).
-    pub fn update_tag_dispatch_pooled(
-        &self,
-        base: &Arc<CompiledTagDispatch>,
-        delta: &DispatchDelta,
-    ) -> Result<Cached<CompiledTagDispatch>, GrammarError> {
         let next = base.source_tag().apply_delta(delta)?;
         if base.vocab_fingerprint != self.vocab_fingerprint {
             // A foreign base pins grammars compiled against another
             // vocabulary; reusing them would produce wrong masks.
-            return self.compile_tag_dispatch_pooled(&next);
+            return self.compile_tag_dispatch(&next);
         }
         let build = || {
             let old_tag = base.source_tag();
@@ -272,12 +226,13 @@ impl GrammarCompiler {
             }
             Ok(self.assemble_dispatch(&next, compiled_triggers))
         };
-        self.dispatch_cache().get_or_try_build(&next, build)
+        let cached = self.dispatch_cache().get_or_try_build(&next, build);
+        cached.map(|(dispatch, _)| dispatch)
     }
 
     /// Compiles one trigger's segment: combined grammar construction, the
-    /// strict-mode dead-trigger lint, the free-text tail, the cached
-    /// grammar compile, and a fresh inner matcher pool. Shared by the full
+    /// strict-mode dead-trigger lint, the free-text tail and the cached
+    /// grammar compile. Shared by the full
     /// and incremental compile paths, so the delta path lints and compiles
     /// exactly like a full compile would for the triggers it touches.
     fn compile_trigger_segment(
@@ -312,20 +267,9 @@ impl GrammarCompiler {
         // matcher closes the segment at the first point its grammar can end,
         // before the tail is ever entered across a token boundary.
         let segment_grammar = xg_grammar::append_free_text_tail(&grammar);
-        let compiled = self.compile_grammar(&segment_grammar);
-        let pool = Arc::new(MatcherPool::with_rollback_window(
-            Arc::clone(&compiled) as Arc<dyn ConstraintFactory>,
-            INNER_POOL_MAX_IDLE,
-            // Inner matchers keep one rollback unit per byte. The window
-            // is nominally unbounded so the matcher never self-trims;
-            // `prune_unreachable_segments` trims it to exactly the units
-            // the outer rollback window can still reach.
-            usize::MAX,
-        ));
         Ok(Arc::new(CompiledTrigger {
             trigger: trigger.as_bytes().to_vec(),
-            grammar: compiled,
-            pool,
+            grammar: self.compile_grammar(&segment_grammar),
         }))
     }
 
@@ -662,19 +606,59 @@ mod tests {
             matcher.retained_segment_slots()
         );
         assert!(matcher.stats().slots_dropped >= 96);
-        // The inner matchers were recycled through the trigger's pool rather
-        // than constructed fresh per call.
-        let pool = compiled.triggers()[0].matcher_pool();
-        assert!(
-            pool.created() < 10,
-            "inner matchers must recycle, created {}",
-            pool.created()
-        );
-        assert!(pool.reused() >= 90);
+        // The lane reopened its own released inner matchers rather than
+        // building one per call.
+        let built = matcher.stats().inner_matchers_built;
+        assert!(built < 10, "inner matchers must be reused, built {built}");
         // Rollback within the window still works after dropping slots.
         matcher.rollback(4).unwrap();
         matcher.accept_bytes(b"<n>7</n>").unwrap();
         assert!(matcher.can_terminate());
+    }
+
+    /// A lane's spare inner matchers are matched to their own trigger: with
+    /// calls alternating between two triggers, a replay after `reset()`
+    /// builds no inner matcher and masks exactly like a fresh lane.
+    #[test]
+    fn a_tag_lane_reuses_its_own_inner_matchers_across_interleaved_triggers() {
+        let spec = |name: &str, body: &str| TagSpec {
+            begin: format!("<{name}>"),
+            content: TagContent::Ebnf {
+                text: format!("root ::= {body}"),
+                root: "root".into(),
+            },
+            end: format!("</{name}>"),
+        };
+        let tag = StructuralTag::new(vec![spec("n", "[0-9]+"), spec("w", "[a-z]+")]);
+        let vocab = Arc::new(test_vocabulary(800));
+        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+        let compiled = compiler.compile_tag_dispatch(&tag).unwrap();
+        let transcript = b"x <n>12</n> y <w>ab</w> ".repeat(4);
+        let tokens: Vec<TokenId> = transcript
+            .iter()
+            .map(|&b| token_for(&vocab, &[b]))
+            .collect();
+
+        let mut lane = StructuralTagMatcher::with_max_rollback(Arc::clone(&compiled), 4);
+        for &token in &tokens {
+            lane.accept_token(token).unwrap();
+        }
+        assert_eq!(lane.stats().tags_opened, 8);
+        assert_eq!(lane.stats().inner_matchers_built, 2, "one per trigger");
+        lane.reset();
+
+        let mut fresh = StructuralTagMatcher::with_max_rollback(compiled, 4);
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        let mut expected = TokenBitmask::new_all_rejected(vocab.len());
+        for &token in &tokens {
+            lane.fill_next_token_bitmask(&mut mask);
+            fresh.fill_next_token_bitmask(&mut expected);
+            assert_eq!(mask, expected);
+            lane.accept_token(token).unwrap();
+            fresh.accept_token(token).unwrap();
+        }
+        assert_eq!(lane.stats().tags_opened, 8);
+        assert_eq!(lane.stats().inner_matchers_built, 0);
     }
 
     #[test]

@@ -31,11 +31,11 @@ use std::sync::Arc;
 use xg_automata::AcState;
 use xg_tokenizer::{TokenId, Vocabulary};
 
-use crate::constraint::{ConstraintFactory, ConstraintMatcher};
+use crate::constraint::ConstraintMatcher;
 use crate::error::{AcceptError, RollbackError};
 use crate::mask::TokenBitmask;
+use crate::matcher::{GrammarMatcher, DEFAULT_MAX_ROLLBACK_TOKENS};
 use crate::tag_dispatch::CompiledTagDispatch;
-use crate::DEFAULT_MAX_ROLLBACK_TOKENS;
 
 /// Runtime statistics of a [`StructuralTagMatcher`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,6 +51,9 @@ pub struct TagDispatchStats {
     /// Segment slots dropped entirely because they fell behind the rollback
     /// window (the remaining slots are all the per-token prune pass scans).
     pub slots_dropped: u64,
+    /// Inner segment matchers built. A segment otherwise reopens a spare of
+    /// its trigger that an earlier, released segment of this lane left.
+    pub inner_matchers_built: u64,
 }
 
 /// The matcher's current high-level mode.
@@ -74,12 +77,12 @@ enum ModeState {
     Tagged { seg: usize },
 }
 
-/// A tagged segment's runtime state. The matcher is returned to its trigger's
-/// pool (`None`) once no rollback snapshot can reach the segment any more.
+/// A tagged segment's runtime state. The matcher moves to the lane's spares
+/// (`None`) once no rollback snapshot can reach the segment any more.
 #[derive(Debug)]
 struct TagSegment {
     trigger: usize,
-    matcher: Option<Box<dyn ConstraintMatcher>>,
+    matcher: Option<GrammarMatcher>,
     /// Inner rollback units accepted so far (one per byte fed).
     units: usize,
 }
@@ -137,6 +140,11 @@ pub struct StructuralTagMatcher {
     max_rollback: usize,
     terminated: bool,
     stats: TagDispatchStats,
+    /// Inner matchers of released segments, by trigger index, for the next
+    /// segment of the same trigger to reset and reuse. It holds, per trigger,
+    /// at most as many as the rollback window ever kept open at once, so it
+    /// needs no cap.
+    spares: Vec<(usize, GrammarMatcher)>,
 }
 
 impl StructuralTagMatcher {
@@ -158,6 +166,7 @@ impl StructuralTagMatcher {
             max_rollback,
             terminated: false,
             stats: TagDispatchStats::default(),
+            spares: Vec::new(),
         }
     }
 
@@ -192,10 +201,10 @@ impl StructuralTagMatcher {
     }
 
     /// The inner matcher of the open segment `abs`.
-    fn open_matcher(&mut self, abs: usize) -> &mut dyn ConstraintMatcher {
+    fn open_matcher(&mut self, abs: usize) -> &mut GrammarMatcher {
         self.segments[abs - self.segments_base]
             .matcher
-            .as_deref_mut()
+            .as_mut()
             .expect("the current segment is never pruned")
     }
 
@@ -217,8 +226,8 @@ impl StructuralTagMatcher {
     }
 
     fn restore(&mut self, snapshot: &Snapshot) {
-        // Drop segments opened after the snapshot, returning their inner
-        // matchers to the pools. When `segments_base` has already advanced
+        // Drop segments opened after the snapshot, keeping their inner
+        // matchers as spares. When `segments_base` has already advanced
         // past the snapshot's total (the excess slots fell behind the
         // rollback window and were dropped from the front), this saturates to
         // clearing whatever is left.
@@ -252,7 +261,7 @@ impl StructuralTagMatcher {
             }
             Err(matched_bytes) => {
                 self.restore(&base);
-                self.stats = stats;
+                self.restore_stats(stats);
                 Err(matched_bytes)
             }
         }
@@ -305,7 +314,7 @@ impl StructuralTagMatcher {
                             };
                             suppressed.push(pos);
                             self.restore(base);
-                            self.stats = base_stats;
+                            self.restore_stats(base_stats);
                             continue 'attempt;
                         }
                         segment.units += 1;
@@ -319,15 +328,39 @@ impl StructuralTagMatcher {
         }
     }
 
-    /// Opens a tagged segment for `trigger` (drawing the inner matcher from
-    /// the trigger's pool). A segment whose combined grammar is already
-    /// complete (pathological nullable tags) closes immediately.
+    /// Puts back the statistics saved before a failed unit, all but the
+    /// count of inner matchers built: those stay built, as spares.
+    fn restore_stats(&mut self, saved: TagDispatchStats) {
+        self.stats = TagDispatchStats {
+            inner_matchers_built: self.stats.inner_matchers_built,
+            ..saved
+        };
+    }
+
+    /// Opens a tagged segment for `trigger` on a reset spare of that trigger,
+    /// or on a new inner matcher when the lane has none. A segment whose
+    /// combined grammar is already complete (pathological nullable tags)
+    /// closes immediately.
     fn open_segment(&mut self, trigger: usize) {
-        let pool = self.compiled.triggers()[trigger].matcher_pool();
-        let mut matcher = pool.acquire();
+        let mut matcher = match self.spares.iter().rposition(|(t, _)| *t == trigger) {
+            Some(i) => {
+                let (_, mut spare) = self.spares.swap_remove(i);
+                spare.reset();
+                spare
+            }
+            None => {
+                self.stats.inner_matchers_built += 1;
+                let grammar = Arc::clone(self.compiled.triggers()[trigger].grammar());
+                // Inner matchers keep one rollback unit per byte. The window
+                // is nominally unbounded so the matcher never self-trims;
+                // `prune_unreachable_segments` trims it to exactly the units
+                // the outer rollback window can still reach.
+                GrammarMatcher::with_max_rollback(grammar, usize::MAX)
+            }
+        };
         self.stats.tags_opened += 1;
         if matcher.can_terminate() {
-            pool.release(matcher);
+            self.spares.push((trigger, matcher));
             self.close_segment();
             return;
         }
@@ -360,8 +393,8 @@ impl StructuralTagMatcher {
         self.prune_unreachable_segments();
     }
 
-    /// Returns the inner matchers of segments that no rollback snapshot (nor
-    /// the current mode) can reach any more to their pools, drops the slots
+    /// Moves the inner matchers of segments that no rollback snapshot (nor
+    /// the current mode) can reach any more to the spares, drops the slots
     /// of the unreachable *prefix* entirely (advancing `segments_base`, so
     /// long multi-call generations neither hold nor rescan one slot per
     /// closed tool call), and trims each reachable segment's per-byte history
@@ -391,9 +424,7 @@ impl StructuralTagMatcher {
                 }
                 None => {
                     if let Some(matcher) = segment.matcher.take() {
-                        self.compiled.triggers()[segment.trigger]
-                            .matcher_pool()
-                            .release(matcher);
+                        self.spares.push((segment.trigger, matcher));
                     }
                 }
             }
@@ -407,8 +438,8 @@ impl StructuralTagMatcher {
         self.stats.slots_dropped += unreachable_prefix as u64;
     }
 
-    /// Returns the inner matchers of all slots with index ≥ `from` (relative
-    /// to the deque) to their pools and removes the slots.
+    /// Moves the inner matchers of all slots with index ≥ `from` (relative
+    /// to the deque) to the spares and removes the slots.
     fn release_segments_from(&mut self, from: usize) {
         while self.segments.len() > from {
             if let Some(TagSegment {
@@ -417,20 +448,9 @@ impl StructuralTagMatcher {
                 ..
             }) = self.segments.pop_back()
             {
-                self.compiled.triggers()[trigger]
-                    .matcher_pool()
-                    .release(matcher);
+                self.spares.push((trigger, matcher));
             }
         }
-    }
-}
-
-impl Drop for StructuralTagMatcher {
-    fn drop(&mut self) {
-        // Hand the live inner matchers back to their pools, so dropping a
-        // dispatching matcher (or its backend session) recycles allocations
-        // for the next request.
-        self.release_segments_from(0);
     }
 }
 
@@ -569,10 +589,6 @@ impl ConstraintMatcher for StructuralTagMatcher {
         self.history.len()
     }
 
-    fn max_rollback(&self) -> usize {
-        self.max_rollback
-    }
-
     /// Free text forces nothing (any byte is acceptable). Inside a tagged
     /// segment the forced bytes come from the segment grammar: the unmatched
     /// remainder of the begin tag, forced schema punctuation and keys, and —
@@ -595,8 +611,8 @@ impl ConstraintMatcher for StructuralTagMatcher {
         self.terminated
     }
 
-    /// Resets the matcher to free text at the start of the stream, returning
-    /// every live inner matcher to its trigger's pool.
+    /// Resets the matcher to free text at the start of the stream, keeping
+    /// every live inner matcher as a spare for the next pass.
     fn reset(&mut self) {
         self.release_segments_from(0);
         self.mode = ModeState::Free {
@@ -606,10 +622,6 @@ impl ConstraintMatcher for StructuralTagMatcher {
         self.history.clear();
         self.terminated = false;
         self.stats = TagDispatchStats::default();
-    }
-
-    fn factory_key(&self) -> usize {
-        ConstraintFactory::factory_key(&*self.compiled)
     }
 }
 

@@ -1482,13 +1482,13 @@ mod tests {
 
     impl CompiledConstraint for CountingConstraint {
         fn new_session(&self) -> Session {
-            Session::new(Box::new(CountingSession {
+            Box::new(CountingSession {
                 inner: self.inner.new_session(),
                 sessions: Arc::clone(&self.sessions),
                 delay: self.delay,
                 opened: self.sessions.opened.fetch_add(1, Ordering::SeqCst),
                 filled: false,
-            }))
+            })
         }
     }
 
@@ -1616,7 +1616,7 @@ mod tests {
 
     impl CompiledConstraint for PanickingMasks {
         fn new_session(&self) -> Session {
-            Session::new(Box::new(self.clone()))
+            Box::new(self.clone())
         }
     }
 

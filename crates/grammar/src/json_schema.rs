@@ -739,11 +739,8 @@ impl<'a> Converter<'a> {
                 }
             }
         }
-        let min = obj.get("minLength").and_then(Value::as_u64).unwrap_or(0) as u32;
-        let max = obj
-            .get("maxLength")
-            .and_then(Value::as_u64)
-            .map(|v| v as u32);
+        let min = self.count_bound(obj, "minLength", path)?.unwrap_or(0);
+        let max = self.count_bound(obj, "maxLength", path)?;
         if min == 0 && max.is_none() {
             return Ok(self.basic("json_string"));
         }
@@ -783,6 +780,23 @@ impl<'a> Converter<'a> {
         );
         self.format_rules.insert(name.to_string(), id);
         Ok(Some(id))
+    }
+
+    /// Extracts a length or count bound (`minLength`, `maxItems`, …),
+    /// returning `None` when absent (or, in lenient mode, malformed: not an
+    /// integer, negative, or above `u32::MAX`).
+    fn count_bound(&self, obj: &Map, key: &str, path: &str) -> Result<Option<u32>> {
+        let Some(value) = obj.get(key) else {
+            return Ok(None);
+        };
+        match value.as_u64().and_then(|v| u32::try_from(v).ok()) {
+            Some(v) => Ok(Some(v)),
+            None if self.options.lenient => Ok(None),
+            None => Err(self.schema_err(
+                path,
+                format!("`{key}` must be an integer in 0..={}", u32::MAX),
+            )),
+        }
     }
 
     /// Extracts a numeric bound, returning `None` when absent (or, in
@@ -1116,11 +1130,8 @@ impl<'a> Converter<'a> {
 
     fn convert_array(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
         let pad = self.pad();
-        let min_items = obj.get("minItems").and_then(Value::as_u64).unwrap_or(0) as u32;
-        let max_items = obj
-            .get("maxItems")
-            .and_then(Value::as_u64)
-            .map(|v| v as u32);
+        let min_items = self.count_bound(obj, "minItems", path)?.unwrap_or(0);
+        let max_items = self.count_bound(obj, "maxItems", path)?;
         if let Some(max) = max_items {
             if max < min_items {
                 return Err(GrammarError::InvalidRepetition {

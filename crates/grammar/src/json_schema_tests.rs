@@ -118,6 +118,38 @@ fn bounded_arrays_and_strings() {
     assert!(g.validate().is_ok());
 }
 
+/// A length or count bound must be an integer in `0..=u32::MAX`: anything
+/// else is a schema error in strict mode (it once wrapped at 2^32, so
+/// `"maxItems": 4294967296` admitted only `[]`) and ignored in lenient mode.
+#[test]
+fn malformed_length_and_count_bounds_error_in_strict_mode() {
+    let schema = |ty: &str, key: &str, value: &str| -> Value {
+        serde_json::from_str(&format!(r#"{{"type": "{ty}", "{key}": {value}}}"#)).unwrap()
+    };
+    for (ty, key) in [
+        ("string", "minLength"),
+        ("string", "maxLength"),
+        ("array", "minItems"),
+        ("array", "maxItems"),
+    ] {
+        let unbounded = json_schema_to_grammar(&json!({ "type": ty })).unwrap();
+        for bad in ["4294967296", "4294967297", "-1", "1.5", r#""1""#] {
+            let bad_schema = schema(ty, key, bad);
+            assert!(
+                matches!(
+                    json_schema_to_grammar(&bad_schema),
+                    Err(GrammarError::Schema { .. })
+                ),
+                "{key}: {bad} must be rejected"
+            );
+            let ignored = json_schema_to_grammar_with_options(&bad_schema, &lenient()).unwrap();
+            assert_eq!(ignored, unbounded, "lenient mode ignores {key}: {bad}");
+        }
+        let widest = schema(ty, key, &u32::MAX.to_string());
+        assert!(json_schema_to_grammar(&widest).is_ok(), "{key}: u32::MAX");
+    }
+}
+
 #[test]
 fn type_list_becomes_choice() {
     let schema = json!({"type": ["string", "null"]});

@@ -16,8 +16,8 @@
 //!   jump-forward decoding ([`engine::JumpForwardPolicy`]) (`xg-engine`),
 //! * the core engine types re-exported at the crate root (`xg-core`),
 //!   including the one artifact cache type ([`ArtifactCache`], as
-//!   [`GrammarCache`] and [`TagDispatchCache`], with [`CacheBudget`],
-//!   [`CacheStats`] and the [`Cached`] lookup result).
+//!   [`GrammarCache`] and [`TagDispatchCache`], with [`CacheBudget`] and
+//!   [`CacheStats`]).
 //!
 //! # Examples
 //!
@@ -59,13 +59,12 @@ pub mod engine {
 }
 
 pub use xg_core::{
-    AcceptError, ArtifactCache, CacheBudget, CacheStats, Cached, CompiledGrammar,
-    CompiledTagDispatch, CompiledTrigger, CompilerConfig, ConstraintFactory, ConstraintMatcher,
-    DispatchMode, ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler,
-    GrammarLintReport, GrammarMatcher, LintMode, MaskCache, MaskCacheStats, MatcherPool,
-    MatcherStats, NodeMaskEntry, PersistentStackTree, RollbackError, StackHandle,
-    StructuralTagMatcher, TagDispatchCache, TagDispatchStats, TokenBitmask,
-    DEFAULT_MAX_ROLLBACK_TOKENS,
+    AcceptError, ArtifactCache, CacheBudget, CacheStats, CompiledGrammar, CompiledTagDispatch,
+    CompiledTrigger, CompilerConfig, ConstraintFactory, ConstraintMatcher, DispatchMode,
+    ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler, GrammarLintReport,
+    GrammarMatcher, LintMode, MaskCache, MaskCacheStats, MatcherStats, NodeMaskEntry,
+    PersistentStackTree, RollbackError, StackHandle, StructuralTagMatcher, TagDispatchCache,
+    TagDispatchStats, TokenBitmask, DEFAULT_MAX_ROLLBACK_TOKENS,
 };
 pub use xg_grammar::{
     analyze, builtin, json_schema_to_grammar, json_schema_to_grammar_with_options, parse_ebnf,
@@ -188,11 +187,7 @@ mod tests {
             crate::CompilerConfig::default(),
             Arc::clone(&cache),
         );
-        let compiled = compiler.compile_ebnf(r#"root ::= "x""#, "root").unwrap();
+        compiler.compile_ebnf(r#"root ::= "x""#, "root").unwrap();
         assert_eq!(cache.stats().misses, 1);
-        let pool = crate::MatcherPool::new(compiled);
-        let matcher = pool.acquire();
-        pool.release(matcher);
-        assert_eq!(pool.created(), 1);
     }
 }

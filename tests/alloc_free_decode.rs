@@ -191,9 +191,9 @@ fn steady_state_decode_does_not_allocate() {
     );
 
     // The tag lane: prose, two tool calls, prose. Two warm passes, because
-    // the per-trigger pools hand the second pass's segments the first pass's
-    // inner matchers in another order, and one of them then meets its first
-    // multi-stack fill.
+    // the lane's spares hand the second pass's segments the first pass's
+    // inner matchers in another order, and one of them then first grows its
+    // buffers to what the other's segment needed.
     let task = xg_datasets::tool_call_tasks(12, 11)
         .into_iter()
         .max_by_key(|task| task.reference.len())

@@ -49,7 +49,7 @@ fn stress_same_grammar_compiles_exactly_once() {
                             &grammar, vocab, sorted, &config,
                         ))
                     };
-                    cache.get_or_try_build(&key, compile).unwrap().artifact
+                    cache.get_or_try_build(&key, compile).unwrap().0
                 })
             })
             .collect();
@@ -151,9 +151,9 @@ fn stress_distinct_grammars_do_not_serialize_each_other() {
                     let vocab = Arc::clone(&vocab);
                     Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
                 };
-                let compiled = cache.get_or_try_build(&key, compile).unwrap();
+                let (compiled, _) = cache.get_or_try_build(&key, compile).unwrap();
                 // Every thread can match with its grammar right away.
-                let mut matcher = GrammarMatcher::new(compiled.artifact);
+                let mut matcher = GrammarMatcher::new(compiled);
                 let input: &[u8] = if t % 2 == 0 { b"[12]" } else { b"<ab>" };
                 matcher.accept_bytes(input).unwrap();
             });

@@ -564,7 +564,7 @@ fn every_constraint_matcher_keeps_the_trait_contract() {
         check_matcher_contract(
             &format!("GrammarMatcher on grammar #{g}"),
             &vocab,
-            &|| Session::new(Box::new(GrammarMatcher::new(Arc::clone(&compiled)))),
+            &|| Box::new(GrammarMatcher::new(Arc::clone(&compiled))),
             &[],
             &mut rng,
         );
@@ -585,7 +585,7 @@ fn every_constraint_matcher_keeps_the_trait_contract() {
         check_matcher_contract(
             &format!("StructuralTagMatcher on grammar #{g}"),
             &vocab,
-            &|| Session::new(Box::new(StructuralTagMatcher::new(Arc::clone(&dispatch)))),
+            &|| Box::new(StructuralTagMatcher::new(Arc::clone(&dispatch))),
             &lead_in,
             &mut rng,
         );

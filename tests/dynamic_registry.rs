@@ -1,5 +1,5 @@
 //! Dynamic tool registries: incremental dispatch updates, the budgeted
-//! dispatch cache, and pool coherence across mutations.
+//! dispatch cache, and trigger sharing across mutations.
 //!
 //! Five layers of evidence:
 //!
@@ -7,9 +7,9 @@
 //!    dispatch cache and the grammar cache inside their byte budgets (the
 //!    former `tag_dispatch_memo` grew without bound).
 //! 2. A tool removed by a [`DispatchDelta`] does not stay pinned: once the
-//!    base dispatch is evicted and dropped, the removed trigger's
-//!    [`MatcherPool`](xg_core::MatcherPool) is freed, while retained
-//!    triggers share their pools with the updated dispatch.
+//!    base dispatch is evicted and dropped (and the grammar cache lets go),
+//!    the removed trigger's compiled grammar is freed, while retained
+//!    triggers are shared with the updated dispatch.
 //! 3. The strict-lint dead-trigger check runs on the delta path too —
 //!    exactly on the recompiled trigger, with untouched triggers reused
 //!    without recompilation.
@@ -84,7 +84,7 @@ fn churn_of_1k_distinct_registries_keeps_memory_flat() {
 }
 
 #[test]
-fn removed_tools_matcher_pool_is_not_pinned() {
+fn removed_tools_grammar_is_not_pinned() {
     let vocab = Arc::new(test_vocabulary(512));
     // One dispatch-cache slot: the updated registry displaces its base.
     let compiler =
@@ -97,18 +97,18 @@ fn removed_tools_matcher_pool_is_not_pinned() {
     let base = compiler
         .compile_tag_dispatch(&agent_catalog(&[keep.clone(), retired.clone()]))
         .expect("base registry compiles");
-    let pool_of = |dispatch: &xg_core::CompiledTagDispatch, begin: &str| {
+    let grammar_of = |dispatch: &xg_core::CompiledTagDispatch, begin: &str| {
         Arc::downgrade(
             dispatch
                 .triggers()
                 .iter()
                 .find(|t| t.trigger() == begin.as_bytes())
                 .expect("trigger present")
-                .matcher_pool(),
+                .grammar(),
         )
     };
-    let keep_pool = pool_of(&base, &keep.begin_tag());
-    let retired_pool = pool_of(&base, &retired.begin_tag());
+    let keep_grammar = grammar_of(&base, &keep.begin_tag());
+    let retired_grammar = grammar_of(&base, &retired.begin_tag());
     let updated = compiler
         .update_tag_dispatch(
             &base,
@@ -119,18 +119,17 @@ fn removed_tools_matcher_pool_is_not_pinned() {
         .expect("removal applies");
     assert_eq!(updated.triggers().len(), 1);
     drop(base); // the cache already evicted it; drop the last strong ref
+    compiler.cache().clear(); // the grammar cache's own hold
     assert!(
-        retired_pool.upgrade().is_none(),
-        "the removed tool's matcher pool must not stay pinned"
+        retired_grammar.upgrade().is_none(),
+        "the removed tool's grammar must not stay pinned"
     );
-    // The retained trigger was reused wholesale: same pool, not a recompile.
-    let kept_alive = keep_pool
+    // The retained trigger was reused wholesale: same grammar, not a
+    // recompile.
+    let kept_alive = keep_grammar
         .upgrade()
-        .expect("retained tool's pool stays alive through the update");
-    assert!(Arc::ptr_eq(
-        &kept_alive,
-        updated.triggers()[0].matcher_pool()
-    ));
+        .expect("retained tool's grammar stays alive through the update");
+    assert!(Arc::ptr_eq(&kept_alive, updated.triggers()[0].grammar()));
 }
 
 #[test]
