@@ -263,6 +263,71 @@ fn front_end_outputs_are_pinned() {
     );
 }
 
+/// The root insertions [`lenient_outputs_are_pinned`] applies to each corpus
+/// schema: a malformed or unsupported value for a supported keyword, an
+/// unknown keyword, and a fallback combination each.
+const LENIENT_MUTATIONS: &[(&str, &str)] = &[
+    ("pattern", "5"),
+    ("pattern", r#""(?=x)""#),
+    ("format", r#""no-such-format""#),
+    ("format", "7"),
+    ("minLength", "-1"),
+    ("maxItems", "1.5"),
+    ("minimum", "1.5"),
+    ("exclusiveMinimum", "true"),
+    ("multipleOf", "0"),
+    ("multipleOf", "3"),
+    ("patternProperties", "{}"),
+    ("maximum", r#""x""#),
+];
+
+/// FNV-1a (64-bit) over what lenient mode makes of every `schema_corpus`
+/// case, unmutated and under each of [`LENIENT_MUTATIONS`]: the grammar's
+/// display or the error, then whether strict mode errored. Wherever strict
+/// mode converts, lenient mode must print the identical grammar.
+#[test]
+fn lenient_outputs_are_pinned() {
+    let lenient = JsonSchemaOptions {
+        lenient: true,
+        ..Default::default()
+    };
+    let mut printed = Vec::new();
+    let mut conversions = 0;
+    for case in xg_datasets::schema_corpus(204, 0x5C0) {
+        let mut schemas = vec![case.schema.clone()];
+        for (key, value) in LENIENT_MUTATIONS {
+            let Some(root) = case.schema.as_object() else {
+                panic!("{}: corpus schemas are objects", case.feature);
+            };
+            let mut root = root.clone();
+            root.insert(key.to_string(), serde_json::from_str(value).unwrap());
+            schemas.push(serde_json::Value::Object(root));
+        }
+        for schema in &schemas {
+            conversions += 1;
+            let loose = xg_grammar::json_schema_to_grammar_with_options(schema, &lenient)
+                .map(|grammar| grammar.to_string());
+            let strict = xg_grammar::json_schema_to_grammar(schema).map(|g| g.to_string());
+            if let Ok(strict) = &strict {
+                assert_eq!(
+                    loose.as_ref().ok(),
+                    Some(strict),
+                    "{}: lenient mode differs where strict mode converts: {schema}",
+                    case.feature
+                );
+            }
+            printed.push(loose.unwrap_or_else(|e| format!("error: {e}")));
+            printed.push(format!("strict ok: {}", strict.is_ok()));
+        }
+    }
+    assert_eq!(conversions, 204 * 13);
+    let hash = fnv1a(&printed);
+    assert_eq!(
+        hash, 0x5884_a589_94b1_3c22,
+        "lenient-mode output digest changed: {hash:#018x} over {conversions} conversions"
+    );
+}
+
 /// FNV-1a (64-bit) over texts, each followed by a newline.
 fn fnv1a(texts: &[String]) -> u64 {
     let mut hash = Fnv1a::default();
