@@ -173,10 +173,18 @@ pub fn json_schema_to_grammar_with_options(
         ref_rules: HashMap::new(),
         format_rules: HashMap::new(),
         depth: 0,
+        pad: GrammarExpr::Empty,
+        colon: GrammarExpr::Empty,
+        comma: GrammarExpr::Empty,
     };
+    if options.whitespace == WhitespaceConfig::Flexible {
+        conv.pad = conv.basic("json_ws");
+    }
+    let ((key, item), pad) = (punctuation(&options.whitespace), &conv.pad);
+    let padded = |p| GrammarExpr::seq(vec![pad.clone(), GrammarExpr::literal(p), pad.clone()]);
+    (conv.colon, conv.comma) = (padded(key), padded(item));
     let root_expr = conv.convert(schema, "#")?;
-    let pad = conv.pad();
-    let root_body = GrammarExpr::seq(vec![pad.clone(), root_expr, pad]);
+    let root_body = GrammarExpr::seq(vec![conv.pad.clone(), root_expr, conv.pad.clone()]);
     conv.builder.add_rule("root", root_body);
     let grammar = conv.builder.build("root")?;
     grammar.validate()?;
@@ -228,20 +236,27 @@ json_any     ::= "{" PAD "}"
                | json_string | json_number | json_boolean | json_null
 "#;
 
-/// [`JSON_VALUE_EBNF`] under `whitespace`: flexible padding is a `json_ws`
-/// rule, defined first; fixed separators are literals.
-fn json_value_rules(whitespace: &WhitespaceConfig) -> String {
-    let (colon, comma) = match whitespace {
-        // Validated to hold punctuation and ` \t\n\r` only, whose `Debug`
-        // form is an EBNF literal.
+/// The key and item separators under `whitespace`: the bare `:` and `,`,
+/// which flexible mode pads with `json_ws`, or the configured strings.
+fn punctuation(whitespace: &WhitespaceConfig) -> (&str, &str) {
+    match whitespace {
         WhitespaceConfig::Separators {
             item_separator,
             key_separator,
-        } => (format!("{key_separator:?}"), format!("{item_separator:?}")),
-        _ => (r#"PAD ":" PAD"#.into(), r#"PAD "," PAD"#.into()),
-    };
-    let rules = JSON_VALUE_EBNF.replace("COLON", &colon);
-    let rules = rules.replace("COMMA", &comma);
+        } => (key_separator, item_separator),
+        _ => (":", ","),
+    }
+}
+
+/// [`JSON_VALUE_EBNF`] under `whitespace`: flexible padding is a `json_ws`
+/// rule, defined first; otherwise `PAD` is empty.
+fn json_value_rules(whitespace: &WhitespaceConfig) -> String {
+    // Separators are validated to hold punctuation and ` \t\n\r` only, whose
+    // `Debug` form is an EBNF literal.
+    let (key, item) = punctuation(whitespace);
+    let rules = JSON_VALUE_EBNF
+        .replace("COLON", &format!("PAD {key:?} PAD"))
+        .replace("COMMA", &format!("PAD {item:?} PAD"));
     match whitespace {
         WhitespaceConfig::Flexible => {
             r"json_ws ::= [ \t\n\r]*".to_string() + &rules.replace("PAD", "json_ws")
@@ -262,6 +277,13 @@ struct Converter<'a> {
     format_rules: HashMap<String, RuleId>,
     /// Current `allOf` re-entry depth (see [`MAX_FLATTEN_DEPTH`]).
     depth: usize,
+    /// Optional padding around structural tokens: the `json_ws` rule in
+    /// flexible mode, nothing otherwise.
+    pad: GrammarExpr,
+    /// The separator between an object key and its value (`:`).
+    colon: GrammarExpr,
+    /// The separator between members or items (`,`).
+    comma: GrammarExpr,
 }
 
 impl<'a> Converter<'a> {
@@ -277,39 +299,26 @@ impl<'a> Converter<'a> {
         format!("{}_{}", hint, self.counter)
     }
 
-    /// Optional padding around structural tokens: the `json_ws` rule in
-    /// flexible mode, nothing otherwise.
-    fn pad(&self) -> GrammarExpr {
-        match self.options.whitespace {
-            WhitespaceConfig::Flexible => self.basic("json_ws"),
-            _ => GrammarExpr::Empty,
+    /// The one strict-or-lenient decision: an unsupported schema is an error
+    /// in strict mode, while in lenient mode the caller falls back to a wider
+    /// grammar.
+    fn unsupported(&self, path: &str, message: impl Into<String>) -> Result<()> {
+        if self.options.lenient {
+            return Ok(());
         }
+        Err(self.schema_err(path, message))
     }
 
-    /// The separator between members/items (`,` under the active config).
-    fn comma(&self) -> GrammarExpr {
-        match &self.options.whitespace {
-            WhitespaceConfig::Compact => GrammarExpr::literal(","),
-            WhitespaceConfig::Flexible => {
-                GrammarExpr::seq(vec![self.pad(), GrammarExpr::literal(","), self.pad()])
-            }
-            WhitespaceConfig::Separators { item_separator, .. } => {
-                GrammarExpr::Literal(item_separator.clone().into_bytes())
-            }
-        }
-    }
-
-    /// The separator between an object key and its value (`:`).
-    fn colon(&self) -> GrammarExpr {
-        match &self.options.whitespace {
-            WhitespaceConfig::Compact => GrammarExpr::literal(":"),
-            WhitespaceConfig::Flexible => {
-                GrammarExpr::seq(vec![self.pad(), GrammarExpr::literal(":"), self.pad()])
-            }
-            WhitespaceConfig::Separators { key_separator, .. } => {
-                GrammarExpr::Literal(key_separator.clone().into_bytes())
-            }
-        }
+    /// `open pad inner pad close`: the framing of an object or a non-empty
+    /// array.
+    fn bracketed(&self, open: &str, inner: GrammarExpr, close: &str) -> GrammarExpr {
+        GrammarExpr::seq(vec![
+            GrammarExpr::literal(open),
+            self.pad.clone(),
+            inner,
+            self.pad.clone(),
+            GrammarExpr::literal(close),
+        ])
     }
 
     /// A reference to one of the [`JSON_VALUE_EBNF`] rules.
@@ -370,20 +379,17 @@ impl<'a> Converter<'a> {
     /// (strict mode only): an unknown keyword would silently widen the
     /// accepted language.
     fn check_keywords(&self, obj: &Map, path: &str) -> Result<()> {
-        if self.options.lenient {
-            return Ok(());
-        }
         for key in obj.keys() {
             if !SUPPORTED_KEYWORDS.contains(&key.as_str())
                 && !ANNOTATION_KEYWORDS.contains(&key.as_str())
             {
-                return Err(self.schema_err(
+                self.unsupported(
                     path,
                     format!(
                         "unknown keyword `{key}` would silently widen the accepted \
                          language (set JsonSchemaOptions::lenient to ignore it)"
                     ),
-                ));
+                )?;
             }
         }
         Ok(())
@@ -426,11 +432,7 @@ impl<'a> Converter<'a> {
             return Ok(GrammarExpr::RuleRef(id));
         }
         if let Some(constant) = obj.get("const") {
-            return Ok(GrammarExpr::Literal(
-                serde_json::to_string(constant)
-                    .expect("serializing a Value cannot fail")
-                    .into_bytes(),
-            ));
+            return Ok(json_literal(constant));
         }
         if let Some(variants) = obj.get("enum") {
             return self.convert_enum(variants, path);
@@ -511,8 +513,7 @@ impl<'a> Converter<'a> {
                 if let Some(inner) = map.remove("allOf") {
                     let arr = inner
                         .as_array()
-                        .ok_or_else(|| self.schema_err(path, "allOf must be an array"))?
-                        .clone();
+                        .ok_or_else(|| self.schema_err(path, "allOf must be an array"))?;
                     for (i, sub) in arr.iter().enumerate() {
                         self.collect_member(sub, &format!("{path}/allOf/{i}"), out, depth + 1)?;
                     }
@@ -552,13 +553,9 @@ impl<'a> Converter<'a> {
                 "items" => all_of_pair(old, new.clone()),
                 _ if ANNOTATION_KEYWORDS.contains(&key.as_str()) => continue,
                 other => {
-                    if self.options.lenient {
-                        continue;
-                    }
-                    return Err(self.schema_err(
-                        path,
-                        format!("conflicting `{other}` values in allOf cannot be merged"),
-                    ));
+                    let message = format!("conflicting `{other}` values in allOf cannot be merged");
+                    self.unsupported(path, message)?;
+                    continue;
                 }
             };
             acc.insert(key.clone(), merged);
@@ -600,13 +597,15 @@ impl<'a> Converter<'a> {
         let (Some(a), Some(b)) = (to_list(old), to_list(new)) else {
             return Err(self.schema_err(path, "type must be a string or array of strings"));
         };
-        let common: Vec<String> = a.into_iter().filter(|t| b.contains(t)).collect();
+        let mut common: Vec<Value> = a
+            .into_iter()
+            .filter(|t| b.contains(t))
+            .map(Value::String)
+            .collect();
         match common.len() {
             0 => Err(self.schema_err(path, "allOf `type` intersection is empty")),
-            1 => Ok(Value::String(common.into_iter().next().expect("len 1"))),
-            _ => Ok(Value::Array(
-                common.into_iter().map(Value::String).collect(),
-            )),
+            1 => Ok(common.swap_remove(0)),
+            _ => Ok(Value::Array(common)),
         }
     }
 
@@ -643,17 +642,7 @@ impl<'a> Converter<'a> {
         if arr.is_empty() {
             return Err(self.schema_err(path, "enum must not be empty"));
         }
-        let alts = arr
-            .iter()
-            .map(|v| {
-                GrammarExpr::Literal(
-                    serde_json::to_string(v)
-                        .expect("serializing a Value cannot fail")
-                        .into_bytes(),
-                )
-            })
-            .collect();
-        Ok(GrammarExpr::choice(alts))
+        Ok(GrammarExpr::choice(arr.iter().map(json_literal).collect()))
     }
 
     fn convert_any_of(&mut self, any_of: &Value, path: &str) -> Result<GrammarExpr> {
@@ -687,33 +676,20 @@ impl<'a> Converter<'a> {
         let has_length_bounds = obj.contains_key("minLength") || obj.contains_key("maxLength");
         if let Some(pattern) = obj.get("pattern") {
             match pattern.as_str() {
-                None if !self.options.lenient => {
-                    return Err(self.schema_err(path, "pattern must be a string"));
-                }
-                None => {}
+                None => self.unsupported(path, "pattern must be a string")?,
                 Some(p) => {
-                    if !self.options.lenient {
-                        if obj.contains_key("format") {
-                            return Err(self.schema_err(
-                                path,
-                                "cannot combine `pattern` with `format` on one string schema",
-                            ));
-                        }
-                        if has_length_bounds {
-                            return Err(self.schema_err(
-                                path,
-                                "cannot combine `pattern` with minLength/maxLength",
-                            ));
-                        }
+                    if obj.contains_key("format") {
+                        let message = "cannot combine `pattern` with `format` on one string schema";
+                        self.unsupported(path, message)?;
+                    }
+                    if has_length_bounds {
+                        self.unsupported(
+                            path,
+                            "cannot combine `pattern` with minLength/maxLength",
+                        )?;
                     }
                     match regex_pattern_to_expr(p, path) {
-                        Ok(content) => {
-                            return Ok(GrammarExpr::seq(vec![
-                                GrammarExpr::literal("\""),
-                                content,
-                                GrammarExpr::literal("\""),
-                            ]));
-                        }
+                        Ok(content) => return Ok(quoted(content)),
                         Err(err) if !self.options.lenient => return Err(err),
                         Err(_) => {} // lenient: fall back to the plain string grammar
                     }
@@ -722,14 +698,10 @@ impl<'a> Converter<'a> {
         }
         if let Some(format) = obj.get("format") {
             match format.as_str() {
-                None if !self.options.lenient => {
-                    return Err(self.schema_err(path, "format must be a string"));
-                }
-                None => {}
+                None => self.unsupported(path, "format must be a string")?,
                 Some(name) => {
-                    if !self.options.lenient && has_length_bounds {
-                        return Err(self
-                            .schema_err(path, "cannot combine `format` with minLength/maxLength"));
+                    if has_length_bounds {
+                        self.unsupported(path, "cannot combine `format` with minLength/maxLength")?;
                     }
                     if let Some(id) = self.format_rule(name, path)? {
                         return Ok(GrammarExpr::RuleRef(id));
@@ -745,15 +717,11 @@ impl<'a> Converter<'a> {
             return Ok(self.basic("json_string"));
         }
         // Bounded string: "\"" char{min,max} "\"".
-        Ok(GrammarExpr::seq(vec![
-            GrammarExpr::literal("\""),
-            GrammarExpr::Repeat {
-                expr: Box::new(self.basic("json_char")),
-                min,
-                max,
-            },
-            GrammarExpr::literal("\""),
-        ]))
+        Ok(quoted(GrammarExpr::Repeat {
+            expr: Box::new(self.basic("json_char")),
+            min,
+            max,
+        }))
     }
 
     /// Returns the cached rule for a supported `format` name (the quoted
@@ -763,136 +731,117 @@ impl<'a> Converter<'a> {
             return Ok(Some(id));
         }
         let Some(compiled) = format_expr(name) else {
-            if self.options.lenient {
-                return Ok(None);
-            }
-            return Err(self.schema_err(path, format!("unsupported string format `{name}`")));
+            self.unsupported(path, format!("unsupported string format `{name}`"))?;
+            return Ok(None);
         };
-        let content = compiled?;
         let rule_name = format!("format_{}", name.replace('-', "_"));
-        let id = self.builder.add_rule(
-            &rule_name,
-            GrammarExpr::seq(vec![
-                GrammarExpr::literal("\""),
-                content,
-                GrammarExpr::literal("\""),
-            ]),
-        );
+        let id = self.builder.add_rule(&rule_name, quoted(compiled?));
         self.format_rules.insert(name.to_string(), id);
         Ok(Some(id))
     }
 
-    /// Extracts a length or count bound (`minLength`, `maxItems`, …),
-    /// returning `None` when absent (or, in lenient mode, malformed: not an
-    /// integer, negative, or above `u32::MAX`).
-    fn count_bound(&self, obj: &Map, key: &str, path: &str) -> Result<Option<u32>> {
-        let Some(value) = obj.get(key) else {
-            return Ok(None);
-        };
-        match value.as_u64().and_then(|v| u32::try_from(v).ok()) {
-            Some(v) => Ok(Some(v)),
-            None if self.options.lenient => Ok(None),
-            None => Err(self.schema_err(
-                path,
-                format!("`{key}` must be an integer in 0..={}", u32::MAX),
-            )),
-        }
-    }
-
-    /// Extracts a numeric bound, returning `None` when absent (or, in
-    /// lenient mode, malformed).
-    fn numeric_bound(&self, obj: &Map, key: &str, path: &str) -> Result<Option<f64>> {
-        let Some(value) = obj.get(key) else {
-            return Ok(None);
-        };
-        // Bounds beyond ±9e15 exceed exact i64/f64 interop; treat as malformed.
-        match value.as_f64().filter(|f| f.is_finite() && f.abs() < 9.0e15) {
-            Some(f) => Ok(Some(f)),
-            None if self.options.lenient => Ok(None),
-            None => Err(self.schema_err(path, format!("`{key}` must be a finite number"))),
-        }
-    }
-
-    /// Extracts an *exclusive* numeric bound, accepting both the draft-6+
-    /// numeric form (`"exclusiveMinimum": 5`) and the draft-4 boolean form
-    /// (`"exclusiveMinimum": true`, which makes the sibling `base` keyword —
-    /// `minimum`/`maximum` — exclusive). A boolean `false` is a no-op: the
-    /// sibling inclusive bound applies on its own.
-    fn exclusive_numeric_bound(
+    /// Reads the bound `key`: `None` when absent, or when `parse` rejects
+    /// it (`key` must be `expected`) and lenient mode drops it.
+    fn bound<T>(
         &self,
         obj: &Map,
         key: &str,
-        base: &str,
         path: &str,
-    ) -> Result<Option<f64>> {
-        match obj.get(key) {
-            Some(Value::Bool(true)) => {
-                let v = self.numeric_bound(obj, base, path)?;
-                if v.is_none() && obj.get(base).is_none() && !self.options.lenient {
-                    return Err(self.schema_err(
-                        path,
-                        format!("draft-4 boolean `{key}` requires a sibling `{base}`"),
-                    ));
-                }
-                Ok(v)
-            }
-            Some(Value::Bool(false)) => Ok(None),
-            _ => self.numeric_bound(obj, key, path),
+        expected: &str,
+        parse: impl FnOnce(&Value) -> Option<T>,
+    ) -> Result<Option<T>> {
+        let Some(value) = obj.get(key) else {
+            return Ok(None);
+        };
+        let parsed = parse(value);
+        if parsed.is_none() {
+            self.unsupported(path, format!("`{key}` must be {expected}"))?;
         }
+        Ok(parsed)
+    }
+
+    /// A length or count bound (`minLength`, `maxItems`, …).
+    fn count_bound(&self, obj: &Map, key: &str, path: &str) -> Result<Option<u32>> {
+        let expected = format!("an integer in 0..={}", u32::MAX);
+        self.bound(obj, key, path, &expected, |v| {
+            v.as_u64().and_then(|v| u32::try_from(v).ok())
+        })
+    }
+
+    /// The lower and upper bound of a numeric range, each as `(value,
+    /// exclusive)`: the stricter of `minimum` and `exclusiveMinimum` (of
+    /// `maximum` and `exclusiveMaximum`), exclusive on a tie. The draft-4
+    /// boolean form (`"exclusiveMinimum": true`) makes the sibling inclusive
+    /// bound exclusive; `false` is a no-op. `narrow` vets each bound before
+    /// the pick, returning `None` to drop it.
+    fn range_bounds<T: Copy + PartialOrd>(
+        &self,
+        obj: &Map,
+        path: &str,
+        narrow: impl Fn(&str, f64) -> Result<Option<T>>,
+    ) -> Result<[Option<(T, bool)>; 2]> {
+        let read = |key: &str| -> Result<Option<T>> {
+            // Bounds beyond ±9e15 exceed exact i64/f64 interop: malformed.
+            let finite = |v: &Value| v.as_f64().filter(|f| f.is_finite() && f.abs() < 9.0e15);
+            match self.bound(obj, key, path, "a finite number", finite)? {
+                Some(v) => narrow(key, v),
+                None => Ok(None),
+            }
+        };
+        let side = |inclusive: &str,
+                    exclusive: &str,
+                    stricter: fn(&T, &T) -> bool|
+         -> Result<Option<(T, bool)>> {
+            let inc = read(inclusive)?;
+            let exc = match obj.get(exclusive) {
+                Some(&Value::Bool(flag)) => {
+                    if flag && !obj.contains_key(inclusive) {
+                        let message = format!(
+                            "draft-4 boolean `{exclusive}` requires a sibling `{inclusive}`"
+                        );
+                        self.unsupported(path, message)?;
+                    }
+                    inc.filter(|_| flag)
+                }
+                _ => read(exclusive)?,
+            };
+            Ok(match (inc, exc) {
+                (Some(a), Some(b)) if stricter(&b, &a) => Some((b, true)),
+                (Some(a), _) => Some((a, false)),
+                (None, b) => b.map(|b| (b, true)),
+            })
+        };
+        Ok([
+            side("minimum", "exclusiveMinimum", T::ge)?,
+            side("maximum", "exclusiveMaximum", T::le)?,
+        ])
     }
 
     fn convert_integer(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        let mut lo: Option<i64> = None;
-        let mut hi: Option<i64> = None;
-        if let Some(v) = self.numeric_bound(obj, "minimum", path)? {
-            let b = v.ceil() as i64;
-            lo = Some(lo.map_or(b, |c| c.max(b)));
-        }
-        if let Some(v) = self.exclusive_numeric_bound(obj, "exclusiveMinimum", "minimum", path)? {
-            let b = v.floor() as i64 + 1;
-            lo = Some(lo.map_or(b, |c| c.max(b)));
-        }
-        if let Some(v) = self.numeric_bound(obj, "maximum", path)? {
-            let b = v.floor() as i64;
-            hi = Some(hi.map_or(b, |c| c.min(b)));
-        }
-        if let Some(v) = self.exclusive_numeric_bound(obj, "exclusiveMaximum", "maximum", path)? {
-            let b = v.ceil() as i64 - 1;
-            hi = Some(hi.map_or(b, |c| c.min(b)));
-        }
-
+        let [lower, upper] = self.range_bounds(obj, path, |_, v| Ok(Some(v)))?;
+        // The least (greatest) integer inside an inclusive or exclusive bound.
+        let lo = lower.map(|(v, e)| (if e { v.floor() + 1.0 } else { v.ceil() }) as i64);
+        let hi = upper.map(|(v, e)| (if e { v.ceil() - 1.0 } else { v.floor() }) as i64);
         if let Some(multiple) = obj.get("multipleOf") {
             let k = multiple
                 .as_u64()
                 .filter(|&k| (1..=MAX_MULTIPLE_OF).contains(&k));
             match k {
-                Some(_) if lo.is_some() || hi.is_some() => {
-                    if !self.options.lenient {
-                        return Err(self.schema_err(
-                            path,
-                            "cannot combine `multipleOf` with minimum/maximum bounds",
-                        ));
-                    }
-                    // lenient: keep the bounds, drop the divisibility constraint
-                }
-                Some(1) => {
-                    return Ok(self.basic("json_integer"));
-                }
+                // lenient: keep the bounds, drop the divisibility constraint
+                Some(_) if lo.is_some() || hi.is_some() => self.unsupported(
+                    path,
+                    "cannot combine `multipleOf` with minimum/maximum bounds",
+                )?,
+                Some(1) => return Ok(self.basic("json_integer")),
                 Some(k) => return Ok(self.multiple_of_expr(k)),
-                None => {
-                    if !self.options.lenient {
-                        return Err(self.schema_err(
-                            path,
-                            format!(
-                                "`multipleOf` must be a positive integer \
-                                 no greater than {MAX_MULTIPLE_OF}"
-                            ),
-                        ));
-                    }
-                }
+                None => self.unsupported(
+                    path,
+                    format!(
+                        "`multipleOf` must be a positive integer no greater than {MAX_MULTIPLE_OF}"
+                    ),
+                )?,
             }
         }
-
         if lo.is_none() && hi.is_none() {
             return Ok(self.basic("json_integer"));
         }
@@ -946,37 +895,18 @@ impl<'a> Converter<'a> {
     }
 
     fn convert_number(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        if obj.contains_key("multipleOf") && !self.options.lenient {
-            return Err(self.schema_err(
-                path,
-                "`multipleOf` on type `number` is unsupported (use type `integer`)",
-            ));
+        if obj.contains_key("multipleOf") {
+            let message = "`multipleOf` on type `number` is unsupported (use type `integer`)";
+            self.unsupported(path, message)?;
         }
-        let min_inc = self.number_bound(obj, "minimum", path)?;
-        let min_exc = self.integer_valued(
-            "exclusiveMinimum",
-            self.exclusive_numeric_bound(obj, "exclusiveMinimum", "minimum", path)?,
-            path,
-        )?;
-        let max_inc = self.number_bound(obj, "maximum", path)?;
-        let max_exc = self.integer_valued(
-            "exclusiveMaximum",
-            self.exclusive_numeric_bound(obj, "exclusiveMaximum", "maximum", path)?,
-            path,
-        )?;
-        // The stricter lower bound wins: a larger value, or exclusivity on a tie.
-        let lower = match (min_inc, min_exc) {
-            (Some(a), Some(b)) if b >= a => Some((b, true)),
-            (Some(a), _) => Some((a, false)),
-            (None, Some(b)) => Some((b, true)),
-            (None, None) => None,
-        };
-        let upper = match (max_inc, max_exc) {
-            (Some(a), Some(b)) if b <= a => Some((b, true)),
-            (Some(a), _) => Some((a, false)),
-            (None, Some(b)) => Some((b, true)),
-            (None, None) => None,
-        };
+        // Fractional bounds are unsupported (dropped in lenient mode).
+        let [lower, upper] = self.range_bounds(obj, path, |key, v| {
+            if v.fract() == 0.0 {
+                return Ok(Some(v as i64));
+            }
+            let message = format!("`{key}` on type `number` must be integer-valued, got {v}");
+            self.unsupported(path, message).map(|()| None)
+        })?;
         if lower.is_none() && upper.is_none() {
             return Ok(self.basic("json_number"));
         }
@@ -985,151 +915,84 @@ impl<'a> Converter<'a> {
         number_range_expr(lo, hi, lo_exclusive, hi_exclusive, path)
     }
 
-    /// Extracts an integer-valued bound for type `number`; fractional bounds
-    /// are unsupported (dropped in lenient mode).
-    fn number_bound(&self, obj: &Map, key: &str, path: &str) -> Result<Option<i64>> {
-        let v = self.numeric_bound(obj, key, path)?;
-        self.integer_valued(key, v, path)
-    }
-
-    /// Narrows an extracted `number` bound to an integer value; fractional
-    /// bounds are unsupported (dropped in lenient mode).
-    fn integer_valued(&self, key: &str, value: Option<f64>, path: &str) -> Result<Option<i64>> {
-        match value {
-            None => Ok(None),
-            Some(v) if v.fract() == 0.0 => Ok(Some(v as i64)),
-            Some(_) if self.options.lenient => Ok(None),
-            Some(v) => Err(self.schema_err(
-                path,
-                format!("`{key}` on type `number` must be integer-valued, got {v}"),
-            )),
-        }
-    }
-
     fn convert_object(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        let pad = self.pad();
         let empty_map = Map::new();
         let properties = obj
             .get("properties")
             .and_then(Value::as_object)
             .unwrap_or(&empty_map);
-        let required: Vec<String> = obj
+        let required: Vec<&str> = obj
             .get("required")
             .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Value::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
+            .map(|a| a.iter().filter_map(Value::as_str).collect())
             .unwrap_or_default();
-        let additional = obj.get("additionalProperties");
-        let (allow_additional, additional_schema) = match additional {
-            None => (self.options.default_additional_properties, None),
-            Some(Value::Bool(b)) => (*b, None),
-            Some(schema) => (true, Some(schema.clone())),
-        };
 
         // Build member expressions for each declared property, in order.
-        let colon = self.colon();
         let mut members: Vec<(GrammarExpr, bool)> = Vec::new();
-        let property_list: Vec<(String, Value)> = properties
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        for (name, prop_schema) in &property_list {
+        for (name, prop_schema) in properties.iter() {
             let value_expr = self.convert(prop_schema, &format!("{path}/properties/{name}"))?;
-            let key_literal = GrammarExpr::Literal(
-                serde_json::to_string(&Value::String(name.clone()))
-                    .expect("serializing a string cannot fail")
-                    .into_bytes(),
-            );
-            let member = GrammarExpr::seq(vec![key_literal, colon.clone(), value_expr]);
-            members.push((member, required.iter().any(|r| r == name)));
+            let key_literal = json_literal(&Value::String(name.clone()));
+            let member = GrammarExpr::seq(vec![key_literal, self.colon.clone(), value_expr]);
+            members.push((member, required.contains(&name.as_str())));
         }
 
         // Additional members expression (used when additionalProperties allows them).
-        let additional_member = if allow_additional {
-            let value_expr = match &additional_schema {
-                Some(schema) => self.convert(schema, &format!("{path}/additionalProperties"))?,
-                None => self.basic("json_any"),
-            };
-            Some(GrammarExpr::seq(vec![
-                self.basic("json_string"),
-                colon.clone(),
-                value_expr,
-            ]))
-        } else {
-            None
+        let additional_value = match obj.get("additionalProperties") {
+            None if self.options.default_additional_properties => Some(self.basic("json_any")),
+            None | Some(Value::Bool(false)) => None,
+            Some(Value::Bool(true)) => Some(self.basic("json_any")),
+            Some(schema) => Some(self.convert(schema, &format!("{path}/additionalProperties"))?),
         };
+        let additional_member = additional_value.map(|value_expr| {
+            GrammarExpr::seq(vec![
+                self.basic("json_string"),
+                self.colon.clone(),
+                value_expr,
+            ])
+        });
 
         // Recursive construction over property suffixes. For each suffix we
         // build two expressions: one assuming no member has been emitted yet
         // (`first`) and one assuming a comma is needed (`rest`).
-        let comma = self.comma();
+        let comma = self.comma.clone();
         let additional_tail = additional_member
             .as_ref()
             .map(|m| GrammarExpr::star(GrammarExpr::seq(vec![comma.clone(), m.clone()])));
         // `rest` for the empty suffix.
         let mut rest_suffix: GrammarExpr = additional_tail.clone().unwrap_or(GrammarExpr::Empty);
         // `first` for the empty suffix: either nothing, or additional members.
-        let mut first_suffix: GrammarExpr = match &additional_member {
+        let mut first_suffix: GrammarExpr = match additional_member {
             Some(m) => GrammarExpr::optional(GrammarExpr::seq(vec![
-                m.clone(),
-                additional_tail.clone().unwrap_or(GrammarExpr::Empty),
+                m,
+                additional_tail.unwrap_or(GrammarExpr::Empty),
             ])),
             None => GrammarExpr::Empty,
         };
         for (member, is_required) in members.into_iter().rev() {
             let hint = self.fresh_name("props");
             // Materialize current suffixes as rules to keep expressions small.
-            let rest_rule = self
-                .builder
-                .add_rule(&format!("{hint}_rest"), rest_suffix.clone());
-            let first_rule = self
-                .builder
-                .add_rule(&format!("{hint}_first"), first_suffix.clone());
-            let new_rest = if is_required {
-                GrammarExpr::seq(vec![
-                    comma.clone(),
-                    member.clone(),
-                    GrammarExpr::RuleRef(rest_rule),
-                ])
+            let rest =
+                GrammarExpr::RuleRef(self.builder.add_rule(&format!("{hint}_rest"), rest_suffix));
+            let first = GrammarExpr::RuleRef(
+                self.builder
+                    .add_rule(&format!("{hint}_first"), first_suffix),
+            );
+            let comma_member = GrammarExpr::seq(vec![comma.clone(), member.clone(), rest.clone()]);
+            let member_first = GrammarExpr::seq(vec![member, rest.clone()]);
+            if is_required {
+                (rest_suffix, first_suffix) = (comma_member, member_first);
             } else {
-                GrammarExpr::choice(vec![
-                    GrammarExpr::seq(vec![
-                        comma.clone(),
-                        member.clone(),
-                        GrammarExpr::RuleRef(rest_rule),
-                    ]),
-                    GrammarExpr::RuleRef(rest_rule),
-                ])
-            };
-            let new_first = if is_required {
-                GrammarExpr::seq(vec![member.clone(), GrammarExpr::RuleRef(rest_rule)])
-            } else {
-                GrammarExpr::choice(vec![
-                    GrammarExpr::seq(vec![member, GrammarExpr::RuleRef(rest_rule)]),
-                    GrammarExpr::RuleRef(first_rule),
-                ])
-            };
-            rest_suffix = new_rest;
-            first_suffix = new_first;
+                rest_suffix = GrammarExpr::choice(vec![comma_member, rest]);
+                first_suffix = GrammarExpr::choice(vec![member_first, first]);
+            }
         }
 
         let body_rule_name = self.fresh_name("object_members");
         let members_rule = self.builder.add_rule(&body_rule_name, first_suffix);
-        Ok(GrammarExpr::seq(vec![
-            GrammarExpr::literal("{"),
-            pad.clone(),
-            GrammarExpr::RuleRef(members_rule),
-            pad,
-            GrammarExpr::literal("}"),
-        ]))
+        Ok(self.bracketed("{", GrammarExpr::RuleRef(members_rule), "}"))
     }
 
     fn convert_array(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        let pad = self.pad();
         let min_items = self.count_bound(obj, "minItems", path)?.unwrap_or(0);
         let max_items = self.count_bound(obj, "maxItems", path)?;
         if let Some(max) = max_items {
@@ -1143,55 +1006,38 @@ impl<'a> Converter<'a> {
 
         // prefixItems (tuple validation).
         if let Some(prefix) = obj.get("prefixItems").and_then(Value::as_array) {
-            let prefix = prefix.clone();
-            let mut parts = vec![GrammarExpr::literal("["), pad.clone()];
+            let mut parts = Vec::new();
             for (i, sub) in prefix.iter().enumerate() {
                 if i > 0 {
-                    parts.push(self.comma());
+                    parts.push(self.comma.clone());
                 }
                 parts.push(self.convert(sub, &format!("{path}/prefixItems/{i}"))?);
             }
-            parts.push(pad.clone());
-            parts.push(GrammarExpr::literal("]"));
-            return Ok(GrammarExpr::seq(parts));
+            return Ok(self.bracketed("[", GrammarExpr::seq(parts), "]"));
         }
 
         let item_expr = match obj.get("items") {
-            Some(items) => {
-                let items = items.clone();
-                self.convert(&items, &format!("{path}/items"))?
-            }
+            Some(items) => self.convert(items, &format!("{path}/items"))?,
             None => self.basic("json_any"),
         };
         let item_rule_name = self.fresh_name("array_item");
-        let item_rule = self.builder.add_rule(&item_rule_name, item_expr);
-        let item = GrammarExpr::RuleRef(item_rule);
-        let comma_item = GrammarExpr::seq(vec![self.comma(), item.clone()]);
-
+        let item = GrammarExpr::RuleRef(self.builder.add_rule(&item_rule_name, item_expr));
+        let comma_item = GrammarExpr::seq(vec![self.comma.clone(), item.clone()]);
         let empty_array = GrammarExpr::seq(vec![
             GrammarExpr::literal("["),
-            pad.clone(),
+            self.pad.clone(),
             GrammarExpr::literal("]"),
         ]);
-        let non_empty = GrammarExpr::seq(vec![
-            GrammarExpr::literal("["),
-            pad.clone(),
-            item,
-            GrammarExpr::Repeat {
-                expr: Box::new(comma_item),
-                min: min_items.saturating_sub(1),
-                max: max_items.map(|m| m.saturating_sub(1)),
-            },
-            pad.clone(),
-            GrammarExpr::literal("]"),
-        ]);
-        if min_items == 0 {
-            if max_items == Some(0) {
-                return Ok(empty_array);
-            }
-            Ok(GrammarExpr::choice(vec![empty_array, non_empty]))
-        } else {
-            Ok(non_empty)
+        let repeat = GrammarExpr::Repeat {
+            expr: Box::new(comma_item),
+            min: min_items.saturating_sub(1),
+            max: max_items.map(|m| m.saturating_sub(1)),
+        };
+        let non_empty = self.bracketed("[", GrammarExpr::seq(vec![item, repeat]), "]");
+        match (min_items, max_items) {
+            (0, Some(0)) => Ok(empty_array),
+            (0, _) => Ok(GrammarExpr::choice(vec![empty_array, non_empty])),
+            _ => Ok(non_empty),
         }
     }
 }
@@ -1202,6 +1048,21 @@ fn all_of_pair(a: Value, b: Value) -> Value {
     let mut map = Map::new();
     map.insert("allOf".to_string(), Value::Array(vec![a, b]));
     Value::Object(map)
+}
+
+/// `value` as a JSON literal.
+fn json_literal(value: &Value) -> GrammarExpr {
+    let text = serde_json::to_string(value).expect("serializing a Value cannot fail");
+    GrammarExpr::Literal(text.into_bytes())
+}
+
+/// `"\"" content "\""`: a string whose characters `content` spells.
+fn quoted(content: GrammarExpr) -> GrammarExpr {
+    GrammarExpr::seq(vec![
+        GrammarExpr::literal("\""),
+        content,
+        GrammarExpr::literal("\""),
+    ])
 }
 
 fn merge_required(old: &Value, new: &Value) -> Value {
