@@ -432,13 +432,19 @@ impl<'a> Converter<'a> {
             return Ok(GrammarExpr::RuleRef(id));
         }
         if let Some(constant) = obj.get("const") {
+            self.check_literal_types(obj, std::slice::from_ref(constant), path)?;
             return Ok(json_literal(constant));
         }
         if let Some(variants) = obj.get("enum") {
-            return self.convert_enum(variants, path);
+            return self.convert_enum(obj, variants, path);
         }
-        if let Some(any_of) = obj.get("anyOf").or_else(|| obj.get("oneOf")) {
-            return self.convert_any_of(any_of, path);
+        let any_of = if obj.contains_key("anyOf") {
+            "anyOf"
+        } else {
+            "oneOf"
+        };
+        if obj.contains_key(any_of) {
+            return self.convert_any_of(obj, any_of, path);
         }
         match obj.get("type") {
             Some(Value::String(t)) => self.convert_typed(t, obj, path),
@@ -635,26 +641,58 @@ impl<'a> Converter<'a> {
         Ok(Value::Array(common))
     }
 
-    fn convert_enum(&mut self, variants: &Value, path: &str) -> Result<GrammarExpr> {
+    fn convert_enum(&mut self, obj: &Map, variants: &Value, path: &str) -> Result<GrammarExpr> {
         let arr = variants
             .as_array()
             .ok_or_else(|| self.schema_err(path, "enum must be an array"))?;
         if arr.is_empty() {
             return Err(self.schema_err(path, "enum must not be empty"));
         }
+        self.check_literal_types(obj, arr, path)?;
         Ok(GrammarExpr::choice(arr.iter().map(json_literal).collect()))
     }
 
-    fn convert_any_of(&mut self, any_of: &Value, path: &str) -> Result<GrammarExpr> {
-        let arr = any_of
-            .as_array()
+    /// The literals of `const`/`enum` replace the schema's `type`, so each
+    /// value must be of a sibling `type`; one that is not widens the language.
+    fn check_literal_types(&self, obj: &Map, values: &[Value], path: &str) -> Result<()> {
+        let Some(types) = obj.get("type") else {
+            return Ok(());
+        };
+        let names: Vec<&str> = match types {
+            Value::Array(names) => names.iter().filter_map(Value::as_str).collect(),
+            name => name.as_str().into_iter().collect(),
+        };
+        for value in values {
+            if !names.iter().any(|&name| has_type(value, name)) {
+                self.unsupported(
+                    path,
+                    format!("`{value}` is not of the sibling `type` {types}"),
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// `anyOf`/`oneOf` (`key`) as a choice of its branches. Supported sibling
+    /// keywords apply to every branch, which converts as `{"allOf":
+    /// [siblings, branch]}`.
+    fn convert_any_of(&mut self, obj: &Map, key: &str, path: &str) -> Result<GrammarExpr> {
+        let arr = (obj.get(key).and_then(Value::as_array))
             .ok_or_else(|| self.schema_err(path, "anyOf/oneOf must be an array"))?;
         if arr.is_empty() {
             return Err(self.schema_err(path, "anyOf/oneOf must not be empty"));
         }
+        let siblings: Map = obj
+            .iter()
+            .filter(|(k, _)| *k != key && SUPPORTED_KEYWORDS.contains(&k.as_str()))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
         let mut alts = Vec::new();
-        for (i, sub) in arr.iter().enumerate() {
-            alts.push(self.convert(sub, &format!("{path}/anyOf/{i}"))?);
+        for (i, branch) in arr.iter().enumerate() {
+            let merged = (!siblings.is_empty())
+                .then(|| all_of_pair(Value::Object(siblings.clone()), branch.clone()));
+            let branch = merged.as_ref().unwrap_or(branch);
+            alts.push(self.convert(branch, &format!("{path}/anyOf/{i}"))?);
         }
         Ok(GrammarExpr::choice(alts))
     }
@@ -740,15 +778,16 @@ impl<'a> Converter<'a> {
         Ok(Some(id))
     }
 
-    /// Reads the bound `key`: `None` when absent, or when `parse` rejects
-    /// it (`key` must be `expected`) and lenient mode drops it.
-    fn bound<T>(
+    /// Reads the keyword `key`, a bound or a container: `None` when absent,
+    /// or when `parse` rejects it (`key` must be `expected`) and lenient mode
+    /// drops it.
+    fn bound<'v, T>(
         &self,
-        obj: &Map,
+        obj: &'v Map,
         key: &str,
         path: &str,
         expected: &str,
-        parse: impl FnOnce(&Value) -> Option<T>,
+        parse: impl FnOnce(&'v Value) -> Option<T>,
     ) -> Result<Option<T>> {
         let Some(value) = obj.get(key) else {
             return Ok(None);
@@ -823,10 +862,10 @@ impl<'a> Converter<'a> {
         let lo = lower.map(|(v, e)| (if e { v.floor() + 1.0 } else { v.ceil() }) as i64);
         let hi = upper.map(|(v, e)| (if e { v.ceil() - 1.0 } else { v.floor() }) as i64);
         if let Some(multiple) = obj.get("multipleOf") {
-            let k = multiple
+            match multiple
                 .as_u64()
-                .filter(|&k| (1..=MAX_MULTIPLE_OF).contains(&k));
-            match k {
+                .filter(|&k| (1..=MAX_MULTIPLE_OF).contains(&k))
+            {
                 // lenient: keep the bounds, drop the divisibility constraint
                 Some(_) if lo.is_some() || hi.is_some() => self.unsupported(
                     path,
@@ -917,15 +956,22 @@ impl<'a> Converter<'a> {
 
     fn convert_object(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
         let empty_map = Map::new();
-        let properties = obj
-            .get("properties")
-            .and_then(Value::as_object)
-            .unwrap_or(&empty_map);
-        let required: Vec<&str> = obj
-            .get("required")
-            .and_then(Value::as_array)
-            .map(|a| a.iter().filter_map(Value::as_str).collect())
-            .unwrap_or_default();
+        let properties = self.bound(obj, "properties", path, "an object", Value::as_object)?;
+        let properties = properties.unwrap_or(&empty_map);
+        let names = obj.get("required").and_then(Value::as_array);
+        let required: Vec<&str> = names
+            .into_iter()
+            .flatten()
+            .filter_map(Value::as_str)
+            .collect();
+        if obj.contains_key("required") && names.is_none_or(|a| a.len() != required.len()) {
+            self.unsupported(path, "`required` must be an array of strings")?;
+        }
+        // Only declared properties can be made required.
+        if let Some(name) = required.iter().find(|n| !properties.contains_key(n)) {
+            let message = format!("required property `{name}` is not declared in `properties`");
+            self.unsupported(path, message)?;
+        }
 
         // Build member expressions for each declared property, in order.
         let mut members: Vec<(GrammarExpr, bool)> = Vec::new();
@@ -943,12 +989,8 @@ impl<'a> Converter<'a> {
             Some(Value::Bool(true)) => Some(self.basic("json_any")),
             Some(schema) => Some(self.convert(schema, &format!("{path}/additionalProperties"))?),
         };
-        let additional_member = additional_value.map(|value_expr| {
-            GrammarExpr::seq(vec![
-                self.basic("json_string"),
-                self.colon.clone(),
-                value_expr,
-            ])
+        let additional_member = additional_value.map(|value| {
+            GrammarExpr::seq(vec![self.basic("json_string"), self.colon.clone(), value])
         });
 
         // Recursive construction over property suffixes. For each suffix we
@@ -1004,8 +1046,13 @@ impl<'a> Converter<'a> {
             }
         }
 
-        // prefixItems (tuple validation).
-        if let Some(prefix) = obj.get("prefixItems").and_then(Value::as_array) {
+        // prefixItems (tuple validation): exactly the prefix's items.
+        if let Some(prefix) = self.bound(obj, "prefixItems", path, "an array", Value::as_array)? {
+            let len = prefix.len();
+            if len < min_items as usize || max_items.is_some_and(|max| len > max as usize) {
+                let message = format!("{len} prefixItems conflict with minItems/maxItems");
+                self.unsupported(path, message)?;
+            }
             let mut parts = Vec::new();
             for (i, sub) in prefix.iter().enumerate() {
                 if i > 0 {
@@ -1063,6 +1110,21 @@ fn quoted(content: GrammarExpr) -> GrammarExpr {
         content,
         GrammarExpr::literal("\""),
     ])
+}
+
+/// Whether `value` is an instance of the JSON-Schema type `name`; an
+/// integral number is an `integer`.
+fn has_type(value: &Value, name: &str) -> bool {
+    match name {
+        "string" => value.is_string(),
+        "integer" => value.as_f64().is_some_and(|f| f.fract() == 0.0),
+        "number" => value.is_number(),
+        "boolean" => value.is_boolean(),
+        "null" => value.is_null(),
+        "object" => value.is_object(),
+        "array" => value.is_array(),
+        _ => false,
+    }
 }
 
 fn merge_required(old: &Value, new: &Value) -> Value {

@@ -705,3 +705,77 @@ fn invalid_separator_strings_are_rejected() {
         );
     }
 }
+
+/// Schemas whose grammar would accept documents the schema rejects, each
+/// with the schema whose grammar lenient mode still produces for it: strict
+/// mode refuses them, lenient mode keeps the wider grammar.
+#[test]
+fn widening_schemas_error_in_strict_mode_and_fall_back_when_lenient() {
+    let pair = || json!([{"type": "integer"}, {"type": "integer"}]);
+    let declares = |name: &str| json!({ name: {"type": "integer"} });
+    let cases = [
+        // A two-item tuple admits `[1,2]`, which the item counts exclude.
+        (
+            json!({"type": "array", "prefixItems": pair(), "maxItems": 1}),
+            json!({"type": "array", "prefixItems": pair()}),
+        ),
+        (
+            json!({"type": "array", "prefixItems": pair(), "minItems": 3}),
+            json!({"type": "array", "prefixItems": pair()}),
+        ),
+        (
+            json!({"type": "array", "prefixItems": 5}),
+            json!({"type": "array"}),
+        ),
+        // `{}` lacks the required `a`.
+        (
+            json!({"type": "object", "required": ["a"]}),
+            json!({"type": "object"}),
+        ),
+        (
+            json!({"type": "object", "properties": declares("b"), "required": ["a"]}),
+            json!({"type": "object", "properties": declares("b")}),
+        ),
+        (
+            json!({"type": "object", "properties": declares("a"), "required": "a"}),
+            json!({"type": "object", "properties": declares("a")}),
+        ),
+        (
+            json!({"type": "object", "properties": [1]}),
+            json!({"type": "object"}),
+        ),
+        // `1` is not a string.
+        (
+            json!({"type": "string", "enum": ["a", 1]}),
+            json!({"enum": ["a", 1]}),
+        ),
+        (json!({"type": "string", "const": 1}), json!({"const": 1})),
+    ];
+    for (schema, fallback) in cases {
+        assert!(
+            matches!(
+                json_schema_to_grammar(&schema),
+                Err(GrammarError::Schema { .. })
+            ),
+            "strict mode must refuse {schema}"
+        );
+        assert_eq!(
+            json_schema_to_grammar_with_options(&schema, &lenient()).unwrap(),
+            json_schema_to_grammar(&fallback).unwrap(),
+            "lenient mode reads {schema} as {fallback}"
+        );
+    }
+}
+
+/// A `const`/`enum` value of a sibling `type` converts: an integral number
+/// is an `integer`, an integer is a `number`.
+#[test]
+fn literals_of_the_sibling_type_convert() {
+    for schema in [
+        json!({"type": "integer", "enum": [1, 2.0]}),
+        json!({"type": "number", "const": 3}),
+        json!({"type": ["string", "null"], "enum": ["a", null]}),
+    ] {
+        assert!(json_schema_to_grammar(&schema).is_ok(), "{schema}");
+    }
+}

@@ -223,6 +223,40 @@ fn truncated_instances_do_not_admit_eos() {
 
 const CORPUS_CASES: usize = 36;
 
+/// `anyOf`/`oneOf` siblings apply to every branch: each branch converts as
+/// `{"allOf": [siblings, branch]}`.
+#[test]
+fn any_of_siblings_apply_to_every_branch() {
+    let accepts = |schema: &serde_json::Value, text: &str| {
+        let grammar = xg_grammar::json_schema_to_grammar(schema).expect("schema converts");
+        SimpleMatcher::new(&build_pda_default(&grammar)).accepts(text.as_bytes())
+    };
+    let bounded =
+        serde_json::json!({"type": "integer", "minimum": 5, "anyOf": [{"type": "integer"}]});
+    assert!(accepts(&bounded, "5"));
+    assert!(!accepts(&bounded, "1"));
+
+    // The sibling `type` leaves the branch's an empty intersection.
+    let disjoint = serde_json::json!({"type": "string", "anyOf": [{"type": "integer"}]});
+    assert!(matches!(
+        xg_grammar::json_schema_to_grammar(&disjoint),
+        Err(xg_grammar::GrammarError::Schema { .. })
+    ));
+
+    // Branches that differ only in `required` share the sibling properties.
+    let either = serde_json::json!({
+        "type": "object",
+        "properties": {"a": {"type": "integer"}, "b": {"type": "integer"}},
+        "oneOf": [{"required": ["a"]}, {"required": ["b"]}]
+    });
+    for text in [r#"{"a": 1}"#, r#"{"b": 2}"#, r#"{"a": 1, "b": 2}"#] {
+        assert!(accepts(&either, text), "{text}");
+    }
+    for text in ["{}", r#"{"a": "x"}"#, r#"{"c": 1}"#, "[]"] {
+        assert!(!accepts(&either, text), "{text}");
+    }
+}
+
 struct CorpusFixture {
     vocab: Arc<Vocabulary>,
     eos: TokenId,
