@@ -126,7 +126,9 @@ pub fn run_accuracy_experiment(
         valid_unconstrained: 0,
         valid_constrained: 0,
     };
-    for (grammar, reference, is_json) in cases {
+    // Request `i` is seeded with `i`, so each request makes its own
+    // error-injection draw instead of every request repeating one.
+    for (seed, (grammar, reference, is_json)) in (0u64..).zip(cases) {
         let validate = |bytes: &[u8]| {
             if is_json {
                 is_valid_json(bytes)
@@ -140,7 +142,7 @@ pub fn run_accuracy_experiment(
             prompt_tokens: 139,
             reference: reference.clone(),
             max_tokens: 512,
-            seed: 0,
+            seed,
         };
         let (results, _) = engine
             .run_batch(std::slice::from_ref(&unconstrained))
@@ -154,7 +156,7 @@ pub fn run_accuracy_experiment(
             prompt_tokens: 139,
             reference,
             max_tokens: 512,
-            seed: 0,
+            seed,
         };
         let (results, _) = engine
             .run_batch(std::slice::from_ref(&constrained))
@@ -198,6 +200,26 @@ mod tests {
             "constrained outputs must all parse"
         );
         assert!(result.valid_unconstrained < result.valid_constrained);
+    }
+
+    /// Under the default behaviour, calibrated to the paper's ≈ 62 %
+    /// parseable, some unconstrained outputs fail to parse and every
+    /// constrained one parses.
+    #[test]
+    fn default_behavior_makes_some_unconstrained_outputs_invalid() {
+        let vocab = Arc::new(test_vocabulary(2000));
+        let result = run_accuracy_experiment(
+            vocab,
+            AccuracyTask::FunctionCalling,
+            20,
+            LlmBehavior::default(),
+        );
+        assert_eq!(result.total, 20);
+        assert!(
+            result.valid_unconstrained < result.total,
+            "some unconstrained outputs must fail to parse: {result:?}"
+        );
+        assert_eq!(result.valid_constrained, result.total, "{result:?}");
     }
 
     #[test]
