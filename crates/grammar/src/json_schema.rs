@@ -8,8 +8,9 @@
 //! Supported keywords (see [`SUPPORTED_KEYWORDS`]): `type` (object/array/
 //! string/integer/number/boolean/null, or a list of types), `properties`,
 //! `required`, `additionalProperties` (boolean or schema), `items`,
-//! `prefixItems`, `minItems`, `maxItems`, `enum`, `const`, `anyOf`, `oneOf`,
-//! `allOf` (merged by sibling-key intersection), general in-document `$ref`
+//! `prefixItems`, `minItems`, `maxItems`, `enum`, `const`, `anyOf`, `oneOf`
+//! (sibling keywords apply to every branch), `allOf` (merged by sibling-key
+//! intersection), general in-document `$ref`
 //! (JSON-pointer resolution, recursive schemas become recursive grammar
 //! rules), `minLength`, `maxLength`, `pattern` (compiled through
 //! [`crate::regex_pattern_to_expr`]), `format` (see
@@ -19,10 +20,13 @@
 //!
 //! Annotation keywords ([`ANNOTATION_KEYWORDS`]) never affect syntax and are
 //! always ignored. Any *other* keyword would silently widen the accepted
-//! language, so by default the converter rejects it with
+//! language, and so would a supported keyword whose value or combination
+//! the grammar cannot express (a `prefixItems` tuple that `maxItems`
+//! excludes, an undeclared `required` name, a `const` not of its sibling
+//! `type`, ...). By default the converter rejects each with
 //! [`GrammarError::Schema`]; set [`JsonSchemaOptions::lenient`] to ignore
-//! unknown keywords (and fall back to unconstrained grammars when a
-//! supported keyword has an unsupported value).
+//! unknown keywords and fall back to the wider grammar instead. One method,
+//! `Converter::unsupported`, makes that decision for every such case.
 
 use std::collections::HashMap;
 
@@ -438,13 +442,8 @@ impl<'a> Converter<'a> {
         if let Some(variants) = obj.get("enum") {
             return self.convert_enum(obj, variants, path);
         }
-        let any_of = if obj.contains_key("anyOf") {
-            "anyOf"
-        } else {
-            "oneOf"
-        };
-        if obj.contains_key(any_of) {
-            return self.convert_any_of(obj, any_of, path);
+        if let Some(key) = ["anyOf", "oneOf"].into_iter().find(|k| obj.contains_key(k)) {
+            return self.convert_any_of(obj, key, path);
         }
         match obj.get("type") {
             Some(Value::String(t)) => self.convert_typed(t, obj, path),
@@ -862,10 +861,10 @@ impl<'a> Converter<'a> {
         let lo = lower.map(|(v, e)| (if e { v.floor() + 1.0 } else { v.ceil() }) as i64);
         let hi = upper.map(|(v, e)| (if e { v.ceil() - 1.0 } else { v.floor() }) as i64);
         if let Some(multiple) = obj.get("multipleOf") {
-            match multiple
+            let k = multiple
                 .as_u64()
-                .filter(|&k| (1..=MAX_MULTIPLE_OF).contains(&k))
-            {
+                .filter(|&k| (1..=MAX_MULTIPLE_OF).contains(&k));
+            match k {
                 // lenient: keep the bounds, drop the divisibility constraint
                 Some(_) if lo.is_some() || hi.is_some() => self.unsupported(
                     path,
