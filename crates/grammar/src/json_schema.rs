@@ -966,7 +966,7 @@ impl<'a> Converter<'a> {
         if obj.contains_key("required") && names.is_none_or(|a| a.len() != required.len()) {
             self.unsupported(path, "`required` must be an array of strings")?;
         }
-        // Only declared properties can be made required.
+        // Only declared properties are emitted: an undeclared one goes unenforced.
         if let Some(name) = required.iter().find(|n| !properties.contains_key(n)) {
             let message = format!("required property `{name}` is not declared in `properties`");
             self.unsupported(path, message)?;

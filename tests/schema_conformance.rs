@@ -236,7 +236,7 @@ fn any_of_siblings_apply_to_every_branch() {
     assert!(accepts(&bounded, "5"));
     assert!(!accepts(&bounded, "1"));
 
-    // The sibling `type` leaves the branch's an empty intersection.
+    // The sibling `type` and the branch's have an empty intersection.
     let disjoint = serde_json::json!({"type": "string", "anyOf": [{"type": "integer"}]});
     assert!(matches!(
         xg_grammar::json_schema_to_grammar(&disjoint),
