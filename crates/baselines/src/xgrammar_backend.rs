@@ -258,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn structural_sessions_recycle_matchers_through_one_pool() {
+    fn a_recompiled_registry_is_a_dispatch_cache_hit() {
         let vocab = small_vocab();
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
         let tag = StructuralTag::new(vec![number_tag("n")]);
@@ -274,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_pools_survive_the_65th_live_registry() {
+    fn a_dispatch_budget_over_64_entries_keeps_the_first_registry() {
         // A dispatch budget above 64 entries: no registry is evicted, so the
         // first stays the one compiled artifact.
         let vocab = small_vocab();
@@ -297,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_recycle_matchers_through_the_pool() {
+    fn each_session_of_a_constraint_starts_from_scratch() {
         let vocab = small_vocab();
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
         let compiled = backend
@@ -380,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn evicted_grammars_do_not_stay_pinned_by_pools() {
+    fn an_evicted_grammar_lives_only_as_long_as_its_session() {
         // A one-entry cache: compiling a second grammar evicts the first, which
         // then lives only as long as the session opened on it.
         let vocab = small_vocab();
@@ -402,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_clear_unpins_pools() {
+    fn cache_clear_leaves_a_grammar_alive_only_through_its_session() {
         let vocab = small_vocab();
         let cache = Arc::new(GrammarCache::new(CacheBudget::for_grammars()));
         let backend = XGrammarBackend::with_cache(

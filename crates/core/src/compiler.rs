@@ -364,13 +364,11 @@ impl GrammarCompiler {
     }
 
     /// The lexicographically sorted index of this compiler's vocabulary:
-    /// one per compiler, built on first use (a key sort and a byte arena,
-    /// ≈ 13–16 ms at 128k tokens) and shared by every compiled grammar,
-    /// structural-tag segment and incremental registry update — and by
-    /// whoever else needs to re-tokenize text against the same vocabulary.
-    /// It holds the sorted tokens' bytes and its run-skip links (≈ 1.9 MB of
-    /// arena and 0.5 MB of links at 128k), once per compiler and not charged
-    /// to the grammar cache's budget.
+    /// one per compiler, built on first use and shared by every compiled
+    /// grammar, structural-tag segment and incremental registry update — and
+    /// by whoever else needs to re-tokenize text against the same vocabulary.
+    /// Its build time and size are on [`SortedVocabulary`]; it is held once
+    /// per compiler and not charged to the grammar cache's budget.
     pub fn sorted_vocabulary(&self) -> &Arc<SortedVocabulary> {
         self.sorted
             .get_or_init(|| Arc::new(SortedVocabulary::new(&self.vocab)))

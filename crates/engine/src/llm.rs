@@ -50,9 +50,9 @@ pub struct SimulatedLlm {
 }
 
 impl SimulatedLlm {
-    /// Creates a simulated LLM, building a sorted index of `vocab` for its
-    /// proposals (a key sort plus a byte arena, ≈ 13–16 ms and ≈ 3.4 MB at
-    /// 128k tokens; the serving engine shares its backend's index instead).
+    /// Creates a simulated LLM, building a [`SortedVocabulary`] of `vocab`
+    /// for its proposals (see its doc for the cost; the serving engine
+    /// shares its backend's index instead).
     pub fn new(vocab: Arc<Vocabulary>, behavior: LlmBehavior) -> Self {
         let sorted = Arc::new(SortedVocabulary::new(&vocab));
         Self::with_sorted(vocab, sorted, behavior)

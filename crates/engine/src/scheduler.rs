@@ -3,60 +3,49 @@
 //! This is the pipeline the paper describes (§3.5): a bounded submission
 //! queue feeds **admission workers** that hand each request's lane to the
 //! persistent **decode loop** and only then compile its grammar (hitting the
-//! backend's `GrammarCache` first); the loop prefills each lane as it joins,
-//! between steps, starts it as its compile lands — under the prefill, first
-//! mask fill included — samples its first token from the prefill's logits
-//! before the batch's next step, and retires it once finished, before the
-//! next prefill; a pool of **mask workers** fills token bitmasks overlapped
-//! with the simulated GPU phase. Each request streams its bytes out through a
-//! per-request channel, none before its prefill ends.
+//! backend's `GrammarCache` first), and a pool of **mask workers** fills token
+//! bitmasks while the simulated GPU steps. Each request streams its bytes
+//! through a per-request channel, none before its prefill ends.
 //!
 //! ```text
 //! submit() ──▶ [queue (bounded)] ──▶ admission workers ──▶ [ready (bounded)]
 //!                                     1. hand the lane over        │
 //!                                     2. compile ── the result ──▶ ▼
-//!             mask workers ◀──(the lane, to fill)──────── decode loop
-//!                          ──(the same lane, filled)──▶   join + prefill, land
-//!                                                         under it, sample /
-//!                                                         step / sample / retire
+//!             mask workers ◀──(the lane, to fill)──────── decode loop: one
+//!                          ──(the same lane, filled   LaneState per lane,
+//!                             or failed)──────────▶   one Round per pass
 //!                                                                  │
-//!             StreamingRequest ◀── Admitted / Bytes / Finished ────┘
+//!        StreamingRequest ◀── Admitted / Bytes / Finished / Failed ┘
 //! ```
 //!
-//! A lane is one value from admission to retirement, and it is in exactly
-//! one place: in the ready channel, in the decode loop's batch (compiling or
-//! decoding), or with a mask worker while its next mask fills. The decode
-//! loop moves the lane itself to the workers and gets the same value back.
+//! The decode loop keeps its batch in one collection, each lane in exactly
+//! one [`LaneState`]: compiling; prefilling until an instant; holding its
+//! prefill's logits; at a mask worker; decoding; finished; failed. One pure
+//! function, [`advance`], decides every transition and the effect the loop
+//! carries out for it, so a failed compile, a dead admission worker and a
+//! panicking mask fill each end their own request and free its slot. The
+//! [`Planner`], the only reader of the [`ExecutionMode`], turns the states
+//! into a [`Round`]: the lanes holding their prefill's logits sample first,
+//! with no step, so a joiner's first token comes from its prefill; otherwise
+//! the batch of decoding lanes steps and samples. The mode is only an order:
+//! overlapped, a round's next fills are handed off after it samples (one
+//! lock, one wake) and fill under the next step, and a joiner prefills at
+//! once, its compile and first fill landing under the prefill; serial, the
+//! paper's no-overlap baseline, fills before the step and prefills once the
+//! compile has landed. The thread code (channels, the [`Bell`], `busy_wait`,
+//! the mask pool) carries out rounds and effects and feeds events back; the
+//! `lifecycle` tests drive `advance` and the planner on virtual time.
 //!
-//! Backpressure composes naturally: the submission queue is a bounded
-//! channel ([`try_submit`](ContinuousScheduler::try_submit) reports
-//! [`SubmitError::Saturated`] instead of blocking), the ready channel holds
-//! at most `max_lanes` lanes, and an admission worker blocks on its `send`
-//! when the batch is full, lanes still compiling included — so a compile
-//! storm or a saturated batch stalls admission, not decoding.
-//!
-//! In [`ExecutionMode::Overlapped`](crate::ExecutionMode::Overlapped) the
-//! decode loop double-buffers mask generation: once the batch's step-`t`
-//! tokens are accepted, every lane that needs a step-`t+1` mask is handed to
-//! the mask workers in one go (one lock, one wake) — so mask fill for step
-//! `t+1` overlaps the next simulated GPU step, and the loop only waits on a
-//! collect barrier right before it needs the masks. A joiner's first mask
-//! fills under its prefill; once it has sampled from the prefill, only its
-//! next mask is handed off, the others' being filled already. In `Serial`
-//! mode the loop hands off and collects all masks before each GPU step,
-//! exposing the full mask wall-clock (the paper's no-overlap baseline). Both
-//! modes hand the same lanes to the same workers through the same hand-off
-//! and wait on the same barrier; they differ only in which side of the GPU
-//! step the barrier sits on, and in which side of a lane's prefill its
-//! compile result is awaited on (serial mode prefills only once the compile
-//! has landed).
-//!
-//! Lanes are driven exclusively through [`Lane::start`]/[`Lane::step`], and a
-//! lane's bytes depend only on its own request (its seed, reference and
-//! constraint), never on batch composition or arrival order — so every
-//! request is served exactly its
-//! [`decode_reference`](crate::ServingEngine::decode_reference). The
-//! differential suite in `tests/continuous_batching.rs` proves it.
+//! A lane is one value from admission to retirement, moved to a mask worker
+//! and back. Backpressure composes: the submission queue is bounded
+//! ([`try_submit`](ContinuousScheduler::try_submit) reports
+//! [`SubmitError::Saturated`]), the ready channel holds at most `max_lanes`
+//! lanes, and an admission worker blocks on its `send` while the batch is
+//! full, compiling lanes included. Lanes are driven only through
+//! [`Lane::start`]/[`Lane::step`], and a lane's bytes depend only on its own
+//! request, so every request is served exactly its
+//! [`decode_reference`](crate::ServingEngine::decode_reference)
+//! (`tests/continuous_batching.rs`).
 //!
 //! [`Lane::start`]: crate::lane::Lane::start
 //! [`Lane::step`]: crate::lane::Lane::step
@@ -137,7 +126,8 @@ pub enum StreamEvent {
         /// Per-request latency breakdown.
         timing: LaneTiming,
     },
-    /// The request's constraint failed to compile; terminal.
+    /// The request failed: its constraint did not compile, or one of its
+    /// mask fills panicked; terminal.
     Failed(BackendError),
 }
 
@@ -203,9 +193,9 @@ impl StreamingRequest {
     ///
     /// # Errors
     ///
-    /// Returns the backend's compile error if the request failed admission,
-    /// or a scheduler-shutdown error if the stream ended without a terminal
-    /// event.
+    /// Returns the error of a [`StreamEvent::Failed`] (the backend's compile
+    /// error, or the scheduler's own), or a scheduler-shutdown error if the
+    /// stream ended without a terminal event.
     pub fn wait(self) -> Result<FinishedRequest, BackendError> {
         while let Some(event) = self.next_event() {
             match event {
@@ -264,7 +254,8 @@ pub struct SchedulerMetrics {
     pub admitted: u64,
     /// Requests that finished decoding.
     pub completed: u64,
-    /// Requests whose constraint failed to compile (a panic included).
+    /// Requests that failed: their constraint did not compile (a panic
+    /// included), or one of their mask fills panicked.
     pub failed: u64,
     /// Admissions whose constraint was already compiled (cache hits).
     pub cache_hit_admissions: u64,
@@ -357,9 +348,10 @@ impl SchedulerMetrics {
 }
 
 /// The one record of a request, created by `submit` and moved from stage to
-/// stage until its lane retires: where its events go, and the timing each
-/// stage fills its share of.
+/// stage until its lane retires: its id, where its events go, and the timing
+/// each stage fills its share of.
 struct Ticket {
+    id: u64,
     events: Sender<StreamEvent>,
     submitted_at: Instant,
     timing: LaneTiming,
@@ -386,25 +378,40 @@ struct ActiveLane {
     /// Time from submission to the first emitted bytes, and the lane's
     /// `forced_time` by then (already inside the former).
     first_emit: Option<(Duration, Duration)>,
-    /// No byte streams before: the prefill's end (overlapped mode).
-    prefill_end: Instant,
-    /// The lane landed and holds its prefill's logits, not yet stepped.
-    prefilled: bool,
+    /// How much of `lane.output` has streamed.
+    streamed: usize,
 }
 
 impl ActiveLane {
-    /// Whether the lane goes to a mask worker before its next step.
-    fn needs_mask(&self) -> bool {
-        self.lane.is_constrained() && !self.lane.finished
+    /// Counts and announces the landed compile, then starts the lane (its
+    /// lane-start jump-forward pass).
+    fn admit(&mut self, compiled: CompileOk, shared: &Shared, ctx: ForcedContext<'_>) -> Event {
+        let timing = &mut self.ticket.timing;
+        (self.lane.session, timing.compile_time, timing.cache_hit) = compiled;
+        let mut stats = shared.stats();
+        stats.metrics.admitted += 1;
+        stats.metrics.cache_hit_admissions += u64::from(timing.cache_hit);
+        drop(stats);
+        let _ = self.ticket.events.send(StreamEvent::Admitted {
+            queue_time: timing.queue_time,
+            compile_time: timing.compile_time,
+            cache_hit: timing.cache_hit,
+        });
+        self.lane.start(&ctx);
+        let (now, finished) = (Instant::now(), self.lane.finished);
+        Event::Started { now, finished }
     }
 
-    /// Streams `lane.output[from..]`, stamping the first emission.
-    fn emit(&mut self, from: usize) {
-        if self.first_emit.is_none() {
-            self.first_emit = Some((self.ticket.submitted_at.elapsed(), self.lane.forced_time));
+    /// Streams the bytes not streamed yet, stamping the first emission.
+    fn stream(&mut self) {
+        let output = &self.lane.output;
+        if output.len() > self.streamed {
+            let bytes = output[self.streamed..].to_vec();
+            self.streamed = output.len();
+            (self.first_emit)
+                .get_or_insert_with(|| (self.ticket.submitted_at.elapsed(), self.lane.forced_time));
+            let _ = self.ticket.events.send(StreamEvent::Bytes(bytes));
         }
-        let bytes = self.lane.output[from..].to_vec();
-        let _ = self.ticket.events.send(StreamEvent::Bytes(bytes));
     }
 
     /// Retires the finished lane: complete its timing, fold it and the lane's
@@ -448,6 +455,158 @@ impl ActiveLane {
     }
 }
 
+/// Where a lane of the decode loop's batch is; each lane is in exactly one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneState {
+    /// Its compile has not landed. Its prefill ends at the instant, or
+    /// (`None`, serial mode) starts once the compile lands.
+    Compiling(Option<Instant>),
+    /// Compiled and started; nothing streams before its prefill ends.
+    Prefilling(Instant),
+    /// Holds its prefill's logits: samples before the batch steps again.
+    Prefilled,
+    /// At a mask worker while its next mask fills; a `joiner` has not
+    /// sampled yet.
+    AtMaskWorker { joiner: bool },
+    /// Has sampled, and samples again after the next step.
+    Decoding,
+    /// Ended; the loop retires it.
+    Finished,
+    /// Its compile or a mask fill failed; its request got `Failed`.
+    Failed,
+}
+
+/// What happened to a lane, fed back into [`advance`] by the thread code.
+#[derive(Debug)]
+enum Event {
+    /// Its compile landed at `now` and it started; `finished` if the
+    /// lane-start pass ended it.
+    Started {
+        now: Instant,
+        finished: bool,
+    },
+    /// Its compile failed or its admission worker died, or a fill panicked.
+    Failed(BackendError),
+    /// The loop has waited out every prefill that began before the instant.
+    PrefillEnded(Instant),
+    HandedOff,
+    /// Back from the mask worker, its mask filled.
+    Filled,
+    Sampled {
+        finished: bool,
+    },
+}
+
+/// What the decode loop carries out for a transition.
+#[derive(Debug)]
+enum Effect {
+    None,
+    /// Stream the lane's new bytes.
+    Stream,
+    /// Pay the lane's prefill, then stream: serial mode's compile came first.
+    PrefillThenStream,
+    /// Count the failure and send it to the request.
+    Fail(BackendError),
+}
+
+/// The lane lifecycle: the state an event moves a lane to, and the effect
+/// the loop carries out. A pair not listed is a scheduler bug.
+fn advance(state: LaneState, event: Event) -> (LaneState, Effect) {
+    use LaneState::*;
+    let ended = |finished, or| if finished { Finished } else { or };
+    match (state, event) {
+        (Compiling(_) | AtMaskWorker { .. }, Event::Failed(err)) => (Failed, Effect::Fail(err)),
+        (Compiling(prefill_end), Event::Started { now, finished }) => match prefill_end {
+            Some(until) if now < until => (Prefilling(until), Effect::None),
+            Some(_) => (ended(finished, Prefilled), Effect::Stream),
+            None => (ended(finished, Prefilled), Effect::PrefillThenStream),
+        },
+        (Prefilling(until), Event::PrefillEnded(now)) if until <= now => (Prefilled, Effect::None),
+        (Prefilling(_) | Prefilled, Event::HandedOff) => {
+            (AtMaskWorker { joiner: true }, Effect::None)
+        }
+        (Decoding, Event::HandedOff) => (AtMaskWorker { joiner: false }, Effect::None),
+        (AtMaskWorker { joiner: true }, Event::Filled) => (Prefilled, Effect::None),
+        (AtMaskWorker { joiner: false }, Event::Filled) => (Decoding, Effect::None),
+        (Prefilled | Decoding, Event::Sampled { finished }) => {
+            (ended(finished, Decoding), Effect::Stream)
+        }
+        (state, event) => unreachable!("a lane {state:?} cannot take {event:?}"),
+    }
+}
+
+/// A phase of a [`Round`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The simulated GPU decode step over the round's lanes.
+    Step,
+    /// The round's lanes that need a mask go to the mask workers.
+    HandOff,
+    /// Every lane at a mask worker comes back.
+    Collect,
+    /// The round's lanes sample.
+    Sample,
+}
+
+/// One round of the decode loop: its phases in order, and the lanes that
+/// sample, by position in the batch.
+#[derive(Debug)]
+struct Round {
+    phases: &'static [Phase],
+    lanes: Vec<usize>,
+}
+
+/// Turns lane states into rounds. The only reader of the execution mode,
+/// which it turns into an order of phases and of a joiner's compile and
+/// prefill.
+#[derive(Debug, Clone, Copy)]
+struct Planner(ExecutionMode);
+
+impl Planner {
+    /// The state a lane joins in, its prefill ending at `end` if it starts
+    /// now: overlapped it does, serial it waits for the compile.
+    fn join(self, end: Instant) -> LaneState {
+        LaneState::Compiling(Some(end).filter(|_| self.0 == ExecutionMode::Overlapped))
+    }
+
+    /// Whether a lane's first fill goes to the mask workers as its compile
+    /// lands, under its prefill, rather than in its joiner round.
+    fn fills_on_landing(self) -> bool {
+        self.0 == ExecutionMode::Overlapped
+    }
+
+    /// The next round, `None` if no lane can sample: the lanes holding their
+    /// prefill's logits, with no step; otherwise every decoding lane, after a
+    /// step over exactly them. Overlapped, a round hands its lanes' next fills
+    /// off after sampling, to fill under the next step; serial, the fills
+    /// complete before the step.
+    fn round(self, states: impl Iterator<Item = LaneState> + Clone) -> Option<Round> {
+        let pick = |joiners: bool| -> Vec<usize> {
+            let picked = states
+                .clone()
+                .enumerate()
+                .filter(|&(_, state)| match state {
+                    LaneState::Prefilled => joiners,
+                    LaneState::AtMaskWorker { joiner } => joiner == joiners,
+                    LaneState::Decoding => !joiners,
+                    _ => false,
+                });
+            picked.map(|(i, _)| i).collect()
+        };
+        let joiners = pick(true);
+        let step = joiners.is_empty();
+        let lanes = if step { pick(false) } else { joiners };
+        use {ExecutionMode::*, Phase::*};
+        let phases: &'static [Phase] = match (self.0, step) {
+            (Overlapped, false) => &[Collect, Sample, HandOff],
+            (Overlapped, true) => &[Step, Collect, Sample, HandOff],
+            (Serial, false) => &[HandOff, Collect, Sample],
+            (Serial, true) => &[HandOff, Collect, Step, Sample],
+        };
+        (!lanes.is_empty()).then_some(Round { phases, lanes })
+    }
+}
+
 /// Locks `mutex`, recovering it if a thread panicked while holding it. Every
 /// lock here guards counters, a queue, an `Option<Sender>` or a receiver,
 /// and each critical section is a push, a pop, an add or a `recv`, so the
@@ -485,9 +644,10 @@ impl MaskPool {
 }
 
 /// Body of one persistent mask worker: pop a lane, fill its mask, send it
-/// back. Exits when the pool shuts down and drains, or when the decode loop
-/// (the receiver) is gone.
-fn mask_worker(pool: &MaskPool, done: &Sender<ActiveLane>, shared: &Shared) {
+/// back with whether the fill returned. The job is the lane, so a fill that
+/// panics fails that lane and the worker serves on. Exits when the pool shuts
+/// down and drains, or when the decode loop (the receiver) is gone.
+fn mask_worker(pool: &MaskPool, done: &Sender<(ActiveLane, bool)>, shared: &Shared) {
     loop {
         let popped = (pool.available)
             .wait_while(lock(&pool.state), |s| s.lanes.is_empty() && !s.shutdown)
@@ -498,13 +658,18 @@ fn mask_worker(pool: &MaskPool, done: &Sender<ActiveLane>, shared: &Shared) {
             return;
         };
         let start = Instant::now();
-        if let Some(session) = &mut al.lane.session {
-            session.fill_next_token_bitmask(&mut al.mask);
-        }
+        let filled = panic::catch_unwind(AssertUnwindSafe(|| {
+            if let Some(session) = &mut al.lane.session {
+                session.fill_next_token_bitmask(&mut al.mask);
+            }
+        }));
+        // Forgotten, not dropped: a payload whose drop panics would end the
+        // worker, and the workers must outlive the decode loop.
+        let filled = filled.map_err(std::mem::forget).is_ok();
         shared
             .mask_busy_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if done.send(al).is_err() {
+        if done.send((al, filled)).is_err() {
             return;
         }
     }
@@ -616,12 +781,9 @@ impl ContinuousScheduler {
             vocab: Arc::clone(backend.vocabulary()),
             sorted: engine.retokenizer(),
             profile: engine.profile().clone(),
-            mode: engine.mode(),
+            planner: Planner(engine.mode()),
             max_lanes,
             lanes: Vec::with_capacity(max_lanes),
-            compiling: Vec::with_capacity(max_lanes),
-            in_flight: 0,
-            joined: false,
         };
         threads.push(spawn("xg-decode".into(), move || decode.run()));
 
@@ -678,6 +840,7 @@ impl ContinuousScheduler {
         let (events_tx, events) = mpsc::channel();
         let submission = Submission {
             ticket: Ticket {
+                id,
                 events: events_tx,
                 submitted_at: Instant::now(),
                 timing: LaneTiming::default(),
@@ -750,7 +913,8 @@ impl Drop for ContinuousScheduler {
 
 /// A compile result, sent after its lane: the session (`None` when
 /// unconstrained), the compile's wall clock and whether it hit the cache.
-type Compiled = Result<(Option<Session>, Duration, bool), BackendError>;
+type Compiled = Result<CompileOk, BackendError>;
+type CompileOk = (Option<Session>, Duration, bool);
 
 /// An admission worker's doorbell to the decode loop, rung after every send
 /// to it (a lane, a compile result) and when dropped, however the worker
@@ -802,8 +966,7 @@ fn admission_worker(
             compiled,
             mask: TokenBitmask::new_all_rejected(backend.vocabulary().len()),
             first_emit: None,
-            prefill_end: Instant::now(),
-            prefilled: false,
+            streamed: 0,
         };
         if ready.send(lane).is_err() {
             // Decode loop is gone; nothing more to admit.
@@ -824,31 +987,31 @@ fn admission_worker(
     }
 }
 
-/// The persistent decode loop: joins lanes and starts each as its compile
-/// lands, between steps or under a prefill; drives each round through
-/// [`Lane::step`], overlaps mask fill with the GPU phase in overlapped mode,
-/// streams emitted bytes, and retires finished lanes. Dropping it shuts the pool.
+/// A lane of the decode loop's batch: its state, and the lane itself unless
+/// it is at a mask worker.
+struct Slot {
+    id: u64,
+    state: LaneState,
+    lane: Option<ActiveLane>,
+}
+
+/// The persistent decode loop: joins lanes, carries out the planner's rounds
+/// and the effects of each transition, and feeds events back to [`advance`].
+/// Dropping it shuts the mask pool.
 struct DecodeLoop {
     ready: Receiver<ActiveLane>,
     /// Every admission worker's [`Bell`].
     bell: Receiver<()>,
-    mask_done: Receiver<ActiveLane>,
+    mask_done: Receiver<(ActiveLane, bool)>,
     pool: Arc<MaskPool>,
     shared: Arc<Shared>,
     vocab: Arc<Vocabulary>,
     /// Forced-text re-tokenization index; `None` = jump-forward is off.
     sorted: Option<Arc<SortedVocabulary>>,
     profile: ModelProfile,
-    mode: ExecutionMode,
+    planner: Planner,
     max_lanes: usize,
-    /// The batch's decoding lanes that are not with a mask worker.
-    lanes: Vec<ActiveLane>,
-    /// The batch's lanes whose compile result has not landed yet.
-    compiling: Vec<ActiveLane>,
-    /// The decoding lanes with a mask worker.
-    in_flight: usize,
-    /// A lane landed since the last round: some lane holds its prefill's logits.
-    joined: bool,
+    lanes: Vec<Slot>,
 }
 
 impl Drop for DecodeLoop {
@@ -858,113 +1021,47 @@ impl Drop for DecodeLoop {
 }
 
 impl DecodeLoop {
-    fn batch_size(&self) -> usize {
-        self.lanes.len() + self.in_flight + self.compiling.len()
-    }
-
     fn run(mut self) {
         while self.take_arrivals() {
-            // Lanes that landed sample from their prefill before the step.
-            if std::mem::take(&mut self.joined) {
-                self.round(true);
-            }
-            if self.lanes.len() + self.in_flight > 0 {
-                self.round(false);
+            // A joiner round if the planner has one, then the step round:
+            // lanes join only between step rounds.
+            while let Some(round) = self.planner.round(self.lanes.iter().map(|s| s.state)) {
+                if self.round(&round) {
+                    break;
+                }
             }
         }
     }
 
-    /// One round: a decode step, then every lane samples from it — or, for
-    /// the `joiners`, no step, and only the lanes holding their prefill's
-    /// logits sample. Then hand off their next fills and retire the finished.
-    fn round(&mut self, joiners: bool) {
-        let batch_size = self.lanes.len() + self.in_flight;
-        let step_start = Instant::now();
-        let gpu_step = self.profile.decode_step_time(batch_size) * u32::from(!joiners);
-        let mut handoff = Duration::ZERO;
-        // Serial: no overlap — hand off and collect every mask, exposing
-        // the full mask wall-clock, then run the GPU step. Overlapped: the
-        // masks were handed off after the previous sampling phase (and at
-        // landing); they fill while the GPU works, and only the residual
-        // shows up as wait time.
-        let serial = matches!(self.mode, ExecutionMode::Serial);
-        if serial {
-            handoff += self.dispatch(joiners);
-        } else {
-            busy_wait(gpu_step);
-        }
-        let wait = Instant::now();
-        self.collect();
-        let mask_wait = wait.elapsed();
-        if serial {
-            busy_wait(gpu_step);
-        }
-
-        // ---- Sampling phase. ----
-        let ctx = ForcedContext {
-            sorted: self.sorted.as_deref(),
-            vocab: &self.vocab,
-        };
-        let mut sample = Duration::ZERO;
-        for al in self.lanes.iter_mut().filter(|al| al.prefilled || !joiners) {
-            // A joiner keeps its mark for this round's hand-off; the step
-            // round that always follows clears it.
-            al.prefilled = joiners;
-            let start = Instant::now();
-            let emitted_from = al
-                .lane
-                .step(al.lane.is_constrained().then_some(&al.mask), &ctx);
-            sample += start.elapsed();
-            // A first emission also streams what `land` held back.
-            let from = al.first_emit.map_or(0, |_| emitted_from);
-            if al.lane.output.len() > from {
-                al.emit(from);
-            }
-        }
-        if !serial {
-            // Double-buffering: the next masks fill through the next GPU step.
-            handoff += self.dispatch(joiners);
-        }
-
-        // ---- Accounting, then retire finished lanes. ----
-        {
-            let mut stats = self.shared.stats();
-            let metrics = &mut stats.metrics;
-            metrics.decode_steps += u64::from(!joiners);
-            metrics.max_concurrent_lanes = metrics.max_concurrent_lanes.max(self.batch_size());
-            metrics.gpu_time += gpu_step;
-            metrics.mask_wait_time += mask_wait;
-            metrics.sample_time += sample;
-            metrics.handoff_time += handoff;
-            metrics.decode_time += step_start.elapsed();
-        }
-        for al in self.lanes.extract_if(.., |al| al.lane.finished) {
-            al.finish(&self.shared);
-        }
-    }
-
-    /// Join phase: joins handed-over lanes while the batch has room — in
-    /// overlapped mode a lane pays its prefill now, under its compile — and
-    /// lands the compile results of the lanes it holds, blocking while no lane
-    /// can decode. `false` once admission has closed and the batch is empty.
+    /// Joins handed-over lanes while the batch has room, waiting out a
+    /// joiner's prefill if it starts at once, and lands the compile results
+    /// that have arrived, blocking while every lane is compiling. `false`
+    /// once admission has closed and the batch is empty.
     fn take_arrivals(&mut self) -> bool {
         loop {
             // Rings so far announce sends this pass sees; a later one stays
             // queued and wakes the idle wait below.
             self.bell.try_iter().for_each(drop);
-            while self.batch_size() < self.max_lanes {
+            while self.lanes.len() < self.max_lanes {
                 let al = match self.ready.try_recv() {
                     Ok(al) => al,
-                    Err(TryRecvError::Disconnected) if self.batch_size() == 0 => return false,
+                    Err(TryRecvError::Disconnected) if self.lanes.is_empty() => return false,
                     Err(_) => break,
                 };
-                match self.mode {
-                    ExecutionMode::Overlapped => self.prefill(al),
-                    ExecutionMode::Serial => self.compiling.push(al),
+                let prefill = self.profile.prefill_time(al.prompt_tokens);
+                let (id, state) = (al.ticket.id, self.planner.join(Instant::now() + prefill));
+                let lane = Some(al);
+                self.lanes.push(Slot { id, state, lane });
+                if let LaneState::Compiling(Some(end)) = state {
+                    self.prefill(end, prefill);
                 }
             }
             self.land_compiled();
-            if self.lanes.len() + self.in_flight > 0 {
+            if self
+                .lanes
+                .iter()
+                .any(|s| !matches!(s.state, LaneState::Compiling(_)))
+            {
                 return true;
             }
             // Idle: sleep until a worker rings (or the last one exits).
@@ -972,15 +1069,11 @@ impl DecodeLoop {
         }
     }
 
-    /// Pays a joining lane's prefill, landing compile results (its own too)
+    /// Waits out a joiner's prefill, landing compile results (its own too)
     /// under it: as `busy_wait` sleeps, a prefill over 2 ms waits on the bell
     /// but for its last 1 ms, which it spins, and a shorter one spins.
-    fn prefill(&mut self, mut al: ActiveLane) {
+    fn prefill(&mut self, end: Instant, prefill: Duration) {
         let ms = Duration::from_millis;
-        let prefill = self.profile.prefill_time(al.prompt_tokens);
-        let end = Instant::now() + prefill;
-        al.prefill_end = end;
-        self.compiling.push(al);
         loop {
             self.land_compiled();
             let left = end.saturating_duration_since(Instant::now());
@@ -991,108 +1084,181 @@ impl DecodeLoop {
             }
         }
         self.shared.stats().metrics.prefill_time += prefill + end.elapsed();
+        let now = Instant::now();
+        for i in 0..self.lanes.len() {
+            if matches!(self.lanes[i].state, LaneState::Prefilling(_)) {
+                self.feed(i, Event::PrefillEnded(now));
+            }
+        }
     }
 
-    /// Lands every compile result that has arrived.
+    /// Lands every compile result that has arrived, hands off the first
+    /// fills the planner wants under the prefill, and retires what ended.
     fn land_compiled(&mut self) {
-        let mut i = 0;
-        while let Some(al) = self.compiling.get(i) {
-            match al.compiled.try_recv() {
-                Err(TryRecvError::Empty) => i += 1,
-                result => {
-                    let al = self.compiling.swap_remove(i);
-                    let died = "the admission worker died before the compile finished";
-                    self.land(al, result.unwrap_or_else(|_| Err(scheduler_error(died))));
+        for i in 0..self.lanes.len() {
+            let slot = &mut self.lanes[i];
+            let (LaneState::Compiling(_), Some(al)) = (slot.state, &mut slot.lane) else {
+                continue;
+            };
+            let died = "the admission worker died before the compile finished";
+            let event = match al.compiled.try_recv() {
+                Err(TryRecvError::Empty) => continue,
+                Err(TryRecvError::Disconnected) => Event::Failed(scheduler_error(died)),
+                Ok(Err(err)) => Event::Failed(err),
+                Ok(Ok(compiled)) => {
+                    let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
+                    al.admit(compiled, &self.shared, ForcedContext { sorted, vocab })
                 }
+            };
+            self.feed(i, event);
+            if self.planner.fills_on_landing() {
+                self.dispatch(&[i]);
             }
         }
+        self.retire();
     }
 
-    /// Lands a lane's compile result: a failure ends the request. Otherwise
-    /// announce the lane, pay its prefill in serial mode, run the lane-start
-    /// jump-forward pass, stream any forced prefix (when it samples if the
-    /// prefill still runs), and (overlapped) hand off its first fill.
-    fn land(&mut self, mut al: ActiveLane, compiled: Compiled) {
-        let timing = &mut al.ticket.timing;
-        (al.lane.session, timing.compile_time, timing.cache_hit) = match compiled {
-            Ok(compiled) => compiled,
-            Err(err) => {
+    /// Feeds lane `i` an event and carries out the transition's effect.
+    fn feed(&mut self, i: usize, event: Event) {
+        let slot = &mut self.lanes[i];
+        let effect;
+        (slot.state, effect) = advance(slot.state, event);
+        let al = slot
+            .lane
+            .as_mut()
+            .expect("a lane takes events in the batch");
+        match effect {
+            Effect::None => {}
+            Effect::Stream => al.stream(),
+            Effect::PrefillThenStream => {
+                let start = Instant::now();
+                busy_wait(self.profile.prefill_time(al.prompt_tokens));
+                self.shared.stats().metrics.prefill_time += start.elapsed();
+                al.stream();
+            }
+            Effect::Fail(err) => {
                 self.shared.stats().metrics.failed += 1;
-                // Receiver may be gone (caller dropped the handle) — fine.
+                // The receiver may be gone (the caller dropped the handle).
                 let _ = al.ticket.events.send(StreamEvent::Failed(err));
-                return;
             }
-        };
-        let mut stats = self.shared.stats();
-        stats.metrics.admitted += 1;
-        stats.metrics.cache_hit_admissions += u64::from(timing.cache_hit);
-        drop(stats);
-        let _ = al.ticket.events.send(StreamEvent::Admitted {
-            queue_time: timing.queue_time,
-            compile_time: timing.compile_time,
-            cache_hit: timing.cache_hit,
-        });
-        if matches!(self.mode, ExecutionMode::Serial) {
-            let start = Instant::now();
-            busy_wait(self.profile.prefill_time(al.prompt_tokens));
-            self.shared.stats().metrics.prefill_time += start.elapsed();
-        }
-        al.lane.start(&ForcedContext {
-            sorted: self.sorted.as_deref(),
-            vocab: &self.vocab,
-        });
-        let prefill_over = al.prefill_end <= Instant::now();
-        if prefill_over && !al.lane.output.is_empty() {
-            // The lane-start jump-forward already forced a prefix.
-            al.emit(0);
-        }
-        if prefill_over && al.lane.finished {
-            // The constraint forced the entire output (or the cap is 0).
-            al.finish(&self.shared);
-            return;
-        }
-        al.prefilled = true;
-        self.joined = true;
-        self.lanes.push(al);
-        if matches!(self.mode, ExecutionMode::Overlapped) {
-            self.dispatch(true);
         }
     }
 
-    /// The round's one mask hand-off: moves every lane that needs a fill
-    /// (with `joiners`, every such lane holding its prefill's logits) into
-    /// the mask workers' queue under one lock, then wakes them once, and
-    /// returns the wall clock it took. One lock and one wake, not a channel
-    /// send per lane: sending each lane on its own took `schema_warm`'s
-    /// `engine.step_overhead_us` from 36 to 85 µs and `cfg_heavy`'s from 23
-    /// to 38 (`perf --seed 11`, 2 cores).
-    fn dispatch(&mut self, joiners: bool) -> Duration {
+    /// Runs one round phase by phase, accounts for it and retires the lanes
+    /// that ended. Returns whether it stepped.
+    fn round(&mut self, round: &Round) -> bool {
+        let (start, steps) = (Instant::now(), round.phases.contains(&Phase::Step));
+        let [mut gpu_step, mut handoff, mut mask_wait, mut sample] = [Duration::ZERO; 4];
+        for phase in round.phases {
+            match phase {
+                Phase::Step => {
+                    // Serial, a lane whose fill just panicked leaves the batch.
+                    let live = |i: &&usize| self.lanes[**i].state != LaneState::Failed;
+                    let batch = round.lanes.iter().filter(live).count();
+                    gpu_step = self.profile.decode_step_time(batch);
+                    busy_wait(gpu_step);
+                }
+                Phase::HandOff => handoff += self.dispatch(&round.lanes),
+                Phase::Collect => {
+                    let wait = Instant::now();
+                    self.collect();
+                    mask_wait += wait.elapsed();
+                }
+                Phase::Sample => sample += self.sample(&round.lanes),
+            }
+        }
+        {
+            let mut stats = self.shared.stats();
+            let metrics = &mut stats.metrics;
+            metrics.decode_steps += u64::from(steps);
+            metrics.max_concurrent_lanes = metrics.max_concurrent_lanes.max(self.lanes.len());
+            metrics.gpu_time += gpu_step;
+            metrics.mask_wait_time += mask_wait;
+            metrics.sample_time += sample;
+            metrics.handoff_time += handoff;
+            metrics.decode_time += start.elapsed();
+        }
+        self.retire();
+        steps
+    }
+
+    /// Each of `lanes` samples under its mask and streams what it emitted;
+    /// returns the wall clock `Lane::step` took.
+    fn sample(&mut self, lanes: &[usize]) -> Duration {
+        let mut took = Duration::ZERO;
+        for &i in lanes {
+            let slot = &mut self.lanes[i];
+            // The lane's fill panicked at this round's collect.
+            if slot.state == LaneState::Failed {
+                continue;
+            }
+            let Some(al) = slot.lane.as_mut() else {
+                unreachable!("lane {} samples at a mask worker", slot.id);
+            };
+            let start = Instant::now();
+            let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
+            let mask = al.lane.is_constrained().then_some(&al.mask);
+            al.lane.step(mask, &ForcedContext { sorted, vocab });
+            took += start.elapsed();
+            let finished = al.lane.finished;
+            self.feed(i, Event::Sampled { finished });
+        }
+        took
+    }
+
+    /// Moves each of `lanes` that needs a mask into the mask workers' queue
+    /// under one lock, then wakes them once, and returns the wall clock it
+    /// took. One lock and one wake, not a channel send per lane: sending each
+    /// lane on its own took `schema_warm`'s `engine.step_overhead_us` from 36
+    /// to 85 µs and `cfg_heavy`'s from 23 to 38 (`perf --seed 11`, 2 cores).
+    fn dispatch(&mut self, lanes: &[usize]) -> Duration {
         let start = Instant::now();
-        let mut pool = lock(&self.pool.state);
-        let before = pool.lanes.len();
-        pool.lanes.extend(
-            self.lanes
-                .extract_if(.., |al| al.needs_mask() && (al.prefilled || !joiners)),
-        );
-        let sent = pool.lanes.len() - before;
-        drop(pool);
-        self.in_flight += sent;
+        let pool = Arc::clone(&self.pool);
+        let mut queue = lock(&pool.state);
+        let before = queue.lanes.len();
+        for &i in lanes {
+            let slot = &self.lanes[i];
+            let needs_mask = |al: &ActiveLane| al.lane.is_constrained() && !al.lane.finished;
+            if slot.state != LaneState::Failed && slot.lane.as_ref().is_some_and(needs_mask) {
+                self.feed(i, Event::HandedOff);
+                queue.lanes.extend(self.lanes[i].lane.take());
+            }
+        }
+        let sent = queue.lanes.len() - before;
+        drop(queue);
         match sent {
             0 => {}
-            1 => self.pool.available.notify_one(),
-            _ => self.pool.available.notify_all(),
+            1 => pool.available.notify_one(),
+            _ => pool.available.notify_all(),
         }
         start.elapsed()
     }
 
-    /// Collect barrier: takes back every lane at a mask worker, its mask
-    /// filled.
+    /// The collect barrier: takes back every lane at a mask worker, its mask
+    /// filled or its fill failed.
     fn collect(&mut self) {
-        while self.in_flight > 0 {
-            let al = self.mask_done.recv();
-            self.lanes
-                .push(al.expect("mask workers outlive the decode loop"));
-            self.in_flight -= 1;
+        for _ in 0..self.lanes.iter().filter(|s| s.lane.is_none()).count() {
+            // The workers outlive the loop: they never unwind, and the pool
+            // shuts only when the loop is dropped.
+            let Ok((al, filled)) = self.mask_done.recv() else {
+                return;
+            };
+            let i = self.lanes.iter().position(|s| s.id == al.ticket.id);
+            let i = i.expect("a lane keeps its slot while at a mask worker");
+            self.lanes[i].lane = Some(al);
+            let panicked = || Event::Failed(scheduler_error("the mask fill panicked"));
+            self.feed(i, if filled { Event::Filled } else { panicked() });
+        }
+    }
+
+    /// Retires the lanes that finished, and frees the slots of those that
+    /// failed.
+    fn retire(&mut self) {
+        let ended = |s: &mut Slot| matches!(s.state, LaneState::Finished | LaneState::Failed);
+        for slot in self.lanes.extract_if(.., ended) {
+            if let (LaneState::Finished, Some(al)) = (slot.state, slot.lane) {
+                al.finish(&self.shared);
+            }
         }
     }
 }
@@ -1739,6 +1905,85 @@ mod tests {
         }
     }
 
+    /// Waits at most `limit` for `stream`'s terminal event: its result, or
+    /// its error.
+    fn terminal_within(
+        stream: &StreamingRequest,
+        limit: Duration,
+    ) -> Result<RequestResult, BackendError> {
+        let deadline = Instant::now() + limit;
+        while Instant::now() < deadline {
+            match stream.try_next_event() {
+                Some(StreamEvent::Finished { result, .. }) => return Ok(result),
+                Some(StreamEvent::Failed(err)) => return Err(err),
+                Some(_) => {}
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+        panic!(
+            "request {} has no terminal event after {limit:?}",
+            stream.id()
+        );
+    }
+
+    #[test]
+    fn a_panicking_mask_fill_fails_only_its_own_request() {
+        let inner = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
+        let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
+        let requests = &schema_requests()[..3];
+        let reference = ServingEngine::new(inner.clone(), profile.clone(), ExecutionMode::Serial);
+        let expected: Vec<RequestResult> = requests
+            .iter()
+            .map(|request| reference.decode_reference(request).unwrap())
+            .collect();
+        let limit = Duration::from_secs(5);
+        for mode in MODES {
+            for mask_workers in [1, 2] {
+                let what = format!("{mode:?}, {mask_workers} mask workers");
+                let sessions = Arc::new(FilledSessions::default());
+                let backend = CountingBackend {
+                    inner: Arc::clone(&inner),
+                    sessions: Arc::clone(&sessions),
+                    delay: |opened, _| {
+                        assert_ne!(opened, 1, "the second session's fills panic");
+                        Duration::ZERO
+                    },
+                };
+                let engine = ServingEngine::new(Arc::new(backend), profile.clone(), mode);
+                // Left undropped on a failure: joining a wedged decode loop
+                // would hang the test instead of failing it.
+                let scheduler = std::mem::ManuallyDrop::new(engine.serve(SchedulerConfig {
+                    max_lanes: 4,
+                    mask_workers,
+                    ..SchedulerConfig::default()
+                }));
+                let handles: Vec<_> = requests
+                    .iter()
+                    .map(|request| scheduler.submit(request.clone()).unwrap())
+                    .collect();
+                let mut failed = 0;
+                for (handle, expected) in handles.iter().zip(&expected) {
+                    match terminal_within(handle, limit) {
+                        Ok(result) => assert_eq!(result.output, expected.output, "{what}"),
+                        Err(err) => {
+                            assert!(err.to_string().contains("mask fill panicked"), "{what}");
+                            failed += 1;
+                        }
+                    }
+                }
+                assert_eq!(failed, 1, "{what}");
+                let fresh = scheduler.submit(request(0)).unwrap();
+                let fresh = terminal_within(&fresh, limit).expect("a fresh request finishes");
+                assert_eq!(fresh.output, br#"{"ok": true}"#.to_vec(), "{what}");
+                let m = scheduler.metrics();
+                assert_eq!((m.failed, m.completed), (1, 3), "{what}");
+                std::mem::ManuallyDrop::into_inner(scheduler).shutdown();
+                // The failed lane's session went with its slot.
+                assert_eq!(sessions.live.load(Ordering::SeqCst), 0, "{what}");
+            }
+        }
+    }
+
     /// A panic payload that panics again when dropped.
     struct PanicsOnDrop;
 
@@ -1773,6 +2018,26 @@ mod tests {
                 "{mode:?}: shutdown re-raises the worker's panic"
             );
         }
+    }
+
+    #[test]
+    fn dropping_the_scheduler_while_unwinding_past_a_dead_worker_does_not_abort() {
+        // The first compile's payload kills its admission worker outside the
+        // catch; a mask worker catches a fill's panic and lives on.
+        let before = |_: &Grammar, call| {
+            if call == 0 {
+                panic::panic_any(PanicsOnDrop);
+            }
+        };
+        let unwound = panic::catch_unwind(|| {
+            let engine = HookedCompile::engine(before, ExecutionMode::Overlapped);
+            let scheduler = engine.serve(SchedulerConfig::default());
+            assert!(scheduler.submit(request(0)).unwrap().wait().is_err());
+            // Unwinds through the scheduler's drop, which finds the dead
+            // worker: re-raising its panic would abort the process.
+            panic!("the body's own failure");
+        });
+        assert!(unwound.is_err());
     }
 
     #[test]
@@ -2088,6 +2353,473 @@ slow ::= "true" | "false""#,
                     assert_eq!(fills, expected, "{what}");
                 }
             }
+        }
+    }
+
+    /// The lane lifecycle on virtual time: [`advance`] and the [`Planner`],
+    /// driven by a single-threaded stand-in for the decode loop with no
+    /// threads, channels or sleeps. The stand-in mirrors `DecodeLoop`'s
+    /// executor; every lane's compile, fills and tokens are scripted.
+    mod lifecycle {
+        use super::*;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        use LaneState::*;
+
+        /// What one lane does, drawn at random; times in virtual µs.
+        #[derive(Debug, Clone, Copy)]
+        struct Script {
+            /// When its admission worker hands it over; its compile then
+            /// takes `compile`, and fails (an error, a panic or a dead
+            /// worker look alike to the loop) if `compile_fails`.
+            arrives: u64,
+            compile: u64,
+            compile_fails: bool,
+            prefill: u64,
+            constrained: bool,
+            /// The lane-start pass finishes it: the constraint forced it all.
+            forced: bool,
+            /// The tokens it samples before it finishes.
+            tokens: u32,
+            /// How long each of its mask fills takes, and the one that panics.
+            fill: u64,
+            panicking_fill: Option<u32>,
+        }
+
+        impl Script {
+            fn draw(rng: &mut SmallRng) -> Script {
+                Script {
+                    arrives: rng.gen_range(0..4_000),
+                    compile: rng.gen_range(0..3_000),
+                    compile_fails: rng.gen_bool(0.15),
+                    prefill: rng.gen_range(0..2_500),
+                    constrained: rng.gen_bool(0.8),
+                    forced: rng.gen_bool(0.1),
+                    tokens: rng.gen_range(1..6),
+                    fill: rng.gen_range(0..400),
+                    panicking_fill: rng.gen_bool(0.2).then(|| rng.gen_range(0..4)),
+                }
+            }
+        }
+
+        /// The decode loop on virtual time, with every lane's own record.
+        struct Sim {
+            planner: Planner,
+            max_lanes: usize,
+            step: u64,
+            base: Instant,
+            now: u64,
+            scripts: Vec<Script>,
+            /// Lanes handed over so far, in arrival order.
+            arrived: usize,
+            /// The batch: each lane's id (its script's index) and state.
+            lanes: Vec<(usize, LaneState)>,
+            /// The lanes at a mask worker, and when each fill completes.
+            pool: Vec<(usize, u64)>,
+            /// Per lane: when its prefill ends once it has started, its
+            /// completed fills, sampled tokens, steps it was in the batch
+            /// for, whether it is finished, and the state it ended in.
+            prefill_end: Vec<Option<u64>>,
+            fills: Vec<u32>,
+            sampled: Vec<u32>,
+            stepped: Vec<u32>,
+            finished: Vec<bool>,
+            ended: Vec<Option<LaneState>>,
+            admitted: usize,
+            compile_failed: usize,
+            fill_failed: usize,
+            completed: usize,
+            failed: usize,
+            decode_steps: usize,
+            planned_steps: usize,
+            log: Vec<String>,
+            /// The transitions taken, by variant.
+            transitions: BTreeSet<(String, String)>,
+        }
+
+        impl Sim {
+            fn new(mode: ExecutionMode, max_lanes: usize, step: u64, scripts: Vec<Script>) -> Sim {
+                let n = scripts.len();
+                Sim {
+                    planner: Planner(mode),
+                    max_lanes,
+                    step,
+                    base: Instant::now(),
+                    now: 0,
+                    scripts,
+                    arrived: 0,
+                    lanes: Vec::new(),
+                    pool: Vec::new(),
+                    prefill_end: vec![None; n],
+                    fills: vec![0; n],
+                    sampled: vec![0; n],
+                    stepped: vec![0; n],
+                    finished: vec![false; n],
+                    ended: vec![None; n],
+                    admitted: 0,
+                    compile_failed: 0,
+                    fill_failed: 0,
+                    completed: 0,
+                    failed: 0,
+                    decode_steps: 0,
+                    planned_steps: 0,
+                    log: Vec::new(),
+                    transitions: BTreeSet::new(),
+                }
+            }
+
+            fn at(&self, t: u64) -> Instant {
+                self.base + Duration::from_micros(t)
+            }
+
+            /// A state or an event, its instants in virtual µs.
+            fn show(&self, state: LaneState) -> String {
+                let us = |t: Instant| t.duration_since(self.base).as_micros();
+                match state {
+                    Compiling(Some(end)) => format!("Compiling(prefill ends {})", us(end)),
+                    Prefilling(until) => format!("Prefilling(until {})", us(until)),
+                    state => format!("{state:?}"),
+                }
+            }
+
+            fn show_event(&self, event: &Event) -> String {
+                let us = |t: &Instant| t.duration_since(self.base).as_micros();
+                match event {
+                    Event::Started { now, finished } => {
+                        format!("Started {{ now: {}, finished: {finished} }}", us(now))
+                    }
+                    Event::PrefillEnded(now) => format!("PrefillEnded({})", us(now)),
+                    event => format!("{event:?}"),
+                }
+            }
+
+            fn compiled_at(&self, lane: usize) -> u64 {
+                self.scripts[lane].arrives + self.scripts[lane].compile
+            }
+
+            /// `DecodeLoop::run`.
+            fn run(&mut self) {
+                while self.take_arrivals() {
+                    while let Some(round) = self.planner.round(self.lanes.iter().map(|l| l.1)) {
+                        if self.round(&round) {
+                            break;
+                        }
+                    }
+                }
+            }
+
+            /// `DecodeLoop::take_arrivals`: an idle loop's time passes to the
+            /// next hand-over or compile result.
+            fn take_arrivals(&mut self) -> bool {
+                loop {
+                    while self.lanes.len() < self.max_lanes {
+                        let lane = self.arrived;
+                        match self.scripts.get(lane) {
+                            None if self.lanes.is_empty() => return false,
+                            Some(script) if script.arrives <= self.now => {}
+                            _ => break,
+                        }
+                        self.arrived += 1;
+                        let end = self.now + self.scripts[lane].prefill;
+                        let state = self.planner.join(self.at(end));
+                        self.log.push(format!(
+                            "{}: lane {lane} joins {}",
+                            self.now,
+                            self.show(state)
+                        ));
+                        self.lanes.push((lane, state));
+                        if let Compiling(Some(_)) = state {
+                            self.prefill(lane, end);
+                        }
+                    }
+                    self.land_compiled();
+                    if self.lanes.iter().any(|l| !matches!(l.1, Compiling(_))) {
+                        return true;
+                    }
+                    let room = self.lanes.len() < self.max_lanes;
+                    let arrival = self.scripts.get(self.arrived).filter(|_| room);
+                    let compiles = self.lanes.iter().map(|l| self.compiled_at(l.0));
+                    // None once admission has closed: the next pass returns.
+                    let next = compiles
+                        .chain(arrival.map(|s| s.arrives))
+                        .filter(|&t| t > self.now);
+                    self.now = next.min().unwrap_or(self.now);
+                }
+            }
+
+            /// `DecodeLoop::prefill`: compiles land under it as they finish.
+            fn prefill(&mut self, lane: usize, end: u64) {
+                self.prefill_end[lane] = Some(end);
+                loop {
+                    self.land_compiled();
+                    if self.now >= end {
+                        break;
+                    }
+                    let compiles = self.lanes.iter().filter(|l| matches!(l.1, Compiling(_)));
+                    let landing = compiles
+                        .map(|l| self.compiled_at(l.0))
+                        .filter(|&t| t > self.now);
+                    self.now = landing.min().unwrap_or(end).min(end);
+                }
+                for i in 0..self.lanes.len() {
+                    if matches!(self.lanes[i].1, Prefilling(_)) {
+                        self.feed(i, Event::PrefillEnded(self.at(self.now)));
+                    }
+                }
+            }
+
+            /// `DecodeLoop::land_compiled`.
+            fn land_compiled(&mut self) {
+                for i in 0..self.lanes.len() {
+                    let (lane, state) = self.lanes[i];
+                    let script = self.scripts[lane];
+                    if !matches!(state, Compiling(_)) || self.compiled_at(lane) > self.now {
+                        continue;
+                    }
+                    let event = if script.compile_fails {
+                        self.compile_failed += 1;
+                        Event::Failed(scheduler_error("the compile failed"))
+                    } else {
+                        self.admitted += 1;
+                        self.finished[lane] = script.forced;
+                        let (now, finished) = (self.at(self.now), script.forced);
+                        Event::Started { now, finished }
+                    };
+                    self.feed(i, event);
+                    if self.planner.fills_on_landing() {
+                        self.dispatch(&[i]);
+                    }
+                }
+                self.retire();
+            }
+
+            /// `DecodeLoop::feed`, checking that no bytes stream before the
+            /// lane's prefill has ended and that each lane is in one place.
+            fn feed(&mut self, i: usize, event: Event) {
+                let (lane, state) = self.lanes[i];
+                let line = format!(
+                    "{}: lane {lane} {} takes {}",
+                    self.now,
+                    self.show(state),
+                    self.show_event(&event)
+                );
+                self.log.push(line);
+                let effect;
+                (self.lanes[i].1, effect) = advance(state, event);
+                let [from, to] = [state, self.lanes[i].1].map(|state| {
+                    let name = format!("{state:?}");
+                    name[..name.find([' ', '(']).unwrap_or(name.len())].to_string()
+                });
+                self.transitions.insert((from, to));
+                match effect {
+                    Effect::None => {}
+                    Effect::Fail(_) => self.failed += 1,
+                    Effect::Stream | Effect::PrefillThenStream => {
+                        if matches!(effect, Effect::PrefillThenStream) {
+                            self.now += self.scripts[lane].prefill;
+                            self.prefill_end[lane] = Some(self.now);
+                        }
+                        let ended = self.prefill_end[lane].is_some_and(|end| end <= self.now);
+                        assert!(ended, "lane {lane} streams before its prefill ends");
+                    }
+                }
+                let mut ids: Vec<usize> = self.lanes.iter().map(|l| l.0).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), self.lanes.len(), "a lane is in the batch twice");
+                let away = self
+                    .lanes
+                    .iter()
+                    .filter(|l| matches!(l.1, AtMaskWorker { .. }));
+                let mut away: Vec<usize> = away.map(|l| l.0).collect();
+                let mut pooled: Vec<usize> = self.pool.iter().map(|p| p.0).collect();
+                away.sort_unstable();
+                pooled.sort_unstable();
+                assert_eq!(
+                    away, pooled,
+                    "the lanes at a mask worker are the ones it holds"
+                );
+            }
+
+            /// `DecodeLoop::round`, checking that the step's batch is the
+            /// decoding lanes.
+            fn round(&mut self, round: &Round) -> bool {
+                let steps = round.phases.contains(&Phase::Step);
+                self.planned_steps += usize::from(steps);
+                let line = format!(
+                    "{}: round {:?} of {:?}",
+                    self.now, round.phases, round.lanes
+                );
+                self.log.push(line);
+                for phase in round.phases {
+                    match phase {
+                        Phase::Step => {
+                            let decoding = |l: &&(usize, LaneState)| {
+                                matches!(l.1, Decoding | AtMaskWorker { joiner: false })
+                            };
+                            let decoding: Vec<usize> =
+                                self.lanes.iter().filter(decoding).map(|l| l.0).collect();
+                            let batch = round.lanes.iter().map(|&i| self.lanes[i]);
+                            let batch: Vec<usize> =
+                                batch.filter(|l| l.1 != Failed).map(|l| l.0).collect();
+                            assert_eq!(batch, decoding, "the step's batch is the decoding lanes");
+                            for lane in batch {
+                                self.stepped[lane] += 1;
+                            }
+                            self.decode_steps += 1;
+                            self.now += self.step;
+                        }
+                        Phase::HandOff => self.dispatch(&round.lanes),
+                        Phase::Collect => self.collect(),
+                        Phase::Sample => self.sample(&round.lanes),
+                    }
+                }
+                self.retire();
+                steps
+            }
+
+            /// `DecodeLoop::sample`, checking that a constrained lane samples
+            /// each token under a mask filled for it.
+            fn sample(&mut self, lanes: &[usize]) {
+                for &i in lanes {
+                    let (lane, state) = self.lanes[i];
+                    if state == Failed {
+                        continue;
+                    }
+                    assert!(
+                        matches!(state, Prefilled | Decoding),
+                        "lane {lane} samples {state:?}"
+                    );
+                    if !self.finished[lane] {
+                        let script = self.scripts[lane];
+                        if script.constrained {
+                            assert_eq!(
+                                self.fills[lane],
+                                self.sampled[lane] + 1,
+                                "lane {lane}'s mask"
+                            );
+                        }
+                        self.sampled[lane] += 1;
+                        self.finished[lane] = self.sampled[lane] == script.tokens;
+                    }
+                    let finished = self.finished[lane];
+                    self.feed(i, Event::Sampled { finished });
+                }
+            }
+
+            /// `DecodeLoop::dispatch`.
+            fn dispatch(&mut self, lanes: &[usize]) {
+                for &i in lanes {
+                    let (lane, state) = self.lanes[i];
+                    let needs_mask = self.scripts[lane].constrained && !self.finished[lane];
+                    if state != Failed && needs_mask {
+                        self.pool.push((lane, self.now + self.scripts[lane].fill));
+                        self.feed(i, Event::HandedOff);
+                    }
+                }
+            }
+
+            /// `DecodeLoop::collect`: time passes to the last fill.
+            fn collect(&mut self) {
+                while let Some(&(lane, done)) = self.pool.last() {
+                    self.now = self.now.max(done);
+                    let i = self.lanes.iter().position(|l| l.0 == lane);
+                    let i = i.expect("a lane keeps its slot while at a mask worker");
+                    let fill = self.fills[lane];
+                    self.fills[lane] += 1;
+                    self.pool.pop();
+                    if self.scripts[lane].panicking_fill == Some(fill) {
+                        self.fill_failed += 1;
+                        let panicked = scheduler_error("the mask fill panicked");
+                        self.feed(i, Event::Failed(panicked));
+                    } else {
+                        self.feed(i, Event::Filled);
+                    }
+                }
+            }
+
+            /// `DecodeLoop::retire`, checking that a lane that decoded to its
+            /// end sampled its first token from the prefill and one a step.
+            fn retire(&mut self) {
+                let (ended, live) = self
+                    .lanes
+                    .drain(..)
+                    .partition(|l| matches!(l.1, Finished | Failed));
+                self.lanes = live;
+                for (lane, state) in ended {
+                    if state == Finished {
+                        self.completed += 1;
+                        if !self.scripts[lane].forced {
+                            assert_eq!(
+                                self.sampled[lane],
+                                self.stepped[lane] + 1,
+                                "lane {lane}'s steps"
+                            );
+                        }
+                    }
+                    self.ended[lane] = Some(state);
+                }
+            }
+
+            /// Once admission has closed and the loop has exited.
+            fn check_the_end(&self) {
+                let n = self.scripts.len();
+                assert_eq!(self.arrived, n, "every lane joined");
+                for (lane, ended) in self.ended.iter().enumerate() {
+                    assert!(
+                        matches!(ended, Some(Finished | Failed)),
+                        "lane {lane}: {ended:?}"
+                    );
+                }
+                assert_eq!(
+                    self.admitted + self.compile_failed,
+                    n,
+                    "admitted + failed compiles"
+                );
+                assert_eq!(self.completed + self.failed, n, "completed + failed");
+                assert_eq!(
+                    self.failed,
+                    self.compile_failed + self.fill_failed,
+                    "failures"
+                );
+                assert_eq!(self.decode_steps, self.planned_steps, "decode steps");
+            }
+        }
+
+        #[test]
+        fn lanes_keep_their_invariants_on_virtual_time() {
+            let mut transitions = BTreeSet::new();
+            for case in 0..1_000 {
+                let mut rng = SmallRng::seed_from_u64(case);
+                let mode = MODES[rng.gen_range(0..2usize)];
+                let max_lanes = rng.gen_range(1..5);
+                let step = rng.gen_range(100..2_000);
+                let mut scripts: Vec<Script> = (0..rng.gen_range(1..10))
+                    .map(|_| Script::draw(&mut rng))
+                    .collect();
+                scripts.sort_by_key(|script| script.arrives);
+                let mut sim = Sim::new(mode, max_lanes, step, scripts.clone());
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                    sim.run();
+                    sim.check_the_end();
+                }));
+                // No shrinking: the failing case prints whole, with every
+                // event its lanes took, in order.
+                if let Err(failure) = run {
+                    eprintln!("case {case}: {mode:?}, max_lanes {max_lanes}, step {step} µs");
+                    for (lane, script) in scripts.iter().enumerate() {
+                        eprintln!("  lane {lane}: {script:?}");
+                    }
+                    for line in &sim.log {
+                        eprintln!("  {line}");
+                    }
+                    panic::resume_unwind(failure);
+                }
+                transitions.append(&mut sim.transitions);
+            }
+            // Every transition `advance` lists was taken, and nothing else.
+            assert_eq!(transitions.len(), 15, "{transitions:#?}");
         }
     }
 }

@@ -95,11 +95,14 @@ fn tail_classes(token: &[u8]) -> u64 {
 
 /// A sorted token index with longest-common-prefix information.
 ///
-/// Besides the ids it holds the sorted tokens' bytes (≈ 1.9 MB of arena at
-/// 128k tokens), the run-skip links (≈ 0.5 MB), the tail classes (1 MB) and
-/// the running count of bytes to check (0.5 MB), so build one per vocabulary
-/// and share it: a `GrammarCompiler` holds one `Arc` of it for every grammar
-/// it compiles.
+/// At the 128k-token benchmark vocabulary it takes ≈ 5.5 MB: the sorted
+/// tokens' bytes (a 1.36 MB arena), the LCP array and the tail classes
+/// (1 MB each), and the ids, the arena offsets, the run-skip links and the
+/// running count of bytes to check (0.5 MB each). Building it takes
+/// ≈ 25–35 ms on a 2-core machine (`cargo bench -p xg-bench --bench
+/// preprocessing -- sort_vocab`, the median of 10), and a process's first
+/// build up to twice that. So build one per vocabulary and share it: a
+/// `GrammarCompiler` holds one `Arc` of it for every grammar it compiles.
 #[derive(Debug, Clone)]
 pub struct SortedVocabulary {
     /// Token ids in lexicographic byte order (special tokens excluded).
