@@ -3,29 +3,29 @@
 //! Converts (a practical subset of) JSON Schema documents into a [`Grammar`]
 //! whose language is exactly the set of JSON documents accepted by the
 //! schema, which is what the paper's "JSON Schema" workload (function
-//! calling) requires.
+//! calling) requires. Supported keywords are [`SUPPORTED_KEYWORDS`]; `pattern`
+//! compiles through [`crate::regex_pattern_to_expr`], `format` names are
+//! [`crate::SUPPORTED_FORMATS`], numeric bounds become digit-wise grammars,
+//! and `multipleOf` on integers a divisibility DFA over decimal digits.
 //!
-//! Supported keywords (see [`SUPPORTED_KEYWORDS`]): `type` (object/array/
-//! string/integer/number/boolean/null, or a list of types), `properties`,
-//! `required`, `additionalProperties` (boolean or schema), `items`,
-//! `prefixItems`, `minItems`, `maxItems`, `enum`, `const`, `anyOf`, `oneOf`
-//! (sibling keywords apply to every branch), `allOf` (merged by sibling-key
-//! intersection), general in-document `$ref`
-//! (JSON-pointer resolution, recursive schemas become recursive grammar
-//! rules), `minLength`, `maxLength`, `pattern` (compiled through
-//! [`crate::regex_pattern_to_expr`]), `format` (see
-//! [`crate::SUPPORTED_FORMATS`]), `minimum`, `maximum`, `exclusiveMinimum`,
-//! `exclusiveMaximum` (digit-wise bounded-number grammars) and `multipleOf`
-//! on integers (a divisibility DFA over decimal digits).
+//! Every schema converts on one path. It is flattened into *members*: the
+//! target of its `$ref`, its own keywords, then its `allOf` members,
+//! recursively and in that order, borrowed from the document. Each keyword is
+//! then read across the members: the tighter bound (exclusive on a tie), the
+//! intersection of `type` and of `const`/`enum`, the union of `required`,
+//! properties met by name, `additionalProperties` where `false` wins, and
+//! `items` met. Each `anyOf`/`oneOf` branch converts together with the other
+//! members. Keywords with no intersection (`pattern`, `format`, `multipleOf`,
+//! `prefixItems`, `anyOf`, `oneOf`) must agree across members. A pure `$ref`
+//! becomes a grammar rule, so recursive schemas become recursive rules.
 //!
-//! Annotation keywords ([`ANNOTATION_KEYWORDS`]) never affect syntax and are
-//! always ignored. Any *other* keyword would silently widen the accepted
-//! language, and so would a supported keyword whose value or combination
-//! the grammar cannot express (a `prefixItems` tuple that `maxItems`
-//! excludes, an undeclared `required` name, a `const` not of its sibling
-//! `type`, ...). By default the converter rejects each with
-//! [`GrammarError::Schema`]; set [`JsonSchemaOptions::lenient`] to ignore
-//! unknown keywords and fall back to the wider grammar instead. One method,
+//! Annotation keywords ([`ANNOTATION_KEYWORDS`]) never affect syntax. Any
+//! *other* keyword would silently widen the accepted language, and so would
+//! a supported keyword whose value or combination the grammar cannot express
+//! (a `prefixItems` tuple that `maxItems` excludes, an undeclared `required`
+//! name, a `const` not of its sibling `type`, ...). By default the converter
+//! rejects each with [`GrammarError::Schema`]; [`JsonSchemaOptions::lenient`]
+//! falls back to the wider grammar instead. One method,
 //! `Converter::unsupported`, makes that decision for every such case.
 
 use std::collections::HashMap;
@@ -86,12 +86,13 @@ pub const ANNOTATION_KEYWORDS: &[&str] = &[
     "writeOnly",
 ];
 
-/// Maximum `allOf`/`$ref` inline-flattening depth before the converter
-/// assumes a cycle and errors out. Recursive schemas are still supported
-/// through pure `$ref` (which becomes a recursive grammar rule); the guard
-/// only trips when a `$ref` cycle passes through an `allOf` merge, which has
-/// no finite flattening.
-const MAX_FLATTEN_DEPTH: usize = 64;
+/// Deepest nesting the converter follows: nested schemas (`properties`,
+/// `items`, `anyOf` branches, ...) and `$ref`/`allOf` flattening together.
+/// Past it a schema is a [`GrammarError::Schema`], not a stack overflow; a
+/// `$ref` cycle through `allOf` has no finite flattening and ends here too.
+/// Recursive schemas are still supported through pure `$ref`, which becomes
+/// a recursive grammar rule.
+const MAX_DEPTH: usize = 128;
 
 /// Largest `multipleOf` divisor compiled into a digit DFA; the DFA has one
 /// rule per residue class, so this bounds grammar size.
@@ -187,7 +188,7 @@ pub fn json_schema_to_grammar_with_options(
     let ((key, item), pad) = (punctuation(&options.whitespace), &conv.pad);
     let padded = |p| GrammarExpr::seq(vec![pad.clone(), GrammarExpr::literal(p), pad.clone()]);
     (conv.colon, conv.comma) = (padded(key), padded(item));
-    let root_expr = conv.convert(schema, "#")?;
+    let root_expr = conv.convert(Vec::new(), &[schema], "#")?;
     let root_body = GrammarExpr::seq(vec![conv.pad.clone(), root_expr, conv.pad.clone()]);
     conv.builder.add_rule("root", root_body);
     let grammar = conv.builder.build("root")?;
@@ -269,6 +270,48 @@ fn json_value_rules(whitespace: &WhitespaceConfig) -> String {
     }
 }
 
+/// The combinators whose branches distribute over the other members, in the
+/// order they are distributed.
+const BRANCHING: [&str; 2] = ["anyOf", "oneOf"];
+
+/// One schema object constraining the value being converted, borrowed from
+/// the document. The first `.1` keywords of [`BRANCHING`] are hidden: they
+/// have been distributed already.
+#[derive(Clone, Copy)]
+struct Member<'a>(&'a Map, usize);
+
+impl<'a> Member<'a> {
+    fn get(self, key: &str) -> Option<&'a Value> {
+        if BRANCHING[..self.1].contains(&key) {
+            return None;
+        }
+        self.0.get(key)
+    }
+
+    /// Whether a supported keyword other than `$ref` and `allOf`, which
+    /// [`Converter::collect`] has already flattened, is visible.
+    fn constrains(self) -> bool {
+        self.0.keys().any(|key| {
+            !matches!(key.as_str(), "$ref" | "allOf")
+                && SUPPORTED_KEYWORDS.contains(&key.as_str())
+                && self.get(key).is_some()
+        })
+    }
+}
+
+/// The values the members give `key`, in member order.
+fn values<'a, 'm>(members: &'m [Member<'a>], key: &'m str) -> impl Iterator<Item = &'a Value> + 'm {
+    members.iter().filter_map(move |member| member.get(key))
+}
+
+/// Adds `value` to `list` unless an equal value is there already, so that
+/// members repeating one subschema (a shared `$ref`) convert it alone.
+fn push_new<'a>(list: &mut Vec<&'a Value>, value: &'a Value) {
+    if !list.contains(&value) {
+        list.push(value);
+    }
+}
+
 struct Converter<'a> {
     builder: GrammarBuilder,
     options: JsonSchemaOptions,
@@ -279,7 +322,7 @@ struct Converter<'a> {
     ref_rules: HashMap<String, RuleId>,
     /// `format` name → grammar rule for the quoted format string.
     format_rules: HashMap<String, RuleId>,
-    /// Current `allOf` re-entry depth (see [`MAX_FLATTEN_DEPTH`]).
+    /// Current nesting of conversions and flattening (see [`MAX_DEPTH`]).
     depth: usize,
     /// Optional padding around structural tokens: the `json_ws` rule in
     /// flexible mode, nothing otherwise.
@@ -311,6 +354,18 @@ impl<'a> Converter<'a> {
             return Ok(());
         }
         Err(self.schema_err(path, message))
+    }
+
+    /// Runs `step` one level deeper, or fails past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, path: &str, step: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_DEPTH {
+            let message = format!("nested deeper than {MAX_DEPTH} levels (a cycle through allOf?)");
+            return Err(self.schema_err(path, message));
+        }
+        self.depth += 1;
+        let out = step(self);
+        self.depth -= 1;
+        out
     }
 
     /// `open pad inner pad close`: the framing of an object or a non-empty
@@ -355,6 +410,12 @@ impl<'a> Converter<'a> {
         Ok(node)
     }
 
+    /// The `$ref` pointer of `map`.
+    fn reference(&self, map: &'a Map, path: &str) -> Result<&'a str> {
+        (map.get("$ref").and_then(Value::as_str))
+            .ok_or_else(|| self.schema_err(path, "$ref must be a string"))
+    }
+
     /// Returns the (possibly recursive) grammar rule for a pure `$ref`.
     /// The rule is registered *before* converting the target so that a
     /// reference cycle resolves to a rule reference instead of diverging.
@@ -374,7 +435,7 @@ impl<'a> Converter<'a> {
         let name = self.fresh_name(&format!("ref_{hint}"));
         let id = self.builder.declare(&name);
         self.ref_rules.insert(reference.to_string(), id);
-        let body = self.convert(target, reference)?;
+        let body = self.convert(Vec::new(), &[target], reference)?;
         self.builder.set_body(id, body);
         Ok(id)
     }
@@ -399,323 +460,224 @@ impl<'a> Converter<'a> {
         Ok(())
     }
 
-    /// Converts a schema node into an expression matching one JSON value.
-    fn convert(&mut self, schema: &Value, path: &str) -> Result<GrammarExpr> {
-        match schema {
-            Value::Bool(true) => Ok(self.basic("json_any")),
-            Value::Bool(false) => Err(self.schema_err(path, "schema `false` matches nothing")),
-            Value::Object(obj) => self.convert_map(obj, path),
-            other => Err(self.schema_err(path, format!("schema must be an object, got {other}"))),
-        }
+    /// Converts the conjunction of `members` and `schemas` into an expression
+    /// matching one JSON value, one level deeper. Every schema converts
+    /// here; a lone pure `$ref` becomes its rule.
+    fn convert(
+        &mut self,
+        mut members: Vec<Member<'a>>,
+        schemas: &[&'a Value],
+        path: &str,
+    ) -> Result<GrammarExpr> {
+        self.nested(path, |conv| {
+            if let ([], [Value::Object(map)]) = (members.as_slice(), schemas) {
+                // A `$ref` with no other supported keyword.
+                if map.contains_key("$ref")
+                    && !map.contains_key("allOf")
+                    && !Member(map, 0).constrains()
+                {
+                    conv.check_keywords(map, path)?;
+                    let reference = conv.reference(map, path)?;
+                    return Ok(GrammarExpr::RuleRef(conv.ref_rule(reference, path)?));
+                }
+            }
+            for schema in schemas {
+                conv.collect(schema, path, &mut members)?;
+            }
+            conv.emit(&members, path)
+        })
     }
 
-    fn convert_map(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        self.check_keywords(obj, path)?;
-        let ref_with_siblings = obj.get("$ref").is_some()
-            && obj
-                .keys()
-                .any(|k| k != "$ref" && SUPPORTED_KEYWORDS.contains(&k.as_str()));
-        if obj.contains_key("allOf") || ref_with_siblings {
-            if self.depth >= MAX_FLATTEN_DEPTH {
-                return Err(self.schema_err(
-                    path,
-                    "allOf/$ref nesting too deep (reference cycle through allOf?)",
-                ));
+    /// Flattens `schema` into members: the target of its `$ref`, its own
+    /// keywords, then its `allOf` members, recursively and in that order. A
+    /// member that constrains nothing (`true`, annotations only) is dropped.
+    fn collect(&mut self, schema: &'a Value, path: &str, out: &mut Vec<Member<'a>>) -> Result<()> {
+        let map = match schema {
+            Value::Bool(true) => return Ok(()),
+            Value::Object(map) => map,
+            Value::Bool(false) => {
+                return Err(self.schema_err(path, "schema `false` matches nothing"))
             }
-            let merged = self.flatten_all_of(obj, path)?;
-            self.depth += 1;
-            let out = self.convert_map(&merged, path);
-            self.depth -= 1;
-            return out;
+            other => {
+                return Err(self.schema_err(path, format!("schema must be an object, got {other}")))
+            }
+        };
+        self.check_keywords(map, path)?;
+        if map.contains_key("$ref") {
+            let target = self.resolve_ref(self.reference(map, path)?, path)?;
+            self.nested(path, |conv| conv.collect(target, path, out))?;
         }
-        if let Some(reference) = obj.get("$ref") {
-            let reference = reference
-                .as_str()
-                .ok_or_else(|| self.schema_err(path, "$ref must be a string"))?;
-            let id = self.ref_rule(reference, path)?;
-            return Ok(GrammarExpr::RuleRef(id));
+        if Member(map, 0).constrains() {
+            out.push(Member(map, 0));
         }
-        if let Some(constant) = obj.get("const") {
-            self.check_literal_types(obj, std::slice::from_ref(constant), path)?;
-            return Ok(json_literal(constant));
+        if let Some(all_of) = map.get("allOf") {
+            let all_of = (all_of.as_array())
+                .ok_or_else(|| self.schema_err(path, "allOf must be an array"))?;
+            if all_of.is_empty() {
+                return Err(self.schema_err(path, "allOf must not be empty"));
+            }
+            for (i, sub) in all_of.iter().enumerate() {
+                let sub_path = format!("{path}/allOf/{i}");
+                self.nested(path, |conv| conv.collect(sub, &sub_path, out))?;
+            }
         }
-        if let Some(variants) = obj.get("enum") {
-            return self.convert_enum(obj, variants, path);
+        Ok(())
+    }
+
+    /// The expression for a value every member accepts: their common
+    /// literals, else a choice over a distributed `anyOf`/`oneOf`, else their
+    /// common `type`.
+    fn emit(&mut self, members: &[Member<'a>], path: &str) -> Result<GrammarExpr> {
+        if let Some(literals) = self.literals(members, path)? {
+            return Ok(GrammarExpr::choice(
+                literals.into_iter().map(json_literal).collect(),
+            ));
         }
-        if let Some(key) = ["anyOf", "oneOf"].into_iter().find(|k| obj.contains_key(k)) {
-            return self.convert_any_of(obj, key, path);
+        if let Some(k) =
+            (0..BRANCHING.len()).find(|&k| values(members, BRANCHING[k]).next().is_some())
+        {
+            return self.distribute(members, k, path);
         }
-        match obj.get("type") {
-            Some(Value::String(t)) => self.convert_typed(t, obj, path),
-            Some(Value::Array(types)) => {
+        match self.types(members, path)?.as_deref() {
+            None => Ok(self.basic("json_any")),
+            Some([name]) => self.convert_typed(name, members, path),
+            Some(names) => {
                 let mut alts = Vec::new();
-                for (i, t) in types.iter().enumerate() {
-                    let t = t.as_str().ok_or_else(|| {
-                        self.schema_err(path, "type array entries must be strings")
-                    })?;
-                    alts.push(self.convert_typed(t, obj, &format!("{path}/type/{i}"))?);
+                for (i, name) in names.iter().enumerate() {
+                    alts.push(self.convert_typed(name, members, &format!("{path}/type/{i}"))?);
                 }
                 Ok(GrammarExpr::choice(alts))
             }
-            Some(other) => Err(self.schema_err(path, format!("invalid `type`: {other}"))),
-            None => Ok(self.basic("json_any")),
         }
     }
 
-    /// Flattens `allOf` (and any `$ref` members) into one merged schema map
-    /// by sibling-key intersection, llguidance-style.
-    fn flatten_all_of(&mut self, obj: &Map, path: &str) -> Result<Map> {
-        let mut base = obj.clone();
-        let all_of = base.remove("allOf");
-        let mut members: Vec<Map> = Vec::new();
-        self.collect_member(&Value::Object(base), path, &mut members, 0)?;
-        if let Some(all_of) = all_of {
-            let arr = all_of
-                .as_array()
-                .ok_or_else(|| self.schema_err(path, "allOf must be an array"))?;
-            if arr.is_empty() {
-                return Err(self.schema_err(path, "allOf must not be empty"));
-            }
-            for (i, sub) in arr.iter().enumerate() {
-                self.collect_member(sub, &format!("{path}/allOf/{i}"), &mut members, 0)?;
-            }
+    /// The value of `key`, a keyword with no intersection, in the first member
+    /// that sets it. A member that sets another value is unsupported, and
+    /// lenient mode keeps the first.
+    fn single(&self, members: &[Member<'a>], key: &str, path: &str) -> Result<Option<&'a Value>> {
+        let mut found = values(members, key);
+        let first = found.next();
+        if found.any(|value| Some(value) != first) {
+            let message = format!("conflicting `{key}` values in allOf cannot be merged");
+            self.unsupported(path, message)?;
         }
-        let mut acc = Map::new();
-        for member in &members {
-            self.merge_member(&mut acc, member, path)?;
-        }
-        Ok(acc)
+        Ok(first)
     }
 
-    /// Normalizes one `allOf` member: `true` contributes nothing, `false`
-    /// fails, `$ref` and nested `allOf` are inlined (bounded by
-    /// [`MAX_FLATTEN_DEPTH`] to catch cycles).
-    fn collect_member(
-        &mut self,
-        schema: &Value,
-        path: &str,
-        out: &mut Vec<Map>,
-        depth: usize,
-    ) -> Result<()> {
-        if depth >= MAX_FLATTEN_DEPTH {
-            return Err(self.schema_err(
-                path,
-                "allOf/$ref nesting too deep (reference cycle through allOf?)",
-            ));
-        }
-        match schema {
-            Value::Bool(true) => Ok(()),
-            Value::Bool(false) => Err(self.schema_err(path, "schema `false` matches nothing")),
-            Value::Object(map) => {
-                let mut map = map.clone();
-                if let Some(reference) = map.remove("$ref") {
-                    let reference = reference
-                        .as_str()
-                        .ok_or_else(|| self.schema_err(path, "$ref must be a string"))?;
-                    let target = self.resolve_ref(reference, path)?.clone();
-                    self.collect_member(&target, path, out, depth + 1)?;
-                }
-                if let Some(inner) = map.remove("allOf") {
-                    let arr = inner
-                        .as_array()
-                        .ok_or_else(|| self.schema_err(path, "allOf must be an array"))?;
-                    for (i, sub) in arr.iter().enumerate() {
-                        self.collect_member(sub, &format!("{path}/allOf/{i}"), out, depth + 1)?;
-                    }
-                }
-                if !map.is_empty() {
-                    out.push(map);
-                }
-                Ok(())
-            }
-            other => Err(self.schema_err(path, format!("schema must be an object, got {other}"))),
-        }
-    }
-
-    /// Merges one member schema into the accumulator, keyword by keyword.
-    fn merge_member(&self, acc: &mut Map, member: &Map, path: &str) -> Result<()> {
-        for (key, new) in member.iter() {
-            let Some(old) = acc.get(key) else {
-                acc.insert(key.clone(), new.clone());
-                continue;
-            };
-            if old == new {
-                continue;
-            }
-            let old = old.clone();
-            let merged = match key.as_str() {
-                "properties" => self.merge_properties(&old, new, path)?,
-                "required" => merge_required(&old, new),
-                "type" => self.merge_types(&old, new, path)?,
-                "minimum" | "exclusiveMinimum" | "minLength" | "minItems" => {
-                    self.merge_numeric(&old, new, key, path, true)?
-                }
-                "maximum" | "exclusiveMaximum" | "maxLength" | "maxItems" => {
-                    self.merge_numeric(&old, new, key, path, false)?
-                }
-                "additionalProperties" => merge_additional_properties(&old, new),
-                "enum" => self.merge_enums(&old, new, path)?,
-                "items" => all_of_pair(old, new.clone()),
-                _ if ANNOTATION_KEYWORDS.contains(&key.as_str()) => continue,
-                other => {
-                    let message = format!("conflicting `{other}` values in allOf cannot be merged");
-                    self.unsupported(path, message)?;
-                    continue;
-                }
-            };
-            acc.insert(key.clone(), merged);
-        }
-        Ok(())
-    }
-
-    fn merge_properties(&self, old: &Value, new: &Value, path: &str) -> Result<Value> {
-        let (Some(old), Some(new)) = (old.as_object(), new.as_object()) else {
-            return Err(self.schema_err(path, "properties must be an object"));
-        };
-        let mut merged = old.clone();
-        for (name, sub) in new.iter() {
-            match merged.get(name) {
-                None => {
-                    merged.insert(name.clone(), sub.clone());
-                }
-                Some(existing) if existing == sub => {}
-                Some(existing) => {
-                    let wrapped = all_of_pair(existing.clone(), sub.clone());
-                    merged.insert(name.clone(), wrapped);
-                }
-            }
-        }
-        Ok(Value::Object(merged))
-    }
-
-    fn merge_types(&self, old: &Value, new: &Value, path: &str) -> Result<Value> {
-        let to_list = |v: &Value| -> Option<Vec<String>> {
-            match v {
-                Value::String(s) => Some(vec![s.clone()]),
-                Value::Array(items) => items
+    /// The `type` names every member allows, in the first member's order, or
+    /// `None` when no member sets `type`.
+    fn types(&self, members: &[Member<'a>], path: &str) -> Result<Option<Vec<&'a str>>> {
+        let mut common: Option<Vec<&'a str>> = None;
+        for value in values(members, "type") {
+            let names: Vec<&'a str> = match value {
+                Value::String(name) => vec![name],
+                Value::Array(names) => names
                     .iter()
-                    .map(|t| t.as_str().map(str::to_string))
-                    .collect(),
-                _ => None,
-            }
-        };
-        let (Some(a), Some(b)) = (to_list(old), to_list(new)) else {
-            return Err(self.schema_err(path, "type must be a string or array of strings"));
-        };
-        let mut common: Vec<Value> = a
-            .into_iter()
-            .filter(|t| b.contains(t))
-            .map(Value::String)
-            .collect();
-        match common.len() {
-            0 => Err(self.schema_err(path, "allOf `type` intersection is empty")),
-            1 => Ok(common.swap_remove(0)),
-            _ => Ok(Value::Array(common)),
+                    .map(Value::as_str)
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| self.schema_err(path, "type array entries must be strings"))?,
+                other => return Err(self.schema_err(path, format!("invalid `type`: {other}"))),
+            };
+            common = Some(match common {
+                None => names,
+                Some(common) => common.into_iter().filter(|t| names.contains(t)).collect(),
+            });
         }
-    }
-
-    fn merge_numeric(
-        &self,
-        old: &Value,
-        new: &Value,
-        key: &str,
-        path: &str,
-        take_max: bool,
-    ) -> Result<Value> {
-        let (Some(a), Some(b)) = (old.as_f64(), new.as_f64()) else {
-            return Err(self.schema_err(path, format!("`{key}` must be a number")));
-        };
-        let pick_new = if take_max { b > a } else { b < a };
-        Ok(if pick_new { new.clone() } else { old.clone() })
-    }
-
-    fn merge_enums(&self, old: &Value, new: &Value, path: &str) -> Result<Value> {
-        let (Some(a), Some(b)) = (old.as_array(), new.as_array()) else {
-            return Err(self.schema_err(path, "enum must be an array"));
-        };
-        let common: Vec<Value> = a.iter().filter(|v| b.contains(v)).cloned().collect();
-        if common.is_empty() {
-            return Err(self.schema_err(path, "allOf `enum` intersection is empty"));
+        if common.as_ref().is_some_and(Vec::is_empty) {
+            return Err(self.schema_err(path, "`type` intersection is empty"));
         }
-        Ok(Value::Array(common))
+        Ok(common)
     }
 
-    fn convert_enum(&mut self, obj: &Map, variants: &Value, path: &str) -> Result<GrammarExpr> {
-        let arr = variants
-            .as_array()
-            .ok_or_else(|| self.schema_err(path, "enum must be an array"))?;
-        if arr.is_empty() {
-            return Err(self.schema_err(path, "enum must not be empty"));
-        }
-        self.check_literal_types(obj, arr, path)?;
-        Ok(GrammarExpr::choice(arr.iter().map(json_literal).collect()))
-    }
-
-    /// The literals of `const`/`enum` replace the schema's `type`, so each
-    /// value must be of a sibling `type`; one that is not widens the language.
-    fn check_literal_types(&self, obj: &Map, values: &[Value], path: &str) -> Result<()> {
-        let Some(types) = obj.get("type") else {
-            return Ok(());
-        };
-        let names: Vec<&str> = match types {
-            Value::Array(names) => names.iter().filter_map(Value::as_str).collect(),
-            name => name.as_str().into_iter().collect(),
-        };
-        for value in values {
-            if !names.iter().any(|&name| has_type(value, name)) {
-                self.unsupported(
-                    path,
-                    format!("`{value}` is not of the sibling `type` {types}"),
-                )?;
+    /// The `const`/`enum` values every member allows, in the first member's
+    /// order, or `None` when no member sets either. They replace the
+    /// members' `type`, so each must be of it; one that is not widens the
+    /// language.
+    fn literals(&self, members: &[Member<'a>], path: &str) -> Result<Option<Vec<&'a Value>>> {
+        let mut common: Option<Vec<&'a Value>> = None;
+        for member in members {
+            for key in ["const", "enum"] {
+                let allowed = match member.get(key) {
+                    None => continue,
+                    Some(value) if key == "const" => std::slice::from_ref(value),
+                    Some(Value::Array(values)) if !values.is_empty() => values.as_slice(),
+                    Some(Value::Array(_)) => {
+                        return Err(self.schema_err(path, "enum must not be empty"))
+                    }
+                    Some(_) => return Err(self.schema_err(path, "enum must be an array")),
+                };
+                common = Some(match common {
+                    None => allowed.iter().collect(),
+                    Some(common) => common.into_iter().filter(|v| allowed.contains(v)).collect(),
+                });
             }
         }
-        Ok(())
+        let Some(literals) = common else {
+            return Ok(None);
+        };
+        if literals.is_empty() {
+            return Err(self.schema_err(path, "`const`/`enum` intersection is empty"));
+        }
+        if let Some(types) = self.types(members, path)? {
+            for value in &literals {
+                if !types.iter().any(|&name| has_type(value, name)) {
+                    let message = format!("`{value}` is not of the sibling `type` {types:?}");
+                    self.unsupported(path, message)?;
+                }
+            }
+        }
+        Ok(Some(literals))
     }
 
-    /// `anyOf`/`oneOf` (`key`) as a choice of its branches. Supported sibling
-    /// keywords apply to every branch, which converts as `{"allOf":
-    /// [siblings, branch]}`.
-    fn convert_any_of(&mut self, obj: &Map, key: &str, path: &str) -> Result<GrammarExpr> {
-        let arr = (obj.get(key).and_then(Value::as_array))
+    /// `anyOf`/`oneOf` (`BRANCHING[k]`) as a choice of its branches, each
+    /// converted together with the other members.
+    fn distribute(&mut self, members: &[Member<'a>], k: usize, path: &str) -> Result<GrammarExpr> {
+        let branches = (self.single(members, BRANCHING[k], path)?)
+            .and_then(Value::as_array)
             .ok_or_else(|| self.schema_err(path, "anyOf/oneOf must be an array"))?;
-        if arr.is_empty() {
+        if branches.is_empty() {
             return Err(self.schema_err(path, "anyOf/oneOf must not be empty"));
         }
-        let siblings: Map = obj
+        let others: Vec<Member<'a>> = members
             .iter()
-            .filter(|(k, _)| *k != key && SUPPORTED_KEYWORDS.contains(&k.as_str()))
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|&Member(map, hidden)| Member(map, hidden.max(k + 1)))
+            .filter(|member| member.constrains())
             .collect();
         let mut alts = Vec::new();
-        for (i, branch) in arr.iter().enumerate() {
-            let merged = (!siblings.is_empty())
-                .then(|| all_of_pair(Value::Object(siblings.clone()), branch.clone()));
-            let branch = merged.as_ref().unwrap_or(branch);
-            alts.push(self.convert(branch, &format!("{path}/anyOf/{i}"))?);
+        for (i, branch) in branches.iter().enumerate() {
+            alts.push(self.convert(others.clone(), &[branch], &format!("{path}/anyOf/{i}"))?);
         }
         Ok(GrammarExpr::choice(alts))
     }
 
-    fn convert_typed(&mut self, type_name: &str, obj: &Map, path: &str) -> Result<GrammarExpr> {
+    fn convert_typed(
+        &mut self,
+        type_name: &str,
+        members: &[Member<'a>],
+        path: &str,
+    ) -> Result<GrammarExpr> {
         match type_name {
-            "string" => self.convert_string(obj, path),
-            "integer" => self.convert_integer(obj, path),
-            "number" => self.convert_number(obj, path),
+            "string" => self.convert_string(members, path),
+            "integer" => self.convert_integer(members, path),
+            "number" => self.convert_number(members, path),
             "boolean" => Ok(self.basic("json_boolean")),
             "null" => Ok(self.basic("json_null")),
-            "object" => self.convert_object(obj, path),
-            "array" => self.convert_array(obj, path),
+            "object" => self.convert_object(members, path),
+            "array" => self.convert_array(members, path),
             other => Err(self.schema_err(path, format!("unsupported type `{other}`"))),
         }
     }
 
-    fn convert_string(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        let has_length_bounds = obj.contains_key("minLength") || obj.contains_key("maxLength");
-        if let Some(pattern) = obj.get("pattern") {
+    fn convert_string(&mut self, members: &[Member<'a>], path: &str) -> Result<GrammarExpr> {
+        let has_length_bounds = ["minLength", "maxLength"]
+            .iter()
+            .any(|key| values(members, key).next().is_some());
+        let format = self.single(members, "format", path)?;
+        if let Some(pattern) = self.single(members, "pattern", path)? {
             match pattern.as_str() {
                 None => self.unsupported(path, "pattern must be a string")?,
                 Some(p) => {
-                    if obj.contains_key("format") {
+                    if format.is_some() {
                         let message = "cannot combine `pattern` with `format` on one string schema";
                         self.unsupported(path, message)?;
                     }
@@ -733,7 +695,7 @@ impl<'a> Converter<'a> {
                 }
             }
         }
-        if let Some(format) = obj.get("format") {
+        if let Some(format) = format {
             match format.as_str() {
                 None => self.unsupported(path, "format must be a string")?,
                 Some(name) => {
@@ -748,8 +710,8 @@ impl<'a> Converter<'a> {
                 }
             }
         }
-        let min = self.count_bound(obj, "minLength", path)?.unwrap_or(0);
-        let max = self.count_bound(obj, "maxLength", path)?;
+        let min = self.count_bound(members, "minLength", path)?.unwrap_or(0);
+        let max = self.count_bound(members, "maxLength", path)?;
         if min == 0 && max.is_none() {
             return Ok(self.basic("json_string"));
         }
@@ -777,20 +739,17 @@ impl<'a> Converter<'a> {
         Ok(Some(id))
     }
 
-    /// Reads the keyword `key`, a bound or a container: `None` when absent,
-    /// or when `parse` rejects it (`key` must be `expected`) and lenient mode
-    /// drops it.
-    fn bound<'v, T>(
+    /// Reads `value`, the value of keyword `key`, with `parse`: `None` when
+    /// `parse` rejects it (`key` must be `expected`) and lenient mode drops
+    /// it.
+    fn parse<'v, T>(
         &self,
-        obj: &'v Map,
+        value: &'v Value,
         key: &str,
         path: &str,
         expected: &str,
         parse: impl FnOnce(&'v Value) -> Option<T>,
     ) -> Result<Option<T>> {
-        let Some(value) = obj.get(key) else {
-            return Ok(None);
-        };
         let parsed = parse(value);
         if parsed.is_none() {
             self.unsupported(path, format!("`{key}` must be {expected}"))?;
@@ -798,69 +757,91 @@ impl<'a> Converter<'a> {
         Ok(parsed)
     }
 
-    /// A length or count bound (`minLength`, `maxItems`, …).
-    fn count_bound(&self, obj: &Map, key: &str, path: &str) -> Result<Option<u32>> {
+    /// The tightest of the members' length or count bounds `key`
+    /// (`minLength`, `maxItems`, …): the largest `min*`, the smallest `max*`.
+    fn count_bound(&self, members: &[Member<'a>], key: &str, path: &str) -> Result<Option<u32>> {
         let expected = format!("an integer in 0..={}", u32::MAX);
-        self.bound(obj, key, path, &expected, |v| {
-            v.as_u64().and_then(|v| u32::try_from(v).ok())
-        })
+        let mut tightest = None;
+        for value in values(members, key) {
+            let count = |v: &Value| v.as_u64().and_then(|v| u32::try_from(v).ok());
+            if let Some(bound) = self.parse(value, key, path, &expected, count)? {
+                tightest = Some(match tightest {
+                    Some(other) if key.starts_with("min") => bound.max(other),
+                    Some(other) => bound.min(other),
+                    None => bound,
+                });
+            }
+        }
+        Ok(tightest)
     }
 
     /// The lower and upper bound of a numeric range, each as `(value,
-    /// exclusive)`: the stricter of `minimum` and `exclusiveMinimum` (of
-    /// `maximum` and `exclusiveMaximum`), exclusive on a tie. The draft-4
-    /// boolean form (`"exclusiveMinimum": true`) makes the sibling inclusive
-    /// bound exclusive; `false` is a no-op. `narrow` vets each bound before
-    /// the pick, returning `None` to drop it.
+    /// exclusive)`: the tightest of every member's `minimum` and
+    /// `exclusiveMinimum` (`maximum` and `exclusiveMaximum`), exclusive on a
+    /// tie. The draft-4 boolean form (`"exclusiveMinimum": true`) makes its
+    /// own member's inclusive bound exclusive; `false` is a no-op. `narrow`
+    /// vets each bound before the pick, returning `None` to drop it.
     fn range_bounds<T: Copy + PartialOrd>(
         &self,
-        obj: &Map,
+        members: &[Member<'a>],
         path: &str,
         narrow: impl Fn(&str, f64) -> Result<Option<T>>,
     ) -> Result<[Option<(T, bool)>; 2]> {
-        let read = |key: &str| -> Result<Option<T>> {
+        let read = |member: Member<'a>, key: &str| -> Result<Option<T>> {
+            let Some(value) = member.get(key) else {
+                return Ok(None);
+            };
             // Bounds beyond ±9e15 exceed exact i64/f64 interop: malformed.
             let finite = |v: &Value| v.as_f64().filter(|f| f.is_finite() && f.abs() < 9.0e15);
-            match self.bound(obj, key, path, "a finite number", finite)? {
+            match self.parse(value, key, path, "a finite number", finite)? {
                 Some(v) => narrow(key, v),
                 None => Ok(None),
             }
         };
         let side = |inclusive: &str,
                     exclusive: &str,
-                    stricter: fn(&T, &T) -> bool|
+                    tighter: fn(&T, &T) -> bool|
          -> Result<Option<(T, bool)>> {
-            let inc = read(inclusive)?;
-            let exc = match obj.get(exclusive) {
-                Some(&Value::Bool(flag)) => {
-                    if flag && !obj.contains_key(inclusive) {
-                        let message = format!(
-                            "draft-4 boolean `{exclusive}` requires a sibling `{inclusive}`"
-                        );
-                        self.unsupported(path, message)?;
+            let mut tightest: Option<(T, bool)> = None;
+            for &member in members {
+                let inc = read(member, inclusive)?;
+                let candidates = match member.get(exclusive) {
+                    Some(&Value::Bool(flag)) => {
+                        if flag && member.get(inclusive).is_none() {
+                            let message = format!(
+                                "draft-4 boolean `{exclusive}` requires a sibling `{inclusive}`"
+                            );
+                            self.unsupported(path, message)?;
+                        }
+                        [inc.map(|v| (v, flag)), None]
                     }
-                    inc.filter(|_| flag)
+                    _ => [
+                        inc.map(|v| (v, false)),
+                        read(member, exclusive)?.map(|v| (v, true)),
+                    ],
+                };
+                for (v, is_exclusive) in candidates.into_iter().flatten() {
+                    tightest = match tightest {
+                        Some((t, e)) if t == v => Some((t, e || is_exclusive)),
+                        Some((t, _)) if tighter(&t, &v) => tightest,
+                        _ => Some((v, is_exclusive)),
+                    };
                 }
-                _ => read(exclusive)?,
-            };
-            Ok(match (inc, exc) {
-                (Some(a), Some(b)) if stricter(&b, &a) => Some((b, true)),
-                (Some(a), _) => Some((a, false)),
-                (None, b) => b.map(|b| (b, true)),
-            })
+            }
+            Ok(tightest)
         };
         Ok([
-            side("minimum", "exclusiveMinimum", T::ge)?,
-            side("maximum", "exclusiveMaximum", T::le)?,
+            side("minimum", "exclusiveMinimum", T::gt)?,
+            side("maximum", "exclusiveMaximum", T::lt)?,
         ])
     }
 
-    fn convert_integer(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        let [lower, upper] = self.range_bounds(obj, path, |_, v| Ok(Some(v)))?;
+    fn convert_integer(&mut self, members: &[Member<'a>], path: &str) -> Result<GrammarExpr> {
+        let [lower, upper] = self.range_bounds(members, path, |_, v| Ok(Some(v)))?;
         // The least (greatest) integer inside an inclusive or exclusive bound.
         let lo = lower.map(|(v, e)| (if e { v.floor() + 1.0 } else { v.ceil() }) as i64);
         let hi = upper.map(|(v, e)| (if e { v.ceil() - 1.0 } else { v.floor() }) as i64);
-        if let Some(multiple) = obj.get("multipleOf") {
+        if let Some(multiple) = self.single(members, "multipleOf", path)? {
             let k = multiple
                 .as_u64()
                 .filter(|&k| (1..=MAX_MULTIPLE_OF).contains(&k));
@@ -932,13 +913,13 @@ impl<'a> Converter<'a> {
         ])
     }
 
-    fn convert_number(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        if obj.contains_key("multipleOf") {
+    fn convert_number(&mut self, members: &[Member<'a>], path: &str) -> Result<GrammarExpr> {
+        if values(members, "multipleOf").next().is_some() {
             let message = "`multipleOf` on type `number` is unsupported (use type `integer`)";
             self.unsupported(path, message)?;
         }
         // Fractional bounds are unsupported (dropped in lenient mode).
-        let [lower, upper] = self.range_bounds(obj, path, |key, v| {
+        let [lower, upper] = self.range_bounds(members, path, |key, v| {
             if v.fract() == 0.0 {
                 return Ok(Some(v as i64));
             }
@@ -953,40 +934,75 @@ impl<'a> Converter<'a> {
         number_range_expr(lo, hi, lo_exclusive, hi_exclusive, path)
     }
 
-    fn convert_object(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        let empty_map = Map::new();
-        let properties = self.bound(obj, "properties", path, "an object", Value::as_object)?;
-        let properties = properties.unwrap_or(&empty_map);
-        let names = obj.get("required").and_then(Value::as_array);
-        let required: Vec<&str> = names
-            .into_iter()
-            .flatten()
-            .filter_map(Value::as_str)
-            .collect();
-        if obj.contains_key("required") && names.is_none_or(|a| a.len() != required.len()) {
-            self.unsupported(path, "`required` must be an array of strings")?;
+    fn convert_object(&mut self, members: &[Member<'a>], path: &str) -> Result<GrammarExpr> {
+        // Properties met by name, in the order they first appear.
+        let mut properties: Vec<(&'a str, Vec<&'a Value>)> = Vec::new();
+        for value in values(members, "properties") {
+            let Some(declared) =
+                self.parse(value, "properties", path, "an object", Value::as_object)?
+            else {
+                continue;
+            };
+            for (name, schema) in declared {
+                match properties.iter_mut().find(|(known, _)| known == name) {
+                    Some((_, schemas)) => push_new(schemas, schema),
+                    None => properties.push((name, vec![schema])),
+                }
+            }
+        }
+        let mut required: Vec<&str> = Vec::new();
+        for value in values(members, "required") {
+            let names = value.as_array();
+            let strings: Vec<&str> = names
+                .into_iter()
+                .flatten()
+                .filter_map(Value::as_str)
+                .collect();
+            if names.is_none_or(|a| a.len() != strings.len()) {
+                self.unsupported(path, "`required` must be an array of strings")?;
+            }
+            for name in strings {
+                if !required.contains(&name) {
+                    required.push(name);
+                }
+            }
         }
         // Only declared properties are emitted: an undeclared one goes unenforced.
-        if let Some(name) = required.iter().find(|n| !properties.contains_key(n)) {
+        if let Some(name) = required
+            .iter()
+            .find(|n| !properties.iter().any(|(p, _)| p == *n))
+        {
             let message = format!("required property `{name}` is not declared in `properties`");
             self.unsupported(path, message)?;
         }
 
         // Build member expressions for each declared property, in order.
-        let mut members: Vec<(GrammarExpr, bool)> = Vec::new();
-        for (name, prop_schema) in properties.iter() {
-            let value_expr = self.convert(prop_schema, &format!("{path}/properties/{name}"))?;
-            let key_literal = json_literal(&Value::String(name.clone()));
-            let member = GrammarExpr::seq(vec![key_literal, self.colon.clone(), value_expr]);
-            members.push((member, required.contains(&name.as_str())));
+        let mut entries: Vec<(GrammarExpr, bool)> = Vec::new();
+        for (name, schemas) in properties {
+            let value_expr =
+                self.convert(Vec::new(), &schemas, &format!("{path}/properties/{name}"))?;
+            let key_literal = json_literal(&Value::String(name.to_string()));
+            let entry = GrammarExpr::seq(vec![key_literal, self.colon.clone(), value_expr]);
+            entries.push((entry, required.contains(&name)));
         }
 
-        // Additional members expression (used when additionalProperties allows them).
-        let additional_value = match obj.get("additionalProperties") {
-            None if self.options.default_additional_properties => Some(self.basic("json_any")),
-            None | Some(Value::Bool(false)) => None,
-            Some(Value::Bool(true)) => Some(self.basic("json_any")),
-            Some(schema) => Some(self.convert(schema, &format!("{path}/additionalProperties"))?),
+        // Additional members: closed unless a member opens them and none
+        // closes them; `true` admits any value, a schema its values.
+        let (mut closed, mut opened, mut extra) = (false, false, Vec::new());
+        for value in values(members, "additionalProperties") {
+            match value {
+                Value::Bool(open) => (closed, opened) = (closed || !open, opened || *open),
+                schema => push_new(&mut extra, schema),
+            }
+        }
+        let additional_value = if closed {
+            None
+        } else if !extra.is_empty() {
+            Some(self.convert(Vec::new(), &extra, &format!("{path}/additionalProperties"))?)
+        } else if opened || self.options.default_additional_properties {
+            Some(self.basic("json_any"))
+        } else {
+            None
         };
         let additional_member = additional_value.map(|value| {
             GrammarExpr::seq(vec![self.basic("json_string"), self.colon.clone(), value])
@@ -1009,7 +1025,7 @@ impl<'a> Converter<'a> {
             ])),
             None => GrammarExpr::Empty,
         };
-        for (member, is_required) in members.into_iter().rev() {
+        for (entry, is_required) in entries.into_iter().rev() {
             let hint = self.fresh_name("props");
             // Materialize current suffixes as rules to keep expressions small.
             let rest =
@@ -1018,13 +1034,13 @@ impl<'a> Converter<'a> {
                 self.builder
                     .add_rule(&format!("{hint}_first"), first_suffix),
             );
-            let comma_member = GrammarExpr::seq(vec![comma.clone(), member.clone(), rest.clone()]);
-            let member_first = GrammarExpr::seq(vec![member, rest.clone()]);
+            let comma_entry = GrammarExpr::seq(vec![comma.clone(), entry.clone(), rest.clone()]);
+            let entry_first = GrammarExpr::seq(vec![entry, rest.clone()]);
             if is_required {
-                (rest_suffix, first_suffix) = (comma_member, member_first);
+                (rest_suffix, first_suffix) = (comma_entry, entry_first);
             } else {
-                rest_suffix = GrammarExpr::choice(vec![comma_member, rest]);
-                first_suffix = GrammarExpr::choice(vec![member_first, first]);
+                rest_suffix = GrammarExpr::choice(vec![comma_entry, rest]);
+                first_suffix = GrammarExpr::choice(vec![entry_first, first]);
             }
         }
 
@@ -1033,9 +1049,9 @@ impl<'a> Converter<'a> {
         Ok(self.bracketed("{", GrammarExpr::RuleRef(members_rule), "}"))
     }
 
-    fn convert_array(&mut self, obj: &Map, path: &str) -> Result<GrammarExpr> {
-        let min_items = self.count_bound(obj, "minItems", path)?.unwrap_or(0);
-        let max_items = self.count_bound(obj, "maxItems", path)?;
+    fn convert_array(&mut self, members: &[Member<'a>], path: &str) -> Result<GrammarExpr> {
+        let min_items = self.count_bound(members, "minItems", path)?.unwrap_or(0);
+        let max_items = self.count_bound(members, "maxItems", path)?;
         if let Some(max) = max_items {
             if max < min_items {
                 return Err(GrammarError::InvalidRepetition {
@@ -1046,7 +1062,11 @@ impl<'a> Converter<'a> {
         }
 
         // prefixItems (tuple validation): exactly the prefix's items.
-        if let Some(prefix) = self.bound(obj, "prefixItems", path, "an array", Value::as_array)? {
+        let prefix = match self.single(members, "prefixItems", path)? {
+            Some(value) => self.parse(value, "prefixItems", path, "an array", Value::as_array)?,
+            None => None,
+        };
+        if let Some(prefix) = prefix {
             let len = prefix.len();
             if len < min_items as usize || max_items.is_some_and(|max| len > max as usize) {
                 let message = format!("{len} prefixItems conflict with minItems/maxItems");
@@ -1057,14 +1077,18 @@ impl<'a> Converter<'a> {
                 if i > 0 {
                     parts.push(self.comma.clone());
                 }
-                parts.push(self.convert(sub, &format!("{path}/prefixItems/{i}"))?);
+                parts.push(self.convert(Vec::new(), &[sub], &format!("{path}/prefixItems/{i}"))?);
             }
             return Ok(self.bracketed("[", GrammarExpr::seq(parts), "]"));
         }
 
-        let item_expr = match obj.get("items") {
-            Some(items) => self.convert(items, &format!("{path}/items"))?,
-            None => self.basic("json_any"),
+        let mut items = Vec::new();
+        for value in values(members, "items") {
+            push_new(&mut items, value);
+        }
+        let item_expr = match items.is_empty() {
+            true => self.basic("json_any"),
+            false => self.convert(Vec::new(), &items, &format!("{path}/items"))?,
         };
         let item_rule_name = self.fresh_name("array_item");
         let item = GrammarExpr::RuleRef(self.builder.add_rule(&item_rule_name, item_expr));
@@ -1086,14 +1110,6 @@ impl<'a> Converter<'a> {
             _ => Ok(non_empty),
         }
     }
-}
-
-/// `{"allOf": [a, b]}` — the merge fallback for keywords whose constraints
-/// compose by conjunction on a nested schema.
-fn all_of_pair(a: Value, b: Value) -> Value {
-    let mut map = Map::new();
-    map.insert("allOf".to_string(), Value::Array(vec![a, b]));
-    Value::Object(map)
 }
 
 /// `value` as a JSON literal.
@@ -1123,24 +1139,6 @@ fn has_type(value: &Value, name: &str) -> bool {
         "object" => value.is_object(),
         "array" => value.is_array(),
         _ => false,
-    }
-}
-
-fn merge_required(old: &Value, new: &Value) -> Value {
-    let mut union: Vec<Value> = old.as_array().cloned().unwrap_or_default();
-    for item in new.as_array().cloned().unwrap_or_default() {
-        if !union.contains(&item) {
-            union.push(item);
-        }
-    }
-    Value::Array(union)
-}
-
-fn merge_additional_properties(old: &Value, new: &Value) -> Value {
-    match (old, new) {
-        (Value::Bool(false), _) | (_, Value::Bool(false)) => Value::Bool(false),
-        (Value::Bool(true), other) | (other, Value::Bool(true)) => other.clone(),
-        (a, b) => all_of_pair(a.clone(), b.clone()),
     }
 }
 
