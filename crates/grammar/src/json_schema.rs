@@ -618,15 +618,69 @@ impl<'a> Converter<'a> {
         if literals.is_empty() {
             return Err(self.schema_err(path, "`const`/`enum` intersection is empty"));
         }
-        if let Some(types) = self.types(members, path)? {
-            for value in &literals {
-                if !types.iter().any(|&name| has_type(value, name)) {
-                    let message = format!("`{value}` is not of the sibling `type` {types:?}");
-                    self.unsupported(path, message)?;
-                }
-            }
+        let types = self.types(members, path)?;
+        for value in &literals {
+            self.check_literal(members, types.as_deref(), value, path)?;
         }
         Ok(Some(literals))
+    }
+
+    /// A literal replaces the members' other keywords, so it must pass each
+    /// that applies to it: its `type`, string lengths, numeric bounds and
+    /// `multipleOf`. One that fails, and a keyword the converter cannot check
+    /// on it, would widen the language: unsupported, and lenient mode keeps
+    /// the literal.
+    fn check_literal(
+        &self,
+        members: &[Member<'a>],
+        types: Option<&[&str]>,
+        value: &Value,
+        path: &str,
+    ) -> Result<()> {
+        if let Some(types) = types.filter(|types| !types.iter().any(|&t| has_type(value, t))) {
+            self.unsupported(
+                path,
+                format!("`{value}` is not of the sibling `type` {types:?}"),
+            )?;
+        }
+        let passes = match (value, value.as_f64()) {
+            (Value::String(text), _) => {
+                let len = text.chars().count();
+                let min = self.count_bound(members, "minLength", path)?;
+                let max = self.count_bound(members, "maxLength", path)?;
+                min.is_none_or(|min| len >= min as usize)
+                    && max.is_none_or(|max| len <= max as usize)
+            }
+            (_, Some(v)) => {
+                let [lower, upper] =
+                    self.range_bounds(members, path, |_, bound| Ok(Some(bound)))?;
+                let divides = match self.single(members, "multipleOf", path)? {
+                    Some(k) => k.as_f64().is_some_and(|k| k > 0.0 && v % k == 0.0),
+                    None => true,
+                };
+                lower.is_none_or(|(b, exclusive)| v > b || (!exclusive && v == b))
+                    && upper.is_none_or(|(b, exclusive)| v < b || (!exclusive && v == b))
+                    && divides
+            }
+            _ => true,
+        };
+        if !passes {
+            self.unsupported(path, format!("`{value}` fails a sibling keyword"))?;
+        }
+        let unchecked: &[&str] = match value {
+            Value::String(_) => &["pattern", "format"],
+            Value::Object(_) => &["properties", "required", "additionalProperties"],
+            Value::Array(_) => &["items", "prefixItems", "minItems", "maxItems"],
+            _ => &[],
+        };
+        let mut present = unchecked.iter().chain(&BRANCHING);
+        if let Some(key) = present.find(|key| values(members, key).next().is_some()) {
+            self.unsupported(
+                path,
+                format!("cannot check `{key}` on the literal `{value}`"),
+            )?;
+        }
+        Ok(())
     }
 
     /// `anyOf`/`oneOf` (`BRANCHING[k]`) as a choice of its branches, each

@@ -750,6 +750,25 @@ fn widening_schemas_error_in_strict_mode_and_fall_back_when_lenient() {
             json!({"enum": ["a", 1]}),
         ),
         (json!({"type": "string", "const": 1}), json!({"const": 1})),
+        // A literal must pass its siblings: `"bb"` is too long, `5` too
+        // large, `1` too small, and `"b"` may break a pattern.
+        (
+            json!({"enum": ["a", "bb"], "maxLength": 1}),
+            json!({"enum": ["a", "bb"]}),
+        ),
+        (json!({"const": 5, "maximum": 3}), json!({"const": 5})),
+        (
+            json!({"type": "integer", "enum": [1, 5], "minimum": 3}),
+            json!({"enum": [1, 5]}),
+        ),
+        (
+            json!({"type": "string", "enum": ["a", "b"], "pattern": "^a$"}),
+            json!({"enum": ["a", "b"]}),
+        ),
+        (
+            json!({"enum": [1, "a"], "anyOf": [{"type": "integer"}]}),
+            json!({"enum": [1, "a"]}),
+        ),
     ];
     for (schema, fallback) in cases {
         assert!(
