@@ -539,7 +539,19 @@ impl<'a> Converter<'a> {
             return self.distribute(members, k, path);
         }
         match self.types(members, path)?.as_deref() {
-            None => Ok(self.basic("json_any")),
+            None => {
+                // Without a `type`, a keyword of some types goes unenforced.
+                let any_type = ["$ref", "allOf", "anyOf", "oneOf", "const", "enum", "type"];
+                let typed = |key: &&String| {
+                    SUPPORTED_KEYWORDS.contains(&key.as_str()) && !any_type.contains(&key.as_str())
+                };
+                if let Some(key) = members.iter().flat_map(|m| m.0.keys()).find(typed) {
+                    let message =
+                        format!("`{key}` constrains only some types, but no `type` is set");
+                    self.unsupported(path, message)?;
+                }
+                Ok(self.basic("json_any"))
+            }
             Some([name]) => self.convert_typed(name, members, path),
             Some(names) => {
                 let mut alts = Vec::new();

@@ -769,6 +769,21 @@ fn widening_schemas_error_in_strict_mode_and_fall_back_when_lenient() {
             json!({"enum": [1, "a"], "anyOf": [{"type": "integer"}]}),
             json!({"enum": [1, "a"]}),
         ),
+        // Without a `type`, keywords of one type went unenforced: `7`,
+        // `"ab"` and `[1,2]` were accepted.
+        (
+            json!({
+                "properties": {"a": {"type": "integer"}},
+                "required": ["a"],
+                "additionalProperties": false
+            }),
+            json!({}),
+        ),
+        (json!({"minLength": 3}), json!({})),
+        (
+            json!({"items": {"type": "integer"}, "maxItems": 1}),
+            json!({}),
+        ),
     ];
     for (schema, fallback) in cases {
         assert!(
