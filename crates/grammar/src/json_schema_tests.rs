@@ -813,3 +813,64 @@ fn literals_of_the_sibling_type_convert() {
         assert!(json_schema_to_grammar(&schema).is_ok(), "{schema}");
     }
 }
+
+/// `depth` levels of alternating `items` and `properties` around an integer
+/// schema, built with `Map::insert`: `json!` interpolation recurses itself.
+fn nested_schema(depth: usize) -> Value {
+    let mut schema = json!({"type": "integer"});
+    for level in 0..depth {
+        let mut map = Map::new();
+        if level % 2 == 0 {
+            map.insert("type".to_string(), json!("array"));
+            map.insert("items".to_string(), schema);
+        } else {
+            let mut properties = Map::new();
+            properties.insert("a".to_string(), schema);
+            map.insert("type".to_string(), json!("object"));
+            map.insert("properties".to_string(), Value::Object(properties));
+        }
+        schema = Value::Object(map);
+    }
+    schema
+}
+
+/// Drops a [`nested_schema`] level by level: dropping it whole recurses.
+fn dismantle(mut schema: Value) {
+    while let Value::Object(mut map) = schema {
+        schema = match (map.remove("items"), map.remove("properties")) {
+            (Some(items), _) => items,
+            (_, Some(Value::Object(mut properties))) => properties.remove("a").unwrap_or_default(),
+            _ => return,
+        };
+    }
+}
+
+#[test]
+fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+    // An explicit 2 MB stack, so the outcome does not depend on
+    // `RUST_MIN_STACK`.
+    let run = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let convert = |depth| {
+            let schema = nested_schema(depth);
+            let result = json_schema_to_grammar(&schema);
+            dismantle(schema);
+            result
+        };
+        // The root and each level are one conversion each.
+        assert!(convert(MAX_DEPTH - 1).is_ok());
+        for depth in [MAX_DEPTH, 10_000] {
+            let err = convert(depth).unwrap_err();
+            assert!(matches!(err, GrammarError::Schema { .. }), "{err}");
+        }
+        // A `$ref` cycle through `allOf` has no finite flattening.
+        let cycle =
+            json!({"$defs": {"a": {"allOf": [{"$ref": "#/$defs/a"}]}}, "$ref": "#/$defs/a"});
+        assert!(matches!(
+            json_schema_to_grammar(&cycle),
+            Err(GrammarError::Schema { .. })
+        ));
+    });
+    run.expect("spawn the converting thread")
+        .join()
+        .expect("converting thread");
+}
