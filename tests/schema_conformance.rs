@@ -12,9 +12,11 @@
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use serde_json::json;
 use xg_automata::{build_pda_default, Pda, SimpleMatcher};
 use xg_core::{CompiledGrammar, ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 use xg_datasets::SchemaCase;
+use xg_grammar::JsonSchemaOptions;
 use xg_tokenizer::{test_vocabulary, SortedVocabulary, TokenId, Vocabulary};
 
 /// Greedy longest-match tokenization of `bytes` against the vocabulary
@@ -223,8 +225,8 @@ fn truncated_instances_do_not_admit_eos() {
 
 const CORPUS_CASES: usize = 36;
 
-/// `anyOf`/`oneOf` siblings apply to every branch: each branch converts as
-/// `{"allOf": [siblings, branch]}`.
+/// `anyOf`/`oneOf` siblings apply to every branch: each branch converts
+/// together with the sibling keywords.
 #[test]
 fn any_of_siblings_apply_to_every_branch() {
     let accepts = |schema: &serde_json::Value, text: &str| {
@@ -255,6 +257,84 @@ fn any_of_siblings_apply_to_every_branch() {
     for text in ["{}", r#"{"a": "x"}"#, r#"{"c": 1}"#, "[]"] {
         assert!(!accepts(&either, text), "{text}");
     }
+}
+
+/// Whether the grammar `schema` converts to under `options` accepts `text`.
+fn accepts_with(options: &JsonSchemaOptions, schema: &serde_json::Value, text: &str) -> bool {
+    let grammar = xg_grammar::json_schema_to_grammar_with_options(schema, options)
+        .unwrap_or_else(|e| panic!("{schema} converts: {e}"));
+    SimpleMatcher::new(&build_pda_default(&grammar)).accepts(text.as_bytes())
+}
+
+/// `allOf` members are read keyword by keyword: a draft-4 boolean
+/// `exclusiveMinimum` binds to its own member's `minimum`, and bounds,
+/// property schemas and literals from different members meet.
+#[test]
+fn all_of_members_meet_keyword_by_keyword() {
+    let strict = JsonSchemaOptions::default();
+    let lenient = JsonSchemaOptions {
+        lenient: true,
+        ..Default::default()
+    };
+    let is_schema_error = |schema: &serde_json::Value, options: &JsonSchemaOptions| {
+        matches!(
+            xg_grammar::json_schema_to_grammar_with_options(schema, options),
+            Err(xg_grammar::GrammarError::Schema { .. })
+        )
+    };
+
+    // `3 > 1` and `3 >= 3`: the boolean makes only its own `minimum` exclusive.
+    let draft4 = json!({"type": "integer", "allOf": [
+        {"minimum": 1, "exclusiveMinimum": true}, {"minimum": 3}
+    ]});
+    for options in [&strict, &lenient] {
+        assert!(accepts_with(options, &draft4, "3"));
+        assert!(accepts_with(options, &draft4, "4"));
+        assert!(!accepts_with(options, &draft4, "2"));
+    }
+
+    // The boolean and the numeric form mix across members.
+    let mixed = json!({"type": "integer", "allOf": [
+        {"minimum": 1, "exclusiveMinimum": true}, {"exclusiveMinimum": 5}
+    ]});
+    for options in [&strict, &lenient] {
+        assert!(accepts_with(options, &mixed, "6"));
+        assert!(!accepts_with(options, &mixed, "5"));
+    }
+
+    // A boolean whose own member has no `minimum` modifies nothing.
+    let dangling = json!({"type": "integer", "exclusiveMinimum": true, "allOf": [{"minimum": 3}]});
+    assert!(is_schema_error(&dangling, &strict));
+    assert!(accepts_with(&lenient, &dangling, "3"));
+    assert!(!accepts_with(&lenient, &dangling, "2"));
+
+    // A property declared by two members meets both schemas.
+    let property = json!({
+        "type": "object",
+        "properties": {"n": {"type": "integer", "minimum": 0}},
+        "required": ["n"],
+        "allOf": [{"properties": {"n": {"maximum": 9}}}]
+    });
+    assert!(accepts_with(&strict, &property, r#"{"n": 9}"#));
+    for text in [r#"{"n": 10}"#, r#"{"n": -1}"#, r#"{"n": "x"}"#] {
+        assert!(!accepts_with(&strict, &property, text), "{text}");
+    }
+
+    // `const` and `enum` intersect; an empty intersection is an error.
+    let literal = json!({"allOf": [{"enum": [1, 2, 3]}, {"const": 2}]});
+    assert!(accepts_with(&strict, &literal, "2"));
+    assert!(!accepts_with(&strict, &literal, "1"));
+    let disjoint = json!({"const": 1, "enum": [2]});
+    assert!(is_schema_error(&disjoint, &strict));
+    assert!(is_schema_error(&disjoint, &lenient));
+
+    // Two members' different `anyOf`s have no intersection the converter
+    // builds: strict mode refuses, lenient mode keeps the first.
+    let two = json!({"allOf": [
+        {"anyOf": [{"type": "integer"}]}, {"anyOf": [{"type": "string"}]}
+    ]});
+    assert!(is_schema_error(&two, &strict));
+    assert!(accepts_with(&lenient, &two, "1"));
 }
 
 struct CorpusFixture {
