@@ -125,8 +125,6 @@ pub enum WhitespaceConfig {
 pub struct JsonSchemaOptions {
     /// Separator/whitespace policy threaded through the converter.
     pub whitespace: WhitespaceConfig,
-    /// Value of `additionalProperties` assumed when a schema does not set it.
-    pub default_additional_properties: bool,
     /// When `true`, unknown keywords are ignored and supported keywords with
     /// unsupported values fall back to the unconstrained grammar for their
     /// type, instead of raising [`GrammarError::Schema`]. The default is
@@ -1065,7 +1063,7 @@ impl<'a> Converter<'a> {
             None
         } else if !extra.is_empty() {
             Some(self.convert(Vec::new(), &extra, &format!("{path}/additionalProperties"))?)
-        } else if opened || self.options.default_additional_properties {
+        } else if opened {
             Some(self.basic("json_any"))
         } else {
             None
