@@ -600,9 +600,8 @@ impl<'a> Converter<'a> {
     }
 
     /// The `const`/`enum` values every member allows, in the first member's
-    /// order, or `None` when no member sets either. They replace the
-    /// members' `type`, so each must be of it; one that is not widens the
-    /// language.
+    /// order, or `None` when no member sets either. Each is checked against
+    /// the members' other keywords ([`Self::check_literal`]).
     fn literals(&self, members: &[Member<'a>], path: &str) -> Result<Option<Vec<&'a Value>>> {
         let mut common: Option<Vec<&'a Value>> = None;
         for member in members {
