@@ -32,11 +32,6 @@ pub struct PdaBuildOptions {
     /// Merge equivalent successor nodes to reduce stack splitting
     /// (paper §3.4).
     pub merge_nodes: bool,
-    /// Maximum AST size (expression node count) of a rule eligible for
-    /// inlining.
-    pub max_inline_rule_size: usize,
-    /// Maximum AST size a rule body may reach through inlining.
-    pub max_inlined_body_size: usize,
 }
 
 impl Default for PdaBuildOptions {
@@ -44,8 +39,6 @@ impl Default for PdaBuildOptions {
         PdaBuildOptions {
             inline_rules: true,
             merge_nodes: true,
-            max_inline_rule_size: 48,
-            max_inlined_body_size: 4096,
         }
     }
 }
@@ -57,7 +50,6 @@ impl PdaBuildOptions {
         PdaBuildOptions {
             inline_rules: false,
             merge_nodes: false,
-            ..Default::default()
         }
     }
 }
@@ -93,7 +85,7 @@ pub fn build_pda(grammar: &Grammar, options: &PdaBuildOptions) -> Pda {
 /// grammar's live rules and nodes, already compact.
 pub(crate) fn live_automaton(grammar: &Grammar, options: &PdaBuildOptions) -> Pda {
     if options.inline_rules {
-        PdaBuilder::new(&inline_fragment_rules(grammar, options)).build()
+        PdaBuilder::new(&inline_fragment_rules(grammar)).build()
     } else {
         PdaBuilder::new(grammar).build()
     }
@@ -156,10 +148,15 @@ fn substitute(expr: &GrammarExpr, target: RuleId, replacement: &GrammarExpr) -> 
     }
 }
 
+/// Maximum AST size (expression node count) of a rule eligible for inlining.
+const MAX_INLINE_RULE_SIZE: usize = 48;
+/// Maximum AST size a rule body may reach through inlining.
+const MAX_INLINED_BODY_SIZE: usize = 4096;
+
 /// Inlines fragment rules (small rules without references to other rules)
 /// into their parents. The root rule is never inlined away; size limits keep
 /// the automaton from exploding, as described in the paper.
-pub fn inline_fragment_rules(grammar: &Grammar, options: &PdaBuildOptions) -> Grammar {
+pub fn inline_fragment_rules(grammar: &Grammar) -> Grammar {
     let mut bodies: Vec<GrammarExpr> = grammar.rules().iter().map(|r| r.body.clone()).collect();
     let names: Vec<String> = grammar.rules().iter().map(|r| r.name.clone()).collect();
     let root = grammar.root();
@@ -175,7 +172,7 @@ pub fn inline_fragment_rules(grammar: &Grammar, options: &PdaBuildOptions) -> Gr
             .filter(|&id| {
                 id != root
                     && refs[id.index()].is_empty()
-                    && expr_size(&bodies[id.index()]) <= options.max_inline_rule_size
+                    && expr_size(&bodies[id.index()]) <= MAX_INLINE_RULE_SIZE
             })
             .collect();
         if inlinable.is_empty() {
@@ -189,7 +186,7 @@ pub fn inline_fragment_rules(grammar: &Grammar, options: &PdaBuildOptions) -> Gr
                     continue;
                 };
                 let candidate = substitute(body, target, &replacement);
-                if expr_size(&candidate) <= options.max_inlined_body_size {
+                if expr_size(&candidate) <= MAX_INLINED_BODY_SIZE {
                     *body = candidate;
                     refs.remove(at);
                     changed = true;
@@ -754,7 +751,7 @@ mod tests {
         )
         .unwrap();
         let options = PdaBuildOptions::default();
-        let inlined = inline_fragment_rules(&g, &options);
+        let inlined = inline_fragment_rules(&g);
         assert_eq!(
             inlined.rules().len(),
             3,

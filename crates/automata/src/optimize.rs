@@ -180,7 +180,6 @@ mod tests {
             &PdaBuildOptions {
                 merge_nodes: true,
                 inline_rules: false,
-                ..Default::default()
             },
         );
         assert!(opt.node_count() < unopt.node_count());
@@ -201,7 +200,6 @@ mod tests {
             &PdaBuildOptions {
                 merge_nodes: true,
                 inline_rules: false,
-                ..Default::default()
             },
         );
         let mut m_unopt = SimpleMatcher::new(&unopt);

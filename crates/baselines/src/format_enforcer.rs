@@ -14,12 +14,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use xg_automata::fsa::{Fsa, StateId};
-use xg_core::{AcceptError, ConstraintMatcher, TokenBitmask};
+use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::regex_unroll::{grammar_is_recursive, unroll_grammar_to_fsa};
-use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
+use crate::{BackendError, ConstrainedBackend, Session};
 
 /// lm-format-enforcer-style backend (character trie walking, regex only).
 #[derive(Debug)]
@@ -57,11 +57,9 @@ impl ConstrainedBackend for FormatEnforcerBackend {
             }
         })?;
         Ok(Arc::new(EnforcerCompiled {
-            shared: Arc::new(EnforcerShared {
-                fsa,
-                trie: TokenTrie::build(&self.vocab),
-                vocab: Arc::clone(&self.vocab),
-            }),
+            fsa,
+            trie: TokenTrie::build(&self.vocab),
+            vocab: Arc::clone(&self.vocab),
         }))
     }
 }
@@ -113,41 +111,50 @@ impl TokenTrie {
     pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
+
+    /// Estimated heap memory: every node, the edge into it and the tokens
+    /// ending at it.
+    fn memory_bytes(&self) -> usize {
+        let tokens: usize = self.nodes.iter().map(|n| n.terminal_tokens.len()).sum();
+        self.nodes.len() * (std::mem::size_of::<TrieNode>() + std::mem::size_of::<(u8, u32)>())
+            + tokens * std::mem::size_of::<TokenId>()
+    }
 }
 
-struct EnforcerShared {
+/// A compiled grammar: the unrolled automaton and the vocabulary trie,
+/// shared by every session.
+struct EnforcerCompiled {
     fsa: Fsa,
     trie: TokenTrie,
     vocab: Arc<Vocabulary>,
 }
 
-impl fmt::Debug for EnforcerShared {
+impl fmt::Debug for EnforcerCompiled {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EnforcerShared")
+        f.debug_struct("EnforcerCompiled")
             .field("fsa_states", &self.fsa.len())
             .field("trie_nodes", &self.trie.len())
             .finish()
     }
 }
 
-#[derive(Debug)]
-struct EnforcerCompiled {
-    shared: Arc<EnforcerShared>,
-}
-
 impl CompiledConstraint for EnforcerCompiled {
-    fn new_session(&self) -> Session {
+    fn new_session(self: Arc<Self>) -> Session {
         Box::new(EnforcerSession {
-            state: BTreeSet::from([self.shared.fsa.start()]),
-            shared: Arc::clone(&self.shared),
+            state: BTreeSet::from([self.fsa.start()]),
+            shared: self,
             terminated: false,
         })
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.fsa.len() * 48 + self.trie.memory_bytes()
     }
 }
 
 #[derive(Debug)]
 struct EnforcerSession {
-    shared: Arc<EnforcerShared>,
+    shared: Arc<EnforcerCompiled>,
     state: BTreeSet<StateId>,
     /// End-of-sequence has been accepted.
     terminated: bool,

@@ -18,12 +18,12 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 use xg_automata::fsa::{Fsa, StateId};
-use xg_core::{AcceptError, ConstraintMatcher, TokenBitmask};
+use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::regex_unroll::unroll_grammar_to_fsa;
-use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
+use crate::{BackendError, ConstrainedBackend, Session};
 
 /// Default recursion-unrolling depth (enough for the nesting present in the
 /// evaluation datasets).
@@ -77,11 +77,9 @@ impl ConstrainedBackend for FsmIndexBackend {
                 }
             })?;
         Ok(Arc::new(FsmCompiled {
-            shared: Arc::new(FsmShared {
-                fsa,
-                vocab: Arc::clone(&self.vocab),
-                index: Mutex::new(HashMap::new()),
-            }),
+            fsa,
+            vocab: Arc::clone(&self.vocab),
+            index: Mutex::new(HashMap::new()),
         }))
     }
 }
@@ -89,7 +87,9 @@ impl ConstrainedBackend for FsmIndexBackend {
 /// A DFA state: a set of NFA states.
 type DfaState = BTreeSet<StateId>;
 
-struct FsmShared {
+/// A compiled grammar: the unrolled automaton and its token index, shared
+/// by every session.
+struct FsmCompiled {
     fsa: Fsa,
     vocab: Arc<Vocabulary>,
     /// Memoized per-DFA-state token index: allowed tokens and, per allowed
@@ -103,9 +103,9 @@ struct StateIndex {
     can_terminate: bool,
 }
 
-impl fmt::Debug for FsmShared {
+impl fmt::Debug for FsmCompiled {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FsmShared")
+        f.debug_struct("FsmCompiled")
             .field("nfa_states", &self.fsa.len())
             .field(
                 "indexed_states",
@@ -115,7 +115,7 @@ impl fmt::Debug for FsmShared {
     }
 }
 
-impl FsmShared {
+impl FsmCompiled {
     fn start_state(&self) -> DfaState {
         let mut s = BTreeSet::new();
         s.insert(self.fsa.start());
@@ -164,24 +164,26 @@ impl FsmShared {
     }
 }
 
-#[derive(Debug)]
-struct FsmCompiled {
-    shared: Arc<FsmShared>,
-}
-
 impl CompiledConstraint for FsmCompiled {
-    fn new_session(&self) -> Session {
+    fn new_session(self: Arc<Self>) -> Session {
         Box::new(FsmSession {
-            shared: Arc::clone(&self.shared),
-            state: self.shared.start_state(),
+            state: self.start_state(),
+            shared: self,
             terminated: false,
         })
+    }
+
+    /// The automaton and the token index built so far.
+    fn memory_bytes(&self) -> usize {
+        let index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let entries: usize = index.values().map(|i| i.allowed.len()).sum();
+        self.fsa.len() * 48 + entries * std::mem::size_of::<(TokenId, DfaState)>()
     }
 }
 
 #[derive(Debug)]
 struct FsmSession {
-    shared: Arc<FsmShared>,
+    shared: Arc<FsmCompiled>,
     state: DfaState,
     /// End-of-sequence has been accepted.
     terminated: bool,
@@ -294,7 +296,7 @@ mod tests {
         )
         .unwrap();
         let compiled = backend.compile(&grammar).unwrap();
-        let mut session = compiled.new_session();
+        let mut session = Arc::clone(&compiled).new_session();
         assert!(drive_session_bytes(&vocab, &mut *session, b"[1,[2,[3]]]"));
         assert!(session.can_terminate());
         // Nesting beyond the unrolling depth is not representable: the mask

@@ -21,8 +21,11 @@
 //!   token through the automaton from the current state. Like the original,
 //!   it only supports regular (non-recursive) structures.
 //!
-//! All backends implement the common [`ConstrainedBackend`] interface, and
-//! every per-request session — the three baselines' here, XGrammar's grammar
+//! All backends implement the common [`ConstrainedBackend`] interface. A
+//! compile returns xg-core's one compiled-artifact trait,
+//! `xg_core::CompiledConstraint`: for XGrammar the cached `CompiledGrammar`
+//! or `CompiledTagDispatch` itself, for a baseline its compiled form here.
+//! Every per-request session — the three baselines' here, XGrammar's grammar
 //! and structural-tag matchers in `xg-core` — implements the one per-lane
 //! runtime trait, `xg_core::ConstraintMatcher`, reached through the owning
 //! [`Session`] handle. The benchmark harness and the serving engine swap
@@ -48,7 +51,7 @@ pub use xgrammar_backend::XGrammarBackend;
 use std::fmt;
 use std::sync::Arc;
 
-use xg_core::{CacheStats, ConstraintMatcher};
+use xg_core::{CacheStats, CompiledConstraint, ConstraintMatcher};
 use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
@@ -95,7 +98,8 @@ pub trait ConstrainedBackend: Send + Sync + fmt::Debug {
         Arc::new(SortedVocabulary::new(self.vocabulary()))
     }
 
-    /// Prepares a grammar, returning a factory for per-request sessions.
+    /// Prepares a grammar, returning the compiled constraint that mints
+    /// per-request sessions.
     ///
     /// # Errors
     ///
@@ -172,15 +176,8 @@ pub trait ConstrainedBackend: Send + Sync + fmt::Debug {
     }
 }
 
-/// A compiled constraint shared between requests.
-pub trait CompiledConstraint: Send + Sync + fmt::Debug {
-    /// Creates a fresh matching session positioned at the start of the
-    /// grammar.
-    fn new_session(&self) -> Session;
-}
-
 /// One lane's matching state, handed out by
-/// [`CompiledConstraint::new_session`]: a matcher built for the lane, seen
+/// `CompiledConstraint::new_session`: a matcher built for the lane, seen
 /// through `dyn` [`ConstraintMatcher`] — the one per-lane runtime interface,
 /// which the baseline sessions implement directly.
 pub type Session = Box<dyn ConstraintMatcher>;

@@ -11,11 +11,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use xg_automata::{build_pda_default, Pda, SimpleMatcher, StepResult};
-use xg_core::{AcceptError, ConstraintMatcher, TokenBitmask};
+use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
-use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
+use crate::{BackendError, ConstrainedBackend, Session};
 
 /// Baseline backend interpreting the PDA with full-vocabulary scans.
 #[derive(Debug)]
@@ -61,13 +61,18 @@ impl fmt::Debug for NaiveCompiled {
 }
 
 impl CompiledConstraint for NaiveCompiled {
-    fn new_session(&self) -> Session {
+    fn new_session(self: Arc<Self>) -> Session {
         Box::new(NaiveSession {
             stacks: vec![vec![self.pda.root_start()]],
             pda: self.pda.clone(),
             vocab: Arc::clone(&self.vocab),
             terminated: false,
         })
+    }
+
+    /// The automaton it holds (each session copies it).
+    fn memory_bytes(&self) -> usize {
+        self.pda.node_count() * 96
     }
 }
 

@@ -4,22 +4,23 @@
 //!
 //! Every compiled constraint — fully-constrained grammar or structural-tag
 //! dispatch — is the cached artifact itself (`xg_core::ArtifactCache` shares
-//! it between repeated `compile()` / `compile_structural()` calls), and each
-//! [`Session`] is a matcher built fresh from it. The backend keeps no state
-//! of its own beside the compiler. The only per-kind code is the constraint
-//! *construction* (which compile entry point to call); masks, token
-//! acceptance, jump-forward and termination are the matcher's own trait
-//! methods.
+//! it between repeated `compile()` / `compile_structural()` calls): a
+//! `CompiledGrammar` or `CompiledTagDispatch`, each implementing
+//! `xg_core::CompiledConstraint`, so each [`Session`](crate::Session) is a
+//! matcher built fresh from it. The backend keeps no state of its own beside
+//! the compiler. The only per-kind code is the constraint *construction*
+//! (which compile entry point to call); masks, token acceptance,
+//! jump-forward and termination are the matcher's own trait methods.
 
 use std::sync::Arc;
 
 use xg_core::{
-    CacheBudget, CacheStats, CompilerConfig, ConstraintFactory, GrammarCache, GrammarCompiler,
+    CacheBudget, CacheStats, CompiledConstraint, CompilerConfig, GrammarCache, GrammarCompiler,
 };
 use xg_grammar::{DispatchDelta, Grammar, GrammarError, StructuralTag};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
-use crate::{BackendError, CompiledConstraint, ConstrainedBackend, Session};
+use crate::{BackendError, ConstrainedBackend};
 
 /// The XGrammar engine behind the common backend interface.
 #[derive(Debug)]
@@ -97,9 +98,7 @@ impl ConstrainedBackend for XGrammarBackend {
         // than wedging a decode lane later. The compiled artifact is cached
         // either way, so resubmissions fail fast.
         let compiled = self.compiler.compile_grammar_checked(grammar);
-        Ok(XGrammarCompiled::over(
-            compiled.map_err(|e| self.unsupported(e))?,
-        ))
+        Ok(compiled.map_err(|e| self.unsupported(e))?)
     }
 
     fn compile_structural(
@@ -111,9 +110,7 @@ impl ConstrainedBackend for XGrammarBackend {
         // dispatch build itself is cached, so every batch serving this tool
         // registry shares one compiled dispatch.
         let compiled = self.compiler.compile_tag_dispatch(tag);
-        Ok(XGrammarCompiled::over(
-            compiled.map_err(|e| self.unsupported(e))?,
-        ))
+        Ok(compiled.map_err(|e| self.unsupported(e))?)
     }
 
     fn update_structural(
@@ -130,7 +127,7 @@ impl ConstrainedBackend for XGrammarBackend {
             .and_then(|base| self.compiler.update_tag_dispatch(&base, delta))
             .map_err(|e| self.unsupported(e))?;
         let next = updated.source_tag().clone();
-        Ok((next, XGrammarCompiled::over(updated)))
+        Ok((next, updated))
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -147,26 +144,6 @@ impl ConstrainedBackend for XGrammarBackend {
 
     fn is_cached_structural(&self, tag: &StructuralTag) -> bool {
         self.compiler.has_cached_tag_dispatch_for(tag)
-    }
-}
-
-/// A compiled grammar or tool registry, whose every session is a matcher
-/// built for it.
-#[derive(Debug)]
-struct XGrammarCompiled {
-    artifact: Arc<dyn ConstraintFactory>,
-}
-
-impl XGrammarCompiled {
-    /// The compiled constraint serving `artifact`.
-    fn over(artifact: Arc<dyn ConstraintFactory>) -> Arc<dyn CompiledConstraint> {
-        Arc::new(XGrammarCompiled { artifact })
-    }
-}
-
-impl CompiledConstraint for XGrammarCompiled {
-    fn new_session(&self) -> Session {
-        Arc::clone(&self.artifact).new_matcher()
     }
 }
 
@@ -303,7 +280,7 @@ mod tests {
         let compiled = backend
             .compile(&xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap())
             .unwrap();
-        let mut first = compiled.new_session();
+        let mut first = Arc::clone(&compiled).new_session();
         assert!(drive_session_bytes(&vocab, &mut *first, b"[7]"));
         // The next session of the same constraint starts from scratch.
         let mut second = compiled.new_session();
@@ -358,7 +335,7 @@ mod tests {
     /// decode `text`, after which nothing pins the artifact any more.
     fn assert_unpinned_once_dropped<V>(
         vocab: &Vocabulary,
-        mut session: Session,
+        mut session: crate::Session,
         text: &[u8],
         artifact: Weak<V>,
     ) {
@@ -477,44 +454,6 @@ mod tests {
             naive.compile_structural(&tag),
             Err(BackendError::UnsupportedGrammar { .. })
         ));
-    }
-
-    #[test]
-    fn sessions_expose_speculative_draft_verification() {
-        let vocab = small_vocab();
-        let backend = XGrammarBackend::new(Arc::clone(&vocab));
-        let compiled = backend
-            .compile(&xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap())
-            .unwrap();
-        let token = |bytes: &[u8]| {
-            vocab
-                .iter()
-                .find(|(_, t)| *t == bytes)
-                .map(|(id, _)| id)
-                .expect("token in vocabulary")
-        };
-        // One-call draft verification: "[12]" is valid, "x" is not.
-        let draft = [
-            token(b"["),
-            token(b"1"),
-            token(b"2"),
-            token(b"]"),
-            token(b"x"),
-        ];
-        let mut session = compiled.new_session();
-        assert_eq!(session.accept_tokens_speculative(&draft), 4);
-        assert!(session.can_terminate());
-        // Each draft token is one rollback unit.
-        assert_eq!(session.rollback_window(), 4);
-        session.rollback(4).unwrap();
-        // Baseline sessions get the same per-token loop from the trait
-        // default.
-        let naive = crate::NaivePdaBackend::new(Arc::clone(&vocab));
-        let mut naive_session = naive
-            .compile(&xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap())
-            .unwrap()
-            .new_session();
-        assert_eq!(naive_session.accept_tokens_speculative(&draft), 4);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn bench_mask_generation(c: &mut Criterion) {
                         b.iter(|| {
                             // One full constrained generation of the first
                             // reference: mask + accept per token.
-                            let mut session = compiled.new_session();
+                            let mut session = Arc::clone(&compiled).new_session();
                             let mut state = llm.start_request(&refs[0], 0);
                             let mut mask = TokenBitmask::new_all_rejected(vocab.len());
                             for _ in 0..TOKENS_PER_ITER {

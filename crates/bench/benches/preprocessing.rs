@@ -172,10 +172,7 @@ fn bench_cold_compile(c: &mut Criterion) {
         ("xml", vec![xg_grammar::builtin::xml_grammar()]),
         ("triggers", triggers),
     ];
-    let build_options = MaskCacheBuildOptions {
-        context_expansion: true,
-        num_threads: 1,
-    };
+    let build_options = MaskCacheBuildOptions { num_threads: 1 };
     for (name, grammars) in sets {
         let built: Vec<_> = grammars
             .iter()

@@ -34,7 +34,7 @@ fn bench_ablation(c: &mut Criterion) {
         let compiled = backend.compile(&grammar).expect("always supported");
         group.bench_with_input(BenchmarkId::new("cfg_json", name), &refs, |b, refs| {
             b.iter(|| {
-                let mut session = compiled.new_session();
+                let mut session = Arc::clone(&compiled).new_session();
                 let mut state = llm.start_request(&refs[0], 0);
                 let mut mask = TokenBitmask::new_all_rejected(vocab.len());
                 for _ in 0..10 {

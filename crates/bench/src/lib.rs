@@ -187,7 +187,7 @@ pub fn measure_mask_generation(
     let mut total = Duration::ZERO;
     let mut masks = 0usize;
     for (i, reference) in refs.iter().enumerate() {
-        let mut session = compiled.new_session();
+        let mut session = Arc::clone(&compiled).new_session();
         let mut state = llm.start_request(reference, i as u64);
         for _ in 0..max_tokens_per_reference {
             let start = Instant::now();

@@ -107,7 +107,6 @@ impl CompilerConfig {
         PdaBuildOptions {
             inline_rules: self.enable_rule_inlining,
             merge_nodes: self.enable_node_merging,
-            ..Default::default()
         }
     }
 }

@@ -14,9 +14,10 @@
 //! composite constraint, a semantic filter) plugs in by implementing the
 //! trait — no new enum variant in any consumer.
 //!
-//! The companion [`ConstraintFactory`] trait is the compiled-artifact side:
-//! a compiled grammar or compiled tag dispatch acts as a factory of fresh
-//! matchers, so a serving backend opens a lane of either kind the same way.
+//! The companion [`CompiledConstraint`] trait is the compiled-artifact side:
+//! a compiled grammar, a compiled tag dispatch or a baseline's compiled form
+//! mints each lane's matcher, so a serving backend opens a lane of any kind
+//! the same way.
 
 use std::fmt;
 use std::sync::Arc;
@@ -250,24 +251,6 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
         ForcedTokenRun::cover(bytes, &vocab, sorted)
     }
 
-    /// Verifies a speculative k-token draft in one call: accepts tokens in
-    /// order until one is rejected and returns the length of the accepted
-    /// prefix. The matcher ends advanced by exactly that prefix — identical
-    /// to a token-by-token [`accept_token`](Self::accept_token) loop — and
-    /// each accepted token is an individual rollback unit, so any suffix of
-    /// the draft can be rolled back afterwards.
-    ///
-    /// The default is the accept-token loop; an implementation whose
-    /// per-call set-up is worth hoisting out of it may override it.
-    fn accept_tokens_speculative(&mut self, tokens: &[TokenId]) -> usize {
-        for (i, &token) in tokens.iter().enumerate() {
-            if self.accept_token(token).is_err() {
-                return i;
-            }
-        }
-        tokens.len()
-    }
-
     /// Returns `true` if end-of-sequence would be accepted now.
     fn can_terminate(&mut self) -> bool;
 
@@ -289,21 +272,19 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
     }
 }
 
-/// A compiled constraint artifact that can mint fresh matchers: the factory
-/// side of [`ConstraintMatcher`], implemented by
-/// [`CompiledGrammar`](crate::CompiledGrammar) and
-/// [`CompiledTagDispatch`](crate::CompiledTagDispatch).
+/// A compiled constraint shared between requests, which mints each lane's
+/// matcher: implemented by [`CompiledGrammar`](crate::CompiledGrammar) and
+/// [`CompiledTagDispatch`](crate::CompiledTagDispatch) here, and by the
+/// baseline engines' compiled forms in `xg-baselines`.
 ///
 /// [`ArtifactCache`](crate::ArtifactCache) is generic over it, so one cache
-/// type holds either artifact.
-pub trait ConstraintFactory: Send + Sync + fmt::Debug {
+/// type holds either artifact, and a serving backend hands the cached
+/// artifact itself to the engine.
+pub trait CompiledConstraint: Send + Sync + fmt::Debug {
     /// Creates a matcher positioned at the start of the constraint with the
     /// default rollback window
     /// ([`DEFAULT_MAX_ROLLBACK_TOKENS`](crate::DEFAULT_MAX_ROLLBACK_TOKENS)).
-    fn new_matcher(self: Arc<Self>) -> Box<dyn ConstraintMatcher>;
-
-    /// The vocabulary matchers of this factory produce masks for.
-    fn vocabulary(&self) -> &Arc<Vocabulary>;
+    fn new_session(self: Arc<Self>) -> Box<dyn ConstraintMatcher>;
 
     /// Estimated heap memory pinned by this compiled artifact — what an
     /// [`ArtifactCache`](crate::ArtifactCache) charges against its byte
@@ -338,8 +319,8 @@ mod tests {
 
         // One code path serves both constraint kinds.
         let mut lanes: Vec<(Box<dyn ConstraintMatcher>, &[u8])> = vec![
-            (grammar.new_matcher(), b"[42]"),
-            (dispatch.new_matcher(), b"see <n>42</n> ok"),
+            (grammar.new_session(), b"[42]"),
+            (dispatch.new_session(), b"see <n>42</n> ok"),
         ];
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
         for (lane, text) in &mut lanes {

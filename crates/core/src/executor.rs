@@ -23,12 +23,12 @@ use crate::persistent_stack::{PersistentStackTree, StackHandle};
 /// Hard cap on the number of parallel stacks tracked at once. Grammars that
 /// exceed it are pathological; exceeding the cap degrades to tracking a
 /// subset (documented behaviour, never observed for the evaluated grammars).
-pub const MAX_PARALLEL_STACKS: usize = 512;
+pub(crate) const MAX_PARALLEL_STACKS: usize = 512;
 
 /// Reusable working memory of [`closure`] and [`advance_bytes`]. It carries
 /// no state from one call to the next, only capacity.
 #[derive(Debug, Default)]
-pub struct ExecScratch {
+pub(crate) struct ExecScratch {
     /// `mark[h.raw()] == epoch` ⇔ `h` was already met in the current pass.
     mark: Vec<u64>,
     epoch: u64,
@@ -69,7 +69,7 @@ impl ExecScratch {
 /// (preprocessing) or "the whole grammar can terminate here" (runtime). Tail
 /// calls leave it unchanged: a tail callee finishing in the bottom frame is
 /// the caller finishing there.
-pub fn closure<'s>(
+pub(crate) fn closure<'s>(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     heads: &[StackHandle],
@@ -155,7 +155,7 @@ fn step_byte(
 
 /// Advances `heads` in place over `bytes`. On `Err(i)` no stack could
 /// consume `bytes[i]` and `heads` is left empty.
-pub fn advance_bytes(
+pub(crate) fn advance_bytes(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     heads: &mut Vec<StackHandle>,
@@ -177,7 +177,7 @@ pub fn advance_bytes(
 /// Returns `true` if, without consuming more bytes, some stack can pop out of
 /// its bottom frame (for a matcher whose bottom frame is the root rule this
 /// means the generated text is a complete sentence).
-pub fn can_pop_out(
+pub(crate) fn can_pop_out(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     heads: &[StackHandle],
@@ -201,7 +201,7 @@ pub fn can_pop_out(
 /// keeps every buffer, so a matcher resolves all its masks with the one
 /// trail it owns.
 #[derive(Debug, Default)]
-pub struct TokenTrail {
+pub(crate) struct TokenTrail {
     /// The head sets, back to back: the heads after consuming `i` bytes are
     /// `flat[ends[i - 1]..ends[i]]` (from 0 for the initial set, `i == 0`).
     flat: Vec<StackHandle>,
@@ -212,13 +212,14 @@ pub struct TokenTrail {
     /// consumed byte.
     popout: Vec<bool>,
     /// Steps taken from a non-empty head set (the §3.3 statistic).
+    #[cfg(test)]
     bytes_advanced: u64,
     scratch: ExecScratch,
 }
 
 impl TokenTrail {
     /// Restarts the trail from the given heads with nothing consumed.
-    pub fn reset(&mut self, initial: &[StackHandle]) {
+    pub(crate) fn reset(&mut self, initial: &[StackHandle]) {
         self.flat.clear();
         self.flat.extend_from_slice(initial);
         self.ends.clear();
@@ -227,12 +228,12 @@ impl TokenTrail {
     }
 
     /// Current prefix length in bytes.
-    pub fn prefix_len(&self) -> usize {
+    pub(crate) fn prefix_len(&self) -> usize {
         self.popout.len()
     }
 
     /// Rolls the trail back so that only `len` bytes remain matched.
-    pub fn rollback_to(&mut self, len: usize) {
+    pub(crate) fn rollback_to(&mut self, len: usize) {
         debug_assert!(len <= self.prefix_len());
         self.ends.truncate(len + 1);
         self.flat.truncate(self.ends[len]);
@@ -241,7 +242,7 @@ impl TokenTrail {
 
     /// Advances the trail by one byte. Returns `true` if at least one stack
     /// survived.
-    pub fn advance(&mut self, pda: &Pda, tree: &mut PersistentStackTree, byte: u8) -> bool {
+    pub(crate) fn advance(&mut self, pda: &Pda, tree: &mut PersistentStackTree, byte: u8) -> bool {
         let end = self.flat.len();
         let current = &self.flat[self.current_start()..];
         let mut popout_here = false;
@@ -252,7 +253,10 @@ impl TokenTrail {
                 popout_here = true
             });
             step_byte(pda, tree, byte, &mut self.scratch, &mut self.flat);
-            self.bytes_advanced += 1;
+            #[cfg(test)]
+            {
+                self.bytes_advanced += 1;
+            }
         }
         self.popout.push(popout_here);
         self.ends.push(self.flat.len());
@@ -265,7 +269,7 @@ impl TokenTrail {
     /// then ends in the dead state after `token[..=p]`, with the pop-outs
     /// recorded up to offset `p`, and every token sharing that prefix fails
     /// the same way without any automaton work.
-    pub fn match_token(
+    pub(crate) fn match_token(
         &mut self,
         pda: &Pda,
         tree: &mut PersistentStackTree,
@@ -289,7 +293,7 @@ impl TokenTrail {
     /// Matches each of `tokens` — sorted by their byte strings, so that
     /// neighbours share prefixes — against the stacks `heads`, calling
     /// `on_match` for those the stacks can consume entirely.
-    pub fn match_sorted(
+    pub(crate) fn match_sorted(
         &mut self,
         pda: &Pda,
         tree: &mut PersistentStackTree,
@@ -313,18 +317,21 @@ impl TokenTrail {
     }
 
     /// Heads after the full current prefix.
-    pub fn current_heads(&self) -> &[StackHandle] {
+    pub(crate) fn current_heads(&self) -> &[StackHandle] {
         &self.flat[self.current_start()..]
     }
 
     fn current_start(&self) -> usize {
         self.prefix_len().checked_sub(1).map_or(0, |i| self.ends[i])
     }
+}
 
+#[cfg(test)]
+impl TokenTrail {
     /// Byte offsets `o < len` at which a pop-out of the bottom frame was
     /// possible (the remainder `token[o..]` would be matched by the parent
     /// context). Only offsets within the current prefix are reported.
-    pub fn popout_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn popout_offsets(&self) -> impl Iterator<Item = usize> + '_ {
         self.popout
             .iter()
             .enumerate()
@@ -334,7 +341,7 @@ impl TokenTrail {
     /// Total number of bytes advanced over the lifetime of the trail:
     /// steps taken from a live head set, neither rolled-back reuse nor the
     /// bookkeeping on a trail that already died.
-    pub fn bytes_advanced(&self) -> u64 {
+    pub(crate) fn bytes_advanced(&self) -> u64 {
         self.bytes_advanced
     }
 }
@@ -375,16 +382,16 @@ pub(crate) struct StepMemo {
     multi: HashMap<Box<[StackHandle]>, u32>,
     limit: usize,
     /// The steps computed rather than looked up.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Steps [`match_token`](Self::match_token) took from a live state
     /// ([`TokenTrail::bytes_advanced`]): the bytes after `keep` it matched.
     #[cfg(test)]
-    pub steps: u64,
+    pub(crate) steps: u64,
 }
 
 impl StepMemo {
     /// An empty memo; `default()` alone lacks the dead state and the bound.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StepMemo {
             ends: vec![0],
             rows: vec![[0; 256]],
@@ -419,7 +426,7 @@ impl StepMemo {
     /// Forgets every state when `steps` more could outgrow the bound (a step
     /// adds one state at most, and a start one more); `trail`'s ids die with
     /// them, so it is emptied too.
-    pub fn make_room(&mut self, trail: &mut Vec<u32>, steps: usize) {
+    pub(crate) fn make_room(&mut self, trail: &mut Vec<u32>, steps: usize) {
         if self.ends.len() + steps >= self.limit {
             self.tree.clear();
             self.heads.clear();
@@ -434,7 +441,7 @@ impl StepMemo {
 
     /// The state of the one stack `[node]`, where a walk of `trail` starts:
     /// `trail[0]`, interned first when the trail is empty.
-    pub fn start(&mut self, node: NodeId, trail: &mut Vec<u32>) -> u32 {
+    pub(crate) fn start(&mut self, node: NodeId, trail: &mut Vec<u32>) -> u32 {
         if trail.is_empty() {
             self.heads.push(self.tree.push(StackHandle::ROOT, node));
             trail.push(self.intern(self.heads.len() - 1));
@@ -444,12 +451,12 @@ impl StepMemo {
 
     /// Whether `state` can pop out of the bottom frame; known once a step
     /// from it was taken.
-    pub fn pops_out(&self, state: u32) -> bool {
+    pub(crate) fn pops_out(&self, state: u32) -> bool {
         self.popout[state as usize] == Some(true)
     }
 
     /// The state `byte` leads to from `state` (0 when no stack consumes it).
-    pub fn step(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
+    pub(crate) fn step(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
         match self.rows[state as usize][byte as usize] {
             u32::MAX => self.miss(pda, state, byte),
             next => next,
@@ -492,7 +499,7 @@ impl StepMemo {
     /// [`TokenTrail::match_token`] from the single stack `[node]`, over state ids:
     /// `trail[i]` is the state after `token[..i]`; empty until a walk or
     /// [`start`](Self::start) fills it.
-    pub fn match_token(
+    pub(crate) fn match_token(
         &mut self,
         pda: &Pda,
         node: NodeId,
@@ -529,7 +536,10 @@ impl StepMemo {
     }
 
     /// [`TokenTrail::popout_offsets`] of the trail `match_token` left.
-    pub fn popout_offsets<'a>(&'a self, trail: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+    pub(crate) fn popout_offsets<'a>(
+        &'a self,
+        trail: &'a [u32],
+    ) -> impl Iterator<Item = usize> + 'a {
         let stepped_from = &trail[..trail.len() - 1];
         let popout = |(i, &s): (usize, &u32)| (self.popout[s as usize] == Some(true)).then_some(i);
         stepped_from.iter().enumerate().filter_map(popout)
@@ -540,7 +550,7 @@ impl StepMemo {
 impl StepMemo {
     /// A memo that clears itself at `limit` states, so that a test's small
     /// build clears it hundreds of times.
-    pub fn with_limit(limit: usize) -> Self {
+    pub(crate) fn with_limit(limit: usize) -> Self {
         StepMemo {
             limit,
             ..Self::new()
@@ -548,7 +558,7 @@ impl StepMemo {
     }
 
     /// States interned since the last clear, the dead one included.
-    pub fn state_count(&self) -> usize {
+    pub(crate) fn state_count(&self) -> usize {
         self.ends.len()
     }
 }

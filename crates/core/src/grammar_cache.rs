@@ -20,7 +20,7 @@
 //!   `Err` or unwinds removes its in-flight slot, so a rejected registry is
 //!   never reported as cached and never counts against the entry cap,
 //! * a **byte and entry budget** ([`CacheBudget`]) — entry sizes come from
-//!   [`ConstraintFactory::memory_bytes`], read again at every budget check,
+//!   [`CompiledConstraint::memory_bytes`], read again at every budget check,
 //!   because an artifact grows after insertion as requests build its mask
 //!   entries; least-recently-used entries are evicted when the budget is
 //!   exceeded. Evicted artifacts stay alive for requests already holding
@@ -60,14 +60,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use xg_grammar::{Grammar, StructuralTag};
 
 use crate::compiler::{CompiledGrammar, CompilerConfig};
-use crate::constraint::ConstraintFactory;
+use crate::constraint::CompiledConstraint;
 use crate::tag_dispatch::CompiledTagDispatch;
 
 /// Budget of an [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Byte budget across all cached artifacts (estimated with
-    /// [`ConstraintFactory::memory_bytes`], whose growth since the last
+    /// [`CompiledConstraint::memory_bytes`], whose growth since the last
     /// insertion counts too). When an insertion finds the total over the
     /// budget, least-recently-used entries are evicted. A single entry larger
     /// than the budget is still cached until the next insertion.
@@ -276,12 +276,16 @@ impl<K, V> ArtifactCache<K, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, V: ConstraintFactory> ArtifactCache<K, V> {
-    /// Returns `true` if `key` is currently cached (or building). Does not
+impl<K: Eq + Hash + Clone, V: CompiledConstraint> ArtifactCache<K, V> {
+    /// Returns `true` if `key`'s artifact is cached. A build still in flight
+    /// is not: a request that would wait it out is not a cache hit. Does not
     /// count as an access for LRU or hit/miss purposes — admission control
     /// uses this to classify cache-hit admissions.
     pub fn contains(&self, key: &K) -> bool {
-        self.lock().slots.contains_key(key)
+        self.lock()
+            .slots
+            .get(key)
+            .is_some_and(|slot| matches!(slot.cell.get(), Some(Some(_))))
     }
 
     /// Looks up `key`, running `build` on a miss; returns the artifact and
@@ -408,7 +412,7 @@ impl<K: Eq + Hash + Clone, V: ConstraintFactory> ArtifactCache<K, V> {
     }
 }
 
-impl<V: ConstraintFactory> Slot<V> {
+impl<V: CompiledConstraint> Slot<V> {
     /// The artifact's current size; 0 while its build is in flight.
     fn bytes(&self) -> usize {
         match self.cell.get() {
@@ -821,6 +825,32 @@ mod tests {
         });
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn an_in_flight_build_is_not_cached() {
+        let vocab = Arc::new(test_vocabulary(600));
+        let cache = GrammarCache::new(CacheBudget::for_grammars());
+        let g = grammar(r#"root ::= "a""#);
+        let cfg = CompilerConfig::default();
+        let key = GrammarCacheKey::new(&g, vocab.fingerprint(), &cfg);
+        let (started, probed) = (Barrier::new(2), Barrier::new(2));
+        let in_flight = std::thread::scope(|scope| {
+            let building = scope.spawn(|| {
+                cache.get_or_try_build(&key, || {
+                    started.wait(); // the in-flight slot exists from here on
+                    probed.wait();
+                    Ok::<_, Infallible>(compile(&g, &vocab, &cfg))
+                })
+            });
+            started.wait();
+            let in_flight = cache.contains(&key);
+            probed.wait();
+            building.join().unwrap().unwrap();
+            in_flight
+        });
+        assert!(!in_flight, "a build in flight is not cached");
+        assert!(cache.contains(&key));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   in `xg-automata`, its application in [`mask_cache`](MaskCache)
 //!   construction),
 //! * the **persistent execution stack** (§3.3): all matching stacks live in
-//!   one shared tree with O(1) branching and rollback
-//!   ([`PersistentStackTree`]),
+//!   one shared tree with O(1) branching and rollback (crate-private; a
+//!   [`GrammarMatcher`]'s rollback is its public face),
 //! * the **grammar matcher and compiler** used by serving engines
 //!   ([`GrammarCompiler`], [`CompiledGrammar`], [`GrammarMatcher`],
 //!   [`TokenBitmask`]), including jump-forward string detection (Appendix B),
@@ -25,9 +25,10 @@
 //!   build-once semantics under contention ([`ArtifactCache`], instantiated
 //!   as [`GrammarCache`] and [`TagDispatchCache`]),
 //! * the **[`ConstraintMatcher`] trait**: one runtime interface for every
-//!   constrained lane kind (with [`ConstraintFactory`] as the compiled
-//!   artifact side), so engines drive boxed trait objects instead of
-//!   branching per matcher type,
+//!   constrained lane kind, and **[`CompiledConstraint`]**, the one trait of
+//!   a compiled artifact that mints a lane's matcher (a serving backend hands
+//!   the cached artifact itself to the engine), so engines drive boxed trait
+//!   objects instead of branching per matcher or artifact type,
 //! * **tag dispatch** for agentic tool calling: free text passes through
 //!   unconstrained (scanned by an Aho–Corasick trigger automaton) while
 //!   trigger strings dispatch into constrained tagged segments
@@ -62,7 +63,7 @@
 mod compiler;
 mod constraint;
 mod error;
-pub mod executor;
+mod executor;
 mod grammar_cache;
 mod lint;
 mod mask;
@@ -73,7 +74,7 @@ mod tag_dispatch;
 mod tag_matcher;
 
 pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler, LintMode};
-pub use constraint::{ConstraintFactory, ConstraintMatcher, ForcedTokenRun};
+pub use constraint::{CompiledConstraint, ConstraintMatcher, ForcedTokenRun};
 pub use error::{AcceptError, RollbackError};
 pub use grammar_cache::{
     ArtifactCache, CacheBudget, CacheStats, GrammarCache, GrammarCacheKey, TagDispatchCache,
@@ -84,6 +85,5 @@ pub use mask_cache::{
     build_mask_cache, MaskCache, MaskCacheBuildOptions, MaskCacheStats, NodeMaskEntry,
 };
 pub use matcher::{GrammarMatcher, MatcherStats, DEFAULT_MAX_ROLLBACK_TOKENS};
-pub use persistent_stack::{PersistentStackTree, StackHandle};
 pub use tag_dispatch::{CompiledTagDispatch, CompiledTrigger};
 pub use tag_matcher::{DispatchMode, StructuralTagMatcher, TagDispatchStats};

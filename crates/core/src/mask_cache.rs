@@ -692,28 +692,17 @@ fn classify_node(
 }
 
 /// Options for building the mask cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MaskCacheBuildOptions {
-    /// Apply context expansion (requires `suffix_fsas`).
-    pub context_expansion: bool,
     /// Number of worker threads (0 = use available parallelism).
     pub num_threads: usize,
 }
 
-impl Default for MaskCacheBuildOptions {
-    fn default() -> Self {
-        MaskCacheBuildOptions {
-            context_expansion: true,
-            num_threads: 0,
-        }
-    }
-}
-
 /// Builds the adaptive token mask cache for every node of the PDA.
 ///
-/// `suffix_fsas` must contain one expanded-suffix automaton per PDA rule when
-/// context expansion is enabled (see
-/// [`xg_automata::extract_all_suffix_fsas`]).
+/// Context expansion applies when `suffix_fsas` holds one expanded-suffix
+/// automaton per PDA rule (see [`xg_automata::extract_all_suffix_fsas`]);
+/// `None` builds without it.
 pub fn build_mask_cache(
     pda: &Pda,
     vocab: &Vocabulary,
@@ -725,7 +714,7 @@ pub fn build_mask_cache(
         pda,
         vocab,
         sorted,
-        suffix_fsas: suffix_fsas.filter(|_| options.context_expansion),
+        suffix_fsas,
     };
     let cache = MaskCache::new(&source);
     cache.complete_from(&source, options.num_threads);
@@ -818,11 +807,8 @@ mod tests {
             &pda,
             vocab,
             &sorted,
-            Some(&fsas),
-            &MaskCacheBuildOptions {
-                context_expansion,
-                num_threads: 2,
-            },
+            context_expansion.then_some(&fsas[..]),
+            &MaskCacheBuildOptions { num_threads: 2 },
         );
         (pda, cache)
     }

@@ -84,7 +84,7 @@ fn build_with(
         pda,
         vocab,
         sorted,
-        suffix_fsas: suffix_fsas.filter(|_| options.context_expansion),
+        suffix_fsas,
     };
     let cache = MaskCache::new(&source);
     cache.complete(&source, options.num_threads, classify);
@@ -99,13 +99,12 @@ fn build_lazily(
     vocab: &Vocabulary,
     sorted: &SortedVocabulary,
     suffix_fsas: Option<&[Fsa]>,
-    options: &MaskCacheBuildOptions,
 ) -> MaskCache {
     let source = EntrySource {
         pda,
         vocab,
         sorted,
-        suffix_fsas: suffix_fsas.filter(|_| options.context_expansion),
+        suffix_fsas,
     };
     let cache = MaskCache::new(&source);
     assert_eq!(cache.built_entries(), 0);
@@ -158,17 +157,15 @@ fn assert_matches_reference(
     let fsas = extract_all_suffix_fsas(pda);
     let mut stats = MaskCacheStats::default();
     for context_expansion in [false, true] {
-        let options = MaskCacheBuildOptions {
-            context_expansion,
-            num_threads: 2,
-        };
-        let fast = build_mask_cache(pda, vocab, sorted, Some(&fsas), &options);
-        let reference = build_with(pda, vocab, sorted, Some(&fsas), &options, |_, node, fsa| {
+        let options = MaskCacheBuildOptions { num_threads: 2 };
+        let suffix_fsas = context_expansion.then_some(&fsas[..]);
+        let fast = build_mask_cache(pda, vocab, sorted, suffix_fsas, &options);
+        let reference = build_with(pda, vocab, sorted, suffix_fsas, &options, |_, node, fsa| {
             classify_node_reference(pda, node, vocab, sorted, fsa)
         });
         let what = format!("{what} (context expansion {context_expansion})");
         assert_same_cache(&fast, &reference, &what);
-        let lazy = build_lazily(pda, vocab, sorted, Some(&fsas), &options);
+        let lazy = build_lazily(pda, vocab, sorted, suffix_fsas);
         assert_same_cache(&lazy, &fast, &format!("{what}, read lazily"));
         // A loop test steps every byte of a class once, however few tokens
         // ask, so only the walk's steps are bounded by the reference's.
@@ -490,10 +487,7 @@ fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
     ] {
         let pda = build_pda(&grammar, &PdaBuildOptions::default());
         let fsas = extract_all_suffix_fsas(&pda);
-        let options = MaskCacheBuildOptions {
-            context_expansion: true,
-            num_threads: 2,
-        };
+        let options = MaskCacheBuildOptions { num_threads: 2 };
         let recomputed = AtomicU64::new(0);
         let tiny = build_with(
             &pda,
@@ -562,10 +556,7 @@ fn the_xml_build_executes_a_twentieth_of_its_steps() {
     let (vocab, sorted) = vocabulary_32k();
     let pda = build_pda(&builtin::xml_grammar(), &PdaBuildOptions::default());
     let fsas = extract_all_suffix_fsas(&pda);
-    let options = MaskCacheBuildOptions {
-        context_expansion: true,
-        num_threads: 1,
-    };
+    let options = MaskCacheBuildOptions { num_threads: 1 };
     let stats = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
     assert!(
         stats.automaton_steps * 20 <= stats.preprocessing_bytes_matched,
@@ -637,10 +628,7 @@ fn the_multiple_of_build_visits_and_steps_a_pinned_count() {
     let (vocab, sorted) = vocabulary_32k();
     let pda = build_pda(&multiple_of_grammar(), &PdaBuildOptions::default());
     let fsas = extract_all_suffix_fsas(&pda);
-    let options = MaskCacheBuildOptions {
-        context_expansion: true,
-        num_threads: 1,
-    };
+    let options = MaskCacheBuildOptions { num_threads: 1 };
     let stats = build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options).stats();
     assert_eq!(
         (stats.tokens_visited, stats.automaton_steps),
@@ -655,10 +643,7 @@ fn the_multiple_of_build_visits_and_steps_a_pinned_count() {
 #[test]
 fn cold_schema_builds_execute_a_tenth_of_the_steps_a_miss_per_byte_took() {
     let (vocab, sorted) = vocabulary_32k();
-    let options = MaskCacheBuildOptions {
-        context_expansion: true,
-        num_threads: 1,
-    };
+    let options = MaskCacheBuildOptions { num_threads: 1 };
     let mut executed = 0;
     for case in xg_datasets::schema_corpus(12, 11) {
         let grammar = json_schema_to_grammar(&case.schema).expect("corpus schemas convert");

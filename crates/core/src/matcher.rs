@@ -23,7 +23,7 @@ use xg_automata::{Pda, PdaEdge};
 use xg_tokenizer::TokenId;
 
 use crate::compiler::CompiledGrammar;
-use crate::constraint::{ConstraintFactory, ConstraintMatcher};
+use crate::constraint::{CompiledConstraint, ConstraintMatcher};
 use crate::error::{AcceptError, RollbackError};
 use crate::executor::{advance_bytes, can_pop_out, closure, ExecScratch, TokenTrail};
 use crate::mask::TokenBitmask;
@@ -553,13 +553,9 @@ impl ConstraintMatcher for GrammarMatcher {
     }
 }
 
-impl ConstraintFactory for CompiledGrammar {
-    fn new_matcher(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
+impl CompiledConstraint for CompiledGrammar {
+    fn new_session(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
         Box::new(GrammarMatcher::new(self))
-    }
-
-    fn vocabulary(&self) -> &Arc<xg_tokenizer::Vocabulary> {
-        CompiledGrammar::vocabulary(self)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -986,54 +982,30 @@ mod tests {
     }
 
     #[test]
-    fn speculative_accepts_longest_prefix_byte_identically() {
-        let (vocab, mut spec) = setup(r#"root ::= "[" [0-9]+ "]""#);
-        let (_vocab2, mut serial) = setup(r#"root ::= "[" [0-9]+ "]""#);
+    fn each_accepted_draft_token_is_one_rollback_unit() {
+        let (vocab, mut lane) = setup(r#"root ::= "[" [0-9]+ "]""#);
+        let (_vocab2, mut shorter) = setup(r#"root ::= "[" [0-9]+ "]""#);
         let draft: Vec<TokenId> = [&b"["[..], b"1", b"2", b"3", b"4", b"]", b"x", b"5"]
             .iter()
             .map(|b| token_for(&vocab, b))
             .collect();
-        let accepted = spec.accept_tokens_speculative(&draft);
-        // Token-by-token reference loop.
-        let mut reference = 0;
-        for &t in &draft {
-            if serial.accept_token(t).is_err() {
-                break;
-            }
-            reference += 1;
-        }
-        assert_eq!(accepted, reference);
+        let accepted = draft
+            .iter()
+            .take_while(|&&t| lane.accept_token(t).is_ok())
+            .count();
         assert_eq!(accepted, 6); // "[1234]" then "x" is rejected
-                                 // Byte-identical state: same next mask, same rollback window.
-        let mut m_spec = TokenBitmask::new_all_rejected(vocab.len());
-        let mut m_serial = TokenBitmask::new_all_rejected(vocab.len());
-        spec.fill_next_token_bitmask(&mut m_spec);
-        serial.fill_next_token_bitmask(&mut m_serial);
-        assert_eq!(m_spec, m_serial);
-        assert_eq!(spec.rollback_window(), serial.rollback_window());
-        // Each draft token is its own rollback unit.
-        spec.rollback(2).unwrap();
-        serial.rollback(2).unwrap();
-        spec.fill_next_token_bitmask(&mut m_spec);
-        serial.fill_next_token_bitmask(&mut m_serial);
-        assert_eq!(m_spec, m_serial);
-    }
-
-    #[test]
-    fn speculative_handles_eos_and_termination() {
-        let (vocab, mut matcher) = setup(r#"root ::= "ok""#);
-        let eos = vocab.eos().unwrap();
-        let draft = [
-            token_for(&vocab, b"o"),
-            token_for(&vocab, b"k"),
-            eos,
-            token_for(&vocab, b"o"),
-        ];
-        // EOS is accepted once the structure completes; nothing after it.
-        assert_eq!(matcher.accept_tokens_speculative(&draft), 3);
-        assert!(matcher.is_terminated());
-        // On a terminated matcher nothing is accepted.
-        assert_eq!(matcher.accept_tokens_speculative(&draft), 0);
+        assert_eq!(lane.rollback_window(), 6);
+        // Rolling back two tokens lands where accepting four would have.
+        for &t in &draft[..4] {
+            shorter.accept_token(t).unwrap();
+        }
+        lane.rollback(2).unwrap();
+        let mut m_lane = TokenBitmask::new_all_rejected(vocab.len());
+        let mut m_shorter = TokenBitmask::new_all_rejected(vocab.len());
+        lane.fill_next_token_bitmask(&mut m_lane);
+        shorter.fill_next_token_bitmask(&mut m_shorter);
+        assert_eq!(m_lane, m_shorter);
+        assert_eq!(lane.rollback_window(), shorter.rollback_window());
     }
 
     #[test]

@@ -22,14 +22,14 @@ use xg_automata::NodeId;
 /// Handle to a stack stored in a [`PersistentStackTree`]: the index of the
 /// stack's top node in the tree arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StackHandle(u32);
+pub(crate) struct StackHandle(u32);
 
 impl StackHandle {
     /// The empty stack (the tree root sentinel).
-    pub const ROOT: StackHandle = StackHandle(0);
+    pub(crate) const ROOT: StackHandle = StackHandle(0);
 
     /// Returns the raw index (mainly for statistics and debugging).
-    pub fn raw(self) -> u32 {
+    pub(crate) fn raw(self) -> u32 {
         self.0
     }
 }
@@ -49,24 +49,8 @@ struct TreeNode {
 }
 
 /// The tree holding every persistent stack.
-///
-/// # Examples
-///
-/// ```
-/// use xg_core::{PersistentStackTree, StackHandle};
-/// use xg_automata::NodeId;
-///
-/// let mut tree = PersistentStackTree::new();
-/// let a = tree.push(StackHandle::ROOT, NodeId(1));
-/// let b = tree.push(a, NodeId(2));
-/// let b_again = tree.push(a, NodeId(2));
-/// assert_eq!(b, b_again);             // memoized: equal stacks share storage
-/// assert_eq!(tree.top(b), Some(NodeId(2)));
-/// assert_eq!(tree.pop(b), a);         // O(1) pop
-/// assert_eq!(tree.depth(b), 2);
-/// ```
 #[derive(Debug, Clone)]
-pub struct PersistentStackTree {
+pub(crate) struct PersistentStackTree {
     nodes: Vec<TreeNode>,
 }
 
@@ -78,7 +62,7 @@ impl Default for PersistentStackTree {
 
 impl PersistentStackTree {
     /// Creates a tree containing only the root sentinel (the empty stack).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PersistentStackTree {
             nodes: vec![TreeNode {
                 parent: 0,
@@ -93,7 +77,7 @@ impl PersistentStackTree {
     /// Forgets every stack but keeps the arena's capacity, so a recycled
     /// matcher replays a similar request without growing it again. Every
     /// handle other than [`StackHandle::ROOT`] is invalidated.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.nodes.truncate(1);
         self.nodes[0].first_child = 0;
     }
@@ -101,7 +85,7 @@ impl PersistentStackTree {
     /// Pushes `node` on top of the stack `parent`, returning the handle of
     /// the new stack. Memoized: repeated pushes of the same node on the same
     /// parent return the same handle.
-    pub fn push(&mut self, parent: StackHandle, node: NodeId) -> StackHandle {
+    pub(crate) fn push(&mut self, parent: StackHandle, node: NodeId) -> StackHandle {
         let parent_idx = parent.0 as usize;
         let first_child = self.nodes[parent_idx].first_child;
         let mut child = first_child;
@@ -129,14 +113,14 @@ impl PersistentStackTree {
     /// # Panics
     ///
     /// Panics if called on the empty stack.
-    pub fn pop(&self, handle: StackHandle) -> StackHandle {
+    pub(crate) fn pop(&self, handle: StackHandle) -> StackHandle {
         assert!(handle != StackHandle::ROOT, "cannot pop the empty stack");
         StackHandle(self.nodes[handle.0 as usize].parent)
     }
 
     /// Returns the top automaton node of the stack, or `None` for the empty
     /// stack.
-    pub fn top(&self, handle: StackHandle) -> Option<NodeId> {
+    pub(crate) fn top(&self, handle: StackHandle) -> Option<NodeId> {
         if handle == StackHandle::ROOT {
             None
         } else {
@@ -149,19 +133,28 @@ impl PersistentStackTree {
     /// # Panics
     ///
     /// Panics if called on the empty stack.
-    pub fn replace_top(&mut self, handle: StackHandle, node: NodeId) -> StackHandle {
+    pub(crate) fn replace_top(&mut self, handle: StackHandle, node: NodeId) -> StackHandle {
         let parent = self.pop(handle);
         self.push(parent, node)
     }
 
     /// Number of elements in the stack identified by `handle`.
-    pub fn depth(&self, handle: StackHandle) -> usize {
+    pub(crate) fn depth(&self, handle: StackHandle) -> usize {
         self.nodes[handle.0 as usize].depth as usize
     }
 
+    /// Number of tree nodes allocated (shared across all stacks), including
+    /// the root sentinel.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+}
+
+#[cfg(test)]
+impl PersistentStackTree {
     /// Materializes the stack as a vector (bottom first, top last). Intended
     /// for tests and debugging output.
-    pub fn stack_to_vec(&self, handle: StackHandle) -> Vec<NodeId> {
+    pub(crate) fn stack_to_vec(&self, handle: StackHandle) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.depth(handle));
         let mut cur = handle;
         while cur != StackHandle::ROOT {
@@ -172,20 +165,9 @@ impl PersistentStackTree {
         out
     }
 
-    /// Number of tree nodes allocated (shared across all stacks), including
-    /// the root sentinel.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Returns `true` if only the root sentinel exists.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.len() <= 1
-    }
-
-    /// Approximate heap memory used by the tree, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<TreeNode>()
     }
 }
 

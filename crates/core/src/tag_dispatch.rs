@@ -23,7 +23,7 @@ use xg_grammar::{DispatchDelta, GrammarError, StructuralTag};
 use xg_tokenizer::Vocabulary;
 
 use crate::compiler::{CompiledGrammar, GrammarCompiler};
-use crate::constraint::{ConstraintFactory, ConstraintMatcher};
+use crate::constraint::{CompiledConstraint, ConstraintMatcher};
 use crate::tag_matcher::StructuralTagMatcher;
 
 /// One compiled trigger: the byte string scanned for in free text and the
@@ -111,13 +111,9 @@ impl CompiledTagDispatch {
     }
 }
 
-impl ConstraintFactory for CompiledTagDispatch {
-    fn new_matcher(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
+impl CompiledConstraint for CompiledTagDispatch {
+    fn new_session(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
         Box::new(StructuralTagMatcher::new(self))
-    }
-
-    fn vocabulary(&self) -> &Arc<Vocabulary> {
-        &self.vocab
     }
 
     fn memory_bytes(&self) -> usize {

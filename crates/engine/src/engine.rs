@@ -40,9 +40,9 @@ use crate::llm::{LlmBehavior, SimulatedLlm};
 use crate::profiles::ModelProfile;
 use crate::scheduler::{SchedulerConfig, SchedulerMetrics, StreamingRequest};
 use xg_baselines::{BackendError, ConstrainedBackend};
-use xg_core::{ConstraintMatcher, TokenBitmask};
+use xg_core::{CompiledConstraint, TokenBitmask};
 use xg_grammar::{Grammar, StructuralTag};
-use xg_tokenizer::{SortedVocabulary, TokenId};
+use xg_tokenizer::SortedVocabulary;
 
 /// Whether grammar work is overlapped with the simulated GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,19 +85,6 @@ pub enum JumpForwardPolicy {
     Engine,
 }
 
-/// Result of one speculative draft verification
-/// ([`ServingEngine::verify_draft`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DraftVerification {
-    /// Number of draft tokens accepted — the longest prefix of the draft the
-    /// constraint admits from the session's position (an accepted EOS
-    /// counts).
-    pub accepted: usize,
-    /// The accepted prefix's bytes in order, byte-identical to accepting the
-    /// same tokens one by one.
-    pub bytes: Vec<u8>,
-}
-
 /// How one lane of a batch is constrained.
 #[derive(Debug, Clone, Default)]
 pub enum LaneConstraint {
@@ -121,8 +108,9 @@ impl LaneConstraint {
     /// unconstrained lanes. This is the engine's *single* per-constraint-kind
     /// dispatch point: everything after construction — sessions, masks,
     /// token acceptance, jump-forward — flows through the constraint-agnostic
-    /// [`ConstraintMatcher`] interface. The continuous scheduler calls it
-    /// from its admission workers, off the decode hot path.
+    /// [`ConstraintMatcher`](xg_core::ConstraintMatcher) interface. The
+    /// continuous scheduler calls it from its admission workers, off the
+    /// decode hot path.
     ///
     /// # Errors
     ///
@@ -130,7 +118,7 @@ impl LaneConstraint {
     pub fn compile(
         &self,
         backend: &dyn ConstrainedBackend,
-    ) -> Result<Option<Arc<dyn xg_baselines::CompiledConstraint>>, BackendError> {
+    ) -> Result<Option<Arc<dyn CompiledConstraint>>, BackendError> {
         match self {
             LaneConstraint::Unconstrained => Ok(None),
             LaneConstraint::Grammar(grammar) => backend.compile(grammar).map(Some),
@@ -345,33 +333,6 @@ impl ServingEngine {
     /// [`shutdown`](crate::ContinuousScheduler::shutdown) (or drop).
     pub fn serve(&self, config: SchedulerConfig) -> crate::ContinuousScheduler {
         crate::ContinuousScheduler::start(self, config)
-    }
-
-    /// Verifies a speculative `draft` of tokens against a constrained lane's
-    /// session **in one call** — the constraint-side half of speculative
-    /// decoding: a cheap draft model proposes k tokens per target step, and
-    /// the engine needs the longest grammar-valid prefix without paying k
-    /// round trips through the session interface.
-    ///
-    /// The session advances past exactly the accepted prefix (each accepted
-    /// token stays an individual rollback unit, so the caller can undo the
-    /// tail the target model rejects), and the returned bytes are identical
-    /// to accepting the same prefix token by token. An accepted EOS
-    /// terminates the session and contributes no bytes.
-    pub fn verify_draft(
-        &self,
-        session: &mut dyn ConstraintMatcher,
-        draft: &[TokenId],
-    ) -> DraftVerification {
-        let vocab = self.backend.vocabulary();
-        let accepted = session.accept_tokens_speculative(draft);
-        let mut bytes = Vec::new();
-        for &token in &draft[..accepted] {
-            if Some(token) != vocab.eos() {
-                bytes.extend_from_slice(vocab.token_bytes(token));
-            }
-        }
-        DraftVerification { accepted, bytes }
     }
 
     /// Runs a batch of requests to completion through the continuous
@@ -680,10 +641,7 @@ mod tests {
             self.0.vocabulary()
         }
 
-        fn compile(
-            &self,
-            grammar: &Grammar,
-        ) -> Result<Arc<dyn xg_baselines::CompiledConstraint>, BackendError> {
+        fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
             std::thread::sleep(Duration::from_millis(300));
             self.0.compile(grammar)
         }
@@ -709,14 +667,13 @@ mod tests {
     }
 
     #[test]
-    fn verify_draft_stops_at_an_accepted_eos_on_every_baseline() {
-        // `[.., EOS, x]`: the accepted EOS terminates the session, so `x` must
-        // be refused — on the baselines too, which used to wave EOS through
-        // without recording it.
+    fn an_accepted_eos_ends_the_session_on_every_backend() {
+        // `[.., EOS, x]` accepted token by token: the accepted EOS terminates
+        // the session, so `x` must be refused — on the baselines too, which
+        // used to wave EOS through without recording it.
         let vocab = Arc::new(test_vocabulary(600));
         let grammar = xg_grammar::parse_ebnf(r#"root ::= "a"+"#, "root").unwrap();
         let a = vocab.iter().find(|(_, t)| *t == b"a").unwrap().0;
-        let draft = [a, a, vocab.eos().unwrap(), a];
         let backends: Vec<Arc<dyn ConstrainedBackend>> = vec![
             Arc::new(xg_baselines::NaivePdaBackend::new(Arc::clone(&vocab))),
             Arc::new(xg_baselines::FsmIndexBackend::new(Arc::clone(&vocab))),
@@ -724,17 +681,10 @@ mod tests {
             Arc::new(XGrammarBackend::new(Arc::clone(&vocab))),
         ];
         for backend in backends {
-            let engine =
-                ServingEngine::new(Arc::clone(&backend), fast_profile(), ExecutionMode::Serial);
             let mut session = backend.compile(&grammar).unwrap().new_session();
-            let verified = engine.verify_draft(&mut *session, &draft);
-            assert_eq!(
-                verified.accepted,
-                3,
-                "{}: EOS ends the draft",
-                backend.name()
-            );
-            assert_eq!(verified.bytes, b"aa");
+            for token in [a, a, vocab.eos().unwrap()] {
+                session.accept_token(token).unwrap();
+            }
             assert!(session.is_terminated(), "{}", backend.name());
             assert_eq!(
                 session.accept_token(a),

@@ -25,9 +25,6 @@
 //!   for a request (lanes are independent), used by the differential tests,
 //! * [`run_accuracy_experiment`] — the Table 4 syntactic-correctness
 //!   experiment,
-//! * speculative draft verification ([`ServingEngine::verify_draft`]): the
-//!   longest grammar-valid prefix of a k-token draft accepted in one call,
-//!   every accepted token an individual rollback unit,
 //! * engine-level jump-forward decoding ([`JumpForwardPolicy`], default
 //!   [`JumpForwardPolicy::Engine`]): grammar-forced text is re-tokenized and
 //!   injected into the decode loop without sampling, with forced tokens and
@@ -46,8 +43,7 @@ mod scheduler;
 
 pub use accuracy::{run_accuracy_experiment, AccuracyResult, AccuracyTask};
 pub use engine::{
-    DraftVerification, EngineRequest, ExecutionMode, JumpForwardPolicy, LaneConstraint,
-    RequestResult, ServingEngine,
+    EngineRequest, ExecutionMode, JumpForwardPolicy, LaneConstraint, RequestResult, ServingEngine,
 };
 pub use llm::{LlmBehavior, LlmRequestState, SimulatedLlm};
 pub use profiles::ModelProfile;

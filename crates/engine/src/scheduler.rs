@@ -1288,8 +1288,11 @@ mod tests {
     use crate::engine::{JumpForwardPolicy, LaneConstraint, ServingEngine};
     use crate::profiles::ModelProfile;
     use std::sync::Arc;
-    use xg_baselines::{CompiledConstraint, Session, XGrammarBackend};
-    use xg_core::{AcceptError, CompilerConfig, ConstraintMatcher, ForcedTokenRun, LintMode};
+    use xg_baselines::{Session, XGrammarBackend};
+    use xg_core::{
+        AcceptError, CompiledConstraint, CompilerConfig, ConstraintMatcher, ForcedTokenRun,
+        LintMode,
+    };
     use xg_grammar::{parse_ebnf, Grammar};
     use xg_tokenizer::{test_vocabulary, TokenId};
 
@@ -1647,14 +1650,17 @@ mod tests {
     }
 
     impl CompiledConstraint for CountingConstraint {
-        fn new_session(&self) -> Session {
+        fn new_session(self: Arc<Self>) -> Session {
             Box::new(CountingSession {
-                inner: self.inner.new_session(),
+                inner: Arc::clone(&self.inner).new_session(),
                 sessions: Arc::clone(&self.sessions),
                 delay: self.delay,
                 opened: self.sessions.opened.fetch_add(1, Ordering::SeqCst),
                 filled: false,
             })
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
         }
     }
 
@@ -1781,8 +1787,11 @@ mod tests {
     }
 
     impl CompiledConstraint for PanickingMasks {
-        fn new_session(&self) -> Session {
-            Box::new(self.clone())
+        fn new_session(self: Arc<Self>) -> Session {
+            Box::new((*self).clone())
+        }
+        fn memory_bytes(&self) -> usize {
+            0 // the vocabulary is shared, not held
         }
     }
 

@@ -59,12 +59,12 @@ pub mod engine {
 }
 
 pub use xg_core::{
-    AcceptError, ArtifactCache, CacheBudget, CacheStats, CompiledGrammar, CompiledTagDispatch,
-    CompiledTrigger, CompilerConfig, ConstraintFactory, ConstraintMatcher, DispatchMode,
+    AcceptError, ArtifactCache, CacheBudget, CacheStats, CompiledConstraint, CompiledGrammar,
+    CompiledTagDispatch, CompiledTrigger, CompilerConfig, ConstraintMatcher, DispatchMode,
     ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler, GrammarLintReport,
     GrammarMatcher, LintMode, MaskCache, MaskCacheStats, MatcherStats, NodeMaskEntry,
-    PersistentStackTree, RollbackError, StackHandle, StructuralTagMatcher, TagDispatchCache,
-    TagDispatchStats, TokenBitmask, DEFAULT_MAX_ROLLBACK_TOKENS,
+    RollbackError, StructuralTagMatcher, TagDispatchCache, TagDispatchStats, TokenBitmask,
+    DEFAULT_MAX_ROLLBACK_TOKENS,
 };
 pub use xg_grammar::{
     analyze, builtin, json_schema_to_grammar, json_schema_to_grammar_with_options, parse_ebnf,

@@ -20,8 +20,8 @@ use xg_baselines::{
     Session,
 };
 use xg_core::{
-    AcceptError, CompilerConfig, ConstraintMatcher, GrammarCompiler, GrammarMatcher,
-    StructuralTagMatcher, TokenBitmask,
+    AcceptError, CompiledConstraint, CompilerConfig, ConstraintMatcher, GrammarCompiler,
+    GrammarMatcher, StructuralTagMatcher, TokenBitmask,
 };
 use xg_grammar::{StructuralTag, TagContent, TagSpec};
 use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};
@@ -192,11 +192,11 @@ fn random_input(
 /// Feeds `input` to a fresh naive-PDA session one single-byte token at a
 /// time. Returns `(bytes accepted before rejection, final state accepts)`.
 fn drive_naive(
-    constraint: &Arc<dyn xg_baselines::CompiledConstraint>,
+    constraint: &Arc<dyn CompiledConstraint>,
     byte_tokens: &HashMap<u8, TokenId>,
     input: &[u8],
 ) -> (usize, bool) {
-    let mut session = constraint.new_session();
+    let mut session = Arc::clone(constraint).new_session();
     for (i, b) in input.iter().enumerate() {
         if session.accept_token(byte_tokens[b]).is_err() {
             return (i, false);
@@ -321,9 +321,8 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
 /// through the whole of `p`/`q`, and on one again after the last byte. (With
 /// the same rule on both sides, node merging left-factors the choice into
 /// `p (x | y)` and the walk never leaves one stack.) Masks from the cache must equal the
-/// cache-less full scan at every step of that walk, and rollback and k-token
-/// draft verification must land on the same masks across the split and the
-/// merge.
+/// cache-less full scan at every step of that walk, and rollback must land
+/// on the same masks across the split and the merge.
 #[test]
 fn ambiguous_prefix_grammars_keep_mask_parity_across_stack_splits() {
     let vocab = Arc::new(test_vocabulary(600));
@@ -392,19 +391,21 @@ fn ambiguous_prefix_grammars_keep_mask_parity_across_stack_splits() {
         }
         assert!(lane.can_terminate());
 
-        // A draft that runs through split and merge and then one token too far.
-        let mut draft = tokens.clone();
-        draft.push(tokens[0]);
-        let mut speculative = GrammarMatcher::new(compiled);
-        assert_eq!(speculative.accept_tokens_speculative(&draft), n);
-        assert_eq!(speculative.stack_count(), 1);
-        speculative.rollback(1).expect("each draft token is a unit");
-        assert_eq!(next_mask(&mut speculative), masks[n - 1]);
-        speculative.rollback(n - 1).expect("back to the start");
-        assert_eq!(speculative.stack_count(), 1);
-        assert_eq!(next_mask(&mut speculative), masks[0]);
-        assert_eq!(speculative.accept_tokens_speculative(&tokens), n);
-        assert!(speculative.can_terminate());
+        // A fresh lane through split and merge, then one token too far; every
+        // token is a rollback unit, back to the start.
+        let mut replay = GrammarMatcher::new(compiled);
+        for &token in &tokens {
+            replay
+                .accept_token(token)
+                .expect("the serial walk accepted it");
+        }
+        assert!(replay.accept_token(tokens[0]).is_err());
+        assert_eq!(replay.stack_count(), 1);
+        replay.rollback(1).expect("each token is a unit");
+        assert_eq!(next_mask(&mut replay), masks[n - 1]);
+        replay.rollback(n - 1).expect("back to the start");
+        assert_eq!(replay.stack_count(), 1);
+        assert_eq!(next_mask(&mut replay), masks[0]);
     }
 }
 
@@ -598,7 +599,7 @@ fn every_constraint_matcher_keeps_the_trait_contract() {
             check_matcher_contract(
                 &format!("{} on grammar #{g}", backend.name()),
                 &vocab,
-                &|| constraint.new_session(),
+                &|| Arc::clone(&constraint).new_session(),
                 &[],
                 &mut rng,
             );

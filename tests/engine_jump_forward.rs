@@ -293,15 +293,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Differential for speculative draft verification (the constraint-side
-    /// half of speculative decoding): on random grammars,
-    /// `accept_tokens_speculative` accepts exactly the longest prefix a
-    /// token-by-token `accept_token` loop would, leaves the session in the
-    /// bit-identical post-prefix state, and — because every accepted token is
+    /// Rollback over a draft, the constraint side of speculative decoding:
+    /// on random grammars, a draft accepted token by token stops exactly at
+    /// its first grammar-invalid token, and — because every accepted token is
     /// an individual rollback unit — rolling the accepted run back restores
     /// the pre-draft state exactly.
     #[test]
-    fn speculative_draft_matches_serial_loop(seed in 0u64..5_000) {
+    fn rolling_back_an_accepted_draft_restores_its_start(seed in 0u64..5_000) {
         let vocab = Arc::new(test_vocabulary(600));
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -313,7 +311,7 @@ proptest! {
         // Build a draft the way a draft model would: a grammar-valid prefix
         // (walked on a probe session) followed by junk tokens the grammar
         // rejects at that point, when such a token exists.
-        let mut probe = compiled.new_session();
+        let mut probe = Arc::clone(&compiled).new_session();
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
         let mut draft = Vec::new();
         for _ in 0..rng.gen_range(0..=8usize) {
@@ -334,55 +332,32 @@ proptest! {
             draft.push(junk);
         }
 
-        // Token-by-token reference loop.
-        let mut serial = compiled.new_session();
-        let mut serial_accepted = 0usize;
-        for &token in &draft {
-            if serial.accept_token(token).is_err() {
-                break;
-            }
-            serial_accepted += 1;
-        }
-
-        // Speculative path on a fresh session.
-        let mut spec = compiled.new_session();
+        // The draft, token by token, on a fresh session.
+        let mut lane = compiled.new_session();
         let mut pre_mask = TokenBitmask::new_all_rejected(vocab.len());
-        spec.fill_next_token_bitmask(&mut pre_mask);
-        let pre_window = spec.rollback_window();
-        let accepted = spec.accept_tokens_speculative(&draft);
-        prop_assert_eq!(
-            accepted, serial_accepted,
-            "speculative prefix length diverged from serial loop (grammar {})",
-            source.trim()
-        );
-        if junk.is_some() {
-            prop_assert_eq!(accepted, valid_len, "junk tail must be rejected");
-        }
-
-        // Post-prefix state parity: both sessions produce the same mask.
-        let mut spec_mask = TokenBitmask::new_all_rejected(vocab.len());
-        spec.fill_next_token_bitmask(&mut spec_mask);
-        serial.fill_next_token_bitmask(&mut mask);
-        prop_assert_eq!(
-            &spec_mask, &mask,
-            "post-draft mask diverged from serial loop (grammar {})",
-            source.trim()
-        );
+        lane.fill_next_token_bitmask(&mut pre_mask);
+        let pre_window = lane.rollback_window();
+        let accepted = draft
+            .iter()
+            .take_while(|&&token| lane.accept_token(token).is_ok())
+            .count();
+        let expected = if junk.is_some() { valid_len } else { draft.len() };
+        prop_assert_eq!(accepted, expected, "junk tail must be rejected (grammar {})", source.trim());
 
         // Every accepted token is an individual rollback unit.
         prop_assert!(
-            spec.rollback_window() >= pre_window + accepted,
+            lane.rollback_window() >= pre_window + accepted,
             "accepted run not individually rollbackable"
         );
         if accepted > 0 {
-            prop_assert!(spec.rollback(accepted).is_ok(), "rollback refused");
-            spec.fill_next_token_bitmask(&mut spec_mask);
+            prop_assert!(lane.rollback(accepted).is_ok(), "rollback refused");
+            lane.fill_next_token_bitmask(&mut mask);
             prop_assert_eq!(
-                &spec_mask, &pre_mask,
+                &mask, &pre_mask,
                 "mask diverged after rolling back the draft (grammar {})",
                 source.trim()
             );
-            prop_assert_eq!(spec.rollback_window(), pre_window);
+            prop_assert_eq!(lane.rollback_window(), pre_window);
         }
     }
 }

@@ -480,7 +480,7 @@ fn pda_build_outputs_are_pinned() {
     let default = PdaBuildOptions::default();
     let inlined: Vec<String> = grammars
         .iter()
-        .map(|g| inline_fragment_rules(g, &default).to_string())
+        .map(|g| inline_fragment_rules(g).to_string())
         .collect();
     let inline_only = PdaBuildOptions {
         merge_nodes: false,
