@@ -23,11 +23,13 @@ use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, NodeId, Pda, PdaBuild
 use xg_grammar::{analyze, Diagnostic, Grammar, GrammarError};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
+use crate::constraint::{CompiledConstraint, ConstraintMatcher};
 use crate::grammar_cache::{
     CacheBudget, CacheStats, GrammarCache, GrammarCacheKey, TagDispatchCache,
 };
 use crate::lint::{lint_compiled, GrammarLintReport};
 use crate::mask_cache::{EntrySource, MaskCache, MaskCacheStats, NodeMaskEntry};
+use crate::matcher::GrammarMatcher;
 
 /// How the compiler treats the static-analysis lint pass.
 ///
@@ -245,14 +247,18 @@ impl CompiledGrammar {
         cache.complete_from(&self.entry_source(), 0);
         cache.stats()
     }
+}
 
-    /// Estimated heap memory held by this compiled grammar: the automata and
-    /// the mask-cache entries built so far (the per-node
+impl CompiledConstraint for CompiledGrammar {
+    fn new_session(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
+        Box::new(GrammarMatcher::new(self))
+    }
+
+    /// The automata and the mask-cache entries built so far (the per-node
     /// [`NodeMaskEntry::memory_bytes`]), which grows as requests read
-    /// entries. Used by [`GrammarCache`](crate::GrammarCache) to enforce its
-    /// byte budget. The sorted vocabulary index is shared, not held, and is
-    /// not charged.
-    pub fn memory_bytes(&self) -> usize {
+    /// entries. The sorted vocabulary index is shared, not held, and is not
+    /// charged.
+    fn memory_bytes(&self) -> usize {
         let mask_cache = self.mask_cache.as_ref().map_or(0, MaskCache::built_bytes);
         let automata = self.pda.node_count() * 96
             + self.suffix_fsas.iter().map(|f| f.len() * 48).sum::<usize>();

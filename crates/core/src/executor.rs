@@ -326,26 +326,6 @@ impl TokenTrail {
     }
 }
 
-#[cfg(test)]
-impl TokenTrail {
-    /// Byte offsets `o < len` at which a pop-out of the bottom frame was
-    /// possible (the remainder `token[o..]` would be matched by the parent
-    /// context). Only offsets within the current prefix are reported.
-    pub(crate) fn popout_offsets(&self) -> impl Iterator<Item = usize> + '_ {
-        self.popout
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &p)| if p { Some(i) } else { None })
-    }
-
-    /// Total number of bytes advanced over the lifetime of the trail:
-    /// steps taken from a live head set, neither rolled-back reuse nor the
-    /// bookkeeping on a trail that already died.
-    pub(crate) fn bytes_advanced(&self) -> u64 {
-        self.bytes_advanced
-    }
-}
-
 /// States a [`StepMemo`] holds before it clears itself: a 1 KiB row each, so
 /// ≈ 1 MB per compile worker. No benchmark grammar fills it (the twelve cold
 /// schemas, the five warm ones, XML and JSON, at 32k and 128k tokens; tail
@@ -543,6 +523,26 @@ impl StepMemo {
         let stepped_from = &trail[..trail.len() - 1];
         let popout = |(i, &s): (usize, &u32)| (self.popout[s as usize] == Some(true)).then_some(i);
         stepped_from.iter().enumerate().filter_map(popout)
+    }
+}
+
+#[cfg(test)]
+impl TokenTrail {
+    /// Byte offsets `o < len` at which a pop-out of the bottom frame was
+    /// possible (the remainder `token[o..]` would be matched by the parent
+    /// context). Only offsets within the current prefix are reported.
+    pub(crate) fn popout_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.popout
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &p)| if p { Some(i) } else { None })
+    }
+
+    /// Total number of bytes advanced over the lifetime of the trail:
+    /// steps taken from a live head set, neither rolled-back reuse nor the
+    /// bookkeeping on a trail that already died.
+    pub(crate) fn bytes_advanced(&self) -> u64 {
+        self.bytes_advanced
     }
 }
 

@@ -156,8 +156,8 @@ fn assert_matches_reference(
 ) -> MaskCacheStats {
     let fsas = extract_all_suffix_fsas(pda);
     let mut stats = MaskCacheStats::default();
+    let options = MaskCacheBuildOptions { num_threads: 2 };
     for context_expansion in [false, true] {
-        let options = MaskCacheBuildOptions { num_threads: 2 };
         let suffix_fsas = context_expansion.then_some(&fsas[..]);
         let fast = build_mask_cache(pda, vocab, sorted, suffix_fsas, &options);
         let reference = build_with(pda, vocab, sorted, suffix_fsas, &options, |_, node, fsa| {

@@ -23,7 +23,7 @@ use xg_automata::{Pda, PdaEdge};
 use xg_tokenizer::TokenId;
 
 use crate::compiler::CompiledGrammar;
-use crate::constraint::{CompiledConstraint, ConstraintMatcher};
+use crate::constraint::ConstraintMatcher;
 use crate::error::{AcceptError, RollbackError};
 use crate::executor::{advance_bytes, can_pop_out, closure, ExecScratch, TokenTrail};
 use crate::mask::TokenBitmask;
@@ -550,16 +550,6 @@ impl ConstraintMatcher for GrammarMatcher {
         while self.history_lens.len() > keep {
             self.drop_oldest_snapshot();
         }
-    }
-}
-
-impl CompiledConstraint for CompiledGrammar {
-    fn new_session(self: Arc<Self>) -> Box<dyn ConstraintMatcher> {
-        Box::new(GrammarMatcher::new(self))
-    }
-
-    fn memory_bytes(&self) -> usize {
-        CompiledGrammar::memory_bytes(self)
     }
 }
 

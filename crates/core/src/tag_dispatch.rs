@@ -91,24 +91,6 @@ impl CompiledTagDispatch {
     pub fn source_tag(&self) -> &StructuralTag {
         &self.source
     }
-
-    /// Estimated heap memory pinned by this dispatch: the per-trigger
-    /// compiled segment grammars (dominant — each carries an adaptive mask
-    /// cache) plus the trigger strings and the Aho–Corasick scanner. Used by
-    /// [`TagDispatchCache`](crate::TagDispatchCache) to enforce its byte
-    /// budget. Sub-grammars shared with the
-    /// [`GrammarCache`](crate::GrammarCache) are counted here too: the
-    /// dispatch pins them beyond that cache's budget, so they are this
-    /// cache's responsibility for as long as the dispatch lives.
-    pub fn memory_bytes(&self) -> usize {
-        let grammars: usize = self
-            .triggers
-            .iter()
-            .map(|t| t.grammar.memory_bytes() + t.trigger.len())
-            .sum();
-        // Each scanner state holds a 256-way transition row plus match data.
-        grammars + self.scanner.state_count() * 256
-    }
 }
 
 impl CompiledConstraint for CompiledTagDispatch {
@@ -116,8 +98,21 @@ impl CompiledConstraint for CompiledTagDispatch {
         Box::new(StructuralTagMatcher::new(self))
     }
 
+    /// The per-trigger compiled segment grammars (dominant — each carries an
+    /// adaptive mask cache) plus the trigger strings and the Aho–Corasick
+    /// scanner. Sub-grammars shared with the
+    /// [`GrammarCache`](crate::GrammarCache) are counted here too: the
+    /// dispatch pins them beyond that cache's budget, so they are the
+    /// [`TagDispatchCache`](crate::TagDispatchCache)'s responsibility for as
+    /// long as the dispatch lives.
     fn memory_bytes(&self) -> usize {
-        CompiledTagDispatch::memory_bytes(self)
+        let grammars: usize = self
+            .triggers
+            .iter()
+            .map(|t| t.grammar.memory_bytes() + t.trigger.len())
+            .sum();
+        // Each scanner state holds a 256-way transition row plus match data.
+        grammars + self.scanner.state_count() * 256
     }
 }
 

@@ -24,7 +24,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xg_baselines::{ConstrainedBackend, XGrammarBackend};
-use xg_core::{CacheBudget, CompilerConfig, GrammarCache, GrammarCompiler, LintMode};
+use xg_core::{
+    CacheBudget, CompiledConstraint, CompilerConfig, GrammarCache, GrammarCompiler, LintMode,
+};
 use xg_datasets::{agent_catalog, agent_tag_spec, agent_tool, overlapping_catalogs, TOOL_CALL_END};
 use xg_engine::{
     EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, SchedulerConfig, ServingEngine,
