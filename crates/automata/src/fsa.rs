@@ -85,6 +85,12 @@ impl Fsa {
         self.states.len()
     }
 
+    /// Estimated heap memory: a fixed 48 bytes per state, the figure every
+    /// compiled artifact that holds an FSA charges for it.
+    pub fn memory_bytes(&self) -> usize {
+        self.states.len() * 48
+    }
+
     /// Returns `true` if the FSA has no states (never true in practice; the
     /// start state always exists).
     pub fn is_empty(&self) -> bool {

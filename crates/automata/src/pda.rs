@@ -169,6 +169,12 @@ impl Pda {
         self.nodes.len()
     }
 
+    /// Estimated heap memory: a fixed 96 bytes per node, the figure every
+    /// compiled artifact that holds a PDA charges for it.
+    pub fn memory_bytes(&self) -> usize {
+        self.nodes.len() * 96
+    }
+
     /// Computes structural statistics.
     pub fn stats(&self) -> PdaStats {
         let mut stats = PdaStats {

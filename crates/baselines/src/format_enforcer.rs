@@ -148,7 +148,7 @@ impl CompiledConstraint for EnforcerCompiled {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.fsa.len() * 48 + self.trie.memory_bytes()
+        self.fsa.memory_bytes() + self.trie.memory_bytes()
     }
 }
 

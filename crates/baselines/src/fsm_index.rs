@@ -177,7 +177,7 @@ impl CompiledConstraint for FsmCompiled {
     fn memory_bytes(&self) -> usize {
         let index = self.index.lock().unwrap_or_else(|e| e.into_inner());
         let entries: usize = index.values().map(|i| i.allowed.len()).sum();
-        self.fsa.len() * 48 + entries * std::mem::size_of::<(TokenId, DfaState)>()
+        self.fsa.memory_bytes() + entries * std::mem::size_of::<(TokenId, DfaState)>()
     }
 }
 

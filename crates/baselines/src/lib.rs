@@ -215,3 +215,40 @@ pub(crate) mod test_support {
         Arc::new(test_vocabulary(600))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::small_vocab;
+    use xg_core::TokenBitmask;
+
+    #[test]
+    fn every_compiled_baseline_charges_what_it_holds() {
+        let vocab = small_vocab();
+        let grammar = xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap();
+        // Only the FSM index builds anything at decode time: its token index.
+        let backends: [(Box<dyn ConstrainedBackend>, bool); 3] = [
+            (Box::new(NaivePdaBackend::new(Arc::clone(&vocab))), false),
+            (Box::new(FsmIndexBackend::new(Arc::clone(&vocab))), true),
+            (
+                Box::new(FormatEnforcerBackend::new(Arc::clone(&vocab))),
+                false,
+            ),
+        ];
+        for (backend, grows_while_decoding) in &backends {
+            let compiled = backend.compile(&grammar).unwrap();
+            let before = compiled.memory_bytes();
+            assert!(before > 0, "{}", backend.name());
+            let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+            Arc::clone(&compiled)
+                .new_session()
+                .fill_next_token_bitmask(&mut mask);
+            assert_eq!(
+                compiled.memory_bytes() > before,
+                *grows_while_decoding,
+                "{}",
+                backend.name()
+            );
+        }
+    }
+}

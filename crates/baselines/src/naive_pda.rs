@@ -72,7 +72,7 @@ impl CompiledConstraint for NaiveCompiled {
 
     /// The automaton it holds (each session copies it).
     fn memory_bytes(&self) -> usize {
-        self.pda.node_count() * 96
+        self.pda.memory_bytes()
     }
 }
 

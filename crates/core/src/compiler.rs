@@ -260,9 +260,8 @@ impl CompiledConstraint for CompiledGrammar {
     /// charged.
     fn memory_bytes(&self) -> usize {
         let mask_cache = self.mask_cache.as_ref().map_or(0, MaskCache::built_bytes);
-        let automata = self.pda.node_count() * 96
-            + self.suffix_fsas.iter().map(|f| f.len() * 48).sum::<usize>();
-        mask_cache + automata
+        let suffix_fsas: usize = self.suffix_fsas.iter().map(Fsa::memory_bytes).sum();
+        mask_cache + self.pda.memory_bytes() + suffix_fsas
     }
 }
 

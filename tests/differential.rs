@@ -406,6 +406,12 @@ fn ambiguous_prefix_grammars_keep_mask_parity_across_stack_splits() {
         replay.rollback(n - 1).expect("back to the start");
         assert_eq!(replay.stack_count(), 1);
         assert_eq!(next_mask(&mut replay), masks[0]);
+        for &token in &tokens {
+            replay
+                .accept_token(token)
+                .expect("re-accept after full rollback");
+        }
+        assert!(replay.can_terminate());
     }
 }
 
