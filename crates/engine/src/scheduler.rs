@@ -33,7 +33,9 @@
 //! once, its compile and first fill landing under the prefill; serial, the
 //! paper's no-overlap baseline, fills before the step and prefills once the
 //! compile has landed. The thread code (channels, the [`Bell`], `busy_wait`,
-//! the mask pool) carries out rounds and effects and feeds events back; the
+//! the mask pool) carries out rounds and effects and feeds events back; an
+//! idle loop spins for one decode step before it parks on the [`Bell`], so a
+//! lone client's next request starts its prefill without an OS wake-up. The
 //! `lifecycle` tests drive `advance` and the planner on virtual time.
 //!
 //! A lane is one value from admission to retirement, moved to a mask worker
@@ -1035,9 +1037,11 @@ impl DecodeLoop {
 
     /// Joins handed-over lanes while the batch has room, waiting out a
     /// joiner's prefill if it starts at once, and lands the compile results
-    /// that have arrived, blocking while every lane is compiling. `false`
-    /// once admission has closed and the batch is empty.
+    /// that have arrived, waiting while every lane is compiling (spinning
+    /// for up to one decode step, then blocking on the bell). `false` once
+    /// admission has closed and the batch is empty.
     fn take_arrivals(&mut self) -> bool {
+        let mut idle_since = None;
         loop {
             // Rings so far announce sends this pass sees; a later one stays
             // queued and wakes the idle wait below.
@@ -1064,8 +1068,20 @@ impl DecodeLoop {
             {
                 return true;
             }
-            // Idle: sleep until a worker rings (or the last one exits).
-            let _ = self.bell.recv();
+            // Idle: spin for up to one decode step from going idle, then
+            // sleep until a worker rings (or the last one exits). A parked
+            // loop starts a lone request's prefill only once the OS wakes
+            // it, on two cores often only after the admission worker's
+            // compile.
+            let idle = *idle_since.get_or_insert_with(Instant::now);
+            let window = self.profile.decode_step_time(1);
+            while let Err(TryRecvError::Empty) = self.bell.try_recv() {
+                if idle.elapsed() >= window {
+                    let _ = self.bell.recv();
+                    break;
+                }
+                std::hint::spin_loop();
+            }
         }
     }
 
@@ -1435,11 +1451,31 @@ mod tests {
 
     #[test]
     fn idle_scheduler_shuts_down_cleanly() {
-        let engine = engine(ExecutionMode::Serial);
-        let scheduler = engine.serve(SchedulerConfig::default());
-        let metrics = scheduler.metrics();
-        assert_eq!(metrics.submitted, 0);
-        scheduler.shutdown();
+        // An idle loop spins for one decode step before it parks: shut down
+        // inside a 60 s window, and 50 ms after a 1 ms one ended.
+        let (ms, limit) = (Duration::from_millis, Duration::from_secs(5));
+        for mode in MODES {
+            for (step, idle) in [(ms(60_000), Duration::ZERO), (ms(1), ms(50))] {
+                let scheduler = sleeping_engine(step, mode).serve(SchedulerConfig::default());
+                std::thread::sleep(idle);
+                assert_eq!(scheduler.metrics().submitted, 0);
+                shut_down_within(scheduler, limit, &format!("{mode:?}, {step:?} steps"));
+            }
+        }
+    }
+
+    /// Shuts `scheduler` down on a thread of its own and fails if that
+    /// takes longer than `limit`, so a wedged decode loop fails the test
+    /// instead of hanging the suite.
+    fn shut_down_within(scheduler: ContinuousScheduler, limit: Duration, what: &str) {
+        let (done, shut) = mpsc::channel();
+        std::thread::spawn(move || {
+            scheduler.shutdown();
+            let _ = done.send(());
+        });
+        if shut.recv_timeout(limit).is_err() {
+            panic!("{what}: the scheduler did not shut down within {limit:?}");
+        }
     }
 
     #[test]
@@ -2137,16 +2173,30 @@ slow ::= "true" | "false""#,
     #[test]
     fn a_lone_request_pays_one_decode_step_per_sampled_token() {
         // The prefill's logits pay for the first token, and the EOS round
-        // pays a step of its own.
+        // pays a step of its own. An idle loop spins for one 20 ms step
+        // before it parks: the first request comes while it spins, the
+        // second after it has parked.
+        let (step, limit) = (Duration::from_millis(20), Duration::from_secs(5));
         for mode in MODES {
             for policy in [JumpForwardPolicy::Off, JumpForwardPolicy::Engine] {
-                let engine = engine(mode).with_jump_forward(policy);
-                let scheduler = engine.serve(SchedulerConfig::default());
-                let done = scheduler.submit(request(0)).unwrap().wait().unwrap();
-                let steps = scheduler.metrics().decode_steps;
-                scheduler.shutdown();
-                assert!(done.result.completed, "{mode:?}, {policy:?}");
-                assert_eq!(steps, done.result.tokens as u64, "{mode:?}, {policy:?}");
+                let engine = sleeping_engine(step, mode).with_jump_forward(policy);
+                let expected = engine.decode_reference(&request(0)).unwrap();
+                // Left undropped on a failure: joining a wedged decode loop
+                // would hang the test instead of failing it.
+                let scheduler =
+                    std::mem::ManuallyDrop::new(engine.serve(SchedulerConfig::default()));
+                for idle in [Duration::ZERO, 3 * step] {
+                    let what = format!("{mode:?}, {policy:?}, idle {idle:?}");
+                    std::thread::sleep(idle);
+                    let before = scheduler.metrics().decode_steps;
+                    let stream = scheduler.submit(request(0)).unwrap();
+                    let served = terminal_within(&stream, limit).expect("the request finishes");
+                    let steps = scheduler.metrics().decode_steps - before;
+                    assert!(served.completed, "{what}");
+                    assert_eq!(served.output, expected.output, "{what}");
+                    assert_eq!(steps, served.tokens as u64, "{what}");
+                }
+                shut_down_within(std::mem::ManuallyDrop::into_inner(scheduler), limit, "");
             }
         }
     }
