@@ -64,13 +64,12 @@ impl CompiledConstraint for NaiveCompiled {
     fn new_session(self: Arc<Self>) -> Session {
         Box::new(NaiveSession {
             stacks: vec![vec![self.pda.root_start()]],
-            pda: self.pda.clone(),
-            vocab: Arc::clone(&self.vocab),
+            compiled: self,
             terminated: false,
         })
     }
 
-    /// The automaton it holds (each session copies it).
+    /// The automaton it holds, shared by its sessions.
     fn memory_bytes(&self) -> usize {
         self.pda.memory_bytes()
     }
@@ -78,10 +77,10 @@ impl CompiledConstraint for NaiveCompiled {
 
 /// Per-request session: the current matching stacks are kept as plain owned
 /// vectors (no sharing, no persistence), exactly like the baseline engines.
+/// The automaton is read through the compiled constraint, not copied.
 #[derive(Debug)]
 struct NaiveSession {
-    pda: Pda,
-    vocab: Arc<Vocabulary>,
+    compiled: Arc<NaiveCompiled>,
     stacks: Vec<xg_automata::MatchStack>,
     /// End-of-sequence has been accepted.
     terminated: bool,
@@ -89,13 +88,13 @@ struct NaiveSession {
 
 impl NaiveSession {
     fn matcher(&self) -> SimpleMatcher<'_> {
-        SimpleMatcher::from_stacks(&self.pda, self.stacks.clone())
+        SimpleMatcher::from_stacks(&self.compiled.pda, self.stacks.clone())
     }
 }
 
 impl ConstraintMatcher for NaiveSession {
     fn vocabulary(&self) -> &Arc<Vocabulary> {
-        &self.vocab
+        &self.compiled.vocab
     }
 
     fn fill_next_token_bitmask(&mut self, mask: &mut TokenBitmask) {
@@ -104,8 +103,8 @@ impl ConstraintMatcher for NaiveSession {
         if self.terminated || base.is_dead() {
             return;
         }
-        for (token, bytes) in self.vocab.iter() {
-            if self.vocab.is_special(token) {
+        for (token, bytes) in self.compiled.vocab.iter() {
+            if self.compiled.vocab.is_special(token) {
                 continue;
             }
             let mut probe = base.clone();
@@ -120,7 +119,7 @@ impl ConstraintMatcher for NaiveSession {
                 mask.allow(token);
             }
         }
-        if let Some(eos) = self.vocab.eos() {
+        if let Some(eos) = self.compiled.vocab.eos() {
             if base.can_terminate() {
                 mask.allow(eos);
             }
@@ -131,18 +130,18 @@ impl ConstraintMatcher for NaiveSession {
         if self.terminated {
             return Err(AcceptError::AlreadyTerminated);
         }
-        if Some(token) == self.vocab.eos() {
+        if Some(token) == self.compiled.vocab.eos() {
             if !self.matcher().can_terminate() {
                 return Err(AcceptError::CannotTerminate);
             }
             self.terminated = true;
             return Ok(());
         }
-        if self.vocab.is_special(token) {
+        if self.compiled.vocab.is_special(token) {
             return Err(AcceptError::SpecialTokenRejected { token });
         }
         let mut m = self.matcher();
-        if !m.advance_bytes(self.vocab.token_bytes(token)) {
+        if !m.advance_bytes(self.compiled.vocab.token_bytes(token)) {
             return Err(AcceptError::TokenRejected {
                 token,
                 matched_bytes: 0,
@@ -161,7 +160,7 @@ impl ConstraintMatcher for NaiveSession {
     }
 
     fn reset(&mut self) {
-        self.stacks = vec![vec![self.pda.root_start()]];
+        self.stacks = vec![vec![self.compiled.pda.root_start()]];
         self.terminated = false;
     }
 }
@@ -195,6 +194,19 @@ mod tests {
         assert!(session.accept_token(x_token).is_err());
         let brace = vocab.iter().find(|(_, t)| *t == b"{").unwrap().0;
         assert!(session.accept_token(brace).is_ok());
+    }
+
+    #[test]
+    fn sessions_share_the_compiled_automaton() {
+        let vocab = small_vocab();
+        let compiled = NaivePdaBackend::new(Arc::clone(&vocab))
+            .compile(&xg_grammar::builtin::json_grammar())
+            .unwrap();
+        let sessions = [(); 2].map(|_| Arc::clone(&compiled).new_session());
+        // Each session holds the compiled constraint, not a copy of its PDA.
+        assert_eq!(Arc::strong_count(&compiled), 3);
+        drop(sessions);
+        assert_eq!(Arc::strong_count(&compiled), 1);
     }
 
     #[test]
