@@ -20,8 +20,8 @@
 //! Rollback works across mode boundaries: rolling back into a closed segment
 //! re-opens it, and rolling back across a segment's opening returns to
 //! free-text scanning with the trigger state restored. The operations live in
-//! the [`ConstraintMatcher`] impl and nowhere else. The unit tests sit with
-//! the compile path in `tag_dispatch.rs`, bar one that reads private state.
+//! the [`ConstraintMatcher`] impl and nowhere else. The unit tests that drive
+//! a matcher sit here, the compile and cache-path ones in `tag_dispatch.rs`.
 //!
 //! [`accept_token`]: ConstraintMatcher::accept_token
 
@@ -626,14 +626,410 @@ impl ConstraintMatcher for StructuralTagMatcher {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::GrammarCompiler;
+    use crate::{DispatchMode, GrammarCompiler, TagDispatchStats};
     use xg_grammar::{StructuralTag, TagContent, TagSpec};
     use xg_tokenizer::test_vocabulary;
 
-    // The one unit test that reads the matcher's private state; the rest of
-    // the subsystem's unit tests are in `tag_dispatch.rs`.
+    pub(crate) fn number_tag() -> StructuralTag {
+        StructuralTag::new(vec![TagSpec {
+            begin: "<n>".into(),
+            content: TagContent::Ebnf {
+                text: "root ::= [0-9]+".into(),
+                root: "root".into(),
+            },
+            end: "</n>".into(),
+        }])
+    }
+
+    fn setup(tag: &StructuralTag) -> (Arc<Vocabulary>, StructuralTagMatcher) {
+        let vocab = Arc::new(test_vocabulary(800));
+        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+        let compiled = compiler.compile_tag_dispatch(tag).unwrap();
+        (vocab, StructuralTagMatcher::new(compiled))
+    }
+
+    fn token_for(vocab: &Vocabulary, bytes: &[u8]) -> TokenId {
+        vocab
+            .iter()
+            .find(|(_, t)| *t == bytes)
+            .map(|(id, _)| id)
+            .unwrap_or_else(|| {
+                panic!(
+                    "token {:?} not in vocabulary",
+                    String::from_utf8_lossy(bytes)
+                )
+            })
+    }
+
+    fn drive_bytes(vocab: &Vocabulary, matcher: &mut StructuralTagMatcher, text: &[u8]) {
+        for &b in text {
+            matcher.accept_token(token_for(vocab, &[b])).unwrap();
+        }
+    }
+
+    #[test]
+    fn free_text_is_unconstrained_and_tags_constrain() {
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+
+        // Free text: everything non-special is allowed, EOS included.
+        matcher.fill_next_token_bitmask(&mut mask);
+        assert!(mask.is_allowed(token_for(&vocab, b"z")));
+        assert!(mask.is_allowed(vocab.eos().unwrap()));
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+
+        drive_bytes(&vocab, &mut matcher, b"some prose <n>");
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+
+        // Inside the tag only digits are allowed (the segment cannot close
+        // before at least one digit, so the free-tail union adds nothing).
+        matcher.fill_next_token_bitmask(&mut mask);
+        assert!(mask.is_allowed(token_for(&vocab, b"7")));
+        assert!(!mask.is_allowed(token_for(&vocab, b"z")));
+        assert!(!mask.is_allowed(vocab.eos().unwrap()));
+        assert!(!matcher.can_terminate());
+
+        drive_bytes(&vocab, &mut matcher, b"42</n>");
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        assert!(matcher.can_terminate());
+
+        drive_bytes(&vocab, &mut matcher, b" done");
+        matcher.accept_token(vocab.eos().unwrap()).unwrap();
+        assert!(matcher.is_terminated());
+        let stats = matcher.stats();
+        assert_eq!(stats.tags_opened, 1);
+        assert_eq!(stats.tags_closed, 1);
+    }
+
+    #[test]
+    fn boundary_masks_admit_end_tag_plus_prose_tokens() {
+        // At a point where the segment can close, the mask must admit a
+        // token that finishes the end tag AND continues with prose — the
+        // boundary-spanning case the free-text tail exists for.
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        drive_bytes(&vocab, &mut matcher, b"<n>42</n");
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        matcher.fill_next_token_bitmask(&mut mask);
+        // "><" closes the tag ('>') and continues with prose ('<').
+        let crossing = token_for(&vocab, b"><");
+        assert!(
+            mask.is_allowed(crossing),
+            "end-tag+prose token must be admitted at the boundary"
+        );
+        matcher.accept_token(crossing).unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        assert_eq!(matcher.stats().tags_closed, 1);
+        // Mid-content, a digit+prose token is still rejected (the segment
+        // cannot close before the end tag).
+        let mut matcher2 = StructuralTagMatcher::new(Arc::clone(matcher.compiled()));
+        matcher2.accept_bytes(b"<n>4").unwrap();
+        matcher2.fill_next_token_bitmask(&mut mask);
+        assert!(!mask.is_allowed(token_for(&vocab, b"z")));
+    }
+
+    #[test]
+    fn invalid_bytes_inside_a_tag_are_rejected_atomically() {
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        drive_bytes(&vocab, &mut matcher, b"<n>1");
+        let bad = token_for(&vocab, b"x");
+        assert!(matches!(
+            matcher.accept_token(bad),
+            Err(AcceptError::TokenRejected { .. })
+        ));
+        // State unchanged: the segment continues normally.
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        drive_bytes(&vocab, &mut matcher, b"2</n>");
+        assert!(matcher.can_terminate());
+    }
+
+    #[test]
+    fn multi_byte_tokens_cross_mode_boundaries() {
+        let tag = number_tag();
+        let (_vocab, mut matcher) = setup(&tag);
+        // One accept_bytes call spans prose, the whole tag, and more prose.
+        matcher.accept_bytes(b"hi <n>123</n> bye").unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        assert_eq!(matcher.stats().tags_opened, 1);
+        assert_eq!(matcher.stats().tags_closed, 1);
+        // A unit whose bytes complete the trigger but then contradict the tag
+        // grammar stays free text (the all-allowed mask promised it was
+        // acceptable): the dispatch is cancelled, not rejected.
+        matcher.accept_bytes(b"x <n>9q").unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        assert_eq!(
+            matcher.stats().tags_opened,
+            1,
+            "cancelled dispatch is not an open"
+        );
+        // A later well-formed tag still dispatches and constrains.
+        matcher.accept_bytes(b" <n>1").unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        // Bytes violating a segment opened by an *earlier* unit are a real
+        // rejection (its constraint was visible in the mask).
+        let err = matcher.accept_bytes(b"q").unwrap_err();
+        assert_eq!(err, AcceptError::BytesRejected { matched_bytes: 0 });
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        matcher.accept_bytes(b"2</n>").unwrap();
+        assert!(matcher.can_terminate());
+    }
+
+    #[test]
+    fn free_mask_contract_holds_for_trigger_crossing_tokens() {
+        // The vocabulary contains the merged token "><". With prose ending in
+        // "<n" the free mask is all-allowed; sampling "><" completes the
+        // trigger "<n>" and continues with '<', which [0-9]+ rejects. The
+        // token must still be accepted (as prose), or the mask would lie.
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        let crossing = token_for(&vocab, b"><");
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        drive_bytes(&vocab, &mut matcher, b"prose <n");
+        matcher.fill_next_token_bitmask(&mut mask);
+        assert!(mask.is_allowed(crossing));
+        matcher.accept_token(crossing).unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        assert_eq!(matcher.stats().tags_opened, 0);
+        // The cancelled trigger text is inert; a clean tag still works, and
+        // rollback across the cancelled region behaves like plain free text.
+        matcher.accept_bytes(b"<n>42</n>").unwrap();
+        assert!(matcher.can_terminate());
+        matcher.rollback(2).unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+    }
+
+    #[test]
+    fn eos_is_rejected_inside_an_open_tag() {
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        drive_bytes(&vocab, &mut matcher, b"<n>4");
+        assert!(matches!(
+            matcher.accept_token(vocab.eos().unwrap()),
+            Err(AcceptError::CannotTerminate)
+        ));
+        drive_bytes(&vocab, &mut matcher, b"</n>");
+        matcher.accept_token(vocab.eos().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn rollback_across_tag_boundaries_restores_modes() {
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        let mut pre_tag_mask = TokenBitmask::new_all_rejected(vocab.len());
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+
+        drive_bytes(&vocab, &mut matcher, b"ab");
+        matcher.fill_next_token_bitmask(&mut pre_tag_mask);
+
+        // Enter the tag, emit a digit: 4 tokens after the pre-tag state.
+        drive_bytes(&vocab, &mut matcher, b"<n>5");
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+
+        // Roll back across the boundary: free text again, scan state reset.
+        matcher.rollback(4).unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        matcher.fill_next_token_bitmask(&mut mask);
+        assert_eq!(mask, pre_tag_mask, "pre-tag mask must be restored");
+
+        // Re-enter and close; then roll back INTO the closed segment.
+        drive_bytes(&vocab, &mut matcher, b"<n>5</n>!");
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        matcher.rollback(5).unwrap(); // undo `/n>` + `!`... back inside `<n>5`
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        matcher.fill_next_token_bitmask(&mut mask);
+        assert!(mask.is_allowed(token_for(&vocab, b"9")));
+        // Take a different path this time.
+        drive_bytes(&vocab, &mut matcher, b"77</n>");
+        assert!(matcher.can_terminate());
+        // Two real opens (rollback re-enters a segment, it does not re-open).
+        assert_eq!(matcher.stats().tags_opened, 2);
+    }
+
+    #[test]
+    fn rollback_after_eos_reopens_free_text() {
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        drive_bytes(&vocab, &mut matcher, b"ok");
+        matcher.accept_token(vocab.eos().unwrap()).unwrap();
+        assert!(matcher.is_terminated());
+        matcher.rollback(1).unwrap();
+        assert!(!matcher.is_terminated());
+        assert!(matcher.can_terminate());
+        assert!(matcher.rollback(100).is_err());
+    }
+
+    #[test]
+    fn shared_trigger_dispatches_on_tag_names() {
+        let mk = |name: &str, body: &str| TagSpec {
+            begin: format!("<fn={name}>"),
+            content: TagContent::Ebnf {
+                text: format!("root ::= {body}"),
+                root: "root".into(),
+            },
+            end: "</fn>".into(),
+        };
+        let tag = StructuralTag::with_triggers(
+            vec![mk("num", "[0-9]+"), mk("word", "[a-z]+")],
+            vec!["<fn=".into()],
+        );
+        let (vocab, mut matcher) = setup(&tag);
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+
+        drive_bytes(&vocab, &mut matcher, b"call <fn=");
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        // Both tag names are still possible: `n` (num) and `w` (word).
+        matcher.fill_next_token_bitmask(&mut mask);
+        assert!(mask.is_allowed(token_for(&vocab, b"n")));
+        assert!(mask.is_allowed(token_for(&vocab, b"w")));
+        assert!(!mask.is_allowed(token_for(&vocab, b"x")));
+
+        // Choose `word` and check the content constraint switched with it.
+        drive_bytes(&vocab, &mut matcher, b"word>");
+        matcher.fill_next_token_bitmask(&mut mask);
+        assert!(mask.is_allowed(token_for(&vocab, b"a")));
+        assert!(!mask.is_allowed(token_for(&vocab, b"5")));
+        drive_bytes(&vocab, &mut matcher, b"hello</fn>");
+        assert!(matcher.can_terminate());
+    }
+
+    #[test]
+    fn trigger_scan_handles_overlapping_prefixes() {
+        // Prose containing `<` and `<x` must not derail the scan for `<n>`.
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        drive_bytes(&vocab, &mut matcher, b"a < b <x <<n>");
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        drive_bytes(&vocab, &mut matcher, b"1</n>");
+        assert!(matcher.can_terminate());
+    }
+
+    #[test]
+    fn segment_slots_behind_the_rollback_window_are_dropped() {
+        // The hundreds-of-tool-calls case: every closed call's slot must be
+        // dropped (not just slimmed) once no snapshot can reach it, so the
+        // per-token prune pass scans O(window) slots, not O(calls).
+        let tag = number_tag();
+        let vocab = Arc::new(test_vocabulary(800));
+        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+        let compiled = compiler.compile_tag_dispatch(&tag).unwrap();
+        let mut matcher = StructuralTagMatcher::with_max_rollback(Arc::clone(&compiled), 4);
+        for _ in 0..100 {
+            matcher.accept_bytes(b"x <n>12</n> y").unwrap();
+        }
+        assert_eq!(matcher.stats().tags_opened, 100);
+        assert!(
+            matcher.retained_segment_slots() <= 4,
+            "expected slots behind the window to be dropped, {} retained",
+            matcher.retained_segment_slots()
+        );
+        assert!(matcher.stats().slots_dropped >= 96);
+        // The lane reopened its own released inner matchers rather than
+        // building one per call.
+        let built = matcher.stats().inner_matchers_built;
+        assert!(built < 10, "inner matchers must be reused, built {built}");
+        // Rollback within the window still works after dropping slots.
+        matcher.rollback(4).unwrap();
+        matcher.accept_bytes(b"<n>7</n>").unwrap();
+        assert!(matcher.can_terminate());
+    }
+
+    /// A lane's spare inner matchers are matched to their own trigger: with
+    /// calls alternating between two triggers, a replay after `reset()`
+    /// builds no inner matcher and masks exactly like a fresh lane.
+    #[test]
+    fn a_tag_lane_reuses_its_own_inner_matchers_across_interleaved_triggers() {
+        let spec = |name: &str, body: &str| TagSpec {
+            begin: format!("<{name}>"),
+            content: TagContent::Ebnf {
+                text: format!("root ::= {body}"),
+                root: "root".into(),
+            },
+            end: format!("</{name}>"),
+        };
+        let tag = StructuralTag::new(vec![spec("n", "[0-9]+"), spec("w", "[a-z]+")]);
+        let vocab = Arc::new(test_vocabulary(800));
+        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+        let compiled = compiler.compile_tag_dispatch(&tag).unwrap();
+        let transcript = b"x <n>12</n> y <w>ab</w> ".repeat(4);
+        let tokens: Vec<TokenId> = transcript
+            .iter()
+            .map(|&b| token_for(&vocab, &[b]))
+            .collect();
+
+        let mut lane = StructuralTagMatcher::with_max_rollback(Arc::clone(&compiled), 4);
+        for &token in &tokens {
+            lane.accept_token(token).unwrap();
+        }
+        assert_eq!(lane.stats().tags_opened, 8);
+        assert_eq!(lane.stats().inner_matchers_built, 2, "one per trigger");
+        lane.reset();
+
+        let mut fresh = StructuralTagMatcher::with_max_rollback(compiled, 4);
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        let mut expected = TokenBitmask::new_all_rejected(vocab.len());
+        for &token in &tokens {
+            lane.fill_next_token_bitmask(&mut mask);
+            fresh.fill_next_token_bitmask(&mut expected);
+            assert_eq!(mask, expected);
+            lane.accept_token(token).unwrap();
+            fresh.accept_token(token).unwrap();
+        }
+        assert_eq!(lane.stats().tags_opened, 8);
+        assert_eq!(lane.stats().inner_matchers_built, 0);
+    }
+
+    #[test]
+    fn jump_forward_spans_begin_tag_remainder_and_end_tag() {
+        // With the shared "<fn=" trigger and a single registered tag, the
+        // whole name remainder is forced right after the trigger fires.
+        let tag = StructuralTag::with_triggers(
+            vec![TagSpec {
+                begin: "<fn=lookup>".into(),
+                content: TagContent::Ebnf {
+                    text: "root ::= [0-9]+".into(),
+                    root: "root".into(),
+                },
+                end: "</fn>".into(),
+            }],
+            vec!["<fn=".into()],
+        );
+        let (_vocab, mut matcher) = setup(&tag);
+        // Free text forces nothing.
+        assert!(matcher.find_jump_forward_string().is_empty());
+        matcher.accept_bytes(b"calling <fn=").unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        // The begin-tag remainder is forced.
+        assert_eq!(matcher.find_jump_forward_string(), b"lookup>");
+        matcher.accept_bytes(b"lookup>").unwrap();
+        // Inside [0-9]+ nothing is forced; after a digit the end tag is not
+        // forced either (more digits remain possible)...
+        assert!(matcher.find_jump_forward_string().is_empty());
+        matcher.accept_bytes(b"42</").unwrap();
+        // ...but mid-end-tag the remainder of the close is forced, and the
+        // jump stops at the segment boundary (prose is unconstrained).
+        assert_eq!(matcher.find_jump_forward_string(), b"fn>");
+        matcher.accept_bytes(b"fn>").unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        assert!(matcher.find_jump_forward_string().is_empty());
+    }
+
+    #[test]
+    fn reset_returns_to_free_text() {
+        let tag = number_tag();
+        let (vocab, mut matcher) = setup(&tag);
+        drive_bytes(&vocab, &mut matcher, b"<n>1");
+        matcher.reset();
+        assert_eq!(matcher.mode(), DispatchMode::FreeText);
+        assert!(matcher.can_terminate());
+        assert_eq!(matcher.stats(), TagDispatchStats::default());
+        assert_eq!(matcher.retained_segment_slots(), 0);
+    }
+
     #[test]
     fn long_segments_trim_inner_history_to_the_outer_window() {
         // A segment much longer than the rollback window must not retain one
