@@ -198,8 +198,7 @@ mod tests {
 
     #[test]
     fn sessions_share_the_compiled_automaton() {
-        let vocab = small_vocab();
-        let compiled = NaivePdaBackend::new(Arc::clone(&vocab))
+        let compiled = NaivePdaBackend::new(small_vocab())
             .compile(&xg_grammar::builtin::json_grammar())
             .unwrap();
         let sessions = [(); 2].map(|_| Arc::clone(&compiled).new_session());

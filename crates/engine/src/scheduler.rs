@@ -1469,13 +1469,15 @@ mod tests {
     /// instead of hanging the suite.
     fn shut_down_within(scheduler: ContinuousScheduler, limit: Duration, what: &str) {
         let (done, shut) = mpsc::channel();
-        std::thread::spawn(move || {
+        let shutting = std::thread::spawn(move || {
             scheduler.shutdown();
             let _ = done.send(());
         });
-        if shut.recv_timeout(limit).is_err() {
+        // A shutdown that hangs is left detached: joining it would hang too.
+        if let Err(mpsc::RecvTimeoutError::Timeout) = shut.recv_timeout(limit) {
             panic!("{what}: the scheduler did not shut down within {limit:?}");
         }
+        shutting.join().expect("the shutdown panicked");
     }
 
     #[test]
@@ -2196,7 +2198,8 @@ slow ::= "true" | "false""#,
                     assert_eq!(served.output, expected.output, "{what}");
                     assert_eq!(steps, served.tokens as u64, "{what}");
                 }
-                shut_down_within(std::mem::ManuallyDrop::into_inner(scheduler), limit, "");
+                let scheduler = std::mem::ManuallyDrop::into_inner(scheduler);
+                shut_down_within(scheduler, limit, &format!("{mode:?}, {policy:?}"));
             }
         }
     }
