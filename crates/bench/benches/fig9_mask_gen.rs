@@ -4,8 +4,7 @@
 //! Run with `cargo bench -p xg-bench --bench fig9_mask_gen`. Mask generation
 //! is measured at production vocabulary sizes — 32k (GPT-2/Mistral class)
 //! and 128k (Llama-3.1 class) — with per-backend tokens/sec reported via the
-//! group throughput. The 256k frontier point is covered by the
-//! `mask_throughput` experiment in `run_experiments`.
+//! group throughput.
 
 use std::sync::Arc;
 use std::time::Duration;

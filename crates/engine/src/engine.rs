@@ -33,7 +33,6 @@
 //! TPOT stays honest.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::lane::{ForcedContext, Lane};
 use crate::llm::{LlmBehavior, SimulatedLlm};
@@ -415,25 +414,10 @@ impl ServingEngine {
     }
 }
 
-/// Spends approximately `duration` of wall-clock time on the current thread.
-/// Short waits spin (sleep granularity is too coarse for sub-millisecond GPU
-/// steps); longer waits sleep most of the duration and spin the rest.
-pub(crate) fn busy_wait(duration: Duration) {
-    if duration.is_zero() {
-        return;
-    }
-    let start = Instant::now();
-    if duration > Duration::from_millis(2) {
-        std::thread::sleep(duration - Duration::from_millis(1));
-    }
-    while start.elapsed() < duration {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use xg_baselines::XGrammarBackend;
     use xg_datasets::json_mode_eval_like;
     use xg_tokenizer::test_vocabulary;

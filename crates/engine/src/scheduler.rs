@@ -32,11 +32,11 @@
 //! lock, one wake) and fill under the next step, and a joiner prefills at
 //! once, its compile and first fill landing under the prefill; serial, the
 //! paper's no-overlap baseline, fills before the step and prefills once the
-//! compile has landed. The thread code (channels, the [`Bell`], `busy_wait`,
-//! the mask pool) carries out rounds and effects and feeds events back; an
-//! idle loop spins for one decode step before it parks on the [`Bell`], so a
-//! lone client's next request starts its prefill without an OS wake-up. The
-//! `lifecycle` tests drive `advance` and the planner on virtual time.
+//! compile has landed. [`DecodeLoop`] carries out rounds and effects and feeds
+//! events back on an [`Env`]: the threads' channels, [`Bell`] and mask pool,
+//! or, in the `lifecycle` tests, scripted lanes on virtual time. It waits in
+//! one place with one 1 ms spin budget ([`SPIN_BUDGET`]): a GPU step or prefill
+//! spins its last 1 ms, an idle loop its first before it parks on the bell.
 //!
 //! A lane is one value from admission to retirement, moved to a mask worker
 //! and back. Backpressure composes: the submission queue is bounded
@@ -55,6 +55,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
@@ -62,7 +63,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::{busy_wait, EngineRequest, ExecutionMode, RequestResult, ServingEngine};
+use crate::engine::{EngineRequest, ExecutionMode, RequestResult, ServingEngine};
 use crate::lane::{ForcedContext, Lane};
 use crate::llm::SimulatedLlm;
 use crate::profiles::ModelProfile;
@@ -384,79 +385,6 @@ struct ActiveLane {
     streamed: usize,
 }
 
-impl ActiveLane {
-    /// Counts and announces the landed compile, then starts the lane (its
-    /// lane-start jump-forward pass).
-    fn admit(&mut self, compiled: CompileOk, shared: &Shared, ctx: ForcedContext<'_>) -> Event {
-        let timing = &mut self.ticket.timing;
-        (self.lane.session, timing.compile_time, timing.cache_hit) = compiled;
-        let mut stats = shared.stats();
-        stats.metrics.admitted += 1;
-        stats.metrics.cache_hit_admissions += u64::from(timing.cache_hit);
-        drop(stats);
-        let _ = self.ticket.events.send(StreamEvent::Admitted {
-            queue_time: timing.queue_time,
-            compile_time: timing.compile_time,
-            cache_hit: timing.cache_hit,
-        });
-        self.lane.start(&ctx);
-        let (now, finished) = (Instant::now(), self.lane.finished);
-        Event::Started { now, finished }
-    }
-
-    /// Streams the bytes not streamed yet, stamping the first emission.
-    fn stream(&mut self) {
-        let output = &self.lane.output;
-        if output.len() > self.streamed {
-            let bytes = output[self.streamed..].to_vec();
-            self.streamed = output.len();
-            (self.first_emit)
-                .get_or_insert_with(|| (self.ticket.submitted_at.elapsed(), self.lane.forced_time));
-            let _ = self.ticket.events.send(StreamEvent::Bytes(bytes));
-        }
-    }
-
-    /// Retires the finished lane: complete its timing, fold it and the lane's
-    /// counters into the aggregate, and send the terminal event.
-    fn finish(self, shared: &Shared) {
-        let ActiveLane {
-            ticket,
-            lane,
-            first_emit,
-            ..
-        } = self;
-        let mut timing = ticket.timing;
-        timing.total_time = ticket.submitted_at.elapsed();
-        let (ttft, forced_by_then) = first_emit.unwrap_or((timing.total_time, lane.forced_time));
-        timing.ttft = ttft;
-        timing.tpot = tpot(
-            timing.total_time,
-            ttft,
-            lane.forced_time - forced_by_then,
-            lane.sampled_tokens,
-        );
-        {
-            let mut stats = shared.stats();
-            if lane.sampled_tokens > 1 {
-                stats.tpot_sum += timing.tpot;
-                stats.tpot_lanes += 1;
-            }
-            let metrics = &mut stats.metrics;
-            metrics.ttft = match metrics.completed {
-                0 => ttft,
-                _ => metrics.ttft.min(ttft),
-            };
-            metrics.completed += 1;
-            metrics.sampled_tokens += lane.sampled_tokens as u64;
-            metrics.forced_tokens += lane.forced_tokens as u64;
-            metrics.forced_chars += lane.forced_chars as u64;
-            metrics.forced_time += lane.forced_time;
-        }
-        let result = lane.into_result();
-        let _ = ticket.events.send(StreamEvent::Finished { result, timing });
-    }
-}
-
 /// Where a lane of the decode loop's batch is; each lane is in exactly one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneState {
@@ -478,7 +406,7 @@ enum LaneState {
     Failed,
 }
 
-/// What happened to a lane, fed back into [`advance`] by the thread code.
+/// What happened to a lane, fed back into [`advance`] by the decode loop.
 #[derive(Debug)]
 enum Event {
     /// Its compile landed at `now` and it started; `finished` if the
@@ -513,24 +441,26 @@ enum Effect {
 
 /// The lane lifecycle: the state an event moves a lane to, and the effect
 /// the loop carries out. A pair not listed is a scheduler bug.
-fn advance(state: LaneState, event: Event) -> (LaneState, Effect) {
+fn advance(state: LaneState, event: &Event) -> (LaneState, Effect) {
     use LaneState::*;
     let ended = |finished, or| if finished { Finished } else { or };
     match (state, event) {
-        (Compiling(_) | AtMaskWorker { .. }, Event::Failed(err)) => (Failed, Effect::Fail(err)),
-        (Compiling(prefill_end), Event::Started { now, finished }) => match prefill_end {
+        (Compiling(_) | AtMaskWorker { .. }, Event::Failed(err)) => {
+            (Failed, Effect::Fail(err.clone()))
+        }
+        (Compiling(prefill_end), &Event::Started { now, finished }) => match prefill_end {
             Some(until) if now < until => (Prefilling(until), Effect::None),
             Some(_) => (ended(finished, Prefilled), Effect::Stream),
             None => (ended(finished, Prefilled), Effect::PrefillThenStream),
         },
-        (Prefilling(until), Event::PrefillEnded(now)) if until <= now => (Prefilled, Effect::None),
+        (Prefilling(until), &Event::PrefillEnded(now)) if until <= now => (Prefilled, Effect::None),
         (Prefilling(_) | Prefilled, Event::HandedOff) => {
             (AtMaskWorker { joiner: true }, Effect::None)
         }
         (Decoding, Event::HandedOff) => (AtMaskWorker { joiner: false }, Effect::None),
         (AtMaskWorker { joiner: true }, Event::Filled) => (Prefilled, Effect::None),
         (AtMaskWorker { joiner: false }, Event::Filled) => (Decoding, Effect::None),
-        (Prefilled | Decoding, Event::Sampled { finished }) => {
+        (Prefilled | Decoding, &Event::Sampled { finished }) => {
             (ended(finished, Decoding), Effect::Stream)
         }
         (state, event) => unreachable!("a lane {state:?} cannot take {event:?}"),
@@ -688,7 +618,7 @@ struct Stats {
 }
 
 /// State shared by the submitter and every worker thread.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Shared {
     stats: Mutex<Stats>,
     /// Time the mask workers spent filling masks, summed across workers.
@@ -774,18 +704,23 @@ impl ContinuousScheduler {
             })
             .collect();
 
-        let decode = DecodeLoop {
-            ready: ready_rx,
-            bell: bell_rx,
-            mask_done: mask_done_rx,
-            pool: Arc::clone(&pool),
+        let mut decode = DecodeLoop {
+            env: Threads {
+                ready: ready_rx,
+                bell: bell_rx,
+                mask_done: mask_done_rx,
+                pool: Arc::clone(&pool),
+                shared: Arc::clone(&shared),
+                vocab: Arc::clone(backend.vocabulary()),
+                sorted: engine.retokenizer(),
+            },
             shared: Arc::clone(&shared),
-            vocab: Arc::clone(backend.vocabulary()),
-            sorted: engine.retokenizer(),
             profile: engine.profile().clone(),
             planner: Planner(engine.mode()),
             max_lanes,
             lanes: Vec::with_capacity(max_lanes),
+            handing: Vec::with_capacity(max_lanes),
+            bell: true,
         };
         threads.push(spawn("xg-decode".into(), move || decode.run()));
 
@@ -989,18 +924,50 @@ fn admission_worker(
     }
 }
 
-/// A lane of the decode loop's batch: its state, and the lane itself unless
-/// it is at a mask worker.
-struct Slot {
+/// A lane of the decode loop's batch: its id, prefill and state, and the
+/// lane itself unless it is at a mask worker.
+struct Slot<L> {
     id: u64,
+    prefill: Duration,
     state: LaneState,
-    lane: Option<ActiveLane>,
+    lane: Option<L>,
 }
 
-/// The persistent decode loop: joins lanes, carries out the planner's rounds
-/// and the effects of each transition, and feeds events back to [`advance`].
-/// Dropping it shuts the mask pool.
-struct DecodeLoop {
+/// The decode loop's one spin budget: no wait of [`DecodeLoop::wait`] spins
+/// longer, so none needs an OS wake-up to end on time and none burns a core.
+const SPIN_BUDGET: Duration = Duration::from_millis(1);
+
+/// What the decode loop runs on. [`Threads`] ships; the `lifecycle` tests run
+/// the same loop on scripted lanes and virtual time.
+trait Env {
+    type Lane;
+    fn now(&self) -> Instant;
+    /// Waits until `until` or, if it listens to the `bell` (as it must with no
+    /// `until`), a ring, which takes every ring queued: parked before `spin`,
+    /// spinning in it, parked after it. Returns whether it rang, or `None` at
+    /// once if no admission worker is left to ring.
+    fn wait(&mut self, spin: Range<Instant>, until: Option<Instant>, bell: bool) -> Option<bool>;
+    /// The next lane handed over, its id and prompt tokens first.
+    fn arrival(&mut self) -> Result<(u64, usize, Self::Lane), TryRecvError>;
+    /// The lane's compile result, if it has come: `Started` (the lane started) or `Failed`.
+    fn land(&mut self, lane: &mut Self::Lane) -> Option<Event>;
+    fn needs_mask(&self, lane: &Self::Lane) -> bool;
+    /// Moves `lanes` to the mask workers, all at once.
+    fn hand_off(&mut self, lanes: &mut Vec<Self::Lane>);
+    /// Blocks for a lane back from the mask workers: its id, and whether its fill returned.
+    fn collect(&mut self) -> Option<(u64, Self::Lane, bool)>;
+    /// Samples the lane's next token; whether the lane finished.
+    fn sample(&mut self, lane: &mut Self::Lane) -> bool;
+    fn stream(&mut self, lane: &mut Self::Lane);
+    fn fail(&mut self, lane: &mut Self::Lane, err: BackendError);
+    fn finish(&mut self, lane: Self::Lane);
+    /// Lane `i` took `event` in state `from`: where the tests check and log.
+    fn fed(&mut self, _slots: &[Slot<Self::Lane>], _i: usize, _from: LaneState, _event: &Event) {}
+}
+
+/// The decode loop's environment that ships: the admission workers' channels
+/// and [`Bell`], the mask pool, the wall clock. Dropping it shuts the pool.
+struct Threads {
     ready: Receiver<ActiveLane>,
     /// Every admission worker's [`Bell`].
     bell: Receiver<()>,
@@ -1010,20 +977,180 @@ struct DecodeLoop {
     vocab: Arc<Vocabulary>,
     /// Forced-text re-tokenization index; `None` = jump-forward is off.
     sorted: Option<Arc<SortedVocabulary>>,
-    profile: ModelProfile,
-    planner: Planner,
-    max_lanes: usize,
-    lanes: Vec<Slot>,
 }
 
-impl Drop for DecodeLoop {
+impl Drop for Threads {
     fn drop(&mut self) {
         self.pool.shutdown();
     }
 }
 
-impl DecodeLoop {
-    fn run(mut self) {
+impl Env for Threads {
+    type Lane = ActiveLane;
+
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    /// The one function that waits on the bell.
+    fn wait(&mut self, spin: Range<Instant>, until: Option<Instant>, bell: bool) -> Option<bool> {
+        loop {
+            let now = Instant::now();
+            match self.bell.try_recv() {
+                Ok(()) => break,
+                Err(TryRecvError::Disconnected) if bell => return None,
+                _ if until.is_some_and(|until| now >= until) => return Some(false),
+                _ => {}
+            }
+            let wake = if now < spin.start {
+                Some(spin.start)
+            } else {
+                until
+            };
+            // A `recv_timeout` too long for the clock is a `recv`.
+            let left = wake.map_or(Duration::MAX, |wake| wake - now);
+            if spin.contains(&now) {
+                std::hint::spin_loop();
+            } else if !bell {
+                std::thread::sleep(left);
+            } else if self.bell.recv_timeout(left).is_ok() {
+                break;
+            }
+        }
+        self.bell.try_iter().for_each(drop);
+        Some(true)
+    }
+
+    fn arrival(&mut self) -> Result<(u64, usize, ActiveLane), TryRecvError> {
+        let al = self.ready.try_recv()?;
+        Ok((al.ticket.id, al.prompt_tokens, al))
+    }
+
+    /// Counts and announces a landed compile, then starts the lane.
+    fn land(&mut self, al: &mut ActiveLane) -> Option<Event> {
+        let died = "the admission worker died before the compile finished";
+        let timing = &mut al.ticket.timing;
+        match al.compiled.try_recv() {
+            Err(TryRecvError::Empty) => return None,
+            Err(TryRecvError::Disconnected) => return Some(Event::Failed(scheduler_error(died))),
+            Ok(Err(err)) => return Some(Event::Failed(err)),
+            Ok(Ok(compiled)) => (al.lane.session, timing.compile_time, timing.cache_hit) = compiled,
+        }
+        let mut stats = self.shared.stats();
+        stats.metrics.admitted += 1;
+        stats.metrics.cache_hit_admissions += u64::from(timing.cache_hit);
+        drop(stats);
+        let _ = al.ticket.events.send(StreamEvent::Admitted {
+            queue_time: timing.queue_time,
+            compile_time: timing.compile_time,
+            cache_hit: timing.cache_hit,
+        });
+        let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
+        al.lane.start(&ForcedContext { sorted, vocab });
+        let (now, finished) = (Instant::now(), al.lane.finished);
+        Some(Event::Started { now, finished })
+    }
+
+    fn needs_mask(&self, al: &ActiveLane) -> bool {
+        al.lane.is_constrained() && !al.lane.finished
+    }
+
+    /// One lock and one wake, not a channel send per lane: sending each lane
+    /// on its own took `schema_warm`'s `engine.step_overhead_us` from 36 to
+    /// 85 µs and `cfg_heavy`'s from 23 to 38 (`perf --seed 11`, 2 cores).
+    fn hand_off(&mut self, lanes: &mut Vec<ActiveLane>) {
+        let sent = lanes.len();
+        lock(&self.pool.state).lanes.extend(lanes.drain(..));
+        match sent {
+            0 => {}
+            1 => self.pool.available.notify_one(),
+            _ => self.pool.available.notify_all(),
+        }
+    }
+
+    fn collect(&mut self) -> Option<(u64, ActiveLane, bool)> {
+        // The workers outlive the loop: they never unwind, and the pool
+        // shuts only when the loop is dropped.
+        let (al, filled) = self.mask_done.recv().ok()?;
+        Some((al.ticket.id, al, filled))
+    }
+
+    fn sample(&mut self, al: &mut ActiveLane) -> bool {
+        let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
+        let mask = al.lane.is_constrained().then_some(&al.mask);
+        al.lane.step(mask, &ForcedContext { sorted, vocab });
+        al.lane.finished
+    }
+
+    /// Streams the bytes not streamed yet, stamping the first emission.
+    fn stream(&mut self, al: &mut ActiveLane) {
+        let output = &al.lane.output;
+        if output.len() > al.streamed {
+            let bytes = output[al.streamed..].to_vec();
+            al.streamed = output.len();
+            (al.first_emit)
+                .get_or_insert_with(|| (al.ticket.submitted_at.elapsed(), al.lane.forced_time));
+            let _ = al.ticket.events.send(StreamEvent::Bytes(bytes));
+        }
+    }
+
+    fn fail(&mut self, al: &mut ActiveLane, err: BackendError) {
+        // The receiver may be gone (the caller dropped the handle).
+        let _ = al.ticket.events.send(StreamEvent::Failed(err));
+    }
+
+    /// Completes the lane's timing, folds it and the lane's counters into
+    /// the aggregate, and sends the terminal event.
+    fn finish(&mut self, al: ActiveLane) {
+        let (ticket, lane) = (al.ticket, al.lane);
+        let mut timing = ticket.timing;
+        timing.total_time = ticket.submitted_at.elapsed();
+        let (ttft, forced_by_then) = al
+            .first_emit
+            .unwrap_or((timing.total_time, lane.forced_time));
+        let forced_after = lane.forced_time - forced_by_then;
+        timing.ttft = ttft;
+        timing.tpot = tpot(timing.total_time, ttft, forced_after, lane.sampled_tokens);
+        {
+            let mut stats = self.shared.stats();
+            if lane.sampled_tokens > 1 {
+                stats.tpot_sum += timing.tpot;
+                stats.tpot_lanes += 1;
+            }
+            let metrics = &mut stats.metrics;
+            metrics.ttft = match metrics.completed {
+                0 => ttft,
+                _ => metrics.ttft.min(ttft),
+            };
+            metrics.completed += 1;
+            metrics.sampled_tokens += lane.sampled_tokens as u64;
+            metrics.forced_tokens += lane.forced_tokens as u64;
+            metrics.forced_chars += lane.forced_chars as u64;
+            metrics.forced_time += lane.forced_time;
+        }
+        let result = lane.into_result();
+        let _ = ticket.events.send(StreamEvent::Finished { result, timing });
+    }
+}
+
+/// The persistent decode loop: joins lanes, carries out the planner's rounds
+/// and the effects of each transition, feeds events back to [`advance`], and
+/// waits, all on its [`Env`].
+struct DecodeLoop<E: Env> {
+    env: E,
+    shared: Arc<Shared>,
+    profile: ModelProfile,
+    planner: Planner,
+    max_lanes: usize,
+    lanes: Vec<Slot<E::Lane>>,
+    /// The lanes one hand-off moves to the mask workers.
+    handing: Vec<E::Lane>,
+    /// Whether an admission worker is left to ring the bell.
+    bell: bool,
+}
+
+impl<E: Env> DecodeLoop<E> {
+    fn run(&mut self) {
         while self.take_arrivals() {
             // A joiner round if the planner has one, then the step round:
             // lanes join only between step rounds.
@@ -1037,25 +1164,25 @@ impl DecodeLoop {
 
     /// Joins handed-over lanes while the batch has room, waiting out a
     /// joiner's prefill if it starts at once, and lands the compile results
-    /// that have arrived, waiting while every lane is compiling (spinning
-    /// for up to one decode step, then blocking on the bell). `false` once
+    /// that have arrived, waiting while every lane is compiling. `false` once
     /// admission has closed and the batch is empty.
     fn take_arrivals(&mut self) -> bool {
         let mut idle_since = None;
         loop {
-            // Rings so far announce sends this pass sees; a later one stays
-            // queued and wakes the idle wait below.
-            self.bell.try_iter().for_each(drop);
             while self.lanes.len() < self.max_lanes {
-                let al = match self.ready.try_recv() {
-                    Ok(al) => al,
+                let (id, prompt_tokens, al) = match self.env.arrival() {
+                    Ok(arrival) => arrival,
                     Err(TryRecvError::Disconnected) if self.lanes.is_empty() => return false,
                     Err(_) => break,
                 };
-                let prefill = self.profile.prefill_time(al.prompt_tokens);
-                let (id, state) = (al.ticket.id, self.planner.join(Instant::now() + prefill));
-                let lane = Some(al);
-                self.lanes.push(Slot { id, state, lane });
+                let prefill = self.profile.prefill_time(prompt_tokens);
+                let state = self.planner.join(self.env.now() + prefill);
+                self.lanes.push(Slot {
+                    id,
+                    prefill,
+                    state,
+                    lane: Some(al),
+                });
                 if let LaneState::Compiling(Some(end)) = state {
                     self.prefill(end, prefill);
                 }
@@ -1068,44 +1195,51 @@ impl DecodeLoop {
             {
                 return true;
             }
-            // Idle: spin for up to one decode step from going idle, then
-            // sleep until a worker rings (or the last one exits). A parked
-            // loop starts a lone request's prefill only once the OS wakes
-            // it, on two cores often only after the admission worker's
-            // compile.
-            let idle = *idle_since.get_or_insert_with(Instant::now);
-            let window = self.profile.decode_step_time(1);
-            while let Err(TryRecvError::Empty) = self.bell.try_recv() {
-                if idle.elapsed() >= window {
-                    let _ = self.bell.recv();
-                    break;
-                }
-                std::hint::spin_loop();
-            }
+            // A parked loop starts a lone request's prefill only once the OS
+            // wakes it, on two cores often only after the admission worker's
+            // compile. A spurious ring does not restart the spin.
+            let idle = *idle_since.get_or_insert_with(|| self.env.now());
+            self.wait(idle, None);
         }
     }
 
     /// Waits out a joiner's prefill, landing compile results (its own too)
-    /// under it: as `busy_wait` sleeps, a prefill over 2 ms waits on the bell
-    /// but for its last 1 ms, which it spins, and a shorter one spins.
+    /// as their rings wake it.
     fn prefill(&mut self, end: Instant, prefill: Duration) {
-        let ms = Duration::from_millis;
         loop {
             self.land_compiled();
-            let left = end.saturating_duration_since(Instant::now());
-            match left.checked_sub(ms(1)) {
-                _ if left.is_zero() => break,
-                Some(wait) if prefill > ms(2) => _ = self.bell.recv_timeout(wait),
-                _ => std::hint::spin_loop(),
+            if self.env.now() >= end {
+                break;
             }
+            self.wait(end - prefill, Some(end));
         }
-        self.shared.stats().metrics.prefill_time += prefill + end.elapsed();
-        let now = Instant::now();
+        let now = self.env.now();
+        self.shared.stats().metrics.prefill_time += prefill + (now - end);
         for i in 0..self.lanes.len() {
             if matches!(self.lanes[i].state, LaneState::Prefilling(_)) {
                 self.feed(i, Event::PrefillEnded(now));
             }
         }
+    }
+
+    /// The one wait, begun at `from`, until `until` (`None`: idle) or a ring.
+    /// A timed wait spins its last [`SPIN_BUDGET`], or all of it if it lasts
+    /// at most twice that, and an idle one its first (one decode step, if
+    /// shorter); each parks otherwise. Returns whether a ring ended it. Once
+    /// no admission worker is left to ring, it sleeps `until` out, or returns.
+    fn wait(&mut self, from: Instant, until: Option<Instant>) -> bool {
+        let spin = match until {
+            Some(end) if end - from > 2 * SPIN_BUDGET => end - SPIN_BUDGET..end,
+            Some(end) => from..end,
+            None => from..from + SPIN_BUDGET.min(self.profile.decode_step_time(1)),
+        };
+        while self.bell || until.is_some() {
+            match self.env.wait(spin.clone(), until, self.bell) {
+                Some(rang) => return rang,
+                None => self.bell = false,
+            }
+        }
+        false
     }
 
     /// Lands every compile result that has arrived, hands off the first
@@ -1116,15 +1250,8 @@ impl DecodeLoop {
             let (LaneState::Compiling(_), Some(al)) = (slot.state, &mut slot.lane) else {
                 continue;
             };
-            let died = "the admission worker died before the compile finished";
-            let event = match al.compiled.try_recv() {
-                Err(TryRecvError::Empty) => continue,
-                Err(TryRecvError::Disconnected) => Event::Failed(scheduler_error(died)),
-                Ok(Err(err)) => Event::Failed(err),
-                Ok(Ok(compiled)) => {
-                    let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
-                    al.admit(compiled, &self.shared, ForcedContext { sorted, vocab })
-                }
+            let Some(event) = self.env.land(al) else {
+                continue;
             };
             self.feed(i, event);
             if self.planner.fills_on_landing() {
@@ -1136,26 +1263,26 @@ impl DecodeLoop {
 
     /// Feeds lane `i` an event and carries out the transition's effect.
     fn feed(&mut self, i: usize, event: Event) {
-        let slot = &mut self.lanes[i];
+        let from = self.lanes[i].state;
         let effect;
-        (slot.state, effect) = advance(slot.state, event);
-        let al = slot
-            .lane
-            .as_mut()
-            .expect("a lane takes events in the batch");
+        (self.lanes[i].state, effect) = advance(from, &event);
+        self.env.fed(&self.lanes, i, from, &event);
+        if let Effect::PrefillThenStream = effect {
+            // Like a GPU step, the prefill does not end on a ring.
+            let (start, prefill) = (self.env.now(), self.lanes[i].prefill);
+            while self.wait(start, Some(start + prefill)) {}
+            self.shared.stats().metrics.prefill_time += self.env.now() - start;
+        }
+        // Only a lane just handed off is away, and it takes no effect.
+        let Some(al) = self.lanes[i].lane.as_mut() else {
+            return;
+        };
         match effect {
             Effect::None => {}
-            Effect::Stream => al.stream(),
-            Effect::PrefillThenStream => {
-                let start = Instant::now();
-                busy_wait(self.profile.prefill_time(al.prompt_tokens));
-                self.shared.stats().metrics.prefill_time += start.elapsed();
-                al.stream();
-            }
+            Effect::Stream | Effect::PrefillThenStream => self.env.stream(al),
             Effect::Fail(err) => {
                 self.shared.stats().metrics.failed += 1;
-                // The receiver may be gone (the caller dropped the handle).
-                let _ = al.ticket.events.send(StreamEvent::Failed(err));
+                self.env.fail(al, err);
             }
         }
     }
@@ -1163,7 +1290,7 @@ impl DecodeLoop {
     /// Runs one round phase by phase, accounts for it and retires the lanes
     /// that ended. Returns whether it stepped.
     fn round(&mut self, round: &Round) -> bool {
-        let (start, steps) = (Instant::now(), round.phases.contains(&Phase::Step));
+        let (start, steps) = (self.env.now(), round.phases.contains(&Phase::Step));
         let [mut gpu_step, mut handoff, mut mask_wait, mut sample] = [Duration::ZERO; 4];
         for phase in round.phases {
             match phase {
@@ -1172,13 +1299,15 @@ impl DecodeLoop {
                     let live = |i: &&usize| self.lanes[**i].state != LaneState::Failed;
                     let batch = round.lanes.iter().filter(live).count();
                     gpu_step = self.profile.decode_step_time(batch);
-                    busy_wait(gpu_step);
+                    let from = self.env.now();
+                    while self.wait(from, Some(from + gpu_step)) {}
+                    self.shared.stats().metrics.decode_steps += 1;
                 }
                 Phase::HandOff => handoff += self.dispatch(&round.lanes),
                 Phase::Collect => {
-                    let wait = Instant::now();
+                    let wait = self.env.now();
                     self.collect();
-                    mask_wait += wait.elapsed();
+                    mask_wait += self.env.now() - wait;
                 }
                 Phase::Sample => sample += self.sample(&round.lanes),
             }
@@ -1186,20 +1315,19 @@ impl DecodeLoop {
         {
             let mut stats = self.shared.stats();
             let metrics = &mut stats.metrics;
-            metrics.decode_steps += u64::from(steps);
             metrics.max_concurrent_lanes = metrics.max_concurrent_lanes.max(self.lanes.len());
             metrics.gpu_time += gpu_step;
             metrics.mask_wait_time += mask_wait;
             metrics.sample_time += sample;
             metrics.handoff_time += handoff;
-            metrics.decode_time += start.elapsed();
+            metrics.decode_time += self.env.now() - start;
         }
         self.retire();
         steps
     }
 
     /// Each of `lanes` samples under its mask and streams what it emitted;
-    /// returns the wall clock `Lane::step` took.
+    /// returns the time sampling took.
     fn sample(&mut self, lanes: &[usize]) -> Duration {
         let mut took = Duration::ZERO;
         for &i in lanes {
@@ -1211,55 +1339,38 @@ impl DecodeLoop {
             let Some(al) = slot.lane.as_mut() else {
                 unreachable!("lane {} samples at a mask worker", slot.id);
             };
-            let start = Instant::now();
-            let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
-            let mask = al.lane.is_constrained().then_some(&al.mask);
-            al.lane.step(mask, &ForcedContext { sorted, vocab });
-            took += start.elapsed();
-            let finished = al.lane.finished;
+            let start = self.env.now();
+            let finished = self.env.sample(al);
+            took += self.env.now() - start;
             self.feed(i, Event::Sampled { finished });
         }
         took
     }
 
-    /// Moves each of `lanes` that needs a mask into the mask workers' queue
-    /// under one lock, then wakes them once, and returns the wall clock it
-    /// took. One lock and one wake, not a channel send per lane: sending each
-    /// lane on its own took `schema_warm`'s `engine.step_overhead_us` from 36
-    /// to 85 µs and `cfg_heavy`'s from 23 to 38 (`perf --seed 11`, 2 cores).
+    /// Moves each of `lanes` that needs a mask to the mask workers, all at
+    /// once, and returns the time it took.
     fn dispatch(&mut self, lanes: &[usize]) -> Duration {
-        let start = Instant::now();
-        let pool = Arc::clone(&self.pool);
-        let mut queue = lock(&pool.state);
-        let before = queue.lanes.len();
+        let start = self.env.now();
         for &i in lanes {
-            let slot = &self.lanes[i];
-            let needs_mask = |al: &ActiveLane| al.lane.is_constrained() && !al.lane.finished;
-            if slot.state != LaneState::Failed && slot.lane.as_ref().is_some_and(needs_mask) {
+            let slot = &mut self.lanes[i];
+            let needs_mask = slot.lane.as_ref().is_some_and(|al| self.env.needs_mask(al));
+            if slot.state != LaneState::Failed && needs_mask {
+                self.handing.extend(slot.lane.take());
                 self.feed(i, Event::HandedOff);
-                queue.lanes.extend(self.lanes[i].lane.take());
             }
         }
-        let sent = queue.lanes.len() - before;
-        drop(queue);
-        match sent {
-            0 => {}
-            1 => pool.available.notify_one(),
-            _ => pool.available.notify_all(),
-        }
-        start.elapsed()
+        self.env.hand_off(&mut self.handing);
+        self.env.now() - start
     }
 
     /// The collect barrier: takes back every lane at a mask worker, its mask
     /// filled or its fill failed.
     fn collect(&mut self) {
         for _ in 0..self.lanes.iter().filter(|s| s.lane.is_none()).count() {
-            // The workers outlive the loop: they never unwind, and the pool
-            // shuts only when the loop is dropped.
-            let Ok((al, filled)) = self.mask_done.recv() else {
+            let Some((id, al, filled)) = self.env.collect() else {
                 return;
             };
-            let i = self.lanes.iter().position(|s| s.id == al.ticket.id);
+            let i = self.lanes.iter().position(|s| s.id == id);
             let i = i.expect("a lane keeps its slot while at a mask worker");
             self.lanes[i].lane = Some(al);
             let panicked = || Event::Failed(scheduler_error("the mask fill panicked"));
@@ -1270,10 +1381,10 @@ impl DecodeLoop {
     /// Retires the lanes that finished, and frees the slots of those that
     /// failed.
     fn retire(&mut self) {
-        let ended = |s: &mut Slot| matches!(s.state, LaneState::Finished | LaneState::Failed);
+        let ended = |s: &mut Slot<_>| matches!(s.state, LaneState::Finished | LaneState::Failed);
         for slot in self.lanes.extract_if(.., ended) {
             if let (LaneState::Finished, Some(al)) = (slot.state, slot.lane) {
-                al.finish(&self.shared);
+                self.env.finish(al);
             }
         }
     }
@@ -1451,15 +1562,16 @@ mod tests {
 
     #[test]
     fn idle_scheduler_shuts_down_cleanly() {
-        // An idle loop spins for one decode step before it parks: shut down
-        // inside a 60 s window, and 50 ms after a 1 ms one ended.
-        let (ms, limit) = (Duration::from_millis, Duration::from_secs(5));
+        // An idle loop spins for 1 ms, however long its 60 s decode step, and
+        // then parks: shut down at once, while it may still spin, and 50 ms
+        // later, once it has parked.
+        let (step, limit) = (Duration::from_secs(60), Duration::from_secs(5));
         for mode in MODES {
-            for (step, idle) in [(ms(60_000), Duration::ZERO), (ms(1), ms(50))] {
+            for idle in [Duration::ZERO, Duration::from_millis(50)] {
                 let scheduler = sleeping_engine(step, mode).serve(SchedulerConfig::default());
                 std::thread::sleep(idle);
                 assert_eq!(scheduler.metrics().submitted, 0);
-                shut_down_within(scheduler, limit, &format!("{mode:?}, {step:?} steps"));
+                shut_down_within(scheduler, limit, &format!("{mode:?}, idle {idle:?}"));
             }
         }
     }
@@ -2175,9 +2287,9 @@ slow ::= "true" | "false""#,
     #[test]
     fn a_lone_request_pays_one_decode_step_per_sampled_token() {
         // The prefill's logits pay for the first token, and the EOS round
-        // pays a step of its own. An idle loop spins for one 20 ms step
-        // before it parks: the first request comes while it spins, the
-        // second after it has parked.
+        // pays a step of its own. An idle loop spins for 1 ms (its 20 ms
+        // step is longer) before it parks: the first request comes while it
+        // may still spin, the second after it has parked.
         let (step, limit) = (Duration::from_millis(20), Duration::from_secs(5));
         for mode in MODES {
             for policy in [JumpForwardPolicy::Off, JumpForwardPolicy::Engine] {
@@ -2345,37 +2457,6 @@ slow ::= "true" | "false""#,
     }
 
     #[test]
-    fn a_finishing_lane_is_not_held_behind_a_joiners_prefill() {
-        // A lane whose EOS came from a step retires before the next
-        // joiner's prefill starts: B joins a quarter into A's EOS step, and
-        // its 300 ms prefill must not delay A's `Finished`.
-        let step = Duration::from_millis(100);
-        for mode in MODES {
-            let engine = sleeping_engine(step, mode);
-            let tokens = engine.decode_reference(&request(0)).unwrap().tokens;
-            let scheduler = engine.serve(SchedulerConfig::default());
-            let a = scheduler.submit(request(0)).unwrap();
-            wait_for_bytes(&a, tokens);
-            std::thread::sleep(step / 4);
-            let b = EngineRequest {
-                prompt_tokens: 300,
-                max_tokens: 1,
-                ..request(1)
-            };
-            let b = scheduler.submit(b).unwrap();
-            while !matches!(
-                b.next_event().expect("B is admitted"),
-                StreamEvent::Admitted { .. }
-            ) {}
-            let finished = std::iter::from_fn(|| a.try_next_event())
-                .any(|event| matches!(event, StreamEvent::Finished { .. }));
-            assert!(finished, "{mode:?}: A retired after B's prefill");
-            b.wait().unwrap();
-            scheduler.shutdown();
-        }
-    }
-
-    #[test]
     fn every_sampled_token_costs_one_mask_fill() {
         // The served run fills exactly the masks the six lanes' references
         // fill: a hand-off that fills a mask again, or skips one, shows.
@@ -2418,44 +2499,52 @@ slow ::= "true" | "false""#,
         }
     }
 
-    /// The lane lifecycle on virtual time: [`advance`] and the [`Planner`],
-    /// driven by a single-threaded stand-in for the decode loop with no
-    /// threads, channels or sleeps. The stand-in mirrors `DecodeLoop`'s
-    /// executor; every lane's compile, fills and tokens are scripted.
+    /// The lane lifecycle on virtual time: the decode loop that ships, its
+    /// waits included, run on a [`Model`] of its environment with no threads,
+    /// channels or sleeps. Every lane's compile, fills and tokens are scripted.
     mod lifecycle {
         use super::*;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         use std::collections::BTreeSet;
+        use std::sync::LazyLock;
         use LaneState::*;
 
-        /// What one lane does, drawn at random; times in virtual µs.
+        /// Virtual time 0; the model counts in virtual µs from it.
+        static ZERO: LazyLock<Instant> = LazyLock::new(Instant::now);
+
+        /// A state or event without its fields.
+        fn variant(value: impl fmt::Debug) -> String {
+            let name = format!("{value:?}");
+            name[..name.find([' ', '(']).unwrap_or(name.len())].to_string()
+        }
+
+        /// What one lane does. Its worker hands it over at `arrives` and rings,
+        /// and rings again `compile` later with its result, failed (an error, a
+        /// panic or a dead worker look alike) if `compile_fails`. A `forced`
+        /// lane is finished by its lane-start pass; the others sample `tokens`,
+        /// each fill taking `fill`, the `panicking_fill`-th panicking.
         #[derive(Debug, Clone, Copy)]
         struct Script {
-            /// When its admission worker hands it over; its compile then
-            /// takes `compile`, and fails (an error, a panic or a dead
-            /// worker look alike to the loop) if `compile_fails`.
             arrives: u64,
             compile: u64,
             compile_fails: bool,
             prefill: u64,
             constrained: bool,
-            /// The lane-start pass finishes it: the constraint forced it all.
             forced: bool,
-            /// The tokens it samples before it finishes.
             tokens: u32,
-            /// How long each of its mask fills takes, and the one that panics.
             fill: u64,
             panicking_fill: Option<u32>,
         }
 
         impl Script {
-            fn draw(rng: &mut SmallRng) -> Script {
+            fn draw(rng: &mut SmallRng, arrives: u64) -> Script {
+                let long = rng.gen_bool(0.2);
                 Script {
-                    arrives: rng.gen_range(0..4_000),
+                    arrives,
                     compile: rng.gen_range(0..3_000),
                     compile_fails: rng.gen_bool(0.15),
-                    prefill: rng.gen_range(0..2_500),
+                    prefill: rng.gen_range(if long { 2_001..10_000 } else { 0..2_500 }),
                     constrained: rng.gen_bool(0.8),
                     forced: rng.gen_bool(0.1),
                     tokens: rng.gen_range(1..6),
@@ -2465,388 +2554,286 @@ slow ::= "true" | "false""#,
             }
         }
 
-        /// The decode loop on virtual time, with every lane's own record.
-        struct Sim {
-            planner: Planner,
-            max_lanes: usize,
+        /// What the model knows of a lane: when its prefill began (as it
+        /// joined, or serial as its compile landed), its fills and tokens, the
+        /// decode steps run when it started or last sampled, how it ended.
+        #[derive(Debug, Clone, Default)]
+        struct Record {
+            prefill_from: u64,
+            fills: u32,
+            sampled: u32,
+            finished: bool,
+            steps: u64,
+            ended: Option<LaneState>,
+        }
+
+        /// The decode loop's environment on virtual time; a lane is its script's
+        /// index. The bell closes after its last ring, as `Bell::drop` does.
+        #[derive(Default)]
+        struct Model {
+            serial: bool,
             step: u64,
-            base: Instant,
             now: u64,
             scripts: Vec<Script>,
-            /// Lanes handed over so far, in arrival order.
+            records: Vec<Record>,
             arrived: usize,
-            /// The batch: each lane's id (its script's index) and state.
-            lanes: Vec<(usize, LaneState)>,
+            /// The rings not heard yet, latest first, and whether the loop was
+            /// told the bell is closed.
+            rings: Vec<u64>,
+            closed: bool,
+            /// The wait under way (spin window, deadline), when it began, and
+            /// how long it has spun.
+            waiting: ((u64, u64, Option<u64>), u64, u64),
             /// The lanes at a mask worker, and when each fill completes.
             pool: Vec<(usize, u64)>,
-            /// Per lane: when its prefill ends once it has started, its
-            /// completed fills, sampled tokens, steps it was in the batch
-            /// for, whether it is finished, and the state it ended in.
-            prefill_end: Vec<Option<u64>>,
-            fills: Vec<u32>,
-            sampled: Vec<u32>,
-            stepped: Vec<u32>,
-            finished: Vec<bool>,
-            ended: Vec<Option<LaneState>>,
-            admitted: usize,
-            compile_failed: usize,
-            fill_failed: usize,
-            completed: usize,
-            failed: usize,
-            decode_steps: usize,
-            planned_steps: usize,
+            shared: Arc<Shared>,
+            /// Compiles landed and failed, fills failed, and lanes finished
+            /// but not retired.
+            counts: [usize; 4],
             log: Vec<String>,
-            /// The transitions taken, by variant.
             transitions: BTreeSet<(String, String)>,
         }
 
-        impl Sim {
-            fn new(mode: ExecutionMode, max_lanes: usize, step: u64, scripts: Vec<Script>) -> Sim {
-                let n = scripts.len();
-                Sim {
-                    planner: Planner(mode),
-                    max_lanes,
-                    step,
-                    base: Instant::now(),
-                    now: 0,
-                    scripts,
-                    arrived: 0,
-                    lanes: Vec::new(),
-                    pool: Vec::new(),
-                    prefill_end: vec![None; n],
-                    fills: vec![0; n],
-                    sampled: vec![0; n],
-                    stepped: vec![0; n],
-                    finished: vec![false; n],
-                    ended: vec![None; n],
-                    admitted: 0,
-                    compile_failed: 0,
-                    fill_failed: 0,
-                    completed: 0,
-                    failed: 0,
-                    decode_steps: 0,
-                    planned_steps: 0,
-                    log: Vec::new(),
-                    transitions: BTreeSet::new(),
-                }
-            }
-
-            fn at(&self, t: u64) -> Instant {
-                self.base + Duration::from_micros(t)
-            }
-
-            /// A state or an event, its instants in virtual µs.
-            fn show(&self, state: LaneState) -> String {
-                let us = |t: Instant| t.duration_since(self.base).as_micros();
-                match state {
-                    Compiling(Some(end)) => format!("Compiling(prefill ends {})", us(end)),
-                    Prefilling(until) => format!("Prefilling(until {})", us(until)),
-                    state => format!("{state:?}"),
-                }
-            }
-
-            fn show_event(&self, event: &Event) -> String {
-                let us = |t: &Instant| t.duration_since(self.base).as_micros();
-                match event {
-                    Event::Started { now, finished } => {
-                        format!("Started {{ now: {}, finished: {finished} }}", us(now))
-                    }
-                    Event::PrefillEnded(now) => format!("PrefillEnded({})", us(now)),
-                    event => format!("{event:?}"),
-                }
-            }
-
-            fn compiled_at(&self, lane: usize) -> u64 {
-                self.scripts[lane].arrives + self.scripts[lane].compile
-            }
-
-            /// `DecodeLoop::run`.
-            fn run(&mut self) {
-                while self.take_arrivals() {
-                    while let Some(round) = self.planner.round(self.lanes.iter().map(|l| l.1)) {
-                        if self.round(&round) {
-                            break;
-                        }
-                    }
-                }
-            }
-
-            /// `DecodeLoop::take_arrivals`: an idle loop's time passes to the
-            /// next hand-over or compile result.
-            fn take_arrivals(&mut self) -> bool {
-                loop {
-                    while self.lanes.len() < self.max_lanes {
-                        let lane = self.arrived;
-                        match self.scripts.get(lane) {
-                            None if self.lanes.is_empty() => return false,
-                            Some(script) if script.arrives <= self.now => {}
-                            _ => break,
-                        }
-                        self.arrived += 1;
-                        let end = self.now + self.scripts[lane].prefill;
-                        let state = self.planner.join(self.at(end));
-                        self.log.push(format!(
-                            "{}: lane {lane} joins {}",
-                            self.now,
-                            self.show(state)
-                        ));
-                        self.lanes.push((lane, state));
-                        if let Compiling(Some(_)) = state {
-                            self.prefill(lane, end);
-                        }
-                    }
-                    self.land_compiled();
-                    if self.lanes.iter().any(|l| !matches!(l.1, Compiling(_))) {
-                        return true;
-                    }
-                    let room = self.lanes.len() < self.max_lanes;
-                    let arrival = self.scripts.get(self.arrived).filter(|_| room);
-                    let compiles = self.lanes.iter().map(|l| self.compiled_at(l.0));
-                    // None once admission has closed: the next pass returns.
-                    let next = compiles
-                        .chain(arrival.map(|s| s.arrives))
-                        .filter(|&t| t > self.now);
-                    self.now = next.min().unwrap_or(self.now);
-                }
-            }
-
-            /// `DecodeLoop::prefill`: compiles land under it as they finish.
-            fn prefill(&mut self, lane: usize, end: u64) {
-                self.prefill_end[lane] = Some(end);
-                loop {
-                    self.land_compiled();
-                    if self.now >= end {
-                        break;
-                    }
-                    let compiles = self.lanes.iter().filter(|l| matches!(l.1, Compiling(_)));
-                    let landing = compiles
-                        .map(|l| self.compiled_at(l.0))
-                        .filter(|&t| t > self.now);
-                    self.now = landing.min().unwrap_or(end).min(end);
-                }
-                for i in 0..self.lanes.len() {
-                    if matches!(self.lanes[i].1, Prefilling(_)) {
-                        self.feed(i, Event::PrefillEnded(self.at(self.now)));
-                    }
-                }
-            }
-
-            /// `DecodeLoop::land_compiled`.
-            fn land_compiled(&mut self) {
-                for i in 0..self.lanes.len() {
-                    let (lane, state) = self.lanes[i];
-                    let script = self.scripts[lane];
-                    if !matches!(state, Compiling(_)) || self.compiled_at(lane) > self.now {
-                        continue;
-                    }
-                    let event = if script.compile_fails {
-                        self.compile_failed += 1;
-                        Event::Failed(scheduler_error("the compile failed"))
-                    } else {
-                        self.admitted += 1;
-                        self.finished[lane] = script.forced;
-                        let (now, finished) = (self.at(self.now), script.forced);
-                        Event::Started { now, finished }
-                    };
-                    self.feed(i, event);
-                    if self.planner.fills_on_landing() {
-                        self.dispatch(&[i]);
-                    }
-                }
-                self.retire();
-            }
-
-            /// `DecodeLoop::feed`, checking that no bytes stream before the
-            /// lane's prefill has ended and that each lane is in one place.
-            fn feed(&mut self, i: usize, event: Event) {
-                let (lane, state) = self.lanes[i];
-                let line = format!(
-                    "{}: lane {lane} {} takes {}",
-                    self.now,
-                    self.show(state),
-                    self.show_event(&event)
-                );
-                self.log.push(line);
-                let effect;
-                (self.lanes[i].1, effect) = advance(state, event);
-                let [from, to] = [state, self.lanes[i].1].map(|state| {
-                    let name = format!("{state:?}");
-                    name[..name.find([' ', '(']).unwrap_or(name.len())].to_string()
-                });
-                self.transitions.insert((from, to));
-                match effect {
-                    Effect::None => {}
-                    Effect::Fail(_) => self.failed += 1,
-                    Effect::Stream | Effect::PrefillThenStream => {
-                        if matches!(effect, Effect::PrefillThenStream) {
-                            self.now += self.scripts[lane].prefill;
-                            self.prefill_end[lane] = Some(self.now);
-                        }
-                        let ended = self.prefill_end[lane].is_some_and(|end| end <= self.now);
-                        assert!(ended, "lane {lane} streams before its prefill ends");
-                    }
-                }
-                let mut ids: Vec<usize> = self.lanes.iter().map(|l| l.0).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                assert_eq!(ids.len(), self.lanes.len(), "a lane is in the batch twice");
-                let away = self
-                    .lanes
-                    .iter()
-                    .filter(|l| matches!(l.1, AtMaskWorker { .. }));
-                let mut away: Vec<usize> = away.map(|l| l.0).collect();
-                let mut pooled: Vec<usize> = self.pool.iter().map(|p| p.0).collect();
-                away.sort_unstable();
-                pooled.sort_unstable();
-                assert_eq!(
-                    away, pooled,
-                    "the lanes at a mask worker are the ones it holds"
+        impl Model {
+            /// Lets time pass to `end`, spinning inside `spin`, and checks the
+            /// wait under way against its budget: 1 ms for an idle gap (one
+            /// step, if shorter) and for a timed wait over 2 ms, and the wait
+            /// itself otherwise.
+            fn pass(&mut self, end: u64, spin: Range<u64>) {
+                let ((_, _, until), began, spun) = &mut self.waiting;
+                *spun += end.min(spin.end).saturating_sub(self.now.max(spin.start));
+                self.now = end;
+                let budget = SPIN_BUDGET.as_micros() as u64;
+                let budget = match until.map(|until| until - *began) {
+                    None => budget.min(self.step),
+                    Some(length) if length > 2 * budget => budget,
+                    Some(length) => length,
+                };
+                assert!(
+                    *spun <= budget,
+                    "{end}: the wait from {began} spun {spun} µs of {budget}"
                 );
             }
+        }
 
-            /// `DecodeLoop::round`, checking that the step's batch is the
-            /// decoding lanes.
-            fn round(&mut self, round: &Round) -> bool {
-                let steps = round.phases.contains(&Phase::Step);
-                self.planned_steps += usize::from(steps);
-                let line = format!(
-                    "{}: round {:?} of {:?}",
-                    self.now, round.phases, round.lanes
-                );
-                self.log.push(line);
-                for phase in round.phases {
-                    match phase {
-                        Phase::Step => {
-                            let decoding = |l: &&(usize, LaneState)| {
-                                matches!(l.1, Decoding | AtMaskWorker { joiner: false })
-                            };
-                            let decoding: Vec<usize> =
-                                self.lanes.iter().filter(decoding).map(|l| l.0).collect();
-                            let batch = round.lanes.iter().map(|&i| self.lanes[i]);
-                            let batch: Vec<usize> =
-                                batch.filter(|l| l.1 != Failed).map(|l| l.0).collect();
-                            assert_eq!(batch, decoding, "the step's batch is the decoding lanes");
-                            for lane in batch {
-                                self.stepped[lane] += 1;
-                            }
-                            self.decode_steps += 1;
-                            self.now += self.step;
-                        }
-                        Phase::HandOff => self.dispatch(&round.lanes),
-                        Phase::Collect => self.collect(),
-                        Phase::Sample => self.sample(&round.lanes),
-                    }
-                }
-                self.retire();
-                steps
+        impl Env for Model {
+            type Lane = usize;
+
+            fn now(&self) -> Instant {
+                *ZERO + Duration::from_micros(self.now)
             }
 
-            /// `DecodeLoop::sample`, checking that a constrained lane samples
-            /// each token under a mask filled for it.
-            fn sample(&mut self, lanes: &[usize]) {
-                for &i in lanes {
-                    let (lane, state) = self.lanes[i];
-                    if state == Failed {
-                        continue;
-                    }
-                    assert!(
-                        matches!(state, Prefilled | Decoding),
-                        "lane {lane} samples {state:?}"
-                    );
-                    if !self.finished[lane] {
-                        let script = self.scripts[lane];
-                        if script.constrained {
-                            assert_eq!(
-                                self.fills[lane],
-                                self.sampled[lane] + 1,
-                                "lane {lane}'s mask"
-                            );
-                        }
-                        self.sampled[lane] += 1;
-                        self.finished[lane] = self.sampled[lane] == script.tokens;
-                    }
-                    let finished = self.finished[lane];
-                    self.feed(i, Event::Sampled { finished });
+            /// A closed bell is heard at once, and a loop that listens to it
+            /// again polls it: 1 µs of spinning a look.
+            fn wait(
+                &mut self,
+                spin: Range<Instant>,
+                until: Option<Instant>,
+                bell: bool,
+            ) -> Option<bool> {
+                let us = |t: Instant| t.duration_since(*ZERO).as_micros() as u64;
+                let key = (us(spin.start), us(spin.end), until.map(us));
+                if self.waiting.0 != key {
+                    self.waiting = (key, self.now, 0);
+                    self.log.push(format!("{}: waits, {key:?}", self.now));
                 }
+                let ring = self.rings.last().copied().filter(|_| bell);
+                if bell && ring.is_none() {
+                    let poll = u64::from(std::mem::replace(&mut self.closed, true));
+                    self.pass(self.now + poll, 0..u64::MAX);
+                    return None;
+                }
+                let end = ring.into_iter().chain(key.2).min().expect("a wait ends");
+                self.pass(end.max(self.now), key.0..key.1);
+                let rang = ring.is_some_and(|ring| ring <= self.now);
+                while rang && self.rings.last().is_some_and(|&ring| ring <= self.now) {
+                    self.rings.pop();
+                }
+                Some(rang)
             }
 
-            /// `DecodeLoop::dispatch`.
-            fn dispatch(&mut self, lanes: &[usize]) {
-                for &i in lanes {
-                    let (lane, state) = self.lanes[i];
-                    let needs_mask = self.scripts[lane].constrained && !self.finished[lane];
-                    if state != Failed && needs_mask {
-                        self.pool.push((lane, self.now + self.scripts[lane].fill));
-                        self.feed(i, Event::HandedOff);
-                    }
-                }
-            }
-
-            /// `DecodeLoop::collect`: time passes to the last fill.
-            fn collect(&mut self) {
-                while let Some(&(lane, done)) = self.pool.last() {
-                    self.now = self.now.max(done);
-                    let i = self.lanes.iter().position(|l| l.0 == lane);
-                    let i = i.expect("a lane keeps its slot while at a mask worker");
-                    let fill = self.fills[lane];
-                    self.fills[lane] += 1;
-                    self.pool.pop();
-                    if self.scripts[lane].panicking_fill == Some(fill) {
-                        self.fill_failed += 1;
-                        let panicked = scheduler_error("the mask fill panicked");
-                        self.feed(i, Event::Failed(panicked));
-                    } else {
-                        self.feed(i, Event::Filled);
-                    }
-                }
-            }
-
-            /// `DecodeLoop::retire`, checking that a lane that decoded to its
-            /// end sampled its first token from the prefill and one a step.
-            fn retire(&mut self) {
-                let (ended, live) = self
-                    .lanes
-                    .drain(..)
-                    .partition(|l| matches!(l.1, Finished | Failed));
-                self.lanes = live;
-                for (lane, state) in ended {
-                    if state == Finished {
-                        self.completed += 1;
-                        if !self.scripts[lane].forced {
-                            assert_eq!(
-                                self.sampled[lane],
-                                self.stepped[lane] + 1,
-                                "lane {lane}'s steps"
-                            );
-                        }
-                    }
-                    self.ended[lane] = Some(state);
-                }
-            }
-
-            /// Once admission has closed and the loop has exited.
-            fn check_the_end(&self) {
-                let n = self.scripts.len();
-                assert_eq!(self.arrived, n, "every lane joined");
-                for (lane, ended) in self.ended.iter().enumerate() {
-                    assert!(
-                        matches!(ended, Some(Finished | Failed)),
-                        "lane {lane}: {ended:?}"
-                    );
+            /// No lane joins while one that finished waits to retire.
+            fn arrival(&mut self) -> Result<(u64, usize, usize), TryRecvError> {
+                let lane = self.arrived;
+                let script = self.scripts.get(lane).ok_or(TryRecvError::Disconnected)?;
+                if script.arrives > self.now {
+                    return Err(TryRecvError::Empty);
                 }
                 assert_eq!(
-                    self.admitted + self.compile_failed,
-                    n,
-                    "admitted + failed compiles"
+                    self.counts[3], 0,
+                    "a finished lane waits behind lane {lane}"
                 );
-                assert_eq!(self.completed + self.failed, n, "completed + failed");
-                assert_eq!(
-                    self.failed,
-                    self.compile_failed + self.fill_failed,
-                    "failures"
-                );
-                assert_eq!(self.decode_steps, self.planned_steps, "decode steps");
+                (self.arrived, self.records[lane].prefill_from) = (lane + 1, self.now);
+                Ok((lane as u64, script.prefill as usize, lane))
             }
+
+            fn land(&mut self, &mut lane: &mut usize) -> Option<Event> {
+                let (script, now) = (self.scripts[lane], self.now());
+                if script.arrives + script.compile > self.now {
+                    return None;
+                }
+                self.counts[0] += 1;
+                if script.compile_fails {
+                    self.counts[1] += 1;
+                    return Some(Event::Failed(scheduler_error("the compile failed")));
+                }
+                let record = &mut self.records[lane];
+                record.finished = script.forced;
+                if self.serial {
+                    record.prefill_from = self.now;
+                }
+                Some(Event::Started {
+                    now,
+                    finished: script.forced,
+                })
+            }
+
+            fn needs_mask(&self, &lane: &usize) -> bool {
+                self.scripts[lane].constrained && !self.records[lane].finished
+            }
+
+            fn hand_off(&mut self, lanes: &mut Vec<usize>) {
+                for lane in lanes.drain(..) {
+                    self.pool.push((lane, self.now + self.scripts[lane].fill));
+                }
+            }
+
+            /// The fill that completes first comes back first.
+            fn collect(&mut self) -> Option<(u64, usize, bool)> {
+                let first = (0..self.pool.len()).min_by_key(|&k| self.pool[k].1)?;
+                let (lane, done) = self.pool.swap_remove(first);
+                self.now = self.now.max(done);
+                let record = &mut self.records[lane];
+                let filled = self.scripts[lane].panicking_fill != Some(record.fills);
+                record.fills += 1;
+                self.counts[2] += usize::from(!filled);
+                Some((lane as u64, lane, filled))
+            }
+
+            /// A constrained lane samples each token under a mask filled for
+            /// it. One its lane-start pass finished under its prefill samples
+            /// nothing, as `Lane::step` does not.
+            fn sample(&mut self, &mut lane: &mut usize) -> bool {
+                let (script, record) = (self.scripts[lane], &mut self.records[lane]);
+                if !record.finished {
+                    if script.constrained {
+                        assert_eq!(record.fills, record.sampled + 1, "lane {lane}'s mask");
+                    }
+                    record.sampled += 1;
+                    record.finished = record.sampled == script.tokens;
+                }
+                record.finished
+            }
+
+            /// No bytes stream before the lane's prefill has ended.
+            fn stream(&mut self, &mut lane: &mut usize) {
+                let end = self.records[lane].prefill_from + self.scripts[lane].prefill;
+                assert!(
+                    end <= self.now,
+                    "lane {lane} streams before its prefill ends at {end}"
+                );
+            }
+
+            fn fail(&mut self, &mut lane: &mut usize, _: BackendError) {
+                self.records[lane].ended = Some(Failed);
+            }
+
+            fn finish(&mut self, lane: usize) {
+                (self.records[lane].ended, self.counts[3]) = (Some(Finished), self.counts[3] - 1);
+            }
+
+            /// Each lane is in one place, and its first token comes from its
+            /// prefill with no step before it, each later one from one step.
+            fn fed(&mut self, slots: &[Slot<usize>], i: usize, from: LaneState, event: &Event) {
+                let (lane, to) = (slots[i].id as usize, slots[i].state);
+                let [from_name, event_name, to_name] = [variant(from), variant(event), variant(to)];
+                let line = format!("{}: lane {lane} {from_name} takes {event_name}", self.now);
+                self.log.push(format!("{line}: {to_name}"));
+                self.transitions.insert((from_name, to_name));
+                self.counts[3] += usize::from(to == Finished);
+                let ids: BTreeSet<u64> = slots.iter().map(|s| s.id).collect();
+                assert_eq!(ids.len(), slots.len(), "a lane is in the batch twice");
+                for s in slots {
+                    let away = matches!(s.state, AtMaskWorker { .. });
+                    assert_eq!(away, s.lane.is_none(), "lane {} {:?}", s.id, s.state);
+                }
+                let steps = self.shared.stats().metrics.decode_steps;
+                let record = &mut self.records[lane];
+                if let Event::Sampled { .. } = event {
+                    let stepped = u64::from(from == Decoding);
+                    assert_eq!(steps - record.steps, stepped, "lane {lane}'s steps");
+                }
+                if let Event::Started { .. } | Event::Sampled { .. } = event {
+                    record.steps = steps;
+                }
+            }
+        }
+
+        /// Runs the shipped loop over `scripts` to its end, its decode step
+        /// `step` µs at any batch size and its prefill 1 µs a prompt token. A
+        /// failing case prints whole, with every wait and every event its
+        /// lanes took, in order (no shrinking).
+        fn play(
+            case: impl fmt::Display,
+            mode: ExecutionMode,
+            max_lanes: usize,
+            step: u64,
+            scripts: &[Script],
+        ) -> Model {
+            let rings = scripts
+                .iter()
+                .flat_map(|s| [s.arrives, s.arrives + s.compile]);
+            let mut rings: Vec<u64> = rings.collect();
+            rings.sort_unstable_by(|a, b| b.cmp(a));
+            let env = Model {
+                serial: mode == ExecutionMode::Serial,
+                step,
+                scripts: scripts.to_vec(),
+                records: vec![Record::default(); scripts.len()],
+                rings,
+                ..Model::default()
+            };
+            let mut decode = DecodeLoop {
+                shared: Arc::clone(&env.shared),
+                env,
+                profile: ModelProfile {
+                    name: "virtual".into(),
+                    decode_base: Duration::from_micros(step),
+                    decode_per_extra_seq: Duration::ZERO,
+                    prefill_per_token: Duration::from_micros(1),
+                    time_scale: 1.0,
+                },
+                planner: Planner(mode),
+                max_lanes,
+                lanes: Vec::new(),
+                handing: Vec::new(),
+                bell: true,
+            };
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                decode.run();
+                let (model, n) = (&decode.env, scripts.len());
+                assert_eq!(model.arrived, n, "every lane joined");
+                let ended = model.records.iter().map(|r| r.ended);
+                assert!(ended.clone().all(|e| matches!(e, Some(Finished | Failed))));
+                assert!(model.pool.is_empty(), "a lane is left at a mask worker");
+                let [landed, compile_failed, fill_failed, _] = model.counts;
+                let failed = model.shared.stats().metrics.failed as usize;
+                let completed = ended.filter(|&e| e == Some(Finished)).count();
+                assert_eq!(landed, n, "every compile landed once");
+                assert_eq!(completed + failed, n, "completed + failed");
+                assert_eq!(failed, compile_failed + fill_failed, "failures");
+            }));
+            if let Err(failure) = run {
+                eprintln!("case {case}: {mode:?}, max_lanes {max_lanes}, step {step} µs");
+                for (lane, script) in scripts.iter().enumerate() {
+                    eprintln!("  lane {lane}: {script:?}");
+                }
+                for line in &decode.env.log {
+                    eprintln!("  {line}");
+                }
+                panic::resume_unwind(failure);
+            }
+            decode.env
         }
 
         #[test]
@@ -2856,32 +2843,39 @@ slow ::= "true" | "false""#,
                 let mut rng = SmallRng::seed_from_u64(case);
                 let mode = MODES[rng.gen_range(0..2usize)];
                 let max_lanes = rng.gen_range(1..5);
-                let step = rng.gen_range(100..2_000);
-                let mut scripts: Vec<Script> = (0..rng.gen_range(1..10))
-                    .map(|_| Script::draw(&mut rng))
+                // Short steps, or steps over 2 ms, up to 200 ms.
+                let long = rng.gen_bool(0.3);
+                let step = rng.gen_range(if long { 2_001..200_000 } else { 100..2_000 });
+                // Lanes in bursts, some after an idle gap of up to 50 ms.
+                let mut arrives = 0;
+                let scripts: Vec<Script> = (0..rng.gen_range(1..10))
+                    .map(|_| {
+                        let gap = rng.gen_bool(0.25).then(|| rng.gen_range(0..50_000u64));
+                        arrives += gap.unwrap_or_else(|| rng.gen_range(0..800));
+                        Script::draw(&mut rng, arrives)
+                    })
                     .collect();
-                scripts.sort_by_key(|script| script.arrives);
-                let mut sim = Sim::new(mode, max_lanes, step, scripts.clone());
-                let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                    sim.run();
-                    sim.check_the_end();
-                }));
-                // No shrinking: the failing case prints whole, with every
-                // event its lanes took, in order.
-                if let Err(failure) = run {
-                    eprintln!("case {case}: {mode:?}, max_lanes {max_lanes}, step {step} µs");
-                    for (lane, script) in scripts.iter().enumerate() {
-                        eprintln!("  lane {lane}: {script:?}");
-                    }
-                    for line in &sim.log {
-                        eprintln!("  {line}");
-                    }
-                    panic::resume_unwind(failure);
-                }
-                transitions.append(&mut sim.transitions);
+                let mut model = play(case, mode, max_lanes, step, &scripts);
+                transitions.append(&mut model.transitions);
             }
             // Every transition `advance` lists was taken, and nothing else.
             assert_eq!(transitions.len(), 15, "{transitions:#?}");
+            // The bell closes at its last ring, the compile result's, 0.1 ms
+            // into a 5 ms prefill: the rest is slept out but its last 1 ms.
+            let lane = Script {
+                arrives: 0,
+                compile: 100,
+                compile_fails: false,
+                prefill: 5_000,
+                constrained: true,
+                forced: false,
+                tokens: 2,
+                fill: 50,
+                panicking_fill: None,
+            };
+            for mode in MODES {
+                play("closed bell", mode, 1, 3_000, &[lane]);
+            }
         }
     }
 }
