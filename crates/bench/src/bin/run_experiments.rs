@@ -1,7 +1,7 @@
 //! Regenerates the tables and figures of the paper's evaluation section —
 //! and nothing else: an invariant is a `#[test]`, a timing is a `perf`
-//! metric or a criterion group (the README's "what is checked where" table
-//! names the home of each).
+//! metric (the README's "what is checked where" table names the home of
+//! each).
 //!
 //! ```text
 //! cargo run -p xg-bench --release --bin run_experiments -- [experiment] [--full]
@@ -195,11 +195,11 @@ fn experiment_stats(vocab: &Arc<Vocabulary>) {
     println!();
 }
 
-/// Figure 9: per-token mask generation latency.
+/// Figure 9: per-token mask generation latency, and each grammar's compile.
 fn experiment_fig9(vocab: &Arc<Vocabulary>, config: &Config) {
-    println!("## Figure 9 — per-token mask generation latency (us/token)");
+    println!("## Figure 9 — per-token mask generation latency (us/token) and compile (ms)");
     println!(
-        "{:<28} {:>11} {:>11} {:>11} {:>11}",
+        "{:<28} {:>19} {:>19} {:>19} {:>19}",
         "workload", "XGrammar", "Outlines", "llama.cpp", "lm-fmt-enf"
     );
     for workload in Workload::all() {
@@ -207,10 +207,11 @@ fn experiment_fig9(vocab: &Arc<Vocabulary>, config: &Config) {
         for kind in BackendKind::all() {
             let backend = kind.build(Arc::clone(vocab));
             let result = measure_mask_generation(&backend, workload, config.fig9_references, 40);
-            match result {
-                Some(m) => row.push_str(&format!(" {}", fmt_us(m.per_token))),
-                None => row.push_str(&format!(" {:>10}", "unsupported")),
-            }
+            let cell = match result {
+                Some(m) => format!("{} {}", fmt_us(m.per_token), fmt_ms(m.preprocessing)),
+                None => "unsupported".into(),
+            };
+            row.push_str(&format!(" {cell:>19}"));
         }
         println!("{row}");
     }

@@ -1,7 +1,6 @@
-//! Shared harness code for the benchmark suite: workload definitions,
-//! backend construction and measurement helpers used both by the Criterion
-//! benches and by the `run_experiments` binary that regenerates every table
-//! and figure of the paper.
+//! Shared harness code: workload definitions, backend construction and
+//! measurement helpers used by the `run_experiments` binary that regenerates
+//! every table and figure of the paper, and by the `perf` benchmark.
 
 #![warn(missing_docs)]
 
@@ -150,8 +149,6 @@ pub fn bench_vocabulary(size: usize) -> Arc<Vocabulary> {
 pub struct MaskGenMeasurement {
     /// Mean time to produce one token mask.
     pub per_token: Duration,
-    /// Number of masks measured.
-    pub masks: usize,
     /// Preprocessing (grammar compilation) time.
     pub preprocessing: Duration,
 }
@@ -208,7 +205,6 @@ pub fn measure_mask_generation(
     }
     Some(MaskGenMeasurement {
         per_token: total / masks as u32,
-        masks,
         preprocessing,
     })
 }
@@ -223,7 +219,7 @@ pub fn ablation_backend(
 }
 
 /// The cumulative ablation configurations of Table 3.
-pub fn ablation_config(step: usize) -> (String, CompilerConfig) {
+fn ablation_config(step: usize) -> (String, CompilerConfig) {
     match step {
         0 => ("PDA Baseline".into(), CompilerConfig::baseline()),
         1 => (

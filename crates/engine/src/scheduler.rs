@@ -1169,6 +1169,7 @@ impl<E: Env> DecodeLoop<E> {
     fn take_arrivals(&mut self) -> bool {
         let mut idle_since = None;
         loop {
+            let mut worked = false;
             while self.lanes.len() < self.max_lanes {
                 let (id, prompt_tokens, al) = match self.env.arrival() {
                     Ok(arrival) => arrival,
@@ -1186,8 +1187,9 @@ impl<E: Env> DecodeLoop<E> {
                 if let LaneState::Compiling(Some(end)) = state {
                     self.prefill(end, prefill);
                 }
+                worked = true;
             }
-            self.land_compiled();
+            worked |= self.land_compiled();
             if self
                 .lanes
                 .iter()
@@ -1197,7 +1199,11 @@ impl<E: Env> DecodeLoop<E> {
             }
             // A parked loop starts a lone request's prefill only once the OS
             // wakes it, on two cores often only after the admission worker's
-            // compile. A spurious ring does not restart the spin.
+            // compile. The spin counts from the end of the last join or
+            // landing (and its prefill); a spurious ring does not restart it.
+            if worked {
+                idle_since = None;
+            }
             let idle = *idle_since.get_or_insert_with(|| self.env.now());
             self.wait(idle, None);
         }
@@ -1244,7 +1250,9 @@ impl<E: Env> DecodeLoop<E> {
 
     /// Lands every compile result that has arrived, hands off the first
     /// fills the planner wants under the prefill, and retires what ended.
-    fn land_compiled(&mut self) {
+    /// Returns whether a result landed.
+    fn land_compiled(&mut self) -> bool {
+        let mut landed = false;
         for i in 0..self.lanes.len() {
             let slot = &mut self.lanes[i];
             let (LaneState::Compiling(_), Some(al)) = (slot.state, &mut slot.lane) else {
@@ -1257,8 +1265,10 @@ impl<E: Env> DecodeLoop<E> {
             if self.planner.fills_on_landing() {
                 self.dispatch(&[i]);
             }
+            landed = true;
         }
         self.retire();
+        landed
     }
 
     /// Feeds lane `i` an event and carries out the transition's effect.
@@ -2584,6 +2594,8 @@ slow ::= "true" | "false""#,
             /// The wait under way (spin window, deadline), when it began, and
             /// how long it has spun.
             waiting: ((u64, u64, Option<u64>), u64, u64),
+            /// The end of the latest prefill or step the loop has waited on.
+            worked: u64,
             /// The lanes at a mask worker, and when each fill completes.
             pool: Vec<(usize, u64)>,
             shared: Arc<Shared>,
@@ -2637,6 +2649,13 @@ slow ::= "true" | "false""#,
                     self.waiting = (key, self.now, 0);
                     self.log.push(format!("{}: waits, {key:?}", self.now));
                 }
+                // An idle wait spins from the end of the last prefill or step on.
+                let worked = self.worked;
+                assert!(
+                    key.2.is_some() || key.0 >= worked,
+                    "idle {key:?} spins before {worked}"
+                );
+                self.worked = worked.max(key.2.unwrap_or(0));
                 let ring = self.rings.last().copied().filter(|_| bell);
                 if bell && ring.is_none() {
                     let poll = u64::from(std::mem::replace(&mut self.closed, true));
@@ -2838,6 +2857,32 @@ slow ::= "true" | "false""#,
 
         #[test]
         fn lanes_keep_their_invariants_on_virtual_time() {
+            // The bell closes at its last ring, the compile result's, 0.1 ms
+            // into a 5 ms prefill: the rest is slept out but its last 1 ms.
+            let lane = Script {
+                arrives: 0,
+                compile: 100,
+                compile_fails: false,
+                prefill: 5_000,
+                constrained: true,
+                forced: false,
+                tokens: 2,
+                fill: 50,
+                panicking_fill: None,
+            };
+            for mode in MODES {
+                play("closed bell", mode, 1, 3_000, &[lane]);
+            }
+            // A lone lane joins after an idle gap, and its compile lands 0.5 ms
+            // after its 1 ms prefill: the idle spin counts from the prefill's
+            // end, not from before the lane joined.
+            let late = Script {
+                arrives: 5_000,
+                compile: 1_500,
+                prefill: 1_000,
+                ..lane
+            };
+            play("late compile", ExecutionMode::Overlapped, 1, 3_000, &[late]);
             let mut transitions = BTreeSet::new();
             for case in 0..1_000 {
                 let mut rng = SmallRng::seed_from_u64(case);
@@ -2860,22 +2905,6 @@ slow ::= "true" | "false""#,
             }
             // Every transition `advance` lists was taken, and nothing else.
             assert_eq!(transitions.len(), 15, "{transitions:#?}");
-            // The bell closes at its last ring, the compile result's, 0.1 ms
-            // into a 5 ms prefill: the rest is slept out but its last 1 ms.
-            let lane = Script {
-                arrives: 0,
-                compile: 100,
-                compile_fails: false,
-                prefill: 5_000,
-                constrained: true,
-                forced: false,
-                tokens: 2,
-                fill: 50,
-                panicking_fill: None,
-            };
-            for mode in MODES {
-                play("closed bell", mode, 1, 3_000, &[lane]);
-            }
         }
     }
 }

@@ -5,7 +5,8 @@
 # ROADMAP item 5 and the simplicity issues cite — the panic sites in the same
 # lines (`.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`) per crate, the
 # public item declarations (`pub fn|struct|enum|trait|type|const`) per crate,
-# and the five largest files.
+# every tracked first-party `*.rs` line (tests, benchmark and examples too;
+# `vendor/` apart), and the five largest files.
 # Usage: scripts/nontest-loc.sh [file ...]   (files: print per-file counts instead)
 set -eu
 cd "$(git rev-parse --show-toplevel)"
@@ -43,5 +44,8 @@ per_crate() {
 }
 per_crate 2 "panic sites"
 per_crate 3 "public items"
+git ls-files '*.rs' | xargs wc -l |
+    awk '$2 == "total" { next } $2 ~ /^vendor\// { v += $1; next } { n += $1 }
+         END { printf "%6d  tracked first-party *.rs lines, tests included (vendor/: %d)\n", n, v }'
 echo "largest files:"
 echo "$counts" | sort -rn | head -5 | awk '{ printf "%6d  crates/%s\n", $1, $4 }'
