@@ -99,7 +99,7 @@ fn tail_classes(token: &[u8]) -> u64 {
 /// tokens' bytes (a 1.36 MB arena), the LCP array and the tail classes
 /// (1 MB each), and the ids, the arena offsets, the run-skip links and the
 /// running count of bytes to check (0.5 MB each). Building it takes
-/// ≈ 33–42 ms on a 2-core machine (`perf`'s `tokenizer.sort_vocab_ms`, the
+/// ≈ 33–50 ms on a 2-core machine (`perf`'s `tokenizer.sort_vocab_ms`, the
 /// p50 of its traced replay's builds), and a process's first build up to
 /// twice that. So build one per vocabulary and share it: a
 /// `GrammarCompiler` holds one `Arc` of it for every grammar it compiles.
