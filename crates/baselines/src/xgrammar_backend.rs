@@ -34,8 +34,7 @@ impl XGrammarBackend {
         Self::with_config(vocab, CompilerConfig::default())
     }
 
-    /// Creates the backend with an explicit compiler configuration (used by
-    /// the ablation study).
+    /// Creates the backend under one of Table 3's rows (the ablation study).
     pub fn with_config(vocab: Arc<Vocabulary>, config: CompilerConfig) -> Self {
         XGrammarBackend {
             compiler: GrammarCompiler::with_config(vocab, config),
@@ -92,11 +91,10 @@ impl ConstrainedBackend for XGrammarBackend {
     }
 
     fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
-        // The checked path enforces the compiler's lint mode: in strict mode
-        // a grammar with error-severity diagnostics (unsatisfiable root,
-        // vocabulary dead states, …) is rejected here — at admission — rather
-        // than wedging a decode lane later. The compiled artifact is cached
-        // either way, so resubmissions fail fast.
+        // The checked path refuses a grammar whose root derives no string
+        // here, at admission, rather than forcing a decode lane to its token
+        // limit later. The verdict is cached with the compiled grammar, so
+        // resubmissions fail fast.
         let compiled = self.compiler.compile_grammar_checked(grammar);
         Ok(compiled.map_err(|e| self.unsupported(e))?)
     }
@@ -459,7 +457,7 @@ mod tests {
     #[test]
     fn ablation_configs_produce_working_backends() {
         let vocab = small_vocab();
-        for config in [CompilerConfig::baseline(), CompilerConfig::default()] {
+        for config in CompilerConfig::ROWS {
             let backend = XGrammarBackend::with_config(Arc::clone(&vocab), config);
             let compiled = backend
                 .compile(&xg_grammar::parse_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root").unwrap())

@@ -23,7 +23,7 @@ use std::time::Duration;
 use xg_bench::{
     ablation_backend, bench_vocabulary, measure_mask_generation, BackendKind, Workload,
 };
-use xg_core::GrammarCompiler;
+use xg_core::{CompilerConfig, GrammarCompiler};
 use xg_engine::{
     run_accuracy_experiment, AccuracyTask, EngineRequest, ExecutionMode, JumpForwardPolicy,
     LaneConstraint, LlmBehavior, ModelProfile, ServingEngine,
@@ -86,7 +86,7 @@ fn main() {
     let experiments: [(&str, &str, Experiment); 9] = [
         (
             "stats",
-            "preprocessing statistics for the JSON grammar (§3.1–§3.3)",
+            "preprocessing statistics for the JSON and Python-DSL grammars (§3.1–§3.3)",
             |vocab, _| experiment_stats(vocab),
         ),
         ("fig9", "per-token mask generation latency", experiment_fig9),
@@ -193,6 +193,40 @@ fn experiment_stats(vocab: &Arc<Vocabulary>) {
         preprocessing_time.as_secs_f64() * 1e3
     );
     println!();
+    python_dsl_stats(vocab, &compiler);
+}
+
+/// The Python DSL's context-dependent tokens before and after context
+/// expansion (the Figure 9 cell where expansion decides least), and its full
+/// preprocessing time.
+fn python_dsl_stats(vocab: &Arc<Vocabulary>, compiler: &GrammarCompiler) {
+    println!("## Preprocessing statistics (paper §3.1–§3.2, Python DSL grammar)");
+    let grammar = xg_grammar::builtin::python_dsl_grammar();
+    let start = std::time::Instant::now();
+    let after = compiler.compile_grammar(&grammar).stats();
+    let preprocessing_time = start.elapsed();
+    // The `+ rule inlining` row builds the same automaton without context
+    // expansion, so its worst node is the worst node before expansion.
+    let unexpanded = GrammarCompiler::with_config(Arc::clone(vocab), CompilerConfig::RuleInlining);
+    let before = unexpanded.compile_grammar(&grammar).stats();
+    println!("  automaton nodes                        : {}", after.nodes);
+    println!(
+        "  context-dependent tokens before -> after context expansion (sum over nodes): {} -> {} ({:.0}% removed)",
+        after.context_dependent_before_expansion,
+        after.context_dependent_after_expansion,
+        100.0 * after.expansion_reduction()
+    );
+    println!(
+        "  context-dependent tokens before -> after context expansion (worst node): {} -> {} of {}",
+        before.max_context_dependent_per_node,
+        after.max_context_dependent_per_node,
+        after.classified_tokens
+    );
+    println!(
+        "  preprocessing wall-clock time (compile + every entry): {:.1} ms",
+        preprocessing_time.as_secs_f64() * 1e3
+    );
+    println!();
 }
 
 /// Figure 9: per-token mask generation latency, and each grammar's compile.
@@ -222,8 +256,8 @@ fn experiment_fig9(vocab: &Arc<Vocabulary>, config: &Config) {
 fn experiment_table3(vocab: &Arc<Vocabulary>, config: &Config) {
     println!("## Table 3 — ablation study, per-token mask latency on CFG (JSON)");
     let mut previous: Option<Duration> = None;
-    for step in 0..5 {
-        let (name, backend) = ablation_backend(Arc::clone(vocab), step);
+    for row in CompilerConfig::ROWS {
+        let (name, backend) = ablation_backend(Arc::clone(vocab), row);
         let m = measure_mask_generation(&backend, Workload::CfgJson, config.fig9_references, 30)
             .expect("XGrammar handles every workload");
         let speedup = previous

@@ -209,43 +209,17 @@ pub fn measure_mask_generation(
     })
 }
 
-/// Builds an `XGrammarBackend` for one ablation configuration (Table 3).
+/// The `XGrammarBackend` of one Table 3 row, with the row's name.
 pub fn ablation_backend(
     vocab: Arc<Vocabulary>,
-    step: usize,
-) -> (String, Arc<dyn ConstrainedBackend>) {
-    let (name, config) = ablation_config(step);
+    config: CompilerConfig,
+) -> (&'static str, Arc<dyn ConstrainedBackend>) {
+    let name = match config {
+        CompilerConfig::PdaBaseline => "PDA Baseline",
+        CompilerConfig::NodeMerging => "+ Node merging",
+        CompilerConfig::MaskCache => "+ Adaptive token mask cache",
+        CompilerConfig::RuleInlining => "+ Rule inlining",
+        CompilerConfig::ContextExpansion => "+ Context expansion",
+    };
     (name, Arc::new(XGrammarBackend::with_config(vocab, config)))
-}
-
-/// The cumulative ablation configurations of Table 3.
-fn ablation_config(step: usize) -> (String, CompilerConfig) {
-    match step {
-        0 => ("PDA Baseline".into(), CompilerConfig::baseline()),
-        1 => (
-            "+ Node merging".into(),
-            CompilerConfig {
-                enable_node_merging: true,
-                ..CompilerConfig::baseline()
-            },
-        ),
-        2 => (
-            "+ Adaptive token mask cache".into(),
-            CompilerConfig {
-                enable_node_merging: true,
-                enable_mask_cache: true,
-                ..CompilerConfig::baseline()
-            },
-        ),
-        3 => (
-            "+ Rule inlining".into(),
-            CompilerConfig {
-                enable_node_merging: true,
-                enable_mask_cache: true,
-                enable_rule_inlining: true,
-                ..CompilerConfig::baseline()
-            },
-        ),
-        _ => ("+ Context expansion".into(), CompilerConfig::default()),
-    }
 }

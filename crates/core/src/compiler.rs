@@ -20,95 +20,55 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, NodeId, Pda, PdaBuildOptions};
-use xg_grammar::{analyze, Diagnostic, Grammar, GrammarError};
+use xg_grammar::{analyze, Diagnostic, DiagnosticCode, Grammar, GrammarError};
 use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 use crate::constraint::{CompiledConstraint, ConstraintMatcher};
 use crate::grammar_cache::{
     CacheBudget, CacheStats, GrammarCache, GrammarCacheKey, TagDispatchCache,
 };
-use crate::lint::{lint_compiled, GrammarLintReport};
 use crate::mask_cache::{EntrySource, MaskCache, MaskCacheStats, NodeMaskEntry};
 use crate::matcher::GrammarMatcher;
 
-/// How the compiler treats the static-analysis lint pass.
-///
-/// The grammar-level lint is cheap (linear fixpoints over the grammar); the
-/// vocabulary-aware dead-state scan reads the mask-cache entry of every
-/// reachable node, and so builds them. `Strict` runs both in the compile and
-/// turns error-severity diagnostics into compile failures; `Warn` runs the
-/// scan on the first [`CompiledGrammar::lint_report`] call, for callers to
-/// inspect; `Off` skips the pass entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LintMode {
-    /// Skip the lint pass; no report is stored.
-    Off,
-    /// Run the grammar-level lint in the compile and the dead-state scan on
-    /// the first [`CompiledGrammar::lint_report`] call, but never fail
-    /// compilation.
+/// The compiler's configuration: one row of the paper's Table 3. Each row
+/// adds one preprocessing optimisation to the row before it, so the order of
+/// the variants is the order of the rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub enum CompilerConfig {
+    /// The unoptimised pushdown automaton; every token is checked against
+    /// the stacks at run time.
+    PdaBaseline,
+    /// Adds merging of equivalent automaton nodes (§3.4).
+    NodeMerging,
+    /// Adds the adaptive token mask cache (§3.1).
+    MaskCache,
+    /// Adds inlining of fragment rules into their parents (§3.4).
+    RuleInlining,
+    /// Adds context expansion, which shrinks the context-dependent sets
+    /// (§3.2): every optimisation, the default.
     #[default]
-    Warn,
-    /// Run the lint; error-severity diagnostics make the *checked* compile
-    /// entry points ([`GrammarCompiler::compile_grammar_checked`] and the
-    /// `Result`-returning conveniences built on it) fail with
-    /// [`GrammarError::Lint`].
-    Strict,
-}
-
-/// Configuration of the grammar compiler. The four boolean switches are the
-/// ablation axes of the paper's Table 3.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CompilerConfig {
-    /// Inline fragment rules into their parents (§3.4).
-    pub enable_rule_inlining: bool,
-    /// Merge equivalent automaton nodes (§3.4).
-    pub enable_node_merging: bool,
-    /// Use the adaptive token mask cache (§3.1). When disabled, every
-    /// token is treated as context-dependent and checked at runtime — the
-    /// "PDA baseline" configuration.
-    pub enable_mask_cache: bool,
-    /// Apply context expansion to shrink the context-dependent sets (§3.2).
-    pub enable_context_expansion: bool,
-    /// Static-analysis lint mode (defaults to [`LintMode::Warn`]). The
-    /// vocabulary-aware dead-state check requires the mask cache; with
-    /// `enable_mask_cache = false` only the grammar-level analysis runs.
-    pub lint_mode: LintMode,
-}
-
-impl Default for CompilerConfig {
-    fn default() -> Self {
-        CompilerConfig {
-            enable_rule_inlining: true,
-            enable_node_merging: true,
-            enable_mask_cache: true,
-            enable_context_expansion: true,
-            lint_mode: LintMode::Warn,
-        }
-    }
+    ContextExpansion,
 }
 
 impl CompilerConfig {
-    /// The fully un-optimized configuration (the "PDA Baseline" ablation row).
-    pub fn baseline() -> Self {
-        CompilerConfig {
-            enable_rule_inlining: false,
-            enable_node_merging: false,
-            enable_mask_cache: false,
-            enable_context_expansion: false,
-            lint_mode: LintMode::Off,
-        }
+    /// The five rows, in Table 3's order.
+    pub const ROWS: [CompilerConfig; 5] = [
+        CompilerConfig::PdaBaseline,
+        CompilerConfig::NodeMerging,
+        CompilerConfig::MaskCache,
+        CompilerConfig::RuleInlining,
+        CompilerConfig::ContextExpansion,
+    ];
+
+    /// Whether grammars compiled under this row have a mask cache.
+    pub(crate) fn mask_cache(self) -> bool {
+        self >= CompilerConfig::MaskCache
     }
 
-    /// Returns this configuration with the given lint mode.
-    pub fn with_lint_mode(mut self, mode: LintMode) -> Self {
-        self.lint_mode = mode;
-        self
-    }
-
-    fn pda_options(&self) -> PdaBuildOptions {
+    fn pda_options(self) -> PdaBuildOptions {
         PdaBuildOptions {
-            inline_rules: self.enable_rule_inlining,
-            merge_nodes: self.enable_node_merging,
+            inline_rules: self >= CompilerConfig::RuleInlining,
+            merge_nodes: self >= CompilerConfig::NodeMerging,
         }
     }
 }
@@ -116,10 +76,10 @@ impl CompilerConfig {
 /// A grammar compiled against a specific vocabulary, ready to instantiate
 /// matchers.
 ///
-/// The compile builds the automata and the grammar-level lint; the mask
-/// cache's entries are built on first read (see [`entry`](Self::entry)), so
-/// a request pays for the nodes its stacks rest on, under its decode, and not
-/// for every node before its first token.
+/// The compile builds the automata and checks that the root derives a
+/// string; the mask cache's entries are built on first read (see
+/// [`entry`](Self::entry)), so a request pays for the nodes its stacks rest
+/// on, under its decode, and not for every node before its first token.
 #[derive(Debug)]
 pub struct CompiledGrammar {
     pda: Pda,
@@ -130,10 +90,9 @@ pub struct CompiledGrammar {
     mask_cache: Option<MaskCache>,
     suffix_fsas: Vec<Fsa>,
     config: CompilerConfig,
-    /// The grammar-level lint findings, present unless the lint mode is
-    /// `Off`; the report adds the vocabulary-aware ones on first read.
-    grammar_diagnostics: Option<Vec<Diagnostic>>,
-    lint: OnceLock<GrammarLintReport>,
+    /// The [`DiagnosticCode::UnsatisfiableGrammar`] finding when the root
+    /// derives no string: the checked compile refuses such a grammar.
+    unsatisfiable: Option<Diagnostic>,
 }
 
 impl CompiledGrammar {
@@ -142,8 +101,7 @@ impl CompiledGrammar {
     /// else, so callers build it once per vocabulary
     /// ([`GrammarCompiler::sorted_vocabulary`]) and every compile shares it.
     ///
-    /// No mask-cache entry is built here, except for the reachable nodes the
-    /// lint reads in [`LintMode::Strict`].
+    /// No mask-cache entry is built here.
     pub fn compile(
         grammar: &Grammar,
         vocab: Arc<Vocabulary>,
@@ -152,22 +110,21 @@ impl CompiledGrammar {
     ) -> CompiledGrammar {
         let pda = build_pda(grammar, &config.pda_options());
         let suffix_fsas = extract_all_suffix_fsas(&pda);
+        let unsatisfiable = analyze(grammar)
+            .diagnostics
+            .into_iter()
+            .find(|d| d.code == DiagnosticCode::UnsatisfiableGrammar);
         let mut compiled = CompiledGrammar {
             pda,
             vocab,
             sorted,
             mask_cache: None,
             suffix_fsas,
-            config: config.clone(),
-            grammar_diagnostics: (config.lint_mode != LintMode::Off)
-                .then(|| analyze(grammar).diagnostics),
-            lint: OnceLock::new(),
+            config: *config,
+            unsatisfiable,
         };
-        if config.enable_mask_cache {
+        if config.mask_cache() {
             compiled.mask_cache = Some(MaskCache::new(&compiled.entry_source()));
-        }
-        if config.lint_mode == LintMode::Strict {
-            compiled.lint_report();
         }
         compiled
     }
@@ -179,7 +136,7 @@ impl CompiledGrammar {
             vocab: &self.vocab,
             sorted: &self.sorted,
             suffix_fsas: Some(&self.suffix_fsas[..])
-                .filter(|_| self.config.enable_context_expansion),
+                .filter(|_| self.config == CompilerConfig::ContextExpansion),
         }
     }
 
@@ -204,8 +161,8 @@ impl CompiledGrammar {
     ///
     /// # Panics
     ///
-    /// Panics if the grammar was compiled without the mask cache
-    /// ([`CompilerConfig::enable_mask_cache`]) or `node` is out of range.
+    /// Panics if the grammar was compiled under a row without the mask cache
+    /// (before [`CompilerConfig::MaskCache`]) or `node` is out of range.
     #[inline]
     pub fn entry(&self, node: NodeId) -> &NodeMaskEntry {
         let cache = self
@@ -220,21 +177,15 @@ impl CompiledGrammar {
         self.mask_cache.as_ref().map_or(0, MaskCache::built_entries)
     }
 
-    /// The configuration used to compile this grammar.
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
+    /// The row this grammar was compiled under.
+    pub(crate) fn config(&self) -> CompilerConfig {
+        self.config
     }
 
-    /// The lint report, or `None` when the configuration's lint mode is
-    /// [`LintMode::Off`]. In `Warn` mode the vocabulary-aware part of the
-    /// lint runs on the first call, building the entries it reads; the
-    /// report is kept.
-    pub fn lint_report(&self) -> Option<&GrammarLintReport> {
-        let diagnostics = self.grammar_diagnostics.as_ref()?;
-        Some(
-            self.lint
-                .get_or_init(|| lint_compiled(diagnostics.clone(), self)),
-        )
+    /// The refusal of a grammar whose root derives no string, `None` for a
+    /// servable one.
+    pub(crate) fn refusal(&self) -> Option<&Diagnostic> {
+        self.unsatisfiable.as_ref()
     }
 
     /// Preprocessing statistics over the whole mask cache (empty default when
@@ -378,11 +329,6 @@ impl GrammarCompiler {
             .get_or_init(|| Arc::new(SortedVocabulary::new(&self.vocab)))
     }
 
-    /// The compiler configuration.
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
-    }
-
     /// The compiled-grammar cache backing this compiler (private unless the
     /// compiler was built with [`with_cache`](Self::with_cache)).
     pub fn cache(&self) -> &Arc<GrammarCache> {
@@ -425,31 +371,29 @@ impl GrammarCompiler {
         compiled
     }
 
-    /// Like [`compile_grammar`](Self::compile_grammar), but enforcing the
-    /// configured [`LintMode`]: in `Strict` mode, error-severity lint
-    /// diagnostics fail the compile instead of being recorded.
+    /// Like [`compile_grammar`](Self::compile_grammar), but refusing a
+    /// grammar whose root derives no string: a lane under it could only be
+    /// forced until its token limit. This is the served path. No other
+    /// finding of [`xg_grammar::analyze`] refuses; a nullable repetition,
+    /// say, still matches its language.
     ///
-    /// The compiled grammar (with its lint report) is cached either way, so
-    /// repeated submissions of a rejected grammar fail fast from the cache.
+    /// The verdict is taken once, as the grammar compiles, and cached with
+    /// it, so repeated submissions of a refused grammar fail fast from the
+    /// cache.
     ///
     /// # Errors
     ///
-    /// Returns [`GrammarError::Lint`] carrying the error-severity
-    /// [`Diagnostic`](xg_grammar::Diagnostic)s when the lint mode is
-    /// [`LintMode::Strict`] and the report contains errors.
+    /// Returns [`GrammarError::Lint`] carrying the
+    /// [`DiagnosticCode::UnsatisfiableGrammar`] finding.
     pub fn compile_grammar_checked(
         &self,
         grammar: &Grammar,
     ) -> Result<Arc<CompiledGrammar>, GrammarError> {
         let compiled = self.compile_grammar(grammar);
-        if self.config.lint_mode == LintMode::Strict {
-            if let Some(report) = compiled.lint_report() {
-                if report.has_errors() {
-                    return Err(GrammarError::Lint {
-                        diagnostics: report.errors().cloned().collect(),
-                    });
-                }
-            }
+        if let Some(refusal) = compiled.refusal() {
+            return Err(GrammarError::Lint {
+                diagnostics: vec![refusal.clone()],
+            });
         }
         Ok(compiled)
     }
@@ -471,7 +415,7 @@ impl GrammarCompiler {
     /// # Errors
     ///
     /// Returns the parse/validation error of [`xg_grammar::parse_ebnf`], or
-    /// [`GrammarError::Lint`] in strict lint mode.
+    /// [`GrammarError::Lint`] for a grammar whose root derives no string.
     pub fn compile_ebnf(
         &self,
         text: &str,
@@ -486,7 +430,7 @@ impl GrammarCompiler {
     /// # Errors
     ///
     /// Returns the conversion error of [`xg_grammar::json_schema_to_grammar`],
-    /// or [`GrammarError::Lint`] in strict lint mode.
+    /// or [`GrammarError::Lint`] for a schema that admits no instance.
     pub fn compile_json_schema(
         &self,
         schema: &serde_json::Value,
@@ -549,7 +493,7 @@ mod tests {
     fn baseline_config_skips_mask_cache() {
         let c = GrammarCompiler::with_config(
             Arc::new(test_vocabulary(600)),
-            CompilerConfig::baseline(),
+            CompilerConfig::PdaBaseline,
         );
         let compiled = c
             .compile_ebnf(r#"root ::= "[" [a-z]* "]""#, "root")
@@ -615,68 +559,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warn_mode_records_diagnostics_without_failing() {
-        let c = compiler();
-        // Unsatisfiable: `a` has no base case. Default mode is Warn.
-        let compiled = c
-            .compile_ebnf(
-                r#"
-                root ::= a
-                a ::= "x" a
-                "#,
-                "root",
-            )
-            .unwrap();
-        let report = compiled.lint_report().unwrap();
-        assert!(report.has_errors());
-    }
-
+    /// A grammar whose root derives no string is refused, under every row.
     #[test]
     fn strict_mode_rejects_unsatisfiable_grammars() {
-        let c = GrammarCompiler::with_config(
-            Arc::new(test_vocabulary(600)),
-            CompilerConfig::default().with_lint_mode(LintMode::Strict),
-        );
-        let err = c
-            .compile_ebnf(
-                r#"
-                root ::= a
-                a ::= "x" a
-                "#,
-                "root",
-            )
-            .unwrap_err();
-        assert!(matches!(err, GrammarError::Lint { .. }));
-        assert!(err.to_string().contains("unsatisfiable-grammar"));
-        // Clean grammars still compile.
-        assert!(c.compile_ebnf(r#"root ::= "ok""#, "root").is_ok());
+        for config in CompilerConfig::ROWS {
+            let c = GrammarCompiler::with_config(Arc::new(test_vocabulary(600)), config);
+            let err = c
+                .compile_ebnf(
+                    r#"
+                    root ::= a
+                    a ::= "x" a
+                    "#,
+                    "root",
+                )
+                .unwrap_err();
+            assert!(matches!(err, GrammarError::Lint { .. }));
+            assert!(err.to_string().contains("unsatisfiable-grammar"));
+            // Clean grammars still compile.
+            assert!(c.compile_ebnf(r#"root ::= "ok""#, "root").is_ok());
+        }
     }
 
+    /// An error-severity finding other than an unsatisfiable root refuses
+    /// nothing: `("a"?)*` can loop without input, yet the grammar matches
+    /// its language.
     #[test]
-    fn off_mode_skips_the_lint_entirely() {
-        let c = GrammarCompiler::with_config(
-            Arc::new(test_vocabulary(600)),
-            CompilerConfig::default().with_lint_mode(LintMode::Off),
+    fn a_nullable_repetition_is_still_served() {
+        use xg_grammar::Severity;
+        let source = r#"root ::= ("a"?)* "b""#;
+        let grammar = xg_grammar::parse_ebnf(source, "root").unwrap();
+        let analysis = xg_grammar::analyze(&grammar);
+        let code = |d: &Diagnostic| (d.code, d.severity);
+        assert_eq!(
+            analysis.diagnostics.iter().map(code).collect::<Vec<_>>(),
+            [(DiagnosticCode::NullableRepetition, Severity::Error)]
         );
-        let compiled = c
-            .compile_ebnf(
-                r#"
-                root ::= a
-                a ::= "x" a
-                "#,
-                "root",
-            )
-            .unwrap();
-        assert!(compiled.lint_report().is_none());
+        let compiled = compiler().compile_ebnf(source, "root").unwrap();
+        let mut matcher = GrammarMatcher::new(compiled);
+        matcher.accept_bytes(b"aab").unwrap();
+        assert!(matcher.can_terminate());
     }
 
+    /// A refusal is cached with its grammar, so a resubmission is a cache
+    /// hit; the unchecked compile still serves the grammar.
     #[test]
     fn strict_rejection_is_cached_and_fails_fast() {
-        let c = GrammarCompiler::with_config(
-            Arc::new(test_vocabulary(600)),
-            CompilerConfig::default().with_lint_mode(LintMode::Strict),
-        );
+        let c = compiler();
         let g = xg_grammar::parse_ebnf(
             r#"
             root ::= a
@@ -691,27 +619,13 @@ mod tests {
         let stats = c.local_cache_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn lint_modes_produce_distinct_cache_keys() {
-        let g = xg_grammar::parse_ebnf(r#"root ::= "a""#, "root").unwrap();
-        let vocab = Arc::new(test_vocabulary(600));
-        let warn = GrammarCompiler::new(Arc::clone(&vocab));
-        let off = GrammarCompiler::with_config(
-            Arc::clone(&vocab),
-            CompilerConfig::default().with_lint_mode(LintMode::Off),
-        );
-        assert_ne!(warn.cache_key(&g), off.cache_key(&g));
+        assert!(c.compile_grammar(&g).pda().node_count() > 0);
     }
 
     #[test]
     fn strict_mode_rejects_dead_triggers() {
         use xg_grammar::{StructuralTag, TagContent, TagSpec};
-        let c = GrammarCompiler::with_config(
-            Arc::new(test_vocabulary(600)),
-            CompilerConfig::default().with_lint_mode(LintMode::Strict),
-        );
+        let c = compiler();
         let tag = StructuralTag::new(vec![TagSpec {
             begin: "<f>".into(),
             content: TagContent::Ebnf {
@@ -730,11 +644,12 @@ mod tests {
     fn config_differences_produce_distinct_cache_entries() {
         let vocab = Arc::new(test_vocabulary(600));
         let full = GrammarCompiler::new(Arc::clone(&vocab));
-        let base = GrammarCompiler::with_config(vocab, CompilerConfig::baseline());
+        let base = GrammarCompiler::with_config(vocab, CompilerConfig::PdaBaseline);
         let g = xg_grammar::parse_ebnf(r#"root ::= "a" | "b""#, "root").unwrap();
         let a = full.compile_grammar(&g);
         let b = base.compile_grammar(&g);
         assert!(a.stats().nodes > 0);
         assert_eq!(b.stats(), MaskCacheStats::default());
+        assert_ne!(full.cache_key(&g), base.cache_key(&g));
     }
 }

@@ -129,7 +129,7 @@ impl GrammarCacheKey {
         GrammarCacheKey {
             grammar_hash: grammar.structural_fingerprint(),
             vocab_fingerprint,
-            config: config.clone(),
+            config: *config,
         }
     }
 }
@@ -543,7 +543,7 @@ mod tests {
         let g1 = grammar(r#"root ::= "a""#);
         let g2 = grammar(r#"root ::= "b""#);
         let full = CompilerConfig::default();
-        let base = CompilerConfig::baseline();
+        let base = CompilerConfig::PdaBaseline;
         let reference = GrammarCacheKey::new(&g1, vocab_a.fingerprint(), &full);
         assert_eq!(
             reference,

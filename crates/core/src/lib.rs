@@ -17,10 +17,11 @@
 //! * the **grammar matcher and compiler** used by serving engines
 //!   ([`GrammarCompiler`], [`CompiledGrammar`], [`GrammarMatcher`],
 //!   [`TokenBitmask`]), including jump-forward string detection (Appendix B),
-//! * the **static-analysis lint layer**: grammar-level diagnostics from
-//!   [`xg_grammar::analyze`] plus vocabulary-aware dead-state detection over
-//!   the compiled automaton, recorded per compile ([`GrammarLintReport`]) and
-//!   enforced by the compiler's [`LintMode`],
+//! * the **compile-time refusal** of a grammar whose root derives no string
+//!   (from [`xg_grammar::analyze`], once per compiled grammar, on the checked
+//!   path [`GrammarCompiler::compile_grammar_checked`]) and the on-demand
+//!   vocabulary-aware dead-state scan over a compiled automaton
+//!   ([`dead_states`]),
 //! * the **serving concurrency layer** (§5): one budgeted LRU cache type with
 //!   build-once semantics under contention ([`ArtifactCache`], instantiated
 //!   as [`GrammarCache`] and [`TagDispatchCache`]),
@@ -73,13 +74,13 @@ mod persistent_stack;
 mod tag_dispatch;
 mod tag_matcher;
 
-pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler, LintMode};
+pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler};
 pub use constraint::{CompiledConstraint, ConstraintMatcher, ForcedTokenRun};
 pub use error::{AcceptError, RollbackError};
 pub use grammar_cache::{
     ArtifactCache, CacheBudget, CacheStats, GrammarCache, GrammarCacheKey, TagDispatchCache,
 };
-pub use lint::GrammarLintReport;
+pub use lint::dead_states;
 pub use mask::TokenBitmask;
 pub use mask_cache::{
     build_mask_cache, MaskCache, MaskCacheBuildOptions, MaskCacheStats, NodeMaskEntry,

@@ -350,7 +350,7 @@ impl ConstraintMatcher for GrammarMatcher {
             mask.reject_all();
             return;
         }
-        if self.compiled.config().enable_mask_cache {
+        if self.compiled.config().mask_cache() {
             self.fill_mask_with_cache(mask);
         } else {
             self.fill_mask_naive(mask);
@@ -623,14 +623,8 @@ mod tests {
         let vocab = Arc::new(test_vocabulary(800));
         let grammar = xg_grammar::builtin::json_grammar();
         let cached = GrammarCompiler::new(Arc::clone(&vocab)).compile_grammar(&grammar);
-        let naive = GrammarCompiler::with_config(
-            Arc::clone(&vocab),
-            CompilerConfig {
-                enable_mask_cache: false,
-                ..Default::default()
-            },
-        )
-        .compile_grammar(&grammar);
+        let naive = GrammarCompiler::with_config(Arc::clone(&vocab), CompilerConfig::NodeMerging)
+            .compile_grammar(&grammar);
         let mut m_cached = GrammarMatcher::new(cached);
         let mut m_naive = GrammarMatcher::new(naive);
         let mut mask_cached = TokenBitmask::new_all_rejected(vocab.len());
@@ -703,14 +697,8 @@ mod tests {
     ) -> (usize, [bool; 3]) {
         let vocab = Arc::new(test_vocabulary(8000));
         let cached = GrammarCompiler::new(Arc::clone(&vocab)).compile_grammar(grammar);
-        let naive = GrammarCompiler::with_config(
-            Arc::clone(&vocab),
-            CompilerConfig {
-                enable_mask_cache: false,
-                ..Default::default()
-            },
-        )
-        .compile_grammar(grammar);
+        let naive = GrammarCompiler::with_config(Arc::clone(&vocab), CompilerConfig::NodeMerging)
+            .compile_grammar(grammar);
         let mut oracle = xg_automata::SimpleMatcher::new(cached.pda());
         let (tokens, covered) = cached
             .sorted_vocabulary()

@@ -162,10 +162,10 @@ impl GrammarCompiler {
     /// [`compile_tag_dispatch`](Self::compile_tag_dispatch) of the mutated
     /// registry (e.g. at request admission) is a cache hit.
     ///
-    /// The strict-mode dead-trigger lint runs on exactly the recompiled
-    /// triggers: an added tag whose segment grammar cannot terminate is
-    /// rejected here just as a full compile would, while untouched triggers
-    /// (already linted when `base` was compiled) are not re-analyzed.
+    /// The dead-trigger check runs on exactly the recompiled triggers: an
+    /// added tag whose segment grammar cannot complete is refused here just
+    /// as a full compile would, while untouched triggers (already checked
+    /// when `base` was compiled) are not analysed again.
     ///
     /// `base` should come from this compiler; a base compiled against a
     /// different vocabulary is handled gracefully by falling back to a full
@@ -176,7 +176,7 @@ impl GrammarCompiler {
     /// Returns [`StructuralTag`](GrammarError::StructuralTag) validation
     /// errors from [`xg_grammar::StructuralTag::apply_delta`], content
     /// grammar errors of recompiled triggers, or
-    /// [`GrammarError::Lint`] (strict mode, dead added trigger).
+    /// [`GrammarError::Lint`] (a dead added trigger).
     pub fn update_tag_dispatch(
         &self,
         base: &Arc<CompiledTagDispatch>,
@@ -222,10 +222,10 @@ impl GrammarCompiler {
     }
 
     /// Compiles one trigger's segment: combined grammar construction, the
-    /// strict-mode dead-trigger lint, the free-text tail and the cached
-    /// grammar compile. Shared by the full
-    /// and incremental compile paths, so the delta path lints and compiles
-    /// exactly like a full compile would for the triggers it touches.
+    /// free-text tail, the cached grammar compile and the dead-trigger check.
+    /// Shared by the full and incremental compile paths, so the delta path
+    /// checks and compiles exactly like a full compile would for the
+    /// triggers it touches.
     fn compile_trigger_segment(
         &self,
         tag: &StructuralTag,
@@ -233,34 +233,28 @@ impl GrammarCompiler {
         tag_indices: &[usize],
     ) -> Result<Arc<CompiledTrigger>, GrammarError> {
         let grammar = tag.build_grammar_for_trigger(trigger, tag_indices)?;
-        // Dead-trigger lint: a trigger whose combined segment grammar cannot
-        // derive any terminal string would fire and then wedge the lane (the
-        // segment can never complete). In strict lint mode that fails the
-        // compile up front; the free-text tail appended below cannot repair
-        // an unproductive segment, so checking the strict grammar is exact.
-        if self.config().lint_mode == crate::LintMode::Strict {
-            let analysis = xg_grammar::analyze(&grammar);
-            if analysis.has_errors() {
-                return Err(GrammarError::Lint {
-                    diagnostics: vec![xg_grammar::Diagnostic::new(
-                        xg_grammar::DiagnosticCode::DeadTrigger,
-                        None,
-                        format!(
-                            "trigger `{trigger}` has an unserveable segment grammar: {}",
-                            analysis.error_summary()
-                        ),
-                    )],
-                });
-            }
-        }
         // The free-text tail turns the end-of-segment mask into the union
         // with the prose continuation; acceptance is untouched because the
         // matcher closes the segment at the first point its grammar can end,
         // before the tail is ever entered across a token boundary.
         let segment_grammar = xg_grammar::append_free_text_tail(&grammar);
+        let compiled = self.compile_grammar(&segment_grammar);
+        // A segment whose grammar derives no string would fire and then
+        // wedge the lane. The tail follows the segment, so it cannot repair
+        // it: the tailed grammar's root derives a string exactly when the
+        // segment's does, and its compile has already taken that verdict.
+        if let Some(refusal) = compiled.refusal() {
+            return Err(GrammarError::Lint {
+                diagnostics: vec![xg_grammar::Diagnostic::new(
+                    xg_grammar::DiagnosticCode::DeadTrigger,
+                    None,
+                    format!("trigger `{trigger}` has an unserveable segment grammar: {refusal}"),
+                )],
+            });
+        }
         Ok(Arc::new(CompiledTrigger {
             trigger: trigger.as_bytes().to_vec(),
-            grammar: self.compile_grammar(&segment_grammar),
+            grammar: compiled,
         }))
     }
 

@@ -26,8 +26,9 @@ pub struct PathologicalCase {
     pub name: &'static str,
     /// The diagnostic code [`xg_grammar::analyze`] must emit.
     pub expected_code: &'static str,
-    /// `true` if the expected diagnostic is an error (the grammar must be
-    /// rejected under `LintMode::Strict`), `false` for warnings.
+    /// `true` if the expected diagnostic has error severity, `false` for
+    /// warnings. Severity is not refusal: the checked compile refuses only an
+    /// `unsatisfiable-grammar` case, and serves a `nullable-repetition` one.
     pub expected_error: bool,
     /// The defective grammar.
     pub grammar: Grammar,

@@ -293,8 +293,8 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns the backend's error if it has no incremental structural-tag
-    /// support or the delta is invalid (duplicate tag, missing tag, dead
-    /// added trigger under strict lint).
+    /// support or the delta is invalid (duplicate tag, missing tag, an added
+    /// trigger whose segment can never complete).
     pub fn update_tool_registry(
         &self,
         current: &xg_grammar::StructuralTag,

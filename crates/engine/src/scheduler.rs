@@ -508,11 +508,15 @@ impl Planner {
     }
 
     /// The next round, `None` if no lane can sample: the lanes holding their
-    /// prefill's logits, with no step; otherwise every decoding lane, after a
-    /// step over exactly them. Overlapped, a round hands its lanes' next fills
-    /// off after sampling, to fill under the next step; serial, the fills
-    /// complete before the step.
-    fn round(self, states: impl Iterator<Item = LaneState> + Clone) -> Option<Round> {
+    /// prefill's logits, with no step; otherwise, if it `may_step`, every
+    /// decoding lane, after a step over exactly them. Overlapped, a round
+    /// hands its lanes' next fills off after sampling, to fill under the next
+    /// step; serial, the fills complete before the step.
+    fn round(
+        self,
+        states: impl Iterator<Item = LaneState> + Clone,
+        may_step: bool,
+    ) -> Option<Round> {
         let pick = |joiners: bool| -> Vec<usize> {
             let picked = states
                 .clone()
@@ -527,7 +531,11 @@ impl Planner {
         };
         let joiners = pick(true);
         let step = joiners.is_empty();
-        let lanes = if step { pick(false) } else { joiners };
+        let lanes = match (step, may_step) {
+            (false, _) => joiners,
+            (true, true) => pick(false),
+            (true, false) => return None,
+        };
         use {ExecutionMode::*, Phase::*};
         let phases: &'static [Phase] = match (self.0, step) {
             (Overlapped, false) => &[Collect, Sample, HandOff],
@@ -1154,7 +1162,7 @@ impl<E: Env> DecodeLoop<E> {
         while self.take_arrivals() {
             // A joiner round if the planner has one, then the step round:
             // lanes join only between step rounds.
-            while let Some(round) = self.planner.round(self.lanes.iter().map(|s| s.state)) {
+            while let Some(round) = self.planner.round(self.states(), true) {
                 if self.round(&round) {
                     break;
                 }
@@ -1163,9 +1171,10 @@ impl<E: Env> DecodeLoop<E> {
     }
 
     /// Joins handed-over lanes while the batch has room, waiting out a
-    /// joiner's prefill if it starts at once, and lands the compile results
-    /// that have arrived, waiting while every lane is compiling. `false` once
-    /// admission has closed and the batch is empty.
+    /// joiner's prefill if it starts at once and then running the joiner
+    /// round, and lands the compile results that have arrived, waiting while
+    /// every lane is compiling. `false` once admission has closed and the
+    /// batch is empty.
     fn take_arrivals(&mut self) -> bool {
         let mut idle_since = None;
         loop {
@@ -1186,6 +1195,11 @@ impl<E: Env> DecodeLoop<E> {
                 });
                 if let LaneState::Compiling(Some(end)) = state {
                     self.prefill(end, prefill);
+                    // The lanes holding logits sample now, not after every
+                    // later arrival's prefill as well.
+                    if let Some(round) = self.planner.round(self.states(), false) {
+                        self.round(&round);
+                    }
                 }
                 worked = true;
             }
@@ -1207,6 +1221,10 @@ impl<E: Env> DecodeLoop<E> {
             let idle = *idle_since.get_or_insert_with(|| self.env.now());
             self.wait(idle, None);
         }
+    }
+
+    fn states(&self) -> impl Iterator<Item = LaneState> + Clone + '_ {
+        self.lanes.iter().map(|s| s.state)
     }
 
     /// Waits out a joiner's prefill, landing compile results (its own too)
@@ -1426,10 +1444,7 @@ mod tests {
     use crate::profiles::ModelProfile;
     use std::sync::Arc;
     use xg_baselines::{Session, XGrammarBackend};
-    use xg_core::{
-        AcceptError, CompiledConstraint, CompilerConfig, ConstraintMatcher, ForcedTokenRun,
-        LintMode,
-    };
+    use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, ForcedTokenRun};
     use xg_grammar::{parse_ebnf, Grammar};
     use xg_tokenizer::{test_vocabulary, TokenId};
 
@@ -1696,8 +1711,7 @@ mod tests {
 
     #[test]
     fn the_aggregate_conserves_what_the_requests_report() {
-        let config = CompilerConfig::default().with_lint_mode(LintMode::Strict);
-        let backend = XGrammarBackend::with_config(Arc::new(test_vocabulary(600)), config);
+        let backend = XGrammarBackend::new(Arc::new(test_vocabulary(600)));
         let profile = ModelProfile::llama31_8b_h100().scaled(0.01);
         let engine = ServingEngine::new(Arc::new(backend), profile, ExecutionMode::Overlapped);
         let scheduler = engine.serve(SchedulerConfig::default());
@@ -2565,11 +2579,13 @@ slow ::= "true" | "false""#,
         }
 
         /// What the model knows of a lane: when its prefill began (as it
-        /// joined, or serial as its compile landed), its fills and tokens, the
-        /// decode steps run when it started or last sampled, how it ended.
+        /// joined, or serial as its compile landed), when it first streamed,
+        /// its fills and tokens, the decode steps run when it started or last
+        /// sampled, how it ended.
         #[derive(Debug, Clone, Default)]
         struct Record {
             prefill_from: u64,
+            first_stream: Option<u64>,
             fills: u32,
             sampled: u32,
             finished: bool,
@@ -2751,6 +2767,7 @@ slow ::= "true" | "false""#,
                     end <= self.now,
                     "lane {lane} streams before its prefill ends at {end}"
                 );
+                self.records[lane].first_stream.get_or_insert(self.now);
             }
 
             fn fail(&mut self, &mut lane: &mut usize, _: BackendError) {
@@ -2905,6 +2922,35 @@ slow ::= "true" | "false""#,
             }
             // Every transition `advance` lists was taken, and nothing else.
             assert_eq!(transitions.len(), 15, "{transitions:#?}");
+        }
+
+        /// Two lanes arrive in one pass of the loop: the first streams as its
+        /// own prefill ends, before the second's prefill has.
+        #[test]
+        fn a_joiner_streams_before_the_next_arrivals_prefill_ends() {
+            let lane = Script {
+                arrives: 0,
+                compile: 100,
+                compile_fails: false,
+                prefill: 2_000,
+                constrained: true,
+                forced: false,
+                tokens: 2,
+                fill: 50,
+                panicking_fill: None,
+            };
+            let model = play(
+                "two in one pass",
+                ExecutionMode::Overlapped,
+                2,
+                3_000,
+                &[lane; 2],
+            );
+            let [first, second] = [0, 1].map(|i| &model.records[i]);
+            let second_prefill_ends = second.prefill_from + lane.prefill;
+            assert_eq!(first.first_stream, Some(lane.prefill));
+            assert_eq!(second.first_stream, Some(second_prefill_ends));
+            assert!(lane.prefill < second_prefill_ends);
         }
     }
 }

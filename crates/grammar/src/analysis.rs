@@ -205,13 +205,6 @@ impl GrammarAnalysis {
     pub fn warning_count(&self) -> usize {
         self.diagnostics.len() - self.error_count()
     }
-
-    /// One-line summary of the errors (empty string when there are none),
-    /// suitable for embedding in error messages.
-    pub fn error_summary(&self) -> String {
-        let msgs: Vec<&str> = self.errors().map(|d| d.message.as_str()).collect();
-        msgs.join("; ")
-    }
 }
 
 /// Returns `true` if `expr` can derive at least one terminal string, given
@@ -441,7 +434,6 @@ mod tests {
         assert!(a.has_errors());
         assert!(codes(&a).contains(&DiagnosticCode::UnsatisfiableGrammar));
         assert!(codes(&a).contains(&DiagnosticCode::UnproductiveRule));
-        assert!(!a.error_summary().is_empty());
     }
 
     #[test]

@@ -64,12 +64,13 @@ pub enum GrammarError {
         /// Name of the rule containing the empty choice.
         rule: String,
     },
-    /// The grammar failed the static-analysis lint pass in strict mode.
+    /// The grammar was refused: its root derives no string, or a
+    /// structural-tag segment can never complete.
     ///
-    /// Carries the error-severity [`Diagnostic`](crate::Diagnostic)s that
-    /// caused the rejection.
+    /// Carries the [`Diagnostic`](crate::Diagnostic)s that caused the
+    /// refusal.
     Lint {
-        /// The error-severity diagnostics, in rule order.
+        /// The refusing diagnostics.
         diagnostics: Vec<crate::Diagnostic>,
     },
     /// The JSON Schema document could not be converted.

@@ -17,7 +17,13 @@
 //! * the core engine types re-exported at the crate root (`xg-core`),
 //!   including the one artifact cache type ([`ArtifactCache`], as
 //!   [`GrammarCache`] and [`TagDispatchCache`], with [`CacheBudget`] and
-//!   [`CacheStats`]).
+//!   [`CacheStats`]), and [`CompilerConfig`], one of the paper's five
+//!   Table 3 rows,
+//! * the lints: [`GrammarCompiler::compile_grammar_checked`] (behind
+//!   `compile_ebnf` and `compile_json_schema`) refuses a grammar whose root
+//!   derives no string; [`analyze`] (every grammar-level finding) and
+//!   [`dead_states`] (states no token of the vocabulary leaves) run only
+//!   when called.
 //!
 //! # Examples
 //!
@@ -59,12 +65,11 @@ pub mod engine {
 }
 
 pub use xg_core::{
-    AcceptError, ArtifactCache, CacheBudget, CacheStats, CompiledConstraint, CompiledGrammar,
-    CompiledTagDispatch, CompiledTrigger, CompilerConfig, ConstraintMatcher, DispatchMode,
-    ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler, GrammarLintReport,
-    GrammarMatcher, LintMode, MaskCache, MaskCacheStats, MatcherStats, NodeMaskEntry,
-    RollbackError, StructuralTagMatcher, TagDispatchCache, TagDispatchStats, TokenBitmask,
-    DEFAULT_MAX_ROLLBACK_TOKENS,
+    dead_states, AcceptError, ArtifactCache, CacheBudget, CacheStats, CompiledConstraint,
+    CompiledGrammar, CompiledTagDispatch, CompiledTrigger, CompilerConfig, ConstraintMatcher,
+    DispatchMode, ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler, GrammarMatcher,
+    MaskCache, MaskCacheStats, MatcherStats, NodeMaskEntry, RollbackError, StructuralTagMatcher,
+    TagDispatchCache, TagDispatchStats, TokenBitmask, DEFAULT_MAX_ROLLBACK_TOKENS,
 };
 pub use xg_grammar::{
     analyze, builtin, json_schema_to_grammar, json_schema_to_grammar_with_options, parse_ebnf,

@@ -35,7 +35,6 @@ fn stress_same_grammar_compiles_exactly_once() {
                 let vocab = Arc::clone(&vocab);
                 let compilations = Arc::clone(&compilations);
                 let barrier = Arc::clone(&barrier);
-                let config = config.clone();
                 let key = key.clone();
                 scope.spawn(move || {
                     barrier.wait();

@@ -222,17 +222,11 @@ fn random_grammars_accept_reject_parity_with_naive_pda() {
 
     let vocab = Arc::new(test_vocabulary(600));
     let byte_tokens = byte_token_map(&vocab);
-    // `accept_bytes` exercises the PDA executor, not the mask cache, so skip
-    // mask-cache construction to keep 30 compilations fast in debug builds
-    // (mask/cache parity has its own differential tests in property_tests.rs
-    // and end_to_end.rs).
-    let compiler = GrammarCompiler::with_config(
-        Arc::clone(&vocab),
-        CompilerConfig {
-            enable_mask_cache: false,
-            ..CompilerConfig::default()
-        },
-    );
+    // `accept_bytes` exercises the PDA executor, not the mask cache; a
+    // compile builds no mask-cache entry, so the default row costs nothing
+    // here (mask/cache parity has its own differential tests in
+    // property_tests.rs and end_to_end.rs).
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
     let naive = NaivePdaBackend::new(Arc::clone(&vocab));
 
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
@@ -328,13 +322,7 @@ fn ambiguous_prefix_grammars_keep_mask_parity_across_stack_splits() {
     let vocab = Arc::new(test_vocabulary(600));
     let byte_tokens = byte_token_map(&vocab);
     let cached = GrammarCompiler::new(Arc::clone(&vocab));
-    let uncached = GrammarCompiler::with_config(
-        Arc::clone(&vocab),
-        CompilerConfig {
-            enable_mask_cache: false,
-            ..CompilerConfig::default()
-        },
-    );
+    let uncached = GrammarCompiler::with_config(Arc::clone(&vocab), CompilerConfig::NodeMerging);
     let next_mask = |lane: &mut GrammarMatcher| {
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
         lane.fill_next_token_bitmask(&mut mask);

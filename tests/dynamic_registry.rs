@@ -10,7 +10,7 @@
 //!    base dispatch is evicted and dropped (and the grammar cache lets go),
 //!    the removed trigger's compiled grammar is freed, while retained
 //!    triggers are shared with the updated dispatch.
-//! 3. The strict-lint dead-trigger check runs on the delta path too —
+//! 3. The dead-trigger refusal runs on the delta path too —
 //!    exactly on the recompiled trigger, with untouched triggers reused
 //!    without recompilation.
 //! 4. Segment grammars are cached by structure, not by registry position:
@@ -24,9 +24,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xg_baselines::{ConstrainedBackend, XGrammarBackend};
-use xg_core::{
-    CacheBudget, CompiledConstraint, CompilerConfig, GrammarCache, GrammarCompiler, LintMode,
-};
+use xg_core::{CacheBudget, CompiledConstraint, CompilerConfig, GrammarCache, GrammarCompiler};
 use xg_datasets::{agent_catalog, agent_tag_spec, agent_tool, overlapping_catalogs, TOOL_CALL_END};
 use xg_engine::{
     EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, SchedulerConfig, ServingEngine,
@@ -137,17 +135,11 @@ fn removed_tools_grammar_is_not_pinned() {
 #[test]
 fn delta_path_lints_and_recompiles_only_the_touched_trigger() {
     let vocab = Arc::new(test_vocabulary(512));
-    let compiler = GrammarCompiler::with_config(
-        Arc::clone(&vocab),
-        CompilerConfig {
-            lint_mode: LintMode::Strict,
-            ..CompilerConfig::default()
-        },
-    );
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
     let base_catalog = agent_catalog(&(0..4).map(agent_tool).collect::<Vec<_>>());
     let base = compiler
         .compile_tag_dispatch(&base_catalog)
-        .expect("clean registry passes strict lint");
+        .expect("a clean registry compiles");
     // A dead added trigger (its segment grammar never terminates) must be
     // rejected by the incremental path exactly like a full compile would.
     let dead = TagSpec {
@@ -160,10 +152,10 @@ fn delta_path_lints_and_recompiles_only_the_touched_trigger() {
     };
     let err = compiler
         .update_tag_dispatch(&base, &DispatchDelta::AddTag(dead))
-        .expect_err("dead trigger must fail strict lint on the delta path");
+        .expect_err("a dead trigger is refused on the delta path");
     assert!(
         err.to_string().contains("<dead>"),
-        "lint error names the dead trigger: {err}"
+        "the refusal names the dead trigger: {err}"
     );
     // A healthy addition recompiles exactly one segment grammar; the four
     // untouched triggers are reused without touching the grammar cache.

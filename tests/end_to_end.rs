@@ -5,7 +5,10 @@
 use std::sync::Arc;
 
 use xg_baselines::{ConstrainedBackend, NaivePdaBackend, XGrammarBackend};
-use xg_core::{CompilerConfig, ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
+use xg_core::{
+    CompilerConfig, ConstraintMatcher, GrammarCompiler, GrammarMatcher, StructuralTagMatcher,
+    TokenBitmask,
+};
 use xg_tokenizer::{test_vocabulary, Vocabulary};
 
 fn vocab() -> Arc<Vocabulary> {
@@ -134,33 +137,101 @@ fn cached_engine_and_naive_baseline_agree_on_masks_along_a_generation() {
     assert!(naive_session.can_terminate());
 }
 
+/// Walks one subject's reference token by token under each of Table 3's rows
+/// (`lanes`, in row order): before every token, and once more at the end,
+/// every row's mask equals the default row's, and the reference token is
+/// allowed and accepted by each. Returns the number of masks compared.
+fn walk_every_row(
+    subject: &str,
+    vocab: &Vocabulary,
+    lanes: &mut [Box<dyn ConstraintMatcher>],
+    reference: &[u8],
+) -> usize {
+    let sorted = xg_tokenizer::SortedVocabulary::new(vocab);
+    let (tokens, covered) = sorted.longest_prefix_cover(vocab, reference);
+    assert_eq!(
+        covered,
+        reference.len(),
+        "{subject}: the reference tokenizes"
+    );
+    let eos = vocab.eos().expect("the test vocabulary has EOS");
+    let mut masks = vec![TokenBitmask::new_all_rejected(vocab.len()); lanes.len()];
+    for (step, &token) in tokens.iter().chain([&eos]).enumerate() {
+        for (lane, mask) in lanes.iter_mut().zip(&mut masks) {
+            lane.fill_next_token_bitmask(mask);
+        }
+        let (default, rows) = masks.split_last().expect("five rows");
+        for (row, mask) in CompilerConfig::ROWS.iter().zip(rows) {
+            assert_eq!(mask, default, "{subject}: {row:?} at step {step}");
+        }
+        assert!(default.is_allowed(token), "{subject}: step {step}");
+        for (row, lane) in CompilerConfig::ROWS.iter().zip(lanes.iter_mut()) {
+            let accepted = lane.accept_token(token);
+            assert!(accepted.is_ok(), "{subject}: {row:?} at step {step}");
+        }
+    }
+    tokens.len() + 1
+}
+
+/// Every Table 3 row gives the same masks: builtin JSON, XML, a schema-corpus
+/// schema and an agent tool call compiled under each of the five rows agree
+/// on every mask along each subject's reference, and each row accepts the
+/// reference and its EOS.
 #[test]
 fn ablation_configurations_all_produce_correct_masks() {
-    let vocab = vocab();
-    let grammar = xg_grammar::parse_ebnf(
-        r#"
-        root ::= "[" value ("," value)* "]"
-        value ::= [0-9]+ | "\"" [a-z]* "\""
-        "#,
-        "root",
-    )
-    .unwrap();
-    let reference = br#"[12,"ab",7]"#;
-    let mut outputs = Vec::new();
-    for config in [
-        CompilerConfig::baseline(),
-        CompilerConfig {
-            enable_mask_cache: true,
-            ..CompilerConfig::baseline()
-        },
-        CompilerConfig::default(),
-    ] {
-        let compiler = GrammarCompiler::with_config(Arc::clone(&vocab), config);
-        let compiled = compiler.compile_grammar(&grammar);
-        let mut matcher = GrammarMatcher::new(compiled);
-        outputs.push(drive_reference(&vocab, &mut matcher, reference));
+    let vocab = Arc::new(test_vocabulary(600));
+    let compilers =
+        CompilerConfig::ROWS.map(|row| GrammarCompiler::with_config(Arc::clone(&vocab), row));
+    let grammar_lanes = |grammar: &xg_grammar::Grammar| -> Vec<Box<dyn ConstraintMatcher>> {
+        let lane = |c: &GrammarCompiler| -> Box<dyn ConstraintMatcher> {
+            Box::new(GrammarMatcher::new(
+                c.compile_grammar_checked(grammar).unwrap(),
+            ))
+        };
+        compilers.iter().map(lane).collect()
+    };
+    let schema = xg_datasets::schema_corpus(12, 0x5C0)
+        .into_iter()
+        .find(|case| case.feature == "ref-recursive")
+        .expect("the corpus has a recursive case");
+    let subjects = [
+        (
+            "builtin JSON",
+            xg_grammar::builtin::json_grammar(),
+            xg_datasets::json_documents(1, 3).remove(0).reference,
+        ),
+        (
+            "XML",
+            xg_grammar::builtin::xml_grammar(),
+            xg_datasets::xml_tasks(1, 3).remove(0).reference,
+        ),
+        (
+            "schema corpus",
+            xg_grammar::json_schema_to_grammar(&schema.schema).unwrap(),
+            schema.valid[0].clone().into_bytes(),
+        ),
+    ];
+    let mut masks = 0;
+    for (subject, grammar, reference) in &subjects {
+        masks += walk_every_row(subject, &vocab, &mut grammar_lanes(grammar), reference);
     }
-    assert!(outputs.iter().all(|o| o == reference));
+
+    let turn = xg_datasets::agent_sessions(1, 2, 1, 3)
+        .remove(0)
+        .turns
+        .remove(0);
+    let mut tool_lanes: Vec<Box<dyn ConstraintMatcher>> = compilers
+        .iter()
+        .map(|c| -> Box<dyn ConstraintMatcher> {
+            let dispatch = c.compile_tag_dispatch(&turn.catalog).unwrap();
+            Box::new(StructuralTagMatcher::new(dispatch))
+        })
+        .collect();
+    let reference = &turn.task.reference;
+    let tool_call = xg_datasets::TOOL_CALL_END.as_bytes();
+    assert!(reference.windows(tool_call.len()).any(|w| w == tool_call));
+    masks += walk_every_row("agent tool call", &vocab, &mut tool_lanes, reference);
+    assert!(masks > 100, "{masks} masks compared");
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! The analyzer computes productivity and nullability as bottom-up
 //! fixpoints; these tests check it against an independent *top-down bounded
 //! derivation* oracle on small random grammars, sweep the whole JSON-Schema
-//! corpus for false-positive errors, and drive a strict-mode lint rejection
-//! through the continuous scheduler to prove it fails the stream at
-//! admission instead of wedging a lane.
+//! corpus for false-positive errors, and drive the refusal of an
+//! unsatisfiable grammar through the continuous scheduler to prove it fails
+//! the stream at admission instead of forcing a lane to its token limit.
 
 use std::sync::Arc;
 
@@ -239,16 +239,14 @@ fn schema_corpus_grammars_lint_clean() {
 }
 
 /// Every pathological-corpus entry is flagged with its expected code, with
-/// the expected severity, and a strict-mode compile rejects exactly the
-/// error-carrying entries.
+/// the expected severity, and the checked compile refuses exactly the
+/// entries whose root derives no string: an error-severity
+/// `nullable-repetition` grammar is still served.
 #[test]
 fn pathological_corpus_is_fully_flagged() {
-    use xg_core::{CompilerConfig, GrammarCompiler, LintMode};
+    use xg_core::GrammarCompiler;
 
-    let strict = GrammarCompiler::with_config(
-        Arc::new(xg_tokenizer::test_vocabulary(600)),
-        CompilerConfig::default().with_lint_mode(LintMode::Strict),
-    );
+    let compiler = GrammarCompiler::new(Arc::new(xg_tokenizer::test_vocabulary(600)));
     for case in xg_datasets::pathological_corpus() {
         let analysis = analyze(&case.grammar);
         let hit = analysis
@@ -258,35 +256,33 @@ fn pathological_corpus_is_fully_flagged() {
             .unwrap_or_else(|| panic!("case `{}` missing `{}`", case.name, case.expected_code));
         assert_eq!(hit.severity == Severity::Error, case.expected_error);
         assert_eq!(
-            strict.compile_grammar_checked(&case.grammar).is_err(),
-            case.expected_error,
-            "case `{}`: strict verdict",
+            compiler.compile_grammar_checked(&case.grammar).is_err(),
+            case.expected_code == "unsatisfiable-grammar",
+            "case `{}`: the checked compile's verdict",
             case.name
         );
     }
 }
 
 // ---------------------------------------------------------------------------
-// Strict-mode admission through the continuous scheduler.
+// Admission through the continuous scheduler.
 // ---------------------------------------------------------------------------
 
-/// A strict-mode backend turns a lint rejection into `StreamEvent::Failed`
-/// at admission: the handle's `wait()` errors, the failure is counted, and a
-/// healthy lane submitted alongside still completes — nothing wedges.
+/// The default backend turns the refusal of a grammar whose root derives no
+/// string into `StreamEvent::Failed` at admission: the handle's `wait()`
+/// errors, the failure is counted, and a healthy lane submitted alongside
+/// still completes — nothing wedges, and nothing is forced to `max_tokens`.
+/// A grammar with an error-severity `nullable-repetition` is served.
 #[test]
 fn strict_lint_rejection_fails_the_stream_at_admission() {
     use xg_baselines::{ConstrainedBackend, XGrammarBackend};
-    use xg_core::{CompilerConfig, LintMode};
     use xg_engine::{
         EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, SchedulerConfig, ServingEngine,
     };
     use xg_tokenizer::test_vocabulary;
 
     let vocab = Arc::new(test_vocabulary(2000));
-    let backend: Arc<dyn ConstrainedBackend> = Arc::new(XGrammarBackend::with_config(
-        Arc::clone(&vocab),
-        CompilerConfig::default().with_lint_mode(LintMode::Strict),
-    ));
+    let backend: Arc<dyn ConstrainedBackend> = Arc::new(XGrammarBackend::new(Arc::clone(&vocab)));
     let engine = ServingEngine::new(
         backend,
         ModelProfile::llama31_8b_h100().scaled(0.01),
@@ -317,23 +313,34 @@ fn strict_lint_rejection_fails_the_stream_at_admission() {
         max_tokens: 16,
         seed: 8,
     };
+    let nullable_repetition = EngineRequest {
+        constraint: LaneConstraint::Grammar(
+            xg_grammar::parse_ebnf(r#"root ::= ("a"?)* "b""#, "root").unwrap(),
+        ),
+        prompt_tokens: 8,
+        reference: b"aab".to_vec(),
+        max_tokens: 16,
+        seed: 9,
+    };
 
     let bad = scheduler.submit(unsatisfiable).expect("submit");
     let good = scheduler.submit(healthy).expect("submit");
+    let served = scheduler.submit(nullable_repetition).expect("submit");
 
-    let bad_err = bad
-        .wait()
-        .expect_err("strict lint failure surfaces on wait");
+    let bad_err = bad.wait().expect_err("the refusal surfaces on wait");
     assert!(
         bad_err.to_string().contains("unsatisfiable-grammar"),
         "unexpected admission error: {bad_err}"
     );
     let good_result = good.wait().expect("healthy lane completes");
     assert_eq!(good_result.result.output, b"[42]");
+    let served_result = served.wait().expect("a nullable repetition is served");
+    assert_eq!(served_result.result.output, b"aab");
+    assert!(served_result.result.completed);
 
     let metrics = scheduler.metrics();
     scheduler.shutdown();
     assert_eq!(metrics.failed, 1);
-    assert_eq!(metrics.completed, 1);
-    assert_eq!(metrics.admitted, 1);
+    assert_eq!(metrics.completed, 2);
+    assert_eq!(metrics.admitted, 2);
 }

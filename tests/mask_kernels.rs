@@ -12,8 +12,9 @@
 //! The final property is the kernel-vs-serial differential of the raw-speed
 //! mask path: the default configuration (adaptive mask cache applied through
 //! the word kernels) must produce byte-identical masks to the per-token
-//! serial configuration (`enable_mask_cache = false`) along random
-//! grammar-valid walks.
+//! serial fill of Table 3's `+ node merging` row
+//! (`CompilerConfig::NodeMerging`, no mask cache) along random grammar-valid
+//! walks.
 
 use std::sync::Arc;
 
@@ -202,8 +203,8 @@ proptest! {
 
     /// The raw-speed differential: along any grammar-valid token walk, the
     /// word-kernel fill (default config, adaptive mask cache applied through
-    /// bulk kernels) is bit-identical to the per-token serial fill
-    /// (`enable_mask_cache = false`, every token matched individually).
+    /// bulk kernels) is bit-identical to the per-token serial fill (the
+    /// `+ node merging` row, every token matched individually).
     #[test]
     fn kernel_fill_matches_serial_fill(
         grammar_idx in 0usize..4,
@@ -214,10 +215,7 @@ proptest! {
         let kernel_compiled = GrammarCompiler::new(Arc::clone(&vocab)).compile_grammar(grammar);
         let serial_compiled = GrammarCompiler::with_config(
             Arc::clone(&vocab),
-            CompilerConfig {
-                enable_mask_cache: false,
-                ..CompilerConfig::default()
-            },
+            CompilerConfig::NodeMerging,
         )
         .compile_grammar(grammar);
         let mut kernel = GrammarMatcher::new(kernel_compiled);
