@@ -1,11 +1,11 @@
 //! A straightforward (non-persistent) executor for the byte-level PDA.
 //!
 //! This is the reference implementation used by tests, by the "naive PDA"
-//! baseline (the *PDA Baseline* row of Table 3 and the llama.cpp-style
-//! comparator of Figure 9), and as the semantic ground truth against which
-//! the optimized matcher in `xg-core` is property-tested. Each matching stack
-//! is stored as an owned `Vec<NodeId>`; branching copies the whole stack,
-//! exactly the cost the persistent execution stack of §3.3 avoids.
+//! baseline (the llama.cpp-style comparator of Figures 9 and 10), and as the
+//! semantic ground truth against which the optimized matcher in `xg-core` is
+//! property-tested. Each matching stack is stored as an owned `Vec<NodeId>`;
+//! branching copies the whole stack, exactly the cost the persistent
+//! execution stack of §3.3 avoids.
 
 use std::collections::HashSet;
 

@@ -129,12 +129,6 @@ impl Fsa {
         &self.states[state.index()].edges
     }
 
-    /// Returns `true` if any state is final (the automaton accepts at least
-    /// one string, assuming all final states are reachable).
-    pub fn has_final_state(&self) -> bool {
-        self.states.iter().any(|s| s.is_final)
-    }
-
     /// Returns `true` if a final state is reachable from the start state,
     /// i.e. the automaton's language is non-empty.
     pub fn has_reachable_final_state(&self) -> bool {

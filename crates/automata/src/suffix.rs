@@ -254,7 +254,7 @@ mod tests {
         let fsa = extract_suffix_fsa(&pda, rule_id(&pda, "root"));
         // Nothing references root, so any remaining bytes are rejected.
         assert_eq!(fsa.match_remaining(b"x"), SuffixMatch::Rejected);
-        assert!(!fsa.has_final_state());
+        assert!(!fsa.has_reachable_final_state());
     }
 
     #[test]

@@ -187,22 +187,6 @@ fn split(start: u32, end: u32, out: &mut Vec<Utf8Sequence>) {
     out.push(Utf8Sequence { ranges });
 }
 
-/// Merges a sorted list of byte ranges, coalescing overlapping or adjacent
-/// entries.
-pub fn merge_byte_ranges(mut ranges: Vec<ByteRange>) -> Vec<ByteRange> {
-    ranges.sort_by_key(|r| (r.lo, r.hi));
-    let mut out: Vec<ByteRange> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        match out.last_mut() {
-            Some(last) if r.lo as u16 <= last.hi as u16 + 1 => {
-                last.hi = last.hi.max(r.hi);
-            }
-            _ => out.push(r),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,16 +274,5 @@ mod tests {
             let enc = c.encode_utf8(&mut buf).as_bytes().to_vec();
             assert_eq!(seqs.iter().filter(|s| s.matches(&enc)).count(), 1);
         }
-    }
-
-    #[test]
-    fn merge_byte_ranges_coalesces() {
-        let merged = merge_byte_ranges(vec![
-            ByteRange::new(10, 20),
-            ByteRange::new(21, 30),
-            ByteRange::new(15, 25),
-            ByteRange::new(40, 50),
-        ]);
-        assert_eq!(merged, vec![ByteRange::new(10, 30), ByteRange::new(40, 50)]);
     }
 }

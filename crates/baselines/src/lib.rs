@@ -8,8 +8,9 @@
 //!
 //! * [`NaivePdaBackend`] — interprets the pushdown automaton directly and
 //!   scans the *entire* vocabulary at every step with copied stacks. This is
-//!   the behaviour of llama.cpp's grammar engine and the "PDA Baseline" row
-//!   of the ablation study.
+//!   the behaviour of llama.cpp's grammar engine, the comparator of
+//!   Figures 9 and 10. (Table 3's "PDA Baseline" row is
+//!   `xg_core::CompilerConfig::PdaBaseline` on the XGrammar matcher.)
 //! * [`FsmIndexBackend`] — an Outlines-style FSM approach: the grammar is
 //!   unrolled into a finite automaton up to a bounded recursion depth, a
 //!   lazy DFA is built over it, and for every DFA state the set of allowed
@@ -53,7 +54,7 @@ use std::sync::Arc;
 
 use xg_core::{CacheStats, CompiledConstraint, ConstraintMatcher};
 use xg_grammar::{DispatchDelta, Grammar, StructuralTag};
-use xg_tokenizer::{SortedVocabulary, Vocabulary};
+use xg_tokenizer::Vocabulary;
 
 /// Errors produced when a backend cannot handle a grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,15 +89,6 @@ pub trait ConstrainedBackend: Send + Sync + fmt::Debug {
 
     /// The vocabulary the backend was built for.
     fn vocabulary(&self) -> &Arc<Vocabulary>;
-
-    /// The sorted index of [`vocabulary`](Self::vocabulary), through which
-    /// the serving engine re-tokenizes grammar-forced text. A backend that
-    /// keeps one for its own compiles hands out that one; the default builds
-    /// a fresh index (a sort plus a copy of the vocabulary's bytes), so
-    /// callers keep the result.
-    fn sorted_vocabulary(&self) -> Arc<SortedVocabulary> {
-        Arc::new(SortedVocabulary::new(self.vocabulary()))
-    }
 
     /// Prepares a grammar, returning the compiled constraint that mints
     /// per-request sessions.

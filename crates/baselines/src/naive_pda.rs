@@ -1,11 +1,12 @@
 //! The naive PDA baseline: full-vocabulary scan per decoding step.
 //!
-//! This reproduces the strategy of llama.cpp's grammar engine (and of the
-//! "PDA Baseline" row in the paper's ablation, Table 3): the pushdown
-//! automaton is interpreted directly; at every step each vocabulary token is
-//! checked by cloning the current matching stacks and pushing the token's
-//! bytes through them. No token classification, no cache, no persistent
-//! stack, no prefix sharing.
+//! This reproduces the strategy of llama.cpp's grammar engine, the
+//! comparator of Figures 9 and 10 (Table 3's "PDA Baseline" row is
+//! `CompilerConfig::PdaBaseline` in `xg-core`): the pushdown automaton is
+//! interpreted directly; at every step each vocabulary token is checked by
+//! cloning the current matching stacks and pushing the token's bytes through
+//! them. No token classification, no cache, no persistent stack, no prefix
+//! sharing.
 
 use std::fmt;
 use std::sync::Arc;

@@ -18,7 +18,7 @@ use xg_core::{
     CacheBudget, CacheStats, CompiledConstraint, CompilerConfig, GrammarCache, GrammarCompiler,
 };
 use xg_grammar::{DispatchDelta, Grammar, GrammarError, StructuralTag};
-use xg_tokenizer::{SortedVocabulary, Vocabulary};
+use xg_tokenizer::Vocabulary;
 
 use crate::{BackendError, ConstrainedBackend};
 
@@ -84,10 +84,6 @@ impl ConstrainedBackend for XGrammarBackend {
 
     fn vocabulary(&self) -> &Arc<Vocabulary> {
         self.compiler.vocabulary()
-    }
-
-    fn sorted_vocabulary(&self) -> Arc<SortedVocabulary> {
-        Arc::clone(self.compiler.sorted_vocabulary())
     }
 
     fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
@@ -297,7 +293,7 @@ mod tests {
         let jump = session.find_jump_forward_string();
         assert_eq!(jump, b"{\"id\": ".to_vec());
         // The re-tokenized view tiles the same bytes with real tokens.
-        let run = session.find_jump_forward_tokens(&backend.sorted_vocabulary());
+        let run = session.find_jump_forward_tokens();
         assert_eq!(run.bytes, jump);
         assert_eq!(run.covered, jump.len());
         let tiled: Vec<u8> = run

@@ -141,9 +141,9 @@ fn main() {
 fn experiment_stats(vocab: &Arc<Vocabulary>) {
     println!("## Preprocessing statistics (paper §3.1–§3.3, JSON grammar)");
     let compiler = GrammarCompiler::new(Arc::clone(vocab));
-    // The sorted index is the compiler's, built once per vocabulary: not
-    // part of a grammar's preprocessing.
-    let sorted = compiler.sorted_vocabulary();
+    // The sorted index is the vocabulary's, built once: not part of a
+    // grammar's preprocessing.
+    let sorted = vocab.sorted();
     // `stats()` builds every mask-cache entry the compile leaves to first
     // use, so the time covers the whole §3 preprocessing.
     let start = std::time::Instant::now();

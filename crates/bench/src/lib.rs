@@ -223,3 +223,76 @@ pub fn ablation_backend(
     };
     (name, Arc::new(XGrammarBackend::with_config(vocab, config)))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xg_engine::{EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, ServingEngine};
+    use xg_grammar::{DispatchDelta, StructuralTag, TagContent, TagSpec};
+
+    /// One `Arc<Vocabulary>` is sorted once: every backend kind and a Table 3
+    /// row backend, a serving engine over each and the requests it serves,
+    /// every compiled grammar and the simulated proposer all read the
+    /// vocabulary's one index.
+    #[test]
+    fn every_holder_reads_the_vocabularys_one_sorted_index() {
+        let vocab = Arc::new(xg_tokenizer::test_vocabulary(600));
+        let sorted = Arc::clone(vocab.sorted());
+        let shares =
+            |v: &Arc<Vocabulary>| Arc::ptr_eq(v, &vocab) && Arc::ptr_eq(v.sorted(), &sorted);
+        let grammar = xg_grammar::parse_ebnf(r#"root ::= "{\"id\": " [0-9]+ "}""#, "root").unwrap();
+        let request = EngineRequest {
+            constraint: LaneConstraint::Grammar(grammar.clone()),
+            prompt_tokens: 4,
+            reference: br#"{"id": 42}"#.to_vec(),
+            max_tokens: 32,
+            seed: 0,
+        };
+        let mut backends: Vec<_> = BackendKind::all()
+            .iter()
+            .map(|kind| kind.build(Arc::clone(&vocab)))
+            .collect();
+        backends.push(ablation_backend(Arc::clone(&vocab), CompilerConfig::PdaBaseline).1);
+        for backend in backends {
+            let name = backend.name();
+            let engine = ServingEngine::new(
+                Arc::clone(&backend),
+                ModelProfile::llama31_8b_h100().scaled(0.01),
+                ExecutionMode::Overlapped,
+            );
+            let (results, _) = engine.run_batch(std::slice::from_ref(&request)).unwrap();
+            assert_eq!(results[0].output, request.reference, "{name}");
+            let reference = engine.decode_reference(&request).unwrap();
+            assert_eq!(reference.output, request.reference, "{name}");
+
+            assert!(shares(engine.backend().vocabulary()), "{name}");
+            let session = backend.compile(&grammar).unwrap().new_session();
+            assert!(shares(session.vocabulary()), "{name}");
+        }
+        // The compiler's grammars, the tag segments and their update.
+        let backend = XGrammarBackend::new(Arc::clone(&vocab));
+        let compiler = backend.compiler();
+        let compiled = compiler.compile_grammar(&grammar);
+        assert!(compiled.stats().nodes > 0, "every entry built");
+        assert!(shares(compiled.vocabulary()));
+        let tag = |begin: &str| TagSpec {
+            begin: begin.into(),
+            content: TagContent::Ebnf {
+                text: "root ::= [0-9]+".into(),
+                root: "root".into(),
+            },
+            end: "</n>".into(),
+        };
+        let dispatch = compiler
+            .compile_tag_dispatch(&StructuralTag::new(vec![tag("<n>")]))
+            .unwrap();
+        let updated = compiler
+            .update_tag_dispatch(&dispatch, &DispatchDelta::AddTag(tag("<m>")))
+            .unwrap();
+        for trigger in dispatch.triggers().iter().chain(updated.triggers()) {
+            assert!(shares(trigger.grammar().vocabulary()));
+        }
+        let proposer = SimulatedLlm::new(Arc::clone(&vocab), LlmBehavior::default());
+        assert!(shares(proposer.vocabulary()));
+    }
+}

@@ -17,11 +17,11 @@
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, NodeId, Pda, PdaBuildOptions};
 use xg_grammar::{analyze, Diagnostic, DiagnosticCode, Grammar, GrammarError};
-use xg_tokenizer::{SortedVocabulary, Vocabulary};
+use xg_tokenizer::Vocabulary;
 
 use crate::constraint::{CompiledConstraint, ConstraintMatcher};
 use crate::grammar_cache::{
@@ -84,9 +84,6 @@ impl CompilerConfig {
 pub struct CompiledGrammar {
     pda: Pda,
     vocab: Arc<Vocabulary>,
-    /// The sorted index of `vocab`, shared with every other grammar the same
-    /// [`GrammarCompiler`] compiles.
-    sorted: Arc<SortedVocabulary>,
     mask_cache: Option<MaskCache>,
     suffix_fsas: Vec<Fsa>,
     config: CompilerConfig,
@@ -97,15 +94,12 @@ pub struct CompiledGrammar {
 
 impl CompiledGrammar {
     /// Compiles `grammar` against `vocab` with the given configuration.
-    /// `sorted` must be the sorted index of `vocab`; it depends on nothing
-    /// else, so callers build it once per vocabulary
-    /// ([`GrammarCompiler::sorted_vocabulary`]) and every compile shares it.
     ///
-    /// No mask-cache entry is built here.
+    /// No mask-cache entry is built here; the entries read the vocabulary's
+    /// one [sorted index](Vocabulary::sorted).
     pub fn compile(
         grammar: &Grammar,
         vocab: Arc<Vocabulary>,
-        sorted: Arc<SortedVocabulary>,
         config: &CompilerConfig,
     ) -> CompiledGrammar {
         let pda = build_pda(grammar, &config.pda_options());
@@ -117,7 +111,6 @@ impl CompiledGrammar {
         let mut compiled = CompiledGrammar {
             pda,
             vocab,
-            sorted,
             mask_cache: None,
             suffix_fsas,
             config: *config,
@@ -134,7 +127,7 @@ impl CompiledGrammar {
         EntrySource {
             pda: &self.pda,
             vocab: &self.vocab,
-            sorted: &self.sorted,
+            sorted: self.vocab.sorted(),
             suffix_fsas: Some(&self.suffix_fsas[..])
                 .filter(|_| self.config == CompilerConfig::ContextExpansion),
         }
@@ -148,11 +141,6 @@ impl CompiledGrammar {
     /// The vocabulary this grammar was compiled against.
     pub fn vocabulary(&self) -> &Arc<Vocabulary> {
         &self.vocab
-    }
-
-    /// The lexicographically sorted token index.
-    pub fn sorted_vocabulary(&self) -> &SortedVocabulary {
-        &self.sorted
     }
 
     /// The adaptive token mask cache entry of `node`, built on its first
@@ -207,8 +195,8 @@ impl CompiledConstraint for CompiledGrammar {
 
     /// The automata and the mask-cache entries built so far (the per-node
     /// [`NodeMaskEntry::memory_bytes`]), which grows as requests read
-    /// entries. The sorted vocabulary index is shared, not held, and is not
-    /// charged.
+    /// entries. The sorted vocabulary index is the vocabulary's, not the
+    /// grammar's, and is not charged.
     fn memory_bytes(&self) -> usize {
         let mask_cache = self.mask_cache.as_ref().map_or(0, MaskCache::built_bytes);
         let suffix_fsas: usize = self.suffix_fsas.iter().map(Fsa::memory_bytes).sum();
@@ -217,6 +205,11 @@ impl CompiledConstraint for CompiledGrammar {
 }
 
 /// A caching grammar compiler bound to one vocabulary.
+///
+/// Every grammar it compiles reads the vocabulary's one sorted index
+/// ([`Vocabulary::sorted`]), and its cache keys the vocabulary's one
+/// [`Vocabulary::fingerprint`]: both are held by the vocabulary, so any
+/// number of compilers over one `Arc<Vocabulary>` sort and hash it once.
 ///
 /// # Examples
 ///
@@ -234,14 +227,6 @@ impl CompiledConstraint for CompiledGrammar {
 #[derive(Debug)]
 pub struct GrammarCompiler {
     vocab: Arc<Vocabulary>,
-    /// Fingerprint of `vocab`, computed once (hashing a 128k-token
-    /// vocabulary takes milliseconds) and carried by every dispatch compiled
-    /// here.
-    pub(crate) vocab_fingerprint: u64,
-    /// The sorted index of `vocab`, built by the first compile (or the first
-    /// caller of [`sorted_vocabulary`](Self::sorted_vocabulary)) and shared
-    /// by every grammar compiled afterwards.
-    sorted: OnceLock<Arc<SortedVocabulary>>,
     config: CompilerConfig,
     cache: Arc<GrammarCache>,
     /// Hits/misses attributable to *this* compiler. The cache's own counters
@@ -285,9 +270,7 @@ impl GrammarCompiler {
         cache: Arc<GrammarCache>,
     ) -> Self {
         GrammarCompiler {
-            vocab_fingerprint: vocab.fingerprint(),
             vocab,
-            sorted: OnceLock::new(),
             config,
             cache,
             local_hits: AtomicU64::new(0),
@@ -318,17 +301,6 @@ impl GrammarCompiler {
         &self.vocab
     }
 
-    /// The lexicographically sorted index of this compiler's vocabulary:
-    /// one per compiler, built on first use and shared by every compiled
-    /// grammar, structural-tag segment and incremental registry update — and
-    /// by whoever else needs to re-tokenize text against the same vocabulary.
-    /// Its build time and size are on [`SortedVocabulary`]; it is held once
-    /// per compiler and not charged to the grammar cache's budget.
-    pub fn sorted_vocabulary(&self) -> &Arc<SortedVocabulary> {
-        self.sorted
-            .get_or_init(|| Arc::new(SortedVocabulary::new(&self.vocab)))
-    }
-
     /// The compiled-grammar cache backing this compiler (private unless the
     /// compiler was built with [`with_cache`](Self::with_cache)).
     pub fn cache(&self) -> &Arc<GrammarCache> {
@@ -339,7 +311,7 @@ impl GrammarCompiler {
     /// configuration are baked in), e.g. to probe
     /// [`cache().contains(..)`](crate::ArtifactCache::contains).
     pub fn cache_key(&self, grammar: &Grammar) -> GrammarCacheKey {
-        GrammarCacheKey::new(grammar, self.vocab_fingerprint, &self.config)
+        GrammarCacheKey::new(grammar, self.vocab.fingerprint(), &self.config)
     }
 
     /// Compiles a grammar, reusing a previously compiled instance when the
@@ -350,12 +322,9 @@ impl GrammarCompiler {
     /// [`local_cache_stats`](Self::local_cache_stats).
     pub fn compile_grammar(&self, grammar: &Grammar) -> Arc<CompiledGrammar> {
         let compile = || {
-            let vocab = Arc::clone(&self.vocab);
-            let sorted = Arc::clone(self.sorted_vocabulary());
             Ok(CompiledGrammar::compile(
                 grammar,
-                vocab,
-                sorted,
+                Arc::clone(&self.vocab),
                 &self.config,
             ))
         };
@@ -443,11 +412,6 @@ impl GrammarCompiler {
     pub fn compile_builtin_json(&self) -> Arc<CompiledGrammar> {
         self.compile_grammar(&xg_grammar::builtin::json_grammar())
     }
-
-    /// Number of compiled grammars currently cached.
-    pub fn cached_count(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 #[cfg(test)]
@@ -469,10 +433,10 @@ mod tests {
             .compile_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root")
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(c.cached_count(), 1);
+        assert_eq!(c.cache().len(), 1);
         let other = c.compile_ebnf(r#"root ::= "x""#, "root").unwrap();
         assert!(!Arc::ptr_eq(&a, &other));
-        assert_eq!(c.cached_count(), 2);
+        assert_eq!(c.cache().len(), 2);
     }
 
     #[test]
@@ -524,39 +488,6 @@ mod tests {
         assert!(!c.has_cached_tag_dispatch_for(&tag));
         c.compile_tag_dispatch(&tag).unwrap();
         assert!(c.has_cached_tag_dispatch_for(&tag));
-    }
-
-    #[test]
-    fn every_compile_shares_the_compilers_one_sorted_index() {
-        use xg_grammar::{DispatchDelta, StructuralTag, TagContent, TagSpec};
-        let c = compiler();
-        let shared = |compiled: &CompiledGrammar| {
-            std::ptr::eq(compiled.sorted_vocabulary(), &**c.sorted_vocabulary())
-        };
-        let a = c
-            .compile_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root")
-            .unwrap();
-        let b = c.compile_builtin_json();
-        assert!(shared(&a) && shared(&b));
-
-        let number = |begin: &str| TagSpec {
-            begin: begin.into(),
-            content: TagContent::Ebnf {
-                text: "root ::= [0-9]+".into(),
-                root: "root".into(),
-            },
-            end: "</n>".into(),
-        };
-        let dispatch = c
-            .compile_tag_dispatch(&StructuralTag::new(vec![number("<n>")]))
-            .unwrap();
-        let updated = c
-            .update_tag_dispatch(&dispatch, &DispatchDelta::AddTag(number("<m>")))
-            .unwrap();
-        assert_eq!(updated.triggers().len(), 2);
-        for trigger in dispatch.triggers().iter().chain(updated.triggers()) {
-            assert!(shared(trigger.grammar()));
-        }
     }
 
     /// A grammar whose root derives no string is refused, under every row.

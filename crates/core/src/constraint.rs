@@ -22,7 +22,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
+use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::error::{AcceptError, RollbackError};
 use crate::mask::TokenBitmask;
@@ -47,13 +47,13 @@ pub struct ForcedTokenRun {
 
 impl ForcedTokenRun {
     /// Builds the run for `bytes`: the longest-prefix token cover computed
-    /// through `sorted` (which must be built from `vocab`). This is the one
-    /// place the cover rule is applied.
-    pub fn cover(bytes: Vec<u8>, vocab: &Vocabulary, sorted: &SortedVocabulary) -> Self {
+    /// through the vocabulary's one [sorted index](Vocabulary::sorted). This
+    /// is the one place the cover rule is applied.
+    pub fn cover(bytes: Vec<u8>, vocab: &Vocabulary) -> Self {
         if bytes.is_empty() {
             return ForcedTokenRun::default();
         }
-        let (tokens, covered) = sorted.longest_prefix_cover(vocab, &bytes);
+        let (tokens, covered) = vocab.sorted().longest_prefix_cover(vocab, &bytes);
         ForcedTokenRun {
             bytes,
             tokens,
@@ -237,18 +237,16 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
 
     /// The forced continuation re-tokenized against the vocabulary: the
     /// longest-prefix token cover of
-    /// [`find_jump_forward_string`](Self::find_jump_forward_string), computed
-    /// through `sorted` (which must be built from
-    /// [`vocabulary`](Self::vocabulary)). Engine-level jump-forward decoding
+    /// [`find_jump_forward_string`](Self::find_jump_forward_string) over
+    /// [`vocabulary`](Self::vocabulary). Engine-level jump-forward decoding
     /// injects these tokens without sampling; because the bytes are forced,
     /// every token of the cover is individually admitted by the matcher's own
     /// mask, so injection preserves the mask-soundness invariant.
     ///
     /// The matcher state is not modified.
-    fn find_jump_forward_tokens(&mut self, sorted: &SortedVocabulary) -> ForcedTokenRun {
+    fn find_jump_forward_tokens(&mut self) -> ForcedTokenRun {
         let bytes = self.find_jump_forward_string();
-        let vocab = Arc::clone(self.vocabulary());
-        ForcedTokenRun::cover(bytes, &vocab, sorted)
+        ForcedTokenRun::cover(bytes, self.vocabulary())
     }
 
     /// Returns `true` if end-of-sequence would be accepted now.

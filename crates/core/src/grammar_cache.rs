@@ -33,18 +33,14 @@
 //! ```
 //! use std::sync::Arc;
 //! use xg_core::{CacheBudget, CompiledGrammar, CompilerConfig, GrammarCache, GrammarCacheKey};
-//! use xg_tokenizer::{test_vocabulary, SortedVocabulary};
+//! use xg_tokenizer::test_vocabulary;
 //!
 //! let cache = GrammarCache::new(CacheBudget::for_grammars());
 //! let vocab = Arc::new(test_vocabulary(600));
-//! let sorted = Arc::new(SortedVocabulary::new(&vocab));
 //! let grammar = xg_grammar::parse_ebnf(r#"root ::= "x" | "y""#, "root").unwrap();
 //! let config = CompilerConfig::default();
 //! let key = GrammarCacheKey::new(&grammar, vocab.fingerprint(), &config);
-//! let compile = || {
-//!     let (vocab, sorted) = (Arc::clone(&vocab), Arc::clone(&sorted));
-//!     Ok::<_, ()>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
-//! };
+//! let compile = || Ok::<_, ()>(CompiledGrammar::compile(&grammar, Arc::clone(&vocab), &config));
 //! let (a, a_built) = cache.get_or_try_build(&key, compile).unwrap();
 //! let (b, b_built) = cache.get_or_try_build(&key, compile).unwrap();
 //! assert!(Arc::ptr_eq(&a, &b));
@@ -118,8 +114,8 @@ pub struct GrammarCacheKey {
 
 impl GrammarCacheKey {
     /// Computes the key for a grammar / vocabulary-fingerprint / configuration
-    /// triple. Use [`xg_tokenizer::Vocabulary::fingerprint`] (computed once
-    /// per vocabulary, it hashes every token) for the second component.
+    /// triple. Use [`xg_tokenizer::Vocabulary::fingerprint`] (it hashes every
+    /// token once and is kept by the vocabulary) for the second component.
     ///
     /// The grammar component is [`Grammar::structural_fingerprint`]:
     /// structurally identical grammars — even independently built ones — map
@@ -449,17 +445,15 @@ mod tests {
     use std::convert::Infallible;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
-    use xg_tokenizer::{test_vocabulary, SortedVocabulary, Vocabulary};
+    use xg_tokenizer::{test_vocabulary, Vocabulary};
 
     fn grammar(src: &str) -> Grammar {
         xg_grammar::parse_ebnf(src, "root").unwrap()
     }
 
-    /// A compile outside any [`GrammarCompiler`], with a sorted index of its
-    /// own.
+    /// A compile outside any [`GrammarCompiler`].
     fn compile(g: &Grammar, vocab: &Arc<Vocabulary>, cfg: &CompilerConfig) -> CompiledGrammar {
-        let sorted = Arc::new(SortedVocabulary::new(vocab));
-        CompiledGrammar::compile(g, Arc::clone(vocab), sorted, cfg)
+        CompiledGrammar::compile(g, Arc::clone(vocab), cfg)
     }
 
     fn one_entry() -> CacheBudget {

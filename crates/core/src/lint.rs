@@ -92,7 +92,7 @@ pub fn dead_states(compiled: &CompiledGrammar) -> Vec<Diagnostic> {
     if !compiled.config().mask_cache() {
         return diagnostics;
     }
-    let classified = compiled.sorted_vocabulary().len();
+    let classified = compiled.vocabulary().sorted().len();
     for id in reachable_nodes(pda) {
         let node = pda.node(id);
         if !node.is_final && entry_is_dead(compiled.entry(id), classified) {
@@ -117,13 +117,12 @@ mod tests {
     use std::sync::Arc;
 
     use xg_grammar::{Grammar, GrammarError};
-    use xg_tokenizer::{test_vocabulary, SortedVocabulary, Vocabulary};
+    use xg_tokenizer::{test_vocabulary, Vocabulary};
 
     use crate::compiler::{CompilerConfig, GrammarCompiler};
 
     fn compile(grammar: &Grammar, vocab: Arc<Vocabulary>) -> CompiledGrammar {
-        let sorted = Arc::new(SortedVocabulary::new(&vocab));
-        CompiledGrammar::compile(grammar, vocab, sorted, &CompilerConfig::default())
+        CompiledGrammar::compile(grammar, vocab, &CompilerConfig::default())
     }
 
     #[test]
@@ -199,7 +198,7 @@ mod tests {
         .unwrap();
         let analysis = xg_grammar::analyze(&grammar);
         assert_eq!(analysis.error_count(), 0);
-        assert_eq!(analysis.warning_count(), 1);
+        assert_eq!(analysis.diagnostics.len(), 1, "one warning");
         let compiled = compile(&grammar, Arc::new(test_vocabulary(600)));
         assert_eq!(dead_states(&compiled), []);
     }

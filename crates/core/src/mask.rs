@@ -35,13 +35,6 @@ impl TokenBitmask {
         }
     }
 
-    /// Creates a mask with every token allowed.
-    pub fn new_all_allowed(vocab_size: usize) -> Self {
-        let mut mask = Self::new_all_rejected(vocab_size);
-        mask.allow_all();
-        mask
-    }
-
     /// Vocabulary size this mask covers.
     pub fn vocab_size(&self) -> usize {
         self.vocab_size
@@ -133,18 +126,6 @@ impl TokenBitmask {
         }
     }
 
-    /// In-place intersection with another mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vocabulary sizes differ.
-    pub fn intersect_with(&mut self, other: &TokenBitmask) {
-        assert_eq!(self.vocab_size, other.vocab_size, "mask size mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// Raw 64-bit words of the mask (for the engine's masked sampling).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -172,77 +153,6 @@ impl TokenBitmask {
     pub fn copy_from(&mut self, other: &TokenBitmask) {
         assert_eq!(self.vocab_size, other.vocab_size, "mask size mismatch");
         self.words.copy_from_slice(&other.words);
-    }
-
-    /// Allows the contiguous id run `[start, start + len)` — whole words in
-    /// the interior, masked edits at the two fringe words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run extends past the vocabulary.
-    pub fn allow_run(&mut self, start: TokenId, len: usize) {
-        let (first, last) = self.run_bounds(start, len);
-        if len == 0 {
-            return;
-        }
-        let lo = start.index();
-        let hi = lo + len; // exclusive
-        if first == last {
-            // Entire run inside one word.
-            let bits = (u64::MAX >> (64 - len)) << (lo % 64);
-            self.words[first] |= bits;
-            return;
-        }
-        self.words[first] |= u64::MAX << (lo % 64);
-        for w in &mut self.words[first + 1..last] {
-            *w = u64::MAX;
-        }
-        let tail = hi % 64;
-        self.words[last] |= if tail == 0 {
-            u64::MAX
-        } else {
-            u64::MAX >> (64 - tail)
-        };
-        self.clear_padding();
-    }
-
-    /// Rejects the contiguous id run `[start, start + len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run extends past the vocabulary.
-    pub fn reject_run(&mut self, start: TokenId, len: usize) {
-        let (first, last) = self.run_bounds(start, len);
-        if len == 0 {
-            return;
-        }
-        let lo = start.index();
-        let hi = lo + len;
-        if first == last {
-            let bits = (u64::MAX >> (64 - len)) << (lo % 64);
-            self.words[first] &= !bits;
-            return;
-        }
-        self.words[first] &= !(u64::MAX << (lo % 64));
-        for w in &mut self.words[first + 1..last] {
-            *w = 0;
-        }
-        let tail = hi % 64;
-        self.words[last] &= if tail == 0 {
-            0
-        } else {
-            !(u64::MAX >> (64 - tail))
-        };
-    }
-
-    fn run_bounds(&self, start: TokenId, len: usize) -> (usize, usize) {
-        let lo = start.index();
-        let hi = lo.checked_add(len).expect("token run overflows");
-        assert!(hi <= self.vocab_size, "token run out of range");
-        if len == 0 {
-            return (0, 0);
-        }
-        (lo / 64, (hi - 1) / 64)
     }
 
     /// Allows every token in `tokens` (any order, duplicates fine) in one
@@ -280,6 +190,12 @@ impl TokenBitmask {
 mod tests {
     use super::*;
 
+    fn all_allowed(vocab_size: usize) -> TokenBitmask {
+        let mut mask = TokenBitmask::new_all_rejected(vocab_size);
+        mask.allow_all();
+        mask
+    }
+
     #[test]
     fn allow_reject_roundtrip() {
         let mut m = TokenBitmask::new_all_rejected(130);
@@ -296,7 +212,7 @@ mod tests {
 
     #[test]
     fn all_allowed_respects_vocab_size() {
-        let m = TokenBitmask::new_all_allowed(70);
+        let m = all_allowed(70);
         assert_eq!(m.count_allowed(), 70);
         assert!(!m.is_allowed(TokenId(70)));
         assert!(!m.is_allowed(TokenId(1000)));
@@ -323,10 +239,13 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.count_allowed(), 3);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.count_allowed(), 1);
-        assert!(i.is_allowed(TokenId(2)));
+        // Inclusion–exclusion over the one token both allow.
+        let both: Vec<TokenId> = a.allowed_tokens().filter(|&t| b.is_allowed(t)).collect();
+        assert_eq!(both, [TokenId(2)]);
+        assert_eq!(
+            u.count_allowed(),
+            a.count_allowed() + b.count_allowed() - both.len()
+        );
     }
 
     #[test]
@@ -358,7 +277,7 @@ mod tests {
     fn all_allowed_construction_is_full_at_word_boundaries() {
         // Sizes straddling the u64-word boundary exercise the padding mask.
         for size in [1, 63, 64, 65, 127, 128, 129] {
-            let m = TokenBitmask::new_all_allowed(size);
+            let m = all_allowed(size);
             assert_eq!(m.count_allowed(), size, "size {size}");
             let ids: Vec<u32> = m.allowed_tokens().map(|t| t.0).collect();
             assert_eq!(ids, (0..size as u32).collect::<Vec<_>>(), "size {size}");
@@ -401,7 +320,7 @@ mod tests {
     #[test]
     fn empty_vocabulary_masks_are_consistent() {
         let rejected = TokenBitmask::new_all_rejected(0);
-        let allowed = TokenBitmask::new_all_allowed(0);
+        let allowed = all_allowed(0);
         assert_eq!(rejected.count_allowed(), 0);
         assert_eq!(allowed.count_allowed(), 0);
         assert_eq!(allowed.allowed_tokens().count(), 0);
@@ -412,42 +331,6 @@ mod tests {
     fn allow_out_of_range_panics() {
         let mut m = TokenBitmask::new_all_rejected(64);
         m.allow(TokenId(64));
-    }
-
-    #[test]
-    fn runs_match_per_token_loops() {
-        // Every (start, len) combination across word boundaries, including
-        // empty runs and runs ending exactly at the vocabulary edge.
-        let vocab = 200;
-        for start in [0usize, 1, 63, 64, 65, 100, 127, 128, 199] {
-            for len in [0usize, 1, 2, 63, 64, 65, 72] {
-                if start + len > vocab {
-                    continue;
-                }
-                let mut kernel = TokenBitmask::new_all_rejected(vocab);
-                kernel.allow_run(TokenId(start as u32), len);
-                let mut serial = TokenBitmask::new_all_rejected(vocab);
-                for t in start..start + len {
-                    serial.allow(TokenId(t as u32));
-                }
-                assert_eq!(kernel, serial, "allow_run({start}, {len})");
-
-                let mut kernel = TokenBitmask::new_all_allowed(vocab);
-                kernel.reject_run(TokenId(start as u32), len);
-                let mut serial = TokenBitmask::new_all_allowed(vocab);
-                for t in start..start + len {
-                    serial.reject(TokenId(t as u32));
-                }
-                assert_eq!(kernel, serial, "reject_run({start}, {len})");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "token run out of range")]
-    fn allow_run_past_vocab_panics() {
-        let mut m = TokenBitmask::new_all_rejected(100);
-        m.allow_run(TokenId(90), 11);
     }
 
     #[test]
@@ -463,9 +346,9 @@ mod tests {
             serial.allow(t);
         }
         assert_eq!(bulk, serial);
-        let mut bulk = TokenBitmask::new_all_allowed(171);
+        let mut bulk = all_allowed(171);
         bulk.reject_many(&ids);
-        let mut serial = TokenBitmask::new_all_allowed(171);
+        let mut serial = all_allowed(171);
         for &t in &ids {
             serial.reject(t);
         }
@@ -474,7 +357,7 @@ mod tests {
 
     #[test]
     fn copy_from_replaces_contents() {
-        let mut a = TokenBitmask::new_all_allowed(130);
+        let mut a = all_allowed(130);
         let mut b = TokenBitmask::new_all_rejected(130);
         b.allow(TokenId(129));
         a.copy_from(&b);

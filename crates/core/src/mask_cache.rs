@@ -101,11 +101,6 @@ impl NodeMaskEntry {
             } => accepted.memory_bytes() + uncertain.len() * 4,
         }
     }
-
-    /// True if this entry uses the accept-heavy storage format.
-    pub fn is_accept_heavy(&self) -> bool {
-        matches!(self, NodeMaskEntry::AcceptHeavy { .. })
-    }
 }
 
 /// Statistics gathered while building the mask cache; these back several of
@@ -848,8 +843,12 @@ mod tests {
         // tokens containing a NUL byte are rejected), so the rejected list is
         // far cheaper than a bitset.
         let (pda, cache) = build_all(r#"root ::= "x" [^\x00]* "y""#, &vocab, true);
-        let accept_heavy =
-            (0..pda.node_count()).any(|i| cache.entry(NodeId(i as u32)).is_accept_heavy());
+        let accept_heavy = (0..pda.node_count()).any(|i| {
+            matches!(
+                cache.entry(NodeId(i as u32)),
+                NodeMaskEntry::AcceptHeavy { .. }
+            )
+        });
         assert!(accept_heavy, "expected at least one accept-heavy node");
     }
 

@@ -238,7 +238,7 @@ impl GrammarMatcher {
     /// checked in sorted order to share prefixes.
     fn fill_mask_naive(&mut self, mask: &mut TokenBitmask) {
         let compiled = &*self.compiled;
-        let sorted_ids = compiled.sorted_vocabulary().ids();
+        let sorted_ids = compiled.vocabulary().sorted().ids();
         mask.reject_all();
         self.work.trail.match_sorted(
             compiled.pda(),
@@ -594,9 +594,7 @@ mod tests {
         let compiled = compiler.compile_json_schema(&case.schema).unwrap();
         assert_eq!(compiled.built_entries(), 0);
         let answer = case.valid[0].as_bytes();
-        let (tokens, covered) = compiler
-            .sorted_vocabulary()
-            .longest_prefix_cover(&vocab, answer);
+        let (tokens, covered) = vocab.sorted().longest_prefix_cover(&vocab, answer);
         assert_eq!(covered, answer.len());
 
         let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));
@@ -658,7 +656,7 @@ mod tests {
         let mut alive = vec![oracle.clone()];
         let mut dead_len = None;
         let mut prev: &[u8] = &[];
-        for &id in compiled.sorted_vocabulary().ids() {
+        for &id in compiled.vocabulary().sorted().ids() {
             let bytes = vocab.token_bytes(id);
             let shared = xg_tokenizer::common_prefix_len(prev, bytes);
             prev = bytes;
@@ -700,9 +698,7 @@ mod tests {
         let naive = GrammarCompiler::with_config(Arc::clone(&vocab), CompilerConfig::NodeMerging)
             .compile_grammar(grammar);
         let mut oracle = xg_automata::SimpleMatcher::new(cached.pda());
-        let (tokens, covered) = cached
-            .sorted_vocabulary()
-            .longest_prefix_cover(&vocab, document);
+        let (tokens, covered) = vocab.sorted().longest_prefix_cover(&vocab, document);
         assert_eq!(covered, document.len());
 
         let mut m_cached = GrammarMatcher::new(Arc::clone(&cached));

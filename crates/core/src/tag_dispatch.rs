@@ -61,8 +61,6 @@ pub struct CompiledTagDispatch {
     triggers: Vec<Arc<CompiledTrigger>>,
     scanner: AhoCorasick,
     vocab: Arc<Vocabulary>,
-    /// The compiling [`GrammarCompiler`]'s fingerprint of `vocab`.
-    vocab_fingerprint: u64,
     /// The registry description this dispatch was compiled from; deltas are
     /// applied against it.
     source: StructuralTag,
@@ -183,7 +181,7 @@ impl GrammarCompiler {
         delta: &DispatchDelta,
     ) -> Result<Arc<CompiledTagDispatch>, GrammarError> {
         let next = base.source_tag().apply_delta(delta)?;
-        if base.vocab_fingerprint != self.vocab_fingerprint {
+        if base.vocab.fingerprint() != self.vocabulary().fingerprint() {
             // A foreign base pins grammars compiled against another
             // vocabulary; reusing them would produce wrong masks.
             return self.compile_tag_dispatch(&next);
@@ -270,7 +268,6 @@ impl GrammarCompiler {
             triggers,
             scanner: AhoCorasick::new(&patterns),
             vocab: Arc::clone(self.vocabulary()),
-            vocab_fingerprint: self.vocab_fingerprint,
             source: tag.clone(),
         }
     }
@@ -295,7 +292,7 @@ mod tests {
     use xg_grammar::{TagContent, TagSpec};
     use xg_tokenizer::test_vocabulary;
 
-    /// An update compares the two compilers' stored vocabulary fingerprints:
+    /// An update compares the two vocabularies' fingerprints:
     /// over the same vocabulary it reuses the untouched trigger, over another
     /// one it compiles every trigger against the new vocabulary.
     #[test]

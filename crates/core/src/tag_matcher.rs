@@ -190,12 +190,6 @@ impl StructuralTagMatcher {
         }
     }
 
-    /// Number of segment slots currently retained (the prune pass scans only
-    /// these; slots behind the rollback window are dropped entirely).
-    pub fn retained_segment_slots(&self) -> usize {
-        self.segments.len()
-    }
-
     fn seg(&self, abs: usize) -> &TagSegment {
         &self.segments[abs - self.segments_base]
     }
@@ -923,9 +917,9 @@ pub(crate) mod tests {
         }
         assert_eq!(matcher.stats().tags_opened, 100);
         assert!(
-            matcher.retained_segment_slots() <= 4,
+            matcher.segments.len() <= 4,
             "expected slots behind the window to be dropped, {} retained",
-            matcher.retained_segment_slots()
+            matcher.segments.len()
         );
         assert!(matcher.stats().slots_dropped >= 96);
         // The lane reopened its own released inner matchers rather than
@@ -1027,7 +1021,7 @@ pub(crate) mod tests {
         assert_eq!(matcher.mode(), DispatchMode::FreeText);
         assert!(matcher.can_terminate());
         assert_eq!(matcher.stats(), TagDispatchStats::default());
-        assert_eq!(matcher.retained_segment_slots(), 0);
+        assert_eq!(matcher.segments.len(), 0);
     }
 
     #[test]

@@ -41,7 +41,6 @@ use crate::scheduler::{SchedulerConfig, SchedulerMetrics, StreamingRequest};
 use xg_baselines::{BackendError, ConstrainedBackend};
 use xg_core::{CompiledConstraint, TokenBitmask};
 use xg_grammar::{Grammar, StructuralTag};
-use xg_tokenizer::SortedVocabulary;
 
 /// Whether grammar work is overlapped with the simulated GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,6 +198,11 @@ pub struct RequestResult {
 }
 
 /// The serving engine.
+///
+/// Its simulated model proposes, and jump-forward re-tokenizes forced text,
+/// through the backend vocabulary's one sorted index
+/// ([`Vocabulary::sorted`](xg_tokenizer::Vocabulary::sorted)); building an
+/// engine sorts the vocabulary only if nothing sorted it before.
 #[derive(Debug)]
 pub struct ServingEngine {
     backend: Arc<dyn ConstrainedBackend>,
@@ -207,11 +211,6 @@ pub struct ServingEngine {
     llm: SimulatedLlm,
     /// How constrained lanes use jump-forward decoding.
     jump_forward: JumpForwardPolicy,
-    /// The backend's sorted vocabulary index: the simulated model proposes
-    /// through it and forced text is re-tokenized through it. Fetched once,
-    /// at construction (a backend without an index of its own builds one per
-    /// call), and shared by every scheduler.
-    sorted_vocab: Arc<SortedVocabulary>,
 }
 
 impl ServingEngine {
@@ -236,22 +235,16 @@ impl ServingEngine {
         mode: ExecutionMode,
         behavior: LlmBehavior,
     ) -> Self {
-        // Fetched here, outside any batch's timed region: with the XGrammar
-        // backend this is the vocabulary sort its first compile would
-        // otherwise pay.
-        let sorted_vocab = backend.sorted_vocabulary();
-        let llm = SimulatedLlm::with_sorted(
-            Arc::clone(backend.vocabulary()),
-            Arc::clone(&sorted_vocab),
-            behavior,
-        );
+        // The simulated model sorts the vocabulary here, outside any
+        // batch's timed region, if nothing sorted it before; every compile,
+        // proposal and re-tokenization then reads that one index.
+        let llm = SimulatedLlm::new(Arc::clone(backend.vocabulary()), behavior);
         ServingEngine {
             backend,
             profile,
             mode,
             llm,
             jump_forward: JumpForwardPolicy::default(),
-            sorted_vocab,
         }
     }
 
@@ -272,7 +265,7 @@ impl ServingEngine {
     }
 
     /// The active jump-forward policy.
-    pub fn jump_forward_policy(&self) -> JumpForwardPolicy {
+    pub(crate) fn jump_forward_policy(&self) -> JumpForwardPolicy {
         self.jump_forward
     }
 
@@ -317,13 +310,6 @@ impl ServingEngine {
     /// The simulated LLM.
     pub(crate) fn llm(&self) -> &SimulatedLlm {
         &self.llm
-    }
-
-    /// The sorted vocabulary index forced text is re-tokenized through;
-    /// `None` under [`JumpForwardPolicy::Off`], where nothing is injected.
-    pub(crate) fn retokenizer(&self) -> Option<Arc<SortedVocabulary>> {
-        matches!(self.jump_forward, JumpForwardPolicy::Engine)
-            .then(|| Arc::clone(&self.sorted_vocab))
     }
 
     /// Starts a [`ContinuousScheduler`](crate::ContinuousScheduler) serving
@@ -391,10 +377,9 @@ impl ServingEngine {
     /// this backend.
     pub fn decode_reference(&self, request: &EngineRequest) -> Result<RequestResult, BackendError> {
         let vocab = self.backend.vocabulary();
-        let sorted = self.retokenizer();
         let ctx = ForcedContext {
-            sorted: sorted.as_deref(),
-            vocab,
+            jump_forward: self.jump_forward,
+            vocab: Arc::clone(vocab),
         };
         let compiled = request.constraint.compile(self.backend.as_ref())?;
         let mut lane = Lane::new(
@@ -793,21 +778,6 @@ mod tests {
         // share: available parallelism capped at the two lanes.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(metrics.mask_workers, cores.min(reqs.len()));
-    }
-
-    #[test]
-    fn proposer_retokenizer_and_compiler_share_one_sorted_vocabulary() {
-        // One sort per backend: whatever the policy, the engine holds the
-        // compiler's index and the simulated model proposes through it.
-        let backend = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
-        let engine = ServingEngine::new(backend.clone(), fast_profile(), ExecutionMode::Serial);
-        let compilers = backend.sorted_vocabulary();
-        assert!(Arc::ptr_eq(&engine.sorted_vocab, &compilers));
-        assert!(Arc::ptr_eq(engine.llm.sorted_vocabulary(), &compilers));
-        assert!(Arc::ptr_eq(&engine.retokenizer().unwrap(), &compilers));
-        let off = engine.with_jump_forward(JumpForwardPolicy::Off);
-        assert!(off.retokenizer().is_none());
-        assert!(Arc::ptr_eq(off.llm.sorted_vocabulary(), &compilers));
     }
 
     #[test]

@@ -18,22 +18,22 @@
 //! [`ServingEngine::decode_reference`]: crate::ServingEngine::decode_reference
 //! [`ContinuousScheduler`]: crate::ContinuousScheduler
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::engine::RequestResult;
 use crate::llm::LlmRequestState;
+use crate::JumpForwardPolicy;
 use xg_baselines::Session;
 use xg_core::TokenBitmask;
-use xg_tokenizer::{SortedVocabulary, Vocabulary};
+use xg_tokenizer::Vocabulary;
 
-/// Shared forced-injection context of one serving run: the re-tokenization
-/// index (`None` under [`JumpForwardPolicy::Off`] — nothing is injected) and
-/// the vocabulary.
-///
-/// [`JumpForwardPolicy::Off`]: crate::JumpForwardPolicy::Off
-pub(crate) struct ForcedContext<'a> {
-    pub sorted: Option<&'a SortedVocabulary>,
-    pub vocab: &'a Vocabulary,
+/// Shared forced-injection context of one serving run: the jump-forward
+/// policy (nothing is injected under [`JumpForwardPolicy::Off`]) and the
+/// vocabulary.
+pub(crate) struct ForcedContext {
+    pub jump_forward: JumpForwardPolicy,
+    pub vocab: Arc<Vocabulary>,
 }
 
 /// One decode lane: the constraint session (None for unconstrained lanes),
@@ -92,7 +92,7 @@ impl Lane {
     /// first sampled token already continues the forced text. No-op under
     /// [`JumpForwardPolicy::Off`](crate::JumpForwardPolicy::Off) and on
     /// unconstrained lanes.
-    pub fn start(&mut self, ctx: &ForcedContext<'_>) {
+    pub fn start(&mut self, ctx: &ForcedContext) {
         if !self.finished && self.inject_forced(ctx) {
             self.finished = true;
         }
@@ -104,7 +104,7 @@ impl Lane {
     /// injection. Returns the byte offset in [`output`](Self::output) where
     /// this step's emission began (`output[offset..]` is the step's newly
     /// emitted text — empty when the lane finished without emitting).
-    pub fn step(&mut self, mask: Option<&TokenBitmask>, ctx: &ForcedContext<'_>) -> usize {
+    pub fn step(&mut self, mask: Option<&TokenBitmask>, ctx: &ForcedContext) -> usize {
         let emitted_from = self.output.len();
         if self.finished {
             return emitted_from;
@@ -182,15 +182,18 @@ impl Lane {
     /// proposals continue after it. Returns `true` when the lane has reached
     /// its token cap (the caller marks it finished). No-op (`false`) under
     /// `JumpForwardPolicy::Off` and on unconstrained lanes.
-    fn inject_forced(&mut self, ctx: &ForcedContext<'_>) -> bool {
-        let (Some(sorted), Some(session)) = (ctx.sorted, self.session.as_mut()) else {
+    fn inject_forced(&mut self, ctx: &ForcedContext) -> bool {
+        let Some(session) = self.session.as_mut() else {
             return false;
         };
+        if ctx.jump_forward == JumpForwardPolicy::Off {
+            return false;
+        }
         let budget = self
             .max_tokens
             .saturating_sub(self.sampled_tokens + self.forced_tokens);
         let start = Instant::now();
-        let run = session.find_jump_forward_tokens(sorted);
+        let run = session.find_jump_forward_tokens();
         for &token in run.tokens.iter().take(budget) {
             // Forced bytes are the unique allowed continuation, so every
             // cover token is admitted; a rejection (a backend bug) stops the

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use xg_core::TokenBitmask;
-use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
+use xg_tokenizer::{TokenId, Vocabulary};
 
 /// Controls how often the unconstrained model misbehaves.
 #[derive(Debug, Clone)]
@@ -45,40 +45,21 @@ impl Default for LlmBehavior {
 pub struct SimulatedLlm {
     vocab: Arc<Vocabulary>,
     behavior: LlmBehavior,
-    /// The longest-match index greedy proposal descends.
-    sorted: Arc<SortedVocabulary>,
 }
 
 impl SimulatedLlm {
-    /// Creates a simulated LLM, building a [`SortedVocabulary`] of `vocab`
-    /// for its proposals (see its doc for the cost; the serving engine
-    /// shares its backend's index instead).
+    /// Creates a simulated LLM. Greedy proposal descends the vocabulary's
+    /// [sorted index](Vocabulary::sorted), which is built here if nothing
+    /// built it before, so its cost lands on construction, not on the first
+    /// proposal.
     pub fn new(vocab: Arc<Vocabulary>, behavior: LlmBehavior) -> Self {
-        let sorted = Arc::new(SortedVocabulary::new(&vocab));
-        Self::with_sorted(vocab, sorted, behavior)
-    }
-
-    /// Creates a simulated LLM over an existing sorted index of `vocab`.
-    pub(crate) fn with_sorted(
-        vocab: Arc<Vocabulary>,
-        sorted: Arc<SortedVocabulary>,
-        behavior: LlmBehavior,
-    ) -> Self {
-        SimulatedLlm {
-            vocab,
-            behavior,
-            sorted,
-        }
+        vocab.sorted();
+        SimulatedLlm { vocab, behavior }
     }
 
     /// The vocabulary.
     pub fn vocabulary(&self) -> &Arc<Vocabulary> {
         &self.vocab
-    }
-
-    #[cfg(test)]
-    pub(crate) fn sorted_vocabulary(&self) -> &Arc<SortedVocabulary> {
-        &self.sorted
     }
 
     /// Creates the per-request generation state for a reference output.
@@ -97,7 +78,6 @@ impl SimulatedLlm {
         }
         LlmRequestState {
             vocab: Arc::clone(&self.vocab),
-            sorted: Arc::clone(&self.sorted),
             intended,
             position: 0,
         }
@@ -136,7 +116,6 @@ fn inject_type_error(reference: &[u8]) -> Vec<u8> {
 #[derive(Debug, Clone)]
 pub struct LlmRequestState {
     vocab: Arc<Vocabulary>,
-    sorted: Arc<SortedVocabulary>,
     intended: Vec<u8>,
     position: usize,
 }
@@ -158,7 +137,8 @@ impl LlmRequestState {
     /// exhausted — or cannot be spelled, in a vocabulary without byte
     /// fallback: the model gives up.
     pub fn propose(&self) -> TokenId {
-        self.sorted
+        self.vocab
+            .sorted()
             .longest_prefix_token(self.remaining())
             .unwrap_or_else(|| self.vocab.eos().expect("vocabulary has an EOS token"))
     }

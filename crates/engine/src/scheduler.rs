@@ -69,7 +69,6 @@ use crate::llm::SimulatedLlm;
 use crate::profiles::ModelProfile;
 use xg_baselines::{BackendError, ConstrainedBackend, Session};
 use xg_core::{CacheStats, TokenBitmask};
-use xg_tokenizer::{SortedVocabulary, Vocabulary};
 
 /// Sizing and worker-count configuration of a [`ContinuousScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -719,8 +718,10 @@ impl ContinuousScheduler {
                 mask_done: mask_done_rx,
                 pool: Arc::clone(&pool),
                 shared: Arc::clone(&shared),
-                vocab: Arc::clone(backend.vocabulary()),
-                sorted: engine.retokenizer(),
+                forced: ForcedContext {
+                    jump_forward: engine.jump_forward_policy(),
+                    vocab: Arc::clone(backend.vocabulary()),
+                },
             },
             shared: Arc::clone(&shared),
             profile: engine.profile().clone(),
@@ -982,9 +983,7 @@ struct Threads {
     mask_done: Receiver<(ActiveLane, bool)>,
     pool: Arc<MaskPool>,
     shared: Arc<Shared>,
-    vocab: Arc<Vocabulary>,
-    /// Forced-text re-tokenization index; `None` = jump-forward is off.
-    sorted: Option<Arc<SortedVocabulary>>,
+    forced: ForcedContext,
 }
 
 impl Drop for Threads {
@@ -1053,8 +1052,7 @@ impl Env for Threads {
             compile_time: timing.compile_time,
             cache_hit: timing.cache_hit,
         });
-        let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
-        al.lane.start(&ForcedContext { sorted, vocab });
+        al.lane.start(&self.forced);
         let (now, finished) = (Instant::now(), al.lane.finished);
         Some(Event::Started { now, finished })
     }
@@ -1084,9 +1082,8 @@ impl Env for Threads {
     }
 
     fn sample(&mut self, al: &mut ActiveLane) -> bool {
-        let (sorted, vocab) = (self.sorted.as_deref(), &self.vocab);
         let mask = al.lane.is_constrained().then_some(&al.mask);
-        al.lane.step(mask, &ForcedContext { sorted, vocab });
+        al.lane.step(mask, &self.forced);
         al.lane.finished
     }
 
@@ -1446,7 +1443,7 @@ mod tests {
     use xg_baselines::{Session, XGrammarBackend};
     use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, ForcedTokenRun};
     use xg_grammar::{parse_ebnf, Grammar};
-    use xg_tokenizer::{test_vocabulary, TokenId};
+    use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};
 
     fn engine(mode: ExecutionMode) -> ServingEngine {
         let vocab = Arc::new(test_vocabulary(600));
@@ -1856,8 +1853,8 @@ mod tests {
         fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
             self.inner.accept_token(token)
         }
-        fn find_jump_forward_tokens(&mut self, sorted: &SortedVocabulary) -> ForcedTokenRun {
-            self.inner.find_jump_forward_tokens(sorted)
+        fn find_jump_forward_tokens(&mut self) -> ForcedTokenRun {
+            self.inner.find_jump_forward_tokens()
         }
         fn can_terminate(&mut self) -> bool {
             self.inner.can_terminate()

@@ -200,11 +200,6 @@ impl GrammarAnalysis {
     pub fn error_count(&self) -> usize {
         self.errors().count()
     }
-
-    /// Number of warning-severity diagnostics.
-    pub fn warning_count(&self) -> usize {
-        self.diagnostics.len() - self.error_count()
-    }
 }
 
 /// Returns `true` if `expr` can derive at least one terminal string, given

@@ -3,7 +3,8 @@
 //! The grammar engine validates *token byte strings* against a pushdown
 //! automaton; this crate provides those byte strings:
 //!
-//! * [`Vocabulary`] — the token table (byte strings + special tokens),
+//! * [`Vocabulary`] — the token table (byte strings + special tokens), which
+//!   keeps its sorted index and fingerprint once computed,
 //! * [`synthetic_vocabulary`] — deterministic generation of large,
 //!   realistic vocabularies (standing in for the Llama-3.1 tokenizer, which
 //!   cannot be redistributed here),
@@ -14,11 +15,12 @@
 //! # Examples
 //!
 //! ```
-//! use xg_tokenizer::{test_vocabulary, SortedVocabulary};
+//! use xg_tokenizer::test_vocabulary;
 //!
 //! let vocab = test_vocabulary(2000);
-//! let sorted = SortedVocabulary::new(&vocab);
+//! let sorted = vocab.sorted(); // built once, then kept
 //! assert_eq!(sorted.len(), vocab.len() - 2); // specials excluded
+//! assert!(std::ptr::eq(sorted, vocab.sorted()));
 //! ```
 
 #![warn(missing_docs)]

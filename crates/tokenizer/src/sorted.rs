@@ -101,8 +101,10 @@ fn tail_classes(token: &[u8]) -> u64 {
 /// running count of bytes to check (0.5 MB each). Building it takes
 /// ≈ 33–50 ms on a 2-core machine (`perf`'s `tokenizer.sort_vocab_ms`, the
 /// p50 of its traced replay's builds), and a process's first build up to
-/// twice that. So build one per vocabulary and share it: a
-/// `GrammarCompiler` holds one `Arc` of it for every grammar it compiles.
+/// twice that. So the vocabulary builds it once and keeps it
+/// ([`Vocabulary::sorted`]): every compiler, compiled grammar, backend,
+/// serving engine and simulated model holding the same `Arc<Vocabulary>`
+/// reads that one index.
 #[derive(Debug, Clone)]
 pub struct SortedVocabulary {
     /// Token ids in lexicographic byte order (special tokens excluded).

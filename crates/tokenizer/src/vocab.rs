@@ -4,9 +4,16 @@
 //! (paper §3: the automaton is byte level precisely so that tokens containing
 //! partial UTF-8 sequences and tokens crossing grammar-element boundaries are
 //! handled uniformly), so a vocabulary here is essentially `Vec<Vec<u8>>`
-//! plus bookkeeping for special tokens.
+//! plus bookkeeping for special tokens, and the two things derived from it
+//! that every compiled grammar reads: the sorted index and the fingerprint.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
+
+use crate::sorted::SortedVocabulary;
 
 /// Identifier of a token in a [`Vocabulary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -33,6 +40,12 @@ pub enum SpecialToken {
 
 /// A token vocabulary.
 ///
+/// It owns its [sorted index](Self::sorted) and its
+/// [fingerprint](Self::fingerprint): each is computed on first use and kept,
+/// so every compiler, backend, engine and simulated model holding the same
+/// `Arc<Vocabulary>` reads one copy. [`add_special`](Self::add_special), the
+/// one mutator, drops both.
+///
 /// # Examples
 ///
 /// ```
@@ -47,13 +60,26 @@ pub enum SpecialToken {
 /// assert_eq!(vocab.token_bytes(TokenId(1)), b" world");
 /// assert_eq!(vocab.decode(&[TokenId(0), TokenId(1)]), b"hello world");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocabulary {
     tokens: Vec<Vec<u8>>,
     /// Indices of special tokens and their roles.
     specials: Vec<(u32, SpecialToken)>,
     eos: Option<u32>,
+    /// The sorted index, built by the first [`sorted`](Self::sorted).
+    sorted: OnceLock<Arc<SortedVocabulary>>,
+    /// The fingerprint, computed by the first [`fingerprint`](Self::fingerprint).
+    fingerprint: OnceLock<u64>,
 }
+
+/// Equal contents; the caches follow from them.
+impl PartialEq for Vocabulary {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.tokens, &self.specials, self.eos) == (&other.tokens, &other.specials, other.eos)
+    }
+}
+
+impl Eq for Vocabulary {}
 
 impl Vocabulary {
     /// Creates a vocabulary from raw token byte strings. `eos` is the index
@@ -74,10 +100,14 @@ impl Vocabulary {
             tokens,
             specials,
             eos: eos.map(|e| e as u32),
+            sorted: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
-    /// Registers an additional special token.
+    /// Registers an additional special token. The sorted index and the
+    /// fingerprint are computed again on their next read; a clone taken
+    /// before keeps its own.
     ///
     /// # Panics
     ///
@@ -88,6 +118,8 @@ impl Vocabulary {
             self.eos = Some(id.0);
         }
         self.specials.push((id.0, role));
+        self.sorted = OnceLock::new();
+        self.fingerprint = OnceLock::new();
     }
 
     /// Number of tokens in the vocabulary.
@@ -149,10 +181,12 @@ impl Vocabulary {
         out
     }
 
-    /// Decodes into a string, replacing invalid UTF-8 with the replacement
-    /// character.
-    pub fn decode_lossy(&self, ids: &[TokenId]) -> String {
-        String::from_utf8_lossy(&self.decode(ids)).into_owned()
+    /// The lexicographically sorted index of the non-special tokens, built
+    /// on the first call and shared by every later one (building it takes
+    /// tens of milliseconds at 128k tokens; see [`SortedVocabulary`]).
+    pub fn sorted(&self) -> &Arc<SortedVocabulary> {
+        self.sorted
+            .get_or_init(|| Arc::new(SortedVocabulary::new(self)))
     }
 
     /// A stable 64-bit fingerprint of the vocabulary: every token byte
@@ -160,20 +194,21 @@ impl Vocabulary {
     /// Two vocabularies with the same fingerprint are interchangeable for the
     /// grammar engine, which makes the fingerprint a suitable cache-key
     /// component for compiled grammars shared across serving processes.
+    /// Computed on the first call (milliseconds at 128k tokens) and kept.
     pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut hasher = DefaultHasher::new();
-        self.tokens.len().hash(&mut hasher);
-        for t in &self.tokens {
-            t.hash(&mut hasher);
-        }
-        for (id, role) in &self.specials {
-            id.hash(&mut hasher);
-            (*role as u8).hash(&mut hasher);
-        }
-        self.eos.hash(&mut hasher);
-        hasher.finish()
+        *self.fingerprint.get_or_init(|| {
+            let mut hasher = DefaultHasher::new();
+            self.tokens.len().hash(&mut hasher);
+            for t in &self.tokens {
+                t.hash(&mut hasher);
+            }
+            for (id, role) in &self.specials {
+                id.hash(&mut hasher);
+                (*role as u8).hash(&mut hasher);
+            }
+            self.eos.hash(&mut hasher);
+            hasher.finish()
+        })
     }
 }
 
@@ -213,7 +248,6 @@ mod tests {
         let v = sample();
         let text = v.decode(&[TokenId(0), TokenId(3), TokenId(4), TokenId(1)]);
         assert_eq!(text, b"ab");
-        assert_eq!(v.decode_lossy(&[TokenId(2)]), "ab");
     }
 
     #[test]
@@ -233,12 +267,51 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
+    /// Token ids and special roles round-trip through serde; a vocabulary
+    /// itself is not serialized (its caches are not data).
     #[test]
     fn serde_roundtrip() {
+        let ids = vec![TokenId(0), TokenId(u32::MAX)];
+        let json = serde_json::to_string(&ids).unwrap();
+        assert_eq!(serde_json::from_str::<Vec<TokenId>>(&json).unwrap(), ids);
+        let roles = vec![SpecialToken::Bos, SpecialToken::Eos, SpecialToken::Pad];
+        let json = serde_json::to_string(&roles).unwrap();
+        assert_eq!(
+            serde_json::from_str::<Vec<SpecialToken>>(&json).unwrap(),
+            roles
+        );
+    }
+
+    /// A read index and fingerprint are dropped by `add_special`, and the
+    /// new index leaves the new special out.
+    #[test]
+    fn add_special_drops_the_cached_index_and_fingerprint() {
+        let mut v = sample();
+        let (sorted, fingerprint) = (Arc::clone(v.sorted()), v.fingerprint());
+        assert!(Arc::ptr_eq(&sorted, v.sorted()));
+        assert!(sorted.ids().contains(&TokenId(2)));
+        v.add_special(TokenId(2), SpecialToken::Pad);
+        assert!(!Arc::ptr_eq(&sorted, v.sorted()));
+        assert!(!v.sorted().ids().contains(&TokenId(2)));
+        assert_eq!(v.sorted().len(), sorted.len() - 1);
+        assert_ne!(v.fingerprint(), fingerprint);
+    }
+
+    /// A clone shares the caches it was taken with, and mutating the clone
+    /// leaves the original's untouched.
+    #[test]
+    fn a_mutated_clone_leaves_the_originals_cache_untouched() {
         let v = sample();
-        let json = serde_json::to_string(&v).unwrap();
-        let back: Vocabulary = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
+        let (sorted, fingerprint) = (Arc::clone(v.sorted()), v.fingerprint());
+        let mut c = v.clone();
+        assert!(Arc::ptr_eq(c.sorted(), &sorted));
+        c.add_special(TokenId(2), SpecialToken::Pad);
+        assert!(!Arc::ptr_eq(c.sorted(), &sorted));
+        assert_ne!(c.fingerprint(), fingerprint);
+        assert!(Arc::ptr_eq(v.sorted(), &sorted));
+        assert_eq!(v.fingerprint(), fingerprint);
+        assert_eq!(v, sample());
+        assert_ne!(v, c);
     }
 
     #[test]

@@ -163,10 +163,6 @@ mod tests {
             crate::engine::ExecutionMode::Serial,
         )
         .with_jump_forward(crate::engine::JumpForwardPolicy::Engine);
-        assert_eq!(
-            engine.jump_forward_policy(),
-            crate::engine::JumpForwardPolicy::Engine
-        );
         let req = crate::engine::EngineRequest {
             constraint: crate::engine::LaneConstraint::Grammar(
                 crate::parse_ebnf(r#"root ::= "{\"ok\": " ("true" | "false") "}""#, "root")

@@ -116,9 +116,7 @@ fn assert_steady_state_is_allocation_free(
     probe_jump_forward: bool,
 ) {
     let vocab = compiler.vocabulary();
-    let (tokens, covered) = compiler
-        .sorted_vocabulary()
-        .longest_prefix_cover(vocab, document);
+    let (tokens, covered) = vocab.sorted().longest_prefix_cover(vocab, document);
     assert_eq!(covered, document.len(), "{label}: document tokenizes");
     assert!(
         tokens.len() >= 32,

@@ -12,7 +12,7 @@ use xg_core::{
     GrammarCompiler, GrammarMatcher, TokenBitmask,
 };
 use xg_grammar::{StructuralTag, TagContent, TagSpec};
-use xg_tokenizer::{test_vocabulary, SortedVocabulary};
+use xg_tokenizer::test_vocabulary;
 
 const THREADS: usize = 8;
 
@@ -42,11 +42,8 @@ fn stress_same_grammar_compiles_exactly_once() {
                     // the compiler.
                     let compile = || {
                         compilations.fetch_add(1, Ordering::SeqCst);
-                        let sorted = Arc::new(SortedVocabulary::new(&vocab));
                         let vocab = Arc::clone(&vocab);
-                        Ok::<_, Infallible>(CompiledGrammar::compile(
-                            &grammar, vocab, sorted, &config,
-                        ))
+                        Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, &config))
                     };
                     cache.get_or_try_build(&key, compile).unwrap().0
                 })
@@ -146,9 +143,8 @@ fn stress_distinct_grammars_do_not_serialize_each_other() {
                 barrier.wait();
                 let compile = || {
                     compilations.fetch_add(1, Ordering::SeqCst);
-                    let sorted = Arc::new(SortedVocabulary::new(&vocab));
                     let vocab = Arc::clone(&vocab);
-                    Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, sorted, &config))
+                    Ok::<_, Infallible>(CompiledGrammar::compile(&grammar, vocab, &config))
                 };
                 let (compiled, _) = cache.get_or_try_build(&key, compile).unwrap();
                 // Every thread can match with its grammar right away.
@@ -194,7 +190,7 @@ fn stress_shared_compiler_masks_stay_correct_under_threads() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    assert_eq!(compiler.cached_count(), 1);
+    assert_eq!(compiler.cache().len(), 1);
     assert_eq!(compiler.cache().stats().misses, 1);
     for mask in &masks[1..] {
         assert_eq!(
@@ -270,7 +266,7 @@ fn near_identical_schemas_get_distinct_cache_keys() {
     for grammar in &grammars {
         let _ = compiler.compile_grammar(grammar);
     }
-    assert_eq!(compiler.cached_count(), grammars.len());
+    assert_eq!(compiler.cache().len(), grammars.len());
     assert_eq!(compiler.cache().stats().misses, grammars.len() as u64);
 
     // One level up: tool registries differing in one schema keyword, one

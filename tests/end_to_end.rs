@@ -147,8 +147,7 @@ fn walk_every_row(
     lanes: &mut [Box<dyn ConstraintMatcher>],
     reference: &[u8],
 ) -> usize {
-    let sorted = xg_tokenizer::SortedVocabulary::new(vocab);
-    let (tokens, covered) = sorted.longest_prefix_cover(vocab, reference);
+    let (tokens, covered) = vocab.sorted().longest_prefix_cover(vocab, reference);
     assert_eq!(
         covered,
         reference.len(),

@@ -24,7 +24,7 @@ use xg_engine::{
     EngineRequest, ExecutionMode, JumpForwardPolicy, LaneConstraint, LlmBehavior, ModelProfile,
     RequestResult, ServingEngine,
 };
-use xg_tokenizer::{test_vocabulary, SortedVocabulary, Vocabulary};
+use xg_tokenizer::{test_vocabulary, Vocabulary};
 
 /// A mixed batch: one prose lane, three schema-constrained lanes, one
 /// structural-tag tool-call lane — the lane mix of an agentic serving batch.
@@ -226,7 +226,6 @@ proptest! {
     #[test]
     fn forced_token_injection_rolls_back_exactly(seed in 0u64..5_000) {
         let vocab = Arc::new(test_vocabulary(600));
-        let sorted = SortedVocabulary::new(&vocab);
         let backend = XGrammarBackend::new(Arc::clone(&vocab));
         let mut rng = SmallRng::seed_from_u64(seed);
         let source = format!("root ::= {}\n", random_expr(&mut rng, 2));
@@ -241,7 +240,7 @@ proptest! {
         for _ in 0..12 {
             let forced = session.find_jump_forward_string();
             if !forced.is_empty() {
-                let (cover, covered) = sorted.longest_prefix_cover(&vocab, &forced);
+                let (cover, covered) = vocab.sorted().longest_prefix_cover(&vocab, &forced);
                 prop_assert_eq!(covered, forced.len(), "byte fallback covers everything");
                 session.fill_next_token_bitmask(&mut pre_mask);
                 let pre_window = session.rollback_window();

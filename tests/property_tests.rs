@@ -122,15 +122,12 @@ proptest! {
         }
         let mut union = a.clone();
         union.union_with(&b);
-        let mut inter = a.clone();
-        inter.intersect_with(&b);
         for t in 0..vocab_size as u32 {
             let t = TokenId(t);
             prop_assert_eq!(union.is_allowed(t), a.is_allowed(t) || b.is_allowed(t));
-            prop_assert_eq!(inter.is_allowed(t), a.is_allowed(t) && b.is_allowed(t));
         }
-        prop_assert!(union.count_allowed() >= a.count_allowed().max(b.count_allowed()));
-        prop_assert!(inter.count_allowed() <= a.count_allowed().min(b.count_allowed()));
+        let both = a.allowed_tokens().filter(|&t| b.is_allowed(t)).count();
+        prop_assert_eq!(union.count_allowed(), a.count_allowed() + b.count_allowed() - both);
     }
 
     /// EBNF display round-trips: printing a parsed grammar and re-parsing it

@@ -17,7 +17,7 @@ use xg_automata::{build_pda_default, Pda, SimpleMatcher};
 use xg_core::{CompiledGrammar, ConstraintMatcher, GrammarCompiler, GrammarMatcher, TokenBitmask};
 use xg_datasets::SchemaCase;
 use xg_grammar::JsonSchemaOptions;
-use xg_tokenizer::{test_vocabulary, SortedVocabulary, TokenId, Vocabulary};
+use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};
 
 /// Greedy longest-match tokenization of `bytes` against the vocabulary
 /// (byte-fallback tokens guarantee totality).
@@ -105,7 +105,6 @@ fn dataset_instances_are_accepted_token_by_token_by_their_schema_grammar() {
 #[test]
 fn jump_forward_cover_tokens_are_individually_mask_admitted() {
     let vocab = Arc::new(test_vocabulary(1500));
-    let sorted = SortedVocabulary::new(&vocab);
     let compiler = GrammarCompiler::new(Arc::clone(&vocab));
     let eos = vocab.eos().unwrap();
     let mut mask = TokenBitmask::new_all_rejected(vocab.len());
@@ -126,7 +125,7 @@ fn jump_forward_cover_tokens_are_individually_mask_admitted() {
         let mut cursor = 0usize;
 
         while cursor < task.reference.len() {
-            let run = ConstraintMatcher::find_jump_forward_tokens(&mut matcher, &sorted);
+            let run = ConstraintMatcher::find_jump_forward_tokens(&mut matcher);
             if !run.is_empty() {
                 assert_eq!(
                     run.covered,
@@ -392,8 +391,8 @@ fn whole_corpus_admits_every_valid_and_rejects_every_invalid_instance() {
             case.feature
         );
         for instance in &case.valid {
-            let (tokens, covered) = compiler
-                .sorted_vocabulary()
+            let (tokens, covered) = vocab
+                .sorted()
                 .longest_prefix_cover(&vocab, instance.as_bytes());
             assert_eq!(covered, instance.len(), "byte fallback covers everything");
             let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));

@@ -462,12 +462,12 @@ fn tag_dispatch_compilation_is_cached_per_sub_grammar() {
     let first = compiler
         .compile_tag_dispatch(&tasks[0].structural_tag())
         .unwrap();
-    let cached = compiler.cached_count();
+    let cached = compiler.cache().len();
     let second = compiler
         .compile_tag_dispatch(&tasks[1].structural_tag())
         .unwrap();
     assert_eq!(
-        compiler.cached_count(),
+        compiler.cache().len(),
         cached,
         "same registry must not recompile"
     );
