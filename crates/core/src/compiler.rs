@@ -490,6 +490,40 @@ mod tests {
         assert!(c.has_cached_tag_dispatch_for(&tag));
     }
 
+    #[test]
+    fn every_compile_shares_the_compilers_one_sorted_index() {
+        use xg_grammar::{DispatchDelta, StructuralTag, TagContent, TagSpec};
+        let c = compiler();
+        let shared = |compiled: &CompiledGrammar| {
+            Arc::ptr_eq(compiled.vocabulary(), c.vocabulary())
+                && Arc::ptr_eq(compiled.vocabulary().sorted(), c.vocabulary().sorted())
+        };
+        let a = c
+            .compile_ebnf(r#"root ::= "[" [0-9]+ "]""#, "root")
+            .unwrap();
+        let b = c.compile_builtin_json();
+        assert!(shared(&a) && shared(&b));
+
+        let number = |begin: &str| TagSpec {
+            begin: begin.into(),
+            content: TagContent::Ebnf {
+                text: "root ::= [0-9]+".into(),
+                root: "root".into(),
+            },
+            end: "</n>".into(),
+        };
+        let dispatch = c
+            .compile_tag_dispatch(&StructuralTag::new(vec![number("<n>")]))
+            .unwrap();
+        let updated = c
+            .update_tag_dispatch(&dispatch, &DispatchDelta::AddTag(number("<m>")))
+            .unwrap();
+        assert_eq!(updated.triggers().len(), 2);
+        for trigger in dispatch.triggers().iter().chain(updated.triggers()) {
+            assert!(shared(trigger.grammar()));
+        }
+    }
+
     /// A grammar whose root derives no string is refused, under every row.
     #[test]
     fn strict_mode_rejects_unsatisfiable_grammars() {

@@ -781,6 +781,22 @@ mod tests {
     }
 
     #[test]
+    fn proposer_retokenizer_and_compiler_share_one_sorted_vocabulary() {
+        // One sort per vocabulary: whatever the policy, the simulated model
+        // proposes through, and jump-forward re-tokenizes with, the index
+        // the compiler's vocabulary keeps.
+        let backend = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
+        let engine = ServingEngine::new(backend.clone(), fast_profile(), ExecutionMode::Serial);
+        let compilers = backend.compiler().vocabulary().sorted();
+        assert!(Arc::ptr_eq(engine.backend().vocabulary().sorted(), compilers));
+        assert!(Arc::ptr_eq(engine.llm().vocabulary().sorted(), compilers));
+        let compiled = backend.compiler().compile_builtin_json();
+        assert!(Arc::ptr_eq(compiled.vocabulary().sorted(), compilers));
+        let off = engine.with_jump_forward(JumpForwardPolicy::Off);
+        assert!(Arc::ptr_eq(off.llm().vocabulary().sorted(), compilers));
+    }
+
+    #[test]
     fn jump_forward_defaults_to_engine_policy() {
         let engine = engine(ExecutionMode::Serial);
         assert_eq!(engine.jump_forward_policy(), JumpForwardPolicy::Engine);
