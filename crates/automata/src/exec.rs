@@ -155,7 +155,7 @@ impl<'a> SimpleMatcher<'a> {
 ///
 /// Termination is guaranteed for grammars that pass the left-recursion check;
 /// a hard cap guards against pathological inputs.
-pub fn epsilon_closure(pda: &Pda, stack: &[NodeId]) -> Vec<MatchStack> {
+fn epsilon_closure(pda: &Pda, stack: &[NodeId]) -> Vec<MatchStack> {
     let mut out: Vec<MatchStack> = Vec::new();
     let mut seen: HashSet<MatchStack> = HashSet::new();
     let mut queue: Vec<MatchStack> = vec![stack.to_vec()];

@@ -31,8 +31,7 @@ struct State {
 /// # Examples
 ///
 /// ```
-/// use xg_automata::fsa::Fsa;
-/// use xg_automata::utf8::ByteRange;
+/// use xg_automata::{ByteRange, Fsa};
 ///
 /// let mut fsa = Fsa::new();
 /// let s0 = fsa.start();

@@ -14,7 +14,7 @@
 //! [`build_pda`](crate::build_pda) hands it, that is two or three passes for
 //! most JSON-schema grammars (one of `perf`'s five warm schemas takes twelve)
 //! and five for the builtin XML grammar. Complementary to
-//! [`merge_equivalent_nodes`](crate::optimize::merge_equivalent_nodes),
+//! `merge_equivalent_nodes`,
 //! which merges *successors* of one node locally; interning dedupes
 //! structure globally across the whole automaton.
 

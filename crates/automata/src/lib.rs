@@ -4,23 +4,26 @@
 //! pushdown automaton (PDA) the paper's engine executes, and provides the
 //! automaton-level machinery the core engine builds on:
 //!
-//! * [`utf8`] — compilation of Unicode ranges into UTF-8 byte-range
-//!   sequences, so every automaton edge consumes exactly one byte,
-//! * [`fsa`] — a small byte-level NFA used for expanded-suffix automata and
+//! * [`utf8_sequences`] — compilation of Unicode ranges into UTF-8
+//!   byte-range sequences, so every automaton edge consumes exactly one byte,
+//! * [`Fsa`] — a small byte-level NFA used for expanded-suffix automata and
 //!   by the regex/FSM baseline,
-//! * [`pda`] — the PDA data structure (per-rule automata, byte edges and
+//! * [`Pda`] — the PDA data structure (per-rule automata, byte edges and
 //!   rule-reference edges),
-//! * [`build_pda`] — grammar → PDA compilation including rule inlining and
-//!   epsilon elimination,
-//! * [`optimize`] — node merging (paper §3.4),
+//! * [`build_pda`] — grammar → PDA compilation including rule inlining,
+//!   epsilon elimination and node merging (paper §3.4),
 //! * [`intern_states`] — hashcons interning of structurally identical PDA
 //!   states (global dedup, complementing the local node merging),
-//! * [`extract_suffix_fsa`] — expanded-suffix extraction for context
+//! * [`extract_all_suffix_fsas`] — expanded-suffix extraction for context
 //!   expansion (paper §3.2, Algorithm 2),
 //! * [`SimpleMatcher`] — a reference multi-stack executor (the "naive PDA"
 //!   baseline),
-//! * [`multipattern`] — an Aho–Corasick automaton (plus the naive reference
-//!   scanner) for trigger scanning in structural-tag dispatch.
+//! * [`AhoCorasick`] — an Aho–Corasick automaton (plus the naive reference
+//!   scanner, [`NaiveMultiPattern`]) for trigger scanning in structural-tag
+//!   dispatch.
+//!
+//! Every public item is re-exported here, at the crate root; the modules
+//! themselves are private, so each item has one path.
 //!
 //! # Examples
 //!
@@ -35,21 +38,21 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod build;
-pub mod exec;
-pub mod fsa;
-pub mod intern;
-pub mod multipattern;
-pub mod optimize;
-pub mod pda;
-pub mod suffix;
-pub mod utf8;
+mod build;
+mod exec;
+mod fsa;
+mod intern;
+mod multipattern;
+mod optimize;
+mod pda;
+mod suffix;
+mod utf8;
 
 pub use build::{build_pda, build_pda_default, inline_fragment_rules, PdaBuildOptions};
-pub use exec::{epsilon_closure, MatchStack, SimpleMatcher, StepResult};
+pub use exec::{MatchStack, SimpleMatcher, StepResult};
 pub use fsa::{Fsa, StateId, SuffixMatch};
 pub use intern::intern_states;
 pub use multipattern::{AcState, AhoCorasick, NaiveMultiPattern};
 pub use pda::{NodeId, Pda, PdaEdge, PdaNode, PdaRule, PdaRuleId, PdaStats};
-pub use suffix::{extract_all_suffix_fsas, extract_suffix_fsa};
+pub use suffix::extract_all_suffix_fsas;
 pub use utf8::{utf8_sequences, ByteRange, Utf8Sequence};

@@ -34,7 +34,7 @@ fn label_key(edge: &PdaEdge) -> LabelKey {
 /// (bounded by a small number of passes). Also removes duplicate edges.
 ///
 /// Returns the number of nodes that were merged away.
-pub fn merge_equivalent_nodes(pda: &mut Pda) -> usize {
+pub(crate) fn merge_equivalent_nodes(pda: &mut Pda) -> usize {
     let mut total_merged = 0;
     for _ in 0..16 {
         let merged = merge_pass(pda);
@@ -153,7 +153,7 @@ fn merge_pass(pda: &mut Pda) -> usize {
 }
 
 /// Removes duplicate edges (same label and same target) from every node.
-pub fn dedup_edges(pda: &mut Pda) {
+fn dedup_edges(pda: &mut Pda) {
     for node in &mut pda.nodes {
         node.edges.sort_by_key(|e| match e {
             PdaEdge::Bytes { range, target } => (0u8, range.lo as u32, range.hi as u32, target.0),

@@ -271,7 +271,7 @@ impl Pda {
 
     /// Checks internal consistency (all edge targets in range, rule starts
     /// belong to their rule). Used by tests and debug assertions.
-    pub fn check_consistency(&self) -> Result<(), String> {
+    pub(crate) fn check_consistency(&self) -> Result<(), String> {
         for (i, rule) in self.rules.iter().enumerate() {
             let start = rule.start;
             if start.index() >= self.nodes.len() {

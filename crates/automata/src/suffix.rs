@@ -27,16 +27,17 @@ use crate::fsa::{Fsa, StateId};
 use crate::pda::{NodeId, Pda, PdaEdge, PdaRuleId};
 use crate::utf8::ByteRange;
 
-/// Extracts the expanded suffix automaton for a single rule.
+/// Extracts the expanded suffix automaton of every rule of the PDA, indexed
+/// by [`PdaRuleId`].
 ///
-/// If no edge in the PDA references `rule` (it is only used as the root), the
-/// returned automaton accepts nothing: after the root rule completes, no
-/// further bytes may follow.
+/// If no edge in the PDA references a rule (it is only used as the root),
+/// its automaton accepts nothing: after the root rule completes, no further
+/// bytes may follow.
 ///
 /// # Examples
 ///
 /// ```
-/// use xg_automata::{build_pda, extract_suffix_fsa, PdaBuildOptions};
+/// use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions, SuffixMatch};
 ///
 /// let grammar = xg_grammar::parse_ebnf(r#"
 ///     root ::= "[" item ("," item)* "]"
@@ -44,18 +45,12 @@ use crate::utf8::ByteRange;
 /// "#, "root").unwrap();
 /// let pda = build_pda(&grammar, &PdaBuildOptions { inline_rules: false, ..Default::default() });
 /// let item = pda.rules().iter().position(|r| r.name == "item").unwrap();
-/// let fsa = extract_suffix_fsa(&pda, xg_automata::PdaRuleId(item as u32));
+/// let fsa = &extract_all_suffix_fsas(&pda)[item];
 /// // After an item, either a comma (then another item) or `]` may follow.
-/// assert!(fsa.match_remaining(b",") == xg_automata::SuffixMatch::Possible);
-/// assert!(fsa.match_remaining(b"]") == xg_automata::SuffixMatch::Possible);
-/// assert!(fsa.match_remaining(b"}") == xg_automata::SuffixMatch::Rejected);
+/// assert!(fsa.match_remaining(b",") == SuffixMatch::Possible);
+/// assert!(fsa.match_remaining(b"]") == SuffixMatch::Possible);
+/// assert!(fsa.match_remaining(b"}") == SuffixMatch::Rejected);
 /// ```
-pub fn extract_suffix_fsa(pda: &Pda, rule: PdaRuleId) -> Fsa {
-    Extractor::new(pda).extract(rule)
-}
-
-/// Extracts expanded suffix automata for every rule of the PDA, indexed by
-/// [`PdaRuleId`].
 pub fn extract_all_suffix_fsas(pda: &Pda) -> Vec<Fsa> {
     let extractor = Extractor::new(pda);
     (0..pda.rules().len())
@@ -215,6 +210,11 @@ mod tests {
                 .position(|r| r.name == name)
                 .unwrap_or_else(|| panic!("rule {name} not found")) as u32,
         )
+    }
+
+    /// The expanded suffix automaton of one rule.
+    fn extract_suffix_fsa(pda: &Pda, rule: PdaRuleId) -> Fsa {
+        Extractor::new(pda).extract(rule)
     }
 
     #[test]

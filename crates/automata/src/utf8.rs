@@ -84,7 +84,7 @@ impl Utf8Sequence {
 /// # Examples
 ///
 /// ```
-/// use xg_automata::utf8::utf8_sequences;
+/// use xg_automata::utf8_sequences;
 ///
 /// // ASCII stays a single one-byte sequence.
 /// let seqs = utf8_sequences('a' as u32, 'z' as u32);

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use xg_automata::fsa::{Fsa, StateId};
+use xg_automata::{Fsa, StateId};
 use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};

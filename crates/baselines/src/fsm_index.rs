@@ -7,7 +7,7 @@
 //! a dictionary lookup. The approach is fast once a state's index exists, but
 //!
 //! * context-free grammars have to be approximated by depth-bounded
-//!   unrolling (see [`crate::unroll_grammar_to_fsa`]), which blows up the
+//!   unrolling (see `regex_unroll::unroll_grammar_to_fsa`), which blows up the
 //!   number of states for recursive structures, and
 //! * every *newly visited* DFA state pays a full vocabulary scan, which is
 //!   exactly the per-token cost the paper measures for CFG workloads.
@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use std::sync::Mutex;
-use xg_automata::fsa::{Fsa, StateId};
+use xg_automata::{Fsa, StateId};
 use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
@@ -25,13 +25,15 @@ use xg_tokenizer::{TokenId, Vocabulary};
 use crate::regex_unroll::unroll_grammar_to_fsa;
 use crate::{BackendError, ConstrainedBackend, Session};
 
-/// Default recursion-unrolling depth (enough for the nesting present in the
-/// evaluation datasets).
-pub const DEFAULT_UNROLL_DEPTH: usize = 8;
-/// Default state budget for the unrolled automaton.
-pub const DEFAULT_MAX_STATES: usize = 200_000;
+/// Recursion-unrolling depth (enough for the nesting present in the
+/// evaluation datasets: every `json_mode_eval_like` schema family and the
+/// builtin JSON, XML and Python-DSL grammars unroll under it).
+const DEFAULT_UNROLL_DEPTH: usize = 8;
+/// State budget for the unrolled automaton.
+const DEFAULT_MAX_STATES: usize = 200_000;
 
-/// Outlines-style FSM-index backend.
+/// Outlines-style FSM-index backend: the one set of unrolling limits every
+/// benchmark measures is [`new`](Self::new)'s.
 #[derive(Debug)]
 pub struct FsmIndexBackend {
     vocab: Arc<Vocabulary>,
@@ -40,7 +42,8 @@ pub struct FsmIndexBackend {
 }
 
 impl FsmIndexBackend {
-    /// Creates the backend with default unrolling limits.
+    /// Creates the backend with its unrolling limits (depth 8, 200 000
+    /// states).
     pub fn new(vocab: Arc<Vocabulary>) -> Self {
         FsmIndexBackend {
             vocab,
@@ -49,8 +52,10 @@ impl FsmIndexBackend {
         }
     }
 
-    /// Creates the backend with explicit unrolling limits.
-    pub fn with_limits(vocab: Arc<Vocabulary>, unroll_depth: usize, max_states: usize) -> Self {
+    /// Creates the backend with explicit unrolling limits, for the tests of
+    /// truncation and of the state budget.
+    #[cfg(test)]
+    fn with_limits(vocab: Arc<Vocabulary>, unroll_depth: usize, max_states: usize) -> Self {
         FsmIndexBackend {
             vocab,
             unroll_depth,

@@ -46,7 +46,6 @@ mod xgrammar_backend;
 pub use format_enforcer::FormatEnforcerBackend;
 pub use fsm_index::FsmIndexBackend;
 pub use naive_pda::NaivePdaBackend;
-pub use regex_unroll::{unroll_grammar_to_fsa, UnrollError};
 pub use xgrammar_backend::XGrammarBackend;
 
 use std::fmt;

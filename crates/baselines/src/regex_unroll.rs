@@ -10,14 +10,12 @@
 
 use std::collections::HashMap;
 
-use xg_automata::fsa::{Fsa, StateId};
-use xg_automata::utf8::utf8_sequences;
-use xg_automata::ByteRange;
+use xg_automata::{utf8_sequences, ByteRange, Fsa, StateId};
 use xg_grammar::{Grammar, GrammarExpr, RuleId};
 
 /// Errors produced during unrolling.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UnrollError {
+pub(crate) enum UnrollError {
     /// The unrolled automaton exceeded the state budget.
     TooManyStates {
         /// The configured state budget.
@@ -50,7 +48,7 @@ impl std::error::Error for UnrollError {}
 /// Returns `true` if the grammar's rule-reference graph (restricted to rules
 /// reachable from the root) contains a cycle, i.e. the grammar is genuinely
 /// recursive and cannot be expressed as a finite automaton.
-pub fn grammar_is_recursive(grammar: &Grammar) -> bool {
+pub(crate) fn grammar_is_recursive(grammar: &Grammar) -> bool {
     fn visit(
         grammar: &Grammar,
         rule: RuleId,
@@ -89,7 +87,7 @@ pub fn grammar_is_recursive(grammar: &Grammar) -> bool {
 /// Returns [`UnrollError::TooManyStates`] when the automaton grows beyond
 /// `max_states`, or [`UnrollError::EmptyLanguage`] when nothing survives the
 /// truncation.
-pub fn unroll_grammar_to_fsa(
+pub(crate) fn unroll_grammar_to_fsa(
     grammar: &Grammar,
     max_depth: usize,
     max_states: usize,

@@ -292,12 +292,11 @@ mod tests {
         let mut session = compiled.new_session();
         let jump = session.find_jump_forward_string();
         assert_eq!(jump, b"{\"id\": ".to_vec());
-        // The re-tokenized view tiles the same bytes with real tokens.
-        let run = session.find_jump_forward_tokens();
-        assert_eq!(run.bytes, jump);
-        assert_eq!(run.covered, jump.len());
-        let tiled: Vec<u8> = run
-            .tokens
+        // Its longest-prefix cover, what the serving lane injects, tiles the
+        // same bytes with real tokens.
+        let (cover, covered) = vocab.sorted().longest_prefix_cover(&vocab, &jump);
+        assert_eq!(covered, jump.len());
+        let tiled: Vec<u8> = cover
             .iter()
             .flat_map(|t| vocab.token_bytes(*t).to_vec())
             .collect();

@@ -20,6 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use xg_baselines::BackendError;
 use xg_bench::{
     ablation_backend, bench_vocabulary, measure_mask_generation, BackendKind, Workload,
 };
@@ -375,39 +376,41 @@ fn experiment_fig10(vocab: &Arc<Vocabulary>, config: &Config) {
     println!();
 }
 
-/// Table 1: TPOT across models (SGLang + Outlines vs SGLang + XGrammar).
+/// Table 1: TPOT across models (SGLang + Outlines vs SGLang + XGrammar). A
+/// refused batch prints as `n/a (<reason>)`, as Figure 9 prints
+/// `unsupported`; a refused XGrammar batch also fails the run (exit code 1).
 fn experiment_table1(vocab: &Arc<Vocabulary>, config: &Config) {
     println!("## Table 1 — TPOT (ms) across models on the JSON Schema task");
     let requests = schema_requests(config.engine_requests.max(4));
+    let mut xgrammar_refused = false;
     for profile in [
         ModelProfile::llama31_8b_h100().scaled(config.time_scale),
         ModelProfile::deepseek_v2_lite_h100().scaled(config.time_scale),
     ] {
-        let tpot_outlines = ServingEngine::new(
-            BackendKind::Outlines.build(Arc::clone(vocab)),
-            profile.clone(),
-            ExecutionMode::Serial,
-        )
-        .run_batch(&requests)
-        .map(|(_, m)| m.tpot)
-        .unwrap_or(Duration::ZERO);
-        let tpot_xgrammar = ServingEngine::new(
-            BackendKind::XGrammar.build(Arc::clone(vocab)),
-            profile.clone(),
-            ExecutionMode::Overlapped,
-        )
-        .run_batch(&requests)
-        .expect("xgrammar backend always compiles")
-        .1
-        .tpot;
+        let tpot = |kind: BackendKind, mode: ExecutionMode| {
+            ServingEngine::new(kind.build(Arc::clone(vocab)), profile.clone(), mode)
+                .run_batch(&requests)
+                .map(|(_, metrics)| metrics.tpot)
+        };
+        let cell = |tpot: &Result<Duration, BackendError>| match tpot {
+            Ok(tpot) => format!("{} ms", fmt_ms(*tpot)),
+            Err(BackendError::UnsupportedGrammar { reason, .. }) => format!("n/a ({reason})"),
+        };
+        let outlines = tpot(BackendKind::Outlines, ExecutionMode::Serial);
+        let xgrammar = tpot(BackendKind::XGrammar, ExecutionMode::Overlapped);
+        xgrammar_refused |= xgrammar.is_err();
         println!(
-            "  {:<38} SGLang+Outlines {} ms   SGLang+XGrammar {} ms",
+            "  {:<38} SGLang+Outlines {}   SGLang+XGrammar {}",
             profile.name,
-            fmt_ms(tpot_outlines),
-            fmt_ms(tpot_xgrammar)
+            cell(&outlines),
+            cell(&xgrammar)
         );
     }
     println!();
+    if xgrammar_refused {
+        eprintln!("table1: the XGrammar backend refused a batch");
+        std::process::exit(1);
+    }
 }
 
 /// Table 2: TPOT with and without XGrammar on the MLC-LLM-style engine.

@@ -128,7 +128,7 @@ impl BackendKind {
     pub fn build(&self, vocab: Arc<Vocabulary>) -> Arc<dyn ConstrainedBackend> {
         match self {
             BackendKind::XGrammar => Arc::new(XGrammarBackend::new(vocab)),
-            BackendKind::Outlines => Arc::new(FsmIndexBackend::with_limits(vocab, 6, 400_000)),
+            BackendKind::Outlines => Arc::new(FsmIndexBackend::new(vocab)),
             BackendKind::LlamaCppGrammar => Arc::new(NaivePdaBackend::new(vocab)),
             BackendKind::FormatEnforcer => Arc::new(FormatEnforcerBackend::new(vocab)),
         }
@@ -227,8 +227,54 @@ pub fn ablation_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xg_core::ConstraintMatcher;
     use xg_engine::{EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, ServingEngine};
     use xg_grammar::{DispatchDelta, StructuralTag, TagContent, TagSpec};
+
+    /// Feeds `text` to `session` one single-byte token at a time, each one
+    /// checked against a fresh mask first; `false` at the first refusal.
+    fn accepts_bytes(session: &mut dyn ConstraintMatcher, vocab: &Vocabulary, text: &[u8]) -> bool {
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        text.iter().all(|&byte| {
+            let token = vocab
+                .iter()
+                .find(|(_, bytes)| *bytes == [byte])
+                .map(|(id, _)| id)
+                .expect("the test vocabulary has every single-byte token");
+            session.fill_next_token_bitmask(&mut mask);
+            mask.is_allowed(token) && session.accept_token(token).is_ok()
+        })
+    }
+
+    /// Fig. 10 and Table 1 measure the Outlines comparator under its
+    /// backend's one set of unrolling limits: every schema family they serve
+    /// compiles, and the recursive XML grammar is truncated (a document
+    /// nested past the unrolling depth is refused), not refused outright.
+    #[test]
+    fn the_outlines_comparator_compiles_every_schema_family() {
+        let vocab = Arc::new(xg_tokenizer::test_vocabulary(600));
+        let outlines = BackendKind::Outlines.build(Arc::clone(&vocab));
+        for (family, task) in xg_datasets::json_mode_eval_like(5, 0xE2E)
+            .iter()
+            .enumerate()
+        {
+            let grammar = xg_grammar::json_schema_to_grammar(&task.schema).unwrap();
+            if let Err(e) = outlines.compile(&grammar) {
+                panic!("schema family {family} refused: {e}");
+            }
+        }
+
+        let xml = outlines
+            .compile(&xg_grammar::builtin::xml_grammar())
+            .expect("the recursive XML grammar is truncated, not refused");
+        let nested =
+            |depth: usize| ["<a>".repeat(depth), "x".into(), "</a>".repeat(depth)].concat();
+        let mut session = Arc::clone(&xml).new_session();
+        assert!(accepts_bytes(&mut *session, &vocab, nested(2).as_bytes()));
+        assert!(session.can_terminate());
+        let mut session = xml.new_session();
+        assert!(!accepts_bytes(&mut *session, &vocab, nested(12).as_bytes()));
+    }
 
     /// One `Arc<Vocabulary>` is sorted once: every backend kind and a Table 3
     /// row backend, a serving engine over each and the requests it serves,

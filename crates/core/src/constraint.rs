@@ -27,46 +27,6 @@ use xg_tokenizer::{TokenId, Vocabulary};
 use crate::error::{AcceptError, RollbackError};
 use crate::mask::TokenBitmask;
 
-/// The forced continuation at a matcher's current position, re-tokenized
-/// against the real vocabulary — what engine-level jump-forward decoding
-/// injects instead of sampling. Produced by
-/// [`ConstraintMatcher::find_jump_forward_tokens`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ForcedTokenRun {
-    /// The raw forced bytes (a complete UTF-8 prefix).
-    pub bytes: Vec<u8>,
-    /// Longest-prefix token cover of `bytes[..covered]`: the tokens
-    /// concatenate to exactly that prefix, each being the longest
-    /// vocabulary token matching at its position (single-byte fallback
-    /// tokens keep the cover total on byte-fallback vocabularies).
-    pub tokens: Vec<TokenId>,
-    /// How many of `bytes` the cover tiles (less than `bytes.len()` only
-    /// when some forced byte exists in no token at all).
-    pub covered: usize,
-}
-
-impl ForcedTokenRun {
-    /// Builds the run for `bytes`: the longest-prefix token cover computed
-    /// through the vocabulary's one [sorted index](Vocabulary::sorted). This
-    /// is the one place the cover rule is applied.
-    pub fn cover(bytes: Vec<u8>, vocab: &Vocabulary) -> Self {
-        if bytes.is_empty() {
-            return ForcedTokenRun::default();
-        }
-        let (tokens, covered) = vocab.sorted().longest_prefix_cover(vocab, &bytes);
-        ForcedTokenRun {
-            bytes,
-            tokens,
-            covered,
-        }
-    }
-
-    /// Returns `true` when nothing is forced (or nothing could be covered).
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-}
-
 /// The incremental matcher of one constrained-decoding lane.
 ///
 /// Implementations must keep three invariants the serving engine relies on:
@@ -231,22 +191,14 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
     /// position (always a complete UTF-8 prefix), without modifying state.
     /// Implementations with no forced-text notion return an empty vector
     /// (the default).
+    ///
+    /// Engine-level jump-forward decoding injects the longest-prefix token
+    /// cover of these bytes
+    /// ([`SortedVocabulary::longest_prefix_cover`](xg_tokenizer::SortedVocabulary::longest_prefix_cover))
+    /// without sampling; because the bytes are forced, every token of the
+    /// cover is admitted by the matcher's own mask.
     fn find_jump_forward_string(&mut self) -> Vec<u8> {
         Vec::new()
-    }
-
-    /// The forced continuation re-tokenized against the vocabulary: the
-    /// longest-prefix token cover of
-    /// [`find_jump_forward_string`](Self::find_jump_forward_string) over
-    /// [`vocabulary`](Self::vocabulary). Engine-level jump-forward decoding
-    /// injects these tokens without sampling; because the bytes are forced,
-    /// every token of the cover is individually admitted by the matcher's own
-    /// mask, so injection preserves the mask-soundness invariant.
-    ///
-    /// The matcher state is not modified.
-    fn find_jump_forward_tokens(&mut self) -> ForcedTokenRun {
-        let bytes = self.find_jump_forward_string();
-        ForcedTokenRun::cover(bytes, self.vocabulary())
     }
 
     /// Returns `true` if end-of-sequence would be accepted now.

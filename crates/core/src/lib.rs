@@ -75,7 +75,7 @@ mod tag_dispatch;
 mod tag_matcher;
 
 pub use compiler::{CompiledGrammar, CompilerConfig, GrammarCompiler};
-pub use constraint::{CompiledConstraint, ConstraintMatcher, ForcedTokenRun};
+pub use constraint::{CompiledConstraint, ConstraintMatcher};
 pub use error::{AcceptError, RollbackError};
 pub use grammar_cache::{
     ArtifactCache, CacheBudget, CacheStats, GrammarCache, GrammarCacheKey, TagDispatchCache,

@@ -11,48 +11,16 @@
 //! context-independent accepts and no context-dependent candidates) is
 //! reported as a [`DiagnosticCode::DeadState`] error.
 //!
-//! The scan reads, and so builds, the entry of every reachable node. It runs
-//! only when called; no compile runs it, and no finding of it refuses a
+//! The scan reads, and so builds, the entry of every non-final node: the
+//! automaton `build_pda` returns is compact, so every node is reachable. It
+//! runs only when called; no compile runs it, and no finding of it refuses a
 //! grammar.
 
-use xg_automata::{NodeId, Pda, PdaEdge};
+use xg_automata::NodeId;
 use xg_grammar::{Diagnostic, DiagnosticCode};
 
 use crate::compiler::CompiledGrammar;
 use crate::mask_cache::NodeMaskEntry;
-
-/// Collects every PDA node reachable from the start configuration: byte
-/// edges reach their targets, and a rule edge both enters the referenced
-/// rule's start node and (on return) continues at the edge target.
-fn reachable_nodes(pda: &Pda) -> Vec<NodeId> {
-    let mut seen = vec![false; pda.nodes().len()];
-    let mut queue = vec![pda.root_start()];
-    let mut out = Vec::new();
-    if let Some(slot) = seen.get_mut(pda.root_start().index()) {
-        *slot = true;
-    }
-    while let Some(id) = queue.pop() {
-        out.push(id);
-        for edge in &pda.node(id).edges {
-            let mut push = |next: NodeId| {
-                if let Some(slot) = seen.get_mut(next.index()) {
-                    if !*slot {
-                        *slot = true;
-                        queue.push(next);
-                    }
-                }
-            };
-            match edge {
-                PdaEdge::Bytes { target, .. } => push(*target),
-                PdaEdge::Rule { rule, target } => {
-                    push(pda.rule(*rule).start);
-                    push(*target);
-                }
-            }
-        }
-    }
-    out
-}
 
 /// Returns `true` if the node's mask entry admits zero tokens: no
 /// context-independent accepts and no context-dependent candidates. (Tokens
@@ -78,8 +46,7 @@ fn entry_is_dead(entry: &NodeMaskEntry, classified_tokens: usize) -> bool {
 
 /// The dead states of a compiled grammar, one
 /// [`DiagnosticCode::DeadState`] finding each; empty under a row without the
-/// mask cache. Reads (and so builds) the entry of every reachable non-final
-/// node.
+/// mask cache. Reads (and so builds) the entry of every non-final node.
 ///
 /// A *dead state* is a node that is reachable from the start configuration,
 /// is not final (the current rule still needs input there) and whose mask
@@ -93,8 +60,9 @@ pub fn dead_states(compiled: &CompiledGrammar) -> Vec<Diagnostic> {
         return diagnostics;
     }
     let classified = compiled.vocabulary().sorted().len();
-    for id in reachable_nodes(pda) {
-        let node = pda.node(id);
+    // `build_pda` returns a compact automaton: every node is reachable.
+    for (index, node) in pda.nodes().iter().enumerate() {
+        let id = NodeId(index as u32);
         if !node.is_final && entry_is_dead(compiled.entry(id), classified) {
             diagnostics.push(Diagnostic::new(
                 DiagnosticCode::DeadState,
@@ -197,7 +165,7 @@ mod tests {
         )
         .unwrap();
         let analysis = xg_grammar::analyze(&grammar);
-        assert_eq!(analysis.error_count(), 0);
+        assert!(!analysis.has_errors());
         assert_eq!(analysis.diagnostics.len(), 1, "one warning");
         let compiled = compile(&grammar, Arc::new(test_vocabulary(600)));
         assert_eq!(dead_states(&compiled), []);

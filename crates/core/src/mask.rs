@@ -100,17 +100,19 @@ impl TokenBitmask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterates over the allowed token ids.
+    /// Iterates over the allowed token ids in increasing order, walking each
+    /// word's set bits in place (no allocation).
     pub fn allowed_tokens(&self) -> impl Iterator<Item = TokenId> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let mut bits = w;
-            let mut out = Vec::new();
-            while bits != 0 {
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
                 let bit = bits.trailing_zeros() as usize;
-                out.push(TokenId((wi * 64 + bit) as u32));
                 bits &= bits - 1;
-            }
-            out
+                Some(TokenId((wi * 64 + bit) as u32))
+            })
         })
     }
 
@@ -226,6 +228,44 @@ mod tests {
         }
         let ids: Vec<u32> = m.allowed_tokens().map(|t| t.0).collect();
         assert_eq!(ids, vec![5, 63, 64, 65, 199]);
+    }
+
+    /// The same ids in the same order as a per-id `is_allowed` scan, for
+    /// empty, full, random and last-partial-word masks.
+    #[test]
+    fn allowed_tokens_matches_a_per_id_scan() {
+        let scan = |m: &TokenBitmask| -> Vec<TokenId> {
+            (0..m.vocab_size() as u32)
+                .map(TokenId)
+                .filter(|&t| m.is_allowed(t))
+                .collect()
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut masks = Vec::new();
+        for size in [0, 1, 63, 64, 65, 130, 1000] {
+            masks.push(TokenBitmask::new_all_rejected(size));
+            masks.push(all_allowed(size));
+            let mut random = TokenBitmask::new_all_rejected(size);
+            for id in 0..size as u32 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state.is_multiple_of(3) {
+                    random.allow(TokenId(id));
+                }
+            }
+            masks.push(random);
+            if size > 0 {
+                // Only the last, partial word's top token.
+                let mut last = TokenBitmask::new_all_rejected(size);
+                last.allow(TokenId(size as u32 - 1));
+                masks.push(last);
+            }
+        }
+        for m in &masks {
+            let listed: Vec<TokenId> = m.allowed_tokens().collect();
+            assert_eq!(listed, scan(m), "size {}", m.vocab_size());
+        }
     }
 
     #[test]

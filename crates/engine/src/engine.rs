@@ -97,11 +97,6 @@ pub enum LaneConstraint {
 }
 
 impl LaneConstraint {
-    /// Returns `true` if the lane needs a backend session (and token masks).
-    pub fn is_constrained(&self) -> bool {
-        !matches!(self, LaneConstraint::Unconstrained)
-    }
-
     /// Compiles the lane's constraint through `backend`, returning `None` for
     /// unconstrained lanes. This is the engine's *single* per-constraint-kind
     /// dispatch point: everything after construction — sessions, masks,
@@ -788,7 +783,10 @@ mod tests {
         let backend = Arc::new(XGrammarBackend::new(Arc::new(test_vocabulary(600))));
         let engine = ServingEngine::new(backend.clone(), fast_profile(), ExecutionMode::Serial);
         let compilers = backend.compiler().vocabulary().sorted();
-        assert!(Arc::ptr_eq(engine.backend().vocabulary().sorted(), compilers));
+        assert!(Arc::ptr_eq(
+            engine.backend().vocabulary().sorted(),
+            compilers
+        ));
         assert!(Arc::ptr_eq(engine.llm().vocabulary().sorted(), compilers));
         let compiled = backend.compiler().compile_builtin_json();
         assert!(Arc::ptr_eq(compiled.vocabulary().sorted(), compilers));

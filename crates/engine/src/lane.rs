@@ -66,7 +66,11 @@ pub(crate) struct Lane {
 
 impl Lane {
     /// Creates a fresh lane.
-    pub fn new(session: Option<Session>, llm_state: LlmRequestState, max_tokens: usize) -> Self {
+    pub(crate) fn new(
+        session: Option<Session>,
+        llm_state: LlmRequestState,
+        max_tokens: usize,
+    ) -> Self {
         Lane {
             session,
             llm_state,
@@ -82,7 +86,7 @@ impl Lane {
     }
 
     /// Returns `true` if the lane needs token masks.
-    pub fn is_constrained(&self) -> bool {
+    pub(crate) fn is_constrained(&self) -> bool {
         self.session.is_some()
     }
 
@@ -92,7 +96,7 @@ impl Lane {
     /// first sampled token already continues the forced text. No-op under
     /// [`JumpForwardPolicy::Off`](crate::JumpForwardPolicy::Off) and on
     /// unconstrained lanes.
-    pub fn start(&mut self, ctx: &ForcedContext) {
+    pub(crate) fn start(&mut self, ctx: &ForcedContext) {
         if !self.finished && self.inject_forced(ctx) {
             self.finished = true;
         }
@@ -104,7 +108,7 @@ impl Lane {
     /// injection. Returns the byte offset in [`output`](Self::output) where
     /// this step's emission began (`output[offset..]` is the step's newly
     /// emitted text — empty when the lane finished without emitting).
-    pub fn step(&mut self, mask: Option<&TokenBitmask>, ctx: &ForcedContext) -> usize {
+    pub(crate) fn step(&mut self, mask: Option<&TokenBitmask>, ctx: &ForcedContext) -> usize {
         let emitted_from = self.output.len();
         if self.finished {
             return emitted_from;
@@ -163,7 +167,7 @@ impl Lane {
     }
 
     /// The lane's outcome, once it has finished.
-    pub fn into_result(self) -> RequestResult {
+    pub(crate) fn into_result(self) -> RequestResult {
         RequestResult {
             output: self.output,
             tokens: self.sampled_tokens,
@@ -174,8 +178,10 @@ impl Lane {
     }
 
     /// Runs one forced-injection pass: re-tokenize the grammar-forced
-    /// continuation (`ConstraintMatcher::find_jump_forward_tokens`, the
-    /// longest-prefix token cover) and accept it token by token without
+    /// continuation (`ConstraintMatcher::find_jump_forward_string`) as its
+    /// longest-prefix token cover over the vocabulary's one sorted index
+    /// (`SortedVocabulary::longest_prefix_cover`), and accept it token by
+    /// token without
     /// sampling, capped at the lane's remaining `max_tokens` allowance; every
     /// injected token is a rollback unit exactly like a sampled one, and the
     /// simulated model is re-conditioned on the forced text so the following
@@ -193,8 +199,9 @@ impl Lane {
             .max_tokens
             .saturating_sub(self.sampled_tokens + self.forced_tokens);
         let start = Instant::now();
-        let run = session.find_jump_forward_tokens();
-        for &token in run.tokens.iter().take(budget) {
+        let forced = session.find_jump_forward_string();
+        let (cover, _) = ctx.vocab.sorted().longest_prefix_cover(&ctx.vocab, &forced);
+        for &token in cover.iter().take(budget) {
             // Forced bytes are the unique allowed continuation, so every
             // cover token is admitted; a rejection (a backend bug) stops the
             // injection and leaves the lane to ordinary sampling.

@@ -121,11 +121,6 @@ pub struct LlmRequestState {
 }
 
 impl LlmRequestState {
-    /// The full byte string the unconstrained model intends to produce.
-    pub fn intended_output(&self) -> &[u8] {
-        &self.intended
-    }
-
     /// The part of the intended output not emitted yet.
     fn remaining(&self) -> &[u8] {
         &self.intended[self.position.min(self.intended.len())..]
@@ -136,7 +131,7 @@ impl LlmRequestState {
     /// among equal byte strings), or EOS when the intended output is
     /// exhausted — or cannot be spelled, in a vocabulary without byte
     /// fallback: the model gives up.
-    pub fn propose(&self) -> TokenId {
+    pub(crate) fn propose(&self) -> TokenId {
         self.vocab
             .sorted()
             .longest_prefix_token(self.remaining())
@@ -215,21 +210,6 @@ impl LlmRequestState {
         }
     }
 
-    /// Records that `bytes` were emitted without sampling (jump-forward
-    /// decoding): the cursor advances over them if they match the intention,
-    /// re-synchronizing like [`LlmRequestState::advance`] otherwise.
-    pub fn advance_bytes(&mut self, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        let remaining = self.remaining();
-        if remaining.starts_with(bytes) {
-            self.position += bytes.len();
-        } else if let Some(offset) = find_subslice(remaining, bytes) {
-            self.position += offset + bytes.len();
-        }
-    }
-
     /// Returns `true` if the intended output has been fully emitted.
     pub fn finished(&self) -> bool {
         self.position >= self.intended.len()
@@ -283,8 +263,7 @@ mod tests {
             },
         );
         let state = llm.start_request(br#"{"age": 30}"#, 1);
-        let intended = state.intended_output();
-        assert!(serde_json::from_slice::<serde_json::Value>(intended).is_err());
+        assert!(serde_json::from_slice::<serde_json::Value>(&state.intended).is_err());
     }
 
     #[test]
@@ -308,7 +287,7 @@ mod tests {
         let llm = SimulatedLlm::new(Arc::clone(&vocab), LlmBehavior::default());
         let a = llm.start_request(br#"{"x": 1}"#, 42);
         let b = llm.start_request(br#"{"x": 1}"#, 42);
-        assert_eq!(a.intended_output(), b.intended_output());
+        assert_eq!(a.intended, b.intended);
     }
 
     /// The first-byte bucket scan that `propose` used to be, kept as its

@@ -34,7 +34,7 @@ pub struct ModelProfile {
 impl ModelProfile {
     /// Time the simulated GPU spends on one decoding step for `batch_size`
     /// concurrent sequences.
-    pub fn decode_step_time(&self, batch_size: usize) -> Duration {
+    pub(crate) fn decode_step_time(&self, batch_size: usize) -> Duration {
         let extra = batch_size.saturating_sub(1) as u32;
         let raw = self.decode_base + self.decode_per_extra_seq * extra;
         raw.mul_f64(self.time_scale.max(0.0))
@@ -42,7 +42,7 @@ impl ModelProfile {
 
     /// Time the simulated GPU spends prefilling a prompt of `prompt_tokens`
     /// tokens.
-    pub fn prefill_time(&self, prompt_tokens: usize) -> Duration {
+    pub(crate) fn prefill_time(&self, prompt_tokens: usize) -> Duration {
         (self.prefill_per_token * prompt_tokens as u32).mul_f64(self.time_scale.max(0.0))
     }
 

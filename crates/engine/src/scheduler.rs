@@ -1441,7 +1441,7 @@ mod tests {
     use crate::profiles::ModelProfile;
     use std::sync::Arc;
     use xg_baselines::{Session, XGrammarBackend};
-    use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, ForcedTokenRun};
+    use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher};
     use xg_grammar::{parse_ebnf, Grammar};
     use xg_tokenizer::{test_vocabulary, TokenId, Vocabulary};
 
@@ -1853,8 +1853,8 @@ mod tests {
         fn accept_token(&mut self, token: TokenId) -> Result<(), AcceptError> {
             self.inner.accept_token(token)
         }
-        fn find_jump_forward_tokens(&mut self) -> ForcedTokenRun {
-            self.inner.find_jump_forward_tokens()
+        fn find_jump_forward_string(&mut self) -> Vec<u8> {
+            self.inner.find_jump_forward_string()
         }
         fn can_terminate(&mut self) -> bool {
             self.inner.can_terminate()

@@ -195,11 +195,6 @@ impl GrammarAnalysis {
             .iter()
             .filter(|d| d.severity == Severity::Error)
     }
-
-    /// Number of error-severity diagnostics.
-    pub fn error_count(&self) -> usize {
-        self.errors().count()
-    }
 }
 
 /// Returns `true` if `expr` can derive at least one terminal string, given

@@ -89,7 +89,7 @@ impl CharClass {
     }
 
     /// Creates a negated class from ranges.
-    pub fn negated(ranges: Vec<CharRange>) -> Self {
+    pub(crate) fn negated(ranges: Vec<CharRange>) -> Self {
         CharClass {
             ranges,
             negated: true,
@@ -272,7 +272,7 @@ impl GrammarExpr {
     }
 
     /// Convenience constructor for a Kleene-star repetition.
-    pub fn star(expr: GrammarExpr) -> Self {
+    pub(crate) fn star(expr: GrammarExpr) -> Self {
         GrammarExpr::Repeat {
             expr: Box::new(expr),
             min: 0,
@@ -350,7 +350,7 @@ impl GrammarExpr {
 
     /// Returns `true` if the expression can match the empty string, assuming
     /// `nullable_rules[r]` answers the question for referenced rules.
-    pub fn is_nullable(&self, nullable_rules: &[bool]) -> bool {
+    pub(crate) fn is_nullable(&self, nullable_rules: &[bool]) -> bool {
         match self {
             GrammarExpr::Empty => true,
             GrammarExpr::Literal(bytes) => bytes.is_empty(),
@@ -469,7 +469,7 @@ impl Grammar {
     }
 
     /// Computes, for every rule, whether it can derive the empty string.
-    pub fn nullable_rules(&self) -> Vec<bool> {
+    pub(crate) fn nullable_rules(&self) -> Vec<bool> {
         let mut nullable = vec![false; self.rules.len()];
         loop {
             let mut changed = false;
@@ -490,7 +490,7 @@ impl Grammar {
     /// # Errors
     ///
     /// Returns [`GrammarError::LeftRecursion`] describing one offending cycle.
-    pub fn check_left_recursion(&self) -> Result<()> {
+    pub(crate) fn check_left_recursion(&self) -> Result<()> {
         let nullable = self.nullable_rules();
         // leftmost_refs[r] = rules that can appear at the very start of r's body.
         let mut leftmost: Vec<Vec<RuleId>> = Vec::with_capacity(self.rules.len());
@@ -680,7 +680,7 @@ impl GrammarBuilder {
     }
 
     /// Returns the name of a declared rule.
-    pub fn rule_name(&self, id: RuleId) -> Option<&str> {
+    pub(crate) fn rule_name(&self, id: RuleId) -> Option<&str> {
         self.rules.get(id.index()).map(|r| r.name.as_str())
     }
 

@@ -304,7 +304,7 @@ impl SortedVocabulary {
     /// in `i + 1..j` shares at least `shared` bytes with token `i`. It jumps
     /// over each stretch whose LCPs are all at least the one it starts at,
     /// and the LCPs it lands on strictly decrease: at most
-    /// [`max_token_len`](Self::max_token_len) jumps for `shared >= 1`.
+    /// `max_token_len` jumps for `shared >= 1`.
     pub fn run_end(&self, i: usize, shared: usize) -> usize {
         let mut j = i + 1;
         while j < self.len() && self.lcp[j] >= shared {
@@ -348,11 +348,6 @@ impl SortedVocabulary {
             return 0.0;
         }
         self.chars_to_check() as f64 / self.total_bytes() as f64
-    }
-
-    /// Length of the longest indexed token.
-    pub fn max_token_len(&self) -> usize {
-        self.max_token_len
     }
 
     /// The longest non-special token whose byte string is a prefix of
@@ -505,7 +500,7 @@ mod tests {
         let sorted = SortedVocabulary::new(&vocab);
         assert!(sorted.is_empty());
         assert_eq!(sorted.check_fraction(), 0.0);
-        assert_eq!(sorted.max_token_len(), 0);
+        assert_eq!(sorted.max_token_len, 0);
         assert_eq!(sorted.longest_prefix_token(b"abc"), None);
     }
 
@@ -685,7 +680,7 @@ mod tests {
             }
             let lens = (0..ids.len()).map(|i| bytes(i).len());
             proptest::prop_assert_eq!(sorted.total_bytes(), lens.clone().sum::<usize>());
-            proptest::prop_assert_eq!(sorted.max_token_len(), lens.max().unwrap_or(0));
+            proptest::prop_assert_eq!(sorted.max_token_len, lens.max().unwrap_or(0));
         }
 
         /// The run-skip links against the scan they replace: from every
@@ -703,7 +698,7 @@ mod tests {
             let sorted = SortedVocabulary::new(&Vocabulary::from_tokens(tokens, None));
             let lcp = sorted.lcp();
             for i in 0..sorted.len() {
-                for shared in 1..=sorted.max_token_len() + 1 {
+                for shared in 1..=sorted.max_token_len + 1 {
                     let scan = i + 1 + lcp[i + 1..].iter().take_while(|&&l| l >= shared).count();
                     proptest::prop_assert_eq!(sorted.run_end(i, shared), scan);
                     let (mut j, mut jumps) = (i + 1, 0);
@@ -711,7 +706,7 @@ mod tests {
                         j = sorted.run_next[j] as usize;
                         jumps += 1;
                     }
-                    proptest::prop_assert!(jumps <= sorted.max_token_len(), "{} jumps", jumps);
+                    proptest::prop_assert!(jumps <= sorted.max_token_len, "{} jumps", jumps);
                 }
             }
         }

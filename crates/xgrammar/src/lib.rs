@@ -67,8 +67,8 @@ pub mod engine {
 pub use xg_core::{
     dead_states, AcceptError, ArtifactCache, CacheBudget, CacheStats, CompiledConstraint,
     CompiledGrammar, CompiledTagDispatch, CompiledTrigger, CompilerConfig, ConstraintMatcher,
-    DispatchMode, ForcedTokenRun, GrammarCache, GrammarCacheKey, GrammarCompiler, GrammarMatcher,
-    MaskCache, MaskCacheStats, MatcherStats, NodeMaskEntry, RollbackError, StructuralTagMatcher,
+    DispatchMode, GrammarCache, GrammarCacheKey, GrammarCompiler, GrammarMatcher, MaskCache,
+    MaskCacheStats, MatcherStats, NodeMaskEntry, RollbackError, StructuralTagMatcher,
     TagDispatchCache, TagDispatchStats, TokenBitmask, DEFAULT_MAX_ROLLBACK_TOKENS,
 };
 pub use xg_grammar::{

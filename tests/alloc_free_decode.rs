@@ -3,13 +3,15 @@
 //! accept, rollback, termination check — must not touch the heap at all, and
 //! a jump-forward probe may allocate nothing but the bytes it returns.
 //!
+//! `TokenBitmask::allowed_tokens`, which the simulated model's masked
+//! proposal walks on the decode thread, must not allocate either.
+//!
 //! This file is its own test binary so that the counting `#[global_allocator]`
-//! wraps nothing else, and it holds a single `#[test]` that counts only while
-//! its own thread is armed, so the harness's threads cannot disturb the count.
+//! wraps nothing else, and each `#[test]` counts only while its own thread is
+//! armed, so the harness's other threads cannot disturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xg_core::{
@@ -17,15 +19,25 @@ use xg_core::{
 };
 use xg_tokenizer::{test_vocabulary, TokenId};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static REALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// (allocations, reallocations) made by this thread while armed.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn armed() -> bool {
-    ARMED.try_with(Cell::get).unwrap_or(false)
+/// Adds one allocation or reallocation to this thread's count, if armed.
+fn count(realloc: bool) {
+    let armed = ARMED.try_with(Cell::get).unwrap_or(false);
+    if armed {
+        let _ = COUNTS.try_with(|counts| {
+            let (allocs, reallocs) = counts.get();
+            counts.set(if realloc {
+                (allocs, reallocs + 1)
+            } else {
+                (allocs + 1, reallocs)
+            });
+        });
+    }
 }
 
 struct CountingAllocator;
@@ -34,9 +46,7 @@ struct CountingAllocator;
 // `GlobalAlloc` contract; the counters are side effects that never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(false);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
@@ -47,9 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            REALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(true);
         // SAFETY: `ptr` came from `System`; the rest is the caller's promise.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -60,10 +68,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// (allocations, reallocations) made by this thread while armed, so far.
 fn counted() -> (u64, u64) {
-    (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        REALLOCATIONS.load(Ordering::Relaxed),
-    )
+    COUNTS.with(Cell::get)
 }
 
 /// Decodes `tokens` on `matcher` the way a serving lane does: fill, accept,
@@ -213,4 +218,32 @@ fn steady_state_decode_does_not_allocate() {
         matcher.stats().tags_opened >= 2,
         "the transcript opens two tagged segments"
     );
+}
+
+#[test]
+fn listing_a_masks_allowed_tokens_does_not_allocate() {
+    let size = 8000;
+    let empty = TokenBitmask::new_all_rejected(size);
+    let mut full = TokenBitmask::new_all_rejected(size);
+    full.allow_all();
+    let mut sparse = TokenBitmask::new_all_rejected(size);
+    for id in (0..size as u32).step_by(7) {
+        sparse.allow(TokenId(id));
+    }
+    let mut last = TokenBitmask::new_all_rejected(size + 5);
+    last.allow(TokenId(size as u32 + 4));
+
+    for mask in [&empty, &full, &sparse, &last] {
+        let before = counted();
+        ARMED.with(|armed| armed.set(true));
+        let listed = mask.allowed_tokens().count();
+        ARMED.with(|armed| armed.set(false));
+        let after = counted();
+        assert_eq!(listed, mask.count_allowed());
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (0, 0),
+            "(allocations, reallocations) listing {listed} allowed tokens"
+        );
+    }
 }

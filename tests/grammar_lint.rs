@@ -238,6 +238,35 @@ fn schema_corpus_grammars_lint_clean() {
     }
 }
 
+/// `dead_states` reads every node of a compiled grammar's automaton, with no
+/// reachability walk of its own: `build_pda` returns the automaton compact
+/// (`Pda::compact` removes nothing) for the builtin grammars and every
+/// schema-corpus case, under every Table 3 row.
+#[test]
+fn every_compiled_automaton_is_compact() {
+    use xg_core::{CompilerConfig, GrammarCompiler};
+
+    let mut grammars = vec![
+        ("json", xg_grammar::builtin::json_grammar()),
+        ("xml", xg_grammar::builtin::xml_grammar()),
+        ("python dsl", xg_grammar::builtin::python_dsl_grammar()),
+    ];
+    for case in xg_datasets::schema_corpus(24, 42) {
+        let grammar =
+            xg_grammar::json_schema_to_grammar(&case.schema).expect("corpus schemas convert");
+        grammars.push((case.feature, grammar));
+    }
+    let vocab = Arc::new(xg_tokenizer::test_vocabulary(600));
+    for row in CompilerConfig::ROWS {
+        let compiler = GrammarCompiler::with_config(Arc::clone(&vocab), row);
+        for (name, grammar) in &grammars {
+            let compiled = compiler.compile_grammar(grammar);
+            let pda = compiled.pda();
+            assert_eq!(&pda.compact(), pda, "`{name}` under {row:?}");
+        }
+    }
+}
+
 /// Every pathological-corpus entry is flagged with its expected code, with
 /// the expected severity, and the checked compile refuses exactly the
 /// entries whose root derives no string: an error-severity

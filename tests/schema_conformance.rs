@@ -97,8 +97,9 @@ fn dataset_instances_are_accepted_token_by_token_by_their_schema_grammar() {
 }
 
 /// Decodes every dataset instance with engine-style jump-forward: whenever
-/// the grammar forces text, the forced bytes are re-tokenized
-/// ([`ConstraintMatcher::find_jump_forward_tokens`]) and injected without
+/// the grammar forces text, the forced bytes
+/// ([`ConstraintMatcher::find_jump_forward_string`]) are re-tokenized as
+/// their longest-prefix cover, as the serving lane does, and injected without
 /// mask generation — while a shadow matcher checks that each injected token
 /// *would have been* admitted by a freshly generated mask. No mask-skipping
 /// unsoundness: injection must be a pure fast path.
@@ -125,21 +126,22 @@ fn jump_forward_cover_tokens_are_individually_mask_admitted() {
         let mut cursor = 0usize;
 
         while cursor < task.reference.len() {
-            let run = ConstraintMatcher::find_jump_forward_tokens(&mut matcher);
-            if !run.is_empty() {
+            let forced = ConstraintMatcher::find_jump_forward_string(&mut matcher);
+            let (cover, covered) = vocab.sorted().longest_prefix_cover(&vocab, &forced);
+            if !cover.is_empty() {
                 assert_eq!(
-                    run.covered,
-                    run.bytes.len(),
+                    covered,
+                    forced.len(),
                     "case {case}: byte-fallback tokens must cover all forced bytes"
                 );
                 // Forced bytes are the unique continuation, and the reference
                 // is a valid instance — so the reference continues with them.
                 assert!(
-                    task.reference[cursor..].starts_with(&run.bytes),
+                    task.reference[cursor..].starts_with(&forced),
                     "case {case}: forced bytes {:?} diverge from the instance at {cursor}",
-                    String::from_utf8_lossy(&run.bytes)
+                    String::from_utf8_lossy(&forced)
                 );
-                for &token in &run.tokens {
+                for &token in &cover {
                     shadow.fill_next_token_bitmask(&mut shadow_mask);
                     assert!(
                         shadow_mask.is_allowed(token),
