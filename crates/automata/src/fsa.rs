@@ -1,8 +1,9 @@
 //! A small nondeterministic finite-state automaton over bytes.
 //!
 //! Used for the *expanded suffix* automata of context expansion (paper §3.2,
-//! Algorithm 2) and by the Outlines-style regex/FSM baseline. Edges are
-//! labelled with inclusive byte ranges; there are no epsilon edges.
+//! Algorithm 2) and for the PDA unrolled by the Outlines and
+//! lm-format-enforcer baselines. Edges are labelled with inclusive byte
+//! ranges; there are no epsilon edges.
 
 use std::collections::BTreeSet;
 
@@ -130,7 +131,8 @@ impl Fsa {
 
     /// Returns `true` if a final state is reachable from the start state,
     /// i.e. the automaton's language is non-empty.
-    pub fn has_reachable_final_state(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_reachable_final_state(&self) -> bool {
         let mut visited = vec![false; self.states.len()];
         let mut stack = vec![self.start];
         visited[self.start.index()] = true;

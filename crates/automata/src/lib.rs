@@ -4,10 +4,10 @@
 //! pushdown automaton (PDA) the paper's engine executes, and provides the
 //! automaton-level machinery the core engine builds on:
 //!
-//! * [`utf8_sequences`] — compilation of Unicode ranges into UTF-8
-//!   byte-range sequences, so every automaton edge consumes exactly one byte,
+//! * [`ByteRange`] — the label of every automaton edge, one byte of a range
+//!   (character classes are lowered to UTF-8 byte-range sequences),
 //! * [`Fsa`] — a small byte-level NFA used for expanded-suffix automata and
-//!   by the regex/FSM baseline,
+//!   for the PDA the Outlines and lm-format-enforcer baselines unroll,
 //! * [`Pda`] — the PDA data structure (per-rule automata, byte edges and
 //!   rule-reference edges),
 //! * [`build_pda`] — grammar → PDA compilation including rule inlining,
@@ -55,4 +55,4 @@ pub use intern::intern_states;
 pub use multipattern::{AcState, AhoCorasick, NaiveMultiPattern};
 pub use pda::{NodeId, Pda, PdaEdge, PdaNode, PdaRule, PdaRuleId, PdaStats};
 pub use suffix::extract_all_suffix_fsas;
-pub use utf8::{utf8_sequences, ByteRange, Utf8Sequence};
+pub use utf8::ByteRange;

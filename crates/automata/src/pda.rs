@@ -101,8 +101,8 @@ pub struct PdaRule {
     pub start: NodeId,
 }
 
-/// Structural statistics of a PDA, used by tests, the ablation study and
-/// EXPERIMENTS.md.
+/// Structural statistics of a PDA, printed by
+/// `examples/grammar_playground.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PdaStats {
     /// Number of nodes.

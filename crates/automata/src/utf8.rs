@@ -53,49 +53,16 @@ impl ByteRange {
 /// A sequence of byte ranges whose cartesian product is a set of UTF-8
 /// encodings (all of the same length).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Utf8Sequence {
+pub(crate) struct Utf8Sequence {
     /// One byte range per encoded byte (1 to 4 entries).
-    pub ranges: Vec<ByteRange>,
-}
-
-impl Utf8Sequence {
-    /// Number of bytes in every string matched by this sequence.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Sequences always contain at least one byte range.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Returns `true` if `bytes` (of the same length) is matched.
-    pub fn matches(&self, bytes: &[u8]) -> bool {
-        bytes.len() == self.ranges.len()
-            && self.ranges.iter().zip(bytes).all(|(r, &b)| r.contains(b))
-    }
+    pub(crate) ranges: Vec<ByteRange>,
 }
 
 /// Splits an inclusive Unicode scalar range into UTF-8 byte-range sequences.
 ///
 /// The input must not include the surrogate range (U+D800..=U+DFFF); the
 /// grammar crate's `CharClass::normalized_ranges` already guarantees that.
-///
-/// # Examples
-///
-/// ```
-/// use xg_automata::utf8_sequences;
-///
-/// // ASCII stays a single one-byte sequence.
-/// let seqs = utf8_sequences('a' as u32, 'z' as u32);
-/// assert_eq!(seqs.len(), 1);
-/// assert_eq!(seqs[0].ranges.len(), 1);
-///
-/// // The full Unicode range needs several sequences of different lengths.
-/// let all = utf8_sequences(0, 0x10FFFF);
-/// assert!(all.len() >= 4);
-/// ```
-pub fn utf8_sequences(start: u32, end: u32) -> Vec<Utf8Sequence> {
+pub(crate) fn utf8_sequences(start: u32, end: u32) -> Vec<Utf8Sequence> {
     let mut out = Vec::new();
     if start > end {
         return out;
@@ -192,6 +159,11 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// Returns `true` if `bytes` is one of the strings `seq` matches.
+    fn matches(seq: &Utf8Sequence, bytes: &[u8]) -> bool {
+        bytes.len() == seq.ranges.len() && seq.ranges.iter().zip(bytes).all(|(r, &b)| r.contains(b))
+    }
+
     /// Brute-force check: the set of encodings produced by the sequences for
     /// `[start, end]` equals the set of UTF-8 encodings of the chars in the
     /// range.
@@ -202,7 +174,7 @@ mod tests {
             if let Some(c) = char::from_u32(cp) {
                 let mut buf = [0u8; 4];
                 let enc = c.encode_utf8(&mut buf).as_bytes().to_vec();
-                let matching = seqs.iter().filter(|s| s.matches(&enc)).count();
+                let matching = seqs.iter().filter(|s| matches(s, &enc)).count();
                 assert_eq!(
                     matching, 1,
                     "codepoint {cp:#x} matched {matching} sequences"
@@ -226,7 +198,7 @@ mod tests {
                 let mut buf = [0u8; 4];
                 let enc = c.encode_utf8(&mut buf).as_bytes().to_vec();
                 assert!(
-                    !seqs.iter().any(|s| s.matches(&enc)),
+                    !seqs.iter().any(|s| matches(s, &enc)),
                     "codepoint {cp:#x} wrongly matched for range {start:#x}..{end:#x}"
                 );
             }
@@ -267,12 +239,14 @@ mod tests {
     #[test]
     fn full_unicode_range_is_small() {
         let seqs = utf8_sequences(0, 0x10FFFF);
+        // At least one sequence per encoded length, and few of them.
+        assert!(seqs.len() >= 4);
         assert!(seqs.len() <= 16, "got {} sequences", seqs.len());
         // Spot-check a few encodings across lengths.
         for c in ['a', 'é', '你', '🎉'] {
             let mut buf = [0u8; 4];
             let enc = c.encode_utf8(&mut buf).as_bytes().to_vec();
-            assert_eq!(seqs.iter().filter(|s| s.matches(&enc)).count(), 1);
+            assert_eq!(seqs.iter().filter(|s| matches(s, &enc)).count(), 1);
         }
     }
 }

@@ -7,7 +7,9 @@
 //! character trie so shared prefixes are walked once. There is no
 //! preprocessing phase and no support for context-free grammars; recursive
 //! grammars are rejected at compile time, matching the original ("a
-//! regex-based method that does not support CFG", paper §4.1).
+//! regex-based method that does not support CFG", paper §4.1). Every other
+//! grammar's pushdown automaton unrolls exactly into the character-level
+//! automaton (`unroll::unroll_grammar_to_fsa`).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -18,7 +20,7 @@ use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
-use crate::regex_unroll::{grammar_is_recursive, unroll_grammar_to_fsa};
+use crate::unroll::{grammar_is_recursive, unroll_grammar_to_fsa};
 use crate::{BackendError, ConstrainedBackend, Session};
 
 /// lm-format-enforcer-style backend (character trie walking, regex only).
@@ -46,16 +48,13 @@ impl ConstrainedBackend for FormatEnforcerBackend {
     fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
         if grammar_is_recursive(grammar) {
             return Err(BackendError::UnsupportedGrammar {
-                backend: "lm-format-enforcer (char trie)",
+                backend: self.name(),
                 reason: "recursive context-free grammars cannot be expressed as a regex".into(),
             });
         }
-        let fsa = unroll_grammar_to_fsa(grammar, 64, 500_000).map_err(|e| {
-            BackendError::UnsupportedGrammar {
-                backend: "lm-format-enforcer (char trie)",
-                reason: e.to_string(),
-            }
-        })?;
+        // A non-recursive grammar nests each rule at most once, so as many
+        // frames as rules unroll it exactly.
+        let fsa = unroll_grammar_to_fsa(self.name(), grammar, grammar.len(), 500_000)?;
         Ok(Arc::new(EnforcerCompiled {
             fsa,
             trie: TokenTrie::build(&self.vocab),

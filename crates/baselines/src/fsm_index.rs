@@ -7,8 +7,9 @@
 //! a dictionary lookup. The approach is fast once a state's index exists, but
 //!
 //! * context-free grammars have to be approximated by depth-bounded
-//!   unrolling (see `regex_unroll::unroll_grammar_to_fsa`), which blows up the
-//!   number of states for recursive structures, and
+//!   unrolling of XGrammar's pushdown automaton (see
+//!   `unroll::unroll_grammar_to_fsa`): nesting past 8 stack frames is cut,
+//!   and the number of states grows with the nesting kept, and
 //! * every *newly visited* DFA state pays a full vocabulary scan, which is
 //!   exactly the per-token cost the paper measures for CFG workloads.
 
@@ -22,12 +23,13 @@ use xg_core::{AcceptError, CompiledConstraint, ConstraintMatcher, TokenBitmask};
 use xg_grammar::Grammar;
 use xg_tokenizer::{TokenId, Vocabulary};
 
-use crate::regex_unroll::unroll_grammar_to_fsa;
+use crate::unroll::unroll_grammar_to_fsa;
 use crate::{BackendError, ConstrainedBackend, Session};
 
-/// Recursion-unrolling depth (enough for the nesting present in the
-/// evaluation datasets: every `json_mode_eval_like` schema family and the
-/// builtin JSON, XML and Python-DSL grammars unroll under it).
+/// Unrolling depth, in PDA stack frames (a tail call costs none): enough for
+/// every `json_mode_eval_like` schema family and the JSON and XML documents
+/// of the evaluation datasets. The Python-DSL grammar unrolls under it, but
+/// its references need deeper nesting.
 const DEFAULT_UNROLL_DEPTH: usize = 8;
 /// State budget for the unrolled automaton.
 const DEFAULT_MAX_STATES: usize = 200_000;
@@ -42,24 +44,13 @@ pub struct FsmIndexBackend {
 }
 
 impl FsmIndexBackend {
-    /// Creates the backend with its unrolling limits (depth 8, 200 000
-    /// states).
+    /// Creates the backend with its unrolling limits (8 stack frames,
+    /// 200 000 states).
     pub fn new(vocab: Arc<Vocabulary>) -> Self {
         FsmIndexBackend {
             vocab,
             unroll_depth: DEFAULT_UNROLL_DEPTH,
             max_states: DEFAULT_MAX_STATES,
-        }
-    }
-
-    /// Creates the backend with explicit unrolling limits, for the tests of
-    /// truncation and of the state budget.
-    #[cfg(test)]
-    fn with_limits(vocab: Arc<Vocabulary>, unroll_depth: usize, max_states: usize) -> Self {
-        FsmIndexBackend {
-            vocab,
-            unroll_depth,
-            max_states,
         }
     }
 }
@@ -74,13 +65,7 @@ impl ConstrainedBackend for FsmIndexBackend {
     }
 
     fn compile(&self, grammar: &Grammar) -> Result<Arc<dyn CompiledConstraint>, BackendError> {
-        let fsa =
-            unroll_grammar_to_fsa(grammar, self.unroll_depth, self.max_states).map_err(|e| {
-                BackendError::UnsupportedGrammar {
-                    backend: "Outlines (FSM index)",
-                    reason: e.to_string(),
-                }
-            })?;
+        let fsa = unroll_grammar_to_fsa(self.name(), grammar, self.unroll_depth, self.max_states)?;
         Ok(Arc::new(FsmCompiled {
             fsa,
             vocab: Arc::clone(&self.vocab),
@@ -230,12 +215,13 @@ impl ConstraintMatcher for FsmSession {
         if self.shared.vocab.is_special(token) {
             return Err(AcceptError::SpecialTokenRejected { token });
         }
-        match index.allowed.iter().find(|(t, _)| *t == token) {
-            Some((_, next)) => {
-                self.state = next.clone();
+        // `allowed` is built in token-id order.
+        match index.allowed.binary_search_by_key(&token, |(t, _)| *t) {
+            Ok(i) => {
+                self.state = index.allowed[i].1.clone();
                 Ok(())
             }
-            None => Err(AcceptError::TokenRejected {
+            Err(_) => Err(AcceptError::TokenRejected {
                 token,
                 matched_bytes: 0,
             }),
@@ -291,7 +277,11 @@ mod tests {
     #[test]
     fn recursive_grammar_is_depth_limited_but_usable() {
         let vocab = small_vocab();
-        let backend = FsmIndexBackend::with_limits(Arc::clone(&vocab), 6, 500_000);
+        let backend = FsmIndexBackend {
+            unroll_depth: 6,
+            max_states: 500_000,
+            ..FsmIndexBackend::new(Arc::clone(&vocab))
+        };
         let grammar = xg_grammar::parse_ebnf(
             r#"
             root ::= value
@@ -317,7 +307,11 @@ mod tests {
     #[test]
     fn state_budget_violation_is_reported() {
         let vocab = small_vocab();
-        let backend = FsmIndexBackend::with_limits(Arc::clone(&vocab), 10, 64);
+        let backend = FsmIndexBackend {
+            unroll_depth: 10,
+            max_states: 64,
+            ..FsmIndexBackend::new(Arc::clone(&vocab))
+        };
         let err = backend
             .compile(&xg_grammar::builtin::json_grammar())
             .unwrap_err();

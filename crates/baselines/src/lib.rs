@@ -11,16 +11,23 @@
 //!   the behaviour of llama.cpp's grammar engine, the comparator of
 //!   Figures 9 and 10. (Table 3's "PDA Baseline" row is
 //!   `xg_core::CompilerConfig::PdaBaseline` on the XGrammar matcher.)
-//! * [`FsmIndexBackend`] — an Outlines-style FSM approach: the grammar is
-//!   unrolled into a finite automaton up to a bounded recursion depth, a
-//!   lazy DFA is built over it, and for every DFA state the set of allowed
-//!   tokens is computed by scanning the vocabulary once and memoized. Mask
-//!   generation is then a table lookup, but unbounded recursion cannot be
-//!   expressed and every newly visited state costs a full vocabulary scan.
+//! * [`FsmIndexBackend`] — an Outlines-style FSM approach: the grammar's
+//!   pushdown automaton is unrolled into a finite automaton up to a bounded
+//!   stack depth, a lazy DFA is built over it, and for every DFA state the
+//!   set of allowed tokens is computed by scanning the vocabulary once and
+//!   memoized. Mask generation is then a table lookup, but unbounded
+//!   recursion cannot be expressed and every newly visited state costs a
+//!   full vocabulary scan.
 //! * [`FormatEnforcerBackend`] — an lm-format-enforcer-style character-level
 //!   walker: no precomputation at all; every step walks every vocabulary
 //!   token through the automaton from the current state. Like the original,
 //!   it only supports regular (non-recursive) structures.
+//!
+//! The three baselines compile a grammar through
+//! `xg_automata::build_pda_default`, the pushdown automaton XGrammar's
+//! default configuration executes; the two regex-style baselines unroll it
+//! into a finite automaton, so Figures 9 and 10 compare runtime algorithms
+//! over one automaton, not two grammar front ends.
 //!
 //! All backends implement the common [`ConstrainedBackend`] interface. A
 //! compile returns xg-core's one compiled-artifact trait,
@@ -40,7 +47,7 @@
 mod format_enforcer;
 mod fsm_index;
 mod naive_pda;
-mod regex_unroll;
+mod unroll;
 mod xgrammar_backend;
 
 pub use format_enforcer::FormatEnforcerBackend;

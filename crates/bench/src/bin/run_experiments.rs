@@ -237,18 +237,29 @@ fn experiment_fig9(vocab: &Arc<Vocabulary>, config: &Config) {
         "{:<28} {:>19} {:>19} {:>19} {:>19}",
         "workload", "XGrammar", "Outlines", "llama.cpp", "lm-fmt-enf"
     );
+    let mut diverged = false;
     for workload in Workload::all() {
         let mut row = format!("{:<28}", workload.name());
         for kind in BackendKind::all() {
             let backend = kind.build(Arc::clone(vocab));
             let result = measure_mask_generation(&backend, workload, config.fig9_references, 40);
             let cell = match result {
-                Some(m) => format!("{} {}", fmt_us(m.per_token), fmt_ms(m.preprocessing)),
+                Some(m) => {
+                    let mark = if m.diverged_references > 0 { '*' } else { ' ' };
+                    diverged |= m.diverged_references > 0;
+                    format!("{}{mark}{}", fmt_us(m.per_token), fmt_ms(m.preprocessing))
+                }
                 None => "unsupported".into(),
             };
             row.push_str(&format!(" {cell:>19}"));
         }
         println!("{row}");
+    }
+    if diverged {
+        println!(
+            "  * the backend's masks refused some reference, so its latency is partly \
+             that of text off the reference"
+        );
     }
     println!();
 }

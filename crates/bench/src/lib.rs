@@ -151,6 +151,11 @@ pub struct MaskGenMeasurement {
     pub per_token: Duration,
     /// Preprocessing (grammar compilation) time.
     pub preprocessing: Duration,
+    /// References whose emitted bytes stopped being a prefix of the
+    /// reference: the backend's mask refused the reference there (an
+    /// unrolling depth too small for its nesting), so the rest of that
+    /// walk's masks are of text the workload does not hold.
+    pub diverged_references: usize,
 }
 
 /// Measures per-token mask-generation latency (the Figure 9 metric) for a
@@ -183,9 +188,11 @@ pub fn measure_mask_generation(
     let mut mask = TokenBitmask::new_all_rejected(vocab.len());
     let mut total = Duration::ZERO;
     let mut masks = 0usize;
+    let mut diverged_references = 0usize;
     for (i, reference) in refs.iter().enumerate() {
         let mut session = Arc::clone(&compiled).new_session();
         let mut state = llm.start_request(reference, i as u64);
+        let mut emitted = Vec::new();
         for _ in 0..max_tokens_per_reference {
             let start = Instant::now();
             session.fill_next_token_bitmask(&mut mask);
@@ -198,7 +205,9 @@ pub fn measure_mask_generation(
                 break;
             }
             state.advance(token);
+            emitted.extend_from_slice(vocab.token_bytes(token));
         }
+        diverged_references += usize::from(!reference.starts_with(&emitted));
     }
     if masks == 0 {
         return None;
@@ -206,6 +215,7 @@ pub fn measure_mask_generation(
     Some(MaskGenMeasurement {
         per_token: total / masks as u32,
         preprocessing,
+        diverged_references,
     })
 }
 
@@ -227,53 +237,95 @@ pub fn ablation_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xg_core::ConstraintMatcher;
+    use xg_core::{CompiledConstraint, ConstraintMatcher};
     use xg_engine::{EngineRequest, ExecutionMode, LaneConstraint, ModelProfile, ServingEngine};
     use xg_grammar::{DispatchDelta, StructuralTag, TagContent, TagSpec};
 
-    /// Feeds `text` to `session` one single-byte token at a time, each one
+    /// Feeds `text` to `session` as its greedy longest-prefix tokens, each
     /// checked against a fresh mask first; `false` at the first refusal.
-    fn accepts_bytes(session: &mut dyn ConstraintMatcher, vocab: &Vocabulary, text: &[u8]) -> bool {
+    fn accepts_tokens(
+        session: &mut dyn ConstraintMatcher,
+        vocab: &Vocabulary,
+        text: &[u8],
+    ) -> bool {
         let mut mask = TokenBitmask::new_all_rejected(vocab.len());
-        text.iter().all(|&byte| {
-            let token = vocab
-                .iter()
-                .find(|(_, bytes)| *bytes == [byte])
-                .map(|(id, _)| id)
-                .expect("the test vocabulary has every single-byte token");
+        let mut rest = text;
+        while let Some(token) = vocab.sorted().longest_prefix_token(rest) {
             session.fill_next_token_bitmask(&mut mask);
-            mask.is_allowed(token) && session.accept_token(token).is_ok()
-        })
+            if !mask.is_allowed(token) || session.accept_token(token).is_err() {
+                return false;
+            }
+            rest = &rest[vocab.token_bytes(token).len()..];
+        }
+        rest.is_empty()
     }
 
-    /// Fig. 10 and Table 1 measure the Outlines comparator under its
+    /// Fig. 9, Fig. 10 and Table 1 measure the Outlines comparator under its
     /// backend's one set of unrolling limits: every schema family they serve
-    /// compiles, and the recursive XML grammar is truncated (a document
-    /// nested past the unrolling depth is refused), not refused outright.
+    /// compiles, and a session follows every reference of the schema, JSON
+    /// and XML workloads to its end. The recursive XML grammar is truncated
+    /// (a document nested past the unrolling depth is refused), not refused
+    /// outright. The Python-DSL references nest deeper than the limits, so an
+    /// Outlines session leaves each of them; that is not asserted here.
     #[test]
-    fn the_outlines_comparator_compiles_every_schema_family() {
+    fn the_outlines_comparator_follows_every_reference() {
         let vocab = Arc::new(xg_tokenizer::test_vocabulary(600));
         let outlines = BackendKind::Outlines.build(Arc::clone(&vocab));
-        for (family, task) in xg_datasets::json_mode_eval_like(5, 0xE2E)
+        let follows = |compiled: &Arc<dyn CompiledConstraint>, text: &[u8]| {
+            let mut session = Arc::clone(compiled).new_session();
+            accepts_tokens(&mut *session, &vocab, text) && session.can_terminate()
+        };
+        for (i, task) in xg_datasets::json_mode_eval_like(25, 0xE2E)
             .iter()
             .enumerate()
         {
             let grammar = xg_grammar::json_schema_to_grammar(&task.schema).unwrap();
-            if let Err(e) = outlines.compile(&grammar) {
-                panic!("schema family {family} refused: {e}");
-            }
+            let compiled = outlines
+                .compile(&grammar)
+                .unwrap_or_else(|e| panic!("schema family {} refused: {e}", i % 5));
+            assert!(follows(&compiled, &task.reference), "schema task {i}");
         }
-
+        let json = outlines
+            .compile(&xg_grammar::builtin::json_grammar())
+            .unwrap();
+        for (i, doc) in xg_datasets::json_documents(10, 0xF19).iter().enumerate() {
+            assert!(follows(&json, &doc.reference), "JSON document {i}");
+        }
         let xml = outlines
             .compile(&xg_grammar::builtin::xml_grammar())
             .expect("the recursive XML grammar is truncated, not refused");
+        for (i, doc) in xg_datasets::xml_tasks(10, 0xF19).iter().enumerate() {
+            assert!(follows(&xml, &doc.reference), "XML document {i}");
+        }
         let nested =
             |depth: usize| ["<a>".repeat(depth), "x".into(), "</a>".repeat(depth)].concat();
-        let mut session = Arc::clone(&xml).new_session();
-        assert!(accepts_bytes(&mut *session, &vocab, nested(2).as_bytes()));
-        assert!(session.can_terminate());
+        assert!(follows(&xml, nested(2).as_bytes()));
         let mut session = xml.new_session();
-        assert!(!accepts_bytes(&mut *session, &vocab, nested(12).as_bytes()));
+        assert!(!accepts_tokens(
+            &mut *session,
+            &vocab,
+            nested(12).as_bytes()
+        ));
+    }
+
+    /// Fig. 9 tells a walk that follows its references from one that left
+    /// them: XGrammar follows every Python-DSL reference, and the Outlines
+    /// unrolling leaves some of them.
+    #[test]
+    fn mask_generation_counts_the_references_a_backend_left() {
+        let vocab = Arc::new(xg_tokenizer::test_vocabulary(600));
+        let diverged = |kind: BackendKind| {
+            measure_mask_generation(
+                &kind.build(Arc::clone(&vocab)),
+                Workload::CfgPythonDsl,
+                4,
+                40,
+            )
+            .expect("the Python DSL compiles")
+            .diverged_references
+        };
+        assert_eq!(diverged(BackendKind::XGrammar), 0);
+        assert!(diverged(BackendKind::Outlines) > 0);
     }
 
     /// One `Arc<Vocabulary>` is sorted once: every backend kind and a Table 3

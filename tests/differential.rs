@@ -1,7 +1,8 @@
 //! Differential test suite: the optimized engine against the naive PDA
-//! baseline on randomly generated grammars and inputs, printer/parser
-//! round-trips over the same random grammars, and one check of the
-//! `ConstraintMatcher` trait contract over all five of its implementors.
+//! baseline on randomly generated grammars and inputs, the regex-style
+//! baselines' masks against the engine's where their unrolling is exact,
+//! printer/parser round-trips over the same random grammars, and one check of
+//! the `ConstraintMatcher` trait contract over all five of its implementors.
 //!
 //! Unlike `property_tests.rs` (which uses a fixed pool of hand-written
 //! grammars), the grammars here are *generated*: random rule bodies built
@@ -527,6 +528,119 @@ fn check_matcher_contract(
             );
             break;
         }
+    }
+}
+
+/// XGrammar's, the FSM index's and the format enforcer's compiled forms of
+/// `grammar`, or `None` when the format enforcer refuses it. A grammar it
+/// compiles is not recursive, so both regex-style baselines unroll it
+/// exactly: no push is cut.
+fn exactly_unrolled(
+    vocab: &Arc<Vocabulary>,
+    compiler: &GrammarCompiler,
+    grammar: &xg_grammar::Grammar,
+) -> Option<[Arc<dyn CompiledConstraint>; 3]> {
+    let enforcer = FormatEnforcerBackend::new(Arc::clone(vocab))
+        .compile(grammar)
+        .ok()?;
+    let fsm = FsmIndexBackend::new(Arc::clone(vocab))
+        .compile(grammar)
+        .expect("the FSM index unrolls every grammar the format enforcer does");
+    Some([compiler.compile_grammar(grammar), fsm, enforcer])
+}
+
+/// Fills every lane's mask, asserts the baselines' equal XGrammar's (the
+/// first lane's) and returns it.
+fn equal_masks(vocab: &Vocabulary, lanes: &mut [Session], what: &str) -> TokenBitmask {
+    let mut masks = lanes.iter_mut().map(|lane| {
+        let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+        lane.fill_next_token_bitmask(&mut mask);
+        mask
+    });
+    let xgrammar = masks.next().expect("an XGrammar lane");
+    for (baseline, mask) in ["Outlines", "lm-format-enforcer"].iter().zip(masks) {
+        assert!(mask == xgrammar, "{baseline} mask differs: {what}");
+    }
+    xgrammar
+}
+
+/// Where the regex-style baselines unroll a grammar exactly, their masks are
+/// XGrammar's at every step: along random walks over the random-grammar pool
+/// (multi-byte tokens included), and along the greedily tokenized references
+/// of the five `json_mode_eval_like` schema families.
+#[test]
+fn baseline_masks_equal_xgrammars_where_the_unroll_is_exact() {
+    let vocab = Arc::new(test_vocabulary(600));
+    let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+    let eos = vocab.eos().expect("the test vocabulary has an EOS token");
+    let sessions = |compiled: &[Arc<dyn CompiledConstraint>; 3]| -> Vec<Session> {
+        compiled
+            .iter()
+            .map(|c| Arc::clone(c).new_session())
+            .collect()
+    };
+    let accept = |lanes: &mut [Session], token: TokenId| {
+        for lane in lanes {
+            lane.accept_token(token).expect("a token every mask allows");
+        }
+    };
+
+    let mut rng = SmallRng::seed_from_u64(0xE4AC7);
+    let (mut grammars, mut steps) = (0usize, 0usize);
+    for g in 0..60 {
+        let random = random_grammar(&mut rng);
+        let grammar = xg_grammar::parse_ebnf(&random.source, "root")
+            .unwrap_or_else(|e| panic!("generated grammar must parse: {e}\n{}", random.source));
+        let Some(compiled) = exactly_unrolled(&vocab, &compiler, &grammar) else {
+            continue;
+        };
+        grammars += 1;
+        for walk in 0..4 {
+            let mut lanes = sessions(&compiled);
+            for i in 0..12 {
+                let what = format!("grammar #{g} walk #{walk} step #{i}\n{}", random.source);
+                let mask = equal_masks(&vocab, &mut lanes, &what);
+                let allowed: Vec<TokenId> = mask.allowed_tokens().filter(|&t| t != eos).collect();
+                if allowed.is_empty() {
+                    break;
+                }
+                accept(&mut lanes, allowed[rng.gen_range(0..allowed.len())]);
+                steps += 1;
+            }
+        }
+    }
+    assert!(
+        grammars >= 40 && steps >= 400,
+        "{grammars} grammars, {steps} steps"
+    );
+
+    for (i, task) in xg_datasets::json_mode_eval_like(10, 0xE2E)
+        .iter()
+        .enumerate()
+    {
+        let grammar = xg_grammar::json_schema_to_grammar(&task.schema).expect("schema converts");
+        let compiled = exactly_unrolled(&vocab, &compiler, &grammar)
+            .unwrap_or_else(|| panic!("schema family {} is refused", i % 5));
+        let mut lanes = sessions(&compiled);
+        let mut rest = &task.reference[..];
+        while !rest.is_empty() {
+            let token = vocab
+                .sorted()
+                .longest_prefix_token(rest)
+                .expect("every byte is a token");
+            let what = format!("reference #{i} before {:?}", String::from_utf8_lossy(rest));
+            assert!(
+                equal_masks(&vocab, &mut lanes, &what).is_allowed(token),
+                "{what}"
+            );
+            accept(&mut lanes, token);
+            rest = &rest[vocab.token_bytes(token).len()..];
+        }
+        let what = format!("reference #{i} at its end");
+        assert!(
+            equal_masks(&vocab, &mut lanes, &what).is_allowed(eos),
+            "{what}"
+        );
     }
 }
 
