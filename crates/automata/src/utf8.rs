@@ -213,6 +213,18 @@ mod tests {
     }
 
     #[test]
+    fn ascii_is_one_sequence_and_full_range_several() {
+        // ASCII stays a single one-byte sequence.
+        let seqs = utf8_sequences('a' as u32, 'z' as u32);
+        assert_eq!(seqs.len(), 1);
+        assert_eq!(seqs[0].ranges.len(), 1);
+
+        // The full Unicode range needs several sequences of different lengths.
+        let all = utf8_sequences(0, 0x10FFFF);
+        assert!(all.len() >= 4);
+    }
+
+    #[test]
     fn two_byte_range() {
         check_range(0x80, 0x7FF);
     }
@@ -239,8 +251,6 @@ mod tests {
     #[test]
     fn full_unicode_range_is_small() {
         let seqs = utf8_sequences(0, 0x10FFFF);
-        // At least one sequence per encoded length, and few of them.
-        assert!(seqs.len() >= 4);
         assert!(seqs.len() <= 16, "got {} sequences", seqs.len());
         // Spot-check a few encodings across lengths.
         for c in ['a', 'é', '你', '🎉'] {
