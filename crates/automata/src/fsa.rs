@@ -1,8 +1,8 @@
 //! A small nondeterministic finite-state automaton over bytes.
 //!
-//! Used for the *expanded suffix* automata of context expansion (paper §3.2,
-//! Algorithm 2) and for the PDA unrolled by the Outlines and
-//! lm-format-enforcer baselines. Edges are labelled with inclusive byte
+//! Used for the *expanded suffix* automaton of context expansion (paper §3.2,
+//! Algorithm 2), one per grammar and entered at a state per rule, and for the
+//! PDA unrolled by the Outlines and lm-format-enforcer baselines. Edges are labelled with inclusive byte
 //! ranges; there are no epsilon edges.
 
 use std::collections::BTreeSet;
@@ -129,13 +129,13 @@ impl Fsa {
         &self.states[state.index()].edges
     }
 
-    /// Returns `true` if a final state is reachable from the start state,
-    /// i.e. the automaton's language is non-empty.
+    /// Returns `true` if a final state is reachable from `from`, i.e. the
+    /// language of the automaton started there is non-empty.
     #[cfg(test)]
-    pub(crate) fn has_reachable_final_state(&self) -> bool {
+    pub(crate) fn reaches_a_final_state(&self, from: StateId) -> bool {
         let mut visited = vec![false; self.states.len()];
-        let mut stack = vec![self.start];
-        visited[self.start.index()] = true;
+        let mut stack = vec![from];
+        visited[from.index()] = true;
         while let Some(s) = stack.pop() {
             if self.states[s.index()].is_final {
                 return true;
@@ -177,32 +177,32 @@ impl Fsa {
     }
 
     /// Classifies the remaining bytes of a context-dependent token against
-    /// this expanded-suffix automaton (paper §3.2): the remainder is
-    /// [`SuffixMatch::Possible`] if it is a prefix of an accepted string or
-    /// starts with an accepted string, and [`SuffixMatch::Rejected`]
+    /// the expanded suffixes that start at `from` (paper §3.2): the
+    /// remainder is [`SuffixMatch::Possible`] if it is a prefix of a string
+    /// accepted from `from` or starts with one, and [`SuffixMatch::Rejected`]
     /// otherwise.
-    pub fn match_remaining(&self, remaining: &[u8]) -> SuffixMatch {
+    pub fn match_remaining(&self, from: StateId, remaining: &[u8]) -> SuffixMatch {
         // Consuming every byte with live states makes the remainder a prefix
         // of an accepted string.
-        self.decide_prefix(remaining)
+        self.decide_prefix(from, remaining)
             .map_or(SuffixMatch::Possible, |(verdict, _)| verdict)
     }
 
     /// `Some((verdict, read))`: the verdict
-    /// [`match_remaining`](Self::match_remaining) gives to *every* byte
-    /// string starting with `prefix[..read]`, and `read`, the number of bytes
-    /// it took. `None` when all of `prefix` leaves it undecided. The scan
-    /// stops at the first empty state set (rejected) or the first final state
-    /// (possible), so whatever follows `prefix[..read]` is never read — which
-    /// lets the mask-cache build classify a whole run of tokens sharing those
-    /// bytes at once.
-    pub fn decide_prefix(&self, prefix: &[u8]) -> Option<(SuffixMatch, usize)> {
-        if self.is_final(self.start) {
+    /// [`match_remaining`](Self::match_remaining) gives from `from` to
+    /// *every* byte string starting with `prefix[..read]`, and `read`, the
+    /// number of bytes it took. `None` when all of `prefix` leaves it
+    /// undecided. The scan stops at the first empty state set (rejected) or
+    /// the first final state (possible), so whatever follows `prefix[..read]`
+    /// is never read — which lets the mask-cache build classify a whole run
+    /// of tokens sharing those bytes at once.
+    pub fn decide_prefix(&self, from: StateId, prefix: &[u8]) -> Option<(SuffixMatch, usize)> {
+        if self.is_final(from) {
             return Some((SuffixMatch::Possible, 0));
         }
         // Asked once per died token and pop-out offset of a mask-cache build:
         // the sets hold a handful of states, so no `BTreeSet` per byte.
-        let (mut states, mut next) = (vec![self.start], Vec::new());
+        let (mut states, mut next) = (vec![from], Vec::new());
         for (i, &b) in prefix.iter().enumerate() {
             next.clear();
             for &(range, to) in states.iter().flat_map(|s| &self.states[s.index()].edges) {
@@ -220,36 +220,6 @@ impl Fsa {
             std::mem::swap(&mut states, &mut next);
         }
         None
-    }
-
-    /// Merges `other` into `self` as an alternative (language union). The
-    /// other automaton's start-state edges are copied onto this automaton's
-    /// start state.
-    pub fn union_with(&mut self, other: &Fsa) {
-        if other.states.len() == 1 && other.states[0].edges.is_empty() && !other.states[0].is_final
-        {
-            return;
-        }
-        let offset = self.states.len() as u32;
-        for state in &other.states {
-            let mut new_state = State {
-                edges: Vec::with_capacity(state.edges.len()),
-                is_final: state.is_final,
-            };
-            for &(range, to) in &state.edges {
-                new_state.edges.push((range, StateId(to.0 + offset)));
-            }
-            self.states.push(new_state);
-        }
-        // Copy the other start's edges and finality onto our start.
-        let other_start = StateId(other.start.0 + offset);
-        let copied: Vec<(ByteRange, StateId)> = self.states[other_start.index()].edges.clone();
-        let other_final = self.states[other_start.index()].is_final;
-        let start_idx = self.start.index();
-        self.states[start_idx].edges.extend(copied);
-        if other_final {
-            self.states[start_idx].is_final = true;
-        }
     }
 }
 
@@ -283,39 +253,61 @@ mod tests {
     fn match_remaining_prefix_and_superstring() {
         let fsa = literal_fsa(b", \"");
         // A strict prefix of an accepted string.
-        assert_eq!(fsa.match_remaining(b","), SuffixMatch::Possible);
+        assert_eq!(
+            fsa.match_remaining(fsa.start(), b","),
+            SuffixMatch::Possible
+        );
         // Starts with an accepted string, extra bytes afterwards.
-        assert_eq!(fsa.match_remaining(b", \"abc"), SuffixMatch::Possible);
+        assert_eq!(
+            fsa.match_remaining(fsa.start(), b", \"abc"),
+            SuffixMatch::Possible
+        );
         // Diverges immediately.
-        assert_eq!(fsa.match_remaining(b"x"), SuffixMatch::Rejected);
+        assert_eq!(
+            fsa.match_remaining(fsa.start(), b"x"),
+            SuffixMatch::Rejected
+        );
         // Diverges after the prefix.
-        assert_eq!(fsa.match_remaining(b",x"), SuffixMatch::Rejected);
+        assert_eq!(
+            fsa.match_remaining(fsa.start(), b",x"),
+            SuffixMatch::Rejected
+        );
     }
 
     #[test]
     fn decide_prefix_answers_only_what_the_prefix_settles() {
         let fsa = literal_fsa(b", \"");
-        assert_eq!(fsa.decide_prefix(b""), None);
-        assert_eq!(fsa.decide_prefix(b","), None);
-        assert_eq!(fsa.decide_prefix(b",x"), Some((SuffixMatch::Rejected, 2)));
-        assert_eq!(fsa.decide_prefix(b", \""), Some((SuffixMatch::Possible, 3)));
+        assert_eq!(fsa.decide_prefix(fsa.start(), b""), None);
+        assert_eq!(fsa.decide_prefix(fsa.start(), b","), None);
+        assert_eq!(
+            fsa.decide_prefix(fsa.start(), b",x"),
+            Some((SuffixMatch::Rejected, 2))
+        );
+        assert_eq!(
+            fsa.decide_prefix(fsa.start(), b", \""),
+            Some((SuffixMatch::Possible, 3))
+        );
         // Bytes after the deciding ones are not read.
         assert_eq!(
-            fsa.decide_prefix(b", \"\xff"),
+            fsa.decide_prefix(fsa.start(), b", \"\xff"),
             Some((SuffixMatch::Possible, 3))
         );
         assert_eq!(
-            fsa.decide_prefix(b"x, \""),
+            fsa.decide_prefix(fsa.start(), b"x, \""),
             Some((SuffixMatch::Rejected, 1))
         );
     }
 
     /// `decide_prefix` as it was: a fresh `BTreeSet` per byte through `step`.
-    fn decide_prefix_by_sets(fsa: &Fsa, prefix: &[u8]) -> Option<(SuffixMatch, usize)> {
-        if fsa.is_final(fsa.start()) {
+    fn decide_prefix_by_sets(
+        fsa: &Fsa,
+        from: StateId,
+        prefix: &[u8],
+    ) -> Option<(SuffixMatch, usize)> {
+        if fsa.is_final(from) {
             return Some((SuffixMatch::Possible, 0));
         }
-        let mut states = BTreeSet::from([fsa.start()]);
+        let mut states = BTreeSet::from([from]);
         for (i, &b) in prefix.iter().enumerate() {
             states = fsa.step(&states, b);
             if states.is_empty() {
@@ -332,10 +324,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random small NFAs (duplicate and overlapping edges included) over
-        /// a three-letter alphabet, against random strings of it.
+        /// a three-letter alphabet, against random strings of it, started at
+        /// a random state (as a rule's entry into a shared suffix automaton).
         #[test]
         fn decide_prefix_equals_the_set_based_version(
             state_count in 1u32..6,
+            from in 0u32..6,
             // (from, to, low letter, high letter) each.
             edges in proptest::collection::vec(proptest::collection::vec(0u8..6, 4..5), 0..14),
             finals in proptest::collection::vec(0u32..6, 0..3),
@@ -354,17 +348,18 @@ mod tests {
             for &s in &finals {
                 fsa.set_final(state(s), true);
             }
+            let from = state(from);
             for input in &inputs {
                 let input: Vec<u8> = input.iter().map(|b| b'a' + b).collect();
-                let decided = decide_prefix_by_sets(&fsa, &input);
-                prop_assert_eq!(fsa.decide_prefix(&input), decided);
+                let decided = decide_prefix_by_sets(&fsa, from, &input);
+                prop_assert_eq!(fsa.decide_prefix(from, &input), decided);
                 prop_assert_eq!(
-                    fsa.match_remaining(&input),
+                    fsa.match_remaining(from, &input),
                     decided.map_or(SuffixMatch::Possible, |(verdict, _)| verdict)
                 );
                 // The bytes a verdict read are all it needs.
                 if let Some((_, read)) = decided {
-                    prop_assert_eq!(fsa.decide_prefix(&input[..read]), decided);
+                    prop_assert_eq!(fsa.decide_prefix(from, &input[..read]), decided);
                 }
             }
         }
@@ -373,19 +368,7 @@ mod tests {
     #[test]
     fn empty_remaining_is_possible() {
         let fsa = literal_fsa(b"]");
-        assert_eq!(fsa.match_remaining(b""), SuffixMatch::Possible);
-    }
-
-    #[test]
-    fn union_accepts_both_languages() {
-        let mut a = literal_fsa(b"],");
-        let b = literal_fsa(b"}");
-        a.union_with(&b);
-        assert!(a.accepts(b"],"));
-        assert!(a.accepts(b"}"));
-        assert!(!a.accepts(b"],}"));
-        assert_eq!(a.match_remaining(b"}x"), SuffixMatch::Possible);
-        assert_eq!(a.match_remaining(b"]x"), SuffixMatch::Rejected);
+        assert_eq!(fsa.match_remaining(fsa.start(), b""), SuffixMatch::Possible);
     }
 
     #[test]
@@ -394,14 +377,9 @@ mod tests {
         let s = fsa.start();
         fsa.set_final(s, true);
         assert!(fsa.accepts(b""));
-        assert_eq!(fsa.match_remaining(b"anything"), SuffixMatch::Possible);
-    }
-
-    #[test]
-    fn union_with_empty_is_noop() {
-        let mut a = literal_fsa(b"x");
-        let before = a.len();
-        a.union_with(&Fsa::new());
-        assert_eq!(a.len(), before);
+        assert_eq!(
+            fsa.match_remaining(fsa.start(), b"anything"),
+            SuffixMatch::Possible
+        );
     }
 }

@@ -6,16 +6,18 @@
 //!
 //! * [`ByteRange`] — the label of every automaton edge, one byte of a range
 //!   (character classes are lowered to UTF-8 byte-range sequences),
-//! * [`Fsa`] — a small byte-level NFA used for expanded-suffix automata and
-//!   for the PDA the Outlines and lm-format-enforcer baselines unroll,
+//! * [`Fsa`] — a small byte-level NFA, walked from any of its states: the
+//!   expanded-suffix automaton and the PDA the Outlines and
+//!   lm-format-enforcer baselines unroll,
 //! * [`Pda`] — the PDA data structure (per-rule automata, byte edges and
 //!   rule-reference edges),
 //! * [`build_pda`] — grammar → PDA compilation including rule inlining,
 //!   epsilon elimination and node merging (paper §3.4),
 //! * [`intern_states`] — hashcons interning of structurally identical PDA
 //!   states (global dedup, complementing the local node merging),
-//! * [`extract_all_suffix_fsas`] — expanded-suffix extraction for context
-//!   expansion (paper §3.2, Algorithm 2),
+//! * [`extract_all_suffix_fsas`] — the one [`SuffixAutomaton`] of a grammar
+//!   for context expansion (paper §3.2, Algorithm 2): an ε-free automaton
+//!   over the PDA's nodes, entered at a state per rule,
 //! * [`SimpleMatcher`] — a reference multi-stack executor (the "naive PDA"
 //!   baseline),
 //! * [`AhoCorasick`] — an Aho–Corasick automaton (plus the naive reference
@@ -54,5 +56,5 @@ pub use fsa::{Fsa, StateId, SuffixMatch};
 pub use intern::intern_states;
 pub use multipattern::{AcState, AhoCorasick, NaiveMultiPattern};
 pub use pda::{NodeId, Pda, PdaEdge, PdaNode, PdaRule, PdaRuleId, PdaStats};
-pub use suffix::extract_all_suffix_fsas;
+pub use suffix::{extract_all_suffix_fsas, SuffixAutomaton};
 pub use utf8::ByteRange;

@@ -1,38 +1,62 @@
-//! Extraction of *expanded suffix* automata for context expansion
-//! (paper §3.2, Algorithm 2).
+//! The *expanded suffix* automaton of context expansion (paper §3.2,
+//! Algorithm 2).
 //!
-//! For a rule `R`, the expanded suffix automaton `A_ctx(R)` over-approximates
-//! the set of byte strings that can immediately follow a completed match of
-//! `R` in some parent context. A context-dependent token whose remaining part
-//! after completing `R` can neither be a prefix of a string in `A_ctx(R)` nor
-//! start with one is certainly invalid and is reclassified as
-//! context-independent (rejected) during preprocessing.
+//! For a rule `R`, the expanded suffixes of `R` over-approximate the byte
+//! strings that can immediately follow a completed match of `R` in some
+//! parent context. A context-dependent token whose remaining part after
+//! completing `R` can neither be a prefix of an expanded suffix nor start with
+//! one is certainly invalid and is reclassified as context-independent
+//! (rejected) during preprocessing.
 //!
-//! Following Algorithm 2, the extraction walks the parent rules' automata
-//! along character (byte) edges only and stops — conservatively accepting —
-//! at nodes that carry rule-reference edges (their continuation would require
-//! descending into another rule). Two refinements are applied on top of the
-//! paper's formulation, both of which only make the approximation tighter
-//! while remaining sound:
+//! Every rule's expanded suffixes are read off one ε-free automaton per
+//! grammar, a [`SuffixAutomaton`]. Its states are PDA nodes, plus one entry
+//! state per rule, and it is built from the PDA's own edges:
 //!
-//! * when the walk reaches the **end of a parent rule**, it follows the
-//!   "pop": it continues from every site that references that parent rule
-//!   (rather than conservatively accepting everything), and
-//! * a final node of an **unreferenced root rule** contributes nothing: after
-//!   the root completes, the generation ends and no byte may follow.
-
-use std::collections::HashMap;
+//! * a node's byte edges are the PDA's;
+//! * a rule's final node has an ε-edge to every return site of that rule: the
+//!   walk follows the pop into every parent context;
+//! * a node with a rule-reference edge accepts: its continuation would
+//!   descend into another rule, which the walk does not follow;
+//! * the final node of a rule nobody references accepts, except for the
+//!   root's: after the root completes, generation ends and no byte may follow.
+//!
+//! A rule's entry state is the union of the ε-closures of its return sites,
+//! so a rule nobody references (the root) has an entry that accepts nothing.
+//! The ε-edges are eliminated as the automaton is built: a state's edges are
+//! the byte edges of its closure, and it accepts if its closure holds an
+//! accepting node. A state is a node some rule's expanded suffixes reach, so
+//! the walk from a rule's entry is the same whichever rule reached the node.
 
 use crate::fsa::{Fsa, StateId};
 use crate::pda::{NodeId, Pda, PdaEdge, PdaRuleId};
-use crate::utf8::ByteRange;
 
-/// Extracts the expanded suffix automaton of every rule of the PDA, indexed
-/// by [`PdaRuleId`].
-///
-/// If no edge in the PDA references a rule (it is only used as the root),
-/// its automaton accepts nothing: after the root rule completes, no further
-/// bytes may follow.
+/// The expanded-suffix automaton of every rule of a PDA: one ε-free [`Fsa`]
+/// over the PDA's nodes, entered at a state of its own per rule (see the
+/// module documentation).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SuffixAutomaton {
+    fsa: Fsa,
+    /// Per rule, by [`PdaRuleId`], the state its expanded suffixes start at.
+    entries: Vec<StateId>,
+}
+
+impl SuffixAutomaton {
+    /// The automaton every rule's expanded suffixes are read off.
+    pub fn fsa(&self) -> &Fsa {
+        &self.fsa
+    }
+
+    /// The state `rule`'s expanded suffixes start at.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rule is not one of the PDA's.
+    pub fn entry(&self, rule: PdaRuleId) -> StateId {
+        self.entries[rule.index()]
+    }
+}
+
+/// Builds the expanded-suffix automaton of every rule of the PDA.
 ///
 /// # Examples
 ///
@@ -45,149 +69,114 @@ use crate::utf8::ByteRange;
 /// "#, "root").unwrap();
 /// let pda = build_pda(&grammar, &PdaBuildOptions { inline_rules: false, ..Default::default() });
 /// let item = pda.rules().iter().position(|r| r.name == "item").unwrap();
-/// let fsa = &extract_all_suffix_fsas(&pda)[item];
+/// let suffixes = extract_all_suffix_fsas(&pda);
+/// let (fsa, entry) = (suffixes.fsa(), suffixes.entry(xg_automata::PdaRuleId(item as u32)));
 /// // After an item, either a comma (then another item) or `]` may follow.
-/// assert!(fsa.match_remaining(b",") == SuffixMatch::Possible);
-/// assert!(fsa.match_remaining(b"]") == SuffixMatch::Possible);
-/// assert!(fsa.match_remaining(b"}") == SuffixMatch::Rejected);
+/// assert!(fsa.match_remaining(entry, b",") == SuffixMatch::Possible);
+/// assert!(fsa.match_remaining(entry, b"]") == SuffixMatch::Possible);
+/// assert!(fsa.match_remaining(entry, b"}") == SuffixMatch::Rejected);
 /// ```
-pub fn extract_all_suffix_fsas(pda: &Pda) -> Vec<Fsa> {
-    let extractor = Extractor::new(pda);
-    (0..pda.rules().len())
-        .map(|i| extractor.extract(PdaRuleId(i as u32)))
-        .collect()
-}
-
-/// Temporary graph node used before epsilon elimination.
-#[derive(Debug, Default, Clone)]
-struct TmpState {
-    byte_edges: Vec<(ByteRange, usize)>,
-    eps_edges: Vec<usize>,
-    is_final: bool,
-}
-
-struct Extractor<'a> {
-    pda: &'a Pda,
-    /// For every rule, the list of return targets of edges referencing it.
-    referencing_targets: Vec<Vec<NodeId>>,
-    root_referenced: bool,
-}
-
-impl<'a> Extractor<'a> {
-    fn new(pda: &'a Pda) -> Self {
-        let mut referencing_targets: Vec<Vec<NodeId>> = vec![Vec::new(); pda.rules().len()];
-        for node in pda.nodes() {
-            for edge in &node.edges {
-                if let PdaEdge::Rule { rule, target } = edge {
-                    referencing_targets[rule.index()].push(*target);
-                }
-            }
-        }
-        let root_referenced = !referencing_targets[pda.root().index()].is_empty();
-        Extractor {
-            pda,
-            referencing_targets,
-            root_referenced,
+pub fn extract_all_suffix_fsas(pda: &Pda) -> SuffixAutomaton {
+    let mut return_sites: Vec<Vec<NodeId>> = vec![Vec::new(); pda.rules().len()];
+    for edge in pda.nodes().iter().flat_map(|node| &node.edges) {
+        if let PdaEdge::Rule { rule, target } = edge {
+            return_sites[rule.index()].push(*target);
         }
     }
+    let mut fsa = Fsa::new();
+    let entries: Vec<StateId> = (0..return_sites.len())
+        .map(|rule| match rule {
+            0 => fsa.start(),
+            _ => fsa.add_state(),
+        })
+        .collect();
+    let mut builder = Builder {
+        pda,
+        fsa,
+        state_of: vec![None; pda.node_count()],
+        pending: Vec::new(),
+        closed_for: vec![u32::MAX; pda.node_count()],
+        closure: Vec::new(),
+    };
+    for (sites, &entry) in return_sites.iter().zip(&entries) {
+        builder.close(entry, sites, &return_sites);
+    }
+    while let Some((node, state)) = builder.pending.pop() {
+        builder.close(state, &[node], &return_sites);
+    }
+    SuffixAutomaton {
+        fsa: builder.fsa,
+        entries,
+    }
+}
 
-    fn extract(&self, rule: PdaRuleId) -> Fsa {
-        // Temporary graph: state 0 is the synthetic start; PDA nodes are
-        // mapped lazily.
-        let mut states: Vec<TmpState> = vec![TmpState::default()];
-        let mut mapping: HashMap<NodeId, usize> = HashMap::new();
-        let mut worklist: Vec<NodeId> = Vec::new();
+/// The automaton under construction.
+struct Builder<'a> {
+    pda: &'a Pda,
+    fsa: Fsa,
+    /// The state of each node, once a byte edge of some closure reaches it.
+    state_of: Vec<Option<StateId>>,
+    /// Nodes given a state whose closure is not taken yet, with the state.
+    pending: Vec<(NodeId, StateId)>,
+    /// `closed_for[n]`: the state whose closure last took node `n`. Each
+    /// state's closure is taken once, so no mark is ever cleared.
+    closed_for: Vec<u32>,
+    /// Depth-first work list of [`close`](Self::close).
+    closure: Vec<NodeId>,
+}
 
-        let get_state = |node: NodeId,
-                         states: &mut Vec<TmpState>,
-                         mapping: &mut HashMap<NodeId, usize>,
-                         worklist: &mut Vec<NodeId>| {
-            *mapping.entry(node).or_insert_with(|| {
-                states.push(TmpState::default());
-                worklist.push(node);
-                states.len() - 1
-            })
-        };
-
-        for &target in &self.referencing_targets[rule.index()] {
-            let s = get_state(target, &mut states, &mut mapping, &mut worklist);
-            states[0].eps_edges.push(s);
+impl Builder<'_> {
+    /// Gives `state` the byte edges and the finality of the ε-closure of
+    /// `seeds`.
+    fn close(&mut self, state: StateId, seeds: &[NodeId], return_sites: &[Vec<NodeId>]) {
+        let pda = self.pda;
+        for &seed in seeds {
+            self.enter(state, seed);
         }
-
-        while let Some(node_id) = worklist.pop() {
-            let state_idx = mapping[&node_id];
-            let node = self.pda.node(node_id);
-            let has_rule_edge = node.edges.iter().any(|e| matches!(e, PdaEdge::Rule { .. }));
-            if has_rule_edge {
+        while let Some(id) = self.closure.pop() {
+            let node = pda.node(id);
+            if node.edges.iter().any(|e| matches!(e, PdaEdge::Rule { .. })) {
                 // The continuation descends into another rule, which the
-                // extraction does not follow: accept conservatively.
-                states[state_idx].is_final = true;
+                // walk does not follow: accept conservatively.
+                self.fsa.set_final(state, true);
                 continue;
             }
             for edge in &node.edges {
                 if let PdaEdge::Bytes { range, target } = edge {
-                    let t = get_state(*target, &mut states, &mut mapping, &mut worklist);
-                    states[state_idx].byte_edges.push((*range, t));
+                    let to = match self.state_of[target.index()] {
+                        Some(to) => to,
+                        None => {
+                            let to = self.fsa.add_state();
+                            self.pending.push((*target, to));
+                            *self.state_of[target.index()].insert(to)
+                        }
+                    };
+                    self.fsa.add_edge(state, *range, to);
                 }
             }
             if node.is_final {
-                let node_rule = node.rule;
-                if node_rule == self.pda.root() && !self.root_referenced {
-                    // End of generation: contributes nothing.
-                } else {
-                    // Follow the pop: continue from every site referencing the
-                    // completed parent rule. If nothing references it (dead
-                    // rule), fall back to accepting conservatively.
-                    let targets = &self.referencing_targets[node_rule.index()];
-                    if targets.is_empty() && node_rule != self.pda.root() {
-                        states[state_idx].is_final = true;
-                    }
-                    for &target in targets {
-                        let t = get_state(target, &mut states, &mut mapping, &mut worklist);
-                        states[state_idx].eps_edges.push(t);
-                    }
+                // Follow the pop into every site referencing the completed
+                // rule. Nothing references the root (generation ends) or a
+                // dead rule (accept conservatively).
+                let sites = &return_sites[node.rule.index()];
+                if sites.is_empty() && node.rule != pda.root() {
+                    self.fsa.set_final(state, true);
+                }
+                for &site in sites {
+                    self.enter(state, site);
                 }
             }
         }
-
-        eliminate_epsilon_to_fsa(&states)
     }
-}
 
-/// Converts the temporary epsilon-carrying graph into an epsilon-free
-/// [`Fsa`]: each state's edges become the union of the byte edges of its
-/// epsilon closure, and a state is final if its closure contains a final
-/// state.
-fn eliminate_epsilon_to_fsa(states: &[TmpState]) -> Fsa {
-    let n = states.len();
-    let mut fsa = Fsa::new();
-    // State 0 maps to the FSA start; the rest are appended in order.
-    let ids: Vec<StateId> = (0..n)
-        .map(|i| if i == 0 { fsa.start() } else { fsa.add_state() })
-        .collect();
-    for (i, id) in ids.iter().enumerate() {
-        // Epsilon closure of i.
-        let mut visited = vec![false; n];
-        let mut stack = vec![i];
-        visited[i] = true;
-        let mut is_final = false;
-        while let Some(cur) = stack.pop() {
-            if states[cur].is_final {
-                is_final = true;
-            }
-            for &(range, target) in &states[cur].byte_edges {
-                fsa.add_edge(*id, range, ids[target]);
-            }
-            for &next in &states[cur].eps_edges {
-                if !visited[next] {
-                    visited[next] = true;
-                    stack.push(next);
-                }
-            }
+    /// Adds `node` to the closure being taken for `state`, unless it is in.
+    fn enter(&mut self, state: StateId, node: NodeId) {
+        let mark = &mut self.closed_for[node.index()];
+        if *mark != state.0 {
+            *mark = state.0;
+            self.closure.push(node);
         }
-        fsa.set_final(*id, is_final);
     }
-    fsa
 }
 
 #[cfg(test)]
@@ -212,9 +201,28 @@ mod tests {
         )
     }
 
+    /// One rule's expanded suffixes: the grammar's automaton, entered at
+    /// the rule's state.
+    struct RuleSuffixes {
+        automaton: SuffixAutomaton,
+        entry: StateId,
+    }
+
+    impl RuleSuffixes {
+        fn match_remaining(&self, remaining: &[u8]) -> SuffixMatch {
+            self.automaton.fsa().match_remaining(self.entry, remaining)
+        }
+
+        fn has_reachable_final_state(&self) -> bool {
+            self.automaton.fsa().reaches_a_final_state(self.entry)
+        }
+    }
+
     /// The expanded suffix automaton of one rule.
-    fn extract_suffix_fsa(pda: &Pda, rule: PdaRuleId) -> Fsa {
-        Extractor::new(pda).extract(rule)
+    fn extract_suffix_fsa(pda: &Pda, rule: PdaRuleId) -> RuleSuffixes {
+        let automaton = extract_all_suffix_fsas(pda);
+        let entry = automaton.entry(rule);
+        RuleSuffixes { automaton, entry }
     }
 
     #[test]
@@ -329,7 +337,9 @@ mod tests {
     fn all_suffix_fsas_cover_every_rule() {
         let g = xg_grammar::builtin::json_grammar();
         let pda = build_pda(&g, &no_inline());
-        let fsas = extract_all_suffix_fsas(&pda);
-        assert_eq!(fsas.len(), pda.rules().len());
+        let automaton = extract_all_suffix_fsas(&pda);
+        let entries = (0..pda.rules().len()).map(|r| automaton.entry(PdaRuleId(r as u32)));
+        let states: std::collections::BTreeSet<StateId> = entries.collect();
+        assert_eq!(states.len(), pda.rules().len());
     }
 }

@@ -19,7 +19,9 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, NodeId, Pda, PdaBuildOptions};
+use xg_automata::{
+    build_pda, extract_all_suffix_fsas, NodeId, Pda, PdaBuildOptions, SuffixAutomaton,
+};
 use xg_grammar::{analyze, Diagnostic, DiagnosticCode, Grammar, GrammarError};
 use xg_tokenizer::Vocabulary;
 
@@ -85,7 +87,7 @@ pub struct CompiledGrammar {
     pda: Pda,
     vocab: Arc<Vocabulary>,
     mask_cache: Option<MaskCache>,
-    suffix_fsas: Vec<Fsa>,
+    suffixes: SuffixAutomaton,
     config: CompilerConfig,
     /// The [`DiagnosticCode::UnsatisfiableGrammar`] finding when the root
     /// derives no string: the checked compile refuses such a grammar.
@@ -103,7 +105,7 @@ impl CompiledGrammar {
         config: &CompilerConfig,
     ) -> CompiledGrammar {
         let pda = build_pda(grammar, &config.pda_options());
-        let suffix_fsas = extract_all_suffix_fsas(&pda);
+        let suffixes = extract_all_suffix_fsas(&pda);
         let unsatisfiable = analyze(grammar)
             .diagnostics
             .into_iter()
@@ -112,7 +114,7 @@ impl CompiledGrammar {
             pda,
             vocab,
             mask_cache: None,
-            suffix_fsas,
+            suffixes,
             config: *config,
             unsatisfiable,
         };
@@ -128,7 +130,7 @@ impl CompiledGrammar {
             pda: &self.pda,
             vocab: &self.vocab,
             sorted: self.vocab.sorted(),
-            suffix_fsas: Some(&self.suffix_fsas[..])
+            suffixes: Some(&self.suffixes)
                 .filter(|_| self.config == CompilerConfig::ContextExpansion),
         }
     }
@@ -199,8 +201,7 @@ impl CompiledConstraint for CompiledGrammar {
     /// grammar's, and is not charged.
     fn memory_bytes(&self) -> usize {
         let mask_cache = self.mask_cache.as_ref().map_or(0, MaskCache::built_bytes);
-        let suffix_fsas: usize = self.suffix_fsas.iter().map(Fsa::memory_bytes).sum();
-        mask_cache + self.pda.memory_bytes() + suffix_fsas
+        mask_cache + self.pda.memory_bytes() + self.suffixes.fsa().memory_bytes()
     }
 }
 

@@ -34,7 +34,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use xg_automata::{Fsa, NodeId, Pda, PdaNode, SuffixMatch};
+use xg_automata::{NodeId, Pda, PdaNode, PdaRuleId, SuffixAutomaton, SuffixMatch};
 use xg_tokenizer::{
     byte_class, byte_class_members, common_prefix_len, SortedVocabulary, TokenId, Vocabulary,
 };
@@ -182,15 +182,19 @@ impl MaskCacheStats {
 }
 
 /// What one node's entry is built from: the automaton, the vocabulary and its
-/// sorted index, and, when context expansion is on, every rule's
+/// sorted index, and, when context expansion is on, the grammar's
 /// expanded-suffix automaton.
 #[derive(Clone, Copy)]
 pub(crate) struct EntrySource<'a> {
     pub(crate) pda: &'a Pda,
     pub(crate) vocab: &'a Vocabulary,
     pub(crate) sorted: &'a SortedVocabulary,
-    pub(crate) suffix_fsas: Option<&'a [Fsa]>,
+    pub(crate) suffixes: Option<&'a SuffixAutomaton>,
 }
+
+/// The expanded suffixes a node's pop-outs are judged by: the grammar's
+/// automaton and the node's rule, whose entry state the walk starts at.
+pub(crate) type Suffixes<'a> = Option<(&'a SuffixAutomaton, PdaRuleId)>;
 
 impl EntrySource<'_> {
     /// A pure-return node outside the root rule is never a stack top (the
@@ -201,8 +205,13 @@ impl EntrySource<'_> {
     }
 
     /// [`classify_node`] over this source's automaton and sorted index.
-    fn classify(&self, memo: &mut StepMemo, node: NodeId, fsa: Option<&Fsa>) -> NodeClassification {
-        classify_node(self.pda, memo, node, self.sorted, fsa)
+    fn classify(
+        &self,
+        memo: &mut StepMemo,
+        node: NodeId,
+        suffixes: Suffixes,
+    ) -> NodeClassification {
+        classify_node(self.pda, memo, node, self.sorted, suffixes)
     }
 }
 
@@ -291,8 +300,8 @@ impl MaskCache {
             Some((id, memo)) if id == self.id => memo,
             _ => StepMemo::new(),
         };
-        let entry = self.build(source, &mut memo, node, |memo, node, fsa| {
-            source.classify(memo, node, fsa)
+        let entry = self.build(source, &mut memo, node, |memo, node, suffixes| {
+            source.classify(memo, node, suffixes)
         });
         MEMO.set(Some((self.id, memo)));
         entry
@@ -304,15 +313,15 @@ impl MaskCache {
         source: &EntrySource,
         memo: &mut StepMemo,
         node: NodeId,
-        classify: impl FnOnce(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification,
+        classify: impl FnOnce(&mut StepMemo, NodeId, Suffixes) -> NodeClassification,
     ) -> &NodeMaskEntry {
         let built = self.slots[node.index()].get_or_init(|| {
             let pda_node = source.pda.node(node);
             let classification = match source.never_top(pda_node) {
                 true => NodeClassification::default(),
                 false => {
-                    let fsa = source.suffix_fsas.map(|f| &f[pda_node.rule.index()]);
-                    classify(memo, node, fsa)
+                    let suffixes = source.suffixes.map(|a| (a, pda_node.rule));
+                    classify(memo, node, suffixes)
                 }
             };
             let counts = classification.counts;
@@ -331,7 +340,7 @@ impl MaskCache {
         &self,
         source: &EntrySource,
         num_threads: usize,
-        classify: impl Fn(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification + Sync,
+        classify: impl Fn(&mut StepMemo, NodeId, Suffixes) -> NodeClassification + Sync,
     ) {
         let node_count = self.len();
         if self.built_entries() == node_count {
@@ -375,8 +384,8 @@ impl MaskCache {
 
     /// Builds every entry not built yet (see [`build_mask_cache`]).
     pub(crate) fn complete_from(&self, source: &EntrySource, num_threads: usize) {
-        self.complete(source, num_threads, |memo, node, fsa| {
-            source.classify(memo, node, fsa)
+        self.complete(source, num_threads, |memo, node, suffixes| {
+            source.classify(memo, node, suffixes)
         });
     }
 
@@ -469,14 +478,15 @@ impl NodeClassification {
 fn is_context_dependent(
     mut popouts: impl Iterator<Item = usize>,
     token: &[u8],
-    suffix_fsa: Option<&Fsa>,
+    suffixes: Suffixes,
 ) -> (bool, usize) {
-    let Some(fsa) = suffix_fsa else {
+    let Some((automaton, rule)) = suffixes else {
         return (popouts.next().is_some(), 0);
     };
+    let (fsa, entry) = (automaton.fsa(), automaton.entry(rule));
     let (mut read, mut undecided) = (0, false);
     for offset in popouts {
-        match fsa.decide_prefix(&token[offset..]) {
+        match fsa.decide_prefix(entry, &token[offset..]) {
             Some((SuffixMatch::Possible, n)) => return (true, offset + n),
             Some((SuffixMatch::Rejected, n)) => read = read.max(offset + n),
             None => undecided = true,
@@ -578,8 +588,8 @@ impl<'a> LoopClasses<'a> {
 }
 
 /// Classifies every (non-special) token against a single automaton node,
-/// using sorted-order prefix sharing. `suffix_fsa`, when provided, is the
-/// expanded-suffix automaton of the node's rule and is used to reject
+/// using sorted-order prefix sharing. `suffixes`, when provided, are the
+/// expanded suffixes of the node's rule and are used to reject
 /// context-dependent tokens whose remainder cannot match any parent context
 /// (context expansion, §3.2).
 ///
@@ -604,7 +614,7 @@ fn classify_node(
     memo: &mut StepMemo,
     node: NodeId,
     sorted: &SortedVocabulary,
-    suffix_fsa: Option<&Fsa>,
+    suffixes: Suffixes,
 ) -> NodeClassification {
     let misses_before = memo.misses;
     let mut loops = LoopClasses::new(pda, node);
@@ -668,7 +678,7 @@ fn classify_node(
             };
             out.counts.bytes_matched += (died_at + 1).saturating_sub(lcp[i]) as u64;
             let (context_dependent, read) =
-                is_context_dependent(memo.popout_offsets(&trail), bytes, suffix_fsa);
+                is_context_dependent(memo.popout_offsets(&trail), bytes, suffixes);
             let run_end = sorted.run_end(i, read.max(died_at + 1));
             // Any pop-out means the remainder could be matched by a parent
             // context; context expansion filtered those that cannot.
@@ -695,21 +705,21 @@ pub struct MaskCacheBuildOptions {
 
 /// Builds the adaptive token mask cache for every node of the PDA.
 ///
-/// Context expansion applies when `suffix_fsas` holds one expanded-suffix
-/// automaton per PDA rule (see [`xg_automata::extract_all_suffix_fsas`]);
-/// `None` builds without it.
+/// Context expansion applies when `suffixes` is the PDA's expanded-suffix
+/// automaton (see [`xg_automata::extract_all_suffix_fsas`]); `None` builds
+/// without it.
 pub fn build_mask_cache(
     pda: &Pda,
     vocab: &Vocabulary,
     sorted: &SortedVocabulary,
-    suffix_fsas: Option<&[Fsa]>,
+    suffixes: Option<&SuffixAutomaton>,
     options: &MaskCacheBuildOptions,
 ) -> MaskCache {
     let source = EntrySource {
         pda,
         vocab,
         sorted,
-        suffix_fsas,
+        suffixes,
     };
     let cache = MaskCache::new(&source);
     cache.complete_from(&source, options.num_threads);
@@ -802,7 +812,7 @@ mod tests {
             &pda,
             vocab,
             &sorted,
-            context_expansion.then_some(&fsas[..]),
+            context_expansion.then_some(&fsas),
             &MaskCacheBuildOptions { num_threads: 2 },
         );
         (pda, cache)

@@ -30,7 +30,7 @@ fn classify_node_reference(
     node: NodeId,
     vocab: &Vocabulary,
     sorted: &SortedVocabulary,
-    suffix_fsa: Option<&Fsa>,
+    suffixes: Suffixes,
 ) -> NodeClassification {
     let mut trail = vec![SimpleMatcher::with_start_node(pda, node)];
     let mut popout: Vec<bool> = Vec::new();
@@ -56,9 +56,13 @@ fn classify_node_reference(
             continue;
         }
         let popouts: Vec<usize> = (0..bytes.len()).filter(|&o| popout[o]).collect();
-        let uncertain = popouts.iter().any(|&o| {
-            suffix_fsa.is_none_or(|fsa| fsa.match_remaining(&bytes[o..]) == SuffixMatch::Possible)
-        });
+        let possible = |(automaton, rule): (&SuffixAutomaton, PdaRuleId)| {
+            let (fsa, entry) = (automaton.fsa(), automaton.entry(rule));
+            popouts
+                .iter()
+                .any(|&o| fsa.match_remaining(entry, &bytes[o..]) == SuffixMatch::Possible)
+        };
+        let uncertain = !popouts.is_empty() && suffixes.is_none_or(possible);
         if !popouts.is_empty() {
             out.counts.uncertain_before_expansion += 1;
         }
@@ -76,15 +80,15 @@ fn build_with(
     pda: &Pda,
     vocab: &Vocabulary,
     sorted: &SortedVocabulary,
-    suffix_fsas: Option<&[Fsa]>,
+    suffixes: Option<&SuffixAutomaton>,
     options: &MaskCacheBuildOptions,
-    classify: impl Fn(&mut StepMemo, NodeId, Option<&Fsa>) -> NodeClassification + Sync,
+    classify: impl Fn(&mut StepMemo, NodeId, Suffixes) -> NodeClassification + Sync,
 ) -> MaskCache {
     let source = EntrySource {
         pda,
         vocab,
         sorted,
-        suffix_fsas,
+        suffixes,
     };
     let cache = MaskCache::new(&source);
     cache.complete(&source, options.num_threads, classify);
@@ -98,13 +102,13 @@ fn build_lazily(
     pda: &Pda,
     vocab: &Vocabulary,
     sorted: &SortedVocabulary,
-    suffix_fsas: Option<&[Fsa]>,
+    suffixes: Option<&SuffixAutomaton>,
 ) -> MaskCache {
     let source = EntrySource {
         pda,
         vocab,
         sorted,
-        suffix_fsas,
+        suffixes,
     };
     let cache = MaskCache::new(&source);
     assert_eq!(cache.built_entries(), 0);
@@ -158,14 +162,14 @@ fn assert_matches_reference(
     let mut stats = MaskCacheStats::default();
     let options = MaskCacheBuildOptions { num_threads: 2 };
     for context_expansion in [false, true] {
-        let suffix_fsas = context_expansion.then_some(&fsas[..]);
-        let fast = build_mask_cache(pda, vocab, sorted, suffix_fsas, &options);
-        let reference = build_with(pda, vocab, sorted, suffix_fsas, &options, |_, node, fsa| {
-            classify_node_reference(pda, node, vocab, sorted, fsa)
+        let suffixes = context_expansion.then_some(&fsas);
+        let fast = build_mask_cache(pda, vocab, sorted, suffixes, &options);
+        let reference = build_with(pda, vocab, sorted, suffixes, &options, |_, node, s| {
+            classify_node_reference(pda, node, vocab, sorted, s)
         });
         let what = format!("{what} (context expansion {context_expansion})");
         assert_same_cache(&fast, &reference, &what);
-        let lazy = build_lazily(pda, vocab, sorted, suffix_fsas);
+        let lazy = build_lazily(pda, vocab, sorted, suffixes);
         assert_same_cache(&lazy, &fast, &format!("{what}, read lazily"));
         // A loop test steps every byte of a class once, however few tokens
         // ask, so only the walk's steps are bounded by the reference's.
@@ -495,10 +499,10 @@ fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
             &sorted,
             Some(&fsas),
             &options,
-            |_, node, fsa| {
+            |_, node, suffixes| {
                 let (mut tiny, mut roomy) = (StepMemo::with_limit(8), StepMemo::new());
-                let classification = classify_node(&pda, &mut tiny, node, &sorted, fsa);
-                classify_node(&pda, &mut roomy, node, &sorted, fsa);
+                let classification = classify_node(&pda, &mut tiny, node, &sorted, suffixes);
+                classify_node(&pda, &mut roomy, node, &sorted, suffixes);
                 // A memo computes a transition once unless it forgot it:
                 // every extra one is the work of a clear.
                 assert!(tiny.state_count() <= 8);
@@ -512,7 +516,7 @@ fn a_memo_that_keeps_clearing_itself_builds_the_same_cache() {
             &sorted,
             Some(&fsas),
             &options,
-            |_, node, fsa| classify_node_reference(&pda, node, &vocab, &sorted, fsa),
+            |_, node, suffixes| classify_node_reference(&pda, node, &vocab, &sorted, suffixes),
         );
         assert_same_cache(&tiny, &reference, what);
         let loop_accepted = tiny.stats().tokens_loop_accepted;
@@ -574,8 +578,8 @@ fn the_xml_build_executes_a_twentieth_of_its_steps() {
     let mut executed = 0;
     for (i, node) in pda.nodes().iter().enumerate() {
         if !(node.is_pure_return() && node.rule != pda.root()) {
-            let fsa = Some(&fsas[node.rule.index()]);
-            executed += classify_node(&pda, &mut memo, NodeId(i as u32), &sorted, fsa)
+            let suffixes = Some((&fsas, node.rule));
+            executed += classify_node(&pda, &mut memo, NodeId(i as u32), &sorted, suffixes)
                 .counts
                 .automaton_steps;
         }
@@ -682,8 +686,9 @@ fn a_suffix_verdict_takes_every_token_sharing_the_bytes_it_read() {
 
     let num = pda.rules().iter().position(|r| r.name == "num").unwrap();
     let after_digit = pda.node(pda.rules()[num].start).edges[0].target();
-    let fsa = &extract_all_suffix_fsas(&pda)[num];
-    let classified = classify_node(&pda, &mut StepMemo::new(), after_digit, &sorted, Some(fsa));
+    let fsas = extract_all_suffix_fsas(&pda);
+    let suffixes = Some((&fsas, PdaRuleId(num as u32)));
+    let classified = classify_node(&pda, &mut StepMemo::new(), after_digit, &sorted, suffixes);
     // ` `, ` ,`, ` ]`, ` a`, ` b` of the twelve space-led tokens; `,`, `[`,
     // `]` of the rest. `0` and `7` stay on the digit loop, unwalked.
     assert_eq!(classified.counts.tokens_visited, 5 + 3);
@@ -713,8 +718,9 @@ fn a_string_body_walks_only_the_tokens_that_leave_its_loop() {
         &PdaBuildOptions::default(),
     );
     let body = pda.node(pda.root_start()).edges[0].target();
-    let fsa = &extract_all_suffix_fsas(&pda)[pda.root().index()];
-    let classified = classify_node(&pda, &mut StepMemo::new(), body, &sorted, Some(fsa)).counts;
+    let fsas = extract_all_suffix_fsas(&pda);
+    let suffixes = Some((&fsas, pda.root()));
+    let classified = classify_node(&pda, &mut StepMemo::new(), body, &sorted, suffixes).counts;
 
     let plain = |b: &u8| (0x20..0x80).contains(b) && !b"\"\\".contains(b);
     let plain_tokens = (0..sorted.len()).filter(|&i| sorted.token(i).iter().all(plain));
