@@ -11,8 +11,10 @@ use std::collections::HashSet;
 
 use crate::pda::{NodeId, Pda, PdaEdge};
 
-/// Upper bound on simultaneously tracked stacks; exceeding it indicates a
-/// pathological grammar and aborts the match (treated as rejection).
+/// Upper bound on simultaneously tracked stacks, and on the configurations
+/// one stack's closure reaches. Past it the matcher overflows
+/// ([`StepResult::Overflow`]): it stops and decides nothing more, which is
+/// no rejection.
 const MAX_STACKS: usize = 4096;
 
 /// A single matching stack: return nodes below, current node on top.
@@ -25,6 +27,9 @@ pub enum StepResult {
     Alive,
     /// Every stack died; the input is not a prefix of any sentence.
     Dead,
+    /// More than 4 096 stacks would be alive: the matcher stopped tracking
+    /// them and decides nothing about this input or any extension of it.
+    Overflow,
 }
 
 /// A simple multi-stack PDA executor.
@@ -46,32 +51,32 @@ pub enum StepResult {
 pub struct SimpleMatcher<'a> {
     pda: &'a Pda,
     stacks: Vec<MatchStack>,
+    /// A step overflowed: the stacks are gone, and every step overflows.
+    overflowed: bool,
 }
 
 impl<'a> SimpleMatcher<'a> {
     /// Creates a matcher positioned at the start of the root rule.
     pub fn new(pda: &'a Pda) -> Self {
-        SimpleMatcher {
-            pda,
-            stacks: vec![vec![pda.root_start()]],
-        }
+        Self::from_stacks(pda, vec![vec![pda.root_start()]])
     }
 
     /// Creates a matcher whose single stack contains only `node`, i.e. with
     /// an *unknown* parent context. This is how the adaptive token mask cache
     /// classifies context-independent tokens (§3.1).
     pub fn with_start_node(pda: &'a Pda, node: NodeId) -> Self {
-        SimpleMatcher {
-            pda,
-            stacks: vec![vec![node]],
-        }
+        Self::from_stacks(pda, vec![vec![node]])
     }
 
     /// Creates a matcher from previously captured stacks (see
     /// [`SimpleMatcher::stacks`]), allowing incremental sessions that own
     /// their state separately from the automaton.
     pub fn from_stacks(pda: &'a Pda, stacks: Vec<MatchStack>) -> Self {
-        SimpleMatcher { pda, stacks }
+        SimpleMatcher {
+            pda,
+            stacks,
+            overflowed: false,
+        }
     }
 
     /// Returns the current set of stacks.
@@ -79,9 +84,9 @@ impl<'a> SimpleMatcher<'a> {
         &self.stacks
     }
 
-    /// Returns `true` if no stack is alive.
+    /// Returns `true` if no stack is alive and none overflowed.
     pub fn is_dead(&self) -> bool {
-        self.stacks.is_empty()
+        self.stacks.is_empty() && !self.overflowed
     }
 
     /// Advances over one byte.
@@ -89,7 +94,10 @@ impl<'a> SimpleMatcher<'a> {
         let mut next: Vec<MatchStack> = Vec::new();
         let mut seen: HashSet<MatchStack> = HashSet::new();
         for stack in &self.stacks {
-            let closure = epsilon_closure(self.pda, stack);
+            let Some(closure) = epsilon_closure(self.pda, stack) else {
+                self.overflowed = true;
+                break;
+            };
             for config in &closure {
                 let top = *config.last().expect("stacks are never empty");
                 for edge in &self.pda.node(top).edges {
@@ -105,11 +113,15 @@ impl<'a> SimpleMatcher<'a> {
                 }
             }
             if next.len() > MAX_STACKS {
+                self.overflowed = true;
                 break;
             }
         }
         self.stacks = next;
-        if self.stacks.is_empty() {
+        if self.overflowed {
+            self.stacks.clear();
+            StepResult::Overflow
+        } else if self.stacks.is_empty() {
             StepResult::Dead
         } else {
             StepResult::Alive
@@ -118,10 +130,17 @@ impl<'a> SimpleMatcher<'a> {
 
     /// Advances over a byte string; returns `false` (and leaves the matcher
     /// dead) if some byte cannot be consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matcher overflows: an overflow is no rejection.
+    /// [`advance_byte`](Self::advance_byte) reports it instead.
     pub fn advance_bytes(&mut self, bytes: &[u8]) -> bool {
         for &b in bytes {
-            if self.advance_byte(b) == StepResult::Dead {
-                return false;
+            match self.advance_byte(b) {
+                StepResult::Alive => {}
+                StepResult::Dead => return false,
+                StepResult::Overflow => panic!("{OVERFLOW}"),
             }
         }
         true
@@ -129,9 +148,14 @@ impl<'a> SimpleMatcher<'a> {
 
     /// Returns `true` if the input consumed so far is a complete sentence of
     /// the grammar (some stack can pop all the way out of the root rule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matcher overflowed, or overflows taking a closure.
     pub fn can_terminate(&self) -> bool {
+        assert!(!self.overflowed, "{OVERFLOW}");
         self.stacks.iter().any(|stack| {
-            let closure = epsilon_closure(self.pda, stack);
+            let closure = epsilon_closure(self.pda, stack).expect(OVERFLOW);
             closure
                 .iter()
                 .any(|config| config.len() == 1 && self.pda.node(config[0]).is_final)
@@ -149,20 +173,23 @@ impl<'a> SimpleMatcher<'a> {
     }
 }
 
+/// What the panicking readers of an overflowed matcher say.
+const OVERFLOW: &str = "more than 4 096 stacks: the reference matcher decides nothing";
+
 /// Computes every configuration reachable from `stack` without consuming a
 /// byte: entering referenced rules (push) and returning from completed rules
 /// (pop). The input configuration itself is included.
 ///
 /// Termination is guaranteed for grammars that pass the left-recursion check;
-/// a hard cap guards against pathological inputs.
-fn epsilon_closure(pda: &Pda, stack: &[NodeId]) -> Vec<MatchStack> {
+/// past [`MAX_STACKS`] configurations the closure overflows (`None`).
+fn epsilon_closure(pda: &Pda, stack: &[NodeId]) -> Option<Vec<MatchStack>> {
     let mut out: Vec<MatchStack> = Vec::new();
     let mut seen: HashSet<MatchStack> = HashSet::new();
     let mut queue: Vec<MatchStack> = vec![stack.to_vec()];
     seen.insert(stack.to_vec());
     while let Some(config) = queue.pop() {
         if out.len() > MAX_STACKS {
-            break;
+            return None;
         }
         let top = *config.last().expect("stacks are never empty");
         let node = pda.node(top);
@@ -187,7 +214,7 @@ fn epsilon_closure(pda: &Pda, stack: &[NodeId]) -> Vec<MatchStack> {
         }
         out.push(config);
     }
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -286,7 +313,7 @@ mod tests {
         )
         .unwrap();
         let pda = build_pda(&g, &PdaBuildOptions::unoptimized());
-        let closure = epsilon_closure(&pda, &[pda.root_start()]);
+        let closure = epsilon_closure(&pda, &[pda.root_start()]).unwrap();
         // The closure contains the root start itself, the entered `inner`
         // rule, and (because `inner` is nullable) the popped-back return
         // position.

@@ -111,6 +111,8 @@ impl ConstraintMatcher for NaiveSession {
             let mut probe = base.clone();
             let mut ok = true;
             for &b in bytes {
+                // An overflowed probe keeps the token allowed: its accept
+                // decides.
                 if probe.advance_byte(b) == StepResult::Dead {
                     ok = false;
                     break;
@@ -142,11 +144,17 @@ impl ConstraintMatcher for NaiveSession {
             return Err(AcceptError::SpecialTokenRejected { token });
         }
         let mut m = self.matcher();
-        if !m.advance_bytes(self.compiled.vocab.token_bytes(token)) {
-            return Err(AcceptError::TokenRejected {
-                token,
-                matched_bytes: 0,
-            });
+        for &b in self.compiled.vocab.token_bytes(token) {
+            match m.advance_byte(b) {
+                StepResult::Alive => {}
+                StepResult::Dead => {
+                    return Err(AcceptError::TokenRejected {
+                        token,
+                        matched_bytes: 0,
+                    })
+                }
+                StepResult::Overflow => return Err(AcceptError::TooManyStacks),
+            }
         }
         self.stacks = m.stacks().to_vec();
         Ok(())

@@ -41,6 +41,10 @@ pub enum AcceptError {
         /// The offending token.
         token: TokenId,
     },
+    /// Matching would take more parallel stacks than the matcher tracks. It
+    /// tracks no subset, which could reject what the grammar allows: it
+    /// refuses the token or bytes instead. The matcher state is unchanged.
+    TooManyStacks,
 }
 
 impl fmt::Display for AcceptError {
@@ -76,6 +80,9 @@ impl fmt::Display for AcceptError {
                     "special token {} is not allowed during generation",
                     token.0
                 )
+            }
+            AcceptError::TooManyStacks => {
+                write!(f, "matching needs more parallel stacks than are tracked")
             }
         }
     }

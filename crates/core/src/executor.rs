@@ -20,10 +20,31 @@ use xg_tokenizer::{common_prefix_len, TokenId, Vocabulary};
 
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
-/// Hard cap on the number of parallel stacks tracked at once. Grammars that
-/// exceed it are pathological; exceeding the cap degrades to tracking a
-/// subset (documented behaviour, never observed for the evaluated grammars).
+/// Hard cap on the stacks a step may leave alive. A walk that would track
+/// more stops with [`Truncated`] instead of going on with a subset, which
+/// would narrow a mask silently. No evaluated grammar comes near it.
 pub(crate) const MAX_PARALLEL_STACKS: usize = 512;
+
+/// Hard cap on the configurations one [`closure`] expands: every head, and
+/// each frame it enters or leaves without a byte. Each head of the nested
+/// `s ::= "a" s "b" | "a" t "b" | ""` family expands to four, so a full step
+/// of heads has room.
+const MAX_CLOSURE_STACKS: usize = 8 * MAX_PARALLEL_STACKS;
+
+/// A walk outgrew [`MAX_PARALLEL_STACKS`] (or a closure
+/// [`MAX_CLOSURE_STACKS`]) and stopped: it tracks no subset, and decides
+/// nothing about the bytes it was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Truncated;
+
+/// How a walk over bytes ended before their end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// No stack could consume the byte at this offset.
+    Dead(usize),
+    /// The walk was [`Truncated`].
+    Truncated,
+}
 
 /// Reusable working memory of [`closure`] and [`advance_bytes`]. It carries
 /// no state from one call to the next, only capacity.
@@ -69,13 +90,16 @@ impl ExecScratch {
 /// (preprocessing) or "the whole grammar can terminate here" (runtime). Tail
 /// calls leave it unchanged: a tail callee finishing in the bottom frame is
 /// the caller finishing there.
+///
+/// A closure of more than [`MAX_CLOSURE_STACKS`] configurations is
+/// [`Truncated`].
 pub(crate) fn closure<'s>(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     heads: &[StackHandle],
     scratch: &'s mut ExecScratch,
     mut on_popout: impl FnMut(StackHandle),
-) -> &'s [StackHandle] {
+) -> Result<&'s [StackHandle], Truncated> {
     scratch.new_pass();
     scratch.queue.clear();
     scratch.expanded.clear();
@@ -85,10 +109,10 @@ pub(crate) fn closure<'s>(
         }
     }
     while let Some(h) = scratch.queue.pop() {
-        scratch.expanded.push(h);
-        if scratch.expanded.len() >= MAX_PARALLEL_STACKS {
-            break;
+        if scratch.expanded.len() == MAX_CLOSURE_STACKS {
+            return Err(Truncated);
         }
+        scratch.expanded.push(h);
         let top = tree.top(h).expect("stack heads always carry a top node");
         let node = pda.node(top);
         // Expand rule references (push, or replace for a tail call).
@@ -119,19 +143,20 @@ pub(crate) fn closure<'s>(
             }
         }
     }
-    &scratch.expanded
+    Ok(&scratch.expanded)
 }
 
 /// Moves every configuration of the last [`closure`] in `scratch` over
 /// `byte`, appending the deduplicated survivors to `out` (nothing when the
-/// byte is not matchable).
+/// byte is not matchable). More than [`MAX_PARALLEL_STACKS`] survivors are
+/// [`Truncated`], and `out` is left as it was.
 fn step_byte(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     byte: u8,
     scratch: &mut ExecScratch,
     out: &mut Vec<StackHandle>,
-) {
+) -> Result<(), Truncated> {
     scratch.new_pass();
     let start = out.len();
     for i in 0..scratch.expanded.len() {
@@ -147,28 +172,33 @@ fn step_byte(
                 }
             }
         }
-        if out.len() - start >= MAX_PARALLEL_STACKS {
-            break;
+        if out.len() - start > MAX_PARALLEL_STACKS {
+            out.truncate(start);
+            return Err(Truncated);
         }
     }
+    Ok(())
 }
 
-/// Advances `heads` in place over `bytes`. On `Err(i)` no stack could
-/// consume `bytes[i]` and `heads` is left empty.
+/// Advances `heads` in place over `bytes`. On `Err(Stop::Dead(i))` no stack
+/// could consume `bytes[i]`; on `Err(Stop::Truncated)` the walk outgrew the
+/// stack caps. Either way `heads` is left empty.
 pub(crate) fn advance_bytes(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     heads: &mut Vec<StackHandle>,
     bytes: &[u8],
     scratch: &mut ExecScratch,
-) -> Result<(), usize> {
+) -> Result<(), Stop> {
     for (i, &byte) in bytes.iter().enumerate() {
         // The closure holds all that is needed of the old heads.
-        closure(pda, tree, heads, scratch, |_| {});
+        let expanded = closure(pda, tree, heads, scratch, |_| {});
         heads.clear();
-        step_byte(pda, tree, byte, scratch, heads);
+        if expanded.is_err() || step_byte(pda, tree, byte, scratch, heads).is_err() {
+            return Err(Stop::Truncated);
+        }
         if heads.is_empty() {
-            return Err(i);
+            return Err(Stop::Dead(i));
         }
     }
     Ok(())
@@ -182,10 +212,10 @@ pub(crate) fn can_pop_out(
     tree: &mut PersistentStackTree,
     heads: &[StackHandle],
     scratch: &mut ExecScratch,
-) -> bool {
+) -> Result<bool, Truncated> {
     let mut can = false;
-    closure(pda, tree, heads, scratch, |_| can = true);
-    can
+    closure(pda, tree, heads, scratch, |_| can = true)?;
+    Ok(can)
 }
 
 /// A resumable byte-matching trail: the sequence of stack-head sets after
@@ -241,8 +271,13 @@ impl TokenTrail {
     }
 
     /// Advances the trail by one byte. Returns `true` if at least one stack
-    /// survived.
-    pub(crate) fn advance(&mut self, pda: &Pda, tree: &mut PersistentStackTree, byte: u8) -> bool {
+    /// survived. A truncated step leaves the trail as it was.
+    pub(crate) fn advance(
+        &mut self,
+        pda: &Pda,
+        tree: &mut PersistentStackTree,
+        byte: u8,
+    ) -> Result<bool, Truncated> {
         let end = self.flat.len();
         let current = &self.flat[self.current_start()..];
         let mut popout_here = false;
@@ -251,8 +286,8 @@ impl TokenTrail {
             // to the buffer the current heads are read from.
             closure(pda, tree, current, &mut self.scratch, |_| {
                 popout_here = true
-            });
-            step_byte(pda, tree, byte, &mut self.scratch, &mut self.flat);
+            })?;
+            step_byte(pda, tree, byte, &mut self.scratch, &mut self.flat)?;
             #[cfg(test)]
             {
                 self.bytes_advanced += 1;
@@ -260,31 +295,36 @@ impl TokenTrail {
         }
         self.popout.push(popout_here);
         self.ends.push(self.flat.len());
-        self.flat.len() > end
+        Ok(self.flat.len() > end)
     }
 
     /// Matches `token`, reusing the first `keep` bytes the trail holds (the
     /// caller passes the longest common prefix with the previously matched
-    /// token). `Err(p)` means no stack could consume `token[p]`: the trail
-    /// then ends in the dead state after `token[..=p]`, with the pop-outs
-    /// recorded up to offset `p`, and every token sharing that prefix fails
-    /// the same way without any automaton work.
+    /// token). `Err(Stop::Dead(p))` means no stack could consume `token[p]`:
+    /// the trail then ends in the dead state after `token[..=p]`, with the
+    /// pop-outs recorded up to offset `p`, and every token sharing that
+    /// prefix fails the same way without any automaton work. On
+    /// `Err(Stop::Truncated)` the trail ends before the truncated byte, so a
+    /// token sharing it is truncated again.
     pub(crate) fn match_token(
         &mut self,
         pda: &Pda,
         tree: &mut PersistentStackTree,
         token: &[u8],
         keep: usize,
-    ) -> Result<(), usize> {
-        // A trail that died holds less than the shared prefix.
+    ) -> Result<(), Stop> {
+        // A trail that died or was truncated holds less than the shared
+        // prefix.
         let keep = keep.min(self.prefix_len());
         self.rollback_to(keep);
         if keep > 0 && self.current_heads().is_empty() {
-            return Err(keep - 1);
+            return Err(Stop::Dead(keep - 1));
         }
         for (i, &b) in token.iter().enumerate().skip(keep) {
-            if !self.advance(pda, tree, b) {
-                return Err(i);
+            match self.advance(pda, tree, b) {
+                Ok(true) => {}
+                Ok(false) => return Err(Stop::Dead(i)),
+                Err(Truncated) => return Err(Stop::Truncated),
             }
         }
         Ok(())
@@ -292,7 +332,9 @@ impl TokenTrail {
 
     /// Matches each of `tokens` — sorted by their byte strings, so that
     /// neighbours share prefixes — against the stacks `heads`, calling
-    /// `on_match` for those the stacks can consume entirely.
+    /// `on_match` for those the stacks can consume entirely, and for those
+    /// whose check was truncated: a mask keeps such a token allowed, and its
+    /// accept decides.
     pub(crate) fn match_sorted(
         &mut self,
         pda: &Pda,
@@ -306,10 +348,8 @@ impl TokenTrail {
         let mut prev: &[u8] = &[];
         for &token in tokens {
             let bytes = vocab.token_bytes(token);
-            if self
-                .match_token(pda, tree, bytes, common_prefix_len(prev, bytes))
-                .is_ok()
-            {
+            let keep = common_prefix_len(prev, bytes);
+            if !matches!(self.match_token(pda, tree, bytes, keep), Err(Stop::Dead(_))) {
                 on_match(token);
             }
             prev = bytes;
@@ -335,15 +375,19 @@ impl TokenTrail {
 /// per step for nothing.
 const MAX_MEMO_STATES: usize = 1024;
 
+/// The [`StepMemo`] state a [`Truncated`] step leads to: not a head set, and
+/// never stepped from.
+pub(crate) const TRUNCATED: u32 = u32::MAX - 1;
+
 /// The PDA determinised lazily for the mask-cache build: a head set is a dense
 /// state id, and a step is computed the first time only. A state's first miss
 /// runs [`closure`] once and settles, in the same pass, every byte no head of
 /// the closure has an edge for: dead. Each later miss is a live byte, and runs
 /// [`closure`] + `step_byte`. States are keyed by the *exact* head sequence
-/// `step_byte` produced, and the live bytes come from the same truncated
-/// closure it reads, so the [`MAX_PARALLEL_STACKS`] truncation and every
-/// classification are the unmemoised walk's. One memo serves all the nodes
-/// (of one PDA) a compile worker classifies.
+/// `step_byte` produced, so every classification is the unmemoised walk's. A
+/// step that was [`Truncated`] leads to [`TRUNCATED`], which no step leaves:
+/// a token walked into it is neither accepted nor rejected. One memo serves
+/// all the nodes (of one PDA) a compile worker classifies.
 #[derive(Debug, Default)]
 pub(crate) struct StepMemo {
     tree: PersistentStackTree,
@@ -435,7 +479,8 @@ impl StepMemo {
         self.popout[state as usize] == Some(true)
     }
 
-    /// The state `byte` leads to from `state` (0 when no stack consumes it).
+    /// The state `byte` leads to from `state` (0 when no stack consumes it,
+    /// [`TRUNCATED`] when the step was truncated). `state` is a head set.
     pub(crate) fn step(&mut self, pda: &Pda, state: u32, byte: u8) -> u32 {
         match self.rows[state as usize][byte as usize] {
             u32::MAX => self.miss(pda, state, byte),
@@ -454,7 +499,11 @@ impl StepMemo {
         self.misses += 1;
         let (tree, scratch, mut popout) = (&mut self.tree, &mut self.scratch, false);
         let heads = &self.heads[self.ends[s - 1]..self.ends[s]];
-        let expanded = closure(pda, tree, heads, scratch, |_| popout = true);
+        let Ok(expanded) = closure(pda, tree, heads, scratch, |_| popout = true) else {
+            // Every step from the state is truncated.
+            self.rows[s].fill(TRUNCATED);
+            return TRUNCATED;
+        };
         if self.popout[s].is_none() {
             // Only a byte some head has an edge for can lead anywhere.
             self.popout[s] = Some(popout);
@@ -471,14 +520,17 @@ impl StepMemo {
                 return 0;
             }
         }
-        step_byte(pda, tree, byte, scratch, &mut self.heads);
-        self.rows[s][byte as usize] = self.intern(from);
+        self.rows[s][byte as usize] = match step_byte(pda, tree, byte, scratch, &mut self.heads) {
+            Ok(()) => self.intern(from),
+            Err(Truncated) => TRUNCATED,
+        };
         self.rows[s][byte as usize]
     }
 
     /// [`TokenTrail::match_token`] from the single stack `[node]`, over state ids:
     /// `trail[i]` is the state after `token[..i]`; empty until a walk or
-    /// [`start`](Self::start) fills it.
+    /// [`start`](Self::start) fills it. A truncated walk ends the trail in
+    /// [`TRUNCATED`].
     pub(crate) fn match_token(
         &mut self,
         pda: &Pda,
@@ -486,11 +538,13 @@ impl StepMemo {
         trail: &mut Vec<u32>,
         token: &[u8],
         keep: usize,
-    ) -> Result<(), usize> {
+    ) -> Result<(), Stop> {
         let keep = keep.min(trail.len().saturating_sub(1));
         trail.truncate(keep + 1);
-        if keep > 0 && trail[keep] == 0 {
-            return Err(keep - 1);
+        match trail.get(keep) {
+            Some(0) if keep > 0 => return Err(Stop::Dead(keep - 1)),
+            Some(&TRUNCATED) => return Err(Stop::Truncated),
+            _ => {}
         }
         self.make_room(trail, token.len() - keep);
         if trail.is_empty() {
@@ -508,8 +562,10 @@ impl StepMemo {
             {
                 self.steps += 1;
             }
-            if state == 0 {
-                return Err(i);
+            match state {
+                0 => return Err(Stop::Dead(i)),
+                TRUNCATED => return Err(Stop::Truncated),
+                _ => {}
             }
         }
         Ok(())
@@ -662,7 +718,7 @@ mod tests {
             let simple_alive = simple.advance_byte(b) == xg_automata::StepResult::Alive;
             assert_eq!(alive, simple_alive, "divergence at byte {b}");
         }
-        assert!(can_pop_out(&pda, &mut tree, &heads, &mut scratch));
+        assert_eq!(can_pop_out(&pda, &mut tree, &heads, &mut scratch), Ok(true));
     }
 
     #[test]
@@ -674,7 +730,7 @@ mod tests {
         // The space after the key is fine; `1` where `:` belongs is not.
         assert_eq!(
             advance_bytes(&pda, &mut tree, &mut heads, br#"{"a" 1}"#, &mut scratch),
-            Err(5)
+            Err(Stop::Dead(5))
         );
         assert!(heads.is_empty());
     }
@@ -728,7 +784,10 @@ mod tests {
         let mut trail = TokenTrail::default();
         trail.reset(&[head]);
         // The token is not matchable locally (the `]` belongs to the parent)…
-        assert_eq!(trail.match_token(&pda, &mut tree, b"\"ab\"]", 0), Err(4));
+        assert_eq!(
+            trail.match_token(&pda, &mut tree, b"\"ab\"]", 0),
+            Err(Stop::Dead(4))
+        );
         // …but a pop-out at offset 4 was recorded (remainder `]`).
         let offsets: Vec<usize> = trail.popout_offsets().collect();
         assert_eq!(offsets, vec![4]);
@@ -741,10 +800,16 @@ mod tests {
         let heads = start_heads(&pda, &mut tree);
         let mut trail = TokenTrail::default();
         trail.reset(&heads);
-        assert_eq!(trail.match_token(&pda, &mut tree, b"{x}", 0), Err(1));
+        assert_eq!(
+            trail.match_token(&pda, &mut tree, b"{x}", 0),
+            Err(Stop::Dead(1))
+        );
         let advanced = trail.bytes_advanced();
         // A token sharing the dead prefix fails where it did, for free.
-        assert_eq!(trail.match_token(&pda, &mut tree, b"{xy", 3), Err(1));
+        assert_eq!(
+            trail.match_token(&pda, &mut tree, b"{xy", 3),
+            Err(Stop::Dead(1))
+        );
         assert_eq!(trail.bytes_advanced(), advanced);
         // Next token shares the prefix `{` only; after rollback it matches.
         assert_eq!(trail.match_token(&pda, &mut tree, b"{}", 1), Ok(()));
@@ -781,7 +846,7 @@ mod tests {
             let depth = heads.iter().map(|&h| tree.depth(h)).max().unwrap();
             assert!(depth <= 2, "depth {depth} after {} digits", i + 1);
         }
-        assert!(can_pop_out(&pda, &mut tree, &heads, &mut scratch));
+        assert_eq!(can_pop_out(&pda, &mut tree, &heads, &mut scratch), Ok(true));
     }
 
     #[test]
@@ -791,8 +856,11 @@ mod tests {
         let mut tree = PersistentStackTree::new();
         let mut heads = vec![tree.push(StackHandle::ROOT, pda.root_start())];
         let mut scratch = ExecScratch::default();
-        assert!(!can_pop_out(&pda, &mut tree, &heads, &mut scratch));
+        assert_eq!(
+            can_pop_out(&pda, &mut tree, &heads, &mut scratch),
+            Ok(false)
+        );
         advance_bytes(&pda, &mut tree, &mut heads, b"ab", &mut scratch).unwrap();
-        assert!(can_pop_out(&pda, &mut tree, &heads, &mut scratch));
+        assert_eq!(can_pop_out(&pda, &mut tree, &heads, &mut scratch), Ok(true));
     }
 }

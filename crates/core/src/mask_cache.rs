@@ -39,7 +39,7 @@ use xg_tokenizer::{
     byte_class, byte_class_members, common_prefix_len, SortedVocabulary, TokenId, Vocabulary,
 };
 
-use crate::executor::StepMemo;
+use crate::executor::{StepMemo, Stop, TRUNCATED};
 use crate::mask::TokenBitmask;
 
 /// Per-node storage of the token mask cache, in one of the three adaptive
@@ -573,6 +573,10 @@ impl<'a> LoopClasses<'a> {
         memo.make_room(trail, 3);
         let s0 = memo.start(self.node, trail);
         let s1 = memo.step(pda, s0, c);
+        if s1 == TRUNCATED {
+            // Nothing loops after a truncated step.
+            return;
+        }
         let witness = match self.looping[at] {
             0 => *bytes.start(),
             _ => self.witness[at],
@@ -580,7 +584,7 @@ impl<'a> LoopClasses<'a> {
         let target = memo.step(pda, s1, witness);
         let on_pair = |state| state == s1 || state == target;
         let stays = |b| on_pair(memo.step(pda, s1, b)) && on_pair(memo.step(pda, target, b));
-        if target != 0 && bytes.clone().all(stays) {
+        if target != 0 && target != TRUNCATED && bytes.clone().all(stays) {
             self.witness[at] = witness;
             self.looping[at] |= 1 << class;
         }
@@ -670,11 +674,22 @@ fn classify_node(
                 false => lcp[i],
             };
             (walked, looped) = (bytes, false);
-            let Err(died_at) = memo.match_token(pda, node, &mut trail, bytes, keep) else {
-                out.accept(i..i + 1);
-                out.counts.bytes_matched += sorted.chars_to_check_in(i..i + 1) as u64;
-                i += 1;
-                continue;
+            let died_at = match memo.match_token(pda, node, &mut trail, bytes, keep) {
+                Ok(()) => {
+                    out.accept(i..i + 1);
+                    out.counts.bytes_matched += sorted.chars_to_check_in(i..i + 1) as u64;
+                    i += 1;
+                    continue;
+                }
+                Err(Stop::Truncated) => {
+                    // A walk that outgrew the stack cap decides nothing: the
+                    // token is checked against the full stack at run time.
+                    out.counts.uncertain_before_expansion += 1;
+                    out.uncertain.push(ids[i]);
+                    i += 1;
+                    continue;
+                }
+                Err(Stop::Dead(died_at)) => died_at,
             };
             out.counts.bytes_matched += (died_at + 1).saturating_sub(lcp[i]) as u64;
             let (context_dependent, read) =

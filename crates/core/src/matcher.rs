@@ -25,7 +25,9 @@ use xg_tokenizer::TokenId;
 use crate::compiler::CompiledGrammar;
 use crate::constraint::ConstraintMatcher;
 use crate::error::{AcceptError, RollbackError};
-use crate::executor::{advance_bytes, can_pop_out, closure, ExecScratch, TokenTrail};
+use crate::executor::{
+    advance_bytes, can_pop_out, closure, ExecScratch, Stop, TokenTrail, Truncated,
+};
 use crate::mask::TokenBitmask;
 use crate::mask_cache::NodeMaskEntry;
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
@@ -142,16 +144,23 @@ impl GrammarMatcher {
     }
 
     /// Special tokens are never produced by the grammar; EOS is allowed
-    /// exactly when the structure is complete.
+    /// when the structure is complete, or when the check was truncated (its
+    /// accept decides).
     fn finish_mask(&mut self, mask: &mut TokenBitmask) {
         for special in self.compiled.vocabulary().special_tokens() {
             mask.reject(special);
         }
         if let Some(eos) = self.compiled.vocabulary().eos() {
-            if self.can_terminate() {
+            if self.pops_out() != Ok(false) {
                 mask.allow(eos);
             }
         }
+    }
+
+    /// Whether the text consumed so far is a complete sentence.
+    fn pops_out(&mut self) -> Result<bool, Truncated> {
+        let pda = self.compiled.pda();
+        can_pop_out(pda, &mut self.tree, &self.heads, &mut self.work.exec)
     }
 
     /// Mask generation using the adaptive token mask cache: Algorithm 1's
@@ -306,7 +315,7 @@ impl GrammarMatcher {
         scratch: &mut ExecScratch,
     ) -> Option<u8> {
         let mut candidate: Option<u8> = None;
-        for &h in closure(pda, tree, heads, scratch, |_| {}) {
+        for &h in closure(pda, tree, heads, scratch, |_| {}).ok()? {
             let top = tree.top(h).expect("heads carry a top node");
             for edge in &pda.node(top).edges {
                 if let PdaEdge::Bytes { range, .. } = edge {
@@ -377,7 +386,10 @@ impl ConstraintMatcher for GrammarMatcher {
             if Some(token) != vocab.eos() {
                 return Err(AcceptError::SpecialTokenRejected { token });
             }
-            if !self.can_terminate() {
+            if !self
+                .pops_out()
+                .map_err(|Truncated| AcceptError::TooManyStacks)?
+            {
                 return Err(AcceptError::CannotTerminate);
             }
             self.push_history();
@@ -392,9 +404,12 @@ impl ConstraintMatcher for GrammarMatcher {
                 bytes,
                 &mut self.work.exec,
             )
-            .map_err(|matched_bytes| AcceptError::TokenRejected {
-                token,
-                matched_bytes,
+            .map_err(|stop| match stop {
+                Stop::Dead(matched_bytes) => AcceptError::TokenRejected {
+                    token,
+                    matched_bytes,
+                },
+                Stop::Truncated => AcceptError::TooManyStacks,
             })?;
             self.commit_work();
         }
@@ -423,7 +438,10 @@ impl ConstraintMatcher for GrammarMatcher {
             bytes,
             &mut self.work.exec,
         )
-        .map_err(|matched_bytes| AcceptError::BytesRejected { matched_bytes })?;
+        .map_err(|stop| match stop {
+            Stop::Dead(matched_bytes) => AcceptError::BytesRejected { matched_bytes },
+            Stop::Truncated => AcceptError::TooManyStacks,
+        })?;
         self.commit_work();
         Ok(())
     }
@@ -483,8 +501,10 @@ impl ConstraintMatcher for GrammarMatcher {
         let pda = self.compiled.pda();
         self.work.heads.clone_from(&self.heads);
         while out.len() < MAX_JUMP_FORWARD_BYTES {
-            // If the grammar can terminate here, the next byte is not forced.
-            if can_pop_out(pda, &mut self.tree, &self.work.heads, &mut self.work.exec) {
+            // If the grammar can terminate here, the next byte is not forced;
+            // nor is anything after a truncated check.
+            if can_pop_out(pda, &mut self.tree, &self.work.heads, &mut self.work.exec) != Ok(false)
+            {
                 break;
             }
             let Some(byte) =
@@ -515,15 +535,7 @@ impl ConstraintMatcher for GrammarMatcher {
     /// Returns `true` if the text consumed so far is a complete sentence of
     /// the grammar (end-of-sequence would be accepted now).
     fn can_terminate(&mut self) -> bool {
-        if self.terminated {
-            return false;
-        }
-        can_pop_out(
-            self.compiled.pda(),
-            &mut self.tree,
-            &self.heads,
-            &mut self.work.exec,
-        )
+        !self.terminated && self.pops_out() == Ok(true)
     }
 
     fn is_terminated(&self) -> bool {

@@ -25,7 +25,7 @@ use crate::engine::RequestResult;
 use crate::llm::LlmRequestState;
 use crate::JumpForwardPolicy;
 use xg_baselines::Session;
-use xg_core::TokenBitmask;
+use xg_core::{AcceptError, TokenBitmask};
 use xg_tokenizer::Vocabulary;
 
 /// Shared forced-injection context of one serving run: the jump-forward
@@ -62,6 +62,9 @@ pub(crate) struct Lane {
     /// lane emitted its full intention — as opposed to dying on the token
     /// cap, a stuck mask, or a constraint violation.
     pub completed: bool,
+    /// The session could not decide a sampled token: matching it needed more
+    /// stacks than the matcher tracks. The lane has finished, and fails.
+    pub failure: Option<AcceptError>,
 }
 
 impl Lane {
@@ -82,6 +85,7 @@ impl Lane {
             forced_time: Duration::ZERO,
             finished: false,
             completed: false,
+            failure: None,
         }
     }
 
@@ -128,21 +132,18 @@ impl Lane {
             }
             None => self.llm_state.propose(),
         };
-        if Some(token) == ctx.vocab.eos() {
+        let accepted = match &mut self.session {
+            Some(session) => session.accept_token(token),
+            None => Ok(()),
+        };
+        if Some(token) == ctx.vocab.eos() || accepted.is_err() {
+            // EOS ends the lane, completed if accepted; a sampled token that
+            // violated the constraint ends it without completing, and one the
+            // session could not decide fails it.
             self.finished = true;
-            self.completed = match &mut self.session {
-                Some(session) => session.accept_token(token).is_ok(),
-                None => true,
-            };
+            self.completed = accepted.is_ok();
+            self.failure = accepted.err().filter(|e| *e == AcceptError::TooManyStacks);
             return emitted_from;
-        }
-        if let Some(session) = &mut self.session {
-            if session.accept_token(token).is_err() {
-                // The sampled token violated the constraint: the lane dies
-                // without completing.
-                self.finished = true;
-                return emitted_from;
-            }
         }
         self.output.extend_from_slice(ctx.vocab.token_bytes(token));
         self.llm_state.advance(token);

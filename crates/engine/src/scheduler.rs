@@ -401,7 +401,8 @@ enum LaneState {
     Decoding,
     /// Ended; the loop retires it.
     Finished,
-    /// Its compile or a mask fill failed; its request got `Failed`.
+    /// Its compile, a mask fill or a sampled token's accept failed; its
+    /// request got `Failed`.
     Failed,
 }
 
@@ -414,7 +415,8 @@ enum Event {
         now: Instant,
         finished: bool,
     },
-    /// Its compile failed or its admission worker died, or a fill panicked.
+    /// Its compile failed or its admission worker died, a fill panicked, or
+    /// its session could not decide a sampled token.
     Failed(BackendError),
     /// The loop has waited out every prefill that began before the instant.
     PrefillEnded(Instant),
@@ -444,7 +446,7 @@ fn advance(state: LaneState, event: &Event) -> (LaneState, Effect) {
     use LaneState::*;
     let ended = |finished, or| if finished { Finished } else { or };
     match (state, event) {
-        (Compiling(_) | AtMaskWorker { .. }, Event::Failed(err)) => {
+        (Compiling(_) | AtMaskWorker { .. } | Prefilled | Decoding, Event::Failed(err)) => {
             (Failed, Effect::Fail(err.clone()))
         }
         (Compiling(prefill_end), &Event::Started { now, finished }) => match prefill_end {
@@ -965,8 +967,9 @@ trait Env {
     fn hand_off(&mut self, lanes: &mut Vec<Self::Lane>);
     /// Blocks for a lane back from the mask workers: its id, and whether its fill returned.
     fn collect(&mut self) -> Option<(u64, Self::Lane, bool)>;
-    /// Samples the lane's next token; whether the lane finished.
-    fn sample(&mut self, lane: &mut Self::Lane) -> bool;
+    /// Samples the lane's next token: `Sampled`, whether the lane finished,
+    /// or `Failed` when its session could not decide the token.
+    fn sample(&mut self, lane: &mut Self::Lane) -> Event;
     fn stream(&mut self, lane: &mut Self::Lane);
     fn fail(&mut self, lane: &mut Self::Lane, err: BackendError);
     fn finish(&mut self, lane: Self::Lane);
@@ -1081,10 +1084,15 @@ impl Env for Threads {
         Some((al.ticket.id, al, filled))
     }
 
-    fn sample(&mut self, al: &mut ActiveLane) -> bool {
+    fn sample(&mut self, al: &mut ActiveLane) -> Event {
         let mask = al.lane.is_constrained().then_some(&al.mask);
         al.lane.step(mask, &self.forced);
-        al.lane.finished
+        match &al.lane.failure {
+            Some(err) => Event::Failed(scheduler_error(&err.to_string())),
+            None => Event::Sampled {
+                finished: al.lane.finished,
+            },
+        }
     }
 
     /// Streams the bytes not streamed yet, stamping the first emission.
@@ -1365,9 +1373,9 @@ impl<E: Env> DecodeLoop<E> {
                 unreachable!("lane {} samples at a mask worker", slot.id);
             };
             let start = self.env.now();
-            let finished = self.env.sample(al);
+            let event = self.env.sample(al);
             took += self.env.now() - start;
-            self.feed(i, Event::Sampled { finished });
+            self.feed(i, event);
         }
         took
     }
@@ -2745,7 +2753,7 @@ slow ::= "true" | "false""#,
             /// A constrained lane samples each token under a mask filled for
             /// it. One its lane-start pass finished under its prefill samples
             /// nothing, as `Lane::step` does not.
-            fn sample(&mut self, &mut lane: &mut usize) -> bool {
+            fn sample(&mut self, &mut lane: &mut usize) -> Event {
                 let (script, record) = (self.scripts[lane], &mut self.records[lane]);
                 if !record.finished {
                     if script.constrained {
@@ -2754,7 +2762,9 @@ slow ::= "true" | "false""#,
                     record.sampled += 1;
                     record.finished = record.sampled == script.tokens;
                 }
-                record.finished
+                Event::Sampled {
+                    finished: record.finished,
+                }
             }
 
             /// No bytes stream before the lane's prefill has ended.

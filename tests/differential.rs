@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xg_automata::{build_pda_default, PdaEdge, SimpleMatcher};
+use xg_automata::{build_pda_default, PdaEdge, SimpleMatcher, StepResult};
 use xg_baselines::{
     BackendError, ConstrainedBackend, FormatEnforcerBackend, FsmIndexBackend, NaivePdaBackend,
     Session,
@@ -716,5 +716,75 @@ fn every_constraint_matcher_keeps_the_trait_contract() {
     }
     for (backend, checked) in baselines.iter().zip(&checked) {
         assert!(*checked > 0, "{} was never exercised", backend.name());
+    }
+}
+
+/// What the reference matcher says of `bytes` from `oracle`: `Some(alive)`,
+/// or `None` when it overflows and so decides nothing.
+fn oracle_verdict(oracle: &SimpleMatcher<'_>, bytes: &[u8]) -> Option<bool> {
+    let mut probe = oracle.clone();
+    for &b in bytes {
+        match probe.advance_byte(b) {
+            StepResult::Alive => {}
+            StepResult::Dead => return Some(false),
+            StepResult::Overflow => return None,
+        }
+    }
+    Some(true)
+}
+
+/// `s` and `t` nest each other at every `a`, so the stacks double with
+/// every `a` read: 256 after nine, 512 after ten, past the matcher's cap of
+/// 512 after eleven. Nine are followed to the end with every mask the
+/// oracle's; past the cap an accept is a typed error, never a narrower mask,
+/// and no mask rejects what the oracle allows.
+#[test]
+fn a_stack_split_past_the_cap_is_a_typed_error_never_a_narrower_mask() {
+    let vocab = Arc::new(test_vocabulary(600));
+    let source = r#"
+        root ::= s
+        s ::= "a" s "b" | "a" t "b" | ""
+        t ::= "a" s "c" | "a" t "c" | ""
+    "#;
+    let compiled = GrammarCompiler::new(Arc::clone(&vocab))
+        .compile_ebnf(source, "root")
+        .expect("the probe grammar compiles");
+    let byte_tokens = byte_token_map(&vocab);
+    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+    for levels in [9, 11, 12] {
+        let input: Vec<u8> = std::iter::repeat_n(b'a', levels)
+            .chain(b"cbb".iter().copied().cycle().take(levels))
+            .collect();
+        let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));
+        let mut oracle = SimpleMatcher::new(compiled.pda());
+        let mut followed = 0;
+        for &byte in &input {
+            matcher.fill_next_token_bitmask(&mut mask);
+            for (token, bytes) in vocab.iter().filter(|(id, _)| !vocab.is_special(*id)) {
+                // A check the oracle cannot decide keeps the token allowed.
+                let allowed = oracle_verdict(&oracle, bytes).unwrap_or(true);
+                if levels == 9 || allowed {
+                    let what = String::from_utf8_lossy(bytes);
+                    assert_eq!(
+                        mask.is_allowed(token),
+                        allowed,
+                        "{what:?} after {followed} bytes"
+                    );
+                }
+            }
+            match matcher.accept_token(byte_tokens[&byte]) {
+                Ok(()) => assert_eq!(oracle.advance_byte(byte), StepResult::Alive),
+                Err(err) => {
+                    assert_eq!(err, AcceptError::TooManyStacks, "after {followed} bytes");
+                    break;
+                }
+            }
+            followed += 1;
+        }
+        match levels {
+            9 => assert_eq!(followed, input.len(), "a nine-level split is followed"),
+            // The eleventh `a` would leave 1 024 stacks.
+            _ => assert_eq!(followed, 10, "the cap is met at {levels} levels"),
+        }
     }
 }
