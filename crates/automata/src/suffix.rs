@@ -13,12 +13,18 @@
 //! state per rule, and it is built from the PDA's own edges:
 //!
 //! * a node's byte edges are the PDA's;
+//! * a node with a rule-reference edge has an ε-edge to the referenced rule's
+//!   start: the walk descends into the rule;
 //! * a rule's final node has an ε-edge to every return site of that rule: the
 //!   walk follows the pop into every parent context;
-//! * a node with a rule-reference edge accepts: its continuation would
-//!   descend into another rule, which the walk does not follow;
 //! * the final node of a rule nobody references accepts, except for the
 //!   root's: after the root completes, generation ends and no byte may follow.
+//!
+//! The walk forgets which site a rule was entered from, so a pop reaches
+//! every return site of the rule, the true one among them: the expanded
+//! suffixes over-approximate the real continuations, which keeps the
+//! rejection sound, and the states stay PDA nodes, so no depth bound is
+//! needed.
 //!
 //! A rule's entry state is the union of the ε-closures of its return sites,
 //! so a rule nobody references (the root) has an entry that accepts nothing.
@@ -135,23 +141,22 @@ impl Builder<'_> {
         }
         while let Some(id) = self.closure.pop() {
             let node = pda.node(id);
-            if node.edges.iter().any(|e| matches!(e, PdaEdge::Rule { .. })) {
-                // The continuation descends into another rule, which the
-                // walk does not follow: accept conservatively.
-                self.fsa.set_final(state, true);
-                continue;
-            }
             for edge in &node.edges {
-                if let PdaEdge::Bytes { range, target } = edge {
-                    let to = match self.state_of[target.index()] {
-                        Some(to) => to,
-                        None => {
-                            let to = self.fsa.add_state();
-                            self.pending.push((*target, to));
-                            *self.state_of[target.index()].insert(to)
-                        }
-                    };
-                    self.fsa.add_edge(state, *range, to);
+                match edge {
+                    PdaEdge::Bytes { range, target } => {
+                        let to = match self.state_of[target.index()] {
+                            Some(to) => to,
+                            None => {
+                                let to = self.fsa.add_state();
+                                self.pending.push((*target, to));
+                                *self.state_of[target.index()].insert(to)
+                            }
+                        };
+                        self.fsa.add_edge(state, *range, to);
+                    }
+                    // Descend into the referenced rule; its final nodes pop
+                    // to the edge's target among its other return sites.
+                    PdaEdge::Rule { rule, .. } => self.enter(state, pda.rule(*rule).start),
                 }
             }
             if node.is_final {
@@ -266,9 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn suffix_stops_at_rule_references() {
-        // After `item`, the continuation is ";" then another rule reference;
-        // the extraction must include ";" and stop there.
+    fn suffix_follows_rule_references() {
+        // After `item`, the continuation is ";" then a `tail`: the walk
+        // descends into `tail`, so only a digit may follow the ";".
         let g = xg_grammar::parse_ebnf(
             r#"
             root ::= item ";" tail
@@ -281,9 +286,8 @@ mod tests {
         let pda = build_pda(&g, &no_inline());
         let fsa = extract_suffix_fsa(&pda, rule_id(&pda, "item"));
         assert_eq!(fsa.match_remaining(b";"), SuffixMatch::Possible);
-        // After ";" the continuation enters `tail`, which is unknown to the
-        // extraction, so anything after ";" remains possible.
-        assert_eq!(fsa.match_remaining(b";x"), SuffixMatch::Possible);
+        assert_eq!(fsa.match_remaining(b";0"), SuffixMatch::Possible);
+        assert_eq!(fsa.match_remaining(b";x"), SuffixMatch::Rejected);
         assert_eq!(fsa.match_remaining(b"0"), SuffixMatch::Rejected);
     }
 

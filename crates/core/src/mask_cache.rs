@@ -879,9 +879,9 @@ mod tests {
 
     #[test]
     fn pure_return_nodes_get_an_empty_entry_and_count_nothing() {
-        // `element`'s final node has no edges and an accept-everything suffix
-        // automaton: classified, it would hold the whole vocabulary as
-        // context-dependent tokens nobody ever reads.
+        // `element`'s final node has no edges: classified, every token
+        // would pop out at its first byte, and those its expanded suffixes
+        // allow would be context-dependent tokens nobody ever reads.
         let vocab = test_vocabulary(2000);
         let (pda, cache) = build_all(xg_grammar::builtin::XML_EBNF, &vocab, true);
         let mut skipped = 0;

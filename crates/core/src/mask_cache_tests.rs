@@ -338,20 +338,15 @@ fn a_popout_inside_the_shared_prefix_decides_the_whole_run() {
             "#,
             &[b"\"ab\"]"],
         ),
-        // After `,` comes another `str`, where the suffix automaton stops and
-        // accepts: the run under `"ab",` is context-dependent as a whole.
+        // After `,` comes another `str`, into which the suffix automaton
+        // descends: `"ab",x` is rejected, as `str` opens with a quote, and
+        // the run under `"ab",` splits at the byte after the comma.
         (
             r#"
             root ::= "[" str ("," str)* "]"
             str ::= "\"" [a-z]* "\""
             "#,
-            &[
-                b"\"ab\",",
-                b"\"ab\",\"",
-                b"\"ab\",\"a",
-                b"\"ab\",x",
-                b"\"ab\"]",
-            ],
+            &[b"\"ab\",", b"\"ab\",\"", b"\"ab\",\"a", b"\"ab\"]"],
         ),
     ];
     for (source, expected) in cases {
@@ -593,7 +588,9 @@ fn the_xml_build_executes_a_twentieth_of_its_steps() {
 /// token in twenty; the rest are classified by the prefix they share with
 /// one that failed, by a first byte their node rejects, or by a loop. The
 /// count is exact whatever the threads; before loops accepted tokens and
-/// dead first bytes took their ranges it was 468 354.
+/// dead first bytes took their ranges it was 468 354, and before context
+/// expansion followed rule references, whose verdicts now read into the
+/// referenced rule and so split a few runs, 241 759.
 #[test]
 fn cold_schema_builds_visit_a_twentieth_of_the_vocabulary() {
     let (vocab, sorted) = vocabulary_32k();
@@ -617,7 +614,7 @@ fn cold_schema_builds_visit_a_twentieth_of_the_vocabulary() {
         visited * 20 <= all,
         "visited {visited} of {all} (node, token) pairs"
     );
-    assert_eq!(visited, 241_759);
+    assert_eq!(visited, 241_767);
 }
 
 /// The count behind the `multiple-of` schema's compile, exact because one

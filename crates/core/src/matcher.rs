@@ -770,9 +770,11 @@ mod tests {
     fn multi_stack_masks_agree_with_full_scan_and_oracle() {
         // The merge of parallel stacks is the path `cfg_heavy` spends its
         // time in: `element ::= open_tag content close_tag | self_tag` keeps
-        // two stacks alive for a whole tag.
+        // two stacks alive for a whole tag. A statement opening `x[` is an
+        // assignment's target or an expression until its `=`, so the
+        // subscript's string body, accept-heavy, is the top of two stacks.
         let xml = br#"<a id="x1"><b/>t<!-- c --></a>"#;
-        let python = b"x = 1 ; return x";
+        let python = b"x['some key'] = 1 ; return x";
         let (xml_steps, xml_formats) =
             walk_checking_every_mask(&xg_grammar::builtin::xml_grammar(), xml);
         let (py_steps, py_formats) =

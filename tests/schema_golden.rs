@@ -570,7 +570,7 @@ fn mask_cache_entries_are_pinned() {
         }
     }
     assert_eq!(
-        hash.0, 0x9491_35fd_d742_6320,
+        hash.0, 0xc2c3_f41c_ea4a_ea0e,
         "mask-cache entry digest changed: {:#018x}",
         hash.0
     );
