@@ -9,7 +9,7 @@ use std::sync::{Barrier, OnceLock};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions, SimpleMatcher};
+use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions, PdaEdge, SimpleMatcher};
 use xg_grammar::{builtin, json_schema_to_grammar, parse_ebnf, Grammar};
 use xg_tokenizer::{
     common_prefix_len, synthetic_vocabulary, test_vocabulary, SyntheticVocabConfig,
@@ -452,6 +452,105 @@ proptest! {
         };
         let what = format!("random grammar {seed}");
         assert_matches_reference(&build_pda(&grammar, &options), vocab, sorted, &what);
+    }
+}
+
+/// Every configuration reachable from `stack` without a byte, as
+/// [`SimpleMatcher`] expands it: a frame pushed per rule reference, a frame
+/// popped at a rule's final node.
+fn configurations(pda: &Pda, stack: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let (mut seen, mut queue) = (vec![stack.to_vec()], vec![stack.to_vec()]);
+    while let Some(config) = queue.pop() {
+        let node = pda.node(config[config.len() - 1]);
+        let mut next = Vec::new();
+        for edge in &node.edges {
+            if let PdaEdge::Rule { rule, target } = edge {
+                let mut entered = config.clone();
+                *entered.last_mut().unwrap() = *target;
+                entered.push(pda.rule(*rule).start);
+                next.push(entered);
+            }
+        }
+        if node.is_final && config.len() > 1 {
+            next.push(config[..config.len() - 1].to_vec());
+        }
+        for config in next {
+            if !seen.contains(&config) {
+                seen.push(config.clone());
+                queue.push(config);
+            }
+        }
+    }
+    seen
+}
+
+/// A random walk of up to `len` printable bytes through `pda`, each byte
+/// one the reference matcher survives: a prefix of a sentence.
+fn sample_prefix(pda: &Pda, rng: &mut SmallRng, len: usize) -> Vec<u8> {
+    let mut matcher = SimpleMatcher::new(pda);
+    let mut prefix = Vec::new();
+    while prefix.len() < len {
+        let live: Vec<u8> = (b' '..=b'~')
+            .filter(|&b| matcher.clone().advance_bytes(&[b]))
+            .collect();
+        let Some(&byte) = live.get(rng.gen_range(0..live.len().max(1))) else {
+            break;
+        };
+        matcher.advance_bytes(&[byte]);
+        prefix.push(byte);
+    }
+    prefix
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Context expansion's soundness, read off the reference matcher and
+    /// not the automaton's construction: wherever a sentence completes a
+    /// rule `R` inside a parent frame, and that frame goes on to read the
+    /// rest of the sentence, the rest is `Possible` from `R`'s entry state.
+    /// A verdict of `Rejected` there would drop a valid token from a mask.
+    #[test]
+    fn every_continuation_of_a_completed_rule_is_a_possible_suffix(seed in 0u64..100_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let grammar = random_grammar(&mut rng);
+        // Every rule keeps a frame of its own, so each can complete in one.
+        let options = PdaBuildOptions {
+            inline_rules: false,
+            ..Default::default()
+        };
+        let pda = build_pda(&grammar, &options);
+        let suffixes = extract_all_suffix_fsas(&pda);
+        for _ in 0..8 {
+            let sentence = sample_prefix(&pda, &mut rng, 24);
+            let mut matcher = SimpleMatcher::new(&pda);
+            for at in 0..sentence.len() {
+                let rest = &sentence[at..];
+                for stack in matcher.stacks() {
+                    for config in configurations(&pda, stack) {
+                        let top = pda.node(config[config.len() - 1]);
+                        if !top.is_final || config.len() < 2 {
+                            continue;
+                        }
+                        let parent = config[..config.len() - 1].to_vec();
+                        if !SimpleMatcher::from_stacks(&pda, vec![parent]).advance_bytes(rest) {
+                            continue;
+                        }
+                        let entry = suffixes.entry(top.rule);
+                        prop_assert_eq!(
+                            suffixes.fsa().match_remaining(entry, rest),
+                            SuffixMatch::Possible,
+                            "{:?} after rule {} at {} of {:?}",
+                            String::from_utf8_lossy(rest),
+                            pda.rule(top.rule).name,
+                            at,
+                            String::from_utf8_lossy(&sentence)
+                        );
+                    }
+                }
+                matcher.advance_bytes(&sentence[at..=at]);
+            }
+        }
     }
 }
 
