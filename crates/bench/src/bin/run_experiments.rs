@@ -20,11 +20,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use xg_automata::{extract_all_suffix_fsas, StateId};
 use xg_baselines::BackendError;
 use xg_bench::{
     ablation_backend, bench_vocabulary, measure_mask_generation, BackendKind, Workload,
 };
-use xg_core::{CompilerConfig, GrammarCompiler};
+use xg_core::{
+    CompiledGrammar, CompilerConfig, ConstraintMatcher, GrammarCompiler, GrammarMatcher,
+    TokenBitmask,
+};
 use xg_engine::{
     run_accuracy_experiment, AccuracyTask, EngineRequest, ExecutionMode, JumpForwardPolicy,
     LaneConstraint, LlmBehavior, ModelProfile, ServingEngine,
@@ -195,6 +199,31 @@ fn experiment_stats(vocab: &Arc<Vocabulary>) {
     );
     println!();
     python_dsl_stats(vocab, &compiler);
+    println!("## Expanded-suffix automata (paper §3.2, one per grammar)");
+    let grammars = [
+        ("JSON", xg_grammar::builtin::json_grammar()),
+        ("XML", xg_grammar::builtin::xml_grammar()),
+        ("Python DSL", xg_grammar::builtin::python_dsl_grammar()),
+    ];
+    for (name, grammar) in grammars {
+        let compiled = compiler.compile_grammar(&grammar);
+        let (states, edges) = suffix_automaton_size(&compiled);
+        println!(
+            "  {name:<10}: {} automaton nodes, {} rules -> {states} states, {edges} edges",
+            compiled.pda().node_count(),
+            compiled.pda().rules().len()
+        );
+    }
+    println!();
+}
+
+/// States and edges of the expanded-suffix automaton of a compiled grammar's
+/// automaton.
+fn suffix_automaton_size(compiled: &CompiledGrammar) -> (usize, usize) {
+    let suffixes = extract_all_suffix_fsas(compiled.pda());
+    let fsa = suffixes.fsa();
+    let edges = (0..fsa.len()).map(|s| fsa.edges(StateId(s as u32)).len());
+    (fsa.len(), edges.sum())
 }
 
 /// The Python DSL's context-dependent tokens before and after context
@@ -226,6 +255,29 @@ fn python_dsl_stats(vocab: &Arc<Vocabulary>, compiler: &GrammarCompiler) {
     println!(
         "  preprocessing wall-clock time (compile + every entry): {:.1} ms",
         preprocessing_time.as_secs_f64() * 1e3
+    );
+    // The run-time side of the same sets: the context-dependent tokens a
+    // mask checks against the full stack, over the Figure 9 references.
+    let compiled = compiler.compile_grammar(&grammar);
+    let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+    let (mut checked, mut masks, mut max_stacks) = (0, 0, 0);
+    for task in xg_datasets::python_dsl_tasks(10, 0xF19) {
+        let mut matcher = GrammarMatcher::new(Arc::clone(&compiled));
+        let (tokens, _) = vocab.sorted().longest_prefix_cover(vocab, &task.reference);
+        for token in tokens {
+            matcher.fill_next_token_bitmask(&mut mask);
+            matcher
+                .accept_token(token)
+                .expect("a reference is a sentence of its grammar");
+        }
+        let runtime = matcher.stats();
+        checked += runtime.context_dependent_checked;
+        masks += runtime.masks_generated;
+        max_stacks = max_stacks.max(runtime.max_stacks);
+    }
+    println!(
+        "  run-time checks per mask (10 references): {:.0} ({masks} masks); most parallel stacks: {max_stacks}",
+        checked as f64 / masks.max(1) as f64,
     );
     println!();
 }
