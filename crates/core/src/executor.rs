@@ -192,9 +192,9 @@ pub(crate) fn advance_bytes(
 ) -> Result<(), Stop> {
     for (i, &byte) in bytes.iter().enumerate() {
         // The closure holds all that is needed of the old heads.
-        let expanded = closure(pda, tree, heads, scratch, |_| {});
+        let truncated = closure(pda, tree, heads, scratch, |_| {}).is_err();
         heads.clear();
-        if expanded.is_err() || step_byte(pda, tree, byte, scratch, heads).is_err() {
+        if truncated || step_byte(pda, tree, byte, scratch, heads).is_err() {
             return Err(Stop::Truncated);
         }
         if heads.is_empty() {
