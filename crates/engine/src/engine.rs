@@ -369,7 +369,8 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns the backend's error if the constraint cannot be compiled by
-    /// this backend.
+    /// this backend, and the scheduler's if the session could not decide a
+    /// sampled token (matching it needed more stacks than it tracks).
     pub fn decode_reference(&self, request: &EngineRequest) -> Result<RequestResult, BackendError> {
         let vocab = self.backend.vocabulary();
         let ctx = ForcedContext {
@@ -390,7 +391,10 @@ impl ServingEngine {
             }
             lane.step(lane.is_constrained().then_some(&mask), &ctx);
         }
-        Ok(lane.into_result())
+        match lane.failure() {
+            Some(err) => Err(err),
+            None => Ok(lane.into_result()),
+        }
     }
 }
 

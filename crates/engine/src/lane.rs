@@ -23,8 +23,9 @@ use std::time::{Duration, Instant};
 
 use crate::engine::RequestResult;
 use crate::llm::LlmRequestState;
+use crate::scheduler::scheduler_error;
 use crate::JumpForwardPolicy;
-use xg_baselines::Session;
+use xg_baselines::{BackendError, Session};
 use xg_core::{AcceptError, TokenBitmask};
 use xg_tokenizer::Vocabulary;
 
@@ -64,7 +65,7 @@ pub(crate) struct Lane {
     pub completed: bool,
     /// The session could not decide a sampled token: matching it needed more
     /// stacks than the matcher tracks. The lane has finished, and fails.
-    pub failure: Option<AcceptError>,
+    pub failed: bool,
 }
 
 impl Lane {
@@ -85,7 +86,7 @@ impl Lane {
             forced_time: Duration::ZERO,
             finished: false,
             completed: false,
-            failure: None,
+            failed: false,
         }
     }
 
@@ -142,7 +143,7 @@ impl Lane {
             // session could not decide fails it.
             self.finished = true;
             self.completed = accepted.is_ok();
-            self.failure = accepted.err().filter(|e| *e == AcceptError::TooManyStacks);
+            self.failed = accepted == Err(AcceptError::TooManyStacks);
             return emitted_from;
         }
         self.output.extend_from_slice(ctx.vocab.token_bytes(token));
@@ -165,6 +166,12 @@ impl Lane {
             self.completed = true;
         }
         emitted_from
+    }
+
+    /// Why the lane failed, if it did: the error its request ends with.
+    pub(crate) fn failure(&self) -> Option<BackendError> {
+        self.failed
+            .then(|| scheduler_error(&AcceptError::TooManyStacks.to_string()))
     }
 
     /// The lane's outcome, once it has finished.

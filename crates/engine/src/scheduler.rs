@@ -215,7 +215,7 @@ impl StreamingRequest {
 }
 
 /// An error the scheduler itself reports for a request.
-fn scheduler_error(reason: &str) -> BackendError {
+pub(crate) fn scheduler_error(reason: &str) -> BackendError {
     BackendError::UnsupportedGrammar {
         backend: "scheduler",
         reason: reason.into(),
@@ -1087,8 +1087,8 @@ impl Env for Threads {
     fn sample(&mut self, al: &mut ActiveLane) -> Event {
         let mask = al.lane.is_constrained().then_some(&al.mask);
         al.lane.step(mask, &self.forced);
-        match &al.lane.failure {
-            Some(err) => Event::Failed(scheduler_error(&err.to_string())),
+        match al.lane.failure() {
+            Some(err) => Event::Failed(err),
             None => Event::Sampled {
                 finished: al.lane.finished,
             },
@@ -2169,6 +2169,47 @@ mod tests {
                 // The failed lane's session went with its slot.
                 assert_eq!(sessions.live.load(Ordering::SeqCst), 0, "{what}");
             }
+        }
+    }
+
+    /// `s` and `t` nest each other at every `a`, so matching the eleventh `a`
+    /// needs 1 024 stacks, past the matcher's 512: the session refuses that
+    /// token with a typed error, and the request fails as its reference
+    /// decode does, in every mode, beside a request that is served.
+    #[test]
+    fn a_token_past_the_stack_cap_fails_its_request() {
+        let probe = EngineRequest {
+            constraint: LaneConstraint::Grammar(
+                parse_ebnf(
+                    r#"
+                    root ::= s
+                    s ::= "a" s "b" | "a" t "b" | ""
+                    t ::= "a" s "c" | "a" t "c" | ""
+                    "#,
+                    "root",
+                )
+                .unwrap(),
+            ),
+            prompt_tokens: 4,
+            reference: b"aaaaaaaaaaacbbcbbcbbcb".to_vec(),
+            max_tokens: 32,
+            seed: 0,
+        };
+        let limit = Duration::from_secs(5);
+        for mode in MODES {
+            let engine = engine(mode);
+            let expected = engine.decode_reference(&probe).unwrap_err().to_string();
+            assert!(expected.contains("more parallel stacks"), "{expected}");
+            let scheduler = engine.serve(SchedulerConfig::default());
+            let failing = scheduler.submit(probe.clone()).unwrap();
+            let served = scheduler.submit(request(0)).unwrap();
+            let err = terminal_within(&failing, limit).unwrap_err();
+            assert_eq!(err.to_string(), expected, "{mode:?}");
+            let served = terminal_within(&served, limit).expect("the other request is served");
+            assert_eq!(served.output, br#"{"ok": true}"#.to_vec(), "{mode:?}");
+            let m = scheduler.metrics();
+            assert_eq!((m.failed, m.completed), (1, 1), "{mode:?}");
+            scheduler.shutdown();
         }
     }
 

@@ -3,24 +3,19 @@
 # each killed (a test failed) or survived (every test passed).
 #
 # Each mutant is applied to its own temporary copy of the working tree's
-# tracked files; the repository itself is never edited. The copies share one
-# Cargo target directory, so only the mutated crates and their dependents
-# are rebuilt from one mutant to the next.
+# tracked files; the repository itself is never edited. Every copied file is
+# new to Cargo, so each mutant is a full release build of the workspace.
 #
-# Usage: scripts/mutants.sh [MUTANTS-file]
-# Environment: MUTANTS_TARGET_DIR, the shared target directory (default: a
-# temporary one, removed at the end).
+# Usage: scripts/mutants.sh
 # Exits 1 when a mutant survived or could not be applied.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
-list=$(realpath "${1:-MUTANTS}")
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-target=${MUTANTS_TARGET_DIR:-$work/target}
 
 killed=0 survived=0 broken=0
 tab=$(printf '\t')
-while IFS="$tab" read -r file needle replacement fault args; do
+while IFS="$tab" read -r file needle replacement fault; do
     case "$file" in '' | '#'*) continue ;; esac
     copy="$work/tree"
     rm -rf "$copy"
@@ -35,8 +30,7 @@ while IFS="$tab" read -r file needle replacement fault args; do
         broken=$((broken + 1))
         continue
     fi
-    # shellcheck disable=SC2086 # the fifth field is a list of arguments
-    if (cd "$copy" && CARGO_TARGET_DIR=$target cargo test -q --release ${args:-} \
+    if (cd "$copy" && CARGO_TARGET_DIR="$work/target" cargo test -q --release \
         < /dev/null > "$work/log" 2>&1); then
         echo "SURVIVED  $file: $fault"
         survived=$((survived + 1))
@@ -49,6 +43,6 @@ while IFS="$tab" read -r file needle replacement fault args; do
         echo "KILLED    $file: $fault ($failed failing tests in the first failing suite)"
         killed=$((killed + 1))
     fi
-done < "$list"
+done < MUTANTS
 echo "killed $killed, survived $survived, not applied or not built $broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
