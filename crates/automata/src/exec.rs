@@ -5,7 +5,9 @@
 //! semantic ground truth against which the optimized matcher in `xg-core` is
 //! property-tested. Each matching stack is stored as an owned `Vec<NodeId>`;
 //! branching copies the whole stack, exactly the cost the persistent
-//! execution stack of §3.3 avoids.
+//! execution stack of §3.3 avoids. Its walk over configurations,
+//! [`epsilon_closure`], takes a frame bound, and with one the Outlines and
+//! lm-format-enforcer baselines unroll a grammar into a finite automaton.
 
 use std::collections::HashSet;
 
@@ -94,17 +96,19 @@ impl<'a> SimpleMatcher<'a> {
         let mut next: Vec<MatchStack> = Vec::new();
         let mut seen: HashSet<MatchStack> = HashSet::new();
         for stack in &self.stacks {
-            let Some(closure) = epsilon_closure(self.pda, stack) else {
+            let Some(closure) = epsilon_closure(self.pda, stack, usize::MAX) else {
                 self.overflowed = true;
                 break;
             };
             for config in &closure {
-                let top = *config.last().expect("stacks are never empty");
+                let Some((&top, returns)) = config.split_last() else {
+                    continue;
+                };
                 for edge in &self.pda.node(top).edges {
-                    if let PdaEdge::Bytes { range, target } = edge {
+                    if let PdaEdge::Bytes { range, target } = *edge {
                         if range.contains(byte) {
-                            let mut new_stack = config.clone();
-                            *new_stack.last_mut().expect("non-empty") = *target;
+                            let mut new_stack = returns.to_vec();
+                            new_stack.push(target);
                             if seen.insert(new_stack.clone()) {
                                 next.push(new_stack);
                             }
@@ -155,7 +159,7 @@ impl<'a> SimpleMatcher<'a> {
     pub fn can_terminate(&self) -> bool {
         assert!(!self.overflowed, "{OVERFLOW}");
         self.stacks.iter().any(|stack| {
-            let closure = epsilon_closure(self.pda, stack).expect(OVERFLOW);
+            let closure = epsilon_closure(self.pda, stack, usize::MAX).expect(OVERFLOW);
             closure
                 .iter()
                 .any(|config| config.len() == 1 && self.pda.node(config[0]).is_final)
@@ -176,40 +180,47 @@ impl<'a> SimpleMatcher<'a> {
 /// What the panicking readers of an overflowed matcher say.
 const OVERFLOW: &str = "more than 4 096 stacks: the reference matcher decides nothing";
 
-/// Computes every configuration reachable from `stack` without consuming a
-/// byte: entering referenced rules (push) and returning from completed rules
-/// (pop). The input configuration itself is included.
+/// Every configuration `stack` reaches without consuming a byte, itself
+/// included: a rule reference enters the rule (push), a final node above the
+/// bottom frame returns to its caller (pop). A reference whose return node
+/// is a pure return replaces the frame instead (a tail call: the language is
+/// the same, and right recursion costs no frame); any other reference pushes
+/// only while the stack holds fewer than `max_frames` frames, and is dropped
+/// past that. [`SimpleMatcher`] passes no bound (`usize::MAX`).
 ///
 /// Termination is guaranteed for grammars that pass the left-recursion check;
-/// past [`MAX_STACKS`] configurations the closure overflows (`None`).
-fn epsilon_closure(pda: &Pda, stack: &[NodeId]) -> Option<Vec<MatchStack>> {
+/// past 4 096 configurations the closure overflows (`None`).
+pub fn epsilon_closure(pda: &Pda, stack: &[NodeId], max_frames: usize) -> Option<Vec<MatchStack>> {
     let mut out: Vec<MatchStack> = Vec::new();
-    let mut seen: HashSet<MatchStack> = HashSet::new();
+    let mut seen: HashSet<MatchStack> = HashSet::from([stack.to_vec()]);
     let mut queue: Vec<MatchStack> = vec![stack.to_vec()];
-    seen.insert(stack.to_vec());
     while let Some(config) = queue.pop() {
         if out.len() > MAX_STACKS {
             return None;
         }
-        let top = *config.last().expect("stacks are never empty");
-        let node = pda.node(top);
-        // Expand rule references (push).
-        for edge in &node.edges {
-            if let PdaEdge::Rule { rule, target } = edge {
-                let mut new_stack = config.clone();
-                *new_stack.last_mut().expect("non-empty") = *target;
-                new_stack.push(pda.rule(*rule).start);
-                if seen.insert(new_stack.clone()) {
-                    queue.push(new_stack);
+        let mut next = Vec::new();
+        if let Some((&top, returns)) = config.split_last() {
+            let node = pda.node(top);
+            for edge in &node.edges {
+                if let PdaEdge::Rule { rule, target } = *edge {
+                    let mut entered = returns.to_vec();
+                    if !pda.node(target).is_pure_return() {
+                        if config.len() >= max_frames {
+                            continue;
+                        }
+                        entered.push(target);
+                    }
+                    entered.push(pda.rule(rule).start);
+                    next.push(entered);
                 }
             }
+            if node.is_final && !returns.is_empty() {
+                next.push(returns.to_vec());
+            }
         }
-        // Return to the parent rule (pop).
-        if node.is_final && config.len() > 1 {
-            let mut new_stack = config.clone();
-            new_stack.pop();
-            if seen.insert(new_stack.clone()) {
-                queue.push(new_stack);
+        for reached in next {
+            if seen.insert(reached.clone()) {
+                queue.push(reached);
             }
         }
         out.push(config);
@@ -313,10 +324,41 @@ mod tests {
         )
         .unwrap();
         let pda = build_pda(&g, &PdaBuildOptions::unoptimized());
-        let closure = epsilon_closure(&pda, &[pda.root_start()]).unwrap();
+        let closure = epsilon_closure(&pda, &[pda.root_start()], usize::MAX).unwrap();
         // The closure contains the root start itself, the entered `inner`
         // rule, and (because `inner` is nullable) the popped-back return
         // position.
         assert!(closure.len() >= 3);
+    }
+
+    #[test]
+    fn a_tail_call_costs_no_frame_and_a_push_past_the_bound_is_dropped() {
+        let g = parse_ebnf(
+            r#"
+            root ::= "(" v ")"
+            v ::= "[" v "]" | "x" | "y" v
+            "#,
+            "root",
+        )
+        .unwrap();
+        let pda = build_pda_default(&g);
+        let mut m = SimpleMatcher::new(&pda);
+        // `v` after "y" is in tail position: it replaces the frame.
+        assert!(m.advance_bytes(b"(yyyyyyyy"));
+        assert!(m.stacks().iter().all(|stack| stack.len() == 2));
+        assert!(m.advance_bytes(b"[[x]])"));
+        assert!(m.can_terminate());
+
+        let mut m = SimpleMatcher::new(&pda);
+        assert!(m.advance_bytes(b"("));
+        let [stack] = m.stacks() else {
+            panic!("one stack after the first byte")
+        };
+        let depth = |bound| {
+            let closure = epsilon_closure(&pda, stack, bound).unwrap();
+            closure.iter().map(Vec::len).max()
+        };
+        assert_eq!(depth(1), Some(1), "entering `v` needs a second frame");
+        assert_eq!(depth(2), Some(2));
     }
 }

@@ -19,7 +19,8 @@
 //!   for context expansion (paper §3.2, Algorithm 2): an ε-free automaton
 //!   over the PDA's nodes, entered at a state per rule,
 //! * [`SimpleMatcher`] — a reference multi-stack executor (the "naive PDA"
-//!   baseline),
+//!   baseline), and [`epsilon_closure`], its walk over configurations with
+//!   a frame bound, which the regex baselines' unrolling runs too,
 //! * [`AhoCorasick`] — an Aho–Corasick automaton (plus the naive reference
 //!   scanner, [`NaiveMultiPattern`]) for trigger scanning in structural-tag
 //!   dispatch.
@@ -51,7 +52,7 @@ mod suffix;
 mod utf8;
 
 pub use build::{build_pda, build_pda_default, inline_fragment_rules, PdaBuildOptions};
-pub use exec::{MatchStack, SimpleMatcher, StepResult};
+pub use exec::{epsilon_closure, MatchStack, SimpleMatcher, StepResult};
 pub use fsa::{Fsa, StateId, SuffixMatch};
 pub use intern::intern_states;
 pub use multipattern::{AcState, AhoCorasick, NaiveMultiPattern};

@@ -14,9 +14,9 @@
 //! matcher, so right recursion costs no depth and stays a loop.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use xg_automata::{build_pda_default, Fsa, NodeId, Pda, PdaEdge};
+use xg_automata::{build_pda_default, epsilon_closure, Fsa, PdaEdge};
 use xg_grammar::{Grammar, RuleId};
 
 use crate::BackendError;
@@ -53,25 +53,18 @@ pub(crate) fn grammar_is_recursive(grammar: &Grammar) -> bool {
     visit(grammar, grammar.root(), &mut visiting, &mut done)
 }
 
-/// A PDA configuration: the return nodes of the enclosing frames, outermost
-/// first, and the node the innermost frame is at.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct Config {
-    returns: Vec<NodeId>,
-    node: NodeId,
-}
-
 /// Unrolls `grammar` into a byte-level NFA whose states are the
 /// configurations of its PDA reachable from the root's start with at most
-/// `max_depth` stack frames. Unbounded repetitions stay automaton loops (they
-/// are regular), as do references in tail position; a reference that needs
-/// a frame beyond the bound is dropped.
+/// `max_depth` stack frames, each closed over by [`epsilon_closure`].
+/// Unbounded repetitions stay automaton loops (they are regular), as do
+/// references in tail position; a reference that needs a frame beyond the
+/// bound is dropped.
 ///
 /// # Errors
 ///
 /// Returns `backend`'s [`BackendError::UnsupportedGrammar`] when the
-/// automaton grows beyond `max_states`, or when nothing survives the
-/// truncation.
+/// automaton grows beyond `max_states`, when one configuration's closure
+/// overflows, or when nothing survives the truncation.
 pub(crate) fn unroll_grammar_to_fsa(
     backend: &'static str,
     grammar: &Grammar,
@@ -81,28 +74,28 @@ pub(crate) fn unroll_grammar_to_fsa(
     let refuse = |reason: String| BackendError::UnsupportedGrammar { backend, reason };
     let pda = build_pda_default(grammar);
     let mut fsa = Fsa::new();
-    let start = Config {
-        returns: Vec::new(),
-        node: pda.root_start(),
-    };
+    let start = vec![pda.root_start()];
     let mut states = HashMap::from([(start.clone(), fsa.start())]);
     let mut pending = vec![start];
     let mut any_final = false;
-    while let Some(config) = pending.pop() {
-        let from = states[&config];
+    while let Some(stack) = pending.pop() {
+        let from = states[&stack];
+        let closure = epsilon_closure(&pda, &stack, max_depth)
+            .ok_or_else(|| refuse("a configuration's closure overflows".to_string()))?;
         let mut edges = Vec::new();
-        for reached in closure(&pda, config, max_depth) {
-            let node = pda.node(reached.node);
-            if node.is_final && reached.returns.is_empty() {
+        for reached in &closure {
+            let Some((&top, returns)) = reached.split_last() else {
+                continue;
+            };
+            let node = pda.node(top);
+            if node.is_final && returns.is_empty() {
                 fsa.set_final(from, true);
                 any_final = true;
             }
             for edge in &node.edges {
                 if let PdaEdge::Bytes { range, target } = *edge {
-                    let next = Config {
-                        returns: reached.returns.clone(),
-                        node: target,
-                    };
+                    let mut next = returns.to_vec();
+                    next.push(target);
                     edges.push((range, next));
                 }
             }
@@ -133,52 +126,6 @@ pub(crate) fn unroll_grammar_to_fsa(
         )));
     }
     Ok(fsa)
-}
-
-/// Every configuration `config` reaches without reading a byte, itself
-/// included. A rule reference pushes the rule's start over its return node
-/// while there are fewer than `max_depth` frames; when the return node is a
-/// pure return, the start replaces the frame instead (a tail call). A final
-/// node above the bottom frame returns to its caller.
-fn closure(pda: &Pda, config: Config, max_depth: usize) -> Vec<Config> {
-    let mut seen = HashSet::from([config.clone()]);
-    let mut queue = vec![config];
-    let mut out = Vec::new();
-    while let Some(config) = queue.pop() {
-        let node = pda.node(config.node);
-        let mut next = Vec::new();
-        for edge in &node.edges {
-            if let PdaEdge::Rule { rule, target } = *edge {
-                let start = pda.rule(rule).start;
-                let mut returns = config.returns.clone();
-                if !pda.node(target).is_pure_return() {
-                    if returns.len() + 1 >= max_depth {
-                        continue;
-                    }
-                    returns.push(target);
-                }
-                next.push(Config {
-                    returns,
-                    node: start,
-                });
-            }
-        }
-        if node.is_final {
-            if let Some((&node, returns)) = config.returns.split_last() {
-                next.push(Config {
-                    returns: returns.to_vec(),
-                    node,
-                });
-            }
-        }
-        for reached in next {
-            if seen.insert(reached.clone()) {
-                queue.push(reached);
-            }
-        }
-        out.push(config);
-    }
-    out
 }
 
 #[cfg(test)]

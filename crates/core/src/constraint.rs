@@ -209,17 +209,8 @@ pub trait ConstraintMatcher: Send + fmt::Debug {
 
     /// Resets the matcher to the start of its constraint, clearing history
     /// and statistics. A reset matcher must be indistinguishable from a
-    /// freshly constructed one (a tag lane relies on this when it reopens a
-    /// segment on an inner matcher it used before).
+    /// freshly constructed one (a recycled lane relies on this).
     fn reset(&mut self);
-
-    /// Drops the oldest rollback snapshots until at most `keep` remain — a
-    /// memory-bounding hint used when an outer constraint (e.g. tag dispatch)
-    /// caps an inner matcher's effective window. Implementations without
-    /// per-unit history may ignore it (the default).
-    fn trim_history(&mut self, keep: usize) {
-        let _ = keep;
-    }
 }
 
 /// A compiled constraint shared between requests, which mints each lane's

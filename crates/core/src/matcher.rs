@@ -86,8 +86,8 @@ pub struct GrammarMatcher {
     max_rollback: usize,
     terminated: bool,
     stats: MatcherStats,
-    /// Boxed: matchers are moved by value (tag-lane spares, enums over
-    /// matcher kinds).
+    /// Boxed: matchers are moved by value (into a tag lane's per-trigger
+    /// slots, enums over matcher kinds).
     work: Box<Working>,
 }
 
@@ -302,6 +302,32 @@ impl GrammarMatcher {
     fn drop_oldest_snapshot(&mut self) {
         if let Some(len) = self.history_lens.pop_front() {
             self.history.drain(..len);
+        }
+    }
+
+    /// Starts the grammar over as one more rollback unit: the heads before
+    /// the restart stay in the history, so rolling it back returns to them.
+    /// A tag lane opens each segment of a trigger this way, on the trigger's
+    /// one inner matcher.
+    pub(crate) fn restart(&mut self) {
+        self.push_history();
+        self.start_over();
+    }
+
+    /// Makes the root rule's start the one head.
+    fn start_over(&mut self) {
+        let start = self
+            .tree
+            .push(StackHandle::ROOT, self.compiled.pda().root_start());
+        self.heads.clear();
+        self.heads.push(start);
+        self.terminated = false;
+    }
+
+    /// Drops the oldest rollback snapshots until at most `keep` remain.
+    pub(crate) fn trim_history(&mut self, keep: usize) {
+        while self.history_lens.len() > keep {
+            self.drop_oldest_snapshot();
         }
     }
 
@@ -547,21 +573,10 @@ impl ConstraintMatcher for GrammarMatcher {
     /// one) but keeping every buffer's capacity.
     fn reset(&mut self) {
         self.tree.clear();
-        let start = self
-            .tree
-            .push(StackHandle::ROOT, self.compiled.pda().root_start());
-        self.heads.clear();
-        self.heads.push(start);
+        self.start_over();
         self.history.clear();
         self.history_lens.clear();
-        self.terminated = false;
         self.stats = MatcherStats::default();
-    }
-
-    fn trim_history(&mut self, keep: usize) {
-        while self.history_lens.len() > keep {
-            self.drop_oldest_snapshot();
-        }
     }
 }
 

@@ -17,11 +17,16 @@
 //! that mask is exactly the set of tokens [`accept_token`] takes
 //! (`tests/structural_tag.rs::tag_masks_are_exactly_the_accept_set`).
 //!
-//! Rollback works across mode boundaries: rolling back into a closed segment
-//! re-opens it, and rolling back across a segment's opening returns to
-//! free-text scanning with the trigger state restored. The operations live in
-//! the [`ConstraintMatcher`] impl and nowhere else. The unit tests that drive
-//! a matcher sit here, the compile and cache-path ones in `tag_dispatch.rs`.
+//! Each trigger has one inner [`GrammarMatcher`] for the lane's life, and a
+//! segment opens by starting that matcher's grammar over as one more
+//! rollback unit. A rollback snapshot is therefore the mode plus, inside a
+//! segment, a position in its trigger's matcher history (the persistent
+//! stack of §3.3 keeps the handles). Rollback works across mode boundaries:
+//! rolling back into a closed segment re-opens it, and rolling back across a
+//! segment's opening returns to free-text scanning with the trigger state
+//! restored. The operations live in the [`ConstraintMatcher`] impl and
+//! nowhere else. The unit tests that drive a matcher sit here, the compile
+//! and cache-path ones in `tag_dispatch.rs`.
 //!
 //! [`accept_token`]: ConstraintMatcher::accept_token
 
@@ -48,11 +53,8 @@ pub struct TagDispatchStats {
     pub tags_opened: u64,
     /// Tagged segments closed.
     pub tags_closed: u64,
-    /// Segment slots dropped entirely because they fell behind the rollback
-    /// window (the remaining slots are all the per-token prune pass scans).
-    pub slots_dropped: u64,
-    /// Inner segment matchers built. A segment otherwise reopens a spare of
-    /// its trigger that an earlier, released segment of this lane left.
+    /// Inner segment matchers built: one on a trigger's first open, reused
+    /// by every later segment of that trigger.
     pub inner_matchers_built: u64,
 }
 
@@ -69,21 +71,19 @@ pub enum DispatchMode {
 }
 
 /// Internal mode state; [`ModeState::Free`] carries the trigger-scan
-/// automaton state, [`ModeState::Tagged`] the *absolute* segment index
-/// (stable across dropped slots).
+/// automaton state.
 #[derive(Debug, Clone, Copy)]
 enum ModeState {
     Free { scan: AcState },
-    Tagged { seg: usize },
+    Tagged { trigger: usize },
 }
 
-/// A tagged segment's runtime state. The matcher moves to the lane's spares
-/// (`None`) once no rollback snapshot can reach the segment any more.
+/// A trigger's inner matcher, which runs each of its segments in turn.
 #[derive(Debug)]
-struct TagSegment {
-    trigger: usize,
-    matcher: Option<GrammarMatcher>,
-    /// Inner rollback units accepted so far (one per byte fed).
+struct Inner {
+    matcher: GrammarMatcher,
+    /// Rollback units since the matcher's last reset: one per byte fed and
+    /// one per restart (a segment's opening).
     units: usize,
 }
 
@@ -91,11 +91,8 @@ struct TagSegment {
 #[derive(Debug, Clone, Copy)]
 struct Snapshot {
     mode: ModeState,
-    /// Inner units of the then-current segment (0 when `mode` is free).
+    /// Inner units of the then-current trigger (0 when `mode` is free).
     units: usize,
-    /// Total segments ever opened at snapshot time (`segments_base +
-    /// segments.len()`), for truncating later opens on restore.
-    segments_len: usize,
 }
 
 /// The incremental matcher for a compiled structural tag: unconstrained free
@@ -130,21 +127,13 @@ struct Snapshot {
 pub struct StructuralTagMatcher {
     compiled: Arc<CompiledTagDispatch>,
     mode: ModeState,
-    /// Live segment slots. Slots behind the rollback window are dropped from
-    /// the front; `segments_base` is the absolute index of `segments[0]`, so
-    /// a request with hundreds of tool calls scans (and stores) only the
-    /// handful of slots a snapshot can still reach.
-    segments: VecDeque<TagSegment>,
-    segments_base: usize,
+    /// Inner matchers by trigger index. The vector grows on a trigger's
+    /// first open, so a lane costs nothing per trigger it never opens.
+    inner: Vec<Option<Inner>>,
     history: VecDeque<Snapshot>,
     max_rollback: usize,
     terminated: bool,
     stats: TagDispatchStats,
-    /// Inner matchers of released segments, by trigger index, for the next
-    /// segment of the same trigger to reset and reuse. It holds, per trigger,
-    /// at most as many as the rollback window ever kept open at once, so it
-    /// needs no cap.
-    spares: Vec<(usize, GrammarMatcher)>,
 }
 
 impl StructuralTagMatcher {
@@ -155,18 +144,16 @@ impl StructuralTagMatcher {
 
     /// Creates a matcher that can roll back up to `max_rollback` recently
     /// accepted tokens, including across tag boundaries.
-    pub fn with_max_rollback(compiled: Arc<CompiledTagDispatch>, max_rollback: usize) -> Self {
+    fn with_max_rollback(compiled: Arc<CompiledTagDispatch>, max_rollback: usize) -> Self {
         let scan = compiled.scanner().start();
         StructuralTagMatcher {
             compiled,
             mode: ModeState::Free { scan },
-            segments: VecDeque::new(),
-            segments_base: 0,
+            inner: Vec::new(),
             history: VecDeque::new(),
             max_rollback,
             terminated: false,
             stats: TagDispatchStats::default(),
-            spares: Vec::new(),
         }
     }
 
@@ -182,62 +169,43 @@ impl StructuralTagMatcher {
 
     /// The matcher's current mode.
     pub fn mode(&self) -> DispatchMode {
-        match &self.mode {
+        match self.mode {
             ModeState::Free { .. } => DispatchMode::FreeText,
-            ModeState::Tagged { seg } => DispatchMode::Tagged {
-                trigger: self.seg(*seg).trigger,
-            },
+            ModeState::Tagged { trigger } => DispatchMode::Tagged { trigger },
         }
     }
 
-    fn seg(&self, abs: usize) -> &TagSegment {
-        &self.segments[abs - self.segments_base]
-    }
-
-    /// The inner matcher of the open segment `abs`.
-    fn open_matcher(&mut self, abs: usize) -> &mut GrammarMatcher {
-        self.segments[abs - self.segments_base]
-            .matcher
+    /// The inner matcher of `trigger`, which has opened a segment before.
+    fn inner(&mut self, trigger: usize) -> &mut Inner {
+        self.inner[trigger]
             .as_mut()
-            .expect("the current segment is never pruned")
-    }
-
-    /// Total segments ever opened (dropped slots included).
-    fn segments_total(&self) -> usize {
-        self.segments_base + self.segments.len()
+            .expect("an opened trigger keeps its inner matcher")
     }
 
     fn snapshot(&self) -> Snapshot {
-        let units = match &self.mode {
+        let units = match self.mode {
             ModeState::Free { .. } => 0,
-            ModeState::Tagged { seg } => self.seg(*seg).units,
+            ModeState::Tagged { trigger } => self.inner[trigger].as_ref().map_or(0, |i| i.units),
         };
         Snapshot {
             mode: self.mode,
             units,
-            segments_len: self.segments_total(),
         }
     }
 
+    /// Puts the mode back and, inside a segment, rolls its trigger's matcher
+    /// back to the snapshot's position. A free-text snapshot touches no
+    /// inner matcher: a segment opened since then starts over when its
+    /// trigger next opens, and the units it left sit after every retained
+    /// snapshot's position.
     fn restore(&mut self, snapshot: &Snapshot) {
-        // Drop segments opened after the snapshot, keeping their inner
-        // matchers as spares. When `segments_base` has already advanced
-        // past the snapshot's total (the excess slots fell behind the
-        // rollback window and were dropped from the front), this saturates to
-        // clearing whatever is left.
-        self.release_segments_from(snapshot.segments_len.saturating_sub(self.segments_base));
-        if let ModeState::Tagged { seg } = snapshot.mode {
-            let segment = &mut self.segments[seg - self.segments_base];
-            let delta = segment.units - snapshot.units;
-            if delta > 0 {
-                segment
-                    .matcher
-                    .as_mut()
-                    .expect("segments reachable from snapshots are never pruned")
-                    .rollback(delta)
-                    .expect("inner matchers keep their full per-byte history");
-                segment.units = snapshot.units;
-            }
+        if let ModeState::Tagged { trigger } = snapshot.mode {
+            let inner = self.inner(trigger);
+            inner
+                .matcher
+                .rollback(inner.units - snapshot.units)
+                .expect("an inner matcher keeps every unit a snapshot reaches");
+            inner.units = snapshot.units;
         }
         self.mode = snapshot.mode;
     }
@@ -285,24 +253,20 @@ impl StructuralTagMatcher {
             // innermost segment, when that happened during this call.
             let mut opened_at: Option<usize> = None;
             for (i, &b) in bytes.iter().enumerate() {
-                match &mut self.mode {
+                match self.mode {
                     ModeState::Free { scan } => {
-                        let state = scanner.step(*scan, b);
-                        *scan = state;
-                        if let Some(trigger) = scanner.matched(state) {
+                        let scan = scanner.step(scan, b);
+                        self.mode = ModeState::Free { scan };
+                        if let Some(trigger) = scanner.matched(scan) {
                             if !suppressed.contains(&i) {
                                 self.open_segment(trigger);
                                 opened_at = Some(i);
                             }
                         }
                     }
-                    ModeState::Tagged { seg } => {
-                        let segment = &mut self.segments[*seg - self.segments_base];
-                        let matcher = segment
-                            .matcher
-                            .as_mut()
-                            .expect("the current segment is never pruned");
-                        if matcher.accept_bytes(&[b]).is_err() {
+                    ModeState::Tagged { trigger } => {
+                        let inner = self.inner(trigger);
+                        if inner.matcher.accept_bytes(&[b]).is_err() {
                             let Some(pos) = opened_at else {
                                 return Err(i);
                             };
@@ -311,8 +275,8 @@ impl StructuralTagMatcher {
                             self.restore_stats(base_stats);
                             continue 'attempt;
                         }
-                        segment.units += 1;
-                        if matcher.can_terminate() {
+                        inner.units += 1;
+                        if inner.matcher.can_terminate() {
                             self.close_segment();
                         }
                     }
@@ -323,7 +287,7 @@ impl StructuralTagMatcher {
     }
 
     /// Puts back the statistics saved before a failed unit, all but the
-    /// count of inner matchers built: those stay built, as spares.
+    /// count of inner matchers built: those stay built for their triggers.
     fn restore_stats(&mut self, saved: TagDispatchStats) {
         self.stats = TagDispatchStats {
             inner_matchers_built: self.stats.inner_matchers_built,
@@ -331,41 +295,35 @@ impl StructuralTagMatcher {
         };
     }
 
-    /// Opens a tagged segment for `trigger` on a reset spare of that trigger,
-    /// or on a new inner matcher when the lane has none. A segment whose
+    /// Opens a tagged segment for `trigger` by starting the trigger's inner
+    /// matcher over, built on the trigger's first open. A segment whose
     /// combined grammar is already complete (pathological nullable tags)
     /// closes immediately.
     fn open_segment(&mut self, trigger: usize) {
-        let mut matcher = match self.spares.iter().rposition(|(t, _)| *t == trigger) {
-            Some(i) => {
-                let (_, mut spare) = self.spares.swap_remove(i);
-                spare.reset();
-                spare
-            }
-            None => {
-                self.stats.inner_matchers_built += 1;
-                let grammar = Arc::clone(self.compiled.triggers()[trigger].grammar());
-                // Inner matchers keep one rollback unit per byte. The window
-                // is nominally unbounded so the matcher never self-trims;
-                // `prune_unreachable_segments` trims it to exactly the units
-                // the outer rollback window can still reach.
-                GrammarMatcher::with_max_rollback(grammar, usize::MAX)
-            }
-        };
-        self.stats.tags_opened += 1;
-        if matcher.can_terminate() {
-            self.spares.push((trigger, matcher));
-            self.close_segment();
-            return;
+        if self.inner.len() <= trigger {
+            self.inner.resize_with(trigger + 1, || None);
         }
-        self.segments.push_back(TagSegment {
-            trigger,
-            matcher: Some(matcher),
-            units: 0,
+        let (compiled, built) = (&self.compiled, &mut self.stats.inner_matchers_built);
+        let inner = self.inner[trigger].get_or_insert_with(|| {
+            *built += 1;
+            let grammar = Arc::clone(compiled.triggers()[trigger].grammar());
+            // The window is unbounded so the matcher never trims itself;
+            // `prune_inner_histories` trims it to the units a snapshot of the
+            // lane can still reach.
+            Inner {
+                matcher: GrammarMatcher::with_max_rollback(grammar, usize::MAX),
+                units: 0,
+            }
         });
-        self.mode = ModeState::Tagged {
-            seg: self.segments_total() - 1,
-        };
+        inner.matcher.restart();
+        inner.units += 1;
+        let complete = inner.matcher.can_terminate();
+        self.stats.tags_opened += 1;
+        if complete {
+            self.close_segment();
+        } else {
+            self.mode = ModeState::Tagged { trigger };
+        }
     }
 
     fn close_segment(&mut self) {
@@ -383,66 +341,32 @@ impl StructuralTagMatcher {
             }
         }
         // Prune even with rollback disabled: with no snapshots retained,
-        // every closed segment becomes unreachable immediately.
-        self.prune_unreachable_segments();
+        // every matcher but the open segment's is unreachable at once.
+        self.prune_inner_histories();
     }
 
-    /// Moves the inner matchers of segments that no rollback snapshot (nor
-    /// the current mode) can reach any more to the spares, drops the slots
-    /// of the unreachable *prefix* entirely (advancing `segments_base`, so
-    /// long multi-call generations neither hold nor rescan one slot per
-    /// closed tool call), and trims each reachable segment's per-byte history
-    /// down to the oldest unit any snapshot can still roll back to.
-    fn prune_unreachable_segments(&mut self) {
+    /// Trims each inner matcher's history to the oldest unit a retained
+    /// snapshot (or the current mode) can restore it to, and resets a
+    /// matcher that none reaches, so neither its history nor its stack tree
+    /// outlives its segments.
+    fn prune_inner_histories(&mut self) {
         let now = self.snapshot();
-        let mut first_reachable = None;
-        for (i, segment) in self.segments.iter_mut().enumerate() {
-            let abs = self.segments_base + i;
-            // The smallest `units` value any retained snapshot (or the
-            // current mode) could restore this segment to; None = unreachable.
-            // The slots are the few the rollback window still reaches, so the
-            // scan per slot is short and needs no buffer.
-            let need = self
+        for (trigger, inner) in self.inner.iter_mut().enumerate() {
+            let Some(inner) = inner else { continue };
+            let oldest = self
                 .history
                 .iter()
                 .chain([&now])
-                .filter(|s| matches!(s.mode, ModeState::Tagged { seg } if seg == abs))
+                .filter(|s| matches!(s.mode, ModeState::Tagged { trigger: t } if t == trigger))
                 .map(|s| s.units)
                 .min();
-            match need {
-                Some(min_units) => {
-                    first_reachable.get_or_insert(i);
-                    if let Some(matcher) = segment.matcher.as_mut() {
-                        matcher.trim_history(segment.units - min_units);
-                    }
+            match oldest {
+                Some(units) => inner.matcher.trim_history(inner.units - units),
+                None if inner.units > 0 => {
+                    inner.matcher.reset();
+                    inner.units = 0;
                 }
-                None => {
-                    if let Some(matcher) = segment.matcher.take() {
-                        self.spares.push((segment.trigger, matcher));
-                    }
-                }
-            }
-        }
-        // Drop the unreachable prefix outright: no snapshot indexes below the
-        // first reachable slot, so those slots can never be restored (and
-        // truncation on restore only pops from the back).
-        let unreachable_prefix = first_reachable.unwrap_or(self.segments.len());
-        self.segments.drain(..unreachable_prefix);
-        self.segments_base += unreachable_prefix;
-        self.stats.slots_dropped += unreachable_prefix as u64;
-    }
-
-    /// Moves the inner matchers of all slots with index ≥ `from` (relative
-    /// to the deque) to the spares and removes the slots.
-    fn release_segments_from(&mut self, from: usize) {
-        while self.segments.len() > from {
-            if let Some(TagSegment {
-                trigger,
-                matcher: Some(matcher),
-                ..
-            }) = self.segments.pop_back()
-            {
-                self.spares.push((trigger, matcher));
+                None => {}
             }
         }
     }
@@ -486,8 +410,8 @@ impl ConstraintMatcher for StructuralTagMatcher {
                 }
                 self.stats.free_masks += 1;
             }
-            ModeState::Tagged { seg } => {
-                self.open_matcher(seg).fill_next_token_bitmask(mask);
+            ModeState::Tagged { trigger } => {
+                self.inner(trigger).matcher.fill_next_token_bitmask(mask);
                 self.stats.tag_masks += 1;
             }
         }
@@ -592,7 +516,7 @@ impl ConstraintMatcher for StructuralTagMatcher {
     fn find_jump_forward_string(&mut self) -> Vec<u8> {
         match self.mode {
             ModeState::Free { .. } => Vec::new(),
-            ModeState::Tagged { seg } => self.open_matcher(seg).find_jump_forward_string(),
+            ModeState::Tagged { trigger } => self.inner(trigger).matcher.find_jump_forward_string(),
         }
     }
 
@@ -606,13 +530,15 @@ impl ConstraintMatcher for StructuralTagMatcher {
     }
 
     /// Resets the matcher to free text at the start of the stream, keeping
-    /// every live inner matcher as a spare for the next pass.
+    /// each trigger's inner matcher, reset, for the next pass.
     fn reset(&mut self) {
-        self.release_segments_from(0);
+        for inner in self.inner.iter_mut().flatten() {
+            inner.matcher.reset();
+            inner.units = 0;
+        }
         self.mode = ModeState::Free {
             scan: self.compiled.scanner().start(),
         };
-        self.segments_base = 0;
         self.history.clear();
         self.terminated = false;
         self.stats = TagDispatchStats::default();
@@ -831,11 +757,15 @@ pub(crate) mod tests {
         assert_eq!(mask, pre_tag_mask, "pre-tag mask must be restored");
 
         // Re-enter and close; then roll back INTO the closed segment.
-        drive_bytes(&vocab, &mut matcher, b"<n>5</n>!");
+        drive_bytes(&vocab, &mut matcher, b"<n>5");
+        let mut in_tag_mask = TokenBitmask::new_all_rejected(vocab.len());
+        matcher.fill_next_token_bitmask(&mut in_tag_mask);
+        drive_bytes(&vocab, &mut matcher, b"</n>!");
         assert_eq!(matcher.mode(), DispatchMode::FreeText);
-        matcher.rollback(5).unwrap(); // undo `/n>` + `!`... back inside `<n>5`
+        matcher.rollback(5).unwrap(); // undo `</n>` + `!`: back inside `<n>5`
         assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
         matcher.fill_next_token_bitmask(&mut mask);
+        assert_eq!(mask, in_tag_mask, "the in-segment mask must be restored");
         assert!(mask.is_allowed(token_for(&vocab, b"9")));
         // Take a different path this time.
         drive_bytes(&vocab, &mut matcher, b"77</n>");
@@ -902,39 +832,40 @@ pub(crate) mod tests {
         assert!(matcher.can_terminate());
     }
 
+    /// The hundreds-of-tool-calls case: one inner matcher serves every call
+    /// of its trigger, and its history holds no more than the units the
+    /// lane's last 4 snapshots can reach (at most 8 a unit here: a restart
+    /// and 7 bytes), however many calls went before.
     #[test]
-    fn segment_slots_behind_the_rollback_window_are_dropped() {
-        // The hundreds-of-tool-calls case: every closed call's slot must be
-        // dropped (not just slimmed) once no snapshot can reach it, so the
-        // per-token prune pass scans O(window) slots, not O(calls).
+    fn a_trigger_keeps_one_inner_matcher_and_a_window_of_history() {
         let tag = number_tag();
         let vocab = Arc::new(test_vocabulary(800));
         let compiler = GrammarCompiler::new(Arc::clone(&vocab));
         let compiled = compiler.compile_tag_dispatch(&tag).unwrap();
         let mut matcher = StructuralTagMatcher::with_max_rollback(Arc::clone(&compiled), 4);
         for _ in 0..100 {
-            matcher.accept_bytes(b"x <n>12</n> y").unwrap();
+            for unit in [&b"x <n>1"[..], b"2</", b"n> y"] {
+                matcher.accept_bytes(unit).unwrap();
+                let inner = matcher.inner[0].as_ref().unwrap();
+                let window = inner.matcher.rollback_window();
+                assert_eq!(window, inner.units.min(window));
+                assert!(window <= 4 * 8, "{window} inner units kept");
+            }
         }
         assert_eq!(matcher.stats().tags_opened, 100);
-        assert!(
-            matcher.segments.len() <= 4,
-            "expected slots behind the window to be dropped, {} retained",
-            matcher.segments.len()
-        );
-        assert!(matcher.stats().slots_dropped >= 96);
-        // The lane reopened its own released inner matchers rather than
-        // building one per call.
-        let built = matcher.stats().inner_matchers_built;
-        assert!(built < 10, "inner matchers must be reused, built {built}");
-        // Rollback within the window still works after dropping slots.
+        assert_eq!(matcher.stats().inner_matchers_built, 1);
+        // Rollback across the last call's opening, into the call before:
+        // back after its `12</`.
         matcher.rollback(4).unwrap();
-        matcher.accept_bytes(b"<n>7</n>").unwrap();
+        assert_eq!(matcher.mode(), DispatchMode::Tagged { trigger: 0 });
+        matcher.accept_bytes(b"7").unwrap_err();
+        matcher.accept_bytes(b"n>").unwrap();
         assert!(matcher.can_terminate());
     }
 
-    /// A lane's spare inner matchers are matched to their own trigger: with
-    /// calls alternating between two triggers, a replay after `reset()`
-    /// builds no inner matcher and masks exactly like a fresh lane.
+    /// A lane's inner matchers are matched to their own trigger: with calls
+    /// alternating between two triggers, a replay after `reset()` builds no
+    /// inner matcher and masks exactly like a fresh lane.
     #[test]
     fn a_tag_lane_reuses_its_own_inner_matchers_across_interleaved_triggers() {
         let spec = |name: &str, body: &str| TagSpec {
@@ -1021,7 +952,8 @@ pub(crate) mod tests {
         assert_eq!(matcher.mode(), DispatchMode::FreeText);
         assert!(matcher.can_terminate());
         assert_eq!(matcher.stats(), TagDispatchStats::default());
-        assert_eq!(matcher.segments.len(), 0);
+        let inner = matcher.inner[0].as_ref().unwrap();
+        assert_eq!((inner.units, inner.matcher.rollback_window()), (0, 0));
     }
 
     #[test]
@@ -1043,11 +975,7 @@ pub(crate) mod tests {
         for _ in 0..200 {
             matcher.accept_bytes(b"7").unwrap();
         }
-        let inner_window = matcher.segments[0]
-            .matcher
-            .as_ref()
-            .unwrap()
-            .rollback_window();
+        let inner_window = matcher.inner[0].as_ref().unwrap().matcher.rollback_window();
         assert!(
             inner_window <= 4,
             "inner history must be bounded by the outer window, got {inner_window}"
