@@ -462,8 +462,10 @@ proptest! {
 
 /// Every configuration reachable from `stack` without a byte: a frame
 /// pushed per rule reference, a frame popped at a rule's final node. Unlike
-/// [`SimpleMatcher`]'s closure it makes no tail call, so the soundness
-/// proptest also reads completions of rules referenced in tail position.
+/// [`SimpleMatcher`]'s closure it makes no tail call, so a rule referenced
+/// in tail position keeps its caller's frame; [`step`] feeds a prefix
+/// through it, and the soundness proptest sees every rule complete in every
+/// frame it was called from, at any earlier byte.
 fn configurations(pda: &Pda, stack: &[NodeId]) -> Vec<Vec<NodeId>> {
     let (mut seen, mut queue) = (vec![stack.to_vec()], vec![stack.to_vec()]);
     while let Some(config) = queue.pop() {
@@ -488,6 +490,26 @@ fn configurations(pda: &Pda, stack: &[NodeId]) -> Vec<Vec<NodeId>> {
         }
     }
     seen
+}
+
+/// The stacks `stacks` reach over `byte`, their closures taken by
+/// [`configurations`] (no tail call, so no caller's frame is lost).
+fn step(pda: &Pda, stacks: &[Vec<NodeId>], byte: u8) -> Vec<Vec<NodeId>> {
+    let mut next: Vec<Vec<NodeId>> = Vec::new();
+    for config in stacks.iter().flat_map(|stack| configurations(pda, stack)) {
+        let Some((&top, returns)) = config.split_last() else {
+            continue;
+        };
+        for edge in &pda.node(top).edges {
+            if let PdaEdge::Bytes { range, target } = *edge {
+                let stepped = [returns, &[target]].concat();
+                if range.contains(byte) && !next.contains(&stepped) {
+                    next.push(stepped);
+                }
+            }
+        }
+    }
+    next
 }
 
 /// A random walk of up to `len` printable bytes through `pda`, each byte
@@ -529,10 +551,10 @@ proptest! {
         let suffixes = extract_all_suffix_fsas(&pda);
         for _ in 0..8 {
             let sentence = sample_prefix(&pda, &mut rng, 24);
-            let mut matcher = SimpleMatcher::new(&pda);
+            let mut stacks = vec![vec![pda.root_start()]];
             for at in 0..sentence.len() {
                 let rest = &sentence[at..];
-                for stack in matcher.stacks() {
+                for stack in &stacks {
                     for config in configurations(&pda, stack) {
                         let top = pda.node(config[config.len() - 1]);
                         if !top.is_final || config.len() < 2 {
@@ -554,7 +576,7 @@ proptest! {
                         );
                     }
                 }
-                matcher.advance_bytes(&sentence[at..=at]);
+                stacks = step(&pda, &stacks, sentence[at]);
             }
         }
     }

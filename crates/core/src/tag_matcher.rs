@@ -348,11 +348,14 @@ impl StructuralTagMatcher {
     /// Trims each inner matcher's history to the oldest unit a retained
     /// snapshot (or the current mode) can restore it to, and resets a
     /// matcher that none reaches, so neither its history nor its stack tree
-    /// outlives its segments.
+    /// outlives its segments. A matcher at unit 0 is skipped unscanned: a
+    /// tagged snapshot counts its segment's opening, so none reaches it.
     fn prune_inner_histories(&mut self) {
         let now = self.snapshot();
         for (trigger, inner) in self.inner.iter_mut().enumerate() {
-            let Some(inner) = inner else { continue };
+            let Some(inner) = inner.as_mut().filter(|i| i.units > 0) else {
+                continue;
+            };
             let oldest = self
                 .history
                 .iter()
@@ -362,11 +365,10 @@ impl StructuralTagMatcher {
                 .min();
             match oldest {
                 Some(units) => inner.matcher.trim_history(inner.units - units),
-                None if inner.units > 0 => {
+                None => {
                     inner.matcher.reset();
                     inner.units = 0;
                 }
-                None => {}
             }
         }
     }
