@@ -107,8 +107,7 @@ impl<'a> SimpleMatcher<'a> {
                 for edge in &self.pda.node(top).edges {
                     if let PdaEdge::Bytes { range, target } = *edge {
                         if range.contains(byte) {
-                            let mut new_stack = returns.to_vec();
-                            new_stack.push(target);
+                            let new_stack = [returns, &[target]].concat();
                             if seen.insert(new_stack.clone()) {
                                 next.push(new_stack);
                             }
@@ -198,29 +197,25 @@ pub fn epsilon_closure(pda: &Pda, stack: &[NodeId], max_frames: usize) -> Option
         if out.len() > MAX_STACKS {
             return None;
         }
-        let mut next = Vec::new();
         if let Some((&top, returns)) = config.split_last() {
             let node = pda.node(top);
             for edge in &node.edges {
                 if let PdaEdge::Rule { rule, target } = *edge {
-                    let mut entered = returns.to_vec();
-                    if !pda.node(target).is_pure_return() {
-                        if config.len() >= max_frames {
-                            continue;
-                        }
-                        entered.push(target);
+                    let start = pda.rule(rule).start;
+                    let entered = if pda.node(target).is_pure_return() {
+                        [returns, &[start]].concat()
+                    } else if config.len() < max_frames {
+                        [returns, &[target, start]].concat()
+                    } else {
+                        continue;
+                    };
+                    if seen.insert(entered.clone()) {
+                        queue.push(entered);
                     }
-                    entered.push(pda.rule(rule).start);
-                    next.push(entered);
                 }
             }
-            if node.is_final && !returns.is_empty() {
-                next.push(returns.to_vec());
-            }
-        }
-        for reached in next {
-            if seen.insert(reached.clone()) {
-                queue.push(reached);
+            if node.is_final && !returns.is_empty() && seen.insert(returns.to_vec()) {
+                queue.push(returns.to_vec());
             }
         }
         out.push(config);
